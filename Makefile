@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test test-stress lint selflint ruff chaos chaos-parallel bench-smoke bench-compare bench-scale bench-trend race-check
+.PHONY: check test test-stress lint selflint ruff chaos chaos-parallel bench-smoke bench-compare bench-scale bench-trend bench-e2e test-bench-harness race-check
 
 check: test selflint chaos ruff
 
@@ -72,6 +72,18 @@ bench-scale:
 # to gate).
 bench-trend: bench-smoke
 	$(PYTHON) benchmarks/trend.py
+
+# the repo benchmark (BENCHMARK.json): every workload once, each in a
+# fresh process, outputs checked, end-to-end metrics printed by name.
+# `--runs N --out A.json` then `--compare A.json B.json` is how two
+# commits are compared (benchmarks/e2e/README.md).
+bench-e2e:
+	$(PYTHON) benchmarks/e2e/run.py --workload all
+
+# the benchmark harness's own tests; benchmarks/e2e is not in tier-1's
+# testpaths
+test-bench-harness:
+	$(PYTHON) -m pytest benchmarks/e2e -q
 
 # the tier-1 suite under the shadow race checker: every parallel wave is
 # replayed serially with owning-schedule attribution; byte-identity means

@@ -37,10 +37,12 @@ import itertools
 import time as _time
 import warnings
 from bisect import bisect_left
+from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..temporal.batch import EventBatch
 from ..temporal.event import Event
+from ..temporal.operators.base import WAKE_ALWAYS, WAKE_AT_FLUSH
 from ..temporal.plan import (
     AlterLifetimeNode,
     ExchangeNode,
@@ -255,7 +257,24 @@ class _OpNode:
         self.columnar = flow.columnar
         if isinstance(plan_node, GroupApplyNode):
             self._groups: Dict[Tuple, _GroupChain] = {}
+            #: the non-idle chains, in activation order (the order the
+            #: cross-group merge draws tie-breaking sequence numbers in)
             self._active: Dict[Tuple, _GroupChain] = {}
+            self._ordinals = itertools.count()
+            #: wake-time scheduling of the driver-local wave: chains
+            #: that must advance at the next wave whatever its watermark
+            #: (fed, just activated, or unable to sleep), a min-heap of
+            #: ``(wake, stamp, key, chain)`` for the sleeping rest, and
+            #: a min-heap of ``(watermark, stamp, chain)`` over every
+            #: non-idle chain for the group watermark. Both heaps delete
+            #: lazily: an entry is live iff its stamp is still the
+            #: chain's, i.e. the chain has not advanced since the push.
+            self._due: Dict[Tuple, _GroupChain] = {}
+            self._wake_heap: List[tuple] = []
+            self._held: List[tuple] = []
+            #: chain advances merged by this node, all paths; the serial
+            #: wave also draws its heap stamps from it
+            self.chain_advances = 0
             self._pending: List[Tuple[int, int, Event]] = []
             self._seq = itertools.count()
             self._fed_since_wave = 0
@@ -336,35 +355,63 @@ class _OpNode:
         else:
             self.outputs.extend(events)
 
-    def is_idle(self) -> bool:
-        """True iff a future (non-flush) watermark can emit nothing here
-        and shifts this node's watermark by exactly the watermark delta.
+    def next_wake(self) -> Optional[int]:
+        """``None`` when a future (non-flush) watermark can emit nothing
+        here and shifts this node's watermark by exactly the watermark
+        delta; otherwise the least input watermark at which ``advance``
+        could emit or change state (``WAKE_ALWAYS``: any).
 
         Only meaningful right after an ``advance`` pass (when all input
         and output logs have been drained by their consumers)."""
         node = self.plan_node
         if isinstance(node, (SourceNode, GroupInputNode)):
-            return True  # driver-fed; watermark tracks the driver exactly
+            return None  # driver-fed; watermark tracks the driver exactly
         if self.deferred:
-            return self.flushed
+            return None if self.flushed else WAKE_AT_FLUSH
         if isinstance(node, GroupApplyNode):
-            return (
-                not self._pending
-                and not self._active
-                and not self._fed_since_wave
-                and not self._wave_queue
-                and not self._wave_feeds
-            )
+            if (
+                self._due
+                or self._fed_since_wave
+                or self._wave_queue
+                or self._wave_feeds
+            ):
+                return WAKE_ALWAYS
+            if not self._active:
+                return WAKE_ALWAYS if self._pending else None
+            if not self._wake_heap:
+                return WAKE_AT_FLUSH  # every chain sleeps until the flush
+            # a stale top only makes this early. Backlog in
+            # ``_pending`` is released by the group watermark, which
+            # ``watermark_at`` accounts for
+            return self._wake_heap[0][0]
         for buf in self.inputs:
             if buf.head() is not None:
-                return False
-        if self._operator is None:
-            return True  # Exchange: pure passthrough
-        if len(self.inputs) == 1:
-            return self._operator.is_idle()
-        # binary operators only emit on event delivery, never on a bare
-        # watermark (synopsis contents don't block the watermark)
-        return True
+                return WAKE_ALWAYS
+        if self._operator is None or len(self.inputs) != 1:
+            # Exchange is a pure passthrough; binary operators only emit
+            # on event delivery, never on a bare watermark (synopsis
+            # contents don't block the watermark)
+            return None
+        return self._operator.next_wake()
+
+    def watermark_at(self, inputs: List[int]) -> int:
+        """This node's watermark if its inputs' watermarks rose to
+        ``inputs`` with no new events and no state change — what
+        ``advance`` would leave behind, computed without running it."""
+        node = self.plan_node
+        if self.deferred:
+            return self.watermark
+        if isinstance(node, GroupApplyNode):
+            w = inputs[0]
+            if self._idle_delta >= 0:
+                w -= self._idle_delta
+            if self._held and self._held[0][0] < w:
+                w = self._held[0][0]
+        elif self._operator is not None and len(inputs) == 1:
+            w = self._operator.watermark_out(inputs[0]) - self._future
+        else:
+            w = min(inputs)
+        return max(self.watermark, w)
 
     # -- per-kind advance ----------------------------------------------------
 
@@ -590,10 +637,10 @@ class _OpNode:
         # advanced once per threshold's worth of events, not per chunk.
         threshold = self.flow.group_wave_events
         if threshold:
-            # a wave costs O(active keys), so it only pays for itself
-            # once a comparable volume of fresh input has accumulated;
-            # buffered input stays bounded by O(threshold + keys), both
-            # independent of stream length
+            # a wave advances every chain fed since the last one, so it
+            # only pays for itself once a comparable volume of fresh
+            # input has accumulated; buffered input stays bounded by
+            # O(threshold + keys), both independent of stream length
             if self._fed_since_wave < threshold + 2 * len(self._groups):
                 return
         self._fed_since_wave = 0
@@ -615,7 +662,19 @@ class _OpNode:
                     chain = _GroupChain(node, key, self.flow)
                 self._groups[key] = chain
             chain.buffer(events)
+            self._activate(key, chain)
+
+    def _activate(self, key, chain) -> None:
+        """Enter ``chain`` into the active set (the only way in).
+
+        A chain gets its activation ordinal on entry — re-feeding an
+        already active chain keeps its place, exactly like re-assigning
+        a dict key — and is due at the next driver-local wave, so no
+        chain is ever active without the wave having registered it."""
+        if key not in self._active:
+            chain.ordinal = next(self._ordinals)
             self._active[key] = chain
+        self._due[key] = chain
 
     # -- deferred-wave scheduling (coarse dispatch granularity) --------------
 
@@ -792,7 +851,9 @@ class _OpNode:
         for j, (w, feeds) in enumerate(window):
             by_key = by_wave[j]
             for key in feeds:
-                active[key] = groups[key]
+                self._activate(key, groups[key])
+            self._due.clear()  # this replay walks the whole active set
+            self.chain_advances += len(by_key)
             if tracer_enabled:
                 flow.tracer.metrics.histogram("dataflow.wave_width").observe(
                     len(active)
@@ -828,6 +889,7 @@ class _OpNode:
         pending = self._pending
         seq = self._seq
         chains = list(self._groups.values())
+        self.chain_advances += len(chains)
         if self._group_mode == "thread" and len(chains) > 1:
             all_outs = self.flow.run_chain_tasks(chains, w)
         else:
@@ -845,11 +907,15 @@ class _OpNode:
         self.watermark = MAX_TIME
 
     def _run_group_wave(self, w: int) -> None:
-        """One watermark wave over the driver-local active chains.
+        """One watermark wave over the driver-local chains.
 
-        Real-advances only non-idle chains; quiescent chains track the
-        watermark arithmetically (their delta is a plan constant, so
-        one representative bound covers all of them).
+        Advances only the chains that are due — fed or activated since
+        the last wave, or unable to sleep — plus those whose wake time
+        ``w`` has reached; a sleeping chain would emit nothing and keep
+        its watermark, so skipping it is unobservable. Quiescent chains
+        track the watermark arithmetically (their delta is a plan
+        constant, so one representative bound covers all of them). The
+        cost is O(fed + due), not O(active chains).
         """
         stats = self.flow.parallel_stats
         if stats is not None:
@@ -858,14 +924,24 @@ class _OpNode:
             stats.waves += 1
         pending = self._pending
         seq = self._seq
-        added = False
-        items = list(self._active.items())
+        active = self._active
+        wake_heap = self._wake_heap
+        held = self._held
+        due, self._due = self._due, {}
+        while wake_heap and wake_heap[0][0] <= w:
+            _, stamp, key, chain = heappop(wake_heap)
+            if chain.stamp == stamp:
+                due[key] = chain
         if self.flow.tracer.enabled:
             # wave width is a pure function of the data and the wave
             # schedule — identical across executors and seeds alike
             self.flow.tracer.metrics.histogram("dataflow.wave_width").observe(
-                len(items)
+                len(active)
             )
+        # activation order is the order a walk over the whole active set
+        # would reach these chains in, so they draw the same relative
+        # merge sequence numbers — and skipped chains draw none
+        items = sorted(due.items(), key=_activation_order)
         if self._group_mode == "thread" and len(items) > 1:
             # chain computation fans out; the merge below consumes the
             # results in exactly the order the serial loop would produce
@@ -873,26 +949,54 @@ class _OpNode:
             all_outs = self.flow.run_chain_tasks([c for _, c in items], w)
         else:
             all_outs = None
+        added = False
         for i, (key, chain) in enumerate(items):
             outs = chain.advance(w) if all_outs is None else all_outs[i]
+            self.chain_advances += 1
+            chain.stamp = stamp = self.chain_advances
             if outs:
                 pending.extend((out.le, next(seq), out) for out in outs)
                 added = True
             if chain.idle_delta is not None:
-                del self._active[key]
+                del active[key]
                 self._idle_delta = max(self._idle_delta, chain.idle_delta)
+                continue
+            heappush(held, (chain.watermark, stamp, chain))
+            if chain.wake <= w:
+                self._due[key] = chain
+            elif chain.wake < WAKE_AT_FLUSH:
+                heappush(wake_heap, (chain.wake, stamp, key, chain))
         if added:
             # timsort merges the sorted backlog with this wave's sorted
             # per-chain runs in near-linear time
             pending.sort()
+        if len(held) + len(wake_heap) > 4 * len(active) + 64:
+            self._rebuild_heaps()
+        # a sleeping chain's watermark is frozen, so the least live heap
+        # entry is the minimum over all non-idle chains
+        while held and held[0][2].stamp != held[0][1]:
+            heappop(held)
         group_w = w if self._idle_delta < 0 else w - self._idle_delta
-        for chain in self._active.values():
-            group_w = min(group_w, chain.watermark)
+        if held and held[0][0] < group_w:
+            group_w = held[0][0]
         idx = bisect_left(pending, (group_w,))
         if idx:
             self._emit([item[2] for item in pending[:idx]])
             del pending[:idx]
         self.watermark = max(self.watermark, group_w)
+
+    def _rebuild_heaps(self) -> None:
+        """Drop the stale entries lazy deletion left behind, so both
+        heaps stay proportional to the active set, not the stream."""
+        active = self._active
+        self._held[:] = [(c.watermark, c.stamp, c) for c in active.values()]
+        heapify(self._held)
+        self._wake_heap[:] = [
+            (c.wake, c.stamp, key, c)
+            for key, c in active.items()
+            if c.wake < WAKE_AT_FLUSH
+        ]
+        heapify(self._wake_heap)
 
     def _advance_group_apply_sharded(self) -> None:
         """GroupApply waves over persistent forked shard workers.
@@ -928,7 +1032,7 @@ class _OpNode:
                         self._groups[key] = proxy
                     backend.queue_feed(proxy.shard, key, events)
                     proxy.idle_delta = None
-                    self._active[key] = proxy
+                    self._activate(key, proxy)
 
         w = buf.watermark
         if self._defer_waves and w >= MAX_TIME:
@@ -948,7 +1052,7 @@ class _OpNode:
                     proxy = self._groups[key]
                     backend.queue_feed(proxy.shard, key, events)
                     proxy.idle_delta = None
-                    self._active[key] = proxy
+                    self._activate(key, proxy)
                 self._wave_feeds = {}
         pending = self._pending
         seq = self._seq
@@ -1005,6 +1109,8 @@ class _OpNode:
                 for key, outs, chain_w, idle in result:
                     by_key[key] = (outs, chain_w, idle)
             self.flow.parallel_stats.add(backend.take_stats())
+            self._due.clear()  # the shards walked their whole active sets
+            self.chain_advances += len(by_key)
             for key, proxy in list(self._active.items()):
                 outs, chain_w, idle = by_key[key]
                 proxy.watermark = chain_w
@@ -1073,7 +1179,11 @@ class _OpNode:
             return chain
 
         self._groups = {key: resolve(key) for key in self._groups}
-        self._active = {key: resolve(key) for key in self._active}
+        # re-activating in order keeps the merge order and makes every
+        # rebuilt chain due, so the local wave registers all of them
+        proxies, self._active, self._due = self._active, {}, {}
+        for key in proxies:
+            self._activate(key, resolve(key))
         backend, self._shards = self._shards, None
         backend.close()
         flow.parallel_stats.recovery.degradations += 1
@@ -1094,6 +1204,11 @@ class _OpNode:
             ),
             stacklevel=5,
         )
+
+
+def _activation_order(item) -> int:
+    """Sort key for ``(key, chain)`` pairs: the chain's activation ordinal."""
+    return item[1].ordinal
 
 
 #: Plan nodes whose operators hold no mutable state: one instance can be
@@ -1150,6 +1265,9 @@ class _LinearChain:
         "futures",
         "watermark",
         "idle_delta",
+        "wake",
+        "ordinal",
+        "stamp",
         "_stage_w",
         "_buf",
     )
@@ -1164,6 +1282,10 @@ class _LinearChain:
         self.futures = futures
         self.watermark = MIN_TIME
         self.idle_delta: Optional[int] = None
+        #: while not idle: the chain emits nothing and keeps its
+        #: watermark until the input watermark reaches this
+        self.wake = WAKE_ALWAYS
+        self.ordinal = self.stamp = 0  # owned by the GroupApply node
         self._stage_w = [MIN_TIME] * len(futures)
         self._buf: List[Event] = []
 
@@ -1182,7 +1304,10 @@ class _LinearChain:
         if events:
             self._buf = []
         w = watermark
-        idle = not flush
+        wake = None
+        #: the watermark this advance would have left had the input
+        #: watermark been arbitrarily far on, operator state the same
+        pinned = MAX_TIME
         stage_w = self._stage_w
         for i, op in enumerate(self.ops):
             out = op.on_batch(events) if events else []
@@ -1196,15 +1321,30 @@ class _LinearChain:
                 else:
                     stage_w[i] = ww
                 w = ww
-                if idle and not op.is_idle():
-                    idle = False
+                # a stage never sees a watermark ahead of the chain's,
+                # so waking the chain at the least stage time is early
+                # at worst
+                t = op.next_wake()
+                if t is None:
+                    pinned -= self.futures[i]  # idle: identity
+                else:
+                    pinned = op.watermark_out(pinned) - self.futures[i]
+                    if wake is None or t < wake:
+                        wake = t
+                if pinned < ww:
+                    pinned = ww
             events = out
         if flush:
             self.watermark = MAX_TIME
         else:
             self.watermark = w
-            if idle:
+            if wake is None:
                 self.idle_delta = watermark - w
+            elif pinned != w:
+                # the watermark still follows the input's (no hold binds
+                # yet), so it is not frozen: stay awake until one does
+                wake = WAKE_ALWAYS
+            self.wake = wake
         if not events:
             return events
         key_columns = self.key_columns
@@ -1226,7 +1366,15 @@ class _GroupChain:
     custom AlterLifetime defers inside the chain.
     """
 
-    __slots__ = ("key_columns", "sub", "watermark", "idle_delta")
+    __slots__ = (
+        "key_columns",
+        "sub",
+        "watermark",
+        "idle_delta",
+        "wake",
+        "ordinal",
+        "stamp",
+    )
 
     def __init__(self, node: GroupApplyNode, key: Tuple, flow: "Dataflow"):
         self.key_columns = dict(zip(node.keys, key))
@@ -1241,6 +1389,10 @@ class _GroupChain:
         #: output watermark ``w - idle_delta`` (a plan constant) and emits
         #: nothing, so the sub-flow need not be touched at all
         self.idle_delta: Optional[int] = None
+        #: while not idle: the sub-flow emits nothing and keeps its
+        #: output watermark until the input watermark reaches this
+        self.wake = WAKE_ALWAYS
+        self.ordinal = self.stamp = 0  # owned by the GroupApply node
 
     def _attach_key(self, events: Iterable[Event]) -> List[Event]:
         out = []
@@ -1267,7 +1419,8 @@ class _GroupChain:
         self.sub.set_watermarks(watermark)
         outs = self._attach_key(self.sub.advance())
         self.watermark = self.sub.output_watermark
-        if self.sub.is_quiescent():
+        self.wake = self.sub.next_wake()
+        if self.wake is None:
             self.idle_delta = watermark - self.watermark
         return outs
 
@@ -1282,12 +1435,13 @@ class _ChainProxy:
     replay of serial execution.
     """
 
-    __slots__ = ("shard", "watermark", "idle_delta")
+    __slots__ = ("shard", "watermark", "idle_delta", "ordinal")
 
     def __init__(self, shard: int):
         self.shard = shard
         self.watermark = MIN_TIME
         self.idle_delta: Optional[int] = None
+        self.ordinal = 0
 
 
 class _ChainSettings:
@@ -1971,14 +2125,41 @@ class Dataflow:
             n = self._nodes[plan_node.node_id]
             yield plan_node, n.events_in, n.events_out, n.busy_seconds
 
-    def is_quiescent(self) -> bool:
-        """True iff no future (non-flush) watermark can emit anything.
+    def next_wake(self) -> Optional[int]:
+        """``None`` when no future (non-flush) watermark can emit
+        anything; otherwise the least aligned source watermark at which
+        ``advance`` could release output, change state or move
+        :attr:`output_watermark` (``WAKE_ALWAYS``: any).
 
         Valid right after an ``advance`` pass. A quiescent flow's output
         watermark is a fixed (plan-constant) offset behind its sources'.
+        No node sees a watermark ahead of the sources', so the least
+        node wake time is early at worst — but it only says when output
+        or state could move, not the watermark: where that still follows
+        the sources' (no operator hold binds yet) the flow cannot sleep.
         """
-        nodes = self._nodes
-        return all(nodes[p.node_id].is_idle() for p in self._order)
+        wake = None
+        for node in self._op_nodes:
+            t = node.next_wake()
+            if t is not None and (wake is None or t < wake):
+                wake = t
+        if (
+            wake is not None
+            and wake > WAKE_ALWAYS
+            and self._watermark_at(wake - 1) != self._root.watermark
+        ):
+            return WAKE_ALWAYS
+        return wake
+
+    @property
+    def chain_advances(self) -> int:
+        """How many times this flow's GroupApply nodes advanced a
+        per-key chain — the work a watermark wave does, as a count."""
+        return sum(
+            node.chain_advances
+            for node in self._op_nodes
+            if isinstance(node.plan_node, GroupApplyNode)
+        )
 
     # -- driving -------------------------------------------------------------
 
@@ -2090,9 +2271,7 @@ class Dataflow:
             # shadow mode: replay the wave serially under instrumentation
             # (and, in perturb mode, in reversed order) instead of fanning
             # out — mutation attribution needs one task running at a time
-            owners = [
-                getattr(chain, "key", i) for i, chain in enumerate(chains)
-            ]
+            owners = [tuple(chain.key_columns.values()) for chain in chains]
             return self.race_checker.run_wave(tasks, owners)
         results = self.executor.run_tasks(tasks)
         self.parallel_stats.add(self.executor.last_stats)
@@ -2135,6 +2314,18 @@ class Dataflow:
             raise KeyError(
                 f"unknown source {name!r}; have {sorted(self._sources)}"
             ) from None
+
+    def _watermark_at(self, w: int) -> int:
+        """The output watermark ``set_watermarks(w)`` + ``advance()``
+        would leave with no new input and no operator state changing,
+        computed without running either."""
+        at: Dict[_OpNode, int] = {}
+        for node in self._op_nodes:
+            if node.edges:
+                at[node] = node.watermark_at([at[c] for _, c in node.edges])
+            else:
+                at[node] = max(node.watermark, w)
+        return at[self._root]
 
     def _trim(self) -> None:
         """Drop every output-log prefix all consumers have read past."""

@@ -93,6 +93,22 @@ class Event:
         return f"Event([{self.le},{re_str}) {dict(self.payload)!r})"
 
 
+def point_event(
+    row: Payload, time_column: str = "Time", drop_time: bool = True
+) -> Event:
+    """One row (dict) as a point event keyed on ``time_column``.
+
+    Raises ``KeyError`` when the row has no ``time_column`` and whatever
+    :class:`Event` raises for an unusable timestamp.
+    """
+    t = row[time_column]
+    if drop_time:
+        payload = {k: v for k, v in row.items() if k != time_column}
+    else:
+        payload = row
+    return Event.point(t, payload)
+
+
 def point_events(
     rows: Iterable[Payload], time_column: str = "Time", drop_time: bool = True
 ) -> list:
@@ -110,15 +126,7 @@ def point_events(
         time_column: name of the timestamp column.
         drop_time: keep the time column out of the payload (default).
     """
-    events = []
-    for row in rows:
-        t = row[time_column]
-        if drop_time:
-            payload = {k: v for k, v in row.items() if k != time_column}
-        else:
-            payload = row
-        events.append(Event.point(t, payload))
-    return events
+    return [point_event(row, time_column, drop_time) for row in rows]
 
 
 def events_to_rows(

@@ -13,7 +13,14 @@ from .aggregate import (
     SumAgg,
     TopKAgg,
 )
-from .base import BinaryOperator, UnaryOperator, merge_streams, sort_events
+from .base import (
+    WAKE_ALWAYS,
+    WAKE_AT_FLUSH,
+    BinaryOperator,
+    UnaryOperator,
+    merge_streams,
+    sort_events,
+)
 from .join import AntiSemiJoin, TemporalJoin
 from .stateless import (
     AlterLifetime,
@@ -56,6 +63,8 @@ __all__ = [
     "TemporalJoin",
     "UnaryOperator",
     "Union",
+    "WAKE_ALWAYS",
+    "WAKE_AT_FLUSH",
     "Where",
     "WindowedUDO",
     "count_window",

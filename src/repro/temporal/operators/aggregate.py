@@ -350,5 +350,6 @@ class SnapshotAggregate(UnaryOperator):
             return min(w, self._segment_start)
         return w
 
-    def is_idle(self) -> bool:
-        return not self._pending
+    def next_wake(self):
+        # nothing moves until the earliest pending expiration
+        return self._pending[0][0] if self._pending else None

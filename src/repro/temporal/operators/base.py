@@ -17,14 +17,20 @@ at *t*).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from ..event import Event
+from ..time import MAX_TIME, MIN_TIME
 
 #: Tag for events arriving on the left input of a binary operator.
 LEFT = 0
 #: Tag for events arriving on the right input of a binary operator.
 RIGHT = 1
+
+#: ``next_wake`` value: deliver every watermark (the conservative default).
+WAKE_ALWAYS = MIN_TIME
+#: ``next_wake`` value: no watermark short of the end-of-input flush matters.
+WAKE_AT_FLUSH = MAX_TIME
 
 
 def sort_events(events: List[Event]) -> List[Event]:
@@ -75,15 +81,24 @@ class UnaryOperator:
         output LE can fall. Default: outputs never precede inputs."""
         return w
 
-    def is_idle(self) -> bool:
-        """True iff the operator holds no state a watermark could release.
+    def next_wake(self) -> Optional[int]:
+        """The least watermark at which ``on_watermark`` could emit or
+        change state, or ``None`` when the operator is idle.
 
-        When idle, ``on_watermark`` emits nothing and ``watermark_out``
-        is the identity, so the runtime may skip delivering intermediate
-        watermarks entirely (it still calls ``on_flush`` at end of
-        input). The default is conservative: never skip.
+        Below the returned watermark ``on_watermark`` emits nothing and
+        mutates nothing, and ``watermark_out(w)`` is ``min(w, hold)`` for
+        a constant ``hold`` — so the runtime may skip delivering those
+        watermarks and wake the operator only when the time comes (it
+        still delivers every event, and ``on_flush`` at end of input).
+        It checks that the held value really is constant by calling
+        ``watermark_out`` with watermarks it has not delivered, so that
+        method must stay free of side effects. ``None`` is the stateless
+        case: ``on_watermark`` never emits and ``watermark_out`` is the
+        identity until the next event arrives. The default,
+        :data:`WAKE_ALWAYS`, is conservative: never skip. Too early a
+        wake costs a no-op visit; too late a wake loses or delays output.
         """
-        return False
+        return WAKE_ALWAYS
 
     def apply(self, events: Sequence[Event]) -> List[Event]:
         """Run the operator over a whole LE-ordered stream (batch mode)."""

@@ -34,6 +34,6 @@ class ScanUDO(UnaryOperator):
         for payload in self.fn(self.state, event.payload, event.le):
             yield Event.point(event.le, dict(payload))
 
-    def is_idle(self) -> bool:
+    def next_wake(self):
         # folded state only ever emits on events, never on watermarks
-        return True
+        return None

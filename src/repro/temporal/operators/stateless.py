@@ -14,7 +14,7 @@ from typing import Callable, Iterable
 from ..batch import EventBatch
 from ..event import Event
 from ..time import MAX_TIME, TICK
-from .base import UnaryOperator
+from .base import WAKE_AT_FLUSH, UnaryOperator
 
 PayloadPredicate = Callable[[dict], bool]
 PayloadTransform = Callable[[dict], dict]
@@ -79,8 +79,8 @@ class Where(UnaryOperator):
             return events.gather(keep)
         return [e for e in events if pred(e.payload)]
 
-    def is_idle(self) -> bool:
-        return True
+    def next_wake(self):
+        return None
 
 
 class Project(UnaryOperator):
@@ -109,8 +109,8 @@ class Project(UnaryOperator):
             )
         return [e.with_payload(fn(e.payload)) for e in events]
 
-    def is_idle(self) -> bool:
-        return True
+    def next_wake(self):
+        return None
 
 
 class AlterLifetime(UnaryOperator):
@@ -221,8 +221,8 @@ class AlterLifetime(UnaryOperator):
             return batch.with_lifetimes(new_les, new_res)
         return batch.gather(keep).with_lifetimes(new_les, new_res)
 
-    def is_idle(self) -> bool:
-        return True
+    def next_wake(self):
+        return None
 
 
 def sliding_window(w: int) -> AlterLifetime:
@@ -333,8 +333,9 @@ class CountWindow(UnaryOperator):
             return min(w, self._buffer[0].le)
         return w
 
-    def is_idle(self) -> bool:
-        return not self._buffer
+    def next_wake(self):
+        # buffered events are only ever released by a successor or flush
+        return WAKE_AT_FLUSH if self._buffer else None
 
 
 def count_window(n: int) -> CountWindow:
@@ -385,8 +386,9 @@ class SessionWindow(UnaryOperator):
             return min(w, self._session[0].le)
         return w
 
-    def is_idle(self) -> bool:
-        return not self._session
+    def next_wake(self):
+        # the open session closes once the watermark is a gap past it
+        return self._session[-1].le + self.gap if self._session else None
 
 
 def session_window(gap: int) -> SessionWindow:

@@ -111,10 +111,14 @@ class WindowedUDO(UnaryOperator):
         # a boundary b < w only sees events with LE <= b < w: all arrived
         yield from self._advance_to(w)
 
-    def is_idle(self) -> bool:
+    def next_wake(self):
         # with no buffered events, skip_empty fast-forwards boundaries
-        # without firing; emission can only resume on a new event
-        return self.skip_empty and self._start >= len(self._les)
+        # without firing; emission can only resume on a new event.
+        # Otherwise boundaries fire as the watermark passes them and
+        # nothing holds the output watermark back: the default applies
+        if self.skip_empty and self._start >= len(self._les):
+            return None
+        return super().next_wake()
 
 
 class SnapshotUDO(UnaryOperator):
@@ -170,5 +174,5 @@ class SnapshotUDO(UnaryOperator):
             return min(w, self._segment_start)
         return w
 
-    def is_idle(self) -> bool:
-        return not self._pending
+    def next_wake(self):
+        return self._pending[0][0] if self._pending else None

@@ -38,7 +38,7 @@ from typing import Dict, Iterable, List, Optional, Union
 
 from ..runtime.context import RunContext
 from ..runtime.dataflow import Dataflow, StreamingUnsupported
-from .event import Event, point_events
+from .event import Event, point_event
 from .plan import GroupInputNode, PlanNode
 from .query import Query
 from .time import MAX_TIME, MIN_TIME
@@ -141,17 +141,20 @@ class StreamingEngine:
         Malformed items (no usable ``Time``) are handled per the
         engine's ``event_policy``."""
         # unknown sources always raise, whatever the policy
-        self._flow.source_watermark(source)
+        watermark = self._flow.source_watermark(source)
         try:
-            event = item if isinstance(item, Event) else point_events([item])[0]
+            event = item if isinstance(item, Event) else point_event(item)
         except Exception as exc:
             return self._reject(source, item, f"malformed event: {exc!r}")
-        return self.push_event(source, event)
+        return self._push(source, event, watermark)
 
     def push_event(self, source: str, event: Event) -> List[Event]:
+        return self._push(source, event, self._flow.source_watermark(source))
+
+    def _push(self, source: str, event: Event, watermark: int) -> List[Event]:
+        """Feed ``event`` to ``source``, whose watermark is ``watermark``."""
         if self.slack:
-            return self._push_with_slack(source, event)
-        watermark = self._flow.source_watermark(source)
+            return self._push_with_slack(source, event, watermark)
         if event.le < watermark:
             return self._reject(
                 source,
@@ -166,11 +169,12 @@ class StreamingEngine:
             ).inc()
         return self._emit()
 
-    def _push_with_slack(self, source: str, event: Event) -> List[Event]:
+    def _push_with_slack(
+        self, source: str, event: Event, source_watermark: int
+    ) -> List[Event]:
         """Reorder-buffer a possibly-late event (within ``slack`` ticks)."""
         buffer = self._reorder.setdefault(source, [])
-        newest = self._flow.source_watermark(source) + self.slack
-        newest = max(newest, event.le)
+        newest = max(source_watermark + self.slack, event.le)
         watermark = newest - self.slack
         if event.le < watermark:
             return self._reject(
@@ -218,7 +222,7 @@ class StreamingEngine:
         tagged = []
         for name, items in sources.items():
             for item in items:
-                event = item if isinstance(item, Event) else point_events([item])[0]
+                event = item if isinstance(item, Event) else point_event(item)
                 tagged.append((event.le, name, event))
         tagged.sort(key=lambda t: t[0])
         out: List[Event] = []

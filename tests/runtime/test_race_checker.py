@@ -142,6 +142,8 @@ class TestEngineIntegration:
         (finding,) = engine.last_race_findings
         assert "registry" in finding.object_label
         assert len(finding.owners) >= 2
+        # owners are the GroupApply keys of the chains, not wave positions
+        assert set(finding.owners) <= {"(0,)", "(1,)", "(2,)"}
 
     def test_env_enables_checker(self, monkeypatch):
         monkeypatch.setenv(ENV_RACE_CHECK, "1")

@@ -1,0 +1,342 @@
+"""Wake-time scheduling of GroupApply chains: lazy ≡ eager, per push.
+
+A GroupApply wave advances only the chains that were fed plus the chains
+whose wake time has come (``next_wake`` in docs/EXECUTION.md). The
+reference is the same code under the *conservative* schedule: every
+operator that reports a wake time says "always" instead, so every
+non-idle chain advances at every wave — the walk over the whole active
+set the runtime used to do. Idle stays idle (``None``) in both: the
+group watermark's idle-delta arithmetic is part of either schedule.
+
+The contract is per call, not per run: each ``push`` / ``advance_to`` /
+``flush`` releases the same events in the same order and leaves the same
+``output_watermark``. The cost claim is shown by a count
+(``Dataflow.chain_advances``), never by a clock.
+"""
+
+import contextlib
+import random
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.bt.queries import UNIFIED_COLUMNS, bot_elimination_query
+from repro.bt.schema import BTConfig
+from repro.data import GeneratorConfig, generate
+from repro.runtime.dataflow import Dataflow, StreamingUnsupported
+from repro.temporal import Engine, Query, StreamingEngine
+from repro.temporal.event import point_event
+from repro.temporal.operators import WAKE_ALWAYS, UnaryOperator
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def _never_sleeps(next_wake):
+    def conservative(self):
+        return None if next_wake(self) is None else WAKE_ALWAYS
+
+    return conservative
+
+
+@contextlib.contextmanager
+def conservative_schedule():
+    """Run the body with no operator ever reporting a wake time."""
+    with contextlib.ExitStack() as stack:
+        for cls in _subclasses(UnaryOperator):
+            override = cls.__dict__.get("next_wake")
+            if override is not None:
+                stack.enter_context(
+                    mock.patch.object(cls, "next_wake", _never_sleeps(override))
+                )
+        yield
+
+
+def raw(events):
+    return [(e.le, e.re, sorted(e.payload.items())) for e in events]
+
+
+class PerFeedFlow:
+    """A ``Dataflow`` fed one event per call, deferred operators allowed.
+
+    ``StreamingEngine`` rejects a GroupApply over a count or session
+    window (the sub-plan's *past* extent is unbounded, and the plan node
+    reports that as unstreamable); the runtime itself runs them
+    incrementally, and this is the way in.
+    """
+
+    def __init__(self, query):
+        self._flow = Dataflow(query.to_plan(), allow_unstreamable=True)
+
+    @property
+    def output_watermark(self):
+        return self._flow.output_watermark
+
+    def push(self, source, row):
+        event = point_event(row)
+        self._flow.feed(source, (event,), event.le)
+        return self._flow.advance()
+
+    def advance_to(self, watermark):
+        self._flow.set_watermarks(watermark)
+        return self._flow.advance()
+
+    def flush(self):
+        return self._flow.flush()
+
+
+def drive(query, script, slack=0):
+    """Run ``script`` — ``("push", row)`` / ``("cti", t)`` steps — and
+    return what every call released, in order, with the output watermark
+    it left, the flush tail last; plus the chain-advance count."""
+    try:
+        engine = StreamingEngine(query, slack=slack)
+    except StreamingUnsupported:
+        assert not slack
+        engine = PerFeedFlow(query)
+    steps = []
+    for op, arg in script:
+        if op == "push":
+            out = engine.push("logs", dict(arg))
+        else:
+            out = engine.advance_to(arg)
+        steps.append((raw(out), engine.output_watermark))
+    steps.append((raw(engine.flush()), engine.output_watermark))
+    return steps, engine._flow.chain_advances
+
+
+def assert_lazy_equals_eager(query, script, slack=0):
+    lazy, lazy_advances = drive(query, script, slack)
+    with conservative_schedule():
+        eager, eager_advances = drive(query, script, slack)
+    for i, (got, want) in enumerate(zip(lazy, eager)):
+        assert got == want, f"step {i} of {len(eager)} ({script[i:i + 1]})"
+    assert lazy_advances <= eager_advances
+    return lazy_advances, eager_advances
+
+
+# -- generated plans × histories ---------------------------------------------
+
+
+def _window_fn(payloads, boundary):
+    return [{"n": len(payloads), "at": boundary}]
+
+
+def _snapshot_fn(payloads):
+    return [{"n": len(payloads), "v": sum(p["V"] for p in payloads)}]
+
+
+def _is(stream):
+    return lambda p: p["StreamId"] == stream
+
+
+#: GroupApply sub-plans, one per way a chain can hold, track or release
+#: its watermark.
+SUBPLANS = {
+    "count": lambda g: g.window(7).count(into="n"),
+    "sum": lambda g: g.window(9).sum("V", into="s"),
+    "hopping-min": lambda g: g.hopping_window(12, 4).min("V", into="m"),
+    "session": lambda g: g.session_window(5).count(into="n"),
+    "count-window": lambda g: g.count_window(2).sum("V", into="s"),
+    # no hold at all: the chain's watermark follows the input's
+    "windowed-udo": lambda g: g.udo_hopping(8, 4, _window_fn),
+    "snapshot-udo": lambda g: g.window(6).udo_snapshot(_snapshot_fn),
+    # bot-detect's shape: two filtered, thresholded aggregate branches
+    "union": lambda g: (
+        g.where(_is(1)).window(7).count(into="n").where(lambda p: p["n"] > 1)
+        .union(
+            g.where(_is(0)).window(11).count(into="n")
+            .where(lambda p: p["n"] > 1)
+        )
+    ),
+    # outputs precede inputs: the chain's watermark lags by a constant
+    "shift-back": lambda g: g.shift(-3).window(6).count(into="n"),
+    # the aggregate's hold starts out *ahead* of the watermark
+    "shift-forward": lambda g: g.shift(4).window(6).count(into="n"),
+    # a held branch unioned with a lagging idle one: min(hold, w - 5)
+    "held-union-lagging": lambda g: (
+        g.window(7).count(into="n")
+        .union(g.where(_is(0)).shift(-5).project(lambda p: {"n": 0}))
+    ),
+    "nested": lambda g: g.group_apply(
+        "StreamId", lambda gg: gg.window(8).count(into="n")
+    ),
+    "nested-session-union": lambda g: g.group_apply(
+        "StreamId",
+        lambda gg: gg.session_window(4).count(into="n")
+        .union(gg.window(10).sum("V", into="n")),
+    ),
+}
+
+#: Sub-plans only :class:`PerFeedFlow` accepts (in-order input only).
+UNSTREAMABLE = {"session", "count-window", "nested-session-union"}
+
+#: What sits between the source and the GroupApply. The hopping window
+#: hands chains events whose LE is ahead of the group's input watermark,
+#: as ``bot_detection_query`` does.
+PREFIXES = {
+    "source": lambda q: q,
+    "hopping": lambda q: q.hopping_window(8, 4),
+}
+
+
+def build(prefix, subplan):
+    source = Query.source("logs", ("StreamId", "UserId", "V"))
+    return PREFIXES[prefix](source).group_apply("UserId", SUBPLANS[subplan])
+
+
+@st.composite
+def scripts(draw, slack):
+    """Pushes at non-decreasing times — ties included — late by at most
+    ``slack`` and never behind a CTI, interleaved with CTIs. A CTI never
+    overtakes an event still in the slack reorder buffer: that event
+    would reach the operators behind a watermark they were promised, and
+    what a broken promise yields is any schedule's guess."""
+    n = draw(st.integers(min_value=0, max_value=40))
+    gaps = draw(
+        st.lists(
+            st.sampled_from([0, 0, 1, 1, 2, 3, 5, 9, 20]),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    script = []
+    now = floor = newest = 0
+    pushed = []
+    for gap in gaps:
+        now += gap
+        if draw(st.integers(min_value=0, max_value=5)) == 0:
+            floor = now + draw(st.integers(min_value=0, max_value=6))
+            buffered = [t for t in pushed if t > newest - slack]
+            if slack and buffered:
+                floor = min(buffered)
+            now = max(now, floor)
+            script.append(("cti", floor))
+            continue
+        late = draw(st.integers(min_value=0, max_value=slack))
+        row = {
+            "Time": max(floor, now - late),
+            "StreamId": draw(st.sampled_from([0, 1])),
+            "UserId": draw(st.sampled_from(["u1", "u2", "u3", "u4"])),
+            "V": draw(st.integers(min_value=0, max_value=3)),
+        }
+        pushed.append(row["Time"])
+        newest = max(newest, row["Time"])
+        script.append(("push", row))
+    return script
+
+
+@pytest.mark.parametrize("prefix", sorted(PREFIXES))
+@pytest.mark.parametrize("subplan", sorted(SUBPLANS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_lazy_equals_eager_per_push(prefix, subplan, data):
+    slack = 0 if subplan in UNSTREAMABLE else data.draw(st.sampled_from([0, 4]))
+    script = data.draw(scripts(slack))
+    assert_lazy_equals_eager(build(prefix, subplan), script, slack)
+
+
+@pytest.mark.parametrize("subplan", sorted(SUBPLANS))
+def test_batch_driver_is_schedule_blind(subplan):
+    """The batch driver's amortized waves go through the same scheduler
+    (a wave needs more than 4,096 fed events, so the input is long)."""
+    rng = random.Random(7)
+    now = 0
+    rows = []
+    for _ in range(13_000):
+        now += rng.choice([0, 0, 1, 1, 2, 3])
+        rows.append(
+            {
+                "Time": now,
+                "StreamId": rng.randrange(2),
+                "UserId": rng.randrange(12),
+                "V": rng.randrange(4),
+            }
+        )
+    query = build("source", subplan)
+    lazy = raw(Engine().run(query, {"logs": rows}, validate=False))
+    with conservative_schedule():
+        eager = raw(Engine().run(query, {"logs": rows}, validate=False))
+    assert lazy == eager
+
+
+# -- the paper's live-feed query ----------------------------------------------
+
+
+def bot_rows(users, pushes, seed=0):
+    rows = generate(
+        GeneratorConfig(num_users=users, duration_days=2.0, seed=seed)
+    ).rows[:pushes]
+    assert len(rows) == pushes
+    return rows
+
+
+def bot_query():
+    return bot_elimination_query(
+        Query.source("logs", UNIFIED_COLUMNS),
+        BTConfig(min_support=2, z_threshold=1.0),
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bot_elimination_lazy_equals_eager(seed):
+    script = [("push", row) for row in bot_rows(60, 2000, seed)]
+    lazy, eager = assert_lazy_equals_eager(bot_query(), script)
+    # the 6 h window keeps nearly every user non-idle: the eager walk
+    # pays for all of them at every push
+    assert eager > 10 * lazy
+
+
+@pytest.mark.parametrize("users", [100, 400, 1600])
+def test_push_cost_is_fed_plus_due(users):
+    """O(fed + due) per push, not O(active keys) — as a count."""
+    pushes = 1500
+    rows = bot_rows(users, pushes)
+    script = [("push", row) for row in rows]
+    groups = len({row["UserId"] for row in rows})
+    _, advances = drive(bot_query(), script)
+    # each push feeds one chain; a chain is due again only when one of
+    # its own windows expires; the flush advances every group once
+    assert advances <= 2 * pushes + groups
+    assert drive(bot_query(), script)[1] == advances
+
+
+def test_heaps_track_the_active_set_not_the_stream():
+    """Lazy deletion must not let stale entries pile up with the feed."""
+    # count windows never wake before flush; three keys fed 3,000 times
+    query = Query.source("logs", ("UserId", "V")).group_apply(
+        "UserId", lambda g: g.count_window(2).sum("V", into="s")
+    )
+    engine = PerFeedFlow(query)
+    for t in range(3000):
+        engine.push("logs", {"Time": t, "UserId": t % 3, "V": 1})
+    (node,) = [
+        n for n in engine._flow._op_nodes if hasattr(n, "chain_advances")
+    ]
+    assert len(node._active) == 3
+    assert len(node._held) + len(node._wake_heap) <= 4 * 3 + 64 + 1
+
+
+def test_ties_release_in_activation_order():
+    """The one thing lazy and eager share, pinned on its own: chains woken
+    together merge tied output LEs in the order they became active, and
+    a chain that idled and came back goes to the end of that order."""
+    query = Query.source("logs", ("UserId",)).group_apply(
+        "UserId", lambda g: g.window(5).count(into="n")
+    )
+    engine = StreamingEngine(query)
+
+    def users(events):
+        return [e.payload["UserId"] for e in events]
+
+    for user in ("b", "c", "a"):
+        assert engine.push("logs", {"Time": 0, "UserId": user}) == []
+    assert users(engine.advance_to(10)) == ["b", "c", "a"]  # all idle now
+    for user in ("a", "c", "b"):
+        assert engine.push("logs", {"Time": 20, "UserId": user}) == []
+    assert users(engine.advance_to(30)) == ["a", "c", "b"]
