@@ -18,11 +18,47 @@ shims resolved through :meth:`RunContext.of`.
 
 from __future__ import annotations
 
+import gc
+import threading
 import time as _time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from ..obs.trace import NULL_TRACER
+
+
+class _CollectorPause:
+    """The process-wide pause of CPython's cyclic collector.
+
+    The collector is one per process, so the pause is too: sections
+    nest (``TiMR.run`` around each reducer's ``Engine.run``) and overlap
+    across threads (engines on thread-executor workers), and only the
+    outermost one touches ``gc`` — it records whether the collector was
+    on when it entered and puts exactly that back when the last section
+    leaves, whichever thread that is and however it leaves.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._was_enabled = False
+
+    def enter(self) -> None:
+        with self._lock:
+            if self._depth == 0:
+                self._was_enabled = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+
+    def leave(self) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._was_enabled:
+                gc.enable()
+
+
+_COLLECTOR_PAUSE = _CollectorPause()
 
 
 @dataclass(frozen=True)
@@ -148,6 +184,37 @@ class RunContext:
         return resolve_executor(
             self.executor, self.max_workers, supervision=supervision
         )
+
+    @contextmanager
+    def quiet(self):
+        """Pause the cyclic collector for a bounded batch run.
+
+        A batch run allocates hundreds of thousands of long-lived,
+        acyclic output events; every full collection re-traverses all of
+        them and frees nothing, which was a quarter to a half of a run's
+        wall time. The runtime's own cycles are severed by
+        ``Dataflow.close()``, so the run's graph is still freed the
+        moment it returns; cyclic garbage user code makes inside the
+        section waits for the first collection after it. Re-entrant and
+        thread-safe; the caller's collector state is restored on return
+        and on exception.
+
+        A no-op under the process executor: paused passes run faster,
+        and forked shard workers then inherit a longer-lived parent
+        heap, which reads as a peak-RSS regression (docs/EXECUTION.md,
+        "GC-quiet batch runs").
+        """
+        from .parallel import resolve_executor
+
+        # the kind alone: no supervision is attached to a shared executor
+        if resolve_executor(self.executor, self.max_workers).kind == "process":
+            yield
+            return
+        _COLLECTOR_PAUSE.enter()
+        try:
+            yield
+        finally:
+            _COLLECTOR_PAUSE.leave()
 
     @property
     def metrics(self):

@@ -43,7 +43,9 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from ..temporal.batch import EventBatch
 from ..temporal.event import Event
 from ..temporal.operators.base import WAKE_ALWAYS, WAKE_AT_FLUSH
+from ..temporal.operators.stateless import WINDOW_SPECS
 from ..temporal.plan import (
+    AggregateNode,
     AlterLifetimeNode,
     ExchangeNode,
     GroupApplyNode,
@@ -1217,8 +1219,8 @@ _STATELESS_NODES = (WhereNode, ProjectNode, AlterLifetimeNode)
 
 
 def _linear_stages(node: GroupApplyNode):
-    """The sub-plan as ``(plan_nodes, futures, shared)`` when it is a
-    straight unary pipeline off the group input, else ``None``.
+    """The sub-plan as ``(plan_nodes, futures, shared, fused)`` when it
+    is a straight unary pipeline off the group input, else ``None``.
 
     Linear sub-plans (window → aggregate …, the overwhelmingly common
     shape) run on :class:`_LinearChain`, which drives the same operator
@@ -1226,7 +1228,10 @@ def _linear_stages(node: GroupApplyNode):
     GroupApply, binary operators, exchanges, unbounded rewrites — falls
     back to the general :class:`_GroupChain`. ``shared[i]`` is a
     pre-built operator for stateless stages (pure per-event functions),
-    ``None`` where each chain needs its own instance.
+    ``None`` where each chain needs its own instance. ``fused[i]`` marks
+    a time window feeding an aggregate directly: the chain computes the
+    windowed lifetimes arithmetically and hands them to the aggregate's
+    sweep as columns, so the windowed events are never built.
     """
     meta = _PlanMeta.of(node.subplan_root)
     order = meta.order
@@ -1245,7 +1250,13 @@ def _linear_stages(node: GroupApplyNode):
         n.make_operator() if isinstance(n, _STATELESS_NODES) else None
         for n in stages
     ]
-    return stages, [meta.futures[n.node_id] for n in stages], shared
+    fused = [
+        isinstance(n, AlterLifetimeNode)
+        and n.kind in WINDOW_SPECS
+        and isinstance(consumer, AggregateNode)
+        for n, consumer in zip(stages, stages[1:] + [None])
+    ]
+    return stages, [meta.futures[n.node_id] for n in stages], shared, fused
 
 
 class _LinearChain:
@@ -1268,18 +1279,24 @@ class _LinearChain:
         "wake",
         "ordinal",
         "stamp",
+        "_fused",
+        "_attach_in_place",
         "_stage_w",
         "_buf",
     )
 
     def __init__(self, node: GroupApplyNode, key: Tuple, stages):
-        plan_nodes, futures, shared = stages
+        plan_nodes, futures, shared, fused = stages
         self.key_columns = dict(zip(node.keys, key))
         self.ops = [
             op if op is not None else p.make_operator()
             for p, op in zip(plan_nodes, shared)
         ]
         self.futures = futures
+        self._fused = fused
+        #: the last stage builds each output payload for that event alone
+        #: (``fresh_payloads``), so the key columns go in without a copy
+        self._attach_in_place = bool(self.ops) and self.ops[-1].fresh_payloads
         self.watermark = MIN_TIME
         self.idle_delta: Optional[int] = None
         #: while not idle: the chain emits nothing and keeps its
@@ -1309,8 +1326,21 @@ class _LinearChain:
         #: watermark been arbitrarily far on, operator state the same
         pinned = MAX_TIME
         stage_w = self._stage_w
+        fused = self._fused
+        columns = None  # a fused window's (les, res, payloads)
         for i, op in enumerate(self.ops):
-            out = op.on_batch(events) if events else []
+            if columns is not None:
+                out = op.sweep(*columns)
+                columns = None
+            elif not events:
+                out = []
+            elif fused[i]:
+                # the watermark arithmetic below still runs for this
+                # stage; only its events are never materialized
+                columns = op.window_columns(events)
+                out = []
+            else:
+                out = op.on_batch(events)
             if flush:
                 out.extend(op.on_flush())
             else:
@@ -1348,6 +1378,11 @@ class _LinearChain:
         if not events:
             return events
         key_columns = self.key_columns
+        if self._attach_in_place:
+            # same column order and values as the copy below
+            for e in events:
+                e.payload.update(key_columns)
+            return events
         out = []
         for e in events:
             payload = dict(e.payload)
@@ -2294,16 +2329,27 @@ class Dataflow:
         return results
 
     def close(self) -> None:
-        """Release executor-owned resources (persistent shard workers).
+        """Release what the flow holds; it cannot be driven afterwards.
 
-        Idempotent and a no-op for serial/thread flows; safe to call
-        mid-stream (shard state is lost, so only call when done).
+        Stops persistent shard workers and severs the graph's reference
+        cycles: every node points back at its flow, and every general
+        GroupApply chain owns a nested flow wired the same way. With
+        those back-references gone the whole graph is freed by refcount
+        when the driver drops the flow — the batch drivers run with the
+        cyclic collector paused (:meth:`RunContext.quiet`). Idempotent,
+        and safe to call mid-stream (after an error, say).
         """
         for node in self._op_nodes:
-            shards = getattr(node, "_shards", None)
-            if shards is not None:
-                shards.close()
-                node._shards = None
+            if isinstance(node.plan_node, GroupApplyNode):
+                shards = getattr(node, "_shards", None)
+                if shards is not None:
+                    shards.close()
+                    node._shards = None
+                if node._linear_stages is None:
+                    for chain in node._groups.values():
+                        if isinstance(chain, _GroupChain):
+                            chain.sub.close()
+            node.flow = None
 
     # -- internals -----------------------------------------------------------
 

@@ -258,65 +258,25 @@ class Engine:
             if flow.has_source(name):
                 feeds.append((name, rows))
 
-        span = None
-        if tracer.enabled:
-            span = tracer.span("engine.run", category="engine")
-            span.__enter__()
-        try:
-            out: List[Event] = []
-            if len(feeds) == 1:
-                # fast path: no cross-source merge needed
-                name, rows = feeds[0]
-                batches = None
-                if flow.columnar and rows and not isinstance(rows[0], Event):
-                    # columnar feed edge: rows become struct-of-arrays
-                    # batches directly, skipping Event materialization
-                    batches = _batch_stream(rows, time_column, chunk_size)
-                if batches is not None:
-                    for batch in batches:
-                        flow.feed(name, batch)
-                        flow.set_watermarks(batch.last_le)
-                        out.extend(flow.advance())
-                else:
-                    stream = _event_stream(rows, time_column)
-                    while True:
-                        chunk = list(islice(stream, chunk_size))
-                        if not chunk:
-                            break
-                        flow.feed(name, chunk)
-                        flow.set_watermarks(chunk[-1].le)
-                        out.extend(flow.advance())
-            elif feeds:
-                # merge all sources into one globally LE-ordered stream
-                # of (le, slot, event); ties never compare events
-                tagged = [
-                    _tag_stream(_event_stream(rows, time_column), slot)
-                    for slot, (_, rows) in enumerate(feeds)
-                ]
-                merged = heapq.merge(*tagged, key=itemgetter(0))
-                names = [name for name, _ in feeds]
-                while True:
-                    chunk = list(islice(merged, chunk_size))
-                    if not chunk:
-                        break
-                    per_source: Dict[int, List[Event]] = {}
-                    for le, slot, event in chunk:
-                        per_source.setdefault(slot, []).append(event)
-                    for slot, events in per_source.items():
-                        flow.feed(names[slot], events)
-                    # an aligned CTI: the merged order guarantees no source
-                    # will ever produce an earlier event than the chunk tail
-                    flow.set_watermarks(chunk[-1][0])
-                    out.extend(flow.advance())
-            out.extend(flow.flush())
-            output = sort_events(out)
-            self._record(flow, root, stats, output, tracer)
-        finally:
-            flow.close()  # release persistent shard workers, if any
-            if span is not None:
-                span.set("input_events", stats.input_events)
-                span.set("output_events", stats.output_events)
-                span.__exit__(None, None, None)
+        with context.quiet():
+            span = None
+            if tracer.enabled:
+                span = tracer.span("engine.run", category="engine")
+                span.__enter__()
+            try:
+                output = sort_events(
+                    _drive(flow, feeds, time_column, chunk_size)
+                )
+                self._record(flow, root, stats, output, tracer)
+            finally:
+                # stops persistent shard workers and severs the graph's
+                # reference cycles: with the collector paused, refcounts
+                # are what frees it
+                flow.close()
+                if span is not None:
+                    span.set("input_events", stats.input_events)
+                    span.set("output_events", stats.output_events)
+                    span.__exit__(None, None, None)
         if tracer.enabled:
             metrics = tracer.metrics
             metrics.counter("engine.input_events").inc(stats.input_events)
@@ -411,6 +371,58 @@ class Engine:
                 tracer.metrics.counter(
                     "engine.operator_events", op=key
                 ).inc(events_out)
+
+
+def _drive(flow, feeds, time_column: str, chunk_size: int) -> List[Event]:
+    """Feed every source through ``flow`` in bounded, watermark-aligned
+    chunks, then flush; returns the outputs in release order."""
+    out: List[Event] = []
+    if len(feeds) == 1:
+        # fast path: no cross-source merge needed
+        name, rows = feeds[0]
+        batches = None
+        if flow.columnar and rows and not isinstance(rows[0], Event):
+            # columnar feed edge: rows become struct-of-arrays
+            # batches directly, skipping Event materialization
+            batches = _batch_stream(rows, time_column, chunk_size)
+        if batches is not None:
+            for batch in batches:
+                flow.feed(name, batch)
+                flow.set_watermarks(batch.last_le)
+                out.extend(flow.advance())
+        else:
+            stream = _event_stream(rows, time_column)
+            while True:
+                chunk = list(islice(stream, chunk_size))
+                if not chunk:
+                    break
+                flow.feed(name, chunk)
+                flow.set_watermarks(chunk[-1].le)
+                out.extend(flow.advance())
+    elif feeds:
+        # merge all sources into one globally LE-ordered stream
+        # of (le, slot, event); ties never compare events
+        tagged = [
+            _tag_stream(_event_stream(rows, time_column), slot)
+            for slot, (_, rows) in enumerate(feeds)
+        ]
+        merged = heapq.merge(*tagged, key=itemgetter(0))
+        names = [name for name, _ in feeds]
+        while True:
+            chunk = list(islice(merged, chunk_size))
+            if not chunk:
+                break
+            per_source: Dict[int, List[Event]] = {}
+            for le, slot, event in chunk:
+                per_source.setdefault(slot, []).append(event)
+            for slot, events in per_source.items():
+                flow.feed(names[slot], events)
+            # an aligned CTI: the merged order guarantees no source
+            # will ever produce an earlier event than the chunk tail
+            flow.set_watermarks(chunk[-1][0])
+            out.extend(flow.advance())
+    out.extend(flow.flush())
+    return out
 
 
 def _tag_stream(stream, slot: int):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Mapping, Optional
 
-from .time import MAX_TIME, TICK, validate_interval
+from .time import MAX_TIME, TICK
 
 Payload = Mapping[str, Any]
 
@@ -28,7 +28,8 @@ class Event:
     __slots__ = ("le", "re", "payload")
 
     def __init__(self, le: int, re: int, payload: Payload):
-        validate_interval(le, re)
+        if re <= le:  # validate_interval, inlined: once per event built
+            raise ValueError(f"empty or inverted lifetime [{le}, {re})")
         self.le = le
         self.re = re
         self.payload = payload

@@ -65,6 +65,48 @@ def _batch_path(node: PlanNode) -> str:
     return "row bridge (per-event on_event)"
 
 
+def _group_paths(node: GroupApplyNode, indent: str) -> List[str]:
+    """The physical path of a GroupApply's per-key sub-plan. Chains run
+    on rows whatever the batch format, so these lines hold for both."""
+    from ..runtime.dataflow import _linear_stages
+
+    linear = _linear_stages(node)
+    if linear is None:
+        lines = [
+            f"{indent}per key: a nested row-format Dataflow (the sub-plan "
+            "is not a straight unary pipeline)"
+        ]
+        for sub in topological_order(node.subplan_root):
+            if isinstance(sub, GroupApplyNode):
+                lines.append(f"{indent}  {sub.describe()}:")
+                lines.extend(_group_paths(sub, indent + "    "))
+        return lines
+    stages, _, shared, fused = linear
+    lines = [
+        f"{indent}per key: one linear chain, the stages threaded flat "
+        "over rows (either batch format)"
+    ]
+    for i, stage in enumerate(stages):
+        if fused[i]:
+            path = (
+                f"fused into {stages[i + 1].describe()}: lifetimes computed "
+                "inside its sweep, no windowed events built"
+            )
+        elif i and fused[i - 1]:
+            path = "one endpoint sweep over the fused window's columns"
+        else:
+            path = "on_batch per stage"
+        if i == len(stages) - 1:
+            operator = shared[i] or stage.make_operator()
+            path += (
+                "; key columns attached to its payloads in place"
+                if operator.fresh_payloads
+                else "; key columns attached to a copy of each payload"
+            )
+        lines.append(f"{indent}  {stage.describe()}: {path}")
+    return lines
+
+
 def explain(query: Union[Query, PlanNode], stats=None) -> str:
     """A multi-line report about a temporal query's execution properties.
 
@@ -162,6 +204,8 @@ def explain(query: Union[Query, PlanNode], stats=None) -> str:
     lines.append("  per-operator physical path under columnar:")
     for node in topological_order(root):
         lines.append(f"    {node.describe()}: {_batch_path(node)}")
+        if isinstance(node, GroupApplyNode):
+            lines.extend(_group_paths(node, "      "))
 
     if stats is not None:
         lines.append("")

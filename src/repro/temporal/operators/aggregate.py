@@ -216,6 +216,7 @@ class SnapshotAggregate(UnaryOperator):
     """Compute one or more aggregates per snapshot via an endpoint sweep."""
 
     supports_columnar = True
+    fresh_payloads = True  # _value_payload builds a dict per segment
 
     def __init__(self, specs: Sequence[AggSpec]):
         if not specs:
@@ -263,76 +264,51 @@ class SnapshotAggregate(UnaryOperator):
 
     def on_batch(self, events) -> list:
         if isinstance(events, EventBatch):
-            return self._columnar_batch(events)
-        # hot path: same sweep as on_event, list-building instead of
-        # generator dispatch (identical emission order and state updates)
-        out = []
-        append = out.append
-        pending = self._pending
-        states = self._states
-        heappop, heappush = heapq.heappop, heapq.heappush
-        for event in events:
-            le = event.le
-            while pending and pending[0][0] <= le:
-                re = pending[0][0]
-                if self._active > 0 and self._segment_start is not None and re > self._segment_start:
-                    append(Event(self._segment_start, re, self._value_payload()))
-                self._segment_start = re
-                while pending and pending[0][0] == re:
-                    _, _, payload = heappop(pending)
-                    for st in states:
-                        st.remove(payload)
-                    self._active -= 1
-            if self._active > 0:
-                if self._segment_start is not None and le > self._segment_start:
-                    append(Event(self._segment_start, le, self._value_payload()))
-                self._segment_start = le
-            else:
-                self._segment_start = le
-            payload = event.payload
-            for st in states:
-                st.add(payload)
-            self._active += 1
-            self._seq += 1
-            heappush(pending, (event.re, self._seq, payload))
-        return out
+            # the only per-row materialisation is the payload dict, which
+            # must be real (it persists in the expiration heap and in
+            # aggregate state between batches)
+            return self.sweep(
+                events.les, events.res, map(events.payload_at, range(len(events)))
+            )
+        return self.sweep(
+            [e.le for e in events],
+            [e.re for e in events],
+            [e.payload for e in events],
+        )
 
-    def _columnar_batch(self, batch: EventBatch) -> list:
-        # the same endpoint sweep reading the packed le/re arrays; the
-        # only per-row materialisation is the payload dict, which must
-        # be real (it persists in the expiration heap and in aggregate
-        # state between batches)
+    def sweep(self, les, res, payloads) -> list:
+        """The endpoint sweep over parallel ``(les, res, payloads)``
+        sequences, LE-ordered: the one hot path behind ``on_batch`` in
+        both physical formats and behind a window fused into this
+        aggregate (:class:`~repro.runtime.dataflow._LinearChain`), which
+        hands over lifetimes it computed without building the windowed
+        events. Same emission order and state updates as ``on_event``,
+        list-building instead of generator dispatch.
+        """
         out = []
         append = out.append
         pending = self._pending
         states = self._states
         heappop, heappush = heapq.heappop, heapq.heappush
-        les, res = batch.les, batch.res
-        payload_at = batch.payload_at
-        for i in range(len(les)):
-            le = les[i]
+        for le, re, payload in zip(les, res, payloads):
             while pending and pending[0][0] <= le:
-                re = pending[0][0]
-                if self._active > 0 and self._segment_start is not None and re > self._segment_start:
-                    append(Event(self._segment_start, re, self._value_payload()))
-                self._segment_start = re
-                while pending and pending[0][0] == re:
-                    _, _, payload = heappop(pending)
+                end = pending[0][0]
+                if self._active > 0 and self._segment_start is not None and end > self._segment_start:
+                    append(Event(self._segment_start, end, self._value_payload()))
+                self._segment_start = end
+                while pending and pending[0][0] == end:
+                    _, _, expired = heappop(pending)
                     for st in states:
-                        st.remove(payload)
+                        st.remove(expired)
                     self._active -= 1
-            if self._active > 0:
-                if self._segment_start is not None and le > self._segment_start:
-                    append(Event(self._segment_start, le, self._value_payload()))
-                self._segment_start = le
-            else:
-                self._segment_start = le
-            payload = payload_at(i)
+            if self._active > 0 and self._segment_start is not None and le > self._segment_start:
+                append(Event(self._segment_start, le, self._value_payload()))
+            self._segment_start = le
             for st in states:
                 st.add(payload)
             self._active += 1
             self._seq += 1
-            heappush(pending, (res[i], self._seq, payload))
+            heappush(pending, (re, self._seq, payload))
         return out
 
     def on_flush(self) -> Iterable[Event]:

@@ -49,6 +49,14 @@ class UnaryOperator:
     #: depends on which operators were converted (docs/BATCH_FORMAT.md).
     supports_columnar = False
 
+    #: True when every output event carries a payload dict the operator
+    #: built for that event alone and keeps no reference to, so a
+    #: consumer may add columns to it in place (GroupApply attaching its
+    #: key columns) instead of copying it. Pass-through operators, and
+    #: those emitting whatever mapping a user function returns, leave
+    #: this False.
+    fresh_payloads = False
+
     def on_event(self, event: Event) -> Iterable[Event]:
         """Process one input event (arriving in LE order); yield outputs."""
         raise NotImplementedError

@@ -113,6 +113,21 @@ class Project(UnaryOperator):
         return None
 
 
+#: AlterLifetime spec kinds whose new lifetime is a function of the old
+#: LE alone, keeps LE order and is never empty: time windows.
+WINDOW_SPECS = ("window", "hop")
+
+
+def _window_lifetimes(spec: tuple, les):
+    """New ``(les, res)`` under a :data:`WINDOW_SPECS` spec; ``les``
+    comes back as passed when the window leaves LEs alone."""
+    w = spec[1]
+    if spec[0] == "hop":
+        h = spec[2]
+        les = [-(-le // h) * h for le in les]
+    return les, [le + w for le in les]
+
+
 class AlterLifetime(UnaryOperator):
     """Generic lifetime rewrite: ``(le, re) -> (le_fn(le, re), re_fn(le, re))``.
 
@@ -157,21 +172,25 @@ class AlterLifetime(UnaryOperator):
                 append(Event(new_le, new_re, e.payload))
         return out
 
+    def window_columns(self, events):
+        """``on_batch(events)`` as parallel ``(les, res, payloads)``
+        lists, with no windowed :class:`Event` built — what a consumer
+        that sweeps columns (:meth:`SnapshotAggregate.sweep`) needs and
+        nothing more. Only for the :data:`WINDOW_SPECS` shapes."""
+        les, res = _window_lifetimes(self.spec, [e.le for e in events])
+        return les, res, [e.payload for e in events]
+
     def _columnar(self, batch: EventBatch) -> EventBatch:
         """Lifetime arithmetic over the packed le/re arrays."""
         les, res = batch.les, batch.res
         spec = self.spec
         if spec is not None:
             kind = spec[0]
-            if kind == "window":
-                w = spec[1]
-                return batch.with_lifetimes(les, array("q", [le + w for le in les]))
-            if kind == "hop":
-                w, h = spec[1], spec[2]
-                new_les = array("q", [-(-le // h) * h for le in les])
-                return batch.with_lifetimes(
-                    new_les, array("q", [le + w for le in new_les])
-                )
+            if kind in WINDOW_SPECS:
+                new_les, new_res = _window_lifetimes(spec, les)
+                if new_les is not les:
+                    new_les = array("q", new_les)
+                return batch.with_lifetimes(new_les, array("q", new_res))
             if kind == "point":
                 return batch.with_lifetimes(
                     les, array("q", [le + TICK for le in les])

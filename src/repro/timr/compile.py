@@ -28,6 +28,7 @@ from ..mapreduce.job import MapReduceStage, key_by_columns
 from ..runtime.context import RunContext
 from ..temporal.engine import Engine
 from ..temporal.event import events_to_rows, rows_to_events
+from ..temporal.time import TICK, validate_interval
 from ..temporal.plan import (
     AlterLifetimeNode,
     PlanNode,
@@ -40,6 +41,9 @@ from .temporal_partition import SpanLayout
 
 #: Column tagging a combined multi-input row with its source dataset.
 SRC_COLUMN = "_src"
+
+#: Stage kinds of a folded stateless chain (:func:`stateless_row_transform`).
+_WHERE, _PROJECT, _LIFETIME = range(3)
 
 
 @dataclass
@@ -102,19 +106,38 @@ def stateless_row_transform(plan: PlanNode):
             return None
         chain.append(node)
         node = node.inputs[0]
-    # stateless operators hold no per-event state, so instances are reusable
-    ops = [n.make_operator() for n in reversed(chain)]
+    # each stage as (kind, f, g) over the row's (le, re, payload): what
+    # the operators' on_event would do, without an Event, a generator
+    # and a one-element list per stage per row
+    steps = []
+    for n in reversed(chain):
+        op = n.make_operator()
+        if isinstance(n, WhereNode):
+            steps.append((_WHERE, op.predicate, None))
+        elif isinstance(n, ProjectNode):
+            steps.append((_PROJECT, op.fn, None))
+        else:
+            steps.append((_LIFETIME, op.le_fn, op.re_fn))
 
     def transform(row: dict) -> List[dict]:
-        events = rows_to_events([row])
-        for op in ops:
-            nxt = []
-            for e in events:
-                nxt.extend(op.on_event(e))
-            if not nxt:
-                return []
-            events = nxt
-        return events_to_rows(events)
+        le = row["Time"]
+        re = row.get("_re", le + TICK)
+        validate_interval(le, re)
+        payload = {k: v for k, v in row.items() if k != "Time" and k != "_re"}
+        for kind, f, g in steps:
+            if kind == _WHERE:
+                if not f(payload):
+                    return []
+            elif kind == _PROJECT:
+                payload = f(payload)
+            else:
+                le, re = f(le, re), g(le, re)
+                if re <= le:  # empty lifetimes vanish from the relation
+                    return []
+        out = dict(payload)
+        out["Time"] = le
+        out["_re"] = re
+        return [out]
 
     return transform
 

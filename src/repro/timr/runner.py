@@ -181,16 +181,19 @@ class TiMR:
             validate_plan(plan)
         saved_contexts = self._parallel_gate(plan, validate)
         try:
-            return self._run_job(
-                plan,
-                job_name,
-                num_partitions,
-                span_width,
-                auto_annotate,
-                checkpoint_dir,
-                resume,
-                verify_replay,
-            )
+            # one pause over union materialization, map/shuffle/sort and
+            # every reducer's embedded Engine.run (which nests inside it)
+            with self.context.quiet():
+                return self._run_job(
+                    plan,
+                    job_name,
+                    num_partitions,
+                    span_width,
+                    auto_annotate,
+                    checkpoint_dir,
+                    resume,
+                    verify_replay,
+                )
         finally:
             for obj, ctx in saved_contexts:
                 obj.context = ctx

@@ -25,10 +25,17 @@ from hypothesis import strategies as st
 from repro.bt.queries import UNIFIED_COLUMNS, bot_elimination_query
 from repro.bt.schema import BTConfig
 from repro.data import GeneratorConfig, generate
+from repro.runtime import RunContext, dataflow
 from repro.runtime.dataflow import Dataflow, StreamingUnsupported
 from repro.temporal import Engine, Query, StreamingEngine
-from repro.temporal.event import point_event
-from repro.temporal.operators import WAKE_ALWAYS, UnaryOperator
+from repro.temporal.event import Event, point_event
+from repro.temporal.operators import (
+    WAKE_ALWAYS,
+    AggSpec,
+    SnapshotAggregate,
+    UnaryOperator,
+)
+from repro.temporal.time import MAX_TIME
 
 
 def _subclasses(cls):
@@ -90,23 +97,28 @@ class PerFeedFlow:
         return self._flow.flush()
 
 
-def drive(query, script, slack=0):
+def drive(query, script, slack=0, wakes=False):
     """Run ``script`` — ``("push", row)`` / ``("cti", t)`` steps — and
     return what every call released, in order, with the output watermark
-    it left, the flush tail last; plus the chain-advance count."""
+    it left (and, with ``wakes``, the flow's ``next_wake``), the flush
+    tail last; plus the chain-advance count."""
     try:
         engine = StreamingEngine(query, slack=slack)
     except StreamingUnsupported:
         assert not slack
         engine = PerFeedFlow(query)
+
+    def step(out):
+        wake = engine._flow.next_wake() if wakes else None
+        return raw(out), engine.output_watermark, wake
+
     steps = []
     for op, arg in script:
         if op == "push":
-            out = engine.push("logs", dict(arg))
+            steps.append(step(engine.push("logs", dict(arg))))
         else:
-            out = engine.advance_to(arg)
-        steps.append((raw(out), engine.output_watermark))
-    steps.append((raw(engine.flush()), engine.output_watermark))
+            steps.append(step(engine.advance_to(arg)))
+    steps.append(step(engine.flush()))
     return steps, engine._flow.chain_advances
 
 
@@ -185,9 +197,28 @@ PREFIXES = {
 }
 
 
-def build(prefix, subplan):
+def build(prefix, subplan, shapes=SUBPLANS):
     source = Query.source("logs", ("StreamId", "UserId", "V"))
-    return PREFIXES[prefix](source).group_apply("UserId", SUBPLANS[subplan])
+    return PREFIXES[prefix](source).group_apply("UserId", shapes[subplan])
+
+
+def wave_rows(n, seed=7):
+    """``n`` in-order rows with ties, twelve users: input for the batch
+    driver, whose amortized waves need thousands of fed events."""
+    rng = random.Random(seed)
+    now = 0
+    rows = []
+    for _ in range(n):
+        now += rng.choice([0, 0, 1, 1, 2, 3])
+        rows.append(
+            {
+                "Time": now,
+                "StreamId": rng.randrange(2),
+                "UserId": rng.randrange(12),
+                "V": rng.randrange(4),
+            }
+        )
+    return rows
 
 
 @st.composite
@@ -245,19 +276,7 @@ def test_lazy_equals_eager_per_push(prefix, subplan, data):
 def test_batch_driver_is_schedule_blind(subplan):
     """The batch driver's amortized waves go through the same scheduler
     (a wave needs more than 4,096 fed events, so the input is long)."""
-    rng = random.Random(7)
-    now = 0
-    rows = []
-    for _ in range(13_000):
-        now += rng.choice([0, 0, 1, 1, 2, 3])
-        rows.append(
-            {
-                "Time": now,
-                "StreamId": rng.randrange(2),
-                "UserId": rng.randrange(12),
-                "V": rng.randrange(4),
-            }
-        )
+    rows = wave_rows(13_000)
     query = build("source", subplan)
     lazy = raw(Engine().run(query, {"logs": rows}, validate=False))
     with conservative_schedule():
@@ -340,3 +359,177 @@ def test_ties_release_in_activation_order():
     for user in ("a", "c", "b"):
         assert engine.push("logs", {"Time": 20, "UserId": user}) == []
     assert users(engine.advance_to(30)) == ["a", "c", "b"]
+
+
+# -- fused window→aggregate ≡ stage by stage ----------------------------------
+#
+# A linear chain computes a time window's lifetimes inside the consuming
+# aggregate's sweep and attaches key columns to the aggregate's payloads
+# in place (docs/EXECUTION.md). The reference is the same chain with
+# both switched off: every stage through its own ``on_batch``, the
+# windowed events built, key columns attached to a copy — the physical
+# path before fusion existed.
+
+
+@contextlib.contextmanager
+def unfused_reference():
+    with mock.patch.object(dataflow, "WINDOW_SPECS", ()), \
+            mock.patch.object(SnapshotAggregate, "fresh_payloads", False):
+        yield
+
+
+#: What ``project`` hands every event in "project-shared-last": were key
+#: columns attached in place, this very dict would grow a ``UserId``.
+SHARED_PAYLOAD = {"c": 1}
+
+#: The wake-scheduling shapes plus chains on either side of the fusion
+#: and in-place rules. Marked (f) fuses, (p) attaches in place.
+FUSION_SHAPES = {
+    **SUBPLANS,
+    # (f)(p), removals that depend on the payload handed to the sweep
+    "multi-agg": lambda g: g.window(9).aggregate(
+        AggSpec("count", "n"), AggSpec("sum", "s", "V"), AggSpec("max", "m", "V")
+    ),
+    "topk": lambda g: g.window(8).topk("V", k=2, into="t"),
+    "hopping-max": lambda g: g.hopping_window(12, 4).max("V", into="m"),
+    # (f)(p), the aggregate writes into the group key's own column: the
+    # key value wins and the column keeps its place, as with the copy
+    "into-key-column": lambda g: g.window(7).count(into="UserId"),
+    # (p) only: something other than a time window feeds the aggregate
+    "shift-before-agg": lambda g: g.window(6).shift(2).count(into="n"),
+    "where-before-agg": lambda g: (
+        g.window(7).where(lambda p: p["V"] > 0).count(into="n")
+    ),
+    "custom-lifetime": lambda g: g.alter_lifetime(
+        lambda le, re: le, lambda le, re: le + 4
+    ).count(into="n"),
+    "alive-forever": lambda g: g.alter_lifetime(
+        lambda le, re: le, lambda le, re: MAX_TIME
+    ).sum("V", into="s"),
+    # (f) only: the last stage passes payloads through, or emits what a
+    # user function returned — never the chain's to write to
+    "project-last": lambda g: g.window(6).count(into="n").project(
+        lambda p: {"n": p["n"], "twice": 2 * p["n"]}
+    ),
+    "project-shared-last": lambda g: g.window(6).count(into="n").project(
+        lambda p: SHARED_PAYLOAD
+    ),
+    "where-last": lambda g: g.window(6).sum("V", into="s").where(
+        lambda p: p["s"] > 1
+    ),
+}
+
+#: Custom lifetime rewrites run deferred inside the chain: batch only.
+FUSION_UNSTREAMABLE = UNSTREAMABLE | {"custom-lifetime", "alive-forever"}
+
+
+@pytest.mark.parametrize("prefix", sorted(PREFIXES))
+@pytest.mark.parametrize("subplan", sorted(FUSION_SHAPES))
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_fused_equals_unfused_per_push(prefix, subplan, data):
+    streamable = subplan not in FUSION_UNSTREAMABLE
+    slack = data.draw(st.sampled_from([0, 4])) if streamable else 0
+    script = data.draw(scripts(slack))
+    query = build(prefix, subplan, FUSION_SHAPES)
+    fused, fused_advances = drive(query, script, slack, wakes=True)
+    with unfused_reference():
+        plain, plain_advances = drive(query, script, slack, wakes=True)
+    for i, (got, want) in enumerate(zip(fused, plain)):
+        assert got == want, f"step {i} of {len(plain)} ({script[i:i + 1]})"
+    assert fused_advances == plain_advances
+    assert SHARED_PAYLOAD == {"c": 1}
+
+
+def drive_in_batches(query, rows, chunk=50, wave=64):
+    """The batch driver's loop — chunked feeds, amortized waves — with
+    every ``advance`` call's releases, watermark and wake time kept."""
+    flow = Dataflow(
+        query.to_plan(), allow_unstreamable=True, group_wave_events=wave
+    )
+    calls = []
+    for i in range(0, len(rows), chunk):
+        events = [point_event(row) for row in rows[i : i + chunk]]
+        flow.feed("logs", events, events[-1].le)
+        calls.append((raw(flow.advance()), flow.output_watermark, flow.next_wake()))
+    calls.append((raw(flow.flush()), flow.output_watermark, flow.next_wake()))
+    return calls
+
+
+@pytest.mark.parametrize("prefix", sorted(PREFIXES))
+@pytest.mark.parametrize("subplan", sorted(FUSION_SHAPES))
+def test_fused_equals_unfused_per_batch_call(prefix, subplan):
+    rows = wave_rows(2500)
+    query = build(prefix, subplan, FUSION_SHAPES)
+    fused = drive_in_batches(query, rows)
+    with unfused_reference():
+        plain = drive_in_batches(query, rows)
+    if subplan not in ("custom-lifetime", "alive-forever"):  # deferred to flush
+        assert any(released for released, _, _ in plain[:-1])  # waves did run
+    for i, (got, want) in enumerate(zip(fused, plain)):
+        assert got == want, f"advance call {i} of {len(plain)}"
+    assert SHARED_PAYLOAD == {"c": 1}
+
+
+@pytest.mark.parametrize("last", ["where", "project"])
+def test_pass_through_chains_copy_before_attaching_keys(last):
+    """A chain whose last stage hands the input's payload object on must
+    not write the key columns into it."""
+    tail = {
+        "where": lambda g: g.where(lambda p: True),
+        "project": lambda g: g.project(lambda p: p),
+    }[last]
+    query = Query.source("logs", ("UserId", "V")).group_apply("UserId", tail)
+    events = [Event.point(t, {"UserId": t % 3, "V": t}) for t in range(40)]
+    before = [dict(e.payload) for e in events]
+    flow = Dataflow(query.to_plan())
+    flow.feed("logs", events, events[-1].le)
+    out = flow.advance() + flow.flush()
+    assert len(out) == len(events)
+    fed = {id(e.payload) for e in events}
+    assert not any(id(e.payload) in fed for e in out)
+    assert [e.payload for e in events] == before
+    assert [list(e.payload) for e in events] == [list(p) for p in before]
+
+
+def count_event_constructions(run):
+    built = [0]
+    init = Event.__init__
+
+    def counting_init(self, le, re, payload):
+        built[0] += 1
+        init(self, le, re, payload)
+
+    with mock.patch.object(Event, "__init__", counting_init):
+        out = run()
+    return built[0], out
+
+
+@pytest.mark.parametrize(
+    "subplan",
+    [
+        lambda g: g.window(50).sum("V", into="s"),
+        lambda g: g.hopping_window(48, 4).count(into="n"),
+    ],
+    ids=["sliding-sum", "hopping-count"],
+)
+def test_one_event_per_input_and_one_per_output(subplan):
+    """The allocation gate, as a count: ingest builds one ``Event`` per
+    row and the aggregate one per output; the windowed copy and the
+    keyed copy in between (two more per row and per output before
+    fusion) are gone."""
+    rows = wave_rows(5000)
+    query = Query.source("logs", ("StreamId", "UserId", "V")).group_apply(
+        "UserId", subplan
+    )
+    engine = Engine(context=RunContext(executor="serial", batch_format="row"))
+    built, out = count_event_constructions(
+        lambda: engine.run(query, {"logs": rows}, validate=False)
+    )
+    assert out and built <= len(rows) + len(out)
+    with unfused_reference():
+        unfused, again = count_event_constructions(
+            lambda: engine.run(query, {"logs": rows}, validate=False)
+        )
+    assert raw(again) == raw(out)
+    assert unfused == 2 * (len(rows) + len(out))

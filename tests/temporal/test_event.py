@@ -36,6 +36,17 @@ class TestEvent:
         with pytest.raises(ValueError):
             Event(5, 3, {})
 
+    def test_rejection_reads_like_validate_interval(self):
+        """``Event.__init__`` inlines the check; the text stays one."""
+        from repro.temporal.time import validate_interval
+
+        for le, re in ((5, 5), (5, 3)):
+            with pytest.raises(ValueError) as inlined:
+                Event(le, re, {})
+            with pytest.raises(ValueError) as helper:
+                validate_interval(le, re)
+            assert str(inlined.value) == str(helper.value)
+
     def test_active_at_half_open(self):
         e = Event(2, 7, {})
         assert not e.active_at(1)

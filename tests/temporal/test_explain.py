@@ -76,6 +76,32 @@ class TestExplainBatch:
         assert "where: columnar kernel (supports_columnar)" in report
         assert "row bridge at the per-key split" in report
 
+    def test_group_apply_names_its_per_key_path(self):
+        """No silent physical path: a window that runs fused into its
+        aggregate, and how key columns are attached, are both named."""
+        fused = explain(
+            Query.source("s").group_apply(
+                "UserId", lambda g: g.window(hours(1)).sum("Clicks")
+            )
+        )
+        assert "per key: one linear chain" in fused
+        assert f"window({hours(1)}): fused into aggregate" in fused
+        assert "key columns attached to its payloads in place" in fused
+        unfused = explain(
+            Query.source("s").group_apply(
+                "UserId",
+                lambda g: g.window(5).shift(1).count().where(lambda p: True),
+            )
+        )
+        assert "fused into" not in unfused
+        assert "where: on_batch per stage; key columns attached to a copy" in unfused
+        nested = explain(
+            Query.source("s").group_apply(
+                "UserId", lambda g: g.window(5).count().union(g.window(7).count())
+            )
+        )
+        assert "per key: a nested row-format Dataflow" in nested
+
     def test_binary_operator_reports_run_batched_delivery(self):
         q = Query.source("a").temporal_join(
             Query.source("b").window(hours(1)), on="UserId"

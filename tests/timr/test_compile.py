@@ -37,6 +37,45 @@ class TestStatelessRowTransform:
         out = fn({"Time": 0})
         assert out[0]["Time"] == 2 and out[0]["_re"] == 12
 
+    def test_agrees_with_the_operator_path(self):
+        """Rows, column order included, are what one event through each
+        operator's ``on_event`` and back to a row would give."""
+        from repro.temporal.event import events_to_rows, rows_to_events
+
+        q = (
+            Query.source("s")
+            .where(lambda p: p["v"] % 3 != 0)
+            .project(lambda p: {"w": p["v"], **p})
+            .window(10)
+            .shift(-2, -7)
+            .where(lambda p: p["w"] != 4)
+        )
+        fn = stateless_row_transform(q.to_plan())
+        ops, node = [], q.to_plan()
+        while node.inputs:
+            ops.insert(0, node.make_operator())
+            node = node.inputs[0]
+
+        def reference(row):
+            events = rows_to_events([row])
+            for op in ops:
+                events = [out for e in events for out in op.on_event(e)]
+            return events_to_rows(events)
+
+        rows = [{"v": v, "Time": 3 * v, "k": "x"} for v in range(12)]
+        rows += [{"Time": 7, "_re": 7 + span, "v": 5} for span in (1, 4, 50)]
+        for row in rows:
+            got, want = fn(dict(row)), reference(dict(row))
+            assert got == want and [list(r) for r in got] == [list(r) for r in want]
+        assert [len(fn(dict(r))) for r in rows].count(0) >= 4  # filtered rows
+
+    def test_empty_lifetimes_vanish_and_bad_rows_raise(self):
+        fn = stateless_row_transform(Query.source("s").shift(0, -5).to_plan())
+        assert fn({"Time": 0, "_re": 5}) == []  # [0, 0) after the shift
+        assert fn({"Time": 0, "_re": 6}) == [{"Time": 0, "_re": 1}]
+        with pytest.raises(ValueError, match=r"empty or inverted lifetime \[4, 4\)"):
+            fn({"Time": 4, "_re": 4})
+
     def test_stateful_plan_not_foldable(self):
         q = Query.source("s").count(into="n")
         assert stateless_row_transform(q.to_plan()) is None
