@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test test-stress lint selflint ruff chaos chaos-parallel bench-smoke bench-compare bench-scale bench-trend bench-e2e test-bench-harness race-check
+.PHONY: check test test-stress lint selflint ruff chaos chaos-parallel bench-smoke bench-compare bench-scale bench-trend bench-e2e test-bench-harness profile-bt race-check
 
 check: test selflint chaos ruff
 
@@ -84,6 +84,16 @@ bench-e2e:
 # testpaths
 test-bench-harness:
 	$(PYTHON) -m pytest benchmarks/e2e -q
+
+# where one bt_timr pass spends its time, layer by layer: a traced run
+# of the repo benchmark's TiMR workload, cut down to the timr.*,
+# cluster.*, engine.run_s and bt.* rows (EXPERIMENTS.md, "bt_timr, layer
+# by layer"); everything run.py printed stays in profile_out/
+profile-bt:
+	@mkdir -p profile_out
+	$(PYTHON) benchmarks/e2e/run.py --workload bt_timr --seed 0 --trace 1 \
+		> profile_out/bt_profile.txt
+	@grep -E '^metric +(timr\.|cluster\.|engine\.run_s|bt\.)' profile_out/bt_profile.txt
 
 # the tier-1 suite under the shadow race checker: every parallel wave is
 # replayed serially with owning-schedule attribution; byte-identity means

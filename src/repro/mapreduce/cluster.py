@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
+from marshal import dumps as _marshal
 from typing import List, Optional, Sequence, Set, Tuple
 
 from ..runtime.context import RunContext
@@ -41,7 +42,12 @@ from .faults import (
     StageExecutionError,
 )
 from .fs import DistributedFile, DistributedFileSystem, Row
-from .job import MapReduceJob, MapReduceStage
+from .job import MapReduceJob, MapReduceStage, stable_hash
+
+
+#: Distinct keys one map call remembers the route of; past that a key
+#: is hashed each time it is seen, and the memo stays a few hundred KB.
+_ROUTE_MEMO_KEYS = 4096
 
 
 class ReducerKilled(InjectedFault):
@@ -281,7 +287,7 @@ class Cluster:
                     map_span.set_duration(busy)
                 for idx, row in routed:
                     partitions[idx].append(row)
-                    routed_rows += 1
+                routed_rows += len(routed)
             report.shuffle_seconds = self.cost_model.shuffle_seconds(routed_rows)
             report.num_partitions = stage.num_partitions
 
@@ -461,19 +467,35 @@ class Cluster:
         """
         routed: List[Tuple[int, Row]] = []
         poisoned: List[Row] = []
+        map_fn, key_fn, partition_fn = stage.map_fn, stage.key_fn, stage.partition_fn
+        num_partitions = stage.num_partitions
+        # this call's hash routes by the key's marshalled bytes, which
+        # are equal only for equal reprs; as dict keys 1, 1.0 and True
+        # are one key with three reprs
+        routes: dict = {}
         for source_row in rows:
             try:
-                if stage.map_fn is not None:
-                    mapped = stage.map_fn(source_row)
-                else:
-                    mapped = (source_row,)
+                mapped = (source_row,) if map_fn is None else map_fn(source_row)
                 row_routes: List[Tuple[int, Row]] = []
                 for row in mapped:
-                    for idx in stage.route(row):
-                        if not 0 <= idx < stage.num_partitions:
+                    if partition_fn is not None:
+                        indices = partition_fn(row)
+                    else:
+                        key = key_fn(row)
+                        try:
+                            exact = _marshal(key, 2)
+                        except ValueError:  # a value marshal cannot write
+                            exact = None
+                        indices = routes.get(exact)
+                        if indices is None:
+                            indices = (stable_hash(key) % num_partitions,)
+                            if exact is not None and len(routes) < _ROUTE_MEMO_KEYS:
+                                routes[exact] = indices
+                    for idx in indices:
+                        if not 0 <= idx < num_partitions:
                             raise IndexError(
                                 f"stage {stage.name!r} routed row to partition "
-                                f"{idx} of {stage.num_partitions}"
+                                f"{idx} of {num_partitions}"
                             )
                         row_routes.append((idx, row))
             except InjectedFault:

@@ -33,7 +33,7 @@ def key_by_columns(columns: Sequence[str]) -> Callable[[Row], tuple]:
     cols = tuple(columns)
 
     def key(row: Row) -> tuple:
-        return tuple(row[c] for c in cols)
+        return tuple([row[c] for c in cols])
 
     return key
 
@@ -73,12 +73,6 @@ class MapReduceStage:
     sort_by_time: bool = True
     partition_fn: Optional[Callable[[Row], List[int]]] = None
     map_fn: Optional[Callable[[Row], Iterable[Row]]] = None
-
-    def route(self, row: Row) -> List[int]:
-        """Partition indices this row belongs to (usually exactly one)."""
-        if self.partition_fn is not None:
-            return self.partition_fn(row)
-        return [stable_hash(self.key_fn(row)) % self.num_partitions]
 
 
 @dataclass

@@ -155,12 +155,14 @@ def rows_to_events(
     """Inverse of :func:`events_to_rows` for intermediate TiMR stages.
 
     Rows carrying an ``re_column`` become interval events; rows without it
-    become point events.
+    become point events. Each payload is a copy of its row minus the two
+    lifetime columns, the rest in the row's order; the rows themselves
+    are not touched (a reducer may be handed them again).
     """
     events = []
     for row in rows:
-        t = row[time_column]
-        re = row.get(re_column, t + TICK)
-        payload = {k: v for k, v in row.items() if k not in (time_column, re_column)}
+        payload = dict(row)
+        t = payload.pop(time_column)
+        re = payload.pop(re_column, t + TICK)
         events.append(Event(t, re, payload))
     return events

@@ -194,16 +194,24 @@ class StreamingEngine:
         self._flow.feed(source, released, watermark)
         return self._emit()
 
-    def _drain_reorder_buffers(self) -> None:
+    def _release_reorder_buffers(self, before: Optional[int] = None) -> None:
+        """Feed every buffered event with an LE below ``before`` (all of
+        them when ``None``), per source in LE order. Source watermarks
+        stay where they are: the caller moves them next."""
         for source, buffer in self._reorder.items():
             released = []
-            while buffer:
+            while buffer and (before is None or buffer[0][0] < before):
                 released.append(heapq.heappop(buffer)[2])
-            if released:  # bypass the watermark: flush accepts the tail
+            if released:
                 self._flow.feed(source, released)
 
     def advance_to(self, watermark: int) -> List[Event]:
-        """Declare every source silent before ``watermark`` (a CTI)."""
+        """Declare every source silent before ``watermark`` (a CTI).
+
+        Under ``slack`` the reorder-buffered events the CTI overtakes
+        are released first, so no operator is handed an LE behind a
+        watermark it was already given."""
+        self._release_reorder_buffers(before=watermark)
         self._flow.set_watermarks(watermark)
         return self._emit()
 
@@ -212,8 +220,7 @@ class StreamingEngine:
         if self._flushed:
             return []
         self._flushed = True
-        if self.slack:
-            self._drain_reorder_buffers()
+        self._release_reorder_buffers()
         self._flow.set_watermarks(MAX_TIME)
         return self._emit()
 

@@ -16,7 +16,12 @@ Two practical mechanisms from the paper are implemented here:
   separates users inside the partition.
 * **multi-input fragments** (Section III-C.4): the k input datasets are
   unioned into one file with an extra ``_src`` column naming the origin;
-  the reducer splits rows back into per-source event streams.
+  the reducer decodes tagged rows straight into per-source event lists.
+
+A stateless fragment folded into its consumer runs as a *kernel*
+(:func:`stateless_kernel`): ``kernel(le, re, payload)`` returns ``(le,
+re, payload)`` or ``None``, and never writes to the payload it is given.
+:func:`kernel_map_fn` adapts one to a single-input stage's ``map_fn``.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import Dict, List, Optional
 from ..mapreduce.job import MapReduceStage, key_by_columns
 from ..runtime.context import RunContext
 from ..temporal.engine import Engine
-from ..temporal.event import events_to_rows, rows_to_events
+from ..temporal.event import Event, events_to_rows, rows_to_events
 from ..temporal.time import TICK, validate_interval
 from ..temporal.plan import (
     AlterLifetimeNode,
@@ -42,7 +47,7 @@ from .temporal_partition import SpanLayout
 #: Column tagging a combined multi-input row with its source dataset.
 SRC_COLUMN = "_src"
 
-#: Stage kinds of a folded stateless chain (:func:`stateless_row_transform`).
+#: Step kinds of a folded stateless chain (:func:`stateless_kernel`).
 _WHERE, _PROJECT, _LIFETIME = range(3)
 
 
@@ -53,8 +58,9 @@ class InputBinding:
     Attributes:
         logical: the source name the fragment's plan refers to.
         physical: the dataset actually read from the file system.
-        transform: optional per-row transform (a folded stateless
-            fragment) applied in the map phase / during union
+        transform: optional kernel ``(le, re, payload) -> (le, re,
+            payload) | None`` (the folded stateless fragments below this
+            input), applied in the map phase / during union
             materialization.
     """
 
@@ -89,15 +95,26 @@ class CompiledStage:
         return self.bindings[0].physical
 
 
-def stateless_row_transform(plan: PlanNode):
-    """Compile a pure stateless unary chain into a per-row transform.
+def _decode_row(row: dict):
+    """One M-R row as ``(le, re, payload)``, lifetime validated; the
+    payload is a copy, the row's other columns in the row's order."""
+    payload = dict(row)
+    le = payload.pop("Time")
+    re = payload.pop("_re", le + TICK)
+    validate_interval(le, re)
+    return le, re, payload
+
+
+def stateless_kernel(plan: PlanNode):
+    """Compile a pure stateless unary chain into a kernel.
 
     Returns ``None`` unless ``plan`` is a chain of Where / Project /
-    AlterLifetime nodes over a single source. The transform maps one row
-    to zero or more rows and is suitable as an M-R ``map_fn`` — this is
-    how TiMR folds a sub-exchange stateless fragment into the consuming
-    stage's map phase instead of paying a whole extra M-R stage (the
-    SCOPE trick of pushing selects into extractors).
+    AlterLifetime nodes over a single source. ``kernel(le, re, payload)``
+    returns what the chain makes of that event, as ``(le, re, payload)``,
+    or ``None`` when the chain drops it. This is how TiMR folds a
+    sub-exchange stateless fragment into the consuming stage's map phase
+    instead of paying a whole extra M-R stage (the SCOPE trick of pushing
+    selects into extractors).
     """
     chain = []
     node = plan
@@ -119,27 +136,58 @@ def stateless_row_transform(plan: PlanNode):
         else:
             steps.append((_LIFETIME, op.le_fn, op.re_fn))
 
-    def transform(row: dict) -> List[dict]:
-        le = row["Time"]
-        re = row.get("_re", le + TICK)
-        validate_interval(le, re)
-        payload = {k: v for k, v in row.items() if k != "Time" and k != "_re"}
+    def kernel(le, re, payload):
         for kind, f, g in steps:
             if kind == _WHERE:
                 if not f(payload):
-                    return []
+                    return None
             elif kind == _PROJECT:
                 payload = f(payload)
             else:
                 le, re = f(le, re), g(le, re)
                 if re <= le:  # empty lifetimes vanish from the relation
-                    return []
-        out = dict(payload)
-        out["Time"] = le
-        out["_re"] = re
-        return [out]
+                    return None
+        return le, re, payload
 
-    return transform
+    return kernel
+
+
+def _stacked(kernels):
+    """Folded fragments feeding one another, as one kernel. Each
+    hand-over does what writing a row and reading it back did: the
+    lifetime is validated again, and a payload column a Project named
+    ``Time`` or ``_re`` does not reach the next fragment."""
+    first, rest = kernels[0], kernels[1:]
+
+    def kernel(le, re, payload):
+        out = first(le, re, payload)
+        for following in rest:
+            if out is None:
+                return None
+            le, re, payload = out
+            validate_interval(le, re)
+            if "Time" in payload or "_re" in payload:
+                payload = {k: v for k, v in payload.items() if k not in ("Time", "_re")}
+            out = following(le, re, payload)
+        return out
+
+    return kernel
+
+
+def kernel_map_fn(kernel):
+    """A kernel as a single-input stage's ``map_fn``: row in, rows out."""
+
+    def map_fn(row: dict) -> List[dict]:
+        out = kernel(*_decode_row(row))
+        if out is None:
+            return []
+        le, re, payload = out
+        mapped = dict(payload)
+        mapped["Time"] = le
+        mapped["_re"] = re
+        return [mapped]
+
+    return map_fn
 
 
 def make_reducer(
@@ -165,14 +213,14 @@ def make_reducer(
 
     def reducer(partition_index: int, rows: List[dict]) -> List[dict]:
         if multi_input:
-            split: Dict[str, List[dict]] = {name: [] for name in input_names}
+            # pop from a copy: M-R may hand these rows to the reducer again
+            sources: Dict[str, List[Event]] = {name: [] for name in input_names}
             for row in rows:
-                row = dict(row)
-                src = row.pop(SRC_COLUMN)
-                split[src].append(row)
-            sources = {
-                name: rows_to_events(split[name]) for name in input_names
-            }
+                payload = dict(row)
+                source = sources[payload.pop(SRC_COLUMN)]
+                le = payload.pop("Time")
+                re = payload.pop("_re", le + TICK)
+                source.append(Event(le, re, payload))
         else:
             sources = {input_names[0]: rows_to_events(rows)}
 
@@ -227,47 +275,36 @@ def fold_stateless_fragments(fragments: List[Fragment]):
         for name in f.input_names:
             consumer_count[name] = consumer_count.get(name, 0) + 1
 
-    # folded fragment output -> (feeding dataset, transform, folded extent)
+    # folded fragment output -> (feeding dataset, kernel, folded extent)
     folded: Dict[str, tuple] = {}
     kept: List[Fragment] = []
     for f in fragments:
-        transform = None
+        kernel = None
         if (
             not f.is_payload_partitioned
             and len(f.input_names) == 1
             and consumer_count.get(f.output_name, 0) == 1
         ):
-            transform = stateless_row_transform(f.root)
-        if transform is not None:
-            folded[f.output_name] = (f.input_names[0], transform, f.extent)
+            kernel = stateless_kernel(f.root)
+        if kernel is not None:
+            folded[f.output_name] = (f.input_names[0], kernel, f.extent)
         else:
             kept.append(f)
 
     def resolve(name: str):
-        """Follow chains of folded fragments, composing transforms."""
-        transforms = []
+        """Follow chains of folded fragments, stacking their kernels."""
+        kernels = []
         extent = (0, 0)
         while name in folded:
-            src, tr, fext = folded[name]
-            transforms.append(tr)
+            src, kernel, fext = folded[name]
+            kernels.append(kernel)
             extent = _add_extents(extent, fext)
             name = src
-        if not transforms:
+        if not kernels:
             return name, None, (0, 0)
-        transforms.reverse()  # apply lowest fragment first
-
-        def composed(row: dict) -> List[dict]:
-            rows = [row]
-            for tr in transforms:
-                nxt: List[dict] = []
-                for r in rows:
-                    nxt.extend(tr(r))
-                if not nxt:
-                    return []
-                rows = nxt
-            return rows
-
-        return name, composed, extent
+        kernels.reverse()  # apply lowest fragment first
+        kernel = kernels[0] if len(kernels) == 1 else _stacked(kernels)
+        return name, kernel, extent
 
     plans: Dict[str, tuple] = {}
     for f in kept:
@@ -301,7 +338,9 @@ def compile_fragment(
     if bindings is None:
         bindings = [InputBinding(n, n) for n in fragment.input_names]
     multi = len(bindings) > 1
-    map_fn = None if multi else bindings[0].transform
+    map_fn = None
+    if not multi and bindings[0].transform is not None:
+        map_fn = kernel_map_fn(bindings[0].transform)
 
     if fragment.is_payload_partitioned:
         if span_layout is not None:

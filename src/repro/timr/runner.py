@@ -23,6 +23,7 @@ from .compile import (
     SRC_COLUMN,
     CompiledStage,
     InputBinding,
+    _decode_row,
     compile_fragment,
     fold_stateless_fragments,
 )
@@ -288,6 +289,8 @@ class TiMR:
                         fragment.output_name,
                         quarantine_name=quarantine_name,
                     )
+                    if compiled.needs_input_union:  # a temporary of this stage
+                        self.cluster.fs.delete(compiled.input_name)
                     report.stages.extend(self.cluster.last_report.stages)
                     stage_parallel = self.cluster.last_parallel
                     if stage_parallel is not None:
@@ -455,6 +458,8 @@ class TiMR:
         )
         replay_hash = persist.dataset_sha256(replayed)
         self.cluster.fs.delete(replay_name)
+        if compiled.needs_input_union:
+            self.cluster.fs.delete(compiled.input_name)
         if replay_hash != entry.sha256:
             raise recovery.ResumeError(
                 f"replaying checkpointed stage {entry.stage!r} produced different "
@@ -503,20 +508,36 @@ class TiMR:
         """Union k input datasets into one file with a source tag column.
 
         This is the Section III-C.4 transformation that lets a vanilla
-        one-input M-R stage feed a multi-input CQ fragment. Folded
-        stateless fragments are applied per row while tagging.
+        one-input M-R stage feed a multi-input CQ fragment. Each physical
+        dataset is scanned once, however many bindings read it: a row is
+        decoded once and every folded binding's kernel reads that one
+        payload. The file stays binding-major, as one scan per binding
+        wrote it.
         """
-        combined: List[dict] = []
-        for binding in bindings:
-            f = self.cluster.fs.read(binding.physical)
-            for part in f.partitions:
+        tagged: List[List[dict]] = [[] for _ in bindings]
+        by_physical: Dict[str, list] = {}
+        for binding, rows in zip(bindings, tagged):
+            by_physical.setdefault(binding.physical, []).append(
+                (binding.transform, binding.logical, rows.append)
+            )
+        for physical, members in by_physical.items():
+            plain = [m for m in members if m[0] is None]  # rows tagged as they are
+            folded = [m for m in members if m[0] is not None]
+            for part in self.cluster.fs.read(physical).partitions:
                 for row in part:
-                    if binding.transform is not None:
-                        mapped = binding.transform(row)
-                    else:
-                        mapped = (row,)
-                    for out in mapped:
-                        tagged = dict(out)
-                        tagged[SRC_COLUMN] = binding.logical
-                        combined.append(tagged)
-        self.cluster.fs.write(f"{fragment.output_name}.in", combined)
+                    for _, tag, emit in plain:
+                        out = dict(row)
+                        out[SRC_COLUMN] = tag
+                        emit(out)
+                    if folded:
+                        le, re, payload = _decode_row(row)
+                        for kernel, tag, emit in folded:
+                            kept = kernel(le, re, payload)
+                            if kept is not None:
+                                out = dict(kept[2])
+                                out["Time"], out["_re"] = kept[0], kept[1]
+                                out[SRC_COLUMN] = tag
+                                emit(out)
+        self.cluster.fs.write(
+            f"{fragment.output_name}.in", [row for rows in tagged for row in rows]
+        )

@@ -224,10 +224,9 @@ def wave_rows(n, seed=7):
 @st.composite
 def scripts(draw, slack):
     """Pushes at non-decreasing times — ties included — late by at most
-    ``slack`` and never behind a CTI, interleaved with CTIs. A CTI never
-    overtakes an event still in the slack reorder buffer: that event
-    would reach the operators behind a watermark they were promised, and
-    what a broken promise yields is any schedule's guess."""
+    ``slack`` and never behind a CTI, interleaved with CTIs. A CTI may
+    overtake events still in the slack reorder buffer; ``advance_to``
+    releases those before it moves the watermark."""
     n = draw(st.integers(min_value=0, max_value=40))
     gaps = draw(
         st.lists(
@@ -237,16 +236,12 @@ def scripts(draw, slack):
         )
     )
     script = []
-    now = floor = newest = 0
-    pushed = []
+    now = floor = 0
     for gap in gaps:
         now += gap
         if draw(st.integers(min_value=0, max_value=5)) == 0:
             floor = now + draw(st.integers(min_value=0, max_value=6))
-            buffered = [t for t in pushed if t > newest - slack]
-            if slack and buffered:
-                floor = min(buffered)
-            now = max(now, floor)
+            now = floor
             script.append(("cti", floor))
             continue
         late = draw(st.integers(min_value=0, max_value=slack))
@@ -256,8 +251,6 @@ def scripts(draw, slack):
             "UserId": draw(st.sampled_from(["u1", "u2", "u3", "u4"])),
             "V": draw(st.integers(min_value=0, max_value=3)),
         }
-        pushed.append(row["Time"])
-        newest = max(newest, row["Time"])
         script.append(("push", row))
     return script
 

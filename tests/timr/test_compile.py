@@ -4,7 +4,11 @@ import pytest
 
 from repro.temporal import Query
 from repro.timr import SRC_COLUMN, compile_fragment, make_fragments, make_reducer
-from repro.timr.compile import fold_stateless_fragments, stateless_row_transform
+from repro.timr.compile import (
+    fold_stateless_fragments,
+    kernel_map_fn,
+    stateless_kernel,
+)
 
 
 def single_fragment(query, name="j"):
@@ -13,28 +17,40 @@ def single_fragment(query, name="j"):
     return frags[0]
 
 
+def row_fn(query):
+    """The query's kernel behind the single-input map_fn adapter."""
+    return kernel_map_fn(stateless_kernel(query.to_plan()))
+
+
 class TestStatelessRowTransform:
     def test_filter_chain(self):
         q = Query.source("s").where(lambda p: p["v"] > 1)
-        fn = stateless_row_transform(q.to_plan())
+        kernel = stateless_kernel(q.to_plan())
+        payload = {"v": 2}
+        le, re, out = kernel(0, 1, payload)
+        assert (le, re) == (0, 1) and out is payload  # a Where copies nothing
+        assert kernel(0, 1, {"v": 0}) is None
+        fn = kernel_map_fn(kernel)
         assert fn({"Time": 0, "v": 2}) == [{"Time": 0, "v": 2, "_re": 1}]
         assert fn({"Time": 0, "v": 0}) == []
 
     def test_project_chain(self):
         q = Query.source("s").project(lambda p: {"w": p["v"] * 2})
-        fn = stateless_row_transform(q.to_plan())
-        out = fn({"Time": 5, "v": 3})
+        payload = {"v": 3}
+        assert stateless_kernel(q.to_plan())(5, 6, payload) == (5, 6, {"w": 6})
+        assert payload == {"v": 3}
+        out = row_fn(q)({"Time": 5, "v": 3})
         assert out[0]["w"] == 6 and out[0]["Time"] == 5
 
     def test_window_sets_re(self):
         q = Query.source("s").window(100)
-        fn = stateless_row_transform(q.to_plan())
-        assert fn({"Time": 5})[0]["_re"] == 105
+        assert stateless_kernel(q.to_plan())(5, 6, {}) == (5, 105, {})
+        assert row_fn(q)({"Time": 5})[0]["_re"] == 105
 
     def test_stacked_chain(self):
         q = Query.source("s").where(lambda p: True).window(10).shift(2)
-        fn = stateless_row_transform(q.to_plan())
-        out = fn({"Time": 0})
+        assert stateless_kernel(q.to_plan())(0, 1, {}) == (2, 12, {})
+        out = row_fn(q)({"Time": 0})
         assert out[0]["Time"] == 2 and out[0]["_re"] == 12
 
     def test_agrees_with_the_operator_path(self):
@@ -50,7 +66,7 @@ class TestStatelessRowTransform:
             .shift(-2, -7)
             .where(lambda p: p["w"] != 4)
         )
-        fn = stateless_row_transform(q.to_plan())
+        fn = row_fn(q)
         ops, node = [], q.to_plan()
         while node.inputs:
             ops.insert(0, node.make_operator())
@@ -65,24 +81,32 @@ class TestStatelessRowTransform:
         rows = [{"v": v, "Time": 3 * v, "k": "x"} for v in range(12)]
         rows += [{"Time": 7, "_re": 7 + span, "v": 5} for span in (1, 4, 50)]
         for row in rows:
-            got, want = fn(dict(row)), reference(dict(row))
+            given = dict(row)
+            got, want = fn(given), reference(dict(row))
             assert got == want and [list(r) for r in got] == [list(r) for r in want]
+            assert given == row and list(given) == list(row)  # input row untouched
         assert [len(fn(dict(r))) for r in rows].count(0) >= 4  # filtered rows
 
     def test_empty_lifetimes_vanish_and_bad_rows_raise(self):
-        fn = stateless_row_transform(Query.source("s").shift(0, -5).to_plan())
-        assert fn({"Time": 0, "_re": 5}) == []  # [0, 0) after the shift
+        q = Query.source("s").shift(0, -5)
+        kernel, fn = stateless_kernel(q.to_plan()), row_fn(q)
+        assert kernel(0, 5, {}) is None  # [0, 0) after the shift
+        assert kernel(0, 6, {}) == (0, 1, {})
+        assert fn({"Time": 0, "_re": 5}) == []
         assert fn({"Time": 0, "_re": 6}) == [{"Time": 0, "_re": 1}]
+        # the row decode validates; the kernel trusts what it is handed
         with pytest.raises(ValueError, match=r"empty or inverted lifetime \[4, 4\)"):
             fn({"Time": 4, "_re": 4})
+        with pytest.raises(KeyError, match="Time"):
+            fn({"_re": 4})
 
     def test_stateful_plan_not_foldable(self):
         q = Query.source("s").count(into="n")
-        assert stateless_row_transform(q.to_plan()) is None
+        assert stateless_kernel(q.to_plan()) is None
 
     def test_group_apply_not_foldable(self):
         q = Query.source("s").group_apply("k", lambda g: g.count(into="n"))
-        assert stateless_row_transform(q.to_plan()) is None
+        assert stateless_kernel(q.to_plan()) is None
 
 
 class TestFolding:
@@ -116,9 +140,9 @@ class TestFolding:
         bindings, extent = plans[kept[0].output_name]
         assert bindings[0].physical == "s"
         assert bindings[0].transform is not None
-        # the transform is the folded Where
-        assert bindings[0].transform({"Time": 0, "v": 1})
-        assert bindings[0].transform({"Time": 0, "v": -1}) == []
+        # the transform is the folded Where, as a kernel
+        assert bindings[0].transform(0, 1, {"v": 1}) == (0, 1, {"v": 1})
+        assert bindings[0].transform(0, 1, {"v": -1}) is None
 
     def test_folded_extent_accumulates(self):
         from repro.timr import Statistics, annotate_plan
