@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test test-stress lint selflint ruff chaos chaos-parallel bench-smoke bench-compare bench-scale bench-trend bench-e2e test-bench-harness profile-bt race-check
+.PHONY: check test test-stress lint selflint ruff chaos chaos-parallel bench-smoke bench-compare bench-scale bench-trend bench-e2e test-bench-harness profile profile-bt race-check
 
 check: test selflint chaos ruff
 
@@ -85,15 +85,22 @@ bench-e2e:
 test-bench-harness:
 	$(PYTHON) -m pytest benchmarks/e2e -q
 
-# where one bt_timr pass spends its time, layer by layer: a traced run
-# of the repo benchmark's TiMR workload, cut down to the timr.*,
-# cluster.*, engine.run_s and bt.* rows (EXPERIMENTS.md, "bt_timr, layer
-# by layer"); everything run.py printed stays in profile_out/
-profile-bt:
+# where one pass of a repo-benchmark workload spends its time, layer by
+# layer: `make profile WORKLOAD=scale_hopping` is one traced run cut down
+# to the rows of the layers that workload runs — timr.*, cluster.*,
+# engine.run_s and bt.* for bt_timr (EXPERIMENTS.md, "bt_timr, layer by
+# layer"), engine.*, dataflow.*, op.* and heap.* for the others;
+# everything run.py printed stays in profile_out/
+WORKLOAD ?= bt_timr
+PROFILE_ROWS = $(if $(filter bt_timr,$(WORKLOAD)),timr\.|cluster\.|engine\.run_s|bt\.,engine\.|dataflow\.|op\.|heap\.)
+profile:
 	@mkdir -p profile_out
-	$(PYTHON) benchmarks/e2e/run.py --workload bt_timr --seed 0 --trace 1 \
-		> profile_out/bt_profile.txt
-	@grep -E '^metric +(timr\.|cluster\.|engine\.run_s|bt\.)' profile_out/bt_profile.txt
+	$(PYTHON) benchmarks/e2e/run.py --workload $(WORKLOAD) --seed 0 --trace 1 \
+		> profile_out/$(WORKLOAD)_profile.txt
+	@grep -E '^metric +($(PROFILE_ROWS))' profile_out/$(WORKLOAD)_profile.txt
+
+profile-bt:
+	@$(MAKE) --no-print-directory profile WORKLOAD=bt_timr
 
 # the tier-1 suite under the shadow race checker: every parallel wave is
 # replayed serially with owning-schedule attribution; byte-identity means

@@ -1337,7 +1337,9 @@ class _LinearChain:
             elif fused[i]:
                 # the watermark arithmetic below still runs for this
                 # stage; only its events are never materialized
-                columns = op.window_columns(events)
+                columns = op.window_columns(
+                    events, self.ops[i + 1].reads_payloads
+                )
                 out = []
             else:
                 out = op.on_batch(events)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import List, Optional, Union
 
 from .plan import (
+    AggregateNode,
     ExchangeNode,
     GroupApplyNode,
     GroupInputNode,
@@ -87,6 +88,10 @@ def _group_paths(node: GroupApplyNode, indent: str) -> List[str]:
         "over rows (either batch format)"
     ]
     for i, stage in enumerate(stages):
+        last = i == len(stages) - 1
+        operator = None
+        if last or isinstance(stage, AggregateNode):
+            operator = shared[i] or stage.make_operator()
         if fused[i]:
             path = (
                 f"fused into {stages[i + 1].describe()}: lifetimes computed "
@@ -94,10 +99,13 @@ def _group_paths(node: GroupApplyNode, indent: str) -> List[str]:
             )
         elif i and fused[i - 1]:
             path = "one endpoint sweep over the fused window's columns"
+            if not operator.reads_payloads:
+                path += " (count only: no payload column built either)"
         else:
             path = "on_batch per stage"
-        if i == len(stages) - 1:
-            operator = shared[i] or stage.make_operator()
+        if isinstance(stage, AggregateNode):
+            path += ", " + operator.pane_kind()
+        if last:
             path += (
                 "; key columns attached to its payloads in place"
                 if operator.fresh_payloads

@@ -8,17 +8,20 @@ reports the count over the last ``w`` ticks, refreshed whenever it
 changes.
 
 The operator runs a single endpoint sweep: additions arrive in LE order,
-expirations are drained from a min-heap of REs, and one output event is
-emitted per maximal interval of constant aggregate value (empty snapshots
-emit nothing). Aggregate state is fully incremental (`add`/`remove`), so
-the same code path serves a live feed.
+expirations are drained from a min-heap of distinct REs, and one output
+event is emitted per maximal interval of constant aggregate value (empty
+snapshots emit nothing). The unit of state is the *pane* — everything
+that expires at one RE: a hopping window gives every arrival inside one
+hop the same lifetime, so count/sum/avg/stddev keep ``size/hop`` folded
+partials per key and no payload. State is fully incremental, so the same
+code path serves a live feed.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, insort
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..batch import EventBatch
 from ..event import Event
@@ -27,7 +30,19 @@ from .base import UnaryOperator
 
 
 class AggregateFunction:
-    """Incremental aggregate state: payloads enter and leave the snapshot."""
+    """Incremental aggregate state: payloads enter and leave the snapshot.
+
+    The sweep moves a *pane* — everything that expires together — at a
+    time: ``enter`` applies the ``k`` payloads arriving together in one
+    pane and returns the pane's partial (``part`` is what its earlier
+    arrivals left, ``None`` for a new pane), ``leave`` retires it. By
+    default the partial is the payloads themselves, added and removed
+    one by one in arrival order. A function whose partials combine
+    overrides both and keeps no payload; it must leave the state bit for
+    bit where ``add``/``remove`` per payload would.
+    """
+
+    __slots__ = ()
 
     def add(self, payload: dict) -> None:
         raise NotImplementedError
@@ -38,12 +53,33 @@ class AggregateFunction:
     def value(self):
         raise NotImplementedError
 
+    def enter(self, part, payloads, k):
+        for payload in payloads:
+            self.add(payload)
+        if part is None:
+            return list(payloads)
+        part += payloads
+        return part
+
+    def leave(self, part):
+        for payload in part:
+            self.remove(payload)
+
 
 class CountAgg(AggregateFunction):
-    """Number of payloads in the snapshot."""
+    """Number of payloads in the snapshot; a pane's partial is its count."""
+
+    __slots__ = ("n",)
 
     def __init__(self):
         self.n = 0
+
+    def enter(self, part, payloads, k):
+        self.n += k
+        return k if part is None else part + k
+
+    def leave(self, part):
+        self.n -= part
 
     def add(self, payload):
         self.n += 1
@@ -56,40 +92,123 @@ class CountAgg(AggregateFunction):
 
 
 class SumAgg(AggregateFunction):
-    """Sum of ``column`` over the snapshot."""
+    """Sum of ``column`` over the snapshot (of its squares if ``squared``).
 
-    def __init__(self, column: str):
+    Int terms are exact under any grouping, so a pane's combine into its
+    partial ``[Σ]``. Any other term is appended to the partial and
+    applied on its own, in arrival order, to a second accumulator that
+    returns to exact zero when the last such term leaves: float residue
+    does not outlive the values that caused it.
+    """
+
+    __slots__ = ("column", "squared", "total", "rest", "n_rest")
+
+    def __init__(self, column: str, squared: bool = False):
         self.column = column
-        self.total = 0
+        self.squared = squared
+        self.total = 0  # the int terms
+        self.rest = self.n_rest = 0  # every other term, and how many
+
+    def enter(self, part, payloads, k):
+        column, squared = self.column, self.squared
+        total = 0
+        for payload in payloads:
+            v = payload[column]
+            exact = type(v) is int
+            if squared:
+                v = v * v
+            if exact:
+                total += v
+            else:
+                self.rest += v
+                self.n_rest += 1
+                part = part or [0]
+                part.append(v)
+        self.total += total
+        if part is None:
+            return [total]
+        part[0] += total
+        return part
+
+    def leave(self, part):
+        self.total -= part[0]
+        if len(part) > 1:
+            for v in part[1:]:
+                self.rest -= v
+            self.n_rest -= len(part) - 1
+            if not self.n_rest:
+                self.rest = 0
 
     def add(self, payload):
-        self.total += payload[self.column]
+        self.enter(None, (payload,), 1)
 
     def remove(self, payload):
-        self.total -= payload[self.column]
+        v = payload[self.column]
+        exact = type(v) is int
+        if self.squared:
+            v = v * v
+        self.leave([v] if exact else [0, v])
 
     def value(self):
-        return self.total
+        return self.total + self.rest
 
 
-class AvgAgg(AggregateFunction):
+class _Together(AggregateFunction):
+    """Several states moved as one: a pane holds a partial for each."""
+
+    __slots__ = ("states",)
+
+    def __init__(self, states):
+        self.states = states
+
+    def enter(self, part, payloads, k):
+        part = part or [None] * len(self.states)
+        for s, st in enumerate(self.states):
+            part[s] = st.enter(part[s], payloads, k)
+        return part
+
+    def leave(self, part):
+        for st, p in zip(self.states, part):
+            st.leave(p)
+
+    def add(self, payload):
+        for st in self.states:
+            st.add(payload)
+
+    def remove(self, payload):
+        for st in self.states:
+            st.remove(payload)
+
+
+class AvgAgg(_Together):
     """Arithmetic mean of ``column`` over the snapshot (None when empty)."""
 
+    __slots__ = ()
+
     def __init__(self, column: str):
-        self.column = column
-        self.total = 0.0
-        self.n = 0
-
-    def add(self, payload):
-        self.total += payload[self.column]
-        self.n += 1
-
-    def remove(self, payload):
-        self.total -= payload[self.column]
-        self.n -= 1
+        super().__init__([SumAgg(column), CountAgg()])
 
     def value(self):
-        return self.total / self.n if self.n else None
+        total, count = self.states
+        return total.value() / count.n if count.n else None
+
+
+class StdDevAgg(_Together):
+    """Population standard deviation of ``column`` (None when empty)."""
+
+    __slots__ = ()
+
+    def __init__(self, column: str):
+        super().__init__(
+            [SumAgg(column), SumAgg(column, squared=True), CountAgg()]
+        )
+
+    def value(self):
+        total, total_sq, count = self.states
+        if count.n == 0:
+            return None
+        mean = total.value() / count.n
+        return max(0.0, total_sq.value() / count.n - mean * mean) ** 0.5
 
 
 class _OrderStatAgg(AggregateFunction):
@@ -135,35 +254,6 @@ class TopKAgg(_OrderStatAgg):
 
     def value(self):
         return tuple(reversed(self.values[-self.k :]))
-
-
-class StdDevAgg(AggregateFunction):
-    """Population standard deviation of ``column`` (None when empty)."""
-
-    def __init__(self, column: str):
-        self.column = column
-        self.n = 0
-        self.total = 0.0
-        self.total_sq = 0.0
-
-    def add(self, payload):
-        v = payload[self.column]
-        self.n += 1
-        self.total += v
-        self.total_sq += v * v
-
-    def remove(self, payload):
-        v = payload[self.column]
-        self.n -= 1
-        self.total -= v
-        self.total_sq -= v * v
-
-    def value(self):
-        if self.n == 0:
-            return None
-        mean = self.total / self.n
-        variance = max(0.0, self.total_sq / self.n - mean * mean)
-        return variance**0.5
 
 
 #: Registry used by the query builder to construct aggregate state by name.
@@ -222,110 +312,105 @@ class SnapshotAggregate(UnaryOperator):
         if not specs:
             raise ValueError("SnapshotAggregate needs at least one AggSpec")
         self.specs = list(specs)
-        self._states = [s.build() for s in self.specs]
-        self._pending: List = []  # min-heap of (re, seq, payload)
-        self._seq = 0
-        self._active = 0
-        self._segment_start: Optional[int] = None
+        states = self._states = [s.build() for s in self.specs]
+        #: what moves a pane in and out: the state, or all of them as one
+        self._fold = states[0] if len(states) == 1 else _Together(states)
+        self._pending: List[int] = []  # min-heap of the distinct live REs
+        self._panes: Dict[int, list] = {}  # RE -> pane
+        self._segment_start: Optional[int] = None  # set while a pane is live
+
+    @property
+    def reads_payloads(self) -> bool:
+        """False when a sweep never looks at its payload column (a lone
+        count): a caller that has columns need not build that one."""
+        return self._fold.__class__ is not CountAgg
+
+    def pane_kind(self) -> str:
+        """What the sweep keeps per pane, as ``explain()`` names it."""
+        kept = {"partials": [], "payload lists": []}
+        for spec, st in zip(self.specs, self._states):
+            merges = type(st).enter is not AggregateFunction.enter
+            kept["partials" if merges else "payload lists"].append(spec.kind)
+        return ", ".join(
+            f"pane {what} ({', '.join(kinds)})" for what, kinds in kept.items() if kinds
+        )
 
     def _value_payload(self) -> dict:
         return {s.into: st.value() for s, st in zip(self.specs, self._states)}
 
-    def _emit_segment(self, end: int) -> Iterable[Event]:
-        """Close the current constant-value segment at ``end``."""
-        if self._active > 0 and self._segment_start is not None and end > self._segment_start:
-            yield Event(self._segment_start, end, self._value_payload())
-        self._segment_start = end
-
-    def _drain_until(self, t: int) -> Iterable[Event]:
-        """Retire all expirations with RE <= t, emitting closed segments."""
-        while self._pending and self._pending[0][0] <= t:
-            re = self._pending[0][0]
-            yield from self._emit_segment(re)
-            while self._pending and self._pending[0][0] == re:
-                _, _, payload = heapq.heappop(self._pending)
-                for st in self._states:
-                    st.remove(payload)
-                self._active -= 1
-        if self._active == 0:
-            self._segment_start = None
-
-    def on_event(self, event: Event) -> Iterable[Event]:
-        yield from self._drain_until(event.le)
-        if self._active > 0:
-            yield from self._emit_segment(event.le)
-        else:
-            self._segment_start = event.le
-        for st in self._states:
-            st.add(event.payload)
-        self._active += 1
-        self._seq += 1
-        heapq.heappush(self._pending, (event.re, self._seq, event.payload))
-
-    def on_batch(self, events) -> list:
-        if isinstance(events, EventBatch):
-            # the only per-row materialisation is the payload dict, which
-            # must be real (it persists in the expiration heap and in
-            # aggregate state between batches)
-            return self.sweep(
-                events.les, events.res, map(events.payload_at, range(len(events)))
-            )
-        return self.sweep(
-            [e.le for e in events],
-            [e.re for e in events],
-            [e.payload for e in events],
-        )
+    def _drain(self, t: int, out: list) -> list:
+        """Retire every pane with RE <= ``t``, closing the constant-value
+        segment at each RE into ``out`` before its pane leaves."""
+        pending = self._pending
+        while pending and pending[0] <= t:
+            end = heapq.heappop(pending)
+            if end > self._segment_start:
+                out.append(Event(self._segment_start, end, self._value_payload()))
+            self._segment_start = end
+            self._fold.leave(self._panes.pop(end))
+        return out
 
     def sweep(self, les, res, payloads) -> list:
         """The endpoint sweep over parallel ``(les, res, payloads)``
-        sequences, LE-ordered: the one hot path behind ``on_batch`` in
-        both physical formats and behind a window fused into this
-        aggregate (:class:`~repro.runtime.dataflow._LinearChain`), which
-        hands over lifetimes it computed without building the windowed
-        events. Same emission order and state updates as ``on_event``,
-        list-building instead of generator dispatch.
+        sequences, LE-ordered: the one loop behind ``on_event``,
+        ``on_batch`` in both physical formats and a window fused into
+        this aggregate (:class:`~repro.runtime.dataflow._LinearChain`),
+        which hands over lifetimes it computed without building the
+        windowed events, and ``payloads=None`` unless
+        :attr:`reads_payloads`. The expired-RE drain, the segment emit
+        and the heap push happen once per run of equal ``(le, re)``; the
+        run folds into the pane of its RE, which an earlier call may
+        have opened.
         """
-        out = []
-        append = out.append
-        pending = self._pending
-        states = self._states
-        heappop, heappush = heapq.heappop, heapq.heappush
-        for le, re, payload in zip(les, res, payloads):
-            while pending and pending[0][0] <= le:
-                end = pending[0][0]
-                if self._active > 0 and self._segment_start is not None and end > self._segment_start:
-                    append(Event(self._segment_start, end, self._value_payload()))
-                self._segment_start = end
-                while pending and pending[0][0] == end:
-                    _, _, expired = heappop(pending)
-                    for st in states:
-                        st.remove(expired)
-                    self._active -= 1
-            if self._active > 0 and self._segment_start is not None and le > self._segment_start:
-                append(Event(self._segment_start, le, self._value_payload()))
+        out: list = []
+        pending, panes, enter = self._pending, self._panes, self._fold.enter
+        i, n = 0, len(les)
+        while i < n:
+            le, re = les[i], res[i]
+            j = i + 1
+            while j < n and res[j] == re and les[j] == le:
+                j += 1
+            if pending:
+                if pending[0] <= le:
+                    self._drain(le, out)
+                if pending and le > self._segment_start:
+                    out.append(Event(self._segment_start, le, self._value_payload()))
             self._segment_start = le
-            for st in states:
-                st.add(payload)
-            self._active += 1
-            self._seq += 1
-            heappush(pending, (re, self._seq, payload))
+            pane = panes.get(re)
+            if pane is None:
+                heapq.heappush(pending, re)
+            run = None if payloads is None else payloads[i:j]
+            panes[re] = enter(pane, run, j - i)
+            i = j
         return out
 
-    def on_flush(self) -> Iterable[Event]:
-        yield from self._drain_until(MAX_TIME)
+    def on_event(self, event: Event) -> list:
+        return self.sweep([event.le], [event.re], [event.payload])
 
-    def on_watermark(self, w: int) -> Iterable[Event]:
+    def on_batch(self, events) -> list:
+        reads = self.reads_payloads
+        if isinstance(events, EventBatch):
+            payloads = events.payload_dicts() if reads else None
+            return self.sweep(events.les, events.res, payloads)
+        return self.sweep(
+            [e.le for e in events],
+            [e.re for e in events],
+            [e.payload for e in events] if reads else None,
+        )
+
+    def on_flush(self) -> list:
+        return self._drain(MAX_TIME, [])
+
+    def on_watermark(self, w: int) -> list:
         # all changepoints < w are final: retiring expirations with RE <= w
         # is exactly what the arrival of an event at LE = w would trigger
-        yield from self._drain_until(w)
+        return self._drain(w, [])
 
     def watermark_out(self, w: int) -> int:
         # the open segment (if any) will be emitted later with its
         # original start, so the output watermark lags to that start
-        if self._active > 0 and self._segment_start is not None:
-            return min(w, self._segment_start)
-        return w
+        return min(w, self._segment_start) if self._pending else w
 
     def next_wake(self):
         # nothing moves until the earliest pending expiration
-        return self._pending[0][0] if self._pending else None
+        return self._pending[0] if self._pending else None

@@ -172,13 +172,14 @@ class AlterLifetime(UnaryOperator):
                 append(Event(new_le, new_re, e.payload))
         return out
 
-    def window_columns(self, events):
+    def window_columns(self, events, payloads: bool):
         """``on_batch(events)`` as parallel ``(les, res, payloads)``
         lists, with no windowed :class:`Event` built — what a consumer
         that sweeps columns (:meth:`SnapshotAggregate.sweep`) needs and
-        nothing more. Only for the :data:`WINDOW_SPECS` shapes."""
+        nothing more: ``payloads`` says whether it reads that column at
+        all (else ``None``). Only for the :data:`WINDOW_SPECS` shapes."""
         les, res = _window_lifetimes(self.spec, [e.le for e in events])
-        return les, res, [e.payload for e in events]
+        return les, res, [e.payload for e in events] if payloads else None
 
     def _columnar(self, batch: EventBatch) -> EventBatch:
         """Lifetime arithmetic over the packed le/re arrays."""

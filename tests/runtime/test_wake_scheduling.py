@@ -15,6 +15,7 @@ The contract is per call, not per run: each ``push`` / ``advance_to`` /
 """
 
 import contextlib
+import heapq
 import random
 from unittest import mock
 
@@ -34,6 +35,7 @@ from repro.temporal.operators import (
     AggSpec,
     SnapshotAggregate,
     UnaryOperator,
+    aggregate,
 )
 from repro.temporal.time import MAX_TIME
 
@@ -385,6 +387,12 @@ FUSION_SHAPES = {
     ),
     "topk": lambda g: g.window(8).topk("V", k=2, into="t"),
     "hopping-max": lambda g: g.hopping_window(12, 4).max("V", into="m"),
+    # (f)(p), one folded partial per pane and no payload kept: a pane is
+    # fed by several pushes, with CTIs and other panes' expiries between
+    "hopping-sum": lambda g: g.hopping_window(12, 4).sum("V", into="s"),
+    "hopping-avg": lambda g: g.hopping_window(16, 4).aggregate(
+        AggSpec("avg", "a", "V"), AggSpec("count", "n")
+    ),
     # (f)(p), the aggregate writes into the group key's own column: the
     # key value wins and the column keeps its place, as with the copy
     "into-key-column": lambda g: g.window(7).count(into="UserId"),
@@ -526,3 +534,120 @@ def test_one_event_per_input_and_one_per_output(subplan):
         )
     assert raw(again) == raw(out)
     assert unfused == 2 * (len(rows) + len(out))
+
+
+# -- pane state: the heap and what a pane keeps -------------------------------
+#
+# The aggregate's expiry heap holds distinct REs and a pane per RE
+# (docs/OPERATORS.md, hopping window): a folded partial for count / sum /
+# avg / stddev, the payloads for the rest. Shown as counts, not clocks.
+
+
+class _CountingHeapq:
+    """``heapq`` as ``operators.aggregate`` sees it, pushes counted."""
+
+    def __init__(self):
+        self.pushes = 0
+        self.heappop = heapq.heappop
+
+    def heappush(self, heap, item):
+        self.pushes += 1
+        heapq.heappush(heap, item)
+
+
+def pane_state(subplan, rows):
+    """Drive ``rows`` through the batch driver up to, not including, the
+    flush: ``(aggregate heap pushes, input payloads still referenced from
+    aggregate state, output)``."""
+    query = Query.source("logs", ("StreamId", "UserId", "V")).group_apply(
+        "UserId", subplan
+    )
+    operators = []
+    init = SnapshotAggregate.__init__
+
+    def recording_init(self, specs):
+        init(self, specs)
+        operators.append(self)
+
+    def payloads_under(state):
+        if isinstance(state, dict):
+            return 1 if id(state) in fed else sum(map(payloads_under, state.values()))
+        if isinstance(state, (list, tuple)):
+            return sum(map(payloads_under, state))
+        if isinstance(state, (aggregate.AggregateFunction, aggregate._Together)):
+            fields = [
+                getattr(state, name)
+                for cls in type(state).__mro__
+                for name in getattr(cls, "__slots__", ())
+            ]
+            return payloads_under(fields + list(getattr(state, "__dict__", {}).values()))
+        return 0
+
+    counting = _CountingHeapq()
+    events = [point_event(row) for row in rows]
+    fed = {id(e.payload) for e in events}
+    with mock.patch.object(aggregate, "heapq", counting), \
+            mock.patch.object(SnapshotAggregate, "__init__", recording_init):
+        flow = Dataflow(query.to_plan(), group_wave_events=64)
+        out = []
+        for i in range(0, len(events), 50):
+            chunk = events[i : i + 50]
+            flow.feed("logs", chunk, chunk[-1].le)
+            out.extend(flow.advance())
+        retained = sum(payloads_under(vars(op)) for op in operators)
+        live = sum(len(op._pending) for op in operators)
+        out.extend(flow.flush())
+    assert live  # measured mid-window, not after everything expired
+    return counting.pushes, retained, out
+
+
+@pytest.mark.parametrize(
+    "specs",
+    [
+        [AggSpec("count", "n")],
+        [AggSpec("sum", "s", "V")],
+        [AggSpec("avg", "a", "V"), AggSpec("stddev", "d", "V"), AggSpec("count", "n")],
+    ],
+    ids=["count", "sum", "avg+stddev+count"],
+)
+def test_hopping_state_is_one_partial_per_pane(specs):
+    """Heap pushes ≤ distinct (key, RE) pairs, and no payload is kept:
+    ``size/hop`` partials per key, whatever the event rate."""
+    rows = wave_rows(5000)
+    size, hop = 720, 60
+    panes = {(r["UserId"], -(-r["Time"] // hop) * hop + size) for r in rows}
+    pushes, retained, out = pane_state(
+        lambda g: g.hopping_window(size, hop).aggregate(*specs), rows
+    )
+    assert out and len(panes) < len(rows) / 3
+    assert pushes <= len(panes)
+    assert retained == 0
+
+
+def test_min_max_panes_keep_their_payloads():
+    """The other kind of pane: still one heap entry per (key, RE), and
+    the count above is not blind — here it finds what is kept."""
+    rows = wave_rows(5000)
+    panes = {(r["UserId"], -(-r["Time"] // 60) * 60 + 720) for r in rows}
+    pushes, retained, _ = pane_state(
+        lambda g: g.hopping_window(720, 60).aggregate(
+            AggSpec("count", "n"), AggSpec("max", "m", "V")
+        ),
+        rows,
+    )
+    assert pushes <= len(panes)
+    assert retained > 400  # the arrivals of the last 720 ticks
+
+
+def test_sliding_panes_still_cost_one_push_per_event():
+    """A sliding window gives every arrival of a key its own RE, so the
+    regrouping finds nothing to group: one push per event, as before."""
+    seen = set()
+    rows = [
+        row for row in wave_rows(5000)
+        if (row["UserId"], row["Time"]) not in seen
+        and not seen.add((row["UserId"], row["Time"]))
+    ]
+    pushes, retained, out = pane_state(lambda g: g.window(50).sum("V", into="s"), rows)
+    assert out and pushes == len(rows) > 3500
+    assert retained == 0

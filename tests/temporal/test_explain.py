@@ -102,6 +102,42 @@ class TestExplainBatch:
         )
         assert "per key: a nested row-format Dataflow" in nested
 
+    def test_group_apply_names_what_its_aggregate_keeps_per_pane(self):
+        """Which sweep a window→aggregate chain runs — folded partials or
+        kept payloads — sits next to the fused-into line."""
+        from repro.temporal.operators import AggSpec
+
+        def report(per_key):
+            return explain(Query.source("s").group_apply("UserId", per_key))
+
+        partials = report(
+            lambda g: g.hopping_window(hours(12), hours(1)).aggregate(
+                AggSpec("count", "n"), AggSpec("sum", "s", "Clicks")
+            )
+        )
+        assert f"hop({hours(12)},{hours(1)}): fused into aggregate" in partials
+        assert (
+            "aggregate: one endpoint sweep over the fused window's columns, "
+            "pane partials (count, sum); key columns" in partials
+        )
+        assert "no payload column" not in partials
+        count_only = report(lambda g: g.hopping_window(hours(6), 900).count())
+        assert (
+            "fused window's columns (count only: no payload column built "
+            "either), pane partials (count)" in count_only
+        )
+        lists = report(lambda g: g.window(5).max("Clicks"))
+        assert "pane payload lists (max)" in lists
+        mixed = report(
+            lambda g: g.window(5).shift(1).aggregate(
+                AggSpec("count", "n"), AggSpec("max", "m", "Clicks")
+            )
+        )
+        assert (
+            "aggregate: on_batch per stage, pane partials (count), "
+            "pane payload lists (max); key columns" in mixed
+        )
+
     def test_binary_operator_reports_run_batched_delivery(self):
         q = Query.source("a").temporal_join(
             Query.source("b").window(hours(1)), on="UserId"
