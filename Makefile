@@ -1,15 +1,16 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test test-stress lint selflint ruff chaos chaos-parallel bench-smoke bench-compare bench-scale bench-trend bench-e2e test-bench-harness profile profile-bt race-check
+.PHONY: check test test-stress lint selflint ruff chaos chaos-parallel bench-smoke bench-compare bench-trend bench-e2e test-bench-harness profile profile-bt race-check
 
 check: test selflint chaos ruff
 
 test:
 	$(PYTHON) -m pytest -x -q
 
-# opt-in stress/soak tier: worker-kill chaos, wave batching, and the
-# columnar format all at once, plus leaked-process / leaked-fd checks.
+# opt-in stress/soak tier: the combined BT job through TiMR under the
+# process pool with seeded map/reduce worker kills and columnar
+# engines, repeatedly, plus leaked-process / leaked-fd checks.
 # Deselected from the default run by addopts (-m "not stress").
 test-stress:
 	$(PYTHON) -m pytest -x -q -m stress tests/stress
@@ -21,10 +22,11 @@ chaos:
 	$(PYTHON) -m repro chaos
 
 # the same suite under the supervised process executor, plus the
-# executor-chaos phase: seeded worker-kills mid-run, asserting the
-# output hash matches the unfailed baseline (docs/PARALLELISM.md,
-# "Worker failure semantics"); the JSON report carries phase timings
-# and is folded into the CI benchmark artifact upload
+# executor-chaos phase: seeded kills of map/reduce pool workers
+# mid-run, asserting the output hash matches the unfailed baseline
+# (docs/PARALLELISM.md, "Worker failure semantics"); the JSON report
+# carries phase timings and is folded into the CI benchmark artifact
+# upload
 chaos-parallel:
 	@mkdir -p profile_out
 	$(PYTHON) -m repro chaos --executor process --workers 4 \
@@ -36,8 +38,8 @@ chaos-parallel:
 
 # fast machine-readable benchmark: events/sec + peak heap per builtin
 # BT query, a memory-scaling series, per-stage wall times of the
-# combined TiMR job, the serial-vs-parallel speedup table, and the
-# row-vs-columnar batch-format table, written to
+# combined TiMR job, and the row-vs-columnar batch-format table,
+# written to
 # profile_out/BENCH_current.json (profile_out/ is git-ignored; CI
 # uploads it as a non-gating artifact). Committed reference baselines
 # live in benchmarks/baselines/.
@@ -45,25 +47,12 @@ bench-smoke:
 	@mkdir -p profile_out
 	$(PYTHON) benchmarks/bench_smoke.py --out profile_out/BENCH_current.json
 
-# re-measure into a scratch artifact and compare against the committed
-# baseline: per-query events/sec (noisy, loose threshold) plus the
-# serial-vs-parallel speedup ratios, which divide runner speed out and
-# are stable enough to gate CI on
+# re-measure into a scratch artifact and compare per-query events/sec
+# against the committed baseline (noisy, loose threshold)
 bench-compare:
 	@mkdir -p profile_out
 	$(PYTHON) benchmarks/bench_smoke.py --out profile_out/BENCH_current.json \
-		--baseline benchmarks/baselines/BENCH_pr10.json \
-		--gate queries,parallel
-
-# the millions-of-events scaling table on top of the smoke sections:
-# serial vs thread vs process with wave batching, recording both the
-# honest measured wall ratio and the labeled critical-path projection
-# (see the scale section docs in benchmarks/bench_smoke.py). This is
-# how benchmarks/baselines/BENCH_pr10.json was produced.
-bench-scale:
-	@mkdir -p profile_out
-	$(PYTHON) benchmarks/bench_smoke.py --out profile_out/BENCH_scale.json \
-		--scale-rows 1000000
+		--baseline benchmarks/baselines/BENCH_pr10.json
 
 # run-over-run tracking: append the current artifact to
 # profile_out/BENCH_history.jsonl and compare against the best-known

@@ -20,14 +20,6 @@ that re-baselined); generated artifacts live under the git-ignored
 * ``stages`` — per-stage wall seconds and row counts of the combined
   BT pipeline (bot elimination + KE-z feature selection) through TiMR,
   taken from the telemetry layer's ``cluster.stage`` spans.
-* ``parallel`` — the serial-vs-parallel speedup table: events/sec of
-  every logs-only builtin BT query under the serial executor and under
-  ``--workers`` parallel workers (processes when ``fork`` exists,
-  threads otherwise). Parallel output is byte-identical by
-  construction (see ``docs/PARALLELISM.md``); this table tracks the
-  throughput side. On single-core runners expect ratios near (or
-  below) 1.0 — the interesting number there is the absence of a large
-  regression, not the speedup.
 * ``columnar`` — the row-vs-columnar physical-format table: events/sec
   of every logs-only builtin BT query under the default row format and
   under ``batch_format="columnar"`` (struct-of-arrays ``EventBatch``
@@ -37,24 +29,11 @@ that re-baselined); generated artifacts live under the git-ignored
   Where/Project/AlterLifetime-heavy queries where the columnar kernels
   skip per-event dispatch.
 
-* ``scale`` — the millions-of-events scaling table (opt-in:
-  ``--scale-rows 1000000``, wired as ``make bench-scale``): synthetic
-  sorted logs large enough that GroupApply crosses hundreds of
-  watermark waves, run serial vs thread vs process with wave batching
-  (``--wave-batch``, default ``auto``). Each parallel cell records BOTH
-  ``measured_speedup`` (honest wall-clock ratio — near or below 1.0 on
-  single-core runners, where real concurrency is physically impossible)
-  and ``speedup``, a labeled critical-path projection: subtract every
-  worker lane's busy+serialize time from the parallel wall and add back
-  the longest lane, i.e. the wall the same schedule would reach were
-  lanes truly concurrent. ``cpu_count`` is recorded next to the model
-  name so no one mistakes the projection for a measurement.
-
 Wall times vary run to run (this is a benchmark, not a determinism
 check); row/byte counts are exact under the fixed seed. The numbers are
-tracking data, not gates — CI runs this step non-blocking, except the
-``parallel``-section speedup gate (ratios are stable where absolute
-events/sec are not).
+tracking data, not gates — CI runs this step non-blocking. Whether a
+change is faster is decided by the repo benchmark
+(``benchmarks/e2e/run.py --compare``), never here.
 
 Usage::
 
@@ -133,196 +112,6 @@ def run_query_benchmarks(rows, repeats: int) -> dict:
             "peak_heap_bytes": _peak_heap_bytes(engine, query, {"logs": rows}),
         }
     return {"queries": results, "skipped": skipped}
-
-
-def run_parallel_benchmarks(rows, repeats: int, workers: int) -> dict:
-    """Serial vs parallel events/sec per builtin BT query.
-
-    Uses processes when ``fork`` is available (real multi-core speedup)
-    and threads otherwise, mirroring ``--executor auto``. Each cell is
-    the best of ``repeats`` timed runs after one warmup, so the ratio
-    compares steady-state throughput, not pool spin-up.
-    """
-    from repro.analysis import builtin_query_suite
-    from repro.runtime import RunContext, SerialExecutor, resolve_executor
-    from repro.temporal import Engine
-
-    parallel = resolve_executor("auto", max_workers=workers)
-    table = {}
-    for name, query in sorted(builtin_query_suite().items()):
-        if not _logs_only(query):
-            continue
-        cells = {}
-        for kind, executor in (("serial", SerialExecutor()), (parallel.kind, parallel)):
-            engine = Engine(context=RunContext(executor=executor))
-            engine.run(query, {"logs": rows})  # warmup
-            best = None
-            for _ in range(repeats):
-                engine.run(query, {"logs": rows})
-                stats = engine.last_stats
-                if best is None or stats.wall_seconds < best.wall_seconds:
-                    best = stats
-            cells[kind] = {
-                "wall_seconds": round(best.wall_seconds, 6),
-                "events_per_second": round(best.events_per_second, 1),
-            }
-            if best.parallel is not None:
-                cells[kind]["fanout_tasks"] = best.parallel["tasks"]
-                cells[kind]["stolen_chunks"] = best.parallel["stolen_chunks"]
-        cells["speedup"] = round(
-            cells[parallel.kind]["events_per_second"]
-            / max(cells["serial"]["events_per_second"], 1e-9),
-            3,
-        )
-        table[name] = cells
-    return {
-        "parallel": {
-            "workers": workers,
-            "executor": parallel.kind,
-            "queries": table,
-        }
-    }
-
-
-#: Wave-heavy GroupApply shapes for the millions-of-events scale table.
-#: Distinct window kinds so the table is not one operator measured four
-#: times; all keyed by UserId so shard/thread fan-out is balanced.
-def _scale_query_suite():
-    from repro.temporal import Query
-    from repro.temporal.time import days, hours, minutes
-
-    src = Query.source("logs", ("Time", "UserId", "Clicks"))
-    return {
-        "daily-active-count": src.group_apply(
-            ("UserId",), lambda g: g.window(days(1)).count()
-        ),
-        "hourly-click-sum": src.group_apply(
-            ("UserId",), lambda g: g.window(hours(1)).sum("Clicks")
-        ),
-        "session-count": src.group_apply(
-            ("UserId",), lambda g: g.session_window(minutes(30)).count()
-        ),
-        "hopping-click-avg": src.group_apply(
-            ("UserId",), lambda g: g.hopping_window(hours(6), hours(1)).avg("Clicks")
-        ),
-        # the compute-dense end of the spectrum: 12 hops replicate each
-        # event twelve times *inside* the worker task, so in-task compute
-        # dwarfs the driver's feed/merge residual — this is the shape
-        # where coarse scheduling pays most (daily-active-count is the
-        # opposite pole: per-event work so cheap the driver dominates)
-        "half-day-hopping-count": src.group_apply(
-            ("UserId",), lambda g: g.hopping_window(hours(12), hours(1)).count()
-        ),
-    }
-
-
-def _scale_rows(n: int, users: int) -> list:
-    """Synthetic sorted log sized exactly ``n`` (generation at millions
-    of rows must not dominate the bench)."""
-    span = 3 * 86400
-    rows = [
-        {"Time": (i * 37) % span, "UserId": i % users, "Clicks": i % 3}
-        for i in range(n)
-    ]
-    rows.sort(key=lambda r: r["Time"])
-    return rows
-
-
-def _critical_path_projection(wall: float, parallel: dict) -> float:
-    """Projected wall were worker lanes truly concurrent.
-
-    ``T_proj = wall - sum(lane_i) + max(lane_i)`` where a lane's time is
-    its busy + serialize seconds: strip every lane out of the measured
-    wall, then add the longest one back — the driver's own time and the
-    critical path remain. On GIL-bound thread runs the lane sum can
-    exceed the wall (lanes interleave on one core), so the projection is
-    floored at the longest lane: no schedule beats its critical path.
-    """
-    lanes = [
-        w["busy_seconds"] + w["serialize_seconds"]
-        for w in (parallel or {}).get("workers", [])
-    ]
-    if not lanes:
-        return wall
-    return max(wall - sum(lanes) + max(lanes), max(lanes), 1e-9)
-
-
-def run_scale_benchmarks(
-    scale_rows: int, users: int, workers: int, wave_batch
-) -> dict:
-    """Serial vs thread vs process at millions-of-events scale.
-
-    One timed run per cell (at this scale the input amortizes cache
-    warmup, and three executors x five queries already dominate the
-    bench budget). ``counters_identical`` cross-checks the deterministic
-    EngineStats counters against serial — the cheap in-bench echo of the
-    differential suite's byte-identity contract.
-    """
-    from repro.runtime import RunContext
-    from repro.temporal import Engine
-
-    rows = _scale_rows(scale_rows, users)
-    table = {}
-    for name, query in sorted(_scale_query_suite().items()):
-        cells = {}
-        serial_counters = None
-        for kind in ("serial", "thread", "process"):
-            engine = Engine(
-                context=RunContext(
-                    executor=kind,
-                    max_workers=workers if kind != "serial" else None,
-                    waves_per_dispatch=wave_batch if kind != "serial" else None,
-                )
-            )
-            engine.run(query, {"logs": rows}, validate=False)
-            stats = engine.last_stats
-            counters = (
-                stats.input_events,
-                stats.output_events,
-                stats.operator_events,
-            )
-            cell = {
-                "wall_seconds": round(stats.wall_seconds, 6),
-                "events_per_second": round(stats.events_per_second, 1),
-            }
-            if kind == "serial":
-                serial_counters = counters
-                serial_wall = stats.wall_seconds
-            else:
-                projected = _critical_path_projection(
-                    stats.wall_seconds, stats.parallel
-                )
-                cell["measured_speedup"] = round(
-                    serial_wall / max(stats.wall_seconds, 1e-9), 3
-                )
-                cell["projected_wall_seconds"] = round(projected, 6)
-                cell["speedup"] = round(serial_wall / projected, 3)
-                cell["waves"] = stats.parallel["waves"]
-                cell["dispatches"] = stats.parallel["dispatches"]
-                cell["counters_identical"] = counters == serial_counters
-            cells[kind] = cell
-        best_kind = max(
-            ("thread", "process"), key=lambda k: cells[k]["speedup"]
-        )
-        cells["best_executor"] = best_kind
-        cells["best_speedup"] = cells[best_kind]["speedup"]
-        table[name] = cells
-    return {
-        "scale": {
-            "rows": scale_rows,
-            "users": users,
-            "workers": workers,
-            "wave_batch": str(wave_batch),
-            "cpu_count": os.cpu_count(),
-            "speedup_model": (
-                "critical-path projection: T_proj = wall - sum(lane busy+"
-                "serialize) + max(lane); 'speedup' = serial_wall / T_proj, "
-                "'measured_speedup' = serial_wall / parallel_wall (the "
-                "honest wall ratio; ~1.0 or below when cpu_count is 1)"
-            ),
-            "queries": table,
-        }
-    }
 
 
 #: Input scale for the columnar table, independent of the smoke scale.
@@ -492,18 +281,9 @@ def run_stage_benchmarks(rows, machines: int, partitions: int) -> dict:
 
 #: Baseline-gated sections and the metric each one compares. ``queries``
 #: compares absolute events/sec (noisy on shared runners — pair it with
-#: a loose threshold); ``parallel`` and ``scale`` compare speedup RATIOS,
-#: which divide the runner's speed out and are stable enough to gate CI.
+#: a loose threshold).
 _GATED_METRICS = {
     "queries": ("events_per_second", lambda doc: doc.get("queries", {})),
-    "parallel": (
-        "speedup",
-        lambda doc: (doc.get("parallel") or {}).get("queries", {}),
-    ),
-    "scale": (
-        "best_speedup",
-        lambda doc: (doc.get("scale") or {}).get("queries", {}),
-    ),
 }
 
 
@@ -566,32 +346,6 @@ def main(argv=None) -> int:
         "the comparison fails (default 0.5: flag only >50%% drops — "
         "shared CI runners are noisy)",
     )
-    parser.add_argument(
-        "--gate",
-        default="queries",
-        metavar="SECTIONS",
-        help="comma-separated artifact sections the --baseline comparison "
-        "may fail on: any of queries,parallel,scale (default: queries). "
-        "parallel/scale compare speedup ratios, stable enough to gate CI",
-    )
-    parser.add_argument(
-        "--scale-rows",
-        type=int,
-        default=0,
-        metavar="N",
-        help="also run the millions-of-events scale table over N synthetic "
-        "rows (default 0: skipped — it multiplies the bench budget; "
-        "`make bench-scale` runs it at 1,000,000)",
-    )
-    parser.add_argument("--scale-users", type=int, default=512, metavar="N")
-    parser.add_argument(
-        "--wave-batch",
-        default="auto",
-        metavar="N|auto|max",
-        help="waves_per_dispatch for the scale table's parallel cells "
-        "(default auto: the adaptive controller)",
-    )
-    parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--users", type=int, default=150)
     parser.add_argument("--days", type=float, default=2.0)
     parser.add_argument("--seed", type=int, default=42)
@@ -622,26 +376,13 @@ def main(argv=None) -> int:
             "repeats": args.repeats,
             "machines": args.machines,
             "partitions": args.partitions,
-            "workers": args.workers,
             "rows": len(rows),
         },
     }
     doc.update(run_query_benchmarks(rows, args.repeats))
     doc.update(run_memory_scaling(args.users, args.seed))
     doc.update(run_stage_benchmarks(rows, args.machines, args.partitions))
-    doc.update(run_parallel_benchmarks(rows, args.repeats, args.workers))
     doc.update(run_columnar_benchmarks(args.seed, args.repeats))
-    if args.scale_rows > 0:
-        print(
-            f"scale: {args.scale_rows:,} synthetic rows x "
-            f"{len(_scale_query_suite())} queries x 3 executors "
-            "(this is the slow part)"
-        )
-        doc.update(
-            run_scale_benchmarks(
-                args.scale_rows, args.scale_users, args.workers, args.wave_batch
-            )
-        )
 
     parent = os.path.dirname(args.out)
     if parent:
@@ -665,37 +406,12 @@ def main(argv=None) -> int:
         )
         + f" (sublinear: {scaling['sublinear']})"
     )
-    par = doc["parallel"]
-    best = max(par["queries"].items(), key=lambda kv: kv[1]["speedup"])
-    print(
-        f"parallel ({par['executor']}, workers={par['workers']}): "
-        f"best speedup {best[1]['speedup']:.2f}x on {best[0]}"
-    )
     col = doc["columnar"]["queries"]
     best_col = max(col.items(), key=lambda kv: kv[1]["columnar_speedup"])
     print(
         "columnar: best speedup "
         f"{best_col[1]['columnar_speedup']:.2f}x on {best_col[0]}"
     )
-    if "scale" in doc:
-        scale = doc["scale"]
-        over_2x = [
-            name
-            for name, cells in scale["queries"].items()
-            if cells["best_speedup"] >= 2.0
-        ]
-        for name, cells in sorted(scale["queries"].items()):
-            best = cells[cells["best_executor"]]
-            print(
-                f"scale {name}: {cells['best_executor']} projected "
-                f"{cells['best_speedup']:.2f}x (measured "
-                f"{best['measured_speedup']:.2f}x, {best['waves']} waves in "
-                f"{best['dispatches']} dispatches)"
-            )
-        print(
-            f"scale: {len(over_2x)}/{len(scale['queries'])} queries >= 2.0x "
-            f"projected (cpu_count={scale['cpu_count']}; see speedup_model)"
-        )
     print(f"wrote {args.out}")
 
     if args.baseline is not None:
@@ -705,16 +421,8 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as exc:
             print(f"baseline: cannot read {args.baseline}: {exc}")
             return 0  # a missing baseline is not a regression
-        sections = tuple(
-            s.strip() for s in args.gate.split(",") if s.strip()
-        )
-        unknown = [s for s in sections if s not in _GATED_METRICS]
-        if unknown:
-            print(f"--gate: unknown section(s) {unknown}; "
-                  f"valid: {sorted(_GATED_METRICS)}")
-            return 2
         regressions = compare_to_baseline(
-            doc, baseline, args.regression_threshold, sections
+            doc, baseline, args.regression_threshold
         )
         compared = len(
             set(doc["queries"]) & set(baseline.get("queries", {}))
@@ -729,8 +437,7 @@ def main(argv=None) -> int:
             return 1
         print(
             f"baseline: {compared} query(ies) within "
-            f"{args.regression_threshold:.0%} of {args.baseline} "
-            f"(gated sections: {', '.join(sections)})"
+            f"{args.regression_threshold:.0%} of {args.baseline}"
         )
     return 0
 

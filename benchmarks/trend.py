@@ -6,7 +6,7 @@ question — "how does this run sit against the best numbers this repo
 has ever recorded?" — and keeps the record:
 
 * appends a compact summary of the run (per-query events/sec, the
-  parallel and columnar speedup tables, config, git revision) to a
+  columnar speedup table, config, git revision) to a
   JSON-lines history file (default
   ``profile_out/BENCH_history.jsonl``, outside version control like
   every generated artifact, uploaded as a CI artifact so runs
@@ -108,9 +108,7 @@ def best_known(baseline_docs: list, history: list) -> dict:
 
 def summarize(run: dict, git: str, timestamp: float) -> dict:
     """The compact history record for one bench_smoke artifact."""
-    parallel = (run.get("parallel") or {}).get("queries") or {}
     columnar = (run.get("columnar") or {}).get("queries") or {}
-    scale = (run.get("scale") or {}).get("queries") or {}
     return {
         "timestamp": round(timestamp, 1),
         "git": git,
@@ -119,23 +117,11 @@ def summarize(run: dict, git: str, timestamp: float) -> dict:
             name: {"events_per_second": eps}
             for name, eps in sorted(_query_eps(run).items())
         },
-        "speedup": {
-            name: cell.get("speedup")
-            for name, cell in sorted(parallel.items())
-            if isinstance(cell, dict) and cell.get("speedup") is not None
-        },
         "columnar_speedup": {
             name: cell.get("columnar_speedup")
             for name, cell in sorted(columnar.items())
             if isinstance(cell, dict)
             and cell.get("columnar_speedup") is not None
-        },
-        # projected critical-path speedups from the millions-of-events
-        # table (bench_smoke --scale-rows); absent on plain smoke runs
-        "scale_speedup": {
-            name: cell.get("best_speedup")
-            for name, cell in sorted(scale.items())
-            if isinstance(cell, dict) and cell.get("best_speedup") is not None
         },
     }
 

@@ -69,8 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # shared execution options: every command that actually runs a plan
-    # can fan GroupApply chains / map tasks out over workers — output is
-    # byte-identical to serial (docs/PARALLELISM.md)
+    # can fan map/reduce partitions (and, on threads, a GroupApply
+    # wave's chains) out over workers — output is byte-identical to
+    # serial (docs/PARALLELISM.md)
     exec_opts = argparse.ArgumentParser(add_help=False)
     exec_opts.add_argument(
         "--workers",
@@ -93,16 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the parallel-safety gate: run parallel even when the "
         "static analyzer reports parallel.* hazards "
         "(docs/PARALLELISM.md#safety-model)",
-    )
-    exec_opts.add_argument(
-        "--wave-batch",
-        default=None,
-        metavar="N|auto|max",
-        help="watermark waves batched per parallel dispatch (scheduling "
-        "granularity; default: REPRO_WAVE_BATCH, then 1). 'auto' adapts "
-        "from the dispatch/compute ratio; 'max' dispatches once per "
-        "drain. Output is byte-identical for every value "
-        "(docs/PARALLELISM.md#scheduling-granularity)",
     )
 
     gen = sub.add_parser("generate", help="generate a synthetic advertising log")
@@ -315,13 +306,12 @@ def _print_events(events, limit: int) -> None:
 
 
 def _exec_overrides(args) -> dict:
-    """The --executor/--workers/--force-parallel/--wave-batch flags as
-    RunContext field overrides."""
+    """The --executor/--workers/--force-parallel flags as RunContext
+    field overrides."""
     return {
         "executor": getattr(args, "executor", None),
         "max_workers": getattr(args, "workers", None),
         "force_parallel": getattr(args, "force_parallel", False),
-        "waves_per_dispatch": getattr(args, "wave_batch", None),
     }
 
 
@@ -904,8 +894,6 @@ def _cmd_profile(args) -> int:
         attribution = attribute(
             parallel_summary.get("overhead", {}),
             serial_wall_seconds=serial_wall,
-            dispatches=parallel_summary.get("dispatches", 0),
-            waves=parallel_summary.get("waves", 0),
         )
 
     calibration = calibrate(
@@ -916,8 +904,17 @@ def _cmd_profile(args) -> int:
 
     spans = tracer.finished()
     by_category: dict = {}
+    # no fallback is silent: what the embedded engines ran where the
+    # context asked for something else, folded by name
+    resolutions: dict = {}
     for span in spans:
         by_category[span.category] = by_category.get(span.category, 0) + 1
+        if span.name == "supervision.resolved":
+            entry = resolutions.setdefault(
+                span.attrs["resolution"],
+                {"count": 0, "reason": span.attrs["reason"]},
+            )
+            entry["count"] += span.attrs["count"]
     summary = {
         "command": "profile",
         "pipeline": args.pipeline,
@@ -932,6 +929,7 @@ def _cmd_profile(args) -> int:
         "jsonl_lines": jsonl_lines,
         "calibration": calibration.as_dict(),
         "parallel": result.parallel,
+        "resolutions": resolutions,
         "wall_seconds": round(parallel_wall, 6),
     }
     if attribution is not None:
@@ -943,13 +941,6 @@ def _cmd_profile(args) -> int:
             "parallel_wall_seconds": round(attribution.wall_seconds, 6),
             "serial_wall_seconds": round(serial_wall, 6),
             "speedup": round(attribution.speedup, 4) if attribution.speedup else None,
-            "dispatches": attribution.dispatches,
-            "waves": attribution.waves,
-            "realized_wave_batch": (
-                round(attribution.realized_wave_batch, 4)
-                if attribution.realized_wave_batch is not None
-                else None
-            ),
         }
     if args.json:
         print(_json.dumps(summary, indent=2, sort_keys=True))
@@ -962,22 +953,15 @@ def _cmd_profile(args) -> int:
         recovery = result.parallel.get("recovery", {})
         active = {k: v for k, v in sorted(recovery.items()) if v}
         print()
-        scheduling = ""
-        dispatches = result.parallel.get("dispatches", 0)
-        waves = result.parallel.get("waves", 0)
-        if dispatches:
-            scheduling = (
-                f"; scheduling: {waves} wave(s) in {dispatches} "
-                f"dispatch(es), realized batch {waves / dispatches:.1f}"
-            )
         print(
             f"parallel: {result.parallel['executor']} x "
             f"{result.parallel['max_workers']} workers, "
             f"{result.parallel['tasks']} task(s) in "
-            f"{result.parallel['calls']} call(s)"
-            f"{scheduling}; "
+            f"{result.parallel['calls']} call(s); "
             f"supervision: {active if active else 'no recovery activity'}"
         )
+    for name, entry in sorted(resolutions.items()):
+        print(f"resolved: {name} x {entry['count']}: {entry['reason']}")
     if attribution is not None:
         print()
         print(render_table(attribution))

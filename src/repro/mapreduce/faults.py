@@ -57,7 +57,7 @@ SITES = (MAP, SHUFFLE, REDUCE, FS_READ, FS_WRITE)
 #: injected through the supervised executor in ``runtime/parallel.py``:
 #: a forked worker killed mid-chunk, a transient per-task blip retried
 #: against simulated backoff, or a result message lost in the pipe. The
-#: "partition" coordinate is the worker/shard id (``worker-kill``), the
+#: "partition" coordinate is the worker id (``worker-kill``), the
 #: chunk index (``reply-drop``), or the task index (``task-transient``).
 WORKER_KILL = "worker-kill"
 TASK_TRANSIENT = "task-transient"
@@ -299,19 +299,18 @@ class WorkerKiller(FaultPolicy):
     """Deterministically kill chosen parallel workers (executor sites).
 
     The supervised executor consults :data:`WORKER_KILL` once per
-    worker (per-call pools) or per shard per wave (persistent shard
-    workers); this policy injects for the named worker ids, ``kills``
-    times each per stage, then stays quiet — the deterministic
+    worker per call; this policy injects for the named worker ids,
+    ``kills`` times each per stage, then stays quiet — the deterministic
     counterpart to :class:`ChaosPolicy`'s seeded executor-site rates,
     used by the supervision differential tests.
 
     Args:
-        workers: worker/shard ids to kill.
+        workers: worker ids to kill.
         kills: injections per ``(stage, worker)`` before going quiet.
         site: executor site to strike (default :data:`WORKER_KILL`).
         stage_substring: only strike stages containing this substring
             (``""`` matches everything; pool draws use stage
-            ``"executor.pool"``, shard draws ``"executor.shard"``).
+            ``"executor.pool"``).
     """
 
     def __init__(

@@ -52,13 +52,6 @@ class AttributionReport:
     budget_seconds: float  # workers x wall capacity
     calls: int  # run_tasks invocations folded in
     serial_wall_seconds: Optional[float] = None  # serial-equivalent run
-    #: scheduling granularity (PR 10): watermark waves executed vs
-    #: parallel dispatches that carried them. dispatches == waves is the
-    #: fine-grained schedule; a realized batch > 1 means wave batching
-    #: amortized dispatch overhead. Zero when the run had no GroupApply
-    #: wave fan-out.
-    dispatches: int = 0
-    waves: int = 0
     notes: List[str] = field(default_factory=list)
 
     @property
@@ -91,28 +84,17 @@ class AttributionReport:
             return 0.0
         return self.components.get(component, 0.0) / self.budget_seconds
 
-    @property
-    def realized_wave_batch(self) -> Optional[float]:
-        """Average waves per dispatch (None without wave fan-out)."""
-        if self.dispatches <= 0:
-            return None
-        return self.waves / self.dispatches
-
 
 def attribute(
     overhead: Mapping[str, object],
     serial_wall_seconds: Optional[float] = None,
-    dispatches: int = 0,
-    waves: int = 0,
 ) -> AttributionReport:
     """Build a report from ``ParallelStats.overhead`` (its ``as_dict``).
 
     Accepts the plain-dict form so callers holding only a results
     summary (CLI, CI artifacts) can attribute without importing the
     runtime layer. Unknown keys are ignored; missing components read as
-    zero. ``dispatches``/``waves`` come from the same summary's
-    deterministic scheduling counters (``ParallelStats.as_dict``) and
-    annotate the report with the realized wave-batch size.
+    zero.
     """
     components = {
         name: float(overhead.get(f"{name}_seconds", 0.0)) for name in COMPONENTS
@@ -123,8 +105,6 @@ def attribute(
         budget_seconds=float(overhead.get("budget_seconds", 0.0)),
         calls=int(overhead.get("calls", 0)),
         serial_wall_seconds=serial_wall_seconds,
-        dispatches=int(dispatches),
-        waves=int(waves),
     )
 
 
@@ -153,11 +133,5 @@ def render_table(report: AttributionReport) -> str:
             f"(speedup {speedup:.2f}x)"
         )
     lines.append(f"dominant overhead: {report.dominant_overhead}")
-    batch = report.realized_wave_batch
-    if batch is not None:
-        lines.append(
-            f"scheduling: {report.waves} wave(s) in {report.dispatches} "
-            f"dispatch(es), realized batch {batch:.1f}"
-        )
     lines.extend(report.notes)
     return "\n".join(lines)

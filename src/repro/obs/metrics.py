@@ -19,7 +19,7 @@ Two escape hatches qualify that rule without weakening it:
 * Worker processes record into their own registry and ship its
   :meth:`~MetricsRegistry.export_state` back with results; the driver
   folds it in with :meth:`~MetricsRegistry.merge_state` in a
-  deterministic order (worker id / shard order), so cross-process
+  deterministic order (worker id), so cross-process
   metrics stay reproducible.
 
 Histograms use fixed bucket boundaries chosen at construction (default

@@ -30,9 +30,9 @@ A :class:`Tracer` lives in the driver; forked workers cannot append to
 it. Workers instead record into a :class:`WorkerSpanRecorder` — a
 lightweight buffer of plain picklable tuples (plus an optional worker
 metrics registry) that ships back with results over the existing result
-pipe / shard reply messages. The driver calls :meth:`Tracer.absorb` to
+pipe. The driver calls :meth:`Tracer.absorb` to
 re-parent the shipped spans under the dispatching span and tag each with
-a stable worker *lane* (``worker-3``, ``shard-1``, ``driver``); the
+a stable worker *lane* (``worker-3``, ``driver``); the
 Chrome exporter turns lanes into per-worker pid/tid timelines. Worker
 wall times are directly comparable with the driver's because forked
 children share the parent's ``perf_counter`` clock (CLOCK_MONOTONIC).
@@ -197,7 +197,7 @@ class Tracer:
         ``records`` is the output of :meth:`WorkerSpanRecorder.records`:
         ``(rel_id, rel_parent, name, category, start, end, attrs)``
         tuples in the worker's start order (children after their parent).
-        Call in a deterministic order — worker/shard id, then chunk start
+        Call in a deterministic order — worker id, then chunk start
         — so span insertion order is reproducible across runs.
         """
         if parent is None:

@@ -19,14 +19,11 @@ from .parallel import (
     SerialExecutor,
     Supervision,
     ThreadExecutor,
-    WaveBatcher,
-    WorkerLostError,
     WorkerStats,
     force_parallel_requested,
     resolve_batch_format,
     resolve_executor,
     resolve_retry_budget,
-    resolve_waves_per_dispatch,
     resolve_worker_timeout,
 )
 from .racecheck import (
@@ -54,8 +51,6 @@ __all__ = [
     "StreamingUnsupported",
     "Supervision",
     "ThreadExecutor",
-    "WaveBatcher",
-    "WorkerLostError",
     "WorkerStats",
     "force_parallel_requested",
     "group_key",
@@ -63,6 +58,5 @@ __all__ = [
     "resolve_batch_format",
     "resolve_executor",
     "resolve_retry_budget",
-    "resolve_waves_per_dispatch",
     "resolve_worker_timeout",
 ]

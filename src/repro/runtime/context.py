@@ -87,9 +87,10 @@ class RunContext:
         batch_size: events fed per batch by the batch driver
             (:class:`repro.temporal.Engine`); bounds its working-set
             memory together with window state.
-        executor: how independent work units (GroupApply key chains,
-            cluster map tasks) fan out: ``"serial"`` / ``"thread"`` /
-            ``"process"`` / ``"auto"``, or a prebuilt
+        executor: how independent work units (cluster map and reduce
+            tasks; a GroupApply wave's due chains, on threads only) fan
+            out: ``"serial"`` / ``"thread"`` / ``"process"`` /
+            ``"auto"``, or a prebuilt
             :class:`repro.runtime.parallel.Executor` instance. ``None``
             defers to the ``REPRO_EXECUTOR`` / ``REPRO_WORKERS``
             environment (serial when unset). Outputs are byte-identical
@@ -119,16 +120,9 @@ class RunContext:
             ``None`` defers to the ``REPRO_BATCH`` environment variable
             (row when unset). Outputs are byte-identical across formats
             — see docs/BATCH_FORMAT.md.
-        waves_per_dispatch: scheduling granularity for parallel
-            GroupApply: how many watermark waves are batched into one
-            parallel dispatch (thread fan-out or shard-worker
-            roundtrip). A positive int, ``"auto"`` (adaptive, driven by
-            the overhead attribution's dispatch/compute ratio), or
-            ``"max"`` (one dispatch per drain). ``None`` defers to the
-            ``REPRO_WAVE_BATCH`` environment variable (1 when unset —
-            the fine-grained schedule). Outputs are byte-identical for
-            every value — see docs/PARALLELISM.md, "Scheduling
-            granularity".
+        waves_per_dispatch: accepted, ignored; leaves with the
+            benchmark's keyword (``benchmarks/e2e/workloads.py`` builds
+            ``scale_par`` with it). Nothing reads the value.
     """
 
     tracer: object = NULL_TRACER
@@ -157,13 +151,6 @@ class RunContext:
         from .parallel import resolve_batch_format
 
         return resolve_batch_format(self.batch_format)
-
-    def resolve_waves_per_dispatch(self):
-        """Waves batched per parallel dispatch: an int >= 1, ``"auto"``,
-        or ``float("inf")``, with strict ``REPRO_WAVE_BATCH`` validation."""
-        from .parallel import resolve_waves_per_dispatch
-
-        return resolve_waves_per_dispatch(self.waves_per_dispatch)
 
     def resolve_executor(self):
         """The live :class:`~repro.runtime.parallel.Executor` for this run.
@@ -197,19 +184,9 @@ class RunContext:
         moment it returns; cyclic garbage user code makes inside the
         section waits for the first collection after it. Re-entrant and
         thread-safe; the caller's collector state is restored on return
-        and on exception.
-
-        A no-op under the process executor: paused passes run faster,
-        and forked shard workers then inherit a longer-lived parent
-        heap, which reads as a peak-RSS regression (docs/EXECUTION.md,
-        "GC-quiet batch runs").
+        and on exception. The same under every executor
+        (docs/EXECUTION.md, "GC-quiet batch runs").
         """
-        from .parallel import resolve_executor
-
-        # the kind alone: no supervision is attached to a shared executor
-        if resolve_executor(self.executor, self.max_workers).kind == "process":
-            yield
-            return
         _COLLECTOR_PAUSE.enter()
         try:
             yield

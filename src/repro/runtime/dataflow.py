@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import time as _time
-import warnings
 from bisect import bisect_left
 from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -57,25 +56,16 @@ from ..temporal.plan import (
     topological_order,
 )
 from ..temporal.time import MAX_TIME, MIN_TIME
-from ..obs.trace import NULL_TRACER, WorkerSpanRecorder, absorb_worker_state
-from .parallel import (
-    ExecutorDegradedWarning,
-    OverheadStats,
-    ParallelStats,
-    WaveBatcher,
-    WorkerLostError,
-    WorkerStats,
-    resolve_retry_budget,
-    resolve_worker_timeout,
-)
+from ..obs.trace import NULL_TRACER
+from .parallel import ParallelStats
 
 #: The reserved source name a GroupApply chain feeds its sub-plan under.
 GROUP_SOURCE = "<group>"
 
-#: Minimum events before a cross-process feed/reply is packed as one
-#: EventBatch; below this the packed form's array/layout framing costs
-#: more wire bytes than pickling the rows themselves.
-_PACK_MIN_EVENTS = 16
+#: The one named physical-path resolution a flow records
+#: (``Dataflow.resolutions``): a GroupApply whose context asked for an
+#: executor that does not fan its chains out.
+LOCAL_WAVE = "group_apply.local_wave"
 
 
 class StreamingUnsupported(ValueError):
@@ -98,8 +88,8 @@ def _batch_per_key(
     """Batch one round's events per group key so each chain advances once
     (identical results to event-at-a-time feeding; the pending backlog
     re-establishes cross-group LE order). Insertion order — key
-    first-appearance order — is what chain creation and shard assignment
-    key off, so it must stay a pure function of the input stream."""
+    first-appearance order — is what chain creation keys off, so it
+    must stay a pure function of the input stream."""
     per_key: Dict[Tuple, List[Event]] = {}
     if len(keys) <= 2:
         try:
@@ -282,42 +272,22 @@ class _OpNode:
             self._fed_since_wave = 0
             self._idle_delta = -1  # < 0: no chain has gone idle yet
             self._linear_stages = _linear_stages(plan_node)
-            #: deferred-wave scheduling state (docs/PARALLELISM.md,
-            #: "Scheduling granularity"): feeds of the current —
-            #: not-yet-boundary — wave, and complete waves awaiting one
-            #: batched dispatch as ``(watermark, feeds)`` windows. Wave
-            #: *boundaries* stay exactly where the serial schedule puts
-            #: them; only the dispatch is deferred, so outputs are
-            #: byte-identical for every waves_per_dispatch value.
-            self._wave_feeds: Dict[Tuple, List[Event]] = {}
-            self._wave_queue: List[Tuple[int, Dict[Tuple, List[Event]]]] = []
-            # Per-key chains are independent, so waves can fan out. The
-            # schedule (which chains advance, in what order the merge
-            # assigns sequence numbers) is replayed exactly as the serial
-            # path would run it — only the chain *computation* moves to
-            # workers — which is what keeps output byte-identical.
+            # Every GroupApply runs on the driver's local wave. Per-key
+            # chains are independent, so a thread executor fans a wave's
+            # due chains out: the schedule (which chains advance, in
+            # what order the merge assigns sequence numbers) stays the
+            # serial one — only the chain *computation* moves — which is
+            # what keeps output byte-identical. Any other parallel
+            # executor (process, or one degraded off its native tier)
+            # resolves to the same wave run inline, as a counted event.
             ex = flow.executor
             if ex is None:
                 self._group_mode = "serial"
-            elif flow.race_checker is not None:
-                # the checker instruments the wave path; sharded workers
-                # would hide chain state behind a fork boundary
+            elif ex.kind == "thread" and ex.degraded is None:
                 self._group_mode = "thread"
-            elif ex.supports_shards:
-                # forked workers keep chain state across waves
-                self._group_mode = "shard"
-                self._shards: Optional[_ShardedGroups] = None
             else:
-                self._group_mode = "thread"
-            # Coarse scheduling only engages on genuinely parallel modes
-            # (the shadow race checker instruments individual waves, so
-            # it pins the fine-grained schedule).
-            wpd = flow.waves_per_dispatch
-            self._defer_waves = (
-                self._group_mode in ("thread", "shard")
-                and flow.race_checker is None
-                and (wpd == "auto" or wpd > 1)
-            )
+                self._group_mode = "serial"
+                flow._resolve_local_wave(ex)
         elif not isinstance(plan_node, (SourceNode, GroupInputNode, ExchangeNode)):
             self._operator = plan_node.make_operator()
         if future is None:
@@ -371,12 +341,7 @@ class _OpNode:
         if self.deferred:
             return None if self.flushed else WAKE_AT_FLUSH
         if isinstance(node, GroupApplyNode):
-            if (
-                self._due
-                or self._fed_since_wave
-                or self._wave_queue
-                or self._wave_feeds
-            ):
+            if self._due or self._fed_since_wave:
                 return WAKE_ALWAYS
             if not self._active:
                 return WAKE_ALWAYS if self._pending else None
@@ -610,28 +575,16 @@ class _OpNode:
             self.watermark = MAX_TIME
 
     def _advance_group_apply(self) -> None:
-        if self._group_mode == "shard":
-            self._advance_group_apply_sharded()
-            return
         buf = self.inputs[0]
         fresh = buf.take()
         if fresh:
             self.events_in += len(fresh)
             self._fed_since_wave += len(fresh)
-            per_key = _batch_per_key(fresh, self.plan_node.keys)
-            if self._defer_waves:
-                self._accumulate_feeds(per_key)
-            else:
-                self._feed_local_chains(per_key)
+            self._feed_local_chains(
+                _batch_per_key(fresh, self.plan_node.keys)
+            )
         w = buf.watermark
         if w >= MAX_TIME:
-            if self._defer_waves:
-                self._drain_deferred()
-                if self._wave_feeds:
-                    # partial (pre-boundary) feeds buffer exactly where
-                    # the serial path would have left them: in chains
-                    self._feed_local_chains(self._wave_feeds)
-                    self._wave_feeds = {}
             self._run_group_flush(w)
             return
         # The batch driver amortizes watermark waves: buffered group
@@ -646,9 +599,6 @@ class _OpNode:
             if self._fed_since_wave < threshold + 2 * len(self._groups):
                 return
         self._fed_since_wave = 0
-        if self._defer_waves:
-            self._queue_wave(w)
-            return
         self._run_group_wave(w)
 
     def _feed_local_chains(self, per_key) -> None:
@@ -677,214 +627,6 @@ class _OpNode:
             chain.ordinal = next(self._ordinals)
             self._active[key] = chain
         self._due[key] = chain
-
-    # -- deferred-wave scheduling (coarse dispatch granularity) --------------
-
-    def _accumulate_feeds(self, per_key) -> None:
-        """Hold one batch of per-key feeds for a later batched dispatch.
-
-        Chains (or shard proxies) are still *created* here — ``_groups``
-        insertion order and the wave-threshold arithmetic must stay a
-        pure function of the input stream — but buffering and activation
-        are deferred to the dispatch/merge, because a chain must only see
-        the events fed before the wave it is being advanced at.
-        """
-        node: GroupApplyNode = self.plan_node
-        linear = self._linear_stages
-        groups = self._groups
-        feeds = self._wave_feeds
-        sharded = self._group_mode == "shard"
-        if sharded:
-            backend = self._shards
-            if backend is None:
-                backend = self._shards = _ShardedGroups(node, self.flow)
-        for key, events in per_key.items():
-            if key not in groups:
-                if sharded:
-                    groups[key] = _ChainProxy(backend.shard_for_new_key())
-                elif linear is not None:
-                    groups[key] = _LinearChain(node, key, linear)
-                else:
-                    groups[key] = _GroupChain(node, key, self.flow)
-            prev = feeds.get(key)
-            if prev is None:
-                feeds[key] = events
-            else:
-                prev.extend(events)
-
-    def _queue_wave(self, w: int) -> None:
-        """Close the current wave at boundary ``w`` and dispatch once
-        enough waves are queued (the waves_per_dispatch target)."""
-        self._wave_queue.append((w, self._wave_feeds))
-        self._wave_feeds = {}
-        batcher = self.flow.wave_batcher
-        target = (
-            batcher.waves if batcher is not None
-            else self.flow.waves_per_dispatch
-        )
-        if len(self._wave_queue) >= target:
-            self._drain_deferred()
-
-    def _drain_deferred(self) -> None:
-        """Dispatch every queued wave as one coarse work unit and merge."""
-        window = self._wave_queue
-        if not window:
-            return
-        if self._group_mode == "shard":
-            if self._dispatch_window_shard(window):
-                self._wave_queue = []
-                return
-            # a shard degradation rebuilt the chains locally; re-run the
-            # same window (events were retained parent-side) on threads
-        self._wave_queue = []
-        self._dispatch_window_thread(window)
-
-    def _dispatch_window_thread(self, window) -> None:
-        """Run one deferred window on driver-local chains.
-
-        Each chain that the serial schedule would touch in this window
-        becomes one task that replays *all* its waves — buffer the
-        wave's feeds, advance, record ``(outs, watermark, idle_delta)``
-        per wave. Chains idle for a wave early-return from ``advance``
-        (pure watermark arithmetic, no operator calls), so advancing a
-        chain at waves where the serial path would have skipped it is
-        unobservable; newly created chains start at their first fed wave
-        because their operators must not see earlier watermarks.
-        """
-        flow = self.flow
-        entries: List[Tuple[Tuple, int]] = []  # (key, first wave index)
-        seen = set()
-        for key in self._active:
-            seen.add(key)
-            entries.append((key, 0))
-        for j, (_w, feeds) in enumerate(window):
-            for key in feeds:
-                if key not in seen:
-                    seen.add(key)
-                    entries.append((key, j))
-        n = len(window)
-        tasks = []
-        for key, birth in entries:
-            chain = self._groups[key]
-            waves = [
-                (window[j][0], window[j][1].get(key))
-                for j in range(birth, n)
-            ]
-            tasks.append(_window_advance(chain, waves))
-        results = flow.run_window_tasks(tasks)
-        by_wave: List[Dict[Tuple, tuple]] = [{} for _ in window]
-        for (key, birth), recs in zip(entries, results):
-            for off, rec in enumerate(recs):
-                by_wave[birth + off][key] = rec
-        self._merge_deferred(window, by_wave)
-        stats = flow.parallel_stats
-        if stats is not None:
-            stats.dispatches += 1
-            stats.waves += n
-            batcher = flow.wave_batcher
-            if batcher is not None and len(tasks) > 1:
-                batcher.observe(flow.executor.last_overhead)
-
-    def _dispatch_window_shard(self, window) -> bool:
-        """Ship one deferred window to the shard workers as a single
-        batched ``("waves", ...)`` message per shard; False when a shard
-        degradation pulled the chains home (caller re-runs on threads).
-        """
-        flow = self.flow
-        backend = self._shards
-        if backend is None:
-            # watermark-only waves before any feed: no chains anywhere
-            self._merge_deferred(window, [{} for _ in window])
-            return True
-        num = backend.num_shards
-        per_shard_waves: List[list] = [[] for _ in range(num)]
-        for w, feeds in window:
-            fed_by_shard: List[list] = [[] for _ in range(num)]
-            for key, events in feeds.items():
-                shard = self._groups[key].shard
-                fed_by_shard[shard].append(
-                    backend.pack_feed(shard, key, events)
-                )
-            for shard in range(num):
-                per_shard_waves[shard].append(("wave", fed_by_shard[shard], w))
-        last_w = window[-1][0]
-        msgs = [
-            ("waves", per_shard_waves[shard], last_w) for shard in range(num)
-        ]
-        try:
-            shard_results = backend.exchange(msgs)
-        except _ShardDegradation as deg:
-            self._degrade_to_local(deg)
-            return False
-        flow.parallel_stats.add(backend.take_stats())
-        by_wave: List[Dict[Tuple, tuple]] = [{} for _ in window]
-        for result in shard_results:
-            for j, wave_result in enumerate(result):
-                d = by_wave[j]
-                for key, outs, chain_w, idle in wave_result:
-                    d[key] = (outs, chain_w, idle)
-        self._merge_deferred(window, by_wave)
-        stats = flow.parallel_stats
-        stats.dispatches += 1
-        stats.waves += len(window)
-        batcher = flow.wave_batcher
-        if batcher is not None and backend.last_overhead is not None:
-            batcher.observe(backend.last_overhead)
-        return True
-
-    def _merge_deferred(self, window, by_wave) -> None:
-        """Replay the serial per-wave merge over recorded results.
-
-        Wave by wave: activate the wave's fed keys, walk the active set
-        in exactly the serial iteration order assigning ``(le, seq)``
-        merge positions from the *recorded* per-wave outputs, retire
-        idled chains, then release everything below the group watermark
-        — the same bookkeeping ``_run_group_wave`` does live, driven
-        from data instead of live chain attributes. Byte-identity across
-        waves_per_dispatch values holds by construction: outputs are
-        released later, never changed.
-        """
-        flow = self.flow
-        pending = self._pending
-        seq = self._seq
-        groups = self._groups
-        active = self._active
-        tracer_enabled = flow.tracer.enabled
-        for j, (w, feeds) in enumerate(window):
-            by_key = by_wave[j]
-            for key in feeds:
-                self._activate(key, groups[key])
-            self._due.clear()  # this replay walks the whole active set
-            self.chain_advances += len(by_key)
-            if tracer_enabled:
-                flow.tracer.metrics.histogram("dataflow.wave_width").observe(
-                    len(active)
-                )
-            added = False
-            for key in list(active):
-                outs, chain_w, idle = by_key[key]
-                obj = active[key]
-                if type(obj) is _ChainProxy:
-                    obj.watermark = chain_w
-                    obj.idle_delta = idle
-                if outs:
-                    pending.extend((out.le, next(seq), out) for out in outs)
-                    added = True
-                if idle is not None:
-                    del active[key]
-                    self._idle_delta = max(self._idle_delta, idle)
-            if added:
-                pending.sort()
-            group_w = w if self._idle_delta < 0 else w - self._idle_delta
-            for key in active:
-                chain_w = by_key[key][1]
-                if chain_w < group_w:
-                    group_w = chain_w
-            idx = bisect_left(pending, (group_w,))
-            if idx:
-                self._emit([item[2] for item in pending[:idx]])
-                del pending[:idx]
-            self.watermark = max(self.watermark, group_w)
 
     def _run_group_flush(self, w: int) -> None:
         """End of input: every chain flushes for real."""
@@ -919,11 +661,6 @@ class _OpNode:
         constant, so one representative bound covers all of them). The
         cost is O(fed + due), not O(active chains).
         """
-        stats = self.flow.parallel_stats
-        if stats is not None:
-            # the fine-grained schedule: one dispatch per wave
-            stats.dispatches += 1
-            stats.waves += 1
         pending = self._pending
         seq = self._seq
         active = self._active
@@ -999,214 +736,6 @@ class _OpNode:
             if c.wake < WAKE_AT_FLUSH
         ]
         heapify(self._wake_heap)
-
-    def _advance_group_apply_sharded(self) -> None:
-        """GroupApply waves over persistent forked shard workers.
-
-        Chain state lives in the children; the parent mirrors the serial
-        path's bookkeeping — which keys exist, which are active, in what
-        insertion order — on lightweight :class:`_ChainProxy` records.
-        Parent and child apply the *same* deterministic activation rules
-        to the same fed events, so their active sets never diverge, and
-        the parent assigns merge sequence numbers by walking its own
-        dicts in exactly the serial iteration order.
-        """
-        node: GroupApplyNode = self.plan_node
-        buf = self.inputs[0]
-        fresh = buf.take()
-        if fresh:
-            self.events_in += len(fresh)
-            self._fed_since_wave += len(fresh)
-            per_key = _batch_per_key(fresh, node.keys)
-            if self._defer_waves:
-                self._accumulate_feeds(per_key)
-            else:
-                backend = self._shards
-                if backend is None:
-                    backend = self._shards = _ShardedGroups(node, self.flow)
-                for key, events in per_key.items():
-                    proxy = self._groups.get(key)
-                    if proxy is None:
-                        # keys shard round-robin by first-seen order: a
-                        # pure function of the input stream, so resumed/
-                        # replayed runs land every key on the same shard
-                        proxy = _ChainProxy(backend.shard_for_new_key())
-                        self._groups[key] = proxy
-                    backend.queue_feed(proxy.shard, key, events)
-                    proxy.idle_delta = None
-                    self._activate(key, proxy)
-
-        w = buf.watermark
-        if self._defer_waves and w >= MAX_TIME:
-            self._drain_deferred()
-            if self._group_mode != "shard":
-                # degraded mid-drain: chains now live in the driver
-                if self._wave_feeds:
-                    self._feed_local_chains(self._wave_feeds)
-                    self._wave_feeds = {}
-                self._run_group_flush(w)
-                return
-            if self._wave_feeds:
-                # partial (pre-boundary) feeds ride with the flush
-                # message, exactly where the legacy path queues them
-                backend = self._shards
-                for key, events in self._wave_feeds.items():
-                    proxy = self._groups[key]
-                    backend.queue_feed(proxy.shard, key, events)
-                    proxy.idle_delta = None
-                    self._activate(key, proxy)
-                self._wave_feeds = {}
-        pending = self._pending
-        seq = self._seq
-        backend = self._shards
-        if w >= MAX_TIME:
-            if backend is not None and self._groups:
-                try:
-                    shard_results = backend.roundtrip("flush", w)
-                except _ShardDegradation as deg:
-                    self._degrade_to_local(deg)
-                    self._run_group_flush(w)
-                    return
-                by_key = {}
-                for result in shard_results:
-                    for key, outs in result:
-                        by_key[key] = outs
-                self.flow.parallel_stats.add(backend.take_stats())
-                # parent _groups insertion order == serial iteration order
-                for key in self._groups:
-                    outs = by_key[key]
-                    if outs:
-                        pending.extend((out.le, next(seq), out) for out in outs)
-            pending.sort()
-            self._emit([item[2] for item in pending])
-            del pending[:]
-            self.flushed = True
-            self.watermark = MAX_TIME
-            return
-        threshold = self.flow.group_wave_events
-        if threshold:
-            if self._fed_since_wave < threshold + 2 * len(self._groups):
-                return
-        self._fed_since_wave = 0
-        if self._defer_waves:
-            self._queue_wave(w)
-            return
-        stats = self.flow.parallel_stats
-        stats.dispatches += 1
-        stats.waves += 1
-        added = False
-        if self.flow.tracer.enabled:
-            self.flow.tracer.metrics.histogram("dataflow.wave_width").observe(
-                len(self._active)
-            )
-        if backend is not None and self._active:
-            try:
-                shard_results = backend.roundtrip("wave", w)
-            except _ShardDegradation as deg:
-                self._degrade_to_local(deg)
-                self._run_group_wave(w)
-                return
-            by_key = {}
-            for result in shard_results:
-                for key, outs, chain_w, idle in result:
-                    by_key[key] = (outs, chain_w, idle)
-            self.flow.parallel_stats.add(backend.take_stats())
-            self._due.clear()  # the shards walked their whole active sets
-            self.chain_advances += len(by_key)
-            for key, proxy in list(self._active.items()):
-                outs, chain_w, idle = by_key[key]
-                proxy.watermark = chain_w
-                proxy.idle_delta = idle
-                if outs:
-                    pending.extend((out.le, next(seq), out) for out in outs)
-                    added = True
-                if idle is not None:
-                    del self._active[key]
-                    self._idle_delta = max(self._idle_delta, idle)
-        if added:
-            pending.sort()
-        group_w = w if self._idle_delta < 0 else w - self._idle_delta
-        for proxy in self._active.values():
-            group_w = min(group_w, proxy.watermark)
-        idx = bisect_left(pending, (group_w,))
-        if idx:
-            self._emit([item[2] for item in pending[:idx]])
-            del pending[:idx]
-        self.watermark = max(self.watermark, group_w)
-
-    def _degrade_to_local(self, deg: "_ShardDegradation") -> None:
-        """Shard recovery exhausted its budget: pull the chains home.
-
-        Every shard's chain state is rebuilt in the driver by replaying
-        that shard's acknowledged message log; the failing wave's feeds
-        are re-buffered without advancing, and the caller immediately
-        re-runs the wave on the local path. Replay applies the same
-        deterministic message semantics the workers did, and the parent
-        ``_groups`` / ``_active`` dicts keep their insertion order, so
-        merge sequence numbers — and output bytes — stay on the serial
-        schedule. The run then continues thread-degraded instead of
-        failing.
-        """
-        flow = self.flow
-        node: GroupApplyNode = self.plan_node
-        settings = _ChainSettings(
-            flow.allow_unstreamable, flow.group_wave_events
-        )
-        chain_by_key: Dict[Tuple, object] = {}
-        for shard, log in enumerate(deg.logs):
-            chains = _ShardChains(node, settings)
-            for msg in log:
-                chains.apply(msg)  # outputs were already delivered
-            tag, fed, _w = deg.current[shard]
-            if tag != "waves":
-                # re-buffer the failing wave's feeds; the caller advances
-                # (deferred windows retain their events parent-side, so
-                # a failing "waves" message is simply dropped here and
-                # re-dispatched through the local path)
-                chains.feed(fed)
-            chain_by_key.update(chains.groups)
-
-        def resolve(key):
-            # keys first fed in a not-yet-acknowledged deferred window
-            # have no worker-side state to replay; serial would have
-            # just created their chains, so a fresh chain is exact
-            chain = chain_by_key.get(key)
-            if chain is None:
-                linear = self._linear_stages
-                if linear is not None:
-                    chain = _LinearChain(node, key, linear)
-                else:
-                    chain = _GroupChain(node, key, flow)
-                chain_by_key[key] = chain
-            return chain
-
-        self._groups = {key: resolve(key) for key in self._groups}
-        # re-activating in order keeps the merge order and makes every
-        # rebuilt chain due, so the local wave registers all of them
-        proxies, self._active, self._due = self._active, {}, {}
-        for key in proxies:
-            self._activate(key, resolve(key))
-        backend, self._shards = self._shards, None
-        backend.close()
-        flow.parallel_stats.recovery.degradations += 1
-        if flow.tracer.enabled:
-            flow.tracer.event(
-                "supervision.degraded", category="supervision",
-                lane="driver", to="thread", shard=deg.shard,
-            )
-        flow.executor.force_degrade("thread")
-        self._group_mode = "thread"
-        warnings.warn(
-            ExecutorDegradedWarning(
-                f"GroupApply shard worker {deg.shard} (keys "
-                f"{deg.keys_preview()}) kept failing past the retry "
-                f"budget; rebuilt {len(chain_by_key)} chain(s) in the "
-                "driver by deterministic replay and degraded to thread "
-                "execution for the remainder of the run"
-            ),
-            stacklevel=5,
-        )
-
 
 def _activation_order(item) -> int:
     """Sort key for ``(key, chain)`` pairs: the chain's activation ordinal."""
@@ -1462,533 +991,12 @@ class _GroupChain:
         return outs
 
 
-class _ChainProxy:
-    """Parent-side stand-in for a chain living in a forked shard worker.
-
-    Carries exactly what the parent's wave merge reads: the owning shard,
-    the chain's output watermark, and its idle delta. Updated from the
-    shard's wave responses under the same rules the serial path applies
-    to real chains, so the parent's active-set bookkeeping is a faithful
-    replay of serial execution.
-    """
-
-    __slots__ = ("shard", "watermark", "idle_delta", "ordinal")
-
-    def __init__(self, shard: int):
-        self.shard = shard
-        self.watermark = MIN_TIME
-        self.idle_delta: Optional[int] = None
-        self.ordinal = 0
-
-
-class _ChainSettings:
-    """The Dataflow fields a chain constructor reads, fork-portable.
-
-    ``trace`` tells a forked shard worker to record wave spans/metrics
-    into a :class:`~repro.obs.trace.WorkerSpanRecorder` and ship the
-    buffer back with each reply (the chains themselves never read it).
-    """
-
-    __slots__ = (
-        "allow_unstreamable",
-        "group_wave_events",
-        "executor",
-        "trace",
-        "columnar",
-    )
-
-    def __init__(
-        self,
-        allow_unstreamable: bool,
-        group_wave_events: int,
-        trace: bool = False,
-        columnar: bool = False,
-    ):
-        self.allow_unstreamable = allow_unstreamable
-        self.group_wave_events = group_wave_events
-        self.executor = None  # chains never nest parallelism
-        self.trace = trace
-        self.columnar = columnar
-
-
-class _ShardChains:
-    """The real chain state of one shard, driven by wave messages.
-
-    Shared by the forked shard worker loop and the parent-side rebuild
-    after a shard degradation: both apply identical message semantics —
-    chain creation, buffering, activation, idling all follow the exact
-    serial rules — which is what makes replaying a shard's acknowledged
-    message log reproduce its state byte-identically.
-    """
-
-    __slots__ = ("node", "settings", "linear", "groups", "active")
-
-    def __init__(self, node: GroupApplyNode, settings: "_ChainSettings"):
-        self.node = node
-        self.settings = settings
-        self.linear = _linear_stages(node)
-        self.groups: Dict[Tuple, object] = {}
-        self.active: Dict[Tuple, object] = {}
-
-    def feed(self, fed) -> None:
-        node = self.node
-        linear = self.linear
-        for key, events in fed:
-            if not isinstance(events, list):
-                # columnar shard dispatch ships one packed EventBatch
-                # per (key, feed); chains always run on rows
-                events = events.to_events()
-            chain = self.groups.get(key)
-            if chain is None:
-                if linear is not None:
-                    chain = _LinearChain(node, key, linear)
-                else:
-                    chain = _GroupChain(node, key, self.settings)
-                self.groups[key] = chain
-            chain.buffer(events)
-            self.active[key] = chain
-
-    def apply(self, msg):
-        """Process one ``(tag, fed, watermark)`` message; return the
-        keyed reply payload.
-
-        A ``("waves", [wave messages], w)`` message is one deferred
-        window: each inner wave replays the exact per-wave feed/advance
-        semantics in order, so a batched dispatch reproduces the serial
-        wave schedule message for message (and replay recovery replays
-        windows just like single waves).
-        """
-        tag, fed, w = msg
-        if tag == "waves":
-            return [self.apply(wave_msg) for wave_msg in fed]
-        self.feed(fed)
-        if tag == "flush":
-            return [
-                (key, chain.advance(w)) for key, chain in self.groups.items()
-            ]
-        result = []
-        for key, chain in list(self.active.items()):
-            outs = chain.advance(w)
-            if chain.idle_delta is not None:
-                del self.active[key]
-            result.append((key, outs, chain.watermark, chain.idle_delta))
-        return result
-
-
-def _encode_reply(result):
-    """Pack each keyed reply's non-empty output list into one
-    :class:`EventBatch` so a wave's outputs pickle as a few packed
-    buffers instead of one ``Event`` object per row (lists below the
-    packing cutoff ship as rows — see ``_PACK_MIN_EVENTS``). Works for
-    both flush replies ``(key, outs)`` and wave replies ``(key, outs,
-    watermark, idle_delta)``."""
-    packed = []
-    for item in result:
-        outs = item[1]
-        if len(outs) >= _PACK_MIN_EVENTS:
-            item = (item[0], EventBatch.from_events(outs)) + item[2:]
-        packed.append(item)
-    return packed
-
-
-def _decode_reply(payload):
-    """Inverse of :func:`_encode_reply`; row-list replies (recovery
-    fakes, local rebuilds) pass through untouched."""
-    decoded = []
-    for item in payload:
-        outs = item[1]
-        if not isinstance(outs, list):
-            item = (item[0], outs.to_events()) + item[2:]
-        decoded.append(item)
-    return decoded
-
-
-def _encode_window_reply(tag, result):
-    """Columnar packing dispatcher: per-wave for batched ``"waves"``
-    replies, flat for single wave/flush replies."""
-    if tag == "waves":
-        return [_encode_reply(wave) for wave in result]
-    return _encode_reply(result)
-
-
-def _decode_window_reply(tag, payload):
-    """Inverse of :func:`_encode_window_reply`."""
-    if tag == "waves":
-        return [_decode_reply(wave) for wave in payload]
-    return _decode_reply(payload)
-
-
-def _shard_worker(conn, node, settings):  # pragma: no cover - forked child
-    """Main loop of one persistent shard worker (runs in a forked child).
-
-    Owns the real chain objects for its subset of keys (one
-    :class:`_ShardChains`). Each message carries the events fed since
-    the last wave plus the watermark; the child's active set mirrors the
-    parent's proxies. Results go back keyed — the parent re-establishes
-    serial merge order from its own bookkeeping, never from child
-    ordering.
-    """
-    import traceback
-
-    chains = _ShardChains(node, settings)
-    while True:
-        msg = conn.recv()
-        if msg[0] == "stop":
-            return
-        recorder = WorkerSpanRecorder() if settings.trace else None
-        t0 = _time.perf_counter()
-        try:
-            if recorder is not None:
-                with recorder.span(
-                    "shard.wave", category="worker", tag=msg[0], fed=len(msg[1])
-                ) as span:
-                    result = chains.apply(msg)
-                    span.set("keys", len(result))
-                if settings.columnar:
-                    result = _encode_window_reply(msg[0], result)
-                busy = _time.perf_counter() - t0
-                import pickle as _pickle
-
-                s0 = _time.perf_counter()
-                payload_bytes = len(_pickle.dumps(result))
-                send_s = _time.perf_counter() - s0
-                recorder.metrics.histogram(
-                    "executor.pipe_bytes", deterministic=False
-                ).observe(payload_bytes)
-                extras = {"send_seconds": send_s, "state": recorder.state()}
-                conn.send(("ok", result, len(result), busy, extras))
-            else:
-                result = chains.apply(msg)
-                if settings.columnar:
-                    result = _encode_window_reply(msg[0], result)
-                conn.send(("ok", result, len(result), _time.perf_counter() - t0))
-        except BaseException:
-            conn.send(("err", traceback.format_exc(), 0, 0.0))
-
-
-class _ShardDegradation(Exception):
-    """Internal: a shard exhausted the retry budget. Carries the replay
-    state the owning node needs for a parent-side rebuild; never escapes
-    the dataflow (the node converts it into a local-chain takeover plus
-    an :class:`ExecutorDegradedWarning`).
-    """
-
-    def __init__(self, logs, current, shard, keys, cause):
-        super().__init__(str(cause))
-        self.logs = logs  # per-shard acknowledged-message logs
-        self.current = current  # the failing roundtrip's messages
-        self.shard = shard
-        self.keys = keys
-        self.cause = cause
-
-    def keys_preview(self) -> str:
-        head = ", ".join(repr(k) for k in self.keys[:4])
-        return head + (", ..." if len(self.keys) > 4 else "")
-
-
-class _ShardedGroups:
-    """Parent handle on the persistent shard workers of one GroupApply.
-
-    Keys are assigned to shards round-robin in first-seen order (a pure
-    function of the input stream); fed events accumulate in per-shard
-    outboxes and ship with the next wave or flush message, so a wave
-    costs one round-trip per shard regardless of how many feed calls
-    preceded it. All sends go out before any receive, so shards compute
-    their waves concurrently.
-
-    Supervision: every acknowledged message is logged per shard. A shard
-    that dies (or goes silent past the worker timeout) is respawned
-    under its original id and its chain state rebuilt by deterministic
-    replay of that log — byte-identical because chain advancement is a
-    pure function of the message sequence. Respawns count against the
-    run's retry budget and charge exponential backoff to simulated
-    time; past the budget, :class:`_ShardDegradation` hands the state
-    to the owning node for a local rebuild instead of failing the run.
-    """
-
-    def __init__(self, node: GroupApplyNode, flow: "Dataflow"):
-        executor = flow.executor
-        self.executor = executor
-        self.flow = flow
-        self.num_shards = max(1, executor.max_workers)
-        self.columnar = flow.columnar
-        settings = _ChainSettings(
-            flow.allow_unstreamable,
-            flow.group_wave_events,
-            trace=flow.tracer.enabled,
-            columnar=flow.columnar,
-        )
-
-        def shard_main(conn, worker_id):  # pragma: no cover - forked child
-            _shard_worker(conn, node, settings)
-
-        self._shard_main = shard_main
-        self.handles = executor.spawn_workers(shard_main, self.num_shards)
-        if flow.tracer.enabled:
-            for shard in range(self.num_shards):
-                flow.tracer.event(
-                    "supervision.spawn", category="supervision",
-                    lane=f"shard-{shard}", worker=shard, tier="shard",
-                )
-        self.outbox: List[List[Tuple[Tuple, List[Event]]]] = [
-            [] for _ in range(self.num_shards)
-        ]
-        self._next_shard = 0
-        self._stats: List[WorkerStats] = []
-        #: per-shard acknowledged-message logs, the replay source for
-        #: respawn recovery and for the local rebuild after degradation
-        self.logs: List[list] = [[] for _ in range(self.num_shards)]
-        #: per-shard key ownership in first-seen order (error naming)
-        self.keys: List[list] = [[] for _ in range(self.num_shards)]
-        self._key_sets = [set() for _ in range(self.num_shards)]
-        self._restarts = 0
-        #: the most recent exchange's OverheadStats (adaptive wave
-        #: batching reads its dispatch/compute ratio)
-        self.last_overhead: Optional[OverheadStats] = None
-
-    def shard_for_new_key(self) -> int:
-        shard = self._next_shard
-        self._next_shard = (shard + 1) % self.num_shards
-        return shard
-
-    def pack_feed(self, shard: int, key: Tuple, events: List[Event]):
-        """One fed entry for a shard message: registers key ownership
-        and applies the columnar packing rule (ship one packed
-        struct-of-arrays buffer instead of pickling each Event; tiny
-        feeds stay as rows — below ~10 events the packed form's
-        array/layout framing outweighs the savings)."""
-        if key not in self._key_sets[shard]:
-            self._key_sets[shard].add(key)
-            self.keys[shard].append(key)
-        if self.columnar and len(events) >= _PACK_MIN_EVENTS:
-            return (key, EventBatch.from_events(events))
-        return (key, events)
-
-    def queue_feed(self, shard: int, key: Tuple, events: List[Event]) -> None:
-        self.outbox[shard].append(self.pack_feed(shard, key, events))
-
-    def roundtrip(self, tag: str, watermark: int) -> List[list]:
-        """Send one wave/flush to every shard; return per-shard results."""
-        msgs = []
-        for shard in range(self.num_shards):
-            fed = self.outbox[shard]
-            self.outbox[shard] = []
-            msgs.append((tag, fed, watermark))
-        return self.exchange(msgs)
-
-    def exchange(self, msgs: List[tuple]) -> List[list]:
-        """One message per shard out, one reply per shard back.
-
-        Messages are logged only after the whole exchange succeeds, so
-        a recovery triggered partway through never replays the in-flight
-        message twice.
-        """
-        num = self.num_shards
-        tracer = self.flow.tracer
-        overhead = OverheadStats()
-        call_t0 = _time.perf_counter()
-        self._inject_kills()
-        timeout = resolve_worker_timeout(self.executor.supervision.worker_timeout)
-        send_failed = [False] * num
-        d0 = _time.perf_counter()
-        for shard in range(num):
-            try:
-                self.handles[shard].send(msgs[shard])
-            except WorkerLostError:
-                send_failed[shard] = True
-        overhead.dispatch_seconds = _time.perf_counter() - d0
-        results = []
-        self._stats = []
-        for shard in range(num):
-            reply = None
-            recovered = False
-            if not send_failed[shard]:
-                try:
-                    reply = self.handles[shard].recv(timeout)
-                except WorkerLostError:
-                    reply = None
-            if reply is None:
-                s0 = _time.perf_counter()
-                reply = self._recover(shard, msgs)
-                overhead.supervision_seconds += _time.perf_counter() - s0
-                recovered = True
-            # older 4-tuple replies (and test fakes) carry no extras
-            status, payload, advanced, busy = reply[:4]
-            extras = reply[4] if len(reply) > 4 else None
-            if status == "err":
-                raise RuntimeError(
-                    f"GroupApply shard worker {shard} failed:\n{payload}"
-                )
-            m0 = _time.perf_counter()
-            if self.columnar:
-                payload = _decode_window_reply(msgs[shard][0], payload)
-            results.append(payload)
-            send_s = 0.0
-            if extras is not None:
-                send_s = extras.get("send_seconds", 0.0)
-                if tracer.enabled:
-                    # shard order is deterministic, so absorbed span
-                    # insertion order reproduces across runs
-                    absorb_worker_state(
-                        tracer,
-                        extras.get("state"),
-                        lane=f"shard-{shard}",
-                        worker=shard,
-                        **({"recovered": True} if recovered else {}),
-                    )
-            self._stats.append(
-                WorkerStats(
-                    worker=shard,
-                    tasks=advanced,
-                    chunks=1 if advanced else 0,
-                    busy_seconds=busy,
-                    serialize_seconds=send_s,
-                )
-            )
-            overhead.merge_seconds += _time.perf_counter() - m0
-        for shard in range(num):
-            self.logs[shard].append(msgs[shard])
-        overhead.compute_seconds = sum(ws.busy_seconds for ws in self._stats)
-        overhead.serialize_seconds = sum(
-            ws.serialize_seconds for ws in self._stats
-        )
-        overhead.finish(_time.perf_counter() - call_t0, num)
-        self.last_overhead = overhead
-        self.flow.parallel_stats.overhead.merge(overhead)
-        return results
-
-    def _inject_kills(self) -> None:
-        """Draw seeded worker-kill chaos and apply it: SIGKILL the chosen
-        children before the wave ships (no goodbye message, like a real
-        crash). Draws happen in the driver, in shard order, so the kill
-        schedule is a pure function of the seed."""
-        policy = self.executor.supervision.fault_policy
-        if policy is None:
-            return
-        from ..mapreduce.faults import WORKER_KILL, InjectedFault
-
-        tracer = self.flow.tracer
-        for shard in range(self.num_shards):
-            try:
-                policy.maybe_fail(WORKER_KILL, "executor.shard", shard, 1)
-            except InjectedFault:
-                if tracer.enabled:
-                    tracer.event(
-                        "supervision.worker_kill", category="supervision",
-                        lane=f"shard-{shard}", worker=shard,
-                    )
-                process = self.handles[shard].process
-                if process.is_alive():
-                    process.kill()
-                    process.join(5)
-
-    def _recover(self, shard: int, msgs: List[tuple]):
-        """Respawn shard ``shard``, replay its acknowledged log, re-send
-        the in-flight message, and return the reply.
-
-        Each respawn counts against the run's retry budget and charges
-        exponential backoff to simulated time. Past the budget the
-        failure escapes as :class:`_ShardDegradation`.
-        """
-        rec = self.flow.parallel_stats.recovery
-        sup = self.executor.supervision
-        tracer = self.flow.tracer
-        budget = resolve_retry_budget(sup.retry_budget)
-        timeout = resolve_worker_timeout(sup.worker_timeout)
-        keys = self.keys[shard]
-        last_error: Optional[WorkerLostError] = None
-        while True:
-            self._restarts += 1
-            if self._restarts > budget:
-                raise _ShardDegradation(
-                    logs=self.logs,
-                    current=msgs,
-                    shard=shard,
-                    keys=keys,
-                    cause=last_error,
-                ) from last_error
-            rec.worker_restarts += 1
-            rec.backoff_seconds += sup.backoff_base * (
-                1 << min(self._restarts - 1, 20)
-            )
-            old = self.handles[shard]
-            if old.process.is_alive():
-                old.process.kill()
-            old.process.join(5)
-            try:
-                old.conn.close()
-            except OSError:  # pragma: no cover - already torn down
-                pass
-            (handle,) = self.executor.spawn_workers(
-                self._shard_main, 1, first_id=shard
-            )
-            self.handles[shard] = handle
-            if tracer.enabled:
-                tracer.event(
-                    "supervision.respawn", category="supervision",
-                    lane=f"shard-{shard}", worker=shard,
-                    replayed=len(self.logs[shard]),
-                )
-            try:
-                # deterministic replay of everything this shard had
-                # acknowledged rebuilds its chain state byte-identically.
-                # Replay replies' trace buffers are dropped: the original
-                # roundtrips already absorbed those spans once.
-                for past in self.logs[shard]:
-                    handle.send(past)
-                    status, payload, _adv, _busy = handle.recv(timeout)[:4]
-                    if status == "err":
-                        raise RuntimeError(
-                            f"GroupApply shard worker {shard} failed "
-                            f"during recovery replay:\n{payload}"
-                        )
-                rec.chunks_reexecuted += len(self.logs[shard])
-                handle.send(msgs[shard])
-                return handle.recv(timeout)
-            except WorkerLostError as exc:
-                exc.worker_id = shard
-                exc.keys = tuple(keys)
-                last_error = exc
-
-    def take_stats(self) -> List[WorkerStats]:
-        stats, self._stats = self._stats, []
-        return stats
-
-    def close(self) -> None:
-        for handle in self.handles:
-            handle.close()
-        self.handles = []
-
-
 def _chain_advance(chain, watermark: int):
     """A zero-arg task advancing one chain (bound per chain, not by loop
     variable capture)."""
 
     def task():
         return chain.advance(watermark)
-
-    return task
-
-
-def _window_advance(chain, waves):
-    """A zero-arg task replaying one chain across a deferred window.
-
-    ``waves`` is ``[(watermark, events_or_None), ...]``: each wave
-    buffers its feeds (when any) and advances, recording exactly the
-    per-wave triple the serial merge reads. Waves where the chain is
-    idle early-return inside ``advance`` (watermark arithmetic only),
-    so one coarse task per chain reproduces the fine-grained schedule's
-    values verbatim.
-    """
-
-    def task():
-        recs = []
-        for w, events in waves:
-            if events:
-                chain.buffer(events)
-            outs = chain.advance(w)
-            recs.append((outs, chain.watermark, chain.idle_delta))
-        return recs
 
     return task
 
@@ -2010,13 +1018,14 @@ class Dataflow:
             default, waves on every advance). Buffered group input stays
             bounded by the threshold; outputs are merely released later,
             never changed.
-        executor: a :class:`~repro.runtime.parallel.Executor` fanning
-            independent GroupApply chain advances over workers (``None``
-            or a serial executor: run inline). Output is byte-identical
+        executor: the run's :class:`~repro.runtime.parallel.Executor`.
+            Every GroupApply runs on the driver's local wave; a thread
+            executor fans each wave's due chains out over its workers
+            (``None`` or a serial executor: inline), and any other
+            parallel executor resolves to the inline wave as a counted
+            event in :attr:`resolutions`. Output is byte-identical
             across executors — the serial wave schedule and merge order
-            are replayed exactly; only chain computation moves. Parallel
-            flows with process shards hold OS resources: call
-            :meth:`close` (the batch driver does so in a ``finally``).
+            are replayed exactly; only chain computation moves.
         batch_format: the physical format events move in between
             operators: ``"row"`` (each output-log entry is one
             :class:`Event`) or ``"columnar"`` (entries are chunks — a
@@ -2024,16 +1033,6 @@ class Dataflow:
             operators with ``supports_columnar`` consume them whole,
             with a row bridge everywhere else). Outputs are
             byte-identical across formats — see docs/BATCH_FORMAT.md.
-        waves_per_dispatch: scheduling granularity for parallel
-            GroupApply: how many watermark waves are batched into one
-            parallel dispatch. ``1`` (the default) is the fine-grained
-            schedule; larger values amortize dispatch overhead over
-            multiple waves; ``"auto"`` adapts from the overhead
-            attribution's dispatch/compute ratio; ``float("inf")``
-            dispatches once per drain. Wave *boundaries* (and therefore
-            outputs and deterministic stats) are identical for every
-            value — only the dispatch is deferred. See
-            docs/PARALLELISM.md, "Scheduling granularity".
     """
 
     def __init__(
@@ -2048,32 +1047,11 @@ class Dataflow:
         race_checker=None,
         tracer=None,
         batch_format: str = "row",
-        waves_per_dispatch=1,
     ):
         self.allow_unstreamable = allow_unstreamable
         self.timed = timed
         self.group_wave_events = group_wave_events
         self.race_checker = race_checker
-        if waves_per_dispatch == "auto":
-            #: adaptive controller: every GroupApply node reads the
-            #: current batch size at its wave boundaries and feeds the
-            #: dispatch overhead back after each coarse dispatch
-            self.wave_batcher = WaveBatcher()
-            self.waves_per_dispatch = "auto"
-        else:
-            self.wave_batcher = None
-            if not (
-                waves_per_dispatch == float("inf")
-                or (
-                    isinstance(waves_per_dispatch, int)
-                    and waves_per_dispatch >= 1
-                )
-            ):
-                raise ValueError(
-                    "waves_per_dispatch must be an int >= 1, 'auto', or "
-                    f"float('inf'); got {waves_per_dispatch!r}"
-                )
-            self.waves_per_dispatch = waves_per_dispatch
         if batch_format not in ("row", "columnar"):
             raise ValueError(
                 f"unknown batch format {batch_format!r}; "
@@ -2081,9 +1059,11 @@ class Dataflow:
             )
         #: nodes read this during construction to pick their physical path
         self.columnar = batch_format == "columnar"
-        #: the run's tracer: shard workers ship span/metric buffers back
-        #: with wave replies when it is enabled (NULL_TRACER otherwise)
         self.tracer = tracer if tracer is not None else NULL_TRACER
+        #: named physical-path resolutions taken where the context asked
+        #: for something else, as ``{name: {"count", "reason"}}`` — no
+        #: fallback is silent (``EngineStats.resolutions``)
+        self.resolutions: Dict[str, dict] = {}
         if executor is not None and executor.parallel:
             self.executor = executor
             self.parallel_stats = ParallelStats(
@@ -2316,41 +1296,42 @@ class Dataflow:
         self.parallel_stats.overhead.merge(self.executor.last_overhead)
         return results
 
-    def run_window_tasks(self, tasks) -> List[list]:
-        """Run deferred-window tasks (multi-wave chain replays) on the
-        executor, results in task order. Never reached in race-check
-        mode — the shadow checker pins waves_per_dispatch to 1."""
-        if not tasks:
-            return []
-        if len(tasks) == 1:
-            return [tasks[0]()]
-        results = self.executor.run_tasks(tasks)
-        self.parallel_stats.add(self.executor.last_stats)
-        self.parallel_stats.recovery.merge(self.executor.last_recovery)
-        self.parallel_stats.overhead.merge(self.executor.last_overhead)
-        return results
+    def _resolve_local_wave(self, executor) -> None:
+        """Count one GroupApply that ``executor`` does not fan out."""
+        entry = self.resolutions.get(LOCAL_WAVE)
+        if entry is not None:
+            entry["count"] += 1
+            return
+        tier = executor.kind
+        if executor.degraded is not None:
+            tier += f" (degraded to {executor.degraded})"
+        self.resolutions[LOCAL_WAVE] = {
+            "count": 1,
+            "reason": (
+                f"{tier} executor: per-key chains advance inline on the "
+                "driver's local wave; process parallelism is Cluster "
+                "partitions (docs/PARALLELISM.md)"
+            ),
+        }
 
     def close(self) -> None:
         """Release what the flow holds; it cannot be driven afterwards.
 
-        Stops persistent shard workers and severs the graph's reference
-        cycles: every node points back at its flow, and every general
-        GroupApply chain owns a nested flow wired the same way. With
+        Severs the graph's reference cycles: every node points back at
+        its flow, and every general GroupApply chain owns a nested flow
+        wired the same way. With
         those back-references gone the whole graph is freed by refcount
         when the driver drops the flow — the batch drivers run with the
         cyclic collector paused (:meth:`RunContext.quiet`). Idempotent,
         and safe to call mid-stream (after an error, say).
         """
         for node in self._op_nodes:
-            if isinstance(node.plan_node, GroupApplyNode):
-                shards = getattr(node, "_shards", None)
-                if shards is not None:
-                    shards.close()
-                    node._shards = None
-                if node._linear_stages is None:
-                    for chain in node._groups.values():
-                        if isinstance(chain, _GroupChain):
-                            chain.sub.close()
+            if (
+                isinstance(node.plan_node, GroupApplyNode)
+                and node._linear_stages is None
+            ):
+                for chain in node._groups.values():
+                    chain.sub.close()
             node.flow = None
 
     # -- internals -----------------------------------------------------------

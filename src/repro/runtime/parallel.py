@@ -3,9 +3,10 @@
 The paper's BT pipeline is dominated by per-user GroupApply chains and
 map-heavy TiMR stages that the real system fanned out across a cluster.
 This module supplies the in-process analogue: an :class:`Executor`
-abstraction that runs independent *tasks* — per-key chain advances, map
-tasks over input partitions — concurrently while keeping every
-externally visible result **byte-identical to a serial run**.
+abstraction that runs independent *tasks* — map and reduce tasks over
+partitions, a wave's due chain advances on threads — concurrently while
+keeping every externally visible result **byte-identical to a serial
+run**.
 
 Determinism is enforced at the merge, never trusted to scheduling:
 
@@ -35,12 +36,10 @@ Three implementations:
   ``fork`` is unavailable the executor degrades to threads (flagged via
   :attr:`ProcessExecutor.can_fork`).
 
-:class:`ProcessExecutor` additionally supports *persistent shard
-workers* (:meth:`ProcessExecutor.spawn_workers`): long-lived children
-that hold per-key chain state across GroupApply watermark waves, which
-is what lets the incremental runtime keep its wave schedule — and hence
-its exact serial output order — under process parallelism (see
-``runtime/dataflow.py`` and docs/PARALLELISM.md).
+Tasks through the pool are coarse — a partition's map or reduce, not a
+chain's advance: a GroupApply always runs on the driver's local wave
+(``runtime/dataflow.py``), and a process executor reaches it only as a
+counted resolution (docs/PARALLELISM.md).
 
 Supervision
 -----------
@@ -90,15 +89,11 @@ __all__ = [
     "SerialExecutor",
     "Supervision",
     "ThreadExecutor",
-    "WaveBatcher",
-    "WorkerHandle",
-    "WorkerLostError",
     "WorkerStats",
     "force_parallel_requested",
     "resolve_batch_format",
     "resolve_executor",
     "resolve_retry_budget",
-    "resolve_waves_per_dispatch",
     "resolve_worker_timeout",
 ]
 
@@ -115,11 +110,6 @@ ENV_FORCE_PARALLEL = "REPRO_FORCE_PARALLEL"
 #: Supervision knobs, re-read at call time (see the resolvers below).
 ENV_WORKER_TIMEOUT = "REPRO_PARALLEL_TIMEOUT"
 ENV_RETRY_BUDGET = "REPRO_WORKER_RETRIES"
-
-#: Scheduling granularity: watermark waves batched per parallel
-#: dispatch (see resolve_waves_per_dispatch and docs/PARALLELISM.md,
-#: "Scheduling granularity").
-ENV_WAVE_BATCH = "REPRO_WAVE_BATCH"
 
 #: Seconds a driver waits on a worker before declaring it lost.
 #: Generous on purpose: this is a hang breaker, not a performance knob.
@@ -157,30 +147,6 @@ class ExecutorDegradedWarning(UserWarning):
     Raise the budget with ``REPRO_WORKER_RETRIES`` or
     ``RunContext(worker_retry_budget=...)``.
     """
-
-
-class WorkerLostError(RuntimeError):
-    """A parallel worker died or stopped responding.
-
-    Attributes:
-        worker_id: the worker/shard index, when known.
-        keys: the GroupApply keys the worker owned (persistent shard
-            workers only; empty for per-call pools).
-        timed_out: True when the worker was declared lost by the
-            call-time worker timeout rather than a dead process/pipe.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        worker_id: Optional[int] = None,
-        keys: Sequence = (),
-        timed_out: bool = False,
-    ):
-        super().__init__(message)
-        self.worker_id = worker_id
-        self.keys = tuple(keys)
-        self.timed_out = timed_out
 
 
 def force_parallel_requested(context=None) -> bool:
@@ -226,91 +192,6 @@ def resolve_retry_budget(override: Optional[int] = None) -> int:
                 f"{ENV_RETRY_BUDGET}={raw!r} is not an integer retry budget"
             ) from None
     return DEFAULT_RETRY_BUDGET
-
-
-def resolve_waves_per_dispatch(override=None):
-    """Watermark waves batched per parallel dispatch.
-
-    ``override`` (a ``RunContext.waves_per_dispatch`` value) wins;
-    otherwise ``REPRO_WAVE_BATCH`` is re-read on every call. Accepted
-    values: a positive integer (exactly that many waves per dispatch),
-    ``"auto"`` (returned verbatim — the dataflow then drives a
-    :class:`WaveBatcher` off the per-dispatch overhead attribution),
-    or ``"max"`` / ``"inf"`` / ``"all"`` (``float("inf")``: one
-    dispatch per drain). Default is ``1`` — the fine-grained schedule
-    every release before the knob existed ran, and the reference the
-    differential suite compares coarse schedules against.
-
-    The knob is a pure *scheduling* dimension: outputs and
-    deterministic ``EngineStats`` are byte-identical for every value
-    (see docs/PARALLELISM.md, "Scheduling granularity").
-    """
-    raw = override
-    if raw is None:
-        raw = os.environ.get(ENV_WAVE_BATCH)
-    if raw is None or (isinstance(raw, str) and not raw.strip()):
-        return 1
-    if isinstance(raw, str):
-        text = raw.strip().lower()
-        if text == "auto":
-            return "auto"
-        if text in ("max", "inf", "all"):
-            return float("inf")
-        try:
-            value = int(text)
-        except ValueError:
-            raise ValueError(
-                f"{ENV_WAVE_BATCH}={raw!r} is not a wave count, "
-                "'auto', or 'max'"
-            ) from None
-    elif isinstance(raw, float) and raw == float("inf"):
-        return raw
-    else:
-        value = int(raw)
-    if value < 1:
-        raise ValueError(
-            f"waves_per_dispatch must be >= 1, got {value}"
-        )
-    return value
-
-
-class WaveBatcher:
-    """Adaptive waves-per-dispatch controller (``"auto"`` mode).
-
-    Starts fine-grained and resizes the batch after every dispatch from
-    that dispatch's :class:`OverheadStats`: when dispatch + serialize
-    overhead exceeds :attr:`GROW_RATIO` of compute time the batch
-    doubles (dispatch cost is amortized over more waves); when it falls
-    below :attr:`SHRINK_RATIO` the batch halves (latency back for free).
-    The controller only ever changes *when* work is dispatched, never
-    what it computes — outputs are waves-per-dispatch-invariant by
-    construction — so the feedback loop may be timing-dependent without
-    threatening byte-identity.
-    """
-
-    #: overhead/compute ratio above which the batch doubles
-    GROW_RATIO = 0.2
-    #: overhead/compute ratio below which the batch halves
-    SHRINK_RATIO = 0.05
-    #: hard cap: beyond this the schedule is batch-per-drain anyway
-    MAX_WAVES = 64
-
-    def __init__(self, start: int = 1):
-        self.waves = max(1, int(start))
-        self.adjustments = 0
-
-    def observe(self, overhead: "OverheadStats") -> int:
-        """Feed one dispatch's overhead; returns the next batch size."""
-        compute = max(overhead.compute_seconds, 1e-9)
-        cost = overhead.dispatch_seconds + overhead.serialize_seconds
-        ratio = cost / compute
-        if ratio > self.GROW_RATIO and self.waves < self.MAX_WAVES:
-            self.waves = min(self.MAX_WAVES, self.waves * 2)
-            self.adjustments += 1
-        elif ratio < self.SHRINK_RATIO and self.waves > 1:
-            self.waves //= 2
-            self.adjustments += 1
-        return self.waves
 
 
 @dataclass
@@ -486,12 +367,6 @@ class ParallelStats:
     tasks: int = 0
     chunks: int = 0
     stolen_chunks: int = 0
-    #: scheduling granularity: watermark waves merged and parallel
-    #: dispatches issued by GroupApply nodes. ``waves / dispatches`` is
-    #: the realized batch size (1.0 = the fine-grained schedule);
-    #: deterministic — both depend only on the input and the knob.
-    dispatches: int = 0
-    waves: int = 0
     busy_seconds: float = 0.0
     per_worker: Dict[int, WorkerStats] = field(default_factory=dict)
     recovery: RecoveryStats = field(default_factory=RecoveryStats)
@@ -527,8 +402,6 @@ class ParallelStats:
         self.tasks += other.tasks
         self.chunks += other.chunks
         self.stolen_chunks += other.stolen_chunks
-        self.dispatches += other.dispatches
-        self.waves += other.waves
         self.busy_seconds += other.busy_seconds
         for wid, ws in other.per_worker.items():
             agg = self.per_worker.get(wid)
@@ -553,8 +426,6 @@ class ParallelStats:
             "tasks": self.tasks,
             "chunks": self.chunks,
             "stolen_chunks": self.stolen_chunks,
-            "dispatches": self.dispatches,
-            "waves": self.waves,
             "busy_seconds": round(self.busy_seconds, 6),
             "recovery": self.recovery.as_dict(),
             "overhead": self.overhead.as_dict(),
@@ -628,9 +499,8 @@ class Executor:
 
     Executors hold **no persistent OS resources** — worker threads and
     forked pools live only for the duration of one :meth:`run_tasks`
-    call (persistent shard workers are owned by the dataflow node that
-    spawned them). That makes executor objects cheap, reusable, and safe
-    to stash in a frozen :class:`~repro.runtime.RunContext`.
+    call. That makes executor objects cheap, reusable, and safe to stash
+    in a frozen :class:`~repro.runtime.RunContext`.
 
     Supervision state *is* per-instance: worker failures accumulate
     against the retry budget across calls, and a degradation
@@ -669,11 +539,6 @@ class Executor:
         raise NotImplementedError
 
     @property
-    def supports_shards(self) -> bool:
-        """True when :meth:`spawn_workers` provides persistent workers."""
-        return False
-
-    @property
     def tracer(self):
         """The run's tracer (:data:`~repro.obs.trace.NULL_TRACER` default)."""
         t = self.supervision.tracer
@@ -684,18 +549,9 @@ class Executor:
         """The tier this executor fell back to (``None``: native tier)."""
         return self._degraded
 
-    def spawn_workers(
-        self, main: Callable, count: int, first_id: int = 0
-    ) -> List["WorkerHandle"]:
-        raise RuntimeError(f"{self.kind} executor has no persistent workers")
-
     def force_degrade(self, to_kind: str) -> None:
-        """Pin this executor at a lower tier for the rest of the run.
-
-        Used by shard-worker recovery (``runtime/dataflow.py``), which
-        detects budget exhaustion itself and owns the warning; the
-        per-call pools degrade through :meth:`_degrade` instead.
-        """
+        """Pin this executor at a lower tier for the rest of the run
+        (never back up: the lower tier wins)."""
         if _TIER_ORDER[to_kind] > _TIER_ORDER[self._degraded]:
             self._degraded = to_kind
             self._worker_failures = 0  # a fresh budget for the new tier
@@ -737,7 +593,7 @@ class Executor:
                     rec.backoff_seconds += base * (1 << (attempt - 1))
                     attempt += 1
 
-    def _predraw_worker_kills(self, count: int, stage: str, first_id: int = 0):
+    def _predraw_worker_kills(self, count: int, stage: str):
         """Which workers the seeded chaos policy kills this call."""
         policy = self.supervision.fault_policy
         if policy is None:
@@ -745,7 +601,7 @@ class Executor:
         from ..mapreduce.faults import WORKER_KILL, InjectedFault
 
         doomed = set()
-        for wid in range(first_id, first_id + count):
+        for wid in range(count):
             try:
                 policy.maybe_fail(WORKER_KILL, stage, wid, 1)
             except InjectedFault:
@@ -1026,73 +882,6 @@ class ThreadExecutor(Executor):
         return results
 
 
-class WorkerHandle:
-    """One persistent forked worker: a process plus its message pipe."""
-
-    def __init__(self, process, conn, worker_id: int):
-        self.process = process
-        self.conn = conn
-        self.worker_id = worker_id
-
-    def alive(self) -> bool:
-        """Liveness straight from the process sentinel."""
-        return self.process.is_alive()
-
-    def send(self, message) -> None:
-        try:
-            self.conn.send(message)
-        except (OSError, ValueError) as exc:
-            raise WorkerLostError(
-                f"shard worker {self.worker_id} is gone "
-                f"(send failed: {exc!r})",
-                worker_id=self.worker_id,
-            ) from exc
-
-    def recv(self, timeout: Optional[float] = None):
-        """Receive one reply, or raise :class:`WorkerLostError`.
-
-        ``timeout`` overrides the call-time-resolved worker timeout. A
-        dead pipe (the worker crashed) and a silent worker are both
-        reported as :class:`WorkerLostError` naming the worker, so shard
-        supervision can recover either the same way.
-        """
-        limit = resolve_worker_timeout(timeout)
-        try:
-            ready = self.conn.poll(limit)
-        except (OSError, ValueError) as exc:
-            raise WorkerLostError(
-                f"shard worker {self.worker_id} died (pipe unusable: {exc!r})",
-                worker_id=self.worker_id,
-            ) from exc
-        if not ready:
-            state = "alive but silent" if self.alive() else "dead"
-            raise WorkerLostError(
-                f"shard worker {self.worker_id} sent no reply within "
-                f"{limit:.0f}s (process is {state})",
-                worker_id=self.worker_id,
-                timed_out=True,
-            )
-        try:
-            return self.conn.recv()
-        except EOFError as exc:
-            raise WorkerLostError(
-                f"shard worker {self.worker_id} died mid-reply (pipe closed)",
-                worker_id=self.worker_id,
-            ) from exc
-
-    def close(self) -> None:
-        try:
-            if self.process.is_alive():
-                self.conn.send(("stop",))
-            self.conn.close()
-        except (OSError, ValueError):  # already torn down
-            pass
-        self.process.join(5)
-        if self.process.is_alive():  # pragma: no cover - hang breaker
-            self.process.terminate()
-            self.process.join(5)
-
-
 def _fork_context():
     import multiprocessing
 
@@ -1125,10 +914,6 @@ class ProcessExecutor(ThreadExecutor):
 
     #: False on platforms without os.fork (the executor then runs threads).
     can_fork = _fork_context() is not None
-
-    @property
-    def supports_shards(self) -> bool:
-        return self.can_fork and self._degraded is None
 
     def run_tasks(self, tasks: Sequence[Callable[[], object]]) -> List[object]:
         n = len(tasks)
@@ -1413,43 +1198,6 @@ class ProcessExecutor(ThreadExecutor):
         overhead.supervision_seconds = supervision_t + len(lost) * window
         overhead.finish(_time.perf_counter() - call_t0, workers)
         return results
-
-    def spawn_workers(
-        self, main: Callable, count: int, first_id: int = 0
-    ) -> List[WorkerHandle]:
-        """Fork ``count`` persistent workers, each running ``main(conn, id)``.
-
-        ``main`` is inherited through fork (closures welcome); it must
-        loop on ``conn.recv()`` until it reads ``("stop",)``. Used by the
-        dataflow's sharded GroupApply backend, which owns the handles'
-        lifecycle. ``first_id`` lets shard recovery respawn a worker
-        under its original shard id.
-        """
-        if not self.can_fork:
-            raise RuntimeError("persistent shard workers require os.fork")
-        ctx = _fork_context()
-        handles = []
-        for wid in range(first_id, first_id + count):
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_shard_entry, args=(main, child_conn, wid), daemon=True
-            )
-            proc.start()
-            child_conn.close()
-            handles.append(WorkerHandle(proc, parent_conn, wid))
-        return handles
-
-
-def _shard_entry(main, conn, worker_id):  # pragma: no cover - runs in fork
-    _worker_state.active = True
-    try:
-        main(conn, worker_id)
-    finally:
-        try:
-            conn.close()
-        except (OSError, ValueError):
-            pass
-
 
 #: The shared inline executor (serial runs have no supervision state).
 SERIAL = SerialExecutor()

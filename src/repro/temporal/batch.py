@@ -62,7 +62,7 @@ class _MissingType:
 
     def __reduce__(self):
         # pickle round-trips to the same singleton so ``is MISSING``
-        # checks keep working inside forked shard workers
+        # checks keep working on the far side of a pipe
         return (_MissingType, ())
 
 
@@ -101,8 +101,8 @@ class EventBatch:
         self._payloads = [None]
 
     def __getstate__(self):
-        # the payload cache never crosses the pickle boundary: shard
-        # workers rebuild rows on demand, and shipping cached dicts
+        # the payload cache never crosses the pickle boundary: the
+        # receiver rebuilds rows on demand, and shipping cached dicts
         # would defeat the compact wire format
         return (self.les, self.res, self.columns, self.layouts, self.layout_ids)
 

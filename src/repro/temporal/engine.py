@@ -72,10 +72,18 @@ class EngineStats:
         self.operator_events: Dict[str, int] = {}
         self.operator_labels: Dict[str, str] = {}
         self.wall_seconds = 0.0
-        #: per-worker fan-out summary of a parallel run (executor kind,
-        #: workers, tasks, stolen chunks, busy seconds, plus supervision
-        #: recovery counters under ``"recovery"``); None when serial
+        #: per-worker fan-out summary of a run under a parallel executor
+        #: (executor kind, workers, tasks, stolen chunks, busy seconds,
+        #: plus supervision recovery counters under ``"recovery"``);
+        #: None when serial. All zeros and no workers when nothing
+        #: fanned out — ``resolutions`` then says why
         self.parallel: Optional[dict] = None
+        #: named physical-path resolutions: what the run did where its
+        #: context asked for something else, as ``{name: {"count",
+        #: "reason"}}``. ``"group_apply.local_wave"`` counts the
+        #: GroupApply nodes a process (or degraded) executor ran inline
+        #: on the driver's local wave. Empty when nothing was resolved
+        self.resolutions: Dict[str, dict] = {}
 
     @property
     def events_per_second(self) -> float:
@@ -103,19 +111,15 @@ class EngineStats:
             self.operator_events[key] = self.operator_events.get(key, 0) + count
         self.operator_labels.update(other.operator_labels)
         self.wall_seconds += other.wall_seconds
+        for name, entry in other.resolutions.items():
+            ours = self.resolutions.setdefault(name, {**entry, "count": 0})
+            ours["count"] += entry["count"]
         if other.parallel is not None:
             if self.parallel is None:
                 self.parallel = dict(other.parallel)
             else:
                 merged = dict(self.parallel)
-                for field in (
-                    "calls",
-                    "tasks",
-                    "chunks",
-                    "stolen_chunks",
-                    "dispatches",
-                    "waves",
-                ):
+                for field in ("calls", "tasks", "chunks", "stolen_chunks"):
                     merged[field] = merged.get(field, 0) + other.parallel.get(
                         field, 0
                     )
@@ -240,7 +244,6 @@ class Engine:
             race_checker=race_checker,
             tracer=tracer,
             batch_format=context.resolve_batch_format(),
-            waves_per_dispatch=context.resolve_waves_per_dispatch(),
         )
         for name in flow.source_names():
             if name not in sources:
@@ -269,9 +272,8 @@ class Engine:
                 )
                 self._record(flow, root, stats, output, tracer)
             finally:
-                # stops persistent shard workers and severs the graph's
-                # reference cycles: with the collector paused, refcounts
-                # are what frees it
+                # severs the graph's reference cycles: with the collector
+                # paused, refcounts are what frees it
                 flow.close()
                 if span is not None:
                     span.set("input_events", stats.input_events)
@@ -330,6 +332,18 @@ class Engine:
     def _record(self, flow, root, stats, output, tracer):
         """Fill stats and emit one summary span per operator node."""
         stats.output_events = len(output)
+        stats.resolutions = flow.resolutions
+        if tracer.enabled:
+            for name, entry in flow.resolutions.items():
+                # the executor.* family: executor-dependent by nature,
+                # like chunk geometry
+                tracer.metrics.counter(
+                    "executor.resolutions", resolution=name
+                ).inc(entry["count"])
+                tracer.event(
+                    "supervision.resolved", category="supervision",
+                    lane="driver", resolution=name, **entry,
+                )
         if flow.parallel_stats is not None:
             stats.parallel = flow.parallel_stats.as_dict()
             recovery = flow.parallel_stats.recovery

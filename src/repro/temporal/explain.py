@@ -46,10 +46,7 @@ def _batch_path(node: PlanNode) -> str:
     if isinstance(node, ExchangeNode):
         return "pass-through (chunks forwarded unchanged)"
     if isinstance(node, GroupApplyNode):
-        return (
-            "row bridge at the per-key split; shard dispatch re-packs "
-            "rows as EventBatch across the process boundary"
-        )
+        return "row bridge at the per-key split"
     if len(node.inputs) >= 2:
         return (
             "run-batched binary delivery "
@@ -119,7 +116,9 @@ def explain(query: Union[Query, PlanNode], stats=None) -> str:
     """A multi-line report about a temporal query's execution properties.
 
     With ``stats`` (an :class:`~repro.temporal.engine.EngineStats` from a
-    prior run, e.g. ``engine.last_stats``) the report gains a
+    prior run, e.g. ``engine.last_stats``) the physical-path section
+    names every resolution that run took (a process executor's
+    GroupApply on the local wave, say) and the report gains a
     TRACE/METRICS section: totals, throughput, and per-operator event
     counts keyed by plan path.
     """
@@ -213,7 +212,18 @@ def explain(query: Union[Query, PlanNode], stats=None) -> str:
     for node in topological_order(root):
         lines.append(f"    {node.describe()}: {_batch_path(node)}")
         if isinstance(node, GroupApplyNode):
+            lines.append(
+                "      scheduling: the driver's local wave under every "
+                "executor; threads fan a wave's due chains out, a process "
+                "executor resolves to the wave run inline"
+            )
             lines.extend(_group_paths(node, "      "))
+    if stats is not None:
+        for name, entry in sorted(stats.resolutions.items()):
+            lines.append(
+                f"  resolved this run: {name} x {entry['count']}: "
+                f"{entry['reason']}"
+            )
 
     if stats is not None:
         lines.append("")

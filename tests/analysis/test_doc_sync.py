@@ -6,8 +6,8 @@ have a catalog section in docs/LINTING.md (headed ``### `rule.id`
 so a renamed or removed rule cannot leave stale documentation behind,
 and a new rule cannot ship undocumented. The same discipline covers the
 runtime's environment knobs: every ``ENV_*`` constant in
-``repro.runtime.parallel`` must appear in the docs, and the scheduling-
-granularity chapter the CLI help links to must actually exist.
+``repro.runtime.parallel`` must appear in the docs — and a knob, flag or
+export that was removed must not linger in them.
 """
 
 import re
@@ -15,7 +15,8 @@ from pathlib import Path
 
 from repro.analysis import RULES
 
-DOCS_DIR = Path(__file__).resolve().parents[2] / "docs"
+ROOT = Path(__file__).resolve().parents[2]
+DOCS_DIR = ROOT / "docs"
 DOC = DOCS_DIR / "LINTING.md"
 
 #: ### `rule.id` (severity)
@@ -55,9 +56,14 @@ class TestDocSync:
         )
 
 
+def user_docs():
+    """README.md plus docs/*.md, as ``{relative path: text}``."""
+    paths = [ROOT / "README.md", *sorted(DOCS_DIR.glob("*.md"))]
+    return {str(p.relative_to(ROOT)): p.read_text() for p in paths}
+
+
 class TestEnvKnobDocSync:
-    """Every runtime env knob must be documented; the knob-chapter
-    anchors the CLI help points at must exist."""
+    """Every runtime env knob must be documented."""
 
     @staticmethod
     def _env_constants():
@@ -81,16 +87,43 @@ class TestEnvKnobDocSync:
             f"from docs/*.md: {missing}"
         )
 
-    def test_scheduling_granularity_chapter_exists(self):
-        # `repro --help` links docs/PARALLELISM.md#scheduling-granularity
-        text = (DOCS_DIR / "PARALLELISM.md").read_text()
-        assert "## Scheduling granularity" in text
-        assert "REPRO_WAVE_BATCH" in text
-        assert "waves_per_dispatch" in text
 
-    def test_scheduling_counters_documented(self):
-        # the deterministic dispatches/waves counters surfaced by
-        # ParallelStats must be explained where the attribution model is
-        text = (DOCS_DIR / "OBSERVABILITY.md").read_text()
-        assert "realized wave batch" in text.lower()
-        assert "`dispatches`" in text and "`waves`" in text
+class TestRemovedKnobsStayRemoved:
+    """Wave batching and the shard workers are gone; nothing a user
+    reads, and nothing ``repro.runtime`` exports, may still offer them."""
+
+    REMOVED = ("REPRO_WAVE_BATCH", "--wave-batch", "supports_shards", "spawn_workers")
+
+    def test_removed_names_do_not_linger_in_docs(self):
+        lingering = sorted(
+            (path, name)
+            for path, text in user_docs().items()
+            for name in self.REMOVED
+            if name in text
+        )
+        assert not lingering, f"removed knobs still documented: {lingering}"
+
+    def test_removed_names_are_not_exported(self):
+        import repro.runtime as runtime
+        from repro.runtime import Executor
+
+        source = (ROOT / "src/repro/runtime/__init__.py").read_text()
+        for name in self.REMOVED + ("WaveBatcher", "resolve_waves_per_dispatch"):
+            assert name not in source, name
+            assert not hasattr(runtime, name), name
+            assert not hasattr(Executor, name), name
+
+    def test_waves_per_dispatch_is_documented_once_as_inert(self):
+        # the keyword outlives the knob only because the repo benchmark
+        # passes it; one place says so, and says nothing else
+        mentions = [
+            (path, " ".join(paragraph.split()))
+            for path, text in user_docs().items()
+            for paragraph in text.split("\n\n")
+            if "waves_per_dispatch" in paragraph
+        ]
+        assert [path for path, _ in mentions] == ["docs/PARALLELISM.md"]
+        assert (
+            "accepted, ignored, leaves with the benchmark's keyword"
+            in mentions[0][1]
+        )

@@ -4,8 +4,8 @@ The contract under test (docs/OBSERVABILITY.md, "Worker lanes"):
 
 * workers record spans/metrics into buffers shipped back with results;
   the driver re-parents them under the dispatching span and tags each
-  with a stable lane name (``worker-N`` for pool workers, ``shard-N``
-  for persistent shard workers, ``driver`` for inline recovery);
+  with a stable lane name (``worker-N`` for pool workers, ``driver``
+  for inline recovery);
 * the *simulated-time* view of a trace — :func:`repro.obs.sim_trace_tree`
   — plus the deterministic metric snapshot are byte-identical across
   same-seed runs, regardless of executor choice, and identical across
@@ -20,11 +20,18 @@ The contract under test (docs/OBSERVABILITY.md, "Worker lanes"):
 
 import pytest
 
-from repro.mapreduce import WORKER_KILL, ChaosPolicy
+from repro.mapreduce import (
+    WORKER_KILL,
+    ChaosPolicy,
+    Cluster,
+    CostModel,
+    DistributedFileSystem,
+)
 from repro.obs import Tracer, attribute, chrome_trace, render_table, sim_trace_tree
 from repro.runtime import ProcessExecutor, RunContext, Supervision
 from repro.temporal import Engine, Query
 from repro.temporal.time import days
+from repro.timr import TiMR
 
 needs_fork = pytest.mark.skipif(
     not ProcessExecutor.can_fork, reason="fork start method unavailable"
@@ -41,6 +48,8 @@ def _clean_env(monkeypatch):
     monkeypatch.delenv("REPRO_WORKERS", raising=False)
     monkeypatch.delenv("REPRO_PARALLEL_TIMEOUT", raising=False)
     monkeypatch.delenv("REPRO_WORKER_RETRIES", raising=False)
+    # the shadow race checker replays fan-outs serially: no worker lanes
+    monkeypatch.delenv("REPRO_RACE_CHECK", raising=False)
 
 
 def _group_query():
@@ -68,6 +77,28 @@ def _run_traced(executor, rows, fault_policy=None, retry_budget=None):
     )
     out = engine.run(_group_query(), {"logs": rows})
     return out, tracer, engine
+
+
+def _run_traced_job(executor, rows, fault_policy=None, retry_budget=None):
+    """The same query as one TiMR job over a four-partition input, so
+    the map phase goes through the executor's pool (process parallelism
+    is Cluster partitions; a GroupApply alone forks nothing)."""
+    tracer = Tracer()
+    fs = DistributedFileSystem()
+    fs.write("logs", rows, num_partitions=4)
+    cluster = Cluster(
+        fs=fs,
+        cost_model=CostModel(num_machines=4),
+        context=RunContext(
+            tracer=tracer,
+            executor=executor,
+            max_workers=4,
+            fault_policy=fault_policy,
+            worker_retry_budget=retry_budget,
+        ),
+    )
+    result = TiMR(cluster).run(_group_query(), num_partitions=3)
+    return result, tracer
 
 
 def _det_metrics(tracer):
@@ -110,22 +141,9 @@ class TestSameSeedIdentity:
 
 @needs_fork
 class TestWorkerLanes:
-    def test_shard_spans_land_in_shard_lanes(self):
-        rows = _group_rows()
-        _, tracer, _ = _run_traced("process", rows)
-        waves = [s for s in tracer.finished() if s.name == "shard.wave"]
-        assert waves, "no shard worker spans absorbed"
-        lanes = {s.attrs["lane"] for s in waves}
-        assert lanes <= {f"shard-{i}" for i in range(4)}
-        assert len(lanes) > 1  # work actually fanned out
-        # re-parented under a driver span, never orphaned
-        ids = {s.span_id for s in tracer.finished()}
-        for wave in waves:
-            assert wave.parent_id in ids
-
     def test_chrome_trace_one_lane_per_worker_with_supervision(self):
         rows = _group_rows()
-        _, tracer, _ = _run_traced("process", rows)
+        _, tracer = _run_traced_job("process", rows)
         doc = chrome_trace(tracer)
         names = {
             e["args"]["name"]
@@ -133,9 +151,12 @@ class TestWorkerLanes:
             if e["ph"] == "M" and e["name"] == "thread_name"
         }
         assert "driver" in names
-        assert {f"shard-{i}" for i in range(4)} <= names
+        assert {f"worker-{i}" for i in range(4)} <= names
         instants = [e for e in doc["traceEvents"] if e["ph"] == "i"]
         assert any(e["name"] == "supervision.spawn" for e in instants)
+        # tracing runs reduce in the driver, where the embedded engines'
+        # process context resolves to the local wave: named, not silent
+        assert any(e["name"] == "supervision.resolved" for e in instants)
 
     def test_pool_chunks_in_worker_lanes(self):
         """The chunked pool path (run_tasks) tags each absorbed chunk
@@ -157,7 +178,8 @@ class TestWorkerLanes:
 @needs_fork
 class TestChaosIdentity:
     def _chaos_run(self, rows):
-        return _run_traced(
+        # seed 8 at rate 0.4 kills one of the four map workers
+        return _run_traced_job(
             "process",
             rows,
             fault_policy=ChaosPolicy(seed=8, rates={WORKER_KILL: 0.4}),
@@ -166,36 +188,37 @@ class TestChaosIdentity:
 
     def test_same_seed_chaos_same_sim_tree_and_metrics(self):
         rows = _group_rows()
-        out_a, tracer_a, engine_a = self._chaos_run(rows)
-        out_b, tracer_b, _ = self._chaos_run(rows)
-        assert out_a == out_b
-        assert engine_a.last_stats.parallel["recovery"]["worker_restarts"] >= 1
+        result_a, tracer_a = self._chaos_run(rows)
+        result_b, tracer_b = self._chaos_run(rows)
+        assert result_a.output_rows() == result_b.output_rows()
+        assert result_a.parallel["recovery"]["worker_restarts"] >= 1
         assert sim_trace_tree(tracer_a) == sim_trace_tree(tracer_b)
         assert _det_metrics(tracer_a) == _det_metrics(tracer_b)
 
     def test_chaos_tree_matches_clean_tree(self):
-        """Killed shards replay to the same simulated-time trace: the
-        chaos run's canonical tree equals the fault-free run's once
-        supervision markers are excluded."""
+        """A killed worker's chunk is refilled to the same simulated-time
+        trace: the chaos run's canonical tree equals the fault-free
+        run's once supervision markers are excluded."""
         rows = _group_rows()
-        _, clean, _ = _run_traced("process", rows)
-        _, chaotic, _ = self._chaos_run(rows)
+        _, clean = _run_traced_job("process", rows)
+        _, chaotic = self._chaos_run(rows)
         exclude = ("supervision",)
         assert sim_trace_tree(chaotic, exclude_categories=exclude) == \
             sim_trace_tree(clean, exclude_categories=exclude)
 
     def test_recovered_chunks_attributed_to_recovering_lane(self):
         rows = _group_rows()
-        _, tracer, _ = self._chaos_run(rows)
+        _, tracer = self._chaos_run(rows)
         recovered = [
             s for s in tracer.finished() if s.attrs.get("recovered") is True
         ]
         assert recovered, "kill chaos produced no recovered spans"
+        assert all(s.attrs["lane"] == "driver" for s in recovered)
         ids = {s.span_id for s in tracer.finished()}
         for span in recovered:
             assert span.parent_id in ids  # no orphans
         events = {s.name for s in tracer.finished() if s.category == "supervision"}
-        assert "supervision.respawn" in events or "supervision.worker_lost" in events
+        assert "supervision.worker_lost" in events
 
     def test_pool_kill_refill_runs_in_driver_lane(self):
         """A killed pool child never ships its buffer; the refilled
@@ -225,9 +248,8 @@ class TestAttributionCoverage:
     @pytest.mark.parametrize("executor", [e for e in EXECUTORS if e != "serial"])
     def test_components_sum_to_budget(self, executor):
         rows = _group_rows()
-        _, _, engine = _run_traced(executor, rows)
-        overhead = engine.last_stats.parallel["overhead"]
-        report = attribute(overhead)
+        result, _ = _run_traced_job(executor, rows)
+        report = attribute(result.parallel["overhead"])
         assert report.budget_seconds > 0
         assert abs(report.coverage - 1.0) <= 0.05
         assert report.components["compute"] > 0

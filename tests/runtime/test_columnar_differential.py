@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import builtin_query_suite
 from repro.data import GeneratorConfig, generate
-from repro.mapreduce import WORKER_KILL, ChaosPolicy
+from repro.mapreduce import TASK_TRANSIENT, ChaosPolicy
 from repro.runtime import (
     ProcessExecutor,
     RunContext,
@@ -31,10 +31,6 @@ from tests.temporal.test_differential_runtime import (
     N_PLANS,
     _portfolio,
     histories,
-)
-
-needs_fork = pytest.mark.skipif(
-    not ProcessExecutor.can_fork, reason="fork start method unavailable"
 )
 
 
@@ -119,60 +115,29 @@ def test_builtin_bt_query_columnar_byte_identical(name, bt_rows):
 
 
 # ---------------------------------------------------------------------------
-# Seeded executor chaos: killed forked shard workers under the columnar
+# Seeded executor chaos on the in-wave thread fan-out under the columnar
 # format must leave the bytes untouched
 # ---------------------------------------------------------------------------
 
 
-@needs_fork
-def test_columnar_shard_worker_kill_byte_identical():
-    """Persistent shard mode, columnar chunks across the process
-    boundary: seeded executor chaos kills a forked shard worker mid-run;
-    deterministic replay rebuilds it and the raw output bytes and
-    EngineStats counters equal the unfailed row-format serial baseline."""
-    from repro.temporal import Query
-    from repro.temporal.time import days
-
-    query = Query.source("logs", ("Time", "UserId", "Clicks")).group_apply(
-        ("UserId",), lambda g: g.window(days(1)).count()
-    )
-    rows = [{"Time": i * 3600, "UserId": i % 7, "Clicks": 1} for i in range(400)]
-    serial, serial_stats = run_fmt("row", query, rows)
-    # seed 8 at rate 0.4 kills a shard on the very first roundtrip
-    policy = ChaosPolicy(seed=8, rates={WORKER_KILL: 0.4})
-    engine = Engine(
-        context=RunContext(
-            executor="process",
-            max_workers=4,
-            batch_format="columnar",
-            fault_policy=policy,
-            worker_retry_budget=20,
-        )
-    )
-    out = engine.run(query, {"logs": rows}, validate=False)
-    stats = engine.last_stats
-    assert policy.stats.by_site.get(WORKER_KILL, 0) >= 1  # a kill happened
-    assert stats.parallel["recovery"]["worker_restarts"] >= 1
-    assert raw_bytes(out) == raw_bytes(serial)
-    assert_stats_equal(stats, serial_stats)
-
-
-@needs_fork
 @pytest.mark.parametrize("name", ["bot-elimination", "feature-selection"])
-def test_columnar_chaos_on_bt_queries(name, bt_rows):
-    """Representative BT queries under columnar + process executor +
-    seeded worker kills: recovery replay must reproduce the row bytes."""
+def test_columnar_chaos_on_bt_queries(name, bt_rows, monkeypatch):
+    """Representative BT queries under columnar + the thread fan-out +
+    seeded task-transient faults: the retries are charged to simulated
+    backoff and the row bytes come out."""
+    # the shadow race checker replays waves itself, drawing no faults
+    monkeypatch.delenv("REPRO_RACE_CHECK", raising=False)
     query = _BT_SUITE[name]
     reference, _ = run_fmt("row", query, bt_rows)
-    policy = ChaosPolicy(seed=8, rates={WORKER_KILL: 0.3})
+    policy = ChaosPolicy(seed=8, rates={TASK_TRANSIENT: 0.3})
     engine = Engine(
         context=RunContext(
-            executor="process",
+            executor="thread",
             max_workers=4,
             batch_format="columnar",
             fault_policy=policy,
-            worker_retry_budget=20,
         )
     )
     out = engine.run(query, {"logs": bt_rows}, validate=False)
+    assert engine.last_stats.parallel["recovery"]["task_retries"] >= 1
     assert raw_bytes(out) == raw_bytes(reference)

@@ -1,8 +1,8 @@
 """GC-quiet batch runs (docs/EXECUTION.md, "GC-quiet batch runs").
 
 ``Engine.run`` and ``TiMR.run`` pause CPython's cyclic collector through
-``RunContext.quiet()`` and put the caller's collector state back on
-every exit path; the process executor and the push path are left alone.
+``RunContext.quiet()``, under every executor, and put the caller's
+collector state back on every exit path; the push path is left alone.
 Because nothing collects cycles during a run, ``Dataflow.close()`` has
 to sever the runtime's own: the run's graph must die by refcount.
 """
@@ -20,15 +20,10 @@ from repro.mapreduce import Cluster, CostModel, DistributedFileSystem
 from repro.runtime import RunContext
 from repro.runtime import dataflow
 from repro.runtime.dataflow import Dataflow
-from repro.runtime.parallel import ProcessExecutor
 from repro.temporal import Engine, Query, StreamingEngine
 from repro.temporal import engine as engine_module
 from repro.temporal.event import Event
 from repro.timr import TiMR
-
-needs_fork = pytest.mark.skipif(
-    not ProcessExecutor.can_fork, reason="fork start method unavailable"
-)
 
 SERIAL = RunContext(executor="serial")
 
@@ -249,7 +244,7 @@ def test_quiet_sections_under_contention():
 # -- nothing collects while a paused run is in progress -----------------------
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread"])
+@pytest.mark.parametrize("executor", ["serial", "thread", "process"])
 def test_no_collection_starts_during_a_run(executor):
     context = RunContext(executor=executor, max_workers=2)
     rows = make_rows()
@@ -280,19 +275,30 @@ def test_no_collection_starts_during_a_timr_job():
     assert result.output_rows()
 
 
-# -- who is left alone ----------------------------------------------------------
-
-
-@needs_fork
-def test_process_executor_runs_are_not_paused():
-    seen = []
-    context = RunContext(executor="process", max_workers=2)
-    with collector(True):
-        out = Engine(context=context).run(
+@pytest.mark.parametrize("enabled", [True, False])
+def test_process_context_runs_are_paused_and_restore_the_state(enabled):
+    """A process-context ``Engine.run`` is GC-quiet like every other:
+    paused for its duration, the caller's collector state back on return
+    and on exception."""
+    engine = Engine(context=RunContext(executor="process", max_workers=2))
+    seen, poisoned = [], []
+    with collector(enabled):
+        out = engine.run(
             probed_query(seen), {"logs": make_rows(2000)}, validate=False
         )
-        assert gc.isenabled()
-    assert out and seen and all(seen)
+        assert gc.isenabled() is enabled
+        with pytest.raises(RuntimeError, match="poison row"):
+            engine.run(
+                probed_query(poisoned, fail_at=1000),
+                {"logs": make_rows(2000)},
+                validate=False,
+            )
+        assert gc.isenabled() is enabled
+    assert out and seen and not any(seen)
+    assert poisoned and not any(poisoned)
+
+
+# -- who is left alone ----------------------------------------------------------
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -124,31 +124,6 @@ class TestProcessExecutor:
         with pytest.raises(RuntimeError, match="parallel task 3 failed"):
             ex.run_tasks(tasks)
 
-    def test_spawn_workers_echo_and_close(self):
-        secret = {"tag": "inherited-through-fork"}
-
-        def main(conn, worker_id):
-            while True:
-                msg = conn.recv()
-                if msg == ("stop",):
-                    break
-                conn.send((worker_id, secret["tag"], msg))
-
-        ex = ProcessExecutor(max_workers=2)
-        handles = ex.spawn_workers(main, 2)
-        try:
-            for h in handles:
-                h.send(("ping", h.worker_id))
-            replies = [h.recv() for h in handles]
-            assert replies == [
-                (0, "inherited-through-fork", ("ping", 0)),
-                (1, "inherited-through-fork", ("ping", 1)),
-            ]
-        finally:
-            for h in handles:
-                h.close()
-        assert all(not h.process.is_alive() for h in handles)
-
 
 class TestProcessExecutorNoFork:
     """Platforms without ``os.fork``: the process executor must keep
@@ -163,14 +138,6 @@ class TestProcessExecutorNoFork:
         ex = ProcessExecutor(max_workers=4)
         assert ex.run_tasks(_square_tasks(23)) == [i * i for i in range(23)]
         assert sum(ws.tasks for ws in ex.last_stats) == 23
-
-    def test_no_shard_support(self):
-        assert not ProcessExecutor(max_workers=2).supports_shards
-
-    def test_spawn_workers_raises(self):
-        ex = ProcessExecutor(max_workers=2)
-        with pytest.raises(RuntimeError, match="require os.fork"):
-            ex.spawn_workers(lambda conn, wid: None, 2)
 
 
 class TestResolveExecutor:
@@ -339,7 +306,7 @@ class TestEngineStatsMerge:
 
 @needs_fork
 def test_dataflow_close_is_idempotent():
-    """Closing a flow with live shard workers twice is harmless."""
+    """Closing a flow twice is harmless, whatever executor built it."""
     q = Query.source("logs").group_apply(
         "UserId", lambda g: g.window(5).count(into="n")
     )
@@ -356,4 +323,5 @@ def test_dataflow_close_is_idempotent():
     out.extend(flow.flush())
     flow.close()
     flow.close()
-    assert out  # the sharded run actually produced events
+    assert out
+    assert flow.resolutions["group_apply.local_wave"]["count"] == 1

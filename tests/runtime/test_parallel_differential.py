@@ -1,12 +1,14 @@
 """Differential tests: serial ≡ thread ≡ process execution, byte for byte.
 
-The parallel executor layer moves GroupApply chain advancement onto
-worker threads (or forked shard processes) and TiMR map tasks onto a
-work-stealing pool, but the driver replays the serial schedule exactly —
-same wave boundaries, same merge order, same seq assignment. Output must
-therefore be *raw-order* byte-identical, not merely canonically equal.
-These tests prove that over hypothesis-generated plans, every builtin BT
-query, and seeded-chaos TiMR jobs with quarantine and checkpoint resume.
+The parallel executor layer moves a GroupApply wave's chain advances
+onto worker threads and TiMR map/reduce tasks onto a work-stealing pool,
+but the driver replays the serial schedule exactly — same wave
+boundaries, same merge order, same seq assignment. Output must therefore
+be *raw-order* byte-identical, not merely canonically equal. These tests
+prove that over hypothesis-generated plans, every builtin BT query, and
+seeded-chaos TiMR jobs with quarantine and checkpoint resume; the
+executor x ``waves_per_dispatch`` matrix and the fork gate live in
+``test_group_wave_differential.py``.
 """
 
 import json
@@ -87,7 +89,6 @@ def test_thread_executor_matches_serial(rows, plan_idx):
     assert stats.parallel is not None and stats.parallel["executor"] == "thread"
 
 
-@needs_fork
 @settings(max_examples=25, deadline=None)
 @given(histories(max_n=20), st.integers(min_value=0, max_value=N_PLANS - 1))
 def test_process_executor_matches_serial(rows, plan_idx):
@@ -110,17 +111,17 @@ def test_thread_batch_size_invariance(rows, plan_idx):
 
 
 # ---------------------------------------------------------------------------
-# Wave-batching invariance (ISSUE 10): scheduling granularity — how many
-# watermark waves ride one parallel dispatch — must be unobservable in
-# the output bytes and every deterministic EngineStats counter.
+# ``waves_per_dispatch`` is accepted and inert (it leaves with the
+# benchmark's keyword): no value may show in the output bytes or in any
+# deterministic EngineStats counter.
 # ---------------------------------------------------------------------------
 
 WAVE_BATCH_VALUES = [1, 2, 7, float("inf")]
 
 
 def _det_counters(stats):
-    """The deterministic EngineStats fields (parallel fan-out shape —
-    calls, dispatches — legitimately varies with the knob)."""
+    """The deterministic EngineStats fields (the fan-out shape under
+    ``parallel`` legitimately varies with the executor)."""
     return (
         stats.input_events,
         stats.output_events,
@@ -137,7 +138,7 @@ def _det_counters(stats):
 )
 def test_wave_batch_invariance_over_generated_plans(rows, plan_idx, wpd):
     """Property: for any generated plan and any waves_per_dispatch value,
-    the thread executor replays the serial fine-grained bytes."""
+    the thread executor replays the serial bytes."""
     query = _portfolio()[plan_idx]
     serial, serial_stats = run_with(SerialExecutor(), query, rows)
     out, stats = run_with(
@@ -147,19 +148,10 @@ def test_wave_batch_invariance_over_generated_plans(rows, plan_idx, wpd):
     assert _det_counters(stats) == _det_counters(serial_stats)
 
 
-@pytest.fixture
-def no_ambient_race_check(monkeypatch):
-    """The shadow race checker pins waves_per_dispatch to 1 (it replays
-    waves one at a time), so tests asserting dispatches < waves must
-    shed an ambient REPRO_RACE_CHECK=1 — the assertion would be vacuous,
-    not wrong. Byte-identity tests run under the checker untouched."""
-    monkeypatch.delenv("REPRO_RACE_CHECK", raising=False)
-
-
 @pytest.fixture(scope="module")
 def wave_rows():
     """Enough rows to cross the GroupApply wave threshold several times,
-    so deferred dispatch genuinely engages (not just the flush path)."""
+    so the run is many waves, not just the flush."""
     return [
         {"Time": i * 60, "UserId": i % 23, "Clicks": i % 3}
         for i in range(12000)
@@ -176,70 +168,18 @@ def _wave_query():
 
 
 @pytest.mark.parametrize("wpd", WAVE_BATCH_VALUES + ["auto"])
-def test_wave_batch_byte_identity_at_scale(wpd, wave_rows, no_ambient_race_check):
-    """Past the wave threshold — where waves actually defer and batch —
-    serial, thread, and process runs stay byte-identical for every
-    waves_per_dispatch value, and the deterministic counters match."""
+def test_wave_batch_byte_identity_at_scale(wpd, wave_rows):
+    """Past the wave threshold serial, thread, and process runs stay
+    byte-identical for every waves_per_dispatch value, and the
+    deterministic counters match."""
     query = _wave_query()
     serial, serial_stats = run_with(SerialExecutor(), query, wave_rows)
-    executors = [ThreadExecutor(max_workers=4)]
-    if ProcessExecutor.can_fork:
-        executors.append(ProcessExecutor(max_workers=2))
-    for executor in executors:
+    for executor in (ThreadExecutor(max_workers=4), ProcessExecutor(max_workers=2)):
         out, stats = run_with(
             executor, query, wave_rows, waves_per_dispatch=wpd
         )
         assert raw_bytes(out) == raw_bytes(serial), (executor.kind, wpd)
         assert _det_counters(stats) == _det_counters(serial_stats)
-        # the run really scheduled waves, and coarse knobs really
-        # batched them: fewer dispatches than waves
-        parallel = stats.parallel
-        assert parallel["waves"] > 1
-        if wpd == 1:
-            assert parallel["dispatches"] == parallel["waves"]
-        elif wpd != "auto":
-            assert parallel["dispatches"] < parallel["waves"]
-
-
-def test_wave_counter_is_knob_invariant(wave_rows):
-    """The deterministic ``waves`` counter depends only on the data and
-    wave threshold — never on the dispatch granularity."""
-    query = _wave_query()
-    seen = set()
-    for wpd in WAVE_BATCH_VALUES:
-        _, stats = run_with(
-            ThreadExecutor(max_workers=4), query, wave_rows,
-            waves_per_dispatch=wpd,
-        )
-        seen.add(stats.parallel["waves"])
-    assert len(seen) == 1
-
-
-def test_wave_batch_env_knob(wave_rows, monkeypatch, no_ambient_race_check):
-    """REPRO_WAVE_BATCH steers the schedule exactly like the context
-    field, without touching the bytes."""
-    query = _wave_query()
-    serial, _ = run_with(SerialExecutor(), query, wave_rows)
-    monkeypatch.setenv("REPRO_WAVE_BATCH", "3")
-    out, stats = run_with(ThreadExecutor(max_workers=4), query, wave_rows)
-    assert raw_bytes(out) == raw_bytes(serial)
-    assert stats.parallel["dispatches"] < stats.parallel["waves"]
-    monkeypatch.setenv("REPRO_WAVE_BATCH", "not-a-number")
-    with pytest.raises(ValueError, match="REPRO_WAVE_BATCH"):
-        run_with(ThreadExecutor(max_workers=4), query, wave_rows)
-
-
-def test_wave_batch_validation(monkeypatch):
-    from repro.runtime import resolve_waves_per_dispatch
-
-    monkeypatch.delenv("REPRO_WAVE_BATCH", raising=False)
-    assert resolve_waves_per_dispatch(None) == 1
-    assert resolve_waves_per_dispatch("auto") == "auto"
-    assert resolve_waves_per_dispatch("max") == float("inf")
-    assert resolve_waves_per_dispatch(float("inf")) == float("inf")
-    assert resolve_waves_per_dispatch(7) == 7
-    with pytest.raises(ValueError, match=">= 1"):
-        resolve_waves_per_dispatch(0)
 
 
 # ---------------------------------------------------------------------------
@@ -264,23 +204,25 @@ def bt_rows():
 
 @pytest.mark.parametrize("name", BT_LOG_QUERIES)
 def test_builtin_bt_query_byte_identical(name, bt_rows):
-    """Every builtin BT query: thread and process runs replay the serial
-    bytes, and the deterministic EngineStats counters — merged across
-    workers by plan path — equal the serial totals exactly (shared
-    stateless operator instances are never double-counted)."""
+    """Every builtin BT query: executor x waves_per_dispatch runs replay
+    the serial bytes, and the deterministic EngineStats counters —
+    merged across workers by plan path — equal the serial totals exactly
+    (shared stateless operator instances are never double-counted)."""
     query = _BT_SUITE[name]
     serial, serial_stats = run_with(SerialExecutor(), query, bt_rows)
-    executors = [ThreadExecutor(max_workers=4)]
-    if ProcessExecutor.can_fork:
-        executors.append(ProcessExecutor(max_workers=2))
-    for executor in executors:
-        out, stats = run_with(executor, query, bt_rows)
-        assert raw_bytes(out) == raw_bytes(serial), executor.kind
-        assert stats.input_events == serial_stats.input_events
-        assert stats.output_events == serial_stats.output_events
-        assert stats.operator_events == serial_stats.operator_events
-        assert stats.operator_labels == serial_stats.operator_labels
-        assert stats.parallel["executor"] == executor.kind
+    for executor in (
+        SerialExecutor(),
+        ThreadExecutor(max_workers=4),
+        ProcessExecutor(max_workers=2),
+    ):
+        for wpd in (None, 1, "auto", "max"):
+            out, stats = run_with(
+                executor, query, bt_rows, waves_per_dispatch=wpd
+            )
+            assert raw_bytes(out) == raw_bytes(serial), (executor.kind, wpd)
+            assert _det_counters(stats) == _det_counters(serial_stats)
+            if executor.parallel:
+                assert stats.parallel["executor"] == executor.kind
 
 
 # ---------------------------------------------------------------------------
@@ -371,47 +313,14 @@ def test_chaos_quarantine_identical_under_process_executor(seed, dirty_rows):
 
 
 # ---------------------------------------------------------------------------
-# Worker crash recovery: killed forked workers in BOTH parallel modes
-# must leave the bytes untouched (ISSUE 7 acceptance)
+# Worker crash recovery: killed forked pool workers must leave the bytes
+# untouched
 # ---------------------------------------------------------------------------
 
 
 @needs_fork
-def test_shard_worker_kill_byte_identical_to_serial():
-    """Persistent shard mode: seeded executor chaos kills a forked shard
-    worker mid-run; deterministic replay rebuilds it and the raw output
-    bytes and EngineStats counters equal the unfailed serial baseline."""
-    from repro.temporal import Query
-    from repro.temporal.time import days
-
-    query = Query.source("logs", ("Time", "UserId", "Clicks")).group_apply(
-        ("UserId",), lambda g: g.window(days(1)).count()
-    )
-    rows = [{"Time": i * 3600, "UserId": i % 7, "Clicks": 1} for i in range(400)]
-    serial, serial_stats = run_with(SerialExecutor(), query, rows)
-    # seed 8 at rate 0.4 kills a shard on the very first roundtrip
-    policy = ChaosPolicy(seed=8, rates={WORKER_KILL: 0.4})
-    engine = Engine(
-        context=RunContext(
-            executor="process",
-            max_workers=4,
-            fault_policy=policy,
-            worker_retry_budget=20,
-        )
-    )
-    out = engine.run(query, {"logs": rows}, validate=False)
-    stats = engine.last_stats
-    assert policy.stats.by_site.get(WORKER_KILL, 0) >= 1  # a kill happened
-    assert stats.parallel["recovery"]["worker_restarts"] >= 1
-    assert raw_bytes(out) == raw_bytes(serial)
-    assert stats.input_events == serial_stats.input_events
-    assert stats.output_events == serial_stats.output_events
-    assert stats.operator_events == serial_stats.operator_events
-
-
-@needs_fork
 def test_pool_worker_kill_byte_identical_to_serial(dirty_rows):
-    """Per-call pool mode: executor chaos kills forked map workers
+    """Executor chaos kills forked map workers
     mid-fan-out; gap-fill re-execution keeps the TiMR output *and* the
     quarantine dead-letter dataset byte-identical to the serial run."""
     _, serial_out, serial_q = _timr_run(dirty_rows, SerialExecutor())

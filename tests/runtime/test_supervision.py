@@ -2,11 +2,10 @@
 
 The executor layer must survive worker death without changing a single
 output byte: results slots that never arrive are re-executed inline
-(tasks are pure, the merge is position-exact), persistent shard workers
-are respawned and rebuilt by deterministic replay, and a worker kind
-that keeps failing degrades process → thread → serial with a warning
-instead of failing the run. Every fault here is seeded and injected
-through the executor-site chaos machinery, so schedules are exact.
+(tasks are pure, the merge is position-exact), and a worker kind that
+keeps failing degrades process → thread → serial with a warning instead
+of failing the run. Every fault here is seeded and injected through the
+executor-site chaos machinery, so schedules are exact.
 """
 
 import os
@@ -17,7 +16,6 @@ import pytest
 from repro.mapreduce import (
     REPLY_DROP,
     TASK_TRANSIENT,
-    WORKER_KILL,
     ChaosPolicy,
     WorkerKiller,
 )
@@ -25,15 +23,11 @@ from repro.runtime import (
     ExecutorDegradedWarning,
     ProcessExecutor,
     RunContext,
-    SerialExecutor,
     Supervision,
     ThreadExecutor,
-    WorkerLostError,
     resolve_retry_budget,
     resolve_worker_timeout,
 )
-from repro.temporal import Engine, Query
-from repro.temporal.time import days
 
 needs_fork = pytest.mark.skipif(
     not ProcessExecutor.can_fork, reason="fork start method unavailable"
@@ -192,6 +186,26 @@ class TestPoolCrashRecovery:
         assert ex.run_tasks(tasks) == _squares(12)
         assert ex.last_recovery.deadline_hits == 1
 
+    def test_same_seed_same_recovery_metrics(self):
+        """Supervision counters are part of the deterministic contract:
+        driver-drawn faults (reply drops, task transients) give two runs
+        with one seed the same recovery counters, field for field."""
+
+        def run_once():
+            policy = ChaosPolicy(
+                seed=8, rates={REPLY_DROP: 0.4, TASK_TRANSIENT: 0.3}
+            )
+            ex = ProcessExecutor(
+                max_workers=4, supervision=Supervision(fault_policy=policy)
+            )
+            return ex.run_tasks(_square_tasks(40)), ex.last_recovery.as_dict()
+
+        out_a, rec_a = run_once()
+        out_b, rec_b = run_once()
+        assert out_a == out_b == _squares(40)
+        assert rec_a == rec_b
+        assert rec_a["replies_dropped"] >= 1 and rec_a["task_retries"] >= 1
+
     def test_error_beats_recovery(self):
         """A genuine task error still propagates (with the true index)
         even when another worker died in the same call."""
@@ -218,7 +232,6 @@ class TestDegradationLadder:
         assert out == _squares(20)
         assert ex.degraded == "thread"
         assert ex.last_recovery.degradations == 1
-        assert not ex.supports_shards
         # subsequent calls stay degraded: no forking, same results
         assert ex.run_tasks(_square_tasks(20)) == _squares(20)
 
@@ -235,135 +248,3 @@ class TestDegradationLadder:
         ex.force_degrade("serial")
         ex.force_degrade("thread")  # lower tier wins, no upgrade
         assert ex.degraded == "serial"
-
-
-# ---------------------------------------------------------------------------
-# Persistent shard workers (WorkerHandle + _ShardedGroups recovery)
-# ---------------------------------------------------------------------------
-
-
-def _echo_main(conn, worker_id):  # pragma: no cover - forked child
-    while True:
-        msg = conn.recv()
-        if msg[0] == "stop":
-            return
-        conn.send(("ok", (worker_id, msg), 1, 0.0))
-
-
-@needs_fork
-class TestWorkerHandle:
-    def test_recv_on_killed_child_raises_worker_lost(self):
-        ex = ProcessExecutor(max_workers=1, supervision=Supervision())
-        (handle,) = ex.spawn_workers(_echo_main, 1, first_id=3)
-        try:
-            handle.process.kill()
-            handle.process.join(5)
-            with pytest.raises(WorkerLostError) as info:
-                handle.recv(timeout=5.0)
-            assert info.value.worker_id == 3
-            assert "3" in str(info.value)
-        finally:
-            handle.close()
-
-    def test_silent_worker_times_out_with_state(self):
-        ex = ProcessExecutor(max_workers=1, supervision=Supervision())
-        (handle,) = ex.spawn_workers(_echo_main, 1)
-        try:
-            with pytest.raises(WorkerLostError, match="alive but silent"):
-                handle.recv(timeout=0.2)
-            assert handle.alive()
-        finally:
-            handle.close()
-
-    def test_close_on_already_dead_child(self):
-        ex = ProcessExecutor(max_workers=1, supervision=Supervision())
-        (handle,) = ex.spawn_workers(_echo_main, 1)
-        handle.process.kill()
-        handle.process.join(5)
-        handle.close()  # must not raise
-        assert not handle.alive()
-
-
-def _group_query():
-    return Query.source("logs", ("Time", "UserId", "Clicks")).group_apply(
-        ("UserId",), lambda g: g.window(days(1)).count()
-    )
-
-
-def _group_rows(n=400, keys=7):
-    return [
-        {"Time": i * 3600, "UserId": i % keys, "Clicks": 1} for i in range(n)
-    ]
-
-
-@needs_fork
-class TestShardSupervision:
-    def test_shard_kill_recovered_by_replay(self):
-        """Seed 8 kills exactly one of four shards on the first
-        roundtrip; the respawned shard replays its log and the run stays
-        byte-identical to serial."""
-        rows = _group_rows()
-        serial = Engine(context=RunContext(executor="serial")).run(
-            _group_query(), {"logs": rows}
-        )
-        policy = ChaosPolicy(seed=8, rates={WORKER_KILL: 0.4})
-        engine = Engine(
-            context=RunContext(
-                executor="process",
-                max_workers=4,
-                fault_policy=policy,
-                worker_retry_budget=20,
-            )
-        )
-        out = engine.run(_group_query(), {"logs": rows})
-        assert out == serial
-        rec = engine.last_stats.parallel["recovery"]
-        assert rec["worker_restarts"] >= 1
-        assert rec["degradations"] == 0
-        assert policy.stats.by_site.get(WORKER_KILL, 0) >= 1
-
-    def test_shard_budget_exhaustion_degrades_not_fails(self):
-        """Killing every shard with a zero budget rebuilds all chains in
-        the driver (deterministic replay) and finishes thread-degraded —
-        same bytes, one warning, no failure."""
-        rows = _group_rows()
-        serial = Engine(context=RunContext(executor="serial")).run(
-            _group_query(), {"logs": rows}
-        )
-        policy = ChaosPolicy(seed=10, rates={WORKER_KILL: 1.0})
-        engine = Engine(
-            context=RunContext(
-                executor="process",
-                max_workers=4,
-                fault_policy=policy,
-                worker_retry_budget=0,
-            )
-        )
-        with pytest.warns(ExecutorDegradedWarning, match="replay"):
-            out = engine.run(_group_query(), {"logs": rows})
-        assert out == serial
-        rec = engine.last_stats.parallel["recovery"]
-        assert rec["degradations"] == 1
-
-    def test_same_seed_same_recovery_metrics(self):
-        """Supervision counters are part of the deterministic contract:
-        two runs with one seed agree on every recovery counter."""
-        rows = _group_rows()
-
-        def run_once():
-            engine = Engine(
-                context=RunContext(
-                    executor="process",
-                    max_workers=4,
-                    fault_policy=ChaosPolicy(seed=8, rates={WORKER_KILL: 0.4}),
-                    worker_retry_budget=20,
-                )
-            )
-            out = engine.run(_group_query(), {"logs": rows})
-            return out, engine.last_stats.parallel["recovery"]
-
-        out_a, rec_a = run_once()
-        out_b, rec_b = run_once()
-        assert out_a == out_b
-        assert rec_a == rec_b
-        assert rec_a["worker_restarts"] >= 1

@@ -1,72 +1,55 @@
-"""Stress/soak tier (opt-in): everything at once, repeatedly, leak-free.
+"""Stress/soak tier (opt-in): pool chaos, repeatedly, leak-free.
 
 Deselected by default (``addopts = -m "not stress"``); run with
-``make test-stress`` or an explicit ``-m stress``. Each test piles the
-coarse-grained scheduling features on top of each other — worker-kill
-chaos x wave batching x columnar batches — and holds the two invariants
-the fast tiers check one feature at a time:
+``make test-stress`` or an explicit ``-m stress``. Each test runs the
+combined BT job through TiMR under the supervised process pool — the
+one place this system forks — with seeded worker kills on the map and
+reduce fan-outs and the columnar batch format in the embedded engines,
+and holds the two invariants the fast tiers check one run at a time:
 
-* **byte identity**: raw output order and deterministic EngineStats
-  match the unfailed serial baseline, every iteration;
+* **byte identity**: the output and quarantine datasets hash equal to
+  the unfailed serial baseline's, every iteration;
 * **no leaks**: no live child processes and no file-descriptor growth
   after the runs complete.
 """
 
-import json
 import os
+import warnings
 
 import pytest
 
 from repro.mapreduce import WORKER_KILL, ChaosPolicy
-from repro.runtime import ProcessExecutor, RunContext, SerialExecutor
-from repro.temporal import Engine, Query
-from repro.temporal.time import days
+from repro.runtime import ProcessExecutor, SerialExecutor
 
-pytestmark = pytest.mark.stress
+from tests.runtime.test_parallel_differential import BAD_ROWS, _timr_run
 
-needs_fork = pytest.mark.skipif(
-    not ProcessExecutor.can_fork, reason="fork start method unavailable"
-)
-
-# large enough that GroupApply crosses several watermark waves
-# (the wave threshold is max(chunk_size, 4096) fed rows)
-N_ROWS = 15_000
-
-
-def soak_query():
-    return Query.source("logs", ("Time", "UserId", "Clicks")).group_apply(
-        ("UserId",), lambda g: g.window(days(1)).count()
-    )
+pytestmark = [
+    pytest.mark.stress,
+    pytest.mark.skipif(
+        not ProcessExecutor.can_fork, reason="fork start method unavailable"
+    ),
+]
 
 
 @pytest.fixture(scope="module")
 def soak_rows():
-    return [
-        {"Time": i * 60, "UserId": i % 31, "Clicks": i % 3} for i in range(N_ROWS)
-    ]
+    from repro.data import GeneratorConfig, generate
+
+    rows = generate(
+        GeneratorConfig(num_users=120, duration_days=2.0, seed=17)
+    ).rows
+    return rows + BAD_ROWS
 
 
 @pytest.fixture(scope="module")
 def serial_baseline(soak_rows):
-    engine = Engine(context=RunContext(executor=SerialExecutor()))
-    out = engine.run(soak_query(), {"logs": soak_rows}, validate=False)
-    return out, engine.last_stats
+    _, out, quarantine = _timr_run(soak_rows, SerialExecutor())
+    return out, quarantine
 
 
-def raw_bytes(events) -> bytes:
-    """Emitted-order byte serialization (no normalization): equal bytes
-    mean the parallel driver reproduced the serial schedule exactly."""
-    rows = [[e.le, e.re, sorted(e.payload.items())] for e in events]
-    return json.dumps(rows, sort_keys=True, default=str).encode()
-
-
-def det_counters(stats):
-    return (
-        stats.input_events,
-        stats.output_events,
-        stats.operator_events,
-        stats.operator_labels,
-    )
+@pytest.fixture(autouse=True)
+def _columnar_engines(monkeypatch):
+    monkeypatch.setenv("REPRO_BATCH", "columnar")
 
 
 def open_fds():
@@ -79,82 +62,53 @@ def live_children():
     return [p for p in multiprocessing.active_children() if p.is_alive()]
 
 
-@needs_fork
-class TestChaosWaveColumnarSoak:
-    @pytest.mark.parametrize("waves_per_dispatch", [2, "auto", float("inf")])
-    @pytest.mark.parametrize("seed", [2, 4, 8, 13, 21])
-    def test_all_features_together_byte_identical(
-        self, seed, waves_per_dispatch, soak_rows, serial_baseline
-    ):
-        """Worker kills + deferred wave dispatch + columnar batches in a
-        single run must still replay the serial schedule exactly."""
-        serial_out, serial_stats = serial_baseline
-        policy = ChaosPolicy(seed=seed, rates={WORKER_KILL: 0.4})
-        engine = Engine(
-            context=RunContext(
-                executor="process",
-                max_workers=4,
-                fault_policy=policy,
-                worker_retry_budget=20,
-                batch_format="columnar",
-                waves_per_dispatch=waves_per_dispatch,
-            )
-        )
-        out = engine.run(soak_query(), {"logs": soak_rows}, validate=False)
-        stats = engine.last_stats
-        assert raw_bytes(out) == raw_bytes(serial_out)
-        assert det_counters(stats) == det_counters(serial_stats)
-        assert stats.parallel["waves"] >= 2  # the soak really multi-waved
+def chaos_run(rows, seed, rate=0.4, budget=50):
+    executor = ProcessExecutor(max_workers=4)
+    result, out, quarantine = _timr_run(
+        rows,
+        executor,
+        worker_policy=ChaosPolicy(seed=seed, rates={WORKER_KILL: rate}),
+        worker_retry_budget=budget,
+    )
+    return executor, result, out, quarantine
 
-    def test_soak_iterations_leave_no_processes_or_fds(
-        self, soak_rows, serial_baseline
-    ):
-        """Repeated chaos runs neither accumulate child processes nor
-        grow the open-fd table (allowing a small warm-up allocation)."""
-        serial_out, _ = serial_baseline
-        # one throwaway run first: lazily-opened fds (pipes, urandom)
-        # must not count against the soak
-        warmup = Engine(
-            context=RunContext(executor="process", max_workers=2)
-        )
-        warmup.run(soak_query(), {"logs": soak_rows}, validate=False)
-        fd_before = open_fds()
-        for iteration in range(4):
-            policy = ChaosPolicy(seed=5 + iteration, rates={WORKER_KILL: 0.4})
-            engine = Engine(
-                context=RunContext(
-                    executor="process",
-                    max_workers=4,
-                    fault_policy=policy,
-                    worker_retry_budget=20,
-                    batch_format="columnar",
-                    waves_per_dispatch="auto",
-                )
-            )
-            out = engine.run(soak_query(), {"logs": soak_rows}, validate=False)
-            assert raw_bytes(out) == raw_bytes(serial_out), iteration
-        assert live_children() == []
-        assert open_fds() <= fd_before + 4
 
-    def test_degraded_run_still_cleans_up(self, soak_rows, serial_baseline):
-        """Budget exhaustion (every spawn killed, budget 0) degrades the
-        executor instead of hanging — bytes match and nothing leaks."""
-        import warnings
+@pytest.mark.parametrize("seed", [2, 4, 8, 13, 21])
+def test_pool_kills_with_columnar_engines_byte_identical(
+    seed, soak_rows, serial_baseline
+):
+    """Killed map and reduce workers are refilled inline; the job's
+    output and dead-letter datasets do not move."""
+    _, result, out, quarantine = chaos_run(soak_rows, seed)
+    assert (out, quarantine) == serial_baseline
+    assert result.parallel["tasks"] > 0  # the pool really ran the job
 
-        serial_out, _ = serial_baseline
-        policy = ChaosPolicy(seed=7, rates={WORKER_KILL: 1.0})
-        engine = Engine(
-            context=RunContext(
-                executor="process",
-                max_workers=4,
-                fault_policy=policy,
-                worker_retry_budget=0,
-                batch_format="columnar",
-                waves_per_dispatch="auto",
-            )
+
+def test_soak_iterations_leave_no_processes_or_fds(soak_rows, serial_baseline):
+    """Repeated chaos runs neither accumulate child processes nor grow
+    the open-fd table (allowing a small warm-up allocation)."""
+    # one throwaway run first: lazily-opened fds (pipes, urandom) must
+    # not count against the soak
+    chaos_run(soak_rows, seed=1)
+    fd_before = open_fds()
+    restarts = 0
+    for iteration in range(4):
+        _, result, out, quarantine = chaos_run(soak_rows, seed=5 + iteration)
+        assert (out, quarantine) == serial_baseline, iteration
+        restarts += result.parallel["recovery"]["worker_restarts"]
+    assert restarts >= 1  # the soak really killed workers
+    assert live_children() == []
+    assert open_fds() <= fd_before + 4
+
+
+def test_degraded_run_still_cleans_up(soak_rows, serial_baseline):
+    """Budget exhaustion (every worker killed, budget 0) degrades the
+    pool instead of hanging — bytes match and nothing leaks."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        executor, _, out, quarantine = chaos_run(
+            soak_rows, seed=7, rate=1.0, budget=0
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            out = engine.run(soak_query(), {"logs": soak_rows}, validate=False)
-        assert raw_bytes(out) == raw_bytes(serial_out)
-        assert live_children() == []
+    assert executor.degraded is not None
+    assert (out, quarantine) == serial_baseline
+    assert live_children() == []

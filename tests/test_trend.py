@@ -31,9 +31,6 @@ def _artifact(eps_by_query):
             name: {"events_per_second": eps}
             for name, eps in eps_by_query.items()
         },
-        "parallel": {
-            "queries": {name: {"speedup": 1.0} for name in eps_by_query}
-        },
     }
 
 
