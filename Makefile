@@ -88,8 +88,11 @@ profile:
 		> profile_out/$(WORKLOAD)_profile.txt
 	@grep -E '^metric +($(PROFILE_ROWS))' profile_out/$(WORKLOAD)_profile.txt
 
+# ... then, per job of the chain, the stages that ran, the stages served
+# from an equal fragment this TiMR already ran, and any refused fingerprint
 profile-bt:
 	@$(MAKE) --no-print-directory profile WORKLOAD=bt_timr
+	@$(PYTHON) benchmarks/profile_bt_reuse.py
 
 # the tier-1 suite under the shadow race checker: every parallel wave is
 # replayed serially with owning-schedule attribution; byte-identity means

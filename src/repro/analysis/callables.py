@@ -82,12 +82,12 @@ def function_code(fn) -> Optional[types.CodeType]:
     return getattr(fn, "__code__", None)
 
 
-def _all_codes(code: types.CodeType) -> Iterable[types.CodeType]:
+def all_codes(code: types.CodeType) -> Iterable[types.CodeType]:
     """A code object and every code object nested in its constants."""
     yield code
     for const in code.co_consts:
         if isinstance(const, types.CodeType):
-            yield from _all_codes(const)
+            yield from all_codes(const)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +115,7 @@ def accessed_payload_keys(fn) -> Optional[Set[str]]:
     if code is None:
         return None
     keys: Set[str] = set()
-    for c in _all_codes(code):
+    for c in all_codes(code):
         instructions = list(dis.get_instructions(c))
         for i, ins in enumerate(instructions):
             if ins.opname == "BINARY_SUBSCR" and i > 0:
@@ -203,7 +203,8 @@ def mutable_closure_cells(fn) -> List[str]:
     return bad
 
 
-def _resolve_global(fn, name: str):
+def resolve_global(fn, name: str):
+    """What ``name`` is in the callable's module globals, else in builtins."""
     inner = unwrap(fn)
     globs = getattr(inner, "__globals__", None) or {}
     if name in globs:
@@ -211,7 +212,7 @@ def _resolve_global(fn, name: str):
     return getattr(builtins, name, None)
 
 
-def _flag_for(value, attr: Optional[str]) -> Optional[str]:
+def impure_flag(value, attr: Optional[str]) -> Optional[str]:
     """A human description when (value, attr) is an impure reference."""
     if isinstance(value, types.ModuleType):
         mod = value.__name__
@@ -242,13 +243,13 @@ def impure_references(fn) -> List[str]:
         return []
     findings: List[str] = []
     seen: Set[str] = set()
-    for c in _all_codes(code):
+    for c in all_codes(code):
         instructions = list(dis.get_instructions(c))
         for i, ins in enumerate(instructions):
             if ins.opname != "LOAD_GLOBAL":
                 continue
             name = ins.argval
-            value = _resolve_global(fn, name)
+            value = resolve_global(fn, name)
             if value is None:
                 continue
             # follow up to two chained attribute loads (datetime.datetime.now)
@@ -261,12 +262,12 @@ def impure_references(fn) -> List[str]:
                     j += 1
                 else:
                     break
-            flagged = _flag_for(value, attrs[0] if attrs else None)
+            flagged = impure_flag(value, attrs[0] if attrs else None)
             if flagged is None and len(attrs) == 2:
                 # e.g. LOAD_GLOBAL datetime; LOAD_ATTR datetime; LOAD_ATTR now
                 inner_value = getattr(value, attrs[0], None)
                 if inner_value is not None:
-                    flagged = _flag_for(inner_value, attrs[1])
+                    flagged = impure_flag(inner_value, attrs[1])
             if flagged is not None and flagged not in seen:
                 seen.add(flagged)
                 findings.append(flagged)
@@ -299,7 +300,7 @@ _MUTATING_METHODS = {
 _ENV_ATTRS = {"environ", "getenv", "putenv", "unsetenv"}
 
 
-def _closure_map(fn) -> dict:
+def closure_map(fn) -> dict:
     """Free-variable name -> captured value (empty cells skipped)."""
     inner = unwrap(fn)
     code = getattr(inner, "__code__", None)
@@ -328,7 +329,7 @@ def mutable_global_refs(fn) -> List[str]:
     found: List[str] = []
     seen: Set[str] = set()
     globs = getattr(unwrap(fn), "__globals__", None) or {}
-    for c in _all_codes(code):
+    for c in all_codes(code):
         for ins in dis.get_instructions(c):
             if ins.opname != "LOAD_GLOBAL" or ins.argval in seen:
                 continue
@@ -368,13 +369,13 @@ def fork_unsafe_captures(fn) -> List[Tuple[str, str]]:
     code = getattr(inner, "__code__", None)
     if code is None:
         return []
-    candidates: List[Tuple[str, object]] = list(_closure_map(fn).items())
+    candidates: List[Tuple[str, object]] = list(closure_map(fn).items())
     defaults = getattr(inner, "__defaults__", None) or ()
     argnames = code.co_varnames[: code.co_argcount]
     candidates.extend(zip(argnames[-len(defaults):], defaults))
     globs = getattr(inner, "__globals__", None) or {}
     global_names: Set[str] = set()
-    for c in _all_codes(code):
+    for c in all_codes(code):
         for ins in dis.get_instructions(c):
             if ins.opname == "LOAD_GLOBAL" and ins.argval in globs:
                 global_names.add(ins.argval)
@@ -403,12 +404,12 @@ def ambient_env_reads(fn) -> List[str]:
         return []
     found: List[str] = []
     seen: Set[str] = set()
-    for c in _all_codes(code):
+    for c in all_codes(code):
         instructions = list(dis.get_instructions(c))
         for i, ins in enumerate(instructions):
             if ins.opname != "LOAD_GLOBAL":
                 continue
-            value = _resolve_global(fn, ins.argval)
+            value = resolve_global(fn, ins.argval)
             ref = None
             if isinstance(value, types.ModuleType) and value is _os:
                 if i + 1 < len(instructions):
@@ -444,7 +445,7 @@ def order_dependent_writes(fn) -> List[Tuple[str, str]]:
     if code is None:
         return []
     outer_free = set(code.co_freevars)
-    closure = _closure_map(fn)
+    closure = closure_map(fn)
     globs = getattr(unwrap(fn), "__globals__", None) or {}
 
     def _container(opname: str, name: str):
@@ -460,7 +461,7 @@ def order_dependent_writes(fn) -> List[Tuple[str, str]]:
             seen.add((name, desc))
             found.append((name, desc))
 
-    for c in _all_codes(code):
+    for c in all_codes(code):
         instructions = list(dis.get_instructions(c))
         for i, ins in enumerate(instructions):
             if ins.opname == "STORE_GLOBAL":
@@ -534,7 +535,7 @@ def payload_param_mutations(fn, param_indexes) -> List[Tuple[str, str]]:
             seen.add((name, desc))
             found.append((name, desc))
 
-    for c in _all_codes(code):
+    for c in all_codes(code):
         instructions = list(dis.get_instructions(c))
         for i, ins in enumerate(instructions):
             if ins.opname == "STORE_SUBSCR" and i >= 2:
@@ -579,7 +580,7 @@ def mutable_captures(fn) -> List[Tuple[str, object]]:
     if code is None:
         return []
     out: List[Tuple[str, object]] = []
-    for name, value in _closure_map(fn).items():
+    for name, value in closure_map(fn).items():
         if isinstance(value, MUTABLE_TYPES):
             out.append((f"closure {name!r}", value))
     defaults = getattr(inner, "__defaults__", None) or ()
@@ -598,10 +599,10 @@ def uses_builtin_hash(fn) -> bool:
     code = function_code(fn)
     if code is None:
         return False
-    for c in _all_codes(code):
+    for c in all_codes(code):
         for ins in dis.get_instructions(c):
             if ins.opname == "LOAD_GLOBAL" and ins.argval == "hash":
-                if _resolve_global(fn, "hash") is builtins.hash:
+                if resolve_global(fn, "hash") is builtins.hash:
                     return True
     return False
 

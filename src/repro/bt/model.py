@@ -18,7 +18,7 @@ from __future__ import annotations
 import time as _time
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -54,10 +54,14 @@ class LogisticModel:
         self.feature_index = feature_index
         self.weights = weights
         self.intercept = intercept
-        self._cal_preds, self._cal_labels = calibration
-        self._cal_prefix = np.concatenate([[0.0], np.cumsum(self._cal_labels)])
+        self.set_calibration(*calibration)
         self.stats = stats
         self.knn_k = knn_k
+
+    def set_calibration(self, preds: np.ndarray, labels: np.ndarray) -> None:
+        """Calibrate on validation predictions (ascending) and their labels."""
+        self._cal_preds, self._cal_labels = preds, labels
+        self._cal_prefix = np.concatenate([[0.0], np.cumsum(labels)])
 
     def predict(self, features: Dict[str, float]) -> float:
         """The raw LR output in (0, 1) for a reduced profile."""
@@ -84,57 +88,39 @@ class LogisticModel:
         return float((self._cal_prefix[hi] - self._cal_prefix[lo]) / k)
 
 
-def _vectorize(
-    examples: Sequence[Example],
-    transform,
-    ad: str,
-    feature_index: Optional[Dict[str, int]] = None,
-):
-    """Reduced profiles -> CSR matrix (+ feature index on first pass)."""
-    from scipy import sparse
-
-    build_index = feature_index is None
-    if build_index:
-        feature_index = {}
-    indptr = [0]
-    indices: List[int] = []
+def _design(examples: Sequence[Example], transform, ad: str):
+    """Reduced profiles -> dense design matrix, intercept column first,
+    and the feature index its other columns follow."""
+    feature_index: Dict[str, int] = {}
+    rows: List[int] = []
+    cols: List[int] = []
     data: List[float] = []
-    for ex in examples:
-        reduced = transform(ad, ex.features)
-        for name, value in reduced.items():
-            if build_index:
-                idx = feature_index.setdefault(name, len(feature_index))
-            else:
-                idx = feature_index.get(name)
-                if idx is None:
-                    continue
-            indices.append(idx)
+    for i, ex in enumerate(examples):
+        for name, value in transform(ad, ex.features).items():
+            rows.append(i)
+            cols.append(feature_index.setdefault(name, len(feature_index)) + 1)
             data.append(value)
-        indptr.append(len(indices))
-    num_features = len(feature_index)
-    x = sparse.csr_matrix(
-        (np.asarray(data), np.asarray(indices, dtype=np.int64), np.asarray(indptr)),
-        shape=(len(examples), num_features),
-    )
-    return x, feature_index
+    xb = np.zeros((len(examples), len(feature_index) + 1))
+    xb[:, 0] = 1.0
+    xb[rows, cols] = data
+    return xb, feature_index
 
 
-def _irls(x, y: np.ndarray, l2: float, max_iter: int, tol: float) -> Tuple[np.ndarray, float, int]:
-    """Ridge-regularized IRLS for logistic regression on a CSR matrix."""
-    from scipy import sparse
-    from scipy.sparse.linalg import spsolve
-
-    n, d = x.shape
-    xb = sparse.hstack([sparse.csr_matrix(np.ones((n, 1))), x], format="csr")
-    beta = np.zeros(d + 1)
+def _irls(xb: np.ndarray, y: np.ndarray, l2: float, max_iter: int, tol: float) -> Tuple[np.ndarray, float, int]:
+    """Ridge-regularized IRLS for logistic regression on a dense design
+    whose first column is the intercept: each Newton step solves the
+    ``(d+1)^2`` normal equations."""
+    beta = np.zeros(xb.shape[1])
+    ridge = l2 * np.eye(xb.shape[1])
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        eta = xb @ beta
-        mu = 1.0 / (1.0 + np.exp(-eta))
+        mu = 1.0 / (1.0 + np.exp(-(xb @ beta)))
         w = np.maximum(mu * (1.0 - mu), 1e-6)
-        grad = xb.T @ (y - mu) - l2 * np.concatenate([[0.0], beta[1:]])
-        hess = (xb.T @ sparse.diags(w) @ xb).tocsc() + l2 * sparse.eye(d + 1, format="csc")
-        step = spsolve(hess, grad)
+        penalty = l2 * beta
+        penalty[0] = 0.0  # the intercept is not shrunk
+        grad = xb.T @ (y - mu) - penalty
+        hess = (xb.T * w) @ xb + ridge
+        step = np.linalg.solve(hess, grad)
         beta = beta + step
         if np.max(np.abs(step)) < tol:
             break
@@ -161,6 +147,30 @@ class ModelTrainer:
             examples: its training examples (un-reduced profiles).
             transform: the fitted selector's ``transform(ad, features)``.
         """
+        model, validation, examples = self._train(ad, examples, transform)
+        # calibration on the (unbalanced) validation slice
+        cal_pairs = sorted(
+            (model.predict(transform(ad, ex.features)), float(ex.y))
+            for ex in validation
+        )
+        model.set_calibration(
+            np.array([p for p, _ in cal_pairs]), np.array([l for _, l in cal_pairs])
+        )
+        reduced_sizes = [len(transform(ad, ex.features)) for ex in examples]
+        if reduced_sizes:
+            model.stats.avg_profile_entries = float(np.mean(reduced_sizes))
+        return model
+
+    def fit_weights(self, ad: str, examples: Sequence[Example], transform) -> LogisticModel:
+        """:meth:`fit` without its calibration and profile-size passes:
+        the same weights from the same draws, ``calibrate`` the identity
+        — for a caller that reads only ``intercept`` and ``weights``."""
+        return self._train(ad, examples, transform)[0]
+
+    def _train(self, ad: str, examples: Sequence[Example], transform):
+        """Shuffle, split, balance and solve: all that decides the
+        weights. Returns the uncalibrated model, the validation slice
+        and the shuffled examples."""
         rng = np.random.default_rng(self.seed)
         start = _time.perf_counter()
 
@@ -172,51 +182,34 @@ class ModelTrainer:
         if self.balance_negatives:
             training = self._balance(training, rng)
 
-        x, feature_index = _vectorize(training, transform, ad)
+        xb, feature_index = _design(training, transform, ad)
         y = np.array([ex.y for ex in training], dtype=float)
-        if x.shape[1] == 0 or y.sum() in (0, len(y)):
-            weights = np.zeros(x.shape[1])
+        if not feature_index or y.sum() in (0, len(y)):
+            weights = np.zeros(len(feature_index))
             base = (y.mean() if len(y) else 0.0) or 1e-6
             intercept = float(np.log(base / max(1e-6, 1 - base)))
             iterations = 0
         else:
             weights, intercept, iterations = _irls(
-                x, y, self.l2, self.max_iter, self.tol
+                xb, y, self.l2, self.max_iter, self.tol
             )
-        learn_seconds = _time.perf_counter() - start
-
-        # calibration on the (unbalanced) validation slice
-        cal_pairs = []
-        for ex in validation:
-            s = intercept
-            reduced = transform(ad, ex.features)
-            for name, value in reduced.items():
-                idx = feature_index.get(name)
-                if idx is not None:
-                    s += weights[idx] * value
-            cal_pairs.append((1.0 / (1.0 + np.exp(-s)), float(ex.y)))
-        cal_pairs.sort()
-        cal_preds = np.array([p for p, _ in cal_pairs])
-        cal_labels = np.array([l for _, l in cal_pairs])
-
-        reduced_sizes = [len(transform(ad, ex.features)) for ex in examples]
         stats = TrainingStats(
             num_examples=len(training),
             num_positives=int(y.sum()),
             num_features=len(feature_index),
-            avg_profile_entries=float(np.mean(reduced_sizes)) if reduced_sizes else 0.0,
-            learn_seconds=learn_seconds,
+            learn_seconds=_time.perf_counter() - start,
             iterations=iterations,
         )
-        return LogisticModel(
+        model = LogisticModel(
             ad=ad,
             feature_index=feature_index,
             weights=weights,
             intercept=intercept,
-            calibration=(cal_preds, cal_labels),
+            calibration=(np.array([]), np.array([])),
             stats=stats,
             knn_k=self.knn_k,
         )
+        return model, validation, examples
 
     def _balance(self, examples: List[Example], rng) -> List[Example]:
         positives = [ex for ex in examples if ex.y == 1]

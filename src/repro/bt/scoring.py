@@ -51,17 +51,19 @@ def model_generation_query(
     trainer = trainer or ModelTrainer()
 
     def relearn(window_payloads: List[dict], boundary: int) -> Iterable[dict]:
+        # the identity transform mutates nothing, so profiles are shared
         examples = [
             Example(
                 user=p["UserId"], ad=p["AdId"], time=0, y=p["y"],
-                features=dict(p["Features"]),
+                features=p["Features"],
             )
             for p in window_payloads
         ]
         if not examples:
             return
         ad = examples[0].ad
-        model = trainer.fit(ad, examples, lambda _ad, f: f)
+        # only w0/w leave this UDO: skip fit's calibration and stats passes
+        model = trainer.fit_weights(ad, examples, lambda _ad, f: f)
         weights = {
             name: float(model.weights[idx])
             for name, idx in model.feature_index.items()

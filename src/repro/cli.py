@@ -929,6 +929,7 @@ def _cmd_profile(args) -> int:
         "jsonl_lines": jsonl_lines,
         "calibration": calibration.as_dict(),
         "parallel": result.parallel,
+        "reused_stages": result.reused_stages,
         "resolutions": resolutions,
         "wall_seconds": round(parallel_wall, 6),
     }
@@ -960,6 +961,10 @@ def _cmd_profile(args) -> int:
             f"{result.parallel['calls']} call(s); "
             f"supervision: {active if active else 'no recovery activity'}"
         )
+    print(
+        f"\nfragments: {len(result.report.stages)} stage(s) ran, "
+        f"{result.reused_stages} served from this TiMR's earlier stages"
+    )
     for name, entry in sorted(resolutions.items()):
         print(f"resolved: {name} x {entry['count']}: {entry['reason']}")
     if attribution is not None:

@@ -9,6 +9,7 @@ transparently derive and maintain temporal information.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Iterable, List
 
 Row = dict
@@ -17,9 +18,12 @@ Row = dict
 class DistributedFile:
     """A dataset stored as one or more partitions of rows."""
 
+    _serials = itertools.count()
+
     def __init__(self, name: str, partitions: List[List[Row]]):
         self.name = name
         self.partitions = partitions
+        self.serial = next(DistributedFile._serials)  # unlike ``id``, never handed out again
 
     @property
     def num_rows(self) -> int:

@@ -20,7 +20,7 @@ a :class:`ResumeError` rather than silently corrupt output.
 
 Manifest layout (``<dir>/<job>.manifest.json``)::
 
-    {"job": "timr", "fingerprint": "<sha256 of the fragment plan>",
+    {"job": "timr", "fingerprint": "<sha256 of the plan's skeleton><sha256 of its code>",
      "entries": [{"stage": "timr.timr.frag0", "dataset": "timr.frag0",
                   "sha256": "...", "rows": 123, "num_partitions": 4}, ...]}
 """
@@ -34,6 +34,7 @@ from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Sequence
 
 from ..mapreduce.persist import _atomic_write
+from .fingerprint import PlanHasher, Unfingerprintable
 from .fragments import Fragment
 
 
@@ -65,19 +66,26 @@ class JobManifest:
 def plan_fingerprint(fragments: Sequence[Fragment]) -> str:
     """Identity of a fragment plan: resuming requires the same one.
 
-    Hashes the structural skeleton — per fragment, its output dataset,
-    input datasets, and partitioning key, in execution order. Reducer
-    *code* is not hashed (closures have no stable serialization); the
-    replay re-hash at resume time is what catches a changed or
-    non-deterministic reducer.
+    Two sha256 halves over the fragments in execution order: the
+    skeleton (output dataset, input datasets, partitioning key), then
+    each plan's code fingerprint (:class:`~repro.timr.fingerprint.PlanHasher`),
+    so a manifest written by a changed reducer — or under another Python
+    version, whose bytecode differs — fails this check. A plan that cannot
+    be hashed by value adds nothing to the second half; the replay re-hash
+    at resume time catches a change to it, a non-deterministic reducer, or
+    changed input data.
     """
-    digest = hashlib.sha256()
+    skeleton, code = hashlib.sha256(), hashlib.sha256()
     for f in fragments:
-        digest.update(
-            repr((f.output_name, tuple(f.input_names), tuple(f.key))).encode("utf-8")
+        skeleton.update(
+            repr((f.output_name, tuple(f.input_names), tuple(f.key))).encode("utf-8") + b"\x00"
         )
-        digest.update(b"\x00")
-    return digest.hexdigest()
+        try:
+            # datasets by name: the skeleton pins them, resume re-hashes them
+            code.update(PlanHasher().plan(f.root).encode("utf-8"))
+        except Unfingerprintable:
+            code.update(b"\x00")
+    return skeleton.hexdigest() + code.hexdigest()
 
 
 def manifest_path(directory: str, job: str) -> str:

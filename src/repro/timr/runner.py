@@ -10,7 +10,7 @@ to equally named datasets in the cluster's distributed file system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from ..mapreduce.cluster import Cluster
@@ -27,6 +27,7 @@ from .compile import (
     compile_fragment,
     fold_stateless_fragments,
 )
+from .fingerprint import JobFingerprints
 from .fragments import Fragment, make_fragments
 from .optimizer import AnnotationResult, Statistics, annotate_plan
 from .temporal_partition import SpanLayout, plan_spans
@@ -42,13 +43,33 @@ class TiMRResult:
     report: JobReport
     annotation: Optional[AnnotationResult]
     resumed_stages: int = 0
+    #: stages served from an equal stage this TiMR already ran; a served
+    #: stage cost no simulated cluster time and adds no ``StageReport``
+    reused_stages: int = 0
     quarantined_rows: int = 0
     #: ``ParallelStats.as_dict()`` of the cluster's map fan-out — worker
     #: summary plus supervision ``recovery`` counters; None when serial
     parallel: Optional[dict] = None
+    #: ``EngineStats.resolutions`` shape: ``"timr.fragment_reused"`` names each
+    #: served stage and its origin, ``"timr.reuse_refused"`` each stage that ran
+    #: without a fingerprint, with the node and the value that refused
+    resolutions: Dict[str, dict] = field(default_factory=dict)
 
     def output_rows(self) -> List[dict]:
         return self.output.all_rows()
+
+
+def _reuse_resolutions(served: List[str], refusals: List[str]) -> Dict[str, dict]:
+    """Served and unfingerprintable stages as counted, named events."""
+    out: Dict[str, dict] = {}
+    if served:
+        reason = "an equal plan over the same files already ran on this TiMR; no StageReport"
+        reason = f"{', '.join(served)}: {reason}"
+        out["timr.fragment_reused"] = {"count": len(served), "reason": reason}
+    if refusals:
+        reason = "; ".join(refusals) + ": ran, and was not stored"
+        out["timr.reuse_refused"] = {"count": len(refusals), "reason": reason}
+    return out
 
 
 def _has_exchanges(plan: PlanNode) -> bool:
@@ -76,6 +97,9 @@ class TiMR:
         self.context = RunContext.of(
             context if context is not None else cluster.context, tracer=tracer
         )
+        # fingerprint -> output of a stage this instance ran: an equal later
+        # stage is served from here, not run
+        self._store: Dict[str, DistributedFile] = {}
 
     @property
     def tracer(self):
@@ -225,14 +249,17 @@ class TiMR:
         if checkpoint_dir is not None:
             from . import recovery
 
-            fingerprint = recovery.plan_fingerprint(fragments)
+            fingerprint = recovery.plan_fingerprint(all_fragments)
             if resume:
                 manifest = recovery.load_manifest(checkpoint_dir, job_name)
                 if manifest is not None and manifest.fingerprint != fingerprint:
+                    code_only = manifest.fingerprint[:64] == fingerprint[:64]  # the skeleton half
                     raise recovery.ResumeError(
-                        f"checkpoint under {checkpoint_dir!r} was written by a "
-                        f"different plan for job {job_name!r}; refusing to reuse "
-                        "its stage outputs"
+                        f"checkpoint under {checkpoint_dir!r} was written by a different "
+                        f"plan for job {job_name!r} ("
+                        + ("same datasets and keys, different code or Python version"
+                           if code_only else "different datasets or keys")
+                        + "); refusing to reuse its stage outputs"
                     )
                 resume_upto = len(manifest.entries) if manifest is not None else 0
             if manifest is None:
@@ -243,6 +270,13 @@ class TiMR:
         stages: List[CompiledStage] = []
         output: Optional[DistributedFile] = None
         resumed = 0
+        fs = self.cluster.fs
+        fingerprints = JobFingerprints(all_fragments, fragments, fs)
+        # the store keeps no rows the file system has let go of
+        self._store = {
+            k: f for k, f in self._store.items() if fs.exists(f.name) and fs.read(f.name) is f
+        }
+        served: List[str] = []  # "<stage output> (= <dataset it was served from>)"
         job_parallel = None  # folded across stages (run_stage resets its own)
         tracer = self.tracer
         with tracer.span(
@@ -260,6 +294,9 @@ class TiMR:
                     fragment=fragment.output_name,
                     key=",".join(fragment.key) if fragment.key else "",
                 ) as frag_span:
+                    key = fingerprints.of(
+                        fragment, compiled.stage.num_partitions, compiled.span_layout
+                    )
                     if i < resume_upto:
                         with tracer.span(
                             "timr.restore",
@@ -281,27 +318,32 @@ class TiMR:
                                     manifest.entries[i], compiled, fragment, bindings
                                 )
                         continue
-                    if compiled.needs_input_union:
-                        self._materialize_union(fragment, bindings)
-                    output = self.cluster.run_stage(
-                        compiled.stage,
-                        compiled.input_name,
-                        fragment.output_name,
-                        quarantine_name=quarantine_name,
-                    )
-                    if compiled.needs_input_union:  # a temporary of this stage
-                        self.cluster.fs.delete(compiled.input_name)
-                    report.stages.extend(self.cluster.last_report.stages)
-                    stage_parallel = self.cluster.last_parallel
-                    if stage_parallel is not None:
-                        if job_parallel is None:
-                            from ..runtime.parallel import ParallelStats
+                    stored = self._store.get(key)
+                    if stored is not None:
+                        output = self.cluster.fs.write_partitioned(
+                            fragment.output_name, stored.partitions
+                        )
+                        served.append(f"{fragment.output_name} (= {stored.name})")
+                        frag_span.set("reused", True)
+                    else:
+                        output = self._run_stage(
+                            compiled, fragment, bindings, fragment.output_name, quarantine_name
+                        )
+                        # a stage that quarantined rows also wrote dead
+                        # letters, which serving it would not
+                        if key is not None and not self.cluster.last_quarantined:
+                            self._store[key] = output
+                        report.stages.extend(self.cluster.last_report.stages)
+                        stage_parallel = self.cluster.last_parallel
+                        if stage_parallel is not None:
+                            if job_parallel is None:
+                                from ..runtime.parallel import ParallelStats
 
-                            job_parallel = ParallelStats(
-                                kind=stage_parallel.kind,
-                                max_workers=stage_parallel.max_workers,
-                            )
-                        job_parallel.merge(stage_parallel)
+                                job_parallel = ParallelStats(
+                                    kind=stage_parallel.kind,
+                                    max_workers=stage_parallel.max_workers,
+                                )
+                            job_parallel.merge(stage_parallel)
                     if tracer.enabled:
                         frag_span.set("rows_out", output.num_rows)
                         tracer.metrics.counter(
@@ -329,6 +371,14 @@ class TiMR:
                 metrics.counter("timr.fragments", job=job_name).inc(len(fragments))
                 metrics.counter("timr.resumed_stages", job=job_name).inc(resumed)
                 metrics.counter("timr.quarantined_rows", job=job_name).inc(quarantined)
+            resolutions = _reuse_resolutions(served, fingerprints.refusals)
+            if tracer.enabled:
+                for name, entry in resolutions.items():
+                    tracer.metrics.counter(name, job=job_name).inc(entry["count"])
+                    tracer.event(
+                        "supervision.resolved", category="supervision",
+                        lane="driver", resolution=name, **entry,
+                    )
         return TiMRResult(
             output=output,
             fragments=fragments,
@@ -336,10 +386,12 @@ class TiMR:
             report=report,
             annotation=annotation,
             resumed_stages=resumed,
+            reused_stages=len(served),
             quarantined_rows=quarantined,
             parallel=(
                 job_parallel.as_dict() if job_parallel is not None else None
             ),
+            resolutions=resolutions,
         )
 
     def run_many(
@@ -450,16 +502,10 @@ class TiMR:
         from ..mapreduce import persist
         from . import recovery
 
-        if compiled.needs_input_union:
-            self._materialize_union(fragment, bindings)
         replay_name = f"{fragment.output_name}.replay"
-        replayed = self.cluster.run_stage(
-            compiled.stage, compiled.input_name, replay_name
-        )
+        replayed = self._run_stage(compiled, fragment, bindings, replay_name)
         replay_hash = persist.dataset_sha256(replayed)
         self.cluster.fs.delete(replay_name)
-        if compiled.needs_input_union:
-            self.cluster.fs.delete(compiled.input_name)
         if replay_hash != entry.sha256:
             raise recovery.ResumeError(
                 f"replaying checkpointed stage {entry.stage!r} produced different "
@@ -469,6 +515,17 @@ class TiMR:
             )
 
     # -- internals ---------------------------------------------------------
+
+    def _run_stage(self, compiled, fragment, bindings, output_name, quarantine_name=None):
+        """Run one compiled stage on the cluster, into ``output_name``."""
+        if compiled.needs_input_union:
+            self._materialize_union(fragment, bindings)
+        output = self.cluster.run_stage(
+            compiled.stage, compiled.input_name, output_name, quarantine_name=quarantine_name
+        )
+        if compiled.needs_input_union:  # a temporary of this stage
+            self.cluster.fs.delete(compiled.input_name)
+        return output
 
     def _compile(
         self,

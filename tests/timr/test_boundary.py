@@ -702,7 +702,11 @@ def test_one_scan_per_dataset_and_two_copies_per_row(small_dataset):
             result = timr.run(plan, job_name=name, num_partitions=4)
             assert result.output.num_rows
             assert all(stage.needs_input_union for stage in result.stages)
-            assert len(unions) - first == len(result.stages)
+            ran = len(result.stages) - result.reused_stages
+            assert len(unions) - first == ran
+            if not ran:  # train is kez.frag0 again: served, so no scan and no copy
+                assert name == "train" and copies[0] == 0
+                continue
             scanned = sum(u[2] for u in unions[first:])
             surviving = sum(u[3] for u in unions[first:])
             assert surviving and copies[0] <= 2 * surviving + scanned, (name, unions[first:])

@@ -163,10 +163,75 @@ class TestResumeSafety:
             .exchange("KwAdId")
             .group_apply("KwAdId", lambda g: g.window(100).count(into="c"))
         )
-        with pytest.raises(ResumeError, match="different plan"):
+        with pytest.raises(ResumeError, match="different plan.*different datasets or keys"):
             make_timr(rows).run(
                 other, num_partitions=2, checkpoint_dir=str(tmp_path), resume=True
             )
+
+    def test_changed_reducer_fails_the_fingerprint_check(self, tmp_path):
+        """The skeleton (datasets and keys) of the two plans is equal and
+        only the *last* stage's code differs, so the replay re-hash of
+        the last checkpointed stage cannot see it: the code half of the
+        fingerprint is what refuses — with verification on or off."""
+
+        def query(floor):
+            return (
+                Query.source("logs", ("UserId", "KwAdId"))
+                .exchange("UserId", "KwAdId")
+                .group_apply(["UserId", "KwAdId"], lambda g: g.window(200).count(into="c"))
+                .exchange("UserId")
+                .where(lambda p, _f=floor: p["c"] >= _f)
+                .group_apply("UserId", lambda g: g.max("c", into="peak"))
+            )
+
+        rows = make_logs(80)
+        plain = make_timr(rows).run(query(1), num_partitions=2)
+        skeleton = [(f.output_name, f.input_names, f.key) for f in plain.fragments]
+        other = make_timr(rows).run(query(2), num_partitions=2)
+        assert skeleton == [(f.output_name, f.input_names, f.key) for f in other.fragments]
+        assert plan_fingerprint(plain.fragments) != plan_fingerprint(other.fragments)
+
+        killer = StageKiller(plain.fragments[-1].output_name)
+        with pytest.raises(InjectedFault):
+            make_timr(rows, fault_policy=killer).run(
+                query(1), num_partitions=2, checkpoint_dir=str(tmp_path)
+            )
+        for verify in (True, False):
+            # the message says which half differed, and what can move it
+            with pytest.raises(ResumeError, match="different plan.*different code.*Python version"):
+                make_timr(rows).run(
+                    query(2), num_partitions=2, checkpoint_dir=str(tmp_path),
+                    resume=True, verify_replay=verify,
+                )
+        resumed = make_timr(rows).run(
+            query(1), num_partitions=2, checkpoint_dir=str(tmp_path), resume=True
+        )
+        assert resumed.resumed_stages == 1
+        assert resumed.output_rows() == plain.output_rows()
+
+    def test_unfingerprintable_plan_still_resumes_on_its_skeleton(self, tmp_path):
+        import threading
+
+        lock = threading.Lock()
+
+        def guarded(p):
+            with lock:
+                return True
+
+        def query():
+            return two_stage_query().where(guarded)
+
+        rows = make_logs(80)
+        plain = make_timr(rows).run(
+            query(), num_partitions=2, checkpoint_dir=str(tmp_path), validate=False
+        )
+        assert plain.resolutions["timr.reuse_refused"]["count"] == 1
+        resumed = make_timr(rows).run(
+            query(), num_partitions=2, checkpoint_dir=str(tmp_path),
+            resume=True, validate=False,
+        )
+        assert resumed.resumed_stages == len(plain.fragments)
+        assert resumed.output_rows() == plain.output_rows()
 
     def test_corrupt_checkpoint_is_rejected(self, tmp_path):
         rows = make_logs(80)
