@@ -9,8 +9,8 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # opt-in stress/soak tier: the combined BT job through TiMR under the
-# process pool with seeded map/reduce worker kills and columnar
-# engines, repeatedly, plus leaked-process / leaked-fd checks.
+# process pool with seeded map/reduce worker kills, repeatedly, plus
+# leaked-process / leaked-fd checks.
 # Deselected from the default run by addopts (-m "not stress").
 test-stress:
 	$(PYTHON) -m pytest -x -q -m stress tests/stress
@@ -37,9 +37,8 @@ chaos-parallel:
 		'byte_identical =', ec['byte_identical'])"
 
 # fast machine-readable benchmark: events/sec + peak heap per builtin
-# BT query, a memory-scaling series, per-stage wall times of the
-# combined TiMR job, and the row-vs-columnar batch-format table,
-# written to
+# BT query, a memory-scaling series and per-stage wall times of the
+# combined TiMR job, written to
 # profile_out/BENCH_current.json (profile_out/ is git-ignored; CI
 # uploads it as a non-gating artifact). Committed reference baselines
 # live in benchmarks/baselines/.

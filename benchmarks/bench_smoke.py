@@ -20,14 +20,6 @@ that re-baselined); generated artifacts live under the git-ignored
 * ``stages`` — per-stage wall seconds and row counts of the combined
   BT pipeline (bot elimination + KE-z feature selection) through TiMR,
   taken from the telemetry layer's ``cluster.stage`` spans.
-* ``columnar`` — the row-vs-columnar physical-format table: events/sec
-  of every logs-only builtin BT query under the default row format and
-  under ``batch_format="columnar"`` (struct-of-arrays ``EventBatch``
-  chunks through the operator hot path, see ``docs/BATCH_FORMAT.md``).
-  Columnar output is byte-identical by construction; this table tracks
-  the throughput side. ``columnar_speedup`` > 1.0 is expected on the
-  Where/Project/AlterLifetime-heavy queries where the columnar kernels
-  skip per-event dispatch.
 
 Wall times vary run to run (this is a benchmark, not a determinism
 check); row/byte counts are exact under the fixed seed. The numbers are
@@ -56,11 +48,9 @@ regression/improvement report.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import os
 import sys
-import time
 import tracemalloc
 
 
@@ -112,83 +102,6 @@ def run_query_benchmarks(rows, repeats: int) -> dict:
             "peak_heap_bytes": _peak_heap_bytes(engine, query, {"logs": rows}),
         }
     return {"queries": results, "skipped": skipped}
-
-
-#: Input scale for the columnar table, independent of the smoke scale.
-#: The format comparison needs realistic per-CTI batch sizes: at the
-#: default smoke scale batches carry a handful of rows each, so the
-#: table would measure per-batch framing overhead instead of the
-#: column kernels the format exists for.
-_COLUMNAR_USERS = 400
-_COLUMNAR_DAYS = 4.0
-
-
-def run_columnar_benchmarks(seed: int, repeats: int) -> dict:
-    """Row vs columnar events/sec per logs-only builtin BT query.
-
-    Both cells run the serial executor, so the ratio isolates the
-    physical batch format: ``columnar_speedup`` is columnar events/sec
-    over row events/sec, best-of-``repeats`` after one warmup each.
-    Because both cells are strictly single-threaded, they are timed with
-    ``time.process_time`` (CPU time): on shared CI boxes wall clock
-    swings ±20% with neighbor load, which would drown the format signal,
-    while CPU time measures exactly the work done. Repeats still
-    alternate row/columnar so cache/GC drift hits both cells equally.
-    The input is generated at ``_COLUMNAR_USERS``/``_COLUMNAR_DAYS``
-    rather than the smoke scale so batches are large enough for the
-    column kernels to matter. Outputs are byte-identical across formats
-    by construction (``docs/BATCH_FORMAT.md``); this table tracks the
-    throughput side.
-    """
-    from repro.analysis import builtin_query_suite
-    from repro.data import GeneratorConfig, generate
-    from repro.runtime import RunContext
-    from repro.temporal import Engine
-
-    rows = generate(
-        GeneratorConfig(
-            num_users=_COLUMNAR_USERS, duration_days=_COLUMNAR_DAYS, seed=seed
-        )
-    ).rows
-    table = {}
-    for name, query in sorted(builtin_query_suite().items()):
-        if not _logs_only(query):
-            continue
-        engines = {}
-        best = {}
-        for fmt in ("row", "columnar"):
-            engines[fmt] = Engine(context=RunContext(batch_format=fmt))
-            engines[fmt].run(query, {"logs": rows})  # warmup
-            best[fmt] = None
-        for _ in range(repeats):
-            for fmt in ("row", "columnar"):
-                gc.collect()  # don't bill one format for the other's garbage
-                start = time.process_time()
-                engines[fmt].run(query, {"logs": rows})
-                elapsed = time.process_time() - start
-                if best[fmt] is None or elapsed < best[fmt]:
-                    best[fmt] = elapsed
-        cells = {
-            fmt: {
-                "cpu_seconds": round(best[fmt], 6),
-                "events_per_second": round(len(rows) / max(best[fmt], 1e-9), 1),
-            }
-            for fmt in ("row", "columnar")
-        }
-        cells["columnar_speedup"] = round(
-            cells["columnar"]["events_per_second"]
-            / max(cells["row"]["events_per_second"], 1e-9),
-            3,
-        )
-        table[name] = cells
-    return {
-        "columnar": {
-            "users": _COLUMNAR_USERS,
-            "days": _COLUMNAR_DAYS,
-            "rows": len(rows),
-            "queries": table,
-        }
-    }
 
 
 def run_memory_scaling(users: int, seed: int, days_series=(0.5, 1.0, 2.0, 4.0, 8.0)) -> dict:
@@ -382,7 +295,6 @@ def main(argv=None) -> int:
     doc.update(run_query_benchmarks(rows, args.repeats))
     doc.update(run_memory_scaling(args.users, args.seed))
     doc.update(run_stage_benchmarks(rows, args.machines, args.partitions))
-    doc.update(run_columnar_benchmarks(args.seed, args.repeats))
 
     parent = os.path.dirname(args.out)
     if parent:
@@ -405,12 +317,6 @@ def main(argv=None) -> int:
             for p in scaling["points"]
         )
         + f" (sublinear: {scaling['sublinear']})"
-    )
-    col = doc["columnar"]["queries"]
-    best_col = max(col.items(), key=lambda kv: kv[1]["columnar_speedup"])
-    print(
-        "columnar: best speedup "
-        f"{best_col[1]['columnar_speedup']:.2f}x on {best_col[0]}"
     )
     print(f"wrote {args.out}")
 

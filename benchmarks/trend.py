@@ -5,9 +5,8 @@ run regress against *that* file?". This script answers the longer
 question — "how does this run sit against the best numbers this repo
 has ever recorded?" — and keeps the record:
 
-* appends a compact summary of the run (per-query events/sec, the
-  columnar speedup table, config, git revision) to a
-  JSON-lines history file (default
+* appends a compact summary of the run (per-query events/sec, config,
+  git revision) to a JSON-lines history file (default
   ``profile_out/BENCH_history.jsonl``, outside version control like
   every generated artifact, uploaded as a CI artifact so runs
   accumulate across workflow runs when the previous artifact is
@@ -108,7 +107,6 @@ def best_known(baseline_docs: list, history: list) -> dict:
 
 def summarize(run: dict, git: str, timestamp: float) -> dict:
     """The compact history record for one bench_smoke artifact."""
-    columnar = (run.get("columnar") or {}).get("queries") or {}
     return {
         "timestamp": round(timestamp, 1),
         "git": git,
@@ -116,12 +114,6 @@ def summarize(run: dict, git: str, timestamp: float) -> dict:
         "queries": {
             name: {"events_per_second": eps}
             for name, eps in sorted(_query_eps(run).items())
-        },
-        "columnar_speedup": {
-            name: cell.get("columnar_speedup")
-            for name, cell in sorted(columnar.items())
-            if isinstance(cell, dict)
-            and cell.get("columnar_speedup") is not None
         },
     }
 

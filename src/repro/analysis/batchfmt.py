@@ -1,22 +1,26 @@
-"""Batch-format pass: payload immutability under the columnar format.
+"""Payload-immutability pass: events share their payload mappings.
 
-The columnar :class:`~repro.temporal.batch.EventBatch` shares payload
-mappings aggressively: Where predicates and Project functions receive a
-reused :class:`~repro.temporal.batch.BatchRowView` over the packed
-columns, join synopses alias payload dicts across stored and emitted
-events, and batches themselves share columns with their gathered or
-lifetime-rewritten descendants. The whole format is sound only under the
-payload-immutability contract of docs/BATCH_FORMAT.md: plan callables
-treat every payload argument as read-only and return *new* mappings.
+An :class:`~repro.temporal.event.Event` is handed operator to operator
+by reference, and so is its payload dict: every consumer of a multicast
+(two branches over one source, a self-join) reads the *same* source
+events, Where / AlterLifetime / Union pass payloads through untouched,
+join synopses alias payload dicts across stored and emitted events, and
+GroupApply attaches key columns to a fresh aggregate payload in place.
+All of that is sound only if plan callables treat every payload
+argument as read-only and return *new* mappings: a projection that
+writes ``p["x"] = -1`` into its argument rewrites the event its sibling
+branch is about to filter (``tests/analysis/test_batch_rule.py`` runs
+that plan: 3 events come back where 6 should).
 
 This pass inspects the bytecode of every payload-receiving callable for
 in-place writes to its payload parameters — subscript assignment or
 deletion and the dict-mutator methods (``update``, ``setdefault``,
 ``pop``, ``popitem``, ``clear``) — and reports
-``batch.payload-mutation`` (warning severity: a row-format serial run
-still behaves, so the pre-flight gate never blocks on it). A scan UDO's
-*state* argument is deliberately exempt — folding into it is the
-operator's contract; only its payload argument is watched.
+``batch.payload-mutation`` (warning severity: a plan whose mutated
+payload has exactly one reader still behaves, so the pre-flight gate
+never blocks on it). A scan UDO's *state* argument is deliberately
+exempt — folding into it is the operator's contract; only its payload
+argument is watched.
 
 Suppression follows the usual idiom: ``# repro:
 ignore[batch.payload-mutation]`` on the operator (or the lambda's
@@ -81,10 +85,10 @@ def batch_pass(ctx) -> None:
                 ctx.report(
                     "batch.payload-mutation",
                     node,
-                    f"{what} {desc}; the columnar batch format shares "
-                    "payload mappings across rows and operators, so "
-                    "in-place writes corrupt neighbouring events — "
-                    "return a new mapping instead "
-                    "(docs/BATCH_FORMAT.md)",
+                    f"{what} {desc}; events share their payload mappings "
+                    "across the branches of a multicast, join synopses "
+                    "and emitted events, so in-place writes corrupt what "
+                    "other operators read — return a new mapping instead "
+                    "(docs/LINTING.md)",
                     location=location,
                 )

@@ -508,12 +508,12 @@ _LOCAL_LOADS = ("LOAD_FAST", "LOAD_FAST_CHECK", "LOAD_DEREF")
 def payload_param_mutations(fn, param_indexes) -> List[Tuple[str, str]]:
     """(param name, description) pairs for in-place payload mutation.
 
-    The columnar batch format shares payload mappings: Where/Project
-    hand callables a reused :class:`~repro.temporal.batch.BatchRowView`
-    over packed columns, and join synopses/output batches alias payload
-    dicts across events. A callable that writes into its payload
+    Events share their payload mappings: every branch of a multicast
+    reads the same source events, pass-through operators forward the
+    dict they were given, and join synopses alias payload dicts across
+    stored and emitted events. A callable that writes into its payload
     argument (``p[k] = v``, ``del p[k]``, ``p.update(...)``, ...)
-    therefore corrupts neighbouring rows or emitted events. This
+    therefore corrupts what other operators read or have emitted. This
     best-effort bytecode scan flags exactly those shapes on the
     parameters named by ``param_indexes`` (positions into the
     callable's positional arguments — e.g. a scan UDO's *state*

@@ -158,9 +158,10 @@ _rule(
 _rule(
     "batch.payload-mutation",
     "warning",
-    "a plan callable mutates a payload mapping in place; the columnar "
-    "batch format shares payload mappings across rows and operators, "
-    "so in-place writes corrupt neighbouring events",
+    "a plan callable mutates a payload mapping in place; events share "
+    "their payload mappings across the branches of a multicast, join "
+    "synopses and emitted events, so in-place writes corrupt what other "
+    "operators read",
 )
 _rule(
     "suppression.unknown-rule",

@@ -211,7 +211,6 @@ def calc_score_query(per_kw: Query, totals: Query, cfg: BTConfig) -> Query:
     supported = joined.where(
         lambda p, _s=cfg.min_support: p["ClicksWith"] >= _s,
         label="support-filter",
-        spec=("ge", "ClicksWith", cfg.min_support),
     )
     scored = supported.project(
         lambda p: {

@@ -21,7 +21,6 @@ from .parallel import (
     ThreadExecutor,
     WorkerStats,
     force_parallel_requested,
-    resolve_batch_format,
     resolve_executor,
     resolve_retry_budget,
     resolve_worker_timeout,
@@ -55,7 +54,6 @@ __all__ = [
     "force_parallel_requested",
     "group_key",
     "race_check_mode",
-    "resolve_batch_format",
     "resolve_executor",
     "resolve_retry_budget",
     "resolve_worker_timeout",

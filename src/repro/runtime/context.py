@@ -114,12 +114,6 @@ class RunContext:
             executor degrades a tier (process → thread → serial) with
             an ``ExecutorDegradedWarning`` (``None``: the
             ``REPRO_WORKER_RETRIES`` environment variable, then 3).
-        batch_format: physical representation events move in between
-            operators: ``"row"`` (``List[Event]``) or ``"columnar"``
-            (the struct-of-arrays :class:`repro.temporal.EventBatch`).
-            ``None`` defers to the ``REPRO_BATCH`` environment variable
-            (row when unset). Outputs are byte-identical across formats
-            — see docs/BATCH_FORMAT.md.
         waves_per_dispatch: accepted, ignored; leaves with the
             benchmark's keyword (``benchmarks/e2e/workloads.py`` builds
             ``scale_par`` with it). Nothing reads the value.
@@ -142,15 +136,7 @@ class RunContext:
     race_check: object = False
     worker_timeout: Optional[float] = None
     worker_retry_budget: Optional[int] = None
-    batch_format: Optional[str] = None
     waves_per_dispatch: Optional[object] = None
-
-    def resolve_batch_format(self) -> str:
-        """The physical batch format for this run (``"row"`` /
-        ``"columnar"``), with strict ``REPRO_BATCH`` validation."""
-        from .parallel import resolve_batch_format
-
-        return resolve_batch_format(self.batch_format)
 
     def resolve_executor(self):
         """The live :class:`~repro.runtime.parallel.Executor` for this run.

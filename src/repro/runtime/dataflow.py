@@ -39,7 +39,6 @@ from bisect import bisect_left
 from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..temporal.batch import EventBatch
 from ..temporal.event import Event
 from ..temporal.operators.base import WAKE_ALWAYS, WAKE_AT_FLUSH
 from ..temporal.operators.stateless import WINDOW_SPECS
@@ -186,37 +185,18 @@ class _OutputLog:
     Consumers address entries by *absolute* index (``total`` never
     decreases); ``trim_to`` drops the prefix every consumer has read, so
     buffered memory tracks the consumer lag, not the stream length.
-
-    In a columnar flow each entry is one *chunk* — an
-    :class:`~repro.temporal.batch.EventBatch` or a plain event list —
-    and all cursor/trim arithmetic counts chunks; ``event_total`` keeps
-    the row count either way, so per-node statistics are format-blind.
     """
 
-    __slots__ = ("events", "base", "total", "event_total")
+    __slots__ = ("events", "base", "total")
 
     def __init__(self):
         self.events: List[Event] = []
         self.base = 0  # absolute index of events[0]
         self.total = 0  # absolute index one past the last entry
-        self.event_total = 0  # total event rows across all entries
-
-    def append(self, event: Event) -> None:
-        self.events.append(event)
-        self.total += 1
-        self.event_total += 1
 
     def extend(self, events: Iterable[Event]) -> None:
         self.events.extend(events)
-        new_total = self.base + len(self.events)
-        self.event_total += new_total - self.total
-        self.total = new_total
-
-    def append_chunk(self, chunk) -> None:
-        """Columnar mode: log one batch (or row-list) chunk as one entry."""
-        self.events.append(chunk)
-        self.total += 1
-        self.event_total += len(chunk)
+        self.total = self.base + len(self.events)
 
     def read_from(self, cursor: int) -> List[Event]:
         return self.events[cursor - self.base :]
@@ -246,7 +226,6 @@ class _OpNode:
         self._operator = None
         self.deferred = False
         self._future = 0
-        self.columnar = flow.columnar
         if isinstance(plan_node, GroupApplyNode):
             self._groups: Dict[Tuple, _GroupChain] = {}
             #: the non-idle chains, in activation order (the order the
@@ -302,30 +281,10 @@ class _OpNode:
             self._stores: List[List[Event]] = [[] for _ in self.inputs]
         else:
             self._future = future
-        # nodes that still think in Event rows (binary merges, GroupApply
-        # keying, deferred stores) get columnar chunks flattened at the
-        # edge — the transparent row bridge that keeps correctness
-        # independent of which operators understand EventBatch
-        self._flatten = self.columnar and (
-            self.deferred
-            or len(self.inputs) >= 2
-            or isinstance(plan_node, GroupApplyNode)
-        )
 
     @property
     def events_out(self) -> int:
-        return self.outputs.event_total
-
-    def _emit(self, events) -> None:
-        """Append row events to the output log (as one chunk when the
-        flow is columnar, so cursor arithmetic stays uniform)."""
-        if self.columnar:
-            if not isinstance(events, list):
-                events = list(events)
-            if events:
-                self.outputs.append_chunk(events)
-        else:
-            self.outputs.extend(events)
+        return self.outputs.total
 
     def next_wake(self) -> Optional[int]:
         """``None`` when a future (non-flush) watermark can emit nothing
@@ -391,13 +350,8 @@ class _OpNode:
             # Logical repartitioning is the identity on a single node.
             buf = self.inputs[0]
             fresh = buf.take()
-            if self.columnar:
-                for chunk in fresh:
-                    self.events_in += len(chunk)
-                    self.outputs.append_chunk(chunk)
-            else:
-                self.events_in += len(fresh)
-                self.outputs.extend(fresh)
+            self.events_in += len(fresh)
+            self.outputs.extend(fresh)
             self.watermark = buf.watermark
             return
         if isinstance(node, GroupApplyNode):
@@ -415,9 +369,6 @@ class _OpNode:
         buf = self.inputs[0]
         op = self._operator
         fresh = buf.take()
-        if self.columnar:
-            self._advance_unary_columnar(buf, op, fresh)
-            return
         if fresh:
             self.events_in += len(fresh)
             self.outputs.extend(op.on_batch(fresh))
@@ -427,36 +378,6 @@ class _OpNode:
             self.watermark = MAX_TIME
         else:
             self.outputs.extend(op.on_watermark(buf.watermark))
-            base = op.watermark_out(buf.watermark)
-            self.watermark = max(self.watermark, base - self._future)
-
-    def _advance_unary_columnar(self, buf, op, fresh) -> None:
-        """Columnar chunk flow: columnar-capable operators consume and
-        produce chunks directly; everything else crosses the row bridge
-        (one flattened row batch, exactly what row mode would feed)."""
-        if fresh:
-            if op.supports_columnar:
-                outputs = self.outputs
-                for chunk in fresh:
-                    self.events_in += len(chunk)
-                    out = op.on_batch(chunk)
-                    if len(out):
-                        outputs.append_chunk(out)
-            else:
-                events: List[Event] = []
-                for chunk in fresh:
-                    if type(chunk) is list:
-                        events.extend(chunk)
-                    else:
-                        events.extend(chunk.to_events())
-                self.events_in += len(events)
-                self._emit(op.on_batch(events))
-        if buf.watermark >= MAX_TIME and not self.flushed:
-            self._emit(op.on_flush())
-            self.flushed = True
-            self.watermark = MAX_TIME
-        else:
-            self._emit(op.on_watermark(buf.watermark))
             base = op.watermark_out(buf.watermark)
             self.watermark = max(self.watermark, base - self._future)
 
@@ -539,7 +460,7 @@ class _OpNode:
         elif self.watermark < w:
             self.watermark = w
         if out:
-            self._emit(out)
+            self.outputs.extend(out)
         self.events_in += delivered + li + ri
         # write back read positions, compacting long-consumed prefixes
         if li > 1024 and li * 2 > nl:
@@ -567,9 +488,9 @@ class _OpNode:
         if all(b.watermark >= MAX_TIME for b in self.inputs) and not self.flushed:
             op = self._operator
             if len(self._stores) == 1:
-                self._emit(op.apply(self._stores[0]))
+                self.outputs.extend(op.apply(self._stores[0]))
             else:
-                self._emit(op.apply(self._stores[0], self._stores[1]))
+                self.outputs.extend(op.apply(self._stores[0], self._stores[1]))
             self._stores = [[] for _ in self.inputs]
             self.flushed = True
             self.watermark = MAX_TIME
@@ -645,7 +566,7 @@ class _OpNode:
         # (le, seq) sort == the cross-group LE merge; seq breaks ties
         # in chain order, so events never compare
         pending.sort()
-        self._emit([item[2] for item in pending])
+        self.outputs.extend([item[2] for item in pending])
         del pending[:]
         self.flushed = True
         self.watermark = MAX_TIME
@@ -720,7 +641,7 @@ class _OpNode:
             group_w = held[0][0]
         idx = bisect_left(pending, (group_w,))
         if idx:
-            self._emit([item[2] for item in pending[:idx]])
+            self.outputs.extend([item[2] for item in pending[:idx]])
             del pending[:idx]
         self.watermark = max(self.watermark, group_w)
 
@@ -1026,13 +947,6 @@ class Dataflow:
             event in :attr:`resolutions`. Output is byte-identical
             across executors — the serial wave schedule and merge order
             are replayed exactly; only chain computation moves.
-        batch_format: the physical format events move in between
-            operators: ``"row"`` (each output-log entry is one
-            :class:`Event`) or ``"columnar"`` (entries are chunks — a
-            struct-of-arrays :class:`EventBatch` or a plain list — and
-            operators with ``supports_columnar`` consume them whole,
-            with a row bridge everywhere else). Outputs are
-            byte-identical across formats — see docs/BATCH_FORMAT.md.
     """
 
     def __init__(
@@ -1046,19 +960,11 @@ class Dataflow:
         executor=None,
         race_checker=None,
         tracer=None,
-        batch_format: str = "row",
     ):
         self.allow_unstreamable = allow_unstreamable
         self.timed = timed
         self.group_wave_events = group_wave_events
         self.race_checker = race_checker
-        if batch_format not in ("row", "columnar"):
-            raise ValueError(
-                f"unknown batch format {batch_format!r}; "
-                "expected one of ['row', 'columnar']"
-            )
-        #: nodes read this during construction to pick their physical path
-        self.columnar = batch_format == "columnar"
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: named physical-path resolutions taken where the context asked
         #: for something else, as ``{name: {"count", "reason"}}`` — no
@@ -1191,21 +1097,13 @@ class Dataflow:
         ``watermark`` (usually the last event's LE) promises no earlier
         event will arrive on this source; ``None`` leaves the watermark
         untouched (the slack reorder buffer uses that to backfill).
-
-        Columnar flows pack the whole feed into one
-        :class:`EventBatch` chunk (a prebuilt batch is adopted as-is);
-        downstream operators never see a difference in output bytes.
         """
         nodes = self._require(name)
-        if self.columnar:
-            if not isinstance(events, EventBatch):
-                events = EventBatch.from_events(list(events))
-            for node in nodes:
-                if len(events):
-                    node.outputs.append_chunk(events)
-                if watermark is not None:
-                    node.watermark = max(node.watermark, watermark)
-            return
+        if not isinstance(events, list):
+            # every same-named source reads the whole feed, so a
+            # one-shot iterable is materialised once, not drained by
+            # the first node
+            events = list(events)
         for node in nodes:
             node.outputs.extend(events)
             if watermark is not None:
@@ -1225,17 +1123,7 @@ class Dataflow:
             for buf, child in node.edges:
                 log = child.outputs
                 if log.total > buf.src_cursor:
-                    fresh = log.read_from(buf.src_cursor)
-                    if node._flatten:
-                        # row bridge: this node needs Event objects
-                        # (binary / deferred / GroupApply input)
-                        for chunk in fresh:
-                            if type(chunk) is list:
-                                buf.events.extend(chunk)
-                            else:
-                                buf.events.extend(chunk.to_events())
-                    else:
-                        buf.events.extend(fresh)
+                    buf.events.extend(log.read_from(buf.src_cursor))
                     buf.src_cursor = log.total
                     changed = True
                 cw = child.watermark
@@ -1252,18 +1140,8 @@ class Dataflow:
                 node.advance()
         released = self._root.outputs.read_from(self._released)
         self._released += len(released)
-        if self.columnar:
-            # callers receive rows regardless of the physical format
-            out: List[Event] = []
-            for chunk in released:
-                if type(chunk) is list:
-                    out.extend(chunk)
-                else:
-                    out.extend(chunk.to_events())
-        else:
-            out = released
         self._trim()
-        return out
+        return released
 
     def flush(self) -> List[Event]:
         """End of input everywhere: drain all remaining operator state."""

@@ -91,7 +91,6 @@ __all__ = [
     "ThreadExecutor",
     "WorkerStats",
     "force_parallel_requested",
-    "resolve_batch_format",
     "resolve_executor",
     "resolve_retry_budget",
     "resolve_worker_timeout",
@@ -100,9 +99,6 @@ __all__ = [
 #: Environment knobs the default context resolves (see resolve_executor).
 ENV_EXECUTOR = "REPRO_EXECUTOR"
 ENV_WORKERS = "REPRO_WORKERS"
-
-#: Physical batch format toggle (see resolve_batch_format).
-ENV_BATCH = "REPRO_BATCH"
 
 #: Skip the parallel-safety gate: run parallel even with findings.
 ENV_FORCE_PARALLEL = "REPRO_FORCE_PARALLEL"
@@ -1274,35 +1270,3 @@ def resolve_executor(
             f"{sorted(_KINDS)} or 'auto'"
         ) from None
     return cls(max_workers=max_workers, supervision=supervision)
-
-
-#: Physical formats the dataflow runtime can move events in
-#: (docs/BATCH_FORMAT.md). "row" is List[Event]; "columnar" is the
-#: struct-of-arrays EventBatch.
-BATCH_FORMATS = ("row", "columnar")
-
-
-def resolve_batch_format(spec: Optional[str] = None) -> str:
-    """Resolve a physical batch format spec to ``"row"``/``"columnar"``.
-
-    Mirrors :func:`resolve_executor`'s environment semantics: ``None``
-    defers to ``REPRO_BATCH`` (an empty value means unset, falling back
-    to ``"row"``); an unknown value — explicit or from the environment —
-    raises a ``ValueError`` naming its source.
-    """
-    if spec is None:
-        spec = os.environ.get(ENV_BATCH) or None
-        if spec is None:
-            return "row"
-        if spec not in BATCH_FORMATS:
-            raise ValueError(
-                f"{ENV_BATCH}={spec!r} names an unknown batch format; "
-                f"expected one of {list(BATCH_FORMATS)}"
-            )
-        return spec
-    if spec not in BATCH_FORMATS:
-        raise ValueError(
-            f"unknown batch format {spec!r}; expected one of "
-            f"{list(BATCH_FORMATS)}"
-        )
-    return spec

@@ -8,7 +8,6 @@ user-defined operators. Queries are written with the fluent LINQ-like
 :class:`Query` builder and executed by :class:`Engine`.
 """
 
-from .batch import MISSING, BatchRowView, EventBatch
 from .engine import Engine, EngineStats, run_query
 from .explain import explain, explain_timr
 from .event import Event, events_to_rows, point_events, rows_to_events
@@ -24,12 +23,9 @@ from .streamsql import StreamSQLError, parse as parse_sql, run_sql
 from .time import MAX_TIME, MIN_TIME, TICK, days, hours, minutes, seconds
 
 __all__ = [
-    "BatchRowView",
     "Engine",
     "EngineStats",
     "Event",
-    "EventBatch",
-    "MISSING",
     "MAX_TIME",
     "MIN_TIME",
     "Query",

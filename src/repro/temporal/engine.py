@@ -243,7 +243,6 @@ class Engine:
             executor=executor,
             race_checker=race_checker,
             tracer=tracer,
-            batch_format=context.resolve_batch_format(),
         )
         for name in flow.source_names():
             if name not in sources:
@@ -252,8 +251,8 @@ class Engine:
                     f"{sorted(sources)} were provided"
                 )
 
-        # one row list per source; conversion to events (or columnar
-        # batches) happens lazily in the feed loops below
+        # one row list per source; conversion to events happens lazily
+        # in the feed loops below
         feeds = []
         for name, data in sources.items():
             rows = data if isinstance(data, list) else list(data)
@@ -394,25 +393,14 @@ def _drive(flow, feeds, time_column: str, chunk_size: int) -> List[Event]:
     if len(feeds) == 1:
         # fast path: no cross-source merge needed
         name, rows = feeds[0]
-        batches = None
-        if flow.columnar and rows and not isinstance(rows[0], Event):
-            # columnar feed edge: rows become struct-of-arrays
-            # batches directly, skipping Event materialization
-            batches = _batch_stream(rows, time_column, chunk_size)
-        if batches is not None:
-            for batch in batches:
-                flow.feed(name, batch)
-                flow.set_watermarks(batch.last_le)
-                out.extend(flow.advance())
-        else:
-            stream = _event_stream(rows, time_column)
-            while True:
-                chunk = list(islice(stream, chunk_size))
-                if not chunk:
-                    break
-                flow.feed(name, chunk)
-                flow.set_watermarks(chunk[-1].le)
-                out.extend(flow.advance())
+        stream = _event_stream(rows, time_column)
+        while True:
+            chunk = list(islice(stream, chunk_size))
+            if not chunk:
+                break
+            flow.feed(name, chunk)
+            flow.set_watermarks(chunk[-1].le)
+            out.extend(flow.advance())
     elif feeds:
         # merge all sources into one globally LE-ordered stream
         # of (le, slot, event); ties never compare events
@@ -442,39 +430,6 @@ def _drive(flow, feeds, time_column: str, chunk_size: int) -> List[Event]:
 def _tag_stream(stream, slot: int):
     """Tag a source's events with its slot for the cross-source merge."""
     return ((e.le, slot, e) for e in stream)
-
-
-def _batch_stream(rows: List, time_column: str, chunk_size: int):
-    """Yield :class:`EventBatch` chunks straight from row dicts.
-
-    The columnar feed edge: same sort discipline and chunk boundaries
-    as :func:`_event_stream`, but each chunk is built column-wise from
-    the rows without a per-row :class:`Event` in between. Returns
-    ``None`` when the rows cannot take the direct path (non-integer
-    time values) so the caller falls back to the event stream.
-    """
-    from array import array
-
-    from .batch import EventBatch
-
-    times = [row[time_column] for row in rows]
-    try:
-        array("q", times)
-    except (TypeError, OverflowError):
-        return None
-    if any(times[i] > times[i + 1] for i in range(len(times) - 1)):
-        order = sorted(range(len(rows)), key=times.__getitem__)
-        rows = [rows[i] for i in order]
-        times = [times[i] for i in order]
-
-    def gen():
-        for start in range(0, len(rows), chunk_size):
-            stop = start + chunk_size
-            yield EventBatch.from_rows(
-                times[start:stop], rows[start:stop], time_column
-            )
-
-    return gen()
 
 
 def _event_stream(rows: List, time_column: str):

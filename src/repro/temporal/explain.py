@@ -15,9 +15,7 @@ from typing import List, Optional, Union
 
 from .plan import (
     AggregateNode,
-    ExchangeNode,
     GroupApplyNode,
-    GroupInputNode,
     PlanNode,
     SourceNode,
     render,
@@ -39,40 +37,15 @@ def _streamable(root: PlanNode) -> Optional[str]:
     return None
 
 
-def _batch_path(node: PlanNode) -> str:
-    """One operator's physical path under the columnar batch format."""
-    if isinstance(node, (SourceNode, GroupInputNode)):
-        return "feeds struct-of-arrays EventBatch chunks"
-    if isinstance(node, ExchangeNode):
-        return "pass-through (chunks forwarded unchanged)"
-    if isinstance(node, GroupApplyNode):
-        return "row bridge at the per-key split"
-    if len(node.inputs) >= 2:
-        return (
-            "run-batched binary delivery "
-            "(on_left_batch/on_right_batch probes)"
-        )
-    if node.streaming_future_extent() is None:
-        return "row bridge (deferred buffering flattens chunks to rows)"
-    try:
-        operator = node.make_operator()
-    except Exception:
-        return "row bridge (per-event on_event)"
-    if getattr(operator, "supports_columnar", False):
-        return "columnar kernel (supports_columnar)"
-    return "row bridge (per-event on_event)"
-
-
 def _group_paths(node: GroupApplyNode, indent: str) -> List[str]:
-    """The physical path of a GroupApply's per-key sub-plan. Chains run
-    on rows whatever the batch format, so these lines hold for both."""
+    """The physical path of a GroupApply's per-key sub-plan."""
     from ..runtime.dataflow import _linear_stages
 
     linear = _linear_stages(node)
     if linear is None:
         lines = [
-            f"{indent}per key: a nested row-format Dataflow (the sub-plan "
-            "is not a straight unary pipeline)"
+            f"{indent}per key: a nested Dataflow (the sub-plan is not a "
+            "straight unary pipeline)"
         ]
         for sub in topological_order(node.subplan_root):
             if isinstance(sub, GroupApplyNode):
@@ -82,7 +55,7 @@ def _group_paths(node: GroupApplyNode, indent: str) -> List[str]:
     stages, _, shared, fused = linear
     lines = [
         f"{indent}per key: one linear chain, the stages threaded flat "
-        "over rows (either batch format)"
+        "over rows"
     ]
     for i, stage in enumerate(stages):
         last = i == len(stages) - 1
@@ -202,22 +175,20 @@ def explain(query: Union[Query, PlanNode], stats=None) -> str:
         )
 
     lines.append("")
-    lines.append("BATCH")
+    lines.append("PHYSICAL PATH")
     lines.append(
-        "  row format is the default; columnar is selected per run via "
-        'batch_format="columnar" or REPRO_BATCH=columnar '
-        "(byte-identical output either way, docs/BATCH_FORMAT.md)"
+        "  rows (List[Event]) between operators; (les, res, payloads) "
+        "columns inside a fused window→aggregate sweep"
     )
-    lines.append("  per-operator physical path under columnar:")
     for node in topological_order(root):
-        lines.append(f"    {node.describe()}: {_batch_path(node)}")
         if isinstance(node, GroupApplyNode):
+            lines.append(f"  {node.describe()}:")
             lines.append(
-                "      scheduling: the driver's local wave under every "
+                "    scheduling: the driver's local wave under every "
                 "executor; threads fan a wave's due chains out, a process "
                 "executor resolves to the wave run inline"
             )
-            lines.extend(_group_paths(node, "      "))
+            lines.extend(_group_paths(node, "    "))
     if stats is not None:
         for name, entry in sorted(stats.resolutions.items()):
             lines.append(

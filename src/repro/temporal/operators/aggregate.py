@@ -23,7 +23,6 @@ import heapq
 from bisect import bisect_left, insort
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..batch import EventBatch
 from ..event import Event
 from ..time import MAX_TIME
 from .base import UnaryOperator
@@ -305,7 +304,6 @@ class AggSpec:
 class SnapshotAggregate(UnaryOperator):
     """Compute one or more aggregates per snapshot via an endpoint sweep."""
 
-    supports_columnar = True
     fresh_payloads = True  # _value_payload builds a dict per segment
 
     def __init__(self, specs: Sequence[AggSpec]):
@@ -353,10 +351,10 @@ class SnapshotAggregate(UnaryOperator):
     def sweep(self, les, res, payloads) -> list:
         """The endpoint sweep over parallel ``(les, res, payloads)``
         sequences, LE-ordered: the one loop behind ``on_event``,
-        ``on_batch`` in both physical formats and a window fused into
-        this aggregate (:class:`~repro.runtime.dataflow._LinearChain`),
-        which hands over lifetimes it computed without building the
-        windowed events, and ``payloads=None`` unless
+        ``on_batch`` and a window fused into this aggregate
+        (:class:`~repro.runtime.dataflow._LinearChain`), which hands
+        over lifetimes it computed without building the windowed
+        events, and ``payloads=None`` unless
         :attr:`reads_payloads`. The expired-RE drain, the segment emit
         and the heap push happen once per run of equal ``(le, re)``; the
         run folds into the pane of its RE, which an earlier call may
@@ -388,14 +386,10 @@ class SnapshotAggregate(UnaryOperator):
         return self.sweep([event.le], [event.re], [event.payload])
 
     def on_batch(self, events) -> list:
-        reads = self.reads_payloads
-        if isinstance(events, EventBatch):
-            payloads = events.payload_dicts() if reads else None
-            return self.sweep(events.les, events.res, payloads)
         return self.sweep(
             [e.le for e in events],
             [e.re for e in events],
-            [e.payload for e in events] if reads else None,
+            [e.payload for e in events] if self.reads_payloads else None,
         )
 
     def on_flush(self) -> list:

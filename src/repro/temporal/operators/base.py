@@ -42,13 +42,6 @@ def sort_events(events: List[Event]) -> List[Event]:
 class UnaryOperator:
     """Base class for one-input operators."""
 
-    #: True when ``on_batch`` accepts a columnar ``EventBatch`` and (for
-    #: stateless operators) returns one. Operators that leave this False
-    #: are bridged by the runtime: it converts columnar chunks back to
-    #: ``Event`` rows before calling ``on_batch``, so correctness never
-    #: depends on which operators were converted (docs/BATCH_FORMAT.md).
-    supports_columnar = False
-
     #: True when every output event carries a payload dict the operator
     #: built for that event alone and keeps no reference to, so a
     #: consumer may add columns to it in place (GroupApply attaching its

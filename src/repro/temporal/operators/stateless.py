@@ -8,10 +8,8 @@ windows, and lifetime shifts are all AlterLifetime specializations.
 
 from __future__ import annotations
 
-from array import array
 from typing import Callable, Iterable
 
-from ..batch import EventBatch
 from ..event import Event
 from ..time import MAX_TIME, TICK
 from .base import WAKE_AT_FLUSH, UnaryOperator
@@ -21,21 +19,10 @@ PayloadTransform = Callable[[dict], dict]
 
 
 class Where(UnaryOperator):
-    """Keep events whose payload satisfies ``predicate``.
+    """Keep events whose payload satisfies ``predicate``."""
 
-    ``spec`` optionally declares the predicate's shape —
-    ``("eq", key, value)``, ``("ge", key, value)``, or
-    ``("gt", key, value)`` — letting the columnar kernel sweep the named
-    column directly with zero per-row Python calls. The spec must
-    describe ``predicate`` exactly (same contract as AlterLifetime's
-    spec).
-    """
-
-    supports_columnar = True
-
-    def __init__(self, predicate: PayloadPredicate, spec: tuple = None):
+    def __init__(self, predicate: PayloadPredicate):
         self.predicate = predicate
-        self.spec = spec
 
     def on_event(self, event: Event) -> Iterable[Event]:
         if self.predicate(event.payload):
@@ -45,38 +32,6 @@ class Where(UnaryOperator):
         # hot path: a comprehension beats per-event generator dispatch
         # (input order is preserved)
         pred = self.predicate
-        if isinstance(events, EventBatch):
-            spec = self.spec
-            # spec kernel only when the key is in every layout: a row
-            # missing the key must raise KeyError exactly like the
-            # row-mode predicate would
-            if spec is not None and all(
-                spec[1] in keys for keys in events.layouts
-            ):
-                column = events.columns.get(spec[1])
-                if column is not None:
-                    value = spec[2]
-                    if spec[0] == "eq":
-                        keep = [i for i, v in enumerate(column) if v == value]
-                    elif spec[0] == "ge":
-                        keep = [i for i, v in enumerate(column) if v >= value]
-                    else:  # "gt"
-                        keep = [i for i, v in enumerate(column) if v > value]
-                    if len(keep) == len(events):
-                        return events
-                    return events.gather(keep)
-            # columnar fallback: predicate sweep over a reused row view
-            # produces a selection index, then one gather
-            view = events.row_view()
-            keep = []
-            append = keep.append
-            for i in range(len(events)):
-                view.index = i
-                if pred(view):
-                    append(i)
-            if len(keep) == len(events):
-                return events  # all rows pass: batches are immutable, share
-            return events.gather(keep)
         return [e for e in events if pred(e.payload)]
 
     def next_wake(self):
@@ -86,8 +41,6 @@ class Where(UnaryOperator):
 class Project(UnaryOperator):
     """Rewrite each payload with ``fn`` (schema change, derived columns)."""
 
-    supports_columnar = True
-
     def __init__(self, fn: PayloadTransform):
         self.fn = fn
 
@@ -96,17 +49,6 @@ class Project(UnaryOperator):
 
     def on_batch(self, events) -> list:
         fn = self.fn
-        if isinstance(events, EventBatch):
-            # columnar kernel: rebuild payload columns from fn's output
-            # mappings; lifetimes are untouched so the arrays are shared.
-            # fn gets a private dict per row (not the shared view):
-            # projections overwhelmingly splat the whole payload
-            # ({**p, ...}), which runs at C speed on a real dict
-            return EventBatch.from_payloads(
-                events.les,
-                events.res,
-                [fn(p) for p in events.payload_dicts()],
-            )
         return [e.with_payload(fn(e.payload)) for e in events]
 
     def next_wake(self):
@@ -136,8 +78,6 @@ class AlterLifetime(UnaryOperator):
     see LE order.
     """
 
-    supports_columnar = True
-
     def __init__(
         self,
         le_fn: Callable[[int, int], int],
@@ -146,10 +86,9 @@ class AlterLifetime(UnaryOperator):
     ):
         self.le_fn = le_fn
         self.re_fn = re_fn
-        # recognized shapes get pure-arithmetic columnar kernels with no
-        # per-row lambda dispatch: ("window", w) | ("hop", w, h) |
-        # ("shift", dle, dre) | ("point",) | ("infinity",); None falls
-        # back to calling le_fn/re_fn per row
+        # a time window's shape — ("window", w) | ("hop", w, h), the
+        # WINDOW_SPECS — lets window_columns compute lifetimes from the
+        # LE column alone; the spec must describe le_fn/re_fn exactly
         self.spec = spec
 
     def on_event(self, event: Event) -> Iterable[Event]:
@@ -159,8 +98,6 @@ class AlterLifetime(UnaryOperator):
             yield Event(new_le, new_re, event.payload)
 
     def on_batch(self, events) -> list:
-        if isinstance(events, EventBatch):
-            return self._columnar(events)
         le_fn, re_fn = self.le_fn, self.re_fn
         out = []
         append = out.append
@@ -180,66 +117,6 @@ class AlterLifetime(UnaryOperator):
         all (else ``None``). Only for the :data:`WINDOW_SPECS` shapes."""
         les, res = _window_lifetimes(self.spec, [e.le for e in events])
         return les, res, [e.payload for e in events] if payloads else None
-
-    def _columnar(self, batch: EventBatch) -> EventBatch:
-        """Lifetime arithmetic over the packed le/re arrays."""
-        les, res = batch.les, batch.res
-        spec = self.spec
-        if spec is not None:
-            kind = spec[0]
-            if kind in WINDOW_SPECS:
-                new_les, new_res = _window_lifetimes(spec, les)
-                if new_les is not les:
-                    new_les = array("q", new_les)
-                return batch.with_lifetimes(new_les, array("q", new_res))
-            if kind == "point":
-                return batch.with_lifetimes(
-                    les, array("q", [le + TICK for le in les])
-                )
-            if kind == "infinity":
-                if not les or max(les) < MAX_TIME:
-                    return batch.with_lifetimes(
-                        les, array("q", [MAX_TIME]) * len(les)
-                    )
-                keep = [i for i in range(len(les)) if les[i] < MAX_TIME]
-                gathered = batch.gather(keep)
-                return gathered.with_lifetimes(
-                    gathered.les, array("q", [MAX_TIME]) * len(keep)
-                )
-            if kind == "shift":
-                dle, dre = spec[1], spec[2]
-                new_les = array("q", [le + dle for le in les]) if dle else les
-                new_res = array("q", [re + dre for re in res]) if dre else res
-                if dle == dre:
-                    # a pure shift preserves extents: nothing can empty
-                    return batch.with_lifetimes(new_les, new_res)
-                keep = [
-                    i for i in range(len(new_les)) if new_res[i] > new_les[i]
-                ]
-                if len(keep) == len(new_les):
-                    return batch.with_lifetimes(new_les, new_res)
-                return batch.gather(keep).with_lifetimes(
-                    array("q", [new_les[i] for i in keep]),
-                    array("q", [new_res[i] for i in keep]),
-                )
-        # custom rewrite: per-row le_fn/re_fn calls, but still no Event
-        # allocation and no payload traffic
-        le_fn, re_fn = self.le_fn, self.re_fn
-        new_les = array("q")
-        new_res = array("q")
-        keep = []
-        append = keep.append
-        for i in range(len(les)):
-            le, re = les[i], res[i]
-            new_le = le_fn(le, re)
-            new_re = re_fn(le, re)
-            if new_re > new_le:
-                append(i)
-                new_les.append(new_le)
-                new_res.append(new_re)
-        if len(keep) == len(les):
-            return batch.with_lifetimes(new_les, new_res)
-        return batch.gather(keep).with_lifetimes(new_les, new_res)
 
     def next_wake(self):
         return None
@@ -291,24 +168,18 @@ def shift_lifetime(delta_le: int, delta_re: int = None) -> AlterLifetime:
     if delta_re is None:
         delta_re = delta_le
     return AlterLifetime(
-        lambda le, re: le + delta_le,
-        lambda le, re: re + delta_re,
-        spec=("shift", delta_le, delta_re),
+        lambda le, re: le + delta_le, lambda le, re: re + delta_re
     )
 
 
 def to_point_events() -> AlterLifetime:
     """Collapse each event to a point event at its LE."""
-    return AlterLifetime(
-        lambda le, re: le, lambda le, re: le + TICK, spec=("point",)
-    )
+    return AlterLifetime(lambda le, re: le, lambda le, re: le + TICK)
 
 
 def extend_to_infinity() -> AlterLifetime:
     """Extend each event's lifetime to the end of time (RE = MAX_TIME)."""
-    return AlterLifetime(
-        lambda le, re: le, lambda le, re: MAX_TIME, spec=("infinity",)
-    )
+    return AlterLifetime(lambda le, re: le, lambda le, re: MAX_TIME)
 
 
 class CountWindow(UnaryOperator):

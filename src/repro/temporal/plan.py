@@ -214,18 +214,12 @@ class GroupInputNode(PlanNode):
 class WhereNode(PlanNode):
     op_name = "where"
 
-    def __init__(self, input_node: PlanNode, predicate, label=None, spec=None):
+    def __init__(self, input_node: PlanNode, predicate, label=None):
         super().__init__((input_node,), label)
         self.predicate = predicate
-        # recognized comparison shapes — ("eq", key, value),
-        # ("ge", key, value), or ("gt", key, value) — unlock a direct
-        # column sweep in the columnar kernel; the spec must describe
-        # ``predicate`` exactly (same contract as AlterLifetimeNode's
-        # params)
-        self.spec = spec
 
     def make_operator(self):
-        return Where(self.predicate, spec=self.spec)
+        return Where(self.predicate)
 
 
 class ProjectNode(PlanNode):
@@ -557,7 +551,7 @@ def clone_with_inputs(node: PlanNode, inputs: Sequence[PlanNode]) -> PlanNode:
     if isinstance(node, (SourceNode, GroupInputNode)):
         raise ValueError(f"{node!r} is a leaf; it has no inputs to replace")
     if isinstance(node, WhereNode):
-        return WhereNode(inputs[0], node.predicate, node.label, node.spec)
+        return WhereNode(inputs[0], node.predicate, node.label)
     if isinstance(node, ProjectNode):
         return ProjectNode(inputs[0], node.fn, node.label, node.columns)
     if isinstance(node, AlterLifetimeNode):

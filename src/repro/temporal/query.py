@@ -65,38 +65,18 @@ class Query:
     # -- stateless ------------------------------------------------------------
 
     def where(
-        self,
-        predicate: Callable[[dict], bool],
-        label: str = None,
-        spec: tuple = None,
+        self, predicate: Callable[[dict], bool], label: str = None
     ) -> "Query":
-        """Keep events whose payload satisfies ``predicate``.
-
-        ``spec`` optionally names a recognized comparison shape —
-        ``("eq", key, value)``, ``("ge", key, value)``, or
-        ``("gt", key, value)`` — that must describe ``predicate``
-        exactly; the columnar kernel then sweeps the named column
-        directly instead of calling the predicate per row. Prefer
-        :meth:`where_equals` / :meth:`where_greater`, which build both
-        halves from one statement.
-        """
-        return Query(WhereNode(self._node, predicate, label, spec))
+        """Keep events whose payload satisfies ``predicate``."""
+        return Query(WhereNode(self._node, predicate, label))
 
     def where_equals(self, key: str, value, label: str = None) -> "Query":
         """Keep events whose payload has ``p[key] == value``."""
-        return self.where(
-            lambda p, _k=key, _v=value: p[_k] == _v,
-            label=label,
-            spec=("eq", key, value),
-        )
+        return self.where(lambda p, _k=key, _v=value: p[_k] == _v, label=label)
 
     def where_greater(self, key: str, value, label: str = None) -> "Query":
         """Keep events whose payload has ``p[key] > value``."""
-        return self.where(
-            lambda p, _k=key, _v=value: p[_k] > _v,
-            label=label,
-            spec=("gt", key, value),
-        )
+        return self.where(lambda p, _k=key, _v=value: p[_k] > _v, label=label)
 
     def project(
         self,

@@ -162,7 +162,7 @@ class StreamingEngine:
                 f"out-of-order push on {source!r}: LE {event.le} < "
                 f"watermark {watermark}",
             )
-        self._flow.feed(source, (event,), event.le)
+        self._flow.feed(source, [event], event.le)
         if self.tracer.enabled:
             self.tracer.metrics.counter(
                 "streaming.events_in", source=source

@@ -1,9 +1,9 @@
-"""The `batch.payload-mutation` rule: payload immutability under the
-columnar batch format (docs/BATCH_FORMAT.md)."""
+"""The `batch.payload-mutation` rule: events share their payload
+mappings, so plan callables must not write into them (docs/LINTING.md)."""
 
 from repro.analysis import analyze
 from repro.analysis.callables import payload_param_mutations
-from repro.temporal import Query
+from repro.temporal import Query, run_query
 
 COLS = ("StreamId", "UserId", "AdId")
 
@@ -74,6 +74,31 @@ class TestDetector:
 
 
 class TestRule:
+    def test_why_the_rule_exists_shared_source_events(self):
+        """Two branches over one source read the same events: a
+        projection that writes into its argument rewrites what its
+        sibling branch filters, and half the output silently vanishes.
+        The rule flags exactly that callable."""
+
+        def bad(p):
+            p["x"] = -1
+            return p
+
+        rows = [{"Time": t, "x": t + 1} for t in range(3)]
+        source = Query.source("s")
+
+        def both_branches(projection):
+            return source.project(projection).union(
+                source.where(lambda p: p["x"] > 0)
+            )
+
+        clean = run_query(both_branches(lambda p: {**p, "x": -1}), {"s": rows})
+        assert len(clean) == 6
+        corrupted = run_query(both_branches(bad), {"s": rows})
+        assert len(corrupted) == 3
+        assert all(e.payload["x"] == -1 for e in corrupted)
+        assert "batch.payload-mutation" in rule_ids(both_branches(bad))
+
     def test_mutating_projection_flagged(self):
         def bad(p):
             p["Derived"] = p["AdId"]

@@ -89,10 +89,21 @@ class TestEnvKnobDocSync:
 
 
 class TestRemovedKnobsStayRemoved:
-    """Wave batching and the shard workers are gone; nothing a user
-    reads, and nothing ``repro.runtime`` exports, may still offer them."""
+    """Wave batching, the shard workers and the columnar batch format
+    are gone; nothing a user reads, and nothing ``repro.runtime`` or
+    ``repro.temporal`` exports, may still offer them."""
 
-    REMOVED = ("REPRO_WAVE_BATCH", "--wave-batch", "supports_shards", "spawn_workers")
+    REMOVED = (
+        "REPRO_WAVE_BATCH",
+        "--wave-batch",
+        "supports_shards",
+        "spawn_workers",
+        "REPRO_BATCH",
+        "batch_format",
+        "EventBatch",
+        "supports_columnar",
+        "BATCH_FORMAT.md",
+    )
 
     def test_removed_names_do_not_linger_in_docs(self):
         lingering = sorted(
@@ -105,13 +116,23 @@ class TestRemovedKnobsStayRemoved:
 
     def test_removed_names_are_not_exported(self):
         import repro.runtime as runtime
+        import repro.temporal as temporal
         from repro.runtime import Executor
 
         source = (ROOT / "src/repro/runtime/__init__.py").read_text()
-        for name in self.REMOVED + ("WaveBatcher", "resolve_waves_per_dispatch"):
+        source += (ROOT / "src/repro/temporal/__init__.py").read_text()
+        for name in self.REMOVED + (
+            "WaveBatcher",
+            "resolve_waves_per_dispatch",
+            "resolve_batch_format",
+            "BatchRowView",
+            "MISSING",
+        ):
             assert name not in source, name
             assert not hasattr(runtime, name), name
+            assert not hasattr(temporal, name), name
             assert not hasattr(Executor, name), name
+        assert not (ROOT / "src/repro/temporal/batch.py").exists()
 
     def test_waves_per_dispatch_is_documented_once_as_inert(self):
         # the keyword outlives the knob only because the repo benchmark

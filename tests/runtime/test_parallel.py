@@ -9,7 +9,6 @@ from repro.runtime import (
     SerialExecutor,
     ThreadExecutor,
     WorkerStats,
-    resolve_batch_format,
     resolve_executor,
 )
 from repro.runtime.dataflow import Dataflow
@@ -27,7 +26,6 @@ def _clean_env(monkeypatch):
     """Executor env knobs from the outer environment must not leak in."""
     monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
     monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    monkeypatch.delenv("REPRO_BATCH", raising=False)
 
 
 def _square_tasks(n):
@@ -197,55 +195,6 @@ class TestResolveExecutor:
         ex = ctx.resolve_executor()
         assert isinstance(ex, ThreadExecutor) and ex.max_workers == 3
         assert isinstance(RunContext().resolve_executor(), SerialExecutor)
-
-
-class TestResolveBatchFormat:
-    """``REPRO_BATCH`` resolution mirrors ``REPRO_EXECUTOR``: the env
-    knob selects the ambient physical format, explicit specs win, and
-    unknown values fail loudly naming the variable."""
-
-    def test_default_is_row(self):
-        assert resolve_batch_format() == "row"
-        assert resolve_batch_format(None) == "row"
-
-    def test_explicit_specs_pass_through(self):
-        assert resolve_batch_format("row") == "row"
-        assert resolve_batch_format("columnar") == "columnar"
-
-    def test_env_selects_format(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "columnar")
-        assert resolve_batch_format(None) == "columnar"
-
-    def test_explicit_spec_ignores_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "columnar")
-        assert resolve_batch_format("row") == "row"
-
-    def test_empty_env_value_is_unset(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "")
-        assert resolve_batch_format(None) == "row"
-
-    def test_unknown_spec_rejected(self):
-        with pytest.raises(ValueError, match="unknown batch format"):
-            resolve_batch_format("arrow")
-
-    def test_unknown_env_value_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "arrow")
-        with pytest.raises(ValueError, match="REPRO_BATCH"):
-            resolve_batch_format(None)
-
-    def test_run_context_resolves(self, monkeypatch):
-        assert RunContext().resolve_batch_format() == "row"
-        ctx = RunContext(batch_format="columnar")
-        assert ctx.resolve_batch_format() == "columnar"
-        monkeypatch.setenv("REPRO_BATCH", "columnar")
-        assert RunContext().resolve_batch_format() == "columnar"
-        # an explicit context field beats the env
-        assert RunContext(batch_format="row").resolve_batch_format() == "row"
-
-    def test_dataflow_rejects_unknown_format(self):
-        q = Query.source("logs").where(lambda p: True)
-        with pytest.raises(ValueError, match="unknown batch format"):
-            Dataflow(q.to_plan(), batch_format="arrow")
 
 
 class TestParallelStats:

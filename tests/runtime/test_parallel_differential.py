@@ -5,8 +5,8 @@ onto worker threads and TiMR map/reduce tasks onto a work-stealing pool,
 but the driver replays the serial schedule exactly — same wave
 boundaries, same merge order, same seq assignment. Output must therefore
 be *raw-order* byte-identical, not merely canonically equal. These tests
-prove that over hypothesis-generated plans, every builtin BT query, and
-seeded-chaos TiMR jobs with quarantine and checkpoint resume; the
+prove that over hypothesis-generated plans, every builtin BT query,
+seeded task faults on the thread fan-out, and seeded-chaos TiMR jobs with quarantine and checkpoint resume; the
 executor x ``waves_per_dispatch`` matrix and the fork gate live in
 ``test_group_wave_differential.py``.
 """
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.analysis import builtin_query_suite
 from repro.data import GeneratorConfig, generate
 from repro.mapreduce import (
+    TASK_TRANSIENT,
     WORKER_KILL,
     ChaosPolicy,
     Cluster,
@@ -223,6 +224,26 @@ def test_builtin_bt_query_byte_identical(name, bt_rows):
             assert _det_counters(stats) == _det_counters(serial_stats)
             if executor.parallel:
                 assert stats.parallel["executor"] == executor.kind
+
+
+@pytest.mark.parametrize("name", ["bot-elimination", "feature-selection"])
+def test_thread_fanout_chaos_on_bt_queries(name, bt_rows, monkeypatch):
+    """Representative BT queries under the in-wave thread fan-out with
+    seeded task-transient faults: the retries are charged to simulated
+    backoff and the fault-free serial bytes come out."""
+    # the shadow race checker replays waves itself, drawing no faults
+    monkeypatch.delenv("REPRO_RACE_CHECK", raising=False)
+    query = _BT_SUITE[name]
+    reference, _ = run_with(SerialExecutor(), query, bt_rows)
+    policy = ChaosPolicy(seed=8, rates={TASK_TRANSIENT: 0.3})
+    engine = Engine(
+        context=RunContext(
+            executor="thread", max_workers=4, fault_policy=policy
+        )
+    )
+    out = engine.run(query, {"logs": bt_rows}, validate=False)
+    assert engine.last_stats.parallel["recovery"]["task_retries"] >= 1
+    assert raw_bytes(out) == raw_bytes(reference)
 
 
 # ---------------------------------------------------------------------------

@@ -523,7 +523,7 @@ def test_one_event_per_input_and_one_per_output(subplan):
     query = Query.source("logs", ("StreamId", "UserId", "V")).group_apply(
         "UserId", subplan
     )
-    engine = Engine(context=RunContext(executor="serial", batch_format="row"))
+    engine = Engine(context=RunContext(executor="serial"))
     built, out = count_event_constructions(
         lambda: engine.run(query, {"logs": rows}, validate=False)
     )

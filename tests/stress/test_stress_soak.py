@@ -4,8 +4,7 @@ Deselected by default (``addopts = -m "not stress"``); run with
 ``make test-stress`` or an explicit ``-m stress``. Each test runs the
 combined BT job through TiMR under the supervised process pool — the
 one place this system forks — with seeded worker kills on the map and
-reduce fan-outs and the columnar batch format in the embedded engines,
-and holds the two invariants the fast tiers check one run at a time:
+reduce fan-outs, and holds the two invariants the fast tiers check one run at a time:
 
 * **byte identity**: the output and quarantine datasets hash equal to
   the unfailed serial baseline's, every iteration;
@@ -47,11 +46,6 @@ def serial_baseline(soak_rows):
     return out, quarantine
 
 
-@pytest.fixture(autouse=True)
-def _columnar_engines(monkeypatch):
-    monkeypatch.setenv("REPRO_BATCH", "columnar")
-
-
 def open_fds():
     return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0
 
@@ -74,7 +68,7 @@ def chaos_run(rows, seed, rate=0.4, budget=50):
 
 
 @pytest.mark.parametrize("seed", [2, 4, 8, 13, 21])
-def test_pool_kills_with_columnar_engines_byte_identical(
+def test_pool_kills_byte_identical(
     seed, soak_rows, serial_baseline
 ):
     """Killed map and reduce workers are refilled inline; the job's

@@ -223,3 +223,24 @@ def test_sharded_watermark_trajectory_matches_serial(rows, plan_idx, splits):
         rows, plan_idx, splits, executor=ProcessExecutor(max_workers=2)
     )
     assert forked == serial
+
+
+def test_feed_gives_every_same_named_source_the_whole_iterable():
+    """``feed`` takes any iterable: a generator reaches every
+    ``SourceNode`` of that name, exactly as a list does (the first node
+    used to drain it and starve the rest)."""
+    query = (
+        Query.source("s")
+        .where(lambda p: p["x"] > 0)
+        .union(Query.source("s").where(lambda p: p["x"] < 9))
+    )
+
+    def run(make_feed):
+        flow = Dataflow(query.to_plan())
+        events = [Event.point(t, {"x": t + 1}) for t in range(3)]
+        flow.feed("s", make_feed(events), watermark=2)
+        return flow.advance() + flow.flush()
+
+    from_list = run(list)
+    assert len(from_list) == 6
+    assert run(iter) == from_list

@@ -66,15 +66,19 @@ class TestExplainLint:
         assert "no findings" not in report
 
 
-class TestExplainBatch:
-    def test_section_names_each_operator_path(self):
+class TestExplainPhysicalPath:
+    def test_section_names_the_one_format_once(self):
         report = explain(click_count())
-        assert "BATCH" in report
-        assert "REPRO_BATCH=columnar" in report
-        assert "docs/BATCH_FORMAT.md" in report
-        assert "logs: feeds struct-of-arrays EventBatch chunks" in report
-        assert "where: columnar kernel (supports_columnar)" in report
-        assert "row bridge at the per-key split" in report
+        line = (
+            "  rows (List[Event]) between operators; (les, res, payloads) "
+            "columns inside a fused window→aggregate sweep"
+        )
+        section = report.split("PHYSICAL PATH\n")[1]
+        assert section.startswith(line + "\n")
+        assert report.count("List[Event]") == 1
+        # no per-operator table: only a GroupApply adds lines of its own
+        assert "where" not in section
+        assert "scheduling: the driver's local wave" in section
 
     def test_group_apply_names_its_per_key_path(self):
         """No silent physical path: a window that runs fused into its
@@ -100,7 +104,7 @@ class TestExplainBatch:
                 "UserId", lambda g: g.window(5).count().union(g.window(7).count())
             )
         )
-        assert "per key: a nested row-format Dataflow" in nested
+        assert "per key: a nested Dataflow" in nested
 
     def test_group_apply_names_what_its_aggregate_keeps_per_pane(self):
         """Which sweep a window→aggregate chain runs — folded partials or
@@ -137,24 +141,6 @@ class TestExplainBatch:
             "aggregate: on_batch per stage, pane partials (count), "
             "pane payload lists (max); key columns" in mixed
         )
-
-    def test_binary_operator_reports_run_batched_delivery(self):
-        q = Query.source("a").temporal_join(
-            Query.source("b").window(hours(1)), on="UserId"
-        )
-        report = explain(q)
-        assert "run-batched binary delivery" in report
-        assert "window" in report and "columnar kernel" in report
-
-    def test_opaque_alter_lifetime_reports_deferred_bridge(self):
-        q = Query.source("s").alter_lifetime(
-            lambda le, re: le, lambda le, re: re
-        )
-        assert "deferred buffering flattens chunks to rows" in explain(q)
-
-    def test_exchange_is_passthrough(self):
-        q = Query.source("s").exchange("UserId").where(lambda p: True)
-        assert "pass-through (chunks forwarded unchanged)" in explain(q)
 
 
 class TestExplainTraceMetrics:
