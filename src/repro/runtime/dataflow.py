@@ -35,11 +35,10 @@ from __future__ import annotations
 
 import itertools
 import time as _time
-from bisect import bisect_left
 from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..temporal.event import Event
+from ..temporal.event import _LE, Event
 from ..temporal.operators.base import WAKE_ALWAYS, WAKE_AT_FLUSH
 from ..temporal.operators.stateless import WINDOW_SPECS
 from ..temporal.plan import (
@@ -79,6 +78,19 @@ def group_key(payload: dict, keys: Tuple[str, ...]) -> Tuple:
         raise KeyError(
             f"GroupApply key column {exc} missing from payload {payload!r}"
         ) from None
+
+
+def _before(events: List[Event], t: int) -> int:
+    """How many of the LE-sorted ``events`` have an LE before ``t``:
+    ``bisect_left`` by LE, whose ``key=`` needs Python 3.10."""
+    lo, hi = 0, len(events)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if events[mid].le < t:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def _batch_per_key(
@@ -229,7 +241,7 @@ class _OpNode:
         if isinstance(plan_node, GroupApplyNode):
             self._groups: Dict[Tuple, _GroupChain] = {}
             #: the non-idle chains, in activation order (the order the
-            #: cross-group merge draws tie-breaking sequence numbers in)
+            #: cross-group merge appends their outputs in)
             self._active: Dict[Tuple, _GroupChain] = {}
             self._ordinals = itertools.count()
             #: wake-time scheduling of the driver-local wave: chains
@@ -246,15 +258,15 @@ class _OpNode:
             #: chain advances merged by this node, all paths; the serial
             #: wave also draws its heap stamps from it
             self.chain_advances = 0
-            self._pending: List[Tuple[int, int, Event]] = []
-            self._seq = itertools.count()
+            #: merged chain outputs not yet released, LE-sorted (stable)
+            self._pending: List[Event] = []
             self._fed_since_wave = 0
             self._idle_delta = -1  # < 0: no chain has gone idle yet
             self._linear_stages = _linear_stages(plan_node)
             # Every GroupApply runs on the driver's local wave. Per-key
             # chains are independent, so a thread executor fans a wave's
             # due chains out: the schedule (which chains advance, in
-            # what order the merge assigns sequence numbers) stays the
+            # what order the merge appends their outputs) stays the
             # serial one — only the chain *computation* moves — which is
             # what keeps output byte-identical. Any other parallel
             # executor (process, or one degraded off its native tier)
@@ -552,7 +564,6 @@ class _OpNode:
     def _run_group_flush(self, w: int) -> None:
         """End of input: every chain flushes for real."""
         pending = self._pending
-        seq = self._seq
         chains = list(self._groups.values())
         self.chain_advances += len(chains)
         if self._group_mode == "thread" and len(chains) > 1:
@@ -562,11 +573,11 @@ class _OpNode:
         for i, chain in enumerate(chains):
             outs = chain.advance(w) if all_outs is None else all_outs[i]
             if outs:
-                pending.extend((out.le, next(seq), out) for out in outs)
-        # (le, seq) sort == the cross-group LE merge; seq breaks ties
-        # in chain order, so events never compare
-        pending.sort()
-        self.outputs.extend([item[2] for item in pending])
+                pending.extend(outs)
+        # a stable LE sort == the cross-group LE merge: ties keep chain
+        # order, so events never compare
+        pending.sort(key=_LE)
+        self.outputs.extend(pending)
         del pending[:]
         self.flushed = True
         self.watermark = MAX_TIME
@@ -583,7 +594,6 @@ class _OpNode:
         cost is O(fed + due), not O(active chains).
         """
         pending = self._pending
-        seq = self._seq
         active = self._active
         wake_heap = self._wake_heap
         held = self._held
@@ -599,13 +609,13 @@ class _OpNode:
                 len(active)
             )
         # activation order is the order a walk over the whole active set
-        # would reach these chains in, so they draw the same relative
-        # merge sequence numbers — and skipped chains draw none
+        # would reach these chains in, so their outputs join the merge in
+        # the same relative order — and skipped chains add nothing
         items = sorted(due.items(), key=_activation_order)
         if self._group_mode == "thread" and len(items) > 1:
             # chain computation fans out; the merge below consumes the
             # results in exactly the order the serial loop would produce
-            # them, so sequence numbers — and output bytes — are identical
+            # them, so merge order — and output bytes — are identical
             all_outs = self.flow.run_chain_tasks([c for _, c in items], w)
         else:
             all_outs = None
@@ -615,7 +625,7 @@ class _OpNode:
             self.chain_advances += 1
             chain.stamp = stamp = self.chain_advances
             if outs:
-                pending.extend((out.le, next(seq), out) for out in outs)
+                pending.extend(outs)
                 added = True
             if chain.idle_delta is not None:
                 del active[key]
@@ -628,8 +638,9 @@ class _OpNode:
                 heappush(wake_heap, (chain.wake, stamp, key, chain))
         if added:
             # timsort merges the sorted backlog with this wave's sorted
-            # per-chain runs in near-linear time
-            pending.sort()
+            # per-chain runs in near-linear time; being stable, it keeps
+            # the backlog ahead of this wave at equal LEs
+            pending.sort(key=_LE)
         if len(held) + len(wake_heap) > 4 * len(active) + 64:
             self._rebuild_heaps()
         # a sleeping chain's watermark is frozen, so the least live heap
@@ -639,9 +650,9 @@ class _OpNode:
         group_w = w if self._idle_delta < 0 else w - self._idle_delta
         if held and held[0][0] < group_w:
             group_w = held[0][0]
-        idx = bisect_left(pending, (group_w,))
+        idx = _before(pending, group_w)
         if idx:
-            self.outputs.extend([item[2] for item in pending[:idx]])
+            self.outputs.extend(pending[:idx])
             del pending[:idx]
         self.watermark = max(self.watermark, group_w)
 

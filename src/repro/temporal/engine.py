@@ -31,7 +31,7 @@ import heapq
 import warnings
 from itertools import islice
 from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from ..runtime.context import RunContext
 from ..runtime.dataflow import Dataflow
@@ -45,8 +45,7 @@ from ..runtime.racecheck import (
     ShadowRaceChecker,
     race_check_mode,
 )
-from .event import Event
-from .operators.base import sort_events
+from .event import Event, EventColumns
 from .plan import (
     GroupInputNode,
     PlanNode,
@@ -82,7 +81,9 @@ class EngineStats:
         #: context asked for something else, as ``{name: {"count",
         #: "reason"}}``. ``"group_apply.local_wave"`` counts the
         #: GroupApply nodes a process (or degraded) executor ran inline
-        #: on the driver's local wave. Empty when nothing was resolved
+        #: on the driver's local wave; ``"retained.*"`` counts result rows
+        #: kept unpacked (``EventColumns.resolutions``). Empty when
+        #: nothing was resolved
         self.resolutions: Dict[str, dict] = {}
 
     @property
@@ -193,8 +194,15 @@ class Engine:
         time_column: str = "Time",
         validate: Optional[bool] = None,
         batch_size: Optional[int] = None,
-    ) -> List[Event]:
+    ) -> Sequence[Event]:
         """Execute ``query`` and return its output events, LE-ordered.
+
+        The result is an :class:`~repro.temporal.event.EventColumns`: a
+        read-only sequence that keeps lifetimes and payload values as
+        columns and builds a fresh ``Event`` on every index or iteration
+        (docs/EXECUTION.md, "What a run keeps"). ``list(result)`` gives
+        the events as a list; ``events_to_rows(result)`` reads the
+        columns without building any.
 
         Args:
             query: a :class:`Query` or plan root.
@@ -266,7 +274,8 @@ class Engine:
                 span = tracer.span("engine.run", category="engine")
                 span.__enter__()
             try:
-                output = sort_events(
+                # each released batch is packed as it arrives
+                output = EventColumns(
                     _drive(flow, feeds, time_column, chunk_size)
                 )
                 self._record(flow, root, stats, output, tracer)
@@ -331,18 +340,23 @@ class Engine:
     def _record(self, flow, root, stats, output, tracer):
         """Fill stats and emit one summary span per operator node."""
         stats.output_events = len(output)
-        stats.resolutions = flow.resolutions
+        stats.resolutions = {**flow.resolutions, **output.resolutions}
         if tracer.enabled:
-            for name, entry in flow.resolutions.items():
-                # the executor.* family: executor-dependent by nature,
-                # like chunk geometry
-                tracer.metrics.counter(
-                    "executor.resolutions", resolution=name
-                ).inc(entry["count"])
-                tracer.event(
-                    "supervision.resolved", category="supervision",
-                    lane="driver", resolution=name, **entry,
-                )
+            # the executor.* family is executor-dependent by nature, like
+            # chunk geometry; rows the result keeps unpacked depend on the
+            # data alone
+            for counter, found in (
+                ("executor.resolutions", flow.resolutions),
+                ("engine.resolutions", output.resolutions),
+            ):
+                for name, entry in found.items():
+                    tracer.metrics.counter(counter, resolution=name).inc(
+                        entry["count"]
+                    )
+                    tracer.event(
+                        "supervision.resolved", category="supervision",
+                        lane="driver", resolution=name, **entry,
+                    )
         if flow.parallel_stats is not None:
             stats.parallel = flow.parallel_stats.as_dict()
             recovery = flow.parallel_stats.recovery
@@ -386,10 +400,9 @@ class Engine:
                 ).inc(events_out)
 
 
-def _drive(flow, feeds, time_column: str, chunk_size: int) -> List[Event]:
+def _drive(flow, feeds, time_column: str, chunk_size: int):
     """Feed every source through ``flow`` in bounded, watermark-aligned
-    chunks, then flush; returns the outputs in release order."""
-    out: List[Event] = []
+    chunks, then flush; yields each batch of outputs ``flow`` releases."""
     if len(feeds) == 1:
         # fast path: no cross-source merge needed
         name, rows = feeds[0]
@@ -400,7 +413,7 @@ def _drive(flow, feeds, time_column: str, chunk_size: int) -> List[Event]:
                 break
             flow.feed(name, chunk)
             flow.set_watermarks(chunk[-1].le)
-            out.extend(flow.advance())
+            yield flow.advance()
     elif feeds:
         # merge all sources into one globally LE-ordered stream
         # of (le, slot, event); ties never compare events
@@ -422,9 +435,8 @@ def _drive(flow, feeds, time_column: str, chunk_size: int) -> List[Event]:
             # an aligned CTI: the merged order guarantees no source
             # will ever produce an earlier event than the chunk tail
             flow.set_watermarks(chunk[-1][0])
-            out.extend(flow.advance())
-    out.extend(flow.flush())
-    return out
+            yield flow.advance()
+    yield flow.flush()
 
 
 def _tag_stream(stream, slot: int):
@@ -467,6 +479,6 @@ def run_query(
     query: Union[Query, PlanNode],
     sources: Dict[str, Iterable],
     time_column: str = "Time",
-) -> List[Event]:
+) -> Sequence[Event]:
     """One-shot convenience wrapper around :class:`Engine`."""
     return Engine().run(query, sources, time_column=time_column)

@@ -180,6 +180,10 @@ def explain(query: Union[Query, PlanNode], stats=None) -> str:
         "  rows (List[Event]) between operators; (les, res, payloads) "
         "columns inside a fused window→aggregate sweep"
     )
+    lines.append(
+        "  result kept as EventColumns: int64 les/res plus payload values "
+        "per key layout; each access builds a fresh Event"
+    )
     for node in topological_order(root):
         if isinstance(node, GroupApplyNode):
             lines.append(f"  {node.describe()}:")

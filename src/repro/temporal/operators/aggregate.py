@@ -313,6 +313,8 @@ class SnapshotAggregate(UnaryOperator):
         states = self._states = [s.build() for s in self.specs]
         #: what moves a pane in and out: the state, or all of them as one
         self._fold = states[0] if len(states) == 1 else _Together(states)
+        #: the output column of a lone spec (None with several)
+        self._into = self.specs[0].into if len(states) == 1 else None
         self._pending: List[int] = []  # min-heap of the distinct live REs
         self._panes: Dict[int, list] = {}  # RE -> pane
         self._segment_start: Optional[int] = None  # set while a pane is live
@@ -334,6 +336,8 @@ class SnapshotAggregate(UnaryOperator):
         )
 
     def _value_payload(self) -> dict:
+        if self._into is not None:
+            return {self._into: self._states[0].value()}
         return {s.into: st.value() for s, st in zip(self.specs, self._states)}
 
     def _drain(self, t: int, out: list) -> list:

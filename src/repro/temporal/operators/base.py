@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
-from ..event import Event
+from ..event import _LE, Event
 from ..time import MAX_TIME, MIN_TIME
 
 #: Tag for events arriving on the left input of a binary operator.
@@ -35,7 +35,7 @@ WAKE_AT_FLUSH = MAX_TIME
 
 def sort_events(events: List[Event]) -> List[Event]:
     """Sort events by LE (stable). Timsort makes mostly-sorted output cheap."""
-    events.sort(key=lambda e: e.le)
+    events.sort(key=_LE)
     return events
 
 

@@ -13,13 +13,15 @@ child process forked.
 """
 
 import multiprocessing
+from bisect import bisect_left
 from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime import RunContext
-from repro.temporal import Engine, Query, explain
+from repro.runtime.dataflow import _before
+from repro.temporal import Engine, Event, Query, explain
 from repro.temporal import engine as engine_module
 from repro.temporal.time import hours
 
@@ -51,6 +53,18 @@ def test_executor_by_knob_matrix_matches_serial(rows, plan_idx):
             assert raw_bytes(out) == raw_bytes(serial), (executor, wpd)
             assert out == serial  # raw list equality, not just serialization
             assert _det_counters(stats) == _det_counters(serial_stats)
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=6), max_size=30).map(sorted),
+    st.integers(min_value=-1, max_value=7),
+)
+def test_the_wave_releases_the_backlog_bisect_left_would(les, t):
+    """Each wave releases the LE-sorted backlog's prefix before the group
+    watermark; the search is written out because ``bisect``'s ``key=``
+    needs Python 3.10."""
+    backlog = [Event(le, le + 1, {"n": i}) for i, le in enumerate(les)]
+    assert _before(backlog, t) == bisect_left(les, t)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +120,7 @@ def _driven(context, query, rows):
 
     def recording_drive(flow, *args):
         try:
-            return drive(flow, *args)
+            yield from drive(flow, *args)
         finally:
             seen["chain_advances"] = flow.chain_advances
             seen["children"] = multiprocessing.active_children()
