@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test test-stress lint selflint ruff chaos chaos-parallel bench-smoke bench-compare bench-trend bench-e2e test-bench-harness profile profile-bt race-check
+.PHONY: check test test-stress lint selflint ruff chaos chaos-parallel bench-smoke bench-compare bench-trend bench-e2e test-bench-harness profile profile-bt
 
 check: test selflint chaos ruff
 
@@ -92,14 +92,6 @@ profile:
 profile-bt:
 	@$(MAKE) --no-print-directory profile WORKLOAD=bt_timr
 	@$(PYTHON) benchmarks/profile_bt_reuse.py
-
-# the tier-1 suite under the shadow race checker: every parallel wave is
-# replayed serially with owning-schedule attribution; byte-identity means
-# this must pass exactly like the plain suite (docs/PARALLELISM.md)
-race-check:
-	REPRO_RACE_CHECK=1 REPRO_EXECUTOR=thread REPRO_WORKERS=4 \
-		$(PYTHON) -m pytest -x -q
-	$(PYTHON) -m repro lint --builtin --no-plan --dynamic
 
 selflint:
 	$(PYTHON) -m repro lint --builtin --no-plan

@@ -17,7 +17,7 @@ Four passes over the plan (plus parameter checks):
 * **parallel safety** — flags shared mutable captures, fork-unsafe
   closures, ambient-environment reads, and order-dependent reduce
   functions that would break byte-identical parallel execution (these
-  feed the executor gate in ``Engine.run`` / ``TiMR.run``);
+  feed the executor gate in ``TiMR.run``);
 * **partition safety** — cross-checks explicit ``.exchange()``
   annotations against every operator's :class:`PartitionConstraint`.
 

@@ -567,33 +567,6 @@ def payload_param_mutations(fn, param_indexes) -> List[Tuple[str, str]]:
     return found
 
 
-def mutable_captures(fn) -> List[Tuple[str, object]]:
-    """(label, object) for every mutable container the callable can reach.
-
-    Union of mutable closure cells, mutable default arguments, and
-    referenced mutable module globals — the watch-list the dynamic
-    :class:`~repro.runtime.racecheck.ShadowRaceChecker` fingerprints
-    between task schedules.
-    """
-    inner = unwrap(fn)
-    code = getattr(inner, "__code__", None)
-    if code is None:
-        return []
-    out: List[Tuple[str, object]] = []
-    for name, value in closure_map(fn).items():
-        if isinstance(value, MUTABLE_TYPES):
-            out.append((f"closure {name!r}", value))
-    defaults = getattr(inner, "__defaults__", None) or ()
-    argnames = code.co_varnames[: code.co_argcount]
-    for name, value in zip(argnames[-len(defaults):], defaults):
-        if isinstance(value, MUTABLE_TYPES):
-            out.append((f"default {name!r}", value))
-    globs = getattr(inner, "__globals__", None) or {}
-    for name in mutable_global_refs(fn):
-        out.append((f"global {name!r}", globs[name]))
-    return out
-
-
 def uses_builtin_hash(fn) -> bool:
     """True when the callable references the builtin ``hash``."""
     code = function_code(fn)

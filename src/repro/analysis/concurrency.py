@@ -1,7 +1,7 @@
 """Parallel-safety pass: races and determinism hazards under fan-out.
 
-PR 5's executors fan GroupApply key chains and cluster map tasks out
-over threads or forked processes while replaying the serial schedule, so
+The executors fan ``Cluster`` map and reduce partitions out over
+threads or forked processes while replaying the serial schedule, so
 output stays byte-identical — *provided* user callables obey the
 concurrency invariants the runtime cannot enforce: no shared mutable
 capture across schedules, fork/pickle-safe closures under the process
@@ -10,7 +10,8 @@ every runtime callable in the plan (with the bytecode machinery in
 :mod:`.callables`) for exactly those hazards:
 
 * mutable module globals (shared by every worker) and, inside GroupApply
-  sub-plans, mutable closure cells (shared by every key chain) →
+  sub-plans, mutable closure cells (shared by every reduce partition
+  running the plan) →
   ``parallel.shared-mutable-capture``;
 * captured open files / sockets / locks / generators, which ``fork``
   duplicates or invalidates → ``parallel.fork-unsafe-capture``;
@@ -23,8 +24,8 @@ every runtime callable in the plan (with the bytecode machinery in
 All four are *warning* severity: a serial run is still correct, so the
 pre-flight gate (:func:`validate_plan`) never blocks on them. Instead
 :func:`blocking_findings` feeds the **parallel gate**: when a non-serial
-executor is requested, ``Engine.run`` / ``TiMR.run`` consult it and fall
-back to serial with a :class:`~repro.runtime.parallel.
+executor is requested, ``TiMR.run`` consults it and falls back to
+serial with a :class:`~repro.runtime.parallel.
 ParallelSafetyWarning` diagnostic. Suppression follows the usual idiom
 (``# repro: ignore[rule]`` on the offending operator) and
 ``--force-parallel`` / ``REPRO_FORCE_PARALLEL`` skip the gate entirely.
@@ -52,9 +53,7 @@ from .callables import (
     order_dependent_writes,
 )
 
-#: The statically detectable parallel-safety rules (the dynamic
-#: ``parallel.dynamic-race`` / ``parallel.schedule-divergence`` findings
-#: come from the ShadowRaceChecker, never from this pass).
+#: The parallel-safety rules.
 STATIC_PARALLEL_RULES = frozenset(
     {
         "parallel.shared-mutable-capture",
@@ -73,9 +72,9 @@ _REDUCE_NODES = (WindowedUDONode, SnapshotUDONode, ScanUDONode)
 def _group_scoped_ids(root: PlanNode) -> Set[int]:
     """node_ids living inside some GroupApply sub-plan.
 
-    Callables there run once per key chain; the chains advance
-    concurrently under a parallel executor, so state captured by such a
-    callable is shared across schedules.
+    Callables there run once per key chain, and every reduce partition
+    running the plan under a parallel executor has its own chains, so
+    state captured by such a callable is shared across schedules.
     """
     ids: Set[int] = set()
     seen: Set[Tuple[int, bool]] = set()
@@ -136,7 +135,7 @@ def concurrency_pass(ctx) -> None:
                     )
                 else:
                     message = (
-                        f"{what} {desc}; concurrent key chains and map "
+                        f"{what} {desc}; concurrent map and reduce "
                         "partitions would interleave those writes "
                         "nondeterministically"
                     )
@@ -161,7 +160,7 @@ def concurrency_pass(ctx) -> None:
                         node,
                         f"{what} captures mutable object {name!r} inside a "
                         "GroupApply sub-plan; one cell is shared by every "
-                        "concurrently advancing key chain",
+                        "concurrently running reduce partition",
                         location=location,
                     )
             for name, kind in fork_unsafe_captures(fn):

@@ -144,18 +144,6 @@ _rule(
     "so its result depends on shard/schedule order (not commutative)",
 )
 _rule(
-    "parallel.dynamic-race",
-    "warning",
-    "the shadow race checker observed a watched object mutated from two "
-    "different task schedules during an instrumented run",
-)
-_rule(
-    "parallel.schedule-divergence",
-    "error",
-    "re-running with a perturbed (reversed) task schedule produced "
-    "different output bytes: execution is schedule-dependent",
-)
-_rule(
     "batch.payload-mutation",
     "warning",
     "a plan callable mutates a payload mapping in place; events share "

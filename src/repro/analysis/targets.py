@@ -106,115 +106,3 @@ def lint_suite(
 ) -> Dict[str, AnalysisReport]:
     """Analyze every query in a suite; returns ``{name: report}``."""
     return {name: analyze(q, ignore=ignore) for name, q in sorted(suite.items())}
-
-
-# -- dynamic lint (repro lint --dynamic) -------------------------------------
-
-
-def dynamic_lint_rows(num_users: int = 30, duration_days: float = 0.5):
-    """A small deterministic synthetic log for dynamic-lint executions."""
-    from ..data import GeneratorConfig, generate
-
-    return generate(
-        GeneratorConfig(
-            num_users=num_users, duration_days=duration_days, seed=42
-        )
-    ).rows
-
-
-def runnable_over_logs(query) -> bool:
-    """True when the plan's only external source is the ``logs`` stream.
-
-    Dynamic lint needs to actually execute the plan; queries over model
-    outputs (``examples``, ``profiles``) have no generator to feed them
-    and are skipped (the static pass still covers them).
-    """
-    from ..temporal.plan import source_nodes
-
-    root = query.to_plan() if hasattr(query, "to_plan") else query
-    return {s.name for s in source_nodes(root)} == {"logs"}
-
-
-def dynamic_check(query, rows) -> list:
-    """Execute a plan under the shadow race checker, twice, and report.
-
-    Run 1 replays the canonical (forward) wave schedule with mutation
-    attribution; run 2 perturbs it (each wave's tasks reversed). Race
-    findings from either run become ``parallel.dynamic-race``
-    diagnostics, and an output-byte mismatch between the two schedules
-    becomes a ``parallel.schedule-divergence`` error — the dynamic
-    counterpart of the byte-identical guarantee.
-    """
-    import warnings
-
-    from ..runtime.context import RunContext
-    from ..temporal.engine import Engine
-    from .diagnostics import Diagnostic
-
-    root = query.to_plan() if hasattr(query, "to_plan") else query
-    outputs = []
-    findings = []
-    for mode in ("shadow", "perturb"):
-        engine = Engine(
-            context=RunContext(
-                executor="thread",
-                max_workers=4,
-                force_parallel=True,
-                race_check=mode,
-            )
-        )
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # findings become diagnostics
-                events = engine.run(root, {"logs": rows}, validate=False)
-        except Exception:
-            # the plan cannot execute over the synthetic log (e.g. it
-            # reads columns the generator does not emit) — dynamic lint
-            # has nothing to observe; static rules still cover the plan
-            return []
-        outputs.append(
-            [
-                (e.le, e.re, tuple(sorted(e.payload.items())))
-                for e in events
-            ]
-        )
-        findings.extend(engine.last_race_findings)
-
-    diagnostics = []
-    seen = set()
-    for f in findings:
-        # the shadow and perturb runs usually attribute the same object
-        # to different owner sets; one diagnostic per object is enough
-        if f.object_label in seen:
-            continue
-        seen.add(f.object_label)
-        diagnostics.append(
-            Diagnostic(
-                rule="parallel.dynamic-race",
-                message=f.format(),
-                node_id=root.node_id,
-                node=root.describe(),
-                location=root.source_location,
-            )
-        )
-    if outputs[0] != outputs[1]:
-        first = min(len(outputs[0]), len(outputs[1]))
-        for i, (a, b) in enumerate(zip(outputs[0], outputs[1])):
-            if a != b:
-                first = i
-                break
-        diagnostics.append(
-            Diagnostic(
-                rule="parallel.schedule-divergence",
-                message=(
-                    "forward and perturbed (reversed) wave schedules "
-                    f"produced different output ({len(outputs[0])} vs "
-                    f"{len(outputs[1])} events, first divergence at "
-                    f"index {first}); execution is schedule-dependent"
-                ),
-                node_id=root.node_id,
-                node=root.describe(),
-                location=root.source_location,
-            )
-        )
-    return diagnostics

@@ -11,9 +11,7 @@ Commands:
 * ``explain`` — show everything the framework knows about a query's
   plan before running it.
 * ``lint`` — run the static pre-flight analyzer over a StreamSQL query,
-  a Python file exposing plans, or the built-in BT query suite; with
-  ``--dynamic``, additionally execute each runnable plan under the
-  shadow race checker (forward + perturbed schedule).
+  a Python file exposing plans, or the built-in BT query suite.
 * ``chaos`` — run the full BT pipeline through TiMR under a seeded
   probabilistic fault schedule (map, shuffle, reduce, FS I/O), assert
   the output is byte-identical to a fault-free run, then kill the job
@@ -34,9 +32,8 @@ Exit codes (stable; CI relies on them):
 * ``0`` — success. For ``lint``: no error-severity findings (warnings
   alone still exit 0). For ``chaos``: every phase byte-identical.
 * ``1`` — the command ran but its checks failed: ``lint`` found
-  error-severity problems (including ``parallel.schedule-divergence``
-  from a ``--dynamic`` run; warning-severity findings such as
-  ``parallel.dynamic-race`` alone still exit 0); ``chaos`` produced
+  error-severity problems (warning-severity findings alone still exit
+  0); ``chaos`` produced
   divergent output or could not be killed/resumed as scheduled.
 * ``2`` — usage or input errors: StreamSQL parse failures, plans
   rejected by pre-flight analysis, bad flags, unreadable files,
@@ -165,14 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--no-plan", action="store_true", help="omit the caret-marked plan rendering"
-    )
-    lint.add_argument(
-        "--dynamic",
-        action="store_true",
-        help="additionally execute each runnable plan under the shadow "
-        "race checker (forward + perturbed schedule) over a small "
-        "synthetic log; reports parallel.dynamic-race and "
-        "parallel.schedule-divergence findings",
     )
     lint.add_argument(
         "--json",
@@ -446,11 +435,6 @@ def _collect_py_queries(path: str) -> dict:
 
 def _cmd_lint(args) -> int:
     from .analysis import RULES, analyze, builtin_query_suite, example_plan_suite
-    from .analysis.targets import (
-        dynamic_check,
-        dynamic_lint_rows,
-        runnable_over_logs,
-    )
     from .temporal import parse_sql
 
     if not args.targets and not args.builtin:
@@ -485,19 +469,10 @@ def _cmd_lint(args) -> int:
                 query = rewrite(plan, replacements)
             suites[f"query {len(suites)}"] = query
 
-    dyn_rows = dynamic_lint_rows() if args.dynamic else None
     total_errors = total_warnings = 0
-    dynamic_runs = 0
     json_targets = []
     for name, query in sorted(suites.items()):
         report = analyze(query, ignore=args.ignore)
-        if dyn_rows is not None and runnable_over_logs(query):
-            dynamic_runs += 1
-            report.diagnostics.extend(
-                d
-                for d in dynamic_check(query, dyn_rows)
-                if d.rule not in args.ignore
-            )
         total_errors += len(report.errors)
         total_warnings += len(report.warnings)
         if args.json:
@@ -536,8 +511,6 @@ def _cmd_lint(args) -> int:
                 {
                     "command": "lint",
                     "plans": len(suites),
-                    "dynamic": args.dynamic,
-                    "dynamic_runs": dynamic_runs,
                     "errors": total_errors,
                     "warnings": total_warnings,
                     "exit_code": exit_code,
@@ -555,15 +528,9 @@ def _cmd_lint(args) -> int:
             )
         )
         return exit_code
-    dyn_note = (
-        f" ({dynamic_runs} plan(s) executed under the shadow race checker)"
-        if args.dynamic
-        else ""
-    )
     print(
         f"linted {len(suites)} plan(s): "
         f"{total_errors} error(s), {total_warnings} warning(s)"
-        f"{dyn_note}"
     )
     return exit_code
 

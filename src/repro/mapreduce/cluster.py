@@ -28,8 +28,6 @@ from marshal import dumps as _marshal
 from typing import List, Optional, Sequence, Set, Tuple
 
 from ..runtime.context import RunContext
-from ..runtime.parallel import SERIAL
-from ..runtime.racecheck import race_check_mode
 from .cost import CostModel, JobReport, StageReport
 from .faults import (
     FS_READ,
@@ -248,11 +246,6 @@ class Cluster:
             shuffle_bytes = 0
             executor = self.context.resolve_executor()
             map_results = None
-            if race_check_mode(self.context) is not None:
-                # shadow race checking wants one task at a time with the
-                # serial schedule; map output is merged in partition
-                # order either way, so the bytes cannot differ
-                executor = SERIAL
             if executor.parallel and len(data.partitions) > 1:
                 map_results = self._run_map_parallel(
                     executor, stage, data.partitions, report, quarantined
@@ -745,11 +738,12 @@ class Cluster:
         would), then dispatches the pure sort+reduce body. Quarantine
         records — sort dead letters first, then bisected poison rows —
         merge in partition order, so the ``{job}.quarantine`` dataset is
-        byte-identical to a serial run. A task that sees an exotic
-        injected fault or a real reduce failure returns ``None`` and
-        that partition re-runs through the full serial path in the
-        driver, preserving :class:`StageExecutionError` fidelity
-        (exception type, attempt count, ``__cause__``).
+        byte-identical to a serial run. A task whose sort fails, or that
+        sees an exotic injected fault or a real reduce failure, returns
+        ``None`` and that partition re-runs through the full serial path
+        in the driver, so whatever it raises keeps its serial type
+        (:class:`StageExecutionError` attempt count and ``__cause__``
+        included).
         """
         predrawn = [
             self._predraw_reduce_faults(stage, idx, report)
@@ -766,7 +760,12 @@ class Cluster:
                 sort_records: List[Row] = []
                 if sort_by_time:
                     start = clock()
-                    rows_sorted, sort_records = sorter(stage, idx, rows)
+                    try:
+                        rows_sorted, sort_records = sorter(stage, idx, rows)
+                    except Exception:
+                        # whatever it is, the driver's serial re-run
+                        # raises it again with its own type
+                        return None
                     sort_seconds = clock() - start
                 else:
                     rows_sorted = rows

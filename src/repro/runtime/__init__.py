@@ -25,12 +25,6 @@ from .parallel import (
     resolve_retry_budget,
     resolve_worker_timeout,
 )
-from .racecheck import (
-    RaceFinding,
-    RaceWarning,
-    ShadowRaceChecker,
-    race_check_mode,
-)
 
 __all__ = [
     "DEFAULT_CONTEXT",
@@ -41,19 +35,15 @@ __all__ = [
     "ParallelSafetyWarning",
     "ParallelStats",
     "ProcessExecutor",
-    "RaceFinding",
-    "RaceWarning",
     "RecoveryStats",
     "RunContext",
     "SerialExecutor",
-    "ShadowRaceChecker",
     "StreamingUnsupported",
     "Supervision",
     "ThreadExecutor",
     "WorkerStats",
     "force_parallel_requested",
     "group_key",
-    "race_check_mode",
     "resolve_executor",
     "resolve_retry_budget",
     "resolve_worker_timeout",

@@ -101,11 +101,6 @@ class RunContext:
             even when the static pass reports hazards (the CLI's
             ``--force-parallel``; ``REPRO_FORCE_PARALLEL=1`` is the
             env equivalent).
-        race_check: dynamic race detection mode: ``False`` defers to
-            the ``REPRO_RACE_CHECK`` environment variable; ``True`` /
-            ``"shadow"`` shadow-executes parallel waves serially with
-            mutation attribution; ``"perturb"`` additionally reverses
-            each wave's task order. See docs/PARALLELISM.md.
         worker_timeout: seconds the supervised executor waits on a
             silent worker before declaring it lost and recovering its
             work inline (``None``: the ``REPRO_PARALLEL_TIMEOUT``
@@ -133,7 +128,6 @@ class RunContext:
     executor: Optional[object] = None
     max_workers: Optional[int] = None
     force_parallel: bool = False
-    race_check: object = False
     worker_timeout: Optional[float] = None
     worker_retry_budget: Optional[int] = None
     waves_per_dispatch: Optional[object] = None

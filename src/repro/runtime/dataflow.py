@@ -55,14 +55,13 @@ from ..temporal.plan import (
 )
 from ..temporal.time import MAX_TIME, MIN_TIME
 from ..obs.trace import NULL_TRACER
-from .parallel import ParallelStats
 
 #: The reserved source name a GroupApply chain feeds its sub-plan under.
 GROUP_SOURCE = "<group>"
 
 #: The one named physical-path resolution a flow records
-#: (``Dataflow.resolutions``): a GroupApply whose context asked for an
-#: executor that does not fan its chains out.
+#: (``Dataflow.resolutions``): a GroupApply whose context asked for a
+#: parallel executor, which never fans its chains out.
 LOCAL_WAVE = "group_apply.local_wave"
 
 
@@ -255,30 +254,18 @@ class _OpNode:
             self._due: Dict[Tuple, _GroupChain] = {}
             self._wake_heap: List[tuple] = []
             self._held: List[tuple] = []
-            #: chain advances merged by this node, all paths; the serial
-            #: wave also draws its heap stamps from it
+            #: chain advances merged by this node; the wave also draws
+            #: its heap stamps from it
             self.chain_advances = 0
             #: merged chain outputs not yet released, LE-sorted (stable)
             self._pending: List[Event] = []
             self._fed_since_wave = 0
             self._idle_delta = -1  # < 0: no chain has gone idle yet
             self._linear_stages = _linear_stages(plan_node)
-            # Every GroupApply runs on the driver's local wave. Per-key
-            # chains are independent, so a thread executor fans a wave's
-            # due chains out: the schedule (which chains advance, in
-            # what order the merge appends their outputs) stays the
-            # serial one — only the chain *computation* moves — which is
-            # what keeps output byte-identical. Any other parallel
-            # executor (process, or one degraded off its native tier)
-            # resolves to the same wave run inline, as a counted event.
-            ex = flow.executor
-            if ex is None:
-                self._group_mode = "serial"
-            elif ex.kind == "thread" and ex.degraded is None:
-                self._group_mode = "thread"
-            else:
-                self._group_mode = "serial"
-                flow._resolve_local_wave(ex)
+            # Every GroupApply runs on the driver's local wave, serially;
+            # a parallel executor resolves to it as a counted event.
+            if flow.executor is not None:
+                flow._resolve_local_wave(flow.executor)
         elif not isinstance(plan_node, (SourceNode, GroupInputNode, ExchangeNode)):
             self._operator = plan_node.make_operator()
         if future is None:
@@ -564,14 +551,9 @@ class _OpNode:
     def _run_group_flush(self, w: int) -> None:
         """End of input: every chain flushes for real."""
         pending = self._pending
-        chains = list(self._groups.values())
-        self.chain_advances += len(chains)
-        if self._group_mode == "thread" and len(chains) > 1:
-            all_outs = self.flow.run_chain_tasks(chains, w)
-        else:
-            all_outs = None
-        for i, chain in enumerate(chains):
-            outs = chain.advance(w) if all_outs is None else all_outs[i]
+        self.chain_advances += len(self._groups)
+        for chain in self._groups.values():
+            outs = chain.advance(w)
             if outs:
                 pending.extend(outs)
         # a stable LE sort == the cross-group LE merge: ties keep chain
@@ -611,17 +593,9 @@ class _OpNode:
         # activation order is the order a walk over the whole active set
         # would reach these chains in, so their outputs join the merge in
         # the same relative order — and skipped chains add nothing
-        items = sorted(due.items(), key=_activation_order)
-        if self._group_mode == "thread" and len(items) > 1:
-            # chain computation fans out; the merge below consumes the
-            # results in exactly the order the serial loop would produce
-            # them, so merge order — and output bytes — are identical
-            all_outs = self.flow.run_chain_tasks([c for _, c in items], w)
-        else:
-            all_outs = None
         added = False
-        for i, (key, chain) in enumerate(items):
-            outs = chain.advance(w) if all_outs is None else all_outs[i]
+        for key, chain in sorted(due.items(), key=_activation_order):
+            outs = chain.advance(w)
             self.chain_advances += 1
             chain.stamp = stamp = self.chain_advances
             if outs:
@@ -923,16 +897,6 @@ class _GroupChain:
         return outs
 
 
-def _chain_advance(chain, watermark: int):
-    """A zero-arg task advancing one chain (bound per chain, not by loop
-    variable capture)."""
-
-    def task():
-        return chain.advance(watermark)
-
-    return task
-
-
 class Dataflow:
     """One CQ plan instantiated as a graph of live incremental operators.
 
@@ -951,13 +915,10 @@ class Dataflow:
             bounded by the threshold; outputs are merely released later,
             never changed.
         executor: the run's :class:`~repro.runtime.parallel.Executor`.
-            Every GroupApply runs on the driver's local wave; a thread
-            executor fans each wave's due chains out over its workers
-            (``None`` or a serial executor: inline), and any other
-            parallel executor resolves to the inline wave as a counted
-            event in :attr:`resolutions`. Output is byte-identical
-            across executors — the serial wave schedule and merge order
-            are replayed exactly; only chain computation moves.
+            Every GroupApply runs serially on the driver's local wave; a
+            parallel executor resolves to it as a counted event in
+            :attr:`resolutions`, so output is byte-identical across
+            executors.
     """
 
     def __init__(
@@ -969,26 +930,19 @@ class Dataflow:
         timed: bool = False,
         group_wave_events: int = 0,
         executor=None,
-        race_checker=None,
         tracer=None,
     ):
         self.allow_unstreamable = allow_unstreamable
         self.timed = timed
         self.group_wave_events = group_wave_events
-        self.race_checker = race_checker
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: named physical-path resolutions taken where the context asked
         #: for something else, as ``{name: {"count", "reason"}}`` — no
         #: fallback is silent (``EngineStats.resolutions``)
         self.resolutions: Dict[str, dict] = {}
-        if executor is not None and executor.parallel:
-            self.executor = executor
-            self.parallel_stats = ParallelStats(
-                kind=executor.kind, max_workers=executor.max_workers
-            )
-        else:
-            self.executor = None
-            self.parallel_stats = None
+        self.executor = (
+            executor if executor is not None and executor.parallel else None
+        )
         meta = _PlanMeta.of(root)
         self._order = meta.order
         self._nodes: Dict[int, _OpNode] = {}
@@ -1162,31 +1116,9 @@ class Dataflow:
         self.set_watermarks(MAX_TIME)
         return self.advance()
 
-    def run_chain_tasks(self, chains, watermark: int) -> List[List[Event]]:
-        """Advance independent chains on the executor, results in chain
-        order (the caller's merge loop then replays the serial schedule).
-
-        Safe to fan out because chains share no mutable state: stateless
-        operator instances shared across chains are pure, and the only
-        cross-chain writes — plan-meta memoization on first touch of a
-        nested sub-plan — are idempotent publishes of equivalent
-        immutable values.
-        """
-        tasks = [_chain_advance(chain, watermark) for chain in chains]
-        if self.race_checker is not None:
-            # shadow mode: replay the wave serially under instrumentation
-            # (and, in perturb mode, in reversed order) instead of fanning
-            # out — mutation attribution needs one task running at a time
-            owners = [tuple(chain.key_columns.values()) for chain in chains]
-            return self.race_checker.run_wave(tasks, owners)
-        results = self.executor.run_tasks(tasks)
-        self.parallel_stats.add(self.executor.last_stats)
-        self.parallel_stats.recovery.merge(self.executor.last_recovery)
-        self.parallel_stats.overhead.merge(self.executor.last_overhead)
-        return results
-
     def _resolve_local_wave(self, executor) -> None:
-        """Count one GroupApply that ``executor`` does not fan out."""
+        """Count one GroupApply that the parallel ``executor`` does not
+        fan out."""
         entry = self.resolutions.get(LOCAL_WAVE)
         if entry is not None:
             entry["count"] += 1
@@ -1197,8 +1129,8 @@ class Dataflow:
         self.resolutions[LOCAL_WAVE] = {
             "count": 1,
             "reason": (
-                f"{tier} executor: per-key chains advance inline on the "
-                "driver's local wave; process parallelism is Cluster "
+                f"{tier} executor: per-key chains advance serially on the "
+                "driver's local wave; parallelism is Cluster map/reduce "
                 "partitions (docs/PARALLELISM.md)"
             ),
         }

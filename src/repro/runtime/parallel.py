@@ -4,7 +4,7 @@ The paper's BT pipeline is dominated by per-user GroupApply chains and
 map-heavy TiMR stages that the real system fanned out across a cluster.
 This module supplies the in-process analogue: an :class:`Executor`
 abstraction that runs independent *tasks* — map and reduce tasks over
-partitions, a wave's due chain advances on threads — concurrently while
+``Cluster`` partitions — concurrently while
 keeping every externally visible result **byte-identical to a serial
 run**.
 
@@ -12,7 +12,7 @@ Determinism is enforced at the merge, never trusted to scheduling:
 
 * :meth:`Executor.run_tasks` always returns results in *task order*,
   whatever order workers finished in. Callers assign output positions
-  (and GroupApply merge sequence numbers) from that order, so the
+  from that order, so the
   interleaving chosen by the OS scheduler is unobservable.
 * Work distribution is *chunked work-stealing*: workers claim fixed
   chunks of the task list from a shared cursor. Which worker runs which
@@ -36,10 +36,10 @@ Three implementations:
   ``fork`` is unavailable the executor degrades to threads (flagged via
   :attr:`ProcessExecutor.can_fork`).
 
-Tasks through the pool are coarse — a partition's map or reduce, not a
-chain's advance: a GroupApply always runs on the driver's local wave
-(``runtime/dataflow.py``), and a process executor reaches it only as a
-counted resolution (docs/PARALLELISM.md).
+Tasks through the pool are coarse — a partition's map or reduce, never
+a chain's advance: a GroupApply always runs serially on the driver's
+local wave (``runtime/dataflow.py``), and a parallel executor reaches it
+only as a counted resolution (docs/PARALLELISM.md).
 
 Supervision
 -----------
@@ -60,7 +60,7 @@ keeps failing past the budget, the executor *degrades* — process →
 thread → serial — for the remainder of the run with an
 :class:`ExecutorDegradedWarning` instead of failing the query.
 Supervision activity is reported via :class:`RecoveryStats` (merged
-into :class:`ParallelStats` and ``EngineStats.parallel``); fault
+into :class:`ParallelStats` and ``TiMRResult.parallel``); fault
 injection at the executor layer (``worker-kill`` / ``task-transient`` /
 ``reply-drop`` sites) is drawn deterministically in the driver — see
 ``mapreduce/faults.py`` and docs/FAULT_TOLERANCE.md.
@@ -126,7 +126,7 @@ _MAX_TASK_ATTEMPTS = 32
 class ParallelSafetyWarning(UserWarning):
     """A parallel run was downgraded to serial by the safety gate.
 
-    Emitted by ``Engine.run`` / ``TiMR.run`` when the static
+    Emitted by ``TiMR.run`` when the static
     parallel-safety pass (:mod:`repro.analysis.concurrency`) finds
     unsuppressed hazards and a non-serial executor was requested. The
     message names the findings and the escape hatches (``# repro:

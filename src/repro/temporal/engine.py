@@ -28,23 +28,12 @@ The default is the shared no-op tracer, which costs nothing.
 from __future__ import annotations
 
 import heapq
-import warnings
 from itertools import islice
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from ..runtime.context import RunContext
 from ..runtime.dataflow import Dataflow
-from ..runtime.parallel import (
-    SERIAL,
-    ParallelSafetyWarning,
-    force_parallel_requested,
-)
-from ..runtime.racecheck import (
-    RaceWarning,
-    ShadowRaceChecker,
-    race_check_mode,
-)
 from .event import Event, EventColumns
 from .plan import (
     GroupInputNode,
@@ -71,17 +60,15 @@ class EngineStats:
         self.operator_events: Dict[str, int] = {}
         self.operator_labels: Dict[str, str] = {}
         self.wall_seconds = 0.0
-        #: per-worker fan-out summary of a run under a parallel executor
-        #: (executor kind, workers, tasks, stolen chunks, busy seconds,
-        #: plus supervision recovery counters under ``"recovery"``);
-        #: None when serial. All zeros and no workers when nothing
-        #: fanned out — ``resolutions`` then says why
+        #: always None: ``Engine.run`` never fans out, so it has no
+        #: per-worker summary (``resolutions`` says what a parallel
+        #: executor resolved to); kept for readers of the attribute
         self.parallel: Optional[dict] = None
         #: named physical-path resolutions: what the run did where its
         #: context asked for something else, as ``{name: {"count",
         #: "reason"}}``. ``"group_apply.local_wave"`` counts the
-        #: GroupApply nodes a process (or degraded) executor ran inline
-        #: on the driver's local wave; ``"retained.*"`` counts result rows
+        #: GroupApply nodes a parallel executor ran serially on the
+        #: driver's local wave; ``"retained.*"`` counts result rows
         #: kept unpacked (``EventColumns.resolutions``). Empty when
         #: nothing was resolved
         self.resolutions: Dict[str, dict] = {}
@@ -115,48 +102,6 @@ class EngineStats:
         for name, entry in other.resolutions.items():
             ours = self.resolutions.setdefault(name, {**entry, "count": 0})
             ours["count"] += entry["count"]
-        if other.parallel is not None:
-            if self.parallel is None:
-                self.parallel = dict(other.parallel)
-            else:
-                merged = dict(self.parallel)
-                for field in ("calls", "tasks", "chunks", "stolen_chunks"):
-                    merged[field] = merged.get(field, 0) + other.parallel.get(
-                        field, 0
-                    )
-                merged["busy_seconds"] = round(
-                    merged.get("busy_seconds", 0.0)
-                    + other.parallel.get("busy_seconds", 0.0),
-                    6,
-                )
-                ours = merged.get("recovery")
-                theirs = other.parallel.get("recovery")
-                if theirs and ours:
-                    folded = dict(ours)
-                    for field, value in theirs.items():
-                        folded[field] = folded.get(field, 0) + value
-                    folded["backoff_seconds"] = round(
-                        folded.get("backoff_seconds", 0.0), 6
-                    )
-                    merged["recovery"] = folded
-                elif theirs:
-                    merged["recovery"] = dict(theirs)
-                ours_oh = merged.get("overhead")
-                theirs_oh = other.parallel.get("overhead")
-                if theirs_oh and ours_oh:
-                    folded = {
-                        field: round(
-                            ours_oh.get(field, 0) + value,
-                            6 if field != "calls" else 0,
-                        )
-                        for field, value in theirs_oh.items()
-                    }
-                    folded["calls"] = int(folded.get("calls", 0))
-                    merged["overhead"] = folded
-                elif theirs_oh:
-                    merged["overhead"] = dict(theirs_oh)
-                merged.pop("workers", None)  # worker identity is per-run
-                self.parallel = merged
         return self
 
 
@@ -179,9 +124,6 @@ class Engine:
     def __init__(self, tracer=None, *, context: Optional[RunContext] = None):
         self.context = RunContext.of(context, tracer=tracer)
         self.last_stats: Optional[EngineStats] = None
-        #: RaceFinding list from the last run's ShadowRaceChecker (empty
-        #: when the checker was off or found nothing)
-        self.last_race_findings: List = []
 
     @property
     def tracer(self):
@@ -230,17 +172,6 @@ class Engine:
         tracer = context.tracer
         chunk_size = batch_size if batch_size is not None else context.batch_size
 
-        executor = context.resolve_executor()
-        executor = self._parallel_gate(root, executor, validating)
-        race_checker = None
-        self.last_race_findings = []
-        if executor is not None and executor.parallel:
-            mode = race_check_mode(context)
-            if mode is not None:
-                race_checker = ShadowRaceChecker(
-                    root, perturb=(mode == "perturb")
-                )
-
         flow = Dataflow(
             root,
             allow_unstreamable=True,
@@ -248,8 +179,8 @@ class Engine:
             # amortize GroupApply watermark waves: chains advance once
             # per threshold of fed events, not once per chunk
             group_wave_events=max(chunk_size, 4096),
-            executor=executor,
-            race_checker=race_checker,
+            # never fans out; a parallel one is a named resolution
+            executor=context.resolve_executor(),
             tracer=tracer,
         )
         for name in flow.source_names():
@@ -293,49 +224,9 @@ class Engine:
             metrics.counter("engine.output_events").inc(len(output))
         stats.wall_seconds = context.clock() - start
         self.last_stats = stats
-        if race_checker is not None:
-            self.last_race_findings = list(race_checker.findings)
-            if race_checker.findings:
-                warnings.warn(
-                    RaceWarning(race_checker.summary()), stacklevel=2
-                )
         return output
 
     # -- internals -------------------------------------------------------------
-
-    def _parallel_gate(self, root, executor, validating: bool):
-        """Downgrade an unsafe parallel request to serial, with a warning.
-
-        Runs the static parallel-safety pass only when a non-serial
-        executor is in play and validation is on; ``--force-parallel`` /
-        ``REPRO_FORCE_PARALLEL`` / ``RunContext(force_parallel=True)``
-        skip the gate, and ``# repro: ignore[rule]`` comments suppress
-        individual findings before they ever reach it.
-        """
-        if executor is None or not executor.parallel or not validating:
-            return executor
-        if force_parallel_requested(self.context):
-            return executor
-        from ..analysis.concurrency import blocking_findings
-
-        blocked = blocking_findings(root, executor.kind)
-        if not blocked:
-            return executor
-        details = "; ".join(d.format() for d in blocked[:4])
-        more = len(blocked) - 4
-        if more > 0:
-            details += f"; ... {more} more"
-        warnings.warn(
-            ParallelSafetyWarning(
-                f"falling back to serial execution: the {executor.kind!r} "
-                f"executor is unsafe for this plan ({details}). Suppress "
-                "specific findings with a '# repro: ignore[rule]' comment, "
-                "or force parallel execution with --force-parallel / "
-                "REPRO_FORCE_PARALLEL=1 / RunContext(force_parallel=True)."
-            ),
-            stacklevel=3,
-        )
-        return SERIAL
 
     def _record(self, flow, root, stats, output, tracer):
         """Fill stats and emit one summary span per operator node."""
@@ -357,21 +248,6 @@ class Engine:
                         "supervision.resolved", category="supervision",
                         lane="driver", resolution=name, **entry,
                     )
-        if flow.parallel_stats is not None:
-            stats.parallel = flow.parallel_stats.as_dict()
-            recovery = flow.parallel_stats.recovery
-            if tracer.enabled and recovery.any():
-                # supervision activity (worker restarts, re-executed
-                # chunks, degradations) is rare enough to always surface
-                metrics = tracer.metrics
-                for key, value in recovery.as_dict().items():
-                    if value:
-                        # pool worker kills make re-execution counts a
-                        # race against how far the victim got, so these
-                        # stay out of the deterministic snapshot
-                        metrics.counter(
-                            f"engine.executor_{key}", deterministic=False
-                        ).inc(value)
         keys = plan_node_keys(root)
         for node, events_in, events_out, busy in flow.node_stats():
             key = keys.get(node.node_id)

@@ -188,9 +188,9 @@ def explain(query: Union[Query, PlanNode], stats=None) -> str:
         if isinstance(node, GroupApplyNode):
             lines.append(f"  {node.describe()}:")
             lines.append(
-                "    scheduling: the driver's local wave under every "
-                "executor; threads fan a wave's due chains out, a process "
-                "executor resolves to the wave run inline"
+                "    scheduling: the driver's local wave, serially, under "
+                "every executor; a parallel one resolves to it as a named "
+                "resolution"
             )
             lines.extend(_group_paths(node, "    "))
     if stats is not None:

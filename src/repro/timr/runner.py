@@ -47,7 +47,7 @@ class TiMRResult:
     #: stage cost no simulated cluster time and adds no ``StageReport``
     reused_stages: int = 0
     quarantined_rows: int = 0
-    #: ``ParallelStats.as_dict()`` of the cluster's map fan-out — worker
+    #: ``ParallelStats.as_dict()`` of the cluster's map/reduce fan-out — worker
     #: summary plus supervision ``recovery`` counters; None when serial
     parallel: Optional[dict] = None
     #: ``EngineStats.resolutions`` shape: ``"timr.fragment_reused"`` names each

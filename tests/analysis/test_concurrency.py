@@ -1,9 +1,10 @@
 """Parallel-safety rules: each fires on its hazard, stays silent on a
-clean equivalent, honours suppression, and drives the executor gate."""
+clean equivalent, honours suppression, and drives TiMR's executor gate."""
 
 import io
 import os
 import threading
+import warnings
 
 import pytest
 
@@ -13,9 +14,11 @@ from repro.analysis import (
     blocking_findings,
     parallel_safety_findings,
 )
-from repro.temporal import Engine, Query
-from repro.temporal.time import hours
+from repro.mapreduce import Cluster, CostModel, DistributedFileSystem
 from repro.runtime import ParallelSafetyWarning, RunContext
+from repro.temporal import Query
+from repro.temporal.time import hours
+from repro.timr import TiMR
 
 COLS = ("StreamId", "UserId", "AdId")
 
@@ -197,10 +200,11 @@ class TestGateHelpers:
         assert parallel_safety_findings(plan) == first
 
 
-class TestEngineGate:
-    """The ISSUE acceptance scenario: a mutable global captured by a
-    GroupApply UDF is flagged statically, auto-falls-back to serial with
-    a diagnostic, and the output stays byte-identical to serial."""
+class TestTiMRGate:
+    """A mutable object captured by a GroupApply UDF is flagged
+    statically, so a parallel ``TiMR.run`` auto-falls-back to serial with
+    a diagnostic — no map/reduce fan-out — and the output stays
+    byte-identical to serial."""
 
     def _unsafe_query(self, registry):
         return src().group_apply(
@@ -210,74 +214,60 @@ class TestEngineGate:
             .count(into="n"),
         )
 
-    def _rows(self):
-        return [
+    def _safe_query(self):
+        return src().group_apply(
+            "UserId", lambda g: g.window(hours(1)).count(into="n")
+        )
+
+    def _run(self, query, executor="thread", validate=True, **context):
+        fs = DistributedFileSystem()
+        rows = [
             {"Time": i, "StreamId": 1, "UserId": i % 3, "AdId": i % 5}
             for i in range(60)
         ]
+        # partitioned input, so the map phase has something to fan out
+        fs.write("logs", rows, num_partitions=3)
+        cluster = Cluster(
+            fs=fs,
+            cost_model=CostModel(num_machines=3),
+            context=RunContext(executor=executor, max_workers=4, **context),
+        )
+        return TiMR(cluster).run(query, num_partitions=3, validate=validate)
+
+    def _run_ungated(self, query, **kwargs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ParallelSafetyWarning)
+            return self._run(query, **kwargs)
 
     def test_unsafe_plan_falls_back_to_serial(self):
-        registry = {}
-        q = self._unsafe_query(registry)
-        engine = Engine(context=RunContext(executor="thread", max_workers=4))
+        q = self._unsafe_query({})
         with pytest.warns(ParallelSafetyWarning, match="falling back to serial"):
-            engine.run(q, {"logs": self._rows()})
-        assert engine.last_stats.parallel is None  # no fan-out happened
+            result = self._run(q)
+        assert result.parallel is None  # no fan-out happened
 
     def test_fallback_output_matches_serial(self):
-        serial = Engine(context=RunContext(executor="serial")).run(
-            self._unsafe_query({}), {"logs": self._rows()}
-        )
-        engine = Engine(context=RunContext(executor="thread", max_workers=4))
+        serial = self._run(self._unsafe_query({}), executor="serial")
         with pytest.warns(ParallelSafetyWarning):
-            gated = engine.run(self._unsafe_query({}), {"logs": self._rows()})
-        assert [(e.le, e.re, e.payload) for e in serial] == [
-            (e.le, e.re, e.payload) for e in gated
-        ]
+            gated = self._run(self._unsafe_query({}))
+        assert serial.parallel is None and gated.parallel is None
+        assert gated.output_rows() == serial.output_rows()
 
     def test_safe_plan_is_not_gated(self):
-        q = src().group_apply(
-            "UserId", lambda g: g.window(hours(1)).count(into="n")
-        )
-        engine = Engine(context=RunContext(executor="thread", max_workers=4))
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error", ParallelSafetyWarning)
-            engine.run(q, {"logs": self._rows()})
-        assert engine.last_stats.parallel is not None
+        result = self._run_ungated(self._safe_query())
+        assert result.parallel is not None
+        assert result.parallel["executor"] == "thread"
 
     def test_force_parallel_skips_the_gate(self):
-        q = self._unsafe_query({})
-        engine = Engine(
-            context=RunContext(
-                executor="thread", max_workers=4, force_parallel=True
-            )
+        result = self._run_ungated(
+            self._unsafe_query({}), force_parallel=True
         )
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error", ParallelSafetyWarning)
-            engine.run(q, {"logs": self._rows()})
-        assert engine.last_stats.parallel is not None
+        assert result.parallel is not None
 
     def test_env_force_parallel_skips_the_gate(self, monkeypatch):
         monkeypatch.setenv("REPRO_FORCE_PARALLEL", "1")
-        q = self._unsafe_query({})
-        engine = Engine(context=RunContext(executor="thread", max_workers=4))
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error", ParallelSafetyWarning)
-            engine.run(q, {"logs": self._rows()})
-        assert engine.last_stats.parallel is not None
+        result = self._run_ungated(self._unsafe_query({}))
+        assert result.parallel is not None
 
     def test_validate_false_skips_the_gate(self):
-        q = self._unsafe_query({})
-        engine = Engine(context=RunContext(executor="thread", max_workers=4))
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error", ParallelSafetyWarning)
-            engine.run(q, {"logs": self._rows()}, validate=False)
-        assert engine.last_stats.parallel is not None
+        result = self._run_ungated(self._unsafe_query({}), validate=False)
+        assert result.parallel is not None

@@ -89,8 +89,9 @@ class TestEnvKnobDocSync:
 
 
 class TestRemovedKnobsStayRemoved:
-    """Wave batching, the shard workers and the columnar batch format
-    are gone; nothing a user reads, and nothing ``repro.runtime`` or
+    """Wave batching, the shard workers, the columnar batch format and
+    the in-engine thread fan-out with its shadow race checker are gone;
+    nothing a user reads, and nothing ``repro.runtime`` or
     ``repro.temporal`` exports, may still offer them."""
 
     REMOVED = (
@@ -103,6 +104,15 @@ class TestRemovedKnobsStayRemoved:
         "EventBatch",
         "supports_columnar",
         "BATCH_FORMAT.md",
+        "REPRO_RACE_CHECK",
+        "race_check",
+        "--dynamic",
+        "ShadowRaceChecker",
+        "RaceWarning",
+        "last_race_findings",
+        "parallel.dynamic-race",
+        "parallel.schedule-divergence",
+        "run_chain_tasks",
     )
 
     def test_removed_names_do_not_linger_in_docs(self):
@@ -133,6 +143,18 @@ class TestRemovedKnobsStayRemoved:
             assert not hasattr(temporal, name), name
             assert not hasattr(Executor, name), name
         assert not (ROOT / "src/repro/temporal/batch.py").exists()
+        assert not (ROOT / "src/repro/runtime/racecheck.py").exists()
+
+    def test_removed_race_checking_has_no_hooks_left(self):
+        from repro.runtime import RunContext
+        from repro.runtime.dataflow import Dataflow
+        from repro.temporal import Engine
+
+        for name in self.REMOVED:
+            assert name not in RULES, name
+        assert not hasattr(RunContext(), "race_check")
+        assert not hasattr(Engine(), "last_race_findings")
+        assert not hasattr(Dataflow, "run_chain_tasks")
 
     def test_waves_per_dispatch_is_documented_once_as_inert(self):
         # the keyword outlives the knob only because the repo benchmark

@@ -38,15 +38,6 @@ needs_fork = pytest.mark.skipif(
 CHAOS_RESTARTS = 2 * ChaosPolicy().blacklist_after + 1
 
 
-@pytest.fixture
-def no_ambient_race_check(monkeypatch):
-    """The shadow race checker forces conservative serial fallbacks, so
-    tests asserting on parallel fan-out counters must shed an ambient
-    REPRO_RACE_CHECK=1 — under it the assertions would be vacuous, not
-    wrong. Byte-identity tests run under the checker untouched."""
-    monkeypatch.delenv("REPRO_RACE_CHECK", raising=False)
-
-
 def count_reducer(idx, rows):
     counts = {}
     for r in rows:
@@ -244,7 +235,7 @@ class TestParallelReduceFidelity:
         )[0]
         assert all(n == 2 for n in calls.values())
 
-    def test_parallel_stats_cover_reduce_fanout(self, no_ambient_race_check):
+    def test_parallel_stats_cover_reduce_fanout(self):
         """The reduce fan-out folds into last_parallel: tasks cover the
         reduce partitions on top of the map tasks."""
         fs = DistributedFileSystem()
@@ -318,7 +309,7 @@ class TestParallelReduceFidelity:
             assert run(executor) == serial, executor.kind
 
     @needs_fork
-    def test_nested_engine_runs_serial_inside_reduce_workers(self, no_ambient_race_check):
+    def test_nested_engine_runs_serial_inside_reduce_workers(self):
         """A reducer that itself resolves an executor (the TiMR embedded
         engine pattern) must get serial inside a pool worker — daemonic
         children cannot fork — and the output must not change."""

@@ -48,8 +48,6 @@ def _clean_env(monkeypatch):
     monkeypatch.delenv("REPRO_WORKERS", raising=False)
     monkeypatch.delenv("REPRO_PARALLEL_TIMEOUT", raising=False)
     monkeypatch.delenv("REPRO_WORKER_RETRIES", raising=False)
-    # the shadow race checker replays fan-outs serially: no worker lanes
-    monkeypatch.delenv("REPRO_RACE_CHECK", raising=False)
 
 
 def _group_query():

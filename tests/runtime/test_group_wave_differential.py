@@ -1,11 +1,11 @@
 """One scheduler for GroupApply: every executor runs the driver's local wave.
 
-A GroupApply advances its per-key chains on the wake-scheduled local
-wave whatever the context asks for: a thread executor fans a wave's due
-chains out, a process executor resolves to the same wave run inline —
-as a counted, named event, never silently — and ``waves_per_dispatch``
-is accepted and ignored. So the whole ``executor x waves_per_dispatch``
-matrix must give raw-order byte-identical output and equal deterministic
+A GroupApply advances its per-key chains serially on the wake-scheduled
+local wave whatever the context asks for: a thread or process executor
+resolves to that wave as a counted, named event, never silently, and
+``waves_per_dispatch`` is accepted and ignored. So the whole
+``executor x waves_per_dispatch`` matrix must give raw-order
+byte-identical output and equal deterministic
 ``EngineStats``; the builtin BT queries take the same matrix in
 ``test_parallel_differential.py``. The gate at the end holds a
 ``scale_par``-shaped run to the serial run's work, counted, with no
@@ -87,24 +87,20 @@ def _scale_rows(n):
 
 def test_process_context_names_its_resolution():
     query, rows = _sliding_sum(), _scale_rows(2000)
-    _, stats = run_with("process", query, rows, waves_per_dispatch="auto")
-    entry = stats.resolutions["group_apply.local_wave"]
-    assert entry["count"] == 1  # one GroupApply node, counted once
-    assert entry["reason"].startswith("process executor")
-    assert "\n" not in entry["reason"]
-    # nothing fanned out, and no stale scheduling fields say otherwise
-    parallel = stats.parallel
-    assert parallel["executor"] == "process"
-    assert parallel["calls"] == parallel["tasks"] == 0
-    assert parallel["workers"] == []
-    assert "dispatches" not in parallel and "waves" not in parallel
-    report = explain(query, stats=stats)
-    assert "resolved this run: group_apply.local_wave x 1" in report
-    # the executors that run the wave as asked resolve nothing
-    for executor in ("serial", "thread"):
+    # a thread executor resolves exactly as a process one does
+    for executor in ("process", "thread"):
         _, stats = run_with(executor, query, rows, waves_per_dispatch="auto")
-        assert stats.resolutions == {}
-        assert "resolved this run" not in explain(query, stats=stats)
+        entry = stats.resolutions["group_apply.local_wave"]
+        assert entry["count"] == 1  # one GroupApply node, counted once
+        assert entry["reason"].startswith(f"{executor} executor")
+        assert "\n" not in entry["reason"]
+        assert stats.parallel is None  # nothing fanned out
+        report = explain(query, stats=stats)
+        assert "resolved this run: group_apply.local_wave x 1" in report
+    # the serial executor runs the wave as asked and resolves nothing
+    _, stats = run_with("serial", query, rows, waves_per_dispatch="auto")
+    assert stats.resolutions == {}
+    assert "resolved this run" not in explain(query, stats=stats)
 
 
 # ---------------------------------------------------------------------------

@@ -220,15 +220,13 @@ class TestParallelStats:
 
 
 class TestEngineStatsMerge:
-    def _stats(self, **parallel):
+    def _stats(self):
         s = EngineStats()
         s.input_events = 10
         s.output_events = 4
         s.operator_events = {"000.where": 4}
         s.operator_labels = {"000.where": "where(p)"}
         s.wall_seconds = 0.5
-        if parallel:
-            s.parallel = parallel
         return s
 
     def test_merge_sums_by_plan_path(self):
@@ -239,13 +237,6 @@ class TestEngineStatsMerge:
         assert a.input_events == 20
         assert a.operator_events == {"000.where": 8, "001.count": 2}
         assert a.wall_seconds == 1.0
-
-    def test_merge_parallel_drops_worker_identity(self):
-        a = self._stats(executor="thread", calls=1, tasks=3, workers=[{"worker": 0}])
-        b = self._stats(executor="thread", calls=2, tasks=5, workers=[{"worker": 1}])
-        a.merge(b)
-        assert a.parallel["calls"] == 3 and a.parallel["tasks"] == 8
-        assert "workers" not in a.parallel
 
     def test_self_merge_refused(self):
         s = self._stats()

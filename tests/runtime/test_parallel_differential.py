@@ -1,12 +1,13 @@
 """Differential tests: serial ≡ thread ≡ process execution, byte for byte.
 
-The parallel executor layer moves a GroupApply wave's chain advances
-onto worker threads and TiMR map/reduce tasks onto a work-stealing pool,
-but the driver replays the serial schedule exactly — same wave
-boundaries, same merge order, same seq assignment. Output must therefore
-be *raw-order* byte-identical, not merely canonically equal. These tests
-prove that over hypothesis-generated plans, every builtin BT query,
-seeded task faults on the thread fan-out, and seeded-chaos TiMR jobs with quarantine and checkpoint resume; the
+``Engine.run`` never fans out: under a thread or process executor every
+GroupApply runs on the driver's serial local wave, as a counted
+resolution. The parallel executor layer moves TiMR map/reduce tasks onto
+a work-stealing pool, and the driver replays the serial schedule exactly
+— same merge order, same seq assignment. Output must therefore be
+*raw-order* byte-identical, not merely canonically equal. These tests
+prove that over hypothesis-generated plans, every builtin BT query, and
+seeded-chaos TiMR jobs with quarantine and checkpoint resume; the
 executor x ``waves_per_dispatch`` matrix and the fork gate live in
 ``test_group_wave_differential.py``.
 """
@@ -20,7 +21,6 @@ from hypothesis import strategies as st
 from repro.analysis import builtin_query_suite
 from repro.data import GeneratorConfig, generate
 from repro.mapreduce import (
-    TASK_TRANSIENT,
     WORKER_KILL,
     ChaosPolicy,
     Cluster,
@@ -34,8 +34,9 @@ from repro.runtime import (
     SerialExecutor,
     ThreadExecutor,
 )
+from repro.runtime.dataflow import LOCAL_WAVE
 from repro.temporal import Engine
-from repro.temporal.plan import source_nodes
+from repro.temporal.plan import GroupApplyNode, source_nodes, topological_order
 from repro.timr import TiMR
 
 from tests.temporal.test_differential_runtime import (
@@ -74,6 +75,22 @@ def run_with(executor, query, rows, waves_per_dispatch=None, **kwargs):
     return out, engine.last_stats
 
 
+def assert_ran_on_local_wave(stats, query, kind):
+    """``Engine.run`` under a ``kind`` executor fanned nothing out and
+    counted one local-wave resolution per top-level GroupApply."""
+    assert stats.parallel is None
+    groups = sum(
+        isinstance(n, GroupApplyNode)
+        for n in topological_order(query.to_plan())
+    )
+    entry = stats.resolutions.get(LOCAL_WAVE)
+    if not groups:
+        assert entry is None
+    else:
+        assert entry["count"] == groups
+        assert entry["reason"].startswith(f"{kind} executor")
+
+
 # ---------------------------------------------------------------------------
 # Hypothesis-generated plans
 # ---------------------------------------------------------------------------
@@ -87,7 +104,7 @@ def test_thread_executor_matches_serial(rows, plan_idx):
     threaded, stats = run_with(THREAD, query, rows)
     assert raw_bytes(threaded) == raw_bytes(serial)
     assert threaded == serial  # raw list equality, not just serialization
-    assert stats.parallel is not None and stats.parallel["executor"] == "thread"
+    assert_ran_on_local_wave(stats, query, "thread")
 
 
 @settings(max_examples=25, deadline=None)
@@ -97,7 +114,7 @@ def test_process_executor_matches_serial(rows, plan_idx):
     serial, _ = run_with(SerialExecutor(), query, rows)
     forked, stats = run_with(PROCESS, query, rows)
     assert raw_bytes(forked) == raw_bytes(serial)
-    assert stats.parallel is not None and stats.parallel["executor"] == "process"
+    assert_ran_on_local_wave(stats, query, "process")
 
 
 @settings(max_examples=40, deadline=None)
@@ -121,8 +138,8 @@ WAVE_BATCH_VALUES = [1, 2, 7, float("inf")]
 
 
 def _det_counters(stats):
-    """The deterministic EngineStats fields (the fan-out shape under
-    ``parallel`` legitimately varies with the executor)."""
+    """The deterministic EngineStats fields (``resolutions`` legitimately
+    varies with the executor)."""
     return (
         stats.input_events,
         stats.output_events,
@@ -206,9 +223,9 @@ def bt_rows():
 @pytest.mark.parametrize("name", BT_LOG_QUERIES)
 def test_builtin_bt_query_byte_identical(name, bt_rows):
     """Every builtin BT query: executor x waves_per_dispatch runs replay
-    the serial bytes, and the deterministic EngineStats counters —
-    merged across workers by plan path — equal the serial totals exactly
-    (shared stateless operator instances are never double-counted)."""
+    the serial bytes, and the deterministic EngineStats counters equal
+    the serial totals exactly (shared stateless operator instances are
+    never double-counted)."""
     query = _BT_SUITE[name]
     serial, serial_stats = run_with(SerialExecutor(), query, bt_rows)
     for executor in (
@@ -223,27 +240,7 @@ def test_builtin_bt_query_byte_identical(name, bt_rows):
             assert raw_bytes(out) == raw_bytes(serial), (executor.kind, wpd)
             assert _det_counters(stats) == _det_counters(serial_stats)
             if executor.parallel:
-                assert stats.parallel["executor"] == executor.kind
-
-
-@pytest.mark.parametrize("name", ["bot-elimination", "feature-selection"])
-def test_thread_fanout_chaos_on_bt_queries(name, bt_rows, monkeypatch):
-    """Representative BT queries under the in-wave thread fan-out with
-    seeded task-transient faults: the retries are charged to simulated
-    backoff and the fault-free serial bytes come out."""
-    # the shadow race checker replays waves itself, drawing no faults
-    monkeypatch.delenv("REPRO_RACE_CHECK", raising=False)
-    query = _BT_SUITE[name]
-    reference, _ = run_with(SerialExecutor(), query, bt_rows)
-    policy = ChaosPolicy(seed=8, rates={TASK_TRANSIENT: 0.3})
-    engine = Engine(
-        context=RunContext(
-            executor="thread", max_workers=4, fault_policy=policy
-        )
-    )
-    out = engine.run(query, {"logs": bt_rows}, validate=False)
-    assert engine.last_stats.parallel["recovery"]["task_retries"] >= 1
-    assert raw_bytes(out) == raw_bytes(reference)
+                assert_ran_on_local_wave(stats, query, executor.kind)
 
 
 # ---------------------------------------------------------------------------

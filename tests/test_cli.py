@@ -283,6 +283,13 @@ class TestLintJson:
         assert rc == 2
 
 
+def serial_default(monkeypatch):
+    """Pin the ambient executor to the serial default (REPRO_EXECUTOR /
+    REPRO_WORKERS unset), for tests whose expected output assumes it."""
+    monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+    monkeypatch.delenv("REPRO_WORKERS", raising=False)
+
+
 class TestProfile:
     @pytest.fixture(scope="class")
     def profile_outputs(self, tmp_path_factory):
@@ -291,7 +298,10 @@ class TestProfile:
         metrics = directory / "metrics.jsonl"
         return str(trace), str(metrics)
 
-    def test_writes_valid_chrome_trace_and_jsonl(self, profile_outputs, capsys):
+    def test_writes_valid_chrome_trace_and_jsonl(
+        self, profile_outputs, capsys, monkeypatch
+    ):
+        serial_default(monkeypatch)  # a parallel one adds instant events
         trace, metrics = profile_outputs
         rc = main(
             [
@@ -367,7 +377,8 @@ class TestProfile:
         assert (out_dir / "trace.json").exists()
         assert (out_dir / "metrics.jsonl").exists()
 
-    def test_parallel_requires_parallel_executor(self, capsys):
+    def test_parallel_requires_parallel_executor(self, capsys, monkeypatch):
+        serial_default(monkeypatch)
         rc = main(["profile", "--parallel", "--users", "20"])
         assert rc == 2
         err = capsys.readouterr().err
@@ -447,7 +458,8 @@ class TestChaos:
 
         assert stats_line(3) != stats_line(4)
 
-    def test_json_report(self, tmp_path, capsys):
+    def test_json_report(self, tmp_path, capsys, monkeypatch):
+        serial_default(monkeypatch)  # a parallel one adds a chaos phase
         rc = main(
             [
                 "chaos",

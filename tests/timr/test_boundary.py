@@ -590,32 +590,50 @@ def poisoned_partition(bad):
     return rows
 
 
-def run_poisoned(bad, reducer, quarantine):
+def run_poisoned(bad, reducer, quarantine, executor="serial"):
     fs = DistributedFileSystem()
     fs.write("in", poisoned_partition(bad), require_time_column=False)
     stage = MapReduceStage("timr.j.out", raising_key, reducer, num_partitions=2)
-    cluster = Cluster(fs=fs, quarantine=quarantine)
+    cluster = Cluster(
+        fs=fs,
+        quarantine=quarantine,
+        context=RunContext(executor=executor, max_workers=2),
+    )
     out = cluster.run_stage(stage, "in", "out", quarantine_name="q")
     return exact(out), fs.read("q").all_rows() if fs.exists("q") else []
 
 
-@pytest.mark.parametrize("bad", sorted(BAD_ROWS))
-def test_bad_rows_are_quarantined_as_before(bad):
+#: every bad row under every executor: the two reduce partitions fan out
+#: under thread and process. Serial cases keep their bare ids.
+BAD_ROW_CASES = [
+    pytest.param(executor, bad, id=bad if executor == "serial" else f"{executor}-{bad}")
+    for executor in ("serial", "thread", "process")
+    for bad in sorted(BAD_ROWS)
+]
+
+
+@pytest.mark.parametrize("executor, bad", BAD_ROW_CASES)
+def test_bad_rows_are_quarantined_as_before(executor, bad):
     fragment = join_fragment()
-    out, records = run_poisoned(bad, make_reducer(fragment), quarantine=True)
-    ref_out, ref_records = run_poisoned(bad, ref_reducer(fragment, []), quarantine=True)
+    out, records = run_poisoned(bad, make_reducer(fragment), True, executor)
+    ref_out, ref_records = run_poisoned(bad, ref_reducer(fragment, []), True)
     assert out == ref_out
     assert records == ref_records and len(records) == 1
     assert records[0]["_row"] == BAD_ROWS[bad]
 
 
-@pytest.mark.parametrize("bad", sorted(BAD_ROWS))
-def test_bad_rows_raise_as_before(bad):
+@pytest.mark.parametrize("executor, bad", BAD_ROW_CASES)
+def test_bad_rows_raise_as_before(executor, bad):
+    """A parallel reduce raises what the serial one does: the partition
+    whose sort or reduce fails re-runs serially in the driver."""
     fragment = join_fragment()
     raised = []
-    for reducer in (make_reducer(fragment), ref_reducer(fragment, [])):
+    for reducer, ex in (
+        (make_reducer(fragment), executor),
+        (ref_reducer(fragment, []), "serial"),
+    ):
         with pytest.raises(Exception) as info:
-            run_poisoned(bad, reducer, quarantine=False)
+            run_poisoned(bad, reducer, False, ex)
         exc = info.value
         raised.append((type(exc), type(exc.__cause__), str(exc.__cause__ or exc)))
     assert raised[0] == raised[1]

@@ -479,7 +479,8 @@ def test_tracer_counts_reuse_beside_resumed_stages():
     tracer = Tracer()
     cluster = Cluster(
         fs=logs_fs(), cost_model=CostModel(num_machines=2),
-        context=RunContext(tracer=tracer),
+        # serial: a parallel executor adds group_apply.local_wave events
+        context=RunContext(tracer=tracer, executor="serial"),
     )
     timr = TiMR(cluster)
     timr.run(counted(), job_name="a", num_partitions=2)
