@@ -36,9 +36,9 @@ from __future__ import annotations
 import itertools
 import time as _time
 from heapq import heapify, heappop, heappush
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..temporal.event import _LE, Event
+from ..temporal.event import _LE, _ROW_LE, Event, LayoutRows
 from ..temporal.operators.base import WAKE_ALWAYS, WAKE_AT_FLUSH
 from ..temporal.plan import (
     AggregateNode,
@@ -79,13 +79,14 @@ def group_key(payload: dict, keys: Tuple[str, ...]) -> Tuple:
         ) from None
 
 
-def _before(events: List[Event], t: int) -> int:
-    """How many of the LE-sorted ``events`` have an LE before ``t``:
-    ``bisect_left`` by LE, whose ``key=`` needs Python 3.10."""
-    lo, hi = 0, len(events)
+def _before(items: list, t: int, le=_LE) -> int:
+    """How many of the LE-sorted ``items`` (events, or rows with
+    ``le=_ROW_LE``) have an LE before ``t``: ``bisect_left`` by LE, whose
+    ``key=`` needs Python 3.10."""
+    lo, hi = 0, len(items)
     while lo < hi:
         mid = (lo + hi) // 2
-        if events[mid].le < t:
+        if le(items[mid]) < t:
             lo = mid + 1
         else:
             hi = mid
@@ -235,6 +236,7 @@ class _OpNode:
         self.events_in = 0
         self.busy_seconds = 0.0
         self._operator = None
+        self._keyed = None
         self.deferred = False
         self._future = 0
         if isinstance(plan_node, GroupApplyNode):
@@ -258,7 +260,7 @@ class _OpNode:
             #: its heap stamps from it
             self.chain_advances = 0
             #: merged chain outputs not yet released, LE-sorted (stable)
-            self._pending: List[Event] = []
+            self._pending: list = []
             self._fed_since_wave = 0
             self._idle_delta = -1  # < 0: no chain has gone idle yet
             self._linear_stages = _linear_stages(plan_node)
@@ -266,9 +268,12 @@ class _OpNode:
             #: sub-plan of stateless stages feeding an aggregate; its
             #: per-key states stand in for chains in the scheduler below
             self._keyed = _keyed_aggregate(plan_node, self._linear_stages)
-            self._advance_member = (
-                _advance_chain if self._keyed is None else self._keyed.advance
-            )
+            #: the keyed sweep emits rows (``KeyedAggregate.layout``),
+            #: merged by ``_le`` as chain events are, and made events on
+            #: entering the output log: except at the flow's root, which
+            #: sets this, logs the rows, and releases them whole
+            self.logs_rows = False
+            self._le = _LE if self._keyed is None else _ROW_LE
             # Every GroupApply runs on the driver's local wave, serially;
             # a parallel executor resolves to it as a counted event.
             if flow.executor is not None:
@@ -558,19 +563,26 @@ class _OpNode:
             self._active[key] = chain
         self._due[key] = chain
 
+    def _log(self, released: list) -> None:
+        """Append merged outputs to the output log: a keyed sweep's rows
+        become events here, except at a flow's root."""
+        if self._keyed is not None and not self.logs_rows:
+            released = LayoutRows(self._keyed.layout, released)
+        self.outputs.extend(released)
+
     def _run_group_flush(self, w: int) -> None:
         """End of input: every chain flushes for real."""
         pending = self._pending
-        advance = self._advance_member
+        keyed = self._keyed
         self.chain_advances += len(self._groups)
         for chain in self._groups.values():
-            outs = advance(chain, w)
+            outs = chain.advance(w) if keyed is None else keyed.advance(chain, w)
             if outs:
                 pending.extend(outs)
         # a stable LE sort == the cross-group LE merge: ties keep chain
         # order, so events never compare
-        pending.sort(key=_LE)
-        self.outputs.extend(pending)
+        pending.sort(key=self._le)
+        self._log(pending)
         del pending[:]
         self.flushed = True
         self.watermark = MAX_TIME
@@ -605,9 +617,9 @@ class _OpNode:
         # would reach these chains in, so their outputs join the merge in
         # the same relative order — and skipped chains add nothing
         added = False
-        advance = self._advance_member
+        keyed = self._keyed
         for key, chain in sorted(due.items(), key=_activation_order):
-            outs = advance(chain, w)
+            outs = chain.advance(w) if keyed is None else keyed.advance(chain, w)
             self.chain_advances += 1
             chain.stamp = stamp = self.chain_advances
             if outs:
@@ -626,7 +638,7 @@ class _OpNode:
             # timsort merges the sorted backlog with this wave's sorted
             # per-chain runs in near-linear time; being stable, it keeps
             # the backlog ahead of this wave at equal LEs
-            pending.sort(key=_LE)
+            pending.sort(key=self._le)
         if len(held) + len(wake_heap) > 4 * len(active) + 64:
             self._rebuild_heaps()
         # a sleeping chain's watermark is frozen, so the least live heap
@@ -636,9 +648,9 @@ class _OpNode:
         group_w = w if self._idle_delta < 0 else w - self._idle_delta
         if held and held[0][0] < group_w:
             group_w = held[0][0]
-        idx = _before(pending, group_w)
+        idx = _before(pending, group_w, self._le)
         if idx:
-            self.outputs.extend(pending[:idx])
+            self._log(pending[:idx])
             del pending[:idx]
         self.watermark = max(self.watermark, group_w)
 
@@ -658,10 +670,6 @@ class _OpNode:
 def _activation_order(item) -> int:
     """Sort key for ``(key, chain)`` pairs: the chain's activation ordinal."""
     return item[1].ordinal
-
-
-def _advance_chain(chain, w: int) -> List[Event]:
-    return chain.advance(w)
 
 
 #: Plan nodes whose operators hold no mutable state: one instance can be
@@ -984,6 +992,12 @@ class Dataflow:
             for child_id, refs in meta.consumers.items()
         ]
         self._root = self._nodes[root.node_id]
+        #: a keyed GroupApply root's layout: its log keeps the rows, and
+        #: ``advance`` releases them as one ``LayoutRows``
+        self._root_layout = None
+        if self._root._keyed is not None:
+            self._root.logs_rows = True
+            self._root_layout = self._root._keyed.layout
         self._released = 0
         self._flushed = False
 
@@ -1083,8 +1097,10 @@ class Dataflow:
             for node in nodes:
                 node.watermark = max(node.watermark, watermark)
 
-    def advance(self) -> List[Event]:
-        """Propagate buffered input; return newly-final root outputs."""
+    def advance(self) -> Sequence[Event]:
+        """Propagate buffered input; return newly-final root outputs: a
+        list, or a :class:`LayoutRows` when the root is a keyed GroupApply
+        (its events are built as they are read)."""
         timed = self.timed
         for node in self._op_nodes:
             changed = False
@@ -1109,9 +1125,11 @@ class Dataflow:
         released = self._root.outputs.read_from(self._released)
         self._released += len(released)
         self._trim()
+        if self._root_layout is not None:
+            return LayoutRows(self._root_layout, released)
         return released
 
-    def flush(self) -> List[Event]:
+    def flush(self) -> Sequence[Event]:
         """End of input everywhere: drain all remaining operator state."""
         if self._flushed:
             return []

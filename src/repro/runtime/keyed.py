@@ -19,6 +19,11 @@ chain's ``advance``. Per key, the sweep performs the same ``enter`` /
 stages would, and leaves the same watermark and wake time, so the
 output is identical event for event and call for call
 (``tests/runtime/test_wake_scheduling.py`` runs both).
+
+A segment is emitted as one row ``(le, re, *values)`` whose values
+follow :attr:`KeyedAggregate.layout`, the payload's column order; the
+node builds an ``Event`` from a row only where something in the flow
+reads it as one (``runtime/dataflow.py``).
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ import heapq
 from itertools import repeat
 from typing import List, Optional
 
-from ..temporal.event import Event
 from ..temporal.operators.aggregate import _Together
 from ..temporal.operators.base import WAKE_ALWAYS
 from ..temporal.operators.stateless import (
@@ -45,7 +49,7 @@ class KeyState:
     not yet folded into its pane (``run_k`` of them)."""
 
     __slots__ = (
-        "key_columns",
+        "key_values",
         "fold",
         "states",
         "panes",
@@ -64,8 +68,10 @@ class KeyState:
         "stamp",
     )
 
-    def __init__(self, key_columns: dict, specs):
-        self.key_columns = key_columns
+    def __init__(self, key_values: tuple, specs):
+        #: the key's column values in key order, which is the layout's
+        #: after a lone aggregate's output
+        self.key_values = key_values
         states = self.states = [s.build() for s in specs]
         self.fold = states[0] if len(states) == 1 else _Together(states)
         self.panes: dict = {}  # RE -> partial
@@ -74,7 +80,7 @@ class KeyState:
         self.run_le = self.run_re = None
         self.run_k = 0
         self.run_payloads = None
-        self.out: List[Event] = []  # emitted, not yet taken by a wave
+        self.out: List[tuple] = []  # rows emitted, not yet taken by a wave
         self.floor = MIN_TIME  # the aggregate stage's watermark floor
         self.watermark = MIN_TIME
         self.idle_delta: Optional[int] = None
@@ -97,7 +103,20 @@ class KeyedAggregate:
         probe = stages[-1].make_operator()
         #: False for a lone count: the sweep never reads a payload
         self.reads_payloads = probe.reads_payloads
-        self._into = self.specs[0].into if len(self.specs) == 1 else None
+        # a segment's payload as the chains build it: the aggregate
+        # outputs, then the key columns (one named like an output takes
+        # its place); each column's value is ``(0, i)``: aggregate
+        # ``i``'s, or ``(1, j)``: key column ``j``'s
+        slots = {s.into: (0, i) for i, s in enumerate(self.specs)}
+        slots.update({k: (1, j) for j, k in enumerate(self.keys)})
+        #: the columns of every row ``(le, re, *values)`` this node emits
+        self.layout = tuple(slots)
+        self._slots = tuple(slots.values())
+        #: a lone aggregate that no key column overrides: its rows are
+        #: ``(le, re, value, *key_values)``, built inline
+        self._lone = len(self.specs) == 1 and self._slots == (
+            (0, 0), *((1, j) for j in range(len(self.keys)))
+        )
         prefix = shared[:-1]
         self._prefix_futures = futures[:-1]
         self._agg_future = futures[-1]
@@ -135,10 +154,8 @@ class KeyedAggregate:
                 continue
             st = groups.get(key)
             if st is None:
-                columns = (
-                    {keys[0]: key} if len(keys) == 1 else dict(zip(keys, key))
-                )
-                st = groups[key] = KeyState(columns, self.specs)
+                values = (key,) if len(keys) == 1 else key
+                st = groups[key] = KeyState(values, self.specs)
             if key not in active:
                 st.ordinal = next(node._ordinals)
                 active[key] = st
@@ -149,8 +166,8 @@ class KeyedAggregate:
         if not reads:
             payloads = repeat(None)
         drain = self._drain
-        value = self._value
-        into = self._into
+        row = self._row
+        lone = self._lone
         push = heapq.heappush
         for key, le, re, payload in zip(batch_keys, les, res, payloads):
             st = groups[key]
@@ -174,11 +191,10 @@ class KeyedAggregate:
                 if pending[0] <= le:
                     drain(st, le)
                 if pending and le > st.start:
-                    st.out.append(Event(
-                        st.start, le,
-                        {into: st.fold.value(), **st.key_columns}
-                        if into is not None else value(st),
-                    ))
+                    st.out.append(
+                        (st.start, le, st.fold.value(), *st.key_values)
+                        if lone else row(st, st.start, le)
+                    )
             st.start = le
             if re not in panes:
                 push(pending, re)
@@ -242,36 +258,34 @@ class KeyedAggregate:
         st.run_k = 0
         st.run_le = st.run_re = st.run_payloads = None
 
-    def _value(self, st: KeyState) -> dict:
-        """A segment's payload with several aggregates: their values, then
-        the key columns (a key column wins over an output of the same
-        name, in place). A lone aggregate's is built inline the same way."""
-        values = {s.into: x.value() for s, x in zip(self.specs, st.states)}
-        values.update(st.key_columns)
-        return values
+    def _row(self, st: KeyState, le: int, re: int) -> tuple:
+        """A segment's row in the layout, for any layout; a lone
+        aggregate's is built inline the same way."""
+        sources = ([x.value() for x in st.states], st.key_values)
+        return (le, re, *[sources[s][i] for s, i in self._slots])
 
     def _drain(self, st: KeyState, t: int) -> None:
         """Retire every pane with RE <= ``t``, closing the constant-value
         segment at each RE before its pane leaves."""
         pending, panes, fold, out = st.pending, st.panes, st.fold, st.out
-        into = self._into
+        lone = self._lone
         while pending and pending[0] <= t:
             end = heapq.heappop(pending)
             if end > st.start:
-                out.append(Event(
-                    st.start, end,
-                    {into: fold.value(), **st.key_columns}
-                    if into is not None else self._value(st),
-                ))
+                out.append(
+                    (st.start, end, fold.value(), *st.key_values)
+                    if lone else self._row(st, st.start, end)
+                )
             st.start = end
             fold.leave(panes.pop(end))
 
     # -- the chain protocol -------------------------------------------------
 
-    def advance(self, st: KeyState, watermark: int) -> List[Event]:
+    def advance(self, st: KeyState, watermark: int) -> List[tuple]:
         """What a per-key chain's ``advance(watermark)`` does: finish the
         sweep, retire what the watermark closes, and set the key's
-        watermark, wake time and idle delta; returns its new outputs."""
+        watermark, wake time and idle delta; returns its new output rows
+        (``(le, re, *values)`` in :attr:`layout`)."""
         if watermark >= MAX_TIME:
             st.idle_delta = None
             if st.run_k:
@@ -318,7 +332,7 @@ class KeyedAggregate:
         self._wave, self._w_in, self._pinned_in = watermark, w, pinned
 
     @staticmethod
-    def _take(st: KeyState) -> List[Event]:
+    def _take(st: KeyState) -> List[tuple]:
         out = st.out
         if out:
             st.out = []

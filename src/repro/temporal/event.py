@@ -13,7 +13,7 @@ from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
 from itertools import chain, islice, repeat
-from operator import attrgetter, eq, gt, index as as_index
+from operator import attrgetter, eq, gt, index as as_index, itemgetter
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 from .time import MAX_TIME, TICK
@@ -104,6 +104,50 @@ _RE = attrgetter("re")
 _PAYLOAD = attrgetter("payload")
 _DICT_ONLY = {dict}
 _NO_LAYOUT = object()
+_ROW_LE = itemgetter(0)
+_ROW_RE = itemgetter(1)
+_ROW_VALUES = itemgetter(slice(2, None))
+
+
+class LayoutRows(Sequence):
+    """Rows ``(le, re, *values)`` under one payload *layout*, read as events.
+
+    What a flow releases from a keyed GroupApply at its root: ``rows``
+    are the node's output as it built it, ``layout`` the payload's
+    column names in order. Indexing and iteration build each ``Event``
+    with a fresh payload dict; :class:`EventColumns` packs the rows
+    directly, building none. Read-only; compares equal to a list of
+    equal events.
+    """
+
+    __slots__ = ("layout", "rows")
+
+    def __init__(self, layout: tuple, rows: list):
+        self.layout = layout
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(LayoutRows(self.layout, self.rows[i]))
+        le, re, *values = self.rows[i]
+        return Event(le, re, dict(zip(self.layout, values)))
+
+    def __iter__(self):
+        rows = self.rows
+        payloads = map(dict, map(zip, repeat(self.layout), map(_ROW_VALUES, rows)))
+        return map(Event, map(_ROW_LE, rows), map(_ROW_RE, rows), payloads)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (LayoutRows, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"LayoutRows({list(self)!r})"
+
 
 #: ``EngineStats.resolutions`` names of the two ways a row is retained
 #: unpacked: a time ``array('q')`` cannot hold, a payload not a plain dict.
@@ -138,7 +182,8 @@ class EventColumns(Sequence):
 
     def __init__(self, batches: Iterable[Sequence[Event]] = ()):
         """Pack ``batches`` of events, in order, then order rows by LE
-        (stable: a permutation runs only when some LE decreases)."""
+        (stable: a permutation runs only when some LE decreases). A
+        batch is a sequence of ``Event`` or a :class:`LayoutRows`."""
         self._reset()
         for batch in batches:
             self._extend(batch)
@@ -163,18 +208,18 @@ class EventColumns(Sequence):
     def _extend(self, events: Sequence[Event]) -> None:
         if not events:
             return
-        les, res = self.les, self.res
-        row = len(les)
-        if isinstance(les, array):
-            try:
-                les.fromlist(list(map(_LE, events)))
-                res.fromlist(list(map(_RE, events)))
-            except (TypeError, OverflowError):
-                del les[row:]  # a failed fromlist adds nothing
-                self.les, self.res = les, res = les.tolist(), res.tolist()
-        if not isinstance(les, array):
-            les.extend(map(_LE, events))
-            res.extend(map(_RE, events))
+        row = len(self.les)
+        if type(events) is LayoutRows:
+            # already columns in all but name: transpose, no dict or Event
+            les, res, *columns = zip(*events.rows)
+            self._extend_times(list(les), list(res))
+            values = self._open_run(events.layout, row)
+            width, start = len(columns), len(values)
+            values.extend(repeat(None, width * len(les)))
+            for i, column in enumerate(columns):
+                values[start + i :: width] = column
+            return
+        self._extend_times(list(map(_LE, events)), list(map(_RE, events)))
         payloads = list(map(_PAYLOAD, events))
         if set(map(type, payloads)) == _DICT_ONLY:
             keys = tuple(payloads[0])
@@ -199,6 +244,21 @@ class EventColumns(Sequence):
                     current = None
                 values.append(payload)
                 self._whole += 1
+
+    def _extend_times(self, les: list, res: list) -> None:
+        """Append one batch's lifetimes; a time ``array('q')`` cannot hold
+        turns both columns into lists of the original values for good."""
+        if isinstance(self.les, array):
+            row = len(self.les)
+            try:
+                self.les.fromlist(les)
+                self.res.fromlist(res)
+                return
+            except (TypeError, OverflowError):
+                del self.les[row:]  # a failed fromlist adds nothing
+                self.les, self.res = self.les.tolist(), self.res.tolist()
+        self.les.extend(les)
+        self.res.extend(res)
 
     def _open_run(self, keys: Optional[tuple], row: int) -> list:
         """Continue or start the run ``row`` belongs to; its value list."""

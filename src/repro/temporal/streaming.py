@@ -261,6 +261,8 @@ class StreamingEngine:
     def _emit(self) -> List[Event]:
         """Advance the dataflow and record streaming metrics."""
         out = self._flow.advance()
+        if type(out) is not list:
+            out = list(out)  # a keyed GroupApply root's rows, as events
         if self.tracer.enabled:
             metrics = self.tracer.metrics
             if out:

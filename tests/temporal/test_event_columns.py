@@ -21,6 +21,7 @@ from repro.temporal.event import (
     TIMES_UNPACKED,
     Event,
     EventColumns,
+    LayoutRows,
 )
 from repro.temporal.time import MAX_TIME
 
@@ -117,6 +118,27 @@ def test_mixed_layouts_keep_key_order_values_and_empty_payloads():
             )
     assert columns[1].payload == {} and columns[4].payload == {}
     assert columns.resolutions == {}
+
+
+def test_layout_rows_read_and_pack_as_their_events():
+    """A keyed GroupApply root releases ``LayoutRows``: read as events,
+    packed without them, and into the same run as equal-layout events."""
+    layout = ("s", "UserId")
+    rows = [(0, 5, 3, 7), (1, MAX_TIME, 0, 8), (2, 3, None, 7)]
+    events = [Event(le, re, {"s": v, "UserId": k}) for le, re, v, k in rows]
+    released = LayoutRows(layout, rows)
+    assert released == events and events == released and len(released) == 3
+    assert released[-1] == events[-1] and released[1:] == events[1:]
+    assert [list(e.payload) for e in released] == [list(layout)] * 3
+    assert released != events[:2] and released != tuple(events)
+    later = LayoutRows(layout, [(le + 4, re + 4, v, k) for le, re, v, k in rows])
+    columns = EventColumns([released, [Event(3, 4, {"s": 1, "UserId": 9})], later])
+    assert columns == events + [Event(3, 4, {"s": 1, "UserId": 9})] + list(later)
+    assert columns._keys == [layout] and len(columns._run_rows) == 1
+    assert columns.resolutions == {}
+    floats = EventColumns([LayoutRows(layout, [(0.5, 2, 1, 7)])])
+    assert floats == [Event(0.5, 2, {"s": 1, "UserId": 7})]
+    assert floats.resolutions[TIMES_UNPACKED]["count"] == 1
 
 
 def test_max_time_res_pack_and_floats_fall_back_by_name():
