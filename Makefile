@@ -1,65 +1,18 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test test-stress lint selflint ruff chaos chaos-parallel bench-smoke bench-compare bench-trend bench-e2e test-bench-harness profile profile-bt
+.PHONY: check test lint selflint ruff chaos bench-e2e test-bench-harness profile profile-bt
 
 check: test selflint chaos ruff
 
 test:
 	$(PYTHON) -m pytest -x -q
 
-# opt-in stress/soak tier: the combined BT job through TiMR under the
-# process pool with seeded map/reduce worker kills, repeatedly, plus
-# leaked-process / leaked-fd checks.
-# Deselected from the default run by addopts (-m "not stress").
-test-stress:
-	$(PYTHON) -m pytest -x -q -m stress tests/stress
-
 # end-to-end fault-tolerance suite: full BT pipeline fault-free vs under
 # a seeded fault schedule vs killed-and-resumed; asserts byte-identical
 # output (see docs/FAULT_TOLERANCE.md)
 chaos:
 	$(PYTHON) -m repro chaos
-
-# the same suite under the supervised process executor, plus the
-# executor-chaos phase: seeded kills of map/reduce pool workers
-# mid-run, asserting the output hash matches the unfailed baseline
-# (docs/PARALLELISM.md, "Worker failure semantics"); the JSON report
-# carries phase timings and is folded into the CI benchmark artifact
-# upload
-chaos-parallel:
-	@mkdir -p profile_out
-	$(PYTHON) -m repro chaos --executor process --workers 4 \
-		--json > profile_out/chaos_parallel.json
-	@$(PYTHON) -c "import json; d = json.load(open('profile_out/chaos_parallel.json')); \
-		assert d['passed'], d; ec = d['executor_chaos']; \
-		print('chaos-parallel passed:', ec['injected'], 'worker fault(s),', \
-		'byte_identical =', ec['byte_identical'])"
-
-# fast machine-readable benchmark: events/sec + peak heap per builtin
-# BT query, a memory-scaling series and per-stage wall times of the
-# combined TiMR job, written to
-# profile_out/BENCH_current.json (profile_out/ is git-ignored; CI
-# uploads it as a non-gating artifact). Committed reference baselines
-# live in benchmarks/baselines/.
-bench-smoke:
-	@mkdir -p profile_out
-	$(PYTHON) benchmarks/bench_smoke.py --out profile_out/BENCH_current.json
-
-# re-measure into a scratch artifact and compare per-query events/sec
-# against the committed baseline (noisy, loose threshold)
-bench-compare:
-	@mkdir -p profile_out
-	$(PYTHON) benchmarks/bench_smoke.py --out profile_out/BENCH_current.json \
-		--baseline benchmarks/baselines/BENCH_pr10.json
-
-# run-over-run tracking: append the current artifact to
-# profile_out/BENCH_history.jsonl and compare against the best-known
-# per-query events/sec across every committed baseline and prior
-# history entry. Always exits 0 (the report is advisory; pass --strict
-# to gate).
-bench-trend: bench-smoke
-	$(PYTHON) benchmarks/trend.py
 
 # the repo benchmark (BENCHMARK.json): every workload once, each in a
 # fresh process, outputs checked, end-to-end metrics printed by name.

@@ -14,10 +14,10 @@ Four passes over the plan (plus parameter checks):
 * **determinism** — bytecode-inspects every runtime callable for
   randomness, clocks, mutable default arguments, and captured mutable
   state (the hazards that break repeatable reducer restarts);
-* **parallel safety** — flags shared mutable captures, fork-unsafe
-  closures, ambient-environment reads, and order-dependent reduce
-  functions that would break byte-identical parallel execution (these
-  feed the executor gate in ``TiMR.run``);
+* **capture safety** (the ``parallel.*`` rules) — flags shared mutable
+  captures, ambient-environment reads, and order-dependent reduce
+  functions, which make output depend on the partition count or on
+  whether a job was resumed;
 * **partition safety** — cross-checks explicit ``.exchange()``
   annotations against every operator's :class:`PartitionConstraint`.
 
@@ -27,11 +27,6 @@ raise-on-error gate used by ``Engine.run`` and ``TiMR.run``), and the
 ``# repro: ignore[rule-id]`` comment on the constructing line.
 """
 
-from .concurrency import (
-    STATIC_PARALLEL_RULES,
-    blocking_findings,
-    parallel_safety_findings,
-)
 from .core import analyze, validate_plan, walk_plan
 from .diagnostics import (
     AnalysisReport,
@@ -48,13 +43,10 @@ __all__ = [
     "PlanValidationError",
     "RULES",
     "Rule",
-    "STATIC_PARALLEL_RULES",
     "analyze",
-    "blocking_findings",
     "builtin_query_suite",
     "example_plan_suite",
     "lint_suite",
-    "parallel_safety_findings",
     "validate_plan",
     "walk_plan",
 ]

@@ -275,7 +275,7 @@ def impure_references(fn) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# Parallel-safety hazards (the concurrency pass)
+# Capture-safety hazards (the concurrency pass)
 # ---------------------------------------------------------------------------
 
 #: Methods that mutate their receiver in place. A call on a captured or
@@ -319,9 +319,9 @@ def closure_map(fn) -> dict:
 def mutable_global_refs(fn) -> List[str]:
     """Module-global names the bytecode loads that hold mutable containers.
 
-    Module globals are shared by every thread and inherited by every
-    forked worker, so even a *read* of a mutable one couples otherwise
-    independent GroupApply key chains and map partitions.
+    Module globals outlive one reduce partition and one run, so even a
+    *read* of a mutable one couples otherwise independent GroupApply key
+    chains and map partitions.
     """
     code = function_code(fn)
     if code is None:
@@ -340,62 +340,12 @@ def mutable_global_refs(fn) -> List[str]:
     return found
 
 
-def _fork_unsafe_kind(value) -> Optional[str]:
-    """A short description when ``value`` cannot cross a fork/pickle."""
-    import io
-    import socket
-
-    if isinstance(value, io.IOBase):
-        return "an open file handle"
-    if isinstance(value, socket.socket):
-        return "a socket"
-    if isinstance(value, types.GeneratorType):
-        return "a live generator"
-    tmod = type(value).__module__
-    if tmod in ("_thread", "threading") and not isinstance(value, type):
-        return f"a {type(value).__name__} threading primitive"
-    return None
-
-
-def fork_unsafe_captures(fn) -> List[Tuple[str, str]]:
-    """(name, kind) pairs for captured values a ProcessExecutor cannot use.
-
-    Open files, sockets, locks, and live generators are duplicated (or
-    silently invalidated) by ``fork`` and cannot be pickled; a callable
-    holding one in a closure cell, default argument, or referenced
-    module global is not viable under the process executor.
-    """
-    inner = unwrap(fn)
-    code = getattr(inner, "__code__", None)
-    if code is None:
-        return []
-    candidates: List[Tuple[str, object]] = list(closure_map(fn).items())
-    defaults = getattr(inner, "__defaults__", None) or ()
-    argnames = code.co_varnames[: code.co_argcount]
-    candidates.extend(zip(argnames[-len(defaults):], defaults))
-    globs = getattr(inner, "__globals__", None) or {}
-    global_names: Set[str] = set()
-    for c in all_codes(code):
-        for ins in dis.get_instructions(c):
-            if ins.opname == "LOAD_GLOBAL" and ins.argval in globs:
-                global_names.add(ins.argval)
-    candidates.extend((name, globs[name]) for name in sorted(global_names))
-    found = []
-    seen: Set[str] = set()
-    for name, value in candidates:
-        kind = _fork_unsafe_kind(value)
-        if kind is not None and name not in seen:
-            seen.add(name)
-            found.append((name, kind))
-    return found
-
-
 def ambient_env_reads(fn) -> List[str]:
     """References to ``os.environ`` / ``os.getenv`` in the bytecode.
 
-    Environment reads are ambient per-process state: forked workers see
-    a snapshot, threads see live mutations, and neither is routed
-    through the run context — so results can differ across executors.
+    Environment reads are ambient per-process state, not routed through
+    the run context — so a rerun or a resumed job elsewhere can see
+    another value.
     """
     import os as _os
 

@@ -1,39 +1,31 @@
-"""Parallel-safety pass: races and determinism hazards under fan-out.
+"""Capture-safety pass: state that makes output depend on partitioning.
 
-The executors fan ``Cluster`` map and reduce partitions out over
-threads or forked processes while replaying the serial schedule, so
-output stays byte-identical — *provided* user callables obey the
-concurrency invariants the runtime cannot enforce: no shared mutable
-capture across schedules, fork/pickle-safe closures under the process
-executor, and no ambient per-process state reads. This pass inspects
-every runtime callable in the plan (with the bytecode machinery in
-:mod:`.callables`) for exactly those hazards:
+Runs are serial, and a TiMR job's parallelism is its M-R partitions:
+every reduce partition runs the same plan over its share of the keys,
+and a failed or resumed stage runs it again. Output is therefore a
+function of the data only *provided* user callables keep state to the
+partition that owns it. This pass inspects every runtime callable in
+the plan (with the bytecode machinery in :mod:`.callables`) for the
+captures that break that, so output changes with the partition count
+or with whether a job was resumed:
 
-* mutable module globals (shared by every worker) and, inside GroupApply
-  sub-plans, mutable closure cells (shared by every reduce partition
-  running the plan) →
-  ``parallel.shared-mutable-capture``;
-* captured open files / sockets / locks / generators, which ``fork``
-  duplicates or invalidates → ``parallel.fork-unsafe-capture``;
+* mutable module globals (shared by every partition and every run) and,
+  inside GroupApply sub-plans, mutable closure cells (shared by every
+  key's chain) → ``parallel.shared-mutable-capture``;
 * ``os.environ`` / ``os.getenv`` reads not routed through the run
   context → ``parallel.ambient-env``;
 * order-dependent accumulation in UDO / aggregate merge functions
   (global or captured-variable writes, in-place container mutation) →
   ``parallel.order-dependent-reduce``.
 
-All four are *warning* severity: a serial run is still correct, so the
-pre-flight gate (:func:`validate_plan`) never blocks on them. Instead
-:func:`blocking_findings` feeds the **parallel gate**: when a non-serial
-executor is requested, ``TiMR.run`` consults it and falls back to
-serial with a :class:`~repro.runtime.parallel.
-ParallelSafetyWarning` diagnostic. Suppression follows the usual idiom
-(``# repro: ignore[rule]`` on the offending operator) and
-``--force-parallel`` / ``REPRO_FORCE_PARALLEL`` skip the gate entirely.
+All three are *warning* severity: the pre-flight gate
+(:func:`validate_plan`) never blocks on them. Suppression follows the
+usual idiom (``# repro: ignore[rule]`` on the offending operator).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Set, Tuple
 
 from ..temporal.plan import (
     AggregateNode,
@@ -46,35 +38,24 @@ from ..temporal.plan import (
 from .callables import (
     ambient_env_reads,
     callable_location,
-    fork_unsafe_captures,
     mutable_closure_cells,
     mutable_global_refs,
     node_callables,
     order_dependent_writes,
 )
 
-#: The parallel-safety rules.
-STATIC_PARALLEL_RULES = frozenset(
-    {
-        "parallel.shared-mutable-capture",
-        "parallel.fork-unsafe-capture",
-        "parallel.ambient-env",
-        "parallel.order-dependent-reduce",
-    }
-)
-
 #: Node types whose callables are merge/reduce-shaped: order-dependent
-#: writes there threaten shard-merge commutativity, not just chain
-#: isolation, and are reported under ``parallel.order-dependent-reduce``.
+#: writes there threaten merge commutativity, not just chain isolation,
+#: and are reported under ``parallel.order-dependent-reduce``.
 _REDUCE_NODES = (WindowedUDONode, SnapshotUDONode, ScanUDONode)
 
 
 def _group_scoped_ids(root: PlanNode) -> Set[int]:
     """node_ids living inside some GroupApply sub-plan.
 
-    Callables there run once per key chain, and every reduce partition
-    running the plan under a parallel executor has its own chains, so
-    state captured by such a callable is shared across schedules.
+    Callables there run once per key chain, and which keys share a
+    reduce partition depends on the partition count, so state captured
+    by such a callable is shared across keys that should not see it.
     """
     ids: Set[int] = set()
     seen: Set[Tuple[int, bool]] = set()
@@ -129,15 +110,15 @@ def concurrency_pass(ctx) -> None:
             for _name, desc in writes:
                 if reduce_like:
                     message = (
-                        f"{what} {desc}; accumulation order differs across "
-                        "parallel shards, so the merged result is not "
-                        "schedule-independent"
+                        f"{what} {desc}; accumulation order follows the "
+                        "partitioning, so the result changes with the "
+                        "partition count and on resume"
                     )
                 else:
                     message = (
-                        f"{what} {desc}; concurrent map and reduce "
-                        "partitions would interleave those writes "
-                        "nondeterministically"
+                        f"{what} {desc}; every map and reduce partition "
+                        "writes the same object, so output changes with "
+                        "the partition count and on resume"
                     )
                 ctx.report(write_rule, node, message, location=location)
             for name in mutable_global_refs(fn):
@@ -147,8 +128,7 @@ def concurrency_pass(ctx) -> None:
                     "parallel.shared-mutable-capture",
                     node,
                     f"{what} references mutable module global {name!r}, "
-                    "which every worker thread shares and every forked "
-                    "worker snapshots",
+                    "which every partition and every run shares",
                     location=location,
                 )
             if in_group:
@@ -160,70 +140,15 @@ def concurrency_pass(ctx) -> None:
                         node,
                         f"{what} captures mutable object {name!r} inside a "
                         "GroupApply sub-plan; one cell is shared by every "
-                        "concurrently running reduce partition",
+                        "key's chain",
                         location=location,
                     )
-            for name, kind in fork_unsafe_captures(fn):
-                ctx.report(
-                    "parallel.fork-unsafe-capture",
-                    node,
-                    f"{what} captures {kind} as {name!r}; it cannot cross "
-                    "a fork or pickle boundary, so the process executor "
-                    "is not viable for this plan",
-                    location=location,
-                )
             for ref in ambient_env_reads(fn):
                 ctx.report(
                     "parallel.ambient-env",
                     node,
                     f"{what} reads {ref}: ambient per-process state that "
-                    "is not routed through RunContext, so forked and "
-                    "threaded workers can observe different values",
+                    "is not routed through RunContext, so a rerun or a "
+                    "resumed job can observe another value",
                     location=location,
                 )
-
-
-# ---------------------------------------------------------------------------
-# The parallel gate
-# ---------------------------------------------------------------------------
-
-#: Memoized unsuppressed parallel.* findings per plan root (plans are
-#: immutable and node ids process-unique, same contract as
-#: ``_VALIDATED_OK``).
-_GATE_MEMO: Dict[int, tuple] = {}
-
-
-def parallel_safety_findings(root: PlanNode) -> List:
-    """Unsuppressed static ``parallel.*`` diagnostics for a plan.
-
-    Runs the full analyzer (so ``# repro: ignore[...]`` comments apply)
-    and keeps only the parallel-safety family; memoized per plan root
-    because the gate re-checks on every run.
-    """
-    cached = _GATE_MEMO.get(root.node_id)
-    if cached is None:
-        from .core import analyze
-
-        report = analyze(root)
-        cached = tuple(
-            d for d in report.diagnostics if d.rule in STATIC_PARALLEL_RULES
-        )
-        if len(_GATE_MEMO) > 100_000:  # unbounded-growth backstop
-            _GATE_MEMO.clear()
-        _GATE_MEMO[root.node_id] = cached
-    return list(cached)
-
-
-def blocking_findings(root: PlanNode, executor_kind: str) -> List:
-    """The findings that make ``executor_kind`` unsafe for this plan.
-
-    Fork-unsafety only matters when workers actually fork: thread
-    executors share the process, so ``parallel.fork-unsafe-capture``
-    blocks the process executor but not threads.
-    """
-    findings = parallel_safety_findings(root)
-    if executor_kind != "process":
-        findings = [
-            d for d in findings if d.rule != "parallel.fork-unsafe-capture"
-        ]
-    return findings

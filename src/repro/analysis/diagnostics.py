@@ -122,14 +122,8 @@ _rule(
     "parallel.shared-mutable-capture",
     "warning",
     "a plan callable shares mutable state (module global, or closure "
-    "cell inside a GroupApply sub-plan) across parallel schedules",
-)
-_rule(
-    "parallel.fork-unsafe-capture",
-    "warning",
-    "a plan callable captures an open file, socket, lock, or generator "
-    "that cannot cross a fork/pickle boundary (blocks the process "
-    "executor)",
+    "cell inside a GroupApply sub-plan) across reduce partitions, so "
+    "output depends on the partition count and on resume",
 )
 _rule(
     "parallel.ambient-env",
@@ -141,7 +135,7 @@ _rule(
     "parallel.order-dependent-reduce",
     "warning",
     "a UDO or aggregate merge function accumulates into shared state, "
-    "so its result depends on shard/schedule order (not commutative)",
+    "so its result depends on partition order (not commutative)",
 )
 _rule(
     "batch.payload-mutation",

@@ -22,10 +22,7 @@ Commands:
   estimated-vs-observed calibration table. Artifacts land in
   ``--out-dir`` (default ``profile_out/``) rather than the working
   directory; relative ``--trace-out`` / ``--metrics-out`` paths resolve
-  under it. With ``--parallel`` (and a parallel ``--executor``) the
-  Chrome trace gains one lane per worker including supervision events,
-  and an overhead attribution table decomposes the worker-time budget
-  against a serial-equivalent run (docs/OBSERVABILITY.md).
+  under it.
 
 Exit codes (stable; CI relies on them):
 
@@ -36,8 +33,7 @@ Exit codes (stable; CI relies on them):
   0); ``chaos`` produced
   divergent output or could not be killed/resumed as scheduled.
 * ``2`` — usage or input errors: StreamSQL parse failures, plans
-  rejected by pre-flight analysis, bad flags, unreadable files,
-  ``profile --parallel`` when the resolved executor is serial. The
+  rejected by pre-flight analysis, bad flags, unreadable files. The
   diagnostic is a single line on stderr, never a traceback.
 
 ``lint``, ``chaos``, and ``profile`` accept ``--json``, which replaces
@@ -49,7 +45,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from typing import List, Optional
 
 
@@ -65,51 +60,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # shared execution options: every command that actually runs a plan
-    # can fan map/reduce partitions (and, on threads, a GroupApply
-    # wave's chains) out over workers — output is byte-identical to
-    # serial (docs/PARALLELISM.md)
-    exec_opts = argparse.ArgumentParser(add_help=False)
-    exec_opts.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker cap for parallel execution (default: REPRO_WORKERS, "
-        "then CPU count; 1 forces serial)",
-    )
-    exec_opts.add_argument(
-        "--executor",
-        choices=["serial", "thread", "process", "auto"],
-        default=None,
-        help="how independent work fans out (default: REPRO_EXECUTOR, "
-        "then thread when --workers > 1, else serial)",
-    )
-    exec_opts.add_argument(
-        "--force-parallel",
-        action="store_true",
-        help="skip the parallel-safety gate: run parallel even when the "
-        "static analyzer reports parallel.* hazards "
-        "(docs/PARALLELISM.md#safety-model)",
-    )
-
     gen = sub.add_parser("generate", help="generate a synthetic advertising log")
     gen.add_argument("--users", type=int, default=500)
     gen.add_argument("--days", type=float, default=3.0)
     gen.add_argument("--seed", type=int, default=42)
     gen.add_argument("--out", required=True, help="snapshot directory")
 
-    sql = sub.add_parser(
-        "sql", help="run a StreamSQL query over a snapshot", parents=[exec_opts]
-    )
+    sql = sub.add_parser("sql", help="run a StreamSQL query over a snapshot")
     sql.add_argument("query", help="the StreamSQL text")
     sql.add_argument("--data", required=True, help="snapshot directory")
     sql.add_argument("--source-name", default="logs")
     sql.add_argument("--limit", type=int, default=20, help="rows to print")
 
-    timr = sub.add_parser(
-        "timr", help="run a StreamSQL query through TiMR", parents=[exec_opts]
-    )
+    timr = sub.add_parser("timr", help="run a StreamSQL query through TiMR")
     timr.add_argument("query")
     timr.add_argument("--data", required=True)
     timr.add_argument("--source-name", default="logs")
@@ -118,9 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     timr.add_argument("--span-width", type=int, default=None)
     timr.add_argument("--limit", type=int, default=20)
 
-    bt = sub.add_parser(
-        "bt", help="run the end-to-end BT pipeline", parents=[exec_opts]
-    )
+    bt = sub.add_parser("bt", help="run the end-to-end BT pipeline")
     bt.add_argument("--data", required=True)
     bt.add_argument(
         "--selector", choices=["kez", "kepop", "fex"], default="kez"
@@ -173,7 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="run the BT pipeline under seeded fault injection and verify "
         "byte-identical output plus checkpoint/resume",
-        parents=[exec_opts],
     )
     chaos.add_argument(
         "--data", default=None, help="snapshot directory (default: generate a small log)"
@@ -193,14 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: a temporary directory)",
     )
     chaos.add_argument(
-        "--worker-kill-rate",
-        type=float,
-        default=0.3,
-        help="per-draw probability for the executor fault sites "
-        "(worker-kill / task-transient / reply-drop) in the executor "
-        "chaos phase; that phase only runs with a parallel --executor",
-    )
-    chaos.add_argument(
         "--json",
         action="store_true",
         help="emit one machine-readable JSON report on stdout (for CI)",
@@ -210,7 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="run a pipeline with tracing on and export spans + metrics "
         "(Chrome trace_event JSON, JSON-lines, terminal tree)",
-        parents=[exec_opts],
     )
     profile.add_argument(
         "--pipeline",
@@ -243,14 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="metrics.jsonl",
         help="JSON-lines spans+metrics output path; relative paths "
         "resolve under --out-dir",
-    )
-    profile.add_argument(
-        "--parallel",
-        action="store_true",
-        help="decompose the parallel run's worker-time budget "
-        "(serialize/dispatch/compute/idle/merge/supervision) into an "
-        "attribution table against a serial-equivalent run; requires a "
-        "parallel --executor",
     )
     profile.add_argument(
         "--max-depth",
@@ -294,23 +237,11 @@ def _print_events(events, limit: int) -> None:
         print(f"... {len(events) - limit} more")
 
 
-def _exec_overrides(args) -> dict:
-    """The --executor/--workers/--force-parallel flags as RunContext
-    field overrides."""
-    return {
-        "executor": getattr(args, "executor", None),
-        "max_workers": getattr(args, "workers", None),
-        "force_parallel": getattr(args, "force_parallel", False),
-    }
-
-
 def _cmd_sql(args) -> int:
-    from .runtime import RunContext
     from .temporal import Engine, parse_sql
 
     dataset = _load_rows(args.data)
-    engine = Engine(context=RunContext(**_exec_overrides(args)))
-    events = engine.run(parse_sql(args.query), {args.source_name: dataset.rows})
+    events = Engine().run(parse_sql(args.query), {args.source_name: dataset.rows})
     print(f"{len(events)} result events")
     _print_events(events, args.limit)
     return 0
@@ -318,7 +249,6 @@ def _cmd_sql(args) -> int:
 
 def _cmd_timr(args) -> int:
     from .mapreduce import Cluster, CostModel, DistributedFileSystem
-    from .runtime import RunContext
     from .temporal import parse_sql
     from .temporal.event import rows_to_events
     from .timr import TiMR, describe_fragments
@@ -326,11 +256,7 @@ def _cmd_timr(args) -> int:
     dataset = _load_rows(args.data)
     fs = DistributedFileSystem()
     fs.write(args.source_name, dataset.rows)
-    cluster = Cluster(
-        fs=fs,
-        cost_model=CostModel(num_machines=args.machines),
-        context=RunContext(**_exec_overrides(args)),
-    )
+    cluster = Cluster(fs=fs, cost_model=CostModel(num_machines=args.machines))
     result = TiMR(cluster).run(
         parse_sql(args.query),
         num_partitions=args.partitions,
@@ -365,14 +291,8 @@ def _cmd_bt(args) -> int:
     if args.stem:
         selector = StemmedSelector(selector)
 
-    from .runtime import RunContext
-
     dataset = _load_rows(args.data)
-    pipeline = BTPipeline(
-        config=config,
-        selector=selector,
-        context=RunContext(**_exec_overrides(args)),
-    )
+    pipeline = BTPipeline(config=config, selector=selector)
     result = pipeline.run(dataset.rows)
     print(
         f"bot elimination: {result.rows_in:,} -> "
@@ -583,14 +503,12 @@ def _cmd_chaos(args) -> int:
     base_ctx = RunContext(
         seed=args.seed,
         max_restarts=2 * ChaosPolicy().blacklist_after + 1,
-        **_exec_overrides(args),
     )
 
     def make_timr(fault_policy=None, **context_changes):
         fs = DistributedFileSystem()
-        # partitioned input: with a parallel executor the first stage's
-        # map phase genuinely fans out, so executor-site chaos strikes
-        # pool workers (and its recovery counters reach TiMRResult)
+        # partitioned input, so the first stage's map phase draws a
+        # fault per partition
         fs.write("logs", rows, num_partitions=max(1, args.partitions))
         ctx = base_ctx.derive(fault_policy=fault_policy, **context_changes)
         cluster = Cluster(
@@ -663,56 +581,7 @@ def _cmd_chaos(args) -> int:
         f"the fault-free run"
     )
 
-    # 4. executor-layer chaos: kill forked workers, drop replies, and
-    # fault tasks mid-run under a seeded schedule drawn only over the
-    # executor sites (stage schedules untouched), then require
-    # byte-identity with the fault-free baseline. Needs real workers,
-    # so it only runs when a parallel executor was requested.
-    executor_chaos = None
-    exec_ok = True
-    if base_ctx.resolve_executor().parallel:
-        from .mapreduce import EXECUTOR_SITES
-
-        exec_policy = ChaosPolicy(
-            seed=args.seed,
-            rates={site: args.worker_kill_rate for site in EXECUTOR_SITES},
-        )
-        timr, _ = make_timr(exec_policy)
-        t0 = _clock.perf_counter()
-        with warnings.catch_warnings():
-            # budget exhaustion degrading a tier is an expected outcome
-            # under aggressive kill rates, not a suite failure
-            warnings.simplefilter("ignore")
-            survived = run(timr)
-        timings["executor_chaos_seconds"] = round(_clock.perf_counter() - t0, 6)
-        exec_hash = dataset_sha256(survived.output)
-        exec_ok = exec_hash == baseline_hash
-        exec_stats = exec_policy.stats
-        recovery = (survived.parallel or {}).get("recovery", {})
-        say(
-            f"executor chaos(seed={args.seed}, "
-            f"rate={args.worker_kill_rate:g}): injected "
-            f"{exec_stats.injected} executor fault(s) across "
-            f"{dict(sorted(exec_stats.by_site.items()))}; recovery "
-            f"{ {k: v for k, v in sorted(recovery.items()) if v} }"
-        )
-        say(
-            f"executor chaos output "
-            f"{'is byte-identical to' if exec_ok else 'DIFFERS from'} "
-            f"the fault-free run (hash {exec_hash[:12]})"
-        )
-        executor_chaos = {
-            "seed": args.seed,
-            "rate": args.worker_kill_rate,
-            "injected": exec_stats.injected,
-            "by_site": dict(sorted(exec_stats.by_site.items())),
-            "recovery": dict(sorted(recovery.items())),
-            "sha256": exec_hash,
-            "byte_identical": exec_ok,
-        }
-    else:
-        say("executor chaos: skipped (serial executor — nothing to kill)")
-    passed = chaos_ok and resume_ok and exec_ok
+    passed = chaos_ok and resume_ok
     if quiet:
         import json as _json
 
@@ -745,7 +614,6 @@ def _cmd_chaos(args) -> int:
                         "sha256": resume_hash,
                         "byte_identical": resume_ok,
                     },
-                    "executor_chaos": executor_chaos,
                     "timings": timings,
                     "passed": passed,
                     "exit_code": 0 if passed else 1,
@@ -769,13 +637,12 @@ def _profile_run(query, rows, args, tracer):
     from .timr import TiMR
 
     fs = DistributedFileSystem()
-    # partition the input so a parallel executor's map fan-out (and its
-    # supervision counters) actually appears in the profile
+    # partitioned input, so the profile shows one map span per partition
     fs.write("logs", rows, num_partitions=max(1, args.partitions))
     cluster = Cluster(
         fs=fs,
         cost_model=CostModel(num_machines=args.machines),
-        context=RunContext(tracer=tracer, **_exec_overrides(args)),
+        context=RunContext(tracer=tracer),
     )
     timr = TiMR(cluster)
     return timr, timr.run(query, num_partitions=args.partitions)
@@ -793,23 +660,8 @@ def _cmd_profile(args) -> int:
     )
     from .bt.schema import BTConfig
     from .obs import Tracer, calibrate, render_tree, write_chrome_trace, write_jsonl
-    from .obs.attribution import attribute, render_table
-    from .runtime import RunContext
     from .temporal import Query
     from .temporal.time import days
-
-    if args.parallel:
-        # fail fast on a serial resolution instead of printing an empty
-        # attribution table at the end of an expensive run
-        probe = RunContext(**_exec_overrides(args)).resolve_executor()
-        if probe.kind == "serial" or probe.max_workers < 2:
-            print(
-                "repro profile: --parallel needs a parallel executor "
-                f"(resolved {probe.kind} x {probe.max_workers}); pass "
-                "--executor thread|process with --workers >= 2",
-                file=sys.stderr,
-            )
-            return 2
 
     def _resolve_out(path: str) -> str:
         return path if os.path.isabs(path) else os.path.join(args.out_dir, path)
@@ -838,30 +690,7 @@ def _cmd_profile(args) -> int:
     tracer = Tracer()
     wall_t0 = _time.perf_counter()
     timr, result = _profile_run(query, rows, args, tracer)
-    parallel_wall = _time.perf_counter() - wall_t0
-
-    attribution = None
-    serial_wall = None
-    if args.parallel:
-        # serial-equivalent twin: same query, same data, NULL_TRACER and
-        # one worker — the honest baseline the speedup column reports
-        from .obs.trace import NULL_TRACER
-
-        class _SerialArgs:
-            machines = args.machines
-            partitions = args.partitions
-            executor = "serial"
-            workers = 1
-            force_parallel = getattr(args, "force_parallel", False)
-
-        serial_t0 = _time.perf_counter()
-        _profile_run(query, rows, _SerialArgs, NULL_TRACER)
-        serial_wall = _time.perf_counter() - serial_t0
-        parallel_summary = result.parallel or {}
-        attribution = attribute(
-            parallel_summary.get("overhead", {}),
-            serial_wall_seconds=serial_wall,
-        )
+    wall = _time.perf_counter() - wall_t0
 
     calibration = calibrate(
         result.fragments, result.report, timr.statistics, {"logs": len(rows)}
@@ -876,7 +705,7 @@ def _cmd_profile(args) -> int:
     resolutions: dict = {}
     for span in spans:
         by_category[span.category] = by_category.get(span.category, 0) + 1
-        if span.name == "supervision.resolved":
+        if span.name == "resolution":
             entry = resolutions.setdefault(
                 span.attrs["resolution"],
                 {"count": 0, "reason": span.attrs["reason"]},
@@ -895,21 +724,10 @@ def _cmd_profile(args) -> int:
         "metrics_out": metrics_out,
         "jsonl_lines": jsonl_lines,
         "calibration": calibration.as_dict(),
-        "parallel": result.parallel,
         "reused_stages": result.reused_stages,
         "resolutions": resolutions,
-        "wall_seconds": round(parallel_wall, 6),
+        "wall_seconds": round(wall, 6),
     }
-    if attribution is not None:
-        summary["attribution"] = {
-            "components": {k: round(v, 6) for k, v in attribution.components.items()},
-            "budget_seconds": round(attribution.budget_seconds, 6),
-            "coverage": round(attribution.coverage, 4),
-            "dominant_overhead": attribution.dominant_overhead,
-            "parallel_wall_seconds": round(attribution.wall_seconds, 6),
-            "serial_wall_seconds": round(serial_wall, 6),
-            "speedup": round(attribution.speedup, 4) if attribution.speedup else None,
-        }
     if args.json:
         print(_json.dumps(summary, indent=2, sort_keys=True))
         return 0
@@ -917,26 +735,12 @@ def _cmd_profile(args) -> int:
     print()
     print("optimizer calibration (estimated vs observed cardinalities):")
     print(calibration.render())
-    if result.parallel is not None:
-        recovery = result.parallel.get("recovery", {})
-        active = {k: v for k, v in sorted(recovery.items()) if v}
-        print()
-        print(
-            f"parallel: {result.parallel['executor']} x "
-            f"{result.parallel['max_workers']} workers, "
-            f"{result.parallel['tasks']} task(s) in "
-            f"{result.parallel['calls']} call(s); "
-            f"supervision: {active if active else 'no recovery activity'}"
-        )
     print(
         f"\nfragments: {len(result.report.stages)} stage(s) ran, "
         f"{result.reused_stages} served from this TiMR's earlier stages"
     )
     for name, entry in sorted(resolutions.items()):
         print(f"resolved: {name} x {entry['count']}: {entry['reason']}")
-    if attribution is not None:
-        print()
-        print(render_table(attribution))
     print()
     print(
         f"wrote {trace_events} trace events to {trace_out} "

@@ -10,36 +10,28 @@ cluster makespans.
 from .cluster import Cluster, FailureInjector, ReducerKilled
 from .cost import CostModel, JobReport, StageReport
 from .faults import (
-    ALL_SITES,
-    EXECUTOR_SITES,
     FS_READ,
     FS_WRITE,
     MAP,
     REDUCE,
-    REPLY_DROP,
     SHUFFLE,
     SITES,
-    TASK_TRANSIENT,
-    WORKER_KILL,
     ChaosPolicy,
     FaultPolicy,
     FaultStats,
     InjectedFault,
     StageExecutionError,
     StageKiller,
-    WorkerKiller,
 )
 from .fs import DistributedFile, DistributedFileSystem
 from .job import MapReduceJob, MapReduceStage, key_by_columns, random_key, stable_hash
 
 __all__ = [
-    "ALL_SITES",
     "ChaosPolicy",
     "Cluster",
     "CostModel",
     "DistributedFile",
     "DistributedFileSystem",
-    "EXECUTOR_SITES",
     "FS_READ",
     "FS_WRITE",
     "FailureInjector",
@@ -51,16 +43,12 @@ __all__ = [
     "MapReduceJob",
     "MapReduceStage",
     "REDUCE",
-    "REPLY_DROP",
     "ReducerKilled",
     "SHUFFLE",
     "SITES",
     "StageExecutionError",
     "StageKiller",
     "StageReport",
-    "TASK_TRANSIENT",
-    "WORKER_KILL",
-    "WorkerKiller",
     "key_by_columns",
     "random_key",
     "stable_hash",

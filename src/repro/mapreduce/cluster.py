@@ -147,9 +147,6 @@ class Cluster:
         )
         self.last_report: Optional[JobReport] = None
         self.last_quarantined: List[Row] = []
-        #: per-worker fan-out counters of the most recent job's map
-        #: phases (None when the run context resolves a serial executor)
-        self.last_parallel = None
 
     @property
     def tracer(self):
@@ -183,7 +180,6 @@ class Cluster:
             raise ValueError(f"job {job.name!r} has no stages")
         report = JobReport()
         self.last_quarantined = []
-        self.last_parallel = None
         current = self.fs.read(input_name)
         quarantined: List[Row] = []
         for i, stage in enumerate(job.stages):
@@ -217,7 +213,6 @@ class Cluster:
         every stage's dead letters into one job-level dataset.
         """
         current = self.fs.read(input_name)
-        self.last_parallel = None
         out, stage_report, quarantined = self._run_stage(stage, current, output_name)
         self.last_report = JobReport(stages=[stage_report])
         self.last_quarantined = quarantined
@@ -244,15 +239,6 @@ class Cluster:
             partitions: List[List[Row]] = [[] for _ in range(stage.num_partitions)]
             routed_rows = 0
             shuffle_bytes = 0
-            executor = self.context.resolve_executor()
-            map_results = None
-            if executor.parallel and len(data.partitions) > 1:
-                map_results = self._run_map_parallel(
-                    executor, stage, data.partitions, report, quarantined
-                )
-                if tracer.enabled:
-                    stage_span.set("map_executor", executor.kind)
-                    stage_span.set("map_workers", executor.max_workers)
             for pi, part in enumerate(data.partitions):
                 with tracer.span(
                     "cluster.map",
@@ -261,23 +247,14 @@ class Cluster:
                     partition=pi,
                     rows_in=len(part),
                 ) as map_span:
-                    if map_results is not None:
-                        # work already done on the executor; the span is
-                        # a post-hoc summary carrying the worker-side
-                        # busy time (spans themselves are main-thread)
-                        routed, busy = map_results[pi]
-                    else:
-                        routed = self._run_map_partition(
-                            stage, pi, part, report, quarantined
-                        )
-                        busy = None
+                    routed = self._run_map_partition(
+                        stage, pi, part, report, quarantined
+                    )
                     if tracer.enabled:
                         map_span.set("rows_mapped", len(routed))
                         shuffle_bytes += sum(
                             len(repr(row)) for _, row in routed
                         )
-                if busy is not None:
-                    map_span.set_duration(busy)
                 for idx, row in routed:
                     partitions[idx].append(row)
                 routed_rows += len(routed)
@@ -285,15 +262,6 @@ class Cluster:
             report.num_partitions = stage.num_partitions
 
             # Reduce phase: run the reducer per partition, measuring work.
-            # Parallel only without tracing: reducers embedding an engine
-            # open driver-thread spans, which must keep nesting under the
-            # partition span (the map closures never open spans, so the
-            # map fan-out has no such constraint).
-            reduce_results = None
-            if executor.parallel and stage.num_partitions > 1 and not tracer.enabled:
-                reduce_results = self._run_reduce_parallel(
-                    executor, stage, partitions, report, quarantined
-                )
             outputs: List[List[Row]] = []
             for idx, rows in enumerate(partitions):
                 with tracer.span(
@@ -303,40 +271,20 @@ class Cluster:
                     partition=idx,
                     rows_in=len(rows),
                 ) as part_span:
-                    busy = None
-                    if reduce_results is not None:
-                        # work already done on the executor; the span is
-                        # a post-hoc summary carrying the worker-side
-                        # sort + reduce time (spans are main-thread)
-                        out_rows, seconds, restarts, sort_seconds = (
-                            reduce_results[idx]
-                        )
-                        busy = sort_seconds + seconds
-                        if tracer.enabled and stage.sort_by_time:
+                    if stage.sort_by_time:
+                        sort_start = _time.perf_counter() if tracer.enabled else 0.0
+                        rows = self._sort_partition(stage, idx, rows, quarantined)
+                        if tracer.enabled:
                             part_span.set(
-                                "sort_seconds", round(sort_seconds, 6)
+                                "sort_seconds",
+                                round(_time.perf_counter() - sort_start, 6),
                             )
-                    else:
-                        if stage.sort_by_time:
-                            sort_start = (
-                                _time.perf_counter() if tracer.enabled else 0.0
-                            )
-                            rows = self._sort_partition(
-                                stage, idx, rows, quarantined
-                            )
-                            if tracer.enabled:
-                                part_span.set(
-                                    "sort_seconds",
-                                    round(_time.perf_counter() - sort_start, 6),
-                                )
-                        out_rows, seconds, restarts = self._run_reducer(
-                            stage, idx, rows, report, quarantined
-                        )
+                    out_rows, seconds, restarts = self._run_reducer(
+                        stage, idx, rows, report, quarantined
+                    )
                     if tracer.enabled:
                         part_span.set("rows_out", len(out_rows))
                         part_span.set("restarts", restarts)
-                if busy is not None:
-                    part_span.set_duration(busy)
                 outputs.append(out_rows)
                 report.partition_seconds.append(seconds)
                 report.restarted_partitions += restarts
@@ -451,12 +399,10 @@ class Cluster:
     def _map_partition_rows(
         self, stage: MapReduceStage, pi: int, rows: List[Row]
     ) -> Tuple[List[Tuple[int, Row]], List[Row]]:
-        """The pure map+route body: ``(routed pairs, dead-letter rows)``.
+        """The map+route body: ``(routed pairs, dead-letter rows)``.
 
-        Shared by the serial retry loop and the parallel fan-out. Reads
-        only immutable driver state (stage callables, the quarantine
-        flag), so it is safe to run on worker threads or forked children
-        — map is stateless by the M-R restart contract.
+        Consults no fault policy, so a retry re-runs it from scratch;
+        map is stateless by the M-R restart contract.
         """
         routed: List[Tuple[int, Row]] = []
         poisoned: List[Row] = []
@@ -503,88 +449,6 @@ class Cluster:
             routed.extend(row_routes)
         return routed, poisoned
 
-    def _run_map_parallel(
-        self,
-        executor,
-        stage: MapReduceStage,
-        parts: Sequence[List[Row]],
-        report: StageReport,
-        quarantined: List[Row],
-    ) -> List[Tuple[List[Tuple[int, Row]], float]]:
-        """Fan map tasks over input partitions, byte-identical to serial.
-
-        Fault schedules must stay deterministic: chaos policies consume
-        a sequential RNG per ``maybe_fail`` call, so the driver
-        pre-consults the policy for every partition in serial partition
-        order — charging exactly the backoff the serial loop would —
-        before any map work fans out. The dispatched task is then the
-        pure map+route body. Every shipped policy raises only from
-        ``maybe_fail``, so workers never see injected faults; should an
-        exotic policy raise one from inside user map code, that
-        partition re-runs through the full serial retry loop (correct
-        output, though the fault schedule then diverges from a
-        pure-serial run). Quarantined rows and routed pairs merge in
-        partition order, preserving the serial dead-letter dataset and
-        per-partition hash routing byte for byte.
-        """
-        if self.fault_policy is not None:
-            for pi in range(len(parts)):
-                self._fault_point(MAP, stage.name, pi, report)
-        mapper = self._map_partition_rows
-        clock = _time.perf_counter
-
-        def map_task(pi: int, rows: List[Row]):
-            def task():
-                start = clock()
-                try:
-                    routed, poisoned = mapper(stage, pi, rows)
-                except InjectedFault:
-                    return None  # exotic: retry serially in the driver
-                return routed, poisoned, clock() - start
-
-            return task
-
-        raw = executor.run_tasks(
-            [map_task(pi, rows) for pi, rows in enumerate(parts)]
-        )
-        self._fold_executor_stats(executor, stage)
-        results = []
-        for pi, res in enumerate(raw):
-            if res is None:
-                routed = self._run_map_partition(
-                    stage, pi, parts[pi], report, quarantined
-                )
-                results.append((routed, 0.0))
-                continue
-            routed, poisoned, busy = res
-            quarantined.extend(poisoned)
-            results.append((routed, busy))
-        return results
-
-    def _fold_executor_stats(self, executor, stage: MapReduceStage) -> None:
-        """Fold one fan-out's executor counters into ``last_parallel``."""
-        if self.last_parallel is None:
-            from ..runtime.parallel import ParallelStats
-
-            self.last_parallel = ParallelStats(
-                kind=executor.kind, max_workers=executor.max_workers
-            )
-        self.last_parallel.add(executor.last_stats)
-        recovery = executor.last_recovery
-        self.last_parallel.recovery.merge(recovery)
-        self.last_parallel.overhead.merge(executor.last_overhead)
-        if self.tracer.enabled and recovery.any():
-            metrics = self.tracer.metrics
-            for key, value in recovery.as_dict().items():
-                if value:
-                    # how far a killed pool worker got is a race, so the
-                    # re-execution counts stay out of the deterministic
-                    # snapshot
-                    metrics.counter(
-                        f"executor.{key}", stage=stage.name,
-                        deterministic=False,
-                    ).inc(value)
-
     def _sort_partition(
         self,
         stage: MapReduceStage,
@@ -593,20 +457,6 @@ class Cluster:
         quarantined: List[Row],
     ) -> List[Row]:
         """Secondary sort by Time; malformed rows quarantine instead of crash."""
-        rows, records = self._sort_partition_rows(stage, idx, rows)
-        quarantined.extend(records)
-        return rows
-
-    def _sort_partition_rows(
-        self, stage: MapReduceStage, idx: int, rows: List[Row]
-    ) -> Tuple[List[Row], List[Row]]:
-        """The pure sort body: ``(sorted rows, dead-letter records)``.
-
-        Shared by the serial loop and the parallel reduce fan-out; reads
-        only immutable driver state, so it is safe on worker threads or
-        forked children.
-        """
-        records: List[Row] = []
         if self.quarantine:
             usable: List[Row] = []
             for row in rows:
@@ -616,7 +466,7 @@ class Cluster:
                 ):
                     usable.append(row)
                 else:
-                    records.append(
+                    quarantined.append(
                         self._quarantine_record(
                             stage.name,
                             idx,
@@ -626,7 +476,7 @@ class Cluster:
                         )
                     )
             rows = usable
-        return sorted(rows, key=lambda r: r["Time"]), records
+        return sorted(rows, key=lambda r: r["Time"])
 
     def _run_reducer(
         self,
@@ -636,13 +486,10 @@ class Cluster:
         report: StageReport,
         quarantined: List[Row],
     ) -> Tuple[List[Row], float, int]:
-        """One partition's reduce: injected-fault draws, then the pure body.
+        """One partition's reduce: injected-fault draws, then the body.
 
-        The draw loop and the reduce body are split so the parallel
-        reduce can pre-consult the fault policy in the driver (serial
-        partition order) while the pure body runs on a worker — and the
-        serial path goes through the exact same two halves, so the fault
-        schedule and quarantine bytes cannot depend on the executor.
+        Every injected restart is drawn before the reducer runs once, so
+        a fault schedule costs no reducer work.
         """
         restarts = self._predraw_reduce_faults(stage, idx, report)
         out_rows, seconds, real_restarts, poison = self._reduce_partition_rows(
@@ -658,7 +505,7 @@ class Cluster:
     def _predraw_reduce_faults(
         self, stage: MapReduceStage, idx: int, report: StageReport
     ) -> int:
-        """Consume one partition's reduce-phase fault draws, serially.
+        """Consume one partition's reduce-phase fault draws.
 
         Each attempt passes the shuffle and reduce sites in order, as
         the historical retry loop did, charging exponential backoff per
@@ -686,11 +533,10 @@ class Cluster:
     def _reduce_partition_rows(
         self, stage: MapReduceStage, idx: int, rows: List[Row]
     ) -> Tuple[List[Row], float, int, List[Row]]:
-        """The pure reduce body: ``(output rows, measured seconds, real
+        """The reduce body: ``(output rows, measured seconds, real
         restarts, dead-letter records)``.
 
-        Consults no fault policy and touches no driver state, so it is
-        safe on worker threads or forked children. A *real* failure —
+        Consults no fault policy. A *real* failure —
         user code or malformed data — is retried once (the restart
         strategy costs nothing to try), then poison rows are bisected
         out (quarantine mode) or the stage fails with full context.
@@ -721,107 +567,6 @@ class Cluster:
                 raise StageExecutionError(
                     stage.name, idx, attempt, len(rows), exc
                 ) from exc
-
-    def _run_reduce_parallel(
-        self,
-        executor,
-        stage: MapReduceStage,
-        partitions: Sequence[List[Row]],
-        report: StageReport,
-        quarantined: List[Row],
-    ) -> List[Tuple[List[Row], float, int, float]]:
-        """Fan reduce tasks over shuffled partitions, byte-identical to serial.
-
-        Mirrors :meth:`_run_map_parallel`'s discipline: the driver
-        pre-consults the fault policy for every partition in serial
-        partition order (charging exactly the backoff the serial loop
-        would), then dispatches the pure sort+reduce body. Quarantine
-        records — sort dead letters first, then bisected poison rows —
-        merge in partition order, so the ``{job}.quarantine`` dataset is
-        byte-identical to a serial run. A task whose sort fails, or that
-        sees an exotic injected fault or a real reduce failure, returns
-        ``None`` and that partition re-runs through the full serial path
-        in the driver, so whatever it raises keeps its serial type
-        (:class:`StageExecutionError` attempt count and ``__cause__``
-        included).
-        """
-        predrawn = [
-            self._predraw_reduce_faults(stage, idx, report)
-            for idx in range(len(partitions))
-        ]
-        sorter = self._sort_partition_rows
-        reducer = self._reduce_partition_rows
-        sort_by_time = stage.sort_by_time
-        clock = _time.perf_counter
-
-        def reduce_task(idx: int, rows: List[Row]):
-            def task():
-                sort_seconds = 0.0
-                sort_records: List[Row] = []
-                if sort_by_time:
-                    start = clock()
-                    try:
-                        rows_sorted, sort_records = sorter(stage, idx, rows)
-                    except Exception:
-                        # whatever it is, the driver's serial re-run
-                        # raises it again with its own type
-                        return None
-                    sort_seconds = clock() - start
-                else:
-                    rows_sorted = rows
-                try:
-                    out_rows, seconds, real_restarts, poison = reducer(
-                        stage, idx, rows_sorted
-                    )
-                except (InjectedFault, StageExecutionError):
-                    return None  # retry serially in the driver
-                return (
-                    out_rows,
-                    seconds,
-                    real_restarts,
-                    poison,
-                    sort_records,
-                    sort_seconds,
-                )
-
-            return task
-
-        raw = executor.run_tasks(
-            [reduce_task(idx, rows) for idx, rows in enumerate(partitions)]
-        )
-        self._fold_executor_stats(executor, stage)
-        results = []
-        for idx, res in enumerate(raw):
-            if res is None:
-                rows = partitions[idx]
-                sort_seconds = 0.0
-                if sort_by_time:
-                    start = clock()
-                    rows = self._sort_partition(stage, idx, rows, quarantined)
-                    sort_seconds = clock() - start
-                out_rows, seconds, real_restarts, poison = (
-                    self._reduce_partition_rows(stage, idx, rows)
-                )
-                quarantined.extend(poison)
-                if real_restarts:
-                    report.retry_backoff_seconds += (
-                        self.cost_model.retry_backoff_base * real_restarts
-                    )
-                results.append(
-                    (out_rows, seconds, predrawn[idx] + real_restarts, sort_seconds)
-                )
-                continue
-            out_rows, seconds, real_restarts, poison, sort_records, sort_seconds = res
-            quarantined.extend(sort_records)
-            quarantined.extend(poison)
-            if real_restarts:
-                report.retry_backoff_seconds += (
-                    self.cost_model.retry_backoff_base * real_restarts
-                )
-            results.append(
-                (out_rows, seconds, predrawn[idx] + real_restarts, sort_seconds)
-            )
-        return results
 
     def _isolate_poison(
         self, stage: MapReduceStage, idx: int, rows: List[Row]

@@ -9,9 +9,7 @@ supplies the machinery to *exercise* that claim, not just state it:
 * **Fault sites** — faults can strike the map phase, the shuffle
   transfer, the reduce attempt, or the file-system read/write that
   brackets a stage (``MAP``/``SHUFFLE``/``REDUCE``/``FS_READ``/
-  ``FS_WRITE``), or — one level down — the supervised executor's
-  workers (``WORKER_KILL``/``TASK_TRANSIENT``/``REPLY_DROP``, consulted
-  by ``runtime/parallel.py``; see :class:`WorkerKiller`).
+  ``FS_WRITE``).
 * **Fault policies** — a :class:`FaultPolicy` decides, per
   ``(site, stage, partition, attempt)``, whether to inject an
   :class:`InjectedFault`. :class:`ChaosPolicy` does so probabilistically
@@ -52,20 +50,6 @@ FS_READ = "fs-read"
 FS_WRITE = "fs-write"
 
 SITES = (MAP, SHUFFLE, REDUCE, FS_READ, FS_WRITE)
-
-#: Executor-layer fault sites (PR 7) — faults below the stage level,
-#: injected through the supervised executor in ``runtime/parallel.py``:
-#: a forked worker killed mid-chunk, a transient per-task blip retried
-#: against simulated backoff, or a result message lost in the pipe. The
-#: "partition" coordinate is the worker id (``worker-kill``), the
-#: chunk index (``reply-drop``), or the task index (``task-transient``).
-WORKER_KILL = "worker-kill"
-TASK_TRANSIENT = "task-transient"
-REPLY_DROP = "reply-drop"
-
-EXECUTOR_SITES = (WORKER_KILL, TASK_TRANSIENT, REPLY_DROP)
-
-ALL_SITES = SITES + EXECUTOR_SITES
 
 
 class InjectedFault(RuntimeError):
@@ -184,22 +168,12 @@ class ChaosPolicy(FaultPolicy):
         seed: RNG seed; the same seed over the same execution sequence
             reproduces the same fault schedule.
         rates: per-site injection probability (sites absent from the
-            mapping never fault). A plain float applies to map, shuffle,
-            reduce, and both FS sites alike — **not** to the executor
-            sites, which must be requested by name so stage-level chaos
-            runs keep their exact historical fault schedules.
+            mapping never fault). A plain float applies to every site
+            alike.
         transient_fraction: probability an injected fault is transient
             (the rest are permanent machine deaths).
         blacklist_after: per-key injection budget (see base class).
         max_faults: optional global cap on injected faults.
-
-    Executor-site draws (:data:`EXECUTOR_SITES`) use a *second* RNG
-    derived from the same seed, so consulting them — which happens once
-    per worker/chunk/task inside the supervised executor — never
-    perturbs the stage-level fault schedule, and vice versa. Their
-    transient flag is structural, not drawn: a killed worker is a dead
-    machine (permanent), while dropped replies and task blips are
-    transient by definition.
     """
 
     def __init__(
@@ -216,10 +190,8 @@ class ChaosPolicy(FaultPolicy):
         else:
             self.rates = {site: float(rates) for site in SITES}
         for site, rate in self.rates.items():
-            if site not in ALL_SITES:
-                raise ValueError(
-                    f"unknown fault site {site!r}; have {ALL_SITES}"
-                )
+            if site not in SITES:
+                raise ValueError(f"unknown fault site {site!r}; have {SITES}")
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"rate for {site!r} must be in [0, 1], got {rate}")
         if not 0.0 <= transient_fraction <= 1.0:
@@ -229,28 +201,18 @@ class ChaosPolicy(FaultPolicy):
         self.blacklist_after = blacklist_after
         self.max_faults = max_faults
         self._rng = random.Random(seed)
-        # independent stream for executor-site draws: the supervised
-        # executor consults per worker/chunk/task, and those draws must
-        # not shift the stage-level schedule (or depend on it)
-        self._exec_rng = random.Random((seed << 1) ^ 0x5EED)
 
     def fault_for(
         self, site: str, stage: str, partition: int, attempt: int
     ) -> Optional[InjectedFault]:
         rate = self.rates.get(site, 0.0)
-        executor_site = site in EXECUTOR_SITES
         if rate <= 0.0:
             return None
         if self.max_faults is not None and self.stats.injected >= self.max_faults:
             return None
-        if executor_site:
-            if self._exec_rng.random() >= rate:
-                return None
-            transient = site != WORKER_KILL
-        else:
-            if self._rng.random() >= rate:
-                return None
-            transient = self._rng.random() < self.transient_fraction
+        if self._rng.random() >= rate:
+            return None
+        transient = self._rng.random() < self.transient_fraction
         kind = "transient" if transient else "permanent"
         return InjectedFault(
             f"injected {kind} {site} fault in {stage}[{partition}] "
@@ -290,66 +252,6 @@ class StageKiller(FaultPolicy):
             partition=partition,
             attempt=attempt,
             transient=not self.permanent,
-        )
-        self.stats.record(fault)
-        raise fault
-
-
-class WorkerKiller(FaultPolicy):
-    """Deterministically kill chosen parallel workers (executor sites).
-
-    The supervised executor consults :data:`WORKER_KILL` once per
-    worker per call; this policy injects for the named worker ids,
-    ``kills`` times each per stage, then stays quiet — the deterministic
-    counterpart to :class:`ChaosPolicy`'s seeded executor-site rates,
-    used by the supervision differential tests.
-
-    Args:
-        workers: worker ids to kill.
-        kills: injections per ``(stage, worker)`` before going quiet.
-        site: executor site to strike (default :data:`WORKER_KILL`).
-        stage_substring: only strike stages containing this substring
-            (``""`` matches everything; pool draws use stage
-            ``"executor.pool"``).
-    """
-
-    def __init__(
-        self,
-        workers=(0,),
-        kills: int = 1,
-        site: str = WORKER_KILL,
-        stage_substring: str = "",
-    ):
-        super().__init__()
-        self.workers = frozenset(workers)
-        self.kills = kills
-        self.site = site
-        self.stage_substring = stage_substring
-        # the base-class blacklist must not mute us early; we budget
-        # injections ourselves via ``kills``
-        self.blacklist_after = 10**9
-        self._killed: Dict[Tuple[str, int], int] = {}
-
-    def maybe_fail(self, site: str, stage: str, partition: int, attempt: int) -> None:
-        if (
-            site != self.site
-            or self.stage_substring not in stage
-            or partition not in self.workers
-        ):
-            return
-        key = (stage, partition)
-        done = self._killed.get(key, 0)
-        if done >= self.kills:
-            return
-        self._killed[key] = done + 1
-        fault = InjectedFault(
-            f"worker killer: {site} at {stage}[{partition}] "
-            f"(kill {done + 1}/{self.kills})",
-            site=site,
-            stage=stage,
-            partition=partition,
-            attempt=attempt,
-            transient=site != WORKER_KILL,
         )
         self.stats.record(fault)
         raise fault

@@ -1,8 +1,7 @@
 """``repro.obs`` — the unified telemetry layer.
 
 Spans (:mod:`~repro.obs.trace`), metrics (:mod:`~repro.obs.metrics`),
-exporters (:mod:`~repro.obs.export`), executor overhead attribution
-(:mod:`~repro.obs.attribution`), and optimizer calibration
+exporters (:mod:`~repro.obs.export`), and optimizer calibration
 (:mod:`~repro.obs.calibration`) shared by the temporal engine, the
 simulated cluster, TiMR, and the streaming engine. See
 ``docs/OBSERVABILITY.md`` for the span model and metric catalog.
@@ -10,18 +9,9 @@ simulated cluster, TiMR, and the streaming engine. See
 Tracing is off by default everywhere: every instrumented constructor
 takes ``tracer=None`` and substitutes :data:`NULL_TRACER`, whose spans
 and instruments are shared no-ops, so disabled runs execute the exact
-pre-instrumentation code path. Tracing crosses the process boundary via
-:class:`WorkerSpanRecorder` buffers shipped back with worker results and
-folded in with :func:`absorb_worker_state`.
+pre-instrumentation code path.
 """
 
-from .attribution import (
-    AttributionReport,
-    COMPONENTS,
-    TRACER_OVERHEAD_BUDGET_FACTOR,
-    attribute,
-    render_table,
-)
 from .calibration import CalibrationReport, OperatorCalibration, calibrate
 from .export import (
     chrome_trace,
@@ -45,14 +35,11 @@ from .trace import (
     NULL_TRACER,
     NullTracer,
     Span,
+    TRACER_OVERHEAD_BUDGET_FACTOR,
     Tracer,
-    WorkerSpanRecorder,
-    absorb_worker_state,
 )
 
 __all__ = [
-    "AttributionReport",
-    "COMPONENTS",
     "CalibrationReport",
     "Counter",
     "DEFAULT_BUCKETS",
@@ -68,12 +55,8 @@ __all__ = [
     "TIME_BUCKETS",
     "TRACER_OVERHEAD_BUDGET_FACTOR",
     "Tracer",
-    "WorkerSpanRecorder",
-    "absorb_worker_state",
-    "attribute",
     "calibrate",
     "chrome_trace",
-    "render_table",
     "render_tree",
     "sim_trace_tree",
     "span_record",

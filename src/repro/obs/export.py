@@ -15,7 +15,7 @@ Three formats, one tracer:
 Plus one *comparison* view: :func:`sim_trace_tree`, the canonical
 deterministic form of a trace — wall times and scheduling-dependent
 attributes stripped, children canonically ordered — which is what the
-same-seed identity tests compare across executors and chaos runs.
+same-seed identity tests compare across reruns and chaos runs.
 """
 
 from __future__ import annotations
@@ -74,23 +74,11 @@ def write_jsonl(tracer: Tracer, out: Union[str, IO[str]]) -> int:
 def chrome_trace(tracer: Tracer) -> dict:
     """The tracer's spans as a Chrome ``trace_event`` JSON document.
 
-    Spans carrying a ``lane`` attribute (absorbed worker spans,
-    supervision events) are routed to a per-lane ``tid`` so the viewer
-    renders one timeline row per worker; everything else — the
-    single-threaded driver — stays on the ``driver`` row (tid 1).
+    Every span is on the one ``driver`` row (tid 1): a run is serial.
     Zero-duration spans become instant events (``"ph": "i"``), the
-    markers supervision uses for kills/respawns/replays/degradations.
-    Categories become the ``cat`` field for filtering/coloring.
+    markers named resolutions use. Categories become the ``cat`` field
+    for filtering/coloring.
     """
-    lanes = sorted(
-        {
-            str(span.attrs["lane"])
-            for span in tracer.finished()
-            if "lane" in span.attrs
-        }
-        - {"driver"}  # driver-lane spans (recovery) share the driver row
-    )
-    tid_by_lane = {lane: tid for tid, lane in enumerate(lanes, start=2)}
     events: List[dict] = [
         {
             "ph": "M",
@@ -107,19 +95,7 @@ def chrome_trace(tracer: Tracer) -> dict:
             "args": {"name": "driver"},
         },
     ]
-    for lane in lanes:
-        events.append(
-            {
-                "ph": "M",
-                "pid": 1,
-                "tid": tid_by_lane[lane],
-                "name": "thread_name",
-                "args": {"name": lane},
-            }
-        )
     for span in tracer.finished():
-        lane = span.attrs.get("lane")
-        tid = tid_by_lane.get(str(lane), 1) if lane is not None else 1
         ts = round((span.start - tracer.epoch) * 1e6, 3)
         if span.end == span.start:
             events.append(
@@ -127,7 +103,7 @@ def chrome_trace(tracer: Tracer) -> dict:
                     "ph": "i",
                     "s": "t",
                     "pid": 1,
-                    "tid": tid,
+                    "tid": 1,
                     "name": span.name,
                     "cat": span.category or "span",
                     "ts": ts,
@@ -139,7 +115,7 @@ def chrome_trace(tracer: Tracer) -> dict:
                 {
                     "ph": "X",
                     "pid": 1,
-                    "tid": tid,
+                    "tid": 1,
                     "name": span.name,
                     "cat": span.category or "span",
                     "ts": ts,
@@ -158,26 +134,22 @@ def write_chrome_trace(tracer: Tracer, path: str) -> int:
     return len(doc["traceEvents"])
 
 
-#: Attributes excluded from :func:`sim_trace_tree`: values that depend on
-#: OS scheduling / which worker won a chunk, not on the data.
-_SCHED_ATTRS = frozenset(
-    {"lane", "worker", "recovered", "pid", "sort_seconds", "busy_seconds",
-     "send_seconds"}
-)
+#: Attributes excluded from :func:`sim_trace_tree`: measured wall
+#: durations, not functions of the data.
+_SCHED_ATTRS = frozenset({"sort_seconds"})
 
 
 def sim_trace_tree(tracer: Tracer, exclude_categories=()) -> list:
     """The canonical deterministic view of a trace, for equality checks.
 
-    Strips everything scheduling-dependent — wall-clock times, span ids,
-    and the attributes in ``_SCHED_ATTRS`` (worker lane, recovery
-    markers, measured busy/sort durations) — keeping names, categories,
-    and the remaining (``sim_*``, row-count, byte-count) attributes.
-    Children are ordered by their canonical JSON form, not by start
-    time, so work-stealing cannot reorder the tree. Two same-seed runs
-    must produce equal trees regardless of executor choice or injected
-    chaos; ``exclude_categories`` drops whole subtrees (e.g.
-    ``("supervision",)`` when comparing a chaos run against a clean one).
+    Strips everything measured — wall-clock times, span ids, and the
+    attributes in ``_SCHED_ATTRS`` (measured sort durations) — keeping
+    names, categories, and the remaining (``sim_*``, row-count,
+    byte-count) attributes. Children are ordered by their canonical JSON
+    form, not by start time. Two same-seed runs must produce equal
+    trees; ``exclude_categories`` drops whole subtrees (e.g.
+    ``("resolution",)`` when comparing runs whose contexts differ only
+    in a named resolution).
     """
     exclude = frozenset(exclude_categories)
     by_parent: dict = {}

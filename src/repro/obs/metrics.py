@@ -8,19 +8,12 @@ every time. Wall-clock durations deliberately live on *spans*
 the acceptance check "same seed ⇒ same metrics" hold while traces still
 show real latencies.
 
-Two escape hatches qualify that rule without weakening it:
-
-* Instruments can be created with ``deterministic=False`` — for values
-  that are real measurements (per-task wall durations, pipe payload
-  bytes that depend on which replies survived chaos). They appear in the
-  default :meth:`MetricsRegistry.snapshot` but are excluded by
-  ``snapshot(deterministic_only=True)``, which is what the same-seed
-  identity tests compare.
-* Worker processes record into their own registry and ship its
-  :meth:`~MetricsRegistry.export_state` back with results; the driver
-  folds it in with :meth:`~MetricsRegistry.merge_state` in a
-  deterministic order (worker id), so cross-process
-  metrics stay reproducible.
+One escape hatch qualifies that rule without weakening it: instruments
+can be created with ``deterministic=False``, for values that are real
+measurements (per-task wall durations). They appear in the default
+:meth:`MetricsRegistry.snapshot` but are excluded by
+``snapshot(deterministic_only=True)``, which is what the same-seed
+identity tests compare.
 
 Histograms use fixed bucket boundaries chosen at construction (default
 :data:`DEFAULT_BUCKETS`), so bucket counts are reproducible across runs
@@ -221,63 +214,6 @@ class MetricsRegistry:
             )
         return out
 
-    # -- cross-process shipping ----------------------------------------------
-
-    def export_state(self) -> List[tuple]:
-        """The registry as plain picklable tuples, deterministically ordered.
-
-        Workers call this to ship their metrics back over the result
-        pipe; the driver folds the state in with :meth:`merge_state`.
-        Each record is ``(kind, name, labels, deterministic, payload)``
-        where the payload is the counter/gauge value or, for histograms,
-        ``(buckets, counts, count, total)``.
-        """
-        out = []
-        for (kind, name, labels) in sorted(self._instruments):
-            inst = self._instruments[(kind, name, labels)]
-            if kind == "histogram":
-                payload = (inst.buckets, tuple(inst.counts), inst.count, inst.total)
-            else:
-                payload = inst.value
-            out.append((kind, name, labels, inst.deterministic, payload))
-        return out
-
-    def merge_state(self, state: Sequence[tuple]) -> None:
-        """Fold a worker's :meth:`export_state` into this registry.
-
-        Counters and histograms add; gauges take the shipped value (call
-        in a deterministic worker order so last-write-wins is stable).
-        """
-        for kind, name, labels, deterministic, payload in state:
-            key = (kind, name, labels)
-            inst = self._instruments.get(key)
-            if kind == "counter":
-                if inst is None:
-                    inst = Counter(name, labels, deterministic=deterministic)
-                    self._instruments[key] = inst
-                inst.value += payload
-            elif kind == "gauge":
-                if inst is None:
-                    inst = Gauge(name, labels, deterministic=deterministic)
-                    self._instruments[key] = inst
-                inst.value = payload
-            else:
-                buckets, counts, count, total = payload
-                if inst is None:
-                    inst = Histogram(
-                        name, labels, buckets=buckets, deterministic=deterministic
-                    )
-                    self._instruments[key] = inst
-                elif inst.buckets != tuple(buckets):
-                    raise ValueError(
-                        f"histogram {name!r} bucket mismatch on merge: "
-                        f"{inst.buckets} != {tuple(buckets)}"
-                    )
-                for i, c in enumerate(counts):
-                    inst.counts[i] += c
-                inst.count += count
-                inst.total += total
-
 
 class _NullInstrument:
     """Accepts every recording call and remembers nothing."""
@@ -319,12 +255,6 @@ class NullRegistry:
 
     def snapshot(self, deterministic_only: bool = False) -> List[dict]:
         return []
-
-    def export_state(self) -> List[tuple]:
-        return []
-
-    def merge_state(self, state) -> None:
-        pass
 
 
 #: Process-wide no-op registry (the ``metrics`` of :data:`NULL_TRACER`).

@@ -9,42 +9,12 @@ layer used to thread by hand.
 
 from .context import DEFAULT_CONTEXT, RunContext
 from .dataflow import GROUP_SOURCE, Dataflow, StreamingUnsupported, group_key
-from .parallel import (
-    Executor,
-    ExecutorDegradedWarning,
-    ParallelSafetyWarning,
-    ParallelStats,
-    ProcessExecutor,
-    RecoveryStats,
-    SerialExecutor,
-    Supervision,
-    ThreadExecutor,
-    WorkerStats,
-    force_parallel_requested,
-    resolve_executor,
-    resolve_retry_budget,
-    resolve_worker_timeout,
-)
 
 __all__ = [
     "DEFAULT_CONTEXT",
     "Dataflow",
-    "Executor",
-    "ExecutorDegradedWarning",
     "GROUP_SOURCE",
-    "ParallelSafetyWarning",
-    "ParallelStats",
-    "ProcessExecutor",
-    "RecoveryStats",
     "RunContext",
-    "SerialExecutor",
     "StreamingUnsupported",
-    "Supervision",
-    "ThreadExecutor",
-    "WorkerStats",
-    "force_parallel_requested",
     "group_key",
-    "resolve_executor",
-    "resolve_retry_budget",
-    "resolve_worker_timeout",
 ]

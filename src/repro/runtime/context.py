@@ -23,7 +23,7 @@ import threading
 import time as _time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 from ..obs.trace import NULL_TRACER
 
@@ -33,7 +33,7 @@ class _CollectorPause:
 
     The collector is one per process, so the pause is too: sections
     nest (``TiMR.run`` around each reducer's ``Engine.run``) and overlap
-    across threads (engines on thread-executor workers), and only the
+    across threads (engines a caller runs on its own threads), and only the
     outermost one touches ``gc`` — it records whether the collector was
     on when it entered and puts exactly that back when the last section
     leaves, whichever thread that is and however it leaves.
@@ -59,6 +59,13 @@ class _CollectorPause:
 
 
 _COLLECTOR_PAUSE = _CollectorPause()
+
+#: The values ``RunContext(executor=)`` accepts; none of them fans out.
+EXECUTORS = (None, "serial", "thread", "process", "auto")
+
+#: The named resolution a run records when its context names a parallel
+#: executor: no fallback is silent.
+SERIAL_RESOLUTION = "executor.serial"
 
 
 @dataclass(frozen=True)
@@ -87,31 +94,14 @@ class RunContext:
         batch_size: events fed per batch by the batch driver
             (:class:`repro.temporal.Engine`); bounds its working-set
             memory together with window state.
-        executor: how independent work units (cluster map and reduce
-            tasks; a GroupApply wave's due chains, on threads only) fan
-            out: ``"serial"`` / ``"thread"`` / ``"process"`` /
-            ``"auto"``, or a prebuilt
-            :class:`repro.runtime.parallel.Executor` instance. ``None``
-            defers to the ``REPRO_EXECUTOR`` / ``REPRO_WORKERS``
-            environment (serial when unset). Outputs are byte-identical
-            across executors — see docs/PARALLELISM.md.
-        max_workers: worker cap for parallel executors (``None``: the
-            ``REPRO_WORKERS`` environment variable, then CPU count).
-        force_parallel: skip the parallel-safety gate: run parallel
-            even when the static pass reports hazards (the CLI's
-            ``--force-parallel``; ``REPRO_FORCE_PARALLEL=1`` is the
-            env equivalent).
-        worker_timeout: seconds the supervised executor waits on a
-            silent worker before declaring it lost and recovering its
-            work inline (``None``: the ``REPRO_PARALLEL_TIMEOUT``
-            environment variable, re-read at call time, then 300).
-        worker_retry_budget: worker deaths tolerated per run before the
-            executor degrades a tier (process → thread → serial) with
-            an ``ExecutorDegradedWarning`` (``None``: the
-            ``REPRO_WORKER_RETRIES`` environment variable, then 3).
-        waves_per_dispatch: accepted, ignored; leaves with the
-            benchmark's keyword (``benchmarks/e2e/workloads.py`` builds
-            ``scale_par`` with it). Nothing reads the value.
+        executor, max_workers, waves_per_dispatch: accepted, ignored,
+            and leaving with the benchmark's ``scale_par`` keywords
+            (``benchmarks/e2e/workloads.py`` builds its context with
+            all three). Every run is serial; ``executor`` still rejects
+            a name outside :data:`EXECUTORS`, and any value but
+            ``None`` / ``"serial"`` is one counted
+            :data:`SERIAL_RESOLUTION` per ``Engine.run`` / ``TiMR.run``
+            (:meth:`executor_resolutions`).
     """
 
     tracer: object = NULL_TRACER
@@ -125,32 +115,33 @@ class RunContext:
     verify_replay: bool = True
     validate: bool = True
     batch_size: int = 1024
-    executor: Optional[object] = None
+    executor: Optional[str] = None
     max_workers: Optional[int] = None
-    force_parallel: bool = False
-    worker_timeout: Optional[float] = None
-    worker_retry_budget: Optional[int] = None
     waves_per_dispatch: Optional[object] = None
 
-    def resolve_executor(self):
-        """The live :class:`~repro.runtime.parallel.Executor` for this run.
+    def __post_init__(self):
+        if self.executor not in EXECUTORS:
+            raise ValueError(
+                f"unknown executor {self.executor!r}; expected one of "
+                f"{[name for name in EXECUTORS if name is not None]} or None"
+            )
 
-        The resolved executor carries a :class:`~repro.runtime.parallel.
-        Supervision` built from this context, so the fault policy (for
-        executor-site chaos draws) and the timeout/retry-budget knobs
-        reach it without widening any ``run_tasks`` call site.
-        """
-        from .parallel import Supervision, resolve_executor
-
-        supervision = Supervision(
-            fault_policy=self.fault_policy,
-            retry_budget=self.worker_retry_budget,
-            worker_timeout=self.worker_timeout,
-            tracer=self.tracer,
-        )
-        return resolve_executor(
-            self.executor, self.max_workers, supervision=supervision
-        )
+    def executor_resolutions(self) -> Dict[str, dict]:
+        """The run's :data:`SERIAL_RESOLUTION`, in ``EngineStats.
+        resolutions`` shape, when the context names a parallel executor;
+        empty otherwise."""
+        if self.executor in (None, "serial"):
+            return {}
+        return {
+            SERIAL_RESOLUTION: {
+                "count": 1,
+                "reason": (
+                    f"executor={self.executor!r} ran serially: operators "
+                    "are serial and parallelism is M-R partitions, costed "
+                    "by the makespan model (docs/PARALLELISM.md)"
+                ),
+            }
+        }
 
     @contextmanager
     def quiet(self):
@@ -164,8 +155,7 @@ class RunContext:
         moment it returns; cyclic garbage user code makes inside the
         section waits for the first collection after it. Re-entrant and
         thread-safe; the caller's collector state is restored on return
-        and on exception. The same under every executor
-        (docs/EXECUTION.md, "GC-quiet batch runs").
+        and on exception (docs/EXECUTION.md, "GC-quiet batch runs").
         """
         _COLLECTOR_PAUSE.enter()
         try:

@@ -59,11 +59,6 @@ from .keyed import KeyedAggregate
 #: The reserved source name a GroupApply chain feeds its sub-plan under.
 GROUP_SOURCE = "<group>"
 
-#: The one named physical-path resolution a flow records
-#: (``Dataflow.resolutions``): a GroupApply whose context asked for a
-#: parallel executor, which never fans its chains out.
-LOCAL_WAVE = "group_apply.local_wave"
-
 
 class StreamingUnsupported(ValueError):
     """The plan cannot run incrementally (unbounded lifetime rewrites)."""
@@ -274,10 +269,6 @@ class _OpNode:
             #: sets this, logs the rows, and releases them whole
             self.logs_rows = False
             self._le = _LE if self._keyed is None else _ROW_LE
-            # Every GroupApply runs on the driver's local wave, serially;
-            # a parallel executor resolves to it as a counted event.
-            if flow.executor is not None:
-                flow._resolve_local_wave(flow.executor)
         elif not isinstance(plan_node, (SourceNode, GroupInputNode, ExchangeNode)):
             self._operator = plan_node.make_operator()
         if future is None:
@@ -609,7 +600,7 @@ class _OpNode:
                 due[key] = chain
         if self.flow.tracer.enabled:
             # wave width is a pure function of the data and the wave
-            # schedule — identical across executors and seeds alike
+            # schedule
             self.flow.tracer.metrics.histogram("dataflow.wave_width").observe(
                 len(active)
             )
@@ -925,11 +916,6 @@ class Dataflow:
             default, waves on every advance). Buffered group input stays
             bounded by the threshold; outputs are merely released later,
             never changed.
-        executor: the run's :class:`~repro.runtime.parallel.Executor`.
-            Every GroupApply runs serially on the driver's local wave; a
-            parallel executor resolves to it as a counted event in
-            :attr:`resolutions`, so output is byte-identical across
-            executors.
     """
 
     def __init__(
@@ -940,20 +926,12 @@ class Dataflow:
         group_input: Optional[GroupInputNode] = None,
         timed: bool = False,
         group_wave_events: int = 0,
-        executor=None,
         tracer=None,
     ):
         self.allow_unstreamable = allow_unstreamable
         self.timed = timed
         self.group_wave_events = group_wave_events
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: named physical-path resolutions taken where the context asked
-        #: for something else, as ``{name: {"count", "reason"}}`` — no
-        #: fallback is silent (``EngineStats.resolutions``)
-        self.resolutions: Dict[str, dict] = {}
-        self.executor = (
-            executor if executor is not None and executor.parallel else None
-        )
         meta = _PlanMeta.of(root)
         self._order = meta.order
         self._nodes: Dict[int, _OpNode] = {}
@@ -1136,25 +1114,6 @@ class Dataflow:
         self._flushed = True
         self.set_watermarks(MAX_TIME)
         return self.advance()
-
-    def _resolve_local_wave(self, executor) -> None:
-        """Count one GroupApply that the parallel ``executor`` does not
-        fan out."""
-        entry = self.resolutions.get(LOCAL_WAVE)
-        if entry is not None:
-            entry["count"] += 1
-            return
-        tier = executor.kind
-        if executor.degraded is not None:
-            tier += f" (degraded to {executor.degraded})"
-        self.resolutions[LOCAL_WAVE] = {
-            "count": 1,
-            "reason": (
-                f"{tier} executor: per-key chains advance serially on the "
-                "driver's local wave; parallelism is Cluster map/reduce "
-                "partitions (docs/PARALLELISM.md)"
-            ),
-        }
 
     def close(self) -> None:
         """Release what the flow holds; it cannot be driven afterwards.

@@ -61,17 +61,16 @@ class EngineStats:
         self.operator_events: Dict[str, int] = {}
         self.operator_labels: Dict[str, str] = {}
         self.wall_seconds = 0.0
-        #: always None: ``Engine.run`` never fans out, so it has no
-        #: per-worker summary (``resolutions`` says what a parallel
-        #: executor resolved to); kept for readers of the attribute
+        #: always None, and leaving with the benchmark's reader of it
+        #: (``benchmarks/e2e/tracing.py``): a run never fans out
         self.parallel: Optional[dict] = None
         #: named physical-path resolutions: what the run did where its
         #: context asked for something else, as ``{name: {"count",
-        #: "reason"}}``. ``"group_apply.local_wave"`` counts the
-        #: GroupApply nodes a parallel executor ran serially on the
-        #: driver's local wave; ``"retained.*"`` counts result rows
-        #: kept unpacked (``EventColumns.resolutions``). Empty when
-        #: nothing was resolved
+        #: "reason"}}``. ``"executor.serial"`` is a context naming a
+        #: parallel executor (``RunContext.executor_resolutions``);
+        #: ``"retained.*"`` counts result rows kept unpacked
+        #: (``EventColumns.resolutions``). Empty when nothing was
+        #: resolved
         self.resolutions: Dict[str, dict] = {}
 
     @property
@@ -86,7 +85,7 @@ class EngineStats:
 
         Counters are keyed by *plan path*, not operator instance, so
         stateless operator objects shared across GroupApply chains (or
-        across per-worker runs of the same plan) never double-count:
+        across per-partition runs of the same plan) never double-count:
         each run contributes its per-node totals exactly once, whatever
         instances computed them. Wall times add (they measure disjoint
         work); merging a stats object into itself is refused because it
@@ -180,8 +179,6 @@ class Engine:
             # amortize GroupApply watermark waves: chains advance once
             # per threshold of fed events, not once per chunk
             group_wave_events=max(chunk_size, 4096),
-            # never fans out; a parallel one is a named resolution
-            executor=context.resolve_executor(),
             tracer=tracer,
         )
         for name in flow.source_names():
@@ -210,7 +207,7 @@ class Engine:
                 output = EventColumns(
                     _drive(flow, feeds, time_column, chunk_size)
                 )
-                self._record(flow, root, stats, output, tracer)
+                self._record(flow, root, stats, output, context)
             finally:
                 # severs the graph's reference cycles: with the collector
                 # paused, refcounts are what frees it
@@ -229,16 +226,15 @@ class Engine:
 
     # -- internals -------------------------------------------------------------
 
-    def _record(self, flow, root, stats, output, tracer):
+    def _record(self, flow, root, stats, output, context):
         """Fill stats and emit one summary span per operator node."""
         stats.output_events = len(output)
-        stats.resolutions = {**flow.resolutions, **output.resolutions}
+        executor = context.executor_resolutions()
+        stats.resolutions = {**executor, **output.resolutions}
+        tracer = context.tracer
         if tracer.enabled:
-            # the executor.* family is executor-dependent by nature, like
-            # chunk geometry; rows the result keeps unpacked depend on the
-            # data alone
             for counter, found in (
-                ("executor.resolutions", flow.resolutions),
+                ("executor.resolutions", executor),
                 ("engine.resolutions", output.resolutions),
             ):
                 for name, entry in found.items():
@@ -246,8 +242,8 @@ class Engine:
                         entry["count"]
                     )
                     tracer.event(
-                        "supervision.resolved", category="supervision",
-                        lane="driver", resolution=name, **entry,
+                        "resolution", category="resolution",
+                        resolution=name, **entry,
                     )
         keys = plan_node_keys(root)
         for node, events_in, events_out, busy in flow.node_stats():

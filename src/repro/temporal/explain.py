@@ -91,8 +91,8 @@ def explain(query: Union[Query, PlanNode], stats=None) -> str:
 
     With ``stats`` (an :class:`~repro.temporal.engine.EngineStats` from a
     prior run, e.g. ``engine.last_stats``) the physical-path section
-    names every resolution that run took (a process executor's
-    GroupApply on the local wave, say) and the report gains a
+    names every resolution that run took (``executor.serial`` for a
+    context naming a parallel executor, say) and the report gains a
     TRACE/METRICS section: totals, throughput, and per-operator event
     counts keyed by plan path.
     """
@@ -136,7 +136,7 @@ def explain(query: Union[Query, PlanNode], stats=None) -> str:
     else:
         lines.append(f"  streaming: unsupported (opaque lifetime in {offender!r})")
 
-    from ..analysis import STATIC_PARALLEL_RULES, analyze
+    from ..analysis import analyze
 
     report = analyze(root)
     lines.append("")
@@ -146,34 +146,6 @@ def explain(query: Union[Query, PlanNode], stats=None) -> str:
     else:
         lines.append(f"  {report.summary()}")
         lines.extend(f"  {d.format()}" for d in report.diagnostics)
-
-    lines.append("")
-    lines.append("PARALLEL-SAFETY")
-    parallel = [d for d in report.diagnostics if d.rule in STATIC_PARALLEL_RULES]
-    fork_only = all(
-        d.rule == "parallel.fork-unsafe-capture" for d in parallel
-    )
-    if not parallel:
-        lines.append(
-            "  safe to parallelize: no shared mutable captures, "
-            "fork-unsafe captures, or ambient-state reads detected"
-        )
-    else:
-        if fork_only:
-            lines.append(
-                f"  thread-safe, fork-unsafe: {len(parallel)} finding(s) "
-                "block the process executor only"
-            )
-        else:
-            lines.append(
-                f"  {len(parallel)} finding(s): a parallel run would fall "
-                "back to serial (the safety gate)"
-            )
-        lines.extend(f"  {d.format()}" for d in parallel)
-        lines.append(
-            "  escape hatches: '# repro: ignore[rule]' on the offending "
-            "operator, --force-parallel, or REPRO_FORCE_PARALLEL=1"
-        )
 
     lines.append("")
     lines.append("PHYSICAL PATH")
@@ -188,11 +160,7 @@ def explain(query: Union[Query, PlanNode], stats=None) -> str:
     for node in topological_order(root):
         if isinstance(node, GroupApplyNode):
             lines.append(f"  {node.describe()}:")
-            lines.append(
-                "    scheduling: the driver's local wave, serially, under "
-                "every executor; a parallel one resolves to it as a named "
-                "resolution"
-            )
+            lines.append("    scheduling: the driver's local wave, serially")
             lines.extend(_group_paths(node, "    "))
     if stats is not None:
         for name, entry in sorted(stats.resolutions.items()):

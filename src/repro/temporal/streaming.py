@@ -142,10 +142,9 @@ class StreamingEngine:
         engine's ``event_policy``."""
         # unknown sources always raise, whatever the policy
         watermark = self._flow.source_watermark(source)
-        try:
-            event = item if isinstance(item, Event) else point_event(item)
-        except Exception as exc:
-            return self._reject(source, item, f"malformed event: {exc!r}")
+        event = self._as_event(source, item)
+        if event is None:
+            return []
         return self._push(source, event, watermark)
 
     def push_event(self, source: str, event: Event) -> List[Event]:
@@ -225,12 +224,16 @@ class StreamingEngine:
         return self._emit()
 
     def run_all(self, sources: Dict[str, Iterable]) -> List[Event]:
-        """Convenience: push entire (merged, LE-ordered) inputs and flush."""
+        """Convenience: push entire (merged, LE-ordered) inputs and flush.
+
+        Malformed items are handled per the engine's ``event_policy``,
+        as :meth:`push` handles them."""
         tagged = []
         for name, items in sources.items():
             for item in items:
-                event = item if isinstance(item, Event) else point_event(item)
-                tagged.append((event.le, name, event))
+                event = self._as_event(name, item)
+                if event is not None:
+                    tagged.append((event.le, name, event))
         tagged.sort(key=lambda t: t[0])
         out: List[Event] = []
         for _, name, event in tagged:
@@ -241,6 +244,17 @@ class StreamingEngine:
         return out
 
     # -- internals --------------------------------------------------------------
+
+    def _as_event(self, source: str, item: Union[Event, dict]) -> Optional[Event]:
+        """``item`` as an event, or None once the event policy has
+        rejected it as malformed."""
+        if isinstance(item, Event):
+            return item
+        try:
+            return point_event(item)
+        except Exception as exc:
+            self._reject(source, item, f"malformed event: {exc!r}")
+            return None
 
     def _reject(self, source: str, item: object, reason: str) -> List[Event]:
         """Apply the event policy to a late or malformed input."""

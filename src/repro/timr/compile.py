@@ -207,7 +207,9 @@ def make_reducer(
     caller's run-wide settings (tracer, clock, batch size) into every
     embedded engine; ``tracer`` overrides its tracer field.
     """
-    engine_context = RunContext.of(context, tracer=tracer)
+    # the TiMR run names a parallel executor's resolution once, not
+    # once per reducer call
+    engine_context = RunContext.of(context, tracer=tracer).derive(executor=None)
     multi_input = len(fragment.input_names) > 1
     input_names = list(fragment.input_names)
 

@@ -47,12 +47,10 @@ class TiMRResult:
     #: stage cost no simulated cluster time and adds no ``StageReport``
     reused_stages: int = 0
     quarantined_rows: int = 0
-    #: ``ParallelStats.as_dict()`` of the cluster's map/reduce fan-out — worker
-    #: summary plus supervision ``recovery`` counters; None when serial
-    parallel: Optional[dict] = None
     #: ``EngineStats.resolutions`` shape: ``"timr.fragment_reused"`` names each
     #: served stage and its origin, ``"timr.reuse_refused"`` each stage that ran
-    #: without a fingerprint, with the node and the value that refused
+    #: without a fingerprint, with the node and the value that refused, and
+    #: ``"executor.serial"`` a context naming a parallel executor
     resolutions: Dict[str, dict] = field(default_factory=dict)
 
     def output_rows(self) -> List[dict]:
@@ -104,53 +102,6 @@ class TiMR:
     @property
     def tracer(self):
         return self.context.tracer
-
-    def _parallel_gate(self, plan, validating: bool):
-        """Downgrade an unsafe parallel job to serial, with a warning.
-
-        Cluster map fan-out and the embedded reducer engines both
-        resolve their executor from a context, so the fallback swaps
-        the cluster's (and this runner's) context to an explicit serial
-        executor for the duration of the job. Returns ``(obj, saved)``
-        pairs for the caller's finally-block to restore.
-        """
-        import warnings
-
-        from ..runtime.parallel import (
-            ParallelSafetyWarning,
-            force_parallel_requested,
-        )
-
-        if not validating or force_parallel_requested(self.context):
-            return []
-        executor = self.cluster.context.resolve_executor()
-        if not executor.parallel:
-            return []
-        from ..analysis.concurrency import blocking_findings
-
-        blocked = blocking_findings(plan, executor.kind)
-        if not blocked:
-            return []
-        details = "; ".join(d.format() for d in blocked[:4])
-        more = len(blocked) - 4
-        if more > 0:
-            details += f"; ... {more} more"
-        warnings.warn(
-            ParallelSafetyWarning(
-                f"falling back to serial execution: the {executor.kind!r} "
-                f"executor is unsafe for this plan ({details}). Suppress "
-                "specific findings with a '# repro: ignore[rule]' comment, "
-                "or force parallel execution with --force-parallel / "
-                "REPRO_FORCE_PARALLEL=1 / RunContext(force_parallel=True)."
-            ),
-            stacklevel=3,
-        )
-        saved = [(self.cluster, self.cluster.context), (self, self.context)]
-        self.cluster.context = self.cluster.context.derive(
-            executor="serial", max_workers=None
-        )
-        self.context = self.context.derive(executor="serial", max_workers=None)
-        return saved
 
     def run(
         self,
@@ -204,24 +155,19 @@ class TiMR:
             from ..analysis import validate_plan
 
             validate_plan(plan)
-        saved_contexts = self._parallel_gate(plan, validate)
-        try:
-            # one pause over union materialization, map/shuffle/sort and
-            # every reducer's embedded Engine.run (which nests inside it)
-            with self.context.quiet():
-                return self._run_job(
-                    plan,
-                    job_name,
-                    num_partitions,
-                    span_width,
-                    auto_annotate,
-                    checkpoint_dir,
-                    resume,
-                    verify_replay,
-                )
-        finally:
-            for obj, ctx in saved_contexts:
-                obj.context = ctx
+        # one pause over union materialization, map/shuffle/sort and
+        # every reducer's embedded Engine.run (which nests inside it)
+        with context.quiet():
+            return self._run_job(
+                plan,
+                job_name,
+                num_partitions,
+                span_width,
+                auto_annotate,
+                checkpoint_dir,
+                resume,
+                verify_replay,
+            )
 
     def _run_job(
         self,
@@ -277,7 +223,6 @@ class TiMR:
             k: f for k, f in self._store.items() if fs.exists(f.name) and fs.read(f.name) is f
         }
         served: List[str] = []  # "<stage output> (= <dataset it was served from>)"
-        job_parallel = None  # folded across stages (run_stage resets its own)
         tracer = self.tracer
         with tracer.span(
             "timr.job", category="timr", job=job_name, fragments=len(fragments)
@@ -334,16 +279,6 @@ class TiMR:
                         if key is not None and not self.cluster.last_quarantined:
                             self._store[key] = output
                         report.stages.extend(self.cluster.last_report.stages)
-                        stage_parallel = self.cluster.last_parallel
-                        if stage_parallel is not None:
-                            if job_parallel is None:
-                                from ..runtime.parallel import ParallelStats
-
-                                job_parallel = ParallelStats(
-                                    kind=stage_parallel.kind,
-                                    max_workers=stage_parallel.max_workers,
-                                )
-                            job_parallel.merge(stage_parallel)
                     if tracer.enabled:
                         frag_span.set("rows_out", output.num_rows)
                         tracer.metrics.counter(
@@ -371,13 +306,16 @@ class TiMR:
                 metrics.counter("timr.fragments", job=job_name).inc(len(fragments))
                 metrics.counter("timr.resumed_stages", job=job_name).inc(resumed)
                 metrics.counter("timr.quarantined_rows", job=job_name).inc(quarantined)
-            resolutions = _reuse_resolutions(served, fingerprints.refusals)
+            resolutions = {
+                **self.context.executor_resolutions(),
+                **_reuse_resolutions(served, fingerprints.refusals),
+            }
             if tracer.enabled:
                 for name, entry in resolutions.items():
                     tracer.metrics.counter(name, job=job_name).inc(entry["count"])
                     tracer.event(
-                        "supervision.resolved", category="supervision",
-                        lane="driver", resolution=name, **entry,
+                        "resolution", category="resolution",
+                        resolution=name, **entry,
                     )
         return TiMRResult(
             output=output,
@@ -388,9 +326,6 @@ class TiMR:
             resumed_stages=resumed,
             reused_stages=len(served),
             quarantined_rows=quarantined,
-            parallel=(
-                job_parallel.as_dict() if job_parallel is not None else None
-            ),
             resolutions=resolutions,
         )
 

@@ -4,10 +4,9 @@ Every rule id registered in ``repro.analysis.diagnostics.RULES`` must
 have a catalog section in docs/LINTING.md (headed ``### `rule.id`
 (severity)``), and every documented rule id must still be registered —
 so a renamed or removed rule cannot leave stale documentation behind,
-and a new rule cannot ship undocumented. The same discipline covers the
-runtime's environment knobs: every ``ENV_*`` constant in
-``repro.runtime.parallel`` must appear in the docs — and a knob, flag or
-export that was removed must not linger in them.
+and a new rule cannot ship undocumented. No ``REPRO_*`` environment
+knob is read anywhere in ``src/``, and a knob, flag or export that was
+removed must not linger in the docs.
 """
 
 import re
@@ -62,36 +61,23 @@ def user_docs():
     return {str(p.relative_to(ROOT)): p.read_text() for p in paths}
 
 
-class TestEnvKnobDocSync:
-    """Every runtime env knob must be documented."""
+class TestNoEnvKnobs:
+    """Run settings live on ``RunContext``; the environment sets none."""
 
-    @staticmethod
-    def _env_constants():
-        import repro.runtime.parallel as parallel
-
-        return {
-            value
-            for name, value in vars(parallel).items()
-            if name.startswith("ENV_") and isinstance(value, str)
-        }
-
-    def test_every_env_knob_appears_in_docs(self):
-        corpus = "\n".join(
-            p.read_text() for p in sorted(DOCS_DIR.glob("*.md"))
+    def test_no_repro_knob_is_read_in_src(self):
+        found = sorted(
+            (str(path.relative_to(ROOT)), knob)
+            for path in (ROOT / "src").rglob("*.py")
+            for knob in re.findall(r"REPRO_[A-Z_]+", path.read_text())
         )
-        missing = sorted(
-            knob for knob in self._env_constants() if knob not in corpus
-        )
-        assert not missing, (
-            f"env knobs defined in repro.runtime.parallel but absent "
-            f"from docs/*.md: {missing}"
-        )
+        assert not found, f"REPRO_* knobs still read in src/: {found}"
 
 
 class TestRemovedKnobsStayRemoved:
-    """Wave batching, the shard workers, the columnar batch format and
-    the in-engine thread fan-out with its shadow race checker are gone;
-    nothing a user reads, and nothing ``repro.runtime`` or
+    """Wave batching, the shard workers, the columnar batch format, the
+    in-engine thread fan-out with its shadow race checker, and the
+    thread/process pool with its supervision, gate and chaos sites are
+    gone; nothing a user reads, and nothing ``repro.runtime`` or
     ``repro.temporal`` exports, may still offer them."""
 
     REMOVED = (
@@ -113,6 +99,26 @@ class TestRemovedKnobsStayRemoved:
         "parallel.dynamic-race",
         "parallel.schedule-divergence",
         "run_chain_tasks",
+        "REPRO_EXECUTOR",
+        "REPRO_WORKERS",
+        "REPRO_FORCE_PARALLEL",
+        "REPRO_PARALLEL_TIMEOUT",
+        "REPRO_WORKER_RETRIES",
+        "--executor",
+        "--workers",
+        "--force-parallel",
+        "--worker-kill-rate",
+        "--parallel",
+        "ThreadExecutor",
+        "ProcessExecutor",
+        "Supervision",
+        "ParallelSafetyWarning",
+        "ExecutorDegradedWarning",
+        "worker-kill",
+        "reply-drop",
+        "task-transient",
+        "parallel.fork-unsafe-capture",
+        "attribution.py",
     )
 
     def test_removed_names_do_not_linger_in_docs(self):
@@ -127,7 +133,6 @@ class TestRemovedKnobsStayRemoved:
     def test_removed_names_are_not_exported(self):
         import repro.runtime as runtime
         import repro.temporal as temporal
-        from repro.runtime import Executor
 
         source = (ROOT / "src/repro/runtime/__init__.py").read_text()
         source += (ROOT / "src/repro/temporal/__init__.py").read_text()
@@ -137,13 +142,21 @@ class TestRemovedKnobsStayRemoved:
             "resolve_batch_format",
             "BatchRowView",
             "MISSING",
+            "Executor",
+            "SerialExecutor",
+            "ParallelStats",
+            "resolve_executor",
         ):
             assert name not in source, name
             assert not hasattr(runtime, name), name
             assert not hasattr(temporal, name), name
-            assert not hasattr(Executor, name), name
-        assert not (ROOT / "src/repro/temporal/batch.py").exists()
-        assert not (ROOT / "src/repro/runtime/racecheck.py").exists()
+        for gone in (
+            "temporal/batch.py",
+            "runtime/racecheck.py",
+            "runtime/parallel.py",
+            "obs/attribution.py",
+        ):
+            assert not (ROOT / "src/repro" / gone).exists(), gone
 
     def test_removed_race_checking_has_no_hooks_left(self):
         from repro.runtime import RunContext
@@ -156,9 +169,27 @@ class TestRemovedKnobsStayRemoved:
         assert not hasattr(Engine(), "last_race_findings")
         assert not hasattr(Dataflow, "run_chain_tasks")
 
+    def test_removed_pool_has_no_hooks_left(self):
+        from repro.mapreduce import Cluster
+        from repro.runtime import RunContext
+        from repro.timr import TiMR
+
+        for name in self.REMOVED:
+            assert name not in RULES, name
+        context = RunContext()
+        for field in (
+            "force_parallel",
+            "worker_timeout",
+            "worker_retry_budget",
+            "resolve_executor",
+        ):
+            assert not hasattr(context, field), field
+        assert not hasattr(Cluster(), "last_parallel")
+        assert not hasattr(TiMR, "_parallel_gate")
+
     def test_waves_per_dispatch_is_documented_once_as_inert(self):
-        # the keyword outlives the knob only because the repo benchmark
-        # passes it; one place says so, and says nothing else
+        # the keywords outlive the pool only because the repo benchmark
+        # passes them; one place says so, for all three
         mentions = [
             (path, " ".join(paragraph.split()))
             for path, text in user_docs().items()
@@ -166,7 +197,6 @@ class TestRemovedKnobsStayRemoved:
             if "waves_per_dispatch" in paragraph
         ]
         assert [path for path, _ in mentions] == ["docs/PARALLELISM.md"]
-        assert (
-            "accepted, ignored, leaves with the benchmark's keyword"
-            in mentions[0][1]
-        )
+        paragraph = mentions[0][1]
+        assert "accepted, ignored, leaves with the benchmark's keyword" in paragraph
+        assert "executor=" in paragraph and "max_workers=" in paragraph

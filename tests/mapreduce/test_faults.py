@@ -23,18 +23,12 @@ from repro.mapreduce import (
     key_by_columns,
 )
 from repro.mapreduce.faults import (
-    ALL_SITES,
-    EXECUTOR_SITES,
     FS_READ,
     FS_WRITE,
     MAP,
     REDUCE,
-    REPLY_DROP,
     SHUFFLE,
     SITES,
-    TASK_TRANSIENT,
-    WORKER_KILL,
-    WorkerKiller,
     backoff_seconds,
 )
 
@@ -210,134 +204,10 @@ class TestFaultSites:
     def test_sites_constant_is_complete(self):
         assert set(SITES) == {MAP, SHUFFLE, REDUCE, FS_READ, FS_WRITE}
 
-    def test_all_sites_adds_executor_layer(self):
-        assert set(EXECUTOR_SITES) == {WORKER_KILL, TASK_TRANSIENT, REPLY_DROP}
-        assert set(ALL_SITES) == set(SITES) | set(EXECUTOR_SITES)
-
-
-class TestExecutorSites:
-    """Executor-layer fault sites: draws below the stage level must not
-    perturb historical stage-level chaos schedules."""
-
-    def _stage_schedule(self, policy, draws=40):
-        """Which of ``draws`` reduce-site consults inject, by index."""
-        hits = []
-        for i in range(draws):
-            try:
-                # fresh partition per draw: blacklisting never mutes us
-                policy.maybe_fail(REDUCE, "s", i, 1)
-            except InjectedFault as f:
-                hits.append((i, f.transient))
-        return hits
-
-    def test_executor_sites_accepted_by_name(self):
-        policy = ChaosPolicy(rates={WORKER_KILL: 0.5, REPLY_DROP: 1.0})
-        assert policy.rates[WORKER_KILL] == 0.5
-        with pytest.raises(ValueError, match="must be in"):
-            ChaosPolicy(rates={WORKER_KILL: 1.5})
-
-    def test_plain_float_rate_spares_executor_sites(self):
-        # back-compat: ChaosPolicy(rates=0.3) keeps meaning stage chaos
-        assert set(ChaosPolicy(rates=0.3).rates) == set(SITES)
-
-    def test_executor_draws_never_shift_stage_schedule(self):
-        """Same seed, one policy also serving executor-site draws
-        interleaved with the stage draws: the stage schedule is
-        byte-identical (separate RNG streams)."""
-        plain = ChaosPolicy(seed=5, rates=0.4)
-        rates = {site: 0.4 for site in SITES}
-        rates[WORKER_KILL] = 0.7
-        rates[TASK_TRANSIENT] = 0.7
-        mixed = ChaosPolicy(seed=5, rates=rates)
-        baseline = self._stage_schedule(plain)
-        hits = []
-        for i in range(40):
-            for wid in range(4):  # the supervised executor consulting
-                try:
-                    mixed.maybe_fail(WORKER_KILL, "executor.pool", wid, 1)
-                except InjectedFault:
-                    pass
-                try:
-                    mixed.maybe_fail(TASK_TRANSIENT, "executor.pool", i, 1)
-                except InjectedFault:
-                    pass
-            try:
-                mixed.maybe_fail(REDUCE, "s", i, 1)
-            except InjectedFault as f:
-                hits.append((i, f.transient))
-        assert hits == baseline
-
-    def test_unlisted_executor_site_consumes_no_rng(self):
-        """Consulting a site with no (or zero) rate must not advance the
-        executor RNG, or adding one site's rate would reschedule another's."""
-        rates = {TASK_TRANSIENT: 0.6}
-        lone = ChaosPolicy(seed=9, rates=dict(rates))
-        noisy = ChaosPolicy(seed=9, rates={**rates, WORKER_KILL: 0.0})
-
-        def transient_schedule(policy):
-            hits = []
-            for i in range(40):
-                try:
-                    policy.maybe_fail(WORKER_KILL, "executor.pool", i % 4, 1)
-                except InjectedFault:  # pragma: no cover - rate is 0
-                    pytest.fail("zero-rate site must never inject")
-                try:
-                    policy.maybe_fail(TASK_TRANSIENT, "executor.pool", i, 1)
-                except InjectedFault:
-                    hits.append(i)
-            return hits
-
-        assert transient_schedule(lone) == transient_schedule(noisy)
-
-    def test_transience_is_structural(self):
-        # worker death is a dead machine; drops and blips are retryable
-        policy = ChaosPolicy(
-            seed=0, rates={site: 1.0 for site in EXECUTOR_SITES}
-        )
-        flags = {}
-        for i, site in enumerate(EXECUTOR_SITES):
-            with pytest.raises(InjectedFault) as info:
-                policy.maybe_fail(site, "executor.pool", i, 1)
-            flags[site] = info.value.transient
-        assert flags == {
-            WORKER_KILL: False,
-            TASK_TRANSIENT: True,
-            REPLY_DROP: True,
-        }
-
-
-class TestWorkerKiller:
-    def test_kills_only_named_workers_within_budget(self):
-        killer = WorkerKiller(workers=(1, 3), kills=2)
-        deaths = []
-        for _ in range(4):  # four pool calls consulting every worker
-            for wid in range(4):
-                try:
-                    killer.maybe_fail(WORKER_KILL, "executor.pool", wid, 1)
-                except InjectedFault:
-                    deaths.append(wid)
-        assert sorted(deaths) == [1, 1, 3, 3]  # kills per (stage, worker)
-        assert killer.stats.injected == 4
-        assert killer.stats.permanent == 4  # worker-kill is permanent
-
-    def test_budget_is_per_stage(self):
-        killer = WorkerKiller(workers=(0,), kills=1)
-        for stage in ("executor.pool", "executor.shard"):
-            with pytest.raises(InjectedFault):
-                killer.maybe_fail(WORKER_KILL, stage, 0, 1)
-            killer.maybe_fail(WORKER_KILL, stage, 0, 1)  # quiet now
-
-    def test_stage_substring_filters(self):
-        killer = WorkerKiller(workers=(0,), stage_substring="shard")
-        killer.maybe_fail(WORKER_KILL, "executor.pool", 0, 1)  # no match
-        with pytest.raises(InjectedFault):
-            killer.maybe_fail(WORKER_KILL, "executor.shard", 0, 1)
-
-    def test_other_sites_ignored(self):
-        killer = WorkerKiller(workers=(0,))
-        killer.maybe_fail(REDUCE, "executor.pool", 0, 1)
-        killer.maybe_fail(REPLY_DROP, "executor.pool", 0, 1)
-        assert killer.stats.injected == 0
+    def test_executor_sites_are_gone(self):
+        for site in ("worker-kill", "task-transient", "reply-drop"):
+            with pytest.raises(ValueError, match="unknown fault site"):
+                ChaosPolicy(rates={site: 0.5})
 
 
 class TestStageExecutionError:

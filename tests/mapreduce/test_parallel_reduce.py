@@ -1,12 +1,12 @@
-"""Differential + chaos tests for the parallel reduce phase (ISSUE 10).
+"""Reduce-phase chaos, quarantine and failure fidelity, and a context's
+executor keyword changes none of it.
 
-The reduce phase fans partitions over the executor protocol with the
-same discipline ``_run_map_parallel`` established for map: fault draws
-pre-consulted in serial partition order in the driver, pure sort+reduce
-bodies on workers, results and quarantine records merged in partition
-order. These tests prove the schedule-independence end to end: seeded
-chaos, poison-row bisection, restart/backoff accounting, and exception
-fidelity are byte-identical between serial and parallel reduce.
+The reduce phase draws its injected faults before each partition's
+reducer runs, bisects poison rows into quarantine and fails a stage
+with its full context. These tests hold that end to end: seeded chaos,
+poison-row bisection, restart/backoff accounting and exception fidelity
+are byte-identical between a serial context and one naming a thread or
+process executor (which runs serially).
 """
 
 import pytest
@@ -22,16 +22,7 @@ from repro.mapreduce import (
 )
 from repro.mapreduce.faults import REDUCE
 from repro.mapreduce.persist import dataset_sha256
-from repro.runtime import (
-    ProcessExecutor,
-    RunContext,
-    SerialExecutor,
-    ThreadExecutor,
-)
-
-needs_fork = pytest.mark.skipif(
-    not ProcessExecutor.can_fork, reason="fork start method unavailable"
-)
+from repro.runtime import RunContext
 
 # a reduce attempt passes two fault sites (shuffle + reduce), so the
 # restart budget must cover 2 * blacklist_after injections per partition
@@ -77,10 +68,7 @@ def run_stage_with(executor, rows, stage, *, seed=None, quarantine=False):
 
 
 def executors():
-    fleet = [ThreadExecutor(max_workers=4)]
-    if ProcessExecutor.can_fork:
-        fleet.append(ProcessExecutor(max_workers=2))
-    return fleet
+    return ["thread", "process"]
 
 
 class TestParallelReduceDifferential:
@@ -90,20 +78,19 @@ class TestParallelReduceDifferential:
         simulated backoff all match the serial reduce exactly."""
         rows = sample_rows(40)
         serial_out, _, serial_rep = run_stage_with(
-            SerialExecutor(), rows, count_stage(), seed=seed
+            "serial", rows, count_stage(), seed=seed
         )
         for executor in executors():
             out, _, rep = run_stage_with(executor, rows, count_stage(), seed=seed)
-            assert out == serial_out, executor.kind
+            assert out == serial_out, executor
             assert rep.restarted_partitions == serial_rep.restarted_partitions
             assert round(rep.retry_backoff_seconds, 9) == round(
                 serial_rep.retry_backoff_seconds, 9
             )
 
     def test_poison_bisection_lands_in_identical_quarantine(self):
-        """Bisection inside a parallel reduce worker diverts exactly the
-        rows the serial bisection diverts — the dead-letter dataset
-        hashes equal."""
+        """Bisection diverts the same rows under every executor keyword
+        — the dead-letter dataset hashes equal."""
         rows = sample_rows(20) + [
             {"Time": 50, "k": "a", "poison": True},
             {"Time": 51, "k": "c", "poison": True},
@@ -117,28 +104,28 @@ class TestParallelReduceDifferential:
 
         stage = count_stage("t", 3, touchy)
         serial_out, serial_q, _ = run_stage_with(
-            SerialExecutor(), rows, stage, quarantine=True
+            "serial", rows, stage, quarantine=True
         )
         assert serial_q is not None
         for executor in executors():
             out, qhash, _ = run_stage_with(executor, rows, stage, quarantine=True)
-            assert out == serial_out, executor.kind
-            assert qhash == serial_q, executor.kind
+            assert out == serial_out, executor
+            assert qhash == serial_q, executor
 
     def test_sort_dead_letters_merge_in_partition_order(self):
-        """Rows without a usable Time quarantine from the worker-side
-        sort; merged in partition order they hash equal to serial."""
+        """Rows without a usable Time quarantine from the sort, in
+        partition order, under every executor keyword."""
         rows = sample_rows(16) + [{"k": "a"}, {"Time": "noon", "k": "b"}]
         serial_out, serial_q, _ = run_stage_with(
-            SerialExecutor(), rows, count_stage(num_partitions=3), quarantine=True
+            "serial", rows, count_stage(num_partitions=3), quarantine=True
         )
         assert serial_q is not None
         for executor in executors():
             out, qhash, _ = run_stage_with(
                 executor, rows, count_stage(num_partitions=3), quarantine=True
             )
-            assert out == serial_out, executor.kind
-            assert qhash == serial_q, executor.kind
+            assert out == serial_out, executor
+            assert qhash == serial_q, executor
 
     @pytest.mark.parametrize("seed", [1, 5])
     def test_chaos_plus_poison_together(self, seed):
@@ -155,14 +142,14 @@ class TestParallelReduceDifferential:
 
         stage = count_stage("cp", 3, touchy)
         serial_out, serial_q, serial_rep = run_stage_with(
-            SerialExecutor(), rows, stage, seed=seed, quarantine=True
+            "serial", rows, stage, seed=seed, quarantine=True
         )
         for executor in executors():
             out, qhash, rep = run_stage_with(
                 executor, rows, stage, seed=seed, quarantine=True
             )
-            assert out == serial_out, executor.kind
-            assert qhash == serial_q, executor.kind
+            assert out == serial_out, executor
+            assert qhash == serial_q, executor
             assert rep.restarted_partitions == serial_rep.restarted_partitions
 
     def test_quarantine_record_sites_preserved(self):
@@ -180,9 +167,7 @@ class TestParallelReduceDifferential:
             fs=fs,
             cost_model=CostModel(num_machines=4),
             quarantine=True,
-            context=RunContext(
-                executor=ThreadExecutor(max_workers=4), quarantine=True
-            ),
+            context=RunContext(executor="thread", quarantine=True),
         )
         cluster.run_stage(count_stage("t", 3, touchy), "in", "out")
         assert len(cluster.last_quarantined) == 1
@@ -193,9 +178,9 @@ class TestParallelReduceDifferential:
 
 class TestParallelReduceFidelity:
     def test_stage_execution_error_survives_the_executor(self):
-        """A real failure no bisection explains must fail the stage with
-        the same exception type, attempt count, and cause as serial —
-        not an executor RuntimeError."""
+        """A real failure no bisection explains fails the stage with the
+        same exception type, attempt count, and cause under every
+        executor keyword."""
 
         def broken(idx, rows):
             raise ValueError("user bug")
@@ -211,8 +196,8 @@ class TestParallelReduceFidelity:
             assert isinstance(err.__cause__, ValueError)
 
     def test_flaky_reducer_retries_inside_the_worker(self):
-        """The one free real-failure retry happens worker-side: per
-        partition, the reducer runs at most twice."""
+        """The one free real-failure retry: per partition, the reducer
+        runs at most twice."""
         import threading
 
         calls = {}
@@ -226,36 +211,18 @@ class TestParallelReduceFidelity:
             return count_reducer(idx, rows)
 
         out, _, _ = run_stage_with(
-            ThreadExecutor(max_workers=4),
-            sample_rows(),
-            count_stage("fl", 3, flaky),
+            "thread", sample_rows(), count_stage("fl", 3, flaky)
         )
         assert out == run_stage_with(
-            SerialExecutor(), sample_rows(), count_stage("fl", 3)
+            "serial", sample_rows(), count_stage("fl", 3)
         )[0]
         assert all(n == 2 for n in calls.values())
-
-    def test_parallel_stats_cover_reduce_fanout(self):
-        """The reduce fan-out folds into last_parallel: tasks cover the
-        reduce partitions on top of the map tasks."""
-        fs = DistributedFileSystem()
-        fs.write("in", sample_rows(40), num_partitions=3)
-        cluster = Cluster(
-            fs=fs,
-            cost_model=CostModel(num_machines=4),
-            context=RunContext(executor=ThreadExecutor(max_workers=4)),
-        )
-        cluster.run_stage(count_stage(num_partitions=4), "in", "out")
-        assert cluster.last_parallel is not None
-        # 3 map partitions + 4 reduce partitions, two run_tasks calls
-        assert cluster.last_parallel.calls == 2
-        assert cluster.last_parallel.tasks == 7
 
     @pytest.mark.parametrize("seed", [3, 17])
     def test_timr_pipeline_chaos_differential(self, seed):
         """End to end: a TiMR-compiled BT query under seeded chaos with
         quarantine produces byte-identical outputs and quarantine
-        datasets whether the reduce phase runs serial or parallel."""
+        datasets whatever the context's executor keyword."""
         from repro.bt import (
             BTConfig,
             bot_elimination_query,
@@ -303,28 +270,7 @@ class TestParallelReduceFidelity:
                 round(sum(s.retry_backoff_seconds for s in report.stages), 9),
             )
 
-        serial = run(SerialExecutor())
+        serial = run("serial")
         assert serial[1], "chaos run should quarantine the bad rows"
         for executor in executors():
-            assert run(executor) == serial, executor.kind
-
-    @needs_fork
-    def test_nested_engine_runs_serial_inside_reduce_workers(self):
-        """A reducer that itself resolves an executor (the TiMR embedded
-        engine pattern) must get serial inside a pool worker — daemonic
-        children cannot fork — and the output must not change."""
-        from repro.runtime import resolve_executor
-
-        def nested(idx, rows):
-            inner = resolve_executor("process", max_workers=4)
-            assert inner.kind == "serial"
-            return count_reducer(idx, rows)
-
-        out, _, _ = run_stage_with(
-            ProcessExecutor(max_workers=2),
-            sample_rows(),
-            count_stage("nest", 3, nested),
-        )
-        assert out == run_stage_with(
-            SerialExecutor(), sample_rows(), count_stage("nest", 3)
-        )[0]
+            assert run(executor) == serial, executor

@@ -4,8 +4,8 @@ Two budget properties, both documented in docs/OBSERVABILITY.md:
 
 * :data:`~repro.obs.TRACER_OVERHEAD_BUDGET_FACTOR` bounds how much
   slower a tracing-enabled run may be than its ``NULL_TRACER`` twin
-  (best-of-N wall, serial executor, so scheduling noise stays out of
-  the ratio). The factor is deliberately generous — the workload here
+  (best-of-N wall, so scheduling noise stays out of the ratio). The
+  factor is deliberately generous — the workload here
   is milliseconds, where constant per-span cost looms largest; if this
   test fails, instrumentation got expensive enough to distort the very
   runs it is supposed to diagnose.
@@ -37,7 +37,7 @@ def _best_wall(tracer, rows, repeats=3):
     query = _query()
     best = float("inf")
     for _ in range(repeats + 1):  # first iteration is warmup
-        engine = Engine(context=RunContext(tracer=tracer, executor="serial"))
+        engine = Engine(context=RunContext(tracer=tracer))
         t0 = time.perf_counter()  # wallclock: ok (this test MEASURES real overhead; best-of-N + ratio assertion absorb scheduler noise)
         engine.run(query, {"logs": rows})
         best = min(best, time.perf_counter() - t0)  # wallclock: ok (same measurement)
@@ -58,7 +58,7 @@ def test_traced_run_within_documented_budget_factor():
 
 
 def test_null_tracer_records_nothing():
-    engine = Engine(context=RunContext(executor="serial"))
+    engine = Engine()
     engine.run(_query(), {"logs": _rows(100)})
     assert NULL_TRACER.finished() == []
     assert NULL_TRACER.metrics.snapshot() == []

@@ -1,7 +1,7 @@
 """GC-quiet batch runs (docs/EXECUTION.md, "GC-quiet batch runs").
 
 ``Engine.run`` and ``TiMR.run`` pause CPython's cyclic collector through
-``RunContext.quiet()``, under every executor, and put the caller's
+``RunContext.quiet()``, whatever the executor keyword, and put the caller's
 collector state back on every exit path; the push path is left alone.
 Because nothing collects cycles during a run, ``Dataflow.close()`` has
 to sever the runtime's own: the run's graph must die by refcount.

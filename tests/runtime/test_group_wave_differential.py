@@ -1,15 +1,15 @@
-"""One scheduler for GroupApply: every executor runs the driver's local wave.
+"""One scheduler for GroupApply, whatever the context's executor keyword.
 
 A GroupApply advances its per-key chains serially on the wake-scheduled
-local wave whatever the context asks for: a thread or process executor
-resolves to that wave as a counted, named event, never silently, and
-``waves_per_dispatch`` is accepted and ignored. So the whole
-``executor x waves_per_dispatch`` matrix must give raw-order
-byte-identical output and equal deterministic
-``EngineStats``; the builtin BT queries take the same matrix in
-``test_parallel_differential.py``. The gate at the end holds a
-``scale_par``-shaped run to the serial run's work, counted, with no
-child process forked.
+local wave. A context naming a thread or process executor runs exactly
+that, as one counted, named ``executor.serial`` resolution, never
+silently, and ``waves_per_dispatch`` is accepted and ignored. So the
+whole ``executor x waves_per_dispatch`` matrix must give raw-order
+byte-identical output and equal deterministic ``EngineStats``; the
+builtin BT queries take the same matrix in
+``test_parallel_differential.py``. The gates at the end hold the
+benchmark's ``scale_par`` context to the default engine's output and
+work, counted, with no child process forked.
 """
 
 import multiprocessing
@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime import RunContext
+from repro.runtime.context import SERIAL_RESOLUTION
 from repro.runtime.dataflow import _before
 from repro.temporal import Engine, Event, Query, explain
 from repro.temporal import engine as engine_module
@@ -90,13 +91,13 @@ def test_process_context_names_its_resolution():
     # a thread executor resolves exactly as a process one does
     for executor in ("process", "thread"):
         _, stats = run_with(executor, query, rows, waves_per_dispatch="auto")
-        entry = stats.resolutions["group_apply.local_wave"]
-        assert entry["count"] == 1  # one GroupApply node, counted once
-        assert entry["reason"].startswith(f"{executor} executor")
+        entry = stats.resolutions[SERIAL_RESOLUTION]
+        assert entry["count"] == 1  # one run, counted once
+        assert entry["reason"].startswith(f"executor={executor!r}")
         assert "\n" not in entry["reason"]
         assert stats.parallel is None  # nothing fanned out
         report = explain(query, stats=stats)
-        assert "resolved this run: group_apply.local_wave x 1" in report
+        assert "resolved this run: executor.serial x 1" in report
     # the serial executor runs the wave as asked and resolves nothing
     _, stats = run_with("serial", query, rows, waves_per_dispatch="auto")
     assert stats.resolutions == {}
@@ -104,8 +105,27 @@ def test_process_context_names_its_resolution():
 
 
 # ---------------------------------------------------------------------------
-# The gate: a scale_par-shaped run forks nothing and does serial's work
+# The gates: the benchmark's scale_par context is the default engine,
+# forks nothing and does serial's work
 # ---------------------------------------------------------------------------
+
+#: the context ``benchmarks/e2e/workloads.py`` builds ``scale_par`` with
+SCALE_PAR_CONTEXT = RunContext(
+    executor="process", max_workers=2, waves_per_dispatch="auto"
+)
+
+
+def test_scale_par_context_equals_the_default_engine():
+    query, rows = _sliding_sum(), _scale_rows(5000)
+    default = Engine()
+    expected = default.run(query, {"logs": rows})
+    engine = Engine(context=SCALE_PAR_CONTEXT)
+    out = engine.run(query, {"logs": rows}, validate=False)
+    assert out == expected
+    assert raw_bytes(out) == raw_bytes(expected)
+    assert default.last_stats.resolutions == {}
+    assert list(engine.last_stats.resolutions) == [SERIAL_RESOLUTION]
+    assert engine.last_stats.resolutions[SERIAL_RESOLUTION]["count"] == 1
 
 
 def _driven(context, query, rows):
@@ -133,13 +153,31 @@ def test_scale_par_shaped_run_forks_nothing_and_does_serial_work():
     serial, serial_advances, _ = _driven(
         RunContext(executor="serial"), query, rows
     )
-    # the context benchmarks/e2e/workloads.py builds scale_par with
-    context = RunContext(
-        executor="process", max_workers=2, waves_per_dispatch="auto"
-    )
-    out, advances, children = _driven(context, query, rows)
+    out, advances, children = _driven(SCALE_PAR_CONTEXT, query, rows)
     assert children == []
     assert multiprocessing.active_children() == []
     assert advances == serial_advances
     assert serial_advances > len(rows) // 10  # many waves, not one flush
     assert raw_bytes(out) == raw_bytes(serial)
+
+
+def test_traced_timr_names_the_resolution_once():
+    """A TiMR job under the benchmark's context is one counted resolution
+    and one ``resolution`` instant (what ``repro profile`` folds into its
+    ``resolved:`` line), not one per embedded reducer engine."""
+    from repro.mapreduce import Cluster, CostModel, DistributedFileSystem
+    from repro.obs import Tracer
+    from repro.timr import TiMR
+
+    tracer = Tracer()
+    fs = DistributedFileSystem()
+    fs.write("logs", _scale_rows(3000), num_partitions=3)
+    cluster = Cluster(
+        fs=fs,
+        cost_model=CostModel(num_machines=4),
+        context=SCALE_PAR_CONTEXT.derive(tracer=tracer),
+    )
+    result = TiMR(cluster).run(_sliding_sum(), num_partitions=3)
+    assert result.resolutions[SERIAL_RESOLUTION]["count"] == 1
+    instants = [s for s in tracer.finished() if s.name == "resolution"]
+    assert [s.attrs["resolution"] for s in instants] == [SERIAL_RESOLUTION]

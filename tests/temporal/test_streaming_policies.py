@@ -68,6 +68,31 @@ class TestMalformedEvents:
         assert record.item == bad
         assert "malformed event" in record.reason
 
+    @pytest.mark.parametrize("policy", ["drop", "quarantine"])
+    @pytest.mark.parametrize("bad", BAD)
+    def test_run_all_applies_the_policy(self, policy, bad):
+        """``run_all`` checks rows as ``push`` does: a malformed row is
+        dropped or quarantined, and the accepted rows give the output
+        they give alone."""
+        engine = StreamingEngine(counting_query(), event_policy=policy)
+        out = engine.run_all({"s": [GOOD[0], bad, *GOOD[1:]]})
+        expected = StreamingEngine(counting_query()).run_all({"s": GOOD})
+        assert normalize(out) == normalize(expected)
+        if policy == "drop":
+            assert engine.dropped == 1
+            assert engine.quarantined == []
+        else:
+            assert engine.dropped == 0
+            (record,) = engine.quarantined
+            assert (record.source, record.item) == ("s", bad)
+            assert "malformed event" in record.reason
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_run_all_raise_policy_fails_fast(self, bad):
+        engine = StreamingEngine(counting_query())
+        with pytest.raises(ValueError, match="malformed event"):
+            engine.run_all({"s": [GOOD[0], bad]})
+
 
 class TestLateEvents:
     def test_raise_policy_rejects_out_of_order(self):

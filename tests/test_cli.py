@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.runtime import ProcessExecutor
 
 
 @pytest.fixture(scope="module")
@@ -283,13 +282,6 @@ class TestLintJson:
         assert rc == 2
 
 
-def serial_default(monkeypatch):
-    """Pin the ambient executor to the serial default (REPRO_EXECUTOR /
-    REPRO_WORKERS unset), for tests whose expected output assumes it."""
-    monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
-
-
 class TestProfile:
     @pytest.fixture(scope="class")
     def profile_outputs(self, tmp_path_factory):
@@ -299,9 +291,8 @@ class TestProfile:
         return str(trace), str(metrics)
 
     def test_writes_valid_chrome_trace_and_jsonl(
-        self, profile_outputs, capsys, monkeypatch
+        self, profile_outputs, capsys
     ):
-        serial_default(monkeypatch)  # a parallel one adds instant events
         trace, metrics = profile_outputs
         rc = main(
             [
@@ -377,45 +368,18 @@ class TestProfile:
         assert (out_dir / "trace.json").exists()
         assert (out_dir / "metrics.jsonl").exists()
 
-    def test_parallel_requires_parallel_executor(self, capsys, monkeypatch):
-        serial_default(monkeypatch)
-        rc = main(["profile", "--parallel", "--users", "20"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "--parallel needs a parallel executor" in err
-
-    def test_parallel_attribution_table(self, tmp_path, capsys):
-        rc = main(
-            [
-                "profile",
-                "--users",
-                "20",
-                "--parallel",
-                "--executor",
-                "thread",
-                "--workers",
-                "2",
-                "--json",
-                "--out-dir",
-                str(tmp_path / "out"),
-            ]
-        )
-        assert rc == 0
-        doc = json.loads(capsys.readouterr().out)
-        attribution = doc["attribution"]
-        assert set(attribution["components"]) == {
-            "compute",
-            "serialize",
-            "dispatch",
-            "merge",
-            "supervision",
-            "idle",
-        }
-        # components sum to the workers x wall budget by construction
-        assert attribution["budget_seconds"] > 0
-        assert abs(attribution["coverage"] - 1.0) <= 0.05
-        assert attribution["dominant_overhead"] != "compute"
-        assert attribution["serial_wall_seconds"] > 0
+    def test_removed_parallel_flags_are_usage_errors(self, capsys):
+        for argv in (
+            ["profile", "--parallel"],
+            ["sql", "SELECT * FROM logs", "--data", ".", "--executor", "process"],
+            ["timr", "SELECT * FROM logs", "--data", ".", "--workers", "2"],
+            ["bt", "--data", ".", "--force-parallel"],
+            ["chaos", "--worker-kill-rate", "0.5"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            assert "unrecognized arguments" in capsys.readouterr().err, argv
 
 
 class TestChaos:
@@ -458,8 +422,7 @@ class TestChaos:
 
         assert stats_line(3) != stats_line(4)
 
-    def test_json_report(self, tmp_path, capsys, monkeypatch):
-        serial_default(monkeypatch)  # a parallel one adds a chaos phase
+    def test_json_report(self, tmp_path, capsys):
         rc = main(
             [
                 "chaos",
@@ -481,45 +444,9 @@ class TestChaos:
         assert doc["resume"]["byte_identical"] is True
         assert doc["baseline"]["sha256"] == doc["chaos"]["sha256"]
         assert doc["resume"]["resumed_stages"] >= 1
-        # serial default: the executor-chaos phase is explicitly skipped
-        assert doc["executor_chaos"] is None
+        assert "executor_chaos" not in doc
         assert set(doc["timings"]) >= {
             "baseline_seconds",
             "chaos_seconds",
             "resume_seconds",
         }
-
-    @pytest.mark.skipif(
-        not ProcessExecutor.can_fork, reason="fork start method unavailable"
-    )
-    def test_executor_chaos_phase_kills_workers_byte_identically(
-        self, tmp_path, capsys
-    ):
-        rc = main(
-            [
-                "chaos",
-                "--users",
-                "25",
-                "--days",
-                "1",
-                "--executor",
-                "process",
-                "--workers",
-                "4",
-                "--worker-kill-rate",
-                "0.5",
-                "--json",
-                "--checkpoint-dir",
-                str(tmp_path),
-            ]
-        )
-        out = capsys.readouterr().out
-        doc = json.loads(out)
-        assert rc == 0, out
-        assert doc["passed"] is True
-        ec = doc["executor_chaos"]
-        assert ec["byte_identical"] is True
-        assert ec["sha256"] == doc["baseline"]["sha256"]
-        assert ec["rate"] == 0.5
-        assert ec["injected"] >= 1  # seeded chaos really struck workers
-        assert "executor_chaos_seconds" in doc["timings"]

@@ -603,8 +603,8 @@ def run_poisoned(bad, reducer, quarantine, executor="serial"):
     return exact(out), fs.read("q").all_rows() if fs.exists("q") else []
 
 
-#: every bad row under every executor: the two reduce partitions fan out
-#: under thread and process. Serial cases keep their bare ids.
+#: every bad row under every executor keyword, which all run serially.
+#: Serial cases keep their bare ids.
 BAD_ROW_CASES = [
     pytest.param(executor, bad, id=bad if executor == "serial" else f"{executor}-{bad}")
     for executor in ("serial", "thread", "process")
@@ -624,8 +624,8 @@ def test_bad_rows_are_quarantined_as_before(executor, bad):
 
 @pytest.mark.parametrize("executor, bad", BAD_ROW_CASES)
 def test_bad_rows_raise_as_before(executor, bad):
-    """A parallel reduce raises what the serial one does: the partition
-    whose sort or reduce fails re-runs serially in the driver."""
+    """Under every executor keyword the reduce raises what the serial
+    one does."""
     fragment = join_fragment()
     raised = []
     for reducer, ex in (

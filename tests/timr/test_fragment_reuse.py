@@ -479,8 +479,7 @@ def test_tracer_counts_reuse_beside_resumed_stages():
     tracer = Tracer()
     cluster = Cluster(
         fs=logs_fs(), cost_model=CostModel(num_machines=2),
-        # serial: a parallel executor adds group_apply.local_wave events
-        context=RunContext(tracer=tracer, executor="serial"),
+        context=RunContext(tracer=tracer),
     )
     timr = TiMR(cluster)
     timr.run(counted(), job_name="a", num_partitions=2)
@@ -491,7 +490,7 @@ def test_tracer_counts_reuse_beside_resumed_stages():
     assert counter("timr.reuse_refused", job="c").value == 1
     assert counter("timr.fragment_reused", job="a").value == 0
     assert counter("timr.resumed_stages", job="b").value == 0
-    resolved = [s for s in tracer.finished() if s.name == "supervision.resolved"]
+    resolved = [s for s in tracer.finished() if s.name == "resolution"]
     assert sorted(s.attrs["resolution"] for s in resolved) == [
         "timr.fragment_reused", "timr.reuse_refused",
     ]
