@@ -49,6 +49,7 @@ from ..temporal.plan import (
     PlanNode,
     ProjectNode,
     SourceNode,
+    UnionNode,
     WhereNode,
     topological_order,
 )
@@ -117,6 +118,50 @@ def _batch_per_key(
         for event in fresh:
             per_key.setdefault(group_key(event.payload, keys), []).append(event)
     return per_key
+
+
+def _deliver(op, levs, li, revs, ri, w, rw, ext) -> Tuple[int, int]:
+    """Hand binary ``op`` its queued input from read positions ``li`` /
+    ``ri``, merged up to the joint watermark ``w`` (``rw`` is the right
+    side's), right side first at ties, so the right synopsis is complete
+    before a left probe (the guarantee merge_streams gives the one-shot
+    apply path). At the flush both watermarks are ``MAX_TIME``, and the
+    same loop drains both sides whole in merged order. Outputs go to
+    ``ext``; returns the new read positions.
+
+    While one side's head does not change, the other side's
+    deliverability bound is a constant — so maximal same-side runs are
+    found by a scan and handed to the batch kernels in one call."""
+    on_left_batch = op.on_left_batch
+    on_right_batch = op.on_right_batch
+    nl, nr = len(levs), len(revs)
+    while True:
+        lh = levs[li] if li < nl else None
+        rh = revs[ri] if ri < nr else None
+        if rh is not None and rh.le <= w and (lh is None or rh.le <= lh.le):
+            bound = w if lh is None or w <= lh.le else lh.le
+            rj = ri + 1
+            while rj < nr and revs[rj].le <= bound:
+                rj += 1
+            ext(on_right_batch(revs[ri:rj]))
+            ri = rj
+        elif lh is not None and (lh.le < rw or rw >= MAX_TIME):
+            if rw >= MAX_TIME:
+                bound = rh.le if (rh is not None and rh.le <= w) else None
+            else:
+                bound = rw
+                if rh is not None and rh.le <= w and rh.le < bound:
+                    bound = rh.le
+            if bound is None:
+                lj = nl
+            else:
+                lj = li + 1
+                while lj < nl and levs[lj].le < bound:
+                    lj += 1
+            ext(on_left_batch(levs[li:lj]))
+            li = lj
+        else:
+            return li, ri
 
 
 class _PlanMeta:
@@ -258,11 +303,13 @@ class _OpNode:
             self._pending: list = []
             self._fed_since_wave = 0
             self._idle_delta = -1  # < 0: no chain has gone idle yet
-            self._linear_stages = _linear_stages(plan_node)
+            #: the sub-plan's flat form, ``None`` when every chain is a
+            #: nested flow (:class:`_GroupChain`)
+            self._flat = _flat_plan(plan_node)
             #: one sweep over every key instead of a chain per key, for a
             #: sub-plan of stateless stages feeding an aggregate; its
             #: per-key states stand in for chains in the scheduler below
-            self._keyed = _keyed_aggregate(plan_node, self._linear_stages)
+            self._keyed = _keyed_aggregate(plan_node, self._flat)
             #: the keyed sweep emits rows (``KeyedAggregate.layout``),
             #: merged by ``_le`` as chain events are, and made events on
             #: entering the output log: except at the flow's root, which
@@ -387,76 +434,14 @@ class _OpNode:
         left, right = self.inputs
         op = self._operator
         out: List[Event] = []
-        ext = out.extend
-        on_left_batch = op.on_left_batch
-        on_right_batch = op.on_right_batch
-        rw = right.watermark
-        w = min(left.watermark, rw)
+        w = min(left.watermark, right.watermark)
+        flush = w >= MAX_TIME and not self.flushed
         levs, revs = left.events, right.events
         li, ri = left.cursor, right.cursor
-        nl, nr = len(levs), len(revs)
         delivered = -li - ri
-        # deliver merged input up to the joint watermark, right side first
-        # at ties, so the right synopsis is complete before a left probe
-        # (the guarantee merge_streams gives the one-shot apply path).
-        # While one side's head does not change, the other side's
-        # deliverability bound is a constant — so maximal same-side runs
-        # are found by a scan and handed to the batch kernels in one call.
-        while True:
-            lh = levs[li] if li < nl else None
-            rh = revs[ri] if ri < nr else None
-            if rh is not None and rh.le <= w and (lh is None or rh.le <= lh.le):
-                bound = w if lh is None or w <= lh.le else lh.le
-                rj = ri + 1
-                while rj < nr and revs[rj].le <= bound:
-                    rj += 1
-                ext(on_right_batch(revs[ri:rj]))
-                ri = rj
-            elif lh is not None and (lh.le < rw or rw >= MAX_TIME):
-                if rw >= MAX_TIME:
-                    bound = rh.le if (rh is not None and rh.le <= w) else None
-                else:
-                    bound = rw
-                    if rh is not None and rh.le <= w and rh.le < bound:
-                        bound = rh.le
-                if bound is None:
-                    lj = nl
-                else:
-                    lj = li + 1
-                    while lj < nl and levs[lj].le < bound:
-                        lj += 1
-                ext(on_left_batch(levs[li:lj]))
-                li = lj
-            else:
-                break
-        if w >= MAX_TIME and not self.flushed:
-            # drain any tail in merged order, then flush
-            while True:
-                lh = levs[li] if li < nl else None
-                rh = revs[ri] if ri < nr else None
-                if rh is not None and (lh is None or rh.le <= lh.le):
-                    if lh is None:
-                        rj = nr
-                    else:
-                        bound = lh.le
-                        rj = ri + 1
-                        while rj < nr and revs[rj].le <= bound:
-                            rj += 1
-                    ext(on_right_batch(revs[ri:rj]))
-                    ri = rj
-                elif lh is not None:
-                    if rh is None:
-                        lj = nl
-                    else:
-                        bound = rh.le
-                        lj = li + 1
-                        while lj < nl and levs[lj].le < bound:
-                            lj += 1
-                    ext(on_left_batch(levs[li:lj]))
-                    li = lj
-                else:
-                    break
-            ext(op.on_flush())
+        li, ri = _deliver(op, levs, li, revs, ri, w, right.watermark, out.extend)
+        if flush:
+            out.extend(op.on_flush())
             self.flushed = True
             self.watermark = MAX_TIME
         elif self.watermark < w:
@@ -465,11 +450,11 @@ class _OpNode:
             self.outputs.extend(out)
         self.events_in += delivered + li + ri
         # write back read positions, compacting long-consumed prefixes
-        if li > 1024 and li * 2 > nl:
+        if li > 1024 and li * 2 > len(levs):
             del levs[:li]
             li = 0
         left.cursor = li
-        if ri > 1024 and ri * 2 > nr:
+        if ri > 1024 and ri * 2 > len(revs):
             del revs[:ri]
             ri = 0
         right.cursor = ri
@@ -504,7 +489,7 @@ class _OpNode:
             self.events_in += len(fresh)
             self._fed_since_wave += len(fresh)
             if self._keyed is not None:
-                self._keyed.feed(self, fresh)
+                self._keyed.feed(self, fresh, buf.watermark)
             else:
                 self._feed_local_chains(
                     _batch_per_key(fresh, self.plan_node.keys)
@@ -530,12 +515,12 @@ class _OpNode:
     def _feed_local_chains(self, per_key) -> None:
         """Buffer one batch of per-key events into driver-local chains."""
         node: GroupApplyNode = self.plan_node
-        linear = self._linear_stages
+        flat = self._flat
         for key, events in per_key.items():
             chain = self._groups.get(key)
             if chain is None:
-                if linear is not None:
-                    chain = _LinearChain(node, key, linear)
+                if flat is not None:
+                    chain = _FlatChain(node, key, flat)
                 else:
                     chain = _GroupChain(node, key, self.flow)
                 self._groups[key] = chain
@@ -663,103 +648,185 @@ def _activation_order(item) -> int:
     return item[1].ordinal
 
 
+#: Plan nodes whose operators are pure per-event functions: nothing
+#: happens on a watermark or at the flush, the watermark passes through
+#: unchanged, and they never have a wake time.
+_PURE_NODES = (WhereNode, ProjectNode, AlterLifetimeNode)
+
 #: Plan nodes whose operators hold no mutable state: one instance can be
 #: shared by every chain of a GroupApply instead of rebuilt per key.
-_STATELESS_NODES = (WhereNode, ProjectNode, AlterLifetimeNode)
+_STATELESS_NODES = (*_PURE_NODES, UnionNode)
+
+#: A flat chain's wake time while no node reports one: it is idle.
+_IDLE = WAKE_AT_FLUSH + 1
+
+#: Sub-plan nodes with no operator for a flat chain to drive.
+_NOT_FLAT = (SourceNode, GroupInputNode, GroupApplyNode, ExchangeNode)
 
 
-def _linear_stages(node: GroupApplyNode):
-    """The sub-plan as ``(plan_nodes, futures, shared)`` when it is a
-    straight unary pipeline off the group input, else ``None``.
+class _FlatPlan:
+    """A GroupApply sub-plan of bounded unary and binary operators over the
+    group input, in the form every :class:`_FlatChain` of the node reads.
 
-    Stateless stages feeding an aggregate (window → aggregate, the
-    overwhelmingly common shape) run as one :class:`KeyedAggregate`
-    sweep over all keys (:func:`_keyed_aggregate`); other linear
-    sub-plans run on :class:`_LinearChain`, which drives the same
-    operator objects without per-key Dataflow scaffolding. Anything
-    else — nested GroupApply, binary operators, exchanges, unbounded
-    rewrites — falls back to the general :class:`_GroupChain`.
-    ``shared[i]`` is a pre-built operator for stateless stages (pure
-    per-event functions), ``None`` where each key needs its own instance.
+    Position 0 is the group input and position ``i`` the ``i``-th
+    operator node in topological order, so the root is last.
+    ``steps[i - 1]`` is ``(i, a, b, future, keep, pure)``: node ``i``
+    reads position ``a`` (its one input, or its left; ``None`` for a
+    unary node reading position ``i - 1``, whose output a chain carries
+    over in locals), ``b`` is its right input's position (``None`` for a
+    unary node), ``future`` its streaming future extent, ``keep`` says
+    some node reads its output by position, and ``pure`` that its
+    operator is a pure per-event function (``_PURE_NODES``).
+    ``shared[i - 1]`` is a pre-built operator for a stateless node (a
+    pure one, or a union), ``None`` where each key needs its own
+    instance.
+    """
+
+    __slots__ = ("nodes", "steps", "shared", "linear", "attach_in_place", "outs", "pinned")
+
+    def __init__(self, order: List[PlanNode], futures: Dict[int, int]):
+        position = {n.node_id: i for i, n in enumerate(order)}
+        self.nodes = order[1:]
+        inputs = [[position[c.node_id] for c in n.inputs] for n in self.nodes]
+        read = {
+            j
+            for i, src in enumerate(inputs, 1)
+            for j in src
+            if len(src) == 2 or j != i - 1
+        }
+        self.steps = []
+        for i, (n, src) in enumerate(zip(self.nodes, inputs), 1):
+            a, b = src if len(src) == 2 else (src[0], None)
+            if b is None and a == i - 1:
+                a = None
+            self.steps.append(
+                (i, a, b, futures[n.node_id], i in read, isinstance(n, _PURE_NODES))
+            )
+        #: scratch for the chain advancing now (one at a time), at the
+        #: ``keep`` positions: the output, and the watermark were the
+        #: input's arbitrarily far on and no state to change (an upper
+        #: bound on what ``_FlatChain._watermark_at`` returns)
+        self.outs: list = [None] * len(order)
+        self.pinned = [MAX_TIME] * len(order)
+        self.shared = [
+            n.make_operator() if isinstance(n, _STATELESS_NODES) else None
+            for n in self.nodes
+        ]
+        #: a straight pipeline: node ``i`` reads node ``i - 1`` alone
+        self.linear = all(a is None and b is None for _, a, b, *_ in self.steps)
+        #: the root builds each output payload for that event alone
+        #: (``fresh_payloads``), so the key columns go in without a copy
+        self.attach_in_place = bool(self.nodes) and getattr(
+            self.shared[-1] or self.nodes[-1].make_operator(),
+            "fresh_payloads",
+            False,
+        )
+
+
+def _flat_plan(node: GroupApplyNode) -> Optional[_FlatPlan]:
+    """``node``'s sub-plan as a :class:`_FlatPlan`, or ``None`` when it
+    holds a nested GroupApply, an Exchange or an unbounded (deferred)
+    rewrite: those keep the general :class:`_GroupChain` (as does a
+    sub-plan reading an external source, which the nested flow rejects).
+
+    A straight pipeline of stateless stages feeding an aggregate — the
+    overwhelmingly common shape — goes further: one
+    :class:`KeyedAggregate` sweep over all keys (:func:`_keyed_aggregate`).
     """
     meta = _PlanMeta.of(node.subplan_root)
     order = meta.order
-    if not order or not isinstance(order[0], GroupInputNode):
+    if not order or order[0] is not node.group_input:
         return None
-    for prev, n in zip(order, order[1:]):
+    for n in order[1:]:
         if (
-            len(n.inputs) != 1
-            or n.inputs[0] is not prev
-            or isinstance(n, (GroupApplyNode, ExchangeNode))
+            isinstance(n, _NOT_FLAT)
+            or len(n.inputs) > 2
             or meta.futures[n.node_id] is None
         ):
             return None
-    stages = order[1:]
-    shared = [
-        n.make_operator() if isinstance(n, _STATELESS_NODES) else None
-        for n in stages
-    ]
-    return stages, [meta.futures[n.node_id] for n in stages], shared
+    return _FlatPlan(order, meta.futures)
 
 
-def _keyed_aggregate(node: GroupApplyNode, linear) -> Optional[KeyedAggregate]:
-    """The keyed sweep for ``node`` when its linear sub-plan is stateless
-    stages feeding one aggregate, else ``None`` (one chain per key)."""
-    if linear is None:
+def _keyed_aggregate(node: GroupApplyNode, flat) -> Optional[KeyedAggregate]:
+    """The keyed sweep for ``node`` when its flat sub-plan is a pipeline of
+    stateless stages feeding one aggregate, else ``None`` (one chain per
+    key)."""
+    if flat is None or not flat.nodes or not flat.linear:
         return None
-    stages, futures, shared = linear
+    stages, shared = flat.nodes, flat.shared
     if not isinstance(stages[-1], AggregateNode) or not all(shared[:-1]):
         return None
+    futures = [future for _, _, _, future, *_ in flat.steps]
     return KeyedAggregate(node.keys, stages, futures, shared)
 
 
-class _LinearChain:
-    """One group's sub-plan, specialized for straight unary pipelines.
+class _FlatChain:
+    """One group's sub-plan, driven flat: the operators of a
+    :class:`_FlatPlan` in topological order over plain per-node lists.
 
-    Same operator objects, same incremental protocol calls, no per-key
-    Dataflow/graph scaffolding — each advance simply threads the batch
-    through ``on_batch``/``on_watermark`` (or ``on_flush``) stage by
-    stage, tracking per-stage monotone watermark floors exactly as the
-    generic graph does. With millions of group keys this is what keeps
-    chain construction and watermark waves cheap.
+    It makes the calls the nested flow of a :class:`_GroupChain` would,
+    in the same order, and leaves the same watermark, wake time and idle
+    delta — without a per-key Dataflow, input buffers, output logs or a
+    graph walk. Each advance hands a unary node its input's fresh output
+    and watermark (where the nested flow skips a node whose input did not
+    move, this repeats an ``on_watermark`` call, which changes nothing;
+    a pure per-event node gets only ``on_batch``, as its watermark just
+    passes through), and a binary node its queued input through
+    :func:`_deliver`, keeping per-node monotone watermark floors. With
+    millions of group keys this is what keeps chain construction and
+    watermark waves cheap.
+
+    The key's input watermark (position 0) is the group's, or the last LE
+    fed to this key when that is later: GroupApply input is LE-ordered,
+    so nothing earlier can reach the key any more. It lets an aggregate's
+    hold bind as soon as the key is fed ahead of the group — a hopping
+    window's quantized LEs — instead of following the group's watermark
+    and keeping the chain awake.
     """
 
     __slots__ = (
         "key_columns",
+        "plan",
         "ops",
-        "futures",
+        "w",
+        "queued",
         "watermark",
         "idle_delta",
         "wake",
         "ordinal",
         "stamp",
-        "_attach_in_place",
-        "_stage_w",
         "_buf",
     )
 
-    def __init__(self, node: GroupApplyNode, key: Tuple, stages):
-        plan_nodes, futures, shared = stages
+    def __init__(self, node: GroupApplyNode, key: Tuple, plan: _FlatPlan):
         self.key_columns = dict(zip(node.keys, key))
+        self.plan = plan
         self.ops = [
-            op if op is not None else p.make_operator()
-            for p, op in zip(plan_nodes, shared)
+            op if op is not None else n.make_operator()
+            for n, op in zip(plan.nodes, plan.shared)
         ]
-        self.futures = futures
-        #: the last stage builds each output payload for that event alone
-        #: (``fresh_payloads``), so the key columns go in without a copy
-        self._attach_in_place = bool(self.ops) and self.ops[-1].fresh_payloads
+        #: per position (one per ``plan.outs`` slot): the node's
+        #: watermark floor; position 0 is the key's input watermark
+        self.w = [MIN_TIME] * len(plan.outs)
+        #: per position: a binary node's undelivered left and right input
+        self.queued = [None] + [
+            None if b is None else ([], []) for _, _, b, *_ in plan.steps
+        ]
         self.watermark = MIN_TIME
+        #: when not None the chain is quiescent: a watermark ``w`` maps to
+        #: output watermark ``w - idle_delta`` and emits nothing
         self.idle_delta: Optional[int] = None
         #: while not idle: the chain emits nothing and keeps its
         #: watermark until the input watermark reaches this
         self.wake = WAKE_ALWAYS
         self.ordinal = self.stamp = 0  # owned by the GroupApply node
-        self._stage_w = [MIN_TIME] * len(futures)
         self._buf: List[Event] = []
 
     def buffer(self, events: List[Event]) -> None:
+        """Queue LE-ordered ``events``; the next ``advance`` delivers them."""
         self._buf.extend(events)
+        if events[-1].le > self.w[0]:
+            self.w[0] = events[-1].le
         self.idle_delta = None
 
     def advance(self, watermark: int) -> List[Event]:
@@ -769,65 +836,119 @@ class _LinearChain:
         elif self.idle_delta is not None:
             self.watermark = watermark - self.idle_delta
             return []
-        events = self._buf
-        if events:
+        w = self.w
+        if watermark > w[0]:
+            w[0] = watermark
+        plan = self.plan
+        # the previous position's output, watermark and pinned watermark
+        out, wo, po = self._buf, w[0], MAX_TIME
+        plan.outs[0] = out
+        if out:
             self._buf = []
-        w = watermark
-        wake = None
-        #: the watermark this advance would have left had the input
-        #: watermark been arbitrarily far on, operator state the same
-        pinned = MAX_TIME
-        stage_w = self._stage_w
-        for i, op in enumerate(self.ops):
-            out = op.on_batch(events) if events else []
-            if flush:
-                out.extend(op.on_flush())
+        wake = _IDLE
+        for (i, a, b, future, keep, pure), op in zip(plan.steps, self.ops):
+            if b is None:
+                if a is not None:
+                    out, wo, po = plan.outs[a], w[a], plan.pinned[a]
+                if pure:
+                    # no state: nothing on a watermark or at the flush,
+                    # the watermark passes through, never a wake time
+                    if out:
+                        out = op.on_batch(out)
+                    ww = MAX_TIME if flush else wo - future
+                    wo = w[i]
+                    if ww > wo:
+                        w[i] = wo = ww
+                    po -= future
+                else:
+                    out = op.on_batch(out) if out else []
+                    if flush:
+                        out.extend(op.on_flush())
+                        w[i] = wo = MAX_TIME
+                    else:
+                        out.extend(op.on_watermark(wo))
+                        ww = op.watermark_out(wo) - future
+                        wo = w[i]
+                        if ww > wo:
+                            w[i] = wo = ww
+                    t = op.next_wake()
+                    if t is None:  # idle: the identity
+                        po -= future
+                    else:
+                        po = op.watermark_out(po) - future
+                        if t < wake:
+                            wake = t
             else:
-                out.extend(op.on_watermark(w))
-                ww = op.watermark_out(w) - self.futures[i]
-                if ww < stage_w[i]:
-                    ww = stage_w[i]
+                outs, pinned = plan.outs, plan.pinned
+                levs, revs = self.queued[i]
+                levs.extend(outs[a])
+                revs.extend(outs[b])
+                rw = w[b]
+                jw = w[a] if w[a] < rw else rw
+                out = []
+                li, ri = _deliver(op, levs, 0, revs, 0, jw, rw, out.extend)
+                if flush:
+                    out.extend(op.on_flush())
+                    w[i] = wo = MAX_TIME
                 else:
-                    stage_w[i] = ww
-                w = ww
-                # a stage never sees a watermark ahead of the chain's,
-                # so waking the chain at the least stage time is early
-                # at worst
-                t = op.next_wake()
-                if t is None:
-                    pinned -= self.futures[i]  # idle: identity
-                else:
-                    pinned = op.watermark_out(pinned) - self.futures[i]
-                    if wake is None or t < wake:
-                        wake = t
-                if pinned < ww:
-                    pinned = ww
-            events = out
+                    wo = w[i]
+                    if jw > wo:
+                        w[i] = wo = jw
+                if li or ri:
+                    del levs[:li], revs[:ri]
+                if levs or revs:
+                    # an undelivered head waits for the other side
+                    wake = WAKE_ALWAYS
+                po = pinned[a] if pinned[a] < pinned[b] else pinned[b]
+            if po < wo:
+                po = wo
+            if keep:
+                plan.outs[i] = out
+                plan.pinned[i] = po
         if flush:
             self.watermark = MAX_TIME
         else:
-            self.watermark = w
-            if wake is None:
-                self.idle_delta = watermark - w
-            elif pinned != w:
+            self.watermark = wo
+            if wake == _IDLE:
+                self.idle_delta = watermark - wo
+                wake = None
+            elif (
+                wake > WAKE_ALWAYS
+                and po != wo
+                and wake - 1 > w[0]
+                and self._watermark_at(wake - 1) != wo
+            ):
                 # the watermark still follows the input's (no hold binds
                 # yet), so it is not frozen: stay awake until one does
                 wake = WAKE_ALWAYS
             self.wake = wake
-        if not events:
-            return events
+        if not out:
+            return []
         key_columns = self.key_columns
-        if self._attach_in_place:
+        if plan.attach_in_place:
             # same column order and values as the copy below
-            for e in events:
+            for e in out:
                 e.payload.update(key_columns)
-            return events
-        out = []
-        for e in events:
+            return out
+        attached = []
+        for e in out:
             payload = dict(e.payload)
             payload.update(key_columns)
-            out.append(e.with_payload(payload))
-        return out
+            attached.append(e.with_payload(payload))
+        return attached
+
+    def _watermark_at(self, t: int) -> int:
+        """The watermark an advance at input watermark ``t`` (above the
+        key's) would leave with no new input and no state changing."""
+        w = self.w
+        at = [t]
+        for (i, a, b, future, *_), op in zip(self.plan.steps, self.ops):
+            if b is None:
+                x = op.watermark_out(at[i - 1 if a is None else a]) - future
+            else:
+                x = at[a] if at[a] < at[b] else at[b]
+            at.append(x if x > w[i] else w[i])
+        return at[-1]
 
 
 class _GroupChain:
@@ -1119,18 +1240,16 @@ class Dataflow:
         """Release what the flow holds; it cannot be driven afterwards.
 
         Severs the graph's reference cycles: every node points back at
-        its flow, and every general GroupApply chain owns a nested flow
-        wired the same way. With
-        those back-references gone the whole graph is freed by refcount
-        when the driver drops the flow — the batch drivers run with the
-        cyclic collector paused (:meth:`RunContext.quiet`). Idempotent,
-        and safe to call mid-stream (after an error, say).
+        its flow, and every :class:`_GroupChain` owns a nested flow wired
+        the same way. With those back-references gone the whole graph is
+        freed by refcount when the driver drops the flow — the batch
+        drivers run with the cyclic collector paused
+        (:meth:`RunContext.quiet`). Idempotent, and safe to call
+        mid-stream (after an error, say).
         """
         for node in self._op_nodes:
-            if (
-                isinstance(node.plan_node, GroupApplyNode)
-                and node._linear_stages is None
-            ):
+            if isinstance(node.plan_node, GroupApplyNode) and node._flat is None:
+                # no flat form: every chain is a _GroupChain
                 for chain in node._groups.values():
                     chain.sub.close()
             node.flow = None

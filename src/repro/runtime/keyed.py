@@ -16,8 +16,9 @@ time and an idle delta, and :meth:`KeyedAggregate.advance` is that
 chain's ``advance``. Per key, the sweep performs the same ``enter`` /
 ``leave`` calls and emits the same segments in the same order as
 :class:`~repro.temporal.operators.SnapshotAggregate` behind the chain's
-stages would, and leaves the same watermark and wake time, so the
-output is identical event for event and call for call
+stages would, and — taking the key's own input watermark, as a chain
+does — leaves the same watermark and wake time, so the output is
+identical event for event and call for call
 (``tests/runtime/test_wake_scheduling.py`` runs both).
 
 A segment is emitted as one row ``(le, re, *values)`` whose values
@@ -61,6 +62,7 @@ class KeyState:
         "run_payloads",
         "out",
         "floor",
+        "w_in",
         "watermark",
         "idle_delta",
         "wake",
@@ -82,6 +84,10 @@ class KeyState:
         self.run_payloads = None
         self.out: List[tuple] = []  # rows emitted, not yet taken by a wave
         self.floor = MIN_TIME  # the aggregate stage's watermark floor
+        #: the last LE fed to this key that led the group's watermark; the
+        #: key's input watermark is the larger of the two (GroupApply
+        #: input is LE-ordered)
+        self.w_in = MIN_TIME
         self.watermark = MIN_TIME
         self.idle_delta: Optional[int] = None
         self.wake = WAKE_ALWAYS
@@ -119,6 +125,8 @@ class KeyedAggregate:
         )
         prefix = shared[:-1]
         self._prefix_futures = futures[:-1]
+        #: a stateless stage moves LEs back (a backward shift)
+        self._lags = any(self._prefix_futures)
         self._agg_future = futures[-1]
         #: a lone time window (or nothing) computes lifetimes from the LE
         #: column; anything else runs each event through every stage
@@ -135,16 +143,16 @@ class KeyedAggregate:
                 else (None, None, op.fn)
                 for op in prefix
             ]
-        self._wave = None  # the input watermark the two below are for
+        self._wave = None  # the input watermark the one below is for
         self._w_in = MIN_TIME  # what the aggregate stage sees
-        self._pinned_in = MAX_TIME
 
     # -- feeding ------------------------------------------------------------
 
-    def feed(self, node, fresh) -> None:
+    def feed(self, node, fresh, watermark) -> None:
         """Sweep LE-ordered ``fresh`` into the key states of ``node`` (the
-        GroupApply ``_OpNode``), creating and activating keys in
-        first-appearance order exactly as per-key chains would be."""
+        GroupApply ``_OpNode``, whose input watermark is ``watermark``),
+        creating and activating keys in first-appearance order exactly as
+        per-key chains would be."""
         groups, active, due = node._groups, node._active, node._due
         keys = self.keys
         batch_keys = self._keys(fresh)
@@ -161,6 +169,14 @@ class KeyedAggregate:
                 active[key] = st
             due[key] = st
             st.idle_delta = None
+        if fresh[-1].le > watermark:
+            # the batch runs ahead of the group (a hop before the
+            # GroupApply): each key's last LE may lead the next wave's
+            # watermark, which otherwise covers it
+            for key, e in dict(zip(batch_keys, fresh)).items():
+                st = groups[key]
+                if e.le > st.w_in:
+                    st.w_in = e.le
         les, res, payloads = self._lifetimes(fresh)
         reads = self.reads_payloads
         if not reads:
@@ -296,8 +312,10 @@ class KeyedAggregate:
         if st.idle_delta is not None:
             st.watermark = watermark - st.idle_delta
             return ()
-        if watermark != self._wave:
-            self._at(watermark)
+        # the group's watermark is the largest it has delivered so far
+        w_in = st.w_in if st.w_in > watermark else watermark
+        if w_in != self._wave:
+            self._wave, self._w_in = w_in, self._stage_w(w_in)
         if st.run_k:
             self._fold(st)
         w = self._w_in
@@ -313,23 +331,28 @@ class KeyedAggregate:
         if not pending:
             st.idle_delta = watermark - ww
             st.wake = None
-        else:
-            # the watermark this advance would leave were the input's
-            # arbitrarily far on: below ``ww`` it still follows the input,
-            # and the key cannot sleep until a hold binds
-            pinned = min(self._pinned_in, st.start) - self._agg_future
-            st.wake = pending[0] if pinned <= ww else WAKE_ALWAYS
+            return self._take(st)
+        wake = pending[0]
+        if st.start - self._agg_future > ww and wake - 1 > w_in:
+            # were the input's watermark just short of the wake time, the
+            # key's would move (no hold binds yet): it is not frozen, and
+            # the key stays awake. The stage input there is at least the
+            # open segment's start unless a stage lags
+            if not self._lags or (
+                min(self._stage_w(wake - 1), st.start) - self._agg_future > ww
+            ):
+                wake = WAKE_ALWAYS
+        st.wake = wake
         return self._take(st)
 
-    def _at(self, watermark: int) -> None:
-        """The stateless stages' watermarks at input ``watermark``: each
-        stage's floor is what the last (lower) watermark left, so only
-        the clamp at the beginning of time can bind."""
-        w, pinned = watermark, MAX_TIME
+    def _stage_w(self, watermark: int) -> int:
+        """The aggregate stage's input watermark at key input
+        ``watermark``: each stateless stage's floor is what a lower
+        watermark left, so only the clamp at the beginning of time can
+        bind."""
         for future in self._prefix_futures:
-            w = max(w - future, MIN_TIME)
-            pinned = max(pinned - future, w)
-        self._wave, self._w_in, self._pinned_in = watermark, w, pinned
+            watermark = max(watermark - future, MIN_TIME)
+        return watermark
 
     @staticmethod
     def _take(st: KeyState) -> List[tuple]:

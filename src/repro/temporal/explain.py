@@ -39,35 +39,39 @@ def _streamable(root: PlanNode) -> Optional[str]:
 
 def _group_paths(node: GroupApplyNode, indent: str) -> List[str]:
     """The physical path of a GroupApply's per-key sub-plan."""
-    from ..runtime.dataflow import _keyed_aggregate, _linear_stages
+    from ..runtime.dataflow import _flat_plan, _keyed_aggregate
 
-    linear = _linear_stages(node)
-    if linear is None:
+    flat = _flat_plan(node)
+    if flat is None:
         lines = [
-            f"{indent}per key: a nested Dataflow (the sub-plan is not a "
-            "straight unary pipeline)"
+            f"{indent}per key: a nested Dataflow (the sub-plan holds a nested "
+            "GroupApply, an Exchange or an unbounded rewrite)"
         ]
         for sub in topological_order(node.subplan_root):
             if isinstance(sub, GroupApplyNode):
                 lines.append(f"{indent}  {sub.describe()}:")
                 lines.extend(_group_paths(sub, indent + "    "))
         return lines
-    stages, _, shared = linear
-    keyed = _keyed_aggregate(node, linear) is not None
+    keyed = _keyed_aggregate(node, flat) is not None
     lines = [
         f"{indent}per key: one keyed sweep over every key's rows, a pane "
         "state per key and no per-key chain"
         if keyed
-        else f"{indent}per key: one linear chain, the stages threaded flat "
-        "over rows"
+        else f"{indent}per key: one flat chain, the operators driven in "
+        "topological order over per-node lists"
     ]
+    stages, shared = flat.nodes, flat.shared
     for i, stage in enumerate(stages):
         last = i == len(stages) - 1
         operator = None
-        if last or isinstance(stage, AggregateNode):
+        if isinstance(stage, AggregateNode):
             operator = shared[i] or stage.make_operator()
         if not keyed:
-            path = "on_batch per stage"
+            path = (
+                "on_batch per stage"
+                if len(stage.inputs) == 1
+                else "both inputs merged, right side first at ties"
+            )
         elif isinstance(stage, AggregateNode):
             path = "folded per key in the keyed sweep"
             if not operator.reads_payloads:
@@ -79,7 +83,7 @@ def _group_paths(node: GroupApplyNode, indent: str) -> List[str]:
         if last:
             path += (
                 "; key columns attached to its payloads in place"
-                if keyed or operator.fresh_payloads
+                if keyed or flat.attach_in_place
                 else "; key columns attached to a copy of each payload"
             )
         lines.append(f"{indent}  {stage.describe()}: {path}")

@@ -317,7 +317,7 @@ def test_streaming_push_leaves_the_collector_alone(enabled):
 # -- the run's graph dies by refcount -------------------------------------------
 
 
-class _WeakLinearChain(dataflow._LinearChain):
+class _WeakFlatChain(dataflow._FlatChain):
     __slots__ = ("__weakref__",)
 
 
@@ -337,7 +337,7 @@ def test_the_runs_graph_is_freed_without_a_collection():
         flows.append(weakref.ref(self))
         nodes.extend(weakref.ref(node) for node in self._op_nodes)
 
-    class TrackedChain(_WeakLinearChain):
+    class TrackedChain(_WeakFlatChain):
         __slots__ = ()
 
         def __init__(self, *args):
@@ -355,34 +355,34 @@ def test_the_runs_graph_is_freed_without_a_collection():
     query = source.group_apply(
         "UserId", lambda g: g.window(50).sum("V", into="s")  # one keyed sweep
     ).union(
-        source.group_apply(  # a stage after the aggregate: linear chains
+        source.group_apply(  # a stage after the aggregate: flat chains
             "UserId",
             lambda g: g.window(50).sum("V", into="s").where(lambda p: p["s"]),
         )
     ).union(
-        source.group_apply(  # a union is not linear: one nested flow per key
-            "UserId",
-            lambda g: g.window(50).count(into="s").union(g.window(70).count(into="s")),
+        source.group_apply(  # a nested GroupApply: one nested flow per key,
+            "UserId",  # each with one keyed state
+            lambda g: g.group_apply("UserId", lambda gg: gg.window(70).count(into="s")),
         )
     )
     with collector(False):  # whatever dies below, refcounts killed it
         with mock.patch.object(Dataflow, "__init__", tracking_init), \
-                mock.patch.object(dataflow, "_LinearChain", TrackedChain), \
+                mock.patch.object(dataflow, "_FlatChain", TrackedChain), \
                 mock.patch.object(keyed, "KeyState", TrackedState):
             out = Engine(context=SERIAL).run(
                 query, {"logs": make_rows(400, users=5)}, validate=False
             )
         assert out
         assert len(flows) == 1 + 5 and len(chains) == 5  # top + one sub per key
-        assert len(states) == 5
+        assert len(states) == 5 + 5
         for refs in (flows, nodes, chains, states):
             assert [ref() for ref in refs] == [None] * len(refs)
 
 
 def test_op_nodes_die_with_their_flow():
     query = Query.source("logs", ("UserId", "V")).group_apply(
-        "UserId",
-        lambda g: g.window(5).count(into="n").union(g.window(7).count(into="n")),
+        "UserId",  # a nested GroupApply: one nested flow per key
+        lambda g: g.group_apply("V", lambda gg: gg.window(5).count(into="n")),
     )
     with collector(False):
         flow = Dataflow(query.to_plan(), allow_unstreamable=True)

@@ -86,7 +86,7 @@ def test_compound_keys_per_advance_call():
 
 def test_no_chain_per_key():
     """The gate, as counts: one ``KeyState`` per distinct key and no
-    ``_LinearChain`` at all, where the reference builds one chain per
+    ``_FlatChain`` at all, where the reference builds one chain per
     key."""
     rows = scale_rows(12_000)
     query = Query.source("logs", ("Time", "UserId", "Clicks")).group_apply(
@@ -94,7 +94,7 @@ def test_no_chain_per_key():
     )
     built = {"chains": 0, "states": 0}
 
-    class CountingChain(dataflow._LinearChain):
+    class CountingChain(dataflow._FlatChain):
         __slots__ = ()
 
         def __init__(self, *args):
@@ -108,7 +108,7 @@ def test_no_chain_per_key():
             built["states"] += 1
             super().__init__(*args)
 
-    with mock.patch.object(dataflow, "_LinearChain", CountingChain), \
+    with mock.patch.object(dataflow, "_FlatChain", CountingChain), \
             mock.patch.object(keyed, "KeyState", CountingState):
         run(query, rows)
         assert built == {"chains": 0, "states": 97}

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bt.queries import UNIFIED_COLUMNS, bot_elimination_query
-from repro.bt.schema import BTConfig
+from repro.bt.schema import CLICK, KEYWORD, BTConfig
 from repro.data import GeneratorConfig, generate
 from repro.runtime import RunContext, dataflow, keyed
 from repro.runtime.dataflow import Dataflow, StreamingUnsupported
@@ -102,8 +102,8 @@ class PerFeedFlow:
 def drive(query, script, slack=0, wakes=False):
     """Run ``script`` — ``("push", row)`` / ``("cti", t)`` steps — and
     return what every call released, in order, with the output watermark
-    it left (and, with ``wakes``, the flow's ``next_wake``), the flush
-    tail last; plus the chain-advance count."""
+    it left (and, with ``wakes``, the flow's ``next_wake`` and chain
+    advances so far), the flush tail last; plus the chain-advance count."""
     try:
         engine = StreamingEngine(query, slack=slack)
     except StreamingUnsupported:
@@ -111,7 +111,8 @@ def drive(query, script, slack=0, wakes=False):
         engine = PerFeedFlow(query)
 
     def step(out):
-        wake = engine._flow.next_wake() if wakes else None
+        flow = engine._flow
+        wake = (flow.next_wake(), flow.chain_advances) if wakes else None
         return raw(out), engine.output_watermark, wake
 
     steps = []
@@ -361,7 +362,7 @@ def test_ties_release_in_activation_order():
 # A GroupApply whose per-key plan is stateless stages feeding an
 # aggregate runs as one keyed sweep over all keys: lifetimes computed
 # inside the sweep, key columns written into the aggregate's payloads
-# (docs/EXECUTION.md). The reference is a linear chain per key with
+# (docs/EXECUTION.md). The reference is a flat chain per key with
 # in-place attachment switched off too: every stage through its own
 # ``on_batch``, the windowed events built, key columns attached to a
 # copy — the physical path before fusion existed.
@@ -410,7 +411,7 @@ FUSION_SHAPES = {
     "alive-forever": lambda g: g.alter_lifetime(
         lambda le, re: le, lambda le, re: MAX_TIME
     ).sum("V", into="s"),
-    # linear chains, not (k), that must copy before attaching keys: the
+    # flat chains, not (k), that must copy before attaching keys: the
     # last stage passes payloads through, or emits what a user function
     # returned — never the chain's to write to
     "project-last": lambda g: g.window(6).count(into="n").project(
@@ -430,6 +431,8 @@ FUSION_SHAPES = {
         lambda p: {"V": p["V"] + 1}
     ).hopping_window(12, 4).sum("V", into="s"),
     "bare-count": lambda g: g.count(into="n"),
+    # no operator at all: the chain's output is its input, keys attached
+    "identity": lambda g: g,
 }
 
 #: Custom lifetime rewrites run deferred inside the chain: batch only.
@@ -461,11 +464,16 @@ def drive_in_batches(query, rows, chunk=50, wave=64):
         query.to_plan(), allow_unstreamable=True, group_wave_events=wave
     )
     calls = []
+
+    def call(out):
+        wake = flow.next_wake(), flow.chain_advances
+        calls.append((raw(out), flow.output_watermark, wake))
+
     for i in range(0, len(rows), chunk):
         events = [point_event(row) for row in rows[i : i + chunk]]
         flow.feed("logs", events, events[-1].le)
-        calls.append((raw(flow.advance()), flow.output_watermark, flow.next_wake()))
-    calls.append((raw(flow.flush()), flow.output_watermark, flow.next_wake()))
+        call(flow.advance())
+    call(flow.flush())
     return calls
 
 
@@ -482,6 +490,128 @@ def test_fused_equals_unfused_per_batch_call(prefix, subplan):
     for i, (got, want) in enumerate(zip(fused, plain)):
         assert got == want, f"advance call {i} of {len(plain)}"
     assert SHARED_PAYLOAD == {"c": 1}
+
+
+# -- flat chains and the keyed sweep ≡ a nested flow per key -----------------
+#
+# A GroupApply sub-plan of bounded unary and binary operators runs on a
+# flat chain per key, or as the keyed sweep; the reference is the nested
+# ``Dataflow`` per key that only nested GroupApply, Exchange and
+# unbounded rewrites still get (docs/EXECUTION.md). Outputs alone are not
+# the contract: a key's input watermark — the group's, or the last LE fed
+# to that key when later — decides when a chain may sleep, so the wake
+# times and the chain-advance count must agree call for call too.
+
+
+@contextlib.contextmanager
+def nested_reference():
+    """Every GroupApply sub-plan on a nested flow per key."""
+    with mock.patch.object(dataflow, "_flat_plan", lambda *a: None):
+        yield
+
+
+#: The shapes that run flat or keyed (every other one is nested on both
+#: sides).
+FLAT_SHAPES = sorted(
+    name
+    for name in FUSION_SHAPES
+    if dataflow._flat_plan(build("source", name, FUSION_SHAPES).to_plan())
+)
+
+
+def test_flat_shapes_cover_every_kind():
+    assert {"union", "held-union-lagging", "where-last", "count"} <= set(FLAT_SHAPES)
+    assert not {"nested", "custom-lifetime"} & set(FLAT_SHAPES)
+
+
+@pytest.mark.parametrize("prefix", sorted(PREFIXES))
+@pytest.mark.parametrize("subplan", FLAT_SHAPES)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_flat_equals_nested_per_push(prefix, subplan, data):
+    slack = 0 if subplan in FUSION_UNSTREAMABLE else data.draw(st.sampled_from([0, 4]))
+    script = data.draw(scripts(slack))
+    query = build(prefix, subplan, FUSION_SHAPES)
+    flat, flat_advances = drive(query, script, slack, wakes=True)
+    with nested_reference():
+        nested, nested_advances = drive(query, script, slack, wakes=True)
+    for i, (got, want) in enumerate(zip(flat, nested)):
+        assert got == want, f"step {i} of {len(nested)} ({script[i:i + 1]})"
+    assert flat_advances == nested_advances
+
+
+@pytest.mark.parametrize("prefix", sorted(PREFIXES))
+@pytest.mark.parametrize("subplan", FLAT_SHAPES)
+def test_flat_equals_nested_per_batch_call(prefix, subplan):
+    rows = wave_rows(2500)
+    query = build(prefix, subplan, FUSION_SHAPES)
+    flat = drive_in_batches(query, rows)
+    with nested_reference():
+        nested = drive_in_batches(query, rows)
+    for i, (got, want) in enumerate(zip(flat, nested)):
+        assert got == want, f"advance call {i} of {len(nested)}"
+
+
+def count_flows(run):
+    built = [0]
+    init = Dataflow.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    with mock.patch.object(Dataflow, "__init__", counting_init):
+        out = run()
+    return built[0], out
+
+
+def test_bot_elimination_runs_one_dataflow():
+    """Bot detection's per-user plan — two ``where → count → where``
+    branches joined by a union — is a flat chain per user: one
+    ``Dataflow`` for the whole query where the nested reference builds
+    one more per user, the same calls' releases, watermarks and wake
+    times, and as many chain advances (2,112 on the ``stream_push``
+    seed-0 rows, where a chain fed the group's watermark made ~30k)."""
+    rows = bot_rows(200, 1800)
+    script = [("push", row) for row in rows]
+    users = len({row["UserId"] for row in rows})
+    flows, (flat, advances) = count_flows(
+        lambda: drive(bot_query(), script, wakes=True)
+    )
+    with nested_reference():
+        nested_flows, (nested, nested_advances) = count_flows(
+            lambda: drive(bot_query(), script, wakes=True)
+        )
+    assert flows == 1 and nested_flows == 1 + users
+    assert flat == nested
+    assert advances == nested_advances == 2112
+
+
+@pytest.mark.parametrize(
+    "stream, advances", [(KEYWORD, 2107), (CLICK, 2005)], ids=["keyword", "click"]
+)
+def test_keyed_count_behind_a_hop_sleeps_as_the_nested_flow(stream, advances):
+    """A hopping window hands each key LEs ahead of the group watermark;
+    the keyed sweep takes the key's own input watermark as the nested
+    flow does, so its holds bind and it advances as seldom (a sweep fed
+    only the group's watermark advanced 28,301 / 3,889 times)."""
+    cfg = BTConfig(min_support=2, z_threshold=1.0)
+    query = (
+        Query.source("logs", UNIFIED_COLUMNS)
+        .hopping_window(cfg.bot_window, cfg.bot_hop)
+        .group_apply(
+            "UserId", lambda g: g.where_equals("StreamId", stream).count(into="n")
+        )
+    )
+    assert dataflow._keyed_aggregate(
+        query.to_plan(), dataflow._flat_plan(query.to_plan())
+    )
+    script = [("push", row) for row in bot_rows(200, 1800)]
+    keyed, keyed_advances = drive(query, script, wakes=True)
+    with nested_reference():
+        nested, nested_advances = drive(query, script, wakes=True)
+    assert keyed == nested
+    assert keyed_advances == nested_advances == advances
 
 
 @pytest.mark.parametrize("last", ["where", "project"])

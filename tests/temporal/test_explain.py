@@ -98,15 +98,28 @@ class TestExplainPhysicalPath:
                 lambda g: g.window(5).shift(1).count().where(lambda p: True),
             )
         )
-        assert "per key: one linear chain" in chained
+        assert "per key: one flat chain" in chained
         assert "keyed sweep" not in chained
         assert "where: on_batch per stage; key columns attached to a copy" in chained
-        nested = explain(
+        union = explain(
             Query.source("s").group_apply(
                 "UserId", lambda g: g.window(5).count().union(g.window(7).count())
             )
         )
+        assert "per key: one flat chain" in union
+        assert "nested Dataflow" not in union
+        assert (
+            "union: both inputs merged, right side first at ties; "
+            "key columns attached to a copy" in union
+        )
+        nested = explain(
+            Query.source("s").group_apply(
+                "UserId",
+                lambda g: g.group_apply("StreamId", lambda gg: gg.window(5).count()),
+            )
+        )
         assert "per key: a nested Dataflow" in nested
+        assert "per key: one keyed sweep" in nested  # the inner GroupApply
 
     def test_group_apply_names_what_its_aggregate_keeps_per_pane(self):
         """What a window→aggregate keeps per pane — folded partials or
