@@ -455,18 +455,43 @@ def _cmd_lint(args) -> int:
     return exit_code
 
 
+def _pipeline_rows(args) -> list:
+    """The rows `repro chaos` and `repro profile` run on: the ``--data``
+    snapshot, else a generated log of ``--users`` over ``--days``."""
+    if args.data is not None:
+        return _load_rows(args.data).rows
+    from .data import GeneratorConfig, generate
+
+    return generate(
+        GeneratorConfig(num_users=args.users, duration_days=args.days, seed=42)
+    ).rows
+
+
+def _bt_job():
+    """The full BT pipeline as one temporal job: bot elimination feeding
+    KE-z feature selection (training data, per-keyword counts, totals,
+    and the z-test join all inside), so a run exercises every layer.
+    Thresholds are loosened so the small synthetic dataset still selects
+    keywords — an empty output would make byte-identical assertions
+    vacuous."""
+    from .bt.queries import UNIFIED_COLUMNS, bot_elimination_query, feature_selection_query
+    from .bt.schema import BTConfig
+    from .temporal import Query
+    from .temporal.time import days
+
+    cfg = BTConfig(min_support=2, z_threshold=1.0)
+    clean = bot_elimination_query(Query.source("logs", UNIFIED_COLUMNS), cfg)
+    return feature_selection_query(clean, cfg, days(3))
+
+
 def _cmd_chaos(args) -> int:
     import tempfile
     import time as _clock
 
-    from .bt.queries import UNIFIED_COLUMNS, bot_elimination_query, feature_selection_query
-    from .bt.schema import BTConfig
     from .mapreduce import ChaosPolicy, Cluster, CostModel, DistributedFileSystem
     from .mapreduce import InjectedFault, StageKiller
     from .runtime import RunContext
     from .mapreduce.persist import dataset_sha256
-    from .temporal import Query
-    from .temporal.time import days
     from .timr import TiMR
 
     quiet = getattr(args, "json", False)
@@ -475,24 +500,10 @@ def _cmd_chaos(args) -> int:
         if not quiet:
             print(text)
 
-    if args.data is not None:
-        rows = _load_rows(args.data).rows
-    else:
-        from .data import GeneratorConfig, generate
-
-        rows = generate(
-            GeneratorConfig(num_users=args.users, duration_days=args.days, seed=42)
-        ).rows
+    rows = _pipeline_rows(args)
+    if args.data is None:
         say(f"generated {len(rows):,} rows ({args.users} users, {args.days:g} days)")
-
-    # The full BT pipeline as one temporal job: bot elimination feeding
-    # KE-z feature selection (training data, per-keyword counts, totals,
-    # and the z-test join all inside). Thresholds are loosened so the
-    # small synthetic dataset still selects keywords — an empty output
-    # would make the byte-identical assertions vacuous.
-    cfg = BTConfig(min_support=2, z_threshold=1.0)
-    clean = bot_elimination_query(Query.source("logs", UNIFIED_COLUMNS), cfg)
-    query = feature_selection_query(clean, cfg, days(3))
+    query = _bt_job()
 
     # one base context for the whole exercise; each phase derives its
     # fault policy (and, for the resume leg, checkpoint settings) from it
@@ -653,15 +664,7 @@ def _cmd_profile(args) -> int:
     import os
     import time as _time
 
-    from .bt.queries import (
-        UNIFIED_COLUMNS,
-        bot_elimination_query,
-        feature_selection_query,
-    )
-    from .bt.schema import BTConfig
     from .obs import Tracer, calibrate, render_tree, write_chrome_trace, write_jsonl
-    from .temporal import Query
-    from .temporal.time import days
 
     def _resolve_out(path: str) -> str:
         return path if os.path.isabs(path) else os.path.join(args.out_dir, path)
@@ -671,21 +674,8 @@ def _cmd_profile(args) -> int:
     if not (os.path.isabs(args.trace_out) and os.path.isabs(args.metrics_out)):
         os.makedirs(args.out_dir, exist_ok=True)
 
-    if args.data is not None:
-        rows = _load_rows(args.data).rows
-    else:
-        from .data import GeneratorConfig, generate
-
-        rows = generate(
-            GeneratorConfig(num_users=args.users, duration_days=args.days, seed=42)
-        ).rows
-
-    # Same combined BT job as `repro chaos`: bot elimination feeding KE-z
-    # feature selection, so the trace exercises every layer (TiMR
-    # fragments, cluster stages/partitions, embedded engine operators).
-    cfg = BTConfig(min_support=2, z_threshold=1.0)
-    clean = bot_elimination_query(Query.source("logs", UNIFIED_COLUMNS), cfg)
-    query = feature_selection_query(clean, cfg, days(3))
+    rows = _pipeline_rows(args)
+    query = _bt_job()
 
     tracer = Tracer()
     wall_t0 = _time.perf_counter()

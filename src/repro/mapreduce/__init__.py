@@ -7,7 +7,7 @@ a cost model that turns measured per-partition work into simulated
 cluster makespans.
 """
 
-from .cluster import Cluster, FailureInjector, ReducerKilled
+from .cluster import Cluster
 from .cost import CostModel, JobReport, StageReport
 from .faults import (
     FS_READ,
@@ -17,9 +17,11 @@ from .faults import (
     SHUFFLE,
     SITES,
     ChaosPolicy,
+    FailureInjector,
     FaultPolicy,
     FaultStats,
     InjectedFault,
+    ReducerKilled,
     StageExecutionError,
     StageKiller,
 )

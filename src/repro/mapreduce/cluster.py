@@ -14,7 +14,7 @@ embedded DSMS is founded on a deterministic temporal algebra, any
 re-run regenerates identical output — ``verify_restart_determinism``
 asserts exactly that, and the seeded chaos suite asserts it end-to-end.
 
-With ``quarantine=True`` the cluster additionally survives *poison
+With ``RunContext(quarantine=True)`` the cluster additionally survives *poison
 events*: rows that crash user callables (or lack the mandatory ``Time``
 column) are retried, then diverted to a dead-letter dataset with full
 diagnostics instead of failing the job.
@@ -23,11 +23,10 @@ diagnostics instead of failing the job.
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field
 from marshal import dumps as _marshal
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from ..runtime.context import RunContext
+from ..runtime.context import DEFAULT_CONTEXT, RunContext
 from .cost import CostModel, JobReport, StageReport
 from .faults import (
     FS_READ,
@@ -35,7 +34,6 @@ from .faults import (
     MAP,
     REDUCE,
     SHUFFLE,
-    FaultPolicy,
     InjectedFault,
     StageExecutionError,
 )
@@ -48,121 +46,36 @@ from .job import MapReduceJob, MapReduceStage, stable_hash
 _ROUTE_MEMO_KEYS = 4096
 
 
-class ReducerKilled(InjectedFault):
-    """Raised inside a reducer attempt that the injector chose to kill."""
-
-
-@dataclass
-class FailureInjector:
-    """Kill the first attempt of selected (stage, partition) pairs.
-
-    The original hand-targeted injector; :class:`repro.mapreduce.faults.
-    ChaosPolicy` is its probabilistic generalization. Kept because "kill
-    exactly this attempt" is still the sharpest tool for unit tests.
-    """
-
-    kill: Set[Tuple[str, int]] = field(default_factory=set)
-    _killed: Set[Tuple[str, int]] = field(default_factory=set)
-
-    def maybe_kill(self, stage: str, partition: int) -> None:
-        key = (stage, partition)
-        if key in self.kill and key not in self._killed:
-            self._killed.add(key)
-            raise ReducerKilled(
-                f"injected failure in {stage}[{partition}]",
-                site=REDUCE,
-                stage=stage,
-                partition=partition,
-            )
-
-    @property
-    def injected(self) -> int:
-        return len(self._killed)
-
-
-class _InjectorPolicy(FaultPolicy):
-    """Adapts the legacy :class:`FailureInjector` to the policy protocol."""
-
-    def __init__(self, injector: FailureInjector):
-        super().__init__()
-        self.injector = injector
-
-    def maybe_fail(self, site: str, stage: str, partition: int, attempt: int) -> None:
-        if site == REDUCE:
-            self.injector.maybe_kill(stage, partition)
-
-
 class Cluster:
     """A simulated M-R cluster over a :class:`DistributedFileSystem`.
 
     Args:
         fs: the distributed file system holding named datasets.
         cost_model: unit costs used for simulated makespans and backoff.
-        failure_injector: legacy hand-targeted reducer killer (adapted
-            into a :class:`FaultPolicy`; mutually exclusive with
-            ``fault_policy``).
-        max_restarts: re-runs allowed per task before the fault
-            propagates (each retry charges exponential simulated
-            backoff).
-        fault_policy: pluggable chaos source (see
-            :mod:`repro.mapreduce.faults`).
-        quarantine: when True, rows that deterministically crash user
-            callables — or lack a usable ``Time`` — are diverted to a
-            ``{job}.quarantine`` dead-letter dataset instead of failing
-            the stage.
-        tracer: a :class:`repro.obs.Tracer` recording per-stage and
-            per-partition spans plus cluster metrics (rows, shuffle
-            bytes, skew, restarts, quarantine, simulated backoff).
-            Defaults to the shared no-op tracer.
-        context: a :class:`repro.runtime.RunContext` carrying the above
-            settings (and more) as one value; the individual keyword
-            arguments are shims that override its fields when passed.
+        context: the run's :class:`repro.runtime.RunContext`; ``None``
+            means :data:`~repro.runtime.DEFAULT_CONTEXT`. The cluster
+            reads its ``fault_policy`` (the chaos source, see
+            :mod:`repro.mapreduce.faults`), ``max_restarts`` (re-runs
+            allowed per task before a fault propagates, each charging
+            exponential simulated backoff), ``quarantine`` (divert rows
+            that deterministically crash user callables, or lack a
+            usable ``Time``, to a ``{job}.quarantine`` dead-letter
+            dataset instead of failing the stage) and ``tracer``
+            (per-stage and per-partition spans plus cluster metrics).
     """
 
     def __init__(
         self,
         fs: Optional[DistributedFileSystem] = None,
         cost_model: Optional[CostModel] = None,
-        failure_injector: Optional[FailureInjector] = None,
-        max_restarts: Optional[int] = None,
-        fault_policy: Optional[FaultPolicy] = None,
-        quarantine: Optional[bool] = None,
-        tracer=None,
         *,
         context: Optional[RunContext] = None,
     ):
-        if failure_injector is not None and fault_policy is not None:
-            raise ValueError("pass either failure_injector or fault_policy, not both")
         self.fs = fs or DistributedFileSystem()
         self.cost_model = cost_model or CostModel()
-        self.failure_injector = failure_injector
-        if failure_injector is not None:
-            fault_policy = _InjectorPolicy(failure_injector)
-        self.context = RunContext.of(
-            context,
-            tracer=tracer,
-            fault_policy=fault_policy,
-            max_restarts=max_restarts,
-            quarantine=quarantine,
-        )
+        self.context = context if context is not None else DEFAULT_CONTEXT
         self.last_report: Optional[JobReport] = None
         self.last_quarantined: List[Row] = []
-
-    @property
-    def tracer(self):
-        return self.context.tracer
-
-    @property
-    def fault_policy(self):
-        return self.context.fault_policy
-
-    @property
-    def max_restarts(self) -> int:
-        return self.context.max_restarts
-
-    @property
-    def quarantine(self) -> bool:
-        return self.context.quarantine
 
     # -- execution ----------------------------------------------------------
 
@@ -227,13 +140,13 @@ class Cluster:
     ) -> Tuple[DistributedFile, StageReport, List[Row]]:
         report = StageReport(name=stage.name, rows_in=data.num_rows)
         quarantined: List[Row] = []
-        tracer = self.tracer
+        tracer = self.context.tracer
 
         with tracer.span(
             "cluster.stage", category="cluster", stage=stage.name
         ) as stage_span:
             # Simulated input (re-)read; a fault here is retried like any task.
-            self._fault_point(FS_READ, stage.name, -1, report)
+            self._draw_faults((FS_READ,), stage.name, -1, report)
 
             # Map phase: transform (optional) then route rows to partitions.
             partitions: List[List[Row]] = [[] for _ in range(stage.num_partitions)]
@@ -290,7 +203,7 @@ class Cluster:
                 report.restarted_partitions += restarts
 
             # Simulated output write; likewise retried on injected faults.
-            self._fault_point(FS_WRITE, stage.name, -1, report)
+            self._draw_faults((FS_WRITE,), stage.name, -1, report)
             report.rows_out = sum(len(p) for p in outputs)
             report.quarantined_rows = len(quarantined)
 
@@ -324,7 +237,7 @@ class Cluster:
         span.set("sim_shuffle_seconds", round(report.shuffle_seconds, 9))
         span.set("sim_backoff_seconds", round(report.retry_backoff_seconds, 9))
 
-        metrics = self.tracer.metrics
+        metrics = self.context.tracer.metrics
         name = stage.name
         metrics.counter("cluster.rows_in", stage=name).inc(report.rows_in)
         metrics.counter("cluster.rows_out", stage=name).inc(report.rows_out)
@@ -346,23 +259,35 @@ class Cluster:
 
     # -- phases --------------------------------------------------------------
 
-    def _fault_point(
-        self, site: str, stage_name: str, partition: int, report: StageReport
-    ) -> None:
-        """One injectable lifecycle point with the standard retry loop."""
-        if self.fault_policy is None:
-            return
+    def _draw_faults(
+        self,
+        sites: Tuple[str, ...],
+        stage_name: str,
+        partition: int,
+        report: StageReport,
+    ) -> int:
+        """One task's injected-fault draws, before its body runs.
+
+        Each attempt passes ``sites`` in order; an injected fault
+        restarts the attempt, charging exponential simulated backoff,
+        and propagates past ``max_restarts``. Returns the injected
+        restart count.
+        """
+        policy = self.context.fault_policy
+        if policy is None:
+            return 0
         restarts = 0
         while True:
             try:
-                self.fault_policy.maybe_fail(site, stage_name, partition, restarts + 1)
-                return
+                for site in sites:
+                    policy.maybe_fail(site, stage_name, partition, restarts + 1)
+                return restarts
             except InjectedFault:
                 restarts += 1
                 report.retry_backoff_seconds += (
                     self.cost_model.retry_backoff_base * (1 << (restarts - 1))
                 )
-                if restarts > self.max_restarts:
+                if restarts > self.context.max_restarts:
                     raise
 
     def _run_map_partition(
@@ -373,36 +298,26 @@ class Cluster:
         report: StageReport,
         quarantined: List[Row],
     ) -> List[Tuple[int, Row]]:
-        """Map + route one input partition, retrying on injected faults.
+        """Map + route one input partition after its injected-fault draws.
 
         Returns ``(partition_index, row)`` pairs. Rows whose map or
         routing raises are quarantined (when enabled) rather than
-        poisoning the stage; the whole partition re-runs from scratch on
-        an injected fault, which is safe because map is stateless.
+        poisoning the stage. The body runs once, after the draws pass,
+        which is safe because map is stateless; an ``InjectedFault``
+        raised by a user ``map_fn`` propagates, as a reducer's does.
         """
-        restarts = 0
-        while True:
-            try:
-                if self.fault_policy is not None:
-                    self.fault_policy.maybe_fail(MAP, stage.name, pi, restarts + 1)
-                routed, poisoned = self._map_partition_rows(stage, pi, rows)
-                quarantined.extend(poisoned)
-                return routed
-            except InjectedFault:
-                restarts += 1
-                report.retry_backoff_seconds += (
-                    self.cost_model.retry_backoff_base * (1 << (restarts - 1))
-                )
-                if restarts > self.max_restarts:
-                    raise
+        self._draw_faults((MAP,), stage.name, pi, report)
+        routed, poisoned = self._map_partition_rows(stage, pi, rows)
+        quarantined.extend(poisoned)
+        return routed
 
     def _map_partition_rows(
         self, stage: MapReduceStage, pi: int, rows: List[Row]
     ) -> Tuple[List[Tuple[int, Row]], List[Row]]:
         """The map+route body: ``(routed pairs, dead-letter rows)``.
 
-        Consults no fault policy, so a retry re-runs it from scratch;
-        map is stateless by the M-R restart contract.
+        Consults no fault policy: the draws come first, in
+        :meth:`_run_map_partition`.
         """
         routed: List[Tuple[int, Row]] = []
         poisoned: List[Row] = []
@@ -440,7 +355,7 @@ class Cluster:
             except InjectedFault:
                 raise
             except Exception as exc:
-                if not self.quarantine:
+                if not self.context.quarantine:
                     raise
                 poisoned.append(
                     self._quarantine_record(stage.name, pi, MAP, source_row, exc)
@@ -457,7 +372,7 @@ class Cluster:
         quarantined: List[Row],
     ) -> List[Row]:
         """Secondary sort by Time; malformed rows quarantine instead of crash."""
-        if self.quarantine:
+        if self.context.quarantine:
             usable: List[Row] = []
             for row in rows:
                 time_value = row.get("Time") if isinstance(row, dict) else None
@@ -491,7 +406,7 @@ class Cluster:
         Every injected restart is drawn before the reducer runs once, so
         a fault schedule costs no reducer work.
         """
-        restarts = self._predraw_reduce_faults(stage, idx, report)
+        restarts = self._draw_faults((SHUFFLE, REDUCE), stage.name, idx, report)
         out_rows, seconds, real_restarts, poison = self._reduce_partition_rows(
             stage, idx, rows
         )
@@ -501,34 +416,6 @@ class Cluster:
                 self.cost_model.retry_backoff_base * real_restarts
             )
         return out_rows, seconds, restarts + real_restarts
-
-    def _predraw_reduce_faults(
-        self, stage: MapReduceStage, idx: int, report: StageReport
-    ) -> int:
-        """Consume one partition's reduce-phase fault draws.
-
-        Each attempt passes the shuffle and reduce sites in order, as
-        the historical retry loop did, charging exponential backoff per
-        injected restart and propagating past ``max_restarts``. Returns
-        the injected restart count.
-        """
-        if self.fault_policy is None:
-            return 0
-        restarts = 0
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                self.fault_policy.maybe_fail(SHUFFLE, stage.name, idx, attempt)
-                self.fault_policy.maybe_fail(REDUCE, stage.name, idx, attempt)
-                return restarts
-            except InjectedFault:
-                restarts += 1
-                report.retry_backoff_seconds += (
-                    self.cost_model.retry_backoff_base * (1 << (restarts - 1))
-                )
-                if restarts > self.max_restarts:
-                    raise
 
     def _reduce_partition_rows(
         self, stage: MapReduceStage, idx: int, rows: List[Row]
@@ -553,7 +440,7 @@ class Cluster:
             except Exception as exc:
                 if attempt == 1:
                     continue
-                if self.quarantine:
+                if self.context.quarantine:
                     isolated = self._isolate_poison(stage, idx, rows)
                     if isolated is not None:
                         poison, out_rows, seconds = isolated

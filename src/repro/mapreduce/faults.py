@@ -15,7 +15,9 @@ supplies the machinery to *exercise* that claim, not just state it:
   :class:`InjectedFault`. :class:`ChaosPolicy` does so probabilistically
   from a seed (so a fault *schedule* is reproducible);
   :class:`StageKiller` deterministically kills a whole stage (used to
-  simulate a job crash for checkpoint/resume tests).
+  simulate a job crash for checkpoint/resume tests), and
+  :class:`FailureInjector` kills the first reduce attempt of listed
+  partitions.
 * **Transient vs permanent faults** — a transient fault models a blip
   (lost packet, evicted container): the same simulated machine retries.
   A permanent fault models a dead machine: the policy *blacklists* the
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
 
 #: Fault sites — where in a stage's lifecycle a fault can strike.
 MAP = "map"
@@ -252,6 +254,39 @@ class StageKiller(FaultPolicy):
             partition=partition,
             attempt=attempt,
             transient=not self.permanent,
+        )
+        self.stats.record(fault)
+        raise fault
+
+
+class ReducerKilled(InjectedFault):
+    """Raised inside a reducer attempt that a :class:`FailureInjector`
+    chose to kill."""
+
+
+class FailureInjector(FaultPolicy):
+    """Kill the first reduce attempt of selected (stage, partition) pairs.
+
+    The original hand-targeted injector; :class:`ChaosPolicy` is its
+    probabilistic generalization. Kept because "kill exactly this
+    attempt" is still the sharpest tool for unit tests.
+    """
+
+    def __init__(self, kill: Iterable[Tuple[str, int]] = ()):
+        super().__init__()
+        self.kill: Set[Tuple[str, int]] = set(kill)
+        self._killed: Set[Tuple[str, int]] = set()
+
+    def maybe_fail(self, site: str, stage: str, partition: int, attempt: int) -> None:
+        key = (stage, partition)
+        if site != REDUCE or key not in self.kill or key in self._killed:
+            return
+        self._killed.add(key)
+        fault = ReducerKilled(
+            f"injected failure in {stage}[{partition}]",
+            site=REDUCE,
+            stage=stage,
+            partition=partition,
         )
         self.stats.record(fault)
         raise fault

@@ -6,10 +6,10 @@ exporters (:mod:`~repro.obs.export`), and optimizer calibration
 simulated cluster, TiMR, and the streaming engine. See
 ``docs/OBSERVABILITY.md`` for the span model and metric catalog.
 
-Tracing is off by default everywhere: every instrumented constructor
-takes ``tracer=None`` and substitutes :data:`NULL_TRACER`, whose spans
-and instruments are shared no-ops, so disabled runs execute the exact
-pre-instrumentation code path.
+Tracing is off by default everywhere: a run's tracer is its
+:class:`~repro.runtime.RunContext`'s, :data:`NULL_TRACER` unless set,
+whose spans and instruments are shared no-ops, so disabled runs execute
+the exact pre-instrumentation code path.
 """
 
 from .calibration import CalibrationReport, OperatorCalibration, calibrate

@@ -12,8 +12,10 @@ the same tracer, fault policy, clock, and checkpoint settings.
 
 The context is frozen; use :meth:`RunContext.derive` to produce a
 variant (e.g. the chaos CLI deriving a per-phase fault policy from one
-base context). Constructors keep their legacy keyword arguments as thin
-shims resolved through :meth:`RunContext.of`.
+base context). It is the only way to configure a run: ``Engine``,
+``StreamingEngine``, ``Cluster`` and the TiMR reducers take
+``context=`` (``None`` means :data:`DEFAULT_CONTEXT`), and a ``TiMR``
+runs under its cluster's context.
 """
 
 from __future__ import annotations
@@ -138,7 +140,7 @@ class RunContext:
                 "reason": (
                     f"executor={self.executor!r} ran serially: operators "
                     "are serial and parallelism is M-R partitions, costed "
-                    "by the makespan model (docs/PARALLELISM.md)"
+                    "by the makespan model (docs/EXECUTION.md, Parallelism)"
                 ),
             }
         }
@@ -171,21 +173,6 @@ class RunContext:
     def derive(self, **changes) -> "RunContext":
         """A copy of this context with ``changes`` applied."""
         return replace(self, **changes)
-
-    @classmethod
-    def of(cls, context: Optional["RunContext"] = None, **overrides) -> "RunContext":
-        """Resolve a context plus legacy per-layer kwargs into one value.
-
-        ``context`` wins as the base (falling back to the shared
-        default); any override that is not ``None`` replaces the base
-        field. This is what lets ``Engine(tracer=...)`` and
-        ``Cluster(fault_policy=...)`` keep working as shims.
-        """
-        base = context if context is not None else DEFAULT_CONTEXT
-        cleaned = {k: v for k, v in overrides.items() if v is not None}
-        if not cleaned:
-            return base
-        return replace(base, **cleaned)
 
 
 #: Shared all-defaults context (no tracing, no faults, validation on).

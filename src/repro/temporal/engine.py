@@ -17,11 +17,11 @@ memory is bounded by active-window state plus one batch, not by the
 partition size (operator output logs are trimmed as consumers drain
 them).
 
-Telemetry: construct with ``Engine(tracer=...)`` (or a full
-:class:`~repro.runtime.RunContext`) to record one summary span per plan
-node — input/output event counts, selectivity, accumulated busy time —
-under the caller's current span; inside a TiMR reducer that nests the
-operator spans under the cluster's reduce-partition span automatically.
+Telemetry: construct with ``Engine(context=RunContext(tracer=...))``
+to record one summary span per plan node — input/output event counts,
+selectivity, accumulated busy time — under the caller's current span;
+inside a TiMR reducer that nests the operator spans under the cluster's
+reduce-partition span automatically.
 The default is the shared no-op tracer, which costs nothing.
 """
 
@@ -32,7 +32,7 @@ from itertools import islice
 from operator import itemgetter, le
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
-from ..runtime.context import RunContext
+from ..runtime.context import DEFAULT_CONTEXT, RunContext
 from ..runtime.dataflow import Dataflow
 from .event import Event, EventColumns
 from .plan import (
@@ -121,13 +121,9 @@ def plan_node_keys(root: PlanNode) -> Dict[int, str]:
 class Engine:
     """Executes CQ plans over bounded event streams (the batch driver)."""
 
-    def __init__(self, tracer=None, *, context: Optional[RunContext] = None):
-        self.context = RunContext.of(context, tracer=tracer)
+    def __init__(self, *, context: Optional[RunContext] = None):
+        self.context = context if context is not None else DEFAULT_CONTEXT
         self.last_stats: Optional[EngineStats] = None
-
-    @property
-    def tracer(self):
-        return self.context.tracer
 
     def run(
         self,
@@ -135,7 +131,6 @@ class Engine:
         sources: Dict[str, Iterable],
         time_column: str = "Time",
         validate: Optional[bool] = None,
-        batch_size: Optional[int] = None,
     ) -> Sequence[Event]:
         """Execute ``query`` and return its output events, LE-ordered.
 
@@ -156,9 +151,9 @@ class Engine:
                 plans with error-severity findings (memoized per plan, so
                 re-running a validated plan costs nothing). ``None``
                 defers to the run context (default: on).
-            batch_size: events fed per dataflow round; bounds working-set
-                memory together with window state. ``None`` defers to the
-                run context.
+
+        Events are fed in rounds of ``context.batch_size``, which bounds
+        working-set memory together with window state.
         """
         root = query.to_plan() if isinstance(query, Query) else query
         context = self.context
@@ -170,7 +165,7 @@ class Engine:
         stats = EngineStats()
         start = context.clock()
         tracer = context.tracer
-        chunk_size = batch_size if batch_size is not None else context.batch_size
+        chunk_size = context.batch_size
 
         flow = Dataflow(
             root,

@@ -36,10 +36,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Union
 
-from ..runtime.context import RunContext
+from ..runtime.context import DEFAULT_CONTEXT, RunContext
 from ..runtime.dataflow import Dataflow, StreamingUnsupported
 from .event import Event, point_event
-from .plan import GroupInputNode, PlanNode
+from .plan import PlanNode
 from .query import Query
 from .time import MAX_TIME, MIN_TIME
 
@@ -101,10 +101,8 @@ class StreamingEngine:
         query: Union[Query, PlanNode],
         slack: int = 0,
         event_policy: str = "raise",
-        tracer=None,
         *,
         context: Optional[RunContext] = None,
-        _group_input: Optional[GroupInputNode] = None,
     ):
         if slack < 0:
             raise ValueError("slack must be non-negative")
@@ -114,20 +112,16 @@ class StreamingEngine:
             )
         self.slack = slack
         self.event_policy = event_policy
-        self.context = RunContext.of(context, tracer=tracer)
+        self.context = context if context is not None else DEFAULT_CONTEXT
         self.quarantined: List[QuarantinedEvent] = []
         self.dropped = 0
         self._reorder: Dict[str, List] = {}
         self._reorder_seq = itertools.count()
         root = query.to_plan() if isinstance(query, Query) else query
-        self._flow = Dataflow(root, group_input=_group_input)
+        self._flow = Dataflow(root)
         self._flushed = False
 
     # -- public API -----------------------------------------------------------
-
-    @property
-    def tracer(self):
-        return self.context.tracer
 
     @property
     def output_watermark(self) -> int:
@@ -162,8 +156,8 @@ class StreamingEngine:
                 f"watermark {watermark}",
             )
         self._flow.feed(source, [event], event.le)
-        if self.tracer.enabled:
-            self.tracer.metrics.counter(
+        if self.context.tracer.enabled:
+            self.context.tracer.metrics.counter(
                 "streaming.events_in", source=source
             ).inc()
         return self._emit()
@@ -183,8 +177,8 @@ class StreamingEngine:
                 f"than the slack of {self.slack} allows",
             )
         heapq.heappush(buffer, (event.le, next(self._reorder_seq), event))
-        if self.tracer.enabled:
-            self.tracer.metrics.counter(
+        if self.context.tracer.enabled:
+            self.context.tracer.metrics.counter(
                 "streaming.events_in", source=source
             ).inc()
         released: List[Event] = []
@@ -258,8 +252,8 @@ class StreamingEngine:
 
     def _reject(self, source: str, item: object, reason: str) -> List[Event]:
         """Apply the event policy to a late or malformed input."""
-        if self.tracer.enabled:
-            self.tracer.metrics.counter(
+        if self.context.tracer.enabled:
+            self.context.tracer.metrics.counter(
                 "streaming.events_rejected",
                 source=source,
                 policy=self.event_policy,
@@ -277,8 +271,8 @@ class StreamingEngine:
         out = self._flow.advance()
         if type(out) is not list:
             out = list(out)  # a keyed GroupApply root's rows, as events
-        if self.tracer.enabled:
-            metrics = self.tracer.metrics
+        if self.context.tracer.enabled:
+            metrics = self.context.tracer.metrics
             if out:
                 metrics.counter("streaming.events_out").inc(len(out))
             # Watermark lag: how far finalized output trails the freshest

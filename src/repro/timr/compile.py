@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..mapreduce.job import MapReduceStage, key_by_columns
-from ..runtime.context import RunContext
+from ..runtime.context import DEFAULT_CONTEXT, RunContext
 from ..temporal.engine import Engine
 from ..temporal.event import Event, events_to_rows, rows_to_events
 from ..temporal.time import TICK, validate_interval
@@ -193,23 +193,23 @@ def kernel_map_fn(kernel):
 def make_reducer(
     fragment: Fragment,
     span_layout: Optional[SpanLayout] = None,
-    tracer=None,
     context: Optional[RunContext] = None,
 ):
     """Build the stand-alone reducer ``P`` for a fragment.
 
     The reducer is a pure function of its input partition: it creates a
     fresh embedded engine every invocation, so M-R can re-run it after a
-    failure and obtain byte-identical output (Section III-C.1). When a
-    ``tracer`` is given each embedded engine records its operator spans
-    on it, nesting under whatever span is open at call time (the
-    cluster's reduce-partition span). A full ``context`` threads the
-    caller's run-wide settings (tracer, clock, batch size) into every
-    embedded engine; ``tracer`` overrides its tracer field.
+    failure and obtain byte-identical output (Section III-C.1). The
+    ``context`` threads the caller's run-wide settings (tracer, clock,
+    batch size) into every embedded engine; with a tracer, each engine
+    records its operator spans under whatever span is open at call time
+    (the cluster's reduce-partition span).
     """
     # the TiMR run names a parallel executor's resolution once, not
     # once per reducer call
-    engine_context = RunContext.of(context, tracer=tracer).derive(executor=None)
+    engine_context = (context if context is not None else DEFAULT_CONTEXT).derive(
+        executor=None
+    )
     multi_input = len(fragment.input_names) > 1
     input_names = list(fragment.input_names)
 
@@ -326,7 +326,6 @@ def compile_fragment(
     num_partitions: int,
     span_layout: Optional[SpanLayout] = None,
     bindings: Optional[List[InputBinding]] = None,
-    tracer=None,
     context: Optional[RunContext] = None,
 ) -> CompiledStage:
     """Turn a fragment into an M-R stage.
@@ -350,7 +349,7 @@ def compile_fragment(
         stage = MapReduceStage(
             name=f"timr.{fragment.output_name}",
             key_fn=key_by_columns(fragment.key),
-            reducer=make_reducer(fragment, tracer=tracer, context=context),
+            reducer=make_reducer(fragment, context=context),
             num_partitions=max(1, num_partitions),
             map_fn=map_fn,
         )
@@ -358,7 +357,7 @@ def compile_fragment(
         stage = MapReduceStage(
             name=f"timr.{fragment.output_name}",
             key_fn=lambda row: 0,
-            reducer=make_reducer(fragment, span_layout, tracer=tracer, context=context),
+            reducer=make_reducer(fragment, span_layout, context=context),
             num_partitions=span_layout.num_spans,
             partition_fn=lambda row: span_layout.spans_for_time(row["Time"]),
             map_fn=map_fn,
@@ -367,7 +366,7 @@ def compile_fragment(
         stage = MapReduceStage(
             name=f"timr.{fragment.output_name}",
             key_fn=lambda row: 0,
-            reducer=make_reducer(fragment, tracer=tracer, context=context),
+            reducer=make_reducer(fragment, context=context),
             num_partitions=1,
             map_fn=map_fn,
         )

@@ -4,12 +4,12 @@ TiMR already materializes every fragment's output as a dataset in the
 distributed file system — exactly the property ReStore (Elghandour &
 Aboulnaga, VLDB 2012) exploits to reuse intermediate M-R results across
 runs. This module makes that reuse *safe* across process crashes: when
-``TiMR.run(..., checkpoint_dir=...)`` completes a stage, the output
-dataset is persisted via :mod:`repro.mapreduce.persist` (crash-safe
-atomic writes) and recorded in a **job manifest** together with its
-content hash. A job killed mid-run can then resume
-(``TiMR.run(..., resume=True)``) from the last completed stage instead
-of recomputing the whole plan.
+a TiMR run whose cluster's context sets ``checkpoint_dir`` completes a
+stage, the output dataset is persisted via :mod:`repro.mapreduce.persist`
+(crash-safe atomic writes) and recorded in a **job manifest** together
+with its content hash. A job killed mid-run can then resume (the same
+context derived with ``resume=True``) from the last completed stage
+instead of recomputing the whole plan.
 
 Reuse is only sound because the temporal algebra is deterministic
 (Section III-C.1): the same fragment over the same input produces

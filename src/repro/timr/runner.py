@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Union
 
 from ..mapreduce.cluster import Cluster
 from ..mapreduce.cost import JobReport
-from ..runtime.context import RunContext
 from ..mapreduce.fs import DistributedFile
 from ..temporal.plan import ExchangeNode, PlanNode, topological_order
 from ..temporal.query import Query
@@ -75,33 +74,26 @@ def _has_exchanges(plan: PlanNode) -> bool:
 
 
 class TiMR:
-    """The TiMR framework bound to a simulated cluster."""
+    """The TiMR framework bound to a simulated cluster.
+
+    A run is configured by the cluster's :class:`~repro.runtime.
+    RunContext` alone: the cluster, TiMR and every reducer's embedded
+    engine read the same tracer, fault, checkpoint and validation
+    settings from ``cluster.context``.
+    """
 
     def __init__(
         self,
         cluster: Cluster,
         statistics: Optional[Statistics] = None,
-        tracer=None,
-        *,
-        context: Optional[RunContext] = None,
     ):
         self.cluster = cluster
         self.statistics = statistics or Statistics(
             num_machines=cluster.cost_model.num_machines
         )
-        # Default to the cluster's context so one RunContext (or one
-        # Tracer) handed to the Cluster covers all three layers; the
-        # embedded engines inherit it via compile_fragment.
-        self.context = RunContext.of(
-            context if context is not None else cluster.context, tracer=tracer
-        )
         # fingerprint -> output of a stage this instance ran: an equal later
         # stage is served from here, not run
         self._store: Dict[str, DistributedFile] = {}
-
-    @property
-    def tracer(self):
-        return self.context.tracer
 
     def run(
         self,
@@ -110,10 +102,7 @@ class TiMR:
         num_partitions: Optional[int] = None,
         span_width: Optional[int] = None,
         auto_annotate: bool = True,
-        validate: bool = True,
-        checkpoint_dir: Optional[str] = None,
-        resume: Optional[bool] = None,
-        verify_replay: Optional[bool] = None,
+        validate: Optional[bool] = None,
     ) -> TiMRResult:
         """Execute a temporal query over datasets in the cluster's FS.
 
@@ -128,30 +117,22 @@ class TiMR:
                 no explicit ``.exchange()`` hints.
             validate: run the static pre-flight analyzer and reject plans
                 with error-severity findings before any stage executes.
-            checkpoint_dir: when set, persist every completed stage's
-                output plus a job manifest there (crash-safe), enabling
-                resume after a mid-run crash.
-            resume: load the manifest from ``checkpoint_dir`` and skip
-                stages whose checkpointed output verifies, recomputing
-                only from the first incomplete stage onward.
-            verify_replay: on resume, re-execute the last checkpointed
-                stage and require its re-hashed output to match the
-                manifest — the determinism check that makes reuse sound.
+                ``None`` defers to the run context (default: on).
 
-        ``checkpoint_dir`` / ``resume`` / ``verify_replay`` default to
-        the run context's values when not passed explicitly.
+        Checkpointing comes from the cluster's context: with
+        ``checkpoint_dir`` set, every completed stage's output is
+        persisted there with a job manifest (crash-safe); ``resume``
+        skips the stages whose checkpointed output verifies, and
+        ``verify_replay`` re-executes the last of them and requires its
+        re-hashed output to match the manifest — the determinism check
+        that makes reuse sound.
         """
-        context = self.context
-        if checkpoint_dir is None:
-            checkpoint_dir = context.checkpoint_dir
-        if resume is None:
-            resume = context.resume
-        if verify_replay is None:
-            verify_replay = context.verify_replay
-        if resume and checkpoint_dir is None:
+        context = self.cluster.context
+        if context.resume and context.checkpoint_dir is None:
             raise ValueError("resume=True requires a checkpoint_dir")
         plan = query.to_plan() if isinstance(query, Query) else query
-        if validate:
+        validating = validate if validate is not None else context.validate
+        if validating:
             from ..analysis import validate_plan
 
             validate_plan(plan)
@@ -159,27 +140,13 @@ class TiMR:
         # every reducer's embedded Engine.run (which nests inside it)
         with context.quiet():
             return self._run_job(
-                plan,
-                job_name,
-                num_partitions,
-                span_width,
-                auto_annotate,
-                checkpoint_dir,
-                resume,
-                verify_replay,
+                plan, job_name, num_partitions, span_width, auto_annotate, context
             )
 
     def _run_job(
-        self,
-        plan,
-        job_name,
-        num_partitions,
-        span_width,
-        auto_annotate,
-        checkpoint_dir,
-        resume,
-        verify_replay,
+        self, plan, job_name, num_partitions, span_width, auto_annotate, context
     ):
+        checkpoint_dir = context.checkpoint_dir
         annotation: Optional[AnnotationResult] = None
         if not _has_exchanges(plan) and auto_annotate:
             annotation = annotate_plan(plan, self.statistics)
@@ -196,7 +163,7 @@ class TiMR:
             from . import recovery
 
             fingerprint = recovery.plan_fingerprint(all_fragments)
-            if resume:
+            if context.resume:
                 manifest = recovery.load_manifest(checkpoint_dir, job_name)
                 if manifest is not None and manifest.fingerprint != fingerprint:
                     code_only = manifest.fingerprint[:64] == fingerprint[:64]  # the skeleton half
@@ -223,7 +190,7 @@ class TiMR:
             k: f for k, f in self._store.items() if fs.exists(f.name) and fs.read(f.name) is f
         }
         served: List[str] = []  # "<stage output> (= <dataset it was served from>)"
-        tracer = self.tracer
+        tracer = context.tracer
         with tracer.span(
             "timr.job", category="timr", job=job_name, fragments=len(fragments)
         ) as job_span:
@@ -253,7 +220,7 @@ class TiMR:
                             )
                         resumed += 1
                         frag_span.set("resumed", True)
-                        if i == resume_upto - 1 and verify_replay:
+                        if i == resume_upto - 1 and context.verify_replay:
                             with tracer.span(
                                 "timr.verify_replay",
                                 category="timr",
@@ -307,7 +274,7 @@ class TiMR:
                 metrics.counter("timr.resumed_stages", job=job_name).inc(resumed)
                 metrics.counter("timr.quarantined_rows", job=job_name).inc(quarantined)
             resolutions = {
-                **self.context.executor_resolutions(),
+                **context.executor_resolutions(),
                 **_reuse_resolutions(served, fingerprints.refusals),
             }
             if tracer.enabled:
@@ -478,7 +445,7 @@ class TiMR:
         ):
             layout = self._layout_spans(bindings, extent, span_width)
         return compile_fragment(
-            fragment, num_partitions, layout, bindings, context=self.context
+            fragment, num_partitions, layout, bindings, context=self.cluster.context
         )
 
     def _layout_spans(

@@ -196,7 +196,7 @@ class TestRemovedKnobsStayRemoved:
             for paragraph in text.split("\n\n")
             if "waves_per_dispatch" in paragraph
         ]
-        assert [path for path, _ in mentions] == ["docs/PARALLELISM.md"]
+        assert [path for path, _ in mentions] == ["docs/EXECUTION.md"]
         paragraph = mentions[0][1]
         assert "accepted, ignored, leaves with the benchmark's keyword" in paragraph
         assert "executor=" in paragraph and "max_workers=" in paragraph

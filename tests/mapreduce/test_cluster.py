@@ -12,6 +12,7 @@ from repro.mapreduce import (
     key_by_columns,
     stable_hash,
 )
+from repro.runtime import RunContext
 
 
 def count_reducer(idx, rows):
@@ -22,10 +23,10 @@ def count_reducer(idx, rows):
     return [{"Time": 0, "k": k, "n": n} for k, n in sorted(counts.items())]
 
 
-def make_cluster(rows, **kwargs):
+def make_cluster(rows, **settings):
     fs = DistributedFileSystem()
     fs.write("in", rows)
-    return Cluster(fs=fs, **kwargs)
+    return Cluster(fs=fs, context=RunContext(**settings))
 
 
 def sample_rows(n=20):
@@ -139,14 +140,14 @@ class TestMultiStageJobs:
 class TestFailureHandling:
     def test_killed_reducer_is_restarted(self):
         injector = FailureInjector(kill={("count", 0)})
-        cluster = make_cluster(sample_rows(), failure_injector=injector)
+        cluster = make_cluster(sample_rows(), fault_policy=injector)
         stage = MapReduceStage(
             "count", key_by_columns(["k"]), count_reducer, num_partitions=2
         )
         out = cluster.run_stage(stage, "in", "out")
         totals = {r["k"]: r["n"] for r in out.all_rows()}
         assert totals == {"a": 7, "b": 7, "c": 6}
-        assert injector.injected == 1
+        assert injector.stats.injected == 1
         assert cluster.last_report.stages[0].restarted_partitions == 1
 
     def test_restart_output_identical_to_unfailed_run(self):
@@ -156,7 +157,7 @@ class TestFailureHandling:
         expected = plain.run_stage(stage, "in", "out").all_rows()
 
         injector = FailureInjector(kill={("count", 0), ("count", 1)})
-        failing = make_cluster(rows, failure_injector=injector)
+        failing = make_cluster(rows, fault_policy=injector)
         got = failing.run_stage(stage, "in", "out").all_rows()
         assert got == expected
 

@@ -31,6 +31,7 @@ from repro.mapreduce.faults import (
     SITES,
     backoff_seconds,
 )
+from repro.runtime import RunContext
 
 
 def count_reducer(idx, rows):
@@ -48,10 +49,12 @@ def sample_rows(n=24):
     return [{"Time": t, "k": "abcd"[t % 4]} for t in range(n)]
 
 
-def make_cluster(rows, **kwargs):
+def make_cluster(rows, **settings):
     fs = DistributedFileSystem()
     fs.write("in", rows)
-    return Cluster(fs=fs, cost_model=CostModel(num_machines=4), **kwargs)
+    return Cluster(
+        fs=fs, cost_model=CostModel(num_machines=4), context=RunContext(**settings)
+    )
 
 
 # a reduce attempt passes two fault sites (shuffle + reduce), so the
@@ -250,6 +253,24 @@ class TestStageExecutionError:
         with pytest.raises(InjectedFault):
             cluster.run_stage(count_stage(), "in", "out")
 
+    def test_injected_fault_raised_by_user_map_propagates(self):
+        # the map body runs once, after its fault draws pass: an
+        # InjectedFault from user code is neither retried nor
+        # quarantined, as one from a reducer is not
+        calls = []
+
+        def mapper(row):
+            calls.append(row)
+            raise InjectedFault("raised by user code", site=MAP)
+
+        cluster = make_cluster(sample_rows(), quarantine=True)
+        stage = MapReduceStage(
+            "m", key_by_columns(["k"]), count_reducer, num_partitions=2, map_fn=mapper
+        )
+        with pytest.raises(InjectedFault, match="user code"):
+            cluster.run_stage(stage, "in", "out")
+        assert len(calls) == 1
+
 
 class TestQuarantine:
     def test_poison_row_is_bisected_out_of_reduce(self):
@@ -310,7 +331,11 @@ class TestQuarantine:
         rows = sample_rows(10) + [{"k": "a"}, {"Time": "noon", "k": "b"}]
         fs = DistributedFileSystem()
         fs.write("in", rows, require_time_column=False)
-        cluster = Cluster(fs=fs, cost_model=CostModel(num_machines=2), quarantine=True)
+        cluster = Cluster(
+            fs=fs,
+            cost_model=CostModel(num_machines=2),
+            context=RunContext(quarantine=True),
+        )
         out = cluster.run_stage(count_stage(num_partitions=2), "in", "out")
         totals = {r["k"]: r["n"] for r in out.all_rows()}
         assert sum(totals.values()) == 10
@@ -349,20 +374,14 @@ class TestQuarantine:
 
 
 class TestClusterConfiguration:
-    def test_injector_and_policy_are_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            Cluster(
-                failure_injector=FailureInjector(),
-                fault_policy=ChaosPolicy(),
-            )
-
     def test_legacy_injector_still_works(self):
         injector = FailureInjector(kill={("count", 0), ("count", 1)})
-        cluster = make_cluster(sample_rows(), failure_injector=injector)
+        cluster = make_cluster(sample_rows(), fault_policy=injector)
         baseline = make_cluster(sample_rows()).run_stage(count_stage(), "in", "out")
         out = cluster.run_stage(count_stage(), "in", "out")
         assert out.all_rows() == baseline.all_rows()
-        assert injector.injected == 2
+        assert injector.stats.injected == 2
+        assert injector.stats.by_site == {REDUCE: 2}
         assert cluster.last_report.stages[0].restarted_partitions == 2
 
     def test_base_policy_never_injects(self):

@@ -48,18 +48,13 @@ def run_stage_with(executor, rows, stage, *, seed=None, quarantine=False):
     """One stage run; returns (output rows, quarantine hash, StageReport)."""
     fs = DistributedFileSystem()
     fs.write("in", rows, require_time_column=False)
-    kwargs = {}
+    context = RunContext(executor=executor, quarantine=quarantine)
     if seed is not None:
-        policy = ChaosPolicy(seed=seed, rates=0.3)
-        kwargs["fault_policy"] = policy
-        kwargs["max_restarts"] = CHAOS_RESTARTS
-    cluster = Cluster(
-        fs=fs,
-        cost_model=CostModel(num_machines=4),
-        quarantine=quarantine,
-        context=RunContext(executor=executor, quarantine=quarantine),
-        **kwargs,
-    )
+        context = context.derive(
+            fault_policy=ChaosPolicy(seed=seed, rates=0.3),
+            max_restarts=CHAOS_RESTARTS,
+        )
+    cluster = Cluster(fs=fs, cost_model=CostModel(num_machines=4), context=context)
     out = cluster.run_stage(stage, "in", "out")
     qhash = None
     if fs.exists("out.quarantine"):
@@ -166,7 +161,6 @@ class TestParallelReduceDifferential:
         cluster = Cluster(
             fs=fs,
             cost_model=CostModel(num_machines=4),
-            quarantine=True,
             context=RunContext(executor="thread", quarantine=True),
         )
         cluster.run_stage(count_stage("t", 3, touchy), "in", "out")
@@ -251,10 +245,12 @@ class TestParallelReduceFidelity:
             cluster = Cluster(
                 fs=fs,
                 cost_model=CostModel(num_machines=4),
-                fault_policy=ChaosPolicy(seed=seed, rates=0.25),
-                max_restarts=CHAOS_RESTARTS,
-                quarantine=True,
-                context=RunContext(executor=executor, quarantine=True),
+                context=RunContext(
+                    executor=executor,
+                    quarantine=True,
+                    fault_policy=ChaosPolicy(seed=seed, rates=0.25),
+                    max_restarts=CHAOS_RESTARTS,
+                ),
             )
             result = TiMR(cluster).run(q, num_partitions=3)
             quarantine = {

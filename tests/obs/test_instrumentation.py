@@ -13,6 +13,7 @@ import random
 from repro.mapreduce import Cluster, CostModel, DistributedFileSystem
 from repro.mapreduce.persist import dataset_sha256
 from repro.obs import Tracer, calibrate
+from repro.runtime import RunContext
 from repro.temporal import Engine, Query
 from repro.temporal.streaming import StreamingEngine
 from repro.timr import TiMR
@@ -41,19 +42,23 @@ def grouped_count():
     )
 
 
-def run_timr(rows, query, tracer=None, **kwargs):
+def run_timr(rows, query, **settings):
     fs = DistributedFileSystem()
     fs.write("logs", rows)
-    cluster = Cluster(fs=fs, cost_model=CostModel(num_machines=8), tracer=tracer)
+    cluster = Cluster(
+        fs=fs, cost_model=CostModel(num_machines=8), context=RunContext(**settings)
+    )
     timr = TiMR(cluster)
-    result = timr.run(query, num_partitions=4, **kwargs)
+    result = timr.run(query, num_partitions=4)
     return result, timr
 
 
 class TestEngineInstrumentation:
     def test_operator_spans_with_counts(self):
         tracer = Tracer()
-        Engine(tracer=tracer).run(grouped_count(), {"logs": make_logs()})
+        Engine(context=RunContext(tracer=tracer)).run(
+            grouped_count(), {"logs": make_logs()}
+        )
         ops = [s for s in tracer.finished() if s.name.startswith("engine.")]
         where = next(s for s in ops if s.name == "engine.where")
         assert where.attrs["events_in"] == 400
@@ -200,17 +205,16 @@ class TestDeterminism:
     def test_null_tracer_is_default_everywhere(self):
         from repro.obs import NULL_TRACER
 
-        assert Engine().tracer is NULL_TRACER
-        assert Cluster().tracer is NULL_TRACER
-        assert StreamingEngine(Query.source("s").where(lambda p: True)).tracer \
-            is NULL_TRACER
+        stream = StreamingEngine(Query.source("s").where(lambda p: True))
+        for layer in (Engine(), Cluster(), stream):
+            assert layer.context.tracer is NULL_TRACER
 
 
 class TestStreamingInstrumentation:
     def test_watermark_lag_gauge(self):
         tracer = Tracer()
         q = Query.source("s").window(100).count(into="n")
-        stream = StreamingEngine(q, tracer=tracer)
+        stream = StreamingEngine(q, context=RunContext(tracer=tracer))
         stream.push("s", {"Time": 0, "v": 1})
         stream.push("s", {"Time": 50, "v": 1})
         snap = {m["name"]: m for m in tracer.metrics.snapshot()}
@@ -221,7 +225,9 @@ class TestStreamingInstrumentation:
     def test_rejected_counter(self):
         tracer = Tracer()
         q = Query.source("s").where(lambda p: True)
-        stream = StreamingEngine(q, event_policy="drop", tracer=tracer)
+        stream = StreamingEngine(
+            q, event_policy="drop", context=RunContext(tracer=tracer)
+        )
         stream.push("s", {"Time": 100})
         stream.push("s", {"Time": 5})  # out of order: dropped
         snap = {m["name"]: m["value"] for m in tracer.metrics.snapshot()}
@@ -231,7 +237,7 @@ class TestStreamingInstrumentation:
     def test_events_out_counter(self):
         tracer = Tracer()
         q = Query.source("s").where(lambda p: True)
-        stream = StreamingEngine(q, tracer=tracer)
+        stream = StreamingEngine(q, context=RunContext(tracer=tracer))
         stream.push("s", {"Time": 1})
         stream.push("s", {"Time": 2})
         stream.flush()

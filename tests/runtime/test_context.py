@@ -1,15 +1,25 @@
 """Unit tests for RunContext: the one bundle of run-wide plumbing."""
 
 import dataclasses
+import random
 
 import pytest
 
-from repro.mapreduce import Cluster
+from repro.mapreduce import Cluster, DistributedFileSystem
 from repro.obs import NULL_TRACER, Tracer
 from repro.runtime import DEFAULT_CONTEXT, RunContext
-from repro.temporal import Engine, Query
+from repro.analysis import PlanValidationError
+from repro.temporal import Engine, Query, normalize
+from repro.temporal.event import rows_to_events
 from repro.temporal.streaming import StreamingEngine
 from repro.timr import TiMR
+
+
+FIVE_ROWS = [{"Time": t} for t in range(5)]
+
+
+def impure_count():
+    return Query.source("logs").where(lambda p: random.random() < 2).count(into="n")
 
 
 class TestDefaults:
@@ -35,29 +45,13 @@ class TestDefaults:
             RunContext().max_restarts = 9
 
 
-class TestDeriveAndOf:
+class TestDerive:
     def test_derive_copies_with_changes(self):
         base = RunContext(seed=1)
         derived = base.derive(max_restarts=7)
         assert derived.max_restarts == 7
         assert derived.seed == 1
         assert base.max_restarts == 3  # original untouched
-
-    def test_of_without_arguments_is_shared_default(self):
-        assert RunContext.of() is DEFAULT_CONTEXT
-        assert RunContext.of(None) is DEFAULT_CONTEXT
-
-    def test_of_passes_context_through(self):
-        ctx = RunContext(seed=5)
-        assert RunContext.of(ctx) is ctx
-
-    def test_of_applies_non_none_overrides(self):
-        tracer = Tracer()
-        ctx = RunContext(seed=5)
-        resolved = RunContext.of(ctx, tracer=tracer, max_restarts=None)
-        assert resolved.tracer is tracer
-        assert resolved.seed == 5
-        assert resolved.max_restarts == 3  # None override ignored
 
 
 class TestThreading:
@@ -66,7 +60,7 @@ class TestThreading:
     def test_engine_reads_context(self):
         tracer = Tracer()
         engine = Engine(context=RunContext(tracer=tracer))
-        assert engine.tracer is tracer
+        assert engine.context.tracer is tracer
         engine.run(
             Query.source("s").where(lambda p: True),
             {"s": [{"Time": 1}]},
@@ -80,34 +74,53 @@ class TestThreading:
             Query.source("s").where(lambda p: True),
             context=RunContext(tracer=tracer),
         )
-        assert stream.tracer is tracer
+        assert stream.context.tracer is tracer
 
     def test_cluster_resolves_context_fields(self):
         ctx = RunContext(max_restarts=9, quarantine=True)
         cluster = Cluster(context=ctx)
-        assert cluster.max_restarts == 9
-        assert cluster.quarantine is True
         assert cluster.context is ctx
+
+    def test_no_context_means_the_shared_default(self):
+        stream = StreamingEngine(Query.source("s").where(lambda p: True))
+        for layer in (Engine(), Cluster(), stream):
+            assert layer.context is DEFAULT_CONTEXT
 
     def test_timr_inherits_cluster_context(self):
         tracer = Tracer()
-        cluster = Cluster(context=RunContext(tracer=tracer))
+        fs = DistributedFileSystem()
+        fs.write("s", [{"Time": t} for t in range(4)])
+        cluster = Cluster(fs=fs, context=RunContext(tracer=tracer))
         timr = TiMR(cluster)
-        assert timr.tracer is tracer
-        assert timr.context is cluster.context
-
-    def test_explicit_context_beats_cluster(self):
-        mine = RunContext(seed=99)
-        timr = TiMR(Cluster(context=RunContext(seed=1)), context=mine)
-        assert timr.context.seed == 99
+        timr.run(Query.source("s").count(into="n"), num_partitions=1)
+        names = {s.name for s in tracer.finished()}
+        # one tracer reaches TiMR, the cluster and every embedded engine
+        assert {"timr.job", "cluster.stage", "engine.run"} <= names
+        # the cluster's context is read at run time, not copied
+        later = Tracer()
+        cluster.context = cluster.context.derive(tracer=later)
+        timr.run(Query.source("s").count(into="n"), num_partitions=1)
+        assert any(s.name == "timr.job" for s in later.finished())
 
     def test_engine_validate_follows_context(self):
-        # count_window + partitioning hints is fine; use a plan the
-        # analyzer rejects only when validation runs: an empty source
-        # reference is always fine, so instead verify the flag plumbs
-        # through by checking validate=False contexts skip analysis
+        # the analyzer refuses the impure call unless the context
+        # turns validation off
+        with pytest.raises(PlanValidationError, match="impure-call"):
+            Engine().run(impure_count(), {"logs": FIVE_ROWS})
         ctx = RunContext(validate=False)
-        engine = Engine(context=ctx)
-        q = Query.source("s").where(lambda p: True)
-        out = engine.run(q, {"s": [{"Time": 0}]})
-        assert len(out) == 1
+        out = Engine(context=ctx).run(impure_count(), {"logs": FIVE_ROWS})
+        assert len(out) == 5
+
+    def test_timr_validate_follows_context(self):
+        # TiMR.run(validate=None) defers to the cluster's context, as
+        # Engine.run does; an explicit argument still wins
+        fs = DistributedFileSystem()
+        fs.write("logs", FIVE_ROWS)
+        with pytest.raises(PlanValidationError, match="impure-call"):
+            TiMR(Cluster(fs=fs)).run(impure_count())
+        ctx = RunContext(validate=False)
+        expected = Engine(context=ctx).run(impure_count(), {"logs": FIVE_ROWS})
+        result = TiMR(Cluster(fs=fs, context=ctx)).run(impure_count())
+        assert normalize(rows_to_events(result.output_rows())) == normalize(expected)
+        with pytest.raises(PlanValidationError):
+            TiMR(Cluster(fs=fs, context=ctx)).run(impure_count(), validate=True)

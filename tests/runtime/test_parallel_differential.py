@@ -43,14 +43,10 @@ def raw_bytes(events) -> bytes:
     return json.dumps(rows, sort_keys=True, default=str).encode()
 
 
-def run_with(executor, query, rows, waves_per_dispatch=None, **kwargs):
+def run_with(executor, query, rows, **settings):
     """Run ``query`` under ``executor`` and return (events, EngineStats)."""
-    engine = Engine(
-        context=RunContext(
-            executor=executor, max_workers=4, waves_per_dispatch=waves_per_dispatch
-        )
-    )
-    out = engine.run(query, {"logs": list(rows)}, validate=False, **kwargs)
+    engine = Engine(context=RunContext(executor=executor, max_workers=4, **settings))
+    out = engine.run(query, {"logs": list(rows)}, validate=False)
     return out, engine.last_stats
 
 
@@ -228,28 +224,23 @@ def _timr_run(rows, executor, *, seed=None, checkpoint_dir=None, resume=False):
     query = feature_selection_query(
         bot_elimination_query(Query.source("logs"), cfg), cfg, days(2)
     )
-    kwargs = {}
+    context = RunContext(
+        executor=executor,
+        max_workers=2,
+        quarantine=True,
+        checkpoint_dir=checkpoint_dir,
+        resume=resume,
+    )
     if seed is not None:
         policy = ChaosPolicy(seed=seed, rates=0.25)
-        kwargs["fault_policy"] = policy
         # each attempt passes two fault sites with separate blacklists
-        kwargs["max_restarts"] = 2 * policy.blacklist_after + 1
+        context = context.derive(
+            fault_policy=policy, max_restarts=2 * policy.blacklist_after + 1
+        )
     fs = DistributedFileSystem()
     # partitioned input, so the first stage's map phase has partitions
     fs.write("logs", rows, num_partitions=3, require_time_column=False)
-    cluster = Cluster(
-        fs=fs,
-        cost_model=CostModel(num_machines=4),
-        quarantine=True,
-        context=RunContext(
-            executor=executor,
-            max_workers=2,
-            quarantine=True,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
-        ),
-        **kwargs,
-    )
+    cluster = Cluster(fs=fs, cost_model=CostModel(num_machines=4), context=context)
     result = TiMR(cluster).run(query, num_partitions=3)
     quarantine = None
     if fs.exists("timr.quarantine"):  # the default job name

@@ -1,14 +1,15 @@
-"""Back-compat shims over the unified runtime keep their old behavior.
+"""Convenience entry points over the unified runtime keep their behavior.
 
-The PR that collapsed the two executors into one incremental runtime
-promised that ``run_query``, ``StreamingEngine.run_all``, and
-``Engine(tracer=...)`` keep working unchanged. These tests pin that
+``run_query`` and ``StreamingEngine.run_all`` are one-call wrappers the
+examples and benchmarks use; a tracer reaches ``Engine`` only through
+its ``RunContext`` and never changes its output. These tests pin that
 surface so downstream examples don't break.
 """
 
 import random
 
 from repro.obs import NULL_TRACER, Tracer
+from repro.runtime import RunContext
 from repro.temporal import Engine, Event, Query, normalize, run_query
 from repro.temporal.engine import EngineStats
 from repro.temporal.streaming import StreamingEngine
@@ -39,21 +40,20 @@ class TestRunQueryShim:
 
 
 class TestEngineTracerShim:
-    def test_positional_tracer_still_works(self):
-        tracer = Tracer()
-        Engine(tracer).run(windowed_count(), {"logs": make_rows()})
-        names = {s.name for s in tracer.finished()}
-        assert "engine.run" in names
-        assert any(n.startswith("engine.") and n != "engine.run" for n in names)
-
     def test_default_tracer_is_null(self):
-        assert Engine().tracer is NULL_TRACER
+        assert Engine().context.tracer is NULL_TRACER
 
     def test_traced_and_untraced_output_identical(self):
         rows = make_rows()
+        tracer = Tracer()
         plain = Engine().run(windowed_count(), {"logs": rows})
-        traced = Engine(tracer=Tracer()).run(windowed_count(), {"logs": rows})
+        traced = Engine(context=RunContext(tracer=tracer)).run(
+            windowed_count(), {"logs": rows}
+        )
         assert plain == traced
+        names = {s.name for s in tracer.finished()}
+        assert "engine.run" in names
+        assert any(n.startswith("engine.") and n != "engine.run" for n in names)
 
 
 class TestRunAllShim:
@@ -86,8 +86,6 @@ class TestEventsPerSecondFix:
         assert stats.events_per_second == 0.0  # was inf before the fix
 
     def test_real_run_is_positive_and_finite(self, ticking_clock):
-        from repro.runtime import RunContext
-
         engine = Engine(context=RunContext(clock=ticking_clock))
         engine.run(windowed_count(), {"logs": make_rows()})
         eps = engine.last_stats.events_per_second
@@ -95,8 +93,6 @@ class TestEventsPerSecondFix:
         assert eps != float("inf")
 
     def test_frozen_clock_reports_zero(self):
-        from repro.runtime import RunContext
-
         engine = Engine(context=RunContext(clock=lambda: 42.0))
         engine.run(windowed_count(), {"logs": make_rows()})
         assert engine.last_stats.wall_seconds == 0.0

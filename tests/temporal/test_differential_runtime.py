@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.runtime import RunContext
 from repro.temporal import Engine, Query, normalize
 from repro.temporal.streaming import StreamingEngine, StreamingUnsupported
 
@@ -81,8 +82,8 @@ def test_batch_size_invariance(rows, plan_idx):
     query = _portfolio()[plan_idx]
     reference = Engine().run(query, {"logs": list(rows)}, validate=False)
     for size in (1, 7):
-        out = Engine().run(
-            query, {"logs": list(rows)}, validate=False, batch_size=size
+        out = Engine(context=RunContext(batch_size=size)).run(
+            query, {"logs": list(rows)}, validate=False
         )
         assert canonical_bytes(out) == canonical_bytes(reference)
 
@@ -121,8 +122,8 @@ class TestCustomAlterLifetime:
         reference = Engine().run(
             self.query(), {"logs": list(rows)}, validate=False
         )
-        chunked = Engine().run(
-            self.query(), {"logs": list(rows)}, validate=False, batch_size=2
+        chunked = Engine(context=RunContext(batch_size=2)).run(
+            self.query(), {"logs": list(rows)}, validate=False
         )
         assert canonical_bytes(chunked) == canonical_bytes(reference)
         # the rewrite really ran: lifetimes are mirrored around t=100

@@ -82,3 +82,37 @@ def test_public_docstrings_present():
     for name in modules:
         module = importlib.import_module(name)
         assert module.__doc__ and len(module.__doc__) > 40, name
+
+
+def test_run_settings_come_only_from_the_context():
+    """Each entry point takes ``context=`` and no parameter for a value a
+    ``RunContext`` field already holds, so a run's settings have one
+    route in; ``TiMR`` takes none and runs under its cluster's context."""
+    import inspect
+
+    from repro.mapreduce import Cluster
+    from repro.temporal import Engine, StreamingEngine
+    from repro.timr import TiMR
+    from repro.timr.compile import compile_fragment, make_reducer
+
+    expected = {
+        Engine.__init__: ["context"],
+        Engine.run: ["query", "sources", "time_column", "validate"],
+        StreamingEngine.__init__: ["query", "slack", "event_policy", "context"],
+        Cluster.__init__: ["fs", "cost_model", "context"],
+        TiMR.__init__: ["cluster", "statistics"],
+        TiMR.run: [
+            "query", "job_name", "num_partitions", "span_width", "auto_annotate",
+            "validate",
+        ],
+        make_reducer: ["fragment", "span_layout", "context"],
+        compile_fragment: [
+            "fragment", "num_partitions", "span_layout", "bindings", "context",
+        ],
+    }
+    got = {
+        fn: [p for p in inspect.signature(fn).parameters if p != "self"]
+        for fn in expected
+    }
+    assert got == expected
+    assert sum(map(len, got.values())) == 28

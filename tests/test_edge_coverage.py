@@ -6,17 +6,21 @@ from repro.mapreduce import (
     Cluster,
     CostModel,
     DistributedFileSystem,
-    FailureInjector,
+    InjectedFault,
     MapReduceStage,
+    StageKiller,
 )
 from repro.temporal import Engine, Query, StreamingEngine, run_query
+from repro.runtime import RunContext
 from repro.timr import TiMR
 
 
-def make_cluster(rows, **kwargs):
+def make_cluster(rows, **settings):
     fs = DistributedFileSystem()
     fs.write("logs", rows)
-    return Cluster(fs=fs, cost_model=CostModel(num_machines=4), **kwargs)
+    return Cluster(
+        fs=fs, cost_model=CostModel(num_machines=4), context=RunContext(**settings)
+    )
 
 
 ROWS = [{"Time": t, "k": f"k{t % 3}"} for t in range(60)]
@@ -79,22 +83,12 @@ class TestTiMREdges:
 
 class TestClusterEdges:
     def test_restart_limit_exceeded(self):
-        injector = FailureInjector(
-            kill={("boom", 0)}
-        )
-        # make the injector re-kill by resetting its memory each attempt
-        class AlwaysKill(FailureInjector):
-            def maybe_kill(self, stage, partition):
-                from repro.mapreduce.cluster import ReducerKilled
-
-                raise ReducerKilled("always")
-
-        cluster = make_cluster(ROWS, failure_injector=AlwaysKill(), max_restarts=2)
+        killer = StageKiller("boom")  # kills every reduce attempt
+        cluster = make_cluster(ROWS, fault_policy=killer, max_restarts=2)
         stage = MapReduceStage("boom", lambda r: 0, lambda i, rows: [], num_partitions=1)
-        from repro.mapreduce.cluster import ReducerKilled
-
-        with pytest.raises(ReducerKilled):
+        with pytest.raises(InjectedFault):
             cluster.run_stage(stage, "logs", "out")
+        assert killer.stats.injected == 3  # the first attempt and two restarts
 
     def test_stage_without_time_sort(self):
         seen = []

@@ -19,6 +19,7 @@ from repro.bt import (
 )
 from repro.data import GeneratorConfig, generate
 from repro.mapreduce import Cluster, CostModel, DistributedFileSystem, FailureInjector
+from repro.runtime import RunContext
 from repro.temporal import Query, normalize, run_query
 from repro.temporal.event import rows_to_events
 from repro.temporal.time import days
@@ -32,10 +33,12 @@ def small_logs():
 
 @pytest.fixture(scope="module")
 def cluster_with(small_logs):
-    def make(**kwargs):
+    def make(**settings):
         fs = DistributedFileSystem()
         fs.write("logs", small_logs)
-        return Cluster(fs=fs, cost_model=CostModel(num_machines=8), **kwargs)
+        return Cluster(
+            fs=fs, cost_model=CostModel(num_machines=8), context=RunContext(**settings)
+        )
 
     return make
 
@@ -69,11 +72,11 @@ class TestBTThroughTiMR:
         injector = FailureInjector(
             kill={("timr.timr.out", 0), ("timr.timr.out", 3)}
         )
-        failing = TiMR(cluster_with(failure_injector=injector)).run(
+        failing = TiMR(cluster_with(fault_policy=injector)).run(
             q, num_partitions=4
         )
         assert failing.output_rows() == plain
-        assert injector.injected == 2
+        assert injector.stats.injected == 2
 
     def test_cluster_output_feeds_model_building(self, small_logs, cluster_with):
         """TiMR-produced training rows train the same selector as local."""

@@ -231,7 +231,7 @@ def ref_map_partition_rows(cluster, stage, pi, rows):
                         )
                     row_routes.append((idx, row))
         except Exception as exc:
-            if not cluster.quarantine:
+            if not cluster.context.quarantine:
                 raise
             poisoned.append(cluster._quarantine_record(stage.name, pi, MAP, source_row, exc))
             continue
@@ -596,8 +596,7 @@ def run_poisoned(bad, reducer, quarantine, executor="serial"):
     stage = MapReduceStage("timr.j.out", raising_key, reducer, num_partitions=2)
     cluster = Cluster(
         fs=fs,
-        quarantine=quarantine,
-        context=RunContext(executor=executor, max_workers=2),
+        context=RunContext(executor=executor, max_workers=2, quarantine=quarantine),
     )
     out = cluster.run_stage(stage, "in", "out", quarantine_name="q")
     return exact(out), fs.read("q").all_rows() if fs.exists("q") else []

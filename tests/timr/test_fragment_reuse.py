@@ -27,6 +27,7 @@ from repro.bt.queries import (
 from repro.bt.schema import BTConfig
 from repro.bt.scoring import model_generation_query, scoring_query
 from repro.mapreduce import Cluster, CostModel, DistributedFileSystem, persist
+from repro.runtime import RunContext
 from repro.temporal import Query
 from repro.temporal.operators import AggSpec
 from repro.temporal.time import days, hours
@@ -435,7 +436,9 @@ def test_a_file_serial_is_never_handed_out_again():
 def test_a_stage_that_quarantined_rows_is_neither_stored_nor_served():
     fs = logs_fs()
     fs.write("logs", fs.read("logs").all_rows() + [{"Time": 500, "KwAdId": "k0"}])
-    cluster = Cluster(fs=fs, cost_model=CostModel(num_machines=2), quarantine=True)
+    cluster = Cluster(
+        fs=fs, cost_model=CostModel(num_machines=2), context=RunContext(quarantine=True)
+    )
     calls = run_stage_calls(cluster)
     timr = TiMR(cluster)
     for job in ("a", "b"):
@@ -448,22 +451,24 @@ def test_a_stage_that_quarantined_rows_is_neither_stored_nor_served():
 
 def test_reuse_under_checkpoint_dir_checkpoints_and_resume_verifies(tmp_path):
     fs = logs_fs()
-    timr = TiMR(Cluster(fs=fs, cost_model=CostModel(num_machines=2)))
-    first = timr.run(counted(), job_name="a", num_partitions=2)
-    served = timr.run(
-        counted(), job_name="b", num_partitions=2, checkpoint_dir=str(tmp_path)
+    checkpointed = RunContext(checkpoint_dir=str(tmp_path))
+    timr = TiMR(
+        Cluster(fs=fs, cost_model=CostModel(num_machines=2), context=checkpointed)
     )
+    first = timr.run(counted(), job_name="a", num_partitions=2)
+    served = timr.run(counted(), job_name="b", num_partitions=2)
     assert served.reused_stages == 2
     manifest = load_manifest(str(tmp_path), "b")
     assert [e.dataset for e in manifest.entries] == ["b.frag0", "b.out"]
     assert manifest.entries[-1].sha256 == persist.dataset_sha256(first.output)
 
-    cluster = Cluster(fs=logs_fs(), cost_model=CostModel(num_machines=2))
-    calls = run_stage_calls(cluster)
-    resumed = TiMR(cluster).run(
-        counted(), job_name="b", num_partitions=2,
-        checkpoint_dir=str(tmp_path), resume=True, verify_replay=True,
+    cluster = Cluster(
+        fs=logs_fs(),
+        cost_model=CostModel(num_machines=2),
+        context=checkpointed.derive(resume=True, verify_replay=True),
     )
+    calls = run_stage_calls(cluster)
+    resumed = TiMR(cluster).run(counted(), job_name="b", num_partitions=2)
     assert resumed.resumed_stages == 2 and resumed.reused_stages == 0
     assert calls == ["timr.b.out"]  # the replay check ran the stage, unserved
     assert resumed.output_rows() == first.output_rows()
@@ -474,7 +479,6 @@ def test_reuse_under_checkpoint_dir_checkpoints_and_resume_verifies(tmp_path):
 
 def test_tracer_counts_reuse_beside_resumed_stages():
     from repro.obs import Tracer
-    from repro.runtime import RunContext
 
     tracer = Tracer()
     cluster = Cluster(

@@ -18,6 +18,7 @@ from repro.mapreduce import (
     InjectedFault,
     StageKiller,
 )
+from repro.runtime import RunContext
 from repro.temporal import Query
 from repro.timr import (
     JobManifest,
@@ -55,11 +56,11 @@ def two_stage_query():
     )
 
 
-def make_timr(rows, fault_policy=None):
+def make_timr(rows, **settings):
     fs = DistributedFileSystem()
     fs.write("logs", rows)
     cluster = Cluster(
-        fs=fs, cost_model=CostModel(num_machines=4), fault_policy=fault_policy
+        fs=fs, cost_model=CostModel(num_machines=4), context=RunContext(**settings)
     )
     return TiMR(cluster)
 
@@ -101,31 +102,25 @@ class TestKillAndResume:
         plain = make_timr(rows).run(two_stage_query(), num_partitions=4)
         final_stage = plain.fragments[-1].output_name
 
-        killed = make_timr(rows, fault_policy=StageKiller(final_stage))
+        killed = make_timr(
+            rows, fault_policy=StageKiller(final_stage), checkpoint_dir=str(tmp_path)
+        )
         with pytest.raises(InjectedFault):
-            killed.run(
-                two_stage_query(), num_partitions=4, checkpoint_dir=str(tmp_path)
-            )
+            killed.run(two_stage_query(), num_partitions=4)
         # every stage before the killed one checkpointed
         manifest = load_manifest(str(tmp_path), "timr")
         assert len(manifest.entries) == len(plain.fragments) - 1
 
-        resumed = make_timr(rows).run(
-            two_stage_query(),
-            num_partitions=4,
-            checkpoint_dir=str(tmp_path),
-            resume=True,
+        resumed = make_timr(rows, checkpoint_dir=str(tmp_path), resume=True).run(
+            two_stage_query(), num_partitions=4
         )
         assert resumed.resumed_stages == len(plain.fragments) - 1
         assert resumed.output_rows() == plain.output_rows()
 
     def test_resume_counts_zero_without_prior_checkpoint(self, tmp_path):
         rows = make_logs(80)
-        result = make_timr(rows).run(
-            two_stage_query(),
-            num_partitions=2,
-            checkpoint_dir=str(tmp_path),
-            resume=True,
+        result = make_timr(rows, checkpoint_dir=str(tmp_path), resume=True).run(
+            two_stage_query(), num_partitions=2
         )
         assert result.resumed_stages == 0
         assert result.output_rows() == make_timr(rows).run(
@@ -134,29 +129,26 @@ class TestKillAndResume:
 
     def test_full_checkpoint_resumes_everything(self, tmp_path):
         rows = make_logs(80)
-        plain = make_timr(rows).run(
-            two_stage_query(), num_partitions=2, checkpoint_dir=str(tmp_path)
+        plain = make_timr(rows, checkpoint_dir=str(tmp_path)).run(
+            two_stage_query(), num_partitions=2
         )
-        resumed = make_timr(rows).run(
-            two_stage_query(),
-            num_partitions=2,
-            checkpoint_dir=str(tmp_path),
-            resume=True,
+        resumed = make_timr(rows, checkpoint_dir=str(tmp_path), resume=True).run(
+            two_stage_query(), num_partitions=2
         )
         assert resumed.resumed_stages == len(plain.fragments)
         assert resumed.output_rows() == plain.output_rows()
 
     def test_resume_requires_checkpoint_dir(self):
-        timr = make_timr(make_logs(30))
+        timr = make_timr(make_logs(30), resume=True)
         with pytest.raises(ValueError, match="checkpoint_dir"):
-            timr.run(two_stage_query(), resume=True)
+            timr.run(two_stage_query())
 
 
 class TestResumeSafety:
     def test_foreign_plan_fingerprint_is_rejected(self, tmp_path):
         rows = make_logs(80)
-        make_timr(rows).run(
-            two_stage_query(), num_partitions=2, checkpoint_dir=str(tmp_path)
+        make_timr(rows, checkpoint_dir=str(tmp_path)).run(
+            two_stage_query(), num_partitions=2
         )
         other = (
             Query.source("logs", ("UserId", "KwAdId"))
@@ -164,8 +156,8 @@ class TestResumeSafety:
             .group_apply("KwAdId", lambda g: g.window(100).count(into="c"))
         )
         with pytest.raises(ResumeError, match="different plan.*different datasets or keys"):
-            make_timr(rows).run(
-                other, num_partitions=2, checkpoint_dir=str(tmp_path), resume=True
+            make_timr(rows, checkpoint_dir=str(tmp_path), resume=True).run(
+                other, num_partitions=2
             )
 
     def test_changed_reducer_fails_the_fingerprint_check(self, tmp_path):
@@ -193,18 +185,17 @@ class TestResumeSafety:
 
         killer = StageKiller(plain.fragments[-1].output_name)
         with pytest.raises(InjectedFault):
-            make_timr(rows, fault_policy=killer).run(
-                query(1), num_partitions=2, checkpoint_dir=str(tmp_path)
+            make_timr(rows, fault_policy=killer, checkpoint_dir=str(tmp_path)).run(
+                query(1), num_partitions=2
             )
         for verify in (True, False):
             # the message says which half differed, and what can move it
             with pytest.raises(ResumeError, match="different plan.*different code.*Python version"):
-                make_timr(rows).run(
-                    query(2), num_partitions=2, checkpoint_dir=str(tmp_path),
-                    resume=True, verify_replay=verify,
-                )
-        resumed = make_timr(rows).run(
-            query(1), num_partitions=2, checkpoint_dir=str(tmp_path), resume=True
+                make_timr(
+                    rows, checkpoint_dir=str(tmp_path), resume=True, verify_replay=verify
+                ).run(query(2), num_partitions=2)
+        resumed = make_timr(rows, checkpoint_dir=str(tmp_path), resume=True).run(
+            query(1), num_partitions=2
         )
         assert resumed.resumed_stages == 1
         assert resumed.output_rows() == plain.output_rows()
@@ -222,21 +213,20 @@ class TestResumeSafety:
             return two_stage_query().where(guarded)
 
         rows = make_logs(80)
-        plain = make_timr(rows).run(
-            query(), num_partitions=2, checkpoint_dir=str(tmp_path), validate=False
+        plain = make_timr(rows, checkpoint_dir=str(tmp_path)).run(
+            query(), num_partitions=2, validate=False
         )
         assert plain.resolutions["timr.reuse_refused"]["count"] == 1
-        resumed = make_timr(rows).run(
-            query(), num_partitions=2, checkpoint_dir=str(tmp_path),
-            resume=True, validate=False,
+        resumed = make_timr(rows, checkpoint_dir=str(tmp_path), resume=True).run(
+            query(), num_partitions=2, validate=False
         )
         assert resumed.resumed_stages == len(plain.fragments)
         assert resumed.output_rows() == plain.output_rows()
 
     def test_corrupt_checkpoint_is_rejected(self, tmp_path):
         rows = make_logs(80)
-        make_timr(rows).run(
-            two_stage_query(), num_partitions=2, checkpoint_dir=str(tmp_path)
+        make_timr(rows, checkpoint_dir=str(tmp_path)).run(
+            two_stage_query(), num_partitions=2
         )
         manifest = load_manifest(str(tmp_path), "timr")
         victim = manifest.entries[0].dataset
@@ -247,11 +237,8 @@ class TestResumeSafety:
         with open(part_files[0], "a", encoding="utf-8") as f:
             f.write('{"Time": 999999, "smuggled": true}\n')
         with pytest.raises(ResumeError, match="missing or corrupt"):
-            make_timr(rows).run(
-                two_stage_query(),
-                num_partitions=2,
-                checkpoint_dir=str(tmp_path),
-                resume=True,
+            make_timr(rows, checkpoint_dir=str(tmp_path), resume=True).run(
+                two_stage_query(), num_partitions=2
             )
 
     def test_changed_input_fails_replay_verification(self, tmp_path):
@@ -260,19 +247,16 @@ class TestResumeSafety:
         # checkpoint only the first stage (the job dies at the second)
         killer = StageKiller(plain.fragments[-1].output_name)
         with pytest.raises(InjectedFault):
-            make_timr(rows, fault_policy=killer).run(
-                two_stage_query(), num_partitions=2, checkpoint_dir=str(tmp_path)
+            make_timr(rows, fault_policy=killer, checkpoint_dir=str(tmp_path)).run(
+                two_stage_query(), num_partitions=2
             )
         # same plan, different input data: the checkpoint restores and
         # integrity-verifies fine, but replaying the checkpointed first
         # stage over the new input hashes differently
         changed = make_logs(80, seed=99)
         with pytest.raises(ResumeError, match="not .*deterministic|different"):
-            make_timr(changed).run(
-                two_stage_query(),
-                num_partitions=2,
-                checkpoint_dir=str(tmp_path),
-                resume=True,
+            make_timr(changed, checkpoint_dir=str(tmp_path), resume=True).run(
+                two_stage_query(), num_partitions=2
             )
 
     def test_replay_verification_can_be_skipped(self, tmp_path):
@@ -280,17 +264,13 @@ class TestResumeSafety:
         plain = make_timr(rows).run(two_stage_query(), num_partitions=2)
         killer = StageKiller(plain.fragments[-1].output_name)
         with pytest.raises(InjectedFault):
-            make_timr(rows, fault_policy=killer).run(
-                two_stage_query(), num_partitions=2, checkpoint_dir=str(tmp_path)
+            make_timr(rows, fault_policy=killer, checkpoint_dir=str(tmp_path)).run(
+                two_stage_query(), num_partitions=2
             )
         changed = make_logs(80, seed=99)
-        resumed = make_timr(changed).run(
-            two_stage_query(),
-            num_partitions=2,
-            checkpoint_dir=str(tmp_path),
-            resume=True,
-            verify_replay=False,
-        )
+        resumed = make_timr(
+            changed, checkpoint_dir=str(tmp_path), resume=True, verify_replay=False
+        ).run(two_stage_query(), num_partitions=2)
         # with verification off the stale checkpoint is trusted as-is,
         # so the remainder computes over the *old* first-stage output
         assert resumed.resumed_stages == len(plain.fragments) - 1

@@ -24,6 +24,7 @@ from repro.mapreduce import (
     DistributedFileSystem,
     FailureInjector,
 )
+from repro.runtime import RunContext
 from repro.temporal import Query
 from repro.temporal.time import days
 from repro.timr import TiMR
@@ -45,11 +46,11 @@ def logs():
     return generate(GeneratorConfig(num_users=80, duration_days=2, seed=23)).rows
 
 
-def run_with(logs, query, **cluster_kwargs):
+def run_with(logs, query, **settings):
     fs = DistributedFileSystem()
     fs.write("logs", logs)
     cluster = Cluster(
-        fs=fs, cost_model=CostModel(num_machines=4), **cluster_kwargs
+        fs=fs, cost_model=CostModel(num_machines=4), context=RunContext(**settings)
     )
     return TiMR(cluster).run(query, num_partitions=3)
 
@@ -68,9 +69,9 @@ def test_killing_every_stage_preserves_output(name, logs):
         for partition in range(report.num_partitions)
     }
     injector = FailureInjector(kill=kills)
-    restarted = run_with(logs, query, failure_injector=injector)
+    restarted = run_with(logs, query, fault_policy=injector)
     assert restarted.output_rows() == plain.output_rows()
-    assert injector.injected == len(kills)
+    assert injector.stats.injected == len(kills)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -10,6 +10,7 @@ import random
 
 
 from repro.mapreduce import Cluster, CostModel, DistributedFileSystem, FailureInjector
+from repro.runtime import RunContext
 from repro.temporal import Query, normalize, run_query
 from repro.temporal.event import rows_to_events
 from repro.timr import TiMR
@@ -156,11 +157,13 @@ class TestOperationalProperties:
             kill={("timr.timr.out", 0), ("timr.timr.out", 2)}
         )
         cluster = Cluster(
-            fs=fs, cost_model=CostModel(num_machines=8), failure_injector=injector
+            fs=fs,
+            cost_model=CostModel(num_machines=8),
+            context=RunContext(fault_policy=injector),
         )
         got = TiMR(cluster).run(q, num_partitions=4).output_rows()
         assert got == expected
-        assert injector.injected == 2
+        assert injector.stats.injected == 2
 
     def test_report_has_stage_costs(self):
         q = Query.source("logs").group_apply(
