@@ -7,17 +7,15 @@ cluster time has been spent. This package is the cheap alternative: a
 rule-based static analyzer that runs over the logical
 :class:`~repro.temporal.plan.PlanNode` DAG *before* execution.
 
-Four passes over the plan (plus parameter checks):
+Three passes over the plan (plus parameter checks):
 
 * **schema inference** — propagates known payload columns through every
   operator and flags reads of columns the stream cannot carry;
 * **determinism** — bytecode-inspects every runtime callable for
-  randomness, clocks, mutable default arguments, and captured mutable
-  state (the hazards that break repeatable reducer restarts);
-* **capture safety** (the ``parallel.*`` rules) — flags shared mutable
-  captures, ambient-environment reads, and order-dependent reduce
-  functions, which make output depend on the partition count or on
-  whether a job was resumed;
+  randomness, clocks, mutable default arguments, captured mutable
+  state, shared module state and ambient-environment reads (the
+  hazards that break repeatable reducer restarts, or make output
+  depend on the partition count or on whether a job was resumed);
 * **partition safety** — cross-checks explicit ``.exchange()``
   annotations against every operator's :class:`PartitionConstraint`.
 

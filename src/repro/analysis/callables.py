@@ -21,6 +21,7 @@ import types
 from typing import Iterable, List, Optional, Set, Tuple
 
 from ..temporal.plan import (
+    AggregateNode,
     AlterLifetimeNode,
     AntiSemiJoinNode,
     PlanNode,
@@ -47,7 +48,12 @@ _CALLABLE_ATTRS = {
 
 
 def node_callables(node: PlanNode) -> List[Tuple[object, str]]:
-    """The runtime callables a node will invoke during execution."""
+    """The runtime callables a node will invoke during execution.
+
+    Built-in aggregates (sum/count/...) are known-commutative classes;
+    a *callable* handed to an aggregate spec (a custom merge function)
+    is user code and is listed like a UDO.
+    """
     out: List[Tuple[object, str]] = []
     for node_type, attrs in _CALLABLE_ATTRS.items():
         if isinstance(node, node_type):
@@ -60,6 +66,11 @@ def node_callables(node: PlanNode) -> List[Tuple[object, str]]:
             fn = node.params.get(key)
             if fn is not None:
                 out.append((fn, f"custom lifetime {key}"))
+    if isinstance(node, AggregateNode):
+        for spec in node.specs:
+            for pname, value in sorted(spec.params.items()):
+                if callable(value):
+                    out.append((value, f"aggregate {spec.kind!r} param {pname!r}"))
     return out
 
 
@@ -275,11 +286,11 @@ def impure_references(fn) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# Capture-safety hazards (the concurrency pass)
+# Shared state and ambient reads (the determinism pass)
 # ---------------------------------------------------------------------------
 
 #: Methods that mutate their receiver in place. A call on a captured or
-#: global container is a cross-schedule write once chains fan out.
+#: global container accumulates across partitions and runs.
 _MUTATING_METHODS = {
     "append",
     "extend",
@@ -320,8 +331,7 @@ def mutable_global_refs(fn) -> List[str]:
     """Module-global names the bytecode loads that hold mutable containers.
 
     Module globals outlive one reduce partition and one run, so even a
-    *read* of a mutable one couples otherwise independent GroupApply key
-    chains and map partitions.
+    *read* of a mutable one couples otherwise independent partitions.
     """
     code = function_code(fn)
     if code is None:
@@ -387,9 +397,8 @@ def order_dependent_writes(fn) -> List[Tuple[str, str]]:
     scope (``STORE_DEREF`` on an outer free variable), and in-place
     mutation of a captured or global container (``.append()`` /
     ``obj[k] = v`` on a name that resolves to a mutable container).
-    Each is an accumulation whose result depends on the order
-    concurrent schedules interleave — the classic commutativity
-    red flag for merge/reduce functions.
+    Each is an accumulation whose result depends on which rows, in
+    which order, reached it first: on the partitioning and on resume.
     """
     code = function_code(fn)
     if code is None:

@@ -15,7 +15,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from ..temporal.plan import GroupApplyNode, PlanNode
 from .batchfmt import batch_pass
 from .callables import callable_location, node_callables
-from .concurrency import concurrency_pass
 from .determinism import determinism_pass
 from .diagnostics import (
     AnalysisReport,
@@ -120,7 +119,6 @@ def analyze(
 
     columns = schema_pass(ctx)
     determinism_pass(ctx)
-    concurrency_pass(ctx)
     batch_pass(ctx)
     partition_pass(ctx, columns)
     lifetime_pass(ctx)

@@ -86,6 +86,19 @@ _rule(
     "processes (PYTHONHASHSEED)",
 )
 _rule(
+    "determinism.shared-state",
+    "warning",
+    "a plan callable reads a mutable module global or accumulates into "
+    "a global or captured variable, so output depends on the partition "
+    "count and on resume",
+)
+_rule(
+    "determinism.ambient-env",
+    "warning",
+    "a plan callable reads os.environ/os.getenv, ambient per-process "
+    "state not routed through RunContext",
+)
+_rule(
     "partition.constraint-violation",
     "error",
     "an operator cannot execute under the exchange key annotated below it",
@@ -117,25 +130,6 @@ _rule(
     "warning",
     "a custom alter_lifetime has an opaque extent: no temporal "
     "partitioning, no streaming",
-)
-_rule(
-    "parallel.shared-mutable-capture",
-    "warning",
-    "a plan callable shares mutable state (module global, or closure "
-    "cell inside a GroupApply sub-plan) across reduce partitions, so "
-    "output depends on the partition count and on resume",
-)
-_rule(
-    "parallel.ambient-env",
-    "warning",
-    "a plan callable reads os.environ/os.getenv, ambient per-process "
-    "state not routed through RunContext",
-)
-_rule(
-    "parallel.order-dependent-reduce",
-    "warning",
-    "a UDO or aggregate merge function accumulates into shared state, "
-    "so its result depends on partition order (not commutative)",
 )
 _rule(
     "batch.payload-mutation",

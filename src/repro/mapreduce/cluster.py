@@ -27,6 +27,8 @@ from marshal import dumps as _marshal
 from typing import List, Optional, Sequence, Tuple
 
 from ..runtime.context import DEFAULT_CONTEXT, RunContext
+from ..temporal.event import TIME_COLUMN, row_times
+from ..temporal.time import check_time
 from .cost import CostModel, JobReport, StageReport
 from .faults import (
     FS_READ,
@@ -160,9 +162,9 @@ class Cluster:
                     partition=pi,
                     rows_in=len(part),
                 ) as map_span:
-                    routed = self._run_map_partition(
-                        stage, pi, part, report, quarantined
-                    )
+                    self._draw_faults((MAP,), stage.name, pi, report)
+                    routed, poisoned = self._map_partition_rows(stage, pi, part)
+                    quarantined.extend(poisoned)
                     if tracer.enabled:
                         map_span.set("rows_mapped", len(routed))
                         shuffle_bytes += sum(
@@ -192,7 +194,7 @@ class Cluster:
                                 "sort_seconds",
                                 round(_time.perf_counter() - sort_start, 6),
                             )
-                    out_rows, seconds, restarts = self._run_reducer(
+                    out_rows, seconds, restarts = self._reduce_partition_rows(
                         stage, idx, rows, report, quarantined
                     )
                     if tracer.enabled:
@@ -290,35 +292,16 @@ class Cluster:
                 if restarts > self.context.max_restarts:
                     raise
 
-    def _run_map_partition(
-        self,
-        stage: MapReduceStage,
-        pi: int,
-        rows: List[Row],
-        report: StageReport,
-        quarantined: List[Row],
-    ) -> List[Tuple[int, Row]]:
-        """Map + route one input partition after its injected-fault draws.
-
-        Returns ``(partition_index, row)`` pairs. Rows whose map or
-        routing raises are quarantined (when enabled) rather than
-        poisoning the stage. The body runs once, after the draws pass,
-        which is safe because map is stateless; an ``InjectedFault``
-        raised by a user ``map_fn`` propagates, as a reducer's does.
-        """
-        self._draw_faults((MAP,), stage.name, pi, report)
-        routed, poisoned = self._map_partition_rows(stage, pi, rows)
-        quarantined.extend(poisoned)
-        return routed
-
     def _map_partition_rows(
         self, stage: MapReduceStage, pi: int, rows: List[Row]
     ) -> Tuple[List[Tuple[int, Row]], List[Row]]:
-        """The map+route body: ``(routed pairs, dead-letter rows)``.
-
-        Consults no fault policy: the draws come first, in
-        :meth:`_run_map_partition`.
-        """
+        """Map + route one input partition: ``(partition index, row)``
+        pairs, and the dead-letter records of the rows whose map or
+        routing raised (when quarantine is on). The caller draws the
+        partition's injected faults first; the body runs once after
+        them, which is safe because map is stateless, and an
+        ``InjectedFault`` raised by a user ``map_fn`` propagates, as a
+        reducer's does."""
         routed: List[Tuple[int, Row]] = []
         poisoned: List[Row] = []
         map_fn, key_fn, partition_fn = stage.map_fn, stage.key_fn, stage.partition_fn
@@ -371,29 +354,25 @@ class Cluster:
         rows: List[Row],
         quarantined: List[Row],
     ) -> List[Row]:
-        """Secondary sort by Time; malformed rows quarantine instead of crash."""
+        """Secondary sort by Time. A row without a usable ``Time``
+        (``check_time``'s rule, the one every row decoder applies) is
+        quarantined, or fails the stage: ``KeyError('Time')`` when the
+        column is missing, ``ValueError`` otherwise."""
         if self.context.quarantine:
             usable: List[Row] = []
             for row in rows:
-                time_value = row.get("Time") if isinstance(row, dict) else None
-                if isinstance(time_value, (int, float)) and not isinstance(
-                    time_value, bool
-                ):
-                    usable.append(row)
-                else:
+                try:
+                    check_time(row[TIME_COLUMN])
+                except (KeyError, TypeError, ValueError) as exc:
                     quarantined.append(
-                        self._quarantine_record(
-                            stage.name,
-                            idx,
-                            "sort",
-                            row,
-                            ValueError(f"row has no usable 'Time' column: {time_value!r}"),
-                        )
+                        self._quarantine_record(stage.name, idx, "sort", row, exc)
                     )
+                else:
+                    usable.append(row)
             rows = usable
-        return sorted(rows, key=lambda r: r["Time"])
+        return _by_time(rows)
 
-    def _run_reducer(
+    def _reduce_partition_rows(
         self,
         stage: MapReduceStage,
         idx: int,
@@ -401,59 +380,47 @@ class Cluster:
         report: StageReport,
         quarantined: List[Row],
     ) -> Tuple[List[Row], float, int]:
-        """One partition's reduce: injected-fault draws, then the body.
+        """One partition's reduce: ``(output rows, measured seconds,
+        restarts)``.
 
         Every injected restart is drawn before the reducer runs once, so
-        a fault schedule costs no reducer work.
+        a fault schedule costs no reducer work. A *real* failure — user
+        code or malformed data — is retried once (the restart strategy
+        costs nothing to try), then poison rows are bisected out
+        (quarantine mode) or the stage fails with full context.
         """
         restarts = self._draw_faults((SHUFFLE, REDUCE), stage.name, idx, report)
-        out_rows, seconds, real_restarts, poison = self._reduce_partition_rows(
-            stage, idx, rows
-        )
-        quarantined.extend(poison)
-        if real_restarts:
-            report.retry_backoff_seconds += (
-                self.cost_model.retry_backoff_base * real_restarts
-            )
-        return out_rows, seconds, restarts + real_restarts
-
-    def _reduce_partition_rows(
-        self, stage: MapReduceStage, idx: int, rows: List[Row]
-    ) -> Tuple[List[Row], float, int, List[Row]]:
-        """The reduce body: ``(output rows, measured seconds, real
-        restarts, dead-letter records)``.
-
-        Consults no fault policy. A *real* failure —
-        user code or malformed data — is retried once (the restart
-        strategy costs nothing to try), then poison rows are bisected
-        out (quarantine mode) or the stage fails with full context.
-        """
         attempt = 0
         while True:
             attempt += 1
             start = _time.perf_counter()
             try:
                 out_rows = list(stage.reducer(idx, rows))
-                return out_rows, _time.perf_counter() - start, attempt - 1, []
+                seconds = _time.perf_counter() - start
+                break
             except InjectedFault:
                 raise  # exotic: a policy firing inside user reduce code
             except Exception as exc:
                 if attempt == 1:
                     continue
+                isolated = None
                 if self.context.quarantine:
                     isolated = self._isolate_poison(stage, idx, rows)
-                    if isolated is not None:
-                        poison, out_rows, seconds = isolated
-                        records = [
-                            self._quarantine_record(
-                                stage.name, idx, REDUCE, row, exc
-                            )
-                            for row in poison
-                        ]
-                        return out_rows, seconds, attempt - 1, records
-                raise StageExecutionError(
-                    stage.name, idx, attempt, len(rows), exc
-                ) from exc
+                if isolated is None:
+                    raise StageExecutionError(
+                        stage.name, idx, attempt, len(rows), exc
+                    ) from exc
+                poison, out_rows, seconds = isolated
+                quarantined.extend(
+                    self._quarantine_record(stage.name, idx, REDUCE, row, exc)
+                    for row in poison
+                )
+                break
+        if attempt > 1:
+            report.retry_backoff_seconds += self.cost_model.retry_backoff_base * (
+                attempt - 1
+            )
+        return out_rows, seconds, restarts + attempt - 1
 
     def _isolate_poison(
         self, stage: MapReduceStage, idx: int, rows: List[Row]
@@ -509,7 +476,7 @@ class Cluster:
         """A dead-letter row: the offending row plus full diagnostics."""
         as_dict = dict(row) if isinstance(row, dict) else {"value": repr(row)}
         return {
-            "Time": as_dict.get("Time"),
+            TIME_COLUMN: as_dict.get(TIME_COLUMN),
             "_stage": stage,
             "_partition": partition,
             "_site": site,
@@ -533,7 +500,13 @@ class Cluster:
         This is the repeatability property of Section III-C.1 that makes
         the DSMS safe under M-R's restart-based failure handling.
         """
-        rows = sorted(rows, key=lambda r: r["Time"]) if stage.sort_by_time else list(rows)
+        rows = _by_time(rows) if stage.sort_by_time else list(rows)
         first = list(stage.reducer(partition, list(rows)))
         second = list(stage.reducer(partition, list(rows)))
         return first == second
+
+
+def _by_time(rows: List[Row]) -> List[Row]:
+    """``rows`` in ``Time`` order (stable), every ``Time`` checked first."""
+    times = row_times(rows)
+    return [rows[i] for i in sorted(range(len(rows)), key=times.__getitem__)]

@@ -291,13 +291,3 @@ class FailureInjector(FaultPolicy):
         self.stats.record(fault)
         raise fault
 
-
-def backoff_seconds(base: float, restarts: int) -> float:
-    """Simulated exponential backoff charged for ``restarts`` re-runs.
-
-    Retry *n* (1-based) waits ``base * 2^(n-1)`` seconds, so the total
-    budget grows exponentially with the attempt count: ``base * (2^r - 1)``.
-    """
-    if restarts <= 0 or base <= 0:
-        return 0.0
-    return base * ((1 << restarts) - 1)

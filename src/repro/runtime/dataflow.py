@@ -39,7 +39,7 @@ from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..temporal.event import _LE, _ROW_LE, Event, LayoutRows
-from ..temporal.operators.base import WAKE_ALWAYS, WAKE_AT_FLUSH
+from ..temporal.operators.base import WAKE_ALWAYS, WAKE_AT_FLUSH, _deliver
 from ..temporal.plan import (
     AggregateNode,
     AlterLifetimeNode,
@@ -120,50 +120,6 @@ def _batch_per_key(
     return per_key
 
 
-def _deliver(op, levs, li, revs, ri, w, rw, ext) -> Tuple[int, int]:
-    """Hand binary ``op`` its queued input from read positions ``li`` /
-    ``ri``, merged up to the joint watermark ``w`` (``rw`` is the right
-    side's), right side first at ties, so the right synopsis is complete
-    before a left probe (the guarantee merge_streams gives the one-shot
-    apply path). At the flush both watermarks are ``MAX_TIME``, and the
-    same loop drains both sides whole in merged order. Outputs go to
-    ``ext``; returns the new read positions.
-
-    While one side's head does not change, the other side's
-    deliverability bound is a constant — so maximal same-side runs are
-    found by a scan and handed to the batch kernels in one call."""
-    on_left_batch = op.on_left_batch
-    on_right_batch = op.on_right_batch
-    nl, nr = len(levs), len(revs)
-    while True:
-        lh = levs[li] if li < nl else None
-        rh = revs[ri] if ri < nr else None
-        if rh is not None and rh.le <= w and (lh is None or rh.le <= lh.le):
-            bound = w if lh is None or w <= lh.le else lh.le
-            rj = ri + 1
-            while rj < nr and revs[rj].le <= bound:
-                rj += 1
-            ext(on_right_batch(revs[ri:rj]))
-            ri = rj
-        elif lh is not None and (lh.le < rw or rw >= MAX_TIME):
-            if rw >= MAX_TIME:
-                bound = rh.le if (rh is not None and rh.le <= w) else None
-            else:
-                bound = rw
-                if rh is not None and rh.le <= w and rh.le < bound:
-                    bound = rh.le
-            if bound is None:
-                lj = nl
-            else:
-                lj = li + 1
-                while lj < nl and levs[lj].le < bound:
-                    lj += 1
-            ext(on_left_batch(levs[li:lj]))
-            li = lj
-        else:
-            return li, ri
-
-
 class _PlanMeta:
     """Shared, immutable per-plan metadata (memoized on the plan root).
 
@@ -211,14 +167,6 @@ class _InputBuffer:
         if self.cursor < len(self.events):
             return self.events[self.cursor]
         return None
-
-    def pop(self) -> Event:
-        e = self.events[self.cursor]
-        self.cursor += 1
-        if self.cursor > 1024 and self.cursor * 2 > len(self.events):
-            del self.events[: self.cursor]
-            self.cursor = 0
-        return e
 
     def take(self) -> List[Event]:
         """Drain and return everything queued (unary bulk consumption)."""
@@ -327,7 +275,7 @@ class _OpNode:
             # GroupApply chains defer inside their sub-flow; direct
             # operators buffer here and apply at flush.
             self.deferred = self._operator is not None
-            self._stores: List[List[Event]] = [[] for _ in self.inputs]
+            self._store: List[Event] = []
         else:
             self._future = future
 
@@ -468,17 +416,15 @@ class _OpNode:
         stays at the beginning of time until flush, which makes every
         downstream operator hold its own output back correctly.
         """
-        for buf, store in zip(self.inputs, self._stores):
-            fresh = buf.take()
-            self.events_in += len(fresh)
-            store.extend(fresh)
-        if all(b.watermark >= MAX_TIME for b in self.inputs) and not self.flushed:
-            op = self._operator
-            if len(self._stores) == 1:
-                self.outputs.extend(op.apply(self._stores[0]))
-            else:
-                self.outputs.extend(op.apply(self._stores[0], self._stores[1]))
-            self._stores = [[] for _ in self.inputs]
+        # only a unary node defers: no binary plan node has an unbounded
+        # future extent
+        (buf,) = self.inputs
+        fresh = buf.take()
+        self.events_in += len(fresh)
+        self._store.extend(fresh)
+        if buf.watermark >= MAX_TIME and not self.flushed:
+            self.outputs.extend(self._operator.apply(self._store))
+            self._store = []
             self.flushed = True
             self.watermark = MAX_TIME
 

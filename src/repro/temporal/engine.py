@@ -28,13 +28,13 @@ The default is the shared no-op tracer, which costs nothing.
 from __future__ import annotations
 
 import heapq
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter, le
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from ..runtime.context import DEFAULT_CONTEXT, RunContext
 from ..runtime.dataflow import Dataflow
-from .event import Event, EventColumns
+from .event import Event, EventColumns, _decode, row_times
 from .plan import (
     GroupInputNode,
     PlanNode,
@@ -42,7 +42,6 @@ from .plan import (
     topological_order,
 )
 from .query import Query
-from .time import TICK
 
 
 class EngineStats:
@@ -129,7 +128,6 @@ class Engine:
         self,
         query: Union[Query, PlanNode],
         sources: Dict[str, Iterable],
-        time_column: str = "Time",
         validate: Optional[bool] = None,
     ) -> Sequence[Event]:
         """Execute ``query`` and return its output events, LE-ordered.
@@ -144,9 +142,8 @@ class Engine:
         Args:
             query: a :class:`Query` or plan root.
             sources: maps source names to event lists *or* row dicts (rows
-                are converted to point events on ``time_column``, exactly
-                as a TiMR reducer would).
-            time_column: timestamp column for row inputs.
+                are decoded exactly as a TiMR reducer decodes them:
+                :func:`~repro.temporal.event.decode_row`).
             validate: run the static pre-flight analyzer first and refuse
                 plans with error-severity findings (memoized per plan, so
                 re-running a validated plan costs nothing). ``None``
@@ -200,7 +197,7 @@ class Engine:
             try:
                 # each released batch is packed as it arrives
                 output = EventColumns(
-                    _drive(flow, feeds, time_column, chunk_size)
+                    _drive(flow, feeds, chunk_size)
                 )
                 self._record(flow, root, stats, output, context)
             finally:
@@ -268,13 +265,13 @@ class Engine:
                 ).inc(events_out)
 
 
-def _drive(flow, feeds, time_column: str, chunk_size: int):
+def _drive(flow, feeds, chunk_size: int):
     """Feed every source through ``flow`` in bounded, watermark-aligned
     chunks, then flush; yields each batch of outputs ``flow`` releases."""
     if len(feeds) == 1:
         # fast path: no cross-source merge needed
         name, rows = feeds[0]
-        stream = _event_stream(rows, time_column)
+        stream = _event_stream(rows, chunk_size)
         while True:
             chunk = list(islice(stream, chunk_size))
             if not chunk:
@@ -286,7 +283,7 @@ def _drive(flow, feeds, time_column: str, chunk_size: int):
         # merge all sources into one globally LE-ordered stream
         # of (le, slot, event); ties never compare events
         tagged = [
-            _tag_stream(_event_stream(rows, time_column), slot)
+            _tag_stream(_event_stream(rows, chunk_size), slot)
             for slot, (_, rows) in enumerate(feeds)
         ]
         merged = heapq.merge(*tagged, key=itemgetter(0))
@@ -312,13 +309,14 @@ def _tag_stream(stream, slot: int):
     return ((e.le, slot, e) for e in stream)
 
 
-def _event_stream(rows: List, time_column: str):
-    """Yield events in LE order, converting rows lazily.
+def _event_stream(rows: List, chunk_size: int):
+    """Yield events in LE order, decoding rows a chunk at a time.
 
     Sorted inputs (the common case — TiMR partitions and the generator
     both emit time order) stream through without any copy; unsorted
-    inputs pay one sorted copy. Rows become point events one at a time so
-    the engine never materializes a second full-partition event list.
+    inputs pay one sorted copy. Rows become events (:func:`point_events`,
+    the reducer's decode) one chunk at a time, so the engine never
+    materializes a second full-partition event list.
     """
     if not rows:
         return iter(())
@@ -326,21 +324,16 @@ def _event_stream(rows: List, time_column: str):
         if not _ascending([e.le for e in rows]):
             rows = sorted(rows, key=lambda e: e.le)
         return iter(rows)
-    # row dicts: KeyError on a missing time column, as point_events raises
-    times = [row[time_column] for row in rows]
+    # every Time checked before any is compared
+    times = row_times(rows)
     if not _ascending(times):
         order = sorted(range(len(rows)), key=times.__getitem__)
         rows = [rows[i] for i in order]
         times = [times[i] for i in order]
-
-    def gen():
-        # Event(t, t + TICK, ...) is Event.point without its extra call
-        for t, row in zip(times, rows):
-            payload = dict(row)
-            del payload[time_column]
-            yield Event(t, t + TICK, payload)
-
-    return gen()
+    chunks = range(0, len(rows), chunk_size)
+    return chain.from_iterable(
+        _decode(times[i : i + chunk_size], rows[i : i + chunk_size]) for i in chunks
+    )
 
 
 def _ascending(times: List[int]) -> bool:
@@ -349,9 +342,7 @@ def _ascending(times: List[int]) -> bool:
 
 
 def run_query(
-    query: Union[Query, PlanNode],
-    sources: Dict[str, Iterable],
-    time_column: str = "Time",
+    query: Union[Query, PlanNode], sources: Dict[str, Iterable]
 ) -> Sequence[Event]:
     """One-shot convenience wrapper around :class:`Engine`."""
-    return Engine().run(query, sources, time_column=time_column)
+    return Engine().run(query, sources)

@@ -14,11 +14,19 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from itertools import chain, islice, repeat
 from operator import attrgetter, eq, gt, index as as_index, itemgetter
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from .time import MAX_TIME, TICK
+from .time import MAX_TIME, TICK, check_time, check_times, validate_interval
 
 Payload = Mapping[str, Any]
+
+#: The reserved columns of an M-R row (paper Section III-A step 4): the
+#: event's LE, its RE (absent: a point event, RE = LE + TICK), and the
+#: input a row of a multi-input union came from. :func:`decode_row` and
+#: :func:`encode_row` at the end of this module are the row format.
+TIME_COLUMN = "Time"
+RE_COLUMN = "_re"
+SRC_COLUMN = "_src"
 
 
 class Event:
@@ -343,9 +351,7 @@ class EventColumns(Sequence):
     def __repr__(self) -> str:
         return f"EventColumns({list(self)!r})"
 
-    def to_rows(
-        self, time_column: str = "Time", re_column: Optional[str] = "_re"
-    ) -> list:
+    def to_rows(self, re_column: Optional[str] = RE_COLUMN) -> list:
         """:func:`events_to_rows` read straight off the columns: one dict
         per row and no ``Event``."""
         # reading an int64 column makes a new int per value; rows built
@@ -357,9 +363,9 @@ class EventColumns(Sequence):
         for payload, le, re in zip(self._payloads(), les, res):
             # a layout's payload is already a fresh dict; a whole one is not
             row = payload if type(payload) is dict else dict(payload)
-            row[time_column] = le
+            row[TIME_COLUMN] = le
             if re_column is not None:
-                row[re_column] = re
+                row[RE_COLUMN] = re
             rows.append(row)
         return rows
 
@@ -382,78 +388,92 @@ class EventColumns(Sequence):
         return found
 
 
-def point_event(
-    row: Payload, time_column: str = "Time", drop_time: bool = True
-) -> Event:
-    """One row (dict) as a point event keyed on ``time_column``.
 
-    Raises ``KeyError`` when the row has no ``time_column`` and whatever
-    :class:`Event` raises for an unusable timestamp.
+
+# -- the M-R row codec ----------------------------------------------------------
+
+
+def decode_row(row: Payload) -> Tuple[Any, Any, dict]:
+    """One M-R row as ``(le, re, payload)``: what TiMR's generated
+    reducer makes of it (Section III-A step 4).
+
+    ``Time`` is the LE and ``_re`` the RE; a row without ``_re`` is a
+    point event. The payload is a copy of the row's other columns, in
+    the row's order; the row itself is not touched (M-R may hand it to
+    a reducer again). Raises ``KeyError('Time')`` when the row has no
+    ``Time``, and ``ValueError`` for a time :func:`~.time.check_time`
+    refuses or an empty lifetime.
     """
-    t = row[time_column]
-    if drop_time:
-        payload = {k: v for k, v in row.items() if k != time_column}
+    payload = dict(row)
+    le = check_time(payload.pop(TIME_COLUMN))
+    if RE_COLUMN in payload:
+        re = check_time(payload.pop(RE_COLUMN), RE_COLUMN)
     else:
-        payload = row
-    return Event.point(t, payload)
+        re = le + TICK
+    validate_interval(le, re)
+    return le, re, payload
 
 
-def point_events(
-    rows: Iterable[Payload], time_column: str = "Time", drop_time: bool = True
-) -> list:
-    """Convert rows (dicts) into point events keyed on ``time_column``.
+def encode_row(le, re, payload: Payload) -> dict:
+    """An event's lifetime and payload as one M-R row, the inverse of
+    :func:`decode_row`: the payload's columns, then ``Time`` and
+    ``_re`` (a payload column of either name is overwritten). ``re=None``
+    writes no ``_re``: the row of a final output read as points."""
+    row = dict(payload)
+    row[TIME_COLUMN] = le
+    if re is not None:
+        row[RE_COLUMN] = re
+    return row
 
-    This is exactly the row→event conversion TiMR's generated reducer
-    performs (Section III-A step 4): the predefined ``Time`` column becomes
-    the event timestamp and the rest of the row becomes the payload. The
-    timestamp lives in the event lifetime, not the payload, so results
-    are identical whether a query runs on one node or round-trips through
-    M-R files (which re-derive the Time column from event LEs).
 
-    Args:
-        rows: input rows; each must contain ``time_column``.
-        time_column: name of the timestamp column.
-        drop_time: keep the time column out of the payload (default).
+def row_times(rows: List[Payload]) -> list:
+    """Every row's ``Time``, checked at batch level: ``KeyError('Time')``
+    for a row without one, ``ValueError`` for one that is not usable."""
+    return check_times([row[TIME_COLUMN] for row in rows])
+
+
+def point_events(rows: Iterable[Payload]) -> list:
+    """Rows as events: :func:`decode_row` over a list, at batch level.
+
+    The one list decoder, and the conversion ``Engine.run`` and the
+    reducer apply to row inputs. The timestamp lives in the event
+    lifetime, not the payload, so results are identical whether a query
+    runs on one node or round-trips through M-R files.
     """
-    return [point_event(row, time_column, drop_time) for row in rows]
+    rows = rows if type(rows) is list else list(rows)
+    return _decode(row_times(rows), rows)
+
+
+#: :func:`point_events` under the name of the inverse of :func:`events_to_rows`.
+rows_to_events = point_events
+
+
+def _decode(les: list, rows: List[Payload]) -> list:
+    """:func:`point_events` for ``rows`` whose times ``les`` are already
+    checked: ``Engine.run`` checks a whole source once, then decodes it
+    a chunk at a time."""
+    events = []
+    append = events.append
+    for le, row in zip(les, rows):
+        payload = dict(row)
+        del payload[TIME_COLUMN]
+        if RE_COLUMN in payload:
+            # Event refuses an empty lifetime, as validate_interval does
+            append(Event(le, check_time(payload.pop(RE_COLUMN), RE_COLUMN), payload))
+        else:
+            append(Event(le, le + TICK, payload))
+    return events
 
 
 def events_to_rows(
-    events: Iterable[Event], time_column: str = "Time", re_column: Optional[str] = "_re"
+    events: Iterable[Event], re_column: Optional[str] = RE_COLUMN
 ) -> list:
-    """Convert result events back into rows (the reducer's output side).
-
-    The event LE is written to ``time_column``; the RE is preserved in
-    ``re_column`` (pass ``None`` to drop it) so that downstream TiMR stages
-    can faithfully reconstruct interval events. An ``Engine.run`` result
+    """Events as rows, each as :func:`encode_row` writes it (the
+    reducer's output side). ``re_column=None`` leaves ``_re`` out, for
+    a final output read as points. An ``Engine.run`` result
     (:class:`EventColumns`) is read column-wise, with no ``Event`` built.
     """
     if isinstance(events, EventColumns):
-        return events.to_rows(time_column, re_column)
-    rows = []
-    for e in events:
-        row = dict(e.payload)
-        row[time_column] = e.le
-        if re_column is not None:
-            row[re_column] = e.re
-        rows.append(row)
-    return rows
-
-
-def rows_to_events(
-    rows: Iterable[Payload], time_column: str = "Time", re_column: str = "_re"
-) -> list:
-    """Inverse of :func:`events_to_rows` for intermediate TiMR stages.
-
-    Rows carrying an ``re_column`` become interval events; rows without it
-    become point events. Each payload is a copy of its row minus the two
-    lifetime columns, the rest in the row's order; the rows themselves
-    are not touched (a reducer may be handed them again).
-    """
-    events = []
-    for row in rows:
-        payload = dict(row)
-        t = payload.pop(time_column)
-        re = payload.pop(re_column, t + TICK)
-        events.append(Event(t, re, payload))
-    return events
+        return events.to_rows(re_column)
+    keep_re = re_column is not None
+    return [encode_row(e.le, e.re if keep_re else None, e.payload) for e in events]

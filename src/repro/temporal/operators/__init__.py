@@ -18,7 +18,6 @@ from .base import (
     WAKE_AT_FLUSH,
     BinaryOperator,
     UnaryOperator,
-    merge_streams,
     sort_events,
 )
 from .join import AntiSemiJoin, TemporalJoin
@@ -70,7 +69,6 @@ __all__ = [
     "count_window",
     "extend_to_infinity",
     "hopping_window",
-    "merge_streams",
     "session_window",
     "shift_lifetime",
     "sliding_window",

@@ -8,24 +8,18 @@ a whole stream and re-establishes LE order on the output — exactly what
 TiMR's embedded-DSMS reducer does with a partition of offline rows, while
 the same ``on_event`` path remains usable against a live feed.
 
-Binary operators additionally define how their two inputs are merged into
-a single time-ordered sequence (``RIGHT_FIRST`` tie-breaking, so that at
-equal timestamps reference data on the right input is visible to probes
-on the left — e.g. a bot interval starting at *t* already filters a click
-at *t*).
+Binary operators have their two inputs merged into a single time-ordered
+sequence by :func:`_deliver`, right input first at ties, so that at equal
+timestamps reference data on the right input is visible to probes on the
+left — e.g. a bot interval starting at *t* already filters a click at *t*.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..event import _LE, Event
 from ..time import MAX_TIME, MIN_TIME
-
-#: Tag for events arriving on the left input of a binary operator.
-LEFT = 0
-#: Tag for events arriving on the right input of a binary operator.
-RIGHT = 1
 
 #: ``next_wake`` value: deliver every watermark (the conservative default).
 WAKE_ALWAYS = MIN_TIME
@@ -112,7 +106,7 @@ class BinaryOperator:
     """Base class for two-input operators.
 
     ``apply`` merges both LE-ordered inputs into one sequence (right input
-    first at ties) and feeds ``on_left`` / ``on_right``.
+    first at ties) and feeds ``on_left_batch`` / ``on_right_batch``.
     """
 
     def on_left(self, event: Event) -> Iterable[Event]:
@@ -141,35 +135,54 @@ class BinaryOperator:
         return ()
 
     def apply(self, left: Sequence[Event], right: Sequence[Event]) -> List[Event]:
+        """Run the operator over two whole LE-ordered streams (batch
+        mode): the runtime's merge with both watermarks at the end of
+        time, then the flush."""
         out: List[Event] = []
-        for side, event in merge_streams(left, right):
-            if side == LEFT:
-                out.extend(self.on_left(event))
-            else:
-                out.extend(self.on_right(event))
+        _deliver(self, left, 0, right, 0, MAX_TIME, MAX_TIME, out.extend)
         out.extend(self.on_flush())
         return sort_events(out)
 
 
-def merge_streams(left: Sequence[Event], right: Sequence[Event]):
-    """Merge two LE-ordered streams into one, right side first at ties.
+def _deliver(op, levs, li, revs, ri, w, rw, ext) -> Tuple[int, int]:
+    """Hand binary ``op`` its queued input from read positions ``li`` /
+    ``ri``, merged up to the joint watermark ``w`` (``rw`` is the right
+    side's), right side first at ties, so the right synopsis is complete
+    before a left probe. At the flush both watermarks are ``MAX_TIME``,
+    and the same loop drains both sides whole in merged order, which is
+    all :meth:`BinaryOperator.apply` asks of it. Outputs go to ``ext``;
+    returns the new read positions.
 
-    Yields ``(side, event)`` pairs. The right-first tie-break means that
-    for joins/anti-joins the right synopsis is always complete up to and
-    including the current instant before a left event is probed.
-    """
-    i = j = 0
-    nl, nr = len(left), len(right)
-    while i < nl and j < nr:
-        if right[j].le <= left[i].le:
-            yield RIGHT, right[j]
-            j += 1
+    While one side's head does not change, the other side's
+    deliverability bound is a constant — so maximal same-side runs are
+    found by a scan and handed to the batch kernels in one call."""
+    on_left_batch = op.on_left_batch
+    on_right_batch = op.on_right_batch
+    nl, nr = len(levs), len(revs)
+    while True:
+        lh = levs[li] if li < nl else None
+        rh = revs[ri] if ri < nr else None
+        if rh is not None and rh.le <= w and (lh is None or rh.le <= lh.le):
+            bound = w if lh is None or w <= lh.le else lh.le
+            rj = ri + 1
+            while rj < nr and revs[rj].le <= bound:
+                rj += 1
+            ext(on_right_batch(revs[ri:rj]))
+            ri = rj
+        elif lh is not None and (lh.le < rw or rw >= MAX_TIME):
+            if rw >= MAX_TIME:
+                bound = rh.le if (rh is not None and rh.le <= w) else None
+            else:
+                bound = rw
+                if rh is not None and rh.le <= w and rh.le < bound:
+                    bound = rh.le
+            if bound is None:
+                lj = nl
+            else:
+                lj = li + 1
+                while lj < nl and levs[lj].le < bound:
+                    lj += 1
+            ext(on_left_batch(levs[li:lj]))
+            li = lj
         else:
-            yield LEFT, left[i]
-            i += 1
-    while j < nr:
-        yield RIGHT, right[j]
-        j += 1
-    while i < nl:
-        yield LEFT, left[i]
-        i += 1
+            return li, ri

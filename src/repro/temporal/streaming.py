@@ -38,7 +38,7 @@ from typing import Dict, Iterable, List, Optional, Union
 
 from ..runtime.context import DEFAULT_CONTEXT, RunContext
 from ..runtime.dataflow import Dataflow, StreamingUnsupported
-from .event import Event, point_event
+from .event import Event, decode_row
 from .plan import PlanNode
 from .query import Query
 from .time import MAX_TIME, MIN_TIME
@@ -83,7 +83,7 @@ class StreamingEngine:
 
     ``event_policy`` decides what *rejected* means for inputs a live
     feed inevitably produces — events later than the slack allows and
-    malformed rows (missing/invalid ``Time``):
+    malformed rows (no usable ``Time``, an empty lifetime):
 
     * ``"raise"`` (default): fail fast with ``ValueError`` — the
       strict mode batch-equivalence proofs assume.
@@ -128,11 +128,12 @@ class StreamingEngine:
         return self._flow.output_watermark
 
     def push(self, source: str, item: Union[Event, dict]) -> List[Event]:
-        """Push one event (or row with a Time column) and return new
+        """Push one event (or a row, decoded as a TiMR reducer decodes
+        it: :func:`~repro.temporal.event.decode_row`) and return new
         final outputs of the query. Events must arrive in LE order per
         source; the push advances that source's watermark to the LE.
 
-        Malformed items (no usable ``Time``) are handled per the
+        Malformed items (a row the decoder refuses) are handled per the
         engine's ``event_policy``."""
         # unknown sources always raise, whatever the policy
         watermark = self._flow.source_watermark(source)
@@ -245,7 +246,7 @@ class StreamingEngine:
         if isinstance(item, Event):
             return item
         try:
-            return point_event(item)
+            return Event(*decode_row(item))
         except Exception as exc:
             self._reject(source, item, f"malformed event: {exc!r}")
             return None

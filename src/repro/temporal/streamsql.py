@@ -407,8 +407,8 @@ def parse(sql: str) -> Query:
     return query
 
 
-def run_sql(sql: str, sources, time_column: str = "Time"):
+def run_sql(sql: str, sources):
     """Parse and immediately execute a StreamSQL query."""
     from .engine import run_query
 
-    return run_query(parse(sql), sources, time_column=time_column)
+    return run_query(parse(sql), sources)

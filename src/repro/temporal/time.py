@@ -13,6 +13,8 @@ All public helpers return plain ``int`` values so events stay cheap.
 
 from __future__ import annotations
 
+from numbers import Real
+
 #: Smallest representable duration; a point event lives for exactly one tick.
 TICK: int = 1
 
@@ -51,3 +53,34 @@ def validate_interval(start: int, end: int) -> None:
     """Raise ``ValueError`` unless ``[start, end)`` is a non-empty interval."""
     if end <= start:
         raise ValueError(f"empty or inverted lifetime [{start}, {end})")
+
+
+def check_time(value, column: str = "Time"):
+    """``value`` if it is a usable timestamp, else ``ValueError`` naming
+    ``column`` and the value.
+
+    Usable means a real number (``int``, ``float``, any ``numbers.Real``)
+    that is neither a ``bool`` nor NaN: the one rule every row decoder
+    and the cluster's sort apply.
+    """
+    if type(value) is int or (
+        isinstance(value, Real) and not isinstance(value, bool) and value == value
+    ):
+        return value
+    raise ValueError(
+        f"column {column!r} holds {value!r}, not a usable time "
+        "(an int or float, not a bool or NaN)"
+    )
+
+
+_INT_ONLY = {int}
+
+
+def check_times(values: list, column: str = "Time") -> list:
+    """:func:`check_time` over a batch: one C-level pass over the value
+    types, and the per-value check only when some value is not an
+    ``int``. Returns ``values``."""
+    if not set(map(type, values)) <= _INT_ONLY:
+        for value in values:
+            check_time(value, column)
+    return values

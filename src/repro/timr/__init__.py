@@ -9,7 +9,8 @@ fragments with bounded windows can be scaled out with temporal (span)
 partitioning.
 """
 
-from .compile import SRC_COLUMN, CompiledStage, compile_fragment, make_reducer
+from ..temporal.event import SRC_COLUMN
+from .compile import CompiledStage, compile_fragment, make_reducer
 from .fragments import Fragment, FragmentationError, describe_fragments, make_fragments
 from .optimizer import (
     RANDOM,

@@ -32,8 +32,13 @@ from typing import Dict, List, Optional
 from ..mapreduce.job import MapReduceStage, key_by_columns
 from ..runtime.context import DEFAULT_CONTEXT, RunContext
 from ..temporal.engine import Engine
-from ..temporal.event import Event, events_to_rows, rows_to_events
-from ..temporal.time import TICK, validate_interval
+from ..temporal.event import (
+    SRC_COLUMN,
+    decode_row,
+    encode_row,
+    events_to_rows,
+    point_events,
+)
 from ..temporal.plan import (
     AlterLifetimeNode,
     PlanNode,
@@ -43,9 +48,6 @@ from ..temporal.plan import (
 )
 from .fragments import Fragment
 from .temporal_partition import SpanLayout
-
-#: Column tagging a combined multi-input row with its source dataset.
-SRC_COLUMN = "_src"
 
 #: Step kinds of a folded stateless chain (:func:`stateless_kernel`).
 _WHERE, _PROJECT, _LIFETIME = range(3)
@@ -93,16 +95,6 @@ class CompiledStage:
         if self.needs_input_union:
             return f"{self.fragment.output_name}.in"
         return self.bindings[0].physical
-
-
-def _decode_row(row: dict):
-    """One M-R row as ``(le, re, payload)``, lifetime validated; the
-    payload is a copy, the row's other columns in the row's order."""
-    payload = dict(row)
-    le = payload.pop("Time")
-    re = payload.pop("_re", le + TICK)
-    validate_interval(le, re)
-    return le, re, payload
 
 
 def stateless_kernel(plan: PlanNode):
@@ -154,8 +146,8 @@ def stateless_kernel(plan: PlanNode):
 
 def _stacked(kernels):
     """Folded fragments feeding one another, as one kernel. Each
-    hand-over does what writing a row and reading it back did: the
-    lifetime is validated again, and a payload column a Project named
+    hand-over writes the row and reads it back, as two stages did: the
+    lifetime is checked again, and a payload column a Project named
     ``Time`` or ``_re`` does not reach the next fragment."""
     first, rest = kernels[0], kernels[1:]
 
@@ -164,11 +156,7 @@ def _stacked(kernels):
         for following in rest:
             if out is None:
                 return None
-            le, re, payload = out
-            validate_interval(le, re)
-            if "Time" in payload or "_re" in payload:
-                payload = {k: v for k, v in payload.items() if k not in ("Time", "_re")}
-            out = following(le, re, payload)
+            out = following(*decode_row(encode_row(*out)))
         return out
 
     return kernel
@@ -178,14 +166,8 @@ def kernel_map_fn(kernel):
     """A kernel as a single-input stage's ``map_fn``: row in, rows out."""
 
     def map_fn(row: dict) -> List[dict]:
-        out = kernel(*_decode_row(row))
-        if out is None:
-            return []
-        le, re, payload = out
-        mapped = dict(payload)
-        mapped["Time"] = le
-        mapped["_re"] = re
-        return [mapped]
+        out = kernel(*decode_row(row))
+        return [] if out is None else [encode_row(*out)]
 
     return map_fn
 
@@ -214,17 +196,15 @@ def make_reducer(
     input_names = list(fragment.input_names)
 
     def reducer(partition_index: int, rows: List[dict]) -> List[dict]:
+        # the decode copies each payload: M-R may hand these rows to the
+        # reducer again
+        events = point_events(rows)
         if multi_input:
-            # pop from a copy: M-R may hand these rows to the reducer again
-            sources: Dict[str, List[Event]] = {name: [] for name in input_names}
-            for row in rows:
-                payload = dict(row)
-                source = sources[payload.pop(SRC_COLUMN)]
-                le = payload.pop("Time")
-                re = payload.pop("_re", le + TICK)
-                source.append(Event(le, re, payload))
+            sources = {name: [] for name in input_names}
+            for event in events:
+                sources[event.payload.pop(SRC_COLUMN)].append(event)
         else:
-            sources = {input_names[0]: rows_to_events(rows)}
+            sources = {input_names[0]: events}
 
         # TiMR.run validated the whole plan before fragmenting; fragment
         # plans are derived from it, so re-validating per partition would
@@ -359,7 +339,7 @@ def compile_fragment(
             key_fn=lambda row: 0,
             reducer=make_reducer(fragment, span_layout, context=context),
             num_partitions=span_layout.num_spans,
-            partition_fn=lambda row: span_layout.spans_for_time(row["Time"]),
+            partition_fn=lambda row: span_layout.spans_for_lifetime(*decode_row(row)[:2]),
             map_fn=map_fn,
         )
     else:

@@ -16,13 +16,13 @@ from typing import Dict, List, Optional, Union
 from ..mapreduce.cluster import Cluster
 from ..mapreduce.cost import JobReport
 from ..mapreduce.fs import DistributedFile
+from ..temporal.event import SRC_COLUMN, decode_row, encode_row
 from ..temporal.plan import ExchangeNode, PlanNode, topological_order
 from ..temporal.query import Query
+from ..temporal.time import TICK
 from .compile import (
-    SRC_COLUMN,
     CompiledStage,
     InputBinding,
-    _decode_row,
     compile_fragment,
     fold_stateless_fragments,
 )
@@ -451,15 +451,21 @@ class TiMR:
     def _layout_spans(
         self, bindings: List[InputBinding], extent, span_width: int
     ) -> Optional[SpanLayout]:
-        times: List[int] = []
+        """Spans over the inputs' lifetimes. A row that does not decode
+        is the map phase's to reject or quarantine."""
+        les, res = [], []
         for binding in bindings:
-            f = self.cluster.fs.read(binding.physical)
-            for part in f.partitions:
+            for part in self.cluster.fs.read(binding.physical).partitions:
                 for row in part:
-                    times.append(row["Time"])
-        if not times:
+                    try:
+                        le, re, _ = decode_row(row)
+                    except (KeyError, ValueError):
+                        continue
+                    les.append(le)
+                    res.append(re)
+        if not les:
             return None
-        return plan_spans(min(times), max(times), span_width, extent)
+        return plan_spans(min(les), max(res) - TICK, span_width, extent)
 
     def _materialize_union(
         self, fragment: Fragment, bindings: List[InputBinding]
@@ -489,12 +495,11 @@ class TiMR:
                         out[SRC_COLUMN] = tag
                         emit(out)
                     if folded:
-                        le, re, payload = _decode_row(row)
+                        le, re, payload = decode_row(row)
                         for kernel, tag, emit in folded:
                             kept = kernel(le, re, payload)
                             if kept is not None:
-                                out = dict(kept[2])
-                                out["Time"], out["_re"] = kept[0], kept[1]
+                                out = encode_row(*kept)
                                 out[SRC_COLUMN] = tag
                                 emit(out)
         self.cluster.fs.write(

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from ..temporal.time import TICK
+
 
 @dataclass(frozen=True)
 class SpanLayout:
@@ -53,15 +55,17 @@ class SpanLayout:
         ``ceil(past / span_width)`` later spans (whose windows still look
         back at it) and ``ceil(future / span_width)`` earlier spans.
         """
-        rel = t - self.t0
-        own = rel // self.span_width
-        lo = (rel - self.future) // self.span_width
-        hi = (rel + self.past) // self.span_width
-        return [
-            i
-            for i in range(max(0, lo), min(self.num_spans - 1, hi) + 1)
-            if self.input_interval(i)[0] <= t < self.input_interval(i)[1]
-        ]
+        return self.spans_for_lifetime(t, t + TICK)
+
+    def spans_for_lifetime(self, le, re) -> List[int]:
+        """All span indices an event alive over ``[le, re)`` must reach:
+        those whose output interval meets ``[le - future, re + past)``.
+        For a point event, :meth:`spans_for_time` of its LE; ``le`` and
+        ``re`` may be floats."""
+        s = self.span_width
+        lo = int((le - self.future - self.t0) // s)
+        hi = -int((self.t0 - re - self.past) // s)  # ceil((re + past - t0) / s)
+        return list(range(max(0, lo), min(self.num_spans, hi)))
 
     @property
     def duplication_factor(self) -> float:
@@ -78,7 +82,8 @@ def plan_spans(
     """Lay out spans covering data timestamps ``[t_min, t_max]``.
 
     Args:
-        t_min / t_max: observed data timestamp range.
+        t_min / t_max: observed data timestamp range: the first LE, and
+            the last tick an input is alive at (its RE less one tick).
         span_width: desired output width per span (``s``).
         extent: the fragment plan's (past, future) lifetime extent; the
             span overlap (``w`` in the paper) is exactly this extent.
@@ -96,8 +101,10 @@ def plan_spans(
     if past < 0 or future < 0:
         raise ValueError(f"invalid extent {extent!r}")
     t0 = t_min - future
-    last_output = t_max + past
-    num_spans = (last_output - t0) // span_width + 1
+    # enough spans that the last one's output interval reaches the end
+    # of the last tick plus the past extent (floats round up as well)
+    end = t_max + TICK + past
+    num_spans = -int((t0 - end) // span_width)
     return SpanLayout(
         t0=t0, span_width=span_width, past=past, future=future, num_spans=num_spans
     )

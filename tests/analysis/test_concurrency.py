@@ -1,10 +1,14 @@
-"""Capture-safety rules (``parallel.*``): each fires on its hazard, stays
-silent on a clean equivalent, and honours suppression."""
+"""Shared-state rules of the determinism pass (``determinism.shared-state``
+and ``determinism.ambient-env``, once the ``parallel.*`` capture rules):
+each fires on its hazard, stays silent on a clean equivalent, reports a
+cell once, and honours suppression."""
 
 import os
+import random
 
-from repro.analysis import analyze
+from repro.analysis import RULES, analyze
 from repro.temporal import Query
+from repro.temporal.operators import AggSpec
 from repro.temporal.time import hours
 
 COLS = ("StreamId", "UserId", "AdId")
@@ -23,18 +27,18 @@ def rule_ids(query):
     return analyze(query).rule_ids()
 
 
-#: the capture-safety rule family
-PARALLEL_RULES = {
-    "parallel.shared-mutable-capture",
-    "parallel.ambient-env",
-    "parallel.order-dependent-reduce",
-}
+def findings(query):
+    return [d.rule for d in analyze(query).diagnostics]
+
+
+#: the rules that say output depends on the partition count or on resume
+SHARED_RULES = {"determinism.shared-state", "determinism.ambient-env"}
 
 
 class TestSharedMutableCapture:
     def test_mutable_module_global_read(self):
         q = src().where(lambda p: p["UserId"] in SHARED_COUNTS)
-        assert "parallel.shared-mutable-capture" in rule_ids(q)
+        assert findings(q) == ["determinism.shared-state"]
 
     def test_mutable_module_global_write(self):
         def tally(p):
@@ -42,21 +46,16 @@ class TestSharedMutableCapture:
             return True
 
         q = src().where(tally)
-        report = analyze(q)
-        assert "parallel.shared-mutable-capture" in report.rule_ids()
         # the write is reported once, not double-reported as a read too
-        hits = [
-            d
-            for d in report.diagnostics
-            if d.rule == "parallel.shared-mutable-capture"
-        ]
-        assert len(hits) == 1
+        assert findings(q) == ["determinism.shared-state"]
 
     def test_immutable_global_is_clean(self):
         q = src().where(lambda p: p["StreamId"] < THRESHOLD)
-        assert "parallel.shared-mutable-capture" not in rule_ids(q)
+        assert not rule_ids(q)
 
     def test_closure_cell_inside_group_apply(self):
+        """One captured list in a group ``where`` is one finding: the
+        GroupApply scope does not report the same cell a second time."""
         seen = []
         q = src().group_apply(
             "UserId",
@@ -64,16 +63,12 @@ class TestSharedMutableCapture:
             .window(hours(1))
             .count(into="n"),
         )
-        assert "parallel.shared-mutable-capture" in rule_ids(q)
+        assert findings(q) == ["determinism.mutable-closure"]
 
     def test_top_level_closure_cell_is_not_parallel_flagged(self):
-        # outside GroupApply scope the closure is not shared across
-        # schedules; only determinism.mutable-closure (warning) applies
         seen = []
         q = src().where(lambda p: p["UserId"] not in seen)
-        report = analyze(q)
-        assert "parallel.shared-mutable-capture" not in report.rule_ids()
-        assert "determinism.mutable-closure" in report.rule_ids()
+        assert findings(q) == ["determinism.mutable-closure"]
 
     def test_immutable_closure_inside_group_apply_is_clean(self):
         limit = 3
@@ -83,21 +78,21 @@ class TestSharedMutableCapture:
             .window(hours(1))
             .count(into="n"),
         )
-        assert not (rule_ids(q) & PARALLEL_RULES)
+        assert not rule_ids(q)
 
 
 class TestAmbientEnv:
     def test_os_environ_read(self):
         q = src().where(lambda p: os.environ.get("MODE") == "full")
-        assert "parallel.ambient-env" in rule_ids(q)
+        assert "determinism.ambient-env" in rule_ids(q)
 
     def test_os_getenv_read(self):
         q = src().where(lambda p: os.getenv("MODE") == "full")
-        assert "parallel.ambient-env" in rule_ids(q)
+        assert "determinism.ambient-env" in rule_ids(q)
 
     def test_other_os_attrs_are_clean(self):
         q = src().where(lambda p: os.path.sep == "/")
-        assert "parallel.ambient-env" not in rule_ids(q)
+        assert "determinism.ambient-env" not in rule_ids(q)
 
 
 class TestOrderDependentReduce:
@@ -109,45 +104,58 @@ class TestOrderDependentReduce:
             return [{"n": totals["n"]}]
 
         q = src().udo_snapshot(merge)
-        assert "parallel.order-dependent-reduce" in rule_ids(q)
+        assert "determinism.shared-state" in rule_ids(q)
 
     def test_pure_udo_is_clean(self):
         q = src().udo_snapshot(lambda payloads: [{"n": len(payloads)}])
-        assert "parallel.order-dependent-reduce" not in rule_ids(q)
+        assert not rule_ids(q)
 
     def test_same_write_outside_reduce_is_capture_rule(self):
-        # identical hazard in a non-reduce operator reports as
-        # shared-mutable-capture, not order-dependent-reduce
+        """The same write is the same rule in a UDO and in a ``where``."""
+
         def tally(p):
             SHARED_COUNTS[p["UserId"]] = 1
             return True
 
-        q = src().where(tally)
-        ids = rule_ids(q)
-        assert "parallel.order-dependent-reduce" not in ids
-        assert "parallel.shared-mutable-capture" in ids
+        def merge(payloads):
+            SHARED_COUNTS["n"] = 1
+            return []
+
+        assert findings(src().where(tally)) == ["determinism.shared-state"]
+        assert findings(src().udo_snapshot(merge)) == ["determinism.shared-state"]
+
+    def test_aggregate_param_callable_is_checked_like_a_udo(self):
+        """A callable handed to an aggregate spec meets every
+        determinism rule, not only the shared-state ones."""
+        spec = AggSpec("topk", "top", "AdId", k=2, rank=lambda v: random.random())
+        ids = rule_ids(src().aggregate(spec))
+        assert "determinism.impure-call" in ids
 
 
 class TestSuppression:
     def test_ignore_comment_suppresses_parallel_rule(self):
-        q = src().where(lambda p: p["UserId"] in SHARED_COUNTS)  # repro: ignore[parallel.shared-mutable-capture]
-        assert "parallel.shared-mutable-capture" not in rule_ids(q)
+        q = src().where(lambda p: p["UserId"] in SHARED_COUNTS)  # repro: ignore[determinism.shared-state]
+        assert "determinism.shared-state" not in rule_ids(q)
 
     def test_typo_in_parallel_rule_id_is_flagged(self):
-        q = src().where(lambda p: p["UserId"] in SHARED_COUNTS)  # repro: ignore[parallel.shared-mutable-caputre]
+        q = src().where(lambda p: p["UserId"] in SHARED_COUNTS)  # repro: ignore[determinism.shared-stat]
         report = analyze(q)
         assert "suppression.unknown-rule" in report.rule_ids()
         # the misspelt id suppresses nothing
-        assert "parallel.shared-mutable-capture" in report.rule_ids()
+        assert "determinism.shared-state" in report.rule_ids()
 
     def test_global_ignore_flag(self):
         q = src().where(lambda p: p["UserId"] in SHARED_COUNTS)
-        report = analyze(q, ignore=["parallel.shared-mutable-capture"])
-        assert "parallel.shared-mutable-capture" not in report.rule_ids()
+        report = analyze(q, ignore=["determinism.shared-state"])
+        assert "determinism.shared-state" not in report.rule_ids()
 
 
 class TestGateHelpers:
     def test_parallel_rules_are_warnings_not_errors(self):
+        assert {RULES[rule].severity for rule in SHARED_RULES} == {"warning"}
         q = src().where(lambda p: p["UserId"] in SHARED_COUNTS)
         report = analyze(q)
         assert not report.errors  # a warning never blocks a run
+
+    def test_retired_parallel_rules_are_unknown(self):
+        assert not [rule for rule in RULES if rule.startswith("parallel.")]

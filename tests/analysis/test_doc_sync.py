@@ -118,6 +118,9 @@ class TestRemovedKnobsStayRemoved:
         "reply-drop",
         "task-transient",
         "parallel.fork-unsafe-capture",
+        "parallel.shared-mutable-capture",
+        "parallel.ambient-env",
+        "parallel.order-dependent-reduce",
         "attribution.py",
     )
 

@@ -29,7 +29,7 @@ class TestRegistry:
     def test_rule_families_present(self):
         families = {r.split(".")[0] for r in RULES}
         assert families == {
-            "schema", "determinism", "parallel", "partition", "lifetime",
+            "schema", "determinism", "partition", "lifetime",
             "batch", "suppression",
         }
 

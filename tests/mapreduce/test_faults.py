@@ -29,7 +29,6 @@ from repro.mapreduce.faults import (
     REDUCE,
     SHUFFLE,
     SITES,
-    backoff_seconds,
 )
 from repro.runtime import RunContext
 
@@ -389,14 +388,3 @@ class TestClusterConfiguration:
         out = cluster.run_stage(count_stage(), "in", "out")
         assert out.num_rows > 0
 
-
-class TestBackoff:
-    def test_exponential_budget(self):
-        assert backoff_seconds(1.0, 1) == 1.0
-        assert backoff_seconds(1.0, 2) == 3.0
-        assert backoff_seconds(1.0, 3) == 7.0
-        assert backoff_seconds(0.5, 2) == 1.5
-
-    def test_zero_cases(self):
-        assert backoff_seconds(1.0, 0) == 0.0
-        assert backoff_seconds(0.0, 5) == 0.0

@@ -29,7 +29,7 @@ from repro.data import GeneratorConfig, generate
 from repro.runtime import RunContext, dataflow, keyed
 from repro.runtime.dataflow import Dataflow, StreamingUnsupported
 from repro.temporal import Engine, Query, StreamingEngine
-from repro.temporal.event import Event, point_event
+from repro.temporal.event import Event, point_events
 from repro.temporal.operators import (
     WAKE_ALWAYS,
     AggSpec,
@@ -87,7 +87,7 @@ class PerFeedFlow:
         return self._flow.output_watermark
 
     def push(self, source, row):
-        event = point_event(row)
+        (event,) = point_events([row])
         self._flow.feed(source, (event,), event.le)
         return self._flow.advance()
 
@@ -470,7 +470,7 @@ def drive_in_batches(query, rows, chunk=50, wave=64):
         calls.append((raw(out), flow.output_watermark, wake))
 
     for i in range(0, len(rows), chunk):
-        events = [point_event(row) for row in rows[i : i + chunk]]
+        events = point_events(rows[i : i + chunk])
         flow.feed("logs", events, events[-1].le)
         call(flow.advance())
     call(flow.flush())
@@ -721,7 +721,7 @@ def pane_state(subplan, rows):
         return 0
 
     counting = _CountingHeapq()
-    events = [point_event(row) for row in rows]
+    events = point_events(rows)
     fed = {id(e.payload) for e in events}
     with mock.patch.object(keyed, "heapq", counting):
         flow = Dataflow(query.to_plan(), group_wave_events=64)

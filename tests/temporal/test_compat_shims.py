@@ -30,14 +30,6 @@ class TestRunQueryShim:
         out = run_query(windowed_count(), {"logs": make_rows()})
         assert out and all(isinstance(e, Event) for e in out)
 
-    def test_time_column_override(self):
-        rows = [{"Ts": 3, "v": 1}, {"Ts": 9, "v": 2}]
-        out = run_query(
-            Query.source("r").where(lambda p: True), {"r": rows}, time_column="Ts"
-        )
-        assert [e.le for e in out] == [3, 9]
-        assert all("Ts" not in e.payload for e in out)
-
 
 class TestEngineTracerShim:
     def test_default_tracer_is_null(self):

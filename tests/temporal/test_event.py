@@ -88,8 +88,8 @@ class TestConversions:
         assert [e.le for e in events] == [3, 1]
 
     def test_drop_time_column(self):
-        events = point_events([{"Time": 3, "UserId": "u"}], drop_time=True)
-        assert "Time" not in events[0].payload
+        events = point_events([{"Time": 3, "UserId": "u"}])
+        assert events[0].payload == {"UserId": "u"}
 
     def test_events_to_rows_roundtrip(self):
         events = [Event(2, 9, {"k": "x"})]

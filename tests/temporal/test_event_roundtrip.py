@@ -99,13 +99,6 @@ class TestEventRowRoundTrip:
         assert back.payload[SRC_COLUMN] == "left"
         assert back == e
 
-    def test_custom_time_and_re_columns(self):
-        events = [Event(1, 5, {"k": 1})]
-        rows = events_to_rows(events, time_column="T", re_column="End")
-        assert rows == [{"k": 1, "T": 1, "End": 5}]
-        back = rows_to_events(rows, time_column="T", re_column="End")
-        assert back == events
-
     @pytest.mark.parametrize("seed", SEEDS)
     def test_double_round_trip_is_stable(self, seed):
         rng = random.Random(seed)

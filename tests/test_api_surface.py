@@ -97,7 +97,7 @@ def test_run_settings_come_only_from_the_context():
 
     expected = {
         Engine.__init__: ["context"],
-        Engine.run: ["query", "sources", "time_column", "validate"],
+        Engine.run: ["query", "sources", "validate"],
         StreamingEngine.__init__: ["query", "slack", "event_policy", "context"],
         Cluster.__init__: ["fs", "cost_model", "context"],
         TiMR.__init__: ["cluster", "statistics"],
@@ -115,4 +115,4 @@ def test_run_settings_come_only_from_the_context():
         for fn in expected
     }
     assert got == expected
-    assert sum(map(len, got.values())) == 28
+    assert sum(map(len, got.values())) == 27

@@ -38,11 +38,6 @@ class TestEngineEdges:
         eng.run(q, {"s": [{"Time": 1}, {"Time": 2}]})
         assert sum(eng.last_stats.operator_events.values()) > 0
 
-    def test_custom_time_column(self):
-        q = Query.source("s").count(into="n")
-        out = run_query(q, {"s": [{"ts": 9, "v": 1}]}, time_column="ts")
-        assert out[0].le == 9
-
     def test_group_input_outside_group_apply_rejected(self):
         from repro.temporal.plan import GroupInputNode
 

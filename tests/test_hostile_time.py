@@ -1,0 +1,170 @@
+"""Hostile ``Time`` values, at every entry point that reads rows.
+
+Every layer decodes an M-R row with one codec (``temporal/event.py``:
+``decode_row``, ``point_events``) under one rule for a usable time
+(``temporal/time.py``: ``check_time``). So each cell below is one of:
+
+* a usable row gives the same events on every path;
+* an unusable row raises a ``ValueError`` naming the column and the
+  value (``KeyError('Time')`` when the column is missing; a TiMR
+  reducer's failure arrives as a ``StageExecutionError`` around it), or
+* takes the entry point's policy outcome: the row is dropped or
+  quarantined, and the output is the output without it.
+
+No cell raises a ``TypeError``, and none silently accepts a ``bool`` or
+a NaN.
+"""
+
+import copy
+import math
+
+import pytest
+
+from repro.mapreduce import Cluster, DistributedFileSystem, StageExecutionError
+from repro.runtime import RunContext
+from repro.temporal import Engine, Event, Query, StreamingEngine, normalize
+from repro.temporal.event import rows_to_events
+from repro.timr import TiMR
+
+FIRST = {"Time": 1, "u": "a"}
+LAST = {"Time": 3, "u": "a"}
+
+#: usable rows, and the event each one is
+USABLE = {
+    "float": ({"Time": 1.5, "u": "a"}, Event(1.5, 2.5, {"u": "a"})),
+    "interval": ({"Time": 1, "_re": 5, "u": "a"}, Event(1, 5, {"u": "a"})),
+}
+
+#: unusable rows, the error an entry point without a policy raises, and
+#: what its message must name
+UNUSABLE = {
+    "missing": ({"u": "a"}, KeyError, ["'Time'"]),
+    "None": ({"Time": None, "u": "a"}, ValueError, ["'Time'", "None"]),
+    "bool": ({"Time": True, "u": "a"}, ValueError, ["'Time'", "True"]),
+    "str": ({"Time": "x", "u": "a"}, ValueError, ["'Time'", "'x'"]),
+    "nan": ({"Time": math.nan, "u": "a"}, ValueError, ["'Time'", "nan"]),
+    "inverted": ({"Time": 2, "_re": 2, "u": "a"}, ValueError, ["[2, 2)"]),
+}
+
+
+def grouped():
+    """A windowed count, and a count over the rows' own lifetimes (which
+    tells a point from an interval), per ``u``."""
+    return Query.source("logs").group_apply(
+        "u", lambda g: g.window(10).count(into="n").union(g.count(into="m"))
+    )
+
+
+def keyless():
+    """A key-less single-input fragment with a bounded extent:
+    span-partitioned under ``span_width``."""
+    return Query.source("logs").count(into="m")
+
+
+# -- the entry points: each returns (output events, rows set aside) ------------
+
+
+def engine_run(query, rows):
+    return list(Engine().run(query, {"logs": rows})), []
+
+
+def streaming(policy):
+    def run(query, rows):
+        engine = StreamingEngine(query, event_policy=policy)
+        out = []
+        for row in rows:
+            out.extend(engine.push("logs", row))
+        out.extend(engine.flush())
+        aside = [q.item for q in engine.quarantined] + [None] * engine.dropped
+        return out, aside
+
+    return run
+
+
+def timr(quarantine, span_width=None):
+    def run(query, rows):
+        fs = DistributedFileSystem()
+        fs.write("logs", copy.deepcopy(rows), require_time_column=False)
+        cluster = Cluster(fs=fs, context=RunContext(quarantine=quarantine))
+        result = TiMR(cluster).run(query, job_name="j", span_width=span_width)
+        aside = []
+        if fs.exists("j.quarantine"):
+            aside = [r["_row"] for r in fs.read("j.quarantine").all_rows()]
+        return rows_to_events(result.output_rows()), aside
+
+    return run
+
+
+#: (id, query, run, what an unusable row gets: "raise"; "policy-raise",
+#: the ValueError a streaming policy raises, its reason quoting the
+#: decoder's error; "drop"; or "aside", set aside in a dead-letter list)
+ENTRY_POINTS = [
+    ("engine", grouped, engine_run, "raise"),
+    ("stream-raise", grouped, streaming("raise"), "policy-raise"),
+    ("stream-drop", grouped, streaming("drop"), "drop"),
+    ("stream-quarantine", grouped, streaming("quarantine"), "aside"),
+    ("timr", grouped, timr(False), "raise"),
+    ("timr-quarantine", grouped, timr(True), "aside"),
+    ("timr-span", keyless, timr(False, span_width=2), "raise"),
+    ("timr-span-quarantine", keyless, timr(True, span_width=2), "aside"),
+]
+entry_points = pytest.mark.parametrize(
+    "query, run, outcome",
+    [pytest.param(q, r, o, id=name) for name, q, r, o in ENTRY_POINTS],
+)
+
+
+def reference(query, events):
+    """The query over already-decoded events."""
+    return normalize(Engine().run(query(), {"logs": events}))
+
+
+@entry_points
+@pytest.mark.parametrize("row", sorted(USABLE))
+def test_a_usable_row_gives_the_same_events_on_every_path(row, query, run, outcome):
+    value, event = USABLE[row]
+    out, aside = run(query(), [dict(FIRST), dict(value), dict(LAST)])
+    expected = [Event(1, 2, {"u": "a"}), event, Event(3, 4, {"u": "a"})]
+    assert normalize(out) == reference(query, expected)
+    assert not aside
+
+
+@entry_points
+@pytest.mark.parametrize("row", sorted(UNUSABLE))
+def test_an_unusable_row_is_named_or_set_aside(row, query, run, outcome):
+    value, error, named = UNUSABLE[row]
+    rows = [dict(FIRST), dict(value), dict(LAST)]
+    if outcome in ("raise", "policy-raise"):
+        with pytest.raises(Exception) as info:
+            run(query(), rows)
+        exc = info.value
+        if isinstance(exc, StageExecutionError):
+            # a reducer's failure, retried once and then reported
+            assert row == "inverted"
+            exc = exc.__cause__
+        assert type(exc) is (ValueError if outcome == "policy-raise" else error)
+        for part in named:
+            assert part in str(exc), (str(exc), part)
+        return
+    out, aside = run(query(), rows)
+    expected = [Event(1, 2, {"u": "a"}), Event(3, 4, {"u": "a"})]
+    assert normalize(out) == reference(query, expected)
+    # repr: a NaN is not equal to itself
+    assert repr(aside) == repr([None] if outcome == "drop" else [value])
+
+
+@pytest.mark.parametrize("quarantine", [False, True], ids=["raise", "quarantine"])
+@pytest.mark.parametrize("row", sorted(set(UNUSABLE) - {"inverted"}))
+def test_a_folded_union_names_an_unusable_time(row, quarantine):
+    """A multi-input fragment whose inputs carry folded kernels decodes
+    its rows while materializing the tagged union, before the stage
+    runs: there an unusable ``Time`` is a named error, with quarantine
+    on or off (the union has no dead-letter route)."""
+    value, error, named = UNUSABLE[row]
+    logs = Query.source("logs")
+    query = logs.window(10).count(into="n").union(logs.count(into="m"))
+    with pytest.raises(Exception) as info:
+        timr(quarantine, span_width=2)(query, [dict(FIRST), dict(value), dict(LAST)])
+    assert type(info.value) is error
+    for part in named:
+        assert part in str(info.value)
