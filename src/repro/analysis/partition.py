@@ -15,7 +15,8 @@ before any M-R stage is compiled:
 * an exchange keyed on columns its input stream does not carry is a
   ``partition.missing-column`` (it would hash on absent values);
 * a keyless ``exchange()`` (temporal/single partitioning) below an
-  operator with *unbounded* lifetime extent is a
+  operator whose lifetime extent is unbounded on either side (a count
+  or session window, a scan UDO, a custom rewrite) is a
   ``partition.unbounded-extent`` warning — spans cannot be sized, so
   the stage silently degrades to a single partition.
 
@@ -122,7 +123,7 @@ def partition_pass(ctx, columns: Dict[int, Optional[frozenset]]) -> None:
                     f"(constraint: {node.partition_constraint()!r}); results "
                     "would differ per partition",
                 )
-            if current == () and node.lifetime_extent() is None:
+            if current == () and None in node.lifetime_extent():
                 ctx.report(
                     "partition.unbounded-extent",
                     node,

@@ -511,10 +511,7 @@ def _cmd_chaos(args) -> int:
     # a reduce attempt passes two fault sites (shuffle + reduce), each
     # with a blacklist_after budget — so the restart budget must cover
     # 2 * blacklist_after injections before the scheduler steers away
-    base_ctx = RunContext(
-        seed=args.seed,
-        max_restarts=2 * ChaosPolicy().blacklist_after + 1,
-    )
+    base_ctx = RunContext(max_restarts=2 * ChaosPolicy().blacklist_after + 1)
 
     def make_timr(fault_policy=None, **context_changes):
         fs = DistributedFileSystem()

@@ -82,8 +82,6 @@ class RunContext:
         quarantine: divert poison rows / malformed events to dead-letter
             datasets instead of failing the job.
         max_restarts: task re-runs allowed before a fault propagates.
-        seed: RNG seed recorded for the run (chaos policies and data
-            generators read it so reruns are reproducible).
         clock: monotonic clock used for wall-time measurements; swap in
             a fake for deterministic timing tests.
         checkpoint_dir: when set, TiMR persists completed stage outputs
@@ -110,7 +108,6 @@ class RunContext:
     fault_policy: Optional[object] = None
     quarantine: bool = False
     max_restarts: int = 3
-    seed: Optional[int] = None
     clock: Callable[[], float] = field(default=_time.perf_counter)
     checkpoint_dir: Optional[str] = None
     resume: bool = False

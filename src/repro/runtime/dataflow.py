@@ -133,7 +133,7 @@ class _PlanMeta:
     def __init__(self, root: PlanNode):
         self.order = topological_order(root)
         self.futures: Dict[int, Optional[int]] = {
-            n.node_id: n.streaming_future_extent() for n in self.order
+            n.node_id: n.lifetime_extent()[1] for n in self.order
         }
         # node_id -> [(consumer node_id, input index)]
         self.consumers: Dict[int, List[Tuple[int, int]]] = {}
@@ -620,7 +620,7 @@ class _FlatPlan:
     reads position ``a`` (its one input, or its left; ``None`` for a
     unary node reading position ``i - 1``, whose output a chain carries
     over in locals), ``b`` is its right input's position (``None`` for a
-    unary node), ``future`` its streaming future extent, ``keep`` says
+    unary node), ``future`` its future extent, ``keep`` says
     some node reads its output by position, and ``pure`` that its
     operator is a pure per-event function (``_PURE_NODES``).
     ``shared[i - 1]`` is a pre-built operator for a stateless node (a
@@ -975,14 +975,14 @@ class Dataflow:
             (buffer-until-flush) mode instead of rejecting the plan.
         group_input: inside a GroupApply chain, the group-input leaf to
             register under :data:`GROUP_SOURCE`.
-        timed: accumulate per-node busy seconds (the batch driver turns
-            this on when tracing so operator spans carry real durations).
         group_wave_events: amortize GroupApply watermark waves — defer
             advancing the per-key chains until this many events have been
             fed to the node since its last wave (0, the streaming
             default, waves on every advance). Buffered group input stays
             bounded by the threshold; outputs are merely released later,
             never changed.
+        tracer: when enabled, every node accumulates its busy seconds,
+            so the batch driver's operator spans carry real durations.
     """
 
     def __init__(
@@ -991,12 +991,10 @@ class Dataflow:
         *,
         allow_unstreamable: bool = False,
         group_input: Optional[GroupInputNode] = None,
-        timed: bool = False,
         group_wave_events: int = 0,
         tracer=None,
     ):
         self.allow_unstreamable = allow_unstreamable
-        self.timed = timed
         self.group_wave_events = group_wave_events
         self.tracer = tracer if tracer is not None else NULL_TRACER
         meta = _PlanMeta.of(root)
@@ -1146,7 +1144,7 @@ class Dataflow:
         """Propagate buffered input; return newly-final root outputs: a
         list, or a :class:`LayoutRows` when the root is a keyed GroupApply
         (its events are built as they are read)."""
-        timed = self.timed
+        timed = self.tracer.enabled
         for node in self._op_nodes:
             changed = False
             for buf, child in node.edges:

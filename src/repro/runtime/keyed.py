@@ -37,9 +37,8 @@ from ..temporal.operators.aggregate import _Together
 from ..temporal.operators.base import WAKE_ALWAYS
 from ..temporal.operators.stateless import (
     WINDOW_SPECS,
-    AlterLifetime,
-    Where,
     _window_lifetimes,
+    event_kernel,
 )
 from ..temporal.time import MAX_TIME, MIN_TIME
 
@@ -99,7 +98,7 @@ class KeyedAggregate:
     aggregate`` of one GroupApply node, run for all keys in one sweep.
 
     ``stages`` are the sub-plan's nodes after the group input,
-    ``futures`` their streaming future extents and ``shared`` their
+    ``futures`` their future extents and ``shared`` their
     operator objects (``None`` for the aggregate, which is per key).
     """
 
@@ -131,18 +130,13 @@ class KeyedAggregate:
         #: a lone time window (or nothing) computes lifetimes from the LE
         #: column; anything else runs each event through every stage
         self._window = None
-        self._stages = None
+        self._kernel = None
         if len(prefix) == 1 and getattr(prefix[0], "spec", None) and (
             prefix[0].spec[0] in WINDOW_SPECS
         ):
             self._window = prefix[0].spec
         elif prefix:
-            self._stages = [
-                (op.predicate, None, None) if isinstance(op, Where)
-                else (None, op.le_fn, op.re_fn) if isinstance(op, AlterLifetime)
-                else (None, None, op.fn)
-                for op in prefix
-            ]
+            self._kernel = event_kernel(prefix)
         self._wave = None  # the input watermark the one below is for
         self._w_in = MIN_TIME  # what the aggregate stage sees
 
@@ -244,25 +238,14 @@ class KeyedAggregate:
             les, res = _window_lifetimes(self._window, les)
         else:
             res = [e.re for e in fresh]
-        if self._stages is None:
+        if self._kernel is None:
             return les, res, [e.payload for e in fresh] if self.reads_payloads else None
         payloads = [e.payload for e in fresh]
-        stages = self._stages
-        for i, p in enumerate(payloads):
-            le, re = les[i], res[i]
-            for predicate, le_fn, fn in stages:
-                if predicate is not None:
-                    if not predicate(p):
-                        le = None
-                        break
-                elif le_fn is not None:
-                    le, re = le_fn(le, re), fn(le, re)
-                    if re <= le:  # empty lifetimes vanish
-                        le = None
-                        break
-                else:
-                    p = fn(p)
-            les[i], res[i], payloads[i] = le, re, p
+        for i, out in enumerate(map(self._kernel, les, res, payloads)):
+            if out is None:
+                les[i] = None
+            else:
+                les[i], res[i], payloads[i] = out
         return les, res, payloads
 
     # -- the aggregate ------------------------------------------------------

@@ -79,30 +79,6 @@ class EngineStats:
             return 0.0
         return self.input_events / self.wall_seconds
 
-    def merge(self, other: "EngineStats") -> "EngineStats":
-        """Fold another run's counters into this one (returns self).
-
-        Counters are keyed by *plan path*, not operator instance, so
-        stateless operator objects shared across GroupApply chains (or
-        across per-partition runs of the same plan) never double-count:
-        each run contributes its per-node totals exactly once, whatever
-        instances computed them. Wall times add (they measure disjoint
-        work); merging a stats object into itself is refused because it
-        would silently double every counter.
-        """
-        if other is self:
-            raise ValueError("cannot merge an EngineStats into itself")
-        self.input_events += other.input_events
-        self.output_events += other.output_events
-        for key, count in other.operator_events.items():
-            self.operator_events[key] = self.operator_events.get(key, 0) + count
-        self.operator_labels.update(other.operator_labels)
-        self.wall_seconds += other.wall_seconds
-        for name, entry in other.resolutions.items():
-            ours = self.resolutions.setdefault(name, {**entry, "count": 0})
-            ours["count"] += entry["count"]
-        return self
-
 
 def plan_node_keys(root: PlanNode) -> Dict[int, str]:
     """Stable per-node keys: topological position + operator name.
@@ -167,7 +143,6 @@ class Engine:
         flow = Dataflow(
             root,
             allow_unstreamable=True,
-            timed=tracer.enabled,
             # amortize GroupApply watermark waves: chains advance once
             # per threshold of fed events, not once per chunk
             group_wave_events=max(chunk_size, 4096),

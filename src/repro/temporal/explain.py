@@ -26,14 +26,12 @@ from .query import Query
 
 
 def _streamable(root: PlanNode) -> Optional[str]:
-    """None when streamable, else the offending operator description."""
+    """None when streamable, else the operator with an unbounded future."""
     for node in topological_order(root):
-        if node.streaming_future_extent() is None:
+        if node.lifetime_extent()[1] is None:
+            if isinstance(node, GroupApplyNode):
+                return _streamable(node.subplan_root)
             return node.describe()
-        if isinstance(node, GroupApplyNode):
-            offender = _streamable(node.subplan_root)
-            if offender is not None:
-                return offender
     return None
 
 
@@ -113,13 +111,12 @@ def explain(query: Union[Query, PlanNode], stats=None) -> str:
     )
 
     extent = subplan_extent(root)
-    if extent is None:
-        lines.append("  lifetime extent: unbounded (no temporal partitioning)")
-    else:
-        lines.append(
-            f"  lifetime extent: past={extent[0]} future={extent[1]} ticks "
-            "(temporal partitioning eligible)"
-        )
+    past, future = ("unbounded" if s is None else f"{s} ticks" for s in extent)
+    lines.append(
+        f"  lifetime extent: past={past} future={future} "
+        + ("(no temporal partitioning)" if None in extent
+           else "(temporal partitioning eligible)")
+    )
 
     constraints = []
     for node in topological_order(root):
@@ -138,7 +135,9 @@ def explain(query: Union[Query, PlanNode], stats=None) -> str:
     if offender is None:
         lines.append("  streaming: supported (push + watermarks)")
     else:
-        lines.append(f"  streaming: unsupported (opaque lifetime in {offender!r})")
+        lines.append(
+            f"  streaming: unsupported (unbounded future extent in {offender!r})"
+        )
 
     from ..analysis import analyze
 

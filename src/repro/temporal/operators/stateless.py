@@ -114,6 +114,35 @@ class AlterLifetime(UnaryOperator):
         return None
 
 
+def event_kernel(ops):
+    """What a chain of Where / Project / AlterLifetime operators does to
+    one event, as ``kernel(le, re, payload)``: the event's ``(le, re,
+    payload)`` after the chain, or ``None`` when a Where drops it or a
+    rewrite leaves its lifetime empty. Builds no ``Event`` and never
+    writes to the payload it is given."""
+    stages = [
+        (op.predicate, None, None) if isinstance(op, Where)
+        else (None, op.le_fn, op.re_fn) if isinstance(op, AlterLifetime)
+        else (None, None, op.fn)
+        for op in ops
+    ]
+
+    def kernel(le, re, payload):
+        for predicate, le_fn, fn in stages:
+            if predicate is not None:
+                if not predicate(payload):
+                    return None
+            elif le_fn is not None:
+                le, re = le_fn(le, re), fn(le, re)
+                if re <= le:  # empty lifetimes vanish from the relation
+                    return None
+            else:
+                payload = fn(payload)
+        return le, re, payload
+
+    return kernel
+
+
 def sliding_window(w: int) -> AlterLifetime:
     """Sliding window of width ``w``: set ``re = le + w``.
 

@@ -17,8 +17,10 @@ evaluates it once and shares its output.
 Partitioning metadata (Section VI): every node reports a
 :class:`PartitionConstraint` — which payload-column partitionings it can
 execute under — and a *lifetime extent* ``(past, future)`` — how far a
-node's output at time *t* can depend on input timestamps around *t*,
-which TiMR's temporal partitioning uses to size span overlaps.
+node's output at time *t* can depend on input timestamps before and
+after *t*, each side ``None`` when unbounded. TiMR's temporal
+partitioning sizes span overlaps by both sides; streaming under
+watermarks needs only the future side bounded.
 """
 
 from __future__ import annotations
@@ -46,6 +48,9 @@ from .operators import (
 )
 
 _node_counter = itertools.count()
+
+#: A lifetime extent ``(past, future)``; ``None`` on a side is unbounded.
+Extent = Tuple[Optional[int], Optional[int]]
 
 #: Framework modules whose frames are skipped when recording where a plan
 #: node was constructed — the interesting frame is the *user's* call site
@@ -139,11 +144,14 @@ class PlanNode:
         """Payload partitionings this node accepts (default: stateless)."""
         return ANY
 
-    def lifetime_extent(self) -> Optional[Tuple[int, int]]:
-        """(past, future) input-timestamp dependence of output at time t.
+    def lifetime_extent(self) -> Extent:
+        """``(past, future)``: how far before and after *t* the input
+        timestamps lie that this node's output at time *t* depends on.
 
-        ``None`` means unbounded (temporal partitioning is invalid below
-        this node). Extents add along a root-to-leaf path.
+        A side is ``None`` when unbounded. Temporal partitioning needs
+        both sides bounded; streaming needs the future side bounded (an
+        output may then precede its input only so far). Extents add
+        along a root-to-leaf path (:func:`subplan_extent`).
         """
         return (0, 0)
 
@@ -158,17 +166,6 @@ class PlanNode:
         if len(self.inputs) == 1:
             return self.inputs[0].output_columns()
         return None
-
-    def streaming_future_extent(self):
-        """How far output LEs may precede input LEs (streaming safety).
-
-        ``None`` disables streaming for plans containing this node.
-        Defaults to the future component of :meth:`lifetime_extent`;
-        operators whose extent is unbounded only on the *past* side
-        (count windows) override this to stay streamable.
-        """
-        extent = self.lifetime_extent()
-        return None if extent is None else extent[1]
 
     # -- execution ------------------------------------------------------------
 
@@ -280,15 +277,16 @@ class AlterLifetimeNode(PlanNode):
             return (past, future)
         if self.kind == "point":
             return (0, 0)
-        return None  # custom: opaque, assume unbounded
+        return (None, None)  # custom: opaque, assume unbounded
 
 
 class CountWindowNode(PlanNode):
     """Count-based window: active set = the last n events.
 
     Order-sensitive across the whole stream, so not payload-partitionable
-    (use it inside a GroupApply for per-key count windows) and opaque to
-    temporal partitioning (an event's lifetime can span arbitrary time).
+    (use it inside a GroupApply for per-key count windows). An event's
+    lifetime can span arbitrary time, so the past extent is unbounded;
+    LEs never move, so the future extent is 0.
     """
 
     op_name = "count-window"
@@ -306,10 +304,7 @@ class CountWindowNode(PlanNode):
         return NONE
 
     def lifetime_extent(self):
-        return None  # an event can look back arbitrarily far in time
-
-    def streaming_future_extent(self):
-        return 0  # LEs never move: streaming-safe despite the above
+        return (None, 0)
 
 
 class SessionWindowNode(PlanNode):
@@ -330,10 +325,7 @@ class SessionWindowNode(PlanNode):
         return NONE
 
     def lifetime_extent(self):
-        return None  # a session can stretch arbitrarily far back
-
-    def streaming_future_extent(self):
-        return 0  # LEs never move
+        return (None, 0)  # a session stretches arbitrarily far back
 
 
 class AggregateNode(PlanNode):
@@ -521,6 +513,9 @@ class ScanUDONode(PlanNode):
     def partition_constraint(self):
         return NONE
 
+    def lifetime_extent(self):
+        return (None, 0)  # a fold depends on the whole prefix
+
     def output_columns(self):
         return None
 
@@ -642,34 +637,30 @@ def source_nodes(root: PlanNode) -> List[SourceNode]:
     return [n for n in topological_order(root) if isinstance(n, SourceNode)]
 
 
-def subplan_extent(root: PlanNode) -> Optional[Tuple[int, int]]:
-    """Accumulated (past, future) lifetime extent of a whole plan.
+def path_extent(*extents: Extent) -> Extent:
+    """Extents in series along one path: each side adds, and ``None``
+    (unbounded) on a side makes that side unbounded."""
+    return tuple(None if None in side else sum(side) for side in zip(*extents))
+
+
+def subplan_extent(root: PlanNode) -> Extent:
+    """Accumulated ``(past, future)`` lifetime extent of a whole plan.
 
     Extents add along each root-to-leaf path; the plan extent is the
-    component-wise maximum over paths. ``None`` propagates (unbounded).
+    side-wise maximum over paths. Each side is bounded on its own: it is
+    ``None`` when any node on any path has that side ``None``.
     """
     memo = {}
 
-    def visit(node: PlanNode) -> Optional[Tuple[int, int]]:
-        if node.node_id in memo:
-            return memo[node.node_id]
-        own = node.lifetime_extent()
-        if own is None:
-            memo[node.node_id] = None
-            return None
-        if not node.inputs:
+    def visit(node: PlanNode) -> Extent:
+        if node.node_id not in memo:
+            own = node.lifetime_extent()
+            below = [visit(child) for child in node.inputs]
+            if below:
+                widest = tuple(None if None in s else max(s) for s in zip(*below))
+                own = path_extent(own, widest)
             memo[node.node_id] = own
-            return own
-        best: Optional[Tuple[int, int]] = (0, 0)
-        for child in node.inputs:
-            sub = visit(child)
-            if sub is None:
-                best = None
-                break
-            best = (max(best[0], sub[0]), max(best[1], sub[1]))
-        result = None if best is None else (own[0] + best[0], own[1] + best[1])
-        memo[node.node_id] = result
-        return result
+        return memo[node.node_id]
 
     return visit(root)
 

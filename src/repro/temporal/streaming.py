@@ -26,7 +26,9 @@ Usage::
 
 Restrictions: plans containing a *custom* AlterLifetime (opaque lifetime
 functions) cannot bound how far output timestamps may precede input
-timestamps and are rejected (:class:`StreamingUnsupported`).
+timestamps — an unbounded *future* extent — and are rejected
+(:class:`StreamingUnsupported`). An unbounded *past* (count and session
+windows, scan UDOs, a GroupApply over them) streams.
 """
 
 from __future__ import annotations

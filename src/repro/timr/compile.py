@@ -39,18 +39,17 @@ from ..temporal.event import (
     events_to_rows,
     point_events,
 )
+from ..temporal.operators.stateless import event_kernel
 from ..temporal.plan import (
     AlterLifetimeNode,
     PlanNode,
     ProjectNode,
     SourceNode,
     WhereNode,
+    path_extent,
 )
 from .fragments import Fragment
 from .temporal_partition import SpanLayout
-
-#: Step kinds of a folded stateless chain (:func:`stateless_kernel`).
-_WHERE, _PROJECT, _LIFETIME = range(3)
 
 
 @dataclass
@@ -115,33 +114,7 @@ def stateless_kernel(plan: PlanNode):
             return None
         chain.append(node)
         node = node.inputs[0]
-    # each stage as (kind, f, g) over the row's (le, re, payload): what
-    # the operators' on_event would do, without an Event, a generator
-    # and a one-element list per stage per row
-    steps = []
-    for n in reversed(chain):
-        op = n.make_operator()
-        if isinstance(n, WhereNode):
-            steps.append((_WHERE, op.predicate, None))
-        elif isinstance(n, ProjectNode):
-            steps.append((_PROJECT, op.fn, None))
-        else:
-            steps.append((_LIFETIME, op.le_fn, op.re_fn))
-
-    def kernel(le, re, payload):
-        for kind, f, g in steps:
-            if kind == _WHERE:
-                if not f(payload):
-                    return None
-            elif kind == _PROJECT:
-                payload = f(payload)
-            else:
-                le, re = f(le, re), g(le, re)
-                if re <= le:  # empty lifetimes vanish from the relation
-                    return None
-        return le, re, payload
-
-    return kernel
+    return event_kernel(n.make_operator() for n in reversed(chain))
 
 
 def _stacked(kernels):
@@ -230,13 +203,6 @@ def make_reducer(
     return reducer
 
 
-def _add_extents(a, b):
-    """Compose two (past, future) extents along a path (None = unbounded)."""
-    if a is None or b is None:
-        return None
-    return (a[0] + b[0], a[1] + b[1])
-
-
 def fold_stateless_fragments(fragments: List[Fragment]):
     """Fold stateless key-less fragments into their consumers' map phase.
 
@@ -280,7 +246,7 @@ def fold_stateless_fragments(fragments: List[Fragment]):
         while name in folded:
             src, kernel, fext = folded[name]
             kernels.append(kernel)
-            extent = _add_extents(extent, fext)
+            extent = path_extent(extent, fext)
             name = src
         if not kernels:
             return name, None, (0, 0)
@@ -296,7 +262,7 @@ def fold_stateless_fragments(fragments: List[Fragment]):
             physical, transform, folded_extent = resolve(logical)
             bindings.append(InputBinding(logical, physical, transform))
             if transform is not None:
-                extent = _add_extents(extent, folded_extent)
+                extent = path_extent(extent, folded_extent)
         plans[f.output_name] = (bindings, extent)
     return kept, plans
 

@@ -16,10 +16,11 @@ original input file or a lower fragment's output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..temporal.plan import (
     ExchangeNode,
+    Extent,
     PlanNode,
     SourceNode,
     rewrite,
@@ -39,8 +40,9 @@ class Fragment:
             payload-partitionable (single partition or temporal spans).
         input_names: datasets read (original files or lower fragments).
         output_name: dataset this fragment writes.
-        extent: (past, future) lifetime extent of the fragment plan, or
-            None when unbounded — governs temporal-partitioning overlap.
+        extent: (past, future) lifetime extent of the fragment plan, a
+            side ``None`` when unbounded — governs temporal-partitioning
+            overlap, which needs both sides bounded.
     """
 
     index: int
@@ -48,7 +50,7 @@ class Fragment:
     key: Tuple[str, ...]
     input_names: List[str]
     output_name: str
-    extent: Optional[Tuple[int, int]] = None
+    extent: Extent = (None, None)
 
     @property
     def is_payload_partitioned(self) -> bool:

@@ -112,7 +112,8 @@ class TiMR:
             num_partitions: reduce partitions per payload-partitioned
                 stage (default: one per simulated machine).
             span_width: enables temporal partitioning for key-less
-                fragments with bounded lifetime extent (Section III-B).
+                fragments whose lifetime extent is bounded on both sides
+                (Section III-B).
             auto_annotate: run the cost-based optimizer when the plan has
                 no explicit ``.exchange()`` hints.
             validate: run the static pre-flight analyzer and reject plans
@@ -441,7 +442,7 @@ class TiMR:
         if (
             not fragment.is_payload_partitioned
             and span_width is not None
-            and extent is not None
+            and None not in extent
         ):
             layout = self._layout_spans(bindings, extent, span_width)
         return compile_fragment(

@@ -47,10 +47,10 @@ class TestDefaults:
 
 class TestDerive:
     def test_derive_copies_with_changes(self):
-        base = RunContext(seed=1)
+        base = RunContext(batch_size=7)
         derived = base.derive(max_restarts=7)
         assert derived.max_restarts == 7
-        assert derived.seed == 1
+        assert derived.batch_size == 7
         assert base.max_restarts == 3  # original untouched
 
 

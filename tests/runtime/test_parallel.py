@@ -1,5 +1,4 @@
-"""The ``executor`` keyword ``RunContext`` keeps for the repo benchmark,
-and the per-run stats a partitioned run folds together.
+"""The ``executor`` keyword ``RunContext`` keeps for the repo benchmark.
 
 The keyword is accepted, checked and inert: every run is serial, and a
 context naming a parallel executor is one counted ``executor.serial``
@@ -12,7 +11,6 @@ from repro.runtime import RunContext
 from repro.runtime.context import SERIAL_RESOLUTION
 from repro.runtime.dataflow import Dataflow
 from repro.temporal import Query
-from repro.temporal.engine import EngineStats
 from repro.temporal.event import Event
 
 
@@ -33,31 +31,6 @@ class TestResolveExecutor:
             assert list(found) == [SERIAL_RESOLUTION]
             assert found[SERIAL_RESOLUTION]["count"] == 1
             assert f"executor={kind!r}" in found[SERIAL_RESOLUTION]["reason"]
-
-
-class TestEngineStatsMerge:
-    def _stats(self):
-        s = EngineStats()
-        s.input_events = 10
-        s.output_events = 4
-        s.operator_events = {"000.where": 4}
-        s.operator_labels = {"000.where": "where(p)"}
-        s.wall_seconds = 0.5
-        return s
-
-    def test_merge_sums_by_plan_path(self):
-        a = self._stats()
-        b = self._stats()
-        b.operator_events["001.count"] = 2
-        a.merge(b)
-        assert a.input_events == 20
-        assert a.operator_events == {"000.where": 8, "001.count": 2}
-        assert a.wall_seconds == 1.0
-
-    def test_self_merge_refused(self):
-        s = self._stats()
-        with pytest.raises(ValueError, match="itself"):
-            s.merge(s)
 
 
 def test_dataflow_close_is_idempotent():

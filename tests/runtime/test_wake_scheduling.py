@@ -70,45 +70,12 @@ def raw(events):
     return [(e.le, e.re, sorted(e.payload.items())) for e in events]
 
 
-class PerFeedFlow:
-    """A ``Dataflow`` fed one event per call, deferred operators allowed.
-
-    ``StreamingEngine`` rejects a GroupApply over a count or session
-    window (the sub-plan's *past* extent is unbounded, and the plan node
-    reports that as unstreamable); the runtime itself runs them
-    incrementally, and this is the way in.
-    """
-
-    def __init__(self, query):
-        self._flow = Dataflow(query.to_plan(), allow_unstreamable=True)
-
-    @property
-    def output_watermark(self):
-        return self._flow.output_watermark
-
-    def push(self, source, row):
-        (event,) = point_events([row])
-        self._flow.feed(source, (event,), event.le)
-        return self._flow.advance()
-
-    def advance_to(self, watermark):
-        self._flow.set_watermarks(watermark)
-        return self._flow.advance()
-
-    def flush(self):
-        return self._flow.flush()
-
-
 def drive(query, script, slack=0, wakes=False):
     """Run ``script`` — ``("push", row)`` / ``("cti", t)`` steps — and
     return what every call released, in order, with the output watermark
     it left (and, with ``wakes``, the flow's ``next_wake`` and chain
     advances so far), the flush tail last; plus the chain-advance count."""
-    try:
-        engine = StreamingEngine(query, slack=slack)
-    except StreamingUnsupported:
-        assert not slack
-        engine = PerFeedFlow(query)
+    engine = StreamingEngine(query, slack=slack)
 
     def step(out):
         flow = engine._flow
@@ -188,9 +155,6 @@ SUBPLANS = {
     ),
 }
 
-#: Sub-plans only :class:`PerFeedFlow` accepts (in-order input only).
-UNSTREAMABLE = {"session", "count-window", "nested-session-union"}
-
 #: What sits between the source and the GroupApply. The hopping window
 #: hands chains events whose LE is ahead of the group's input watermark,
 #: as ``bot_detection_query`` does.
@@ -263,7 +227,7 @@ def scripts(draw, slack):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_lazy_equals_eager_per_push(prefix, subplan, data):
-    slack = 0 if subplan in UNSTREAMABLE else data.draw(st.sampled_from([0, 4]))
+    slack = data.draw(st.sampled_from([0, 4]))
     script = data.draw(scripts(slack))
     assert_lazy_equals_eager(build(prefix, subplan), script, slack)
 
@@ -327,7 +291,7 @@ def test_heaps_track_the_active_set_not_the_stream():
     query = Query.source("logs", ("UserId", "V")).group_apply(
         "UserId", lambda g: g.count_window(2).sum("V", into="s")
     )
-    engine = PerFeedFlow(query)
+    engine = StreamingEngine(query)
     for t in range(3000):
         engine.push("logs", {"Time": t, "UserId": t % 3, "V": 1})
     (node,) = [
@@ -436,7 +400,7 @@ FUSION_SHAPES = {
 }
 
 #: Custom lifetime rewrites run deferred inside the chain: batch only.
-FUSION_UNSTREAMABLE = UNSTREAMABLE | {"custom-lifetime", "alive-forever"}
+DEFERRED = {"custom-lifetime", "alive-forever"}
 
 
 @pytest.mark.parametrize("prefix", sorted(PREFIXES))
@@ -444,10 +408,17 @@ FUSION_UNSTREAMABLE = UNSTREAMABLE | {"custom-lifetime", "alive-forever"}
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_fused_equals_unfused_per_push(prefix, subplan, data):
-    streamable = subplan not in FUSION_UNSTREAMABLE
-    slack = data.draw(st.sampled_from([0, 4])) if streamable else 0
-    script = data.draw(scripts(slack))
     query = build(prefix, subplan, FUSION_SHAPES)
+    if subplan in DEFERRED:
+        # an unbounded future: no per-push path, fused or not (the
+        # per-batch-call test below compares these)
+        with pytest.raises(StreamingUnsupported):
+            StreamingEngine(query)
+        with unfused_reference(), pytest.raises(StreamingUnsupported):
+            StreamingEngine(query)
+        return
+    slack = data.draw(st.sampled_from([0, 4]))
+    script = data.draw(scripts(slack))
     fused, fused_advances = drive(query, script, slack, wakes=True)
     with unfused_reference():
         plain, plain_advances = drive(query, script, slack, wakes=True)
@@ -485,7 +456,7 @@ def test_fused_equals_unfused_per_batch_call(prefix, subplan):
     fused = drive_in_batches(query, rows)
     with unfused_reference():
         plain = drive_in_batches(query, rows)
-    if subplan not in ("custom-lifetime", "alive-forever"):  # deferred to flush
+    if subplan not in DEFERRED:  # deferred to flush
         assert any(released for released, _, _ in plain[:-1])  # waves did run
     for i, (got, want) in enumerate(zip(fused, plain)):
         assert got == want, f"advance call {i} of {len(plain)}"
@@ -529,7 +500,7 @@ def test_flat_shapes_cover_every_kind():
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_flat_equals_nested_per_push(prefix, subplan, data):
-    slack = 0 if subplan in FUSION_UNSTREAMABLE else data.draw(st.sampled_from([0, 4]))
+    slack = data.draw(st.sampled_from([0, 4]))
     script = data.draw(scripts(slack))
     query = build(prefix, subplan, FUSION_SHAPES)
     flat, flat_advances = drive(query, script, slack, wakes=True)

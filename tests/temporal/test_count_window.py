@@ -87,7 +87,8 @@ class TestCountWindowQueries:
         q = Query.source("s").count_window(3)
         node = q.to_plan()
         assert node.partition_constraint().kind == "none"
-        assert subplan_extent(node) is None  # opaque to temporal spans
+        # unbounded past rules out temporal spans; LEs never move
+        assert subplan_extent(node) == (None, 0)
 
     def test_streaming_matches_batch(self):
         """LEs never move backward, so count windows stream fine — even

@@ -4,7 +4,8 @@ The batch :class:`Engine` and the push-based :class:`StreamingEngine`
 now drive the *same* incremental operator graph. These tests generate
 random histories with hypothesis, run them through both drivers (and
 through the batch driver at several batch sizes), canonicalize the
-outputs, and compare them byte-for-byte — covering GroupApply, joins,
+outputs, and compare them byte-for-byte — covering GroupApply (over
+count and session windows too, pushed out of order under slack), joins,
 unions, count/session windows, and the custom-AlterLifetime plans only
 the batch driver accepts.
 """
@@ -100,6 +101,40 @@ def test_two_source_join_drivers_agree(left_rows, right_rows):
     streamed = StreamingEngine(q).run_all(
         {"a": list(left_rows), "b": list(right_rows)}
     )
+    assert canonical_bytes(streamed) == canonical_bytes(batch)
+
+
+#: GroupApply over count and session windows: an unbounded past, a
+#: bounded future, so they stream.
+UNBOUNDED_PAST = {
+    "count-window": lambda g: g.count_window(2).count(into="n"),
+    "session-window": lambda g: g.session_window(5).count(into="n"),
+    "session-union-window": lambda g: g.session_window(4)
+    .count(into="n")
+    .union(g.window(10).count(into="n")),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(UNBOUNDED_PAST))
+@pytest.mark.parametrize("slack", [0, 3])
+@settings(max_examples=40, deadline=None)
+@given(rows=histories(), jitter=st.lists(st.integers(0, 3), min_size=30, max_size=30))
+def test_group_apply_over_unbounded_past_streams_per_push(shape, slack, rows, jitter):
+    """Per-push output plus the flush equals the batch run. Under slack
+    the rows arrive up to ``slack`` ticks out of order; the batch run
+    reads them in the order the reorder buffer releases them."""
+    query = Query.source("logs").group_apply("UserId", UNBOUNDED_PAST[shape])
+    order = sorted(
+        range(len(rows)), key=lambda i: rows[i]["Time"] + min(jitter[i], slack)
+    )
+    arrival = [rows[i] for i in order]
+    engine = StreamingEngine(query, slack=slack)
+    streamed = []
+    for row in arrival:
+        streamed.extend(engine.push("logs", dict(row)))
+    streamed.extend(engine.flush())
+    released = sorted(arrival, key=lambda r: r["Time"])
+    batch = Engine().run(query, {"logs": released}, validate=False)
     assert canonical_bytes(streamed) == canonical_bytes(batch)
 
 

@@ -175,4 +175,4 @@ class TestPlanIntrospection:
         from repro.temporal.plan import subplan_extent
 
         q = Query.source("s").alter_lifetime(lambda le, re: le, lambda le, re: re)
-        assert subplan_extent(q.to_plan()) is None
+        assert subplan_extent(q.to_plan()) == (None, None)

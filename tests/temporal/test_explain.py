@@ -29,6 +29,19 @@ class TestExplain:
         report = explain(q)
         assert "unbounded" in report
 
+    def test_each_side_reported(self):
+        report = explain(Query.source("s").udo_scan(dict, lambda s, p, le: [p]))
+        assert "past=unbounded future=0 ticks (no temporal partitioning)" in report
+        assert "streaming: supported" in report
+
+    def test_group_apply_over_count_window_streams(self):
+        q = Query.source("s").group_apply(
+            "k", lambda g: g.count_window(2).count(into="n")
+        )
+        report = explain(q)
+        assert "past=unbounded future=0 ticks" in report
+        assert "streaming: supported" in report
+
     def test_streaming_supported(self):
         assert "streaming: supported" in explain(click_count())
 
@@ -38,6 +51,16 @@ class TestExplain:
         )
         report = explain(q)
         assert "unsupported" in report and "weird" in report
+        grouped = explain(
+            Query.source("s").group_apply(
+                "k",
+                lambda g: g.alter_lifetime(
+                    lambda le, re: le, lambda le, re: re, label="weird"
+                ).count(into="n"),
+            )
+        )
+        assert "past=unbounded future=unbounded" in grouped
+        assert "streaming: unsupported (unbounded future extent in 'weird')" in grouped
 
     def test_constraints_listed(self):
         report = explain(click_count())

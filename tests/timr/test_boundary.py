@@ -50,16 +50,21 @@ from repro.temporal.plan import (
     ProjectNode,
     SourceNode,
     WhereNode,
+    path_extent,
 )
 from repro.temporal.time import TICK, days, validate_interval
 from repro.timr import SRC_COLUMN, TiMR, make_fragments, make_reducer
 from repro.timr import compile as timr_compile
 from repro.timr import runner as timr_runner
-from repro.timr.compile import InputBinding, _add_extents, fold_stateless_fragments
+from repro.timr.compile import InputBinding, fold_stateless_fragments
 
 # -- the reference: the parent's boundary, verbatim ---------------------------
+#
+# Two edits: extents compose with the plan's own side-wise composer, as
+# they are pairs with a ``None`` side now, and the filter step is named
+# ``_FILTER``.
 
-_WHERE, _PROJECT, _LIFETIME = range(3)
+_FILTER, _PROJECT, _LIFETIME = range(3)
 
 
 def ref_row_transform(plan):
@@ -74,7 +79,7 @@ def ref_row_transform(plan):
     for n in reversed(chain):
         op = n.make_operator()
         if isinstance(n, WhereNode):
-            steps.append((_WHERE, op.predicate, None))
+            steps.append((_FILTER, op.predicate, None))
         elif isinstance(n, ProjectNode):
             steps.append((_PROJECT, op.fn, None))
         else:
@@ -86,7 +91,7 @@ def ref_row_transform(plan):
         validate_interval(le, re)
         payload = {k: v for k, v in row.items() if k != "Time" and k != "_re"}
         for kind, f, g in steps:
-            if kind == _WHERE:
+            if kind == _FILTER:
                 if not f(payload):
                     return []
             elif kind == _PROJECT:
@@ -130,7 +135,7 @@ def ref_fold(fragments):
         while name in folded:
             src, tr, fext = folded[name]
             transforms.append(tr)
-            extent = _add_extents(extent, fext)
+            extent = path_extent(extent, fext)
             name = src
         if not transforms:
             return name, None, (0, 0)
@@ -157,7 +162,7 @@ def ref_fold(fragments):
             physical, transform, folded_extent = resolve(logical)
             bindings.append(InputBinding(logical, physical, transform))
             if transform is not None:
-                extent = _add_extents(extent, folded_extent)
+                extent = path_extent(extent, folded_extent)
         plans[f.output_name] = (bindings, extent)
     return kept, plans
 

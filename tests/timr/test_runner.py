@@ -106,6 +106,21 @@ class TestEquivalence:
         assert layout is not None
         assert layout.past >= 120  # folded window still counted in overlap
 
+    def test_scan_udo_is_not_cut_into_spans(self):
+        """A fold depends on its whole prefix (an unbounded past), so the
+        stage runs on one partition: a span would restart the sum."""
+
+        def running_sum(state, payload, le):
+            state["n"] += 1
+            return [{"n": state["n"]}]
+
+        q = Query.source("logs").udo_scan(lambda: {"n": 0}, running_sum)
+        rows = [{"Time": t} for t in range(0, 100, 5)]
+        result = assert_matches_single_node(q, rows, span_width=20)
+        assert result.stages[-1].span_layout is None
+        got = rows_to_events(result.output_rows())
+        assert sorted(e.payload["n"] for e in got) == list(range(1, 21))
+
     def test_explicit_hints_respected(self):
         q = (
             Query.source("logs")
