@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test lint selflint ruff chaos bench-e2e test-bench-harness profile profile-bt
+.PHONY: check test lint selflint ruff chaos examples bench-e2e test-bench-harness profile profile-bt
 
 check: test selflint chaos ruff
 
@@ -13,6 +13,14 @@ test:
 # output (see docs/FAULT_TOLERANCE.md)
 chaos:
 	$(PYTHON) -m repro chaos
+
+# the examples that build Engine, Cluster and TiMR through the public API
+# and finish in seconds (behavioral_targeting.py and keyword_trends.py
+# take ~20 s each and are left to run by hand)
+examples:
+	$(PYTHON) examples/quickstart.py
+	$(PYTHON) examples/realtime_replay.py
+	$(PYTHON) examples/streamsql_tour.py
 
 # the repo benchmark (BENCHMARK.json): every workload once, each in a
 # fresh process, outputs checked, end-to-end metrics printed by name.

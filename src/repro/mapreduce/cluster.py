@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time as _time
 from marshal import dumps as _marshal
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..runtime.context import DEFAULT_CONTEXT, RunContext
 from ..temporal.event import TIME_COLUMN, row_times
@@ -40,7 +40,7 @@ from .faults import (
     StageExecutionError,
 )
 from .fs import DistributedFile, DistributedFileSystem, Row
-from .job import MapReduceJob, MapReduceStage, stable_hash
+from .job import MapFn, MapReduceJob, MapReduceStage, stable_hash
 
 
 #: Distinct keys one map call remembers the route of; past that a key
@@ -104,7 +104,7 @@ class Cluster:
             else:
                 name = f"{job.name}.stage{i}"
             current, stage_report, stage_quarantine = self._run_stage(
-                stage, current, name
+                stage, [(current, None)], name
             )
             report.stages.append(stage_report)
             quarantined.extend(stage_quarantine)
@@ -117,18 +117,25 @@ class Cluster:
     def run_stage(
         self,
         stage: MapReduceStage,
-        input_name: str,
+        inputs: Union[str, Dict[str, Optional[MapFn]]],
         output_name: str,
         quarantine_name: Optional[str] = None,
     ) -> DistributedFile:
         """Execute a single stage (convenience for tests and TiMR).
 
+        ``inputs`` names one dataset, or maps several, in order, each to
+        the map function its rows pass through before routing (``None``:
+        none), as Hadoop's ``MultipleInputs`` gives each input a mapper.
+        Map tasks are numbered in input order, then partition order.
+
         Quarantined rows are appended to ``quarantine_name`` (default
         ``{output_name}.quarantine``), so a multi-stage caller can funnel
         every stage's dead letters into one job-level dataset.
         """
-        current = self.fs.read(input_name)
-        out, stage_report, quarantined = self._run_stage(stage, current, output_name)
+        if isinstance(inputs, str):
+            inputs = {inputs: None}
+        data = [(self.fs.read(name), map_fn) for name, map_fn in inputs.items()]
+        out, stage_report, quarantined = self._run_stage(stage, data, output_name)
         self.last_report = JobReport(stages=[stage_report])
         self.last_quarantined = quarantined
         if quarantined:
@@ -138,9 +145,12 @@ class Cluster:
         return out
 
     def _run_stage(
-        self, stage: MapReduceStage, data: DistributedFile, output_name: str
+        self,
+        stage: MapReduceStage,
+        inputs: List[Tuple[DistributedFile, Optional[MapFn]]],
+        output_name: str,
     ) -> Tuple[DistributedFile, StageReport, List[Row]]:
-        report = StageReport(name=stage.name, rows_in=data.num_rows)
+        report = StageReport(name=stage.name, rows_in=sum(d.num_rows for d, _ in inputs))
         quarantined: List[Row] = []
         tracer = self.context.tracer
 
@@ -150,11 +160,12 @@ class Cluster:
             # Simulated input (re-)read; a fault here is retried like any task.
             self._draw_faults((FS_READ,), stage.name, -1, report)
 
-            # Map phase: transform (optional) then route rows to partitions.
+            # Map phase: one task per input partition, across the inputs.
             partitions: List[List[Row]] = [[] for _ in range(stage.num_partitions)]
             routed_rows = 0
             shuffle_bytes = 0
-            for pi, part in enumerate(data.partitions):
+            tasks = [(part, map_fn) for data, map_fn in inputs for part in data.partitions]
+            for pi, (part, map_fn) in enumerate(tasks):
                 with tracer.span(
                     "cluster.map",
                     category="cluster",
@@ -163,7 +174,7 @@ class Cluster:
                     rows_in=len(part),
                 ) as map_span:
                     self._draw_faults((MAP,), stage.name, pi, report)
-                    routed, poisoned = self._map_partition_rows(stage, pi, part)
+                    routed, poisoned = self._map_partition_rows(stage, pi, part, map_fn)
                     quarantined.extend(poisoned)
                     if tracer.enabled:
                         map_span.set("rows_mapped", len(routed))
@@ -293,18 +304,18 @@ class Cluster:
                     raise
 
     def _map_partition_rows(
-        self, stage: MapReduceStage, pi: int, rows: List[Row]
+        self, stage: MapReduceStage, pi: int, rows: List[Row], map_fn: Optional[MapFn] = None
     ) -> Tuple[List[Tuple[int, Row]], List[Row]]:
-        """Map + route one input partition: ``(partition index, row)``
-        pairs, and the dead-letter records of the rows whose map or
-        routing raised (when quarantine is on). The caller draws the
-        partition's injected faults first; the body runs once after
-        them, which is safe because map is stateless, and an
+        """Map task ``pi``: map + route one input partition into
+        ``(partition index, row)`` pairs, and the dead-letter records of
+        the rows whose map or routing raised (when quarantine is on).
+        The caller draws the task's injected faults first; the body runs
+        once after them, which is safe because map is stateless, and an
         ``InjectedFault`` raised by a user ``map_fn`` propagates, as a
         reducer's does."""
         routed: List[Tuple[int, Row]] = []
         poisoned: List[Row] = []
-        map_fn, key_fn, partition_fn = stage.map_fn, stage.key_fn, stage.partition_fn
+        key_fn, partition_fn = stage.key_fn, stage.partition_fn
         num_partitions = stage.num_partitions
         # this call's hash routes by the key's marshalled bytes, which
         # are equal only for equal reprs; as dict keys 1, 1.0 and True

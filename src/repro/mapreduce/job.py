@@ -21,6 +21,8 @@ from typing import Callable, Iterable, List, Optional, Sequence
 
 Row = dict
 Reducer = Callable[[int, List[Row]], Iterable[Row]]
+#: a map-phase row transform: row in, rows out (``[]`` drops the row)
+MapFn = Callable[[Row], Iterable[Row]]
 
 
 def stable_hash(value) -> int:
@@ -59,11 +61,9 @@ class MapReduceStage:
         partition_fn: optional override routing a key directly to a
             partition index (used by temporal partitioning, where one row
             can belong to *several* spans — return a list of indices).
-        map_fn: optional row transform run in the map phase before
-            routing; may drop a row (return ``[]``) or emit several. TiMR
-            folds stateless query fragments (filters, projections,
-            lifetime rewrites) into this, the way SCOPE pushes selects
-            into extractors.
+
+    A map function belongs to an input: ``Cluster.run_stage`` takes one
+    per dataset it reads.
     """
 
     name: str
@@ -72,7 +72,6 @@ class MapReduceStage:
     num_partitions: int = 8
     sort_by_time: bool = True
     partition_fn: Optional[Callable[[Row], List[int]]] = None
-    map_fn: Optional[Callable[[Row], Iterable[Row]]] = None
 
 
 @dataclass

@@ -14,14 +14,14 @@ Two practical mechanisms from the paper are implemented here:
   UserId would create one DSMS instance per user; instead the map phase
   routes by ``hash(key) % num_partitions`` and the CQ's own GroupApply
   separates users inside the partition.
-* **multi-input fragments** (Section III-C.4): the k input datasets are
-  unioned into one file with an extra ``_src`` column naming the origin;
-  the reducer decodes tagged rows straight into per-source event lists.
+* **multi-input fragments** (Section III-C.4): the stage's map phase
+  tags each input's rows with a ``_src`` column naming the origin
+  (:func:`input_map_fns`); the reducer decodes tagged rows straight
+  into per-source event lists.
 
 A stateless fragment folded into its consumer runs as a *kernel*
 (:func:`stateless_kernel`): ``kernel(le, re, payload)`` returns ``(le,
 re, payload)`` or ``None``, and never writes to the payload it is given.
-:func:`kernel_map_fn` adapts one to a single-input stage's ``map_fn``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..mapreduce.job import MapReduceStage, key_by_columns
+from ..mapreduce.job import MapFn, MapReduceStage, key_by_columns
 from ..runtime.context import DEFAULT_CONTEXT, RunContext
 from ..temporal.engine import Engine
 from ..temporal.event import (
@@ -61,8 +61,7 @@ class InputBinding:
         physical: the dataset actually read from the file system.
         transform: optional kernel ``(le, re, payload) -> (le, re,
             payload) | None`` (the folded stateless fragments below this
-            input), applied in the map phase / during union
-            materialization.
+            input), applied in the map phase.
     """
 
     logical: str
@@ -78,22 +77,15 @@ class CompiledStage:
         fragment: the source fragment.
         stage: the runnable :class:`MapReduceStage`.
         bindings: one :class:`InputBinding` per fragment input.
-        needs_input_union: True when the runner must materialize the
-            tagged union of several input datasets first.
+        inputs: ``Cluster.run_stage``'s inputs (:func:`input_map_fns`).
         span_layout: set when the stage uses temporal partitioning.
     """
 
     fragment: Fragment
     stage: MapReduceStage
     bindings: List[InputBinding]
-    needs_input_union: bool
+    inputs: Dict[str, Optional[MapFn]]
     span_layout: Optional[SpanLayout] = None
-
-    @property
-    def input_name(self) -> str:
-        if self.needs_input_union:
-            return f"{self.fragment.output_name}.in"
-        return self.bindings[0].physical
 
 
 def stateless_kernel(plan: PlanNode):
@@ -136,13 +128,52 @@ def _stacked(kernels):
 
 
 def kernel_map_fn(kernel):
-    """A kernel as a single-input stage's ``map_fn``: row in, rows out."""
+    """A kernel as a single-input stage's map function: row in, rows out."""
 
     def map_fn(row: dict) -> List[dict]:
         out = kernel(*decode_row(row))
         return [] if out is None else [encode_row(*out)]
 
     return map_fn
+
+
+def _tagging_map_fn(bindings: List[InputBinding]):
+    """One dataset's map function in a multi-input stage: a row is
+    decoded once if any binding on it is folded, and each binding that
+    keeps it emits it tagged with the binding's ``_src``."""
+    members = [(b.logical, b.transform) for b in bindings]
+    decodes = any(kernel is not None for _, kernel in members)
+
+    def map_fn(row: dict) -> List[dict]:
+        if decodes:
+            le, re, payload = decode_row(row)
+        out = []
+        for tag, kernel in members:
+            if kernel is None:
+                tagged = dict(row)
+            else:
+                kept = kernel(le, re, payload)
+                if kept is None:
+                    continue
+                tagged = encode_row(*kept)
+            tagged[SRC_COLUMN] = tag
+            out.append(tagged)
+        return out
+
+    return map_fn
+
+
+def input_map_fns(bindings: List[InputBinding]) -> Dict[str, Optional[MapFn]]:
+    """Each dataset a stage reads, in binding order, with its map
+    function: untagged for one binding, else one tagging function per
+    dataset however many bindings share it (Section III-C.4)."""
+    if len(bindings) == 1:
+        kernel = bindings[0].transform
+        return {bindings[0].physical: None if kernel is None else kernel_map_fn(kernel)}
+    by_physical: Dict[str, List[InputBinding]] = {}
+    for binding in bindings:
+        by_physical.setdefault(binding.physical, []).append(binding)
+    return {physical: _tagging_map_fn(members) for physical, members in by_physical.items()}
 
 
 def make_reducer(
@@ -209,9 +240,8 @@ def fold_stateless_fragments(fragments: List[Fragment]):
     A fragment whose plan is a pure stateless chain (Where / Project /
     AlterLifetime over one input), that is not payload-partitioned and
     has exactly one consumer, does not deserve its own M-R stage: its
-    work becomes the consuming stage's ``map_fn`` (single-input consumer)
-    or is applied while materializing the consumer's input union
-    (multi-input consumer). Consumers' effective lifetime extents grow by
+    work runs in the map function of the consuming stage's input
+    (:func:`input_map_fns`). Consumers' effective lifetime extents grow by
     the folded fragments' extents so temporal-partitioning overlaps stay
     correct.
 
@@ -284,10 +314,6 @@ def compile_fragment(
     """
     if bindings is None:
         bindings = [InputBinding(n, n) for n in fragment.input_names]
-    multi = len(bindings) > 1
-    map_fn = None
-    if not multi and bindings[0].transform is not None:
-        map_fn = kernel_map_fn(bindings[0].transform)
 
     if fragment.is_payload_partitioned:
         if span_layout is not None:
@@ -297,7 +323,6 @@ def compile_fragment(
             key_fn=key_by_columns(fragment.key),
             reducer=make_reducer(fragment, context=context),
             num_partitions=max(1, num_partitions),
-            map_fn=map_fn,
         )
     elif span_layout is not None:
         stage = MapReduceStage(
@@ -306,7 +331,6 @@ def compile_fragment(
             reducer=make_reducer(fragment, span_layout, context=context),
             num_partitions=span_layout.num_spans,
             partition_fn=lambda row: span_layout.spans_for_lifetime(*decode_row(row)[:2]),
-            map_fn=map_fn,
         )
     else:
         stage = MapReduceStage(
@@ -314,12 +338,11 @@ def compile_fragment(
             key_fn=lambda row: 0,
             reducer=make_reducer(fragment, context=context),
             num_partitions=1,
-            map_fn=map_fn,
         )
     return CompiledStage(
         fragment=fragment,
         stage=stage,
         bindings=bindings,
-        needs_input_union=multi,
+        inputs=input_map_fns(bindings),
         span_layout=span_layout,
     )

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Union
 from ..mapreduce.cluster import Cluster
 from ..mapreduce.cost import JobReport
 from ..mapreduce.fs import DistributedFile
-from ..temporal.event import SRC_COLUMN, decode_row, encode_row
+from ..temporal.event import decode_row
 from ..temporal.plan import ExchangeNode, PlanNode, topological_order
 from ..temporal.query import Query
 from ..temporal.time import TICK
@@ -137,8 +137,8 @@ class TiMR:
             from ..analysis import validate_plan
 
             validate_plan(plan)
-        # one pause over union materialization, map/shuffle/sort and
-        # every reducer's embedded Engine.run (which nests inside it)
+        # one pause over every stage's map/shuffle/sort and every
+        # reducer's embedded Engine.run (which nests inside it)
         with context.quiet():
             return self._run_job(
                 plan, job_name, num_partitions, span_width, auto_annotate, context
@@ -227,9 +227,7 @@ class TiMR:
                                 category="timr",
                                 fragment=fragment.output_name,
                             ):
-                                self._verify_replay(
-                                    manifest.entries[i], compiled, fragment, bindings
-                                )
+                                self._verify_replay(manifest.entries[i], compiled, fragment)
                         continue
                     stored = self._store.get(key)
                     if stored is not None:
@@ -239,8 +237,11 @@ class TiMR:
                         served.append(f"{fragment.output_name} (= {stored.name})")
                         frag_span.set("reused", True)
                     else:
-                        output = self._run_stage(
-                            compiled, fragment, bindings, fragment.output_name, quarantine_name
+                        output = self.cluster.run_stage(
+                            compiled.stage,
+                            compiled.inputs,
+                            fragment.output_name,
+                            quarantine_name=quarantine_name,
                         )
                         # a stage that quarantined rows also wrote dead
                         # letters, which serving it would not
@@ -393,7 +394,7 @@ class TiMR:
             )
         return self.cluster.fs.write_partitioned(entry.dataset, dfile.partitions)
 
-    def _verify_replay(self, entry, compiled, fragment, bindings) -> None:
+    def _verify_replay(self, entry, compiled, fragment) -> None:
         """Re-run the last checkpointed stage; its output must re-hash equal.
 
         This is the paper's determinism claim (Section III-C.1) checked
@@ -406,7 +407,7 @@ class TiMR:
         from . import recovery
 
         replay_name = f"{fragment.output_name}.replay"
-        replayed = self._run_stage(compiled, fragment, bindings, replay_name)
+        replayed = self.cluster.run_stage(compiled.stage, compiled.inputs, replay_name)
         replay_hash = persist.dataset_sha256(replayed)
         self.cluster.fs.delete(replay_name)
         if replay_hash != entry.sha256:
@@ -418,17 +419,6 @@ class TiMR:
             )
 
     # -- internals ---------------------------------------------------------
-
-    def _run_stage(self, compiled, fragment, bindings, output_name, quarantine_name=None):
-        """Run one compiled stage on the cluster, into ``output_name``."""
-        if compiled.needs_input_union:
-            self._materialize_union(fragment, bindings)
-        output = self.cluster.run_stage(
-            compiled.stage, compiled.input_name, output_name, quarantine_name=quarantine_name
-        )
-        if compiled.needs_input_union:  # a temporary of this stage
-            self.cluster.fs.delete(compiled.input_name)
-        return output
 
     def _compile(
         self,
@@ -467,42 +457,3 @@ class TiMR:
         if not les:
             return None
         return plan_spans(min(les), max(res) - TICK, span_width, extent)
-
-    def _materialize_union(
-        self, fragment: Fragment, bindings: List[InputBinding]
-    ) -> None:
-        """Union k input datasets into one file with a source tag column.
-
-        This is the Section III-C.4 transformation that lets a vanilla
-        one-input M-R stage feed a multi-input CQ fragment. Each physical
-        dataset is scanned once, however many bindings read it: a row is
-        decoded once and every folded binding's kernel reads that one
-        payload. The file stays binding-major, as one scan per binding
-        wrote it.
-        """
-        tagged: List[List[dict]] = [[] for _ in bindings]
-        by_physical: Dict[str, list] = {}
-        for binding, rows in zip(bindings, tagged):
-            by_physical.setdefault(binding.physical, []).append(
-                (binding.transform, binding.logical, rows.append)
-            )
-        for physical, members in by_physical.items():
-            plain = [m for m in members if m[0] is None]  # rows tagged as they are
-            folded = [m for m in members if m[0] is not None]
-            for part in self.cluster.fs.read(physical).partitions:
-                for row in part:
-                    for _, tag, emit in plain:
-                        out = dict(row)
-                        out[SRC_COLUMN] = tag
-                        emit(out)
-                    if folded:
-                        le, re, payload = decode_row(row)
-                        for kernel, tag, emit in folded:
-                            kept = kernel(le, re, payload)
-                            if kept is not None:
-                                out = encode_row(*kept)
-                                out[SRC_COLUMN] = tag
-                                emit(out)
-        self.cluster.fs.write(
-            f"{fragment.output_name}.in", [row for rows in tagged for row in rows]
-        )

@@ -21,6 +21,7 @@ from repro.mapreduce import (
     StageExecutionError,
     StageKiller,
     key_by_columns,
+    persist,
 )
 from repro.mapreduce.faults import (
     FS_READ,
@@ -54,6 +55,32 @@ def make_cluster(rows, **settings):
     return Cluster(
         fs=fs, cost_model=CostModel(num_machines=4), context=RunContext(**settings)
     )
+
+
+def two_input_cluster(**settings):
+    """``left`` and ``right``, two partitions each."""
+    fs = DistributedFileSystem()
+    fs.write("left", sample_rows(12), num_partitions=2)
+    fs.write("right", sample_rows(8), num_partitions=2)
+    return Cluster(
+        fs=fs, cost_model=CostModel(num_machines=4), context=RunContext(**settings)
+    )
+
+
+def upper_key(row):
+    return [{**row, "k": row["k"].upper()}]
+
+
+class RecordingPolicy(FaultPolicy):
+    """Injects nothing; remembers every ``(site, partition)`` drawn."""
+
+    def __init__(self):
+        super().__init__()
+        self.draws = []
+
+    def fault_for(self, site, stage, partition, attempt):
+        self.draws.append((site, partition))
+        return None
 
 
 # a reduce attempt passes two fault sites (shuffle + reduce), so the
@@ -203,6 +230,26 @@ class TestFaultSites:
         keys = 4 if site == SHUFFLE else 1
         assert policy.stats.by_site == {site: keys * policy.blacklist_after}
 
+    def test_map_tasks_are_numbered_across_inputs(self):
+        # two inputs of two partitions each are four map tasks, in input
+        # order then partition order, under one stage-wide FS read
+        inputs = {"left": None, "right": upper_key}
+        policy = RecordingPolicy()
+        two_input_cluster(fault_policy=policy).run_stage(count_stage(), inputs, "out")
+        assert [p for site, p in policy.draws if site == MAP] == [0, 1, 2, 3]
+        assert [p for site, p in policy.draws if site == FS_READ] == [-1]
+
+        baseline = two_input_cluster().run_stage(count_stage(), inputs, "out")
+        assert {r["k"] for r in baseline.all_rows()} == set("abcdABCD")
+        chaos = ChaosPolicy(seed=0, rates={MAP: 1.0}, transient_fraction=1.0)
+        out = two_input_cluster(
+            fault_policy=chaos, max_restarts=CHAOS_RESTARTS
+        ).run_stage(count_stage(), inputs, "out")
+        assert persist.dataset_sha256(out) == persist.dataset_sha256(baseline)
+        assert out.partitions == baseline.partitions
+        # no two tasks share a (site, stage, partition) key
+        assert chaos.stats.by_site == {MAP: 4 * chaos.blacklist_after}
+
     def test_sites_constant_is_complete(self):
         assert set(SITES) == {MAP, SHUFFLE, REDUCE, FS_READ, FS_WRITE}
 
@@ -263,11 +310,9 @@ class TestStageExecutionError:
             raise InjectedFault("raised by user code", site=MAP)
 
         cluster = make_cluster(sample_rows(), quarantine=True)
-        stage = MapReduceStage(
-            "m", key_by_columns(["k"]), count_reducer, num_partitions=2, map_fn=mapper
-        )
+        stage = MapReduceStage("m", key_by_columns(["k"]), count_reducer, num_partitions=2)
         with pytest.raises(InjectedFault, match="user code"):
-            cluster.run_stage(stage, "in", "out")
+            cluster.run_stage(stage, {"in": mapper}, "out")
         assert len(calls) == 1
 
 
@@ -318,13 +363,25 @@ class TestQuarantine:
             return [row]
 
         cluster = make_cluster(sample_rows(12), quarantine=True)
-        stage = MapReduceStage(
-            "m", key_by_columns(["k"]), count_reducer, num_partitions=2, map_fn=mapper
-        )
-        out = cluster.run_stage(stage, "in", "out")
+        stage = MapReduceStage("m", key_by_columns(["k"]), count_reducer, num_partitions=2)
+        out = cluster.run_stage(stage, {"in": mapper}, "out")
         assert all(r["k"] != "b" for r in out.all_rows())
         assert all(q["_site"] == MAP for q in cluster.last_quarantined)
         assert len(cluster.last_quarantined) == 3  # every third of 12 rows is "b"
+
+    def test_map_dead_letter_names_its_task(self):
+        # a map dead letter's _partition is the map task number, counted
+        # across the inputs: right's second partition is task 3
+        def mapper(row):
+            if row["Time"] == 5:
+                raise KeyError("bad row")
+            return upper_key(row)
+
+        cluster = two_input_cluster(quarantine=True)
+        cluster.run_stage(count_stage(), {"left": None, "right": mapper}, "out")
+        (record,) = cluster.last_quarantined
+        assert (record["_site"], record["_partition"]) == (MAP, 3)
+        assert record["_row"] == {"Time": 5, "k": "b"}
 
     def test_row_without_time_quarantines_instead_of_crashing_sort(self):
         rows = sample_rows(10) + [{"k": "a"}, {"Time": "noon", "k": "b"}]

@@ -6,10 +6,11 @@ stateless kernels, tagged, routed, and decoded again into an ``Event``
 is the code that did this one row and one binding at a time — the row
 transform, its composition across stacked folded fragments, the union
 materialization, the reducer's split by ``_src`` and ``rows_to_events``,
-and the map phase's routing loop — kept verbatim. Everything observable
-must be equal: the bytes of the ``.in`` dataset, every event a reducer
-hands its engine (lifetime, payload, *column order*), the stage output,
-the quarantine records and the exception types.
+and the map phase's routing loop — kept verbatim. The code under test
+tags in the stage's map phase and writes no union; everything observable
+must be equal: every event a reducer hands its engine (lifetime,
+payload, *column order*), the stage output, the quarantine records and
+the exception types.
 """
 
 import contextlib
@@ -55,14 +56,15 @@ from repro.temporal.plan import (
 from repro.temporal.time import TICK, days, validate_interval
 from repro.timr import SRC_COLUMN, TiMR, make_fragments, make_reducer
 from repro.timr import compile as timr_compile
-from repro.timr import runner as timr_runner
 from repro.timr.compile import InputBinding, fold_stateless_fragments
 
 # -- the reference: the parent's boundary, verbatim ---------------------------
 #
-# Two edits: extents compose with the plan's own side-wise composer, as
-# they are pairs with a ``None`` side now, and the filter step is named
-# ``_FILTER``.
+# Three edits: extents compose with the plan's own side-wise composer, as
+# they are pairs with a ``None`` side now, the filter step is named
+# ``_FILTER``, and a one-input stage's row transform is handed to
+# ``Cluster.run_stage`` with its input, where ``MapReduceStage.map_fn``
+# used to carry it.
 
 _FILTER, _PROJECT, _LIFETIME = range(3)
 
@@ -217,13 +219,13 @@ def ref_reducer(fragment, seen: list):
     return reducer
 
 
-def ref_map_partition_rows(cluster, stage, pi, rows):
+def ref_map_partition_rows(cluster, stage, pi, rows, map_fn=None):
     routed = []
     poisoned = []
     for source_row in rows:
         try:
-            if stage.map_fn is not None:
-                mapped = stage.map_fn(source_row)
+            if map_fn is not None:
+                mapped = map_fn(source_row)
             else:
                 mapped = (source_row,)
             row_routes = []
@@ -246,9 +248,8 @@ def ref_map_partition_rows(cluster, stage, pi, rows):
 
 def ref_run(fs, plan, num_partitions, seen, **cluster_args):
     """The parent's ``TiMR._run_job`` loop over the reference pieces:
-    returns the ``.in`` datasets by name and the job's output."""
+    returns the job's output."""
     cluster = Cluster(fs=fs, **cluster_args)
-    unions = {}
     output = None
     kept, plans = ref_fold(make_fragments(plan, "j"))
     for fragment in kept:
@@ -259,40 +260,31 @@ def ref_run(fs, plan, num_partitions, seen, **cluster_args):
             key_fn=key_by_columns(fragment.key),
             reducer=ref_reducer(fragment, seen),
             num_partitions=num_partitions,
-            map_fn=None if multi else bindings[0].transform,
         )
-        input_name = bindings[0].physical
+        inputs = {bindings[0].physical: None if multi else bindings[0].transform}
         if multi:
             ref_materialize_union(fs, fragment, bindings)
-            input_name = f"{fragment.output_name}.in"
-            unions[input_name] = fs.read(input_name)
+            inputs = {f"{fragment.output_name}.in": None}
         output = cluster.run_stage(
-            stage, input_name, fragment.output_name, quarantine_name="j.quarantine"
+            stage, inputs, fragment.output_name, quarantine_name="j.quarantine"
         )
-    return unions, output
+    return output
 
 
 # -- observing the code under test --------------------------------------------
 
 
 @contextlib.contextmanager
-def observed(unions: dict, seen: list):
-    """Record every ``.in`` dataset as materialized (it is deleted once
-    its stage is done) and the sources every reducer hands its engine."""
-    materialize, run = TiMR._materialize_union, Engine.run
-
-    def recording_union(self, fragment, bindings):
-        materialize(self, fragment, bindings)
-        name = f"{fragment.output_name}.in"
-        unions[name] = self.cluster.fs.read(name)
+def observed(seen: list):
+    """Record the sources every reducer hands its engine."""
+    run = Engine.run
 
     def recording_run(self, query, sources, **kwargs):
         seen.append(sources)
         return run(self, query, sources, **kwargs)
 
-    with mock.patch.object(TiMR, "_materialize_union", recording_union):
-        with mock.patch.object(Engine, "run", recording_run):
-            yield
+    with mock.patch.object(Engine, "run", recording_run):
+        yield
 
 
 def exact(dfile: DistributedFile):
@@ -323,18 +315,15 @@ def filesystems(datasets):
 
 def assert_boundary_equals_reference(plan, datasets, num_partitions=3):
     fs, ref_fs = filesystems(datasets)
-    unions, seen, ref_seen = {}, [], []
-    with observed(unions, seen):
+    seen, ref_seen = [], []
+    with observed(seen):
         result = TiMR(Cluster(fs=fs)).run(
             plan, job_name="j", num_partitions=num_partitions, validate=False
         )
-    ref_unions, ref_output = ref_run(ref_fs, plan, num_partitions, ref_seen)
+    ref_output = ref_run(ref_fs, plan, num_partitions, ref_seen)
 
-    assert list(unions) == list(ref_unions)
-    for name, union in unions.items():
-        assert persist.dataset_sha256(union) == persist.dataset_sha256(ref_unions[name])
-        assert exact(union) == exact(ref_unions[name])
-        assert not fs.exists(name)  # a temporary of its stage
+    # the run wrote its stage outputs and nothing else
+    assert fs.list_files() == sorted({*datasets, *(f.output_name for f in result.fragments)})
     assert exact_events(seen) == exact_events(ref_seen)
     assert persist.dataset_sha256(result.output) == persist.dataset_sha256(ref_output)
     assert exact(result.output) == exact(ref_output)
@@ -342,7 +331,7 @@ def assert_boundary_equals_reference(plan, datasets, num_partitions=3):
     for name, rows in datasets.items():
         assert exact(fs.read(name)) == exact(ref_fs.read(name))
         assert fs.read(name).all_rows() == rows[0::2] + rows[1::2]
-    return unions, seen, result
+    return seen, result
 
 
 # -- generated fragments -------------------------------------------------------
@@ -432,13 +421,12 @@ def test_the_generator_reaches_every_shape():
         {"Time": t, "k": "xy"[t % 2], "v": t % 5, **({"_re": t + 1 + t % 6} if t % 3 else {})}
         for t in (0, 1, 1, 2, 4, 4, 4, 7, 9, 9, 12)
     ]
-    unions, seen, result = assert_boundary_equals_reference(
+    seen, result = assert_boundary_equals_reference(
         plan, {"a": rows, "b": [dict(r) for r in reversed(rows)]}
     )
-    (union,) = unions.values()
-    tags = [row[SRC_COLUMN] for row in union.all_rows()]
-    assert tags == sorted(tags, key=top.input_names.index)  # binding-major
-    assert set(tags) == set(top.input_names)  # every binding survives somewhere
+    assert all(list(sources) == top.input_names for sources in seen)
+    # every binding survives somewhere
+    assert all(any(sources[name] for sources in seen) for name in top.input_names)
     assert result.output.num_rows
 
 
@@ -456,18 +444,20 @@ def test_a_reserved_column_from_a_project_stops_at_a_folded_boundary():
         .group_apply("k", lambda g: g.count(into="n"))
     )
     rows = [{"Time": t, "k": "x", "v": t} for t in range(4)]
-    unions, _, _ = assert_boundary_equals_reference(q.to_plan(), {"a": rows, "b": rows})
-    (union,) = unions.values()
-    folded = [r for r in union.all_rows() if r[SRC_COLUMN] != "b"]
-    assert folded and all(r["kept"] == ["k", "v"] for r in folded)
+    seen, _ = assert_boundary_equals_reference(q.to_plan(), {"a": rows, "b": rows})
+    folded = [
+        e.payload for sources in seen for name, events in sources.items() if name != "b"
+        for e in events
+    ]
+    assert folded and all(p["kept"] == ["k", "v"] for p in folded)
 
 
 def test_single_input_stage_maps_through_the_same_kernel():
-    """One binding: no union, the kernel runs as the stage's ``map_fn``."""
+    """One binding: no tag, the kernel runs as its input's map function."""
     plan = build([("a", [["where", "window"], ["project"]])], "union")
     rows = [{"k": "x", "v": t % 4, "Time": t // 2} for t in range(20)]
-    unions, seen, result = assert_boundary_equals_reference(plan, {"a": rows, "b": []})
-    assert not unions and result.output.num_rows
+    seen, result = assert_boundary_equals_reference(plan, {"a": rows, "b": []})
+    assert all(len(sources) == 1 for sources in seen) and result.output.num_rows
 
 
 # -- the reducer never writes to its input ------------------------------------
@@ -676,13 +666,14 @@ def test_bad_rows_in_a_folded_dataset_fail_the_union_as_before(bad, error):
 
 
 def test_one_scan_per_dataset_and_two_copies_per_row(small_dataset):
-    """Over the union stages of the BT chain: ``_materialize_union``
-    reads each physical dataset once however many bindings share it, and
-    from there to the reducer's events the boundary builds at most one
-    dict per scanned row (the decode all bindings share) and two per
-    surviving row (the tagged row, the event payload). Counted at the
-    ``dict(...)`` calls of ``timr/runner.py`` and ``timr/compile.py``,
-    which is where the boundary makes its copies."""
+    """Over the multi-input stages of the BT chain: a stage reads each
+    physical dataset once however many bindings share it, and from the
+    scan to the reducer's events the boundary builds at most one dict
+    per scanned row (the decode all bindings share) and two per routed
+    row (the tagged row, the event payload). Counted where
+    ``timr/compile.py`` makes its copies: its ``dict(...)``,
+    ``decode_row`` and ``encode_row`` calls, and one payload per row it
+    hands ``point_events``."""
     cfg = BTConfig(min_support=2, z_threshold=1.0)
     logs = Query.source("logs", UNIFIED_COLUMNS)
     clean = Query.source("clean", UNIFIED_COLUMNS)
@@ -691,46 +682,61 @@ def test_one_scan_per_dataset_and_two_copies_per_row(small_dataset):
     timr = TiMR(Cluster(fs=fs, cost_model=CostModel(num_machines=8)))
     fs.write("clean", timr.run(bot_elimination_query(logs, cfg), job_name="clean").output_rows())
 
-    copies = [0]
-    unions = []  # per union stage: (bindings, datasets read, rows scanned, rows written)
-    materialize, read = TiMR._materialize_union, fs.read
+    copies, routed = [0], [0]
+    reads: Dict[str, List[str]] = {}  # stage name -> datasets it read
+    run_stage, map_rows, read = Cluster.run_stage, Cluster._map_partition_rows, fs.read
 
-    def counting_dict(*args, **kwargs):
-        copies[0] += 1
-        return dict(*args, **kwargs)
+    def counting(fn, cost=lambda *args: 1):
+        def wrapper(*args, **kwargs):
+            copies[0] += cost(*args)
+            return fn(*args, **kwargs)
 
-    def counting_union(self, fragment, bindings):
-        reads = []
-        fs.read = lambda name: reads.append(name) or read(name)
+        return wrapper
+
+    def reading_stage(self, stage, *args, **kwargs):
+        names = reads.setdefault(stage.name, [])
+        fs.read = lambda name: names.append(name) or read(name)
         try:
-            materialize(self, fragment, bindings)
+            return run_stage(self, stage, *args, **kwargs)
         finally:
             fs.read = read
-        assert sorted(reads) == sorted({b.physical for b in bindings})
-        scanned = sum(read(name).num_rows for name in reads)
-        written = read(f"{fragment.output_name}.in").num_rows
-        unions.append((len(bindings), len(reads), scanned, written))
+
+    def routing(self, *args):
+        out = map_rows(self, *args)
+        routed[0] += len(out[0])
+        return out
 
     with contextlib.ExitStack() as stack:
-        stack.enter_context(mock.patch.object(TiMR, "_materialize_union", counting_union))
-        for module in (timr_runner, timr_compile):
-            stack.enter_context(mock.patch.object(module, "dict", counting_dict, create=True))
+        stack.enter_context(mock.patch.object(Cluster, "run_stage", reading_stage))
+        stack.enter_context(mock.patch.object(Cluster, "_map_partition_rows", routing))
+        for name, fn, cost in [
+            ("dict", dict, None),
+            ("decode_row", timr_compile.decode_row, None),
+            ("encode_row", timr_compile.encode_row, None),
+            ("point_events", timr_compile.point_events, len),
+        ]:
+            wrapped = counting(fn) if cost is None else counting(fn, cost)
+            stack.enter_context(mock.patch.object(timr_compile, name, wrapped, create=True))
+        ran = []
         for name, plan in [
             ("kez", feature_selection_query(clean, cfg, days(3))),
             ("act", labeled_activity_query(clean, cfg)),
             ("train", training_data_query(clean, cfg)),
         ]:
-            copies[0], first = 0, len(unions)
+            copies[0], routed[0] = 0, 0
             result = timr.run(plan, job_name=name, num_partitions=4)
             assert result.output.num_rows
-            assert all(stage.needs_input_union for stage in result.stages)
-            ran = len(result.stages) - result.reused_stages
-            assert len(unions) - first == ran
-            if not ran:  # train is kez.frag0 again: served, so no scan and no copy
+            assert all(len(stage.bindings) > 1 for stage in result.stages)
+            stages = [s for s in result.stages if s.stage.name in reads]
+            assert len(stages) == len(result.stages) - result.reused_stages
+            if not stages:  # train is kez.frag0 again: served, so no scan and no copy
                 assert name == "train" and copies[0] == 0
                 continue
-            scanned = sum(u[2] for u in unions[first:])
-            surviving = sum(u[3] for u in unions[first:])
-            assert surviving and copies[0] <= 2 * surviving + scanned, (name, unions[first:])
+            for stage in stages:
+                physical = {b.physical for b in stage.bindings}
+                assert sorted(reads[stage.stage.name]) == sorted(physical)
+            scanned = sum(report.rows_in for report in result.report.stages)
+            assert routed[0] and copies[0] <= 2 * routed[0] + scanned, (name, copies, routed)
+            ran.extend(stages)
     # the chain does share its inputs: more bindings than datasets read
-    assert sum(u[0] for u in unions) > sum(u[1] for u in unions)
+    assert sum(len(s.bindings) for s in ran) > sum(len(reads[s.stage.name]) for s in ran)

@@ -250,8 +250,7 @@ class TestCompileFragment:
         )
         compiled = compile_fragment(frag, num_partitions=8)
         assert compiled.stage.num_partitions == 8
-        assert not compiled.needs_input_union
-        assert compiled.input_name == "s"
+        assert compiled.inputs == {"s": None}  # one plain input: untagged, unmapped
 
     def test_keyless_stage_single_partition(self):
         frag = single_fragment(Query.source("s").window(10).count(into="n"))
