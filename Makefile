@@ -1,9 +1,10 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test lint selflint ruff chaos examples bench-e2e test-bench-harness profile profile-bt
+.PHONY: check test lint selflint ruff chaos examples bench-e2e bench-smoke test-bench-harness profile profile-bt
 
-check: test selflint chaos ruff
+# everything CI gates
+check: test selflint chaos ruff test-bench-harness examples bench-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -33,6 +34,24 @@ bench-e2e:
 # testpaths
 test-bench-harness:
 	$(PYTHON) -m pytest benchmarks/e2e -q
+
+# every repo-benchmark workload at smoke size; run.py exits non-zero when
+# a workload's output differs from benchmarks/e2e/expected.json
+# - bt_timr (~3 s): the LR weights are solved densely (bt/model.py) and
+#   the chain serves train.out from kez.frag0 (timr/fingerprint.py): both
+#   lean on this digest, floats at 9 significant digits
+# - scale_sliding, scale_par and scale_hopping: Engine.run keeps its
+#   result as columns (EventColumns); these hash and mass-check every row
+# - stream_push: bot elimination pushed row by row, its per-user plan on
+#   flat GroupApply chains: the check asserts pushed + flushed output
+#   equals Engine.run over the same rows
+SMOKE = --size smoke --seed 0 --seconds 2
+bench-smoke:
+	$(PYTHON) benchmarks/e2e/run.py --workload bt_timr $(SMOKE)
+	$(PYTHON) benchmarks/e2e/run.py --workload scale_sliding $(SMOKE)
+	$(PYTHON) benchmarks/e2e/run.py --workload scale_par $(SMOKE)
+	$(PYTHON) benchmarks/e2e/run.py --workload scale_hopping $(SMOKE)
+	$(PYTHON) benchmarks/e2e/run.py --workload stream_push $(SMOKE)
 
 # where one pass of a repo-benchmark workload spends its time, layer by
 # layer: `make profile WORKLOAD=scale_hopping` is one traced run cut down

@@ -27,7 +27,7 @@ from marshal import dumps as _marshal
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..runtime.context import DEFAULT_CONTEXT, RunContext
-from ..temporal.event import TIME_COLUMN, row_times
+from ..temporal.event import TIME_COLUMN, rows_by_time
 from ..temporal.time import check_time
 from .cost import CostModel, JobReport, StageReport
 from .faults import (
@@ -381,7 +381,7 @@ class Cluster:
                 else:
                     usable.append(row)
             rows = usable
-        return _by_time(rows)
+        return rows_by_time(rows)[0]
 
     def _reduce_partition_rows(
         self,
@@ -511,13 +511,8 @@ class Cluster:
         This is the repeatability property of Section III-C.1 that makes
         the DSMS safe under M-R's restart-based failure handling.
         """
-        rows = _by_time(rows) if stage.sort_by_time else list(rows)
+        rows = rows_by_time(rows)[0] if stage.sort_by_time else list(rows)
         first = list(stage.reducer(partition, list(rows)))
         second = list(stage.reducer(partition, list(rows)))
         return first == second
 
-
-def _by_time(rows: List[Row]) -> List[Row]:
-    """``rows`` in ``Time`` order (stable), every ``Time`` checked first."""
-    times = row_times(rows)
-    return [rows[i] for i in sorted(range(len(rows)), key=times.__getitem__)]

@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterable, List
 
+from ..temporal.event import TIME_COLUMN, not_a_row
+
 Row = dict
 
 
@@ -62,18 +64,22 @@ class DistributedFileSystem:
     ) -> DistributedFile:
         """Store ``rows`` under ``name``, round-robin across partitions.
 
-        Raises ``ValueError`` when a row lacks the mandatory ``Time``
-        column (unless ``require_time_column`` is disabled for ad-hoc
-        side data).
+        Raises ``ValueError`` when a row is not a mapping or lacks the
+        mandatory ``Time`` column (unless ``require_time_column`` is
+        disabled for ad-hoc side data).
         """
         rows = list(rows)
         if require_time_column:
-            for row in rows:
-                if "Time" not in row:
-                    raise ValueError(
-                        f"row {row!r} has no 'Time' column; TiMR requires the "
-                        "first column of every file to be Time"
-                    )
+            try:
+                missing = [row for row in rows if TIME_COLUMN not in row]
+            except TypeError:
+                missing = rows  # some row is no mapping: named below
+            if missing:
+                not_a_row(rows)
+                raise ValueError(
+                    f"row {missing[0]!r} has no 'Time' column; TiMR requires "
+                    "the first column of every file to be Time"
+                )
         if num_partitions < 1:
             raise ValueError("num_partitions must be >= 1")
         parts: List[List[Row]] = [[] for _ in range(num_partitions)]

@@ -8,7 +8,7 @@ layer used to thread by hand.
 """
 
 from .context import DEFAULT_CONTEXT, RunContext
-from .dataflow import GROUP_SOURCE, Dataflow, StreamingUnsupported, group_key
+from .dataflow import GROUP_SOURCE, Dataflow, StreamingUnsupported
 
 __all__ = [
     "DEFAULT_CONTEXT",
@@ -16,5 +16,4 @@ __all__ = [
     "GROUP_SOURCE",
     "RunContext",
     "StreamingUnsupported",
-    "group_key",
 ]

@@ -16,12 +16,14 @@ Both execution modes are thin drivers over this one graph:
 batches (memory proportional to window state plus one batch, not to the
 partition), while :class:`repro.temporal.StreamingEngine` feeds one
 event per push. They share the identical operator objects, multicast
-buffering, and GroupApply keying, so batch ≡ streaming holds by
-construction.
+and GroupApply keying, so batch ≡ streaming holds by construction.
 
-Operators hold only active-window state. Every node's output log is
-trimmed as soon as all consumers (and the driver, for the root) have
-read past it, which is what makes the batch driver's memory bounded.
+Operators hold only active-window state. One ``advance`` pass visits the
+nodes in topological order and hands each one the lists its inputs
+emitted in that pass, read-only and shared by every consumer; a node's
+own list lives only until the pass ends. The only input kept across
+passes is a binary operator's undelivered left and right queue, so the
+batch driver's memory is bounded by operator state plus one batch.
 
 Plans containing an operator whose output timestamps may precede its
 input unboundedly (a *custom* AlterLifetime) cannot run incrementally.
@@ -65,16 +67,6 @@ class StreamingUnsupported(ValueError):
     """The plan cannot run incrementally (unbounded lifetime rewrites)."""
 
 
-def group_key(payload: dict, keys: Tuple[str, ...]) -> Tuple:
-    """The grouping key of one payload (shared by both drivers)."""
-    try:
-        return tuple(payload[k] for k in keys)
-    except KeyError as exc:
-        raise KeyError(
-            f"GroupApply key column {exc} missing from payload {payload!r}"
-        ) from None
-
-
 def _before(items: list, t: int, le=_LE) -> int:
     """How many of the LE-sorted ``items`` (events, or rows with
     ``le=_ROW_LE``) have an LE before ``t``: ``bisect_left`` by LE, whose
@@ -98,25 +90,24 @@ def _batch_per_key(
     first-appearance order — is what chain creation keys off, so it
     must stay a pure function of the input stream."""
     per_key: Dict[Tuple, List[Event]] = {}
-    if len(keys) <= 2:
-        try:
-            if len(keys) == 1:
-                (k0,) = keys
-                for event in fresh:
-                    per_key.setdefault((event.payload[k0],), []).append(event)
-            else:
-                k0, k1 = keys
-                for event in fresh:
-                    p = event.payload
-                    per_key.setdefault((p[k0], p[k1]), []).append(event)
-        except KeyError as exc:
-            raise KeyError(
-                f"GroupApply key column {exc} missing from payload "
-                f"{event.payload!r}"
-            ) from None
-    else:
-        for event in fresh:
-            per_key.setdefault(group_key(event.payload, keys), []).append(event)
+    try:
+        if len(keys) == 1:
+            (k0,) = keys
+            for event in fresh:
+                per_key.setdefault((event.payload[k0],), []).append(event)
+        elif len(keys) == 2:
+            k0, k1 = keys
+            for event in fresh:
+                p = event.payload
+                per_key.setdefault((p[k0], p[k1]), []).append(event)
+        else:
+            for event in fresh:
+                p = event.payload
+                per_key.setdefault(tuple(p[k] for k in keys), []).append(event)
+    except KeyError as exc:
+        raise KeyError(
+            f"GroupApply key column {exc} missing from payload {event.payload!r}"
+        ) from None
     return per_key
 
 
@@ -124,24 +115,17 @@ class _PlanMeta:
     """Shared, immutable per-plan metadata (memoized on the plan root).
 
     Every GroupApply chain instantiates a fresh operator graph over the
-    *same* sub-plan, so the topological order, per-node future extents,
-    and consumer lists are computed once and reused by every chain.
+    *same* sub-plan, so the topological order and per-node future extents
+    are computed once and reused by every chain.
     """
 
-    __slots__ = ("order", "futures", "consumers")
+    __slots__ = ("order", "futures")
 
     def __init__(self, root: PlanNode):
         self.order = topological_order(root)
         self.futures: Dict[int, Optional[int]] = {
             n.node_id: n.lifetime_extent()[1] for n in self.order
         }
-        # node_id -> [(consumer node_id, input index)]
-        self.consumers: Dict[int, List[Tuple[int, int]]] = {}
-        for plan_node in self.order:
-            for i, child in enumerate(plan_node.inputs):
-                self.consumers.setdefault(child.node_id, []).append(
-                    (plan_node.node_id, i)
-                )
 
     @classmethod
     def of(cls, root: PlanNode) -> "_PlanMeta":
@@ -152,76 +136,24 @@ class _PlanMeta:
         return meta
 
 
-class _InputBuffer:
-    """One input side of a node: queued events plus the source watermark."""
-
-    __slots__ = ("events", "watermark", "cursor", "src_cursor")
-
-    def __init__(self):
-        self.events: List[Event] = []
-        self.watermark: int = MIN_TIME
-        self.cursor: int = 0  # index of the first un-consumed event
-        self.src_cursor: int = 0  # absolute read position in the upstream log
-
-    def head(self) -> Optional[Event]:
-        if self.cursor < len(self.events):
-            return self.events[self.cursor]
-        return None
-
-    def take(self) -> List[Event]:
-        """Drain and return everything queued (unary bulk consumption)."""
-        if self.cursor:
-            events = self.events[self.cursor :]
-            self.cursor = 0
-        else:
-            events = self.events
-        self.events = []
-        return events
-
-
-class _OutputLog:
-    """A node's output stream with absolute positions and prefix trimming.
-
-    Consumers address entries by *absolute* index (``total`` never
-    decreases); ``trim_to`` drops the prefix every consumer has read, so
-    buffered memory tracks the consumer lag, not the stream length.
-    """
-
-    __slots__ = ("events", "base", "total")
-
-    def __init__(self):
-        self.events: List[Event] = []
-        self.base = 0  # absolute index of events[0]
-        self.total = 0  # absolute index one past the last entry
-
-    def extend(self, events: Iterable[Event]) -> None:
-        self.events.extend(events)
-        self.total = self.base + len(self.events)
-
-    def read_from(self, cursor: int) -> List[Event]:
-        return self.events[cursor - self.base :]
-
-    def trim_to(self, cursor: int) -> None:
-        drop = cursor - self.base
-        if drop > 0:
-            del self.events[:drop]
-            self.base = cursor
-
-
 class _OpNode:
-    """A live operator with buffered inputs and a trimmable output log."""
+    """A live operator, the nodes it reads, and what it emitted in the
+    current pass."""
 
     def __init__(
         self, plan_node: PlanNode, flow: "Dataflow", future: Optional[int]
     ):
         self.plan_node = plan_node
         self.flow = flow
-        self.inputs = [_InputBuffer() for _ in plan_node.inputs]
-        self.edges: List[Tuple[_InputBuffer, "_OpNode"]] = []  # wired by flow
-        self.outputs = _OutputLog()
+        self.kids: List[_OpNode] = []  # the nodes it reads, set by the flow
+        #: this pass's output (a source's: what was fed since the last
+        #: pass), read-only to every consumer; dropped when the pass ends
+        self.out: Sequence = ()
+        #: the output or the watermark moved since the last pass ended
+        self.moved = False
         self.watermark: int = MIN_TIME
         self.flushed = False
-        self.events_in = 0
+        self.events_in = self.events_out = 0
         self.busy_seconds = 0.0
         self._operator = None
         self._keyed = None
@@ -259,13 +191,16 @@ class _OpNode:
             #: per-key states stand in for chains in the scheduler below
             self._keyed = _keyed_aggregate(plan_node, self._flat)
             #: the keyed sweep emits rows (``KeyedAggregate.layout``),
-            #: merged by ``_le`` as chain events are, and made events on
-            #: entering the output log: except at the flow's root, which
-            #: sets this, logs the rows, and releases them whole
-            self.logs_rows = False
+            #: merged by ``_le`` as chain events are, and made events as
+            #: they are emitted: except at the flow's root, which sets
+            #: this, emits the rows, and releases them whole
+            self.emits_rows = False
             self._le = _LE if self._keyed is None else _ROW_LE
         elif not isinstance(plan_node, (SourceNode, GroupInputNode, ExchangeNode)):
             self._operator = plan_node.make_operator()
+            if len(plan_node.inputs) == 2:
+                #: a binary node's undelivered left and right input
+                self.queued: Tuple[List[Event], List[Event]] = ([], [])
         if future is None:
             if not flow.allow_unstreamable:
                 raise StreamingUnsupported(
@@ -279,24 +214,16 @@ class _OpNode:
         else:
             self._future = future
 
-    @property
-    def events_out(self) -> int:
-        return self.outputs.total
-
     def next_wake(self) -> Optional[int]:
         """``None`` when a future (non-flush) watermark can emit nothing
         here and shifts this node's watermark by exactly the watermark
         delta; otherwise the least input watermark at which ``advance``
         could emit or change state (``WAKE_ALWAYS``: any).
 
-        Only meaningful right after an ``advance`` pass (when all input
-        and output logs have been drained by their consumers)."""
-        node = self.plan_node
-        if isinstance(node, (SourceNode, GroupInputNode)):
-            return None  # driver-fed; watermark tracks the driver exactly
+        Only meaningful right after an ``advance`` pass."""
         if self.deferred:
             return None if self.flushed else WAKE_AT_FLUSH
-        if isinstance(node, GroupApplyNode):
+        if isinstance(self.plan_node, GroupApplyNode):
             if self._due or self._fed_since_wave:
                 return WAKE_ALWAYS
             if not self._active:
@@ -307,14 +234,15 @@ class _OpNode:
             # ``_pending`` is released by the group watermark, which
             # ``watermark_at`` accounts for
             return self._wake_heap[0][0]
-        for buf in self.inputs:
-            if buf.head() is not None:
-                return WAKE_ALWAYS
-        if self._operator is None or len(self.inputs) != 1:
-            # Exchange is a pure passthrough; binary operators only emit
-            # on event delivery, never on a bare watermark (synopsis
-            # contents don't block the watermark)
+        if self._operator is None:
+            # a source's watermark tracks the driver's exactly, and an
+            # Exchange is a pure passthrough
             return None
+        if len(self.kids) == 2:
+            # binary operators only emit on event delivery, never on a
+            # bare watermark (synopsis contents don't block the
+            # watermark); an undelivered head waits for the other side
+            return WAKE_ALWAYS if any(self.queued) else None
         return self._operator.next_wake()
 
     def watermark_at(self, inputs: List[int]) -> int:
@@ -339,73 +267,58 @@ class _OpNode:
     # -- per-kind advance ----------------------------------------------------
 
     def advance(self) -> None:
-        """Consume newly available input and emit what is now final."""
+        """Consume this pass's input, set ``out`` to what is now final."""
         node = self.plan_node
-        if isinstance(node, (SourceNode, GroupInputNode)):
-            return  # fed directly by the driver
         if isinstance(node, ExchangeNode):
             # Logical repartitioning is the identity on a single node.
-            buf = self.inputs[0]
-            fresh = buf.take()
-            self.events_in += len(fresh)
-            self.outputs.extend(fresh)
-            self.watermark = buf.watermark
-            return
-        if isinstance(node, GroupApplyNode):
+            (kid,) = self.kids
+            self.events_in += len(kid.out)
+            self.out = kid.out
+            self.watermark = kid.watermark
+        elif isinstance(node, GroupApplyNode):
             self._advance_group_apply()
-            return
-        if self.deferred:
+        elif self.deferred:
             self._advance_deferred()
-            return
-        if len(self.inputs) == 1:
+        elif len(self.kids) == 1:
             self._advance_unary()
         else:
             self._advance_binary()
 
     def _advance_unary(self) -> None:
-        buf = self.inputs[0]
+        (kid,) = self.kids
         op = self._operator
-        fresh = buf.take()
-        if fresh:
-            self.events_in += len(fresh)
-            self.outputs.extend(op.on_batch(fresh))
-        if buf.watermark >= MAX_TIME and not self.flushed:
-            self.outputs.extend(op.on_flush())
+        fresh, w = kid.out, kid.watermark
+        self.events_in += len(fresh)
+        out = op.on_batch(fresh) if fresh else []
+        if w >= MAX_TIME and not self.flushed:
+            out.extend(op.on_flush())
             self.flushed = True
             self.watermark = MAX_TIME
         else:
-            self.outputs.extend(op.on_watermark(buf.watermark))
-            base = op.watermark_out(buf.watermark)
-            self.watermark = max(self.watermark, base - self._future)
+            out.extend(op.on_watermark(w))
+            self.watermark = max(self.watermark, op.watermark_out(w) - self._future)
+        self.out = out
 
     def _advance_binary(self) -> None:
-        left, right = self.inputs
+        left, right = self.kids
+        levs, revs = self.queued
+        levs.extend(left.out)
+        revs.extend(right.out)
         op = self._operator
         out: List[Event] = []
-        w = min(left.watermark, right.watermark)
-        flush = w >= MAX_TIME and not self.flushed
-        levs, revs = left.events, right.events
-        li, ri = left.cursor, right.cursor
-        delivered = -li - ri
-        li, ri = _deliver(op, levs, li, revs, ri, w, right.watermark, out.extend)
-        if flush:
+        rw = right.watermark
+        w = min(left.watermark, rw)
+        li, ri = _deliver(op, levs, revs, w, rw, out.extend)
+        if w >= MAX_TIME and not self.flushed:
             out.extend(op.on_flush())
             self.flushed = True
             self.watermark = MAX_TIME
         elif self.watermark < w:
             self.watermark = w
-        if out:
-            self.outputs.extend(out)
-        self.events_in += delivered + li + ri
-        # write back read positions, compacting long-consumed prefixes
-        if li > 1024 and li * 2 > len(levs):
-            del levs[:li]
-            li = 0
-        left.cursor = li
-        if ri > 1024 and ri * 2 > len(revs):
-            del revs[:ri]
-            ri = 0
-        right.cursor = ri
+        self.events_in += li + ri
+        if li or ri:
+            del levs[:li], revs[:ri]
+        self.out = out
 
     def _advance_deferred(self) -> None:
         """Unbounded-rewrite fallback: buffer everything, apply at flush.
@@ -418,29 +331,27 @@ class _OpNode:
         """
         # only a unary node defers: no binary plan node has an unbounded
         # future extent
-        (buf,) = self.inputs
-        fresh = buf.take()
-        self.events_in += len(fresh)
-        self._store.extend(fresh)
-        if buf.watermark >= MAX_TIME and not self.flushed:
-            self.outputs.extend(self._operator.apply(self._store))
+        (kid,) = self.kids
+        self.events_in += len(kid.out)
+        self._store.extend(kid.out)
+        if kid.watermark >= MAX_TIME and not self.flushed:
+            self.out = self._operator.apply(self._store)
             self._store = []
             self.flushed = True
             self.watermark = MAX_TIME
 
     def _advance_group_apply(self) -> None:
-        buf = self.inputs[0]
-        fresh = buf.take()
+        (kid,) = self.kids
+        fresh, w = kid.out, kid.watermark
         if fresh:
             self.events_in += len(fresh)
             self._fed_since_wave += len(fresh)
             if self._keyed is not None:
-                self._keyed.feed(self, fresh, buf.watermark)
+                self._keyed.feed(self, fresh, w)
             else:
                 self._feed_local_chains(
                     _batch_per_key(fresh, self.plan_node.keys)
                 )
-        w = buf.watermark
         if w >= MAX_TIME:
             self._run_group_flush(w)
             return
@@ -485,12 +396,12 @@ class _OpNode:
             self._active[key] = chain
         self._due[key] = chain
 
-    def _log(self, released: list) -> None:
-        """Append merged outputs to the output log: a keyed sweep's rows
-        become events here, except at a flow's root."""
-        if self._keyed is not None and not self.logs_rows:
-            released = LayoutRows(self._keyed.layout, released)
-        self.outputs.extend(released)
+    def _emit(self, released: list) -> None:
+        """Emit merged outputs: a keyed sweep's rows become events here,
+        except at a flow's root."""
+        if self._keyed is not None and not self.emits_rows:
+            released = list(LayoutRows(self._keyed.layout, released))
+        self.out = released
 
     def _run_group_flush(self, w: int) -> None:
         """End of input: every chain flushes for real."""
@@ -504,8 +415,8 @@ class _OpNode:
         # a stable LE sort == the cross-group LE merge: ties keep chain
         # order, so events never compare
         pending.sort(key=self._le)
-        self._log(pending)
-        del pending[:]
+        self._emit(pending)
+        self._pending = []
         self.flushed = True
         self.watermark = MAX_TIME
 
@@ -572,7 +483,7 @@ class _OpNode:
             group_w = held[0][0]
         idx = _before(pending, group_w, self._le)
         if idx:
-            self._log(pending[:idx])
+            self._emit(pending[:idx])
             del pending[:idx]
         self.watermark = max(self.watermark, group_w)
 
@@ -712,12 +623,12 @@ class _FlatChain:
 
     It makes the calls the nested flow of a :class:`_GroupChain` would,
     in the same order, and leaves the same watermark, wake time and idle
-    delta — without a per-key Dataflow, input buffers, output logs or a
-    graph walk. Each advance hands a unary node its input's fresh output
-    and watermark (where the nested flow skips a node whose input did not
-    move, this repeats an ``on_watermark`` call, which changes nothing;
-    a pure per-event node gets only ``on_batch``, as its watermark just
-    passes through), and a binary node its queued input through
+    delta — without a per-key Dataflow or a graph walk. Each advance
+    hands a unary node its input's fresh output and watermark (where the
+    nested flow skips a node whose input did not move, this repeats an
+    ``on_watermark`` call, which changes nothing; a pure per-event node
+    gets only ``on_batch``, as its watermark just passes through), and a
+    binary node its queued input through
     :func:`_deliver`, keeping per-node monotone watermark floors. With
     millions of group keys this is what keeps chain construction and
     watermark waves cheap.
@@ -832,7 +743,7 @@ class _FlatChain:
                 rw = w[b]
                 jw = w[a] if w[a] < rw else rw
                 out = []
-                li, ri = _deliver(op, levs, 0, revs, 0, jw, rw, out.extend)
+                li, ri = _deliver(op, levs, revs, jw, rw, out.extend)
                 if flush:
                     out.extend(op.on_flush())
                     w[i] = wo = MAX_TIME
@@ -876,12 +787,7 @@ class _FlatChain:
             for e in out:
                 e.payload.update(key_columns)
             return out
-        attached = []
-        for e in out:
-            payload = dict(e.payload)
-            payload.update(key_columns)
-            attached.append(e.with_payload(payload))
-        return attached
+        return _with_key(out, key_columns)
 
     def _watermark_at(self, t: int) -> int:
         """The watermark an advance at input watermark ``t`` (above the
@@ -895,6 +801,17 @@ class _FlatChain:
                 x = at[a] if at[a] < at[b] else at[b]
             at.append(x if x > w[i] else w[i])
         return at[-1]
+
+
+def _with_key(events: Iterable[Event], key_columns: dict) -> List[Event]:
+    """``events`` with the group's key columns added to a copy of each
+    payload."""
+    out = []
+    for e in events:
+        payload = dict(e.payload)
+        payload.update(key_columns)
+        out.append(e.with_payload(payload))
+    return out
 
 
 class _GroupChain:
@@ -935,14 +852,6 @@ class _GroupChain:
         self.wake = WAKE_ALWAYS
         self.ordinal = self.stamp = 0  # owned by the GroupApply node
 
-    def _attach_key(self, events: Iterable[Event]) -> List[Event]:
-        out = []
-        for e in events:
-            payload = dict(e.payload)
-            payload.update(self.key_columns)
-            out.append(e.with_payload(payload))
-        return out
-
     def buffer(self, events: List[Event]) -> None:
         """Queue LE-ordered ``events``; the next ``advance`` delivers them."""
         self.sub.feed(GROUP_SOURCE, events, events[-1].le)
@@ -951,14 +860,14 @@ class _GroupChain:
     def advance(self, watermark: int) -> List[Event]:
         if watermark >= MAX_TIME:
             self.idle_delta = None
-            outs = self._attach_key(self.sub.flush())
+            outs = _with_key(self.sub.flush(), self.key_columns)
             self.watermark = MAX_TIME
             return outs
         if self.idle_delta is not None:
             self.watermark = watermark - self.idle_delta
             return []
         self.sub.set_watermarks(watermark)
-        outs = self._attach_key(self.sub.advance())
+        outs = _with_key(self.sub.advance(), self.key_columns)
         self.watermark = self.sub.output_watermark
         self.wake = self.sub.next_wake()
         if self.wake is None:
@@ -998,15 +907,16 @@ class Dataflow:
         self.group_wave_events = group_wave_events
         self.tracer = tracer if tracer is not None else NULL_TRACER
         meta = _PlanMeta.of(root)
-        self._order = meta.order
-        self._nodes: Dict[int, _OpNode] = {}
+        nodes: Dict[int, _OpNode] = {}
+        self._op_nodes: List[_OpNode] = []  # in topological order
         # several SourceNode objects may share one name (a multicast
         # written as two Query.source("x") calls); all of them are fed
         self._sources: Dict[str, List[_OpNode]] = {}
-        futures = meta.futures
-        for plan_node in self._order:
-            node = _OpNode(plan_node, self, futures[plan_node.node_id])
-            self._nodes[plan_node.node_id] = node
+        for plan_node in meta.order:
+            node = _OpNode(plan_node, self, meta.futures[plan_node.node_id])
+            node.kids = [nodes[c.node_id] for c in plan_node.inputs]
+            nodes[plan_node.node_id] = node
+            self._op_nodes.append(node)
             if isinstance(plan_node, SourceNode):
                 if group_input is not None:
                     raise RuntimeError(
@@ -1019,29 +929,11 @@ class Dataflow:
                         "GroupInputNode reached outside a GroupApply sub-plan"
                     )
                 self._sources.setdefault(GROUP_SOURCE, []).append(node)
-        # wire consumer edges: each input buffer reads one upstream log
-        self._op_nodes = [self._nodes[p.node_id] for p in self._order]
-        for node in self._op_nodes:
-            node.edges = [
-                (node.inputs[i], self._nodes[child.node_id])
-                for i, child in enumerate(node.plan_node.inputs)
-            ]
-        # (child node, buffers consuming its log) for output-log trimming
-        self._trim_list: List[Tuple[_OpNode, List[_InputBuffer]]] = [
-            (
-                self._nodes[child_id],
-                [self._nodes[nid].inputs[i] for nid, i in refs],
-            )
-            for child_id, refs in meta.consumers.items()
-        ]
-        self._root = self._nodes[root.node_id]
-        #: a keyed GroupApply root's layout: its log keeps the rows, and
-        #: ``advance`` releases them as one ``LayoutRows``
-        self._root_layout = None
+        self._root = nodes[root.node_id]
         if self._root._keyed is not None:
-            self._root.logs_rows = True
-            self._root_layout = self._root._keyed.layout
-        self._released = 0
+            # a keyed GroupApply root emits its rows, and ``advance``
+            # releases them as one ``LayoutRows``
+            self._root.emits_rows = True
         self._flushed = False
 
     # -- introspection -------------------------------------------------------
@@ -1069,9 +961,8 @@ class Dataflow:
 
     def node_stats(self):
         """Yield ``(plan_node, events_in, events_out, busy_seconds)``."""
-        for plan_node in self._order:
-            n = self._nodes[plan_node.node_id]
-            yield plan_node, n.events_in, n.events_out, n.busy_seconds
+        for n in self._op_nodes:
+            yield n.plan_node, n.events_in, n.events_out, n.busy_seconds
 
     def next_wake(self) -> Optional[int]:
         """``None`` when no future (non-flush) watermark can emit
@@ -1130,47 +1021,50 @@ class Dataflow:
             # the first node
             events = list(events)
         for node in nodes:
-            node.outputs.extend(events)
-            if watermark is not None:
-                node.watermark = max(node.watermark, watermark)
+            if events:
+                if node.out:
+                    node.out.extend(events)
+                else:
+                    node.out = events[:]
+                node.events_out += len(events)
+                node.moved = True
+            if watermark is not None and watermark > node.watermark:
+                node.watermark = watermark
+                node.moved = True
 
     def set_watermarks(self, watermark: int) -> None:
         """Advance every source's watermark (an aligned CTI)."""
         for nodes in self._sources.values():
             for node in nodes:
-                node.watermark = max(node.watermark, watermark)
+                if watermark > node.watermark:
+                    node.watermark = watermark
+                    node.moved = True
 
     def advance(self) -> Sequence[Event]:
-        """Propagate buffered input; return newly-final root outputs: a
-        list, or a :class:`LayoutRows` when the root is a keyed GroupApply
+        """Propagate what was fed since the last pass; return newly-final
+        root outputs: a list, or a :class:`LayoutRows` when the root is a keyed GroupApply
         (its events are built as they are read)."""
         timed = self.tracer.enabled
         for node in self._op_nodes:
-            changed = False
-            for buf, child in node.edges:
-                log = child.outputs
-                if log.total > buf.src_cursor:
-                    buf.events.extend(log.read_from(buf.src_cursor))
-                    buf.src_cursor = log.total
-                    changed = True
-                cw = child.watermark
-                if cw > buf.watermark:
-                    buf.watermark = cw
-                    changed = True
-            if not changed and node.edges:
-                continue  # nothing new: advancing would be a no-op
+            if not any(kid.moved for kid in node.kids):
+                continue  # a source, or nothing new: a no-op to advance
+            w = node.watermark
             if timed:
                 t0 = _time.perf_counter()
                 node.advance()
                 node.busy_seconds += _time.perf_counter() - t0
             else:
                 node.advance()
-        released = self._root.outputs.read_from(self._released)
-        self._released += len(released)
-        self._trim()
-        if self._root_layout is not None:
-            return LayoutRows(self._root_layout, released)
-        return released
+            if node.out or node.watermark != w:
+                node.events_out += len(node.out)
+                node.moved = True
+        released = self._root.out or []
+        for node in self._op_nodes:
+            if node.moved:
+                node.moved = False
+                node.out = ()
+        keyed = self._root._keyed
+        return released if keyed is None else LayoutRows(keyed.layout, released)
 
     def flush(self) -> Sequence[Event]:
         """End of input everywhere: drain all remaining operator state."""
@@ -1214,17 +1108,8 @@ class Dataflow:
         computed without running either."""
         at: Dict[_OpNode, int] = {}
         for node in self._op_nodes:
-            if node.edges:
-                at[node] = node.watermark_at([at[c] for _, c in node.edges])
+            if node.kids:
+                at[node] = node.watermark_at([at[c] for c in node.kids])
             else:
                 at[node] = max(node.watermark, w)
         return at[self._root]
-
-    def _trim(self) -> None:
-        """Drop every output-log prefix all consumers have read past."""
-        for child, bufs in self._trim_list:
-            if len(bufs) == 1:
-                child.outputs.trim_to(bufs[0].src_cursor)
-            else:
-                child.outputs.trim_to(min(b.src_cursor for b in bufs))
-        self._root.outputs.trim_to(self._released)

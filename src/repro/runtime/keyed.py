@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import heapq
 from itertools import repeat
+from math import inf
 from typing import List, Optional
 
 from ..temporal.operators.aggregate import _Together
@@ -289,7 +290,7 @@ class KeyedAggregate:
             st.idle_delta = None
             if st.run_k:
                 self._fold(st)
-            self._drain(st, MAX_TIME)
+            self._drain(st, inf)  # every pane, past MAX_TIME too
             st.watermark = MAX_TIME
             return self._take(st)
         if st.idle_delta is not None:

@@ -14,8 +14,8 @@ The operator objects are the *same* ones the push-based
 :class:`~repro.temporal.streaming.StreamingEngine` drives one event at a
 time, so batch ≡ streaming holds by construction — and working-set
 memory is bounded by active-window state plus one batch, not by the
-partition size (operator output logs are trimmed as consumers drain
-them).
+partition size (each ``advance`` hands a node's output to its consumers
+within the pass and keeps none of it).
 
 Telemetry: construct with ``Engine(context=RunContext(tracer=...))``
 to record one summary span per plan node — input/output event counts,
@@ -34,7 +34,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from ..runtime.context import DEFAULT_CONTEXT, RunContext
 from ..runtime.dataflow import Dataflow
-from .event import Event, EventColumns, _decode, row_times
+from .event import Event, EventColumns, _decode, rows_by_time
 from .plan import (
     GroupInputNode,
     PlanNode,
@@ -299,12 +299,7 @@ def _event_stream(rows: List, chunk_size: int):
         if not _ascending([e.le for e in rows]):
             rows = sorted(rows, key=lambda e: e.le)
         return iter(rows)
-    # every Time checked before any is compared
-    times = row_times(rows)
-    if not _ascending(times):
-        order = sorted(range(len(rows)), key=times.__getitem__)
-        rows = [rows[i] for i in order]
-        times = [times[i] for i in order]
+    rows, times = rows_by_time(rows)
     chunks = range(0, len(rows), chunk_size)
     return chain.from_iterable(
         _decode(times[i : i + chunk_size], rows[i : i + chunk_size]) for i in chunks

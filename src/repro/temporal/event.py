@@ -13,7 +13,7 @@ from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
 from itertools import chain, islice, repeat
-from operator import attrgetter, eq, gt, index as as_index, itemgetter
+from operator import attrgetter, eq, gt, index as as_index, itemgetter, le
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .time import MAX_TIME, TICK, check_time, check_times, validate_interval
@@ -393,6 +393,20 @@ class EventColumns(Sequence):
 # -- the M-R row codec ----------------------------------------------------------
 
 
+def not_a_row(rows: Iterable, numbered: bool = True) -> None:
+    """Raise the named ``ValueError`` for the first of ``rows`` that is
+    not a mapping of column to value: its position (unless not
+    ``numbered``), type and value. A reader calls it once reading a row
+    failed with a ``TypeError``, so valid rows pay nothing for it."""
+    for i, row in enumerate(rows):
+        if not isinstance(row, Mapping):
+            at = f"row {i}" if numbered else "the row"
+            raise ValueError(
+                f"{at} is {type(row).__name__} {row!r}, not a mapping of "
+                "column to value"
+            )
+
+
 def decode_row(row: Payload) -> Tuple[Any, Any, dict]:
     """One M-R row as ``(le, re, payload)``: what TiMR's generated
     reducer makes of it (Section III-A step 4).
@@ -401,13 +415,15 @@ def decode_row(row: Payload) -> Tuple[Any, Any, dict]:
     point event. The payload is a copy of the row's other columns, in
     the row's order; the row itself is not touched (M-R may hand it to
     a reducer again). Raises ``KeyError('Time')`` when the row has no
-    ``Time``, and ``ValueError`` for a time :func:`~.time.check_time`
-    refuses or an empty lifetime.
+    ``Time``, and ``ValueError`` for a row that is not a mapping, a time
+    :func:`~.time.check_time` refuses or an empty lifetime.
     """
+    if type(row) is not dict and not isinstance(row, Mapping):
+        not_a_row([row], numbered=False)
     payload = dict(row)
     le = check_time(payload.pop(TIME_COLUMN))
     if RE_COLUMN in payload:
-        re = check_time(payload.pop(RE_COLUMN), RE_COLUMN)
+        re = check_time(payload.pop(RE_COLUMN), RE_COLUMN, end=True)
     else:
         re = le + TICK
     validate_interval(le, re)
@@ -427,9 +443,31 @@ def encode_row(le, re, payload: Payload) -> dict:
 
 
 def row_times(rows: List[Payload]) -> list:
-    """Every row's ``Time``, checked at batch level: ``KeyError('Time')``
-    for a row without one, ``ValueError`` for one that is not usable."""
-    return check_times([row[TIME_COLUMN] for row in rows])
+    """Every row's ``Time`` as it is, for :func:`~.time.check_times`:
+    ``KeyError('Time')`` for a row without one, the named ``ValueError``
+    for a row that is not a mapping."""
+    try:
+        return [row[TIME_COLUMN] for row in rows]
+    except TypeError:
+        not_a_row(rows)
+        raise
+
+
+def rows_by_time(rows: List[Payload]) -> Tuple[list, list]:
+    """``(rows, times)``: ``rows`` in ``Time`` order (stable; ``rows``
+    itself when already in order) and their times, checked by
+    :func:`~.time.check_times` once they ascend: the largest is then the
+    last, and the check makes no pass for it."""
+    times = row_times(rows)
+    try:
+        if not all(map(le, times, islice(times, 1, None))):
+            order = sorted(range(len(times)), key=times.__getitem__)
+            rows = [rows[i] for i in order]
+            times = [times[i] for i in order]
+    except TypeError:
+        check_times(times)  # a time that is no number: the named error
+        raise
+    return rows, check_times(times, ordered=True)
 
 
 def point_events(rows: Iterable[Payload]) -> list:
@@ -441,7 +479,7 @@ def point_events(rows: Iterable[Payload]) -> list:
     runs on one node or round-trips through M-R files.
     """
     rows = rows if type(rows) is list else list(rows)
-    return _decode(row_times(rows), rows)
+    return _decode(check_times(row_times(rows)), rows)
 
 
 #: :func:`point_events` under the name of the inverse of :func:`events_to_rows`.
@@ -459,7 +497,8 @@ def _decode(les: list, rows: List[Payload]) -> list:
         del payload[TIME_COLUMN]
         if RE_COLUMN in payload:
             # Event refuses an empty lifetime, as validate_interval does
-            append(Event(le, check_time(payload.pop(RE_COLUMN), RE_COLUMN), payload))
+            re = check_time(payload.pop(RE_COLUMN), RE_COLUMN, end=True)
+            append(Event(le, re, payload))
         else:
             append(Event(le, le + TICK, payload))
     return events

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, insort
+from math import inf
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..event import Event
-from ..time import MAX_TIME
 from .base import UnaryOperator
 
 
@@ -395,7 +395,8 @@ class SnapshotAggregate(UnaryOperator):
         )
 
     def on_flush(self) -> list:
-        return self._drain(MAX_TIME, [])
+        # every pane, one whose RE a lifetime stretched past MAX_TIME too
+        return self._drain(inf, [])
 
     def on_watermark(self, w: int) -> list:
         # all changepoints < w are final: retiring expirations with RE <= w

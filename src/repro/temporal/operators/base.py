@@ -139,25 +139,26 @@ class BinaryOperator:
         mode): the runtime's merge with both watermarks at the end of
         time, then the flush."""
         out: List[Event] = []
-        _deliver(self, left, 0, right, 0, MAX_TIME, MAX_TIME, out.extend)
+        _deliver(self, left, right, MAX_TIME, MAX_TIME, out.extend)
         out.extend(self.on_flush())
         return sort_events(out)
 
 
-def _deliver(op, levs, li, revs, ri, w, rw, ext) -> Tuple[int, int]:
-    """Hand binary ``op`` its queued input from read positions ``li`` /
-    ``ri``, merged up to the joint watermark ``w`` (``rw`` is the right
-    side's), right side first at ties, so the right synopsis is complete
-    before a left probe. At the flush both watermarks are ``MAX_TIME``,
-    and the same loop drains both sides whole in merged order, which is
-    all :meth:`BinaryOperator.apply` asks of it. Outputs go to ``ext``;
-    returns the new read positions.
+def _deliver(op, levs, revs, w, rw, ext) -> Tuple[int, int]:
+    """Hand binary ``op`` its queued input ``levs`` / ``revs``, merged up
+    to the joint watermark ``w`` (``rw`` is the right side's), right side
+    first at ties, so the right synopsis is complete before a left probe.
+    At the flush both watermarks are ``MAX_TIME``, and the same loop
+    drains both sides whole in merged order, which is all
+    :meth:`BinaryOperator.apply` asks of it. Outputs go to ``ext``;
+    returns how many of each side it delivered.
 
     While one side's head does not change, the other side's
     deliverability bound is a constant — so maximal same-side runs are
     found by a scan and handed to the batch kernels in one call."""
     on_left_batch = op.on_left_batch
     on_right_batch = op.on_right_batch
+    li = ri = 0
     nl, nr = len(levs), len(revs)
     while True:
         lh = levs[li] if li < nl else None

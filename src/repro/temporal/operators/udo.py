@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
+from math import inf
 from typing import Callable, Iterable, List, Optional
 
 from ..event import Event
-from ..time import MAX_TIME
 from .base import UnaryOperator
 
 #: User function for hopping UDOs: (window payloads, boundary time) -> payloads.
@@ -164,7 +164,8 @@ class SnapshotUDO(UnaryOperator):
         heapq.heappush(self._pending, (event.re, self._seq, event.payload))
 
     def on_flush(self) -> Iterable[Event]:
-        yield from self._drain_until(MAX_TIME)
+        # every payload, one whose RE lies past MAX_TIME too
+        yield from self._drain_until(inf)
 
     def on_watermark(self, w: int) -> Iterable[Event]:
         yield from self._drain_until(w)

@@ -3,7 +3,7 @@
 Multicast — the dual operator that feeds one stream to several downstream
 consumers — needs no operator class here: the engine's plan graph is a
 DAG, so a node with several parents is evaluated once and its output list
-is shared (see ``engine.py``).
+is shared (see ``runtime/dataflow.py``).
 """
 
 from __future__ import annotations

@@ -55,32 +55,38 @@ def validate_interval(start: int, end: int) -> None:
         raise ValueError(f"empty or inverted lifetime [{start}, {end})")
 
 
-def check_time(value, column: str = "Time"):
+def check_time(value, column: str = "Time", end: bool = False):
     """``value`` if it is a usable timestamp, else ``ValueError`` naming
     ``column`` and the value.
 
     Usable means a real number (``int``, ``float``, any ``numbers.Real``)
-    that is neither a ``bool`` nor NaN: the one rule every row decoder
-    and the cluster's sort apply.
+    that is neither a ``bool`` nor NaN and lies before :data:`MAX_TIME`,
+    the end of time, which only a lifetime's end (``end``: an RE) may
+    reach: the one rule every row decoder and the cluster's sort apply.
     """
-    if type(value) is int or (
-        isinstance(value, Real) and not isinstance(value, bool) and value == value
-    ):
+    if (
+        type(value) is int
+        or (isinstance(value, Real) and not isinstance(value, bool) and value == value)
+    ) and (end or value < MAX_TIME):
         return value
     raise ValueError(
         f"column {column!r} holds {value!r}, not a usable time "
-        "(an int or float, not a bool or NaN)"
+        f"(an int or float before {MAX_TIME}, not a bool or NaN)"
     )
 
 
 _INT_ONLY = {int}
 
 
-def check_times(values: list, column: str = "Time") -> list:
-    """:func:`check_time` over a batch: one C-level pass over the value
-    types, and the per-value check only when some value is not an
-    ``int``. Returns ``values``."""
-    if not set(map(type, values)) <= _INT_ONLY:
+def check_times(values: list, column: str = "Time", ordered: bool = False) -> list:
+    """:func:`check_time` over a batch: C-level passes over the value
+    types and for the largest value (none when ``ordered``: the values
+    ascend, so the largest is the last), and the per-value check only
+    when some value is not an ``int`` or the end of time. Returns
+    ``values``."""
+    if not set(map(type, values)) <= _INT_ONLY or (
+        values and (values[-1] if ordered else max(values)) >= MAX_TIME
+    ):
         for value in values:
             check_time(value, column)
     return values

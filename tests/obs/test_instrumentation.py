@@ -10,10 +10,13 @@ The acceptance properties of the telemetry layer:
 
 import random
 
+import pytest
+
 from repro.mapreduce import Cluster, CostModel, DistributedFileSystem
 from repro.mapreduce.persist import dataset_sha256
 from repro.obs import Tracer, calibrate
 from repro.runtime import RunContext
+from repro.runtime.dataflow import Dataflow
 from repro.temporal import Engine, Query
 from repro.temporal.streaming import StreamingEngine
 from repro.timr import TiMR
@@ -100,6 +103,60 @@ class TestEngineInstrumentation:
         engine = Engine()
         engine.run(grouped_count(), {"logs": make_logs(80)})
         assert engine.last_stats.operator_events  # plain stats still work
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 1024])
+    def test_per_node_counters_across_a_dag(self, batch_size, monkeypatch):
+        """The source feeds two branches; the per-user counts are a keyed
+        GroupApply below the root, so the join's right side lags its left;
+        a union and an exchange sit above. Every node's ``events_in`` /
+        ``events_out`` and ``operator_events`` are pinned, at any batch
+        size."""
+        logs = Query.source("logs")
+        clicks = logs.where(lambda e: e["StreamId"] == 1, label="clicks")
+        views = logs.where(lambda e: e["StreamId"] != 1, label="views")
+        per_user = views.group_apply(
+            "UserId", lambda g: g.window(300).count(into="n")
+        )
+        q = (
+            clicks.temporal_join(per_user, on="UserId")
+            .union(views)
+            .exchange()
+            .project(lambda p: {**p, "seen": 1})
+        )
+        seen = []
+        node_stats = Dataflow.node_stats
+
+        def recording(flow):
+            rows = list(node_stats(flow))
+            seen.append([(n.op_name, e_in, e_out) for n, e_in, e_out, _ in rows])
+            return iter(rows)
+
+        monkeypatch.setattr(Dataflow, "node_stats", recording)
+        engine = Engine(context=RunContext(batch_size=batch_size))
+        out = engine.run(q, {"logs": make_logs()})
+        assert len(out) == 378
+        assert seen == [
+            [
+                ("source", 0, 400),
+                ("where", 400, 134),
+                ("where", 400, 266),
+                ("group-apply", 266, 483),
+                ("temporal-join", 617, 112),
+                ("union", 378, 378),
+                ("exchange", 378, 378),
+                ("project", 378, 378),
+            ]
+        ]
+        assert engine.last_stats.operator_events == {
+            "000.source": 400,
+            "001.where": 134,
+            "002.where": 266,
+            "003.group-apply": 483,
+            "004.temporal-join": 112,
+            "005.union": 378,
+            "006.exchange": 378,
+            "007.project": 378,
+        }
 
 
 class TestClusterInstrumentation:

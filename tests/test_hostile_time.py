@@ -11,8 +11,10 @@ Every layer decodes an M-R row with one codec (``temporal/event.py``:
 * takes the entry point's policy outcome: the row is dropped or
   quarantined, and the output is the output without it.
 
-No cell raises a ``TypeError``, and none silently accepts a ``bool`` or
-a NaN.
+No cell raises a ``TypeError``, and none silently accepts a ``bool``, a
+NaN or a time at the end of time. A row that is not a mapping gets the
+same treatment at ``Engine.run``, each ``StreamingEngine`` policy and
+``fs.write``.
 """
 
 import copy
@@ -22,7 +24,7 @@ import pytest
 
 from repro.mapreduce import Cluster, DistributedFileSystem, StageExecutionError
 from repro.runtime import RunContext
-from repro.temporal import Engine, Event, Query, StreamingEngine, normalize
+from repro.temporal import MAX_TIME, Engine, Event, Query, StreamingEngine, normalize
 from repro.temporal.event import rows_to_events
 from repro.timr import TiMR
 
@@ -44,6 +46,11 @@ UNUSABLE = {
     "str": ({"Time": "x", "u": "a"}, ValueError, ["'Time'", "'x'"]),
     "nan": ({"Time": math.nan, "u": "a"}, ValueError, ["'Time'", "nan"]),
     "inverted": ({"Time": 2, "_re": 2, "u": "a"}, ValueError, ["[2, 2)"]),
+    "end-of-time": (
+        {"Time": MAX_TIME, "u": "a"},
+        ValueError,
+        ["'Time'", str(MAX_TIME)],
+    ),
 }
 
 
@@ -186,3 +193,90 @@ def test_a_folded_union_names_an_unusable_time(row, quarantine):
     out, records = timr_job(folded_union(), rows, True, span_width=2)
     assert out == timr_job(folded_union(), [dict(FIRST), dict(LAST)], False, span_width=2)[0]
     assert [(r["_site"], repr(r["_row"])) for r in records] == [("map", repr(value))]
+
+
+#: rows that are not mappings of column to value, and what the error
+#: names besides the row's position
+NOT_ROWS = {
+    "int": (5, ["int 5"]),
+    "None": (None, ["NoneType None"]),
+    "pairs": ([("Time", 1), ("u", 1)], ["list [('Time', 1), ('u', 1)]"]),
+}
+
+
+@pytest.mark.parametrize(
+    "run, outcome",
+    [
+        pytest.param(r, o, id=name)
+        for name, _, r, o in ENTRY_POINTS
+        if name == "engine" or name.startswith("stream-")
+    ],
+)
+@pytest.mark.parametrize("row", sorted(NOT_ROWS))
+def test_a_row_that_is_not_a_mapping_is_named_or_set_aside(row, run, outcome):
+    value, named = NOT_ROWS[row]
+    rows = [dict(FIRST), copy.deepcopy(value), dict(LAST)]
+    if outcome in ("raise", "policy-raise"):
+        with pytest.raises(ValueError) as info:
+            run(grouped(), rows)
+        assert type(info.value) is ValueError
+        # a batch names the row's position; a push is one row
+        for part in named + (["row 1"] if outcome == "raise" else []):
+            assert part in str(info.value), (str(info.value), part)
+        return
+    out, aside = run(grouped(), rows)
+    expected = [Event(1, 2, {"u": "a"}), Event(3, 4, {"u": "a"})]
+    assert normalize(out) == reference(grouped, expected)
+    assert aside == ([None] if outcome == "drop" else [value])
+
+
+@pytest.mark.parametrize("row", sorted(NOT_ROWS))
+def test_fs_write_names_a_row_that_is_not_a_mapping(row):
+    value, named = NOT_ROWS[row]
+    with pytest.raises(ValueError) as info:
+        DistributedFileSystem().write("logs", [dict(FIRST), value, dict(LAST)])
+    for part in named + ["row 1"]:
+        assert part in str(info.value), (str(info.value), part)
+
+
+#: a row one tick before the end of time, and what a 10-tick window
+#: stretches it to: a lifetime past ``MAX_TIME``
+LATEST = {"Time": MAX_TIME - 1, "u": "a"}
+STRETCHED = (MAX_TIME - 1, MAX_TIME + 9)
+
+
+@pytest.mark.parametrize(
+    "query, payload",
+    [
+        pytest.param(
+            lambda: Query.source("logs").window(10).count(into="n"),
+            {"n": 1},
+            id="aggregate",
+        ),
+        pytest.param(
+            lambda: Query.source("logs").group_apply(
+                "u", lambda g: g.window(10).count(into="n")
+            ),
+            {"n": 1, "u": "a"},
+            id="keyed-sweep",
+        ),
+        pytest.param(
+            lambda: Query.source("logs")
+            .window(10)
+            .udo_snapshot(lambda active: [{"n": len(active)}]),
+            {"n": 1},
+            id="snapshot-udo",
+        ),
+    ],
+)
+@pytest.mark.parametrize("run", [engine_run, streaming("raise")], ids=["engine", "stream"])
+def test_a_lifetime_past_the_end_of_time_reaches_the_output(query, payload, run):
+    """The flush retires every pane, also one whose RE lies past
+    ``MAX_TIME``, as ``where`` passes such an event through."""
+    out, _ = run(query(), [dict(FIRST), dict(LATEST)])
+    assert normalize(out) == [
+        Event(1, 11, payload),
+        Event(*STRETCHED, payload),
+    ]
+    passed, _ = run(Query.source("logs").window(10).where(lambda p: True), [dict(LATEST)])
+    assert [(e.le, e.re) for e in passed] == [STRETCHED]
