@@ -1,13 +1,20 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test lint selflint ruff chaos examples bench-e2e bench-smoke test-bench-harness profile profile-bt
+.PHONY: check test test-oracle lint selflint ruff chaos examples bench-e2e bench-smoke test-bench-harness profile profile-bt
 
 # everything CI gates
-check: test selflint chaos ruff test-bench-harness examples bench-smoke
+check: test test-oracle selflint chaos ruff test-bench-harness examples bench-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# the heavy profile of the whole-plan oracle (tests/runtime/test_plan_oracle.py):
+# every GroupApply shape through Engine.run, StreamingEngine and TiMR.run
+# against relation.ref_plan, many histories per cell (~2 min); tier-1
+# runs the light profile, and pyproject's addopts deselect this marker
+test-oracle:
+	$(PYTHON) -m pytest -q -m oracle tests/runtime/test_plan_oracle.py
 
 # end-to-end fault-tolerance suite: full BT pipeline fault-free vs under
 # a seeded fault schedule vs killed-and-resumed; asserts byte-identical

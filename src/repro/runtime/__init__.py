@@ -8,12 +8,11 @@ layer used to thread by hand.
 """
 
 from .context import DEFAULT_CONTEXT, RunContext
-from .dataflow import GROUP_SOURCE, Dataflow, StreamingUnsupported
+from .dataflow import Dataflow, StreamingUnsupported
 
 __all__ = [
     "DEFAULT_CONTEXT",
     "Dataflow",
-    "GROUP_SOURCE",
     "RunContext",
     "StreamingUnsupported",
 ]

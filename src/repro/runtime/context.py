@@ -149,10 +149,10 @@ class RunContext:
         A batch run allocates hundreds of thousands of long-lived,
         acyclic output events; every full collection re-traverses all of
         them and frees nothing, which was a quarter to a half of a run's
-        wall time. The runtime's own cycles are severed by
-        ``Dataflow.close()``, so the run's graph is still freed the
-        moment it returns; cyclic garbage user code makes inside the
-        section waits for the first collection after it. Re-entrant and
+        wall time. The runtime's graph holds no reference cycle (no node
+        points back at its flow), so it is still freed the moment the run
+        returns; cyclic garbage user code makes inside the section waits
+        for the first collection after it. Re-entrant and
         thread-safe; the caller's collector state is restored on return
         and on exception (docs/EXECUTION.md, "GC-quiet batch runs").
         """

@@ -28,9 +28,14 @@ batch driver's memory is bounded by operator state plus one batch.
 Plans containing an operator whose output timestamps may precede its
 input unboundedly (a *custom* AlterLifetime) cannot run incrementally.
 The streaming driver rejects them (:class:`StreamingUnsupported`); the
-batch driver sets ``allow_unstreamable=True``, which runs exactly those
-nodes in deferred mode — buffer until flush, then apply the same
-operator object over the buffered input.
+batch driver sets ``allow_unstreamable=True``, which wraps exactly those
+operators in :class:`Deferred` — buffer until flush, then apply the same
+operator object over the buffered input — at the top level and inside a
+GroupApply's per-key chains alike.
+
+A GroupApply is a :class:`GroupScheduler`, an operator like any other
+to the graph. No node refers back to its flow, so the graph holds no
+reference cycle and dies by refcount.
 """
 
 from __future__ import annotations
@@ -38,16 +43,16 @@ from __future__ import annotations
 import itertools
 import time as _time
 from heapq import heapify, heappop, heappush
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..temporal.event import _LE, _ROW_LE, Event, LayoutRows
-from ..temporal.operators.base import WAKE_ALWAYS, WAKE_AT_FLUSH, _deliver
+from ..temporal.operators.base import WAKE_ALWAYS, WAKE_AT_FLUSH, UnaryOperator, _deliver
 from ..temporal.plan import (
     AggregateNode,
     AlterLifetimeNode,
     ExchangeNode,
     GroupApplyNode,
-    GroupInputNode,
     PlanNode,
     ProjectNode,
     SourceNode,
@@ -57,10 +62,7 @@ from ..temporal.plan import (
 )
 from ..temporal.time import MAX_TIME, MIN_TIME
 from ..obs.trace import NULL_TRACER
-from .keyed import KeyedAggregate
-
-#: The reserved source name a GroupApply chain feeds its sub-plan under.
-GROUP_SOURCE = "<group>"
+from .keyed import KeyedAggregate, key_error
 
 
 class StreamingUnsupported(ValueError):
@@ -90,61 +92,70 @@ def _batch_per_key(
     first-appearance order — is what chain creation keys off, so it
     must stay a pure function of the input stream."""
     per_key: Dict[Tuple, List[Event]] = {}
+    key_of = itemgetter(*keys) if len(keys) > 1 else lambda p, k=keys[0]: (p[k],)
     try:
-        if len(keys) == 1:
-            (k0,) = keys
-            for event in fresh:
-                per_key.setdefault((event.payload[k0],), []).append(event)
-        elif len(keys) == 2:
-            k0, k1 = keys
-            for event in fresh:
-                p = event.payload
-                per_key.setdefault((p[k0], p[k1]), []).append(event)
-        else:
-            for event in fresh:
-                p = event.payload
-                per_key.setdefault(tuple(p[k] for k in keys), []).append(event)
-    except KeyError as exc:
-        raise KeyError(
-            f"GroupApply key column {exc} missing from payload {event.payload!r}"
-        ) from None
+        for event in fresh:
+            per_key.setdefault(key_of(event.payload), []).append(event)
+    except (KeyError, TypeError) as exc:
+        raise key_error(keys, fresh, exc) from None
     return per_key
 
 
-class _PlanMeta:
-    """Shared, immutable per-plan metadata (memoized on the plan root).
+def _operator(
+    node: PlanNode, future: Optional[int], wave_events: int,
+    tracer=NULL_TRACER, emits_rows: bool = False,
+):
+    """The live operator of plan node ``node``, whose future extent is
+    ``future``: a :class:`GroupScheduler` for a GroupApply, else the
+    node's own operator, in :class:`Deferred` when ``future`` is
+    unbounded."""
+    if isinstance(node, GroupApplyNode):
+        return GroupScheduler(node, wave_events, tracer, emits_rows)
+    op = node.make_operator()
+    return op if future is not None else Deferred(op)
 
-    Every GroupApply chain instantiates a fresh operator graph over the
-    *same* sub-plan, so the topological order and per-node future extents
-    are computed once and reused by every chain.
-    """
 
-    __slots__ = ("order", "futures")
+def _own_future(node: PlanNode, future: Optional[int]) -> int:
+    """What the runtime takes off the operator's ``watermark_out``: the
+    node's future extent, except for a GroupApply's scheduler and a
+    deferred operator, which report their output watermark whole."""
+    if future is None or isinstance(node, GroupApplyNode):
+        return 0
+    return future
 
-    def __init__(self, root: PlanNode):
-        self.order = topological_order(root)
-        self.futures: Dict[int, Optional[int]] = {
-            n.node_id: n.lifetime_extent()[1] for n in self.order
-        }
 
-    @classmethod
-    def of(cls, root: PlanNode) -> "_PlanMeta":
-        meta = getattr(root, "_dataflow_meta", None)
-        if meta is None:
-            meta = cls(root)
-            root._dataflow_meta = meta
-        return meta
+class Deferred(UnaryOperator):
+    """An unbounded lifetime rewrite: buffer everything, and apply the
+    same operator object's ``apply`` at flush. The output watermark stays
+    at the beginning of time until then, so everything downstream holds
+    its output back."""
+
+    def __init__(self, op):
+        self._op = op
+        self._store: Optional[List[Event]] = []
+
+    def on_batch(self, events) -> list:
+        self._store.extend(events)
+        return []
+
+    def on_flush(self) -> list:
+        out = self._op.apply(self._store)
+        self._store = None
+        return out
+
+    def watermark_out(self, w: int) -> int:
+        return MIN_TIME
+
+    def next_wake(self) -> Optional[int]:
+        return None if self._store is None else WAKE_AT_FLUSH
 
 
 class _OpNode:
     """A live operator, the nodes it reads, and what it emitted in the
     current pass."""
 
-    def __init__(
-        self, plan_node: PlanNode, flow: "Dataflow", future: Optional[int]
-    ):
+    def __init__(self, plan_node: PlanNode, operator, future: int):
         self.plan_node = plan_node
-        self.flow = flow
         self.kids: List[_OpNode] = []  # the nodes it reads, set by the flow
         #: this pass's output (a source's: what was fed since the last
         #: pass), read-only to every consumer; dropped when the pass ends
@@ -155,64 +166,12 @@ class _OpNode:
         self.flushed = False
         self.events_in = self.events_out = 0
         self.busy_seconds = 0.0
-        self._operator = None
-        self._keyed = None
-        self.deferred = False
-        self._future = 0
-        if isinstance(plan_node, GroupApplyNode):
-            self._groups: Dict[Tuple, _GroupChain] = {}
-            #: the non-idle chains, in activation order (the order the
-            #: cross-group merge appends their outputs in)
-            self._active: Dict[Tuple, _GroupChain] = {}
-            self._ordinals = itertools.count()
-            #: wake-time scheduling of the driver-local wave: chains
-            #: that must advance at the next wave whatever its watermark
-            #: (fed, just activated, or unable to sleep), a min-heap of
-            #: ``(wake, stamp, key, chain)`` for the sleeping rest, and
-            #: a min-heap of ``(watermark, stamp, chain)`` over every
-            #: non-idle chain for the group watermark. Both heaps delete
-            #: lazily: an entry is live iff its stamp is still the
-            #: chain's, i.e. the chain has not advanced since the push.
-            self._due: Dict[Tuple, _GroupChain] = {}
-            self._wake_heap: List[tuple] = []
-            self._held: List[tuple] = []
-            #: chain advances merged by this node; the wave also draws
-            #: its heap stamps from it
-            self.chain_advances = 0
-            #: merged chain outputs not yet released, LE-sorted (stable)
-            self._pending: list = []
-            self._fed_since_wave = 0
-            self._idle_delta = -1  # < 0: no chain has gone idle yet
-            #: the sub-plan's flat form, ``None`` when every chain is a
-            #: nested flow (:class:`_GroupChain`)
-            self._flat = _flat_plan(plan_node)
-            #: one sweep over every key instead of a chain per key, for a
-            #: sub-plan of stateless stages feeding an aggregate; its
-            #: per-key states stand in for chains in the scheduler below
-            self._keyed = _keyed_aggregate(plan_node, self._flat)
-            #: the keyed sweep emits rows (``KeyedAggregate.layout``),
-            #: merged by ``_le`` as chain events are, and made events as
-            #: they are emitted: except at the flow's root, which sets
-            #: this, emits the rows, and releases them whole
-            self.emits_rows = False
-            self._le = _LE if self._keyed is None else _ROW_LE
-        elif not isinstance(plan_node, (SourceNode, GroupInputNode, ExchangeNode)):
-            self._operator = plan_node.make_operator()
-            if len(plan_node.inputs) == 2:
-                #: a binary node's undelivered left and right input
-                self.queued: Tuple[List[Event], List[Event]] = ([], [])
-        if future is None:
-            if not flow.allow_unstreamable:
-                raise StreamingUnsupported(
-                    f"operator {plan_node.describe()!r} has an unbounded "
-                    "lifetime rewrite; it cannot run in streaming mode"
-                )
-            # GroupApply chains defer inside their sub-flow; direct
-            # operators buffer here and apply at flush.
-            self.deferred = self._operator is not None
-            self._store: List[Event] = []
-        else:
-            self._future = future
+        #: ``None`` for a source and an Exchange
+        self._operator = operator
+        self._future = future
+        if len(plan_node.inputs) == 2:
+            #: a binary node's undelivered left and right input
+            self.queued: Tuple[List[Event], List[Event]] = ([], [])
 
     def next_wake(self) -> Optional[int]:
         """``None`` when a future (non-flush) watermark can emit nothing
@@ -221,19 +180,6 @@ class _OpNode:
         could emit or change state (``WAKE_ALWAYS``: any).
 
         Only meaningful right after an ``advance`` pass."""
-        if self.deferred:
-            return None if self.flushed else WAKE_AT_FLUSH
-        if isinstance(self.plan_node, GroupApplyNode):
-            if self._due or self._fed_since_wave:
-                return WAKE_ALWAYS
-            if not self._active:
-                return WAKE_ALWAYS if self._pending else None
-            if not self._wake_heap:
-                return WAKE_AT_FLUSH  # every chain sleeps until the flush
-            # a stale top only makes this early. Backlog in
-            # ``_pending`` is released by the group watermark, which
-            # ``watermark_at`` accounts for
-            return self._wake_heap[0][0]
         if self._operator is None:
             # a source's watermark tracks the driver's exactly, and an
             # Exchange is a pure passthrough
@@ -249,16 +195,7 @@ class _OpNode:
         """This node's watermark if its inputs' watermarks rose to
         ``inputs`` with no new events and no state change — what
         ``advance`` would leave behind, computed without running it."""
-        node = self.plan_node
-        if self.deferred:
-            return self.watermark
-        if isinstance(node, GroupApplyNode):
-            w = inputs[0]
-            if self._idle_delta >= 0:
-                w -= self._idle_delta
-            if self._held and self._held[0][0] < w:
-                w = self._held[0][0]
-        elif self._operator is not None and len(inputs) == 1:
+        if self._operator is not None and len(inputs) == 1:
             w = self._operator.watermark_out(inputs[0]) - self._future
         else:
             w = min(inputs)
@@ -268,17 +205,12 @@ class _OpNode:
 
     def advance(self) -> None:
         """Consume this pass's input, set ``out`` to what is now final."""
-        node = self.plan_node
-        if isinstance(node, ExchangeNode):
+        if self._operator is None:
             # Logical repartitioning is the identity on a single node.
             (kid,) = self.kids
             self.events_in += len(kid.out)
             self.out = kid.out
             self.watermark = kid.watermark
-        elif isinstance(node, GroupApplyNode):
-            self._advance_group_apply()
-        elif self.deferred:
-            self._advance_deferred()
         elif len(self.kids) == 1:
             self._advance_unary()
         else:
@@ -320,108 +252,161 @@ class _OpNode:
             del levs[:li], revs[:ri]
         self.out = out
 
-    def _advance_deferred(self) -> None:
-        """Unbounded-rewrite fallback: buffer everything, apply at flush.
 
-        The *same* operator object executes — via its batch ``apply``
-        helper — so the plan still has exactly one implementation per
-        operator; only the scheduling differs. The node's watermark
-        stays at the beginning of time until flush, which makes every
-        downstream operator hold its own output back correctly.
-        """
-        # only a unary node defers: no binary plan node has an unbounded
-        # future extent
-        (kid,) = self.kids
-        self.events_in += len(kid.out)
-        self._store.extend(kid.out)
-        if kid.watermark >= MAX_TIME and not self.flushed:
-            self.out = self._operator.apply(self._store)
-            self._store = []
-            self.flushed = True
-            self.watermark = MAX_TIME
+class GroupScheduler(UnaryOperator):
+    """A GroupApply's per-key scheduling, as one unary operator: at the
+    top level, and per outer key as a step of a nested GroupApply's
+    chain.
 
-    def _advance_group_apply(self) -> None:
-        (kid,) = self.kids
-        fresh, w = kid.out, kid.watermark
-        if fresh:
-            self.events_in += len(fresh)
-            self._fed_since_wave += len(fresh)
-            if self._keyed is not None:
-                self._keyed.feed(self, fresh, w)
-            else:
-                self._feed_local_chains(
-                    _batch_per_key(fresh, self.plan_node.keys)
-                )
-        if w >= MAX_TIME:
-            self._run_group_flush(w)
-            return
-        # The batch driver amortizes watermark waves: buffered group
-        # input stays bounded by the wave threshold while each chain is
-        # advanced once per threshold's worth of events, not per chunk.
-        threshold = self.flow.group_wave_events
-        if threshold:
-            # a wave advances every chain fed since the last one, so it
-            # only pays for itself once a comparable volume of fresh
-            # input has accumulated; buffered input stays bounded by
-            # O(threshold + keys), both independent of stream length
-            if self._fed_since_wave < threshold + 2 * len(self._groups):
-                return
+    One chain per key — a :class:`_FlatChain`, or a
+    :class:`~repro.runtime.keyed.KeyState` of the keyed sweep — activated
+    in key first-appearance order; a wave advances the ones fed or due,
+    and releases their LE-merged outputs up to the group watermark.
+    """
+
+    def __init__(self, node: GroupApplyNode, wave_events: int = 0,
+                 tracer=NULL_TRACER, emits_rows: bool = False):
+        self.keys = node.keys
+        self._wave_events = wave_events
+        self._tracer = tracer
+        #: the sub-plan's flat form: every key's chain reads it
+        self._flat = _flat_plan(node, wave_events)
+        #: one sweep over every key instead of a chain per key; its
+        #: per-key states stand in for chains
+        self._keyed = _keyed_aggregate(node, self._flat)
+        self._le = _LE if self._keyed is None else _ROW_LE
+        #: the keyed sweep's rows are merged by ``_le`` as chain events
+        #: are, and made events as they are emitted: except at the
+        #: flow's root, which releases them as rows in this layout
+        self.layout = self._keyed.layout if emits_rows and self._keyed else None
+        self._groups: Dict[Tuple, object] = {}
+        #: the non-idle chains, in activation order (the order the
+        #: cross-group merge appends their outputs in)
+        self._active: Dict[Tuple, object] = {}
+        self._ordinals = itertools.count()
+        #: wake-time scheduling: chains that must advance at the next
+        #: wave whatever its watermark (fed, just activated, or unable
+        #: to sleep), a min-heap of ``(wake, stamp, key, chain)`` for the
+        #: sleeping rest, and a min-heap of ``(watermark, stamp, chain)``
+        #: over every non-idle chain for the group watermark. Both heaps
+        #: delete lazily: an entry is live iff its stamp is still the
+        #: chain's, i.e. the chain has not advanced since the push.
+        self._due: Dict[Tuple, object] = {}
+        self._wake_heap: List[tuple] = []
+        self._held: List[tuple] = []
+        #: chain advances made by this scheduler; the wave also draws
+        #: its heap stamps from it
+        self.chain_advances = 0
+        #: merged chain outputs not yet released, LE-sorted (stable)
+        self._pending: list = []
+        self._fresh: Sequence[Event] = ()  # handed over, fed at the watermark
         self._fed_since_wave = 0
-        self._run_group_wave(w)
+        self._idle_delta = -1  # < 0: no chain has gone idle yet
+        #: the group watermark the last wave left, and the input
+        #: watermark of the last ``on_watermark``
+        self.watermark = self._w = MIN_TIME
+        #: the last ``on_watermark`` waited for more input instead of a
+        #: wave: the next ``watermark_out`` reports the last wave's
+        self._waited = False
 
-    def _feed_local_chains(self, per_key) -> None:
-        """Buffer one batch of per-key events into driver-local chains."""
-        node: GroupApplyNode = self.plan_node
-        flat = self._flat
-        for key, events in per_key.items():
-            chain = self._groups.get(key)
-            if chain is None:
-                if flat is not None:
-                    chain = _FlatChain(node, key, flat)
-                else:
-                    chain = _GroupChain(node, key, self.flow)
-                self._groups[key] = chain
-            chain.buffer(events)
-            self._activate(key, chain)
+    # -- the unary operator protocol ------------------------------------------
 
-    def _activate(self, key, chain) -> None:
-        """Enter ``chain`` into the active set (the only way in).
+    def on_batch(self, events) -> list:
+        # fed with the input watermark it arrives with (on_watermark)
+        self._fresh = events
+        return []
 
-        A chain gets its activation ordinal on entry — re-feeding an
-        already active chain keeps its place, exactly like re-assigning
-        a dict key — and is due at the next driver-local wave, so no
-        chain is ever active without the wave having registered it."""
-        if key not in self._active:
-            chain.ordinal = next(self._ordinals)
-            self._active[key] = chain
-        self._due[key] = chain
+    def on_watermark(self, w: int) -> list:
+        # an outer chain advancing for another step's sake moves
+        # nothing here: no wave
+        moved = self._fresh or w != self._w
+        self._w = w
+        self._feed(w)
+        # The batch driver amortizes watermark waves: a wave advances
+        # every chain fed since the last one, so it only pays for itself
+        # once a comparable volume of fresh input has accumulated;
+        # buffered input stays bounded by O(threshold + keys)
+        threshold = self._wave_events
+        if not moved or (
+            threshold and self._fed_since_wave < threshold + 2 * len(self._groups)
+        ):
+            self._waited = True
+            return []
+        self._fed_since_wave = 0
+        return self._wave(w)
 
-    def _emit(self, released: list) -> None:
-        """Emit merged outputs: a keyed sweep's rows become events here,
-        except at a flow's root."""
-        if self._keyed is not None and not self.emits_rows:
-            released = list(LayoutRows(self._keyed.layout, released))
-        self.out = released
-
-    def _run_group_flush(self, w: int) -> None:
+    def on_flush(self) -> list:
         """End of input: every chain flushes for real."""
+        self._feed(MAX_TIME)
         pending = self._pending
         keyed = self._keyed
         self.chain_advances += len(self._groups)
         for chain in self._groups.values():
-            outs = chain.advance(w) if keyed is None else keyed.advance(chain, w)
+            outs = chain.advance(MAX_TIME) if keyed is None else keyed.advance(chain, MAX_TIME)
             if outs:
                 pending.extend(outs)
         # a stable LE sort == the cross-group LE merge: ties keep chain
         # order, so events never compare
         pending.sort(key=self._le)
-        self._emit(pending)
         self._pending = []
-        self.flushed = True
-        self.watermark = MAX_TIME
+        return self._emit(pending)
 
-    def _run_group_wave(self, w: int) -> None:
-        """One watermark wave over the driver-local chains.
+    def watermark_out(self, w: int) -> int:
+        if self._waited:
+            self._waited = False
+            return self.watermark
+        if self._idle_delta >= 0:
+            w -= self._idle_delta
+        if self._held and self._held[0][0] < w:
+            w = self._held[0][0]
+        return w
+
+    def next_wake(self) -> Optional[int]:
+        if self._due or self._fed_since_wave:
+            return WAKE_ALWAYS
+        if not self._active:
+            return WAKE_ALWAYS if self._pending else None
+        if not self._wake_heap:
+            return WAKE_AT_FLUSH  # every chain sleeps until the flush
+        # a stale top only makes this early. Backlog in ``_pending`` is
+        # released by the group watermark, which ``watermark_out``
+        # accounts for
+        return self._wake_heap[0][0]
+
+    # -- internals --------------------------------------------------------------
+
+    def _feed(self, w: int) -> None:
+        fresh = self._fresh
+        if not fresh:
+            return
+        self._fresh = ()
+        self._fed_since_wave += len(fresh)
+        if self._keyed is not None:
+            self._keyed.feed(self, fresh, w)
+            return
+        flat = self._flat
+        for key, events in _batch_per_key(fresh, self.keys).items():
+            chain = self._groups.get(key)
+            if chain is None:
+                chain = self._groups[key] = _FlatChain(self.keys, key, flat)
+            chain.buffer(events)
+            # a chain gets its activation ordinal on entry — re-feeding
+            # an already active chain keeps its place, exactly like
+            # re-assigning a dict key — and is due at the next wave
+            if key not in self._active:
+                chain.ordinal = next(self._ordinals)
+                self._active[key] = chain
+            self._due[key] = chain
+
+    def _emit(self, released: list) -> list:
+        """Released outputs: a keyed sweep's rows become events here,
+        except at a flow's root."""
+        if self._keyed is not None and self.layout is None:
+            return list(LayoutRows(self._keyed.layout, released))
+        return released
+
+    def _wave(self, w: int) -> list:
+        """One watermark wave.
 
         Advances only the chains that are due — fed or activated since
         the last wave, or unable to sleep — plus those whose wake time
@@ -440,12 +425,10 @@ class _OpNode:
             _, stamp, key, chain = heappop(wake_heap)
             if chain.stamp == stamp:
                 due[key] = chain
-        if self.flow.tracer.enabled:
+        if self._tracer.enabled:
             # wave width is a pure function of the data and the wave
             # schedule
-            self.flow.tracer.metrics.histogram("dataflow.wave_width").observe(
-                len(active)
-            )
+            self._tracer.metrics.histogram("dataflow.wave_width").observe(len(active))
         # activation order is the order a walk over the whole active set
         # would reach these chains in, so their outputs join the merge in
         # the same relative order — and skipped chains add nothing
@@ -478,14 +461,15 @@ class _OpNode:
         # entry is the minimum over all non-idle chains
         while held and held[0][2].stamp != held[0][1]:
             heappop(held)
-        group_w = w if self._idle_delta < 0 else w - self._idle_delta
-        if held and held[0][0] < group_w:
-            group_w = held[0][0]
+        group_w = self.watermark_out(w)
+        if group_w > self.watermark:
+            self.watermark = group_w
         idx = _before(pending, group_w, self._le)
-        if idx:
-            self._emit(pending[:idx])
-            del pending[:idx]
-        self.watermark = max(self.watermark, group_w)
+        if not idx:
+            return []
+        released = pending[:idx]
+        del pending[:idx]
+        return self._emit(released)
 
     def _rebuild_heaps(self) -> None:
         """Drop the stale entries lazy deletion left behind, so both
@@ -499,6 +483,7 @@ class _OpNode:
             if c.wake < WAKE_AT_FLUSH
         ]
         heapify(self._wake_heap)
+
 
 def _activation_order(item) -> int:
     """Sort key for ``(key, chain)`` pairs: the chain's activation ordinal."""
@@ -517,34 +502,48 @@ _STATELESS_NODES = (*_PURE_NODES, UnionNode)
 #: A flat chain's wake time while no node reports one: it is idle.
 _IDLE = WAKE_AT_FLUSH + 1
 
-#: Sub-plan nodes with no operator for a flat chain to drive.
-_NOT_FLAT = (SourceNode, GroupInputNode, GroupApplyNode, ExchangeNode)
-
-
 class _FlatPlan:
-    """A GroupApply sub-plan of bounded unary and binary operators over the
-    group input, in the form every :class:`_FlatChain` of the node reads.
+    """A GroupApply sub-plan over the group input, in the form every
+    :class:`_FlatChain` of the node reads: one step per operator node.
 
     Position 0 is the group input and position ``i`` the ``i``-th
-    operator node in topological order, so the root is last.
-    ``steps[i - 1]`` is ``(i, a, b, future, keep, pure)``: node ``i``
-    reads position ``a`` (its one input, or its left; ``None`` for a
-    unary node reading position ``i - 1``, whose output a chain carries
-    over in locals), ``b`` is its right input's position (``None`` for a
-    unary node), ``future`` its future extent, ``keep`` says
-    some node reads its output by position, and ``pure`` that its
-    operator is a pure per-event function (``_PURE_NODES``).
-    ``shared[i - 1]`` is a pre-built operator for a stateless node (a
-    pure one, or a union), ``None`` where each key needs its own
-    instance.
+    operator node in topological order, so the root is last; an Exchange
+    is the identity on one node and takes no position (what reads it
+    reads its input). ``steps[i - 1]`` is ``(i, a, b, future, keep,
+    pure)``: node ``i`` reads position ``a`` (its one input, or its left;
+    ``None`` for a unary node reading position ``i - 1``, whose output a
+    chain carries over in locals), ``b`` is its right input's position
+    (``None`` for a unary node), ``future`` what its watermark lags its
+    operator's (:func:`_own_future`), ``keep`` says some node reads its
+    output by position, and ``pure`` that its operator is a pure
+    per-event function (``_PURE_NODES``). ``shared[i - 1]`` is a
+    pre-built operator for a stateless node (a pure one, or a union),
+    ``None`` where each key needs its own instance (:meth:`make`): a
+    stateful operator, a nested GroupApply's scheduler, or a deferred
+    rewrite's buffer.
     """
 
-    __slots__ = ("nodes", "steps", "shared", "linear", "attach_in_place", "outs", "pinned")
+    __slots__ = (
+        "nodes", "futures", "wave_events", "steps", "shared", "linear",
+        "attach_in_place", "outs", "pinned",
+    )
 
-    def __init__(self, order: List[PlanNode], futures: Dict[int, int]):
-        position = {n.node_id: i for i, n in enumerate(order)}
-        self.nodes = order[1:]
-        inputs = [[position[c.node_id] for c in n.inputs] for n in self.nodes]
+    def __init__(self, order: List[PlanNode], wave_events: int):
+        position = {order[0].node_id: 0}
+        self.nodes: List[PlanNode] = []
+        inputs = []
+        for n in order[1:]:
+            src = [position[c.node_id] for c in n.inputs]
+            if isinstance(n, ExchangeNode):
+                position[n.node_id] = src[0]
+                continue
+            self.nodes.append(n)
+            inputs.append(src)
+            position[n.node_id] = len(self.nodes)
+        #: each node's future extent, ``None`` for a deferred rewrite
+        self.futures = [n.lifetime_extent()[1] for n in self.nodes]
+        #: a nested GroupApply's wave threshold, the outer one's
+        self.wave_events = wave_events
         read = {
             j
             for i, src in enumerate(inputs, 1)
@@ -552,63 +551,54 @@ class _FlatPlan:
             if len(src) == 2 or j != i - 1
         }
         self.steps = []
-        for i, (n, src) in enumerate(zip(self.nodes, inputs), 1):
+        for i, (n, src, future) in enumerate(zip(self.nodes, inputs, self.futures), 1):
             a, b = src if len(src) == 2 else (src[0], None)
             if b is None and a == i - 1:
                 a = None
-            self.steps.append(
-                (i, a, b, futures[n.node_id], i in read, isinstance(n, _PURE_NODES))
-            )
+            pure = future is not None and isinstance(n, _PURE_NODES)
+            self.steps.append((i, a, b, _own_future(n, future), i in read, pure))
         #: scratch for the chain advancing now (one at a time), at the
         #: ``keep`` positions: the output, and the watermark were the
         #: input's arbitrarily far on and no state to change (an upper
         #: bound on what ``_FlatChain._watermark_at`` returns)
-        self.outs: list = [None] * len(order)
-        self.pinned = [MAX_TIME] * len(order)
+        self.outs: list = [None] * (len(self.nodes) + 1)
+        self.pinned = [MAX_TIME] * (len(self.nodes) + 1)
         self.shared = [
-            n.make_operator() if isinstance(n, _STATELESS_NODES) else None
-            for n in self.nodes
+            n.make_operator()
+            if future is not None and isinstance(n, _STATELESS_NODES)
+            else None
+            for n, future in zip(self.nodes, self.futures)
         ]
         #: a straight pipeline: node ``i`` reads node ``i - 1`` alone
         self.linear = all(a is None and b is None for _, a, b, *_ in self.steps)
         #: the root builds each output payload for that event alone
-        #: (``fresh_payloads``), so the key columns go in without a copy
-        self.attach_in_place = bool(self.nodes) and getattr(
-            self.shared[-1] or self.nodes[-1].make_operator(),
-            "fresh_payloads",
-            False,
+        #: (``fresh_payloads``, which a nested GroupApply does not
+        #: declare), so the key columns go in without a copy
+        self.attach_in_place = (
+            bool(self.nodes)
+            and not isinstance(self.nodes[-1], GroupApplyNode)
+            and getattr(
+                self.shared[-1] or self.make(len(self.nodes) - 1),
+                "fresh_payloads",
+                False,
+            )
         )
 
-
-def _flat_plan(node: GroupApplyNode) -> Optional[_FlatPlan]:
-    """``node``'s sub-plan as a :class:`_FlatPlan`, or ``None`` when it
-    holds a nested GroupApply, an Exchange or an unbounded (deferred)
-    rewrite: those keep the general :class:`_GroupChain` (as does a
-    sub-plan reading an external source, which the nested flow rejects).
-
-    A straight pipeline of stateless stages feeding an aggregate — the
-    overwhelmingly common shape — goes further: one
-    :class:`KeyedAggregate` sweep over all keys (:func:`_keyed_aggregate`).
-    """
-    meta = _PlanMeta.of(node.subplan_root)
-    order = meta.order
-    if not order or order[0] is not node.group_input:
-        return None
-    for n in order[1:]:
-        if (
-            isinstance(n, _NOT_FLAT)
-            or len(n.inputs) > 2
-            or meta.futures[n.node_id] is None
-        ):
-            return None
-    return _FlatPlan(order, meta.futures)
+    def make(self, i: int):
+        """A fresh operator for node ``i + 1``."""
+        return _operator(self.nodes[i], self.futures[i], self.wave_events)
 
 
-def _keyed_aggregate(node: GroupApplyNode, flat) -> Optional[KeyedAggregate]:
-    """The keyed sweep for ``node`` when its flat sub-plan is a pipeline of
-    stateless stages feeding one aggregate, else ``None`` (one chain per
-    key)."""
-    if flat is None or not flat.nodes or not flat.linear:
+def _flat_plan(node: GroupApplyNode, wave_events: int = 0) -> _FlatPlan:
+    """``node``'s sub-plan as a :class:`_FlatPlan`."""
+    return _FlatPlan(topological_order(node.subplan_root), wave_events)
+
+
+def _keyed_aggregate(node: GroupApplyNode, flat: _FlatPlan) -> Optional[KeyedAggregate]:
+    """One :class:`KeyedAggregate` sweep over all keys when ``node``'s
+    sub-plan is a pipeline of stateless stages feeding one aggregate —
+    the overwhelmingly common shape — else ``None`` (a chain per key)."""
+    if not flat.nodes or not flat.linear:
         return None
     stages, shared = flat.nodes, flat.shared
     if not isinstance(stages[-1], AggregateNode) or not all(shared[:-1]):
@@ -621,17 +611,14 @@ class _FlatChain:
     """One group's sub-plan, driven flat: the operators of a
     :class:`_FlatPlan` in topological order over plain per-node lists.
 
-    It makes the calls the nested flow of a :class:`_GroupChain` would,
-    in the same order, and leaves the same watermark, wake time and idle
-    delta — without a per-key Dataflow or a graph walk. Each advance
-    hands a unary node its input's fresh output and watermark (where the
-    nested flow skips a node whose input did not move, this repeats an
+    Each advance hands a unary node its input's fresh output and
+    watermark (a node whose input did not move repeats an
     ``on_watermark`` call, which changes nothing; a pure per-event node
     gets only ``on_batch``, as its watermark just passes through), and a
-    binary node its queued input through
-    :func:`_deliver`, keeping per-node monotone watermark floors. With
-    millions of group keys this is what keeps chain construction and
-    watermark waves cheap.
+    binary node its queued input through :func:`_deliver`, keeping
+    per-node monotone watermark floors. A nested GroupApply is a unary
+    node whose operator is this key's :class:`GroupScheduler`, a deferred
+    rewrite one whose operator is its :class:`Deferred` buffer.
 
     The key's input watermark (position 0) is the group's, or the last LE
     fed to this key when that is later: GroupApply input is LE-ordered,
@@ -655,12 +642,11 @@ class _FlatChain:
         "_buf",
     )
 
-    def __init__(self, node: GroupApplyNode, key: Tuple, plan: _FlatPlan):
-        self.key_columns = dict(zip(node.keys, key))
+    def __init__(self, keys: Tuple[str, ...], key: Tuple, plan: _FlatPlan):
+        self.key_columns = dict(zip(keys, key))
         self.plan = plan
         self.ops = [
-            op if op is not None else n.make_operator()
-            for n, op in zip(plan.nodes, plan.shared)
+            op if op is not None else plan.make(i) for i, op in enumerate(plan.shared)
         ]
         #: per position (one per ``plan.outs`` slot): the node's
         #: watermark floor; position 0 is the key's input watermark
@@ -676,7 +662,7 @@ class _FlatChain:
         #: while not idle: the chain emits nothing and keeps its
         #: watermark until the input watermark reaches this
         self.wake = WAKE_ALWAYS
-        self.ordinal = self.stamp = 0  # owned by the GroupApply node
+        self.ordinal = self.stamp = 0  # owned by the GroupApply's scheduler
         self._buf: List[Event] = []
 
     def buffer(self, events: List[Event]) -> None:
@@ -772,8 +758,7 @@ class _FlatChain:
             elif (
                 wake > WAKE_ALWAYS
                 and po != wo
-                and wake - 1 > w[0]
-                and self._watermark_at(wake - 1) != wo
+                and self._watermark_at(wake - 1 if wake - 1 > w[0] else w[0]) != wo
             ):
                 # the watermark still follows the input's (no hold binds
                 # yet), so it is not frozen: stay awake until one does
@@ -787,11 +772,16 @@ class _FlatChain:
             for e in out:
                 e.payload.update(key_columns)
             return out
-        return _with_key(out, key_columns)
+        copies = []
+        for e in out:
+            payload = dict(e.payload)
+            payload.update(key_columns)
+            copies.append(e.with_payload(payload))
+        return copies
 
     def _watermark_at(self, t: int) -> int:
-        """The watermark an advance at input watermark ``t`` (above the
-        key's) would leave with no new input and no state changing."""
+        """The watermark an advance at input watermark ``t`` (not below
+        the key's) would leave with no new input and no state changing."""
         w = self.w
         at = [t]
         for (i, a, b, future, *_), op in zip(self.plan.steps, self.ops):
@@ -803,78 +793,6 @@ class _FlatChain:
         return at[-1]
 
 
-def _with_key(events: Iterable[Event], key_columns: dict) -> List[Event]:
-    """``events`` with the group's key columns added to a copy of each
-    payload."""
-    out = []
-    for e in events:
-        payload = dict(e.payload)
-        payload.update(key_columns)
-        out.append(e.with_payload(payload))
-    return out
-
-
-class _GroupChain:
-    """One group's live sub-plan inside a GroupApply node.
-
-    Each chain is a nested :class:`Dataflow` over the sub-plan, with the
-    group-input leaf registered as its only source. Key columns are
-    re-attached to every output payload; ``allow_unstreamable`` is
-    inherited, so a batch run of a GroupApply whose sub-plan contains a
-    custom AlterLifetime defers inside the chain.
-    """
-
-    __slots__ = (
-        "key_columns",
-        "sub",
-        "watermark",
-        "idle_delta",
-        "wake",
-        "ordinal",
-        "stamp",
-    )
-
-    def __init__(self, node: GroupApplyNode, key: Tuple, flow: "Dataflow"):
-        self.key_columns = dict(zip(node.keys, key))
-        self.sub = Dataflow(
-            node.subplan_root,
-            group_input=node.group_input,
-            allow_unstreamable=flow.allow_unstreamable,
-            group_wave_events=flow.group_wave_events,
-        )
-        self.watermark = MIN_TIME
-        #: when not None the chain is quiescent: a watermark ``w`` maps to
-        #: output watermark ``w - idle_delta`` (a plan constant) and emits
-        #: nothing, so the sub-flow need not be touched at all
-        self.idle_delta: Optional[int] = None
-        #: while not idle: the sub-flow emits nothing and keeps its
-        #: output watermark until the input watermark reaches this
-        self.wake = WAKE_ALWAYS
-        self.ordinal = self.stamp = 0  # owned by the GroupApply node
-
-    def buffer(self, events: List[Event]) -> None:
-        """Queue LE-ordered ``events``; the next ``advance`` delivers them."""
-        self.sub.feed(GROUP_SOURCE, events, events[-1].le)
-        self.idle_delta = None
-
-    def advance(self, watermark: int) -> List[Event]:
-        if watermark >= MAX_TIME:
-            self.idle_delta = None
-            outs = _with_key(self.sub.flush(), self.key_columns)
-            self.watermark = MAX_TIME
-            return outs
-        if self.idle_delta is not None:
-            self.watermark = watermark - self.idle_delta
-            return []
-        self.sub.set_watermarks(watermark)
-        outs = _with_key(self.sub.advance(), self.key_columns)
-        self.watermark = self.sub.output_watermark
-        self.wake = self.sub.next_wake()
-        if self.wake is None:
-            self.idle_delta = watermark - self.watermark
-        return outs
-
-
 class Dataflow:
     """One CQ plan instantiated as a graph of live incremental operators.
 
@@ -882,8 +800,6 @@ class Dataflow:
         root: the plan to execute (already a :class:`PlanNode`).
         allow_unstreamable: run unbounded-rewrite operators in deferred
             (buffer-until-flush) mode instead of rejecting the plan.
-        group_input: inside a GroupApply chain, the group-input leaf to
-            register under :data:`GROUP_SOURCE`.
         group_wave_events: amortize GroupApply watermark waves — defer
             advancing the per-key chains until this many events have been
             fed to the node since its last wave (0, the streaming
@@ -899,41 +815,38 @@ class Dataflow:
         root: PlanNode,
         *,
         allow_unstreamable: bool = False,
-        group_input: Optional[GroupInputNode] = None,
         group_wave_events: int = 0,
         tracer=None,
     ):
-        self.allow_unstreamable = allow_unstreamable
-        self.group_wave_events = group_wave_events
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        meta = _PlanMeta.of(root)
+        tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer
         nodes: Dict[int, _OpNode] = {}
         self._op_nodes: List[_OpNode] = []  # in topological order
         # several SourceNode objects may share one name (a multicast
         # written as two Query.source("x") calls); all of them are fed
         self._sources: Dict[str, List[_OpNode]] = {}
-        for plan_node in meta.order:
-            node = _OpNode(plan_node, self, meta.futures[plan_node.node_id])
+        for plan_node in topological_order(root):
+            future = plan_node.lifetime_extent()[1]
+            if future is None and not allow_unstreamable:
+                raise StreamingUnsupported(
+                    f"operator {plan_node.describe()!r} has an unbounded "
+                    "lifetime rewrite; it cannot run in streaming mode"
+                )
+            operator = None
+            if not isinstance(plan_node, (SourceNode, ExchangeNode)):
+                operator = _operator(
+                    plan_node, future, group_wave_events, tracer, plan_node is root
+                )
+            node = _OpNode(plan_node, operator, _own_future(plan_node, future))
             node.kids = [nodes[c.node_id] for c in plan_node.inputs]
             nodes[plan_node.node_id] = node
             self._op_nodes.append(node)
             if isinstance(plan_node, SourceNode):
-                if group_input is not None:
-                    raise RuntimeError(
-                        "GroupApply sub-plans cannot reference external sources"
-                    )
                 self._sources.setdefault(plan_node.name, []).append(node)
-            elif isinstance(plan_node, GroupInputNode):
-                if group_input is None or plan_node is not group_input:
-                    raise RuntimeError(
-                        "GroupInputNode reached outside a GroupApply sub-plan"
-                    )
-                self._sources.setdefault(GROUP_SOURCE, []).append(node)
         self._root = nodes[root.node_id]
-        if self._root._keyed is not None:
-            # a keyed GroupApply root emits its rows, and ``advance``
-            # releases them as one ``LayoutRows``
-            self._root.emits_rows = True
+        #: a keyed GroupApply root emits its rows, and ``advance``
+        #: releases them as one ``LayoutRows`` in this layout
+        self._layout = getattr(self._root._operator, "layout", None)
         self._flushed = False
 
     # -- introspection -------------------------------------------------------
@@ -944,9 +857,6 @@ class Dataflow:
 
     def source_names(self) -> List[str]:
         return list(self._sources)
-
-    def has_source(self, name: str) -> bool:
-        return name in self._sources
 
     def source_watermark(self, name: str) -> int:
         """The current watermark of a named source (KeyError if unknown)."""
@@ -995,9 +905,9 @@ class Dataflow:
         """How many times this flow's GroupApply nodes advanced a
         per-key chain — the work a watermark wave does, as a count."""
         return sum(
-            node.chain_advances
+            node._operator.chain_advances
             for node in self._op_nodes
-            if isinstance(node.plan_node, GroupApplyNode)
+            if isinstance(node._operator, GroupScheduler)
         )
 
     # -- driving -------------------------------------------------------------
@@ -1063,8 +973,7 @@ class Dataflow:
             if node.moved:
                 node.moved = False
                 node.out = ()
-        keyed = self._root._keyed
-        return released if keyed is None else LayoutRows(keyed.layout, released)
+        return released if self._layout is None else LayoutRows(self._layout, released)
 
     def flush(self) -> Sequence[Event]:
         """End of input everywhere: drain all remaining operator state."""
@@ -1073,24 +982,6 @@ class Dataflow:
         self._flushed = True
         self.set_watermarks(MAX_TIME)
         return self.advance()
-
-    def close(self) -> None:
-        """Release what the flow holds; it cannot be driven afterwards.
-
-        Severs the graph's reference cycles: every node points back at
-        its flow, and every :class:`_GroupChain` owns a nested flow wired
-        the same way. With those back-references gone the whole graph is
-        freed by refcount when the driver drops the flow — the batch
-        drivers run with the cyclic collector paused
-        (:meth:`RunContext.quiet`). Idempotent, and safe to call
-        mid-stream (after an error, say).
-        """
-        for node in self._op_nodes:
-            if isinstance(node.plan_node, GroupApplyNode) and node._flat is None:
-                # no flat form: every chain is a _GroupChain
-                for chain in node._groups.values():
-                    chain.sub.close()
-            node.flow = None
 
     # -- internals -----------------------------------------------------------
 

@@ -10,7 +10,7 @@ through the stateless stages and folds it into that key's
 :class:`KeyState` — the aggregate's pane partials, its heap of distinct
 REs and its open segment, nothing else per key.
 
-The GroupApply node's scheduler (``runtime/dataflow.py``) treats a
+The GroupApply's scheduler (``dataflow.GroupScheduler``) treats a
 ``KeyState`` exactly like a per-key chain: it has a watermark, a wake
 time and an idle delta, and :meth:`KeyedAggregate.advance` is that
 chain's ``advance``. Per key, the sweep performs the same ``enter`` /
@@ -23,8 +23,8 @@ identical event for event and call for call
 
 A segment is emitted as one row ``(le, re, *values)`` whose values
 follow :attr:`KeyedAggregate.layout`, the payload's column order; the
-node builds an ``Event`` from a row only where something in the flow
-reads it as one (``runtime/dataflow.py``).
+scheduler builds an ``Event`` from a row only where something in the
+flow reads it as one (``runtime/dataflow.py``).
 """
 
 from __future__ import annotations
@@ -91,7 +91,25 @@ class KeyState:
         self.watermark = MIN_TIME
         self.idle_delta: Optional[int] = None
         self.wake = WAKE_ALWAYS
-        self.ordinal = self.stamp = 0  # owned by the GroupApply node
+        self.ordinal = self.stamp = 0  # owned by the GroupApply's scheduler
+
+
+def key_error(keys, events, exc: Exception) -> Exception:
+    """What to raise for ``exc``, met keying GroupApply input ``events``:
+    a ``KeyError`` naming a missing key column, or a ``ValueError`` naming
+    the key column and its unhashable value."""
+    for e in events:
+        for k in keys:
+            if k not in e.payload:
+                return KeyError(f"GroupApply key column {k!r} missing from payload {e.payload!r}")
+            try:
+                hash(e.payload[k])
+            except TypeError:
+                return ValueError(
+                    f"GroupApply key column {k!r} holds {e.payload[k]!r}, "
+                    "which is unhashable and cannot key a group"
+                )
+    return exc
 
 
 class KeyedAggregate:
@@ -143,16 +161,20 @@ class KeyedAggregate:
 
     # -- feeding ------------------------------------------------------------
 
-    def feed(self, node, fresh, watermark) -> None:
-        """Sweep LE-ordered ``fresh`` into the key states of ``node`` (the
-        GroupApply ``_OpNode``, whose input watermark is ``watermark``),
-        creating and activating keys in first-appearance order exactly as
-        per-key chains would be."""
-        groups, active, due = node._groups, node._active, node._due
+    def feed(self, scheduler, fresh, watermark) -> None:
+        """Sweep LE-ordered ``fresh`` into the key states of ``scheduler``
+        (the GroupApply's ``GroupScheduler``, whose input watermark is
+        ``watermark``), creating and activating keys in first-appearance
+        order exactly as per-key chains would be."""
+        groups, active, due = scheduler._groups, scheduler._active, scheduler._due
         keys = self.keys
-        batch_keys = self._keys(fresh)
+        try:
+            batch_keys = self._keys(fresh)
+            fed = dict.fromkeys(batch_keys)
+        except (KeyError, TypeError) as exc:
+            raise key_error(keys, fresh, exc) from None
         # a key fed again before the next wave keeps its place and state
-        for key in dict.fromkeys(batch_keys):
+        for key in fed:
             if key in due:
                 continue
             st = groups.get(key)
@@ -160,7 +182,7 @@ class KeyedAggregate:
                 values = (key,) if len(keys) == 1 else key
                 st = groups[key] = KeyState(values, self.specs)
             if key not in active:
-                st.ordinal = next(node._ordinals)
+                st.ordinal = next(scheduler._ordinals)
                 active[key] = st
             due[key] = st
             st.idle_delta = None
@@ -218,18 +240,10 @@ class KeyedAggregate:
 
     def _keys(self, fresh) -> list:
         keys = self.keys
-        try:
-            if len(keys) == 1:
-                (k0,) = keys
-                return [e.payload[k0] for e in fresh]
-            return [tuple(e.payload[k] for k in keys) for e in fresh]
-        except KeyError as exc:
-            bad = next(
-                e.payload for e in fresh if any(k not in e.payload for k in keys)
-            )
-            raise KeyError(
-                f"GroupApply key column {exc} missing from payload {bad!r}"
-            ) from None
+        if len(keys) == 1:
+            (k0,) = keys
+            return [e.payload[k0] for e in fresh]
+        return [tuple(e.payload[k] for k in keys) for e in fresh]
 
     def _lifetimes(self, fresh):
         """``(les, res, payloads)`` of ``fresh`` after the stateless

@@ -148,7 +148,8 @@ class Engine:
             group_wave_events=max(chunk_size, 4096),
             tracer=tracer,
         )
-        for name in flow.source_names():
+        names = flow.source_names()
+        for name in names:
             if name not in sources:
                 raise KeyError(
                     f"query references source {name!r} but only "
@@ -161,7 +162,7 @@ class Engine:
         for name, data in sources.items():
             rows = data if isinstance(data, list) else list(data)
             stats.input_events += len(rows)
-            if flow.has_source(name):
+            if name in names:
                 feeds.append((name, rows))
 
         with context.quiet():
@@ -176,9 +177,6 @@ class Engine:
                 )
                 self._record(flow, root, stats, output, context)
             finally:
-                # severs the graph's reference cycles: with the collector
-                # paused, refcounts are what frees it
-                flow.close()
                 if span is not None:
                     span.set("input_events", stats.input_events)
                     span.set("output_events", stats.output_events)

@@ -40,16 +40,6 @@ def _group_paths(node: GroupApplyNode, indent: str) -> List[str]:
     from ..runtime.dataflow import _flat_plan, _keyed_aggregate
 
     flat = _flat_plan(node)
-    if flat is None:
-        lines = [
-            f"{indent}per key: a nested Dataflow (the sub-plan holds a nested "
-            "GroupApply, an Exchange or an unbounded rewrite)"
-        ]
-        for sub in topological_order(node.subplan_root):
-            if isinstance(sub, GroupApplyNode):
-                lines.append(f"{indent}  {sub.describe()}:")
-                lines.extend(_group_paths(sub, indent + "    "))
-        return lines
     keyed = _keyed_aggregate(node, flat) is not None
     lines = [
         f"{indent}per key: one keyed sweep over every key's rows, a pane "
@@ -64,7 +54,11 @@ def _group_paths(node: GroupApplyNode, indent: str) -> List[str]:
         operator = None
         if isinstance(stage, AggregateNode):
             operator = shared[i] or stage.make_operator()
-        if not keyed:
+        if isinstance(stage, GroupApplyNode):
+            path = "a nested GroupApply: one scheduler per key"
+        elif flat.futures[i] is None:
+            path = "deferred: buffered per key, applied at the flush"
+        elif not keyed:
             path = (
                 "on_batch per stage"
                 if len(stage.inputs) == 1
@@ -85,6 +79,8 @@ def _group_paths(node: GroupApplyNode, indent: str) -> List[str]:
                 else "; key columns attached to a copy of each payload"
             )
         lines.append(f"{indent}  {stage.describe()}: {path}")
+        if isinstance(stage, GroupApplyNode):
+            lines.extend(_group_paths(stage, indent + "    "))
     return lines
 
 

@@ -366,6 +366,18 @@ class GroupApplyNode(PlanNode):
             raise ValueError("GroupApply requires at least one key column")
         self.subplan_root = subplan_root
         self.group_input = group_input
+        for leaf in topological_order(subplan_root):
+            if isinstance(leaf, SourceNode):
+                raise ValueError(
+                    f"the GroupApply sub-plan on keys {list(self.keys)} reads "
+                    f"source {leaf.name!r}: a sub-plan reads only its group's "
+                    "input (combine with another source outside the GroupApply)"
+                )
+            if isinstance(leaf, GroupInputNode) and leaf is not group_input:
+                raise ValueError(
+                    f"the GroupApply sub-plan on keys {list(self.keys)} reads "
+                    "another GroupApply's group input"
+                )
 
     def partition_constraint(self):
         return PartitionConstraint("subset", self.keys)

@@ -36,8 +36,7 @@ _PRIMITIVES = (type(None), type(...), bool, int, float, complex, str, bytes)
 #: hashed by qualified name: their code is the interpreter's or a library's
 _BY_NAME = (type, types.ModuleType, types.BuiltinFunctionType)
 #: PlanNode attributes that say where a node sits, not what it computes
-#: (``_dataflow_meta`` is the Dataflow's memo, stamped on a root it has run)
-_NOT_PARAMETERS = frozenset({"inputs", "node_id", "source_location", "_dataflow_meta"})
+_NOT_PARAMETERS = frozenset({"inputs", "node_id", "source_location"})
 
 
 class Unfingerprintable(ValueError):

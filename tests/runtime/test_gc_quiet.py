@@ -3,8 +3,8 @@
 ``Engine.run`` and ``TiMR.run`` pause CPython's cyclic collector through
 ``RunContext.quiet()``, whatever the executor keyword, and put the caller's
 collector state back on every exit path; the push path is left alone.
-Because nothing collects cycles during a run, ``Dataflow.close()`` has
-to sever the runtime's own: the run's graph must die by refcount.
+Because nothing collects cycles during a run, the runtime's graph must
+hold none: it dies by refcount when the driver drops it.
 """
 
 import contextlib
@@ -326,16 +326,22 @@ class _WeakKeyState(keyed.KeyState):
 
 
 def test_the_runs_graph_is_freed_without_a_collection():
-    """Fails at the parent commit: every ``_OpNode`` pointed back at its
-    ``Dataflow``, so the graph — chains, keyed states and nested flows
-    with it — was garbage only the cyclic collector could reclaim."""
-    flows, nodes, chains, states = [], [], [], []
+    """No node refers back to its ``Dataflow`` and no flow nests in
+    another, so the graph — schedulers, chains and keyed states — is
+    garbage refcounts reclaim (while ``_OpNode`` pointed back at its flow
+    only the cyclic collector could)."""
+    flows, nodes, chains, states, schedulers = [], [], [], [], []
     init = Dataflow.__init__
+    scheduler_init = dataflow.GroupScheduler.__init__
 
     def tracking_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         flows.append(weakref.ref(self))
         nodes.extend(weakref.ref(node) for node in self._op_nodes)
+
+    def tracking_scheduler_init(self, *args, **kwargs):
+        scheduler_init(self, *args, **kwargs)
+        schedulers.append(weakref.ref(self))
 
     class TrackedChain(_WeakFlatChain):
         __slots__ = ()
@@ -360,28 +366,34 @@ def test_the_runs_graph_is_freed_without_a_collection():
             lambda g: g.window(50).sum("V", into="s").where(lambda p: p["s"]),
         )
     ).union(
-        source.group_apply(  # a nested GroupApply: one nested flow per key,
-            "UserId",  # each with one keyed state
+        source.group_apply(  # a nested GroupApply: a chain per key holding
+            "UserId",  # a scheduler with one keyed state
             lambda g: g.group_apply("UserId", lambda gg: gg.window(70).count(into="s")),
         )
     )
     with collector(False):  # whatever dies below, refcounts killed it
         with mock.patch.object(Dataflow, "__init__", tracking_init), \
+                mock.patch.object(
+                    dataflow.GroupScheduler, "__init__", tracking_scheduler_init
+                ), \
                 mock.patch.object(dataflow, "_FlatChain", TrackedChain), \
                 mock.patch.object(keyed, "KeyState", TrackedState):
             out = Engine(context=SERIAL).run(
                 query, {"logs": make_rows(400, users=5)}, validate=False
             )
         assert out
-        assert len(flows) == 1 + 5 and len(chains) == 5  # top + one sub per key
-        assert len(states) == 5 + 5
-        for refs in (flows, nodes, chains, states):
+        assert len(flows) == 1  # one flow: no nested one per key
+        assert len(chains) == 5 + 5 and len(states) == 5 + 5
+        # three top-level schedulers and one per key in the nested chains
+        assert len(schedulers) == 3 + 5
+        for refs in (flows, nodes, chains, states, schedulers):
             assert [ref() for ref in refs] == [None] * len(refs)
 
 
 def test_op_nodes_die_with_their_flow():
+    """Dropping a flow mid-stream (nothing flushed) frees all of it."""
     query = Query.source("logs", ("UserId", "V")).group_apply(
-        "UserId",  # a nested GroupApply: one nested flow per key
+        "UserId",  # a nested GroupApply: a scheduler per key
         lambda g: g.group_apply("V", lambda gg: gg.window(5).count(into="n")),
     )
     with collector(False):
@@ -389,19 +401,16 @@ def test_op_nodes_die_with_their_flow():
         flow.feed("logs", [Event.point(t, {"UserId": t % 3, "V": 1}) for t in range(30)])
         flow.set_watermarks(29)
         out = flow.advance()
-        (group_node,) = [n for n in flow._op_nodes if hasattr(n, "_groups")]
-        refs = [weakref.ref(n) for n in flow._op_nodes]
-        refs += [weakref.ref(c.sub) for c in group_node._groups.values()]
-        refs += [
-            weakref.ref(n)
-            for c in group_node._groups.values()
-            for n in c.sub._op_nodes
+        (scheduler,) = [
+            n._operator
+            for n in flow._op_nodes
+            if isinstance(n._operator, dataflow.GroupScheduler)
         ]
+        refs = [weakref.ref(n) for n in flow._op_nodes]
+        refs.append(weakref.ref(scheduler))
+        refs += [weakref.ref(c.ops[0]) for c in scheduler._groups.values()]
         refs.append(weakref.ref(flow))
-        assert len(refs) > 10
-        # closing mid-stream (nothing flushed) and closing twice are safe
-        flow.close()
-        flow.close()
-        del flow, group_node
+        assert len(refs) > 5
+        del flow, scheduler
         assert [ref() for ref in refs] == [None] * len(refs)
     assert out

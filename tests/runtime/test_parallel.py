@@ -9,9 +9,6 @@ import pytest
 
 from repro.runtime import RunContext
 from repro.runtime.context import SERIAL_RESOLUTION
-from repro.runtime.dataflow import Dataflow
-from repro.temporal import Query
-from repro.temporal.event import Event
 
 
 class TestResolveExecutor:
@@ -32,19 +29,3 @@ class TestResolveExecutor:
             assert found[SERIAL_RESOLUTION]["count"] == 1
             assert f"executor={kind!r}" in found[SERIAL_RESOLUTION]["reason"]
 
-
-def test_dataflow_close_is_idempotent():
-    """Closing a flow twice is harmless."""
-    q = Query.source("logs").group_apply(
-        "UserId", lambda g: g.window(5).count(into="n")
-    )
-    flow = Dataflow(q.to_plan(), allow_unstreamable=True)
-    flow.feed(
-        "logs", [Event.point(t, {"UserId": f"u{t % 3}"}) for t in range(12)]
-    )
-    flow.set_watermarks(11)
-    out = list(flow.advance())
-    out.extend(flow.flush())
-    flow.close()
-    flow.close()
-    assert out

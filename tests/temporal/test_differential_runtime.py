@@ -206,21 +206,18 @@ def _watermark_trajectory(rows, plan_idx, splits):
         for r in rows
     ]
     trajectory = []
-    try:
-        i = 0
-        for size in list(splits) + [len(events)]:  # remainder as last batch
-            batch = events[i : i + size]
-            i += len(batch)
-            if not batch:
-                continue
-            flow.feed("logs", batch)
-            flow.set_watermarks(batch[-1].le)
-            out = flow.advance()
-            trajectory.append((flow.output_watermark, len(out)))
-        out = flow.flush()
+    i = 0
+    for size in list(splits) + [len(events)]:  # remainder as last batch
+        batch = events[i : i + size]
+        i += len(batch)
+        if not batch:
+            continue
+        flow.feed("logs", batch)
+        flow.set_watermarks(batch[-1].le)
+        out = flow.advance()
         trajectory.append((flow.output_watermark, len(out)))
-    finally:
-        flow.close()
+    out = flow.flush()
+    trajectory.append((flow.output_watermark, len(out)))
     return trajectory
 
 

@@ -130,7 +130,7 @@ class TestExplainPhysicalPath:
             )
         )
         assert "per key: one flat chain" in union
-        assert "nested Dataflow" not in union
+        assert "one scheduler per key" not in union
         assert (
             "union: both inputs merged, right side first at ties; "
             "key columns attached to a copy" in union
@@ -141,7 +141,9 @@ class TestExplainPhysicalPath:
                 lambda g: g.group_apply("StreamId", lambda gg: gg.window(5).count()),
             )
         )
-        assert "per key: a nested Dataflow" in nested
+        # one form: the outer key's flat chain holds the inner scheduler
+        assert "per key: one flat chain" in nested
+        assert "group-apply: a nested GroupApply: one scheduler per key" in nested
         assert "per key: one keyed sweep" in nested  # the inner GroupApply
 
     def test_group_apply_names_what_its_aggregate_keeps_per_pane(self):

@@ -5,41 +5,9 @@ from hypothesis import strategies as st
 
 from repro.temporal import Event, normalize
 from repro.temporal.operators import count_window, session_window, sort_events
-from repro.temporal.time import MAX_TIME
+from repro.temporal.relation import ref_count_window, ref_session_window
 
 times_lists = st.lists(st.integers(min_value=0, max_value=100), max_size=30)
-
-
-def ref_count_window(events, n):
-    """Brute force: event i's RE is event i+n's LE (or the end of time).
-
-    Events whose successor shares their timestamp vanish (empty lifetime).
-    """
-    out = []
-    for i, e in enumerate(events):
-        if i + n < len(events):
-            re = events[i + n].le
-        else:
-            re = MAX_TIME
-        if re > e.le:
-            out.append(Event(e.le, re, e.payload))
-    return out
-
-
-def ref_session_window(events, gap):
-    """Brute force: split on gaps >= gap; lifetime = [le, last + gap)."""
-    out = []
-    session = []
-    for e in events:
-        if session and e.le - session[-1].le >= gap:
-            end = session[-1].le + gap
-            out.extend(Event(x.le, end, x.payload) for x in session)
-            session = []
-        session.append(e)
-    if session:
-        end = session[-1].le + gap
-        out.extend(Event(x.le, end, x.payload) for x in session)
-    return out
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,0 +1,126 @@
+"""Hostile GroupApply keys and sub-plans, at every entry point.
+
+A sibling of ``test_hostile_time.py`` for the group key: each cell ends
+in the correct result, the policy outcome (a dead letter), or a named
+error — never a bare ``TypeError`` or ``RuntimeError`` from inside the
+runtime.
+
+* A row whose key value is unhashable (a list, a dict) is a
+  ``ValueError`` naming the key column and the value on the keyed
+  sweep, the flat chains and a nested GroupApply alike; a TiMR reducer's
+  failure arrives as a ``StageExecutionError`` around it, and with
+  quarantine on the row is dead-lettered.
+* A sub-plan that reads a source other than its group's input is
+  refused when the plan is built, with a ``ValueError`` naming the
+  source and the group keys — before any entry point runs it.
+"""
+
+import copy
+
+import pytest
+
+from repro.mapreduce import Cluster, DistributedFileSystem, StageExecutionError
+from repro.runtime import RunContext
+from repro.temporal import Engine, Query, StreamingEngine, normalize
+from repro.temporal.event import rows_to_events
+from repro.timr import TiMR
+
+#: the three per-key shapes: the keyed sweep, a flat chain, and a
+#: nested GroupApply inside a flat chain
+SHAPES = {
+    "keyed": lambda g: g.window(10).count(into="n"),
+    "flat": lambda g: g.window(10).count(into="n").where(lambda p: p["n"] > 0),
+    "nested": lambda g: g.group_apply("S", lambda gg: gg.window(10).count(into="n")),
+}
+
+UNHASHABLE = {"list": [1], "dict": {"a": 1}}
+
+GOOD = [{"Time": 1, "UserId": "a", "S": 0}, {"Time": 3, "UserId": "a", "S": 1}]
+
+
+def grouped(shape):
+    return Query.source("logs", ("UserId", "S")).group_apply("UserId", SHAPES[shape])
+
+
+def engine_run(query, rows):
+    return list(Engine().run(query, {"logs": rows})), []
+
+
+def stream(query, rows):
+    engine = StreamingEngine(query)
+    out = []
+    for row in rows:
+        out.extend(engine.push("logs", row))
+    out.extend(engine.flush())
+    return out, []
+
+
+def timr(quarantine):
+    def run(query, rows):
+        fs = DistributedFileSystem()
+        fs.write("logs", copy.deepcopy(rows), require_time_column=False)
+        cluster = Cluster(fs=fs, context=RunContext(quarantine=quarantine))
+        result = TiMR(cluster).run(query, job_name="j")
+        aside = fs.read("j.quarantine").all_rows() if fs.exists("j.quarantine") else []
+        return rows_to_events(result.output_rows()), [r["_row"] for r in aside]
+
+    return run
+
+
+ENTRY_POINTS = {
+    "engine": (engine_run, "raise"),
+    "stream": (stream, "raise"),
+    "timr": (timr(False), "raise"),
+    "timr-quarantine": (timr(True), "aside"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("value", sorted(UNHASHABLE))
+def test_an_unhashable_key_is_named_or_set_aside(value, shape, entry):
+    run, outcome = ENTRY_POINTS[entry]
+    bad = {"Time": 2, "UserId": copy.deepcopy(UNHASHABLE[value]), "S": 0}
+    rows = [dict(GOOD[0]), bad, dict(GOOD[1])]
+    if outcome == "raise":
+        with pytest.raises(Exception) as info:
+            run(grouped(shape), rows)
+        exc = info.value
+        if isinstance(exc, StageExecutionError):
+            exc = exc.__cause__  # a reducer's failure, retried and reported
+        assert type(exc) is ValueError
+        assert "'UserId'" in str(exc) and repr(UNHASHABLE[value]) in str(exc)
+        return
+    out, aside = run(grouped(shape), rows)
+    assert normalize(out) == normalize(Engine().run(grouped(shape), {"logs": GOOD}))
+    assert [row["UserId"] for row in aside] == [UNHASHABLE[value]]
+
+
+def reads_other():
+    return Query.source("logs").group_apply(
+        "UserId", lambda g: g.union(Query.source("other"))
+    )
+
+
+SOURCES = {
+    "engine-empty": lambda: Engine().run(reads_other(), {"logs": []}),
+    "engine": lambda: Engine().run(reads_other(), {"logs": GOOD, "other": []}),
+    "stream": lambda: StreamingEngine(reads_other()),
+    "timr": lambda: timr(False)(reads_other(), GOOD),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SOURCES))
+def test_a_sub_plan_reading_another_source_is_refused_when_built(entry):
+    with pytest.raises(ValueError) as info:
+        SOURCES[entry]()
+    assert "'other'" in str(info.value) and "['UserId']" in str(info.value)
+
+
+def test_a_nested_sub_plan_reading_the_outer_group_input_is_refused():
+    """An inner sub-plan that captured the outer one's group input would
+    read the wrong key's events; it is refused when the plan is built."""
+    with pytest.raises(ValueError, match=r"\['S'\] reads another GroupApply's group input"):
+        Query.source("logs").group_apply(
+            "UserId", lambda g: g.group_apply("S", lambda gg: g.window(5))
+        )
