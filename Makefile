@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test test-oracle lint selflint ruff chaos examples bench-e2e bench-smoke test-bench-harness profile profile-bt
+.PHONY: check test test-oracle record-digests lint selflint ruff chaos examples bench-e2e bench-smoke test-bench-harness profile profile-bt
 
 # everything CI gates
 check: test test-oracle selflint chaos ruff test-bench-harness examples bench-smoke
@@ -15,6 +15,13 @@ test:
 # runs the light profile, and pyproject's addopts deselect this marker
 test-oracle:
 	$(PYTHON) -m pytest -q -m oracle tests/runtime/test_plan_oracle.py
+
+# print the per-call digest tables the runtime tests check (BATCH_DIGESTS,
+# PUSH_DIGESTS, TOP_*; tests/runtime/record_digests.py): run it on the
+# parent of a change that must keep per-call behaviour, and paste what it
+# prints; it records and checks nothing, so it is not part of `check`
+record-digests:
+	$(PYTHON) -m tests.runtime.record_digests
 
 # end-to-end fault-tolerance suite: full BT pipeline fault-free vs under
 # a seeded fault schedule vs killed-and-resumed; asserts byte-identical

@@ -149,7 +149,7 @@ class RunContext:
         A batch run allocates hundreds of thousands of long-lived,
         acyclic output events; every full collection re-traverses all of
         them and frees nothing, which was a quarter to a half of a run's
-        wall time. The runtime's graph holds no reference cycle (no node
+        wall time. The runtime's graph holds no reference cycle (no step
         points back at its flow), so it is still freed the moment the run
         returns; cyclic garbage user code makes inside the section waits
         for the first collection after it. Re-entrant and

@@ -1,14 +1,16 @@
 """The incremental operator runtime shared by batch and streaming drivers.
 
 This module is the single execution engine for CQ plans. A
-:class:`Dataflow` instantiates one live operator per plan node and
-advances the whole DAG whenever new input or watermarks arrive:
+:class:`Dataflow` lays its plan out flat — a :class:`_FlatPlan`: one
+position per input, then one step per operator node in topological
+order — and one :class:`_FlatChain` runs it whenever new input or
+watermarks arrive:
 
-* ``feed(source, events, watermark)`` appends time-ordered events to the
-  named source leaves;
-* ``advance()`` propagates them through every operator in topological
-  order and returns the query outputs that are now *final* — no future
-  input can change them (the CTI/watermark contract of Section III-C.1);
+* ``feed(source, events, watermark)`` appends time-ordered events to a
+  named source's position;
+* ``advance()`` runs every step once, in order, and returns the query
+  outputs that are now *final* — no future input can change them (the
+  CTI/watermark contract of Section III-C.1);
 * ``flush()`` declares end-of-input and drains all remaining state.
 
 Both execution modes are thin drivers over this one graph:
@@ -18,12 +20,17 @@ partition), while :class:`repro.temporal.StreamingEngine` feeds one
 event per push. They share the identical operator objects, multicast
 and GroupApply keying, so batch ≡ streaming holds by construction.
 
-Operators hold only active-window state. One ``advance`` pass visits the
-nodes in topological order and hands each one the lists its inputs
-emitted in that pass, read-only and shared by every consumer; a node's
-own list lives only until the pass ends. The only input kept across
+Operators hold only active-window state. One pass hands each step the
+list its input emitted in that pass, read-only and shared by every
+consumer. The only input kept across
 passes is a binary operator's undelivered left and right queue, so the
 batch driver's memory is bounded by operator state plus one batch.
+
+A GroupApply is a :class:`GroupScheduler` step, which runs its
+sub-plan per key on the same two classes — a :class:`_FlatPlan` over
+the group input, and a :class:`_FlatChain` per key (or one keyed sweep
+over every key, ``runtime/keyed.py``). So one loop interprets every
+plan, the top level and each key's alike.
 
 Plans containing an operator whose output timestamps may precede its
 input unboundedly (a *custom* AlterLifetime) cannot run incrementally.
@@ -33,9 +40,8 @@ operators in :class:`Deferred` — buffer until flush, then apply the same
 operator object over the buffered input — at the top level and inside a
 GroupApply's per-key chains alike.
 
-A GroupApply is a :class:`GroupScheduler`, an operator like any other
-to the graph. No node refers back to its flow, so the graph holds no
-reference cycle and dies by refcount.
+No step refers back to its flow, so the graph holds no reference cycle
+and dies by refcount.
 """
 
 from __future__ import annotations
@@ -101,20 +107,6 @@ def _batch_per_key(
     return per_key
 
 
-def _operator(
-    node: PlanNode, future: Optional[int], wave_events: int,
-    tracer=NULL_TRACER, emits_rows: bool = False,
-):
-    """The live operator of plan node ``node``, whose future extent is
-    ``future``: a :class:`GroupScheduler` for a GroupApply, else the
-    node's own operator, in :class:`Deferred` when ``future`` is
-    unbounded."""
-    if isinstance(node, GroupApplyNode):
-        return GroupScheduler(node, wave_events, tracer, emits_rows)
-    op = node.make_operator()
-    return op if future is not None else Deferred(op)
-
-
 def _own_future(node: PlanNode, future: Optional[int]) -> int:
     """What the runtime takes off the operator's ``watermark_out``: the
     node's future extent, except for a GroupApply's scheduler and a
@@ -150,109 +142,6 @@ class Deferred(UnaryOperator):
         return None if self._store is None else WAKE_AT_FLUSH
 
 
-class _OpNode:
-    """A live operator, the nodes it reads, and what it emitted in the
-    current pass."""
-
-    def __init__(self, plan_node: PlanNode, operator, future: int):
-        self.plan_node = plan_node
-        self.kids: List[_OpNode] = []  # the nodes it reads, set by the flow
-        #: this pass's output (a source's: what was fed since the last
-        #: pass), read-only to every consumer; dropped when the pass ends
-        self.out: Sequence = ()
-        #: the output or the watermark moved since the last pass ended
-        self.moved = False
-        self.watermark: int = MIN_TIME
-        self.flushed = False
-        self.events_in = self.events_out = 0
-        self.busy_seconds = 0.0
-        #: ``None`` for a source and an Exchange
-        self._operator = operator
-        self._future = future
-        if len(plan_node.inputs) == 2:
-            #: a binary node's undelivered left and right input
-            self.queued: Tuple[List[Event], List[Event]] = ([], [])
-
-    def next_wake(self) -> Optional[int]:
-        """``None`` when a future (non-flush) watermark can emit nothing
-        here and shifts this node's watermark by exactly the watermark
-        delta; otherwise the least input watermark at which ``advance``
-        could emit or change state (``WAKE_ALWAYS``: any).
-
-        Only meaningful right after an ``advance`` pass."""
-        if self._operator is None:
-            # a source's watermark tracks the driver's exactly, and an
-            # Exchange is a pure passthrough
-            return None
-        if len(self.kids) == 2:
-            # binary operators only emit on event delivery, never on a
-            # bare watermark (synopsis contents don't block the
-            # watermark); an undelivered head waits for the other side
-            return WAKE_ALWAYS if any(self.queued) else None
-        return self._operator.next_wake()
-
-    def watermark_at(self, inputs: List[int]) -> int:
-        """This node's watermark if its inputs' watermarks rose to
-        ``inputs`` with no new events and no state change — what
-        ``advance`` would leave behind, computed without running it."""
-        if self._operator is not None and len(inputs) == 1:
-            w = self._operator.watermark_out(inputs[0]) - self._future
-        else:
-            w = min(inputs)
-        return max(self.watermark, w)
-
-    # -- per-kind advance ----------------------------------------------------
-
-    def advance(self) -> None:
-        """Consume this pass's input, set ``out`` to what is now final."""
-        if self._operator is None:
-            # Logical repartitioning is the identity on a single node.
-            (kid,) = self.kids
-            self.events_in += len(kid.out)
-            self.out = kid.out
-            self.watermark = kid.watermark
-        elif len(self.kids) == 1:
-            self._advance_unary()
-        else:
-            self._advance_binary()
-
-    def _advance_unary(self) -> None:
-        (kid,) = self.kids
-        op = self._operator
-        fresh, w = kid.out, kid.watermark
-        self.events_in += len(fresh)
-        out = op.on_batch(fresh) if fresh else []
-        if w >= MAX_TIME and not self.flushed:
-            out.extend(op.on_flush())
-            self.flushed = True
-            self.watermark = MAX_TIME
-        else:
-            out.extend(op.on_watermark(w))
-            self.watermark = max(self.watermark, op.watermark_out(w) - self._future)
-        self.out = out
-
-    def _advance_binary(self) -> None:
-        left, right = self.kids
-        levs, revs = self.queued
-        levs.extend(left.out)
-        revs.extend(right.out)
-        op = self._operator
-        out: List[Event] = []
-        rw = right.watermark
-        w = min(left.watermark, rw)
-        li, ri = _deliver(op, levs, revs, w, rw, out.extend)
-        if w >= MAX_TIME and not self.flushed:
-            out.extend(op.on_flush())
-            self.flushed = True
-            self.watermark = MAX_TIME
-        elif self.watermark < w:
-            self.watermark = w
-        self.events_in += li + ri
-        if li or ri:
-            del levs[:li], revs[:ri]
-        self.out = out
-
-
 class GroupScheduler(UnaryOperator):
     """A GroupApply's per-key scheduling, as one unary operator: at the
     top level, and per outer key as a step of a nested GroupApply's
@@ -264,16 +153,17 @@ class GroupScheduler(UnaryOperator):
     and releases their LE-merged outputs up to the group watermark.
     """
 
-    def __init__(self, node: GroupApplyNode, wave_events: int = 0,
+    def __init__(self, node: GroupApplyNode, flat: _FlatPlan, wave_events: int = 0,
                  tracer=NULL_TRACER, emits_rows: bool = False):
         self.keys = node.keys
         self._wave_events = wave_events
         self._tracer = tracer
-        #: the sub-plan's flat form: every key's chain reads it
-        self._flat = _flat_plan(node, wave_events)
+        #: the sub-plan's flat form, ``_flat_plan(node)``: every key's
+        #: chain reads it, and a nested GroupApply's schedulers share it
+        self._flat = flat
         #: one sweep over every key instead of a chain per key; its
         #: per-key states stand in for chains
-        self._keyed = _keyed_aggregate(node, self._flat)
+        self._keyed = _keyed_aggregate(node, flat)
         self._le = _LE if self._keyed is None else _ROW_LE
         #: the keyed sweep's rows are merged by ``_le`` as chain events
         #: are, and made events as they are emitted: except at the
@@ -388,8 +278,11 @@ class GroupScheduler(UnaryOperator):
         for key, events in _batch_per_key(fresh, self.keys).items():
             chain = self._groups.get(key)
             if chain is None:
-                chain = self._groups[key] = _FlatChain(self.keys, key, flat)
-            chain.buffer(events)
+                chain = self._groups[key] = _FlatChain(flat, dict(zip(self.keys, key)))
+            # GroupApply input is LE-ordered: nothing before the last LE
+            # fed can reach this key any more
+            chain.feed(0, events, events[-1].le)
+            chain.idle_delta = None
             # a chain gets its activation ordinal on entry — re-feeding
             # an already active chain keeps its place, exactly like
             # re-assigning a dict key — and is due at the next wave
@@ -502,80 +395,116 @@ _STATELESS_NODES = (*_PURE_NODES, UnionNode)
 #: A flat chain's wake time while no node reports one: it is idle.
 _IDLE = WAKE_AT_FLUSH + 1
 
-class _FlatPlan:
-    """A GroupApply sub-plan over the group input, in the form every
-    :class:`_FlatChain` of the node reads: one step per operator node.
 
-    Position 0 is the group input and position ``i`` the ``i``-th
-    operator node in topological order, so the root is last; an Exchange
-    is the identity on one node and takes no position (what reads it
-    reads its input). ``steps[i - 1]`` is ``(i, a, b, future, keep,
-    pure)``: node ``i`` reads position ``a`` (its one input, or its left;
-    ``None`` for a unary node reading position ``i - 1``, whose output a
-    chain carries over in locals), ``b`` is its right input's position
-    (``None`` for a unary node), ``future`` what its watermark lags its
-    operator's (:func:`_own_future`), ``keep`` says some node reads its
-    output by position, and ``pure`` that its operator is a pure
-    per-event function (``_PURE_NODES``). ``shared[i - 1]`` is a
-    pre-built operator for a stateless node (a pure one, or a union),
-    ``None`` where each key needs its own instance (:meth:`make`): a
-    stateful operator, a nested GroupApply's scheduler, or a deferred
+class _FlatPlan:
+    """A plan in the form a :class:`_FlatChain` runs: its inputs, then
+    one step per operator node.
+
+    The first positions are the plan's inputs: one per distinct source
+    name at the top level (two ``SourceNode`` objects with one name, a
+    multicast, share it), the group input in a GroupApply's sub-plan.
+    After them, position ``i`` is the next operator node in topological
+    order, so the root is last; an Exchange is the identity on one node
+    and takes no position (what reads it reads its input). Each of
+    ``steps`` is ``(i, a, b, future, keep, pure)``: node ``i`` reads
+    position ``a`` (its one input, or its left; ``None`` for a unary
+    node reading position ``i - 1``, whose output a chain carries over
+    in locals), ``b`` is its right input's position (``None`` for a
+    unary node), ``future`` what its watermark lags its operator's
+    (:func:`_own_future`), ``keep`` says some node reads its output by
+    position, and ``pure`` that its operator is a pure per-event
+    function (``_PURE_NODES``). ``shared[k]`` is a pre-built operator
+    for the ``k``-th node when it is stateless (a pure one, or a union),
+    ``None`` where each chain needs its own instance (:meth:`make`): a
+    stateful operator, a GroupApply's scheduler, or a deferred
     rewrite's buffer.
+
+    ``top`` marks a flow's own plan: a GroupApply at its root releases
+    rows, its schedulers get the flow's tracer, and its chain counts
+    each position's events (and with that tracer on, times each step).
     """
 
     __slots__ = (
-        "nodes", "futures", "wave_events", "steps", "shared", "linear",
-        "attach_in_place", "outs", "pinned",
+        "sources", "position", "nodes", "futures", "wave_events", "tracer",
+        "top", "root_rows", "steps", "outs", "pinned", "events_in", "events_out",
+        "busy", "shared", "subplans", "linear", "attach_in_place",
     )
 
-    def __init__(self, order: List[PlanNode], wave_events: int):
-        position = {order[0].node_id: 0}
+    def __init__(self, order: List[PlanNode], wave_events: int,
+                 tracer=NULL_TRACER, top: bool = False):
+        #: a source's name (``None``: the group input) -> its position
+        self.sources: Dict[Optional[str], int] = {}
+        #: a plan node's id -> the position holding its output
+        self.position: Dict[int, int] = {}
+        for n in order:
+            if not n.inputs:
+                name = getattr(n, "name", None)
+                self.position[n.node_id] = self.sources.setdefault(name, len(self.sources))
+        first = len(self.sources)
         self.nodes: List[PlanNode] = []
         inputs = []
-        for n in order[1:]:
-            src = [position[c.node_id] for c in n.inputs]
-            if isinstance(n, ExchangeNode):
-                position[n.node_id] = src[0]
+        for n in order:
+            if not n.inputs:
                 continue
+            src = [self.position[c.node_id] for c in n.inputs]
+            if isinstance(n, ExchangeNode):
+                self.position[n.node_id] = src[0]
+                continue
+            self.position[n.node_id] = first + len(self.nodes)
             self.nodes.append(n)
             inputs.append(src)
-            position[n.node_id] = len(self.nodes)
         #: each node's future extent, ``None`` for a deferred rewrite
         self.futures = [n.lifetime_extent()[1] for n in self.nodes]
         #: a nested GroupApply's wave threshold, the outer one's
         self.wave_events = wave_events
+        self.tracer = tracer
+        self.top = top
+        self.root_rows = top and bool(self.nodes) and self.nodes[-1] is order[-1]
         read = {
             j
-            for i, src in enumerate(inputs, 1)
+            for i, src in enumerate(inputs, first)
             for j in src
             if len(src) == 2 or j != i - 1
         }
         self.steps = []
-        for i, (n, src, future) in enumerate(zip(self.nodes, inputs, self.futures), 1):
+        for i, (n, src, future) in enumerate(zip(self.nodes, inputs, self.futures), first):
             a, b = src if len(src) == 2 else (src[0], None)
             if b is None and a == i - 1:
                 a = None
             pure = future is not None and isinstance(n, _PURE_NODES)
             self.steps.append((i, a, b, _own_future(n, future), i in read, pure))
+        size = first + len(self.nodes)
         #: scratch for the chain advancing now (one at a time), at the
         #: ``keep`` positions: the output, and the watermark were the
         #: input's arbitrarily far on and no state to change (an upper
         #: bound on what ``_FlatChain._watermark_at`` returns)
-        self.outs: list = [None] * (len(self.nodes) + 1)
-        self.pinned = [MAX_TIME] * (len(self.nodes) + 1)
+        self.outs: list = [None] * size
+        self.pinned = [MAX_TIME] * size
+        #: per position of a flow's plan: events in and out, and seconds
+        #: spent when the tracer is on
+        self.events_in = [0] * size
+        self.events_out = [0] * size
+        self.busy = [0.0] * size
         self.shared = [
             n.make_operator()
             if future is not None and isinstance(n, _STATELESS_NODES)
             else None
             for n, future in zip(self.nodes, self.futures)
         ]
+        #: each GroupApply node's sub-plan, built once for all of its
+        #: schedulers (one per key of an outer GroupApply)
+        self.subplans = [
+            _flat_plan(n, wave_events) if isinstance(n, GroupApplyNode) else None
+            for n in self.nodes
+        ]
         #: a straight pipeline: node ``i`` reads node ``i - 1`` alone
         self.linear = all(a is None and b is None for _, a, b, *_ in self.steps)
-        #: the root builds each output payload for that event alone
-        #: (``fresh_payloads``, which a nested GroupApply does not
+        #: a sub-plan's root builds each output payload for that event
+        #: alone (``fresh_payloads``, which a nested GroupApply does not
         #: declare), so the key columns go in without a copy
         self.attach_in_place = (
-            bool(self.nodes)
+            not top
+            and bool(self.nodes)
             and not isinstance(self.nodes[-1], GroupApplyNode)
             and getattr(
                 self.shared[-1] or self.make(len(self.nodes) - 1),
@@ -584,9 +513,18 @@ class _FlatPlan:
             )
         )
 
-    def make(self, i: int):
-        """A fresh operator for node ``i + 1``."""
-        return _operator(self.nodes[i], self.futures[i], self.wave_events)
+    def make(self, k: int):
+        """A fresh operator for the ``k``-th node: a
+        :class:`GroupScheduler` for a GroupApply, else the node's own
+        operator, in :class:`Deferred` when its future is unbounded."""
+        node = self.nodes[k]
+        if isinstance(node, GroupApplyNode):
+            return GroupScheduler(
+                node, self.subplans[k], self.wave_events, self.tracer,
+                self.root_rows and k == len(self.nodes) - 1,
+            )
+        op = node.make_operator()
+        return op if self.futures[k] is not None else Deferred(op)
 
 
 def _flat_plan(node: GroupApplyNode, wave_events: int = 0) -> _FlatPlan:
@@ -608,30 +546,26 @@ def _keyed_aggregate(node: GroupApplyNode, flat: _FlatPlan) -> Optional[KeyedAgg
 
 
 class _FlatChain:
-    """One group's sub-plan, driven flat: the operators of a
-    :class:`_FlatPlan` in topological order over plain per-node lists.
+    """A :class:`_FlatPlan` running: a flow's plan, or one group's
+    sub-plan (with that group's ``key_columns``).
 
-    Each advance hands a unary node its input's fresh output and
-    watermark (a node whose input did not move repeats an
-    ``on_watermark`` call, which changes nothing; a pure per-event node
+    Each pass (:meth:`run`) visits every step in order over plain
+    per-position lists. A unary step gets its input's fresh output and
+    watermark (a step whose input did not move repeats an
+    ``on_watermark`` call, which changes nothing; a pure per-event step
     gets only ``on_batch``, as its watermark just passes through), and a
-    binary node its queued input through :func:`_deliver`, keeping
-    per-node monotone watermark floors. A nested GroupApply is a unary
-    node whose operator is this key's :class:`GroupScheduler`, a deferred
+    binary step its queued input through :func:`_deliver`, keeping
+    per-position monotone watermark floors. A step flushes once, when
+    its own input watermark reaches ``MAX_TIME``. A GroupApply is a
+    unary step whose operator is its :class:`GroupScheduler`, a deferred
     rewrite one whose operator is its :class:`Deferred` buffer.
-
-    The key's input watermark (position 0) is the group's, or the last LE
-    fed to this key when that is later: GroupApply input is LE-ordered,
-    so nothing earlier can reach the key any more. It lets an aggregate's
-    hold bind as soon as the key is fed ahead of the group — a hopping
-    window's quantized LEs — instead of following the group's watermark
-    and keeping the chain awake.
     """
 
     __slots__ = (
         "key_columns",
         "plan",
         "ops",
+        "inputs",
         "w",
         "queued",
         "watermark",
@@ -639,74 +573,121 @@ class _FlatChain:
         "wake",
         "ordinal",
         "stamp",
-        "_buf",
     )
 
-    def __init__(self, keys: Tuple[str, ...], key: Tuple, plan: _FlatPlan):
-        self.key_columns = dict(zip(keys, key))
+    def __init__(self, plan: _FlatPlan, key_columns: Optional[dict] = None):
+        self.key_columns = key_columns
         self.plan = plan
         self.ops = [
-            op if op is not None else plan.make(i) for i, op in enumerate(plan.shared)
+            op if op is not None else plan.make(k) for k, op in enumerate(plan.shared)
         ]
+        #: per input position: what was fed since the last pass
+        self.inputs: List[list] = [[] for _ in plan.sources]
         #: per position (one per ``plan.outs`` slot): the node's
-        #: watermark floor; position 0 is the key's input watermark
+        #: watermark floor; an input position's is its source's watermark
         self.w = [MIN_TIME] * len(plan.outs)
         #: per position: a binary node's undelivered left and right input
-        self.queued = [None] + [
+        self.queued = [None] * len(plan.sources) + [
             None if b is None else ([], []) for _, _, b, *_ in plan.steps
         ]
+        #: the root's watermark after the last pass
         self.watermark = MIN_TIME
-        #: when not None the chain is quiescent: a watermark ``w`` maps to
-        #: output watermark ``w - idle_delta`` and emits nothing
+        #: when not None the group's chain is quiescent: a watermark ``w``
+        #: maps to output watermark ``w - idle_delta`` and emits nothing
         self.idle_delta: Optional[int] = None
-        #: while not idle: the chain emits nothing and keeps its
+        #: after a pass: ``None`` when no future (non-flush) watermark can
+        #: emit anything; otherwise the chain emits nothing and keeps its
         #: watermark until the input watermark reaches this
-        self.wake = WAKE_ALWAYS
+        self.wake: Optional[int] = WAKE_ALWAYS
         self.ordinal = self.stamp = 0  # owned by the GroupApply's scheduler
-        self._buf: List[Event] = []
 
-    def buffer(self, events: List[Event]) -> None:
-        """Queue LE-ordered ``events``; the next ``advance`` delivers them."""
-        self._buf.extend(events)
-        if events[-1].le > self.w[0]:
-            self.w[0] = events[-1].le
-        self.idle_delta = None
+    def feed(self, j: int, events: Iterable[Event], watermark: Optional[int] = None) -> None:
+        """Queue LE-ordered ``events`` at input position ``j`` for the
+        next pass; raise its watermark to ``watermark`` when given."""
+        self.inputs[j].extend(events)
+        if watermark is not None and watermark > self.w[j]:
+            self.w[j] = watermark
 
     def advance(self, watermark: int) -> List[Event]:
-        flush = watermark >= MAX_TIME
-        if flush:
+        """A group's pass at group watermark ``watermark``: its outputs,
+        key columns attached.
+
+        The key's input watermark (position 0) is the group's, or the
+        last LE fed to this key (:meth:`GroupScheduler._feed`) when that
+        is later: GroupApply input is LE-ordered, so nothing earlier can
+        reach the key any more. It lets an aggregate's hold bind as soon
+        as the key is fed ahead of the group — a hopping window's
+        quantized LEs — instead of following the group's watermark and
+        keeping the chain awake.
+        """
+        if self.idle_delta is not None:
+            if watermark < MAX_TIME:
+                self.watermark = watermark - self.idle_delta
+                return []
             self.idle_delta = None
-        elif self.idle_delta is not None:
-            self.watermark = watermark - self.idle_delta
+        if watermark > self.w[0]:
+            self.w[0] = watermark
+        out = self.run()
+        if self.wake is None and watermark < MAX_TIME:
+            self.idle_delta = watermark - self.watermark
+        if not out:
             return []
-        w = self.w
-        if watermark > w[0]:
-            w[0] = watermark
+        key_columns = self.key_columns
+        if self.plan.attach_in_place:
+            # same column order and values as the copy below
+            for e in out:
+                e.payload.update(key_columns)
+            return out
+        copies = []
+        for e in out:
+            payload = dict(e.payload)
+            payload.update(key_columns)
+            copies.append(e.with_payload(payload))
+        return copies
+
+    def run(self) -> list:
+        """One pass over every step; returns the root's new output and
+        leaves :attr:`watermark` and :attr:`wake`."""
         plan = self.plan
+        w = self.w
+        outs, pinned = plan.outs, plan.pinned
+        counted = plan.top
+        events_in, events_out = plan.events_in, plan.events_out
+        inputs = self.inputs
+        for j, fed in enumerate(inputs):
+            outs[j] = fed
+            if fed:
+                inputs[j] = []
+                if counted:
+                    events_out[j] += len(fed)
         # the previous position's output, watermark and pinned watermark
-        out, wo, po = self._buf, w[0], MAX_TIME
-        plan.outs[0] = out
-        if out:
-            self._buf = []
+        j = len(inputs) - 1
+        out, wo, po = outs[j], w[j], MAX_TIME
         wake = _IDLE
+        timed = counted and plan.tracer.enabled
+        if timed:
+            t0 = _time.perf_counter()
         for (i, a, b, future, keep, pure), op in zip(plan.steps, self.ops):
             if b is None:
                 if a is not None:
-                    out, wo, po = plan.outs[a], w[a], plan.pinned[a]
+                    out, wo, po = outs[a], w[a], pinned[a]
+                if counted:
+                    events_in[i] += len(out)
                 if pure:
                     # no state: nothing on a watermark or at the flush,
                     # the watermark passes through, never a wake time
                     if out:
                         out = op.on_batch(out)
-                    ww = MAX_TIME if flush else wo - future
+                    ww = MAX_TIME if wo >= MAX_TIME else wo - future
                     wo = w[i]
                     if ww > wo:
                         w[i] = wo = ww
                     po -= future
                 else:
                     out = op.on_batch(out) if out else []
-                    if flush:
-                        out.extend(op.on_flush())
+                    if wo >= MAX_TIME:
+                        if w[i] < MAX_TIME:
+                            out.extend(op.on_flush())
                         w[i] = wo = MAX_TIME
                     else:
                         out.extend(op.on_watermark(wo))
@@ -722,7 +703,6 @@ class _FlatChain:
                         if t < wake:
                             wake = t
             else:
-                outs, pinned = plan.outs, plan.pinned
                 levs, revs = self.queued[i]
                 levs.extend(outs[a])
                 revs.extend(outs[b])
@@ -730,8 +710,11 @@ class _FlatChain:
                 jw = w[a] if w[a] < rw else rw
                 out = []
                 li, ri = _deliver(op, levs, revs, jw, rw, out.extend)
-                if flush:
-                    out.extend(op.on_flush())
+                if counted:
+                    events_in[i] += li + ri
+                if jw >= MAX_TIME:
+                    if w[i] < MAX_TIME:
+                        out.extend(op.on_flush())
                     w[i] = wo = MAX_TIME
                 else:
                     wo = w[i]
@@ -746,44 +729,30 @@ class _FlatChain:
             if po < wo:
                 po = wo
             if keep:
-                plan.outs[i] = out
-                plan.pinned[i] = po
-        if flush:
-            self.watermark = MAX_TIME
-        else:
-            self.watermark = wo
-            if wake == _IDLE:
-                self.idle_delta = watermark - wo
-                wake = None
-            elif (
-                wake > WAKE_ALWAYS
-                and po != wo
-                and self._watermark_at(wake - 1 if wake - 1 > w[0] else w[0]) != wo
-            ):
-                # the watermark still follows the input's (no hold binds
-                # yet), so it is not frozen: stay awake until one does
-                wake = WAKE_ALWAYS
-            self.wake = wake
-        if not out:
-            return []
-        key_columns = self.key_columns
-        if plan.attach_in_place:
-            # same column order and values as the copy below
-            for e in out:
-                e.payload.update(key_columns)
-            return out
-        copies = []
-        for e in out:
-            payload = dict(e.payload)
-            payload.update(key_columns)
-            copies.append(e.with_payload(payload))
-        return copies
+                outs[i] = out
+                pinned[i] = po
+            if counted:
+                events_out[i] += len(out)
+                if timed:
+                    # a step's busy time runs from the end of the one before
+                    t1 = _time.perf_counter()
+                    plan.busy[i] += t1 - t0
+                    t0 = t1
+        self.watermark = wo
+        if wake == _IDLE:
+            wake = None
+        elif wake > WAKE_ALWAYS and po != wo and self._watermark_at(wake - 1) != wo:
+            # the watermark still follows the input's (no hold binds
+            # yet), so it is not frozen: stay awake until one does
+            wake = WAKE_ALWAYS
+        self.wake = wake
+        return out
 
     def _watermark_at(self, t: int) -> int:
-        """The watermark an advance at input watermark ``t`` (not below
-        the key's) would leave with no new input and no state changing."""
+        """The root's watermark a pass with every input watermark raised
+        to ``t`` would leave with no new input and no state changing."""
         w = self.w
-        at = [t]
+        at = [t if t > x else x for x in w[: len(self.inputs)]]
         for (i, a, b, future, *_), op in zip(self.plan.steps, self.ops):
             if b is None:
                 x = op.watermark_out(at[i - 1 if a is None else a]) - future
@@ -794,7 +763,8 @@ class _FlatChain:
 
 
 class Dataflow:
-    """One CQ plan instantiated as a graph of live incremental operators.
+    """One CQ plan, instantiated as a :class:`_FlatChain` of live
+    incremental operators.
 
     Args:
         root: the plan to execute (already a :class:`PlanNode`).
@@ -806,7 +776,7 @@ class Dataflow:
             default, waves on every advance). Buffered group input stays
             bounded by the threshold; outputs are merely released later,
             never changed.
-        tracer: when enabled, every node accumulates its busy seconds,
+        tracer: when enabled, every step accumulates its busy seconds,
             so the batch driver's operator spans carry real durations.
     """
 
@@ -820,59 +790,49 @@ class Dataflow:
     ):
         tracer = tracer if tracer is not None else NULL_TRACER
         self.tracer = tracer
-        nodes: Dict[int, _OpNode] = {}
-        self._op_nodes: List[_OpNode] = []  # in topological order
-        # several SourceNode objects may share one name (a multicast
-        # written as two Query.source("x") calls); all of them are fed
-        self._sources: Dict[str, List[_OpNode]] = {}
-        for plan_node in topological_order(root):
-            future = plan_node.lifetime_extent()[1]
-            if future is None and not allow_unstreamable:
+        self._order = topological_order(root)
+        for node in self._order:
+            if not node.inputs and not isinstance(node, SourceNode):
+                raise RuntimeError(f"{type(node).__name__} outside a GroupApply")
+            if node.lifetime_extent()[1] is None and not allow_unstreamable:
                 raise StreamingUnsupported(
-                    f"operator {plan_node.describe()!r} has an unbounded "
+                    f"operator {node.describe()!r} has an unbounded "
                     "lifetime rewrite; it cannot run in streaming mode"
                 )
-            operator = None
-            if not isinstance(plan_node, (SourceNode, ExchangeNode)):
-                operator = _operator(
-                    plan_node, future, group_wave_events, tracer, plan_node is root
-                )
-            node = _OpNode(plan_node, operator, _own_future(plan_node, future))
-            node.kids = [nodes[c.node_id] for c in plan_node.inputs]
-            nodes[plan_node.node_id] = node
-            self._op_nodes.append(node)
-            if isinstance(plan_node, SourceNode):
-                self._sources.setdefault(plan_node.name, []).append(node)
-        self._root = nodes[root.node_id]
+        self._plan = _FlatPlan(self._order, group_wave_events, tracer, top=True)
+        self._chain = _FlatChain(self._plan)
         #: a keyed GroupApply root emits its rows, and ``advance``
         #: releases them as one ``LayoutRows`` in this layout
-        self._layout = getattr(self._root._operator, "layout", None)
+        self._layout = getattr(self._chain.ops[-1], "layout", None) if self._plan.nodes else None
         self._flushed = False
 
     # -- introspection -------------------------------------------------------
 
     @property
     def output_watermark(self) -> int:
-        return self._root.watermark
+        return self._chain.w[-1]
 
     def source_names(self) -> List[str]:
-        return list(self._sources)
+        return list(self._plan.sources)
 
     def source_watermark(self, name: str) -> int:
         """The current watermark of a named source (KeyError if unknown)."""
-        return max(n.watermark for n in self._require(name))
+        return self._chain.w[self._require(name)]
 
     def max_source_watermark(self) -> int:
         """The freshest promise any source has made (MIN_TIME when idle)."""
-        return max(
-            (n.watermark for nodes in self._sources.values() for n in nodes),
-            default=MIN_TIME,
-        )
+        return max(self._chain.w[: len(self._plan.sources)], default=MIN_TIME)
 
     def node_stats(self):
-        """Yield ``(plan_node, events_in, events_out, busy_seconds)``."""
-        for n in self._op_nodes:
-            yield n.plan_node, n.events_in, n.events_out, n.busy_seconds
+        """Yield ``(plan_node, events_in, events_out, busy_seconds)``;
+        an Exchange, which takes no step, passes its input's output on."""
+        plan = self._plan
+        for node in self._order:
+            i = plan.position[node.node_id]
+            if isinstance(node, ExchangeNode):
+                yield node, plan.events_out[i], plan.events_out[i], 0.0
+            else:
+                yield node, plan.events_in[i], plan.events_out[i], plan.busy[i]
 
     def next_wake(self) -> Optional[int]:
         """``None`` when no future (non-flush) watermark can emit
@@ -882,32 +842,19 @@ class Dataflow:
 
         Valid right after an ``advance`` pass. A quiescent flow's output
         watermark is a fixed (plan-constant) offset behind its sources'.
-        No node sees a watermark ahead of the sources', so the least
-        node wake time is early at worst — but it only says when output
+        No step sees a watermark ahead of the sources', so the least
+        step wake time is early at worst — but it only says when output
         or state could move, not the watermark: where that still follows
         the sources' (no operator hold binds yet) the flow cannot sleep.
         """
-        wake = None
-        for node in self._op_nodes:
-            t = node.next_wake()
-            if t is not None and (wake is None or t < wake):
-                wake = t
-        if (
-            wake is not None
-            and wake > WAKE_ALWAYS
-            and self._watermark_at(wake - 1) != self._root.watermark
-        ):
-            return WAKE_ALWAYS
-        return wake
+        return self._chain.wake
 
     @property
     def chain_advances(self) -> int:
-        """How many times this flow's GroupApply nodes advanced a
+        """How many times this flow's GroupApply steps advanced a
         per-key chain — the work a watermark wave does, as a count."""
         return sum(
-            node._operator.chain_advances
-            for node in self._op_nodes
-            if isinstance(node._operator, GroupScheduler)
+            op.chain_advances for op in self._chain.ops if isinstance(op, GroupScheduler)
         )
 
     # -- driving -------------------------------------------------------------
@@ -924,55 +871,20 @@ class Dataflow:
         event will arrive on this source; ``None`` leaves the watermark
         untouched (the slack reorder buffer uses that to backfill).
         """
-        nodes = self._require(name)
-        if not isinstance(events, list):
-            # every same-named source reads the whole feed, so a
-            # one-shot iterable is materialised once, not drained by
-            # the first node
-            events = list(events)
-        for node in nodes:
-            if events:
-                if node.out:
-                    node.out.extend(events)
-                else:
-                    node.out = events[:]
-                node.events_out += len(events)
-                node.moved = True
-            if watermark is not None and watermark > node.watermark:
-                node.watermark = watermark
-                node.moved = True
+        self._chain.feed(self._require(name), events, watermark)
 
     def set_watermarks(self, watermark: int) -> None:
         """Advance every source's watermark (an aligned CTI)."""
-        for nodes in self._sources.values():
-            for node in nodes:
-                if watermark > node.watermark:
-                    node.watermark = watermark
-                    node.moved = True
+        w = self._chain.w
+        for j in range(len(self._plan.sources)):
+            if watermark > w[j]:
+                w[j] = watermark
 
     def advance(self) -> Sequence[Event]:
         """Propagate what was fed since the last pass; return newly-final
-        root outputs: a list, or a :class:`LayoutRows` when the root is a keyed GroupApply
-        (its events are built as they are read)."""
-        timed = self.tracer.enabled
-        for node in self._op_nodes:
-            if not any(kid.moved for kid in node.kids):
-                continue  # a source, or nothing new: a no-op to advance
-            w = node.watermark
-            if timed:
-                t0 = _time.perf_counter()
-                node.advance()
-                node.busy_seconds += _time.perf_counter() - t0
-            else:
-                node.advance()
-            if node.out or node.watermark != w:
-                node.events_out += len(node.out)
-                node.moved = True
-        released = self._root.out or []
-        for node in self._op_nodes:
-            if node.moved:
-                node.moved = False
-                node.out = ()
+        root outputs: a list, or a :class:`LayoutRows` when the root is a
+        keyed GroupApply (its events are built as they are read)."""
+        released = self._chain.run() or []
         return released if self._layout is None else LayoutRows(self._layout, released)
 
     def flush(self) -> Sequence[Event]:
@@ -985,22 +897,10 @@ class Dataflow:
 
     # -- internals -----------------------------------------------------------
 
-    def _require(self, name: str) -> List[_OpNode]:
+    def _require(self, name: str) -> int:
         try:
-            return self._sources[name]
+            return self._plan.sources[name]
         except KeyError:
             raise KeyError(
-                f"unknown source {name!r}; have {sorted(self._sources)}"
+                f"unknown source {name!r}; have {sorted(self._plan.sources)}"
             ) from None
-
-    def _watermark_at(self, w: int) -> int:
-        """The output watermark ``set_watermarks(w)`` + ``advance()``
-        would leave with no new input and no operator state changing,
-        computed without running either."""
-        at: Dict[_OpNode, int] = {}
-        for node in self._op_nodes:
-            if node.kids:
-                at[node] = node.watermark_at([at[c] for c in node.kids])
-            else:
-                at[node] = max(node.watermark, w)
-        return at[self._root]

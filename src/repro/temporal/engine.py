@@ -14,8 +14,8 @@ The operator objects are the *same* ones the push-based
 :class:`~repro.temporal.streaming.StreamingEngine` drives one event at a
 time, so batch ≡ streaming holds by construction — and working-set
 memory is bounded by active-window state plus one batch, not by the
-partition size (each ``advance`` hands a node's output to its consumers
-within the pass and keeps none of it).
+partition size (each ``advance`` hands a step's output to its consumers
+within the pass, and the next pass replaces it).
 
 Telemetry: construct with ``Engine(context=RunContext(tracer=...))``
 to record one summary span per plan node — input/output event counts,
@@ -212,9 +212,7 @@ class Engine:
                     )
         keys = plan_node_keys(root)
         for node, events_in, events_out, busy in flow.node_stats():
-            key = keys.get(node.node_id)
-            if key is None:  # a node outside the precomputed order (defensive)
-                key = f"{node.node_id}.{node.op_name}"
+            key = keys[node.node_id]
             stats.operator_events[key] = (
                 stats.operator_events.get(key, 0) + events_out
             )

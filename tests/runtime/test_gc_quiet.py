@@ -321,27 +321,42 @@ class _WeakFlatChain(dataflow._FlatChain):
     __slots__ = ("__weakref__",)
 
 
+class _WeakFlatPlan(dataflow._FlatPlan):
+    __slots__ = ("__weakref__",)
+
+
 class _WeakKeyState(keyed.KeyState):
     __slots__ = ("__weakref__",)
 
 
 def test_the_runs_graph_is_freed_without_a_collection():
-    """No node refers back to its ``Dataflow`` and no flow nests in
-    another, so the graph — schedulers, chains and keyed states — is
-    garbage refcounts reclaim (while ``_OpNode`` pointed back at its flow
-    only the cyclic collector could)."""
-    flows, nodes, chains, states, schedulers = [], [], [], [], []
+    """No step refers back to its ``Dataflow`` and no flow nests in
+    another, so the graph — plans, chains, schedulers and keyed states —
+    is garbage refcounts reclaim (while the flow's nodes pointed back at
+    it only the cyclic collector could). A nested GroupApply's sub-plan
+    is built once: every outer key's scheduler reads the same one, with
+    a keyed sweep of its own."""
+    flows, plans, chains, states, schedulers = [], [], [], [], []
+    scheduler_plans, scheduler_sweeps = [], []
     init = Dataflow.__init__
     scheduler_init = dataflow.GroupScheduler.__init__
 
     def tracking_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         flows.append(weakref.ref(self))
-        nodes.extend(weakref.ref(node) for node in self._op_nodes)
 
     def tracking_scheduler_init(self, *args, **kwargs):
         scheduler_init(self, *args, **kwargs)
         schedulers.append(weakref.ref(self))
+        scheduler_plans.append(id(self._flat))
+        scheduler_sweeps.append(id(self._keyed))
+
+    class TrackedPlan(_WeakFlatPlan):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            plans.append(weakref.ref(self))
 
     class TrackedChain(_WeakFlatChain):
         __slots__ = ()
@@ -376,6 +391,7 @@ def test_the_runs_graph_is_freed_without_a_collection():
                 mock.patch.object(
                     dataflow.GroupScheduler, "__init__", tracking_scheduler_init
                 ), \
+                mock.patch.object(dataflow, "_FlatPlan", TrackedPlan), \
                 mock.patch.object(dataflow, "_FlatChain", TrackedChain), \
                 mock.patch.object(keyed, "KeyState", TrackedState):
             out = Engine(context=SERIAL).run(
@@ -383,10 +399,16 @@ def test_the_runs_graph_is_freed_without_a_collection():
             )
         assert out
         assert len(flows) == 1  # one flow: no nested one per key
-        assert len(chains) == 5 + 5 and len(states) == 5 + 5
+        # the flow's plan, three sub-plans, and the nested GroupApply's
+        # sub-plan once, not once per outer key
+        assert len(plans) == 1 + 3 + 1
+        # the flow's own chain, then a chain per key of two GroupApplies
+        assert len(chains) == 1 + 5 + 5 and len(states) == 5 + 5
         # three top-level schedulers and one per key in the nested chains
         assert len(schedulers) == 3 + 5
-        for refs in (flows, nodes, chains, states, schedulers):
+        assert len(set(scheduler_plans[3:])) == 1
+        assert len(set(scheduler_sweeps[3:])) == 5
+        for refs in (flows, plans, chains, states, schedulers):
             assert [ref() for ref in refs] == [None] * len(refs)
 
 
@@ -402,15 +424,12 @@ def test_op_nodes_die_with_their_flow():
         flow.set_watermarks(29)
         out = flow.advance()
         (scheduler,) = [
-            n._operator
-            for n in flow._op_nodes
-            if isinstance(n._operator, dataflow.GroupScheduler)
+            op for op in flow._chain.ops if isinstance(op, dataflow.GroupScheduler)
         ]
-        refs = [weakref.ref(n) for n in flow._op_nodes]
-        refs.append(weakref.ref(scheduler))
+        refs = [weakref.ref(scheduler)]
         refs += [weakref.ref(c.ops[0]) for c in scheduler._groups.values()]
         refs.append(weakref.ref(flow))
-        assert len(refs) > 5
+        assert len(refs) > 4
         del flow, scheduler
         assert [ref() for ref in refs] == [None] * len(refs)
     assert out

@@ -13,9 +13,11 @@ the oracle's temporal relation (compared through ``normalize``):
   for the cells that can stream;
 * ``TiMR.run`` of the query as one fragment.
 
-Degenerate sub-plans (the identity, a constant-false ``where``, an empty
-group input, every row at one ``Time``) and joins, at the top level and
-per key, take the same comparison. Histories are hypothesis-generated:
+The top-level cells of ``test_top_level.py`` (``TOP_SHAPES``) take
+``Engine.run`` and the per-push comparison too. Degenerate sub-plans
+(the identity, a constant-false ``where``, an empty group input, every
+row at one ``Time``) and joins, at the top level and per key, take the
+same comparison. Histories are hypothesis-generated:
 ties, slack 0 and 4, CTIs, and sometimes one hot key that takes most
 rows. Tier-1 runs a light profile
 (a couple of histories per cell); the ``oracle`` marker selects the heavy
@@ -34,12 +36,14 @@ from repro.temporal import Engine, Query, StreamingEngine, normalize, relation
 from repro.temporal.event import rows_to_events
 from repro.temporal.relation import ref_plan
 from repro.timr import TiMR
+from tests.runtime.test_top_level import TOP_DEFERRED, TOP_SHAPES, top_sources
 from tests.runtime.test_wake_scheduling import (
     DEFERRED,
     FUSION_SHAPES,
     PREFIXES,
     build,
     scripts,
+    to_logs,
 )
 
 USERS = ["u1", "u2", "u3", "u4"]
@@ -71,12 +75,14 @@ def engine_run(query, rows):
     return normalize(Engine().run(query, {"logs": rows}))
 
 
-def stream(query, script, slack=0):
+def stream(query, script, slack=0, feed=to_logs):
     engine = StreamingEngine(query, slack=slack)
     out = []
     for op, arg in script:
         if op == "push":
-            out.extend(engine.push("logs", dict(arg)))
+            routed = feed(dict(arg))
+            if routed is not None:
+                out.extend(engine.push(*routed))
         else:
             out.extend(engine.advance_to(arg))
     out.extend(engine.flush())
@@ -172,6 +178,44 @@ def test_streaming_per_push_equals_the_oracle_heavy(prefix, subplan, data):
 @given(data=st.data())
 def test_timr_run_equals_the_oracle_heavy(prefix, subplan, data):
     check_timr(prefix, subplan, data)
+
+
+# -- the top level ------------------------------------------------------------------
+#
+# ``TOP_SHAPES`` (``test_top_level.py``): sources, multicast, unions, joins
+# of two named sources, roots after and at a GroupApply, a deferred
+# rewrite and bot elimination, each history routed to its sources.
+
+
+def check_top(name, data):
+    slack, script = data.draw(histories())
+    build_plan, feed = TOP_SHAPES[name]
+    sources = top_sources(name, pushed(script))
+    want = normalize(ref_plan(
+        build_plan().to_plan(),
+        {source: rows_to_events(rows) for source, rows in sources.items()},
+    ))
+    assert normalize(Engine().run(build_plan(), sources)) == want
+    if name not in TOP_DEFERRED:
+        assert stream(build_plan(), script, slack, feed) == want
+
+
+top_cells = pytest.mark.parametrize("name", sorted(TOP_SHAPES))
+
+
+@top_cells
+@light
+@given(data=st.data())
+def test_top_level_equals_the_oracle(name, data):
+    check_top(name, data)
+
+
+@pytest.mark.oracle
+@top_cells
+@heavy
+@given(data=st.data())
+def test_top_level_equals_the_oracle_heavy(name, data):
+    check_top(name, data)
 
 
 # -- degenerate sub-plans --------------------------------------------------------

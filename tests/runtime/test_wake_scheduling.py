@@ -71,11 +71,18 @@ def raw(events):
     return [(e.le, e.re, sorted(e.payload.items())) for e in events]
 
 
-def drive(query, script, slack=0, wakes=False):
+def to_logs(row):
+    """Every row is pushed to source ``logs`` as it is."""
+    return "logs", row
+
+
+def drive(query, script, slack=0, wakes=False, feed=to_logs):
     """Run ``script`` — ``("push", row)`` / ``("cti", t)`` steps — and
     return what every call released, in order, with the output watermark
     it left (and, with ``wakes``, the flow's ``next_wake`` and chain
-    advances so far), the flush tail last; plus the chain-advance count."""
+    advances so far), the flush tail last; plus the chain-advance count.
+    ``feed(row)`` names the source a row is pushed to, and the row, or
+    is ``None`` to leave it out."""
     engine = StreamingEngine(query, slack=slack)
 
     def step(out):
@@ -86,7 +93,9 @@ def drive(query, script, slack=0, wakes=False):
     steps = []
     for op, arg in script:
         if op == "push":
-            steps.append(step(engine.push("logs", dict(arg))))
+            routed = feed(dict(arg))
+            if routed is not None:
+                steps.append(step(engine.push(*routed)))
         else:
             steps.append(step(engine.advance_to(arg)))
     steps.append(step(engine.flush()))
@@ -296,9 +305,7 @@ def test_heaps_track_the_active_set_not_the_stream():
     for t in range(3000):
         engine.push("logs", {"Time": t, "UserId": t % 3, "V": 1})
     (node,) = [
-        n._operator
-        for n in engine._flow._op_nodes
-        if isinstance(n._operator, dataflow.GroupScheduler)
+        op for op in engine._flow._chain.ops if isinstance(op, dataflow.GroupScheduler)
     ]
     assert len(node._active) == 3
     assert len(node._held) + len(node._wake_heap) <= 4 * 3 + 64 + 1
@@ -433,9 +440,11 @@ def test_fused_equals_unfused_per_push(prefix, subplan, data):
     assert SHARED_PAYLOAD == {"c": 1}
 
 
-def drive_in_batches(query, rows, chunk=50, wave=64):
+def drive_in_batches(query, rows, chunk=50, wave=64, feed=to_logs):
     """The batch driver's loop — chunked feeds, amortized waves — with
-    every ``advance`` call's releases, watermark and wake time kept."""
+    every ``advance`` call's releases, watermark and wake time kept.
+    Each chunk is fed per source (``feed`` as in :func:`drive`), with
+    that source's last LE as its watermark."""
     flow = Dataflow(
         query.to_plan(), allow_unstreamable=True, group_wave_events=wave
     )
@@ -446,8 +455,13 @@ def drive_in_batches(query, rows, chunk=50, wave=64):
         calls.append((raw(out), flow.output_watermark, wake))
 
     for i in range(0, len(rows), chunk):
-        events = point_events(rows[i : i + chunk])
-        flow.feed("logs", events, events[-1].le)
+        per_source = {}
+        for routed in map(feed, rows[i : i + chunk]):
+            if routed is not None:
+                per_source.setdefault(routed[0], []).append(routed[1])
+        for name, part in per_source.items():
+            events = point_events(part)
+            flow.feed(name, events, events[-1].le)
         call(flow.advance())
     call(flow.flush())
     return calls
@@ -640,6 +654,15 @@ PUSH_DIGESTS = {
 }
 
 
+def push_calls(query, feed=to_logs):
+    """:func:`drive` of the two fixed scripts (slack 0 and 4), wake
+    times included: what a ``PUSH_DIGESTS`` entry hashes."""
+    return [
+        drive(query, fixed_script(seed, slack), slack, wakes=True, feed=feed)
+        for seed, slack in ((1, 0), (2, 4))
+    ]
+
+
 def test_flat_shapes_cover_every_kind():
     """Every sub-plan has a flat form, the ones that were nested too."""
     for name in FUSION_SHAPES:
@@ -662,11 +685,7 @@ def test_flat_shapes_cover_every_kind():
 @pytest.mark.parametrize("prefix", sorted(PREFIXES))
 @pytest.mark.parametrize("subplan", sorted(set(FUSION_SHAPES) - DEFERRED))
 def test_flat_equals_nested_per_push(prefix, subplan):
-    query = build(prefix, subplan, FUSION_SHAPES)
-    calls = [
-        drive(query, fixed_script(seed, slack), slack, wakes=True)
-        for seed, slack in ((1, 0), (2, 4))
-    ]
+    calls = push_calls(build(prefix, subplan, FUSION_SHAPES))
     assert digest(calls) == PUSH_DIGESTS[f"{subplan}-{prefix}"]
 
 
@@ -843,9 +862,7 @@ def pane_state(subplan, rows):
             chunk = events[i : i + 50]
             flow.feed("logs", chunk, chunk[-1].le)
             out.extend(flow.advance())
-        (node,) = [
-            n._operator for n in flow._op_nodes if getattr(n._operator, "_keyed", None)
-        ]
+        (node,) = [op for op in flow._chain.ops if getattr(op, "_keyed", None)]
         states = list(node._groups.values())
         retained = sum(payloads_under([st.panes, st.fold]) for st in states)
         live = sum(len(st.pending) for st in states)
