@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test test-oracle record-digests lint selflint ruff chaos examples bench-e2e bench-smoke test-bench-harness profile profile-bt
+.PHONY: check test test-oracle record-digests lint selflint ruff chaos examples bench-e2e bench-pairs bench-smoke test-bench-harness profile profile-bt
 
 # everything CI gates
 check: test test-oracle selflint chaos ruff test-bench-harness examples bench-smoke
@@ -43,6 +43,15 @@ examples:
 # commits are compared (benchmarks/e2e/README.md).
 bench-e2e:
 	$(PYTHON) benchmarks/e2e/run.py --workload all
+
+# a git revision against the working tree: PAIRS alternating runs of
+# every workload per side, seeds 0..PAIRS-1, then `run.py --compare`
+# (benchmarks/pairs.py; A.json and B.json stay in pairs_out/). About
+# three minutes a pair, so it is not part of `check`
+BASE ?= HEAD
+PAIRS ?= 10
+bench-pairs:
+	$(PYTHON) benchmarks/pairs.py --base $(BASE) --pairs $(PAIRS)
 
 # the benchmark harness's own tests; benchmarks/e2e is not in tier-1's
 # testpaths

@@ -686,6 +686,15 @@ def _cmd_profile(args) -> int:
     jsonl_lines = write_jsonl(tracer, metrics_out)
 
     spans = tracer.finished()
+    # the embedded engines' row ingest: a TiMR reducer decodes its rows
+    # and hands events in, so its engines decode none themselves
+    counted = {
+        m["name"]: m["value"] for m in tracer.metrics.snapshot() if m["kind"] == "counter"
+    }
+    engine_rows = {
+        "input_events": counted.get("engine.input_events", 0),
+        "decoded_rows": counted.get("engine.decoded_rows", 0),
+    }
     by_category: dict = {}
     # no fallback is silent: what the embedded engines ran where the
     # context asked for something else, folded by name
@@ -713,6 +722,7 @@ def _cmd_profile(args) -> int:
         "calibration": calibration.as_dict(),
         "reused_stages": result.reused_stages,
         "resolutions": resolutions,
+        "engine_rows": engine_rows,
         "wall_seconds": round(wall, 6),
     }
     if args.json:
@@ -728,6 +738,10 @@ def _cmd_profile(args) -> int:
     )
     for name, entry in sorted(resolutions.items()):
         print(f"resolved: {name} x {entry['count']}: {entry['reason']}")
+    print(
+        f"engines: {engine_rows['input_events']} input events, "
+        f"{engine_rows['decoded_rows']} source rows decoded to events"
+    )
     print()
     print(
         f"wrote {trace_events} trace events to {trace_out} "

@@ -52,7 +52,7 @@ from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..temporal.event import _LE, _ROW_LE, Event, LayoutRows
+from ..temporal.event import _LE, _ROW_LE, Event, LayoutRows, RowEvents
 from ..temporal.operators.base import WAKE_ALWAYS, WAKE_AT_FLUSH, UnaryOperator, _deliver
 from ..temporal.plan import (
     AggregateNode,
@@ -603,8 +603,16 @@ class _FlatChain:
 
     def feed(self, j: int, events: Iterable[Event], watermark: Optional[int] = None) -> None:
         """Queue LE-ordered ``events`` at input position ``j`` for the
-        next pass; raise its watermark to ``watermark`` when given."""
-        self.inputs[j].extend(events)
+        next pass; raise its watermark to ``watermark`` when given. A
+        lone :class:`RowEvents` is queued as it is, so a reader that
+        reads its columns (the keyed sweep) decodes none of its rows."""
+        queued = self.inputs[j]
+        if not queued and type(events) is RowEvents:
+            self.inputs[j] = events
+        else:
+            if type(queued) is not list:
+                queued = self.inputs[j] = list(queued)
+            queued.extend(events)
         if watermark is not None and watermark > self.w[j]:
             self.w[j] = watermark
 

@@ -21,6 +21,15 @@ does — leaves the same watermark and wake time, so the output is
 identical event for event and call for call
 (``tests/runtime/test_wake_scheduling.py`` runs both).
 
+A batch arrives as events, or straight from a source of rows as a
+:class:`~repro.temporal.event.RowEvents` view. When the stages are a
+lone time window or none, and no key or aggregate column is ``Time`` or
+``_re`` (row columns no decoded payload has), the sweep reads the view's
+columns: the checked LEs, the keys and aggregate inputs off the rows,
+each row its own read-only payload, and no ``Event`` or payload dict is
+built. Any other sweep iterates the view, which decodes it. The two
+forms differ only in :meth:`KeyedAggregate._columns`.
+
 A segment is emitted as one row ``(le, re, *values)`` whose values
 follow :attr:`KeyedAggregate.layout`, the payload's column order; the
 scheduler builds an ``Event`` from a row only where something in the
@@ -32,8 +41,10 @@ from __future__ import annotations
 import heapq
 from itertools import repeat
 from math import inf
+from operator import itemgetter
 from typing import List, Optional
 
+from ..temporal.event import _LE, _PAYLOAD, _RE, RE_COLUMN, TIME_COLUMN, RowEvents
 from ..temporal.operators.aggregate import _Together
 from ..temporal.operators.base import WAKE_ALWAYS
 from ..temporal.operators.stateless import (
@@ -156,6 +167,12 @@ class KeyedAggregate:
             self._window = prefix[0].spec
         elif prefix:
             self._kernel = event_kernel(prefix)
+        self._key_of = itemgetter(*self.keys)
+        #: a source's rows are swept as they are: no kernel runs over
+        #: an event, and no key or aggregate column is a reserved one,
+        #: which a row has and its decoded payload lacks
+        columns = {*self.keys, *(s.column for s in self.specs)}
+        self._reads_rows = self._kernel is None and not columns & {TIME_COLUMN, RE_COLUMN}
         self._wave = None  # the input watermark the one below is for
         self._w_in = MIN_TIME  # what the aggregate stage sees
 
@@ -168,8 +185,9 @@ class KeyedAggregate:
         order exactly as per-key chains would be."""
         groups, active, due = scheduler._groups, scheduler._active, scheduler._due
         keys = self.keys
+        les, res, payloads = self._columns(fresh)
         try:
-            batch_keys = self._keys(fresh)
+            batch_keys = list(map(self._key_of, payloads))
             fed = dict.fromkeys(batch_keys)
         except (KeyError, TypeError) as exc:
             raise key_error(keys, fresh, exc) from None
@@ -186,15 +204,15 @@ class KeyedAggregate:
                 active[key] = st
             due[key] = st
             st.idle_delta = None
-        if fresh[-1].le > watermark:
+        if les[-1] > watermark:
             # the batch runs ahead of the group (a hop before the
             # GroupApply): each key's last LE may lead the next wave's
             # watermark, which otherwise covers it
-            for key, e in dict(zip(batch_keys, fresh)).items():
+            for key, le in dict(zip(batch_keys, les)).items():
                 st = groups[key]
-                if e.le > st.w_in:
-                    st.w_in = e.le
-        les, res, payloads = self._lifetimes(fresh)
+                if le > st.w_in:
+                    st.w_in = le
+        les, res, payloads = self._lifetimes(les, res, payloads)
         reads = self.reads_payloads
         if not reads:
             payloads = repeat(None)
@@ -238,29 +256,27 @@ class KeyedAggregate:
             if reads:
                 st.run_payloads = [payload]
 
-    def _keys(self, fresh) -> list:
-        keys = self.keys
-        if len(keys) == 1:
-            (k0,) = keys
-            return [e.payload[k0] for e in fresh]
-        return [tuple(e.payload[k] for k in keys) for e in fresh]
+    def _columns(self, fresh):
+        """``(les, res, payloads)`` of ``fresh``, ``res`` ``None`` where a
+        time window computes them: read off a source's rows
+        (:class:`RowEvents`, each row its own read-only payload) where
+        this sweep reads rows, else off the events."""
+        if self._reads_rows and type(fresh) is RowEvents:
+            return fresh.les, None if self._window else fresh.res, fresh.rows
+        les = list(map(_LE, fresh))
+        return les, None if self._window else list(map(_RE, fresh)), list(map(_PAYLOAD, fresh))
 
-    def _lifetimes(self, fresh):
-        """``(les, res, payloads)`` of ``fresh`` after the stateless
-        stages; ``les[i]`` is ``None`` where a stage dropped event ``i``."""
-        les = [e.le for e in fresh]
+    def _lifetimes(self, les, res, payloads):
+        """``(les, res, payloads)`` after the stateless stages; ``les[i]``
+        is ``None`` where a stage dropped input ``i``."""
         if self._window is not None:
-            les, res = _window_lifetimes(self._window, les)
-        else:
-            res = [e.re for e in fresh]
-        if self._kernel is None:
-            return les, res, [e.payload for e in fresh] if self.reads_payloads else None
-        payloads = [e.payload for e in fresh]
-        for i, out in enumerate(map(self._kernel, les, res, payloads)):
-            if out is None:
-                les[i] = None
-            else:
-                les[i], res[i], payloads[i] = out
+            return (*_window_lifetimes(self._window, les), payloads)
+        if self._kernel is not None:
+            for i, out in enumerate(map(self._kernel, les, res, payloads)):
+                if out is None:
+                    les[i] = None
+                else:
+                    les[i], res[i], payloads[i] = out
         return les, res, payloads
 
     # -- the aggregate ------------------------------------------------------

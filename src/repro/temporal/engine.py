@@ -28,13 +28,13 @@ The default is the shared no-op tracer, which costs nothing.
 from __future__ import annotations
 
 import heapq
-from itertools import chain, islice
+from itertools import islice
 from operator import itemgetter, le
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from ..runtime.context import DEFAULT_CONTEXT, RunContext
 from ..runtime.dataflow import Dataflow
-from .event import Event, EventColumns, _decode, rows_by_time
+from .event import Event, EventColumns, RowEvents, rows_by_time
 from .plan import (
     GroupInputNode,
     PlanNode,
@@ -57,6 +57,10 @@ class EngineStats:
     def __init__(self):
         self.input_events = 0
         self.output_events = 0
+        #: source rows the run turned into ``Event`` objects: every row
+        #: of a source that something reads as events, none of one that
+        #: only a keyed sweep reads (docs/EXECUTION.md, "Rows")
+        self.decoded_rows = 0
         self.operator_events: Dict[str, int] = {}
         self.operator_labels: Dict[str, str] = {}
         self.wall_seconds = 0.0
@@ -118,8 +122,9 @@ class Engine:
         Args:
             query: a :class:`Query` or plan root.
             sources: maps source names to event lists *or* row dicts (rows
-                are decoded exactly as a TiMR reducer decodes them:
-                :func:`~repro.temporal.event.decode_row`).
+                mean what a TiMR reducer decodes them to:
+                :func:`~repro.temporal.event.decode_row`; a keyed sweep
+                may read them without decoding, ``last_stats.decoded_rows``).
             validate: run the static pre-flight analyzer first and refuse
                 plans with error-severity findings (memoized per plan, so
                 re-running a validated plan costs nothing). ``None``
@@ -172,9 +177,7 @@ class Engine:
                 span.__enter__()
             try:
                 # each released batch is packed as it arrives
-                output = EventColumns(
-                    _drive(flow, feeds, chunk_size)
-                )
+                output = EventColumns(_drive(flow, feeds, chunk_size, stats))
                 self._record(flow, root, stats, output, context)
             finally:
                 if span is not None:
@@ -185,6 +188,7 @@ class Engine:
             metrics = tracer.metrics
             metrics.counter("engine.input_events").inc(stats.input_events)
             metrics.counter("engine.output_events").inc(len(output))
+            metrics.counter("engine.decoded_rows").inc(stats.decoded_rows)
         stats.wall_seconds = context.clock() - start
         self.last_stats = stats
         return output
@@ -236,25 +240,25 @@ class Engine:
                 ).inc(events_out)
 
 
-def _drive(flow, feeds, chunk_size: int):
+def _drive(flow, feeds, chunk_size: int, stats: EngineStats):
     """Feed every source through ``flow`` in bounded, watermark-aligned
-    chunks, then flush; yields each batch of outputs ``flow`` releases."""
+    chunks, then flush; yields each batch of outputs ``flow`` releases.
+    Counts the source rows decoded to events in ``stats``."""
     if len(feeds) == 1:
-        # fast path: no cross-source merge needed
+        # fast path: no cross-source merge needed, and a chunk of rows
+        # is fed as its view, decoded only where it is read as events
         name, rows = feeds[0]
-        stream = _event_stream(rows, chunk_size)
-        while True:
-            chunk = list(islice(stream, chunk_size))
-            if not chunk:
-                break
+        for last_le, chunk in _chunks(rows, chunk_size):
             flow.feed(name, chunk)
-            flow.set_watermarks(chunk[-1].le)
+            flow.set_watermarks(last_le)
             yield flow.advance()
+            if type(chunk) is RowEvents and chunk.decoded:
+                stats.decoded_rows += len(chunk)
     elif feeds:
         # merge all sources into one globally LE-ordered stream
         # of (le, slot, event); ties never compare events
         tagged = [
-            _tag_stream(_event_stream(rows, chunk_size), slot)
+            _tag_stream(_chunks(rows, chunk_size), slot, stats)
             for slot, (_, rows) in enumerate(feeds)
         ]
         merged = heapq.merge(*tagged, key=itemgetter(0))
@@ -275,31 +279,47 @@ def _drive(flow, feeds, chunk_size: int):
     yield flow.flush()
 
 
-def _tag_stream(stream, slot: int):
-    """Tag a source's events with its slot for the cross-source merge."""
-    return ((e.le, slot, e) for e in stream)
+def _tag_stream(chunks, slot: int, stats: EngineStats):
+    """A source's events, tagged with its slot for the cross-source
+    merge; every row is decoded."""
+    for _, chunk in chunks:
+        if type(chunk) is RowEvents:
+            stats.decoded_rows += len(chunk)
+        for e in chunk:
+            yield e.le, slot, e
 
 
-def _event_stream(rows: List, chunk_size: int):
-    """Yield events in LE order, decoding rows a chunk at a time.
+def _chunks(rows: List, chunk_size: int):
+    """``(last LE, chunk)`` pairs over a source in LE order: lists of its
+    events, or views of its rows (:class:`RowEvents`).
 
     Sorted inputs (the common case — TiMR partitions and the generator
     both emit time order) stream through without any copy; unsorted
-    inputs pay one sorted copy. Rows become events (:func:`point_events`,
-    the reducer's decode) one chunk at a time, so the engine never
+    inputs pay one sorted copy. A row's ``Time`` is checked for the whole
+    source up front and its ``_re`` as its chunk is cut, with the
+    reducer's errors (:func:`point_events`); the rows are decoded only
+    where a reader reads them as events, so the engine never
     materializes a second full-partition event list.
     """
     if not rows:
         return iter(())
     if isinstance(rows[0], Event):
+        if set(map(type, rows)) != {Event}:
+            for i, e in enumerate(rows):
+                if not isinstance(e, Event):
+                    raise ValueError(f"row {i} is {type(e).__name__} {e!r}, not an Event")
         if not _ascending([e.le for e in rows]):
             rows = sorted(rows, key=lambda e: e.le)
-        return iter(rows)
+        return ((chunk[-1].le, chunk) for chunk in _slices(rows, chunk_size))
     rows, times = rows_by_time(rows)
-    chunks = range(0, len(rows), chunk_size)
-    return chain.from_iterable(
-        _decode(times[i : i + chunk_size], rows[i : i + chunk_size]) for i in chunks
+    return (
+        (les[-1], RowEvents(les, chunk))
+        for les, chunk in zip(_slices(times, chunk_size), _slices(rows, chunk_size))
     )
+
+
+def _slices(items: list, size: int):
+    return (items[i : i + size] for i in range(0, len(items), size))
 
 
 def _ascending(times: List[int]) -> bool:

@@ -13,7 +13,7 @@ from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
 from itertools import chain, islice, repeat
-from operator import attrgetter, eq, gt, index as as_index, itemgetter, le
+from operator import attrgetter, contains, eq, gt, index as as_index, itemgetter, le
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .time import MAX_TIME, TICK, check_time, check_times, validate_interval
@@ -502,6 +502,70 @@ def _decode(les: list, rows: List[Payload]) -> list:
         else:
             append(Event(le, le + TICK, payload))
     return events
+
+
+class RowEvents(Sequence):
+    """One chunk of a source's rows, read as events only when read.
+
+    ``rows`` are in ``Time`` order and ``les`` are their times, checked
+    by :func:`rows_by_time`; each row's ``_re`` is checked when the view
+    is made, with :func:`_decode`'s errors, so reading it cannot fail.
+    Indexing and iteration decode every row once (:func:`_decode`) and
+    keep the events: a second reader gets the same ones. A reader that
+    needs only columns reads ``les``, :attr:`res` and ``rows`` and builds
+    no ``Event`` (:attr:`decoded` stays False). Read-only.
+    """
+
+    __slots__ = ("les", "rows", "_res", "_events")
+
+    def __init__(self, les: list, rows: List[Payload]):
+        self.les = les
+        self.rows = rows
+        self._res = _row_res(les, rows)
+        self._events: Optional[list] = None
+
+    @property
+    def res(self) -> list:
+        """Each row's RE: its ``_re``, or its LE + ``TICK`` for a point."""
+        if self._res is None:
+            return [le + TICK for le in self.les]
+        return self._res
+
+    @property
+    def decoded(self) -> bool:
+        """Whether some reader has turned the rows into events."""
+        return self._events is not None
+
+    def _read(self) -> list:
+        if self._events is None:
+            self._events = _decode(self.les, self.rows)
+        return self._events
+
+    def __len__(self) -> int:
+        return len(self.les)
+
+    def __getitem__(self, i):
+        return self._read()[i]
+
+    def __iter__(self):
+        return iter(self._read())
+
+
+def _row_res(les: list, rows: List[Payload]) -> Optional[list]:
+    """The REs :func:`_decode` would give ``rows`` whose LEs ``les`` are
+    checked, with its checks and errors and no payload copied; ``None``
+    when no row has an ``_re`` (every row a point)."""
+    if not any(map(contains, rows, repeat(RE_COLUMN))):
+        return None
+    res = []
+    for le, row in zip(les, rows):
+        if RE_COLUMN in row:
+            re = check_time(row[RE_COLUMN], RE_COLUMN, end=True)
+            validate_interval(le, re)  # Event's own check and message
+            res.append(re)
+        else:
+            res.append(le + TICK)
+    return res
 
 
 def events_to_rows(

@@ -22,12 +22,19 @@ import pytest
 from repro.mapreduce import Cluster, DistributedFileSystem
 from repro.runtime import RunContext, dataflow, keyed
 from repro.temporal import Engine, Query, StreamingEngine
+from repro.temporal import event
 from repro.temporal.event import TIMES_UNPACKED, Event, EventColumns, LayoutRows
 from repro.temporal.operators import AggSpec
 from repro.temporal.time import hours
 from repro.timr import TiMR
 
-from tests.runtime.test_wake_scheduling import drive_in_batches, raw, unfused_reference
+from tests.runtime.test_top_level import TOP_SHAPES, top_sources
+from tests.runtime.test_wake_scheduling import (
+    drive_in_batches,
+    raw,
+    unfused_reference,
+    wave_rows,
+)
 
 SERIAL = RunContext(executor="serial")
 
@@ -282,27 +289,60 @@ def test_keyed_root_in_a_timr_reducer():
     assert keyed_out == chained
 
 
-# -- the gate: one Event built per input row -----------------------------------
+# -- the gate: no Event or payload built per input row --------------------------
 
 
 @pytest.mark.parametrize("shape", ["scale_sliding", "scale_hopping"])
-def test_one_event_built_per_input_row(shape):
-    """Ingest builds one ``Event`` per row; a keyed root's outputs build
-    none on their way into the result. At the benchmark's geometry (512
-    users over three days) that was 2.41 and 2.25 per row while the
-    sweep emitted events."""
+def test_no_event_built_per_input_row(shape):
+    """A keyed sweep fed straight from a source of rows reads their
+    columns: ingest builds no ``Event`` and decodes no row into a payload
+    dict, and a keyed root's outputs build none on their way into the
+    result. At the benchmark's geometry (512 users over three days) that
+    was 2.41 and 2.25 events per row while the sweep emitted events, and
+    one event and one payload dict per row while ingest decoded every
+    row."""
     rows = scale_rows(20_000, users=512, span=hours(72))
     query = Query.source("logs", ("Time", "UserId", "Clicks")).group_apply(
         "UserId", SHAPES[shape]
     )
+    out, stats, built, decoded = counted_ingest(
+        lambda engine: engine.run(query, {"logs": rows})
+    )
+    assert len(out) > len(rows) / 5
+    assert built == 0
+    assert decoded == [] and stats.decoded_rows == 0
+
+
+@pytest.mark.parametrize("name", ["bot-elimination", "joins"])
+def test_every_row_is_decoded_where_events_are_read(name):
+    """Bot elimination reads its source as events (a hop before its
+    GroupApply, an anti-semi-join), and two sources merge as events:
+    every row is decoded, once."""
+    sources = top_sources(name, wave_rows(2500))
+    _, stats, _, decoded = counted_ingest(
+        lambda engine: engine.run(TOP_SHAPES[name][0](), sources)
+    )
+    assert sum(decoded) == stats.decoded_rows == sum(map(len, sources.values())) == 2500
+
+
+def counted_ingest(run):
+    """``(output, last_stats, events built, chunks decoded)`` of
+    ``run(engine)``: every ``Event`` built is counted, and each chunk of
+    rows the codec decodes into events listed by its size."""
     built = [0]
-    init = Event.__init__
+    decoded = []
+    init, decode = Event.__init__, event._decode
 
     def counting_init(self, le, re, payload):
         built[0] += 1
         init(self, le, re, payload)
 
-    with mock.patch.object(Event, "__init__", counting_init):
-        out = run(query, rows)
-    assert len(out) > len(rows) / 5
-    assert built[0] / len(rows) <= 1.0
+    def counting_decode(les, rows):
+        decoded.append(len(rows))
+        return decode(les, rows)
+
+    engine = Engine(context=SERIAL)
+    with mock.patch.object(Event, "__init__", counting_init), \
+            mock.patch.object(event, "_decode", counting_decode):
+        out = run(engine)
+    return out, engine.last_stats, built[0], decoded

@@ -32,6 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mapreduce import Cluster, DistributedFileSystem
+from repro.runtime import dataflow
 from repro.temporal import Engine, Query, StreamingEngine, normalize, relation
 from repro.temporal.event import rows_to_events
 from repro.temporal.relation import ref_plan
@@ -323,3 +324,60 @@ def test_the_oracle_imports_nothing_from_the_runtime():
         for alias in node.names
     ]
     assert imported and not [m for m in imported if "runtime" in m]
+
+
+# -- a keyed GroupApply fed straight from rows -----------------------------------
+#
+# ``Engine.run`` over a source of rows may sweep a keyed GroupApply off the
+# rows themselves (docs/EXECUTION.md, "Rows"). These cells feed the keyed
+# shapes that read the source directly rows whose lifetimes are points or
+# an ``_re`` of their own, and hold the result to the oracle over the
+# decoded events.
+
+
+def keyed_from_source():
+    """The ``FUSION_SHAPES`` whose GroupApply, reading the source, runs as
+    the keyed sweep."""
+    shapes = []
+    for subplan in sorted(FUSION_SHAPES):
+        node = build("source", subplan, FUSION_SHAPES).to_plan()
+        if dataflow._keyed_aggregate(node, dataflow._flat_plan(node)) is not None:
+            shapes.append(subplan)
+    return shapes
+
+
+KEYED_FROM_SOURCE = keyed_from_source()
+
+
+def check_rows(subplan, data):
+    _, script = data.draw(histories())
+    rows = pushed(script)
+    for row in rows:
+        if data.draw(st.booleans()):
+            row["_re"] = row["Time"] + data.draw(st.integers(min_value=1, max_value=12))
+    query = build("source", subplan, FUSION_SHAPES)
+    assert engine_run(query, rows) == oracle(query, rows)
+
+
+def test_the_keyed_from_source_shapes_are_the_expected_ones():
+    assert KEYED_FROM_SOURCE == [
+        "bare-count", "count", "exchange", "hopping-avg", "hopping-max",
+        "hopping-min", "hopping-sum", "into-key-column", "multi-agg",
+        "project-first", "shift-back", "shift-before-agg", "shift-forward",
+        "sum", "topk", "where-before-agg", "where-first",
+    ]
+
+
+@pytest.mark.parametrize("subplan", KEYED_FROM_SOURCE)
+@light
+@given(data=st.data())
+def test_keyed_sweep_over_rows_equals_the_oracle(subplan, data):
+    check_rows(subplan, data)
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("subplan", KEYED_FROM_SOURCE)
+@heavy
+@given(data=st.data())
+def test_keyed_sweep_over_rows_equals_the_oracle_heavy(subplan, data):
+    check_rows(subplan, data)

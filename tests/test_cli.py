@@ -311,6 +311,7 @@ class TestProfile:
         out = capsys.readouterr().out
         assert "calibration" in out
         assert "trace events" in out
+        assert "source rows decoded to events" in out
 
         with open(trace) as fp:
             doc = json.load(fp)
@@ -348,6 +349,9 @@ class TestProfile:
         assert doc["spans"] > 0
         assert set(doc["spans_by_category"]) >= {"engine", "cluster", "timr"}
         assert doc["calibration"]["fragments"]
+        # each reducer decodes its rows and hands its engine events
+        assert doc["engine_rows"]["input_events"] > 0
+        assert doc["engine_rows"]["decoded_rows"] == 0
 
     def test_out_dir_collects_relative_artifacts(self, tmp_path, capsys):
         out_dir = tmp_path / "artifacts"

@@ -124,3 +124,74 @@ def test_a_nested_sub_plan_reading_the_outer_group_input_is_refused():
         Query.source("logs").group_apply(
             "UserId", lambda g: g.group_apply("S", lambda gg: g.window(5))
         )
+
+
+# -- hostile keys and aggregate columns over a source of rows -----------------
+#
+# ``Engine.run`` may run a keyed sweep straight off a source's rows
+# (docs/EXECUTION.md, "Rows"), where ``Time`` and ``_re`` are columns of
+# the row but no column of the decoded payload. Each cell must raise what
+# the same rows decoded to events first raise, type and message: a
+# missing key names the decoded payload, and a key or aggregate column
+# named ``Time`` or ``_re`` is missing from it.
+
+
+def _windowed(keys, agg):
+    return lambda: Query.source("logs").group_apply(keys, lambda g: agg(g.window(10)))
+
+
+def _count(g):
+    return g.count(into="n")
+
+
+#: name -> (query, the rows, what the error names)
+HOSTILE = {
+    "missing-key": (
+        _windowed("UserId", _count),
+        [dict(GOOD[0]), {"Time": 2, "S": 0}, dict(GOOD[1])],
+        ["'UserId'", "payload {'S': 0}"],
+    ),
+    "missing-key-of-two": (
+        _windowed(("UserId", "S"), _count),
+        [dict(GOOD[0]), {"Time": 2, "UserId": "a"}, dict(GOOD[1])],
+        ["'S'", "payload {'UserId': 'a'}"],
+    ),
+    "unhashable-key": (
+        _windowed("UserId", _count),
+        [dict(GOOD[0]), {"Time": 2, "UserId": [1], "S": 0}, dict(GOOD[1])],
+        ["'UserId'", "[1]"],
+    ),
+    "key-Time": (_windowed("Time", _count), GOOD, ["'Time'", "missing"]),
+    "key-_re": (
+        _windowed(("UserId", "_re"), _count),
+        [{**row, "_re": row["Time"] + 1} for row in GOOD],
+        ["'_re'", "missing"],
+    ),
+    "sum-Time": (_windowed("UserId", lambda g: g.sum("Time", into="s")), GOOD, ["'Time'"]),
+    "max-_re": (
+        _windowed("UserId", lambda g: g.max("_re", into="m")),
+        [{**row, "_re": row["Time"] + 1} for row in GOOD],
+        ["'_re'"],
+    ),
+    "sum-missing-column": (
+        _windowed("UserId", lambda g: g.sum("S", into="s")),
+        [dict(GOOD[0]), {"Time": 2, "UserId": "a"}, dict(GOOD[1])],
+        ["'S'"],
+    ),
+}
+
+
+def _raised(query, sources):
+    with pytest.raises(Exception) as info:
+        Engine().run(query(), sources)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_a_hostile_key_over_rows_raises_what_it_raises_over_events(case):
+    query, rows, named = HOSTILE[case]
+    got = _raised(query, {"logs": copy.deepcopy(rows)})
+    assert got == _raised(query, {"logs": rows_to_events(copy.deepcopy(rows))})
+    assert got[0] in (KeyError, ValueError)
+    for part in named:
+        assert part in got[1], (got[1], part)

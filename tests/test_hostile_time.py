@@ -280,3 +280,102 @@ def test_a_lifetime_past_the_end_of_time_reaches_the_output(query, payload, run)
     ]
     passed, _ = run(Query.source("logs").window(10).where(lambda p: True), [dict(LATEST)])
     assert [(e.le, e.re) for e in passed] == [STRETCHED]
+
+
+# -- a keyed GroupApply fed straight from the rows ------------------------------
+#
+# ``grouped()`` is a union, so it never reaches the keyed sweep, which
+# ``Engine.run`` may run off a source's rows without decoding them
+# (docs/EXECUTION.md, "Rows"). The sweeps below do, over a ``v`` column;
+# each hostile row must give what the same rows give decoded to events
+# by the codec first: the same output, or the same error, type and
+# message, raised by the codec itself.
+
+
+def keyed_count():
+    return Query.source("logs").group_apply("u", lambda g: g.window(10).count(into="n"))
+
+
+def keyed_sum():
+    return Query.source("logs").group_apply("u", lambda g: g.window(10).sum("v", into="s"))
+
+
+#: an ``_re`` of each hostile kind, and what the error names
+HOSTILE_RE = {
+    "re-None": ({"Time": 2, "_re": None, "u": "a"}, ValueError, ["'_re'", "None"]),
+    "re-bool": ({"Time": 2, "_re": True, "u": "a"}, ValueError, ["'_re'", "True"]),
+    "re-str": ({"Time": 2, "_re": "x", "u": "a"}, ValueError, ["'_re'", "'x'"]),
+    "re-inverted": ({"Time": 2, "_re": 1, "u": "a"}, ValueError, ["[2, 1)"]),
+    "re-nan": ({"Time": 2, "_re": math.nan, "u": "a"}, ValueError, ["'_re'", "nan"]),
+}
+
+#: every hostile row: ``(row, error or None, what the error names)``
+HOSTILE_ROWS = {
+    **{name: (value, None, []) for name, (value, _) in USABLE.items()},
+    "re-float": ({"Time": 2, "_re": 2.5, "u": "a"}, None, []),
+    **UNUSABLE,
+    **HOSTILE_RE,
+    **{name: (value, ValueError, named + ["row 1"]) for name, (value, named) in NOT_ROWS.items()},
+}
+
+
+def with_values(rows):
+    """``rows`` with a ``v`` column on each mapping, for the sum."""
+    return [
+        {**row, "v": i + 1} if isinstance(row, dict) else copy.deepcopy(row)
+        for i, row in enumerate(rows)
+    ]
+
+
+def outcome(query, sources):
+    """What ``Engine.run`` gives: the output events in order with their
+    payloads' column order, or the error's type and message."""
+    try:
+        out = Engine().run(query(), sources)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(e.le, e.re, list(e.payload.items())) for e in out]
+
+
+@pytest.mark.parametrize("query", [keyed_count, keyed_sum], ids=["count", "sum"])
+@pytest.mark.parametrize("row", sorted(HOSTILE_ROWS))
+def test_a_keyed_sweep_over_rows_gives_what_the_decoded_rows_give(row, query):
+    value, error, named = HOSTILE_ROWS[row]
+    rows = with_values([dict(FIRST), value, dict(LAST)])
+    got = outcome(query, {"logs": rows})
+    try:
+        events = rows_to_events(with_values([dict(FIRST), value, dict(LAST)]))
+    except Exception as exc:
+        # the codec refuses the row: so must the run, in the same words
+        assert got == (type(exc), str(exc))
+        assert type(exc) is error
+        for part in named:
+            assert part in str(exc), (str(exc), part)
+        return
+    assert error is None
+    assert got == outcome(query, {"logs": events})
+    assert len(got) >= 2
+
+
+#: a source of events with something else after its first event
+NOT_EVENTS = {
+    "row": ({"Time": 3, "u": "a"}, ["row 1", "dict", "{'Time': 3, 'u': 'a'}"]),
+    "int": (5, ["row 1", "int 5"]),
+    "None": (None, ["row 1", "NoneType None"]),
+}
+
+
+@pytest.mark.parametrize("item", sorted(NOT_EVENTS))
+@pytest.mark.parametrize("query", [grouped, keyed_count], ids=["grouped", "keyed"])
+def test_a_source_of_events_names_what_is_not_an_event(query, item):
+    """The reverse of a row source with an ``Event`` in it, which is
+    already a named ``ValueError`` (``NOT_ROWS``)."""
+    value, named = NOT_EVENTS[item]
+    events = [Event(1, 2, {"u": "a"}), copy.deepcopy(value), Event(4, 5, {"u": "a"})]
+    with pytest.raises(ValueError) as info:
+        Engine().run(query(), {"logs": events})
+    for part in named + ["not an Event"]:
+        assert part in str(info.value), (str(info.value), part)
+    with pytest.raises(ValueError) as info:
+        Engine().run(query(), {"logs": [dict(FIRST), Event(4, 5, {"u": "a"})]})
+    assert "row 1 is Event" in str(info.value)
