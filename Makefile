@@ -47,11 +47,13 @@ bench-e2e:
 # a git revision against the working tree: PAIRS alternating runs of
 # every workload per side, seeds 0..PAIRS-1, then `run.py --compare`
 # (benchmarks/pairs.py; A.json and B.json stay in pairs_out/). About
-# three minutes a pair, so it is not part of `check`
+# three minutes a pair, so it is not part of `check`. `WORKLOAD=bt_timr`
+# pairs one workload while iterating on it; without it, every workload
 BASE ?= HEAD
 PAIRS ?= 10
+PAIR_WORKLOAD = $(if $(filter file undefined,$(origin WORKLOAD)),all,$(WORKLOAD))
 bench-pairs:
-	$(PYTHON) benchmarks/pairs.py --base $(BASE) --pairs $(PAIRS)
+	$(PYTHON) benchmarks/pairs.py --base $(BASE) --pairs $(PAIRS) --workload $(PAIR_WORKLOAD)
 
 # the benchmark harness's own tests; benchmarks/e2e is not in tier-1's
 # testpaths

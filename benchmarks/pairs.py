@@ -2,16 +2,20 @@
 
     python3 benchmarks/pairs.py --base HEAD~1 --pairs 10
     make bench-pairs BASE=HEAD~1 PAIRS=10
+    make bench-pairs BASE=HEAD~1 PAIRS=4 WORKLOAD=bt_timr
 
 Exports ``--base`` with ``git archive`` into a temporary directory, then
-runs ``benchmarks/e2e/run.py --workload all --seed i`` for ``i`` in
-``0 .. pairs-1``, once in the export and once in the working tree, which
+runs ``benchmarks/e2e/run.py --workload W --seed i`` for ``i`` in
+``0 .. pairs-1`` (``W`` is ``--workload``: ``all``, the default, or one
+workload to pair while iterating on it), once in the export and once in
+the working tree, which
 goes first alternating from pair to pair so slow drift of the machine
 falls on both sides alike. Each side's ``runs`` are concatenated into
 ``A.json`` (the base) and ``B.json`` (the working tree) under
 ``--out-dir``, and ``run.py --compare A.json B.json`` prints the
 verdict; its exit status is this script's. Every run checks its
-outputs, so a pair takes about three minutes: ten take half an hour.
+outputs, so a pair of ``all`` takes about three minutes: ten take half
+an hour.
 """
 
 from __future__ import annotations
@@ -44,10 +48,11 @@ def export(rev: str, into: Path) -> Path:
     return tree
 
 
-def run_all(tree: Path, seed: int, out: Path) -> list:
-    """Every workload once at ``seed`` in ``tree``; its ``runs``."""
+def run_all(tree: Path, workload: str, seed: int, out: Path) -> list:
+    """``workload`` (every one for ``all``) once at ``seed`` in ``tree``;
+    its ``runs``."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    command = [sys.executable, str(tree / RUN), "--workload", "all",
+    command = [sys.executable, str(tree / RUN), "--workload", workload,
                "--seed", str(seed), "--out", str(out)]
     print(f"# {tree}: seed {seed}", flush=True)
     subprocess.run(command, cwd=tree, env=env, stdout=subprocess.DEVNULL)
@@ -59,6 +64,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="the git revision to compare with")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--workload", default="all",
+                        help="one workload of BENCHMARK.json, or 'all' (the default)")
     parser.add_argument("--out-dir", default="pairs_out", help="where A.json and B.json go")
     args = parser.parse_args(argv)
     out_dir = Path(args.out_dir).resolve()
@@ -69,7 +76,9 @@ def main(argv=None) -> int:
         trees = {"A": export(args.base, tmp), "B": ROOT}
         for seed in range(args.pairs):
             for side in ("AB" if seed % 2 == 0 else "BA"):
-                runs[side] += run_all(trees[side], seed, tmp / f"{side}{seed}.json")
+                runs[side] += run_all(
+                    trees[side], args.workload, seed, tmp / f"{side}{seed}.json"
+                )
     paths = []
     for side, records in runs.items():
         path = out_dir / f"{side}.json"

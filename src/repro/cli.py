@@ -686,8 +686,8 @@ def _cmd_profile(args) -> int:
     jsonl_lines = write_jsonl(tracer, metrics_out)
 
     spans = tracer.finished()
-    # the embedded engines' row ingest: a TiMR reducer decodes its rows
-    # and hands events in, so its engines decode none themselves
+    # the embedded engines' row ingest: a TiMR reducer hands its engine
+    # the partition's rows, decoded only where an operator reads events
     counted = {
         m["name"]: m["value"] for m in tracer.metrics.snapshot() if m["kind"] == "counter"
     }

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time as _time
 from marshal import dumps as _marshal
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..runtime.context import DEFAULT_CONTEXT, RunContext
 from ..temporal.event import TIME_COLUMN, rows_by_time
@@ -40,7 +40,7 @@ from .faults import (
     StageExecutionError,
 )
 from .fs import DistributedFile, DistributedFileSystem, Row
-from .job import MapFn, MapReduceJob, MapReduceStage, stable_hash
+from .job import ColumnKey, MapFn, MapReduceJob, MapReduceStage, stable_hash
 
 
 #: Distinct keys one map call remembers the route of; past that a key
@@ -124,9 +124,10 @@ class Cluster:
         """Execute a single stage (convenience for tests and TiMR).
 
         ``inputs`` names one dataset, or maps several, in order, each to
-        the map function its rows pass through before routing (``None``:
-        none), as Hadoop's ``MultipleInputs`` gives each input a mapper.
-        Map tasks are numbered in input order, then partition order.
+        the map function (:data:`~repro.mapreduce.job.MapFn`) each of its
+        partitions passes through before routing (``None``: none), as
+        Hadoop's ``MultipleInputs`` gives each input a mapper. Map tasks
+        are numbered in input order, then partition order.
 
         Quarantined rows are appended to ``quarantine_name`` (default
         ``{output_name}.quarantine``), so a multi-stage caller can funnel
@@ -306,57 +307,71 @@ class Cluster:
     def _map_partition_rows(
         self, stage: MapReduceStage, pi: int, rows: List[Row], map_fn: Optional[MapFn] = None
     ) -> Tuple[List[Tuple[int, Row]], List[Row]]:
-        """Map task ``pi``: map + route one input partition into
-        ``(partition index, row)`` pairs, and the dead-letter records of
-        the rows whose map or routing raised (when quarantine is on).
-        The caller draws the task's injected faults first; the body runs
-        once after them, which is safe because map is stateless, and an
-        ``InjectedFault`` raised by a user ``map_fn`` propagates, as a
-        reducer's does."""
-        routed: List[Tuple[int, Row]] = []
-        poisoned: List[Row] = []
-        key_fn, partition_fn = stage.key_fn, stage.partition_fn
-        num_partitions = stage.num_partitions
+        """Map task ``pi``: ``map_fn`` over the whole input partition,
+        each mapped row routed as ``(partition index, row)``, and the
+        dead-letter records of the rows whose map or routing raised.
+
+        A failing task is bisected to its failing rows
+        (:meth:`_isolate_poison`): the first one's error propagates, or,
+        with quarantine, each is dead-lettered with its own error and the
+        rest are mapped again; a failure no single row explains raises
+        the task's own error. The caller draws the task's injected faults
+        first; an ``InjectedFault`` raised by a user ``map_fn``
+        propagates, as a reducer's does."""
         # this call's hash routes by the key's marshalled bytes, which
         # are equal only for equal reprs; as dict keys 1, 1.0 and True
         # are one key with three reprs
         routes: dict = {}
-        for source_row in rows:
+
+        def run(part: List[Row]) -> List[Tuple[int, Row]]:
+            return self._route(stage, part if map_fn is None else map_fn(part), routes)
+
+        try:
+            return run(rows), []
+        except InjectedFault:
+            raise
+        except Exception as exc:
+            isolated = self._isolate_poison(run, rows)
+            if isolated is None:
+                raise exc
+        poison, routed, _ = isolated
+        if not self.context.quarantine:
+            raise poison[0][1]
+        return routed, [self._quarantine_record(stage.name, pi, MAP, r, e) for r, e in poison]
+
+    @staticmethod
+    def _route(
+        stage: MapReduceStage, rows: List[Row], routes: dict
+    ) -> List[Tuple[int, Row]]:
+        """Each mapped row with the reduce partitions it goes to: its
+        ``partition_fn``'s, or its key's stable hash, remembered in
+        ``routes`` by the key's marshalled bytes."""
+        n = stage.num_partitions
+        routed: List[Tuple[int, Row]] = []
+        if stage.partition_fn is not None:
+            for row in rows:
+                for idx in stage.partition_fn(row):
+                    if not 0 <= idx < n:
+                        raise IndexError(
+                            f"stage {stage.name!r} routed row to partition {idx} of {n}"
+                        )
+                    routed.append((idx, row))
+            return routed
+        key_fn = stage.key_fn
+        keys = key_fn.of(rows) if type(key_fn) is ColumnKey else list(map(key_fn, rows))
+        append = routed.append
+        for key, row in zip(keys, rows):
             try:
-                mapped = (source_row,) if map_fn is None else map_fn(source_row)
-                row_routes: List[Tuple[int, Row]] = []
-                for row in mapped:
-                    if partition_fn is not None:
-                        indices = partition_fn(row)
-                    else:
-                        key = key_fn(row)
-                        try:
-                            exact = _marshal(key, 2)
-                        except ValueError:  # a value marshal cannot write
-                            exact = None
-                        indices = routes.get(exact)
-                        if indices is None:
-                            indices = (stable_hash(key) % num_partitions,)
-                            if exact is not None and len(routes) < _ROUTE_MEMO_KEYS:
-                                routes[exact] = indices
-                    for idx in indices:
-                        if not 0 <= idx < num_partitions:
-                            raise IndexError(
-                                f"stage {stage.name!r} routed row to partition "
-                                f"{idx} of {num_partitions}"
-                            )
-                        row_routes.append((idx, row))
-            except InjectedFault:
-                raise
-            except Exception as exc:
-                if not self.context.quarantine:
-                    raise
-                poisoned.append(
-                    self._quarantine_record(stage.name, pi, MAP, source_row, exc)
-                )
-                continue
-            routed.extend(row_routes)
-        return routed, poisoned
+                exact = _marshal(key, 2)
+            except ValueError:  # a value marshal cannot write
+                exact = None
+            idx = routes.get(exact)
+            if idx is None:
+                idx = stable_hash(key) % n
+                if exact is not None and len(routes) < _ROUTE_MEMO_KEYS:
+                    routes[exact] = idx
+            append((idx, row))
+        return routed
 
     def _sort_partition(
         self,
@@ -416,7 +431,9 @@ class Cluster:
                     continue
                 isolated = None
                 if self.context.quarantine:
-                    isolated = self._isolate_poison(stage, idx, rows)
+                    isolated = self._isolate_poison(
+                        lambda part: list(stage.reducer(idx, list(part))), rows
+                    )
                 if isolated is None:
                     raise StageExecutionError(
                         stage.name, idx, attempt, len(rows), exc
@@ -424,7 +441,7 @@ class Cluster:
                 poison, out_rows, seconds = isolated
                 quarantined.extend(
                     self._quarantine_record(stage.name, idx, REDUCE, row, exc)
-                    for row in poison
+                    for row, _ in poison
                 )
                 break
         if attempt > 1:
@@ -433,35 +450,33 @@ class Cluster:
             )
         return out_rows, seconds, restarts + attempt - 1
 
+    @staticmethod
     def _isolate_poison(
-        self, stage: MapReduceStage, idx: int, rows: List[Row]
-    ) -> Optional[Tuple[List[Row], List[Row], float]]:
-        """Bisect a deterministically failing partition to its poison rows.
+        run: Callable[[List[Row]], list], rows: List[Row]
+    ) -> Optional[Tuple[List[Tuple[Row, Exception]], list, float]]:
+        """Bisect a task that deterministically fails on ``rows`` to its
+        poison rows: a reducer's partition, or a map task's.
 
-        Divide and conquer over the (already sorted) input: any subset
-        that still fails is split until single offending rows remain —
-        O(P log n) reducer probes for P poison rows. Returns ``(poison
-        rows, output of the reducer over the surviving rows, measured
-        seconds)``, or ``None`` when the failure is an interaction
-        between rows that single-row removal cannot explain (the caller
-        then fails the stage with context).
+        Divide and conquer over the task's input: any part on which
+        ``run`` still fails is split until single offending rows remain —
+        O(P log n) probes for P poison rows. Returns ``(each poison row
+        with its own error, in input order; ``run`` over the surviving
+        rows; its measured seconds)``, or ``None`` when the failure is
+        an interaction between rows that single-row removal cannot
+        explain (the caller then fails with the task's error).
         """
-
-        def failing(sub: Sequence[Row]) -> bool:
-            try:
-                list(stage.reducer(idx, list(sub)))
-                return False
-            except Exception:
-                return True
-
-        poison: List[Row] = []
+        poison: List[Tuple[Row, Exception]] = []
 
         def find(sub: List[Row]) -> None:
-            if not sub or not failing(sub):
+            if not sub:
                 return
-            if len(sub) == 1:
-                poison.append(sub[0])
+            try:
+                run(sub)
                 return
+            except Exception as exc:
+                if len(sub) == 1:
+                    poison.append((sub[0], exc))
+                    return
             mid = len(sub) // 2
             find(sub[:mid])
             find(sub[mid:])
@@ -469,14 +484,14 @@ class Cluster:
         find(rows)
         if not poison:
             return None
-        poison_ids = {id(r) for r in poison}
+        poison_ids = {id(row) for row, _ in poison}
         survivors = [r for r in rows if id(r) not in poison_ids]
         start = _time.perf_counter()
         try:
-            out_rows = list(stage.reducer(idx, survivors))
+            out = run(survivors)
         except Exception:
             return None  # still failing without the isolated rows
-        return poison, out_rows, _time.perf_counter() - start
+        return poison, out, _time.perf_counter() - start
 
     # -- quarantine -----------------------------------------------------------
 

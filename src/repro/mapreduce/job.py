@@ -17,12 +17,18 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterable, List, Optional, Sequence
 
 Row = dict
 Reducer = Callable[[int, List[Row]], Iterable[Row]]
-#: a map-phase row transform: row in, rows out (``[]`` drops the row)
-MapFn = Callable[[Row], Iterable[Row]]
+#: a map task's transform: one input partition in, the list of rows it
+#: maps to out, in input order (a row may map to none or to several).
+#: It should treat each row on its own: a failing task is run again on
+#: parts of its partition, down to single rows, to find the rows that
+#: fail, and a failure no single row explains raises the task's error
+#: (``Cluster._map_partition_rows``)
+MapFn = Callable[[List[Row]], List[Row]]
 
 
 def stable_hash(value) -> int:
@@ -30,14 +36,31 @@ def stable_hash(value) -> int:
     return zlib.crc32(repr(value).encode("utf-8"))
 
 
-def key_by_columns(columns: Sequence[str]) -> Callable[[Row], tuple]:
+class ColumnKey:
+    """A map-phase key function: a row's values in ``columns``, always
+    as a tuple. :meth:`of` keys a whole partition in C-level passes."""
+
+    __slots__ = ("columns", "_get")
+
+    def __init__(self, columns: Sequence[str]):
+        self.columns = tuple(columns)
+        self._get = itemgetter(*self.columns) if self.columns else None
+
+    def __call__(self, row: Row) -> tuple:
+        return self.of([row])[0]
+
+    def of(self, rows: List[Row]) -> List[tuple]:
+        """Every row's key, in order."""
+        if len(self.columns) == 1:
+            return list(zip(map(self._get, rows)))
+        if not self.columns:
+            return [()] * len(rows)
+        return list(map(self._get, rows))
+
+
+def key_by_columns(columns: Sequence[str]) -> ColumnKey:
     """A map-phase key function extracting the named columns."""
-    cols = tuple(columns)
-
-    def key(row: Row) -> tuple:
-        return tuple([row[c] for c in cols])
-
-    return key
+    return ColumnKey(columns)
 
 
 def random_key(row: Row) -> int:

@@ -22,11 +22,12 @@ identical event for event and call for call
 (``tests/runtime/test_wake_scheduling.py`` runs both).
 
 A batch arrives as events, or straight from a source of rows as a
-:class:`~repro.temporal.event.RowEvents` view. When the stages are a
-lone time window or none, and no key or aggregate column is ``Time`` or
-``_re`` (row columns no decoded payload has), the sweep reads the view's
-columns: the checked LEs, the keys and aggregate inputs off the rows,
-each row its own read-only payload, and no ``Event`` or payload dict is
+:class:`~repro.temporal.event.RowEvents` view. When the stages are
+windows, hops and shifts, or none, and no key or aggregate column is
+one the view's decode drops (``RowEvents.drops``: ``Time``, ``_re``,
+and a tagged input's ``_src``), the sweep reads the view's columns: the
+checked LEs and REs, the keys and aggregate inputs off the rows, each
+row its own read-only payload, and no ``Event`` or payload dict is
 built. Any other sweep iterates the view, which decodes it. The two
 forms differ only in :meth:`KeyedAggregate._columns`.
 
@@ -44,13 +45,13 @@ from math import inf
 from operator import itemgetter
 from typing import List, Optional
 
-from ..temporal.event import _LE, _PAYLOAD, _RE, RE_COLUMN, TIME_COLUMN, RowEvents
+from ..temporal.event import _LE, _PAYLOAD, _RE, RowEvents
 from ..temporal.operators.aggregate import _Together
 from ..temporal.operators.base import WAKE_ALWAYS
 from ..temporal.operators.stateless import (
     WINDOW_SPECS,
-    _window_lifetimes,
     event_kernel,
+    spec_lifetimes,
 )
 from ..temporal.time import MAX_TIME, MIN_TIME
 
@@ -157,22 +158,18 @@ class KeyedAggregate:
         #: a stateless stage moves LEs back (a backward shift)
         self._lags = any(self._prefix_futures)
         self._agg_future = futures[-1]
-        #: a lone time window (or nothing) computes lifetimes from the LE
-        #: column; anything else runs each event through every stage
-        self._window = None
-        self._kernel = None
-        if len(prefix) == 1 and getattr(prefix[0], "spec", None) and (
-            prefix[0].spec[0] in WINDOW_SPECS
-        ):
-            self._window = prefix[0].spec
-        elif prefix:
-            self._kernel = event_kernel(prefix)
+        #: lifetime rewrites with a spec (windows, hops, shifts) compute
+        #: lifetimes column by column; a where or a project runs each
+        #: event through every stage
+        self._specs = specs = [getattr(op, "spec", None) for op in prefix]
+        self._kernel = event_kernel(prefix) if None in specs else None
+        #: the sweep needs the input's REs: no time window sets them first
+        self._reads_re = not specs or None in specs or specs[0][0] not in WINDOW_SPECS
         self._key_of = itemgetter(*self.keys)
-        #: a source's rows are swept as they are: no kernel runs over
-        #: an event, and no key or aggregate column is a reserved one,
-        #: which a row has and its decoded payload lacks
-        columns = {*self.keys, *(s.column for s in self.specs)}
-        self._reads_rows = self._kernel is None and not columns & {TIME_COLUMN, RE_COLUMN}
+        #: the key and aggregate columns: a source's rows are swept as
+        #: they are when no kernel runs over an event and none of these
+        #: is a column the view's decode drops (``RowEvents.drops``)
+        self._row_columns = frozenset((*self.keys, *(s.column for s in self.specs)))
         self._wave = None  # the input watermark the one below is for
         self._w_in = MIN_TIME  # what the aggregate stage sees
 
@@ -261,22 +258,26 @@ class KeyedAggregate:
         time window computes them: read off a source's rows
         (:class:`RowEvents`, each row its own read-only payload) where
         this sweep reads rows, else off the events."""
-        if self._reads_rows and type(fresh) is RowEvents:
-            return fresh.les, None if self._window else fresh.res, fresh.rows
+        if (
+            type(fresh) is RowEvents
+            and self._kernel is None
+            and fresh.drops.isdisjoint(self._row_columns)
+        ):
+            return fresh.les, fresh.res if self._reads_re else None, fresh.rows
         les = list(map(_LE, fresh))
-        return les, None if self._window else list(map(_RE, fresh)), list(map(_PAYLOAD, fresh))
+        res = list(map(_RE, fresh)) if self._reads_re else None
+        return les, res, list(map(_PAYLOAD, fresh))
 
     def _lifetimes(self, les, res, payloads):
         """``(les, res, payloads)`` after the stateless stages; ``les[i]``
         is ``None`` where a stage dropped input ``i``."""
-        if self._window is not None:
-            return (*_window_lifetimes(self._window, les), payloads)
-        if self._kernel is not None:
-            for i, out in enumerate(map(self._kernel, les, res, payloads)):
-                if out is None:
-                    les[i] = None
-                else:
-                    les[i], res[i], payloads[i] = out
+        if self._kernel is None:
+            return (*spec_lifetimes(self._specs, les, res), payloads)
+        for i, out in enumerate(map(self._kernel, les, res, payloads)):
+            if out is None:
+                les[i] = None
+            else:
+                les[i], res[i], payloads[i] = out
         return les, res, payloads
 
     # -- the aggregate ------------------------------------------------------

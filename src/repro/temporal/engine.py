@@ -27,14 +27,14 @@ The default is the shared no-op tracer, which costs nothing.
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_left, bisect_right
 from itertools import islice
-from operator import itemgetter, le
+from operator import le
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from ..runtime.context import DEFAULT_CONTEXT, RunContext
 from ..runtime.dataflow import Dataflow
-from .event import Event, EventColumns, RowEvents, rows_by_time
+from .event import _LE, Event, EventColumns, RowEvents, TaggedRows, _row_res, rows_by_time
 from .plan import (
     GroupInputNode,
     PlanNode,
@@ -121,10 +121,10 @@ class Engine:
 
         Args:
             query: a :class:`Query` or plan root.
-            sources: maps source names to event lists *or* row dicts (rows
-                mean what a TiMR reducer decodes them to:
-                :func:`~repro.temporal.event.decode_row`; a keyed sweep
-                may read them without decoding, ``last_stats.decoded_rows``).
+            sources: maps source names to event lists *or* row dicts (a
+                row means what :func:`~repro.temporal.event.decode_row`
+                makes of it, a TiMR reducer's rows too; a keyed sweep may
+                read them without decoding, ``last_stats.decoded_rows``).
             validate: run the static pre-flight analyzer first and refuse
                 plans with error-severity findings (memoized per plan, so
                 re-running a validated plan costs nothing). ``None``
@@ -243,83 +243,89 @@ class Engine:
 def _drive(flow, feeds, chunk_size: int, stats: EngineStats):
     """Feed every source through ``flow`` in bounded, watermark-aligned
     chunks, then flush; yields each batch of outputs ``flow`` releases.
-    Counts the source rows decoded to events in ``stats``."""
-    if len(feeds) == 1:
-        # fast path: no cross-source merge needed, and a chunk of rows
-        # is fed as its view, decoded only where it is read as events
-        name, rows = feeds[0]
-        for last_le, chunk in _chunks(rows, chunk_size):
-            flow.feed(name, chunk)
-            flow.set_watermarks(last_le)
-            yield flow.advance()
+
+    A chunk is the next ``chunk_size`` items of all sources merged by LE,
+    ties in source order; each source's share of it is fed as one view
+    (:func:`_source`), the sources in the order of their first item, and
+    the watermark is the chunk's last LE: no source will produce an
+    earlier event. Counts the source rows decoded to events in
+    ``stats``."""
+    names = [name for name, _ in feeds]
+    cols, views = zip(*map(_source, (rows for _, rows in feeds))) if feeds else ((), ())
+    starts = [0] * len(cols)
+    while True:
+        takes = _cut(cols, starts, chunk_size)
+        order = sorted((cols[s][starts[s]], s) for s, k in enumerate(takes) if k)
+        if not order:
+            break
+        chunks = []
+        for _, s in order:
+            i = starts[s]
+            starts[s] += takes[s]
+            chunks.append(views[s](i, starts[s]))
+            flow.feed(names[s], chunks[-1])
+        flow.set_watermarks(max(cols[s][starts[s] - 1] for _, s in order))
+        yield flow.advance()
+        for chunk in chunks:
             if type(chunk) is RowEvents and chunk.decoded:
                 stats.decoded_rows += len(chunk)
-    elif feeds:
-        # merge all sources into one globally LE-ordered stream
-        # of (le, slot, event); ties never compare events
-        tagged = [
-            _tag_stream(_chunks(rows, chunk_size), slot, stats)
-            for slot, (_, rows) in enumerate(feeds)
-        ]
-        merged = heapq.merge(*tagged, key=itemgetter(0))
-        names = [name for name, _ in feeds]
-        while True:
-            chunk = list(islice(merged, chunk_size))
-            if not chunk:
-                break
-            per_source: Dict[int, List[Event]] = {}
-            for le, slot, event in chunk:
-                per_source.setdefault(slot, []).append(event)
-            for slot, events in per_source.items():
-                flow.feed(names[slot], events)
-            # an aligned CTI: the merged order guarantees no source
-            # will ever produce an earlier event than the chunk tail
-            flow.set_watermarks(chunk[-1][0])
-            yield flow.advance()
     yield flow.flush()
 
 
-def _tag_stream(chunks, slot: int, stats: EngineStats):
-    """A source's events, tagged with its slot for the cross-source
-    merge; every row is decoded."""
-    for _, chunk in chunks:
-        if type(chunk) is RowEvents:
-            stats.decoded_rows += len(chunk)
-        for e in chunk:
-            yield e.le, slot, e
+def _cut(cols: Sequence[list], starts: List[int], k: int) -> List[int]:
+    """How many of each source's next items the next ``k`` of the merge
+    take: ``cols`` are the sources' LE columns, ``starts`` what earlier
+    chunks took. The merge orders items by LE, then source, then
+    position: an item's rank past ``starts`` counts the earlier sources'
+    items at or before its LE and the later ones' strictly before it, so
+    a bisection per source finds its cut."""
+    takes = []
+    for s, (col, c) in enumerate(zip(cols, starts)):
+        lo, hi = c, min(len(col), c + k)
+        while lo < hi:
+            m = (lo + hi) // 2
+            v, rank = col[m], m - c
+            for t, (other, ct) in enumerate(zip(cols, starts)):
+                if t != s:
+                    rank += (bisect_right if t < s else bisect_left)(other, v, ct) - ct
+            if rank < k:
+                lo = m + 1
+            else:
+                hi = m
+        takes.append(lo - c)
+    return takes
 
 
-def _chunks(rows: List, chunk_size: int):
-    """``(last LE, chunk)`` pairs over a source in LE order: lists of its
-    events, or views of its rows (:class:`RowEvents`).
+def _source(rows: List):
+    """``(les, view)`` of a source in LE order: ``view(i, j)`` is items
+    ``i`` to ``j``, a list of its events or a :class:`RowEvents` of its
+    rows.
 
     Sorted inputs (the common case — TiMR partitions and the generator
     both emit time order) stream through without any copy; unsorted
-    inputs pay one sorted copy. A row's ``Time`` is checked for the whole
-    source up front and its ``_re`` as its chunk is cut, with the
-    reducer's errors (:func:`point_events`); the rows are decoded only
-    where a reader reads them as events, so the engine never
-    materializes a second full-partition event list.
+    inputs pay one sorted copy. A row's ``Time`` and ``_re`` are checked
+    for the whole source up front, with :func:`point_events`' errors;
+    the rows are decoded only where a reader reads them as events, so
+    the engine never materializes a second full-partition event list.
     """
     if not rows:
-        return iter(())
+        return [], None
     if isinstance(rows[0], Event):
         if set(map(type, rows)) != {Event}:
             for i, e in enumerate(rows):
                 if not isinstance(e, Event):
                     raise ValueError(f"row {i} is {type(e).__name__} {e!r}, not an Event")
-        if not _ascending([e.le for e in rows]):
-            rows = sorted(rows, key=lambda e: e.le)
-        return ((chunk[-1].le, chunk) for chunk in _slices(rows, chunk_size))
-    rows, times = rows_by_time(rows)
-    return (
-        (les[-1], RowEvents(les, chunk))
-        for les, chunk in zip(_slices(times, chunk_size), _slices(rows, chunk_size))
+        les = list(map(_LE, rows))
+        if not _ascending(les):
+            rows = sorted(rows, key=_LE)
+            les = list(map(_LE, rows))
+        return les, lambda i, j: rows[i:j]
+    tagged = type(rows) is TaggedRows
+    rows, les = rows_by_time(rows)
+    res = _row_res(les, rows)
+    return les, lambda i, j: RowEvents(
+        les[i:j], rows[i:j], None if res is None else res[i:j], tagged
     )
-
-
-def _slices(items: list, size: int):
-    return (items[i : i + size] for i in range(0, len(items), size))
 
 
 def _ascending(times: List[int]) -> bool:

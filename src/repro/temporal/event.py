@@ -111,6 +111,7 @@ _LE = attrgetter("le")
 _RE = attrgetter("re")
 _PAYLOAD = attrgetter("payload")
 _DICT_ONLY = {dict}
+_INT_ONLY = {int}
 _NO_LAYOUT = object()
 _ROW_LE = itemgetter(0)
 _ROW_RE = itemgetter(1)
@@ -473,55 +474,92 @@ def rows_by_time(rows: List[Payload]) -> Tuple[list, list]:
 def point_events(rows: Iterable[Payload]) -> list:
     """Rows as events: :func:`decode_row` over a list, at batch level.
 
-    The one list decoder, and the conversion ``Engine.run`` and the
-    reducer apply to row inputs. The timestamp lives in the event
-    lifetime, not the payload, so results are identical whether a query
-    runs on one node or round-trips through M-R files.
+    The one list decoder, and what ``Engine.run`` makes of a source of
+    rows wherever it reads them as events. The timestamp lives in the
+    event lifetime, not the payload, so results are identical whether a
+    query runs on one node or round-trips through M-R files.
     """
     rows = rows if type(rows) is list else list(rows)
-    return _decode(check_times(row_times(rows)), rows)
+    les = check_times(row_times(rows))
+    return _decode(les, rows, _row_res(les, rows))
 
 
 #: :func:`point_events` under the name of the inverse of :func:`events_to_rows`.
 rows_to_events = point_events
 
 
-def _decode(les: list, rows: List[Payload]) -> list:
-    """:func:`point_events` for ``rows`` whose times ``les`` are already
-    checked: ``Engine.run`` checks a whole source once, then decodes it
-    a chunk at a time."""
-    events = []
-    append = events.append
-    for le, row in zip(les, rows):
+class TaggedRows(list):
+    """One input's rows of a multi-input TiMR stage, each still carrying
+    the ``_src`` its map task wrote: ``Engine.run`` decodes them without
+    it, and a keyed sweep that reads ``_src`` reads the decoded payload."""
+
+
+def decode_rows(rows: List[Payload]) -> Tuple[list, list, list]:
+    """:func:`decode_row` over a list, at batch level: ``(les, res,
+    payloads)``. A list with a row :func:`decode_row` refuses raises
+    that row's own error, for the first such row."""
+    try:
+        les = check_times(row_times(rows))
+        res = _row_res(les, rows)
+    except (KeyError, TypeError, ValueError):
+        for row in rows:
+            decode_row(row)
+        raise
+    if res is None:
+        return les, [le + TICK for le in les], _payloads(rows, False)
+    return les, res, _payloads(rows, True)
+
+
+def _payloads(rows: List[Payload], has_re: bool, tagged: bool = False) -> list:
+    """Each row's payload: a copy without its ``Time``, its ``_re`` (when
+    some row ``has_re``) and, ``tagged``, its ``_src``."""
+    payloads = []
+    append = payloads.append
+    for row in rows:
         payload = dict(row)
         del payload[TIME_COLUMN]
-        if RE_COLUMN in payload:
-            # Event refuses an empty lifetime, as validate_interval does
-            re = check_time(payload.pop(RE_COLUMN), RE_COLUMN, end=True)
-            append(Event(le, re, payload))
-        else:
-            append(Event(le, le + TICK, payload))
-    return events
+        if has_re and RE_COLUMN in payload:
+            del payload[RE_COLUMN]
+        if tagged:
+            del payload[SRC_COLUMN]
+        append(payload)
+    return payloads
+
+
+def _decode(les: list, rows: List[Payload], res: Optional[list], tagged: bool = False) -> list:
+    """:func:`point_events` for ``rows`` whose times ``les`` and REs
+    ``res`` (``None``: every row a point) :func:`_row_res` already
+    checked; a ``tagged`` row loses its ``_src``."""
+    if res is None:
+        return list(map(Event, les, [le + TICK for le in les], _payloads(rows, False, tagged)))
+    return list(map(Event, les, res, _payloads(rows, True, tagged)))
+
+
+_ROW_DROPS = frozenset((TIME_COLUMN, RE_COLUMN))
+_TAGGED_DROPS = _ROW_DROPS | {SRC_COLUMN}
 
 
 class RowEvents(Sequence):
     """One chunk of a source's rows, read as events only when read.
 
-    ``rows`` are in ``Time`` order and ``les`` are their times, checked
-    by :func:`rows_by_time`; each row's ``_re`` is checked when the view
-    is made, with :func:`_decode`'s errors, so reading it cannot fail.
-    Indexing and iteration decode every row once (:func:`_decode`) and
-    keep the events: a second reader gets the same ones. A reader that
-    needs only columns reads ``les``, :attr:`res` and ``rows`` and builds
-    no ``Event`` (:attr:`decoded` stays False). Read-only.
+    ``rows`` are in ``Time`` order, ``les`` are their times, checked by
+    :func:`rows_by_time`, and ``res`` their REs, checked by
+    :func:`_row_res` (``None`` when every row is a point), so reading the
+    view cannot fail. Indexing and iteration decode every row once
+    (:func:`_decode`) and keep the events: a second reader gets the same
+    ones. ``drops`` are the row columns a decoded payload lacks: ``Time``,
+    ``_re`` and, for a ``tagged`` row, ``_src``. A reader that needs only
+    columns reads ``les``, :attr:`res` and ``rows`` and builds no
+    ``Event`` (:attr:`decoded` stays False). Read-only.
     """
 
-    __slots__ = ("les", "rows", "_res", "_events")
+    __slots__ = ("les", "rows", "_res", "drops", "_events")
 
-    def __init__(self, les: list, rows: List[Payload]):
+    def __init__(self, les: list, rows: List[Payload], res: Optional[list], tagged: bool = False):
         self.les = les
         self.rows = rows
-        self._res = _row_res(les, rows)
+        self._res = res
+        self.drops = _TAGGED_DROPS if tagged else _ROW_DROPS
         self._events: Optional[list] = None
 
     @property
@@ -538,7 +576,9 @@ class RowEvents(Sequence):
 
     def _read(self) -> list:
         if self._events is None:
-            self._events = _decode(self.les, self.rows)
+            self._events = _decode(
+                self.les, self.rows, self._res, SRC_COLUMN in self.drops
+            )
         return self._events
 
     def __len__(self) -> int:
@@ -552,11 +592,15 @@ class RowEvents(Sequence):
 
 
 def _row_res(les: list, rows: List[Payload]) -> Optional[list]:
-    """The REs :func:`_decode` would give ``rows`` whose LEs ``les`` are
-    checked, with its checks and errors and no payload copied; ``None``
-    when no row has an ``_re`` (every row a point)."""
+    """The REs of ``rows`` whose LEs ``les`` are checked, with
+    :func:`decode_row`'s checks and errors and no payload copied;
+    ``None`` when no row has an ``_re`` (every row a point). All-``int``
+    REs past their LEs pass in C-level passes."""
     if not any(map(contains, rows, repeat(RE_COLUMN))):
         return None
+    res = [row.get(RE_COLUMN, le + TICK) for le, row in zip(les, rows)]
+    if set(map(type, res)) <= _INT_ONLY and all(map(gt, res, les)):
+        return res
     res = []
     for le, row in zip(les, rows):
         if RE_COLUMN in row:

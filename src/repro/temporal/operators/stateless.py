@@ -8,6 +8,8 @@ windows, and lifetime shifts are all AlterLifetime specializations.
 
 from __future__ import annotations
 
+from operator import le as le_
+from operator import or_
 from typing import Callable, Iterable
 
 from ..event import Event
@@ -56,18 +58,37 @@ class Project(UnaryOperator):
 
 
 #: AlterLifetime spec kinds whose new lifetime is a function of the old
-#: LE alone, keeps LE order and is never empty: time windows.
+#: LE alone, keeps LE order and is never empty: time windows. A shift,
+#: ``("shift", delta_le, delta_re)``, reads the RE too.
 WINDOW_SPECS = ("window", "hop")
 
 
-def _window_lifetimes(spec: tuple, les):
-    """New ``(les, res)`` under a :data:`WINDOW_SPECS` spec; ``les``
-    comes back as passed when the window leaves LEs alone."""
-    w = spec[1]
-    if spec[0] == "hop":
-        h = spec[2]
-        les = [-(-le // h) * h for le in les]
-    return les, [le + w for le in les]
+def spec_lifetimes(specs, les, res):
+    """New ``(les, res)`` after a chain of AlterLifetime ``specs`` — what
+    their ``le_fn`` / ``re_fn`` give, column by column; ``les[i]`` is
+    ``None`` where a shift emptied lifetime ``i`` (it vanishes, as in
+    :meth:`AlterLifetime.on_batch`). ``res`` may be ``None`` when the
+    first spec is a time window; ``les`` comes back as passed when no
+    spec moves an LE."""
+    emptied = None
+    for spec in specs:
+        if spec[0] == "shift":
+            _, dle, dre = spec
+            if dle:
+                les = [le + dle for le in les]
+            res = [re + dre for re in res]
+            if dre < dle:
+                gone = list(map(le_, res, les))
+                emptied = gone if emptied is None else list(map(or_, emptied, gone))
+        else:
+            w = spec[1]
+            if spec[0] == "hop":
+                h = spec[2]
+                les = [-(-le // h) * h for le in les]
+            res = [le + w for le in les]
+    if emptied is not None and any(emptied):
+        les = [None if gone else le for le, gone in zip(les, emptied)]
+    return les, res
 
 
 class AlterLifetime(UnaryOperator):
@@ -86,10 +107,10 @@ class AlterLifetime(UnaryOperator):
     ):
         self.le_fn = le_fn
         self.re_fn = re_fn
-        # a time window's shape — ("window", w) | ("hop", w, h), the
-        # WINDOW_SPECS — lets the keyed GroupApply sweep compute lifetimes
-        # from the LE column alone; the spec must describe le_fn/re_fn
-        # exactly
+        # a rewrite's shape — ("window", w) | ("hop", w, h) | ("shift",
+        # delta_le, delta_re) — lets the keyed GroupApply sweep compute
+        # lifetimes column by column (spec_lifetimes); the spec must
+        # describe le_fn/re_fn exactly
         self.spec = spec
 
     def on_event(self, event: Event) -> Iterable[Event]:
@@ -189,7 +210,9 @@ def shift_lifetime(delta_le: int, delta_re: int = None) -> AlterLifetime:
     if delta_re is None:
         delta_re = delta_le
     return AlterLifetime(
-        lambda le, re: le + delta_le, lambda le, re: re + delta_re
+        lambda le, re: le + delta_le,
+        lambda le, re: re + delta_re,
+        spec=("shift", delta_le, delta_re),
     )
 
 

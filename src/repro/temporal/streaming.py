@@ -130,7 +130,7 @@ class StreamingEngine:
         return self._flow.output_watermark
 
     def push(self, source: str, item: Union[Event, dict]) -> List[Event]:
-        """Push one event (or a row, decoded as a TiMR reducer decodes
+        """Push one event (or a row, decoded as ``Engine.run`` decodes
         it: :func:`~repro.temporal.event.decode_row`) and return new
         final outputs of the query. Events must arrive in LE order per
         source; the push advances that source's watermark to the LE.

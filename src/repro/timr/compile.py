@@ -2,11 +2,11 @@
 
 Section III-A step 4: for each {fragment, key} pair TiMR creates an M-R
 stage that partitions (maps) the fragment's input by the key and invokes
-a generated reducer ``P`` per partition. ``P`` reads the partition's
-rows, converts each row into an event (point events for raw log rows;
-interval events for intermediate rows carrying ``_re``), pushes them
-through an embedded, unmodified DSMS instance running the fragment's CQ
-plan, and converts result events back into rows for M-R.
+a generated reducer ``P`` per partition. ``P`` hands the partition's
+rows to an embedded, unmodified DSMS instance running the fragment's CQ
+plan, which reads each row as an event (a point event for a raw log
+row, an interval event for an intermediate row carrying ``_re``), and
+converts result events back into rows for M-R.
 
 Two practical mechanisms from the paper are implemented here:
 
@@ -16,8 +16,8 @@ Two practical mechanisms from the paper are implemented here:
   separates users inside the partition.
 * **multi-input fragments** (Section III-C.4): the stage's map phase
   tags each input's rows with a ``_src`` column naming the origin
-  (:func:`input_map_fns`); the reducer decodes tagged rows straight
-  into per-source event lists.
+  (:func:`input_map_fns`); the reducer splits the partition by that
+  column into per-source row lists, which its engine decodes without it.
 
 A stateless fragment folded into its consumer runs as a *kernel*
 (:func:`stateless_kernel`): ``kernel(le, re, payload)`` returns ``(le,
@@ -27,6 +27,7 @@ re, payload)`` or ``None``, and never writes to the payload it is given.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, List, Optional
 
 from ..mapreduce.job import MapFn, MapReduceStage, key_by_columns
@@ -34,10 +35,11 @@ from ..runtime.context import DEFAULT_CONTEXT, RunContext
 from ..temporal.engine import Engine
 from ..temporal.event import (
     SRC_COLUMN,
+    TaggedRows,
     decode_row,
+    decode_rows,
     encode_row,
     events_to_rows,
-    point_events,
 )
 from ..temporal.operators.stateless import event_kernel
 from ..temporal.plan import (
@@ -128,36 +130,40 @@ def _stacked(kernels):
 
 
 def kernel_map_fn(kernel):
-    """A kernel as a single-input stage's map function: row in, rows out."""
+    """A kernel as a single-input stage's map function: a partition in,
+    the rows the kernel keeps out."""
 
-    def map_fn(row: dict) -> List[dict]:
-        out = kernel(*decode_row(row))
-        return [] if out is None else [encode_row(*out)]
+    def map_fn(rows: List[dict]) -> List[dict]:
+        out = []
+        for kept in map(kernel, *decode_rows(rows)):
+            if kept is not None:
+                out.append(encode_row(*kept))
+        return out
 
     return map_fn
 
 
 def _tagging_map_fn(bindings: List[InputBinding]):
-    """One dataset's map function in a multi-input stage: a row is
-    decoded once if any binding on it is folded, and each binding that
-    keeps it emits it tagged with the binding's ``_src``."""
+    """One dataset's map function in a multi-input stage: the partition
+    is decoded once if any binding on it is folded, and each binding
+    that keeps a row emits it tagged with the binding's ``_src``."""
     members = [(b.logical, b.transform) for b in bindings]
     decodes = any(kernel is not None for _, kernel in members)
 
-    def map_fn(row: dict) -> List[dict]:
-        if decodes:
-            le, re, payload = decode_row(row)
+    def map_fn(rows: List[dict]) -> List[dict]:
         out = []
-        for tag, kernel in members:
-            if kernel is None:
-                tagged = dict(row)
-            else:
-                kept = kernel(le, re, payload)
-                if kept is None:
-                    continue
-                tagged = encode_row(*kept)
-            tagged[SRC_COLUMN] = tag
-            out.append(tagged)
+        columns = decode_rows(rows) if decodes else (repeat(None),) * 3
+        for row, le, re, payload in zip(rows, *columns):
+            for tag, kernel in members:
+                if kernel is None:
+                    tagged = dict(row)
+                else:
+                    kept = kernel(le, re, payload)
+                    if kept is None:
+                        continue
+                    tagged = encode_row(*kept)
+                tagged[SRC_COLUMN] = tag
+                out.append(tagged)
         return out
 
     return map_fn
@@ -200,15 +206,15 @@ def make_reducer(
     input_names = list(fragment.input_names)
 
     def reducer(partition_index: int, rows: List[dict]) -> List[dict]:
-        # the decode copies each payload: M-R may hand these rows to the
-        # reducer again
-        events = point_events(rows)
+        # the engine takes the rows as they are and decodes them only
+        # where it reads them as events, into copies: M-R may hand these
+        # rows to the reducer again
         if multi_input:
-            sources = {name: [] for name in input_names}
-            for event in events:
-                sources[event.payload.pop(SRC_COLUMN)].append(event)
+            sources = {name: TaggedRows() for name in input_names}
+            for row in rows:
+                sources[row[SRC_COLUMN]].append(row)
         else:
-            sources = {input_names[0]: events}
+            sources = {input_names[0]: rows}
 
         # TiMR.run validated the whole plan before fragmenting; fragment
         # plans are derived from it, so re-validating per partition would

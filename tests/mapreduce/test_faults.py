@@ -67,8 +67,17 @@ def two_input_cluster(**settings):
     )
 
 
-def upper_key(row):
+def per_row(fn):
+    """A row-in, rows-out function as a map task's function: a partition
+    in, each row's outputs in order out."""
+    return lambda rows: [out for row in rows for out in fn(row)]
+
+
+def _upper(row):
     return [{**row, "k": row["k"].upper()}]
+
+
+upper_key = per_row(_upper)
 
 
 class RecordingPolicy(FaultPolicy):
@@ -312,7 +321,7 @@ class TestStageExecutionError:
         cluster = make_cluster(sample_rows(), quarantine=True)
         stage = MapReduceStage("m", key_by_columns(["k"]), count_reducer, num_partitions=2)
         with pytest.raises(InjectedFault, match="user code"):
-            cluster.run_stage(stage, {"in": mapper}, "out")
+            cluster.run_stage(stage, {"in": per_row(mapper)}, "out")
         assert len(calls) == 1
 
 
@@ -364,7 +373,7 @@ class TestQuarantine:
 
         cluster = make_cluster(sample_rows(12), quarantine=True)
         stage = MapReduceStage("m", key_by_columns(["k"]), count_reducer, num_partitions=2)
-        out = cluster.run_stage(stage, {"in": mapper}, "out")
+        out = cluster.run_stage(stage, {"in": per_row(mapper)}, "out")
         assert all(r["k"] != "b" for r in out.all_rows())
         assert all(q["_site"] == MAP for q in cluster.last_quarantined)
         assert len(cluster.last_quarantined) == 3  # every third of 12 rows is "b"
@@ -375,10 +384,10 @@ class TestQuarantine:
         def mapper(row):
             if row["Time"] == 5:
                 raise KeyError("bad row")
-            return upper_key(row)
+            return _upper(row)
 
         cluster = two_input_cluster(quarantine=True)
-        cluster.run_stage(count_stage(), {"left": None, "right": mapper}, "out")
+        cluster.run_stage(count_stage(), {"left": None, "right": per_row(mapper)}, "out")
         (record,) = cluster.last_quarantined
         assert (record["_site"], record["_partition"]) == (MAP, 3)
         assert record["_row"] == {"Time": 5, "k": "b"}

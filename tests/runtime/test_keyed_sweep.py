@@ -19,11 +19,13 @@ from unittest import mock
 
 import pytest
 
+from repro.bt.queries import per_keyword_count_query
+from repro.bt.schema import BTConfig
 from repro.mapreduce import Cluster, DistributedFileSystem
 from repro.runtime import RunContext, dataflow, keyed
-from repro.temporal import Engine, Query, StreamingEngine
+from repro.temporal import Engine, Query, StreamingEngine, normalize
 from repro.temporal import event
-from repro.temporal.event import TIMES_UNPACKED, Event, EventColumns, LayoutRows
+from repro.temporal.event import TIMES_UNPACKED, Event, EventColumns, LayoutRows, point_events
 from repro.temporal.operators import AggSpec
 from repro.temporal.time import hours
 from repro.timr import TiMR
@@ -325,6 +327,18 @@ def test_every_row_is_decoded_where_events_are_read(name):
     assert sum(decoded) == stats.decoded_rows == sum(map(len, sources.values())) == 2500
 
 
+
+def test_a_user_src_column_is_read_off_the_rows():
+    """Only a tagged multi-input source's decode drops ``_src``: a keyed
+    sweep on a user's ``_src`` column over plain rows reads the rows as
+    they are, and gives what the rows decoded to events give."""
+    rows = [{"Time": t, "_src": t % 3, "v": t} for t in range(300)]
+    query = Query.source("logs").group_apply("_src", lambda g: g.window(5).sum("v", into="s"))
+    out, stats, built, decoded = counted_ingest(lambda engine: engine.run(query, {"logs": rows}))
+    assert decoded == [] and stats.decoded_rows == 0
+    assert normalize(out) == normalize(Engine().run(query, {"logs": point_events(rows)}))
+
+
 def counted_ingest(run):
     """``(output, last_stats, events built, chunks decoded)`` of
     ``run(engine)``: every ``Event`` built is counted, and each chunk of
@@ -337,12 +351,57 @@ def counted_ingest(run):
         built[0] += 1
         init(self, le, re, payload)
 
-    def counting_decode(les, rows):
+    def counting_decode(les, rows, *args):
         decoded.append(len(rows))
-        return decode(les, rows)
+        return decode(les, rows, *args)
 
     engine = Engine(context=SERIAL)
     with mock.patch.object(Event, "__init__", counting_init), \
             mock.patch.object(event, "_decode", counting_decode):
         out = run(engine)
     return out, engine.last_stats, built[0], decoded
+
+
+def test_kez_per_keyword_count_decodes_no_row_in_timr():
+    """KE-z's per-(ad, keyword) count, ``shift(1)`` then a hop of the
+    horizon, run as one TiMR fragment: each reducer hands its engine
+    the partition's rows, and the keyed sweep computes the lifetimes
+    over their columns, so no row is decoded to an event (each reducer
+    decoded all of its rows while it handed its engine events), and
+    the output is the one the same rows decoded to events give."""
+    rng = random.Random(5)
+    times = sorted(rng.randrange(hours(72)) for _ in range(6000))
+    rows = [
+        {"Time": t, "AdId": rng.randrange(7), "Keyword": f"k{rng.randrange(40)}",
+         "y": rng.randrange(2)}
+        for t in times
+    ]
+    query = per_keyword_count_query(
+        Query.source("train", ("AdId", "Keyword", "y")), BTConfig(), hours(24)
+    )
+    fs = DistributedFileSystem()
+    fs.write("train", [dict(row) for row in rows], num_partitions=2)
+    engines = []
+    run_engine = Engine.run
+
+    def recording(self, *args, **kwargs):
+        out = run_engine(self, *args, **kwargs)
+        engines.append(self.last_stats)
+        return out
+
+    decoded = []
+    decode = event._decode
+
+    def counting_decode(les, rows, *args):
+        decoded.append(len(rows))
+        return decode(les, rows, *args)
+
+    with mock.patch.object(Engine, "run", recording), \
+            mock.patch.object(event, "_decode", counting_decode):
+        result = TiMR(Cluster(fs=fs)).run(query, job_name="kez", num_partitions=3)
+    assert len(result.fragments) == 1 and len(engines) == 3
+    assert sum(stats.input_events for stats in engines) == len(rows)
+    assert [stats.decoded_rows for stats in engines] == [0, 0, 0]
+    assert decoded == []  # nothing on the way decodes a row either
+    want = Engine().run(query, {"train": event.point_events(rows)})
+    assert want and normalize(event.point_events(result.output_rows())) == normalize(want)

@@ -37,6 +37,7 @@ from repro.temporal import Engine, Query, StreamingEngine, normalize, relation
 from repro.temporal.event import rows_to_events
 from repro.temporal.relation import ref_plan
 from repro.timr import TiMR
+from tests.runtime.test_row_ingest import SHIFT_CHAINS, chained
 from tests.runtime.test_top_level import TOP_DEFERRED, TOP_SHAPES, top_sources
 from tests.runtime.test_wake_scheduling import (
     DEFERRED,
@@ -381,3 +382,45 @@ def test_keyed_sweep_over_rows_equals_the_oracle(subplan, data):
 @given(data=st.data())
 def test_keyed_sweep_over_rows_equals_the_oracle_heavy(subplan, data):
     check_rows(subplan, data)
+
+
+# -- lifetime rewrites ahead of the aggregate ------------------------------------
+#
+# ``SHIFT_CHAINS`` (``test_row_ingest.py``) open each ``FUSION_SHAPES``
+# sub-plan with shifts and hops, KE-z's ``shift(1)`` then a hop among them.
+# ``Engine.run`` over rows (some with an ``_re`` of their own) and a
+# one-fragment ``TiMR.run`` hold to the oracle.
+
+
+def check_chain(chain, subplan, data, entry):
+    _, script = data.draw(histories())
+    rows = pushed(script)
+    for row in rows:
+        if data.draw(st.booleans()):
+            row["_re"] = row["Time"] + data.draw(st.integers(min_value=1, max_value=12))
+    query = build("source", "chained", chained(chain, subplan))
+    want = oracle(query, [dict(row) for row in rows])
+    assert (engine_run if entry == "engine" else timr_run)(query, rows) == want
+
+
+chain_cells = pytest.mark.parametrize(
+    "chain, subplan", [(c, s) for s in sorted(FUSION_SHAPES) for c in sorted(SHIFT_CHAINS)]
+)
+entries = pytest.mark.parametrize("entry", ["engine", "timr"])
+
+
+@chain_cells
+@entries
+@light  # one example would be the empty history: hypothesis draws it first
+@given(data=st.data())
+def test_rewrite_chains_equal_the_oracle(chain, subplan, entry, data):
+    check_chain(chain, subplan, data, entry)
+
+
+@pytest.mark.oracle
+@chain_cells
+@entries
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_rewrite_chains_equal_the_oracle_heavy(chain, subplan, entry, data):
+    check_chain(chain, subplan, data, entry)

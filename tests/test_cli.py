@@ -349,9 +349,9 @@ class TestProfile:
         assert doc["spans"] > 0
         assert set(doc["spans_by_category"]) >= {"engine", "cluster", "timr"}
         assert doc["calibration"]["fragments"]
-        # each reducer decodes its rows and hands its engine events
-        assert doc["engine_rows"]["input_events"] > 0
-        assert doc["engine_rows"]["decoded_rows"] == 0
+        # each reducer hands its engine rows, decoded only where the
+        # plan reads them as events: the keyed counts read none
+        assert doc["engine_rows"] == {"input_events": 1734, "decoded_rows": 1285}
 
     def test_out_dir_collects_relative_artifacts(self, tmp_path, capsys):
         out_dir = tmp_path / "artifacts"

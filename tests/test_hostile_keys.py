@@ -15,7 +15,9 @@ runtime.
   source and the group keys — before any entry point runs it.
 """
 
+import contextlib
 import copy
+from unittest import mock
 
 import pytest
 
@@ -24,6 +26,8 @@ from repro.runtime import RunContext
 from repro.temporal import Engine, Query, StreamingEngine, normalize
 from repro.temporal.event import rows_to_events
 from repro.timr import TiMR
+from repro.timr import compile as timr_compile
+from tests.timr.test_boundary import ref_reducer
 
 #: the three per-key shapes: the keyed sweep, a flat chain, and a
 #: nested GroupApply inside a flat chain
@@ -195,3 +199,119 @@ def test_a_hostile_key_over_rows_raises_what_it_raises_over_events(case):
     assert got[0] in (KeyError, ValueError)
     for part in named:
         assert part in got[1], (got[1], part)
+
+
+# -- ``_src``, the column a multi-input stage's map phase writes ---------------
+#
+# A multi-input TiMR stage tags each row with the input it came from
+# (``_src``), and the reducer's sources never show it: a GroupApply keyed
+# on it or aggregating it fails as it does on a payload without it, a
+# one-input stage keeps a user's ``_src`` column as any other, and a
+# kernel that raises in a map task is dead-lettered or raised, row by
+# row. Each cell must give what the reducer that decoded its partition
+# with ``point_events`` and popped the tag gave (``ref_reducer``, the
+# reference of ``tests/timr/test_boundary.py``): output, dead letters,
+# or the error's type and message.
+
+TAGGED_ROWS = [{"Time": t, "k": "xy"[t % 2], "v": t % 4} for t in range(12)]
+
+
+def _beside_b(a):
+    b = Query.source("b").exchange("k").project(lambda p: {"k": p["k"], "n": p["v"]})
+    return a.union(b)
+
+
+def _explodes(p):
+    return 12 // (p["v"] - 3) != 0
+
+
+TAGGED = {
+    # multi-input stages: ``_src`` is the map phase's, not the payload's
+    "key-_src": (
+        lambda: _beside_b(Query.source("a").exchange("k").group_apply(
+            ("k", "_src"), lambda g: g.window(5).count(into="n")
+        )),
+        {"a": TAGGED_ROWS, "b": TAGGED_ROWS},
+    ),
+    "sum-_src": (
+        lambda: _beside_b(Query.source("a").exchange("k").group_apply(
+            "k", lambda g: g.shift(1).hopping_window(4, 4).sum("_src", into="n")
+        )),
+        {"a": TAGGED_ROWS, "b": TAGGED_ROWS},
+    ),
+    # one input: a user's ``_src`` is a column like any other
+    "user-_src-key": (
+        lambda: Query.source("a").exchange("_src").group_apply(
+            "_src", lambda g: g.window(5).count(into="n")
+        ),
+        {"a": [{**row, "_src": row["v"] % 2} for row in TAGGED_ROWS]},
+    ),
+    "user-_src-kept": (
+        lambda: Query.source("a").exchange("k").where(lambda p: p["v"] > 0),
+        {"a": [{**row, "_src": "mine"} for row in TAGGED_ROWS]},
+    ),
+    # a folded where that raises on the rows with v == 3, alone on its
+    # input and tagged beside another
+    "kernel-raises": (
+        lambda: Query.source("a").where(_explodes).exchange("k").group_apply(
+            "k", lambda g: g.window(5).count(into="n")
+        ),
+        {"a": TAGGED_ROWS},
+    ),
+    "tagged-kernel-raises": (
+        lambda: _beside_b(Query.source("a").where(_explodes).exchange("k")),
+        {"a": TAGGED_ROWS, "b": TAGGED_ROWS},
+    ),
+}
+
+
+def tagged_outcome(case, quarantine, reference):
+    """What a TiMR run of ``case`` gives: ``("ok", output rows per
+    partition, dead letters)`` or ``("raised", type, cause type,
+    message)``."""
+    query, datasets = TAGGED[case]
+    fs = DistributedFileSystem()
+    for name, rows in datasets.items():
+        fs.write(name, copy.deepcopy(rows), num_partitions=2)
+    cluster = Cluster(fs=fs, context=RunContext(quarantine=quarantine))
+    with contextlib.ExitStack() as stack:
+        if reference:
+            stack.enter_context(mock.patch.object(
+                timr_compile, "make_reducer",
+                lambda fragment, span_layout=None, context=None: ref_reducer(fragment, []),
+            ))
+        try:
+            result = TiMR(cluster).run(query(), job_name="j", num_partitions=2)
+        except Exception as exc:
+            cause = exc.__cause__ or exc
+            return "raised", type(exc), type(cause), str(cause)
+    aside = fs.read("j.quarantine").all_rows() if fs.exists("j.quarantine") else []
+    return "ok", [[list(r.items()) for r in part] for part in result.output.partitions], aside
+
+
+@pytest.mark.parametrize("quarantine", [False, True], ids=["raise", "quarantine"])
+@pytest.mark.parametrize("case", sorted(TAGGED))
+def test_src_cells_give_what_the_decoding_reducer_gave(case, quarantine):
+    got = tagged_outcome(case, quarantine, reference=False)
+    assert got == tagged_outcome(case, quarantine, reference=True)
+    if case in ("key-_src", "sum-_src"):
+        if quarantine:
+            assert got[0] == "ok" and got[2]
+            assert all(r["_site"] == "reduce" and r["_row"]["_src"] == "a" for r in got[2])
+        else:
+            assert got[1:3] == (StageExecutionError, KeyError) and "'_src'" in got[3]
+    elif case.startswith("user-"):
+        assert got[0] == "ok" and not got[2] and any(got[1])
+        want = Engine().run(TAGGED[case][0](), TAGGED[case][1])
+        assert normalize(rows_to_events(r for part in got[1] for r in map(dict, part))) == (
+            normalize(want)
+        )
+    elif quarantine:
+        assert got[0] == "ok" and any(got[1])
+        assert [(r["_site"], r["_row"]["v"], r["_error"]) for r in got[2]] == [
+            ("map", 3, "ZeroDivisionError('integer division or modulo by zero')")
+        ] * 3
+    else:
+        assert got[1:] == (
+            ZeroDivisionError, ZeroDivisionError, "integer division or modulo by zero"
+        )

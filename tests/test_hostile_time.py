@@ -379,3 +379,21 @@ def test_a_source_of_events_names_what_is_not_an_event(query, item):
     with pytest.raises(ValueError) as info:
         Engine().run(query(), {"logs": [dict(FIRST), Event(4, 5, {"u": "a"})]})
     assert "row 1 is Event" in str(info.value)
+
+
+@pytest.mark.parametrize("batch_size", [2, 4096])
+def test_an_unusable_re_fails_the_run_before_any_operator_runs(batch_size):
+    """A source's ``_re``s are checked before its first chunk is fed, as
+    the codec checks a whole list: an unusable one in a later chunk
+    fails the run with its own error, though a ``where`` would raise on
+    the first chunk."""
+
+    def refuse(payload):
+        raise RuntimeError("the where ran")
+
+    rows = [{"Time": t, "u": "a"} for t in range(8)] + [{"Time": 9, "_re": 9, "u": "a"}]
+    engine = Engine(context=RunContext(batch_size=batch_size))
+    with pytest.raises(ValueError, match=r"\[9, 9\)"):
+        engine.run(Query.source("logs").where(refuse), {"logs": rows})
+    with pytest.raises(RuntimeError, match="the where ran"):
+        engine.run(Query.source("logs").where(refuse), {"logs": rows[:8]})

@@ -45,6 +45,8 @@ from repro.mapreduce.fs import DistributedFile
 from repro.mapreduce.job import key_by_columns, stable_hash
 from repro.runtime import RunContext
 from repro.temporal import Engine, Query
+from repro.temporal import engine as engine_module
+from repro.temporal import event as event_module
 from repro.temporal.event import Event, events_to_rows
 from repro.temporal.plan import (
     AlterLifetimeNode,
@@ -60,11 +62,12 @@ from repro.timr.compile import InputBinding, fold_stateless_fragments
 
 # -- the reference: the parent's boundary, verbatim ---------------------------
 #
-# Three edits: extents compose with the plan's own side-wise composer, as
+# Four edits: extents compose with the plan's own side-wise composer, as
 # they are pairs with a ``None`` side now, the filter step is named
-# ``_FILTER``, and a one-input stage's row transform is handed to
+# ``_FILTER``, a one-input stage's row transform is handed to
 # ``Cluster.run_stage`` with its input, where ``MapReduceStage.map_fn``
-# used to carry it.
+# used to carry it, and it is handed over as a map task's function, a
+# partition in (``partition_map``), as ``MapFn`` now reads.
 
 _FILTER, _PROJECT, _LIFETIME = range(3)
 
@@ -246,6 +249,12 @@ def ref_map_partition_rows(cluster, stage, pi, rows, map_fn=None):
     return routed, poisoned
 
 
+def partition_map(transform):
+    """A row transform as a map task's function: a partition in, each
+    row's outputs in order out."""
+    return lambda rows: [out for row in rows for out in transform(row)]
+
+
 def ref_run(fs, plan, num_partitions, seen, **cluster_args):
     """The parent's ``TiMR._run_job`` loop over the reference pieces:
     returns the job's output."""
@@ -261,7 +270,8 @@ def ref_run(fs, plan, num_partitions, seen, **cluster_args):
             reducer=ref_reducer(fragment, seen),
             num_partitions=num_partitions,
         )
-        inputs = {bindings[0].physical: None if multi else bindings[0].transform}
+        transform = None if multi else bindings[0].transform
+        inputs = {bindings[0].physical: None if transform is None else partition_map(transform)}
         if multi:
             ref_materialize_union(fs, fragment, bindings)
             inputs = {f"{fragment.output_name}.in": None}
@@ -274,13 +284,21 @@ def ref_run(fs, plan, num_partitions, seen, **cluster_args):
 # -- observing the code under test --------------------------------------------
 
 
+def read_as_events(rows) -> list:
+    """The events ``Engine.run`` reads a source of rows as, decoded by
+    its own views (a tagged row without its ``_src``)."""
+    les, view = engine_module._source(rows)
+    return list(view(0, len(les))) if les else []
+
+
 @contextlib.contextmanager
 def observed(seen: list):
-    """Record the sources every reducer hands its engine."""
+    """Record the sources every reducer hands its engine, as the events
+    the engine reads them as."""
     run = Engine.run
 
     def recording_run(self, query, sources, **kwargs):
-        seen.append(sources)
+        seen.append({name: read_as_events(rows) for name, rows in sources.items()})
         return run(self, query, sources, **kwargs)
 
     with mock.patch.object(Engine, "run", recording_run):
@@ -560,6 +578,83 @@ def test_map_phase_equals_reference(pairs, n):
     )
 
 
+def fated_row_map(row):
+    """A row-at-a-time map that refuses some rows, drops some, copies
+    some, and strips the key of others so routing them fails; each
+    error names its row."""
+    fate = row["fate"]
+    if fate == "map":
+        raise ValueError(f"map refused row {row['Time']}")
+    if fate == "drop":
+        return []
+    out = dict(row)
+    if fate == "no-key":
+        del out["k"]
+    return [out, {**out, "copy": 1}] if row["Time"] % 3 == 0 else [out]
+
+
+def map_outcome(run):
+    try:
+        return run()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["x", "y", 1, 1.0]),
+            st.sampled_from(["ok", "ok", "ok", "map", "drop", "no-key"]),
+        ),
+        max_size=30,
+    ),
+    st.integers(min_value=1, max_value=5),
+    st.booleans(),
+)
+def test_failing_map_rows_are_attributed_as_before(pairs, n, quarantine):
+    """A map task runs its function once over the partition; when that
+    raises, the rows are attributed as the row-at-a-time task did: the
+    first failing row's error, or each failing row dead-lettered with its
+    own error and the others routed in order."""
+    rows = [{"Time": i, "k": k, "fate": fate} for i, (k, fate) in enumerate(pairs)]
+    stage = MapReduceStage("s", key_by_columns(("k",)), lambda i, r: r, num_partitions=n)
+    cluster = Cluster(context=RunContext(quarantine=quarantine))
+    got = map_outcome(
+        lambda: cluster._map_partition_rows(stage, 0, rows, partition_map(fated_row_map))
+    )
+    assert got == map_outcome(
+        lambda: ref_map_partition_rows(cluster, stage, 0, rows, fated_row_map)
+    )
+
+
+
+def together_map(rows):
+    """A map that refuses to map rows together, and the row whose ``v``
+    is ``"bad"`` on its own: a failure of the whole partition."""
+    if len(rows) > 1:
+        raise RuntimeError(f"cannot map {len(rows)} rows together")
+    if rows[0]["v"] == "bad":
+        raise ValueError("bad row")
+    return rows
+
+
+@pytest.mark.parametrize("quarantine", [False, True])
+@pytest.mark.parametrize("bad", [False, True], ids=["no-bad-row", "a-bad-row"])
+def test_a_map_failure_no_single_row_explains_raises(quarantine, bad):
+    """A map task whose function fails on the partition, though every
+    row or all but one pass alone, raises the task's own error: no row
+    is dead-lettered and no routed row is lost, quarantine on or off."""
+    rows = [{"Time": i, "k": i % 2, "v": "bad" if bad and i == 3 else i} for i in range(6)]
+    stage = MapReduceStage("s", key_by_columns(("k",)), lambda i, r: r, num_partitions=2)
+    cluster = Cluster(context=RunContext(quarantine=quarantine))
+    assert map_outcome(
+        lambda: cluster._map_partition_rows(stage, 0, rows, together_map)
+    ) == (RuntimeError, "cannot map 6 rows together")
+    routed, poisoned = cluster._map_partition_rows(stage, 0, rows[:1], together_map)
+    assert [row for _, row in routed] == rows[:1] and poisoned == []
+
+
 # -- rows that cannot cross ----------------------------------------------------
 
 
@@ -670,10 +765,10 @@ def test_one_scan_per_dataset_and_two_copies_per_row(small_dataset):
     physical dataset once however many bindings share it, and from the
     scan to the reducer's events the boundary builds at most one dict
     per scanned row (the decode all bindings share) and two per routed
-    row (the tagged row, the event payload). Counted where
-    ``timr/compile.py`` makes its copies: its ``dict(...)``,
-    ``decode_row`` and ``encode_row`` calls, and one payload per row it
-    hands ``point_events``."""
+    row (the tagged row, the event payload). Counted where the copies
+    are made: ``timr/compile.py``'s ``dict(...)``, ``decode_row`` and
+    ``encode_row`` calls, one payload per row it hands ``decode_rows``,
+    and one per row a reducer's engine decodes (``event._decode``)."""
     cfg = BTConfig(min_support=2, z_threshold=1.0)
     logs = Query.source("logs", UNIFIED_COLUMNS)
     clean = Query.source("clean", UNIFIED_COLUMNS)
@@ -712,11 +807,16 @@ def test_one_scan_per_dataset_and_two_copies_per_row(small_dataset):
         for name, fn, cost in [
             ("dict", dict, None),
             ("decode_row", timr_compile.decode_row, None),
+            ("decode_rows", timr_compile.decode_rows, len),
             ("encode_row", timr_compile.encode_row, None),
-            ("point_events", timr_compile.point_events, len),
         ]:
             wrapped = counting(fn) if cost is None else counting(fn, cost)
             stack.enter_context(mock.patch.object(timr_compile, name, wrapped, create=True))
+        # the reducer's engines copy a payload per row they decode
+        stack.enter_context(mock.patch.object(
+            event_module, "_decode",
+            counting(event_module._decode, lambda les, rows, *args: len(rows)),
+        ))
         ran = []
         for name, plan in [
             ("kez", feature_selection_query(clean, cfg, days(3))),

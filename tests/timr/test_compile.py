@@ -18,8 +18,10 @@ def single_fragment(query, name="j"):
 
 
 def row_fn(query):
-    """The query's kernel behind the single-input map_fn adapter."""
-    return kernel_map_fn(stateless_kernel(query.to_plan()))
+    """The query's kernel behind the single-input map function, handed
+    one row at a time (a partition of one)."""
+    map_fn = kernel_map_fn(stateless_kernel(query.to_plan()))
+    return lambda row: map_fn([row])
 
 
 class TestStatelessRowTransform:
@@ -31,8 +33,11 @@ class TestStatelessRowTransform:
         assert (le, re) == (0, 1) and out is payload  # a Where copies nothing
         assert kernel(0, 1, {"v": 0}) is None
         fn = kernel_map_fn(kernel)
-        assert fn({"Time": 0, "v": 2}) == [{"Time": 0, "v": 2, "_re": 1}]
-        assert fn({"Time": 0, "v": 0}) == []
+        assert fn([{"Time": 0, "v": 2}]) == [{"Time": 0, "v": 2, "_re": 1}]
+        assert fn([{"Time": 0, "v": 0}]) == []
+        # a partition maps row by row, in order
+        rows = [{"Time": t, "v": t % 3} for t in range(6)]
+        assert fn(rows) == [out for row in rows for out in fn([row])]
 
     def test_project_chain(self):
         q = Query.source("s").project(lambda p: {"w": p["v"] * 2})
