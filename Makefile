@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test test-oracle record-digests lint selflint ruff chaos examples bench-e2e bench-pairs bench-smoke test-bench-harness profile profile-bt
+.PHONY: check test test-oracle record-digests lint selflint ruff chaos examples bench-e2e bench-pairs bench-smoke test-bench-harness profile profile-bt loc
 
 # everything CI gates
 check: test test-oracle selflint chaos ruff test-bench-harness examples bench-smoke
@@ -54,6 +54,11 @@ PAIRS ?= 10
 PAIR_WORKLOAD = $(if $(filter file undefined,$(origin WORKLOAD)),all,$(WORKLOAD))
 bench-pairs:
 	$(PYTHON) benchmarks/pairs.py --base $(BASE) --pairs $(PAIRS) --workload $(PAIR_WORKLOAD)
+
+# src/ lines per package at BASE and in the working tree, and the net
+# change (tools/loc.py): the count ROADMAP items state their acceptance in
+loc:
+	@$(PYTHON) tools/loc.py --base $(BASE)
 
 # the benchmark harness's own tests; benchmarks/e2e is not in tier-1's
 # testpaths

@@ -2,9 +2,9 @@
 
 Stands in for SCOPE/Dryad over Cosmos (Section II-B): named datasets in a
 distributed file system, stages of (partition-by-key map, per-partition
-reduce), sequential multi-stage jobs, restart-based failure handling, and
-a cost model that turns measured per-partition work into simulated
-cluster makespans.
+reduce) that a caller chains into multi-stage jobs, restart-based
+failure handling, and a cost model that turns measured per-partition
+work into simulated cluster makespans.
 """
 
 from .cluster import Cluster
@@ -26,7 +26,7 @@ from .faults import (
     StageKiller,
 )
 from .fs import DistributedFile, DistributedFileSystem
-from .job import MapReduceJob, MapReduceStage, key_by_columns, random_key, stable_hash
+from .job import MapReduceStage, key_by_columns, random_key, stable_hash
 
 __all__ = [
     "ChaosPolicy",
@@ -42,7 +42,6 @@ __all__ = [
     "InjectedFault",
     "JobReport",
     "MAP",
-    "MapReduceJob",
     "MapReduceStage",
     "REDUCE",
     "ReducerKilled",

@@ -1,8 +1,12 @@
-"""The simulated shared-nothing cluster: executes map-reduce jobs.
+"""The simulated shared-nothing cluster: executes map-reduce stages.
 
-Runs every reduce partition for real (measuring its wall time), charges
-simulated shuffle costs, and reports both measured and simulated
-makespans through :class:`repro.mapreduce.cost.JobReport`.
+``Cluster.run_stage`` is the one way in: a stage's map tasks, shuffle,
+secondary sort and reduce partitions, from named datasets to one output
+dataset. A multi-stage job is its caller's chain of stages (TiMR runs
+one stage per fragment). Every reduce partition runs for real (measuring
+its wall time), shuffle costs are simulated, and both measured and
+simulated makespans are reported through
+:class:`repro.mapreduce.cost.JobReport`.
 
 Failure handling reproduces M-R's restart strategy (Section III-C.1),
 generalized by :mod:`repro.mapreduce.faults`: a pluggable
@@ -11,20 +15,21 @@ the shuffle, a reduce attempt, or the FS read/write bracketing a stage,
 with transient-vs-permanent semantics, bounded retries under an
 exponential backoff budget, and per-partition blacklisting. Because the
 embedded DSMS is founded on a deterministic temporal algebra, any
-re-run regenerates identical output — ``verify_restart_determinism``
-asserts exactly that, and the seeded chaos suite asserts it end-to-end.
+re-run regenerates identical output — TiMR's replay check on resume and
+the seeded chaos suite assert exactly that.
 
 With ``RunContext(quarantine=True)`` the cluster additionally survives *poison
 events*: rows that crash user callables (or lack the mandatory ``Time``
 column) are retried, then diverted to a dead-letter dataset with full
-diagnostics instead of failing the job.
+diagnostics (each row with the error it raised itself) instead of
+failing the job.
 """
 
 from __future__ import annotations
 
 import time as _time
 from marshal import dumps as _marshal
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..runtime.context import DEFAULT_CONTEXT, RunContext
 from ..temporal.event import TIME_COLUMN, rows_by_time
@@ -40,7 +45,7 @@ from .faults import (
     StageExecutionError,
 )
 from .fs import DistributedFile, DistributedFileSystem, Row
-from .job import ColumnKey, MapFn, MapReduceJob, MapReduceStage, stable_hash
+from .job import ColumnKey, MapFn, MapReduceStage, stable_hash
 
 
 #: Distinct keys one map call remembers the route of; past that a key
@@ -61,8 +66,8 @@ class Cluster:
             allowed per task before a fault propagates, each charging
             exponential simulated backoff), ``quarantine`` (divert rows
             that deterministically crash user callables, or lack a
-            usable ``Time``, to a ``{job}.quarantine`` dead-letter
-            dataset instead of failing the stage) and ``tracer``
+            usable ``Time``, to a dead-letter dataset instead of
+            failing the stage) and ``tracer``
             (per-stage and per-partition spans plus cluster metrics).
     """
 
@@ -81,39 +86,6 @@ class Cluster:
 
     # -- execution ----------------------------------------------------------
 
-    def run_job(
-        self, job: MapReduceJob, input_name: str, output_name: Optional[str] = None
-    ) -> DistributedFile:
-        """Execute all stages of ``job`` starting from dataset ``input_name``.
-
-        Intermediate datasets are materialized in the file system as
-        ``{job.name}.stage{i}``; the final output is stored under
-        ``output_name`` (default ``{job.name}.out``). Quarantined rows,
-        if any, land in ``{job.name}.quarantine``.
-        """
-        if not job.stages:
-            raise ValueError(f"job {job.name!r} has no stages")
-        report = JobReport()
-        self.last_quarantined = []
-        current = self.fs.read(input_name)
-        quarantined: List[Row] = []
-        for i, stage in enumerate(job.stages):
-            is_last = i == len(job.stages) - 1
-            if is_last:
-                name = output_name or f"{job.name}.out"
-            else:
-                name = f"{job.name}.stage{i}"
-            current, stage_report, stage_quarantine = self._run_stage(
-                stage, [(current, None)], name
-            )
-            report.stages.append(stage_report)
-            quarantined.extend(stage_quarantine)
-        self.last_report = report
-        self.last_quarantined = quarantined
-        if quarantined:
-            self._flush_quarantine(f"{job.name}.quarantine", quarantined)
-        return current
-
     def run_stage(
         self,
         stage: MapReduceStage,
@@ -121,7 +93,7 @@ class Cluster:
         output_name: str,
         quarantine_name: Optional[str] = None,
     ) -> DistributedFile:
-        """Execute a single stage (convenience for tests and TiMR).
+        """Execute one stage.
 
         ``inputs`` names one dataset, or maps several, in order, each to
         the map function (:data:`~repro.mapreduce.job.MapFn`) each of its
@@ -136,22 +108,7 @@ class Cluster:
         if isinstance(inputs, str):
             inputs = {inputs: None}
         data = [(self.fs.read(name), map_fn) for name, map_fn in inputs.items()]
-        out, stage_report, quarantined = self._run_stage(stage, data, output_name)
-        self.last_report = JobReport(stages=[stage_report])
-        self.last_quarantined = quarantined
-        if quarantined:
-            self._flush_quarantine(
-                quarantine_name or f"{output_name}.quarantine", quarantined
-            )
-        return out
-
-    def _run_stage(
-        self,
-        stage: MapReduceStage,
-        inputs: List[Tuple[DistributedFile, Optional[MapFn]]],
-        output_name: str,
-    ) -> Tuple[DistributedFile, StageReport, List[Row]]:
-        report = StageReport(name=stage.name, rows_in=sum(d.num_rows for d, _ in inputs))
+        report = StageReport(name=stage.name, rows_in=sum(d.num_rows for d, _ in data))
         quarantined: List[Row] = []
         tracer = self.context.tracer
 
@@ -165,7 +122,7 @@ class Cluster:
             partitions: List[List[Row]] = [[] for _ in range(stage.num_partitions)]
             routed_rows = 0
             shuffle_bytes = 0
-            tasks = [(part, map_fn) for data, map_fn in inputs for part in data.partitions]
+            tasks = [(part, map_fn) for file, map_fn in data for part in file.partitions]
             for pi, (part, map_fn) in enumerate(tasks):
                 with tracer.span(
                     "cluster.map",
@@ -225,7 +182,14 @@ class Cluster:
                 self._record_stage_telemetry(
                     stage_span, stage, report, partitions, routed_rows, shuffle_bytes
                 )
-        return self.fs.write_partitioned(output_name, outputs), report, quarantined
+        out = self.fs.write_partitioned(output_name, outputs)
+        self.last_report = JobReport(stages=[report])
+        self.last_quarantined = quarantined
+        if quarantined:
+            self._flush_quarantine(
+                quarantine_name or f"{output_name}.quarantine", quarantined
+            )
+        return out
 
     def _record_stage_telemetry(
         self,
@@ -440,8 +404,8 @@ class Cluster:
                     ) from exc
                 poison, out_rows, seconds = isolated
                 quarantined.extend(
-                    self._quarantine_record(stage.name, idx, REDUCE, row, exc)
-                    for row, _ in poison
+                    self._quarantine_record(stage.name, idx, REDUCE, row, error)
+                    for row, error in poison
                 )
                 break
         if attempt > 1:
@@ -515,19 +479,3 @@ class Cluster:
         if self.fs.exists(name):
             existing = self.fs.read(name).all_rows()
         self.fs.write(name, existing + records, require_time_column=False)
-
-    # -- verification --------------------------------------------------------
-
-    def verify_restart_determinism(
-        self, stage: MapReduceStage, rows: Sequence[Row], partition: int = 0
-    ) -> bool:
-        """Run a reducer twice on the same partition; outputs must match.
-
-        This is the repeatability property of Section III-C.1 that makes
-        the DSMS safe under M-R's restart-based failure handling.
-        """
-        rows = rows_by_time(rows)[0] if stage.sort_by_time else list(rows)
-        first = list(stage.reducer(partition, list(rows)))
-        second = list(stage.reducer(partition, list(rows)))
-        return first == second
-

@@ -16,7 +16,7 @@ paper's failure-recovery argument requires.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, List, Optional, Sequence
 
@@ -95,15 +95,3 @@ class MapReduceStage:
     num_partitions: int = 8
     sort_by_time: bool = True
     partition_fn: Optional[Callable[[Row], List[int]]] = None
-
-
-@dataclass
-class MapReduceJob:
-    """A sequence of stages; each stage consumes the previous one's output."""
-
-    name: str
-    stages: List[MapReduceStage] = field(default_factory=list)
-
-    def add_stage(self, stage: MapReduceStage) -> "MapReduceJob":
-        self.stages.append(stage)
-        return self

@@ -354,8 +354,8 @@ class SnapshotAggregate(UnaryOperator):
 
     def sweep(self, les, res, payloads) -> list:
         """The endpoint sweep over parallel ``(les, res, payloads)``
-        sequences, LE-ordered: the one loop behind ``on_event`` and
-        ``on_batch``, with ``payloads=None`` unless :attr:`reads_payloads`.
+        sequences, LE-ordered: the loop behind ``on_batch``, with
+        ``payloads=None`` unless :attr:`reads_payloads`.
         The expired-RE drain, the segment emit and the heap push happen
         once per run of equal ``(le, re)``; the run folds into the pane
         of its RE, which an earlier call may have opened. A keyed
@@ -383,9 +383,6 @@ class SnapshotAggregate(UnaryOperator):
             panes[re] = enter(pane, run, j - i)
             i = j
         return out
-
-    def on_event(self, event: Event) -> list:
-        return self.sweep([event.le], [event.re], [event.payload])
 
     def on_batch(self, events) -> list:
         return self.sweep(

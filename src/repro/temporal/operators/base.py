@@ -1,17 +1,20 @@
 """Operator framework for the single-node temporal engine.
 
 Operators consume events in non-decreasing LE order and produce events.
-Each operator is *incremental*: it exposes ``on_event`` (one event in,
-zero or more events out) and ``on_flush`` (drain buffered state at end of
-input). The batch helper ``apply`` drives the incremental interface over
-a whole stream and re-establishes LE order on the output — exactly what
-TiMR's embedded-DSMS reducer does with a partition of offline rows, while
-the same ``on_event`` path remains usable against a live feed.
+Each operator is *incremental*, and batches are its only way in:
+``on_batch`` takes a chunk of LE-ordered events and returns what is now
+final, ``on_watermark`` what a CTI makes final, and ``on_flush`` drains
+buffered state at end of input. A live feed is a stream of one-event
+batches (``StreamingEngine.push``); TiMR's embedded-DSMS reducer feeds a
+partition of offline rows in bounded chunks. The batch helper ``apply``
+runs the operator over a whole stream and re-establishes LE order on the
+output.
 
-Binary operators have their two inputs merged into a single time-ordered
-sequence by :func:`_deliver`, right input first at ties, so that at equal
-timestamps reference data on the right input is visible to probes on the
-left — e.g. a bot interval starting at *t* already filters a click at *t*.
+Binary operators take ``on_left_batch`` / ``on_right_batch``; their two
+inputs are merged into a single time-ordered sequence by
+:func:`_deliver`, right input first at ties, so that at equal timestamps
+reference data on the right input is visible to probes on the left —
+e.g. a bot interval starting at *t* already filters a click at *t*.
 """
 
 from __future__ import annotations
@@ -44,20 +47,10 @@ class UnaryOperator:
     #: this False.
     fresh_payloads = False
 
-    def on_event(self, event: Event) -> Iterable[Event]:
-        """Process one input event (arriving in LE order); yield outputs."""
-        raise NotImplementedError
-
     def on_batch(self, events: Sequence[Event]) -> List[Event]:
-        """Process a chunk of LE-ordered events (the batch-driver path).
-
-        Semantically identical to calling ``on_event`` per event —
-        stateless operators override this with a bulk fast path.
-        """
-        out: List[Event] = []
-        for e in events:
-            out.extend(self.on_event(e))
-        return out
+        """Process a chunk of LE-ordered events; return a list of the
+        operator's own (the runtime extends it) of what is now final."""
+        raise NotImplementedError
 
     def on_flush(self) -> Iterable[Event]:
         """Drain any buffered state at end of input."""
@@ -109,27 +102,14 @@ class BinaryOperator:
     first at ties) and feeds ``on_left_batch`` / ``on_right_batch``.
     """
 
-    def on_left(self, event: Event) -> Iterable[Event]:
-        raise NotImplementedError
-
-    def on_right(self, event: Event) -> Iterable[Event]:
-        raise NotImplementedError
-
     def on_left_batch(self, events: Sequence[Event]) -> List[Event]:
         """Process a contiguous run of left events whose delivery order
-        relative to the right input has already been decided by the
-        runtime. Semantically identical to per-event ``on_left``."""
-        out: List[Event] = []
-        for e in events:
-            out.extend(self.on_left(e))
-        return out
+        relative to the right input the runtime has already decided."""
+        raise NotImplementedError
 
     def on_right_batch(self, events: Sequence[Event]) -> List[Event]:
-        """Batch counterpart of ``on_right``; see ``on_left_batch``."""
-        out: List[Event] = []
-        for e in events:
-            out.extend(self.on_right(e))
-        return out
+        """The right-input counterpart of ``on_left_batch``."""
+        raise NotImplementedError
 
     def on_flush(self) -> Iterable[Event]:
         return ()

@@ -17,7 +17,7 @@ right synopsis is complete up to the probe instant.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..event import Event
 from .base import BinaryOperator
@@ -111,29 +111,6 @@ class TemporalJoin(BinaryOperator):
         self._left = _Synopsis()
         self._right = _Synopsis()
 
-    def _probe_and_insert(
-        self, event: Event, own: _Synopsis, other: _Synopsis, event_is_left: bool
-    ) -> Iterable[Event]:
-        key = self._key(event.payload)
-        for match in other.probe(key, event.le):
-            if event_is_left:
-                lp, rp = event.payload, match.payload
-            else:
-                lp, rp = match.payload, event.payload
-            if self.residual is not None and not self.residual(lp, rp):
-                continue
-            le = max(event.le, match.le)
-            re = min(event.re, match.re)
-            if re > le:
-                yield Event(le, re, self.select(lp, rp))
-        own.insert(key, event)
-
-    def on_left(self, event: Event) -> Iterable[Event]:
-        return self._probe_and_insert(event, self._left, self._right, True)
-
-    def on_right(self, event: Event) -> Iterable[Event]:
-        return self._probe_and_insert(event, self._right, self._left, False)
-
     def _probe_batch(
         self,
         events: Sequence[Event],
@@ -141,9 +118,9 @@ class TemporalJoin(BinaryOperator):
         other: _Synopsis,
         events_are_left: bool,
     ) -> List[Event]:
-        """Batch probe: per-event semantics with the loop invariants
-        (key fn, synopsis methods, residual/select) hoisted out. The
-        per-key no-expiry fast path lives in ``_Synopsis.probe``."""
+        """Probe the other side's synopsis with each event, then insert
+        it into its own. The per-key no-expiry fast path lives in
+        ``_Synopsis.probe``."""
         key_fn = self._key
         residual = self.residual
         select = self.select
@@ -190,21 +167,6 @@ class AntiSemiJoin(BinaryOperator):
         self._key = _key_fn(on)
         self._right = _Synopsis()
 
-    def on_left(self, event: Event) -> Iterable[Event]:
-        if not event.is_point:
-            raise ValueError(
-                "AntiSemiJoin supports point events on its left input only "
-                f"(got lifetime [{event.le}, {event.re}))"
-            )
-        payload = event.payload
-        le = event.le
-        residual = self.residual
-        for match in self._right.probe(self._key(payload), le):
-            if match.le <= le:  # match covers the probe instant
-                if residual is None or residual(payload, match.payload):
-                    return ()
-        return (event,)
-
     def on_left_batch(self, events: Sequence[Event]) -> List[Event]:
         key_fn = self._key
         probe = self._right.probe
@@ -227,10 +189,6 @@ class AntiSemiJoin(BinaryOperator):
             else:
                 append(event)
         return out
-
-    def on_right(self, event: Event) -> Iterable[Event]:
-        self._right.insert(self._key(event.payload), event)
-        return ()
 
     def on_right_batch(self, events: Sequence[Event]) -> List[Event]:
         key_fn = self._key

@@ -30,9 +30,13 @@ class ScanUDO(UnaryOperator):
         self.state = state_factory()
         self.fn = fn
 
-    def on_event(self, event: Event) -> Iterable[Event]:
-        for payload in self.fn(self.state, event.payload, event.le):
-            yield Event.point(event.le, dict(payload))
+    def on_batch(self, events) -> list:
+        fn, state = self.fn, self.state
+        return [
+            Event.point(e.le, dict(payload))
+            for e in events
+            for payload in fn(state, e.payload, e.le)
+        ]
 
     def next_wake(self):
         # folded state only ever emits on events, never on watermarks

@@ -26,13 +26,7 @@ class Where(UnaryOperator):
     def __init__(self, predicate: PayloadPredicate):
         self.predicate = predicate
 
-    def on_event(self, event: Event) -> Iterable[Event]:
-        if self.predicate(event.payload):
-            yield event
-
     def on_batch(self, events) -> list:
-        # hot path: a comprehension beats per-event generator dispatch
-        # (input order is preserved)
         pred = self.predicate
         return [e for e in events if pred(e.payload)]
 
@@ -45,9 +39,6 @@ class Project(UnaryOperator):
 
     def __init__(self, fn: PayloadTransform):
         self.fn = fn
-
-    def on_event(self, event: Event) -> Iterable[Event]:
-        yield event.with_payload(self.fn(event.payload))
 
     def on_batch(self, events) -> list:
         fn = self.fn
@@ -113,12 +104,6 @@ class AlterLifetime(UnaryOperator):
         # describe le_fn/re_fn exactly
         self.spec = spec
 
-    def on_event(self, event: Event) -> Iterable[Event]:
-        new_le = self.le_fn(event.le, event.re)
-        new_re = self.re_fn(event.le, event.re)
-        if new_re > new_le:  # empty lifetimes vanish from the relation
-            yield Event(new_le, new_re, event.payload)
-
     def on_batch(self, events) -> list:
         le_fn, re_fn = self.le_fn, self.re_fn
         out = []
@@ -127,7 +112,7 @@ class AlterLifetime(UnaryOperator):
             le, re = e.le, e.re
             new_le = le_fn(le, re)
             new_re = re_fn(le, re)
-            if new_re > new_le:
+            if new_re > new_le:  # empty lifetimes vanish from the relation
                 append(Event(new_le, new_re, e.payload))
         return out
 
@@ -245,14 +230,18 @@ class CountWindow(UnaryOperator):
         self.n = n
         self._buffer = []  # the last <= n events, pending their RE
 
-    def on_event(self, event: Event) -> Iterable[Event]:
-        self._buffer.append(event)
-        if len(self._buffer) > self.n:
-            expired = self._buffer.pop(0)
-            if event.le > expired.le:
-                yield Event(expired.le, event.le, expired.payload)
-            # events with identical timestamps expire instantly: they
-            # never own a snapshot, so they vanish from the relation
+    def on_batch(self, events) -> list:
+        out = []
+        buffer, n = self._buffer, self.n
+        for event in events:
+            buffer.append(event)
+            if len(buffer) > n:
+                expired = buffer.pop(0)
+                if event.le > expired.le:
+                    out.append(Event(expired.le, event.le, expired.payload))
+                # events with identical timestamps expire instantly: they
+                # never own a snapshot, so they vanish from the relation
+        return out
 
     def on_flush(self) -> Iterable[Event]:
         # the trailing n events never expire: alive to the end of time
@@ -304,10 +293,13 @@ class SessionWindow(UnaryOperator):
             yield Event(event.le, session_end, event.payload)
         self._session = []
 
-    def on_event(self, event: Event) -> Iterable[Event]:
-        if self._session and event.le - self._session[-1].le >= self.gap:
-            yield from self._close()
-        self._session.append(event)
+    def on_batch(self, events) -> list:
+        out = []
+        for event in events:
+            if self._session and event.le - self._session[-1].le >= self.gap:
+                out.extend(self._close())
+            self._session.append(event)
+        return out
 
     def on_flush(self) -> Iterable[Event]:
         yield from self._close()

@@ -90,13 +90,17 @@ class WindowedUDO(UnaryOperator):
             yield from self._fire(self._next_boundary)
             self._next_boundary += self.h
 
-    def on_event(self, event: Event) -> Iterable[Event]:
-        yield from self._advance_to(event.le)
-        if self._next_boundary is None:
-            self._next_boundary = self._quantize_up(event.le)
-        self._les.append(event.le)
-        self._payloads.append(event.payload)
-        self._max_le = event.le
+    def on_batch(self, events) -> list:
+        out = []
+        for event in events:
+            le = event.le
+            out.extend(self._advance_to(le))
+            if self._next_boundary is None:
+                self._next_boundary = self._quantize_up(le)
+            self._les.append(le)
+            self._payloads.append(event.payload)
+            self._max_le = le
+        return out
 
     def on_flush(self) -> Iterable[Event]:
         if self._max_le is None:
@@ -153,15 +157,19 @@ class SnapshotUDO(UnaryOperator):
         if not self._active:
             self._segment_start = None
 
-    def on_event(self, event: Event) -> Iterable[Event]:
-        yield from self._drain_until(event.le)
-        if self._active:
-            yield from self._emit_segment(event.le)
-        else:
-            self._segment_start = event.le
-        self._active.append(event.payload)
-        self._seq += 1
-        heapq.heappush(self._pending, (event.re, self._seq, event.payload))
+    def on_batch(self, events) -> list:
+        out = []
+        for event in events:
+            le = event.le
+            out.extend(self._drain_until(le))
+            if self._active:
+                out.extend(self._emit_segment(le))
+            else:
+                self._segment_start = le
+            self._active.append(event.payload)
+            self._seq += 1
+            heapq.heappush(self._pending, (event.re, self._seq, event.payload))
+        return out
 
     def on_flush(self) -> Iterable[Event]:
         # every payload, one whose RE lies past MAX_TIME too

@@ -8,17 +8,13 @@ is shared (see ``runtime/dataflow.py``).
 
 from __future__ import annotations
 
-from typing import Iterable
-
-from ..event import Event
 from .base import BinaryOperator
 
 
 class Union(BinaryOperator):
     """Bag union of both inputs, preserving LE order."""
 
-    def on_left(self, event: Event) -> Iterable[Event]:
-        yield event
+    def on_left_batch(self, events) -> list:
+        return list(events)
 
-    def on_right(self, event: Event) -> Iterable[Event]:
-        yield event
+    on_right_batch = on_left_batch

@@ -142,13 +142,6 @@ class StreamingEngine:
         event = self._as_event(source, item)
         if event is None:
             return []
-        return self._push(source, event, watermark)
-
-    def push_event(self, source: str, event: Event) -> List[Event]:
-        return self._push(source, event, self._flow.source_watermark(source))
-
-    def _push(self, source: str, event: Event, watermark: int) -> List[Event]:
-        """Feed ``event`` to ``source``, whose watermark is ``watermark``."""
         if self.slack:
             return self._push_with_slack(source, event, watermark)
         if event.le < watermark:
@@ -236,7 +229,7 @@ class StreamingEngine:
         for _, name, event in tagged:
             # keep all source watermarks aligned so joins make progress
             self._flow.set_watermarks(event.le)
-            out.extend(self.push_event(name, event))
+            out.extend(self.push(name, event))
         out.extend(self.flush())
         return out
 

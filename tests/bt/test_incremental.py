@@ -131,6 +131,6 @@ class TestIncrementalModelQuery:
         stream = StreamingEngine(q)
         live = []
         for ev in example_events(examples):
-            live.extend(stream.push_event("ex", ev))
+            live.extend(stream.push("ex", ev))
         live.extend(stream.flush())
         assert len(live) == 6

@@ -7,7 +7,6 @@ from repro.mapreduce import (
     CostModel,
     DistributedFileSystem,
     FailureInjector,
-    MapReduceJob,
     MapReduceStage,
     key_by_columns,
     stable_hash,
@@ -113,28 +112,18 @@ class TestMultiStageJobs:
         def total_reducer(idx, rows):
             return [{"Time": 0, "total": sum(r["n"] for r in rows)}]
 
-        job = MapReduceJob("j")
-        job.add_stage(
-            MapReduceStage("count", key_by_columns(["k"]), count_reducer, num_partitions=4)
+        cluster = make_cluster(sample_rows())
+        cluster.run_stage(
+            MapReduceStage("count", key_by_columns(["k"]), count_reducer, num_partitions=4),
+            "in",
+            "j.stage0",
         )
-        job.add_stage(MapReduceStage("total", lambda r: 0, total_reducer, num_partitions=1))
-        cluster = make_cluster(sample_rows())
-        out = cluster.run_job(job, "in")
+        out = cluster.run_stage(
+            MapReduceStage("total", lambda r: 0, total_reducer, num_partitions=1),
+            "j.stage0",
+            "j.out",
+        )
         assert out.all_rows() == [{"Time": 0, "total": 20}]
-
-    def test_intermediate_files_materialized(self):
-        job = MapReduceJob("j")
-        job.add_stage(MapReduceStage("a", key_by_columns(["k"]), count_reducer))
-        job.add_stage(MapReduceStage("b", lambda r: 0, lambda i, rows: rows))
-        cluster = make_cluster(sample_rows())
-        cluster.run_job(job, "in", output_name="final")
-        assert cluster.fs.exists("j.stage0")
-        assert cluster.fs.exists("final")
-
-    def test_empty_job_rejected(self):
-        cluster = make_cluster(sample_rows())
-        with pytest.raises(ValueError):
-            cluster.run_job(MapReduceJob("empty"), "in")
 
 
 class TestFailureHandling:
@@ -160,11 +149,6 @@ class TestFailureHandling:
         failing = make_cluster(rows, fault_policy=injector)
         got = failing.run_stage(stage, "in", "out").all_rows()
         assert got == expected
-
-    def test_verify_restart_determinism(self):
-        cluster = make_cluster(sample_rows())
-        stage = MapReduceStage("count", key_by_columns(["k"]), count_reducer)
-        assert cluster.verify_restart_determinism(stage, sample_rows())
 
 
 class TestCostModel:

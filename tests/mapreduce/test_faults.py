@@ -16,7 +16,6 @@ from repro.mapreduce import (
     FailureInjector,
     FaultPolicy,
     InjectedFault,
-    MapReduceJob,
     MapReduceStage,
     StageExecutionError,
     StageKiller,
@@ -115,14 +114,16 @@ class TestChaosPolicy:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_output_identical_to_fault_free(self, seed):
         rows = sample_rows(40)
-        stages = [count_stage("a", 3), count_stage("b", 2)]
-        job = MapReduceJob("job", stages)
-        baseline = make_cluster(rows).run_job(job, "in").all_rows()
 
+        def two_stages(cluster):
+            cluster.run_stage(count_stage("a", 3), "in", "job.stage0")
+            return cluster.run_stage(count_stage("b", 2), "job.stage0", "job.out")
+
+        baseline = two_stages(make_cluster(rows)).all_rows()
         policy = ChaosPolicy(seed=seed, rates=0.35)
-        chaotic = make_cluster(
-            rows, fault_policy=policy, max_restarts=CHAOS_RESTARTS
-        ).run_job(job, "in")
+        chaotic = two_stages(
+            make_cluster(rows, fault_policy=policy, max_restarts=CHAOS_RESTARTS)
+        )
         assert chaotic.all_rows() == baseline
 
     def test_validates_rates(self):
@@ -215,11 +216,12 @@ class TestStageKiller:
         assert out.num_rows > 0
 
     def test_later_stage_kill_leaves_earlier_output(self):
-        job = MapReduceJob("job", [count_stage("first", 2), count_stage("second", 2)])
         cluster = make_cluster(sample_rows(), fault_policy=StageKiller("second"))
+        cluster.run_stage(count_stage("first", 2), "in", "job.stage0")
         with pytest.raises(InjectedFault):
-            cluster.run_job(job, "in")
+            cluster.run_stage(count_stage("second", 2), "job.stage0", "job.out")
         assert cluster.fs.exists("job.stage0")
+        assert not cluster.fs.exists("job.out")
 
 
 class TestFaultSites:
@@ -350,6 +352,31 @@ class TestQuarantine:
         assert record["_stage"] == "t"
         assert record["_row"]["poison"] is True
         assert "cannot digest" in record["_error"]
+
+    def test_reduce_dead_letters_carry_their_own_errors(self):
+        # two poison rows in one partition: each dead letter names the
+        # error its own row raised, not the partition's first
+        rows = sample_rows(8) + [
+            {"Time": 50, "k": "a", "poison": "first"},
+            {"Time": 51, "k": "b", "poison": "second"},
+        ]
+
+        def touchy(idx, rows):
+            for r in rows:
+                if r.get("poison"):
+                    raise ValueError(f"bad row {r['poison']}")
+            return count_reducer(idx, rows)
+
+        cluster = make_cluster(rows, quarantine=True)
+        stage = MapReduceStage("t", key_by_columns(["k"]), touchy, num_partitions=1)
+        out = cluster.run_stage(stage, "in", "out")
+        assert out.all_rows() == count_reducer(0, sample_rows(8))
+        errors = {q["_row"]["poison"]: q["_error"] for q in cluster.last_quarantined}
+        assert errors == {
+            "first": repr(ValueError("bad row first")),
+            "second": repr(ValueError("bad row second")),
+        }
+        assert {q["_site"] for q in cluster.last_quarantined} == {REDUCE}
 
     def test_quarantine_off_fails_the_stage(self):
         rows = sample_rows(8) + [{"Time": 50, "k": "a", "poison": True}]

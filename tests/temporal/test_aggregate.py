@@ -359,8 +359,9 @@ def test_pane_sweep_equals_per_event_sweep(specs, column, data):
 @settings(max_examples=60, deadline=None)
 @given(steps=histories(VALUES["mixed"]))
 def test_on_event_is_the_same_loop(steps):
-    """``on_event`` per arrival ≡ one ``sweep`` per batch, payloads
-    handed over or (count only) not built at all."""
+    """One-event ``on_batch`` calls per arrival (what ``on_event`` was)
+    ≡ one ``sweep`` per batch, payloads handed over or (count only) not
+    built at all."""
     specs = SPEC_LISTS["count+sum"]
     whole, single = SnapshotAggregate(specs), SnapshotAggregate(specs)
     blind = SnapshotAggregate(SPEC_LISTS["count"])
@@ -373,7 +374,7 @@ def test_on_event_is_the_same_loop(steps):
         _, les, res, payloads = step
         one_by_one = []
         for le, re, payload in zip(les, res, payloads):
-            one_by_one.extend(single.on_event(Event(le, re, payload)))
+            one_by_one.extend(single.on_batch([Event(le, re, payload)]))
         assert exact(one_by_one) == exact(whole.sweep(les, res, payloads))
         assert blind.sweep(les, res, None) == seeing.sweep(les, res, payloads)
     assert exact(single.on_flush()) == exact(whole.on_flush())

@@ -60,7 +60,7 @@ class TestStatelessRowTransform:
 
     def test_agrees_with_the_operator_path(self):
         """Rows, column order included, are what one event through each
-        operator's ``on_event`` and back to a row would give."""
+        operator's ``on_batch`` and back to a row would give."""
         from repro.temporal.event import events_to_rows, rows_to_events
 
         q = (
@@ -80,7 +80,7 @@ class TestStatelessRowTransform:
         def reference(row):
             events = rows_to_events([row])
             for op in ops:
-                events = [out for e in events for out in op.on_event(e)]
+                events = [out for e in events for out in op.on_batch([e])]
             return events_to_rows(events)
 
         rows = [{"v": v, "Time": 3 * v, "k": "x"} for v in range(12)]
