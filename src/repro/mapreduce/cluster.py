@@ -374,9 +374,9 @@ class Cluster:
         restarts)``.
 
         Every injected restart is drawn before the reducer runs once, so
-        a fault schedule costs no reducer work. A *real* failure — user
-        code or malformed data — is retried once (the restart strategy
-        costs nothing to try), then poison rows are bisected out
+        a fault schedule costs no reducer work. A *real* failure is retried
+        once (it costs nothing to try), unless the data raised it
+        (``time.data_error``); then poison rows are bisected out
         (quarantine mode) or the stage fails with full context.
         """
         restarts = self._draw_faults((SHUFFLE, REDUCE), stage.name, idx, report)
@@ -391,7 +391,7 @@ class Cluster:
             except InjectedFault:
                 raise  # exotic: a policy firing inside user reduce code
             except Exception as exc:
-                if attempt == 1:
+                if attempt == 1 and not getattr(exc, "data_error", False):
                     continue
                 isolated = None
                 if self.context.quarantine:

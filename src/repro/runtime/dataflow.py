@@ -231,6 +231,8 @@ class GroupScheduler(UnaryOperator):
         pending = self._pending
         keyed = self._keyed
         self.chain_advances += len(self._groups)
+        if keyed is not None:
+            keyed.sweep(self._groups, MAX_TIME)
         for chain in self._groups.values():
             outs = chain.advance(MAX_TIME) if keyed is None else keyed.advance(chain, MAX_TIME)
             if outs:
@@ -327,6 +329,8 @@ class GroupScheduler(UnaryOperator):
         # the same relative order — and skipped chains add nothing
         added = False
         keyed = self._keyed
+        if keyed is not None:
+            keyed.sweep(due, w)
         for key, chain in sorted(due.items(), key=_activation_order):
             outs = chain.advance(w) if keyed is None else keyed.advance(chain, w)
             self.chain_advances += 1
@@ -864,6 +868,10 @@ class Dataflow:
         return sum(
             op.chain_advances for op in self._chain.ops if isinstance(op, GroupScheduler)
         )
+
+    def keyed_sweeps(self) -> List[KeyedAggregate]:
+        """The keyed sweeps of this flow's own GroupApply nodes."""
+        return [op._keyed for op in self._chain.ops if getattr(op, "_keyed", None)]
 
     # -- driving -------------------------------------------------------------
 

@@ -28,22 +28,30 @@ one the view's decode drops (``RowEvents.drops``: ``Time``, ``_re``,
 and a tagged input's ``_src``), the sweep reads the view's columns: the
 checked LEs and REs, the keys and aggregate inputs off the rows, each
 row its own read-only payload, and no ``Event`` or payload dict is
-built. Any other sweep iterates the view, which decodes it. The two
-forms differ only in :meth:`KeyedAggregate._columns`.
+built. Any other sweep iterates the view, which decodes it.
 
 A segment is emitted as one row ``(le, re, *values)`` whose values
 follow :attr:`KeyedAggregate.layout`, the payload's column order; the
 scheduler builds an ``Event`` from a row only where something in the
 flow reads it as one (``runtime/dataflow.py``).
+
+A ``count`` or plain ``sum`` that reads a chunk's columns stages it as
+int64 endpoints instead (the *array form*, docs/EXECUTION.md), which each
+wave's :meth:`KeyedAggregate.sweep` sorts once.
 """
 
 from __future__ import annotations
 
 import heapq
-from itertools import repeat
+import itertools
+import math
+from collections import Counter
+from itertools import chain, repeat
 from math import inf
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import List, Optional
+
+import numpy as np
 
 from ..temporal.event import _LE, _PAYLOAD, _RE, RowEvents
 from ..temporal.operators.aggregate import _Together
@@ -53,7 +61,16 @@ from ..temporal.operators.stateless import (
     event_kernel,
     spec_lifetimes,
 )
-from ..temporal.time import MAX_TIME, MIN_TIME
+from ..temporal.time import _INT_ONLY, MAX_TIME, MIN_TIME, data_error
+
+#: the array form holds times within ±_TIME_LIMIT after the stages, and
+#: sums while Σ max|v| × rows stays under _SUM_LIMIT: nothing overflows
+_TIME_LIMIT, _SUM_LIMIT = 3 << 61, 1 << 61
+_NEVER, _NOT_DUE = np.iinfo(np.int64).max, np.iinfo(np.int64).min  # horizons
+_W_IN = attrgetter("w_in")
+#: ``EngineStats.resolutions`` name: a source's rows a keyed count or
+#: int sum read through its per-row loop (``KeyedAggregate.row_loop``)
+ROW_LOOP = "keyed.row_loop"
 
 
 class KeyState:
@@ -113,14 +130,16 @@ def key_error(keys, events, exc: Exception) -> Exception:
     for e in events:
         for k in keys:
             if k not in e.payload:
-                return KeyError(f"GroupApply key column {k!r} missing from payload {e.payload!r}")
+                return data_error(KeyError(
+                    f"GroupApply key column {k!r} missing from payload {e.payload!r}"
+                ))
             try:
                 hash(e.payload[k])
             except TypeError:
-                return ValueError(
+                return data_error(ValueError(
                     f"GroupApply key column {k!r} holds {e.payload[k]!r}, "
                     "which is unhashable and cannot key a group"
-                )
+                ))
     return exc
 
 
@@ -148,11 +167,6 @@ class KeyedAggregate:
         #: the columns of every row ``(le, re, *values)`` this node emits
         self.layout = tuple(slots)
         self._slots = tuple(slots.values())
-        #: a lone aggregate that no key column overrides: its rows are
-        #: ``(le, re, value, *key_values)``, built inline
-        self._lone = len(self.specs) == 1 and self._slots == (
-            (0, 0), *((1, j) for j in range(len(self.keys)))
-        )
         prefix = shared[:-1]
         self._prefix_futures = futures[:-1]
         #: a stateless stage moves LEs back (a backward shift)
@@ -172,6 +186,24 @@ class KeyedAggregate:
         self._row_columns = frozenset((*self.keys, *(s.column for s in self.specs)))
         self._wave = None  # the input watermark the one below is for
         self._w_in = MIN_TIME  # what the aggregate stage sees
+        # -- the array form: counts and plain sums, over spec'd stages
+        self._arrayable = self._kernel is None and all(
+            s.kind == "count" or (s.kind == "sum" and not s.params) for s in self.specs
+        )
+        self._sum_columns = [s.column for s in self.specs if s.kind == "sum"]
+        sums = itertools.count(1)  # each spec's running total: 0 the count
+        self._totals = [next(sums) if s.kind == "sum" else 0 for s in self.specs]
+        self._slack = sum(abs(x) for spec in specs for x in spec[1:]) if self._arrayable else 0
+        self._loop_reason: Optional[str] = None  # why the loop runs, once it does
+        self._bound = self.array_swept_rows = 0
+        self.row_loop: Counter = Counter()  # rows of a source the loop took
+        self._kids: dict = {}  # key -> its id, which indexes the two below
+        self._states: List[KeyState] = []
+        self._key_cols: List[list] = [[] for _ in self.keys]
+        #: endpoint rows (key id, time, count, *sums): what the last wave
+        #: carried, then the chunks since, are the first ``_n``
+        self._ends = self._sorted = np.empty((0, 3 + len(self._sum_columns)), np.int64)
+        self._n = 0
 
     # -- feeding ------------------------------------------------------------
 
@@ -196,6 +228,10 @@ class KeyedAggregate:
             if st is None:
                 values = (key,) if len(keys) == 1 else key
                 st = groups[key] = KeyState(values, self.specs)
+                self._kids[key] = len(self._states)
+                self._states.append(st)
+                for column, value in zip(self._key_cols, values):
+                    column.append(value)
             if key not in active:
                 st.ordinal = next(scheduler._ordinals)
                 active[key] = st
@@ -209,13 +245,21 @@ class KeyedAggregate:
                 st = groups[key]
                 if le > st.w_in:
                     st.w_in = le
+        if self._arrayable and payloads is getattr(fresh, "rows", None):  # read off rows
+            if self._loop_reason is None:
+                self._loop_reason = self._stage(les, res, payloads, batch_keys)
+                if self._loop_reason is None:
+                    return
+            self.row_loop[self._loop_reason] += len(les)
+        self._loop_reason = self._loop_reason or "a chunk of events came first"
+        if self._n:
+            self._to_loop()
         les, res, payloads = self._lifetimes(les, res, payloads)
         reads = self.reads_payloads
         if not reads:
             payloads = repeat(None)
         drain = self._drain
         row = self._row
-        lone = self._lone
         push = heapq.heappush
         for key, le, re, payload in zip(batch_keys, les, res, payloads):
             st = groups[key]
@@ -239,10 +283,7 @@ class KeyedAggregate:
                 if pending[0] <= le:
                     drain(st, le)
                 if pending and le > st.start:
-                    st.out.append(
-                        (st.start, le, st.fold.value(), *st.key_values)
-                        if lone else row(st, st.start, le)
-                    )
+                    st.out.append(row(st, st.start, le))
             st.start = le
             if re not in panes:
                 push(pending, re)
@@ -280,6 +321,141 @@ class KeyedAggregate:
                 les[i], res[i], payloads[i] = out
         return les, res, payloads
 
+    # -- the array form ------------------------------------------------------
+
+    def _stage(self, les, res, rows, batch_keys) -> Optional[str]:
+        """Stage a chunk of rows as endpoints, or say why it cannot be."""
+        if not set(map(type, chain(les, res or ()))) <= _INT_ONLY:
+            return "a time is not an int"
+        sums, bound = [], self._bound
+        for column in self._sum_columns:
+            values = list(map(itemgetter(column), rows))  # a KeyError as the loop's
+            if not set(map(type, values)) <= _INT_ONLY:
+                return "a summed value is not an int"
+            bound += max(max(values), -min(values)) * len(values)
+            sums.append(values)
+        lo, hi = les[0] - self._slack, (les[-1] if res is None else max(res)) + self._slack
+        if bound >= _SUM_LIMIT or not -_TIME_LIMIT < lo <= hi < _TIME_LIMIT:
+            return "an int past the int64 bounds"
+        self._bound = bound
+        self.array_swept_rows += len(les)
+        key = np.fromiter(map(self._kids.__getitem__, batch_keys), np.int64, len(les))
+        le, sums = np.array(les, np.int64), np.array(sums, np.int64).reshape(-1, len(les))
+        re = None if res is None else np.array(res, np.int64)
+        keep = None
+        for spec in self._specs:  # spec_lifetimes, over arrays
+            if spec[0] == "shift":
+                le, re = le + spec[1], re + spec[2]
+                if spec[2] < spec[1]:
+                    keep = re > le if keep is None else keep & (re > le)
+            else:
+                if spec[0] == "hop":
+                    le = -(-le // spec[2]) * spec[2]
+                re = le + spec[1]
+        if keep is not None:
+            key, le, re, sums = key[keep], le[keep], re[keep], np.compress(keep, sums, axis=1)
+        # +1 and +v at each LE, -1 and -v at each RE, after what is staged
+        n, start = len(key), self._n
+        self._n += 2 * n
+        if self._n > len(self._ends):
+            grown = np.empty((2 * self._n, self._ends.shape[1]), np.int64)
+            grown[:start] = self._ends[:start]
+            self._ends, self._sorted = grown, np.empty_like(grown)
+        ends = self._ends[start : self._n]
+        ends[:n, 0] = ends[n:, 0] = key
+        ends[:n, 1], ends[n:, 1], ends[:n, 2], ends[n:, 2] = le, re, 1, -1
+        ends[:n, 3:], ends[n:, 3:] = sums.T, -sums.T
+        return None
+
+    def sweep(self, due: dict, w=None) -> None:
+        """Before the ``due`` keys advance at input watermark ``w``, sweep
+        every endpoint, each key up to its horizon: the later of its last
+        LE and (if due) its aggregate stage's watermark. Segments go to
+        the key's ``out``, ``start`` and ``pending`` are what the loop
+        would leave, and the rest is carried: ``_ends[:_n]``."""
+        n = self._n
+        if not n:
+            return
+        upto = np.full(len(self._states), _NOT_DUE, np.int64)
+        if due:
+            w = math.floor(w)  # another source's time may be a float
+            horizon = np.fromiter(map(_W_IN, due.values()), np.int64, len(due))
+            np.maximum(horizon, w, out=horizon)
+            for future in self._prefix_futures:
+                np.maximum(horizon - future, MIN_TIME, out=horizon)
+            kids = np.fromiter(map(self._kids.__getitem__, due), np.int64, len(due))
+            upto[kids] = _NEVER if w >= MAX_TIME else horizon
+        key, t = self._ends[:n, 0], self._ends[:n, 1]
+        t0 = int(t.min())  # sort by one combined key where it fits int64
+        span = int(t.max()) - t0 + 1
+        order = (np.argsort(key * span + (t - t0)) if span * len(upto) < 1 << 62
+                 else np.lexsort((t, key)))
+        ends = np.take(self._ends[:n], order, axis=0, out=self._sorted[:n], mode="clip")
+        key, t = ends[:, 0], ends[:, 1]
+        head = np.concatenate(([True], key[1:] != key[:-1]))  # a key's first
+        heads = np.flatnonzero(head)
+        first = key[heads]  # a key's last entry that adds: its last LE, or start
+        upto[first] = np.maximum(upto[first], np.maximum.reduceat(
+            np.where(ends[:, 2] > 0, t, MIN_TIME), heads
+        ))
+        # runs of equal (key, time), deltas summed; running totals per key
+        at = np.flatnonzero(head | np.concatenate(([True], t[1:] != t[:-1])))
+        key, t, head = key[at], t[at], head[at]
+        deltas = np.add.reduceat(ends[:, 2:], at, axis=0)
+        total = np.cumsum(deltas, axis=0)
+        base = np.take(total - deltas, np.flatnonzero(head), axis=0)
+        live = total - np.take(base, np.cumsum(head) - 1, axis=0)
+        del ends, total, base
+        done = t <= upto[key]
+        follows = np.append(~head[1:] & done[1:], False)  # the key's next run is done
+        seg = np.flatnonzero(follows & (live[:, 0] > 0))
+        last = np.flatnonzero(done & ~follows)  # each key's last done run
+        open_ = live[last, 0] > 0
+        # carried: each open segment's start with the live totals, and what is not done
+        marker = np.zeros(len(t), bool)
+        marker[last[open_]] = True
+        kept = np.flatnonzero(marker | ~done)
+        self._n = len(kept)
+        carried = self._ends[: self._n]
+        carried[:, 0], carried[:, 1] = key[kept], t[kept]
+        carried[:, 2:] = np.where(
+            marker[kept, None], np.take(live, kept, axis=0), np.take(deltas, kept, axis=0)
+        )
+        times = t.tolist()  # one int per boundary, shared where segments meet
+        at = times.__getitem__
+        states = self._states
+        for k, start, live_, end in zip(key[last].tolist(), map(at, last.tolist()), open_.tolist(),
+                                        map(at, np.minimum(last + 1, len(t) - 1).tolist())):
+            st = states[k]
+            st.start = start
+            st.pending = [end] if live_ else []
+        if not len(seg):
+            return
+        values = [np.take(live[:, i], seg).tolist() for i in self._totals]
+        seg_keys = key[seg]
+        keys = [list(map(column.__getitem__, seg_keys.tolist())) for column in self._key_cols]
+        rows = list(zip(map(at, seg.tolist()), map(at, (seg + 1).tolist()),
+                        *[(values, keys)[s][i] for s, i in self._slots]))
+        cuts = (np.flatnonzero(seg_keys[1:] != seg_keys[:-1]) + 1).tolist()
+        for k, a, b in zip(seg_keys[[0, *cuts]].tolist(), [0, *cuts], [*cuts, len(rows)]):
+            states[k].out = rows[a:b]
+
+    def _to_loop(self) -> None:
+        """Leave the array form: sweep up to each key's last LE, then make
+        the carried entries panes, heap and fold totals (ints: exact)."""
+        self.sweep({})
+        for k, t, *totals in self._ends[: self._n].tolist():
+            st = self._states[k]
+            if totals[0] > 0:  # the open segment's start, with the live totals
+                st.start, st.pending = t, []
+                for fold, i in zip(st.states, self._totals):
+                    setattr(fold, "total" if i else "n", totals[i])
+                continue
+            parts = [[-totals[i]] if i else -totals[0] for i in self._totals]
+            st.panes[t] = parts[0] if len(parts) == 1 else parts
+            st.pending.append(t)  # ascending: a heap
+        self._n = 0
+
     # -- the aggregate ------------------------------------------------------
 
     def _fold(self, st: KeyState) -> None:
@@ -290,8 +466,7 @@ class KeyedAggregate:
         st.run_le = st.run_re = st.run_payloads = None
 
     def _row(self, st: KeyState, le: int, re: int) -> tuple:
-        """A segment's row in the layout, for any layout; a lone
-        aggregate's is built inline the same way."""
+        """A segment's row in the layout."""
         sources = ([x.value() for x in st.states], st.key_values)
         return (le, re, *[sources[s][i] for s, i in self._slots])
 
@@ -299,14 +474,10 @@ class KeyedAggregate:
         """Retire every pane with RE <= ``t``, closing the constant-value
         segment at each RE before its pane leaves."""
         pending, panes, fold, out = st.pending, st.panes, st.fold, st.out
-        lone = self._lone
         while pending and pending[0] <= t:
             end = heapq.heappop(pending)
             if end > st.start:
-                out.append(
-                    (st.start, end, fold.value(), *st.key_values)
-                    if lone else self._row(st, st.start, end)
-                )
+                out.append(self._row(st, st.start, end))
             st.start = end
             fold.leave(panes.pop(end))
 

@@ -28,12 +28,14 @@ The default is the shared no-op tracer, which costs nothing.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from itertools import islice
 from operator import le
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from ..runtime.context import DEFAULT_CONTEXT, RunContext
 from ..runtime.dataflow import Dataflow
+from ..runtime.keyed import ROW_LOOP
 from .event import _LE, Event, EventColumns, RowEvents, TaggedRows, _row_res, rows_by_time
 from .plan import (
     GroupInputNode,
@@ -61,6 +63,8 @@ class EngineStats:
         #: of a source that something reads as events, none of one that
         #: only a keyed sweep reads (docs/EXECUTION.md, "Rows")
         self.decoded_rows = 0
+        #: source rows a keyed count or int sum swept as arrays (docs/EXECUTION.md)
+        self.array_swept_rows = 0
         self.operator_events: Dict[str, int] = {}
         self.operator_labels: Dict[str, str] = {}
         self.wall_seconds = 0.0
@@ -189,6 +193,7 @@ class Engine:
             metrics.counter("engine.input_events").inc(stats.input_events)
             metrics.counter("engine.output_events").inc(len(output))
             metrics.counter("engine.decoded_rows").inc(stats.decoded_rows)
+            metrics.counter("engine.array_swept_rows").inc(stats.array_swept_rows)
         stats.wall_seconds = context.clock() - start
         self.last_stats = stats
         return output
@@ -198,13 +203,20 @@ class Engine:
     def _record(self, flow, root, stats, output, context):
         """Fill stats and emit one summary span per operator node."""
         stats.output_events = len(output)
+        sweeps = flow.keyed_sweeps()
+        stats.array_swept_rows = sum(sweep.array_swept_rows for sweep in sweeps)
+        looped = sum((sweep.row_loop for sweep in sweeps), Counter())
+        why = "a keyed count or int sum read a source's rows one at a time: "
+        found_here = {ROW_LOOP: {"count": sum(looped.values()), "reason": why + "; ".join(
+            sorted(looped))}} if looped else {}
+        found_here.update(output.resolutions)
         executor = context.executor_resolutions()
-        stats.resolutions = {**executor, **output.resolutions}
+        stats.resolutions = {**executor, **found_here}
         tracer = context.tracer
         if tracer.enabled:
             for counter, found in (
                 ("executor.resolutions", executor),
-                ("engine.resolutions", output.resolutions),
+                ("engine.resolutions", found_here),
             ):
                 for name, entry in found.items():
                     tracer.metrics.counter(counter, resolution=name).inc(

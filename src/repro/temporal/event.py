@@ -16,7 +16,7 @@ from itertools import chain, islice, repeat
 from operator import attrgetter, contains, eq, gt, index as as_index, itemgetter, le
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from .time import MAX_TIME, TICK, check_time, check_times, validate_interval
+from .time import MAX_TIME, TICK, check_time, check_times, data_error, validate_interval
 
 Payload = Mapping[str, Any]
 
@@ -42,7 +42,7 @@ class Event:
 
     def __init__(self, le: int, re: int, payload: Payload):
         if re <= le:  # validate_interval, inlined: once per event built
-            raise ValueError(f"empty or inverted lifetime [{le}, {re})")
+            raise data_error(ValueError(f"empty or inverted lifetime [{le}, {re})"))
         self.le = le
         self.re = re
         self.payload = payload
@@ -402,10 +402,10 @@ def not_a_row(rows: Iterable, numbered: bool = True) -> None:
     for i, row in enumerate(rows):
         if not isinstance(row, Mapping):
             at = f"row {i}" if numbered else "the row"
-            raise ValueError(
+            raise data_error(ValueError(
                 f"{at} is {type(row).__name__} {row!r}, not a mapping of "
                 "column to value"
-            )
+            ))
 
 
 def decode_row(row: Payload) -> Tuple[Any, Any, dict]:
@@ -452,6 +452,8 @@ def row_times(rows: List[Payload]) -> list:
     except TypeError:
         not_a_row(rows)
         raise
+    except KeyError as exc:
+        raise data_error(exc)
 
 
 def rows_by_time(rows: List[Payload]) -> Tuple[list, list]:

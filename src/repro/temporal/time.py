@@ -49,10 +49,17 @@ def days(n: float) -> int:
     return hours(n * 24)
 
 
+def data_error(exc: Exception) -> Exception:
+    """``exc``, marked as raised by the data: the same rows raise it
+    again, so the cluster does not re-run a task that failed with it."""
+    exc.data_error = True
+    return exc
+
+
 def validate_interval(start: int, end: int) -> None:
     """Raise ``ValueError`` unless ``[start, end)`` is a non-empty interval."""
     if end <= start:
-        raise ValueError(f"empty or inverted lifetime [{start}, {end})")
+        raise data_error(ValueError(f"empty or inverted lifetime [{start}, {end})"))
 
 
 def check_time(value, column: str = "Time", end: bool = False):
@@ -69,10 +76,10 @@ def check_time(value, column: str = "Time", end: bool = False):
         or (isinstance(value, Real) and not isinstance(value, bool) and value == value)
     ) and (end or value < MAX_TIME):
         return value
-    raise ValueError(
+    raise data_error(ValueError(
         f"column {column!r} holds {value!r}, not a usable time "
         f"(an int or float before {MAX_TIME}, not a bool or NaN)"
-    )
+    ))
 
 
 _INT_ONLY = {int}

@@ -4,8 +4,9 @@ Run from the checkout root: ``python -m tests.runtime.record_digests``
 (``make record-digests``). It records and checks nothing: it prints, as
 Python literals, what the current ``src/`` does per call —
 
-* ``BATCH_DIGESTS`` / ``PUSH_DIGESTS`` (``test_wake_scheduling.py``):
-  every ``FUSION_SHAPES`` x ``PREFIXES`` GroupApply cell;
+* ``BATCH_DIGESTS`` / ``ROW_BATCH_DIGESTS`` / ``PUSH_DIGESTS``
+  (``test_wake_scheduling.py``): every ``FUSION_SHAPES`` x ``PREFIXES``
+  GroupApply cell, fed events, rows and pushes;
 * ``TOP_BATCH_DIGESTS`` / ``TOP_PUSH_DIGESTS`` / ``TOP_OPERATOR_EVENTS``
   (``test_top_level.py``): every ``TOP_SHAPES`` cell;
 * ``NESTED_CHAIN_ADVANCES`` (``test_top_level.py``): the inner work of
@@ -22,15 +23,18 @@ from tests.runtime import test_wake_scheduling as w
 
 
 def per_key_tables():
-    batch, push = {}, {}
+    batch, row_batch, push = {}, {}, {}
     for subplan in sorted(w.FUSION_SHAPES):
         for prefix in sorted(w.PREFIXES):
             query = w.build(prefix, subplan, w.FUSION_SHAPES)
             cell = f"{subplan}-{prefix}"
             batch[cell] = w.digest(w.drive_in_batches(query, w.wave_rows(2500)))
+            row_batch[cell] = w.digest(
+                w.drive_in_batches(query, w.wave_rows(2500), as_rows=True)
+            )
             if subplan not in w.DEFERRED:
                 push[cell] = w.digest(w.push_calls(query))
-    return {"BATCH_DIGESTS": batch, "PUSH_DIGESTS": push}
+    return {"BATCH_DIGESTS": batch, "ROW_BATCH_DIGESTS": row_batch, "PUSH_DIGESTS": push}
 
 
 def top_level_tables():

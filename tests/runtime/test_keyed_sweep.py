@@ -23,7 +23,7 @@ from repro.bt.queries import per_keyword_count_query
 from repro.bt.schema import BTConfig
 from repro.mapreduce import Cluster, DistributedFileSystem
 from repro.runtime import RunContext, dataflow, keyed
-from repro.temporal import Engine, Query, StreamingEngine, normalize
+from repro.temporal import Engine, Query, StreamingEngine, explain, normalize
 from repro.temporal import event
 from repro.temporal.event import TIMES_UNPACKED, Event, EventColumns, LayoutRows, point_events
 from repro.temporal.operators import AggSpec
@@ -220,6 +220,23 @@ def test_float_les_still_fall_back_to_lists():
     assert isinstance(keyed_out.les, list) and isinstance(keyed_out.les[0], float)
 
 
+def test_a_float_chunk_names_the_row_loop():
+    """Not one row is swept as arrays when the times are floats, and the
+    run says why: the ``keyed.row_loop`` resolution, in ``explain()``
+    too."""
+    rows = [{**row, "Time": row["Time"] + 0.5} for row in scale_rows(3000)]
+    query = Query.source("logs", ("Time", "UserId", "Clicks")).group_apply(
+        "UserId", SHAPES["scale_sliding"]
+    )
+    engine = Engine(context=SERIAL)
+    engine.run(query, {"logs": rows}, validate=False)
+    stats = engine.last_stats
+    assert stats.array_swept_rows == 0
+    found = stats.resolutions[keyed.ROW_LOOP]
+    assert found["count"] == len(rows) and "a time is not an int" in found["reason"]
+    assert f"resolved this run: {keyed.ROW_LOOP} x {len(rows)}" in explain(query, stats=stats)
+
+
 def test_keyed_node_under_a_where_releases_events():
     """Not the root: the rows become events on entering the GroupApply's
     output log, and the ``Where`` reads them as any events."""
@@ -313,6 +330,9 @@ def test_no_event_built_per_input_row(shape):
     assert len(out) > len(rows) / 5
     assert built == 0
     assert decoded == [] and stats.decoded_rows == 0
+    # and every row was swept as arrays: no per-row loop either
+    assert stats.array_swept_rows == len(rows)
+    assert keyed.ROW_LOOP not in stats.resolutions
 
 
 @pytest.mark.parametrize("name", ["bot-elimination", "joins"])
@@ -367,8 +387,9 @@ def test_kez_per_keyword_count_decodes_no_row_in_timr():
     horizon, run as one TiMR fragment: each reducer hands its engine
     the partition's rows, and the keyed sweep computes the lifetimes
     over their columns, so no row is decoded to an event (each reducer
-    decoded all of its rows while it handed its engine events), and
-    the output is the one the same rows decoded to events give."""
+    decoded all of its rows while it handed its engine events), every
+    row is swept as arrays, and the output is the one the same rows
+    decoded to events give."""
     rng = random.Random(5)
     times = sorted(rng.randrange(hours(72)) for _ in range(6000))
     rows = [
@@ -402,6 +423,8 @@ def test_kez_per_keyword_count_decodes_no_row_in_timr():
     assert len(result.fragments) == 1 and len(engines) == 3
     assert sum(stats.input_events for stats in engines) == len(rows)
     assert [stats.decoded_rows for stats in engines] == [0, 0, 0]
+    assert sum(stats.array_swept_rows for stats in engines) == len(rows)
+    assert not any(keyed.ROW_LOOP in stats.resolutions for stats in engines)
     assert decoded == []  # nothing on the way decodes a row either
     want = Engine().run(query, {"train": event.point_events(rows)})
     assert want and normalize(event.point_events(result.output_rows())) == normalize(want)

@@ -17,7 +17,9 @@ The top-level cells of ``test_top_level.py`` (``TOP_SHAPES``) take
 ``Engine.run`` and the per-push comparison too. Degenerate sub-plans
 (the identity, a constant-false ``where``, an empty group input, every
 row at one ``Time``) and joins, at the top level and per key, take the
-same comparison. Histories are hypothesis-generated:
+same comparison, and so do keyed counts and int sums over long row
+histories with hostile values (the keyed sweep's array form and its
+conversion to the loop). Histories are hypothesis-generated:
 ties, slack 0 and 4, CTIs, and sometimes one hot key that takes most
 rows. Tier-1 runs a light profile
 (a couple of histories per cell, and for ``TiMR.run`` one fixed,
@@ -27,6 +29,7 @@ the heavy one (``make test-oracle``).
 
 import ast
 import inspect
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +39,7 @@ from repro.mapreduce import Cluster, DistributedFileSystem
 from repro.runtime import dataflow
 from repro.temporal import Engine, Query, StreamingEngine, normalize, relation
 from repro.temporal.event import rows_to_events
+from repro.temporal.operators import AggSpec
 from repro.temporal.relation import ref_plan
 from repro.timr import TiMR
 from tests.runtime.test_row_ingest import SHIFT_CHAINS, chained
@@ -398,6 +402,77 @@ def test_keyed_sweep_over_rows_equals_the_oracle(subplan, data):
 @given(data=st.data())
 def test_keyed_sweep_over_rows_equals_the_oracle_heavy(subplan, data):
     check_rows(subplan, data)
+
+
+# -- keyed counts and int sums in the array form ---------------------------------
+#
+# Fed a source's rows, a keyed count or int sum is swept as int64 arrays,
+# a wave at a time, and a chunk it cannot hold so (a float or a bool, an
+# int past the bound, a float time) turns the rest of the run over to the
+# per-row loop. Histories here are long enough for the batch driver's
+# waves (over 4,096 rows), with negative, huge and late hostile values.
+
+ARRAY_SHAPES = {
+    "count": ("UserId", lambda g: g.window(40).count(into="n")),
+    "sum": ("UserId", lambda g: g.window(40).sum("V", into="s")),
+    "hop-count-sum": ("UserId", lambda g: g.hopping_window(60, 20).aggregate(
+        AggSpec("count", "n"), AggSpec("sum", "s", "V"))),
+    "shift-hop-sum": ("UserId", lambda g: g.shift(1).hopping_window(30, 30).sum("V", into="s")),
+    "bare-count-sum": ("UserId", lambda g: g.aggregate(
+        AggSpec("count", "n"), AggSpec("sum", "s", "V"))),
+    "compound-keys": (("UserId", "StreamId"), lambda g: g.window(25).aggregate(
+        AggSpec("sum", "s", "V"), AggSpec("count", "n"))),
+}
+
+#: what ``V`` holds: each row's value, or the one late row's
+VALUES = {
+    "small": lambda rng, i: rng.randrange(4),
+    "negative": lambda rng, i: rng.randrange(-9, 2),
+    "huge": lambda rng, i: rng.choice([-(2**40), 0, 2**40]),
+    "late-float": lambda rng, i: 0.5 if i == 5000 else rng.randrange(4),
+    "late-bool": lambda rng, i: True if i == 5000 else rng.randrange(4),
+    "late-past-the-bound": lambda rng, i: 2**61 if i == 5000 else rng.randrange(4),
+}
+
+
+@st.composite
+def long_rows(draw):
+    """About 6,000 rows in ``Time`` order, with ties, over up to 40
+    users; some carry an ``_re``."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    value = VALUES[draw(st.sampled_from(sorted(VALUES)))]
+    users = draw(st.integers(min_value=1, max_value=40))
+    rows, now = [], 0
+    for i in range(draw(st.integers(min_value=5200, max_value=7000))):
+        now += rng.choice([0, 0, 1, 2, 3])
+        row = {"Time": now, "StreamId": rng.randrange(2), "UserId": rng.randrange(users),
+               "V": value(rng, i)}
+        if rng.randrange(4) == 0:
+            row["_re"] = now + 1 + rng.randrange(30)
+        rows.append(row)
+    return rows
+
+
+def check_array_shape(name, data):
+    keys, subplan = ARRAY_SHAPES[name]
+    rows = data.draw(long_rows())
+    query = Query.source("logs", ("StreamId", "UserId", "V")).group_apply(keys, subplan)
+    assert engine_run(query, rows) == oracle(query, rows)
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_SHAPES))
+@light
+@given(data=st.data())
+def test_keyed_counts_and_sums_over_rows_equal_the_oracle(name, data):
+    check_array_shape(name, data)
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("name", sorted(ARRAY_SHAPES))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_keyed_counts_and_sums_over_rows_equal_the_oracle_heavy(name, data):
+    check_array_shape(name, data)
 
 
 # -- lifetime rewrites ahead of the aggregate ------------------------------------

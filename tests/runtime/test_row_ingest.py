@@ -16,7 +16,9 @@ carry an ``_re``, in the default batch size and in small batches. Two
 sources (``TOP_SHAPES``' joins, one source empty or ending early, and a
 keyed sweep beside a filter) and a multi-input TiMR reducer over
 ``_src``-tagged rows take the same comparison, also with LE ties
-straddling every chunk cut and in batches of one.
+straddling every chunk cut and in batches of one. Hostile values
+(``HOSTILE_ROWS``) hold the keyed sweep's array form, and its
+conversion to the per-row loop, to the loop over the same rows decoded.
 """
 
 import contextlib
@@ -29,9 +31,12 @@ from unittest import mock
 import pytest
 
 from repro.runtime import RunContext
+from repro.runtime.keyed import ROW_LOOP
 from repro.temporal import Engine, Query
 from repro.temporal import engine as engine_module
 from repro.temporal.event import SRC_COLUMN, events_to_rows, point_events
+from repro.temporal.operators import AggSpec
+from repro.temporal.time import MAX_TIME
 from repro.timr import compile as timr_compile
 from repro.timr import make_fragments, make_reducer
 from tests.runtime.test_top_level import TOP_SHAPES, top_sources
@@ -169,6 +174,95 @@ def test_rewrite_chains_over_rows_equal_over_events(subplan, chain, rows, batch)
     assert advances
     if chain != "shift-emptying" or rows == "intervals":
         assert out or subplan == "where-first"
+
+
+# -- the array form against the loop, on hostile values -----------------------------
+#
+# A keyed count or int sum fed a source's rows runs in the array form
+# (``runtime/keyed.py``); fed the same rows decoded to events it runs its
+# per-row loop. Each cell gives the same output, operator events and chain
+# advances both ways. Where a chunk cannot be held as int64 arrays (a
+# float or a bool, an int past the bound, a float time) the rows take the
+# loop from that chunk on, after the carried state became panes, and
+# ``keyed.row_loop`` says so.
+
+
+def _hostile(change, source=lambda: wave_rows(2500)):
+    def rows():
+        out = source()
+        for i, row in enumerate(out):
+            change(i, row)
+        return out
+    return rows
+
+
+def _from(index, column, value):
+    """Set ``column`` to ``value`` in one row, past the first chunk of
+    either batch size."""
+    def change(i, row):
+        if i == index:
+            row[column] = value
+    return change
+
+
+def _count_and_sum(stages=lambda g: g.window(7)):
+    return lambda g: stages(g).aggregate(AggSpec("count", "n"), AggSpec("sum", "s", "V"))
+
+
+#: name -> (keys, sub-plan, rows, how the rows are swept: "array",
+#: "converts" mid-stream or the "loop" throughout)
+HOSTILE_ROWS = {
+    "negative-and-zero": (
+        "UserId", _count_and_sum(), _hostile(lambda i, row: row.update(V=row["V"] - 3)),
+        "array",
+    ),
+    "re-at-max-time": (
+        "UserId", _count_and_sum(lambda g: g.shift(2, 3)),
+        _hostile(lambda i, row: i % 5 or row.update(_re=MAX_TIME)), "array",
+    ),
+    "tied-les-across-keys": (
+        "UserId", _count_and_sum(), lambda: tied_rows(2500), "array",
+    ),
+    "shift-emptying": (
+        "UserId", _count_and_sum(SHIFT_CHAINS["shift-emptying"]), lambda: interval_rows(2500),
+        "array",
+    ),
+    "compound-keys": (
+        ("UserId", "StreamId"), _count_and_sum(lambda g: g.hopping_window(12, 4)),
+        lambda: wave_rows(2500), "array",
+    ),
+    "bool-value": ("UserId", _count_and_sum(), _hostile(_from(1500, "V", True)), "converts"),
+    "float-value": ("UserId", _count_and_sum(), _hostile(_from(1500, "V", 2.5)), "converts"),
+    "int-near-2**62": (
+        "UserId", _count_and_sum(), _hostile(_from(1500, "V", 2**62 - 1)), "converts",
+    ),
+    "float-times": (
+        "UserId", _count_and_sum(),
+        _hostile(lambda i, row: i < 1500 or row.update(Time=row["Time"] + 0.5)), "converts",
+    ),
+    "float-times-throughout": (
+        "UserId", _count_and_sum(),
+        _hostile(lambda i, row: row.update(Time=row["Time"] + 0.5)), "loop",
+    ),
+}
+
+
+@pytest.mark.parametrize("batch", sorted(BATCHES))
+@pytest.mark.parametrize("case", sorted(HOSTILE_ROWS))
+def test_array_form_equals_the_loop_on_hostile_rows(case, batch):
+    keys, subplan, make_rows, swept = HOSTILE_ROWS[case]
+    query = lambda: Query.source("logs", ("StreamId", "UserId", "V")).group_apply(keys, subplan)
+    rows = make_rows()
+    out, _, advances = assert_rows_equal_events(query, {"logs": rows}, BATCHES[batch])
+    assert out and advances
+    context = RunContext() if BATCHES[batch] is None else RunContext(batch_size=BATCHES[batch])
+    engine = Engine(context=context)
+    engine.run(query(), {"logs": rows}, validate=False)
+    stats = engine.last_stats
+    looped = stats.resolutions.get(ROW_LOOP, {}).get("count", 0)
+    assert stats.array_swept_rows + looped == len(rows)
+    assert {"array": looped == 0, "loop": stats.array_swept_rows == 0,
+            "converts": 0 < looped < len(rows)}[swept]
 
 
 # -- several sources ---------------------------------------------------------------

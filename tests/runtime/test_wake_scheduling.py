@@ -30,6 +30,7 @@ from repro.data import GeneratorConfig, generate
 from repro.runtime import RunContext, dataflow, keyed
 from repro.runtime.dataflow import Dataflow, StreamingUnsupported
 from repro.temporal import Engine, Query, StreamingEngine
+from repro.temporal import engine as engine_module
 from repro.temporal.event import Event, point_events
 from repro.temporal.operators import (
     WAKE_ALWAYS,
@@ -440,11 +441,14 @@ def test_fused_equals_unfused_per_push(prefix, subplan, data):
     assert SHARED_PAYLOAD == {"c": 1}
 
 
-def drive_in_batches(query, rows, chunk=50, wave=64, feed=to_logs):
+def drive_in_batches(query, rows, chunk=50, wave=64, feed=to_logs, as_rows=False):
     """The batch driver's loop — chunked feeds, amortized waves — with
     every ``advance`` call's releases, watermark and wake time kept.
     Each chunk is fed per source (``feed`` as in :func:`drive`), with
-    that source's last LE as its watermark."""
+    that source's last LE as its watermark: as events, or with
+    ``as_rows`` as the ``RowEvents`` view ``Engine.run`` cuts from a
+    source of rows (``engine._source``), whose columns a keyed sweep
+    reads."""
     flow = Dataflow(
         query.to_plan(), allow_unstreamable=True, group_wave_events=wave
     )
@@ -460,8 +464,12 @@ def drive_in_batches(query, rows, chunk=50, wave=64, feed=to_logs):
             if routed is not None:
                 per_source.setdefault(routed[0], []).append(routed[1])
         for name, part in per_source.items():
-            events = point_events(part)
-            flow.feed(name, events, events[-1].le)
+            if as_rows:
+                les, view = engine_module._source(part)
+                flow.feed(name, view(0, len(part)), les[-1])
+            else:
+                events = point_events(part)
+                flow.feed(name, events, events[-1].le)
         call(flow.advance())
     call(flow.flush())
     return calls
@@ -654,6 +662,13 @@ PUSH_DIGESTS = {
 }
 
 
+#: ``drive_in_batches(query, wave_rows(2500), as_rows=True)`` per cell,
+#: recorded with ``make record-digests`` while every row went through the
+#: keyed sweep's per-row loop: cell for cell the table above, which is
+#: therefore this one. The array form must match it call for call.
+ROW_BATCH_DIGESTS = BATCH_DIGESTS
+
+
 def push_calls(query, feed=to_logs):
     """:func:`drive` of the two fixed scripts (slack 0 and 4), wake
     times included: what a ``PUSH_DIGESTS`` entry hashes."""
@@ -694,6 +709,17 @@ def test_flat_equals_nested_per_push(prefix, subplan):
 def test_flat_equals_nested_per_batch_call(prefix, subplan):
     calls = drive_in_batches(build(prefix, subplan, FUSION_SHAPES), wave_rows(2500))
     assert digest(calls) == BATCH_DIGESTS[f"{subplan}-{prefix}"]
+
+
+@pytest.mark.parametrize("prefix", sorted(PREFIXES))
+@pytest.mark.parametrize("subplan", sorted(FUSION_SHAPES))
+def test_rows_per_batch_call(prefix, subplan):
+    """Fed a source's rows, a keyed count or int sum runs in the array
+    form; every call still releases what the loop released."""
+    calls = drive_in_batches(
+        build(prefix, subplan, FUSION_SHAPES), wave_rows(2500), as_rows=True
+    )
+    assert digest(calls) == ROW_BATCH_DIGESTS[f"{subplan}-{prefix}"]
 
 
 def count_flows(run):

@@ -100,6 +100,31 @@ def test_an_unhashable_key_is_named_or_set_aside(value, shape, entry):
     assert [row["UserId"] for row in aside] == [UNHASHABLE[value]]
 
 
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_a_key_error_fails_its_reducer_once(shape):
+    """An unhashable key raises the same on every attempt, so the
+    partition's reducer runs once and the error says attempt 1 (a
+    re-run that could only fail again used to report attempt 2)."""
+    calls = []
+    make = timr_compile.make_reducer
+
+    def counting(*args, **kwargs):
+        reducer = make(*args, **kwargs)
+
+        def run(index, rows):
+            calls.append(index)
+            return reducer(index, rows)
+
+        return run
+
+    bad = {"Time": 2, "UserId": [1], "S": 0}
+    with mock.patch.object(timr_compile, "make_reducer", counting), \
+            pytest.raises(StageExecutionError) as info:
+        timr(False)(grouped(shape), [dict(GOOD[0]), bad, dict(GOOD[1])])
+    assert info.value.attempt == 1 and "failed on attempt 1 " in str(info.value)
+    assert calls.count(info.value.partition) == 1
+
+
 def reads_other():
     return Query.source("logs").group_apply(
         "UserId", lambda g: g.union(Query.source("other"))
