@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test test-oracle record-digests lint selflint ruff chaos examples bench-e2e bench-pairs bench-smoke test-bench-harness profile profile-bt loc
+.PHONY: check test test-oracle record-digests lint selflint ruff chaos examples bench-e2e bench-pairs bench-smoke test-bench-harness profile profile-bt loc counts
 
 # everything CI gates
 check: test test-oracle selflint chaos ruff test-bench-harness examples bench-smoke
@@ -60,6 +60,14 @@ bench-pairs:
 loc:
 	@$(PYTHON) tools/loc.py --base $(BASE)
 
+# the work each repo-benchmark workload does, at BASE and in the working
+# tree (tools/counts.py): one traced full-size seed-0 pass a side, then
+# chain advances, operator events, decoded and array-swept rows, output
+# rows and digest per workload; exits non-zero where the sides differ.
+# About two minutes a side, so it is not part of `check`
+counts:
+	@$(PYTHON) tools/counts.py --base $(BASE)
+
 # the benchmark harness's own tests; benchmarks/e2e is not in tier-1's
 # testpaths
 test-bench-harness:
@@ -71,7 +79,8 @@ test-bench-harness:
 #   the chain serves train.out from kez.frag0 (timr/fingerprint.py): both
 #   lean on this digest, floats at 9 significant digits
 # - scale_sliding, scale_par and scale_hopping: Engine.run keeps its
-#   result as columns (EventColumns); these hash and mass-check every row
+#   result as columns (a Batch of layout values); these hash and
+#   mass-check every row
 # - stream_push: bot elimination pushed row by row, its per-user plan on
 #   flat GroupApply chains: the check asserts pushed + flushed output
 #   equals Engine.run over the same rows

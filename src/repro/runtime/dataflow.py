@@ -7,10 +7,13 @@ order — and one :class:`_FlatChain` runs it whenever new input or
 watermarks arrive:
 
 * ``feed(source, events, watermark)`` appends time-ordered events to a
-  named source's position;
+  named source's position (a lone :class:`~repro.temporal.event.Batch`
+  of a source's rows is queued as it is, for a keyed sweep to read by
+  column);
 * ``advance()`` runs every step once, in order, and returns the query
   outputs that are now *final* — no future input can change them (the
-  CTI/watermark contract of Section III-C.1);
+  CTI/watermark contract of Section III-C.1): a list, or a ``Batch`` of
+  layout values when the root is a keyed GroupApply;
 * ``flush()`` declares end-of-input and drains all remaining state.
 
 Both execution modes are thin drivers over this one graph:
@@ -52,7 +55,7 @@ from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..temporal.event import _LE, _ROW_LE, Event, LayoutRows, RowEvents
+from ..temporal.event import _LE, _ROW_LE, Batch, Event
 from ..temporal.operators.base import WAKE_ALWAYS, WAKE_AT_FLUSH, UnaryOperator, _deliver
 from ..temporal.plan import (
     AggregateNode,
@@ -297,7 +300,7 @@ class GroupScheduler(UnaryOperator):
         """Released outputs: a keyed sweep's rows become events here,
         except at a flow's root."""
         if self._keyed is not None and self.layout is None:
-            return list(LayoutRows(self._keyed.layout, released))
+            return list(Batch.of_layout(self._keyed.layout, released))
         return released
 
     def _wave(self, w: int) -> list:
@@ -608,10 +611,10 @@ class _FlatChain:
     def feed(self, j: int, events: Iterable[Event], watermark: Optional[int] = None) -> None:
         """Queue LE-ordered ``events`` at input position ``j`` for the
         next pass; raise its watermark to ``watermark`` when given. A
-        lone :class:`RowEvents` is queued as it is, so a reader that
-        reads its columns (the keyed sweep) decodes none of its rows."""
+        lone :class:`Batch` is queued as it is, so a reader that reads a
+        source's columns (the keyed sweep) decodes none of its rows."""
         queued = self.inputs[j]
-        if not queued and type(events) is RowEvents:
+        if not queued and type(events) is Batch:
             self.inputs[j] = events
         else:
             if type(queued) is not list:
@@ -814,7 +817,7 @@ class Dataflow:
         self._plan = _FlatPlan(self._order, group_wave_events, tracer, top=True)
         self._chain = _FlatChain(self._plan)
         #: a keyed GroupApply root emits its rows, and ``advance``
-        #: releases them as one ``LayoutRows`` in this layout
+        #: releases them as one :class:`Batch` in this layout
         self._layout = getattr(self._chain.ops[-1], "layout", None) if self._plan.nodes else None
         self._flushed = False
 
@@ -898,10 +901,11 @@ class Dataflow:
 
     def advance(self) -> Sequence[Event]:
         """Propagate what was fed since the last pass; return newly-final
-        root outputs: a list, or a :class:`LayoutRows` when the root is a
-        keyed GroupApply (its events are built as they are read)."""
+        root outputs: a list, or a :class:`Batch` of layout values when
+        the root is a keyed GroupApply (its events are built as they are
+        read)."""
         released = self._chain.run() or []
-        return released if self._layout is None else LayoutRows(self._layout, released)
+        return released if self._layout is None else Batch.of_layout(self._layout, released)
 
     def flush(self) -> Sequence[Event]:
         """End of input everywhere: drain all remaining operator state."""

@@ -22,18 +22,19 @@ identical event for event and call for call
 (``tests/runtime/test_wake_scheduling.py`` runs both).
 
 A batch arrives as events, or straight from a source of rows as a
-:class:`~repro.temporal.event.RowEvents` view. When the stages are
+:class:`~repro.temporal.event.Batch` of them. When the stages are
 windows, hops and shifts, or none, and no key or aggregate column is
-one the view's decode drops (``RowEvents.drops``: ``Time``, ``_re``,
-and a tagged input's ``_src``), the sweep reads the view's columns: the
+one the rows' decode drops (``Batch.drops``: ``Time``, ``_re``, and a
+tagged input's ``_src``), the sweep reads the batch's columns: the
 checked LEs and REs, the keys and aggregate inputs off the rows, each
 row its own read-only payload, and no ``Event`` or payload dict is
-built. Any other sweep iterates the view, which decodes it.
+built. Any other sweep iterates the batch, which decodes it.
 
 A segment is emitted as one row ``(le, re, *values)`` whose values
 follow :attr:`KeyedAggregate.layout`, the payload's column order; the
 scheduler builds an ``Event`` from a row only where something in the
-flow reads it as one (``runtime/dataflow.py``).
+flow reads it as one, and a flow whose root is the node releases them
+as one :class:`~repro.temporal.event.Batch` (``runtime/dataflow.py``).
 
 A ``count`` or plain ``sum`` that reads a chunk's columns stages it as
 int64 endpoints instead (the *array form*, docs/EXECUTION.md), which each
@@ -53,8 +54,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..temporal.event import _LE, _PAYLOAD, _RE, RowEvents
-from ..temporal.operators.aggregate import _Together
+from ..temporal.event import _LE, _PAYLOAD, _RE, Batch
+from ..temporal.operators.aggregate import _Together, aggregate_error
 from ..temporal.operators.base import WAKE_ALWAYS
 from ..temporal.operators.stateless import (
     WINDOW_SPECS,
@@ -68,9 +69,11 @@ from ..temporal.time import _INT_ONLY, MAX_TIME, MIN_TIME, data_error
 _TIME_LIMIT, _SUM_LIMIT = 3 << 61, 1 << 61
 _NEVER, _NOT_DUE = np.iinfo(np.int64).max, np.iinfo(np.int64).min  # horizons
 _W_IN = attrgetter("w_in")
-#: ``EngineStats.resolutions`` name: a source's rows a keyed count or
-#: int sum read through its per-row loop (``KeyedAggregate.row_loop``)
+#: ``EngineStats.resolutions`` name: the rows a keyed count or int sum
+#: fed through its per-row loop (``KeyedAggregate.row_loop``)
 ROW_LOOP = "keyed.row_loop"
+#: why a keyed count or int sum fed events, not a source's rows, loops
+EVENTS_READ = "the node read events, not a source's rows"
 
 
 class KeyState:
@@ -182,7 +185,7 @@ class KeyedAggregate:
         self._key_of = itemgetter(*self.keys)
         #: the key and aggregate columns: a source's rows are swept as
         #: they are when no kernel runs over an event and none of these
-        #: is a column the view's decode drops (``RowEvents.drops``)
+        #: is a column the rows' decode drops (``Batch.drops``)
         self._row_columns = frozenset((*self.keys, *(s.column for s in self.specs)))
         self._wave = None  # the input watermark the one below is for
         self._w_in = MIN_TIME  # what the aggregate stage sees
@@ -196,7 +199,7 @@ class KeyedAggregate:
         self._slack = sum(abs(x) for spec in specs for x in spec[1:]) if self._arrayable else 0
         self._loop_reason: Optional[str] = None  # why the loop runs, once it does
         self._bound = self.array_swept_rows = 0
-        self.row_loop: Counter = Counter()  # rows of a source the loop took
+        self.row_loop: Counter = Counter()  # rows the loop took, by why
         self._kids: dict = {}  # key -> its id, which indexes the two below
         self._states: List[KeyState] = []
         self._key_cols: List[list] = [[] for _ in self.keys]
@@ -245,13 +248,16 @@ class KeyedAggregate:
                 st = groups[key]
                 if le > st.w_in:
                     st.w_in = le
-        if self._arrayable and payloads is getattr(fresh, "rows", None):  # read off rows
-            if self._loop_reason is None:
-                self._loop_reason = self._stage(les, res, payloads, batch_keys)
+        if self._arrayable:
+            if type(fresh) is Batch and payloads is fresh.rows:  # read off rows
                 if self._loop_reason is None:
-                    return
-            self.row_loop[self._loop_reason] += len(les)
-        self._loop_reason = self._loop_reason or "a chunk of events came first"
+                    self._loop_reason = self._stage(les, res, payloads, batch_keys)
+                    if self._loop_reason is None:
+                        return
+                self.row_loop[self._loop_reason] += len(les)
+            else:
+                self._loop_reason = self._loop_reason or EVENTS_READ
+                self.row_loop[EVENTS_READ] += len(les)
         if self._n:
             self._to_loop()
         les, res, payloads = self._lifetimes(les, res, payloads)
@@ -275,9 +281,10 @@ class KeyedAggregate:
             panes = st.panes
             if st.run_k:
                 run_re = st.run_re
-                panes[run_re] = st.fold.enter(
-                    panes[run_re], st.run_payloads, st.run_k
-                )
+                try:
+                    panes[run_re] = st.fold.enter(panes[run_re], st.run_payloads, st.run_k)
+                except TypeError as exc:
+                    raise aggregate_error(self.specs, st.states, st.run_payloads, exc) from None
             pending = st.pending
             if pending:
                 if pending[0] <= le:
@@ -296,11 +303,12 @@ class KeyedAggregate:
 
     def _columns(self, fresh):
         """``(les, res, payloads)`` of ``fresh``, ``res`` ``None`` where a
-        time window computes them: read off a source's rows
-        (:class:`RowEvents`, each row its own read-only payload) where
+        time window computes them: read off a source's rows (a
+        :class:`Batch` of them, each row its own read-only payload) where
         this sweep reads rows, else off the events."""
         if (
-            type(fresh) is RowEvents
+            type(fresh) is Batch
+            and fresh.rows is not None
             and self._kernel is None
             and fresh.drops.isdisjoint(self._row_columns)
         ):
@@ -461,7 +469,10 @@ class KeyedAggregate:
     def _fold(self, st: KeyState) -> None:
         """Enter the open run into its pane."""
         re = st.run_re
-        st.panes[re] = st.fold.enter(st.panes[re], st.run_payloads, st.run_k)
+        try:
+            st.panes[re] = st.fold.enter(st.panes[re], st.run_payloads, st.run_k)
+        except TypeError as exc:
+            raise aggregate_error(self.specs, st.states, st.run_payloads, exc) from None
         st.run_k = 0
         st.run_le = st.run_re = st.run_payloads = None
 

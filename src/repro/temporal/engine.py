@@ -36,7 +36,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 from ..runtime.context import DEFAULT_CONTEXT, RunContext
 from ..runtime.dataflow import Dataflow
 from ..runtime.keyed import ROW_LOOP
-from .event import _LE, Event, EventColumns, RowEvents, TaggedRows, _row_res, rows_by_time
+from .event import _LE, Batch, Event
 from .plan import (
     GroupInputNode,
     PlanNode,
@@ -76,7 +76,7 @@ class EngineStats:
         #: "reason"}}``. ``"executor.serial"`` is a context naming a
         #: parallel executor (``RunContext.executor_resolutions``);
         #: ``"retained.*"`` counts result rows kept unpacked
-        #: (``EventColumns.resolutions``). Empty when nothing was
+        #: (``Batch.resolutions``). Empty when nothing was
         #: resolved
         self.resolutions: Dict[str, dict] = {}
 
@@ -116,19 +116,22 @@ class Engine:
     ) -> Sequence[Event]:
         """Execute ``query`` and return its output events, LE-ordered.
 
-        The result is an :class:`~repro.temporal.event.EventColumns`: a
-        read-only sequence that keeps lifetimes and payload values as
-        columns and builds a fresh ``Event`` on every index or iteration
-        (docs/EXECUTION.md, "What a run keeps"). ``list(result)`` gives
-        the events as a list; ``events_to_rows(result)`` reads the
-        columns without building any.
+        The result is a :class:`~repro.temporal.event.Batch` of layout
+        values: a read-only sequence that keeps lifetimes and payload
+        values as columns and builds a fresh ``Event`` on every index or
+        iteration (docs/EXECUTION.md, "What a run keeps").
+        ``list(result)`` gives the events as a list;
+        ``events_to_rows(result)`` reads the columns without building
+        any.
 
         Args:
             query: a :class:`Query` or plan root.
-            sources: maps source names to event lists *or* row dicts (a
+            sources: maps source names to event lists, row dicts (a
                 row means what :func:`~repro.temporal.event.decode_row`
-                makes of it, a TiMR reducer's rows too; a keyed sweep may
-                read them without decoding, ``last_stats.decoded_rows``).
+                makes of it; a keyed sweep may read them without
+                decoding, ``last_stats.decoded_rows``) or a source's
+                :meth:`Batch.source <repro.temporal.event.Batch.source>`
+                (a TiMR reducer's tagged input).
             validate: run the static pre-flight analyzer first and refuse
                 plans with error-severity findings (memoized per plan, so
                 re-running a validated plan costs nothing). ``None``
@@ -169,7 +172,7 @@ class Engine:
         # in the feed loops below
         feeds = []
         for name, data in sources.items():
-            rows = data if isinstance(data, list) else list(data)
+            rows = data if isinstance(data, list) or _is_source(data) else list(data)
             stats.input_events += len(rows)
             if name in names:
                 feeds.append((name, rows))
@@ -181,7 +184,7 @@ class Engine:
                 span.__enter__()
             try:
                 # each released batch is packed as it arrives
-                output = EventColumns(_drive(flow, feeds, chunk_size, stats))
+                output = Batch.pack(_drive(flow, feeds, chunk_size, stats))
                 self._record(flow, root, stats, output, context)
             finally:
                 if span is not None:
@@ -194,6 +197,7 @@ class Engine:
             metrics.counter("engine.output_events").inc(len(output))
             metrics.counter("engine.decoded_rows").inc(stats.decoded_rows)
             metrics.counter("engine.array_swept_rows").inc(stats.array_swept_rows)
+            metrics.counter("dataflow.chain_advances").inc(flow.chain_advances)
         stats.wall_seconds = context.clock() - start
         self.last_stats = stats
         return output
@@ -206,7 +210,7 @@ class Engine:
         sweeps = flow.keyed_sweeps()
         stats.array_swept_rows = sum(sweep.array_swept_rows for sweep in sweeps)
         looped = sum((sweep.row_loop for sweep in sweeps), Counter())
-        why = "a keyed count or int sum read a source's rows one at a time: "
+        why = "a keyed count or int sum took its per-row loop: "
         found_here = {ROW_LOOP: {"count": sum(looped.values()), "reason": why + "; ".join(
             sorted(looped))}} if looped else {}
         found_here.update(output.resolutions)
@@ -279,7 +283,7 @@ def _drive(flow, feeds, chunk_size: int, stats: EngineStats):
         flow.set_watermarks(max(cols[s][starts[s] - 1] for _, s in order))
         yield flow.advance()
         for chunk in chunks:
-            if type(chunk) is RowEvents and chunk.decoded:
+            if type(chunk) is Batch and chunk.decoded:
                 stats.decoded_rows += len(chunk)
     yield flow.flush()
 
@@ -308,18 +312,26 @@ def _cut(cols: Sequence[list], starts: List[int], k: int) -> List[int]:
     return takes
 
 
-def _source(rows: List):
+def _is_source(data) -> bool:
+    """Whether ``data`` is a source's rows as a :class:`Batch`."""
+    return type(data) is Batch and data.rows is not None
+
+
+def _source(rows):
     """``(les, view)`` of a source in LE order: ``view(i, j)`` is items
-    ``i`` to ``j``, a list of its events or a :class:`RowEvents` of its
-    rows.
+    ``i`` to ``j``, a list of its events or a :class:`Batch` of its rows
+    (:meth:`Batch.cut`).
 
     Sorted inputs (the common case — TiMR partitions and the generator
     both emit time order) stream through without any copy; unsorted
     inputs pay one sorted copy. A row's ``Time`` and ``_re`` are checked
-    for the whole source up front, with :func:`point_events`' errors;
-    the rows are decoded only where a reader reads them as events, so
-    the engine never materializes a second full-partition event list.
+    for the whole source up front (:meth:`Batch.source`), with
+    :func:`point_events`' errors; the rows are decoded only where a
+    reader reads them as events, so the engine never materializes a
+    second full-partition event list.
     """
+    if _is_source(rows):
+        return rows.les, rows.cut
     if not rows:
         return [], None
     if isinstance(rows[0], Event):
@@ -332,12 +344,8 @@ def _source(rows: List):
             rows = sorted(rows, key=_LE)
             les = list(map(_LE, rows))
         return les, lambda i, j: rows[i:j]
-    tagged = type(rows) is TaggedRows
-    rows, les = rows_by_time(rows)
-    res = _row_res(les, rows)
-    return les, lambda i, j: RowEvents(
-        les[i:j], rows[i:j], None if res is None else res[i:j], tagged
-    )
+    batch = Batch.source(rows)
+    return batch.les, batch.cut
 
 
 def _ascending(times: List[int]) -> bool:

@@ -13,10 +13,10 @@ from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
 from itertools import chain, islice, repeat
-from operator import attrgetter, contains, eq, gt, index as as_index, itemgetter, le
+from operator import attrgetter, contains, eq, gt, itemgetter, le
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from .time import MAX_TIME, TICK, check_time, check_times, data_error, validate_interval
+from .time import _INT_ONLY, MAX_TIME, TICK, check_time, check_times, data_error, validate_interval
 
 Payload = Mapping[str, Any]
 
@@ -47,8 +47,6 @@ class Event:
         self.re = re
         self.payload = payload
 
-    # -- constructors ------------------------------------------------------
-
     @classmethod
     def point(cls, t: int, payload: Payload) -> "Event":
         """An instantaneous event at time ``t`` (lifetime ``[t, t+TICK)``)."""
@@ -58,8 +56,6 @@ class Event:
     def until_end_of_time(cls, t: int, payload: Payload) -> "Event":
         """An event valid from ``t`` forever (lifetime ``[t, MAX_TIME)``)."""
         return cls(t, MAX_TIME, payload)
-
-    # -- predicates --------------------------------------------------------
 
     @property
     def is_point(self) -> bool:
@@ -74,8 +70,6 @@ class Event:
         """True when the two lifetimes share at least one tick."""
         return self.le < other.re and other.le < self.re
 
-    # -- derivation --------------------------------------------------------
-
     def with_lifetime(self, le: int, re: int) -> "Event":
         """A copy of this event with a new lifetime."""
         return Event(le, re, self.payload)
@@ -83,8 +77,6 @@ class Event:
     def with_payload(self, payload: Payload) -> "Event":
         """A copy of this event with a new payload."""
         return Event(self.le, self.re, payload)
-
-    # -- plumbing ----------------------------------------------------------
 
     def sort_key(self):
         """Deterministic total order used when canonicalizing streams."""
@@ -110,205 +102,164 @@ class Event:
 _LE = attrgetter("le")
 _RE = attrgetter("re")
 _PAYLOAD = attrgetter("payload")
-_DICT_ONLY = {dict}
-_INT_ONLY = {int}
-_NO_LAYOUT = object()
 _ROW_LE = itemgetter(0)
-_ROW_RE = itemgetter(1)
-_ROW_VALUES = itemgetter(slice(2, None))
+_ROW_DROPS = frozenset((TIME_COLUMN, RE_COLUMN))
+_TAGGED_DROPS = _ROW_DROPS | {SRC_COLUMN}
 
-
-class LayoutRows(Sequence):
-    """Rows ``(le, re, *values)`` under one payload *layout*, read as events.
-
-    What a flow releases from a keyed GroupApply at its root: ``rows``
-    are the node's output as it built it, ``layout`` the payload's
-    column names in order. Indexing and iteration build each ``Event``
-    with a fresh payload dict; :class:`EventColumns` packs the rows
-    directly, building none. Read-only; compares equal to a list of
-    equal events.
-    """
-
-    __slots__ = ("layout", "rows")
-
-    def __init__(self, layout: tuple, rows: list):
-        self.layout = layout
-        self.rows = rows
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(LayoutRows(self.layout, self.rows[i]))
-        le, re, *values = self.rows[i]
-        return Event(le, re, dict(zip(self.layout, values)))
-
-    def __iter__(self):
-        rows = self.rows
-        payloads = map(dict, map(zip, repeat(self.layout), map(_ROW_VALUES, rows)))
-        return map(Event, map(_ROW_LE, rows), map(_ROW_RE, rows), payloads)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (LayoutRows, list)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
-    def __repr__(self) -> str:
-        return f"LayoutRows({list(self)!r})"
-
-
-#: ``EngineStats.resolutions`` names of the two ways a row is retained
-#: unpacked: a time ``array('q')`` cannot hold, a payload not a plain dict.
+#: ``EngineStats.resolutions`` names of result rows kept unpacked (:attr:`Batch.resolutions`)
 TIMES_UNPACKED = "retained.times_unpacked"
 PAYLOADS_WHOLE = "retained.payloads_whole"
 
 
-class EventColumns(Sequence):
-    """A run's output, kept as columns; each access builds a fresh ``Event``.
+class Batch(Sequence):
+    """Events held as columns: the one batch type between M-R rows and
+    the engine, and what ``Engine.run`` returns. Read-only; compares
+    equal to a list of equal events. ``les`` is the LE column, ``_res``
+    the RE column or ``None`` when every row is a point (:attr:`res`
+    spells it out). A payload is held one of two ways:
 
-    ``les`` / ``res`` are ``array('q')``. A payload is stored under its
-    *layout* — its key tuple, in the payload's own order, interned once
-    per run — as its values, appended to that layout's one list. Rows
-    are grouped into maximal runs of one layout, so a result whose rows
-    share one layout is one run: two int64 columns and one value list,
-    and no dict, tuple or ``Event`` per row.
-
-    Indexing and iteration rebuild each ``Event`` with a new payload dict
-    of the same keys, in the same order, over the same value objects:
-    equal to the event the run released, never the same object, so
-    mutating it leaves the result unchanged. Read-only; compares equal
-    to a list of equal events. Two kinds of row are kept as they came
-    and counted in :attr:`resolutions`: a time ``array('q')`` cannot
-    hold (a float, say) turns ``les`` / ``res`` into lists, and a payload
-    that is not exactly a ``dict`` is kept as the object itself.
+    * as a source's row (``rows``, in ``Time`` order, times checked)
+      plus the columns its decode ``drops``: ``Time``, ``_re`` and, for a
+      tagged input, ``_src``. The first read of an event decodes every
+      row (:func:`_decode`) and later readers share those events
+      (:attr:`decoded`); a keyed sweep reads the columns and decodes none.
+    * as values under a *layout* (its keys in order, interned once per
+      batch) in that layout's one flat list, rows grouped into maximal
+      runs of one layout; a payload not exactly a ``dict`` is kept whole
+      in a run of the ``None`` layout. Each read builds a fresh ``Event``
+      and payload dict: none is held per row, and mutating one changes
+      nothing.
     """
 
-    __slots__ = (
-        "les", "res", "_keys", "_values", "_ids", "_counts",
-        "_run_rows", "_run_layouts", "_run_ordinals", "_whole",
-    )
+    __slots__ = ("les", "_res", "rows", "drops", "_events", "_keys", "_values", "_ids",
+                 "_run_rows", "_run_layouts", "_run_ordinals")
 
-    def __init__(self, batches: Iterable[Sequence[Event]] = ()):
-        """Pack ``batches`` of events, in order, then order rows by LE
-        (stable: a permutation runs only when some LE decreases). A
-        batch is a sequence of ``Event`` or a :class:`LayoutRows`."""
-        self._reset()
-        for batch in batches:
-            self._extend(batch)
-        self._order_by_le()
-
-    def _reset(self) -> None:
-        self.les = array("q")
-        self.res = array("q")
-        self._keys: List[Optional[tuple]] = []  # layout -> keys; None: whole
+    def __init__(self, les, res, rows: Optional[list] = None, drops=_ROW_DROPS):
+        self.les, self._res, self.rows, self.drops = les, res, rows, drops
+        self._events: Optional[list] = None  # the rows' events, once decoded
+        self._keys: List[Optional[tuple]] = []  # layout -> its keys; None: whole
         self._values: List[list] = []  # layout -> its rows' values
         self._ids: Dict[Optional[tuple], int] = {}  # keys -> layout
-        self._counts: List[int] = []  # layout -> rows in its closed runs
-        # one entry per run: its first row, its layout, and that row's
-        # ordinal among the layout's rows (for random access)
-        self._run_rows = array("q")
-        self._run_layouts = array("q")
-        self._run_ordinals = array("q")
-        self._whole = 0
+        # per run: its first row, its layout, and that row's ordinal in the layout
+        self._run_rows, self._run_layouts, self._run_ordinals = array("q"), array("q"), array("q")
 
-    # -- packing -------------------------------------------------------------
+    @classmethod
+    def source(cls, rows: List[Payload], tagged: bool = False) -> "Batch":
+        """A source's rows in ``Time`` order, times and REs checked up
+        front (:func:`rows_by_time`, :func:`_row_res`) so that reading
+        cannot fail; ``tagged``: each row carries a TiMR map task's ``_src``."""
+        rows, les = rows_by_time(rows)
+        return cls(les, _row_res(les, rows), rows, _TAGGED_DROPS if tagged else _ROW_DROPS)
+
+    def cut(self, i: int, j: int) -> "Batch":
+        """Rows ``i`` to ``j`` of a source's batch, as a batch of their own."""
+        res = None if self._res is None else self._res[i:j]
+        return Batch(self.les[i:j], res, self.rows[i:j], self.drops)
+
+    @classmethod
+    def of_layout(cls, layout: tuple, rows: list) -> "Batch":
+        """Rows ``(le, re, *values)`` whose values follow ``layout``: what
+        a keyed GroupApply at a flow's root releases, one run."""
+        les, res, *columns = zip(*rows) if rows else ((), ())
+        batch = cls(list(les), list(res))
+        values = batch._open_run(layout, 0)  # row-major: a slice assignment per column
+        values.extend(repeat(None, len(columns) * len(rows)))
+        for i, column in enumerate(columns):
+            values[i :: len(columns)] = column
+        return batch
+
+    @classmethod
+    def pack(cls, batches: Iterable[Sequence[Event]]) -> "Batch":
+        """``batches`` of events, in order, as layout values over int64
+        times (lists, once a time does not fit: :attr:`resolutions`),
+        then ordered by LE (stable; only when some LE decreases)."""
+        packed = cls(array("q"), array("q"))
+        for batch in batches:
+            packed._extend(batch)
+        if any(map(gt, packed.les, islice(packed.les, 1, None))):
+            # rare: no benchmark query's driver releases out of LE order
+            return cls.pack([sorted(packed, key=_LE)])
+        return packed
 
     def _extend(self, events: Sequence[Event]) -> None:
         if not events:
             return
         row = len(self.les)
-        if type(events) is LayoutRows:
-            # already columns in all but name: transpose, no dict or Event
-            les, res, *columns = zip(*events.rows)
-            self._extend_times(list(les), list(res))
-            values = self._open_run(events.layout, row)
-            width, start = len(columns), len(values)
-            values.extend(repeat(None, width * len(les)))
-            for i, column in enumerate(columns):
-                values[start + i :: width] = column
+        if type(events) is Batch and type(events.les) is list and len(events._run_rows) == 1:
+            # a keyed root's release: its columns as they are, no Event
+            self._extend_times(events.les, events._res)
+            self._open_run(events._keys[0], row).extend(events._values[0])
             return
         self._extend_times(list(map(_LE, events)), list(map(_RE, events)))
         payloads = list(map(_PAYLOAD, events))
-        if set(map(type, payloads)) == _DICT_ONLY:
+        if set(map(type, payloads)) == {dict}:
             keys = tuple(payloads[0])
-            # every payload has exactly these keys in this order iff their
-            # concatenated keys are ``keys`` repeated (a dict's keys are
-            # distinct, so no row can straddle two repetitions)
+            # every payload has these keys in this order iff their keys, in a
+            # row, are ``keys`` repeated (a dict's keys are distinct)
             if [*chain.from_iterable(payloads)] == [*keys] * len(payloads):
                 values = self._open_run(keys, row)
                 values.extend(chain.from_iterable(map(dict.values, payloads)))
                 return
-        current = _NO_LAYOUT
+        current = 0  # no layout yet: not a tuple, not None
         for row, payload in enumerate(payloads, row):
-            if type(payload) is dict:
-                keys = tuple(payload)
-                if keys != current:
-                    values = self._open_run(keys, row)
-                    current = keys
-                values.extend(payload.values())
-            else:
-                if current is not None:
-                    values = self._open_run(None, row)
-                    current = None
-                values.append(payload)
-                self._whole += 1
+            keys = tuple(payload) if type(payload) is dict else None
+            if keys != current:
+                values, current = self._open_run(keys, row), keys
+            values.extend((payload,) if keys is None else payload.values())
 
-    def _extend_times(self, les: list, res: list) -> None:
-        """Append one batch's lifetimes; a time ``array('q')`` cannot hold
-        turns both columns into lists of the original values for good."""
-        if isinstance(self.les, array):
-            row = len(self.les)
+    def _extend_times(self, les, res) -> None:
+        """Append lifetimes; a time ``array('q')`` cannot hold turns both
+        columns into lists of the original values for good."""
+        if type(self.les) is array:
             try:
                 self.les.fromlist(les)
-                self.res.fromlist(res)
+                self._res.fromlist(res)
                 return
-            except (TypeError, OverflowError):
-                del self.les[row:]  # a failed fromlist adds nothing
-                self.les, self.res = self.les.tolist(), self.res.tolist()
+            except (TypeError, OverflowError):  # a failed fromlist adds nothing
+                del self.les[len(self._res):]
+                self.les, self._res = self.les.tolist(), self._res.tolist()
         self.les.extend(les)
-        self.res.extend(res)
+        self._res.extend(res)
 
     def _open_run(self, keys: Optional[tuple], row: int) -> list:
         """Continue or start the run ``row`` belongs to; its value list."""
-        layout = self._ids.get(keys)
-        if layout is None:
-            layout = self._ids[keys] = len(self._keys)
+        layout = self._ids.setdefault(keys, len(self._keys))
+        if layout == len(self._keys):
             self._keys.append(keys)
             self._values.append([])
-            self._counts.append(0)
-        layouts = self._run_layouts
-        if layouts:
-            if layouts[-1] == layout:
-                return self._values[layout]
-            self._counts[layouts[-1]] += row - self._run_rows[-1]
-        self._run_rows.append(row)
-        layouts.append(layout)
-        self._run_ordinals.append(self._counts[layout])
-        return self._values[layout]
+        values = self._values[layout]
+        if not self._run_layouts or self._run_layouts[-1] != layout:
+            width = 1 if keys is None else len(keys)
+            self._run_rows.append(row)
+            self._run_layouts.append(layout)
+            self._run_ordinals.append(len(values) // width if width else 0)
+        return values
 
-    def _order_by_le(self) -> None:
-        les = self.les
-        if not any(map(gt, les, islice(les, 1, None))):
-            return
-        # rare (no benchmark query's driver releases out of LE order):
-        # repack from the events themselves
-        order = sorted(range(len(les)), key=les.__getitem__)
-        events = list(self)
-        self._reset()
-        self._extend([events[i] for i in order])
+    @property
+    def res(self) -> list:
+        """Each row's RE: the RE column, or LE + ``TICK`` for a point."""
+        return [le + TICK for le in self.les] if self._res is None else self._res
 
-    # -- reading -------------------------------------------------------------
+    @property
+    def decoded(self) -> bool:
+        """Whether some reader has turned a source's rows into events."""
+        return self._events is not None
+
+    def _read(self) -> list:
+        if self._events is None:
+            self._events = _decode(self.les, self.rows, self._res, SRC_COLUMN in self.drops)
+        return self._events
 
     def _payloads(self):
-        """Every row's payload, in row order: a fresh dict for a row of a
-        layout, the object itself for a row kept whole."""
-        # a layout's runs are met in ordinal order, so one iterator per
-        # layout walks its values exactly once
+        """Every row's payload, in row order: a fresh dict, except for a
+        row kept whole, which is the object itself."""
+        if self.rows is not None:
+            yield from _row_payloads(self.rows, self._res is not None, SRC_COLUMN in self.drops)
+            return
+        # one iterator per layout walks its values once, run after run
         streams = [iter(values) for values in self._values]
         starts = self._run_rows
-        ends = [*starts[1:], len(self.les)]
-        for layout, start, end in zip(self._run_layouts, starts, ends):
+        for layout, start, end in zip(self._run_layouts, starts, [*starts[1:], len(self.les)]):
             rows = end - start
             keys, stream = self._keys[layout], streams[layout]
             if keys is None:
@@ -320,37 +271,35 @@ class EventColumns(Sequence):
     def _payload(self, i: int):
         run = bisect_right(self._run_rows, i) - 1
         layout = self._run_layouts[run]
-        ordinal = self._run_ordinals[run] + i - self._run_rows[run]
         keys, values = self._keys[layout], self._values[layout]
+        at = self._run_ordinals[run] + i - self._run_rows[run]
         if keys is None:
-            return values[ordinal]
-        start = ordinal * len(keys)
-        return dict(zip(keys, values[start : start + len(keys)]))
+            return values[at]
+        return dict(zip(keys, values[at * len(keys) : (at + 1) * len(keys)]))
 
     def __len__(self) -> int:
         return len(self.les)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self.les)))]
-        i = as_index(i)
-        n = len(self.les)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError("EventColumns index out of range")
-        return Event(self.les[i], self.res[i], self._payload(i))
+        if self.rows is not None:
+            return self._read()[i]
+        at = range(len(self.les))[i]
+        if type(at) is range:
+            return [self[j] for j in at]
+        return Event(self.les[at], self.res[at], self._payload(at))
 
     def __iter__(self):
-        return map(Event, self.les, self.res, self._payloads())
+        if self.rows is not None:
+            return iter(self._read())
+        return map(Event, self.les, self._res, self._payloads())
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (EventColumns, list)):
+        if not isinstance(other, (Batch, list)):
             return NotImplemented
         return len(self) == len(other) and all(map(eq, self, other))
 
     def __repr__(self) -> str:
-        return f"EventColumns({list(self)!r})"
+        return f"Batch({list(self)!r})"
 
     def to_rows(self, re_column: Optional[str] = RE_COLUMN) -> list:
         """:func:`events_to_rows` read straight off the columns: one dict
@@ -362,7 +311,7 @@ class EventColumns(Sequence):
         res = [share(t, t) for t in self.res] if re_column is not None else les
         rows = []
         for payload, le, re in zip(self._payloads(), les, res):
-            # a layout's payload is already a fresh dict; a whole one is not
+            # a payload is a fresh dict unless it is kept whole
             row = payload if type(payload) is dict else dict(payload)
             row[TIME_COLUMN] = le
             if re_column is not None:
@@ -372,23 +321,15 @@ class EventColumns(Sequence):
 
     @property
     def resolutions(self) -> Dict[str, dict]:
-        """The rows kept unpacked, in ``EngineStats.resolutions`` shape."""
-        found = {}
-        if not isinstance(self.les, array):
-            found[TIMES_UNPACKED] = {
-                "count": len(self.les),
-                "reason": "an output time is not an int64: les/res kept as "
-                "lists of the original values",
-            }
-        if self._whole:
-            found[PAYLOADS_WHOLE] = {
-                "count": self._whole,
-                "reason": "an output payload is not a plain dict: kept as "
-                "the object itself, not split into a layout",
-            }
-        return found
-
-
+        """A packed batch's rows kept unpacked, in ``EngineStats.resolutions`` shape."""
+        unpacked = {
+            TIMES_UNPACKED: (len(self.les) * (type(self.les) is not array), "an output time is "
+                             "not an int64: les/res kept as lists of the original values"),
+            PAYLOADS_WHOLE: (len(self._values[self._ids[None]]) if None in self._ids else 0,
+                             "an output payload is not a plain dict: kept as the object "
+                             "itself, not split into a layout"),
+        }
+        return {name: {"count": n, "reason": why} for name, (n, why) in unpacked.items() if n}
 
 
 # -- the M-R row codec ----------------------------------------------------------
@@ -403,21 +344,18 @@ def not_a_row(rows: Iterable, numbered: bool = True) -> None:
         if not isinstance(row, Mapping):
             at = f"row {i}" if numbered else "the row"
             raise data_error(ValueError(
-                f"{at} is {type(row).__name__} {row!r}, not a mapping of "
-                "column to value"
-            ))
+                f"{at} is {type(row).__name__} {row!r}, not a mapping of column to value"))
 
 
 def decode_row(row: Payload) -> Tuple[Any, Any, dict]:
     """One M-R row as ``(le, re, payload)``: what TiMR's generated
-    reducer makes of it (Section III-A step 4).
-
-    ``Time`` is the LE and ``_re`` the RE; a row without ``_re`` is a
-    point event. The payload is a copy of the row's other columns, in
-    the row's order; the row itself is not touched (M-R may hand it to
-    a reducer again). Raises ``KeyError('Time')`` when the row has no
-    ``Time``, and ``ValueError`` for a row that is not a mapping, a time
-    :func:`~.time.check_time` refuses or an empty lifetime.
+    reducer makes of it (Section III-A step 4). ``Time`` is the LE and
+    ``_re`` the RE (none: a point); the payload is a copy of the row's
+    other columns, in order, and the row is not touched (M-R may hand
+    it to a reducer again). Raises ``KeyError('Time')`` for a row
+    without ``Time``, and ``ValueError`` for a row that is not a
+    mapping, a time :func:`~.time.check_time` refuses or an empty
+    lifetime.
     """
     if type(row) is not dict and not isinstance(row, Mapping):
         not_a_row([row], numbered=False)
@@ -490,12 +428,6 @@ def point_events(rows: Iterable[Payload]) -> list:
 rows_to_events = point_events
 
 
-class TaggedRows(list):
-    """One input's rows of a multi-input TiMR stage, each still carrying
-    the ``_src`` its map task wrote: ``Engine.run`` decodes them without
-    it, and a keyed sweep that reads ``_src`` reads the decoded payload."""
-
-
 def decode_rows(rows: List[Payload]) -> Tuple[list, list, list]:
     """:func:`decode_row` over a list, at batch level: ``(les, res,
     payloads)``. A list with a row :func:`decode_row` refuses raises
@@ -507,12 +439,11 @@ def decode_rows(rows: List[Payload]) -> Tuple[list, list, list]:
         for row in rows:
             decode_row(row)
         raise
-    if res is None:
-        return les, [le + TICK for le in les], _payloads(rows, False)
-    return les, res, _payloads(rows, True)
+    ends = [le + TICK for le in les] if res is None else res
+    return les, ends, _row_payloads(rows, res is not None)
 
 
-def _payloads(rows: List[Payload], has_re: bool, tagged: bool = False) -> list:
+def _row_payloads(rows: List[Payload], has_re: bool, tagged: bool = False) -> list:
     """Each row's payload: a copy without its ``Time``, its ``_re`` (when
     some row ``has_re``) and, ``tagged``, its ``_src``."""
     payloads = []
@@ -532,65 +463,8 @@ def _decode(les: list, rows: List[Payload], res: Optional[list], tagged: bool = 
     """:func:`point_events` for ``rows`` whose times ``les`` and REs
     ``res`` (``None``: every row a point) :func:`_row_res` already
     checked; a ``tagged`` row loses its ``_src``."""
-    if res is None:
-        return list(map(Event, les, [le + TICK for le in les], _payloads(rows, False, tagged)))
-    return list(map(Event, les, res, _payloads(rows, True, tagged)))
-
-
-_ROW_DROPS = frozenset((TIME_COLUMN, RE_COLUMN))
-_TAGGED_DROPS = _ROW_DROPS | {SRC_COLUMN}
-
-
-class RowEvents(Sequence):
-    """One chunk of a source's rows, read as events only when read.
-
-    ``rows`` are in ``Time`` order, ``les`` are their times, checked by
-    :func:`rows_by_time`, and ``res`` their REs, checked by
-    :func:`_row_res` (``None`` when every row is a point), so reading the
-    view cannot fail. Indexing and iteration decode every row once
-    (:func:`_decode`) and keep the events: a second reader gets the same
-    ones. ``drops`` are the row columns a decoded payload lacks: ``Time``,
-    ``_re`` and, for a ``tagged`` row, ``_src``. A reader that needs only
-    columns reads ``les``, :attr:`res` and ``rows`` and builds no
-    ``Event`` (:attr:`decoded` stays False). Read-only.
-    """
-
-    __slots__ = ("les", "rows", "_res", "drops", "_events")
-
-    def __init__(self, les: list, rows: List[Payload], res: Optional[list], tagged: bool = False):
-        self.les = les
-        self.rows = rows
-        self._res = res
-        self.drops = _TAGGED_DROPS if tagged else _ROW_DROPS
-        self._events: Optional[list] = None
-
-    @property
-    def res(self) -> list:
-        """Each row's RE: its ``_re``, or its LE + ``TICK`` for a point."""
-        if self._res is None:
-            return [le + TICK for le in self.les]
-        return self._res
-
-    @property
-    def decoded(self) -> bool:
-        """Whether some reader has turned the rows into events."""
-        return self._events is not None
-
-    def _read(self) -> list:
-        if self._events is None:
-            self._events = _decode(
-                self.les, self.rows, self._res, SRC_COLUMN in self.drops
-            )
-        return self._events
-
-    def __len__(self) -> int:
-        return len(self.les)
-
-    def __getitem__(self, i):
-        return self._read()[i]
-
-    def __iter__(self):
-        return iter(self._read())
+    ends = [le + TICK for le in les] if res is None else res
+    return list(map(Event, les, ends, _row_payloads(rows, res is not None, tagged)))
 
 
 def _row_res(les: list, rows: List[Payload]) -> Optional[list]:
@@ -614,15 +488,13 @@ def _row_res(les: list, rows: List[Payload]) -> Optional[list]:
     return res
 
 
-def events_to_rows(
-    events: Iterable[Event], re_column: Optional[str] = RE_COLUMN
-) -> list:
+def events_to_rows(events: Iterable[Event], re_column: Optional[str] = RE_COLUMN) -> list:
     """Events as rows, each as :func:`encode_row` writes it (the
     reducer's output side). ``re_column=None`` leaves ``_re`` out, for
-    a final output read as points. An ``Engine.run`` result
-    (:class:`EventColumns`) is read column-wise, with no ``Event`` built.
+    a final output read as points. A :class:`Batch` (an ``Engine.run``
+    result) is read column-wise, with no ``Event`` built.
     """
-    if isinstance(events, EventColumns):
+    if type(events) is Batch:
         return events.to_rows(re_column)
     keep_re = re_column is not None
     return [encode_row(e.le, e.re if keep_re else None, e.payload) for e in events]

@@ -153,7 +153,7 @@ def explain(query: Union[Query, PlanNode], stats=None) -> str:
         "read off them inside a keyed window→aggregate sweep"
     )
     lines.append(
-        "  result kept as EventColumns: int64 les/res plus payload values "
+        "  result kept as a Batch: int64 les/res plus payload values "
         "per key layout; each access builds a fresh Event"
     )
     for node in topological_order(root):

@@ -25,6 +25,7 @@ from math import inf
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..event import Event
+from ..time import data_error
 from .base import UnaryOperator
 
 
@@ -267,6 +268,32 @@ AGGREGATE_FACTORIES: Dict[str, Callable[..., AggregateFunction]] = {
 }
 
 
+def aggregate_error(specs, states, payloads, exc: TypeError) -> Exception:
+    """What to raise for ``exc``, met entering ``payloads`` into the
+    aggregate ``states`` of ``specs``: a ``ValueError`` naming the kind,
+    the column and the first value its aggregate cannot combine (no
+    number to add, nothing to order it against), else ``exc``. A caller
+    calls it once ``enter`` failed, so valid input pays nothing."""
+    for spec, state in zip(specs, states):
+        if spec.column is None:
+            continue
+        held = getattr(state, "values", [])[:1]  # an order statistic's least
+        for payload in payloads:
+            value = payload[spec.column]
+            try:
+                if spec.kind in ("min", "max", "topk"):
+                    sorted((value, value, *held))
+                    held = held or [value]
+                else:
+                    0 + value
+            except TypeError:
+                return data_error(ValueError(
+                    f"aggregate {spec.kind} over column {spec.column!r} cannot "
+                    f"combine {value!r}"
+                ))
+    return exc
+
+
 class AggSpec:
     """Declarative description of one aggregate output column.
 
@@ -380,7 +407,10 @@ class SnapshotAggregate(UnaryOperator):
             if pane is None:
                 heapq.heappush(pending, re)
             run = None if payloads is None else payloads[i:j]
-            panes[re] = enter(pane, run, j - i)
+            try:
+                panes[re] = enter(pane, run, j - i)
+            except TypeError as exc:
+                raise aggregate_error(self.specs, self._states, run, exc) from None
             i = j
         return out
 

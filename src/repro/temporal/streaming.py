@@ -40,7 +40,7 @@ from typing import Dict, Iterable, List, Optional, Union
 
 from ..runtime.context import DEFAULT_CONTEXT, RunContext
 from ..runtime.dataflow import Dataflow, StreamingUnsupported
-from .event import Event, decode_row
+from .event import Batch, Event, decode_row
 from .plan import PlanNode
 from .query import Query
 from .time import MAX_TIME, MIN_TIME
@@ -211,7 +211,12 @@ class StreamingEngine:
         self._flushed = True
         self._release_reorder_buffers()
         self._flow.set_watermarks(MAX_TIME)
-        return self._emit()
+        out = self._emit()
+        if self.context.tracer.enabled:
+            self.context.tracer.metrics.counter("dataflow.chain_advances").inc(
+                self._flow.chain_advances
+            )
+        return out
 
     def run_all(self, sources: Dict[str, Iterable]) -> List[Event]:
         """Convenience: push entire (merged, LE-ordered) inputs and flush.
@@ -265,7 +270,7 @@ class StreamingEngine:
     def _emit(self) -> List[Event]:
         """Advance the dataflow and record streaming metrics."""
         out = self._flow.advance()
-        if type(out) is not list:
+        if type(out) is Batch:
             out = list(out)  # a keyed GroupApply root's rows, as events
         if self.context.tracer.enabled:
             metrics = self.context.tracer.metrics

@@ -35,7 +35,7 @@ from ..runtime.context import DEFAULT_CONTEXT, RunContext
 from ..temporal.engine import Engine
 from ..temporal.event import (
     SRC_COLUMN,
-    TaggedRows,
+    Batch,
     decode_row,
     decode_rows,
     encode_row,
@@ -210,9 +210,10 @@ def make_reducer(
         # where it reads them as events, into copies: M-R may hand these
         # rows to the reducer again
         if multi_input:
-            sources = {name: TaggedRows() for name in input_names}
+            parts = {name: [] for name in input_names}
             for row in rows:
-                sources[row[SRC_COLUMN]].append(row)
+                parts[row[SRC_COLUMN]].append(row)
+            sources = {name: Batch.source(part, tagged=True) for name, part in parts.items()}
         else:
             sources = {input_names[0]: rows}
 

@@ -21,8 +21,7 @@ from repro.runtime import RunContext
 from repro.runtime import dataflow, keyed
 from repro.runtime.dataflow import Dataflow
 from repro.temporal import Engine, Query, StreamingEngine
-from repro.temporal import engine as engine_module
-from repro.temporal.event import Event
+from repro.temporal.event import Batch, Event
 from repro.timr import TiMR
 
 SERIAL = RunContext(executor="serial")
@@ -249,9 +248,9 @@ def test_no_collection_starts_during_a_run(executor):
     context = RunContext(executor=executor, max_workers=2)
     rows = make_rows()
     with collector(True), collection_starts() as starts:
-        # ``_drive`` is a generator: the result's constructor consumes
-        # it, so that call spans the whole drive and the packing
-        patch, inside = during(engine_module, "EventColumns", starts)
+        # ``_drive`` is a generator: ``Batch.pack`` consumes it, so that
+        # call spans the whole drive and the packing
+        patch, inside = during(Batch, "pack", starts)
         with patch:
             out = Engine(context=context).run(
                 probed_query([]), {"logs": rows}, validate=False

@@ -8,7 +8,7 @@ batch driver at the scale shapes' geometry, compound keys, the error a
 missing key column raises, and the work it no longer does, as counts.
 
 The sweep emits rows ``(le, re, *values)`` in the node's layout; a
-keyed root's rows reach ``EventColumns`` with no ``Event`` built. The
+keyed root's rows reach the result ``Batch`` with no ``Event`` built. The
 layout cases below hold that path to the chains, payload column order
 included, in every driver that can end at a keyed root.
 """
@@ -25,7 +25,7 @@ from repro.mapreduce import Cluster, DistributedFileSystem
 from repro.runtime import RunContext, dataflow, keyed
 from repro.temporal import Engine, Query, StreamingEngine, explain, normalize
 from repro.temporal import event
-from repro.temporal.event import TIMES_UNPACKED, Event, EventColumns, LayoutRows, point_events
+from repro.temporal.event import TIMES_UNPACKED, Batch, Event, point_events
 from repro.temporal.operators import AggSpec
 from repro.temporal.time import hours
 from repro.timr import TiMR
@@ -151,14 +151,15 @@ def ordered(events):
 
 @contextlib.contextmanager
 def packed_batches(kinds):
-    """Record the type of every batch ``EventColumns`` packs."""
-    extend = EventColumns._extend
+    """Record every batch ``Batch.pack`` packs: ``"layout"`` for a
+    batch of layout values (a keyed root's release), else its type."""
+    extend = Batch._extend
 
     def recording(self, batch):
-        kinds.append(type(batch))
+        kinds.append("layout" if type(batch) is Batch and batch.rows is None else type(batch))
         extend(self, batch)
 
-    with mock.patch.object(EventColumns, "_extend", recording):
+    with mock.patch.object(Batch, "_extend", recording):
         yield
 
 
@@ -195,7 +196,7 @@ def test_keyed_root_rows_equal_the_chains(case):
         keyed_out = run(query, rows)
     with unfused_reference():
         chained = run(query, rows)
-    assert LayoutRows in kinds and list not in kinds  # every batch was rows
+    assert "layout" in kinds and list not in kinds  # every batch was rows
     assert len(keyed_out) > 300
     assert ordered(keyed_out) == ordered(chained)
     assert list(keyed_out[0].payload) == columns
@@ -237,6 +238,25 @@ def test_a_float_chunk_names_the_row_loop():
     assert f"resolved this run: {keyed.ROW_LOOP} x {len(rows)}" in explain(query, stats=stats)
 
 
+def test_events_fed_to_a_keyed_count_name_the_row_loop():
+    """A keyed count fed events, here by a ``where`` before its
+    GroupApply, takes its per-row loop for every row, and the run says
+    why (it used to take it silently: no ``keyed.row_loop`` resolution)."""
+    rows = scale_rows(3000)
+    query = (
+        Query.source("logs", ("Time", "UserId", "Clicks"))
+        .where(lambda p: p["Clicks"] >= 0)
+        .group_apply("UserId", SHAPES["scale_hopping"])
+    )
+    engine = Engine(context=SERIAL)
+    engine.run(query, {"logs": rows}, validate=False)
+    stats = engine.last_stats
+    assert stats.array_swept_rows == 0
+    found = stats.resolutions[keyed.ROW_LOOP]
+    assert found["count"] == len(rows) and keyed.EVENTS_READ in found["reason"]
+    assert f"resolved this run: {keyed.ROW_LOOP} x {len(rows)}" in explain(query, stats=stats)
+
+
 def test_keyed_node_under_a_where_releases_events():
     """Not the root: the rows become events on entering the GroupApply's
     output log, and the ``Where`` reads them as any events."""
@@ -251,7 +271,7 @@ def test_keyed_node_under_a_where_releases_events():
         keyed_out = run(query, rows)
     with unfused_reference():
         chained = run(query, rows)
-    assert LayoutRows not in kinds
+    assert "layout" not in kinds
     assert len(keyed_out) > 100
     assert ordered(keyed_out) == ordered(chained)
 
@@ -303,7 +323,7 @@ def test_keyed_root_in_a_timr_reducer():
         keyed_out = output()
     with unfused_reference():
         chained = output()
-    assert LayoutRows in kinds
+    assert "layout" in kinds
     assert sum(map(len, keyed_out)) > 300
     assert keyed_out == chained
 

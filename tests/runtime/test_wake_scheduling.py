@@ -446,7 +446,7 @@ def drive_in_batches(query, rows, chunk=50, wave=64, feed=to_logs, as_rows=False
     every ``advance`` call's releases, watermark and wake time kept.
     Each chunk is fed per source (``feed`` as in :func:`drive`), with
     that source's last LE as its watermark: as events, or with
-    ``as_rows`` as the ``RowEvents`` view ``Engine.run`` cuts from a
+    ``as_rows`` as the ``Batch`` of rows ``Engine.run`` cuts from a
     source of rows (``engine._source``), whose columns a keyed sweep
     reads."""
     flow = Dataflow(

@@ -1,11 +1,13 @@
-"""What ``Engine.run`` keeps: ``EventColumns`` (docs/EXECUTION.md, "What a
-run keeps").
+"""What ``Engine.run`` keeps: a ``Batch`` of layout values
+(docs/EXECUTION.md, "What a run keeps"), and the ``Batch`` of a source's
+rows the engine reads its sources as.
 
 The result is a read-only sequence over int64 ``les`` / ``res`` and one
 value list per payload layout; every index or iteration builds a fresh
 ``Event``. It must be indistinguishable from the ``List[Event]`` it
 replaced — equality both ways, indexing, slicing, row conversion — and
-it must not hold an object per row.
+it must not hold an object per row. A source's batch is the other way
+round: it decodes its rows once and every reader shares the events.
 """
 
 import gc
@@ -19,9 +21,8 @@ from repro.temporal import Engine, Query, events_to_rows, explain
 from repro.temporal.event import (
     PAYLOADS_WHOLE,
     TIMES_UNPACKED,
+    Batch,
     Event,
-    EventColumns,
-    LayoutRows,
 )
 from repro.temporal.time import MAX_TIME
 
@@ -49,7 +50,7 @@ MIXED = [
 @pytest.fixture
 def result():
     out = Engine().run(sliding_sum(), {"logs": make_rows(600)}, validate=False)
-    assert isinstance(out, EventColumns)
+    assert type(out) is Batch and out.rows is None
     return out
 
 
@@ -78,7 +79,7 @@ def test_equality_with_a_list_both_ways(result):
     events = list(result)
     assert result == events and events == result
     assert not (result != events)
-    assert result == EventColumns([events])
+    assert result == Batch.pack([events])
     changed = events[:-1] + [events[-1].with_payload({"s": -1, "UserId": 0})]
     assert result != changed and changed != result
     assert result != events[:-1] and events[:-1] != result
@@ -96,19 +97,19 @@ def test_every_access_builds_a_fresh_event(result):
 
 def test_an_empty_result():
     out = Engine().run(sliding_sum(), {"logs": []}, validate=False)
-    assert isinstance(out, EventColumns)
+    assert type(out) is Batch
     assert len(out) == 0 and not out and list(out) == [] and out == []
     assert events_to_rows(out) == []
     with pytest.raises(IndexError):
         out[0]
-    assert EventColumns() == [] and EventColumns([[], []]) == []
+    assert Batch.pack([]) == [] and Batch.pack([[], []]) == []
 
 
 # -- layouts, lifetimes and what is kept unpacked --------------------------------
 
 
 def test_mixed_layouts_keep_key_order_values_and_empty_payloads():
-    columns = EventColumns([MIXED[:3], MIXED[3:]])
+    columns = Batch.pack([MIXED[:3], MIXED[3:]])
     assert columns == MIXED
     for i, event in enumerate(MIXED):
         for got in (columns[i], list(columns)[i]):
@@ -121,28 +122,29 @@ def test_mixed_layouts_keep_key_order_values_and_empty_payloads():
 
 
 def test_layout_rows_read_and_pack_as_their_events():
-    """A keyed GroupApply root releases ``LayoutRows``: read as events,
-    packed without them, and into the same run as equal-layout events."""
+    """A keyed GroupApply root releases a ``Batch.of_layout``: read as
+    events, packed without them, and into the same run as equal-layout
+    events."""
     layout = ("s", "UserId")
     rows = [(0, 5, 3, 7), (1, MAX_TIME, 0, 8), (2, 3, None, 7)]
     events = [Event(le, re, {"s": v, "UserId": k}) for le, re, v, k in rows]
-    released = LayoutRows(layout, rows)
+    released = Batch.of_layout(layout, rows)
     assert released == events and events == released and len(released) == 3
     assert released[-1] == events[-1] and released[1:] == events[1:]
     assert [list(e.payload) for e in released] == [list(layout)] * 3
     assert released != events[:2] and released != tuple(events)
-    later = LayoutRows(layout, [(le + 4, re + 4, v, k) for le, re, v, k in rows])
-    columns = EventColumns([released, [Event(3, 4, {"s": 1, "UserId": 9})], later])
+    later = Batch.of_layout(layout, [(le + 4, re + 4, v, k) for le, re, v, k in rows])
+    columns = Batch.pack([released, [Event(3, 4, {"s": 1, "UserId": 9})], later])
     assert columns == events + [Event(3, 4, {"s": 1, "UserId": 9})] + list(later)
     assert columns._keys == [layout] and len(columns._run_rows) == 1
     assert columns.resolutions == {}
-    floats = EventColumns([LayoutRows(layout, [(0.5, 2, 1, 7)])])
+    floats = Batch.pack([Batch.of_layout(layout, [(0.5, 2, 1, 7)])])
     assert floats == [Event(0.5, 2, {"s": 1, "UserId": 7})]
     assert floats.resolutions[TIMES_UNPACKED]["count"] == 1
 
 
 def test_max_time_res_pack_and_floats_fall_back_by_name():
-    packed = EventColumns([[Event(0, MAX_TIME, {"a": 1})]])
+    packed = Batch.pack([[Event(0, MAX_TIME, {"a": 1})]])
     assert packed[0].re == MAX_TIME and packed.resolutions == {}
     odd = [
         Event(0, 1, {"a": 0}),
@@ -150,7 +152,7 @@ def test_max_time_res_pack_and_floats_fall_back_by_name():
         Event(1, MAX_TIME, {"a": 2}),
         Event(2**70, 2**71, {"a": 3}),  # beyond int64
     ]
-    columns = EventColumns([odd[:1], odd[1:2], odd[2:]])
+    columns = Batch.pack([odd[:1], odd[1:2], odd[2:]])
     assert columns == odd and columns[1].le == 0.5
     assert columns[3].re == 2**71
     assert columns.resolutions[TIMES_UNPACKED]["count"] == 4
@@ -159,7 +161,7 @@ def test_max_time_res_pack_and_floats_fall_back_by_name():
 
 def test_a_payload_that_is_not_a_dict_is_kept_whole_and_counted():
     proxy = MappingProxyType({"a": 1})
-    columns = EventColumns([[Event(0, 1, {"a": 0}), Event(1, 2, proxy)]])
+    columns = Batch.pack([[Event(0, 1, {"a": 0}), Event(1, 2, proxy)]])
     assert columns[1].payload is proxy
     assert columns == [Event(0, 1, {"a": 0}), Event(1, 2, {"a": 1})]
     assert columns.resolutions[PAYLOADS_WHOLE]["count"] == 1
@@ -174,7 +176,7 @@ def test_engine_run_names_a_fallback_in_stats_and_explain():
     assert engine.last_stats.resolutions[TIMES_UNPACKED]["count"] == 5
     report = explain(query, stats=engine.last_stats)
     assert f"resolved this run: {TIMES_UNPACKED} x 5" in report
-    assert "result kept as EventColumns" in report
+    assert "result kept as a Batch" in report
 
     proxies = [Event.point(t, MappingProxyType({"V": t})) for t in range(3)]
     out = engine.run(query, {"logs": proxies}, validate=False)
@@ -190,10 +192,32 @@ def test_rows_released_out_of_le_order_are_sorted_stably():
         [Event(5, 7, MappingProxyType({"n": 4})), Event(2, 4, {"n": 5})],
     ]
     released = [e for batch in batches for e in batch]
-    columns = EventColumns(batches)
+    columns = Batch.pack(batches)
     assert columns == sorted(released, key=lambda e: e.le)  # stable
     assert [e.payload.get("n") for e in columns] == [None, 1, 2, 5, 0, 4]
     assert columns.resolutions[PAYLOADS_WHOLE]["count"] == 1
+
+
+# -- a source's rows ---------------------------------------------------------------
+
+
+def test_a_source_batch_decodes_once_and_its_readers_share_the_events():
+    """What ``Engine.run`` reads a source of rows as: ordered by ``Time``,
+    checked up front, decoded on the first read of an event and never
+    again (a multicast source costs one decode), and cut into views."""
+    rows = [{"Time": 2, "_re": 5, "a": 1}, {"Time": 1, "a": 2, "_src": "x"}]
+    batch = Batch.source(rows)
+    assert batch.rows == rows[::-1] and batch.les == [1, 2] and batch.res == [2, 5]
+    assert not batch.decoded
+    first = list(batch)
+    assert batch.decoded and batch[0] is first[0] and next(iter(batch)) is first[0]
+    assert first == [Event(1, 2, {"a": 2, "_src": "x"}), Event(2, 5, {"a": 1})]
+    assert events_to_rows(batch) == events_to_rows(first)
+    view = batch.cut(1, 2)
+    assert view.rows == [rows[0]] and not view.decoded and list(view) == first[1:]
+    # a TiMR stage's tagged rows lose the ``_src`` their map task wrote
+    tagged = Batch.source([{"Time": 1, "_src": "in0", "v": 0}], tagged=True)
+    assert list(tagged) == [Event(1, 2, {"v": 0})] and tagged.res == [2]
 
 
 # -- the reducer's row conversion ----------------------------------------------------
@@ -210,7 +234,7 @@ def test_rows_released_out_of_le_order_are_sorted_stably():
     ids=["mixed", "whole", "float"],
 )
 def test_events_to_rows_reads_the_columns_like_the_events(events, re_column):
-    columns = EventColumns([events])
+    columns = Batch.pack([events])
     want = events_to_rows(list(columns), re_column=re_column)
     got = events_to_rows(columns, re_column=re_column)
     assert got == want
@@ -220,7 +244,7 @@ def test_events_to_rows_reads_the_columns_like_the_events(events, re_column):
 def test_rows_share_one_object_per_time_value():
     """Each read of an int64 column is a new int; a reducer's output rows
     stay in the file system, so equal times share one object."""
-    columns = EventColumns(
+    columns = Batch.pack(
         [[Event(1000, 2000, {"a": 1}), Event(2000, 3000, {"a": 2}), Event(2000, 2500, {})]]
     )
     rows = events_to_rows(columns)

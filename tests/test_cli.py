@@ -316,7 +316,11 @@ class TestProfile:
         with open(trace) as fp:
             doc = json.load(fp)
         events = doc["traceEvents"]
-        assert {e["ph"] for e in events} == {"M", "X"}
+        assert {e["ph"] for e in events} == {"M", "X", "i"}
+        # the instants are named resolutions: the pipeline's keyed counts
+        # that read events take their per-row loop, and say so
+        instants = {(e["name"], e["args"]["resolution"]) for e in events if e["ph"] == "i"}
+        assert instants == {("resolution", "keyed.row_loop")}
         complete = [e for e in events if e["ph"] == "X"]
         assert all(
             isinstance(e["ts"], (int, float)) and e["dur"] >= 0 for e in complete

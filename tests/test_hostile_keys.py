@@ -10,6 +10,10 @@ runtime.
   sweep, the flat chains and a nested GroupApply alike; a TiMR reducer's
   failure arrives as a ``StageExecutionError`` around it, and with
   quarantine on the row is dead-lettered.
+* An aggregate over a value its kind cannot combine (a ``None`` to sum,
+  a ``str`` to order beside ints) is a ``ValueError`` naming the kind,
+  the column and the value, on the keyed sweep and the flat chains
+  alike; a TiMR reducer fails with it once, not again on a re-run.
 * A sub-plan that reads a source other than its group's input is
   refused when the plan is built, with a ``ValueError`` naming the
   source and the group keys — before any entry point runs it.
@@ -25,6 +29,7 @@ from repro.mapreduce import Cluster, DistributedFileSystem, StageExecutionError
 from repro.runtime import RunContext
 from repro.temporal import Engine, Query, StreamingEngine, normalize
 from repro.temporal.event import rows_to_events
+from repro.temporal.operators import AggSpec
 from repro.timr import TiMR
 from repro.timr import compile as timr_compile
 from tests.timr.test_boundary import ref_reducer
@@ -123,6 +128,39 @@ def test_a_key_error_fails_its_reducer_once(shape):
         timr(False)(grouped(shape), [dict(GOOD[0]), bad, dict(GOOD[1])])
     assert info.value.attempt == 1 and "failed on attempt 1 " in str(info.value)
     assert calls.count(info.value.partition) == 1
+
+
+#: rows whose aggregate column holds a value some kinds cannot combine,
+#: by the value
+UNCOMBINABLE = {
+    "none": [1, None, 2],
+    "str-beside-ints": [1, "x", 2],
+}
+
+
+@pytest.mark.parametrize("entry", ["engine", "stream", "timr"])
+@pytest.mark.parametrize("flat", [False, True], ids=["keyed", "flat"])
+@pytest.mark.parametrize("kind", ["sum", "avg", "stddev", "min", "max"])
+@pytest.mark.parametrize("values", sorted(UNCOMBINABLE))
+def test_an_aggregate_over_a_value_it_cannot_combine_is_named(values, kind, flat, entry):
+    """Was a bare ``TypeError`` from inside the sweep (``+=`` on ``None``,
+    ``<`` between ``None`` and an int), and a TiMR reducer re-ran and
+    failed on attempt 2."""
+    column = UNCOMBINABLE[values]
+    def sub(g):
+        q = g.window(5).aggregate(AggSpec(kind, "out", "v"))
+        return q.where(lambda p: True) if flat else q
+
+    query = Query.source("logs", ("u", "v")).group_apply("u", sub)
+    rows = [{"Time": t, "u": 0, "v": v} for t, v in enumerate(column, 1)]
+    with pytest.raises(Exception) as info:
+        ENTRY_POINTS[entry][0](query, rows)
+    exc = info.value
+    if isinstance(exc, StageExecutionError):
+        assert exc.attempt == 1 and "failed on attempt 1 " in str(exc)
+        exc = exc.__cause__
+    assert type(exc) is ValueError and exc.data_error
+    assert f"aggregate {kind} over column 'v'" in str(exc) and repr(column[1]) in str(exc)
 
 
 def reads_other():
