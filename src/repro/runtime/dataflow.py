@@ -50,10 +50,13 @@ and dies by refcount.
 from __future__ import annotations
 
 import itertools
+import math
 import time as _time
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..temporal.event import _LE, _ROW_LE, Batch, Event
 from ..temporal.operators.base import WAKE_ALWAYS, WAKE_AT_FLUSH, UnaryOperator, _deliver
@@ -71,7 +74,7 @@ from ..temporal.plan import (
 )
 from ..temporal.time import MAX_TIME, MIN_TIME
 from ..obs.trace import NULL_TRACER
-from .keyed import KeyedAggregate, key_error
+from .keyed import KeyedAggregate, key_error, lex_order
 
 
 class StreamingUnsupported(ValueError):
@@ -170,8 +173,13 @@ class GroupScheduler(UnaryOperator):
         self._le = _LE if self._keyed is None else _ROW_LE
         #: the keyed sweep's rows are merged by ``_le`` as chain events
         #: are, and made events as they are emitted: except at the
-        #: flow's root, which releases them as rows in this layout
+        #: flow's root, which keeps each release as one :class:`Batch` in
+        #: this layout (``released``) for :meth:`Dataflow.advance` to take
         self.layout = self._keyed.layout if emits_rows and self._keyed else None
+        self.released: Optional[Batch] = None
+        #: a keyed root in the array form: its backlog is the sweep's
+        #: int64 segment rows, until the node takes its per-row loop
+        self._columns = self.layout is not None and self._keyed._arrayable
         self._groups: Dict[Tuple, object] = {}
         #: the non-idle chains, in activation order (the order the
         #: cross-group merge appends their outputs in)
@@ -190,8 +198,9 @@ class GroupScheduler(UnaryOperator):
         #: chain advances made by this scheduler; the wave also draws
         #: its heap stamps from it
         self.chain_advances = 0
-        #: merged chain outputs not yet released, LE-sorted (stable)
-        self._pending: list = []
+        #: merged chain outputs not yet released, LE-sorted (stable): a
+        #: list, or once it has some, a keyed root's array of segment rows
+        self._pending = []
         self._fresh: Sequence[Event] = ()  # handed over, fed at the watermark
         self._fed_since_wave = 0
         self._idle_delta = -1  # < 0: no chain has gone idle yet
@@ -231,15 +240,16 @@ class GroupScheduler(UnaryOperator):
     def on_flush(self) -> list:
         """End of input: every chain flushes for real."""
         self._feed(MAX_TIME)
-        pending = self._pending
         keyed = self._keyed
         self.chain_advances += len(self._groups)
-        if keyed is not None:
-            keyed.sweep(self._groups, MAX_TIME)
+        segments = None if keyed is None else keyed.sweep(self._groups, MAX_TIME, self._columns)
+        pending = self._pending
         for chain in self._groups.values():
             outs = chain.advance(MAX_TIME) if keyed is None else keyed.advance(chain, MAX_TIME)
             if outs:
                 pending.extend(outs)
+        if self._columns:  # ties in key creation order, as the walk above
+            return self._release(segments, None if segments is None else segments[:, 2])
         # a stable LE sort == the cross-group LE merge: ties keep chain
         # order, so events never compare
         pending.sort(key=self._le)
@@ -260,7 +270,7 @@ class GroupScheduler(UnaryOperator):
         if self._due or self._fed_since_wave:
             return WAKE_ALWAYS
         if not self._active:
-            return WAKE_ALWAYS if self._pending else None
+            return WAKE_ALWAYS if len(self._pending) else None
         if not self._wake_heap:
             return WAKE_AT_FLUSH  # every chain sleeps until the flush
         # a stale top only makes this early. Backlog in ``_pending`` is
@@ -276,8 +286,14 @@ class GroupScheduler(UnaryOperator):
             return
         self._fresh = ()
         self._fed_since_wave += len(fresh)
-        if self._keyed is not None:
-            self._keyed.feed(self, fresh, w)
+        keyed = self._keyed
+        if keyed is not None:
+            keyed.feed(self, fresh, w)
+            if self._columns and keyed._loop_reason is not None:
+                # the node took its per-row loop for good: the backlog
+                # becomes rows once, in order, ahead of what the loop emits
+                self._columns = False
+                self._pending = keyed.rows(self._pending) if len(self._pending) else []
             return
         flat = self._flat
         for key, events in _batch_per_key(fresh, self.keys).items():
@@ -298,10 +314,33 @@ class GroupScheduler(UnaryOperator):
 
     def _emit(self, released: list) -> list:
         """Released outputs: a keyed sweep's rows become events here,
-        except at a flow's root."""
-        if self._keyed is not None and self.layout is None:
-            return list(Batch.of_layout(self._keyed.layout, released))
-        return released
+        except at a flow's root, which keeps them as ``released``."""
+        if self._keyed is None:
+            return released
+        batch = Batch.of_layout(self._keyed.layout, released)
+        if self.layout is None:
+            return list(batch)
+        self.released = batch
+        return []
+
+    def _release(self, segments: Optional[np.ndarray], ranks, before=None) -> list:
+        """Merge a keyed root's new ``segments`` into its backlog by LE (at
+        an equal LE the backlog first, in its order, then by ``ranks``; one
+        key's segments never share an LE), and release the rows with an LE
+        before ``before`` (``None``: every row)."""
+        backlog = self._pending
+        if segments is not None:
+            if len(backlog):
+                segments = np.concatenate((backlog, segments))
+                ranks = np.concatenate((np.arange(len(backlog)), ranks + len(backlog)))
+            backlog = np.take(segments, lex_order(segments[:, 0], ranks), axis=0)
+        cut = len(backlog)
+        if cut and before is not None:  # an int LE is before ``before`` iff before its ceiling
+            cut = int(np.searchsorted(backlog[:, 0], math.ceil(before)))
+        if cut:
+            self.released = self._keyed.batch(backlog[:cut])
+        self._pending = backlog[cut:]
+        return []
 
     def _wave(self, w: int) -> list:
         """One watermark wave.
@@ -332,9 +371,9 @@ class GroupScheduler(UnaryOperator):
         # the same relative order — and skipped chains add nothing
         added = False
         keyed = self._keyed
-        if keyed is not None:
-            keyed.sweep(due, w)
-        for key, chain in sorted(due.items(), key=_activation_order):
+        segments = None if keyed is None else keyed.sweep(due, w, self._columns)
+        woken = sorted(due.items(), key=_activation_order)
+        for key, chain in woken:
             outs = chain.advance(w) if keyed is None else keyed.advance(chain, w)
             self.chain_advances += 1
             chain.stamp = stamp = self.chain_advances
@@ -350,7 +389,13 @@ class GroupScheduler(UnaryOperator):
                 self._due[key] = chain
             elif chain.wake < WAKE_AT_FLUSH:
                 heappush(wake_heap, (chain.wake, stamp, key, chain))
-        if added:
+        ranks = None
+        if segments is not None:  # a keyed root's: ties in activation order too
+            ranks = np.zeros(len(keyed._states), np.int64)
+            kids = map(keyed._kids.__getitem__, map(itemgetter(0), woken))
+            ranks[np.fromiter(kids, np.int64, len(woken))] = np.arange(len(woken))
+            ranks = ranks[segments[:, 2]]
+        elif added:
             # timsort merges the sorted backlog with this wave's sorted
             # per-chain runs in near-linear time; being stable, it keeps
             # the backlog ahead of this wave at equal LEs
@@ -364,6 +409,8 @@ class GroupScheduler(UnaryOperator):
         group_w = self.watermark_out(w)
         if group_w > self.watermark:
             self.watermark = group_w
+        if self._columns:
+            return self._release(segments, ranks, group_w)
         idx = _before(pending, group_w, self._le)
         if not idx:
             return []
@@ -905,7 +952,12 @@ class Dataflow:
         the root is a keyed GroupApply (its events are built as they are
         read)."""
         released = self._chain.run() or []
-        return released if self._layout is None else Batch.of_layout(self._layout, released)
+        if self._layout is None:
+            return released
+        root = self._chain.ops[-1]
+        batch, root.released = root.released or Batch.of_columns(self._layout, [], [], []), None
+        self._plan.events_out[-1] += len(batch)  # the root's output, which its step kept
+        return batch
 
     def flush(self) -> Sequence[Event]:
         """End of input everywhere: drain all remaining operator state."""

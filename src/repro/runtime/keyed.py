@@ -38,7 +38,9 @@ as one :class:`~repro.temporal.event.Batch` (``runtime/dataflow.py``).
 
 A ``count`` or plain ``sum`` that reads a chunk's columns stages it as
 int64 endpoints instead (the *array form*, docs/EXECUTION.md), which each
-wave's :meth:`KeyedAggregate.sweep` sorts once.
+wave's :meth:`KeyedAggregate.sweep` sorts once. A flow's root keeps the
+segments as the sweep's int64 rows, merges and releases them as they
+are, and :meth:`KeyedAggregate.batch` turns a release into its ``Batch``.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from array import array
 from collections import Counter
 from itertools import chain, repeat
 from math import inf
@@ -74,6 +77,16 @@ _W_IN = attrgetter("w_in")
 ROW_LOOP = "keyed.row_loop"
 #: why a keyed count or int sum fed events, not a source's rows, loops
 EVENTS_READ = "the node read events, not a source's rows"
+
+
+def lex_order(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
+    """The order that sorts int64 rows by ``major``, then ``minor``, equal
+    pairs in any order: one combined key where it fits int64."""
+    m0, t0 = int(major.min()), int(minor.min())
+    span = int(minor.max()) - t0 + 1
+    if (int(major.max()) - m0 + 1) * span < 1 << 62:
+        return np.argsort((major - m0) * span + (minor - t0))
+    return np.lexsort((minor, major))
 
 
 class KeyState:
@@ -375,15 +388,17 @@ class KeyedAggregate:
         ends[:n, 3:], ends[n:, 3:] = sums.T, -sums.T
         return None
 
-    def sweep(self, due: dict, w=None) -> None:
+    def sweep(self, due: dict, w=None, keep: bool = False) -> Optional[np.ndarray]:
         """Before the ``due`` keys advance at input watermark ``w``, sweep
         every endpoint, each key up to its horizon: the later of its last
-        LE and (if due) its aggregate stage's watermark. Segments go to
-        the key's ``out``, ``start`` and ``pending`` are what the loop
-        would leave, and the rest is carried: ``_ends[:_n]``."""
+        LE and (if due) its aggregate stage's watermark. ``start`` and
+        ``pending`` are what the loop would leave, the rest is carried
+        (``_ends[:_n]``). The segments go to the keys' ``out`` as rows,
+        or with ``keep`` are returned as int64 rows ``(le, re, key id,
+        *live totals)``, by key id, then LE (``None``: none)."""
         n = self._n
         if not n:
-            return
+            return None
         upto = np.full(len(self._states), _NOT_DUE, np.int64)
         if due:
             w = math.floor(w)  # another source's time may be a float
@@ -393,11 +408,7 @@ class KeyedAggregate:
                 np.maximum(horizon - future, MIN_TIME, out=horizon)
             kids = np.fromiter(map(self._kids.__getitem__, due), np.int64, len(due))
             upto[kids] = _NEVER if w >= MAX_TIME else horizon
-        key, t = self._ends[:n, 0], self._ends[:n, 1]
-        t0 = int(t.min())  # sort by one combined key where it fits int64
-        span = int(t.max()) - t0 + 1
-        order = (np.argsort(key * span + (t - t0)) if span * len(upto) < 1 << 62
-                 else np.lexsort((t, key)))
+        order = lex_order(self._ends[:n, 0], self._ends[:n, 1])
         ends = np.take(self._ends[:n], order, axis=0, out=self._sorted[:n], mode="clip")
         key, t = ends[:, 0], ends[:, 1]
         head = np.concatenate(([True], key[1:] != key[:-1]))  # a key's first
@@ -429,24 +440,40 @@ class KeyedAggregate:
         carried[:, 2:] = np.where(
             marker[kept, None], np.take(live, kept, axis=0), np.take(deltas, kept, axis=0)
         )
-        times = t.tolist()  # one int per boundary, shared where segments meet
-        at = times.__getitem__
         states = self._states
-        for k, start, live_, end in zip(key[last].tolist(), map(at, last.tolist()), open_.tolist(),
-                                        map(at, np.minimum(last + 1, len(t) - 1).tolist())):
+        after = np.minimum(last + 1, len(t) - 1)  # each key's next boundary
+        for k, start, live_, end in zip(key[last].tolist(), t[last].tolist(), open_.tolist(),
+                                        t[after].tolist()):
             st = states[k]
             st.start = start
             st.pending = [end] if live_ else []
         if not len(seg):
-            return
-        values = [np.take(live[:, i], seg).tolist() for i in self._totals]
-        seg_keys = key[seg]
-        keys = [list(map(column.__getitem__, seg_keys.tolist())) for column in self._key_cols]
-        rows = list(zip(map(at, seg.tolist()), map(at, (seg + 1).tolist()),
-                        *[(values, keys)[s][i] for s, i in self._slots]))
+            return None
+        segments = np.column_stack((t[seg], t[seg + 1], key[seg], live[seg]))
+        if keep:
+            return segments
+        rows, seg_keys = self.rows(segments), key[seg]
         cuts = (np.flatnonzero(seg_keys[1:] != seg_keys[:-1]) + 1).tolist()
         for k, a, b in zip(seg_keys[[0, *cuts]].tolist(), [0, *cuts], [*cuts, len(rows)]):
             states[k].out = rows[a:b]
+        return None
+
+    def rows(self, segments: np.ndarray) -> List[tuple]:
+        """Segments as rows ``(le, re, *values)`` in :attr:`layout`."""
+        columns = segments.T
+        return list(zip(columns[0].tolist(), columns[1].tolist(), *self._values(columns)))
+
+    def batch(self, segments: np.ndarray) -> Batch:
+        """Segments as one :class:`Batch` in :attr:`layout`, no row built."""
+        columns = np.ascontiguousarray(segments.T)
+        les, res = array("q", columns[0].tobytes()), array("q", columns[1].tobytes())
+        return Batch.of_columns(self.layout, les, res, self._values(columns))
+
+    def _values(self, columns: np.ndarray) -> List[list]:
+        """The layout's value lists of transposed segments ``columns``."""
+        kids = columns[2].tolist()
+        return [columns[3 + self._totals[i]].tolist() if s == 0
+                else list(map(self._key_cols[i].__getitem__, kids)) for s, i in self._slots]
 
     def _to_loop(self) -> None:
         """Leave the array form: sweep up to each key's last LE, then make

@@ -251,9 +251,17 @@ class Engine:
                     if events_in:
                         span.set("selectivity", round(events_out / events_in, 6))
                 span.set_duration(busy)
-                tracer.metrics.counter(
-                    "engine.operator_events", op=key
-                ).inc(events_out)
+        if tracer.enabled:
+            count_operator_events(tracer.metrics, flow, root)
+
+
+def count_operator_events(metrics, flow, root) -> None:
+    """Add each operator node's output events to ``engine.operator_events``
+    (not a source's: ``EngineStats.operator_events`` counts those too)."""
+    keys = plan_node_keys(root)
+    for node, _, events_out, _ in flow.node_stats():
+        if not isinstance(node, (SourceNode, GroupInputNode)):
+            metrics.counter("engine.operator_events", op=keys[node.node_id]).inc(events_out)
 
 
 def _drive(flow, feeds, chunk_size: int, stats: EngineStats):

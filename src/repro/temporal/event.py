@@ -16,6 +16,8 @@ from itertools import chain, islice, repeat
 from operator import attrgetter, contains, eq, gt, itemgetter, le
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
+import numpy as np
+
 from .time import _INT_ONLY, MAX_TIME, TICK, check_time, check_times, data_error, validate_interval
 
 Payload = Mapping[str, Any]
@@ -128,7 +130,9 @@ class Batch(Sequence):
       runs of one layout; a payload not exactly a ``dict`` is kept whole
       in a run of the ``None`` layout. Each read builds a fresh ``Event``
       and payload dict: none is held per row, and mutating one changes
-      nothing.
+      nothing. A keyed root's release is one run (:meth:`of_columns`),
+      over ``array('q')`` times in the array form, which :meth:`pack`
+      appends as they are.
     """
 
     __slots__ = ("les", "_res", "rows", "drops", "_events", "_keys", "_values", "_ids",
@@ -157,16 +161,21 @@ class Batch(Sequence):
         return Batch(self.les[i:j], res, self.rows[i:j], self.drops)
 
     @classmethod
-    def of_layout(cls, layout: tuple, rows: list) -> "Batch":
-        """Rows ``(le, re, *values)`` whose values follow ``layout``: what
-        a keyed GroupApply at a flow's root releases, one run."""
-        les, res, *columns = zip(*rows) if rows else ((), ())
-        batch = cls(list(les), list(res))
+    def of_columns(cls, layout: tuple, les, res, columns: List[list]) -> "Batch":
+        """Rows over lifetimes ``les`` / ``res`` whose values are ``columns``,
+        a list per column of ``layout``: a keyed root's release, one run."""
+        batch = cls(les, res)
         values = batch._open_run(layout, 0)  # row-major: a slice assignment per column
-        values.extend(repeat(None, len(columns) * len(rows)))
+        values.extend(repeat(None, len(columns) * len(les)))
         for i, column in enumerate(columns):
             values[i :: len(columns)] = column
         return batch
+
+    @classmethod
+    def of_layout(cls, layout: tuple, rows: list) -> "Batch":
+        """Rows ``(le, re, *values)`` whose values follow ``layout``."""
+        les, res, *columns = zip(*rows) if rows else ((), ())
+        return cls.of_columns(layout, list(les), list(res), columns)
 
     @classmethod
     def pack(cls, batches: Iterable[Sequence[Event]]) -> "Batch":
@@ -176,7 +185,9 @@ class Batch(Sequence):
         packed = cls(array("q"), array("q"))
         for batch in batches:
             packed._extend(batch)
-        if any(map(gt, packed.les, islice(packed.les, 1, None))):
+        les = packed.les
+        if ((np.diff(np.asarray(les)) < 0).any() if type(les) is array
+                else any(map(gt, les, islice(les, 1, None)))):
             # rare: no benchmark query's driver releases out of LE order
             return cls.pack([sorted(packed, key=_LE)])
         return packed
@@ -185,7 +196,7 @@ class Batch(Sequence):
         if not events:
             return
         row = len(self.les)
-        if type(events) is Batch and type(events.les) is list and len(events._run_rows) == 1:
+        if type(events) is Batch and events.rows is None and len(events._run_rows) == 1:
             # a keyed root's release: its columns as they are, no Event
             self._extend_times(events.les, events._res)
             self._open_run(events._keys[0], row).extend(events._values[0])
@@ -211,6 +222,10 @@ class Batch(Sequence):
         """Append lifetimes; a time ``array('q')`` cannot hold turns both
         columns into lists of the original values for good."""
         if type(self.les) is array:
+            if type(les) is array:  # int64 already: one copy
+                self.les.extend(les)
+                self._res.extend(res)
+                return
             try:
                 self.les.fromlist(les)
                 self._res.fromlist(res)

@@ -40,6 +40,7 @@ from typing import Dict, Iterable, List, Optional, Union
 
 from ..runtime.context import DEFAULT_CONTEXT, RunContext
 from ..runtime.dataflow import Dataflow, StreamingUnsupported
+from .engine import count_operator_events
 from .event import Batch, Event, decode_row
 from .plan import PlanNode
 from .query import Query
@@ -120,8 +121,11 @@ class StreamingEngine:
         self._reorder: Dict[str, List] = {}
         self._reorder_seq = itertools.count()
         root = query.to_plan() if isinstance(query, Query) else query
+        self._root = root
         self._flow = Dataflow(root)
         self._flushed = False
+        #: events fed, and rows decoded: ``engine.*`` counters at the flush
+        self._input_events = self._decoded_rows = 0
 
     # -- public API -----------------------------------------------------------
 
@@ -152,6 +156,7 @@ class StreamingEngine:
                 f"watermark {watermark}",
             )
         self._flow.feed(source, [event], event.le)
+        self._input_events += 1
         if self.context.tracer.enabled:
             self.context.tracer.metrics.counter(
                 "streaming.events_in", source=source
@@ -173,6 +178,7 @@ class StreamingEngine:
                 f"than the slack of {self.slack} allows",
             )
         heapq.heappush(buffer, (event.le, next(self._reorder_seq), event))
+        self._input_events += 1
         if self.context.tracer.enabled:
             self.context.tracer.metrics.counter(
                 "streaming.events_in", source=source
@@ -213,9 +219,12 @@ class StreamingEngine:
         self._flow.set_watermarks(MAX_TIME)
         out = self._emit()
         if self.context.tracer.enabled:
-            self.context.tracer.metrics.counter("dataflow.chain_advances").inc(
-                self._flow.chain_advances
-            )
+            # the flow's engine counters, as Engine.run adds them
+            metrics = self.context.tracer.metrics
+            metrics.counter("engine.input_events").inc(self._input_events)
+            metrics.counter("engine.decoded_rows").inc(self._decoded_rows)
+            count_operator_events(metrics, self._flow, self._root)
+            metrics.counter("dataflow.chain_advances").inc(self._flow.chain_advances)
         return out
 
     def run_all(self, sources: Dict[str, Iterable]) -> List[Event]:
@@ -246,10 +255,12 @@ class StreamingEngine:
         if isinstance(item, Event):
             return item
         try:
-            return Event(*decode_row(item))
+            event = Event(*decode_row(item))
         except Exception as exc:
             self._reject(source, item, f"malformed event: {exc!r}")
             return None
+        self._decoded_rows += 1
+        return event
 
     def _reject(self, source: str, item: object, reason: str) -> List[Event]:
         """Apply the event policy to a late or malformed input."""

@@ -38,12 +38,14 @@ and aggregates run inside each group (the CQ shape of Figure 6).
 
 from __future__ import annotations
 
+import operator
 import re
+from fractions import Fraction
 from typing import Callable, List, Optional
 
 from .operators import AggSpec
 from .query import Query
-from .time import days, hours, minutes, seconds
+from .time import data_error, days, hours, minutes, seconds
 
 _TOKEN_RE = re.compile(
     r"\s*(?:"
@@ -72,6 +74,9 @@ _UNITS = {
 }
 
 _AGG_KINDS = {"count", "sum", "avg", "min", "max", "stddev"}
+
+_COMPARISONS = {"=": operator.eq, "!=": operator.ne, "<>": operator.ne, "<": operator.lt,
+                "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 class StreamSQLError(ValueError):
@@ -260,25 +265,25 @@ class _Parser:
         return Query.source(tok.value)
 
     def parse_duration(self) -> int:
-        tok = self.next()
-        if tok.kind != "number":
-            raise StreamSQLError(f"expected a number, found {tok!r}")
-        unit_tok = self.next()
-        if unit_tok.kind != "keyword" or unit_tok.value not in _UNITS:
-            raise StreamSQLError(f"expected a time unit, found {unit_tok!r}")
-        return int(tok.value * _UNITS[unit_tok.value])
+        return self.parse_window_spec(events=False)[0]
 
-    def parse_window_spec(self):
-        """WINDOW n <time unit> -> time window; WINDOW n EVENTS -> count."""
+    def parse_window_spec(self, events: bool = True):
+        """WINDOW n <time unit> -> time window; WINDOW n EVENTS -> count.
+        ``n`` must come to a whole number of ticks or events."""
         tok = self.next()
         if tok.kind != "number":
             raise StreamSQLError(f"expected a number, found {tok!r}")
         unit_tok = self.next()
-        if unit_tok.kind == "keyword" and unit_tok.value in ("events", "event"):
-            return None, int(tok.value)
-        if unit_tok.kind != "keyword" or unit_tok.value not in _UNITS:
+        counts = events and unit_tok.kind == "keyword" and unit_tok.value in ("events", "event")
+        if not counts and (unit_tok.kind != "keyword" or unit_tok.value not in _UNITS):
             raise StreamSQLError(f"expected a time unit, found {unit_tok!r}")
-        return int(tok.value * _UNITS[unit_tok.value]), None
+        n = Fraction(repr(tok.value)) * (1 if counts else _UNITS[unit_tok.value])
+        if n.denominator != 1:
+            raise StreamSQLError(
+                f"{tok.value} {unit_tok.value.upper()} is not a whole number of "
+                f"{'events' if counts else 'ticks'}"
+            )
+        return (None, int(n)) if counts else (int(n), None)
 
     # -- predicates ---------------------------------------------------------------
 
@@ -314,38 +319,36 @@ class _Parser:
             inner = self.parse_or()
             self.expect_op(")")
             return inner
-        left = self.parse_operand()
+        left, left_text = self.parse_operand()
         op_tok = self.next()
-        if op_tok.kind != "op" or op_tok.value not in ("=", "!=", "<>", "<", "<=", ">", ">="):
+        if op_tok.kind != "op" or op_tok.value not in _COMPARISONS:
             raise StreamSQLError(f"expected a comparison operator, found {op_tok!r}")
-        right = self.parse_operand()
+        right, right_text = self.parse_operand()
         op = op_tok.value
+        fn, text = _COMPARISONS[op], f"{left_text} {op} {right_text}"
 
-        def compare(p, _l=left, _r=right, _op=op):
+        def compare(p, _l=left, _r=right):
             lv, rv = _l(p), _r(p)
-            if _op == "=":
-                return lv == rv
-            if _op in ("!=", "<>"):
-                return lv != rv
-            if _op == "<":
-                return lv < rv
-            if _op == "<=":
-                return lv <= rv
-            if _op == ">":
-                return lv > rv
-            return lv >= rv
+            try:
+                return fn(lv, rv)
+            except TypeError:
+                raise data_error(ValueError(
+                    f"WHERE {text}: cannot compare {lv!r} ({type(lv).__name__}) "
+                    f"with {rv!r} ({type(rv).__name__})"
+                )) from None
 
         return compare
 
     def parse_operand(self):
+        """``(value of a payload, text)`` of a column or a literal."""
         tok = self.next()
         if tok.kind == "ident":
             name = tok.value
             self._predicate_columns.add(name)
-            return lambda p, _n=name: p[_n]
+            return (lambda p, _n=name: p[_n]), f"column {name!r}"
         if tok.kind in ("number", "string"):
             value = tok.value
-            return lambda p, _v=value: _v
+            return (lambda p, _v=value: _v), repr(value)
         raise StreamSQLError(f"expected column or literal, found {tok!r}")
 
     # -- plan construction -------------------------------------------------------------

@@ -301,6 +301,36 @@ class TestStreamingInstrumentation:
         snap = {m["name"]: m["value"] for m in tracer.metrics.snapshot()}
         assert snap["streaming.events_out"] == 2
 
+    def test_a_push_loop_adds_the_engine_counters_engine_run_adds(self):
+        """A traced push loop used to leave ``engine.input_events``,
+        ``engine.decoded_rows`` and ``engine.operator_events`` at 0; at
+        its flush it adds its flow's, which for rows pushed in order are
+        ``Engine.run``'s over the same rows (every row decoded)."""
+        rows = make_logs()
+        counters = []
+        for push in (True, False):
+            tracer = Tracer()
+            context = RunContext(tracer=tracer)
+            if push:
+                stream = StreamingEngine(grouped_count(), context=context)
+                for row in rows:
+                    stream.push("logs", row)
+                stream.flush()
+            else:
+                Engine(context=context).run(grouped_count(), {"logs": rows})
+            counters.append({
+                (m["name"], tuple(sorted(m["labels"].items()))): m["value"]
+                for m in tracer.metrics.snapshot()
+                if m["name"] in ("engine.input_events", "engine.decoded_rows",
+                                 "engine.operator_events")
+            })
+        pushed, batch = counters
+        assert pushed[("engine.input_events", ())] == len(rows)
+        assert pushed[("engine.decoded_rows", ())] == len(rows)
+        ops = {key: n for key, n in pushed.items() if key[0] == "engine.operator_events"}
+        assert ops and all(ops.values())
+        assert ops == {key: n for key, n in batch.items() if key[0] == "engine.operator_events"}
+
 
 class TestCalibration:
     def test_estimated_vs_observed(self):

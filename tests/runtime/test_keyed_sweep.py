@@ -355,6 +355,39 @@ def test_no_event_built_per_input_row(shape):
     assert keyed.ROW_LOOP not in stats.resolutions
 
 
+def test_a_keyed_root_releases_columns_without_a_row_per_segment():
+    """Fed a source's rows, ``scale_sliding``'s keyed root hands its
+    segments from the sweep to the result as int64 columns: no row tuple
+    is built (neither the loop's ``KeyedAggregate._row`` nor
+    ``KeyedAggregate.rows``) and none is transposed (``Batch.of_layout``),
+    where each output segment was a tuple, listed, sorted and transposed."""
+    rows = scale_rows(20_000, users=512, span=hours(72))
+    query = Query.source("logs", ("Time", "UserId", "Clicks")).group_apply(
+        "UserId", SHAPES["scale_sliding"]
+    )
+    calls = {"_row": 0, "rows": 0, "of_layout": 0, "batch": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    of_layout = Batch.of_layout.__func__
+    with mock.patch.object(keyed.KeyedAggregate, "_row",
+                           counted("_row", keyed.KeyedAggregate._row)), \
+            mock.patch.object(keyed.KeyedAggregate, "rows",
+                              counted("rows", keyed.KeyedAggregate.rows)), \
+            mock.patch.object(keyed.KeyedAggregate, "batch",
+                              counted("batch", keyed.KeyedAggregate.batch)), \
+            mock.patch.object(Batch, "of_layout", classmethod(counted("of_layout", of_layout))):
+        out = Engine(context=SERIAL).run(query, {"logs": rows})
+    assert len(out) > len(rows) / 5
+    assert calls == {"_row": 0, "rows": 0, "of_layout": 0, "batch": calls["batch"]}
+    assert calls["batch"] > 1
+    assert out == Engine(context=SERIAL).run(query, {"logs": point_events(rows)})
+
+
 @pytest.mark.parametrize("name", ["bot-elimination", "joins"])
 def test_every_row_is_decoded_where_events_are_read(name):
     """Bot elimination reads its source as events (a hop before its

@@ -722,6 +722,127 @@ def test_rows_per_batch_call(prefix, subplan):
     assert digest(calls) == ROW_BATCH_DIGESTS[f"{subplan}-{prefix}"]
 
 
+# -- a keyed root's column release ≡ the events-fed loop, call for call -------
+#
+# Fed a source's rows, a keyed count or int sum at a flow's root keeps
+# its segments as int64 rows from the sweep to the released ``Batch``
+# (``GroupScheduler._release``). Fed the same rows as
+# events, the node takes its per-row loop and releases rows through the
+# list sort: each cell below runs both and compares every call.
+
+
+def _tied_rows():
+    """Three rows a chunk. Keys created a, b, c, idle by the next wave;
+    re-activated c, a, b at a tie the wave after releases; then b, c, a
+    at a tie only the flush releases."""
+    def at(t, users):
+        return [{"Time": t, "StreamId": 0, "UserId": u, "V": t % 7 - 3} for u in users]
+    return at(0, "abc") + at(10, "xyz") + at(20, "cab") + at(40, "def") + at(60, "bca")
+
+
+def _tie_heavy_rows(n=1500, seed=5):
+    """Many keys sharing each time, negative values among them."""
+    rng = random.Random(seed)
+    rows, now = [], 0
+    for _ in range(n):
+        now += rng.choice([0, 0, 0, 0, 1, 4, 9])
+        rows.append({"Time": now, "StreamId": 0, "UserId": rng.randrange(9),
+                     "V": rng.randrange(-5, 6)})
+    return rows
+
+
+def _late_chunk(change, start=900):
+    """Tie-heavy rows with lifetimes of their own, ``change`` applied to
+    every row from ``start`` on; a key fed once before it lives on and
+    holds the group's watermark, so the column backlog is not empty."""
+    rows = [{**row, "_re": row["Time"] + 1 + row["V"] % 4} for row in _tie_heavy_rows()]
+    held = start - 200
+    hold = {**rows[held], "UserId": "hold", "_re": rows[held]["Time"] + 1000}
+    rows = [*rows[:held], hold, *rows[held:]]
+    return rows[:start] + [{**row, **change(row)} for row in rows[start:]]
+
+
+#: (rows, per-key plan, chunk, wave): tied LEs at a wave and at the
+#: flush, mid-stream conversions, MAX_TIME REs behind a shift
+COLUMN_CELLS = {
+    "ties-count": (_tied_rows(), lambda g: g.window(5).count(into="n"), 3, 0),
+    "ties-sum": (_tied_rows(), lambda g: g.window(5).sum("V", into="s"), 3, 0),
+    "tie-heavy-sum": (_tie_heavy_rows(), lambda g: g.window(6).sum("V", into="s"), 40, 32),
+    "tie-heavy-hop": (_tie_heavy_rows(), lambda g: g.hopping_window(9, 3).count(into="n"),
+                      25, 0),
+    "tie-heavy-shift": (_tie_heavy_rows(), lambda g: g.window(6).shift(2).sum("V", into="s"),
+                        50, 64),
+    "float-time-later": (_late_chunk(lambda r: {"Time": r["Time"] + 0.5}),
+                         lambda g: g.sum("V", into="s"), 50, 64),
+    "past-int64-later": (_late_chunk(lambda r: {"V": 2**62 + r["V"]}),
+                         lambda g: g.sum("V", into="s"), 50, 64),
+    "max-time-re-shift-back": (
+        [{**row, "_re": MAX_TIME} if row["V"] > 2 else row for row in _tie_heavy_rows(600)],
+        lambda g: g.shift(-3).sum("V", into="s"), 40, 0),
+    "max-time-re-shift-on": (
+        [{**row, "_re": MAX_TIME} if row["V"] > 2 else row for row in _tie_heavy_rows(600)],
+        lambda g: g.shift(2, 5).count(into="n"), 40, 0),
+}
+
+
+@contextlib.contextmanager
+def column_release_log():
+    """Record each top-level keyed root's column releases (rows each)
+    and, per feed that left the array form, the backlog it held."""
+    log = {"released": [], "converted": []}
+    batch, feed = keyed.KeyedAggregate.batch, dataflow.GroupScheduler._feed
+
+    def recording_batch(self, segments):
+        log["released"].append(len(segments))
+        return batch(self, segments)
+
+    def recording_feed(self, w):
+        columns, backlog = self._columns, len(self._pending)
+        feed(self, w)
+        if columns and not self._columns:
+            log["converted"].append(backlog)
+
+    with mock.patch.object(keyed.KeyedAggregate, "batch", recording_batch), \
+            mock.patch.object(dataflow.GroupScheduler, "_feed", recording_feed):
+        yield log
+
+
+@pytest.mark.parametrize("cell", sorted(COLUMN_CELLS))
+def test_column_release_equals_the_loop_per_call(cell):
+    rows, sub, chunk, wave = COLUMN_CELLS[cell]
+    query = Query.source("logs", ("StreamId", "UserId", "V")).group_apply("UserId", sub)
+    with column_release_log() as log:
+        columns = drive_in_batches(query, rows, chunk=chunk, wave=wave, as_rows=True)
+    loop = drive_in_batches(query, rows, chunk=chunk, wave=wave)
+    assert len(columns) == len(loop) > 3
+    for i, (got, want) in enumerate(zip(columns, loop)):
+        assert got == want, f"call {i} of {len(loop)}"
+    assert sum(log["released"]) > 0  # the array form released columns
+    if "later" in cell:
+        # left the array form mid-stream with a backlog not yet released
+        assert len(log["converted"]) == 1 and log["converted"][0] > 0
+    else:
+        assert log["converted"] == []
+        assert sum(log["released"]) == sum(len(out) for out, _, _ in loop)
+
+
+def test_ties_release_in_creation_order_at_the_flush():
+    """A wave merges tied LEs in activation order (c, a, b re-activated
+    at 20); the flush walks the keys in creation order (a, b, c), which
+    the column release keeps."""
+    query = Query.source("logs", ("StreamId", "UserId", "V")).group_apply(
+        "UserId", lambda g: g.window(5).count(into="n")
+    )
+    calls = drive_in_batches(query, _tied_rows(), chunk=3, wave=0, as_rows=True)
+
+    def users(at):
+        return [[dict(payload)["UserId"] for le, _, payload in out if le == at]
+                for out, _, _ in calls]
+
+    assert users(20) == [[], [], [], ["c", "a", "b"], [], []]  # the wave at 40
+    assert users(60)[-1] == ["a", "b", "c"]  # the flush
+
+
 def count_flows(run):
     built = [0]
     init = Dataflow.__init__
