@@ -766,6 +766,7 @@ _COMMANDS = {
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     from .analysis import PlanValidationError
+    from .mapreduce.persist import CorruptDatasetError
     from .temporal import StreamSQLError
 
     try:
@@ -790,7 +791,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         print(f"repro {args.command}: error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, CorruptDatasetError) as exc:
         print(f"repro {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

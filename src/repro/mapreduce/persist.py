@@ -101,42 +101,53 @@ def load_file(directory: str, name: str, verify: bool = True) -> DistributedFile
     """Read one dataset previously written by :func:`save_file`.
 
     When the metadata carries per-partition integrity records (datasets
-    written by this version) and ``verify`` is true, row counts and
-    content hashes are checked and a mismatch raises
-    :class:`CorruptDatasetError`. Older datasets without the records
-    load unverified.
+    written by this version) and ``verify`` is true, each partition's
+    content hash is checked before it is parsed, then its row count; a
+    mismatch raises :class:`CorruptDatasetError`. Older datasets without
+    the records load unverified. A metadata or partition file that cannot
+    be read (torn mid-line, not UTF-8, keys missing) raises it too,
+    verified or not, naming the dataset and the file.
     """
     path = _dataset_dir(directory, name)
     meta_path = os.path.join(path, _META)
     if not os.path.exists(meta_path):
         raise FileNotFoundError(f"no dataset {name!r} under {directory!r}")
-    with open(meta_path, encoding="utf-8") as f:
-        meta = json.load(f)
-    integrity = meta.get("partitions")
+    try:
+        with open(meta_path, encoding="utf-8") as f:
+            meta = json.load(f)
+        integrity = meta.get("partitions") if verify else None
+        count, stored_name = range(meta["num_partitions"]), meta["name"]
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise _unreadable(name, meta_path, exc) from exc
     partitions: List[List[Row]] = []
-    for i in range(meta["num_partitions"]):
+    for i in count:
         part_path = os.path.join(path, f"part-{i:05d}.jsonl")
-        rows: List[Row] = []
         data = b""
         if os.path.exists(part_path):
             with open(part_path, "rb") as f:
                 data = f.read()
-            for line in data.decode("utf-8").splitlines():
-                line = line.strip()
-                if line:
-                    rows.append(json.loads(line))
-        if verify and integrity is not None and i < len(integrity):
-            expected = integrity[i]
+        try:
+            expected = integrity[i] if integrity is not None and i < len(integrity) else None
             actual_hash = hashlib.sha256(data).hexdigest()
-            if len(rows) != expected["rows"] or actual_hash != expected["sha256"]:
-                raise CorruptDatasetError(
-                    f"partition {i} of dataset {name!r} does not match its "
-                    f"recorded integrity metadata ({len(rows)} rows, "
-                    f"hash {actual_hash[:12]}…): the file is torn or was "
-                    "modified after the write"
-                )
+            torn = expected is not None and actual_hash != expected["sha256"]
+            if not torn:
+                rows = [json.loads(line) for line in data.decode("utf-8").splitlines()
+                        if line.strip()]
+                torn = expected is not None and len(rows) != expected["rows"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise _unreadable(name, part_path, exc) from exc
+        if torn:
+            raise CorruptDatasetError(
+                f"partition {i} of dataset {name!r} ({part_path}) does not match "
+                f"its recorded integrity metadata (hash {actual_hash[:12]}…): the "
+                "file is torn or was modified after the write"
+            )
         partitions.append(rows)
-    return DistributedFile(meta["name"], partitions)
+    return DistributedFile(stored_name, partitions)
+
+
+def _unreadable(name: str, file: str, exc: Exception) -> CorruptDatasetError:
+    return CorruptDatasetError(f"dataset {name!r}: {file} cannot be read ({exc})")
 
 
 def save_fs(fs: DistributedFileSystem, directory: str) -> List[str]:

@@ -177,9 +177,9 @@ class GroupScheduler(UnaryOperator):
         #: this layout (``released``) for :meth:`Dataflow.advance` to take
         self.layout = self._keyed.layout if emits_rows and self._keyed else None
         self.released: Optional[Batch] = None
-        #: a keyed root in the array form: its backlog is the sweep's
+        #: a keyed sweep in the array form: its backlog is the sweep's
         #: int64 segment rows, until the node takes its per-row loop
-        self._columns = self.layout is not None and self._keyed._arrayable
+        self._columns = self._keyed is not None and self._keyed._arrayable
         self._groups: Dict[Tuple, object] = {}
         #: the non-idle chains, in activation order (the order the
         #: cross-group merge appends their outputs in)
@@ -199,7 +199,7 @@ class GroupScheduler(UnaryOperator):
         #: its heap stamps from it
         self.chain_advances = 0
         #: merged chain outputs not yet released, LE-sorted (stable): a
-        #: list, or once it has some, a keyed root's array of segment rows
+        #: list, or once it has some, the array form's int64 segment rows
         self._pending = []
         self._fresh: Sequence[Event] = ()  # handed over, fed at the watermark
         self._fed_since_wave = 0
@@ -242,7 +242,7 @@ class GroupScheduler(UnaryOperator):
         self._feed(MAX_TIME)
         keyed = self._keyed
         self.chain_advances += len(self._groups)
-        segments = None if keyed is None else keyed.sweep(self._groups, MAX_TIME, self._columns)
+        segments = None if keyed is None else keyed.sweep(self._groups, MAX_TIME)
         pending = self._pending
         for chain in self._groups.values():
             outs = chain.advance(MAX_TIME) if keyed is None else keyed.advance(chain, MAX_TIME)
@@ -254,7 +254,7 @@ class GroupScheduler(UnaryOperator):
         # order, so events never compare
         pending.sort(key=self._le)
         self._pending = []
-        return self._emit(pending)
+        return pending if keyed is None else self._emit(Batch.of_layout(keyed.layout, pending))
 
     def watermark_out(self, w: int) -> int:
         if self._waited:
@@ -312,19 +312,16 @@ class GroupScheduler(UnaryOperator):
                 self._active[key] = chain
             self._due[key] = chain
 
-    def _emit(self, released: list) -> list:
-        """Released outputs: a keyed sweep's rows become events here,
-        except at a flow's root, which keeps them as ``released``."""
-        if self._keyed is None:
-            return released
-        batch = Batch.of_layout(self._keyed.layout, released)
+    def _emit(self, batch: Batch) -> list:
+        """A keyed sweep's release: events here, except at a flow's root,
+        which keeps it as ``released``."""
         if self.layout is None:
             return list(batch)
         self.released = batch
         return []
 
     def _release(self, segments: Optional[np.ndarray], ranks, before=None) -> list:
-        """Merge a keyed root's new ``segments`` into its backlog by LE (at
+        """Merge the array form's new ``segments`` into its backlog by LE (at
         an equal LE the backlog first, in its order, then by ``ranks``; one
         key's segments never share an LE), and release the rows with an LE
         before ``before`` (``None``: every row)."""
@@ -337,10 +334,8 @@ class GroupScheduler(UnaryOperator):
         cut = len(backlog)
         if cut and before is not None:  # an int LE is before ``before`` iff before its ceiling
             cut = int(np.searchsorted(backlog[:, 0], math.ceil(before)))
-        if cut:
-            self.released = self._keyed.batch(backlog[:cut])
         self._pending = backlog[cut:]
-        return []
+        return self._emit(self._keyed.batch(backlog[:cut])) if cut else []
 
     def _wave(self, w: int) -> list:
         """One watermark wave.
@@ -371,7 +366,7 @@ class GroupScheduler(UnaryOperator):
         # the same relative order — and skipped chains add nothing
         added = False
         keyed = self._keyed
-        segments = None if keyed is None else keyed.sweep(due, w, self._columns)
+        segments = None if keyed is None else keyed.sweep(due, w)
         woken = sorted(due.items(), key=_activation_order)
         for key, chain in woken:
             outs = chain.advance(w) if keyed is None else keyed.advance(chain, w)
@@ -390,7 +385,7 @@ class GroupScheduler(UnaryOperator):
             elif chain.wake < WAKE_AT_FLUSH:
                 heappush(wake_heap, (chain.wake, stamp, key, chain))
         ranks = None
-        if segments is not None:  # a keyed root's: ties in activation order too
+        if segments is not None:  # the array form's: ties in activation order too
             ranks = np.zeros(len(keyed._states), np.int64)
             kids = map(keyed._kids.__getitem__, map(itemgetter(0), woken))
             ranks[np.fromiter(kids, np.int64, len(woken))] = np.arange(len(woken))
@@ -416,7 +411,7 @@ class GroupScheduler(UnaryOperator):
             return []
         released = pending[:idx]
         del pending[:idx]
-        return self._emit(released)
+        return released if keyed is None else self._emit(Batch.of_layout(keyed.layout, released))
 
     def _rebuild_heaps(self) -> None:
         """Drop the stale entries lazy deletion left behind, so both

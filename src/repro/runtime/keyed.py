@@ -4,21 +4,24 @@ Most GroupApply sub-plans in this system are a few stateless stages — a
 time window or hop, a shift, a where or a project — feeding one snapshot
 aggregate: every windowed count and sum of the BT pipeline and of the
 scale shapes. Such a sub-plan needs no per-key operator graph.
-:class:`KeyedAggregate` runs it for every key at once: a fed batch goes
-through one loop that extracts each event's key, computes its lifetime
-through the stateless stages and folds it into that key's
-:class:`KeyState` — the aggregate's pane partials, its heap of distinct
-REs and its open segment, nothing else per key.
+:class:`KeyedAggregate` runs it for every key at once: a fed batch has
+its keys read and its lifetimes computed through the stateless stages,
+then is split by key, and each key's rows go through the endpoint sweep
+of :class:`~repro.temporal.operators.SnapshotAggregate` itself
+(``operators/aggregate.py``'s ``endpoint_sweep`` and ``drain_panes``,
+the one copy) over that key's :class:`KeyState` — the aggregate's pane
+partials, its heap of distinct REs and its open segment, nothing else
+per key.
 
 The GroupApply's scheduler (``dataflow.GroupScheduler``) treats a
 ``KeyState`` exactly like a per-key chain: it has a watermark, a wake
 time and an idle delta, and :meth:`KeyedAggregate.advance` is that
-chain's ``advance``. Per key, the sweep performs the same ``enter`` /
-``leave`` calls and emits the same segments in the same order as
-:class:`~repro.temporal.operators.SnapshotAggregate` behind the chain's
-stages would, and — taking the key's own input watermark, as a chain
-does — leaves the same watermark and wake time, so the output is
-identical event for event and call for call
+chain's ``advance``. Per key, the sweep is the one the chain's
+aggregate runs, on the rows the chain's stages would hand it, so it
+makes the same ``enter`` / ``leave`` calls and emits the same segments
+in the same order; and — taking the key's own input watermark, as a
+chain does — it leaves the same watermark and wake time, so the output
+is identical event for event and call for call
 (``tests/runtime/test_wake_scheduling.py`` runs both).
 
 A batch arrives as events, or straight from a source of rows as a
@@ -30,27 +33,28 @@ checked LEs and REs, the keys and aggregate inputs off the rows, each
 row its own read-only payload, and no ``Event`` or payload dict is
 built. Any other sweep iterates the batch, which decodes it.
 
-A segment is emitted as one row ``(le, re, *values)`` whose values
-follow :attr:`KeyedAggregate.layout`, the payload's column order; the
-scheduler builds an ``Event`` from a row only where something in the
-flow reads it as one, and a flow whose root is the node releases them
-as one :class:`~repro.temporal.event.Batch` (``runtime/dataflow.py``).
+The per-row loop emits a segment as one row ``(le, re, *values)``
+whose values follow :attr:`KeyedAggregate.layout`, the payload's column
+order; the scheduler makes its release one
+:class:`~repro.temporal.event.Batch` of them (``runtime/dataflow.py``).
 
 A ``count`` or plain ``sum`` that reads a chunk's columns stages it as
 int64 endpoints instead (the *array form*, docs/EXECUTION.md), which each
-wave's :meth:`KeyedAggregate.sweep` sorts once. A flow's root keeps the
-segments as the sweep's int64 rows, merges and releases them as they
-are, and :meth:`KeyedAggregate.batch` turns a release into its ``Batch``.
+wave's :meth:`KeyedAggregate.sweep` sorts once. Every node in the array
+form, a flow's root or not, keeps the segments as the sweep's int64
+rows, merges and releases them as they are, and
+:meth:`KeyedAggregate.batch` turns a release into its ``Batch``; only
+the conversion to the per-row loop makes them rows.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from array import array
 from collections import Counter
-from itertools import chain, repeat
+from functools import partial
+from itertools import chain
 from math import inf
 from operator import attrgetter, itemgetter
 from typing import List, Optional
@@ -58,7 +62,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..temporal.event import _LE, _PAYLOAD, _RE, Batch
-from ..temporal.operators.aggregate import _Together, aggregate_error
+from ..temporal.operators.aggregate import _Together, drain_panes, endpoint_sweep
 from ..temporal.operators.base import WAKE_ALWAYS
 from ..temporal.operators.stateless import (
     WINDOW_SPECS,
@@ -91,8 +95,8 @@ def lex_order(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
 
 class KeyState:
     """One key's aggregate: pane partials, the heap of their distinct
-    REs, the open segment, and the run of equal ``(le, re)`` arrivals
-    not yet folded into its pane (``run_k`` of them)."""
+    REs and the open segment's start, which
+    :func:`~repro.temporal.operators.aggregate.endpoint_sweep` updates."""
 
     __slots__ = (
         "key_values",
@@ -101,10 +105,6 @@ class KeyState:
         "panes",
         "pending",
         "start",
-        "run_le",
-        "run_re",
-        "run_k",
-        "run_payloads",
         "out",
         "floor",
         "w_in",
@@ -124,9 +124,6 @@ class KeyState:
         self.panes: dict = {}  # RE -> partial
         self.pending: List[int] = []  # min-heap of the distinct live REs
         self.start = MIN_TIME  # the open segment's start while a pane lives
-        self.run_le = self.run_re = None
-        self.run_k = 0
-        self.run_payloads = None
         self.out: List[tuple] = []  # rows emitted, not yet taken by a wave
         self.floor = MIN_TIME  # the aggregate stage's watermark floor
         #: the last LE fed to this key that led the group's watermark; the
@@ -274,45 +271,18 @@ class KeyedAggregate:
         if self._n:
             self._to_loop()
         les, res, payloads = self._lifetimes(les, res, payloads)
-        reads = self.reads_payloads
-        if not reads:
-            payloads = repeat(None)
-        drain = self._drain
-        row = self._row
-        push = heapq.heappush
+        # each key's rows, keys in first-appearance order, through the sweep
+        split: dict = {}
         for key, le, re, payload in zip(batch_keys, les, res, payloads):
-            st = groups[key]
-            if le is None:
-                continue  # a where or an empty lifetime dropped it
-            if le == st.run_le and re == st.run_re:
-                st.run_k += 1
-                if reads:
-                    st.run_payloads.append(payload)
-                continue
-            # a new run of equal (le, re): fold the open one into its
-            # pane, then the endpoint sweep's step for its first arrival
-            panes = st.panes
-            if st.run_k:
-                run_re = st.run_re
-                try:
-                    panes[run_re] = st.fold.enter(panes[run_re], st.run_payloads, st.run_k)
-                except TypeError as exc:
-                    raise aggregate_error(self.specs, st.states, st.run_payloads, exc) from None
-            pending = st.pending
-            if pending:
-                if pending[0] <= le:
-                    drain(st, le)
-                if pending and le > st.start:
-                    st.out.append(row(st, st.start, le))
-            st.start = le
-            if re not in panes:
-                push(pending, re)
-                panes[re] = None
-            st.run_le = le
-            st.run_re = re
-            st.run_k = 1
-            if reads:
-                st.run_payloads = [payload]
+            if le is not None:  # else a where or an empty lifetime dropped it
+                split.setdefault(key, []).append((le, re, payload))
+        reads, specs = self.reads_payloads, self.specs
+        for key, rows in split.items():
+            st, (k_les, k_res, k_payloads) = groups[key], zip(*rows)
+            st.start = endpoint_sweep(
+                k_les, k_res, k_payloads if reads else None, st.pending, st.panes, st.fold,
+                st.start, partial(self._row, st), st.out, specs, st.states,
+            )
 
     def _columns(self, fresh):
         """``(les, res, payloads)`` of ``fresh``, ``res`` ``None`` where a
@@ -388,14 +358,13 @@ class KeyedAggregate:
         ends[:n, 3:], ends[n:, 3:] = sums.T, -sums.T
         return None
 
-    def sweep(self, due: dict, w=None, keep: bool = False) -> Optional[np.ndarray]:
+    def sweep(self, due: dict, w=None) -> Optional[np.ndarray]:
         """Before the ``due`` keys advance at input watermark ``w``, sweep
         every endpoint, each key up to its horizon: the later of its last
         LE and (if due) its aggregate stage's watermark. ``start`` and
         ``pending`` are what the loop would leave, the rest is carried
-        (``_ends[:_n]``). The segments go to the keys' ``out`` as rows,
-        or with ``keep`` are returned as int64 rows ``(le, re, key id,
-        *live totals)``, by key id, then LE (``None``: none)."""
+        (``_ends[:_n]``). Returns the segments as int64 rows ``(le, re,
+        key id, *live totals)``, by key id, then LE (``None``: none)."""
         n = self._n
         if not n:
             return None
@@ -449,14 +418,7 @@ class KeyedAggregate:
             st.pending = [end] if live_ else []
         if not len(seg):
             return None
-        segments = np.column_stack((t[seg], t[seg + 1], key[seg], live[seg]))
-        if keep:
-            return segments
-        rows, seg_keys = self.rows(segments), key[seg]
-        cuts = (np.flatnonzero(seg_keys[1:] != seg_keys[:-1]) + 1).tolist()
-        for k, a, b in zip(seg_keys[[0, *cuts]].tolist(), [0, *cuts], [*cuts, len(rows)]):
-            states[k].out = rows[a:b]
-        return None
+        return np.column_stack((t[seg], t[seg + 1], key[seg], live[seg]))
 
     def rows(self, segments: np.ndarray) -> List[tuple]:
         """Segments as rows ``(le, re, *values)`` in :attr:`layout`."""
@@ -476,9 +438,15 @@ class KeyedAggregate:
                 else list(map(self._key_cols[i].__getitem__, kids)) for s, i in self._slots]
 
     def _to_loop(self) -> None:
-        """Leave the array form: sweep up to each key's last LE, then make
-        the carried entries panes, heap and fold totals (ints: exact)."""
-        self.sweep({})
+        """Leave the array form: sweep up to each key's last LE, deal the
+        segments to the keys' ``out`` as rows, then make the carried
+        entries panes, heap and fold totals (ints: exact)."""
+        segments = self.sweep({})
+        if segments is not None:
+            rows, seg_keys = self.rows(segments), segments[:, 2]
+            cuts = (np.flatnonzero(seg_keys[1:] != seg_keys[:-1]) + 1).tolist()
+            for k, a, b in zip(seg_keys[[0, *cuts]].tolist(), [0, *cuts], [*cuts, len(rows)]):
+                self._states[k].out = rows[a:b]
         for k, t, *totals in self._ends[: self._n].tolist():
             st = self._states[k]
             if totals[0] > 0:  # the open segment's start, with the live totals
@@ -493,43 +461,25 @@ class KeyedAggregate:
 
     # -- the aggregate ------------------------------------------------------
 
-    def _fold(self, st: KeyState) -> None:
-        """Enter the open run into its pane."""
-        re = st.run_re
-        try:
-            st.panes[re] = st.fold.enter(st.panes[re], st.run_payloads, st.run_k)
-        except TypeError as exc:
-            raise aggregate_error(self.specs, st.states, st.run_payloads, exc) from None
-        st.run_k = 0
-        st.run_le = st.run_re = st.run_payloads = None
-
     def _row(self, st: KeyState, le: int, re: int) -> tuple:
         """A segment's row in the layout."""
         sources = ([x.value() for x in st.states], st.key_values)
         return (le, re, *[sources[s][i] for s, i in self._slots])
 
-    def _drain(self, st: KeyState, t: int) -> None:
-        """Retire every pane with RE <= ``t``, closing the constant-value
-        segment at each RE before its pane leaves."""
-        pending, panes, fold, out = st.pending, st.panes, st.fold, st.out
-        while pending and pending[0] <= t:
-            end = heapq.heappop(pending)
-            if end > st.start:
-                out.append(self._row(st, st.start, end))
-            st.start = end
-            fold.leave(panes.pop(end))
+    def _drain(self, st: KeyState, t) -> None:
+        """Retire every pane of ``st`` with RE <= ``t``, its segments to ``out``."""
+        st.start = drain_panes(t, st.pending, st.panes, st.fold, st.start,
+                               partial(self._row, st), st.out)
 
     # -- the chain protocol -------------------------------------------------
 
     def advance(self, st: KeyState, watermark: int) -> List[tuple]:
-        """What a per-key chain's ``advance(watermark)`` does: finish the
-        sweep, retire what the watermark closes, and set the key's
-        watermark, wake time and idle delta; returns its new output rows
-        (``(le, re, *values)`` in :attr:`layout`)."""
+        """What a per-key chain's ``advance(watermark)`` does: retire what
+        the watermark closes, and set the key's watermark, wake time and
+        idle delta; returns its new output rows (``(le, re, *values)`` in
+        :attr:`layout`)."""
         if watermark >= MAX_TIME:
             st.idle_delta = None
-            if st.run_k:
-                self._fold(st)
             self._drain(st, inf)  # every pane, past MAX_TIME too
             st.watermark = MAX_TIME
             return self._take(st)
@@ -540,8 +490,6 @@ class KeyedAggregate:
         w_in = st.w_in if st.w_in > watermark else watermark
         if w_in != self._wave:
             self._wave, self._w_in = w_in, self._stage_w(w_in)
-        if st.run_k:
-            self._fold(st)
         w = self._w_in
         pending = st.pending
         if pending and pending[0] <= w:

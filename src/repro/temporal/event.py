@@ -163,7 +163,7 @@ class Batch(Sequence):
     @classmethod
     def of_columns(cls, layout: tuple, les, res, columns: List[list]) -> "Batch":
         """Rows over lifetimes ``les`` / ``res`` whose values are ``columns``,
-        a list per column of ``layout``: a keyed root's release, one run."""
+        a list per column of ``layout``: a keyed sweep's release, one run."""
         batch = cls(les, res)
         values = batch._open_run(layout, 0)  # row-major: a slice assignment per column
         values.extend(repeat(None, len(columns) * len(les)))

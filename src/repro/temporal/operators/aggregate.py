@@ -328,6 +328,54 @@ class AggSpec:
         return f"AggSpec({self.kind}, into={self.into!r}, column={self.column!r})"
 
 
+def endpoint_sweep(les, res, payloads, pending, panes, fold, start, segment, out,
+                   specs, states):
+    """The endpoint sweep, its one copy (:class:`SnapshotAggregate`'s, and
+    per key a keyed GroupApply's): LE-ordered ``les``, ``res``, ``payloads``
+    (``None`` when ``fold`` reads none) into the state passed in —
+    ``pending``, the min-heap of distinct live REs; ``panes``, each RE's
+    partial; ``fold``, over the ``states`` of ``specs``; ``start``, the open
+    segment's start, returned — each closed segment ``segment(le, re)``
+    appended to ``out``. Drain, emit and heap push happen once per run of
+    equal ``(le, re)``, which folds into its RE's pane."""
+    enter = fold.enter
+    i, n = 0, len(les)
+    while i < n:
+        le, re = les[i], res[i]
+        j = i + 1
+        while j < n and res[j] == re and les[j] == le:
+            j += 1
+        if pending:
+            if pending[0] <= le:
+                start = drain_panes(le, pending, panes, fold, start, segment, out)
+            if pending and le > start:
+                out.append(segment(start, le))
+        start = le
+        pane = panes.get(re)
+        if pane is None:
+            heapq.heappush(pending, re)
+        run = None if payloads is None else payloads[i:j]
+        try:
+            panes[re] = enter(pane, run, j - i)
+        except TypeError as exc:
+            raise aggregate_error(specs, states, run, exc) from None
+        i = j
+    return start
+
+
+def drain_panes(t, pending, panes, fold, start, segment, out):
+    """Retire every pane with RE <= ``t``, closing the constant-value
+    segment at each RE into ``out`` before its pane leaves; the state is
+    :func:`endpoint_sweep`'s, and so is the returned open segment's start."""
+    while pending and pending[0] <= t:
+        end = heapq.heappop(pending)
+        if end > start:
+            out.append(segment(start, end))
+        start = end
+        fold.leave(panes.pop(end))
+    return start
+
+
 class SnapshotAggregate(UnaryOperator):
     """Compute one or more aggregates per snapshot via an endpoint sweep."""
 
@@ -367,51 +415,27 @@ class SnapshotAggregate(UnaryOperator):
             return {self._into: self._states[0].value()}
         return {s.into: st.value() for s, st in zip(self.specs, self._states)}
 
+    def _segment(self, le: int, re: int) -> Event:
+        return Event(le, re, self._value_payload())
+
     def _drain(self, t: int, out: list) -> list:
-        """Retire every pane with RE <= ``t``, closing the constant-value
-        segment at each RE into ``out`` before its pane leaves."""
         pending = self._pending
-        while pending and pending[0] <= t:
-            end = heapq.heappop(pending)
-            if end > self._segment_start:
-                out.append(Event(self._segment_start, end, self._value_payload()))
-            self._segment_start = end
-            self._fold.leave(self._panes.pop(end))
+        if not pending or pending[0] > t:
+            return out
+        self._segment_start = drain_panes(
+            t, pending, self._panes, self._fold, self._segment_start, self._segment, out
+        )
         return out
 
     def sweep(self, les, res, payloads) -> list:
-        """The endpoint sweep over parallel ``(les, res, payloads)``
+        """:func:`endpoint_sweep` over parallel ``(les, res, payloads)``
         sequences, LE-ordered: the loop behind ``on_batch``, with
-        ``payloads=None`` unless :attr:`reads_payloads`.
-        The expired-RE drain, the segment emit and the heap push happen
-        once per run of equal ``(le, re)``; the run folds into the pane
-        of its RE, which an earlier call may have opened. A keyed
-        GroupApply (:mod:`repro.runtime.keyed`) runs the same steps per
-        key.
-        """
+        ``payloads=None`` unless :attr:`reads_payloads`."""
         out: list = []
-        pending, panes, enter = self._pending, self._panes, self._fold.enter
-        i, n = 0, len(les)
-        while i < n:
-            le, re = les[i], res[i]
-            j = i + 1
-            while j < n and res[j] == re and les[j] == le:
-                j += 1
-            if pending:
-                if pending[0] <= le:
-                    self._drain(le, out)
-                if pending and le > self._segment_start:
-                    out.append(Event(self._segment_start, le, self._value_payload()))
-            self._segment_start = le
-            pane = panes.get(re)
-            if pane is None:
-                heapq.heappush(pending, re)
-            run = None if payloads is None else payloads[i:j]
-            try:
-                panes[re] = enter(pane, run, j - i)
-            except TypeError as exc:
-                raise aggregate_error(self.specs, self._states, run, exc) from None
-            i = j
+        self._segment_start = endpoint_sweep(
+            les, res, payloads, self._pending, self._panes, self._fold,
+            self._segment_start, self._segment, out, self.specs, self._states,
+        )
         return out
 
     def on_batch(self, events) -> list:

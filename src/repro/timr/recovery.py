@@ -107,10 +107,13 @@ def load_manifest(directory: str, job: str) -> Optional[JobManifest]:
     path = manifest_path(directory, job)
     if not os.path.exists(path):
         return None
-    with open(path, encoding="utf-8") as f:
-        raw = json.load(f)
-    return JobManifest(
-        job=raw["job"],
-        fingerprint=raw["fingerprint"],
-        entries=[StageCheckpoint(**e) for e in raw["entries"]],
-    )
+    try:
+        with open(path, encoding="utf-8") as f:
+            raw = json.load(f)
+        return JobManifest(
+            job=raw["job"],
+            fingerprint=raw["fingerprint"],
+            entries=[StageCheckpoint(**e) for e in raw["entries"]],
+        )
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ResumeError(f"the job manifest {path} cannot be read ({exc})") from exc

@@ -14,6 +14,7 @@ included, in every driver that can end at a keyed root.
 """
 
 import contextlib
+import inspect
 import random
 from unittest import mock
 
@@ -124,6 +125,17 @@ def test_no_chain_per_key():
         with unfused_reference():
             run(query, rows)
     assert built == {"chains": 1 + 1 + 97, "states": 97}
+
+
+def test_one_copy_of_the_endpoint_sweep():
+    """The keyed sweep runs the aggregate's own endpoint sweep per key
+    (``operators/aggregate.py``): no heap operation of its own, no run of
+    equal (LE, RE) carried across calls, and one release of the array
+    form, root or not."""
+    source = inspect.getsource(keyed)
+    assert "heappush" not in source and "heappop" not in source
+    assert [name for name in keyed.KeyState.__slots__ if name.startswith("run_")] == []
+    assert "keep" not in inspect.signature(keyed.KeyedAggregate.sweep).parameters
 
 
 @pytest.mark.parametrize("keys", ["UserId", ("UserId", "StreamId")])

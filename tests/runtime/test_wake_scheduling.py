@@ -490,6 +490,64 @@ def test_fused_equals_unfused_per_batch_call(prefix, subplan):
     assert SHARED_PAYLOAD == {"c": 1}
 
 
+def _split_run_rows():
+    """Chunks of four: user ``a``'s run of equal (LE, RE) at 10 spans the
+    first two, ``b``'s and ``c``'s rows between its arrivals; float
+    values, so a sum takes the per-row loop on rows too."""
+    def at(t, users, v):
+        return [{"Time": t, "StreamId": 0, "UserId": u, "V": v} for u in users]
+    return at(10, "abac", 0.5) + at(10, "abaa", 0.25) + at(12, "cab", 1.5) + at(40, "ab", 2.0)
+
+
+#: the aggregates a split run enters: a count, a float sum, a max
+SPLIT_RUN_SHAPES = {
+    "count": lambda g: g.window(5).count(into="n"),
+    "float-sum": lambda g: g.window(5).sum("V", into="s"),
+    "max": lambda g: g.window(5).max("V", into="m"),
+}
+
+
+@contextlib.contextmanager
+def counting_enters():
+    """Every aggregate's ``enter`` calls, counted."""
+    calls = [0]
+
+    def counted(enter):
+        def wrapper(self, part, payloads, k):
+            calls[0] += 1
+            return enter(self, part, payloads, k)
+        return wrapper
+
+    with contextlib.ExitStack() as stack:
+        for cls in (aggregate.AggregateFunction, aggregate.CountAgg, aggregate.SumAgg):
+            stack.enter_context(mock.patch.object(cls, "enter", counted(cls.enter)))
+        yield calls
+
+
+@pytest.mark.parametrize("wave", [0, 64], ids=["wave-each-call", "waves-amortized"])
+@pytest.mark.parametrize("as_rows", [False, True], ids=["events", "rows"])
+@pytest.mark.parametrize("shape", sorted(SPLIT_RUN_SHAPES))
+def test_a_run_split_across_calls(shape, as_rows, wave):
+    """A key's run of equal (LE, RE) split across two batch calls: the
+    keyed sweep enters its pane once per call, and releases what the
+    chains do per call. With a wave after every call that is also the
+    chains' ``enter`` count; with amortized waves a chain's aggregate
+    sees both calls' rows at once, and only the releases must agree."""
+    query = Query.source("logs", ("StreamId", "UserId", "V")).group_apply(
+        "UserId", SPLIT_RUN_SHAPES[shape]
+    )
+    rows = _split_run_rows()
+    with counting_enters() as keyed_enters:
+        fused = drive_in_batches(query, rows, chunk=4, wave=wave, as_rows=as_rows)
+    with unfused_reference(), counting_enters() as chain_enters:
+        plain = drive_in_batches(query, rows, chunk=4, wave=wave, as_rows=as_rows)
+    assert len(fused) == len(plain) == 5
+    for i, (got, want) in enumerate(zip(fused, plain)):
+        assert got == want, f"call {i} of {len(plain)}"
+    if not wave and not (as_rows and shape == "count"):  # the array form enters no pane
+        assert keyed_enters[0] == chain_enters[0] > 0
+
+
 # -- one per-key form ≡ the three it replaced ---------------------------------
 #
 # Every GroupApply sub-plan runs as the keyed sweep or a flat chain per
@@ -965,7 +1023,8 @@ def test_one_event_per_input_and_one_per_output(subplan):
 
 
 class _CountingHeapq:
-    """``heapq`` as ``runtime.keyed`` sees it, pushes counted."""
+    """``heapq`` as the endpoint sweep (``operators/aggregate.py``) sees
+    it, pushes counted."""
 
     def __init__(self):
         self.pushes = 0
@@ -1002,7 +1061,7 @@ def pane_state(subplan, rows):
     counting = _CountingHeapq()
     events = point_events(rows)
     fed = {id(e.payload) for e in events}
-    with mock.patch.object(keyed, "heapq", counting):
+    with mock.patch.object(aggregate, "heapq", counting):
         flow = Dataflow(query.to_plan(), group_wave_events=64)
         out = []
         for i in range(0, len(events), 50):

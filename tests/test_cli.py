@@ -1,10 +1,23 @@
 """Tests for the command-line interface."""
 
 import json
+import shutil
 
 import pytest
 
 from repro.cli import main
+
+from tests.test_persistence import DAMAGE, _largest_partition
+
+
+def _tamper(dataset):
+    victim = _largest_partition(dataset)
+    victim.write_text(victim.read_text() + '{"Time": 7, "evil": true}\n')
+    return victim
+
+
+#: a partition that parses but no longer matches its recorded hash
+TAMPER = {"partition-tampered": _tamper}
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +167,18 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert "error" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("damage", sorted({**DAMAGE, **TAMPER}))
+    def test_unreadable_snapshot_is_one_line(self, snapshot, tmp_path, capsys, damage):
+        """A torn or tampered snapshot file is a one-line error naming the
+        file, not a ``CorruptDatasetError`` traceback."""
+        copy = tmp_path / "snap"
+        shutil.copytree(snapshot, copy)
+        victim = {**DAMAGE, **TAMPER}[damage](copy / "logs")
+        rc = main(["sql", "SELECT * FROM logs", "--data", str(copy)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and victim.name in err
 
 
 BAD_SQL = (

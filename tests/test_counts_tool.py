@@ -16,7 +16,7 @@ _spec.loader.exec_module(counts)
 
 def _row(**changes):
     row = {"chain advances": 10, "operator_events": 20, "decoded_rows": 0,
-           "array_swept_rows": 5, "output rows": 20, "digest": "abc"}
+           "array_swept_rows": 5, "keyed.row_loop": 0, "output rows": 20, "digest": "abc"}
     row.update(changes)
     return row
 
@@ -53,5 +53,14 @@ def test_a_traced_pass_counts_the_work(monkeypatch):
     assert set(found) == set(counts.ROWS)
     # a keyed sliding sum over rows: every row swept as arrays, none decoded
     assert found["decoded_rows"] == 0 and found["array_swept_rows"] == 15_000
+    assert found["keyed.row_loop"] == 0  # no resolution counted: 0, not n/a
     assert found["chain advances"] > 0
     assert found["operator_events"] == found["output rows"] > 15_000
+
+
+def test_the_row_loop_row_reads_its_resolution(monkeypatch):
+    """``keyed.row_loop`` reads the ``engine.resolutions`` counter of
+    that label: ``bt_timr`` feeds some keyed counts events."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    found = counts.collect(ROOT, ["bt_timr"], size="smoke")["bt_timr"]
+    assert found["keyed.row_loop"] > 0

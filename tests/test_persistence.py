@@ -75,6 +75,40 @@ class TestDatasetSnapshots:
         )
 
 
+def _largest_partition(dataset):
+    return max(dataset.glob("part-*.jsonl"), key=lambda p: p.stat().st_size)
+
+
+def _cut_mid_line(dataset):
+    victim = _largest_partition(dataset)
+    data = victim.read_bytes()
+    victim.write_bytes(data[: data.rindex(b"\n", 0, -1) + 5])  # into the last line
+    return victim
+
+
+def _invalid_utf8(dataset):
+    victim = _largest_partition(dataset)
+    victim.write_bytes(victim.read_bytes() + b'{"v": "\xff\xfe"}\n')
+    return victim
+
+
+def _rewrite_meta(text):
+    def damage(dataset):
+        victim = dataset / "_meta.json"
+        victim.write_text(text(victim.read_text()))
+        return victim
+    return damage
+
+
+#: ways a persisted dataset's files become unreadable: each returns the file
+DAMAGE = {
+    "partition-cut-mid-line": _cut_mid_line,
+    "partition-invalid-utf8": _invalid_utf8,
+    "meta-unparsable": _rewrite_meta(lambda text: text[: len(text) // 2]),
+    "meta-missing-keys": _rewrite_meta(lambda text: "{}"),
+}
+
+
 class TestCrashSafetyAndIntegrity:
     """The checkpoint/resume path leans on these guarantees."""
 
@@ -114,6 +148,19 @@ class TestCrashSafetyAndIntegrity:
         victim.write_text("".join(lines[:-1]))
         with pytest.raises(CorruptDatasetError):
             load_file(str(tmp_path), "d")
+
+    @pytest.mark.parametrize("verify", [True, False], ids=["verified", "unverified"])
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_unreadable_files_name_the_dataset_and_file(self, tmp_path, damage, verify):
+        """A torn or undecodable partition, or ``_meta.json`` unparsable or
+        missing its keys: :class:`CorruptDatasetError` naming the dataset
+        and the file, not the parser's bare error."""
+        from repro.mapreduce.persist import CorruptDatasetError
+
+        self.write_sample(tmp_path)
+        victim = DAMAGE[damage](tmp_path / "d")
+        with pytest.raises(CorruptDatasetError, match=f"'d'.*{victim.name}"):
+            load_file(str(tmp_path), "d", verify=verify)
 
     def test_verification_can_be_disabled(self, tmp_path):
         self.write_sample(tmp_path)

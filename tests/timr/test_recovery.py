@@ -8,6 +8,7 @@ determinism-verified) and only the remainder recomputes.
 import glob
 import os
 import random
+import re
 
 import pytest
 
@@ -30,6 +31,8 @@ from repro.timr import (
     plan_fingerprint,
     save_manifest,
 )
+
+from tests.test_persistence import DAMAGE
 
 
 def make_logs(n=300, seed=13):
@@ -237,6 +240,37 @@ class TestResumeSafety:
         with open(part_files[0], "a", encoding="utf-8") as f:
             f.write('{"Time": 999999, "smuggled": true}\n')
         with pytest.raises(ResumeError, match="missing or corrupt"):
+            make_timr(rows, checkpoint_dir=str(tmp_path), resume=True).run(
+                two_stage_query(), num_partitions=2
+            )
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_unreadable_checkpoint_files_are_a_resume_error(self, tmp_path, damage):
+        """A checkpointed dataset whose partition or ``_meta.json`` cannot
+        be read refuses the resume with a :class:`ResumeError` naming the
+        dataset and the file, not the parser's bare error."""
+        rows = make_logs(80)
+        make_timr(rows, checkpoint_dir=str(tmp_path)).run(
+            two_stage_query(), num_partitions=2
+        )
+        dataset = load_manifest(str(tmp_path), "timr").entries[0].dataset
+        victim = DAMAGE[damage](tmp_path / dataset)
+        with pytest.raises(ResumeError, match=f"missing or corrupt.*'{dataset}'.*{victim.name}"):
+            make_timr(rows, checkpoint_dir=str(tmp_path), resume=True).run(
+                two_stage_query(), num_partitions=2
+            )
+
+    def test_unparsable_manifest_is_a_resume_error(self, tmp_path):
+        rows = make_logs(80)
+        make_timr(rows, checkpoint_dir=str(tmp_path)).run(
+            two_stage_query(), num_partitions=2
+        )
+        path = manifest_path(str(tmp_path), "timr")
+        with open(path, "r+", encoding="utf-8") as f:
+            f.truncate(len(f.read()) // 2)
+        with pytest.raises(ResumeError, match=f"manifest {re.escape(path)} cannot be read"):
+            load_manifest(str(tmp_path), "timr")
+        with pytest.raises(ResumeError, match="manifest .* cannot be read"):
             make_timr(rows, checkpoint_dir=str(tmp_path), resume=True).run(
                 two_stage_query(), num_partitions=2
             )

@@ -15,6 +15,9 @@ Prints per workload, for both sides:
   revision that lacks it;
 * ``operator_events``, ``decoded_rows`` and ``array_swept_rows``: the
   ``engine.*`` counters, summed over their labels;
+* ``keyed.row_loop``: the rows a keyed count or int sum took through its
+  per-row loop, the ``engine.resolutions`` counter of that label (0
+  where it never counted);
 * output rows: the rows or events the pass returned;
 * the output digest ``check`` computed.
 
@@ -43,12 +46,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("bt_timr", "scale_sliding", "scale_hopping", "scale_par", "stream_push")
-#: printed rows: label -> the metric counter summed into it
+#: printed rows: label -> the metric counter summed into it, or
+#: ``(counter, resolution)``: that counter's one ``resolution`` label
 ROWS = {
     "chain advances": "dataflow.chain_advances",
     "operator_events": "engine.operator_events",
     "decoded_rows": "engine.decoded_rows",
     "array_swept_rows": "engine.array_swept_rows",
+    #: a resolution is counted only once it happens: absent reads 0
+    "keyed.row_loop": ("engine.resolutions", "keyed.row_loop"),
     "output rows": None,
     "digest": None,
 }
@@ -107,7 +113,10 @@ def collect(tree: Path, names, size: str = "full") -> dict:
         for metric in tracer.metrics.snapshot():
             if metric["kind"] == "counter":
                 sums[metric["name"]] += metric["value"]
-        row = {label: sums.get(metric, NA) for label, metric in ROWS.items() if metric}
+                if "resolution" in metric["labels"]:
+                    sums[metric["name"], metric["labels"]["resolution"]] += metric["value"]
+        row = {label: sums.get(metric, 0 if type(metric) is tuple else NA)
+               for label, metric in ROWS.items() if metric}
         row["output rows"], row["digest"] = output_rows(out), digest[:12]
         found[name] = row
         del workload, out
