@@ -48,6 +48,13 @@ import sys
 from typing import List, Optional
 
 
+def _count(text: str) -> int:
+    """A count flag's value: a positive int."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive int")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     from . import __version__
 
@@ -61,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="generate a synthetic advertising log")
-    gen.add_argument("--users", type=int, default=500)
+    gen.add_argument("--users", type=_count, default=500)
     gen.add_argument("--days", type=float, default=3.0)
     gen.add_argument("--seed", type=int, default=42)
     gen.add_argument("--out", required=True, help="snapshot directory")
@@ -70,16 +77,16 @@ def build_parser() -> argparse.ArgumentParser:
     sql.add_argument("query", help="the StreamSQL text")
     sql.add_argument("--data", required=True, help="snapshot directory")
     sql.add_argument("--source-name", default="logs")
-    sql.add_argument("--limit", type=int, default=20, help="rows to print")
+    sql.add_argument("--limit", type=_count, default=20, help="rows to print")
 
     timr = sub.add_parser("timr", help="run a StreamSQL query through TiMR")
     timr.add_argument("query")
     timr.add_argument("--data", required=True)
     timr.add_argument("--source-name", default="logs")
-    timr.add_argument("--machines", type=int, default=150)
-    timr.add_argument("--partitions", type=int, default=None)
+    timr.add_argument("--machines", type=_count, default=150)
+    timr.add_argument("--partitions", type=_count, default=None)
     timr.add_argument("--span-width", type=int, default=None)
-    timr.add_argument("--limit", type=int, default=20)
+    timr.add_argument("--limit", type=_count, default=20)
 
     bt = sub.add_parser("bt", help="run the end-to-end BT pipeline")
     bt.add_argument("--data", required=True)
@@ -87,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--selector", choices=["kez", "kepop", "fex"], default="kez"
     )
     bt.add_argument("--z", type=float, default=1.96, help="KE-z threshold")
-    bt.add_argument("--top-n", type=int, default=50, help="KE-pop keyword budget")
+    bt.add_argument("--top-n", type=_count, default=50, help="KE-pop keyword budget")
     bt.add_argument("--stem", action="store_true", help="Porter-stem keywords first")
 
     explain = sub.add_parser("explain", help="explain a StreamSQL query's plan")
@@ -138,14 +145,14 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--data", default=None, help="snapshot directory (default: generate a small log)"
     )
-    chaos.add_argument("--users", type=int, default=40, help="users when generating")
+    chaos.add_argument("--users", type=_count, default=40, help="users when generating")
     chaos.add_argument("--days", type=float, default=1.0, help="days when generating")
     chaos.add_argument("--seed", type=int, default=7, help="fault schedule seed")
     chaos.add_argument(
         "--rate", type=float, default=0.15, help="per-site fault probability"
     )
-    chaos.add_argument("--machines", type=int, default=8)
-    chaos.add_argument("--partitions", type=int, default=4)
+    chaos.add_argument("--machines", type=_count, default=8)
+    chaos.add_argument("--partitions", type=_count, default=4)
     chaos.add_argument(
         "--checkpoint-dir",
         default=None,
@@ -172,10 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--data", default=None, help="snapshot directory (default: generate a small log)"
     )
-    profile.add_argument("--users", type=int, default=40, help="users when generating")
+    profile.add_argument("--users", type=_count, default=40, help="users when generating")
     profile.add_argument("--days", type=float, default=1.0, help="days when generating")
-    profile.add_argument("--machines", type=int, default=8)
-    profile.add_argument("--partitions", type=int, default=4)
+    profile.add_argument("--machines", type=_count, default=8)
+    profile.add_argument("--partitions", type=_count, default=4)
     profile.add_argument(
         "--out-dir",
         default="profile_out",
@@ -790,6 +797,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except ValueError as exc:
         print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
+    except KeyError as exc:  # an unknown source, or a bare unknown column
+        name = str(exc.args[0] if exc.args else "")
+        message = name if " " in name else f"unknown column {name!r}"
+        print(f"repro {args.command}: error: {message}", file=sys.stderr)
         return 2
     except (OSError, CorruptDatasetError) as exc:
         print(f"repro {args.command}: error: {exc}", file=sys.stderr)

@@ -53,6 +53,10 @@ class CostModel:
     speculative_execution: bool = False
     retry_backoff_base: float = 0.25
 
+    def __post_init__(self):
+        if self.num_machines < 1:
+            raise ValueError(f"num_machines must be at least 1, not {self.num_machines!r}")
+
     def _speeds(self, count: int) -> List[float]:
         speeds = list(self.machine_speeds or [])
         if len(speeds) < count:

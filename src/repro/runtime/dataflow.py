@@ -74,7 +74,7 @@ from ..temporal.plan import (
 )
 from ..temporal.time import MAX_TIME, MIN_TIME
 from ..obs.trace import NULL_TRACER
-from .keyed import KeyedAggregate, key_error, lex_order
+from .keyed import WATERMARK_NOT_INT, KeyedAggregate, key_error, lex_order
 
 
 class StreamingUnsupported(ValueError):
@@ -191,7 +191,8 @@ class GroupScheduler(UnaryOperator):
         #: sleeping rest, and a min-heap of ``(watermark, stamp, chain)``
         #: over every non-idle chain for the group watermark. Both heaps
         #: delete lazily: an entry is live iff its stamp is still the
-        #: chain's, i.e. the chain has not advanced since the push.
+        #: chain's, i.e. the chain has not advanced since the push. The
+        #: array form keeps all three as columns (``KeyedAggregate.wave``).
         self._due: Dict[Tuple, object] = {}
         self._wake_heap: List[tuple] = []
         self._held: List[tuple] = []
@@ -242,7 +243,7 @@ class GroupScheduler(UnaryOperator):
         self._feed(MAX_TIME)
         keyed = self._keyed
         self.chain_advances += len(self._groups)
-        segments = None if keyed is None else keyed.sweep(self._groups, MAX_TIME)
+        segments = keyed.sweep(np.arange(len(self._groups)), MAX_TIME) if self._columns else None
         pending = self._pending
         for chain in self._groups.values():
             outs = chain.advance(MAX_TIME) if keyed is None else keyed.advance(chain, MAX_TIME)
@@ -262,21 +263,28 @@ class GroupScheduler(UnaryOperator):
             return self.watermark
         if self._idle_delta >= 0:
             w -= self._idle_delta
-        if self._held and self._held[0][0] < w:
-            w = self._held[0][0]
+        held = self._keyed.held_top if self._columns else self._held[0][0] if self._held else None
+        if held is not None and held < w:
+            w = held
         return w
 
     def next_wake(self) -> Optional[int]:
-        if self._due or self._fed_since_wave:
+        if self._columns:  # the array form's keys and heaps are columns
+            keyed = self._keyed
+            due, active, wake = keyed.due_n, keyed.active_n, keyed.wake_top
+        else:
+            due, active = self._due, self._active
+            wake = self._wake_heap[0][0] if self._wake_heap else None
+        if due or self._fed_since_wave:
             return WAKE_ALWAYS
-        if not self._active:
+        if not active:
             return WAKE_ALWAYS if len(self._pending) else None
-        if not self._wake_heap:
+        if wake is None:
             return WAKE_AT_FLUSH  # every chain sleeps until the flush
         # a stale top only makes this early. Backlog in ``_pending`` is
         # released by the group watermark, which ``watermark_out``
         # accounts for
-        return self._wake_heap[0][0]
+        return wake
 
     # -- internals --------------------------------------------------------------
 
@@ -286,14 +294,8 @@ class GroupScheduler(UnaryOperator):
             return
         self._fresh = ()
         self._fed_since_wave += len(fresh)
-        keyed = self._keyed
-        if keyed is not None:
-            keyed.feed(self, fresh, w)
-            if self._columns and keyed._loop_reason is not None:
-                # the node took its per-row loop for good: the backlog
-                # becomes rows once, in order, ahead of what the loop emits
-                self._columns = False
-                self._pending = keyed.rows(self._pending) if len(self._pending) else []
+        if self._keyed is not None:
+            self._keyed.feed(self, fresh, w)
             return
         flat = self._flat
         for key, events in _batch_per_key(fresh, self.keys).items():
@@ -348,27 +350,45 @@ class GroupScheduler(UnaryOperator):
         constant, so one representative bound covers all of them). The
         cost is O(fed + due), not O(active chains).
         """
+        keyed = self._keyed
+        if self._columns and type(w) is not int:  # another source's time
+            keyed._to_loop(self, WATERMARK_NOT_INT)
+        if self._tracer.enabled:
+            # wave width is a pure function of the data and the wave
+            # schedule
+            width = keyed.active_n if self._columns else len(self._active)
+            self._tracer.metrics.histogram("dataflow.wave_width").observe(width)
+        if self._columns:  # the same walk, as array passes over the columns
+            segments, ranks = keyed.wave(self, w)
+        else:
+            self._walk(w)
+        group_w = self.watermark_out(w)
+        if group_w > self.watermark:
+            self.watermark = group_w
+        if self._columns:
+            return self._release(segments, ranks, group_w)
         pending = self._pending
-        active = self._active
-        wake_heap = self._wake_heap
-        held = self._held
+        idx = _before(pending, group_w, self._le)
+        if not idx:
+            return []
+        released = pending[:idx]
+        del pending[:idx]
+        return released if keyed is None else self._emit(Batch.of_layout(keyed.layout, released))
+
+    def _walk(self, w: int) -> None:
+        """Advance the due chains, keeping the heaps."""
+        pending, active, wake_heap, held, keyed = (
+            self._pending, self._active, self._wake_heap, self._held, self._keyed)
         due, self._due = self._due, {}
         while wake_heap and wake_heap[0][0] <= w:
             _, stamp, key, chain = heappop(wake_heap)
             if chain.stamp == stamp:
                 due[key] = chain
-        if self._tracer.enabled:
-            # wave width is a pure function of the data and the wave
-            # schedule
-            self._tracer.metrics.histogram("dataflow.wave_width").observe(len(active))
         # activation order is the order a walk over the whole active set
         # would reach these chains in, so their outputs join the merge in
         # the same relative order — and skipped chains add nothing
         added = False
-        keyed = self._keyed
-        segments = None if keyed is None else keyed.sweep(due, w)
-        woken = sorted(due.items(), key=_activation_order)
-        for key, chain in woken:
+        for key, chain in sorted(due.items(), key=_activation_order):
             outs = chain.advance(w) if keyed is None else keyed.advance(chain, w)
             self.chain_advances += 1
             chain.stamp = stamp = self.chain_advances
@@ -384,13 +404,7 @@ class GroupScheduler(UnaryOperator):
                 self._due[key] = chain
             elif chain.wake < WAKE_AT_FLUSH:
                 heappush(wake_heap, (chain.wake, stamp, key, chain))
-        ranks = None
-        if segments is not None:  # the array form's: ties in activation order too
-            ranks = np.zeros(len(keyed._states), np.int64)
-            kids = map(keyed._kids.__getitem__, map(itemgetter(0), woken))
-            ranks[np.fromiter(kids, np.int64, len(woken))] = np.arange(len(woken))
-            ranks = ranks[segments[:, 2]]
-        elif added:
+        if added:
             # timsort merges the sorted backlog with this wave's sorted
             # per-chain runs in near-linear time; being stable, it keeps
             # the backlog ahead of this wave at equal LEs
@@ -401,17 +415,6 @@ class GroupScheduler(UnaryOperator):
         # entry is the minimum over all non-idle chains
         while held and held[0][2].stamp != held[0][1]:
             heappop(held)
-        group_w = self.watermark_out(w)
-        if group_w > self.watermark:
-            self.watermark = group_w
-        if self._columns:
-            return self._release(segments, ranks, group_w)
-        idx = _before(pending, group_w, self._le)
-        if not idx:
-            return []
-        released = pending[:idx]
-        del pending[:idx]
-        return released if keyed is None else self._emit(Batch.of_layout(keyed.layout, released))
 
     def _rebuild_heaps(self) -> None:
         """Drop the stale entries lazy deletion left behind, so both
@@ -704,7 +707,8 @@ class _FlatChain:
 
     def run(self) -> list:
         """One pass over every step; returns the root's new output and
-        leaves :attr:`watermark` and :attr:`wake`."""
+        leaves :attr:`watermark` and, but in a flow's own chain (see
+        :meth:`wake_time`), :attr:`wake`."""
         plan = self.plan
         w = self.w
         outs, pinned = plan.outs, plan.pinned
@@ -752,7 +756,7 @@ class _FlatChain:
                         wo = w[i]
                         if ww > wo:
                             w[i] = wo = ww
-                    t = op.next_wake()
+                    t = None if counted else op.next_wake()
                     if t is None:  # idle: the identity
                         po -= future
                     else:
@@ -796,14 +800,43 @@ class _FlatChain:
                     plan.busy[i] += t1 - t0
                     t0 = t1
         self.watermark = wo
+        if not counted:
+            self.wake = self._settled(wake, po)
+        return out
+
+    def wake_time(self) -> Optional[int]:
+        """What :meth:`run` leaves in :attr:`wake`, worked out again from
+        the state it left: only :meth:`Dataflow.next_wake` asks a flow's."""
+        w, pinned = self.w, [MAX_TIME] * len(self.w)
+        po, wake = MAX_TIME, _IDLE
+        for (i, a, b, future, _, pure), op in zip(self.plan.steps, self.ops):
+            if b is None:
+                if a is not None:
+                    po = pinned[a]
+                t = None if pure else op.next_wake()
+                if t is None:
+                    po -= future
+                else:
+                    po = op.watermark_out(po) - future
+                    wake = min(wake, t)
+            else:
+                if any(self.queued[i]):  # an undelivered head waits for the other side
+                    wake = WAKE_ALWAYS
+                po = min(pinned[a], pinned[b])
+            po = pinned[i] = max(po, w[i])
+        return self._settled(wake, po)
+
+    def _settled(self, wake: int, po: int) -> Optional[int]:
+        """A pass's wake time from the least step wake time ``wake`` and
+        the root's pinned watermark ``po``."""
+        wo = self.watermark
         if wake == _IDLE:
-            wake = None
-        elif wake > WAKE_ALWAYS and po != wo and self._watermark_at(wake - 1) != wo:
+            return None
+        if wake > WAKE_ALWAYS and po != wo and self._watermark_at(wake - 1) != wo:
             # the watermark still follows the input's (no hold binds
             # yet), so it is not frozen: stay awake until one does
-            wake = WAKE_ALWAYS
-        self.wake = wake
-        return out
+            return WAKE_ALWAYS
+        return wake
 
     def _watermark_at(self, t: int) -> int:
         """The root's watermark a pass with every input watermark raised
@@ -904,7 +937,7 @@ class Dataflow:
         or state could move, not the watermark: where that still follows
         the sources' (no operator hold binds yet) the flow cannot sleep.
         """
-        return self._chain.wake
+        return self._chain.wake_time()
 
     @property
     def chain_advances(self) -> int:

@@ -44,26 +44,31 @@ wave's :meth:`KeyedAggregate.sweep` sorts once. Every node in the array
 form, a flow's root or not, keeps the segments as the sweep's int64
 rows, merges and releases them as they are, and
 :meth:`KeyedAggregate.batch` turns a release into its ``Batch``; only
-the conversion to the per-row loop makes them rows.
+the conversion to the per-row loop makes them rows. Its keys'
+scheduling state is int64 columns too, one row per key id, and the
+scheduler's two heaps arrays of entries: :meth:`KeyedAggregate.wave`
+is a wave's walk over its due keys — ``advance`` and the heaps — as
+array passes, with every effect the walk shows per call, and
+:meth:`KeyedAggregate.advance` runs at the flush alone.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from array import array
 from collections import Counter
 from functools import partial
-from itertools import chain
+from heapq import heapify
+from itertools import chain, islice
 from math import inf
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import List, Optional
 
 import numpy as np
 
 from ..temporal.event import _LE, _PAYLOAD, _RE, Batch
 from ..temporal.operators.aggregate import _Together, drain_panes, endpoint_sweep
-from ..temporal.operators.base import WAKE_ALWAYS
+from ..temporal.operators.base import WAKE_ALWAYS, WAKE_AT_FLUSH
 from ..temporal.operators.stateless import (
     WINDOW_SPECS,
     event_kernel,
@@ -75,12 +80,18 @@ from ..temporal.time import _INT_ONLY, MAX_TIME, MIN_TIME, data_error
 #: sums while Σ max|v| × rows stays under _SUM_LIMIT: nothing overflows
 _TIME_LIMIT, _SUM_LIMIT = 3 << 61, 1 << 61
 _NEVER, _NOT_DUE = np.iinfo(np.int64).max, np.iinfo(np.int64).min  # horizons
-_W_IN = attrgetter("w_in")
+#: the array form's scheduling columns, one int64 row per key id: what
+#: ``advance`` reads and writes, the pending head (``_NEVER``: no pane)
+_W_IN, _FLOOR, _MARK, _START, _PEND, _WAKE, _IDLE, _ORD, _STAMP, _ACTIVE, _DUE = range(11)
+_FRESH = (MIN_TIME, MIN_TIME, MIN_TIME, MIN_TIME, _NEVER, WAKE_ALWAYS, 0, 0, 0, 0, 0)
+_NONE = np.empty(0, np.int64)
 #: ``EngineStats.resolutions`` name: the rows a keyed count or int sum
 #: fed through its per-row loop (``KeyedAggregate.row_loop``)
 ROW_LOOP = "keyed.row_loop"
 #: why a keyed count or int sum fed events, not a source's rows, loops
 EVENTS_READ = "the node read events, not a source's rows"
+#: why a keyed count or int sum whose group watermark is not an int loops
+WATERMARK_NOT_INT = "a watermark is not an int"
 
 
 def lex_order(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
@@ -134,6 +145,14 @@ class KeyState:
         self.idle_delta: Optional[int] = None
         self.wake = WAKE_ALWAYS
         self.ordinal = self.stamp = 0  # owned by the GroupApply's scheduler
+
+
+class _Ids(dict):
+    """Key -> id; a key looked up for the first time takes the next id."""
+
+    def __missing__(self, key):
+        i = self[key] = len(self)
+        return i
 
 
 def key_error(keys, events, exc: Exception) -> Exception:
@@ -210,9 +229,16 @@ class KeyedAggregate:
         self._loop_reason: Optional[str] = None  # why the loop runs, once it does
         self._bound = self.array_swept_rows = 0
         self.row_loop: Counter = Counter()  # rows the loop took, by why
-        self._kids: dict = {}  # key -> its id, which indexes the two below
+        self._kids = _Ids()  # key -> its id, which indexes the three below
         self._states: List[KeyState] = []
         self._key_cols: List[list] = [[] for _ in self.keys]
+        #: the array form's scheduling columns (``_FRESH``), and the
+        #: scheduler's two heaps as entries ``(watermark | wake, stamp, key id)``
+        self._sched = np.empty((0, len(_FRESH)), np.int64)
+        self._held = self._wakes = np.empty((0, 3), np.int64)
+        #: what the scheduler reads of them (a heap's least entry, ``None``: empty)
+        self.active_n = self.due_n = 0
+        self.held_top = self.wake_top = None
         #: endpoint rows (key id, time, count, *sums): what the last wave
         #: carried, then the chunks since, are the first ``_n``
         self._ends = self._sorted = np.empty((0, 3 + len(self._sum_columns)), np.int64)
@@ -225,26 +251,39 @@ class KeyedAggregate:
         (the GroupApply's ``GroupScheduler``, whose input watermark is
         ``watermark``), creating and activating keys in first-appearance
         order exactly as per-key chains would be."""
-        groups, active, due = scheduler._groups, scheduler._active, scheduler._due
-        keys = self.keys
         les, res, payloads = self._columns(fresh)
+        kids = self._kids
+        known = len(kids)
         try:
             batch_keys = list(map(self._key_of, payloads))
-            fed = dict.fromkeys(batch_keys)
+            kid = np.fromiter(map(kids.__getitem__, batch_keys), np.int64, len(batch_keys))
         except (KeyError, TypeError) as exc:
-            raise key_error(keys, fresh, exc) from None
+            while len(kids) > known:  # a batch that fails creates no key
+                kids.popitem()
+            raise key_error(self.keys, fresh, exc) from None
+        groups, states, one = scheduler._groups, self._states, len(self.keys) == 1
+        for key in islice(kids, known, None):  # a state, and a column row, per new key
+            values = (key,) if one else key
+            states.append(KeyState(values, self.specs))
+            groups[key] = states[-1]
+            for column, value in zip(self._key_cols, values):
+                column.append(value)
+        if len(states) > len(self._sched):
+            self._sched = np.concatenate((self._sched, np.tile(_FRESH, (len(states), 1))))
+        reads_rows = type(fresh) is Batch and payloads is fresh.rows
+        if scheduler._columns:
+            reason = self._stage(les, res, payloads, kid) if reads_rows else EVENTS_READ
+            if reason is None:
+                return self._activate(scheduler, kid, les, watermark)
+            self._to_loop(scheduler, reason)
+        if self._arrayable:
+            self.row_loop[self._loop_reason if reads_rows else EVENTS_READ] += len(les)
+        active, due = scheduler._active, scheduler._due
         # a key fed again before the next wave keeps its place and state
-        for key in fed:
+        for key in dict.fromkeys(batch_keys):
             if key in due:
                 continue
-            st = groups.get(key)
-            if st is None:
-                values = (key,) if len(keys) == 1 else key
-                st = groups[key] = KeyState(values, self.specs)
-                self._kids[key] = len(self._states)
-                self._states.append(st)
-                for column, value in zip(self._key_cols, values):
-                    column.append(value)
+            st = groups[key]
             if key not in active:
                 st.ordinal = next(scheduler._ordinals)
                 active[key] = st
@@ -258,18 +297,6 @@ class KeyedAggregate:
                 st = groups[key]
                 if le > st.w_in:
                     st.w_in = le
-        if self._arrayable:
-            if type(fresh) is Batch and payloads is fresh.rows:  # read off rows
-                if self._loop_reason is None:
-                    self._loop_reason = self._stage(les, res, payloads, batch_keys)
-                    if self._loop_reason is None:
-                        return
-                self.row_loop[self._loop_reason] += len(les)
-            else:
-                self._loop_reason = self._loop_reason or EVENTS_READ
-                self.row_loop[EVENTS_READ] += len(les)
-        if self._n:
-            self._to_loop()
         les, res, payloads = self._lifetimes(les, res, payloads)
         # each key's rows, keys in first-appearance order, through the sweep
         split: dict = {}
@@ -314,8 +341,27 @@ class KeyedAggregate:
 
     # -- the array form ------------------------------------------------------
 
-    def _stage(self, les, res, rows, batch_keys) -> Optional[str]:
-        """Stage a chunk of rows as endpoints, or say why it cannot be."""
+    def _activate(self, scheduler, kid: np.ndarray, les, watermark) -> None:
+        """The loop's activation of the keys ``kid`` of a staged chunk, in
+        columns: a key not active takes the next ordinal, in first-appearance
+        order, and every fed key is due."""
+        s = self._sched
+        idle = kid[s[kid, _ACTIVE] == 0]
+        if len(idle):
+            ids, first = np.unique(idle, return_index=True)
+            ids = ids[np.argsort(first)]
+            base = next(scheduler._ordinals)
+            scheduler._ordinals = itertools.count(base + len(ids))
+            s[ids, _ORD] = np.arange(base, base + len(ids))
+            s[ids, _ACTIVE] = 1
+            self.active_n += len(ids)
+        s[kid, _DUE] = 1
+        if les[-1] > watermark:  # as the loop: each key's last LE, ahead of the group
+            np.maximum.at(s[:, _W_IN], kid, np.array(les, np.int64))
+
+    def _stage(self, les, res, rows, key: np.ndarray) -> Optional[str]:
+        """Stage a chunk of rows, ``key`` their key ids, as endpoints, or
+        say why it cannot be."""
         if not set(map(type, chain(les, res or ()))) <= _INT_ONLY:
             return "a time is not an int"
         sums, bound = [], self._bound
@@ -330,7 +376,6 @@ class KeyedAggregate:
             return "an int past the int64 bounds"
         self._bound = bound
         self.array_swept_rows += len(les)
-        key = np.fromiter(map(self._kids.__getitem__, batch_keys), np.int64, len(les))
         le, sums = np.array(les, np.int64), np.array(sums, np.int64).reshape(-1, len(les))
         re = None if res is None else np.array(res, np.int64)
         keep = None
@@ -358,25 +403,21 @@ class KeyedAggregate:
         ends[:n, 3:], ends[n:, 3:] = sums.T, -sums.T
         return None
 
-    def sweep(self, due: dict, w=None) -> Optional[np.ndarray]:
-        """Before the ``due`` keys advance at input watermark ``w``, sweep
-        every endpoint, each key up to its horizon: the later of its last
-        LE and (if due) its aggregate stage's watermark. ``start`` and
-        ``pending`` are what the loop would leave, the rest is carried
-        (``_ends[:_n]``). Returns the segments as int64 rows ``(le, re,
-        key id, *live totals)``, by key id, then LE (``None``: none)."""
+    def sweep(self, due: np.ndarray, w=None) -> Optional[np.ndarray]:
+        """Before the keys ``due`` (ids) advance at input watermark ``w``,
+        sweep every endpoint, each key up to its horizon: the later of its
+        last LE and (if due) its aggregate stage's watermark. The ``_START``
+        and ``_PEND`` columns are what the loop would leave in ``start`` and
+        ``pending``, the rest is carried (``_ends[:_n]``). Returns the
+        segments as int64 rows ``(le, re, key id, *live totals)``, by key
+        id, then LE (``None``: none)."""
         n = self._n
         if not n:
             return None
         upto = np.full(len(self._states), _NOT_DUE, np.int64)
-        if due:
-            w = math.floor(w)  # another source's time may be a float
-            horizon = np.fromiter(map(_W_IN, due.values()), np.int64, len(due))
-            np.maximum(horizon, w, out=horizon)
-            for future in self._prefix_futures:
-                np.maximum(horizon - future, MIN_TIME, out=horizon)
-            kids = np.fromiter(map(self._kids.__getitem__, due), np.int64, len(due))
-            upto[kids] = _NEVER if w >= MAX_TIME else horizon
+        if len(due):
+            upto[due] = _NEVER if w >= MAX_TIME else self._stage_ws(
+                np.maximum(self._sched[due, _W_IN], w))
         order = lex_order(self._ends[:n, 0], self._ends[:n, 1])
         ends = np.take(self._ends[:n], order, axis=0, out=self._sorted[:n], mode="clip")
         key, t = ends[:, 0], ends[:, 1]
@@ -409,13 +450,9 @@ class KeyedAggregate:
         carried[:, 2:] = np.where(
             marker[kept, None], np.take(live, kept, axis=0), np.take(deltas, kept, axis=0)
         )
-        states = self._states
         after = np.minimum(last + 1, len(t) - 1)  # each key's next boundary
-        for k, start, live_, end in zip(key[last].tolist(), t[last].tolist(), open_.tolist(),
-                                        t[after].tolist()):
-            st = states[k]
-            st.start = start
-            st.pending = [end] if live_ else []
+        self._sched[key[last], _START] = t[last]
+        self._sched[key[last], _PEND] = np.where(open_, t[after], _NEVER)
         if not len(seg):
             return None
         return np.column_stack((t[seg], t[seg + 1], key[seg], live[seg]))
@@ -437,11 +474,17 @@ class KeyedAggregate:
         return [columns[3 + self._totals[i]].tolist() if s == 0
                 else list(map(self._key_cols[i].__getitem__, kids)) for s, i in self._slots]
 
-    def _to_loop(self) -> None:
-        """Leave the array form: sweep up to each key's last LE, deal the
-        segments to the keys' ``out`` as rows, then make the carried
-        entries panes, heap and fold totals (ints: exact)."""
-        segments = self.sweep({})
+    def _to_loop(self, scheduler, reason: str) -> None:
+        """Leave the array form for good (``reason``): sweep up to each
+        key's last LE, deal the segments to the keys' ``out`` as rows, then
+        make the carried entries panes, heap and fold totals (ints:
+        exact); write the scheduling columns back into each key's state
+        and ``scheduler``'s dicts and heaps, from the same entries; turn
+        its backlog into rows, once, ahead of what the loop emits."""
+        self._loop_reason = reason
+        scheduler._columns = False
+        scheduler._pending = self.rows(scheduler._pending) if len(scheduler._pending) else []
+        segments = self.sweep(_NONE)
         if segments is not None:
             rows, seg_keys = self.rows(segments), segments[:, 2]
             cuts = (np.flatnonzero(seg_keys[1:] != seg_keys[:-1]) + 1).tolist()
@@ -458,6 +501,83 @@ class KeyedAggregate:
             st.panes[t] = parts[0] if len(parts) == 1 else parts
             st.pending.append(t)  # ascending: a heap
         self._n = 0
+        keys, states = list(self._kids), self._states
+        sched = self._sched[: len(states)]
+        for st, (w_in, floor, mark, _, _, wake, idle, ordinal, stamp, active, _) in zip(
+            states, sched.tolist()
+        ):  # a key that never advanced keeps what it was built with
+            st.w_in, st.floor, st.watermark = w_in, floor, mark
+            st.ordinal, st.stamp = ordinal, stamp
+            if stamp:
+                st.idle_delta, st.wake = (None, wake) if active else (idle, None)
+        for column, into in ((_ACTIVE, scheduler._active), (_DUE, scheduler._due)):
+            ids = np.flatnonzero(sched[:, column])
+            into.update((keys[i], states[i]) for i in ids[np.argsort(sched[ids, _ORD])].tolist())
+        scheduler._held[:] = [(t, stamp, states[k]) for t, stamp, k in self._held.tolist()]
+        scheduler._wake_heap[:] = [(t, stamp, keys[k], states[k])
+                                   for t, stamp, k in self._wakes.tolist()]
+        heapify(scheduler._held)
+        heapify(scheduler._wake_heap)
+
+    def wave(self, scheduler, w: int):
+        """``GroupScheduler._wave``'s walk over the due keys as array passes:
+        :meth:`advance` for all of them at once, and the scheduler's two
+        heaps as entry arrays, with every effect they show — a stale wake
+        top, the rebuild. Returns the segments and their ranks for
+        ``_release``."""
+        s, agg_future = self._sched, self._agg_future
+        wakes = self._wakes
+        hit = wakes[:, 0] <= w
+        if hit.any():  # popped up to ``w``: the live entries wake their keys
+            woken = wakes[hit]
+            s[woken[woken[:, 1] == s[woken[:, 2], _STAMP], 2], _DUE] = 1
+            self._wakes = wakes[~hit]
+        due = np.flatnonzero(s[:, _DUE])
+        segments = self.sweep(due, w)
+        due = due[np.argsort(s[due, _ORD])]  # activation order
+        rows = s[due]
+        w_in = np.maximum(rows[:, _W_IN], w)
+        stage_w, start, wake = self._stage_ws(w_in), rows[:, _START], rows[:, _PEND]
+        live = wake != _NEVER  # a pane lives: the key stays active
+        ww = np.where(live, np.minimum(stage_w, start), stage_w) - agg_future
+        ww = rows[:, _FLOOR] = rows[:, _MARK] = np.maximum(ww, rows[:, _FLOOR])
+        # not frozen (see ``advance``): the key stays awake
+        awake = live & (start - agg_future > ww) & (wake - 1 > w_in)
+        if self._lags:
+            at = np.flatnonzero(awake)
+            awake[at] = np.minimum(self._stage_ws(wake[at] - 1), start[at]) - agg_future > ww[at]
+        wake = np.where(awake, WAKE_ALWAYS, wake)
+        first = scheduler.chain_advances + 1
+        scheduler.chain_advances += len(due)
+        stamp = rows[:, _STAMP] = np.arange(first, first + len(due))
+        if not live.all():  # idle keys leave the active set
+            delta = rows[~live, _IDLE] = w - ww[~live]
+            rows[~live, _ACTIVE] = 0
+            self.active_n -= len(delta)
+            scheduler._idle_delta = max(scheduler._idle_delta, int(delta.max()))
+        rows[live, _WAKE] = wake[live]
+        rows[:, _DUE] = live & (wake <= w)
+        s[due] = rows
+        asleep = live & (wake > w) & (wake < WAKE_AT_FLUSH)
+        self._held = held = np.concatenate((self._held, np.column_stack((ww, stamp, due))[live]))
+        self._wakes = np.concatenate((self._wakes, np.column_stack((wake, stamp, due))[asleep]))
+        if len(held) + len(self._wakes) > 4 * self.active_n + 64:
+            ids = np.flatnonzero(s[:, _ACTIVE])
+            self._held = held = np.column_stack((s[ids, _MARK], s[ids, _STAMP], ids))
+            ids = ids[s[ids, _WAKE] < WAKE_AT_FLUSH]
+            self._wakes = np.column_stack((s[ids, _WAKE], s[ids, _STAMP], ids))
+        # in heap order, the held heap pops its stale top until a live entry leads
+        held = held[np.lexsort((held[:, 1], held[:, 0]))]
+        current = held[:, 1] == s[held[:, 2], _STAMP]
+        self._held = held = held[np.argmax(current) if current.any() else len(held):]
+        self.held_top = int(held[0, 0]) if len(held) else None
+        self.wake_top = int(self._wakes[:, 0].min()) if len(self._wakes) else None
+        self.due_n = int(np.count_nonzero(rows[:, _DUE]))
+        if segments is None:
+            return None, None
+        ranks = np.zeros(len(s), np.int64)  # ties in activation order
+        ranks[due] = np.arange(len(due))
+        return segments, ranks[segments[:, 2]]
 
     # -- the aggregate ------------------------------------------------------
 
@@ -524,6 +644,12 @@ class KeyedAggregate:
         bind."""
         for future in self._prefix_futures:
             watermark = max(watermark - future, MIN_TIME)
+        return watermark
+
+    def _stage_ws(self, watermark: np.ndarray) -> np.ndarray:
+        """:meth:`_stage_w` of each of ``watermark``."""
+        for future in self._prefix_futures:
+            watermark = np.maximum(watermark - future, MIN_TIME)
         return watermark
 
     @staticmethod

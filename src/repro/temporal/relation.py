@@ -14,7 +14,8 @@ This module provides:
 * :func:`snapshot` / :func:`changepoints` — brute-force inspection of the
   relation at any instant;
 * brute-force reference operators (``ref_*``), the ground truth
-  property-based tests verify the streaming operators against;
+  property-based tests verify the streaming operators against, written
+  from the definitions: nothing here imports an operator module;
 * :func:`ref_plan` — a whole-plan interpreter over materialised lists,
   the reference ``Engine.run``, ``StreamingEngine`` and ``TiMR.run`` are
   tested against. It shares no scheduling code with the runtime.
@@ -39,11 +40,14 @@ from .plan import (
     GroupInputNode,
     PlanNode,
     ProjectNode,
+    ScanUDONode,
     SessionWindowNode,
+    SnapshotUDONode,
     SourceNode,
     TemporalJoinNode,
     UnionNode,
     WhereNode,
+    WindowedUDONode,
 )
 from .time import MAX_TIME, TICK
 
@@ -140,18 +144,53 @@ def ref_window(events: Sequence[Event], w: int) -> List[Event]:
     return [e.with_lifetime(e.le, e.le + w) for e in events]
 
 
+def _snapshots(events: Sequence[Event]):
+    """``(start, end, active payloads in input order)`` for each maximal
+    interval between changepoints with a non-empty active bag."""
+    points = changepoints(events)
+    for start, end in zip(points, points[1:]):
+        active = [e.payload for e in events if e.le <= start and e.re >= end]
+        if active:
+            yield start, end, active
+
+
 def ref_snapshot(events: Sequence[Event], fn) -> List[Event]:
     """Reference snapshot operator: at each maximal interval between
     changepoints with a non-empty active bag, one event whose payload is
     ``fn(active payload list)``, the payloads in input order."""
-    events = list(events)
-    points = changepoints(events)
+    return normalize([Event(s, e, fn(active)) for s, e, active in _snapshots(list(events))])
+
+
+def ref_snapshot_udo(events: Sequence[Event], fn) -> List[Event]:
+    """:func:`ref_snapshot`, one event per payload ``fn`` returns."""
+    return normalize([Event(start, end, dict(payload))
+                      for start, end, active in _snapshots(list(events)) for payload in fn(active)])
+
+
+def ref_windowed_udo(events: Sequence[Event], w: int, h: int, fn, skip_empty=True) -> List[Event]:
+    """Reference hopping UDO: at every multiple ``b`` of ``h`` from the
+    first LE on, while a window can still see an event, one event over
+    ``[b, b + h)`` per payload of ``fn(payloads with b - w < LE <= b, in
+    input order, b)``; with ``skip_empty``, no call for an empty window."""
     out: List[Event] = []
-    for start, end in zip(points, points[1:]):
-        active = [e.payload for e in events if e.le <= start and e.re >= end]
-        if active:
-            out.append(Event(start, end, fn(active)))
-    return normalize(out)
+    if not events:
+        return out
+    b, last = -(-min(e.le for e in events) // h) * h, max(e.le for e in events)
+    while b - w < last:
+        window = [e.payload for e in events if b - w < e.le <= b]
+        if window or not skip_empty:
+            out.extend(Event(b, b + h, dict(payload)) for payload in fn(window, b))
+        b += h
+    return out
+
+
+def ref_scan(events: Sequence[Event], state_factory, fn) -> List[Event]:
+    """Reference scan UDO: ``fn(state, payload, le)`` folded over the events
+    in LE order from one fresh state, a point event per payload it returns."""
+    state = state_factory()
+    return [Event.point(e.le, dict(payload))
+            for e in sorted(events, key=lambda e: e.le)
+            for payload in fn(state, e.payload, e.le)]
 
 
 def ref_aggregate(events: Sequence[Event], fn, into: str) -> List[Event]:
@@ -324,8 +363,9 @@ def ref_plan(root: PlanNode, sources: Mapping[str, Sequence[Event]]) -> List[Eve
       :func:`ref_session_window`, :func:`ref_specs`, :func:`ref_union`,
       :func:`ref_temporal_join`, :func:`ref_anti_semi_join`, the last
       only for point events on its left input).
-    * Any other operator — the windowed, snapshot and scan UDOs — runs
-      its one-shot ``apply`` over the whole input.
+    * The windowed, snapshot and scan UDOs use :func:`ref_windowed_udo`,
+      :func:`ref_snapshot_udo` and :func:`ref_scan`, written from their
+      definitions; any other node is a ``TypeError``.
 
     Nothing here is incremental: there are no watermarks, waves, chains
     or wake times, and nothing is imported from ``repro.runtime``.
@@ -391,4 +431,10 @@ def _operator(node: PlanNode, ins: List[List[Event]]) -> List[Event]:
         return sorted(out, key=lambda e: e.le)
     if isinstance(node, AntiSemiJoinNode):
         return ref_anti_semi_join(*ins, _matches(node.on, node.residual))
-    return node.make_operator().apply(*ins)
+    if isinstance(node, WindowedUDONode):
+        return ref_windowed_udo(ins[0], node.w, node.h, node.fn, node.skip_empty)
+    if isinstance(node, SnapshotUDONode):
+        return ref_snapshot_udo(ins[0], node.fn)
+    if isinstance(node, ScanUDONode):
+        return ref_scan(ins[0], node.state_factory, node.fn)
+    raise TypeError(f"no reference evaluator for {type(node).__name__}")

@@ -128,6 +128,8 @@ class TiMR:
         re-hashed output to match the manifest — the determinism check
         that makes reuse sound.
         """
+        if num_partitions is not None and num_partitions < 1:
+            raise ValueError(f"num_partitions must be at least 1, not {num_partitions!r}")
         context = self.cluster.context
         if context.resume and context.checkpoint_dir is None:
             raise ValueError("resume=True requires a checkpoint_dir")

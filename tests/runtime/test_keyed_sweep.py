@@ -28,7 +28,7 @@ from repro.temporal import Engine, Query, StreamingEngine, explain, normalize
 from repro.temporal import event
 from repro.temporal.event import TIMES_UNPACKED, Batch, Event, point_events
 from repro.temporal.operators import AggSpec
-from repro.temporal.time import hours
+from repro.temporal.time import MAX_TIME, hours
 from repro.timr import TiMR
 
 from tests.runtime.test_top_level import TOP_SHAPES, top_sources
@@ -125,6 +125,26 @@ def test_no_chain_per_key():
         with unfused_reference():
             run(query, rows)
     assert built == {"chains": 1 + 1 + 97, "states": 97}
+
+
+def test_an_array_form_wave_advances_no_key_in_python():
+    """Fed rows, a keyed count runs each wave as array passes over its due
+    keys (``KeyedAggregate.wave``): ``KeyedAggregate.advance``, one call
+    per due key a wave, runs at the flush alone, once per key."""
+    rows = scale_rows(12_000)
+    query = Query.source("logs", ("Time", "UserId", "Clicks")).group_apply(
+        "UserId", SHAPES["scale_hopping"]
+    )
+    marks, advance = [], keyed.KeyedAggregate.advance
+
+    def recording(self, st, watermark):
+        marks.append(watermark)
+        return advance(self, st, watermark)
+
+    with mock.patch.object(keyed.KeyedAggregate, "advance", recording):
+        out = run(query, rows)
+    assert len(out) > 300
+    assert len(marks) == 97 and set(marks) == {MAX_TIME}
 
 
 def test_one_copy_of_the_endpoint_sweep():

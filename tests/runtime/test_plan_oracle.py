@@ -40,6 +40,7 @@ from repro.runtime import dataflow
 from repro.temporal import Engine, Query, StreamingEngine, normalize, relation
 from repro.temporal.event import rows_to_events
 from repro.temporal.operators import AggSpec
+from repro.temporal.plan import PlanNode
 from repro.temporal.relation import ref_plan
 from repro.timr import TiMR
 from tests.runtime.test_row_ingest import SHIFT_CHAINS, chained
@@ -330,6 +331,85 @@ def test_joins_equal_the_oracle(name, data):
     want = oracle(query, pushed(script))
     assert engine_run(query, pushed(script)) == want
     assert stream(query, script, slack) == want
+
+
+# -- the UDOs ---------------------------------------------------------------------
+#
+# ``ref_plan`` evaluates the UDOs from their definitions
+# (``ref_windowed_udo``, ``ref_snapshot_udo``, ``ref_scan``), not through
+# the operator classes, so these cells check those classes.
+
+
+def _window_payloads(payloads, boundary):
+    return [{"n": len(payloads), "v": sum(p["V"] for p in payloads), "at": boundary}]
+
+
+def _snapshot_payloads(payloads):
+    return [{"n": len(payloads)}, {"v": sum(p["V"] for p in payloads)}]
+
+
+def _running(state, payload, le):
+    state["v"] = state.get("v", 0) + payload["V"]
+    return [{"v": state["v"]}] if payload["StreamId"] else []
+
+
+UDOS = {
+    "windowed-udo": lambda q: q.udo_hopping(8, 4, _window_payloads),
+    "windowed-udo-every-boundary": lambda q: q.udo_hopping(6, 4, _window_payloads,
+                                                           skip_empty=False),
+    "snapshot-udo": lambda q: q.window(5).udo_snapshot(_snapshot_payloads),
+    "scan-udo": lambda q: q.udo_scan(dict, _running),
+}
+#: ``StreamingEngine`` fires every boundary a CTI passes, empty or not,
+#: past the last window that sees an event: no per-push cell for it
+UDO_BATCH_ONLY = {"windowed-udo-every-boundary"}
+
+
+def check_udo(name, per_key, data):
+    slack, script = data.draw(histories())
+    query = _logs()
+    query = query.group_apply("UserId", UDOS[name]) if per_key else UDOS[name](query)
+    want = oracle(query, pushed(script))
+    assert engine_run(query, pushed(script)) == want
+    if name not in UDO_BATCH_ONLY:
+        assert stream(query, script, slack) == want
+
+
+udo_cells = pytest.mark.parametrize(
+    "name, per_key", [(n, k) for n in sorted(UDOS) for k in (False, True)]
+)
+
+
+@udo_cells
+@light
+@given(data=st.data())
+def test_udos_equal_the_oracle(name, per_key, data):
+    check_udo(name, per_key, data)
+
+
+@pytest.mark.oracle
+@udo_cells
+@heavy
+@given(data=st.data())
+def test_udos_equal_the_oracle_heavy(name, per_key, data):
+    check_udo(name, per_key, data)
+
+
+def test_the_oracle_has_no_fallback_to_an_operator():
+    """A node with no ``ref_*`` evaluator is an error, not its operator's
+    ``apply``; nor does ``relation.py`` import any operator module."""
+
+    class Unknown(PlanNode):
+        op_name = "unknown"
+
+    node = Unknown((Query.source("logs").to_plan(),))
+    with pytest.raises(TypeError, match="no reference evaluator for Unknown"):
+        ref_plan(node, {"logs": []})
+    tree = ast.parse(inspect.getsource(relation))
+    imported = [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    imported += [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for a in node.names]
+    assert imported and not [m for m in imported if "operators" in m]
 
 
 def test_the_oracle_imports_nothing_from_the_runtime():

@@ -441,14 +441,16 @@ def test_fused_equals_unfused_per_push(prefix, subplan, data):
     assert SHARED_PAYLOAD == {"c": 1}
 
 
-def drive_in_batches(query, rows, chunk=50, wave=64, feed=to_logs, as_rows=False):
+def drive_in_batches(query, rows, chunk=50, wave=64, feed=to_logs, as_rows=False,
+                     mark=None):
     """The batch driver's loop — chunked feeds, amortized waves — with
     every ``advance`` call's releases, watermark and wake time kept.
     Each chunk is fed per source (``feed`` as in :func:`drive`), with
-    that source's last LE as its watermark: as events, or with
-    ``as_rows`` as the ``Batch`` of rows ``Engine.run`` cuts from a
-    source of rows (``engine._source``), whose columns a keyed sweep
-    reads."""
+    that source's last LE as its watermark (``mark(le)`` of it when
+    given): as events, or with ``as_rows`` as the ``Batch`` of rows
+    ``Engine.run`` cuts from a source of rows (``engine._source``),
+    whose columns a keyed sweep reads."""
+    mark = mark or (lambda le: le)
     flow = Dataflow(
         query.to_plan(), allow_unstreamable=True, group_wave_events=wave
     )
@@ -466,10 +468,10 @@ def drive_in_batches(query, rows, chunk=50, wave=64, feed=to_logs, as_rows=False
         for name, part in per_source.items():
             if as_rows:
                 les, view = engine_module._source(part)
-                flow.feed(name, view(0, len(part)), les[-1])
+                flow.feed(name, view(0, len(part)), mark(les[-1]))
             else:
                 events = point_events(part)
-                flow.feed(name, events, events[-1].le)
+                flow.feed(name, events, mark(events[-1].le))
         call(flow.advance())
     call(flow.flush())
     return calls
@@ -899,6 +901,154 @@ def test_ties_release_in_creation_order_at_the_flush():
 
     assert users(20) == [[], [], [], ["c", "a", "b"], [], []]  # the wave at 40
     assert users(60)[-1] == ["a", "b", "c"]  # the flush
+
+
+# -- the array form's wave in columns ≡ the chains, call for call -------------
+#
+# Fed a source's rows, a keyed count or int sum keeps its keys' scheduling
+# state as columns and runs each wave as array passes
+# (``KeyedAggregate.wave``), the scheduler's two heaps as entry arrays.
+# Each cell runs it against a flat chain per key (``unfused_reference``)
+# and compares every call, ``next_wake`` and chain advances included.
+
+
+def _returning_rows(rounds=12, seed=3):
+    """Rounds 20 apart of a shuffled few of eight keys: a 5-long window
+    idles every key between rounds, and each round re-activates its keys
+    in a new order, behind the keys that stayed."""
+    rng = random.Random(seed)
+    rows = []
+    for r in range(rounds):
+        for user in rng.sample("abcdefgh", rng.randrange(2, 8)):
+            rows.append({"Time": 20 * r + rng.randrange(3), "StreamId": 0, "UserId": user,
+                         "V": rng.randrange(-2, 5)})
+    return sorted(rows, key=lambda row: row["Time"])
+
+
+def _shrinking_wake_rows():
+    """Rows with lifetimes of their own: key ``k`` sleeps until its RE at
+    100, then a row ending at 30 and one at 60 bring its wake time
+    forward, leaving the wake entries at 100 and 60 stale; the other keys
+    keep waves coming."""
+    rows = [{"Time": t, "StreamId": 0, "UserId": "o%d" % (t % 3), "V": 1, "_re": t + 4}
+            for t in range(0, 120, 2)]
+    for t, re in ((1, 100), (11, 60), (21, 30)):
+        rows.append({"Time": t, "StreamId": 0, "UserId": "k", "V": 2, "_re": re})
+    return sorted(rows, key=lambda row: row["Time"])
+
+
+def _many_keys_rows(n=3000, keys=40, seed=11):
+    """Forty keys fed over and over, rows 30 long, behind a key fed once
+    whose row lives on: it holds the group's watermark, so the stale
+    entries the others leave on the heaps are never the least, and pile
+    up until both heaps are rebuilt."""
+    rng = random.Random(seed)
+    rows = [{"Time": i // 4, "StreamId": 0, "UserId": rng.randrange(keys),
+             "V": rng.randrange(3), "_re": i // 4 + 30} for i in range(n)]
+    return [{"Time": 0, "StreamId": 0, "UserId": "hold", "V": 1, "_re": 10**6}, *rows]
+
+
+def _running_ahead_rows(n=3000, keys=40, seed=13):
+    """:func:`_many_keys_rows` with lifetimes of 3 to 40, to be fed ahead
+    of the group's watermark: a key fed past its wake time drains that
+    pane before the group reaches it, and its entry at that time stays
+    on the wake heap, stale and least, until the group does."""
+    rng = random.Random(seed)
+    rows = [{"Time": i // 4, "StreamId": 0, "UserId": rng.randrange(keys),
+             "V": rng.randrange(3), "_re": i // 4 + rng.choice([3, 8, 40])} for i in range(n)]
+    return [{"Time": 0, "StreamId": 0, "UserId": "hold", "V": 1, "_re": 10**6}, *rows]
+
+
+def _float_from(t):
+    return lambda le: le - 0.5 if le > t else le
+
+
+#: (rows, per-key plan, chunk, wave, mark): ``mark`` as in
+#: :func:`drive_in_batches`; a cell named ``*-later`` leaves the array
+#: form mid-stream, after its columns hold state
+COLUMN_WAVE_CELLS = {
+    "idle-and-back": (_returning_rows(), lambda g: g.window(5).sum("V", into="s"), 4, 0,
+                      None),
+    "wake-decreases": (_shrinking_wake_rows(), lambda g: g.sum("V", into="s"), 3, 0, None),
+    "rebuild": (_many_keys_rows(), lambda g: g.sum("V", into="s"), 40, 0, None),
+    "rebuild-shift": (_many_keys_rows(), lambda g: g.shift(3).count(into="n"), 40, 0, None),
+    "stale-wake-top": (_running_ahead_rows(), lambda g: g.sum("V", into="s"), 40, 0,
+                       lambda le: le - 12),
+    # no key holds the group back: the stale entries of the held heap
+    # fall below its least live one and are dropped, which decides when
+    # both heaps are rebuilt and so how long a stale wake top shows
+    "stale-wake-top-no-hold": (_running_ahead_rows(keys=20)[1:],
+                               lambda g: g.sum("V", into="s"), 40, 0, lambda le: le - 12),
+    "stale-wake-top-shift": (_running_ahead_rows(), lambda g: g.shift(-2).count(into="n"),
+                             40, 0, lambda le: le - 12),
+    "lagging-watermark": (_tie_heavy_rows(), lambda g: g.window(6).shift(-2).count(into="n"),
+                          30, 0, lambda le: le - 3),
+    "float-time-later": (_late_chunk(lambda r: {"Time": r["Time"] + 0.5}),
+                         lambda g: g.sum("V", into="s"), 50, 0, None),
+    "past-int64-later": (_late_chunk(lambda r: {"V": 2**62 + r["V"]}),
+                         lambda g: g.sum("V", into="s"), 50, 0, None),
+    "float-watermark-later": (_tie_heavy_rows(), lambda g: g.window(6).count(into="n"), 30, 0,
+                              _float_from(900)),
+}
+
+
+@contextlib.contextmanager
+def counting_calls(cls, name):
+    """How many times ``cls.name`` was called."""
+    calls = [0]
+    method = getattr(cls, name)
+
+    def counted(self, *args):
+        calls[0] += 1
+        return method(self, *args)
+
+    with mock.patch.object(cls, name, counted):
+        yield calls
+
+
+@pytest.mark.parametrize("cell", sorted(COLUMN_WAVE_CELLS))
+def test_column_wave_equals_the_chains_per_call(cell):
+    rows, sub, chunk, wave, mark = COLUMN_WAVE_CELLS[cell]
+    query = Query.source("logs", ("StreamId", "UserId", "V")).group_apply("UserId", sub)
+    with counting_calls(keyed.KeyedAggregate, "wave") as waves, \
+            counting_calls(keyed.KeyedAggregate, "advance") as advances:
+        columns = drive_in_batches(query, rows, chunk=chunk, wave=wave, as_rows=True,
+                                   mark=mark)
+    with unfused_reference(), \
+            counting_calls(dataflow.GroupScheduler, "_rebuild_heaps") as rebuilds:
+        chains = drive_in_batches(query, rows, chunk=chunk, wave=wave, as_rows=True,
+                                  mark=mark)
+    assert len(columns) == len(chains) > 5
+    for i, (got, want) in enumerate(zip(columns, chains)):
+        assert got == want, f"call {i} of {len(chains)}"
+    assert waves[0] > 3  # the waves ran in columns
+    if cell.endswith("-later"):  # then per key, in the loop
+        assert advances[0] > len({row["UserId"] for row in rows})
+    else:  # advance runs at the flush alone
+        assert advances[0] == len({row["UserId"] for row in rows})
+    if cell.startswith("rebuild"):
+        assert rebuilds[0] > 0
+
+
+def test_a_nested_group_apply_reads_events():
+    """An inner GroupApply is fed its outer key's events, never a source's
+    rows, so it takes its loop from the first chunk: the array form, its
+    waves included, is a node's fed a source's rows."""
+    query = build("source", "nested", FUSION_SHAPES)
+    rows = wave_rows(1200)
+    with counting_calls(keyed.KeyedAggregate, "wave") as waves:
+        columns = drive_in_batches(query, rows, chunk=40, wave=0, as_rows=True)
+    with unfused_reference():
+        chains = drive_in_batches(query, rows, chunk=40, wave=0, as_rows=True)
+    assert columns == chains
+    assert waves[0] == 0
+    flow = Dataflow(query.to_plan(), group_wave_events=0)
+    les, view = engine_module._source(rows)
+    flow.feed("logs", view(0, len(rows)), les[-1])
+    flow.advance()
+    (outer,) = [op for op in flow._chain.ops if isinstance(op, dataflow.GroupScheduler)]
+    inner = [chain.ops[-1]._keyed for chain in outer._groups.values()]
+    assert inner and {k._loop_reason for k in inner} == {keyed.EVENTS_READ}
 
 
 def count_flows(run):

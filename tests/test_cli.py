@@ -181,6 +181,33 @@ class TestErrorHandling:
         assert err.count("\n") == 1 and victim.name in err
 
 
+    @pytest.mark.parametrize("command, flag", [
+        ("sql", "--limit"), ("timr", "--limit"), ("timr", "--machines"),
+        ("timr", "--partitions"),
+    ])
+    @pytest.mark.parametrize("value", ["0", "-1", "two"])
+    def test_a_count_flag_takes_a_positive_int(self, snapshot, capsys, command, flag, value):
+        """``--limit -1`` printed all rows but the last, ``--machines 0``
+        ended in a ``ZeroDivisionError`` and ``--partitions 0`` ran on one
+        partition: each is a usage error now."""
+        with pytest.raises(SystemExit) as exit_:
+            main([command, CLEAN_SQL, "--data", snapshot, flag, value])
+        assert exit_.value.code == 2
+        assert f"argument {flag}: '{value}' is not a positive int" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["--source-name", "other"], "query references source 'logs'"),
+        (["SELECT Nope FROM logs"], "unknown column 'Nope'"),
+    ])
+    def test_an_unknown_source_or_column_is_one_line(self, snapshot, capsys, argv, named):
+        """Both used to print a ``KeyError`` traceback and exit 1."""
+        query = [CLEAN_SQL] if argv[0].startswith("--") else []
+        rc = main(["sql", *query, *argv, "--data", snapshot])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and named in err and "Traceback" not in err
+
+
 BAD_SQL = (
     "SELECT COUNT(*) AS n FROM logs WHERE Bogus = 1 "
     "GROUP APPLY KwAdId WINDOW 6 HOURS"

@@ -4,9 +4,10 @@ benchmark workloads, a revision against the working tree."""
 import importlib.util
 import sys
 from pathlib import Path
+from unittest import mock
 
 from repro.obs import NULL_TRACER
-from repro.runtime import DEFAULT_CONTEXT
+from repro.runtime import DEFAULT_CONTEXT, dataflow
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("counts", ROOT / "tools" / "counts.py")
@@ -16,7 +17,8 @@ _spec.loader.exec_module(counts)
 
 def _row(**changes):
     row = {"chain advances": 10, "operator_events": 20, "decoded_rows": 0,
-           "array_swept_rows": 5, "keyed.row_loop": 0, "output rows": 20, "digest": "abc"}
+           "array_swept_rows": 5, "keyed.row_loop": 0, "waves": 3, "wave width": 9,
+           "output rows": 20, "digest": "abc"}
     row.update(changes)
     return row
 
@@ -64,3 +66,25 @@ def test_the_row_loop_row_reads_its_resolution(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))
     found = counts.collect(ROOT, ["bt_timr"], size="smoke")["bt_timr"]
     assert found["keyed.row_loop"] > 0
+
+
+def test_the_wave_rows_read_the_wave_width_histogram(monkeypatch):
+    """``waves`` is how many GroupApply waves ran, ``wave width`` the
+    active keys they had between them: ``dataflow.wave_width``'s count
+    and sum, which every wave observes, in the array form too."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    widths = []
+    wave = dataflow.GroupScheduler._wave
+
+    def recording(self, w):
+        before = len(self._groups)
+        out = wave(self, w)
+        widths.append(before)
+        return out
+
+    with mock.patch.object(dataflow.GroupScheduler, "_wave", recording):
+        found = counts.collect(ROOT, ["scale_hopping"], size="smoke")["scale_hopping"]
+    assert found["waves"] == len(widths) > 3
+    # no key of the hopping count idles between waves: each wave is as
+    # wide as the keys created so far
+    assert found["wave width"] == sum(widths)

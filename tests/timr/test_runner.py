@@ -8,6 +8,7 @@ identical results on one node, on a cluster, after reducer restarts, and
 
 import random
 
+import pytest
 
 from repro.mapreduce import Cluster, CostModel, DistributedFileSystem, FailureInjector
 from repro.runtime import RunContext
@@ -210,3 +211,17 @@ class TestOperationalProperties:
             "UserId", lambda g: g.window(100).count(into="n")
         )
         assert_matches_single_node(q, make_logs(), num_partitions=1)
+
+    @pytest.mark.parametrize("partitions", [0, -2])
+    def test_no_partitions_is_a_named_error(self, partitions):
+        """``num_partitions`` < 1 used to run silently on one partition."""
+        q = Query.source("logs").group_apply("UserId", lambda g: g.window(100).count(into="n"))
+        timr, _ = make_timr(make_logs(50))
+        with pytest.raises(ValueError, match="num_partitions must be at least 1"):
+            timr.run(q, num_partitions=partitions)
+
+    def test_no_machines_is_a_named_error(self):
+        """A cluster of no machines used to end in a bare
+        ``ZeroDivisionError`` from the optimizer's cost."""
+        with pytest.raises(ValueError, match="num_machines must be at least 1"):
+            CostModel(num_machines=0)

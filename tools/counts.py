@@ -18,6 +18,9 @@ Prints per workload, for both sides:
 * ``keyed.row_loop``: the rows a keyed count or int sum took through its
   per-row loop, the ``engine.resolutions`` counter of that label (0
   where it never counted);
+* waves and wave width: the GroupApply waves that ran, and the active
+  keys they had between them (the ``dataflow.wave_width`` histogram's
+  count and sum);
 * output rows: the rows or events the pass returned;
 * the output digest ``check`` computed.
 
@@ -47,7 +50,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("bt_timr", "scale_sliding", "scale_hopping", "scale_par", "stream_push")
 #: printed rows: label -> the metric counter summed into it, or
-#: ``(counter, resolution)``: that counter's one ``resolution`` label
+#: ``(counter, resolution)``: that counter's one ``resolution`` label, or
+#: ``(histogram, "count" | "sum")``: that part of a histogram
 ROWS = {
     "chain advances": "dataflow.chain_advances",
     "operator_events": "engine.operator_events",
@@ -55,6 +59,8 @@ ROWS = {
     "array_swept_rows": "engine.array_swept_rows",
     #: a resolution is counted only once it happens: absent reads 0
     "keyed.row_loop": ("engine.resolutions", "keyed.row_loop"),
+    "waves": ("dataflow.wave_width", "count"),
+    "wave width": ("dataflow.wave_width", "sum"),
     "output rows": None,
     "digest": None,
 }
@@ -115,6 +121,9 @@ def collect(tree: Path, names, size: str = "full") -> dict:
                 sums[metric["name"]] += metric["value"]
                 if "resolution" in metric["labels"]:
                     sums[metric["name"], metric["labels"]["resolution"]] += metric["value"]
+            elif metric["kind"] == "histogram":
+                for part in ("count", "sum"):
+                    sums[metric["name"], part] += metric["value"][part]
         row = {label: sums.get(metric, 0 if type(metric) is tuple else NA)
                for label, metric in ROWS.items() if metric}
         row["output rows"], row["digest"] = output_rows(out), digest[:12]
