@@ -28,12 +28,13 @@ failing the job.
 from __future__ import annotations
 
 import time as _time
+from itertools import repeat
 from marshal import dumps as _marshal
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..runtime.context import DEFAULT_CONTEXT, RunContext
 from ..temporal.event import TIME_COLUMN, rows_by_time
-from ..temporal.time import check_time
+from ..temporal.time import check_time, data_error
 from .cost import CostModel, JobReport, StageReport
 from .faults import (
     FS_READ,
@@ -51,6 +52,25 @@ from .job import ColumnKey, MapFn, MapReduceStage, stable_hash
 #: Distinct keys one map call remembers the route of; past that a key
 #: is hashed each time it is seen, and the memo stays a few hundred KB.
 _ROUTE_MEMO_KEYS = 4096
+
+
+def _output_rows(out, stage: str, task: str) -> List[Row]:
+    """What a map function or reducer returned, as a list of rows; a
+    ``ValueError`` naming the stage, the task and the offending value
+    when it is not an iterable of dicts (the same input returns it again,
+    so the task is not re-run). Valid output pays one C-level type pass."""
+    try:
+        rows = out if type(out) is list else list(out)
+    except TypeError:
+        raise data_error(ValueError(
+            f"stage {stage!r} {task} returned {out!r}, not an iterable of rows"
+        )) from None
+    if not all(map(isinstance, rows, repeat(dict))):
+        bad = next(row for row in rows if not isinstance(row, dict))
+        raise data_error(ValueError(
+            f"stage {stage!r} {task} returned {bad!r} among its rows, not a row (a dict)"
+        ))
+    return rows
 
 
 class Cluster:
@@ -288,7 +308,9 @@ class Cluster:
         routes: dict = {}
 
         def run(part: List[Row]) -> List[Tuple[int, Row]]:
-            return self._route(stage, part if map_fn is None else map_fn(part), routes)
+            if map_fn is not None:
+                part = _output_rows(map_fn(part), stage.name, f"map task {pi}")
+            return self._route(stage, part, routes)
 
         try:
             return run(rows), []
@@ -380,12 +402,13 @@ class Cluster:
         (quarantine mode) or the stage fails with full context.
         """
         restarts = self._draw_faults((SHUFFLE, REDUCE), stage.name, idx, report)
+        task = f"reduce partition {idx}"
         attempt = 0
         while True:
             attempt += 1
             start = _time.perf_counter()
             try:
-                out_rows = list(stage.reducer(idx, rows))
+                out_rows = _output_rows(stage.reducer(idx, rows), stage.name, task)
                 seconds = _time.perf_counter() - start
                 break
             except InjectedFault:
@@ -396,7 +419,10 @@ class Cluster:
                 isolated = None
                 if self.context.quarantine:
                     isolated = self._isolate_poison(
-                        lambda part: list(stage.reducer(idx, list(part))), rows
+                        lambda part: _output_rows(
+                            stage.reducer(idx, list(part)), stage.name, task
+                        ),
+                        rows,
                     )
                 if isolated is None:
                     raise StageExecutionError(

@@ -8,12 +8,12 @@ watermarks arrive:
 
 * ``feed(source, events, watermark)`` appends time-ordered events to a
   named source's position (a lone :class:`~repro.temporal.event.Batch`
-  of a source's rows is queued as it is, for a keyed sweep to read by
-  column);
+  of a source's rows is queued as it is, for a GroupApply in the array
+  form to read by column);
 * ``advance()`` runs every step once, in order, and returns the query
   outputs that are now *final* — no future input can change them (the
   CTI/watermark contract of Section III-C.1): a list, or a ``Batch`` of
-  layout values when the root is a keyed GroupApply;
+  layout values a GroupApply root in the array form released;
 * ``flush()`` declares end-of-input and drains all remaining state.
 
 Both execution modes are thin drivers over this one graph:
@@ -30,10 +30,15 @@ passes is a binary operator's undelivered left and right queue, so the
 batch driver's memory is bounded by operator state plus one batch.
 
 A GroupApply is a :class:`GroupScheduler` step, which runs its
-sub-plan per key on the same two classes — a :class:`_FlatPlan` over
-the group input, and a :class:`_FlatChain` per key (or one keyed sweep
-over every key, ``runtime/keyed.py``). So one loop interprets every
-plan, the top level and each key's alike.
+sub-plan per key in one of two forms. Per-key chains run it on the same
+two classes — a :class:`_FlatPlan` over the group input, and a
+:class:`_FlatChain` per key — so one loop interprets every plan, the
+top level and each key's alike. A flow's own GroupApply under the batch
+driver (``group_wave_events > 0``) whose sub-plan is windows, hops or
+shifts into a ``count`` or plain ``sum`` runs the array form instead
+(``runtime/keyed.py``): every key at once in numpy passes, with the
+chains' output and scheduling call for call, until an input it cannot
+hold as int64 converts it to chains (``GroupScheduler._to_chains``).
 
 Plans containing an operator whose output timestamps may precede its
 input unboundedly (a *custom* AlterLifetime) cannot run incrementally.
@@ -58,7 +63,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..temporal.event import _LE, _ROW_LE, Batch, Event
+from ..temporal.event import _LE, Batch, Event
 from ..temporal.operators.base import WAKE_ALWAYS, WAKE_AT_FLUSH, UnaryOperator, _deliver
 from ..temporal.plan import (
     AggregateNode,
@@ -81,14 +86,13 @@ class StreamingUnsupported(ValueError):
     """The plan cannot run incrementally (unbounded lifetime rewrites)."""
 
 
-def _before(items: list, t: int, le=_LE) -> int:
-    """How many of the LE-sorted ``items`` (events, or rows with
-    ``le=_ROW_LE``) have an LE before ``t``: ``bisect_left`` by LE, whose
-    ``key=`` needs Python 3.10."""
-    lo, hi = 0, len(items)
+def _before(events: list, t: int) -> int:
+    """How many of the LE-sorted ``events`` have an LE before ``t``:
+    ``bisect_left`` by LE, whose ``key=`` needs Python 3.10."""
+    lo, hi = 0, len(events)
     while lo < hi:
         mid = (lo + hi) // 2
-        if le(items[mid]) < t:
+        if events[mid].le < t:
             lo = mid + 1
         else:
             hi = mid
@@ -153,37 +157,41 @@ class GroupScheduler(UnaryOperator):
     top level, and per outer key as a step of a nested GroupApply's
     chain.
 
-    One chain per key — a :class:`_FlatChain`, or a
-    :class:`~repro.runtime.keyed.KeyState` of the keyed sweep — activated
-    in key first-appearance order; a wave advances the ones fed or due,
-    and releases their LE-merged outputs up to the group watermark.
+    One :class:`_FlatChain` per key, activated in key first-appearance
+    order; a wave advances the ones fed or due, and releases their
+    LE-merged outputs up to the group watermark. A node of a flow's own
+    plan under the batch driver (``wave_events > 0``) whose sub-plan
+    fits runs the array form instead
+    (:class:`~repro.runtime.keyed.KeyedAggregate`), the same waves as
+    array passes, until an input it cannot hold converts it to chains
+    (:meth:`_to_chains`).
     """
 
     def __init__(self, node: GroupApplyNode, flat: _FlatPlan, wave_events: int = 0,
-                 tracer=NULL_TRACER, emits_rows: bool = False):
+                 tracer=NULL_TRACER, emits_rows: bool = False, top: bool = False):
         self.keys = node.keys
         self._wave_events = wave_events
         self._tracer = tracer
         #: the sub-plan's flat form, ``_flat_plan(node)``: every key's
         #: chain reads it, and a nested GroupApply's schedulers share it
         self._flat = flat
-        #: one sweep over every key instead of a chain per key; its
-        #: per-key states stand in for chains
-        self._keyed = _keyed_aggregate(node, flat)
-        self._le = _LE if self._keyed is None else _ROW_LE
-        #: the keyed sweep's rows are merged by ``_le`` as chain events
-        #: are, and made events as they are emitted: except at the
-        #: flow's root, which keeps each release as one :class:`Batch` in
-        #: this layout (``released``) for :meth:`Dataflow.advance` to take
+        #: the array form, while the node runs it (``None``: chains)
+        self._keyed = _keyed_aggregate(node, flat) if top and wave_events else None
+        #: the array form's releases are made events as they are
+        #: emitted: except at the flow's root, which keeps each release as
+        #: one :class:`Batch` in this layout (``released``) for
+        #: :meth:`Dataflow.advance` to take
         self.layout = self._keyed.layout if emits_rows and self._keyed else None
         self.released: Optional[Batch] = None
-        #: a keyed sweep in the array form: its backlog is the sweep's
-        #: int64 segment rows, until the node takes its per-row loop
-        self._columns = self._keyed is not None and self._keyed._arrayable
-        self._groups: Dict[Tuple, object] = {}
+        #: rows swept as arrays; why the node left the array form, and
+        #: the rows it fed its chains since
+        self.array_swept_rows = self.converted_rows = 0
+        self.converted: Optional[str] = None
+        #: key -> its chain; in the array form, key -> its id
+        self._groups: Dict[Tuple, object] = {} if self._keyed is None else self._keyed.ids
         #: the non-idle chains, in activation order (the order the
         #: cross-group merge appends their outputs in)
-        self._active: Dict[Tuple, object] = {}
+        self._active: Dict[Tuple, _FlatChain] = {}
         self._ordinals = itertools.count()
         #: wake-time scheduling: chains that must advance at the next
         #: wave whatever its watermark (fed, just activated, or unable
@@ -193,14 +201,14 @@ class GroupScheduler(UnaryOperator):
         #: delete lazily: an entry is live iff its stamp is still the
         #: chain's, i.e. the chain has not advanced since the push. The
         #: array form keeps all three as columns (``KeyedAggregate.wave``).
-        self._due: Dict[Tuple, object] = {}
+        self._due: Dict[Tuple, _FlatChain] = {}
         self._wake_heap: List[tuple] = []
         self._held: List[tuple] = []
         #: chain advances made by this scheduler; the wave also draws
         #: its heap stamps from it
         self.chain_advances = 0
         #: merged chain outputs not yet released, LE-sorted (stable): a
-        #: list, or once it has some, the array form's int64 segment rows
+        #: list of events, or in the array form its int64 segment rows
         self._pending = []
         self._fresh: Sequence[Event] = ()  # handed over, fed at the watermark
         self._fed_since_wave = 0
@@ -241,21 +249,20 @@ class GroupScheduler(UnaryOperator):
     def on_flush(self) -> list:
         """End of input: every chain flushes for real."""
         self._feed(MAX_TIME)
-        keyed = self._keyed
         self.chain_advances += len(self._groups)
-        segments = keyed.sweep(np.arange(len(self._groups)), MAX_TIME) if self._columns else None
+        if self._keyed is not None:  # ties in key creation order, as the chains'
+            segments = self._keyed.sweep(np.arange(len(self._groups)), MAX_TIME)
+            return self._release(segments, None if segments is None else segments[:, 2])
         pending = self._pending
         for chain in self._groups.values():
-            outs = chain.advance(MAX_TIME) if keyed is None else keyed.advance(chain, MAX_TIME)
+            outs = chain.advance(MAX_TIME)
             if outs:
                 pending.extend(outs)
-        if self._columns:  # ties in key creation order, as the walk above
-            return self._release(segments, None if segments is None else segments[:, 2])
         # a stable LE sort == the cross-group LE merge: ties keep chain
         # order, so events never compare
-        pending.sort(key=self._le)
+        pending.sort(key=_LE)
         self._pending = []
-        return pending if keyed is None else self._emit(Batch.of_layout(keyed.layout, pending))
+        return pending
 
     def watermark_out(self, w: int) -> int:
         if self._waited:
@@ -263,14 +270,15 @@ class GroupScheduler(UnaryOperator):
             return self.watermark
         if self._idle_delta >= 0:
             w -= self._idle_delta
-        held = self._keyed.held_top if self._columns else self._held[0][0] if self._held else None
+        keyed = self._keyed
+        held = keyed.held_top if keyed is not None else self._held[0][0] if self._held else None
         if held is not None and held < w:
             w = held
         return w
 
     def next_wake(self) -> Optional[int]:
-        if self._columns:  # the array form's keys and heaps are columns
-            keyed = self._keyed
+        keyed = self._keyed
+        if keyed is not None:  # the array form's keys and heaps are columns
             due, active, wake = keyed.due_n, keyed.active_n, keyed.wake_top
         else:
             due, active = self._due, self._active
@@ -295,8 +303,13 @@ class GroupScheduler(UnaryOperator):
         self._fresh = ()
         self._fed_since_wave += len(fresh)
         if self._keyed is not None:
-            self._keyed.feed(self, fresh, w)
-            return
+            reason = self._keyed.feed(self, fresh, w)
+            if reason is None:
+                self.array_swept_rows += len(fresh)
+                return
+            self._to_chains(reason)
+        if self.converted is not None:
+            self.converted_rows += len(fresh)
         flat = self._flat
         for key, events in _batch_per_key(fresh, self.keys).items():
             chain = self._groups.get(key)
@@ -314,8 +327,42 @@ class GroupScheduler(UnaryOperator):
                 self._active[key] = chain
             self._due[key] = chain
 
+    def _to_chains(self, reason: str) -> None:
+        """Leave the array form for good (``reason``): a chain per key, in
+        creation order, whose aggregate takes what the last wave carried
+        and whose watermarks, wake time, ordinal and stamp are the key's
+        columns; the chunks fed since that wave queued to the chains as
+        they would hold them, the dicts and heaps of chains rebuilt from
+        the columns, and the backlog made events."""
+        keyed, self._keyed, self.converted = self._keyed, None, reason
+        self._pending = list(keyed.batch(self._pending)) if len(self._pending) else []
+        carried = keyed.carried()
+        states, active, due, held, wakes = keyed.chain_state()
+        one = len(self.keys) == 1
+        self._groups = groups = {}
+        for k, key in enumerate(keyed.ids):
+            key = (key,) if one else key
+            chain = groups[key] = _FlatChain(self._flat, dict(zip(self.keys, key)))
+            w_in, chain.watermark, chain.ordinal, chain.stamp, chain.idle_delta, chain.wake = (
+                states[k])
+            # the stages' floors are what their input gives them; the
+            # input's (a run-ahead LE) and the aggregate's (its hold) are more
+            chain.w[0], chain.w[-1] = w_in, chain.watermark
+            if k in carried:
+                chain.ops[-1].resume(*carried[k])
+        keys, chains = list(groups), list(groups.values())
+        self._active.update((keys[k], chains[k]) for k in active)
+        self._due.update((keys[k], chains[k]) for k in due)
+        self._held[:] = [(t, stamp, chains[k]) for t, stamp, k in held]
+        self._wake_heap[:] = [(t, stamp, keys[k], chains[k]) for t, stamp, k in wakes]
+        heapify(self._held)
+        heapify(self._wake_heap)
+        for fed in keyed.fed:
+            for key, events in _batch_per_key(fed, self.keys).items():
+                groups[key].feed(0, events, events[-1].le)
+
     def _emit(self, batch: Batch) -> list:
-        """A keyed sweep's release: events here, except at a flow's root,
+        """An array-form release: events here, except at a flow's root,
         which keeps it as ``released``."""
         if self.layout is None:
             return list(batch)
@@ -350,35 +397,35 @@ class GroupScheduler(UnaryOperator):
         constant, so one representative bound covers all of them). The
         cost is O(fed + due), not O(active chains).
         """
+        if self._keyed is not None and type(w) is not int:  # another source's time
+            self._to_chains(WATERMARK_NOT_INT)
         keyed = self._keyed
-        if self._columns and type(w) is not int:  # another source's time
-            keyed._to_loop(self, WATERMARK_NOT_INT)
         if self._tracer.enabled:
             # wave width is a pure function of the data and the wave
             # schedule
-            width = keyed.active_n if self._columns else len(self._active)
+            width = keyed.active_n if keyed is not None else len(self._active)
             self._tracer.metrics.histogram("dataflow.wave_width").observe(width)
-        if self._columns:  # the same walk, as array passes over the columns
+        if keyed is not None:  # the same walk, as array passes over the columns
             segments, ranks = keyed.wave(self, w)
         else:
             self._walk(w)
         group_w = self.watermark_out(w)
         if group_w > self.watermark:
             self.watermark = group_w
-        if self._columns:
+        if keyed is not None:
             return self._release(segments, ranks, group_w)
         pending = self._pending
-        idx = _before(pending, group_w, self._le)
+        idx = _before(pending, group_w)
         if not idx:
             return []
         released = pending[:idx]
         del pending[:idx]
-        return released if keyed is None else self._emit(Batch.of_layout(keyed.layout, released))
+        return released
 
     def _walk(self, w: int) -> None:
         """Advance the due chains, keeping the heaps."""
-        pending, active, wake_heap, held, keyed = (
-            self._pending, self._active, self._wake_heap, self._held, self._keyed)
+        pending, active, wake_heap, held = (
+            self._pending, self._active, self._wake_heap, self._held)
         due, self._due = self._due, {}
         while wake_heap and wake_heap[0][0] <= w:
             _, stamp, key, chain = heappop(wake_heap)
@@ -389,7 +436,7 @@ class GroupScheduler(UnaryOperator):
         # the same relative order — and skipped chains add nothing
         added = False
         for key, chain in sorted(due.items(), key=_activation_order):
-            outs = chain.advance(w) if keyed is None else keyed.advance(chain, w)
+            outs = chain.advance(w)
             self.chain_advances += 1
             chain.stamp = stamp = self.chain_advances
             if outs:
@@ -408,7 +455,7 @@ class GroupScheduler(UnaryOperator):
             # timsort merges the sorted backlog with this wave's sorted
             # per-chain runs in near-linear time; being stable, it keeps
             # the backlog ahead of this wave at equal LEs
-            pending.sort(key=self._le)
+            pending.sort(key=_LE)
         if len(held) + len(wake_heap) > 4 * len(active) + 64:
             self._rebuild_heaps()
         # a sleeping chain's watermark is frozen, so the least live heap
@@ -573,7 +620,7 @@ class _FlatPlan:
         if isinstance(node, GroupApplyNode):
             return GroupScheduler(
                 node, self.subplans[k], self.wave_events, self.tracer,
-                self.root_rows and k == len(self.nodes) - 1,
+                self.root_rows and k == len(self.nodes) - 1, self.top,
             )
         op = node.make_operator()
         return op if self.futures[k] is not None else Deferred(op)
@@ -585,16 +632,20 @@ def _flat_plan(node: GroupApplyNode, wave_events: int = 0) -> _FlatPlan:
 
 
 def _keyed_aggregate(node: GroupApplyNode, flat: _FlatPlan) -> Optional[KeyedAggregate]:
-    """One :class:`KeyedAggregate` sweep over all keys when ``node``'s
-    sub-plan is a pipeline of stateless stages feeding one aggregate —
-    the overwhelmingly common shape — else ``None`` (a chain per key)."""
-    if not flat.nodes or not flat.linear:
+    """The array form of ``node`` (:class:`KeyedAggregate`) when its
+    sub-plan is time windows, hops or shifts, or none, feeding a
+    ``count`` or plain ``sum`` — every windowed count and sum of the BT
+    pipeline and the scale shapes — else ``None`` (a chain per key)."""
+    if not flat.linear or not flat.nodes or not isinstance(flat.nodes[-1], AggregateNode):
         return None
-    stages, shared = flat.nodes, flat.shared
-    if not isinstance(stages[-1], AggregateNode) or not all(shared[:-1]):
+    specs = [getattr(op, "spec", None) for op in flat.shared[:-1]]
+    aggregates = flat.nodes[-1].specs
+    if None in specs or not all(
+        s.kind == "count" or (s.kind == "sum" and not s.params) for s in aggregates
+    ):
         return None
     futures = [future for _, _, _, future, *_ in flat.steps]
-    return KeyedAggregate(node.keys, stages, futures, shared)
+    return KeyedAggregate(node.keys, specs, aggregates, futures)
 
 
 class _FlatChain:
@@ -891,9 +942,10 @@ class Dataflow:
                 )
         self._plan = _FlatPlan(self._order, group_wave_events, tracer, top=True)
         self._chain = _FlatChain(self._plan)
-        #: a keyed GroupApply root emits its rows, and ``advance``
-        #: releases them as one :class:`Batch` in this layout
-        self._layout = getattr(self._chain.ops[-1], "layout", None) if self._plan.nodes else None
+        #: a GroupApply root in the array form keeps each release as one
+        #: :class:`Batch`, which ``advance`` returns
+        root = self._chain.ops[-1] if self._plan.nodes else None
+        self._root = root if getattr(root, "layout", None) else None
         self._flushed = False
 
     # -- introspection -------------------------------------------------------
@@ -943,13 +995,11 @@ class Dataflow:
     def chain_advances(self) -> int:
         """How many times this flow's GroupApply steps advanced a
         per-key chain — the work a watermark wave does, as a count."""
-        return sum(
-            op.chain_advances for op in self._chain.ops if isinstance(op, GroupScheduler)
-        )
+        return sum(op.chain_advances for op in self.group_schedulers())
 
-    def keyed_sweeps(self) -> List[KeyedAggregate]:
-        """The keyed sweeps of this flow's own GroupApply nodes."""
-        return [op._keyed for op in self._chain.ops if getattr(op, "_keyed", None)]
+    def group_schedulers(self) -> List[GroupScheduler]:
+        """The schedulers of this flow's own GroupApply nodes."""
+        return [op for op in self._chain.ops if isinstance(op, GroupScheduler)]
 
     # -- driving -------------------------------------------------------------
 
@@ -976,14 +1026,15 @@ class Dataflow:
 
     def advance(self) -> Sequence[Event]:
         """Propagate what was fed since the last pass; return newly-final
-        root outputs: a list, or a :class:`Batch` of layout values when
-        the root is a keyed GroupApply (its events are built as they are
-        read)."""
+        root outputs: a list, or a :class:`Batch` of layout values a
+        GroupApply root in the array form released (its events are built
+        as they are read)."""
         released = self._chain.run() or []
-        if self._layout is None:
+        root = self._root
+        if root is None or released:  # a converted root releases events
             return released
-        root = self._chain.ops[-1]
-        batch, root.released = root.released or Batch.of_columns(self._layout, [], [], []), None
+        batch = root.released or Batch.of_columns(root.layout, [], [], [])
+        root.released = None
         self._plan.events_out[-1] += len(batch)  # the root's output, which its step kept
         return batch
 

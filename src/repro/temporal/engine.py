@@ -28,14 +28,13 @@ The default is the shared no-op tracer, which costs nothing.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from itertools import islice
 from operator import le
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from ..runtime.context import DEFAULT_CONTEXT, RunContext
 from ..runtime.dataflow import Dataflow
-from ..runtime.keyed import ROW_LOOP
+from ..runtime.keyed import CONVERTED_ROWS
 from .event import _LE, Batch, Event
 from .plan import (
     GroupInputNode,
@@ -61,9 +60,9 @@ class EngineStats:
         self.output_events = 0
         #: source rows the run turned into ``Event`` objects: every row
         #: of a source that something reads as events, none of one that
-        #: only a keyed sweep reads (docs/EXECUTION.md, "Rows")
+        #: only a GroupApply in the array form reads (docs/EXECUTION.md, "Rows")
         self.decoded_rows = 0
-        #: source rows a keyed count or int sum swept as arrays (docs/EXECUTION.md)
+        #: rows a keyed count or int sum swept as arrays (docs/EXECUTION.md)
         self.array_swept_rows = 0
         self.operator_events: Dict[str, int] = {}
         self.operator_labels: Dict[str, str] = {}
@@ -207,12 +206,14 @@ class Engine:
     def _record(self, flow, root, stats, output, context):
         """Fill stats and emit one summary span per operator node."""
         stats.output_events = len(output)
-        sweeps = flow.keyed_sweeps()
-        stats.array_swept_rows = sum(sweep.array_swept_rows for sweep in sweeps)
-        looped = sum((sweep.row_loop for sweep in sweeps), Counter())
-        why = "a keyed count or int sum took its per-row loop: "
-        found_here = {ROW_LOOP: {"count": sum(looped.values()), "reason": why + "; ".join(
-            sorted(looped))}} if looped else {}
+        groups = flow.group_schedulers()
+        stats.array_swept_rows = sum(group.array_swept_rows for group in groups)
+        converted = [group for group in groups if group.converted]
+        why = "a keyed count or int sum left the array form for per-key chains: "
+        found_here = {CONVERTED_ROWS: {
+            "count": sum(group.converted_rows for group in converted),
+            "reason": why + "; ".join(sorted({group.converted for group in converted})),
+        }} if converted else {}
         found_here.update(output.resolutions)
         executor = context.executor_resolutions()
         stats.resolutions = {**executor, **found_here}

@@ -13,7 +13,7 @@ from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
 from itertools import chain, islice, repeat
-from operator import attrgetter, contains, eq, gt, itemgetter, le
+from operator import attrgetter, contains, eq, gt, le
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -104,7 +104,6 @@ class Event:
 _LE = attrgetter("le")
 _RE = attrgetter("re")
 _PAYLOAD = attrgetter("payload")
-_ROW_LE = itemgetter(0)
 _ROW_DROPS = frozenset((TIME_COLUMN, RE_COLUMN))
 _TAGGED_DROPS = _ROW_DROPS | {SRC_COLUMN}
 
@@ -170,12 +169,6 @@ class Batch(Sequence):
         for i, column in enumerate(columns):
             values[i :: len(columns)] = column
         return batch
-
-    @classmethod
-    def of_layout(cls, layout: tuple, rows: list) -> "Batch":
-        """Rows ``(le, re, *values)`` whose values follow ``layout``."""
-        les, res, *columns = zip(*rows) if rows else ((), ())
-        return cls.of_columns(layout, list(les), list(res), columns)
 
     @classmethod
     def pack(cls, batches: Iterable[Sequence[Event]]) -> "Batch":

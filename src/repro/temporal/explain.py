@@ -35,18 +35,25 @@ def _streamable(root: PlanNode) -> Optional[str]:
     return None
 
 
-def _group_paths(node: GroupApplyNode, indent: str) -> List[str]:
-    """The physical path of a GroupApply's per-key sub-plan."""
+def _group_paths(node: GroupApplyNode, indent: str, top: bool = True) -> List[str]:
+    """The physical path of a GroupApply's per-key sub-plan: the array
+    form under the batch driver for a flow's own node whose sub-plan fits
+    it, a flat chain per key otherwise (``top``: ``node`` is in the
+    flow's own plan, not a sub-plan)."""
     from ..runtime.dataflow import _flat_plan, _keyed_aggregate
 
     flat = _flat_plan(node)
-    keyed = _keyed_aggregate(node, flat) is not None
+    arrays = top and _keyed_aggregate(node, flat) is not None
+    chain = (
+        "one flat chain, the operators driven in topological order over "
+        "per-node lists"
+    )
     lines = [
-        f"{indent}per key: one keyed sweep over every key's rows, a pane "
-        "state per key and no per-key chain"
-        if keyed
-        else f"{indent}per key: one flat chain, the operators driven in "
-        "topological order over per-node lists"
+        f"{indent}per key: under Engine.run and TiMR, the array form: one "
+        "sweep over every key's endpoints in int64 columns, no per-key "
+        f"chain; under StreamingEngine, {chain}"
+        if arrays
+        else f"{indent}per key: {chain}"
     ]
     stages, shared = flat.nodes, flat.shared
     for i, stage in enumerate(stages):
@@ -58,29 +65,28 @@ def _group_paths(node: GroupApplyNode, indent: str) -> List[str]:
             path = "a nested GroupApply: one scheduler per key"
         elif flat.futures[i] is None:
             path = "deferred: buffered per key, applied at the flush"
-        elif not keyed:
-            path = (
-                "on_batch per stage"
-                if len(stage.inputs) == 1
-                else "both inputs merged, right side first at ties"
-            )
+        elif len(stage.inputs) > 1:
+            path = "both inputs merged, right side first at ties"
+        elif not arrays:
+            path = "on_batch per stage"
         elif isinstance(stage, AggregateNode):
-            path = "folded per key in the keyed sweep"
+            path = "summed over int64 endpoints in the array form"
             if not operator.reads_payloads:
-                path += " (count only: no payload column built)"
+                path += " (count only: no payload column read)"
+            path += "; in a chain, on_batch per stage"
         else:
-            path = "computed inside the keyed sweep, no events built"
+            path = "computed over int64 arrays in the array form; in a chain, on_batch per stage"
         if isinstance(stage, AggregateNode):
             path += ", " + operator.pane_kind()
         if last:
             path += (
                 "; key columns attached to its payloads in place"
-                if keyed or flat.attach_in_place
+                if flat.attach_in_place
                 else "; key columns attached to a copy of each payload"
             )
         lines.append(f"{indent}  {stage.describe()}: {path}")
         if isinstance(stage, GroupApplyNode):
-            lines.extend(_group_paths(stage, indent + "    "))
+            lines.extend(_group_paths(stage, indent + "    ", top=False))
     return lines
 
 

@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from ..event import Event
 from ..time import data_error
-from .base import UnaryOperator
+from .base import WAKE_AT_FLUSH, UnaryOperator
 
 
 class AggregateFunction:
@@ -438,6 +438,15 @@ class SnapshotAggregate(UnaryOperator):
         )
         return out
 
+    def resume(self, start: int, totals: list, panes: dict) -> None:
+        """Take up a sweep of counts and int sums carried elsewhere (a
+        keyed GroupApply's array form, ``runtime/keyed.py``): the open
+        segment's ``start``, each state's live int total, and ``panes``,
+        each RE's partial, REs ascending."""
+        self._segment_start, self._panes, self._pending = start, panes, list(panes)
+        for state, total in zip(self._states, totals):
+            setattr(state, "n" if type(state) is CountAgg else "total", total)
+
     def on_batch(self, events) -> list:
         return self.sweep(
             [e.le for e in events],
@@ -460,5 +469,9 @@ class SnapshotAggregate(UnaryOperator):
         return min(w, self._segment_start) if self._pending else w
 
     def next_wake(self):
-        # nothing moves until the earliest pending expiration
-        return self._pending[0] if self._pending else None
+        # nothing moves until the earliest pending expiration; one a
+        # lifetime stretched past MAX_TIME only at the flush, and the
+        # open segment holds the watermark until then
+        if not self._pending:
+            return None
+        return min(self._pending[0], WAKE_AT_FLUSH)

@@ -8,8 +8,6 @@ windows, and lifetime shifts are all AlterLifetime specializations.
 
 from __future__ import annotations
 
-from operator import le as le_
-from operator import or_
 from typing import Callable, Iterable
 
 from ..event import Event
@@ -54,34 +52,6 @@ class Project(UnaryOperator):
 WINDOW_SPECS = ("window", "hop")
 
 
-def spec_lifetimes(specs, les, res):
-    """New ``(les, res)`` after a chain of AlterLifetime ``specs`` — what
-    their ``le_fn`` / ``re_fn`` give, column by column; ``les[i]`` is
-    ``None`` where a shift emptied lifetime ``i`` (it vanishes, as in
-    :meth:`AlterLifetime.on_batch`). ``res`` may be ``None`` when the
-    first spec is a time window; ``les`` comes back as passed when no
-    spec moves an LE."""
-    emptied = None
-    for spec in specs:
-        if spec[0] == "shift":
-            _, dle, dre = spec
-            if dle:
-                les = [le + dle for le in les]
-            res = [re + dre for re in res]
-            if dre < dle:
-                gone = list(map(le_, res, les))
-                emptied = gone if emptied is None else list(map(or_, emptied, gone))
-        else:
-            w = spec[1]
-            if spec[0] == "hop":
-                h = spec[2]
-                les = [-(-le // h) * h for le in les]
-            res = [le + w for le in les]
-    if emptied is not None and any(emptied):
-        les = [None if gone else le for le, gone in zip(les, emptied)]
-    return les, res
-
-
 class AlterLifetime(UnaryOperator):
     """Generic lifetime rewrite: ``(le, re) -> (le_fn(le, re), re_fn(le, re))``.
 
@@ -99,9 +69,9 @@ class AlterLifetime(UnaryOperator):
         self.le_fn = le_fn
         self.re_fn = re_fn
         # a rewrite's shape — ("window", w) | ("hop", w, h) | ("shift",
-        # delta_le, delta_re) — lets the keyed GroupApply sweep compute
-        # lifetimes column by column (spec_lifetimes); the spec must
-        # describe le_fn/re_fn exactly
+        # delta_le, delta_re) — lets a keyed GroupApply's array form
+        # compute lifetimes over arrays; the spec must describe
+        # le_fn/re_fn exactly
         self.spec = spec
 
     def on_batch(self, events) -> list:

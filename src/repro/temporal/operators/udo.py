@@ -39,18 +39,16 @@ class WindowedUDO(UnaryOperator):
     Args:
         w: window width (ticks of history visible at each boundary).
         h: hop size (boundary spacing; also the output lifetime).
-        fn: ``fn(payloads, boundary) -> iterable of payload dicts``.
-        skip_empty: when True (default) boundaries whose window is empty
-            do not invoke ``fn``.
+        fn: ``fn(payloads, boundary) -> iterable of payload dicts``; a
+            boundary whose window is empty does not invoke it.
     """
 
-    def __init__(self, w: int, h: int, fn: HoppingFn, skip_empty: bool = True):
+    def __init__(self, w: int, h: int, fn: HoppingFn):
         if w <= 0 or h <= 0:
             raise ValueError("window width and hop size must be positive")
         self.w = w
         self.h = h
         self.fn = fn
-        self.skip_empty = skip_empty
         self._les: List[int] = []
         self._payloads: List[dict] = []
         self._start = 0  # index of first un-evicted buffered event
@@ -72,7 +70,7 @@ class WindowedUDO(UnaryOperator):
             self._start = 0
         hi = bisect_right(self._les, boundary, lo=self._start)
         window = self._payloads[self._start : hi]
-        if window or not self.skip_empty:
+        if window:
             for payload in self.fn(window, boundary):
                 yield Event(boundary, boundary + self.h, dict(payload))
 
@@ -82,7 +80,7 @@ class WindowedUDO(UnaryOperator):
             return
         while self._next_boundary < t:
             # fast-forward across stretches with no buffered events
-            if self.skip_empty and self._start >= len(self._les):
+            if self._start >= len(self._les):
                 nxt = self._quantize_up(t)
                 self._next_boundary = max(self._next_boundary, nxt)
                 if self._next_boundary >= t:
@@ -116,11 +114,11 @@ class WindowedUDO(UnaryOperator):
         yield from self._advance_to(w)
 
     def next_wake(self):
-        # with no buffered events, skip_empty fast-forwards boundaries
-        # without firing; emission can only resume on a new event.
-        # Otherwise boundaries fire as the watermark passes them and
-        # nothing holds the output watermark back: the default applies
-        if self.skip_empty and self._start >= len(self._les):
+        # with no buffered events, boundaries are fast-forwarded without
+        # firing; emission can only resume on a new event. Otherwise
+        # boundaries fire as the watermark passes them and nothing holds
+        # the output watermark back: the default applies
+        if self._start >= len(self._les):
             return None
         return super().next_wake()
 

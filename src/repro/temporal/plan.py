@@ -470,15 +470,14 @@ class AntiSemiJoinNode(PlanNode):
 class WindowedUDONode(PlanNode):
     op_name = "windowed-udo"
 
-    def __init__(self, input_node: PlanNode, w: int, h: int, fn, skip_empty=True, label=None):
+    def __init__(self, input_node: PlanNode, w: int, h: int, fn, label=None):
         super().__init__((input_node,), label)
         self.w = w
         self.h = h
         self.fn = fn
-        self.skip_empty = skip_empty
 
     def make_operator(self):
-        return WindowedUDO(self.w, self.h, self.fn, skip_empty=self.skip_empty)
+        return WindowedUDO(self.w, self.h, self.fn)
 
     def partition_constraint(self):
         return NONE
@@ -583,9 +582,7 @@ def clone_with_inputs(node: PlanNode, inputs: Sequence[PlanNode]) -> PlanNode:
     if isinstance(node, AntiSemiJoinNode):
         return AntiSemiJoinNode(inputs[0], inputs[1], node.on, node.residual, node.label)
     if isinstance(node, WindowedUDONode):
-        return WindowedUDONode(
-            inputs[0], node.w, node.h, node.fn, node.skip_empty, node.label
-        )
+        return WindowedUDONode(inputs[0], node.w, node.h, node.fn, node.label)
     if isinstance(node, SnapshotUDONode):
         return SnapshotUDONode(inputs[0], node.fn, node.label)
     if isinstance(node, ScanUDONode):

@@ -255,11 +255,11 @@ class Query:
         w: int,
         h: int,
         fn: Callable[[list, int], Iterable[dict]],
-        skip_empty: bool = True,
         label: str = None,
     ) -> "Query":
-        """Run ``fn(window_payloads, boundary)`` at every hop boundary."""
-        return Query(WindowedUDONode(self._node, w, h, fn, skip_empty, label))
+        """Run ``fn(window_payloads, boundary)`` at every hop boundary
+        whose window holds an event."""
+        return Query(WindowedUDONode(self._node, w, h, fn, label))
 
     def udo_snapshot(
         self, fn: Callable[[list], Iterable[dict]], label: str = None

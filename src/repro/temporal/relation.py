@@ -167,18 +167,18 @@ def ref_snapshot_udo(events: Sequence[Event], fn) -> List[Event]:
                       for start, end, active in _snapshots(list(events)) for payload in fn(active)])
 
 
-def ref_windowed_udo(events: Sequence[Event], w: int, h: int, fn, skip_empty=True) -> List[Event]:
+def ref_windowed_udo(events: Sequence[Event], w: int, h: int, fn) -> List[Event]:
     """Reference hopping UDO: at every multiple ``b`` of ``h`` from the
     first LE on, while a window can still see an event, one event over
     ``[b, b + h)`` per payload of ``fn(payloads with b - w < LE <= b, in
-    input order, b)``; with ``skip_empty``, no call for an empty window."""
+    input order, b)``; no call for an empty window."""
     out: List[Event] = []
     if not events:
         return out
     b, last = -(-min(e.le for e in events) // h) * h, max(e.le for e in events)
     while b - w < last:
         window = [e.payload for e in events if b - w < e.le <= b]
-        if window or not skip_empty:
+        if window:
             out.extend(Event(b, b + h, dict(payload)) for payload in fn(window, b))
         b += h
     return out
@@ -432,7 +432,7 @@ def _operator(node: PlanNode, ins: List[List[Event]]) -> List[Event]:
     if isinstance(node, AntiSemiJoinNode):
         return ref_anti_semi_join(*ins, _matches(node.on, node.residual))
     if isinstance(node, WindowedUDONode):
-        return ref_windowed_udo(ins[0], node.w, node.h, node.fn, node.skip_empty)
+        return ref_windowed_udo(ins[0], node.w, node.h, node.fn)
     if isinstance(node, SnapshotUDONode):
         return ref_snapshot_udo(ins[0], node.fn)
     if isinstance(node, ScanUDONode):

@@ -324,18 +324,14 @@ class _WeakFlatPlan(dataflow._FlatPlan):
     __slots__ = ("__weakref__",)
 
 
-class _WeakKeyState(keyed.KeyState):
-    __slots__ = ("__weakref__",)
-
-
 def test_the_runs_graph_is_freed_without_a_collection():
     """No step refers back to its ``Dataflow`` and no flow nests in
-    another, so the graph — plans, chains, schedulers and keyed states —
-    is garbage refcounts reclaim (while the flow's nodes pointed back at
-    it only the cyclic collector could). A nested GroupApply's sub-plan
-    is built once: every outer key's scheduler reads the same one, with
-    a keyed sweep of its own."""
-    flows, plans, chains, states, schedulers = [], [], [], [], []
+    another, so the graph — plans, chains, schedulers and the array
+    form's sweep — is garbage refcounts reclaim (while the flow's nodes
+    pointed back at it only the cyclic collector could). A nested
+    GroupApply's sub-plan is built once: every outer key's scheduler
+    reads the same one, and runs it as a chain per inner key."""
+    flows, plans, chains, sweeps, schedulers = [], [], [], [], []
     scheduler_plans, scheduler_sweeps = [], []
     init = Dataflow.__init__
     scheduler_init = dataflow.GroupScheduler.__init__
@@ -348,7 +344,7 @@ def test_the_runs_graph_is_freed_without_a_collection():
         scheduler_init(self, *args, **kwargs)
         schedulers.append(weakref.ref(self))
         scheduler_plans.append(id(self._flat))
-        scheduler_sweeps.append(id(self._keyed))
+        scheduler_sweeps.append(self._keyed is not None)
 
     class TrackedPlan(_WeakFlatPlan):
         __slots__ = ()
@@ -364,16 +360,14 @@ def test_the_runs_graph_is_freed_without_a_collection():
             super().__init__(*args)
             chains.append(weakref.ref(self))
 
-    class TrackedState(_WeakKeyState):
-        __slots__ = ()
-
+    class TrackedSweep(keyed.KeyedAggregate):
         def __init__(self, *args):
             super().__init__(*args)
-            states.append(weakref.ref(self))
+            sweeps.append(weakref.ref(self))
 
     source = Query.source("logs", ("UserId", "V"))
     query = source.group_apply(
-        "UserId", lambda g: g.window(50).sum("V", into="s")  # one keyed sweep
+        "UserId", lambda g: g.window(50).sum("V", into="s")  # the array form
     ).union(
         source.group_apply(  # a stage after the aggregate: flat chains
             "UserId",
@@ -381,7 +375,7 @@ def test_the_runs_graph_is_freed_without_a_collection():
         )
     ).union(
         source.group_apply(  # a nested GroupApply: a chain per key holding
-            "UserId",  # a scheduler with one keyed state
+            "UserId",  # a scheduler with a chain per inner key
             lambda g: g.group_apply("UserId", lambda gg: gg.window(70).count(into="s")),
         )
     )
@@ -392,7 +386,7 @@ def test_the_runs_graph_is_freed_without_a_collection():
                 ), \
                 mock.patch.object(dataflow, "_FlatPlan", TrackedPlan), \
                 mock.patch.object(dataflow, "_FlatChain", TrackedChain), \
-                mock.patch.object(keyed, "KeyState", TrackedState):
+                mock.patch.object(dataflow, "KeyedAggregate", TrackedSweep):
             out = Engine(context=SERIAL).run(
                 query, {"logs": make_rows(400, users=5)}, validate=False
             )
@@ -402,12 +396,14 @@ def test_the_runs_graph_is_freed_without_a_collection():
         # sub-plan once, not once per outer key
         assert len(plans) == 1 + 3 + 1
         # the flow's own chain, then a chain per key of two GroupApplies
-        assert len(chains) == 1 + 5 + 5 and len(states) == 5 + 5
+        # and of the nested one inside each, and one array-form sweep
+        assert len(chains) == 1 + 5 + 5 + 5 and len(sweeps) == 1
         # three top-level schedulers and one per key in the nested chains
         assert len(schedulers) == 3 + 5
         assert len(set(scheduler_plans[3:])) == 1
-        assert len(set(scheduler_sweeps[3:])) == 5
-        for refs in (flows, plans, chains, states, schedulers):
+        assert sorted(scheduler_sweeps[:3]) == [False, False, True]
+        assert scheduler_sweeps[3:] == [False] * 5
+        for refs in (flows, plans, chains, sweeps, schedulers):
             assert [ref() for ref in refs] == [None] * len(refs)
 
 

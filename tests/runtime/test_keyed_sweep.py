@@ -1,16 +1,19 @@
-"""The keyed GroupApply sweep: no chain per key, same rows as the chains.
+"""A keyed GroupApply's two forms: the array form, and a chain per key.
 
-A GroupApply whose per-key plan is stateless stages feeding one
-aggregate runs as one :class:`~repro.runtime.keyed.KeyedAggregate` over
-all keys (docs/EXECUTION.md). ``test_wake_scheduling.py`` holds it to
-the per-key chains call for call on one key column; this file adds the
-batch driver at the scale shapes' geometry, compound keys, the error a
-missing key column raises, and the work it no longer does, as counts.
+Under the batch driver, a flow's own GroupApply whose per-key plan is
+time windows, hops or shifts into a count or plain sum runs as one
+:class:`~repro.runtime.keyed.KeyedAggregate` over all keys, in numpy
+passes (docs/EXECUTION.md); every other GroupApply, and every one under
+``StreamingEngine``, runs a chain per key. ``test_wake_scheduling.py``
+holds the array form to the chains call for call on one key column;
+this file adds the batch driver at the scale shapes' geometry, compound
+keys, the error a missing key column raises, the two forms' gate, and
+the work the array form does not do, as counts.
 
-The sweep emits rows ``(le, re, *values)`` in the node's layout; a
-keyed root's rows reach the result ``Batch`` with no ``Event`` built. The
-layout cases below hold that path to the chains, payload column order
-included, in every driver that can end at a keyed root.
+The array form releases its segments in the node's layout; a keyed
+root's reach the result ``Batch`` with no ``Event`` built. The layout
+cases below hold that path to the chains, payload column order included,
+in every driver that can end at a keyed root.
 """
 
 import contextlib
@@ -27,8 +30,8 @@ from repro.runtime import RunContext, dataflow, keyed
 from repro.temporal import Engine, Query, StreamingEngine, explain, normalize
 from repro.temporal import event
 from repro.temporal.event import TIMES_UNPACKED, Batch, Event, point_events
-from repro.temporal.operators import AggSpec
-from repro.temporal.time import MAX_TIME, hours
+from repro.temporal.operators import AggSpec, stateless
+from repro.temporal.time import hours
 from repro.timr import TiMR
 
 from tests.runtime.test_top_level import TOP_SHAPES, top_sources
@@ -95,14 +98,14 @@ def test_compound_keys_per_advance_call():
 
 
 def test_no_chain_per_key():
-    """The gate, as counts: one ``KeyState`` per distinct key and no
+    """The gate, as counts: one sweep over every key and no
     ``_FlatChain`` but the flow's own, where the reference builds one
     chain per key."""
     rows = scale_rows(12_000)
     query = Query.source("logs", ("Time", "UserId", "Clicks")).group_apply(
         "UserId", SHAPES["scale_hopping"]
     )
-    built = {"chains": 0, "states": 0}
+    built = {"chains": 0, "sweeps": 0}
 
     class CountingChain(dataflow._FlatChain):
         __slots__ = ()
@@ -111,51 +114,78 @@ def test_no_chain_per_key():
             built["chains"] += 1
             super().__init__(*args)
 
-    class CountingState(keyed.KeyState):
-        __slots__ = ()
-
+    class CountingSweep(keyed.KeyedAggregate):
         def __init__(self, *args):
-            built["states"] += 1
+            built["sweeps"] += 1
             super().__init__(*args)
 
     with mock.patch.object(dataflow, "_FlatChain", CountingChain), \
-            mock.patch.object(keyed, "KeyState", CountingState):
+            mock.patch.object(dataflow, "KeyedAggregate", CountingSweep):
         run(query, rows)
-        assert built == {"chains": 1, "states": 97}
+        assert built == {"chains": 1, "sweeps": 1}
         with unfused_reference():
             run(query, rows)
-    assert built == {"chains": 1 + 1 + 97, "states": 97}
+    assert built == {"chains": 1 + 1 + 97, "sweeps": 1}
 
 
 def test_an_array_form_wave_advances_no_key_in_python():
     """Fed rows, a keyed count runs each wave as array passes over its due
-    keys (``KeyedAggregate.wave``): ``KeyedAggregate.advance``, one call
-    per due key a wave, runs at the flush alone, once per key."""
+    keys (``KeyedAggregate.wave``), and the flush as one sweep: no key
+    advances a chain, at a wave or at the flush."""
     rows = scale_rows(12_000)
     query = Query.source("logs", ("Time", "UserId", "Clicks")).group_apply(
         "UserId", SHAPES["scale_hopping"]
     )
-    marks, advance = [], keyed.KeyedAggregate.advance
+    calls = {"wave": 0, "advance": 0}
+    wave, advance = keyed.KeyedAggregate.wave, dataflow._FlatChain.advance
 
-    def recording(self, st, watermark):
-        marks.append(watermark)
-        return advance(self, st, watermark)
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
 
-    with mock.patch.object(keyed.KeyedAggregate, "advance", recording):
+    with mock.patch.object(keyed.KeyedAggregate, "wave", counted("wave", wave)), \
+            mock.patch.object(dataflow._FlatChain, "advance", counted("advance", advance)):
         out = run(query, rows)
     assert len(out) > 300
-    assert len(marks) == 97 and set(marks) == {MAX_TIME}
+    assert calls["wave"] > 1 and calls["advance"] == 0
 
 
 def test_one_copy_of_the_endpoint_sweep():
-    """The keyed sweep runs the aggregate's own endpoint sweep per key
-    (``operators/aggregate.py``): no heap operation of its own, no run of
-    equal (LE, RE) carried across calls, and one release of the array
-    form, root or not."""
+    """Per-key chains run the aggregate's own endpoint sweep
+    (``operators/aggregate.py``); the array form sweeps in numpy: no heap
+    operation and no per-row sweep of its own, and one release, root or
+    not."""
     source = inspect.getsource(keyed)
     assert "heappush" not in source and "heappop" not in source
-    assert [name for name in keyed.KeyState.__slots__ if name.startswith("run_")] == []
+    assert "endpoint_sweep" not in source.split('"""', 2)[2]  # past the docstring
     assert "keep" not in inspect.signature(keyed.KeyedAggregate.sweep).parameters
+
+
+def test_two_forms_of_a_keyed_group_apply():
+    """The per-row loop is gone: a keyed node under ``StreamingEngine``
+    holds a chain per key, and an event-fed keyed count under
+    ``Engine.run`` is swept as arrays."""
+    assert not hasattr(keyed, "KeyState")
+    assert not hasattr(keyed.KeyedAggregate, "advance")
+    assert not hasattr(stateless, "spec_lifetimes")
+    rows = scale_rows(600, users=7)
+    query = Query.source("logs", ("Time", "UserId", "Clicks")).group_apply(
+        "UserId", SHAPES["scale_hopping"]
+    )
+    stream = StreamingEngine(query)
+    for row in rows:
+        stream.push("logs", dict(row))
+    (node,) = stream._flow.group_schedulers()
+    assert node._keyed is None and len(node._groups) == 7
+    assert all(type(chain) is dataflow._FlatChain for chain in node._groups.values())
+    engine = Engine(context=SERIAL)
+    out = engine.run(query, {"logs": point_events(rows)}, validate=False)
+    assert engine.last_stats.array_swept_rows == len(rows)
+    assert engine.last_stats.decoded_rows == 0
+    with unfused_reference():
+        assert raw(out) == raw(run(query, point_events(rows)))
 
 
 @pytest.mark.parametrize("keys", ["UserId", ("UserId", "StreamId")])
@@ -253,10 +283,10 @@ def test_float_les_still_fall_back_to_lists():
     assert isinstance(keyed_out.les, list) and isinstance(keyed_out.les[0], float)
 
 
-def test_a_float_chunk_names_the_row_loop():
+def test_a_float_chunk_names_its_conversion_to_chains():
     """Not one row is swept as arrays when the times are floats, and the
-    run says why: the ``keyed.row_loop`` resolution, in ``explain()``
-    too."""
+    run says why: the ``keyed.converted_rows`` resolution, in
+    ``explain()`` too."""
     rows = [{**row, "Time": row["Time"] + 0.5} for row in scale_rows(3000)]
     query = Query.source("logs", ("Time", "UserId", "Clicks")).group_apply(
         "UserId", SHAPES["scale_sliding"]
@@ -265,15 +295,16 @@ def test_a_float_chunk_names_the_row_loop():
     engine.run(query, {"logs": rows}, validate=False)
     stats = engine.last_stats
     assert stats.array_swept_rows == 0
-    found = stats.resolutions[keyed.ROW_LOOP]
+    found = stats.resolutions[keyed.CONVERTED_ROWS]
     assert found["count"] == len(rows) and "a time is not an int" in found["reason"]
-    assert f"resolved this run: {keyed.ROW_LOOP} x {len(rows)}" in explain(query, stats=stats)
+    assert f"resolved this run: {keyed.CONVERTED_ROWS} x {len(rows)}" in explain(query, stats=stats)
 
 
-def test_events_fed_to_a_keyed_count_name_the_row_loop():
+def test_events_fed_to_a_keyed_count_are_swept_as_arrays():
     """A keyed count fed events, here by a ``where`` before its
-    GroupApply, takes its per-row loop for every row, and the run says
-    why (it used to take it silently: no ``keyed.row_loop`` resolution)."""
+    GroupApply, sweeps them as arrays as it sweeps a source's rows (it
+    used to take a per-row loop for every row), and releases what the
+    chains release, call for call."""
     rows = scale_rows(3000)
     query = (
         Query.source("logs", ("Time", "UserId", "Clicks"))
@@ -281,12 +312,15 @@ def test_events_fed_to_a_keyed_count_name_the_row_loop():
         .group_apply("UserId", SHAPES["scale_hopping"])
     )
     engine = Engine(context=SERIAL)
-    engine.run(query, {"logs": rows}, validate=False)
+    out = engine.run(query, {"logs": rows}, validate=False)
     stats = engine.last_stats
-    assert stats.array_swept_rows == 0
-    found = stats.resolutions[keyed.ROW_LOOP]
-    assert found["count"] == len(rows) and keyed.EVENTS_READ in found["reason"]
-    assert f"resolved this run: {keyed.ROW_LOOP} x {len(rows)}" in explain(query, stats=stats)
+    assert stats.array_swept_rows == stats.decoded_rows == len(rows)
+    assert keyed.CONVERTED_ROWS not in stats.resolutions
+    with unfused_reference():
+        assert ordered(out) == ordered(run(query, rows))
+    calls = drive_in_batches(query, rows, chunk=200, wave=64, as_rows=True)
+    with unfused_reference():
+        assert calls == drive_in_batches(query, rows, chunk=200, wave=64, as_rows=True)
 
 
 def test_keyed_node_under_a_where_releases_events():
@@ -384,39 +418,30 @@ def test_no_event_built_per_input_row(shape):
     assert decoded == [] and stats.decoded_rows == 0
     # and every row was swept as arrays: no per-row loop either
     assert stats.array_swept_rows == len(rows)
-    assert keyed.ROW_LOOP not in stats.resolutions
+    assert keyed.CONVERTED_ROWS not in stats.resolutions
 
 
 def test_a_keyed_root_releases_columns_without_a_row_per_segment():
     """Fed a source's rows, ``scale_sliding``'s keyed root hands its
-    segments from the sweep to the result as int64 columns: no row tuple
-    is built (neither the loop's ``KeyedAggregate._row`` nor
-    ``KeyedAggregate.rows``) and none is transposed (``Batch.of_layout``),
-    where each output segment was a tuple, listed, sorted and transposed."""
+    segments from the sweep to the result as int64 columns, one
+    ``Batch`` a release (``KeyedAggregate.batch``), where each output
+    segment was a tuple, listed, sorted and transposed; no ``Event`` is
+    built for one either."""
     rows = scale_rows(20_000, users=512, span=hours(72))
     query = Query.source("logs", ("Time", "UserId", "Clicks")).group_apply(
         "UserId", SHAPES["scale_sliding"]
     )
-    calls = {"_row": 0, "rows": 0, "of_layout": 0, "batch": 0}
+    calls = [0]
+    batch = keyed.KeyedAggregate.batch
 
-    def counted(name, fn):
-        def call(*args):
-            calls[name] += 1
-            return fn(*args)
-        return call
+    def counted(self, segments):
+        calls[0] += 1
+        return batch(self, segments)
 
-    of_layout = Batch.of_layout.__func__
-    with mock.patch.object(keyed.KeyedAggregate, "_row",
-                           counted("_row", keyed.KeyedAggregate._row)), \
-            mock.patch.object(keyed.KeyedAggregate, "rows",
-                              counted("rows", keyed.KeyedAggregate.rows)), \
-            mock.patch.object(keyed.KeyedAggregate, "batch",
-                              counted("batch", keyed.KeyedAggregate.batch)), \
-            mock.patch.object(Batch, "of_layout", classmethod(counted("of_layout", of_layout))):
-        out = Engine(context=SERIAL).run(query, {"logs": rows})
+    with mock.patch.object(keyed.KeyedAggregate, "batch", counted):
+        out, _, built, _ = counted_ingest(lambda engine: engine.run(query, {"logs": rows}))
     assert len(out) > len(rows) / 5
-    assert calls == {"_row": 0, "rows": 0, "of_layout": 0, "batch": calls["batch"]}
-    assert calls["batch"] > 1
+    assert calls[0] > 1 and built == 0
     assert out == Engine(context=SERIAL).run(query, {"logs": point_events(rows)})
 
 
@@ -509,7 +534,7 @@ def test_kez_per_keyword_count_decodes_no_row_in_timr():
     assert sum(stats.input_events for stats in engines) == len(rows)
     assert [stats.decoded_rows for stats in engines] == [0, 0, 0]
     assert sum(stats.array_swept_rows for stats in engines) == len(rows)
-    assert not any(keyed.ROW_LOOP in stats.resolutions for stats in engines)
+    assert not any(keyed.CONVERTED_ROWS in stats.resolutions for stats in engines)
     assert decoded == []  # nothing on the way decodes a row either
     want = Engine().run(query, {"train": event.point_events(rows)})
     assert want and normalize(event.point_events(result.output_rows())) == normalize(want)

@@ -18,8 +18,8 @@ The top-level cells of ``test_top_level.py`` (``TOP_SHAPES``) take
 (the identity, a constant-false ``where``, an empty group input, every
 row at one ``Time``) and joins, at the top level and per key, take the
 same comparison, and so do keyed counts and int sums over long row
-histories with hostile values (the keyed sweep's array form and its
-conversion to the loop). Histories are hypothesis-generated:
+histories with hostile values (the keyed array form and its
+conversion to per-key chains). Histories are hypothesis-generated:
 ties, slack 0 and 4, CTIs, and sometimes one hot key that takes most
 rows. Tier-1 runs a light profile
 (a couple of histories per cell, and for ``TiMR.run`` one fixed,
@@ -355,14 +355,9 @@ def _running(state, payload, le):
 
 UDOS = {
     "windowed-udo": lambda q: q.udo_hopping(8, 4, _window_payloads),
-    "windowed-udo-every-boundary": lambda q: q.udo_hopping(6, 4, _window_payloads,
-                                                           skip_empty=False),
     "snapshot-udo": lambda q: q.window(5).udo_snapshot(_snapshot_payloads),
     "scan-udo": lambda q: q.udo_scan(dict, _running),
 }
-#: ``StreamingEngine`` fires every boundary a CTI passes, empty or not,
-#: past the last window that sees an event: no per-push cell for it
-UDO_BATCH_ONLY = {"windowed-udo-every-boundary"}
 
 
 def check_udo(name, per_key, data):
@@ -371,8 +366,7 @@ def check_udo(name, per_key, data):
     query = query.group_apply("UserId", UDOS[name]) if per_key else UDOS[name](query)
     want = oracle(query, pushed(script))
     assert engine_run(query, pushed(script)) == want
-    if name not in UDO_BATCH_ONLY:
-        assert stream(query, script, slack) == want
+    assert stream(query, script, slack) == want
 
 
 udo_cells = pytest.mark.parametrize(
@@ -429,25 +423,19 @@ def test_the_oracle_imports_nothing_from_the_runtime():
 
 # -- a keyed GroupApply fed straight from rows -----------------------------------
 #
-# ``Engine.run`` over a source of rows may sweep a keyed GroupApply off the
-# rows themselves (docs/EXECUTION.md, "Rows"). These cells feed the keyed
-# shapes that read the source directly rows whose lifetimes are points or
-# an ``_re`` of their own, and hold the result to the oracle over the
-# decoded events.
+# ``Engine.run`` over a source of rows sweeps a GroupApply in the array
+# form off the rows themselves (docs/EXECUTION.md, "Rows"), and decodes
+# them for per-key chains otherwise. These cells feed the per-key plans
+# of a window or hop into an aggregate, and the shapes beside them, rows
+# whose lifetimes are points or an ``_re`` of their own, and hold the
+# result to the oracle over the decoded events.
 
-
-def keyed_from_source():
-    """The ``FUSION_SHAPES`` whose GroupApply, reading the source, runs as
-    the keyed sweep."""
-    shapes = []
-    for subplan in sorted(FUSION_SHAPES):
-        node = build("source", subplan, FUSION_SHAPES).to_plan()
-        if dataflow._keyed_aggregate(node, dataflow._flat_plan(node)) is not None:
-            shapes.append(subplan)
-    return shapes
-
-
-KEYED_FROM_SOURCE = keyed_from_source()
+KEYED_FROM_SOURCE = [
+    "bare-count", "count", "exchange", "hopping-avg", "hopping-max",
+    "hopping-min", "hopping-sum", "into-key-column", "multi-agg",
+    "project-first", "shift-back", "shift-before-agg", "shift-forward",
+    "sum", "topk", "where-before-agg", "where-first",
+]
 
 
 def check_rows(subplan, data):
@@ -461,11 +449,15 @@ def check_rows(subplan, data):
 
 
 def test_the_keyed_from_source_shapes_are_the_expected_ones():
-    assert KEYED_FROM_SOURCE == [
-        "bare-count", "count", "exchange", "hopping-avg", "hopping-max",
-        "hopping-min", "hopping-sum", "into-key-column", "multi-agg",
-        "project-first", "shift-back", "shift-before-agg", "shift-forward",
-        "sum", "topk", "where-before-agg", "where-first",
+    """Of them, windows, hops and shifts into a count or plain sum run
+    the array form; the rest, per-key chains."""
+    def array_form(subplan):
+        node = build("source", subplan, FUSION_SHAPES).to_plan()
+        return dataflow._keyed_aggregate(node, dataflow._flat_plan(node)) is not None
+
+    assert [s for s in sorted(FUSION_SHAPES) if array_form(s)] == [
+        "bare-count", "count", "exchange", "hopping-sum", "into-key-column",
+        "shift-back", "shift-before-agg", "shift-forward", "sum",
     ]
 
 
@@ -488,8 +480,8 @@ def test_keyed_sweep_over_rows_equals_the_oracle_heavy(subplan, data):
 #
 # Fed a source's rows, a keyed count or int sum is swept as int64 arrays,
 # a wave at a time, and a chunk it cannot hold so (a float or a bool, an
-# int past the bound, a float time) turns the rest of the run over to the
-# per-row loop. Histories here are long enough for the batch driver's
+# int past the bound, a float time) turns the rest of the run over to
+# per-key chains. Histories here are long enough for the batch driver's
 # waves (over 4,096 rows), with negative, huge and late hostile values.
 
 ARRAY_SHAPES = {

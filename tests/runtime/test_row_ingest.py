@@ -17,8 +17,8 @@ sources (``TOP_SHAPES``' joins, one source empty or ending early, and a
 keyed sweep beside a filter) and a multi-input TiMR reducer over
 ``_src``-tagged rows take the same comparison, also with LE ties
 straddling every chunk cut and in batches of one. Hostile values
-(``HOSTILE_ROWS``) hold the keyed sweep's array form, and its
-conversion to the per-row loop, to the loop over the same rows decoded.
+(``HOSTILE_ROWS``) hold the keyed array form, and its conversion to
+per-key chains, to the chains over the same rows decoded.
 """
 
 import contextlib
@@ -31,7 +31,7 @@ from unittest import mock
 import pytest
 
 from repro.runtime import RunContext
-from repro.runtime.keyed import ROW_LOOP
+from repro.runtime.keyed import CONVERTED_ROWS
 from repro.temporal import Engine, Query
 from repro.temporal import engine as engine_module
 from repro.temporal.event import SRC_COLUMN, events_to_rows, point_events
@@ -176,15 +176,15 @@ def test_rewrite_chains_over_rows_equal_over_events(subplan, chain, rows, batch)
         assert out or subplan == "where-first"
 
 
-# -- the array form against the loop, on hostile values -----------------------------
+# -- the array form against per-key chains, on hostile values ----------------------
 #
-# A keyed count or int sum fed a source's rows runs in the array form
-# (``runtime/keyed.py``); fed the same rows decoded to events it runs its
-# per-row loop. Each cell gives the same output, operator events and chain
-# advances both ways. Where a chunk cannot be held as int64 arrays (a
-# float or a bool, an int past the bound, a float time) the rows take the
-# loop from that chunk on, after the carried state became panes, and
-# ``keyed.row_loop`` says so.
+# A keyed count or int sum under the batch driver runs in the array form
+# (``runtime/keyed.py``), fed a source's rows or the same rows decoded to
+# events. Each cell gives the output, operator events and chain advances
+# of a chain per key both ways. Where a chunk cannot be held as int64
+# arrays (a float or a bool, an int past the bound, a float time) the node
+# converts to per-key chains from that chunk on, its carried state their
+# aggregates' panes, and ``keyed.converted_rows`` says so.
 
 
 def _hostile(change, source=lambda: wave_rows(2500)):
@@ -210,7 +210,7 @@ def _count_and_sum(stages=lambda g: g.window(7)):
 
 
 #: name -> (keys, sub-plan, rows, how the rows are swept: "array",
-#: "converts" mid-stream or the "loop" throughout)
+#: "converts" to chains mid-stream, or chains from the first chunk: "loop")
 HOSTILE_ROWS = {
     "negative-and-zero": (
         "UserId", _count_and_sum(), _hostile(lambda i, row: row.update(V=row["V"] - 3)),
@@ -253,13 +253,15 @@ def test_array_form_equals_the_loop_on_hostile_rows(case, batch):
     keys, subplan, make_rows, swept = HOSTILE_ROWS[case]
     query = lambda: Query.source("logs", ("StreamId", "UserId", "V")).group_apply(keys, subplan)
     rows = make_rows()
-    out, _, advances = assert_rows_equal_events(query, {"logs": rows}, BATCHES[batch])
-    assert out and advances
+    got = assert_rows_equal_events(query, {"logs": rows}, BATCHES[batch])
+    assert got[0] and got[2]
+    with unfused_reference():  # a chain per key
+        assert run(query(), {"logs": point_events(rows)}, BATCHES[batch]) == got
     context = RunContext() if BATCHES[batch] is None else RunContext(batch_size=BATCHES[batch])
     engine = Engine(context=context)
     engine.run(query(), {"logs": rows}, validate=False)
     stats = engine.last_stats
-    looped = stats.resolutions.get(ROW_LOOP, {}).get("count", 0)
+    looped = stats.resolutions.get(CONVERTED_ROWS, {}).get("count", 0)
     assert stats.array_swept_rows + looped == len(rows)
     assert {"array": looped == 0, "loop": stats.array_swept_rows == 0,
             "converts": 0 < looped < len(rows)}[swept]

@@ -39,7 +39,7 @@ from repro.temporal.operators import (
     UnaryOperator,
     aggregate,
 )
-from repro.temporal.time import MAX_TIME
+from repro.temporal.time import MAX_TIME, MIN_TIME
 
 
 def _subclasses(cls):
@@ -334,10 +334,12 @@ def test_ties_release_in_activation_order():
 
 # -- keyed window→aggregate sweep ≡ stage by stage ----------------------------
 #
-# A GroupApply whose per-key plan is stateless stages feeding an
-# aggregate runs as one keyed sweep over all keys: lifetimes computed
-# inside the sweep, key columns written into the aggregate's payloads
-# (docs/EXECUTION.md). The reference is a flat chain per key with
+# A GroupApply whose per-key plan is windows, hops or shifts into a count
+# or plain sum runs, under the batch driver, as the array form over all
+# keys: lifetimes computed over arrays, key columns put straight into the
+# release (docs/EXECUTION.md); every other one, and every one per push,
+# runs a flat chain per key, key columns written into the aggregate's
+# payloads. The reference is a flat chain per key with
 # in-place attachment switched off too: every stage through its own
 # ``on_batch``, the windowed events built, key columns attached to a
 # copy — the physical path before fusion existed.
@@ -355,7 +357,9 @@ def unfused_reference():
 SHARED_PAYLOAD = {"c": 1}
 
 #: The wake-scheduling shapes plus per-key plans on either side of the
-#: keyed-sweep rule. Marked (k) run as the keyed sweep.
+#: array-form rule. Marked (k): stateless stages into one aggregate; of
+#: them, windows, hops and shifts into counts and plain sums run the
+#: array form under the batch driver.
 FUSION_SHAPES = {
     **SUBPLANS,
     # (k), removals that depend on the payload handed to the sweep
@@ -495,7 +499,7 @@ def test_fused_equals_unfused_per_batch_call(prefix, subplan):
 def _split_run_rows():
     """Chunks of four: user ``a``'s run of equal (LE, RE) at 10 spans the
     first two, ``b``'s and ``c``'s rows between its arrivals; float
-    values, so a sum takes the per-row loop on rows too."""
+    values, so a sum runs per-key chains under the batch driver too."""
     def at(t, users, v):
         return [{"Time": t, "StreamId": 0, "UserId": u, "V": v} for u in users]
     return at(10, "abac", 0.5) + at(10, "abaa", 0.25) + at(12, "cab", 1.5) + at(40, "ab", 2.0)
@@ -530,11 +534,12 @@ def counting_enters():
 @pytest.mark.parametrize("as_rows", [False, True], ids=["events", "rows"])
 @pytest.mark.parametrize("shape", sorted(SPLIT_RUN_SHAPES))
 def test_a_run_split_across_calls(shape, as_rows, wave):
-    """A key's run of equal (LE, RE) split across two batch calls: the
-    keyed sweep enters its pane once per call, and releases what the
-    chains do per call. With a wave after every call that is also the
-    chains' ``enter`` count; with amortized waves a chain's aggregate
-    sees both calls' rows at once, and only the releases must agree."""
+    """A key's run of equal (LE, RE) split across two batch calls
+    releases what the chains do per call. With a wave after every call
+    the per-push form runs chains, and the ``enter`` counts agree too;
+    with amortized waves the array form enters no pane, and a float sum
+    or a max runs chains whose aggregate sees both calls' rows at
+    once."""
     query = Query.source("logs", ("StreamId", "UserId", "V")).group_apply(
         "UserId", SPLIT_RUN_SHAPES[shape]
     )
@@ -546,7 +551,7 @@ def test_a_run_split_across_calls(shape, as_rows, wave):
     assert len(fused) == len(plain) == 5
     for i, (got, want) in enumerate(zip(fused, plain)):
         assert got == want, f"call {i} of {len(plain)}"
-    if not wave and not (as_rows and shape == "count"):  # the array form enters no pane
+    if not wave:  # chains, both
         assert keyed_enters[0] == chain_enters[0] > 0
 
 
@@ -723,7 +728,7 @@ PUSH_DIGESTS = {
 
 
 #: ``drive_in_batches(query, wave_rows(2500), as_rows=True)`` per cell,
-#: recorded with ``make record-digests`` while every row went through the
+#: recorded with ``make record-digests`` while every row went through a
 #: keyed sweep's per-row loop: cell for cell the table above, which is
 #: therefore this one. The array form must match it call for call.
 ROW_BATCH_DIGESTS = BATCH_DIGESTS
@@ -775,28 +780,30 @@ def test_flat_equals_nested_per_batch_call(prefix, subplan):
 @pytest.mark.parametrize("subplan", sorted(FUSION_SHAPES))
 def test_rows_per_batch_call(prefix, subplan):
     """Fed a source's rows, a keyed count or int sum runs in the array
-    form; every call still releases what the loop released."""
+    form; every call still releases what the events released."""
     calls = drive_in_batches(
         build(prefix, subplan, FUSION_SHAPES), wave_rows(2500), as_rows=True
     )
     assert digest(calls) == ROW_BATCH_DIGESTS[f"{subplan}-{prefix}"]
 
 
-# -- a keyed root's column release ≡ the events-fed loop, call for call -------
+# -- a keyed root's column release ≡ per-key chains, call for call ----------
 #
-# Fed a source's rows, a keyed count or int sum at a flow's root keeps
+# Under the batch driver a keyed count or int sum at a flow's root keeps
 # its segments as int64 rows from the sweep to the released ``Batch``
-# (``GroupScheduler._release``). Fed the same rows as
-# events, the node takes its per-row loop and releases rows through the
-# list sort: each cell below runs both and compares every call.
+# (``GroupScheduler._release``); a chain per key releases events through
+# the list sort. Each cell below runs both and compares every call. A
+# wave threshold of 1 waves at every call whose chunk holds more than
+# twice the keys.
 
 
-def _tied_rows():
-    """Three rows a chunk. Keys created a, b, c, idle by the next wave;
-    re-activated c, a, b at a tie the wave after releases; then b, c, a
-    at a tie only the flush releases."""
+def _tied_rows(copies=7):
+    """Seven copies of three rows a chunk. Keys created a, b, c, idle by
+    the next wave; re-activated c, a, b at a tie the wave after releases;
+    then b, c, a at a tie only the flush releases."""
     def at(t, users):
-        return [{"Time": t, "StreamId": 0, "UserId": u, "V": t % 7 - 3} for u in users]
+        return [{"Time": t, "StreamId": 0, "UserId": u, "V": t % 7 - 3}
+                for _ in range(copies) for u in users]
     return at(0, "abc") + at(10, "xyz") + at(20, "cab") + at(40, "def") + at(60, "bca")
 
 
@@ -825,11 +832,11 @@ def _late_chunk(change, start=900):
 #: (rows, per-key plan, chunk, wave): tied LEs at a wave and at the
 #: flush, mid-stream conversions, MAX_TIME REs behind a shift
 COLUMN_CELLS = {
-    "ties-count": (_tied_rows(), lambda g: g.window(5).count(into="n"), 3, 0),
-    "ties-sum": (_tied_rows(), lambda g: g.window(5).sum("V", into="s"), 3, 0),
+    "ties-count": (_tied_rows(), lambda g: g.window(5).count(into="n"), 21, 1),
+    "ties-sum": (_tied_rows(), lambda g: g.window(5).sum("V", into="s"), 21, 1),
     "tie-heavy-sum": (_tie_heavy_rows(), lambda g: g.window(6).sum("V", into="s"), 40, 32),
     "tie-heavy-hop": (_tie_heavy_rows(), lambda g: g.hopping_window(9, 3).count(into="n"),
-                      25, 0),
+                      25, 1),
     "tie-heavy-shift": (_tie_heavy_rows(), lambda g: g.window(6).shift(2).sum("V", into="s"),
                         50, 64),
     "float-time-later": (_late_chunk(lambda r: {"Time": r["Time"] + 0.5}),
@@ -838,10 +845,10 @@ COLUMN_CELLS = {
                          lambda g: g.sum("V", into="s"), 50, 64),
     "max-time-re-shift-back": (
         [{**row, "_re": MAX_TIME} if row["V"] > 2 else row for row in _tie_heavy_rows(600)],
-        lambda g: g.shift(-3).sum("V", into="s"), 40, 0),
+        lambda g: g.shift(-3).sum("V", into="s"), 40, 1),
     "max-time-re-shift-on": (
         [{**row, "_re": MAX_TIME} if row["V"] > 2 else row for row in _tie_heavy_rows(600)],
-        lambda g: g.shift(2, 5).count(into="n"), 40, 0),
+        lambda g: g.shift(2, 5).count(into="n"), 40, 1),
 }
 
 
@@ -857,9 +864,9 @@ def column_release_log():
         return batch(self, segments)
 
     def recording_feed(self, w):
-        columns, backlog = self._columns, len(self._pending)
+        columns, backlog = self._keyed is not None, len(self._pending)
         feed(self, w)
-        if columns and not self._columns:
+        if columns and self._keyed is None:
             log["converted"].append(backlog)
 
     with mock.patch.object(keyed.KeyedAggregate, "batch", recording_batch), \
@@ -873,7 +880,8 @@ def test_column_release_equals_the_loop_per_call(cell):
     query = Query.source("logs", ("StreamId", "UserId", "V")).group_apply("UserId", sub)
     with column_release_log() as log:
         columns = drive_in_batches(query, rows, chunk=chunk, wave=wave, as_rows=True)
-    loop = drive_in_batches(query, rows, chunk=chunk, wave=wave)
+    with unfused_reference():
+        loop = drive_in_batches(query, rows, chunk=chunk, wave=wave)
     assert len(columns) == len(loop) > 3
     for i, (got, want) in enumerate(zip(columns, loop)):
         assert got == want, f"call {i} of {len(loop)}"
@@ -893,7 +901,7 @@ def test_ties_release_in_creation_order_at_the_flush():
     query = Query.source("logs", ("StreamId", "UserId", "V")).group_apply(
         "UserId", lambda g: g.window(5).count(into="n")
     )
-    calls = drive_in_batches(query, _tied_rows(), chunk=3, wave=0, as_rows=True)
+    calls = drive_in_batches(query, _tied_rows(), chunk=21, wave=1, as_rows=True)
 
     def users(at):
         return [[dict(payload)["UserId"] for le, _, payload in out if le == at]
@@ -905,8 +913,8 @@ def test_ties_release_in_creation_order_at_the_flush():
 
 # -- the array form's wave in columns ≡ the chains, call for call -------------
 #
-# Fed a source's rows, a keyed count or int sum keeps its keys' scheduling
-# state as columns and runs each wave as array passes
+# Under the batch driver a keyed count or int sum keeps its keys'
+# scheduling state as columns and runs each wave as array passes
 # (``KeyedAggregate.wave``), the scheduler's two heaps as entry arrays.
 # Each cell runs it against a flat chain per key (``unfused_reference``)
 # and compares every call, ``next_wake`` and chain advances included.
@@ -967,27 +975,27 @@ def _float_from(t):
 #: :func:`drive_in_batches`; a cell named ``*-later`` leaves the array
 #: form mid-stream, after its columns hold state
 COLUMN_WAVE_CELLS = {
-    "idle-and-back": (_returning_rows(), lambda g: g.window(5).sum("V", into="s"), 4, 0,
+    "idle-and-back": (_returning_rows(40), lambda g: g.window(5).sum("V", into="s"), 6, 1,
                       None),
-    "wake-decreases": (_shrinking_wake_rows(), lambda g: g.sum("V", into="s"), 3, 0, None),
-    "rebuild": (_many_keys_rows(), lambda g: g.sum("V", into="s"), 40, 0, None),
-    "rebuild-shift": (_many_keys_rows(), lambda g: g.shift(3).count(into="n"), 40, 0, None),
-    "stale-wake-top": (_running_ahead_rows(), lambda g: g.sum("V", into="s"), 40, 0,
+    "wake-decreases": (_shrinking_wake_rows(), lambda g: g.sum("V", into="s"), 3, 1, None),
+    "rebuild": (_many_keys_rows(), lambda g: g.sum("V", into="s"), 40, 1, None),
+    "rebuild-shift": (_many_keys_rows(), lambda g: g.shift(3).count(into="n"), 40, 1, None),
+    "stale-wake-top": (_running_ahead_rows(), lambda g: g.sum("V", into="s"), 40, 1,
                        lambda le: le - 12),
     # no key holds the group back: the stale entries of the held heap
     # fall below its least live one and are dropped, which decides when
     # both heaps are rebuilt and so how long a stale wake top shows
     "stale-wake-top-no-hold": (_running_ahead_rows(keys=20)[1:],
-                               lambda g: g.sum("V", into="s"), 40, 0, lambda le: le - 12),
+                               lambda g: g.sum("V", into="s"), 40, 1, lambda le: le - 12),
     "stale-wake-top-shift": (_running_ahead_rows(), lambda g: g.shift(-2).count(into="n"),
-                             40, 0, lambda le: le - 12),
+                             40, 1, lambda le: le - 12),
     "lagging-watermark": (_tie_heavy_rows(), lambda g: g.window(6).shift(-2).count(into="n"),
-                          30, 0, lambda le: le - 3),
+                          30, 1, lambda le: le - 3),
     "float-time-later": (_late_chunk(lambda r: {"Time": r["Time"] + 0.5}),
-                         lambda g: g.sum("V", into="s"), 50, 0, None),
+                         lambda g: g.sum("V", into="s"), 50, 1, None),
     "past-int64-later": (_late_chunk(lambda r: {"V": 2**62 + r["V"]}),
-                         lambda g: g.sum("V", into="s"), 50, 0, None),
-    "float-watermark-later": (_tie_heavy_rows(), lambda g: g.window(6).count(into="n"), 30, 0,
+                         lambda g: g.sum("V", into="s"), 50, 1, None),
+    "float-watermark-later": (_tie_heavy_rows(), lambda g: g.window(6).count(into="n"), 30, 1,
                               _float_from(900)),
 }
 
@@ -1011,7 +1019,7 @@ def test_column_wave_equals_the_chains_per_call(cell):
     rows, sub, chunk, wave, mark = COLUMN_WAVE_CELLS[cell]
     query = Query.source("logs", ("StreamId", "UserId", "V")).group_apply("UserId", sub)
     with counting_calls(keyed.KeyedAggregate, "wave") as waves, \
-            counting_calls(keyed.KeyedAggregate, "advance") as advances:
+            counting_calls(dataflow._FlatChain, "advance") as advances:
         columns = drive_in_batches(query, rows, chunk=chunk, wave=wave, as_rows=True,
                                    mark=mark)
     with unfused_reference(), \
@@ -1022,33 +1030,153 @@ def test_column_wave_equals_the_chains_per_call(cell):
     for i, (got, want) in enumerate(zip(columns, chains)):
         assert got == want, f"call {i} of {len(chains)}"
     assert waves[0] > 3  # the waves ran in columns
-    if cell.endswith("-later"):  # then per key, in the loop
+    if cell.endswith("-later"):  # then per key, in chains
         assert advances[0] > len({row["UserId"] for row in rows})
-    else:  # advance runs at the flush alone
-        assert advances[0] == len({row["UserId"] for row in rows})
+    else:  # no key ever advanced a chain
+        assert advances[0] == 0
     if cell.startswith("rebuild"):
         assert rebuilds[0] > 0
 
 
+# -- the wave rule at the beginning of time ----------------------------------
+#
+# Two clauses of the array form's wave rule (``KeyedAggregate.wave``) bind
+# only where a backward shift clamps a stage's watermark at MIN_TIME: the
+# floor under each key's watermark, and the lagging-stage test of whether
+# a key may sleep. Each cell below fails without its clause.
+
+
+def _near_min_time(seed=19, n=60, keys=4):
+    """Rows from the beginning of time on, some with lifetimes of their own."""
+    rng = random.Random(seed)
+    t, rows = MIN_TIME + rng.randrange(0, 3), []
+    for _ in range(n):
+        t += rng.choice([0, 0, 1, 1, 2, 5])
+        row = {"Time": t, "StreamId": 0, "UserId": rng.randrange(keys), "V": rng.randrange(-2, 4)}
+        if rng.random() < 0.3:
+            row["_re"] = t + rng.choice([1, 2, 8, 30])
+        rows.append(row)
+    return rows
+
+
+def _at_min_time(t, user, n):
+    return [{"Time": MIN_TIME + t, "StreamId": 0, "UserId": user, "V": 1} for _ in range(n)]
+
+
+#: (rows, per-key plan, chunk), a wave every call
+NEAR_MIN_TIME = {
+    # a key's watermark would fall below the last one it reported
+    "floor-clamp": (_near_min_time(), lambda g: g.shift(-6, -2).sum("V", into="s"), 9),
+    # key ``a``'s pane opens past MIN_TIME and ends within the shift of
+    # it, so the stage watermark clamps at MIN_TIME both now and just
+    # short of the wake time: the key's watermark is frozen, and it sleeps
+    "lagging-stage-wake": (
+        _at_min_time(2, "a", 3) + _at_min_time(3, "b", 5) + _at_min_time(9, "b", 5),
+        lambda g: g.shift(-3).hopping_window(3, 3).count(into="n"), 3,
+    ),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(NEAR_MIN_TIME))
+def test_the_wave_rule_near_the_beginning_of_time(cell):
+    rows, sub, chunk = NEAR_MIN_TIME[cell]
+    query = Query.source("logs", ("StreamId", "UserId", "V")).group_apply("UserId", sub)
+    with counting_calls(keyed.KeyedAggregate, "wave") as waves:
+        columns = drive_in_batches(query, rows, chunk=chunk, wave=1, as_rows=True)
+    with unfused_reference():
+        chains = drive_in_batches(query, rows, chunk=chunk, wave=1, as_rows=True)
+    assert waves[0] > 1
+    for i, (got, want) in enumerate(zip(columns, chains)):
+        assert got == want, f"call {i} of {len(chains)}"
+
+
+def test_a_pane_past_max_time_holds_a_chains_watermark():
+    """A forward shift stretches a row's RE past MAX_TIME: the key's
+    chain sleeps until the flush and holds the group watermark at its
+    open segment's start, as the array form does, where it went idle and
+    let the watermark pass a segment it released at the flush."""
+    query = Query.source("logs", ("UserId", "V")).group_apply(
+        "UserId", lambda g: g.shift(2, 5).count(into="n")
+    )
+    rows = [{"Time": 1, "UserId": "a", "V": 1, "_re": MAX_TIME}] + [
+        {"Time": t, "UserId": "b", "V": 1} for t in range(2, 40, 3)
+    ]
+    engine, mark, out = StreamingEngine(query), MIN_TIME, []
+    for row in rows + [None]:
+        released = engine.push("logs", dict(row)) if row else engine.flush()
+        assert all(e.le >= mark for e in released)
+        mark = engine.output_watermark
+        out.extend(released)
+    assert [e.le for e in out if e.payload["UserId"] == "a"] == [3]
+    assert engine.output_watermark >= MAX_TIME
+
+
+#: name -> (why, rows, per-key plan, mark): each converts the node to
+#: per-key chains mid-stream, with chunks staged since the last wave (a
+#: threshold of 256 waves every sixth chunk) and, but the last, a backlog
+#: the ``hold`` key keeps
+CONVERSIONS = {
+    "float-time": (keyed.TIME_NOT_INT, _late_chunk(lambda r: {"Time": r["Time"] + 0.5}, 1000),
+                   lambda g: g.sum("V", into="s"), None),
+    "float-sum": (keyed.SUM_NOT_INT, _late_chunk(lambda r: {"V": r["V"] + 0.5}, 1000),
+                  lambda g: g.shift(1).sum("V", into="s"), None),
+    "past-int64": (keyed.PAST_BOUNDS, _late_chunk(lambda r: {"V": 2**62 + r["V"]}, 1000),
+                   lambda g: g.shift(-2).sum("V", into="s"), None),
+    "float-watermark": (keyed.WATERMARK_NOT_INT, _tie_heavy_rows(),
+                        lambda g: g.window(6).count(into="n"), _float_from(900)),
+}
+
+
+@pytest.mark.parametrize("root", [True, False], ids=["root", "under-a-where"])
+@pytest.mark.parametrize("cell", sorted(CONVERSIONS))
+def test_a_conversion_to_chains_equals_the_chains_per_call(cell, root):
+    """A node that leaves the array form — at a flow's root, or under a
+    ``where`` — takes up each key's panes, totals and open segment,
+    watermarks, wake time, ordinal and stamp, and queues the chunks fed
+    since the last wave to the chains: every later call is the chains'."""
+    reason, rows, sub, mark = CONVERSIONS[cell]
+    query = Query.source("logs", ("StreamId", "UserId", "V")).group_apply("UserId", sub)
+    if not root:
+        query = query.where(lambda p: True)
+    converted = []
+    to_chains = dataflow.GroupScheduler._to_chains
+
+    def recording(self, why):
+        converted.append((why, len(self._keyed.fed), len(self._pending)))
+        to_chains(self, why)
+
+    with mock.patch.object(dataflow.GroupScheduler, "_to_chains", recording):
+        got = drive_in_batches(query, rows, chunk=50, wave=256, as_rows=True, mark=mark)
+    with unfused_reference():
+        want = drive_in_batches(query, rows, chunk=50, wave=256, as_rows=True, mark=mark)
+    assert len(got) == len(want) > 5
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a == b, f"call {i} of {len(want)}"
+    ((why, pending, backlog),) = converted
+    assert why == reason and pending > 0
+    assert backlog > 0 or reason == keyed.WATERMARK_NOT_INT
+
+
 def test_a_nested_group_apply_reads_events():
-    """An inner GroupApply is fed its outer key's events, never a source's
-    rows, so it takes its loop from the first chunk: the array form, its
-    waves included, is a node's fed a source's rows."""
+    """An inner GroupApply is fed its outer key's events inside the outer
+    key's chain, so it runs a chain per inner key under the batch driver
+    too: the array form is a flow's own GroupApply's."""
     query = build("source", "nested", FUSION_SHAPES)
     rows = wave_rows(1200)
     with counting_calls(keyed.KeyedAggregate, "wave") as waves:
-        columns = drive_in_batches(query, rows, chunk=40, wave=0, as_rows=True)
+        columns = drive_in_batches(query, rows, chunk=40, wave=64, as_rows=True)
     with unfused_reference():
-        chains = drive_in_batches(query, rows, chunk=40, wave=0, as_rows=True)
+        chains = drive_in_batches(query, rows, chunk=40, wave=64, as_rows=True)
     assert columns == chains
     assert waves[0] == 0
-    flow = Dataflow(query.to_plan(), group_wave_events=0)
+    flow = Dataflow(query.to_plan(), group_wave_events=64)
     les, view = engine_module._source(rows)
     flow.feed("logs", view(0, len(rows)), les[-1])
     flow.advance()
-    (outer,) = [op for op in flow._chain.ops if isinstance(op, dataflow.GroupScheduler)]
-    inner = [chain.ops[-1]._keyed for chain in outer._groups.values()]
-    assert inner and {k._loop_reason for k in inner} == {keyed.EVENTS_READ}
+    (outer,) = flow.group_schedulers()
+    inner = [chain.ops[-1] for chain in outer._groups.values()]
+    assert inner and {op._keyed for op in inner} == {None}
+    assert all(type(c) is dataflow._FlatChain for op in inner for c in op._groups.values())
 
 
 def count_flows(run):
@@ -1081,10 +1209,10 @@ def test_bot_elimination_runs_one_dataflow():
 )
 def test_keyed_count_behind_a_hop_sleeps_as_the_nested_flow(stream, advances):
     """A hopping window hands each key LEs ahead of the group watermark;
-    the keyed sweep takes the key's own input watermark as a nested flow
+    a key's chain takes the key's own input watermark as a nested flow
     per key did, so its holds bind and it advances as seldom: 2,107 /
-    2,005 times, as the nested flow did (a sweep fed only the group's
-    watermark advanced 28,301 / 3,889 times)."""
+    2,005 times, as the nested flow did (a keyed sweep fed only the
+    group's watermark advanced 28,301 / 3,889 times)."""
     cfg = BTConfig(min_support=2, z_threshold=1.0)
     query = (
         Query.source("logs", UNIFIED_COLUMNS)
@@ -1092,9 +1220,6 @@ def test_keyed_count_behind_a_hop_sleeps_as_the_nested_flow(stream, advances):
         .group_apply(
             "UserId", lambda g: g.where_equals("StreamId", stream).count(into="n")
         )
-    )
-    assert dataflow._keyed_aggregate(
-        query.to_plan(), dataflow._flat_plan(query.to_plan())
     )
     script = [("push", row) for row in bot_rows(200, 1800)]
     _, keyed_advances = drive(query, script, wakes=True)
@@ -1167,9 +1292,11 @@ def test_one_event_per_input_and_one_per_output(subplan):
 
 # -- pane state: the heap and what a pane keeps -------------------------------
 #
-# The aggregate's expiry heap holds distinct REs and a pane per RE
-# (docs/OPERATORS.md, hopping window): a folded partial for count / sum /
-# avg / stddev, the payloads for the rest. Shown as counts, not clocks.
+# A key chain's aggregate holds an expiry heap of distinct REs and a pane
+# per RE (docs/OPERATORS.md, hopping window): a folded partial for count /
+# sum / avg / stddev, the payloads for the rest. Shown as counts, not
+# clocks, per push-sized wave (``group_wave_events=0``), where every keyed
+# node runs chains.
 
 
 class _CountingHeapq:
@@ -1186,10 +1313,10 @@ class _CountingHeapq:
 
 
 def pane_state(subplan, rows):
-    """Drive ``rows`` through the batch driver up to, not including, the
+    """Drive ``rows`` in chunks, a wave each, up to, not including, the
     flush: ``(aggregate heap pushes, input payloads still referenced from
-    aggregate state, output)``. The aggregate state is each key's panes
-    and fold in the keyed sweep (``runtime/keyed.py``)."""
+    aggregate state, output)``. The aggregate state is the panes and fold
+    of each key chain's aggregate."""
     query = Query.source("logs", ("StreamId", "UserId", "V")).group_apply(
         "UserId", subplan
     )
@@ -1212,16 +1339,16 @@ def pane_state(subplan, rows):
     events = point_events(rows)
     fed = {id(e.payload) for e in events}
     with mock.patch.object(aggregate, "heapq", counting):
-        flow = Dataflow(query.to_plan(), group_wave_events=64)
+        flow = Dataflow(query.to_plan())
         out = []
         for i in range(0, len(events), 50):
             chunk = events[i : i + 50]
             flow.feed("logs", chunk, chunk[-1].le)
             out.extend(flow.advance())
-        (node,) = [op for op in flow._chain.ops if getattr(op, "_keyed", None)]
-        states = list(node._groups.values())
-        retained = sum(payloads_under([st.panes, st.fold]) for st in states)
-        live = sum(len(st.pending) for st in states)
+        (node,) = flow.group_schedulers()
+        states = [chain.ops[-1] for chain in node._groups.values()]
+        retained = sum(payloads_under([st._panes, st._fold]) for st in states)
+        live = sum(len(st._pending) for st in states)
         out.extend(flow.flush())
     assert live  # measured mid-window, not after everything expired
     return counting.pushes, retained, out

@@ -121,24 +121,31 @@ def test_mixed_layouts_keep_key_order_values_and_empty_payloads():
     assert columns.resolutions == {}
 
 
+def of_rows(layout, rows):
+    """Rows ``(le, re, *values)`` whose values follow ``layout``, as one
+    ``Batch`` of columns."""
+    les, res, *columns = zip(*rows)
+    return Batch.of_columns(layout, list(les), list(res), [list(c) for c in columns])
+
+
 def test_layout_rows_read_and_pack_as_their_events():
-    """A keyed GroupApply root releases a ``Batch.of_layout``: read as
+    """A keyed GroupApply root releases a ``Batch.of_columns``: read as
     events, packed without them, and into the same run as equal-layout
     events."""
     layout = ("s", "UserId")
     rows = [(0, 5, 3, 7), (1, MAX_TIME, 0, 8), (2, 3, None, 7)]
     events = [Event(le, re, {"s": v, "UserId": k}) for le, re, v, k in rows]
-    released = Batch.of_layout(layout, rows)
+    released = of_rows(layout, rows)
     assert released == events and events == released and len(released) == 3
     assert released[-1] == events[-1] and released[1:] == events[1:]
     assert [list(e.payload) for e in released] == [list(layout)] * 3
     assert released != events[:2] and released != tuple(events)
-    later = Batch.of_layout(layout, [(le + 4, re + 4, v, k) for le, re, v, k in rows])
+    later = of_rows(layout, [(le + 4, re + 4, v, k) for le, re, v, k in rows])
     columns = Batch.pack([released, [Event(3, 4, {"s": 1, "UserId": 9})], later])
     assert columns == events + [Event(3, 4, {"s": 1, "UserId": 9})] + list(later)
     assert columns._keys == [layout] and len(columns._run_rows) == 1
     assert columns.resolutions == {}
-    floats = Batch.pack([Batch.of_layout(layout, [(0.5, 2, 1, 7)])])
+    floats = Batch.pack([of_rows(layout, [(0.5, 2, 1, 7)])])
     assert floats == [Event(0.5, 2, {"s": 1, "UserId": 7})]
     assert floats.resolutions[TIMES_UNPACKED]["count"] == 1
 

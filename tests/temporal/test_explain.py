@@ -104,16 +104,18 @@ class TestExplainPhysicalPath:
         assert "scheduling: the driver's local wave" in section
 
     def test_group_apply_names_its_per_key_path(self):
-        """No silent physical path: a window→aggregate that runs as one
-        keyed sweep, a chain per key otherwise, and how key columns are
-        attached, are all named."""
+        """No silent physical path: a window→aggregate into a count or sum
+        that runs the array form under the batch driver and a chain per
+        key under ``StreamingEngine``, a chain per key otherwise, and how
+        key columns are attached, are all named."""
         keyed = explain(
             Query.source("s").group_apply(
                 "UserId", lambda g: g.window(hours(1)).sum("Clicks")
             )
         )
-        assert "per key: one keyed sweep" in keyed
-        assert f"window({hours(1)}): computed inside the keyed sweep" in keyed
+        assert "per key: under Engine.run and TiMR, the array form" in keyed
+        assert "under StreamingEngine, one flat chain" in keyed
+        assert f"window({hours(1)}): computed over int64 arrays in the array form" in keyed
         assert "key columns attached to its payloads in place" in keyed
         chained = explain(
             Query.source("s").group_apply(
@@ -122,7 +124,7 @@ class TestExplainPhysicalPath:
             )
         )
         assert "per key: one flat chain" in chained
-        assert "keyed sweep" not in chained
+        assert "array form" not in chained
         assert "where: on_batch per stage; key columns attached to a copy" in chained
         union = explain(
             Query.source("s").group_apply(
@@ -141,10 +143,12 @@ class TestExplainPhysicalPath:
                 lambda g: g.group_apply("StreamId", lambda gg: gg.window(5).count()),
             )
         )
-        # one form: the outer key's flat chain holds the inner scheduler
+        # one form: the outer key's flat chain holds the inner scheduler,
+        # which runs a chain per inner key
         assert "per key: one flat chain" in nested
         assert "group-apply: a nested GroupApply: one scheduler per key" in nested
-        assert "per key: one keyed sweep" in nested  # the inner GroupApply
+        assert nested.count("per key: one flat chain") == 2
+        assert "array form" not in nested
 
     def test_group_apply_names_what_its_aggregate_keeps_per_pane(self):
         """What a window→aggregate keeps per pane — folded partials or
@@ -159,18 +163,19 @@ class TestExplainPhysicalPath:
                 AggSpec("count", "n"), AggSpec("sum", "s", "Clicks")
             )
         )
-        assert f"hop({hours(12)},{hours(1)}): computed inside the keyed" in partials
+        assert f"hop({hours(12)},{hours(1)}): computed over int64 arrays" in partials
         assert (
-            "aggregate: folded per key in the keyed sweep, "
-            "pane partials (count, sum); key columns" in partials
+            "aggregate: summed over int64 endpoints in the array form; in a "
+            "chain, on_batch per stage, pane partials (count, sum); key columns" in partials
         )
         assert "no payload column" not in partials
         count_only = report(lambda g: g.hopping_window(hours(6), 900).count())
         assert (
-            "keyed sweep (count only: no payload column built), "
-            "pane partials (count)" in count_only
+            "array form (count only: no payload column read); in a chain, "
+            "on_batch per stage, pane partials (count)" in count_only
         )
         lists = report(lambda g: g.window(5).max("Clicks"))
+        assert "per key: one flat chain" in lists
         assert "pane payload lists (max)" in lists
         mixed = report(
             lambda g: g.window(5).shift(1).aggregate(

@@ -13,13 +13,25 @@ silently changed on its way through.
   ``StreamSQLError`` when the query is parsed (it was truncated by
   ``int()``).
 * A keyed int ``sum`` whose total passes 2^63 gives the exact Python
-  int: the array form names its ``keyed.row_loop`` fallback and never
-  wraps.
+  int: the array form names its ``keyed.converted_rows`` fallback to
+  per-key chains and never wraps.
+* ``Cluster.run_stage`` called directly with a map function or a reducer
+  whose output is not rows (``None``, an ``int`` among them) fails on
+  the first attempt with a ``ValueError`` naming the stage, the task and
+  the value (a reducer's inside its ``StageExecutionError``); with
+  quarantine the rows it fails on are dead-lettered, or the stage fails
+  as any task no row explains does.
 """
 
 import pytest
 
-from repro.mapreduce import StageExecutionError
+from repro.mapreduce import (
+    Cluster,
+    DistributedFileSystem,
+    MapReduceStage,
+    StageExecutionError,
+    key_by_columns,
+)
 from repro.runtime import RunContext, keyed
 from repro.temporal import Engine, Query, normalize
 from repro.temporal.event import point_events
@@ -137,10 +149,98 @@ def test_the_array_form_names_its_fallback_and_never_wraps(case):
     engine = Engine(context=RunContext(batch_size=8))
     out = engine.run(_sum_query(), {"logs": rows})
     stats = engine.last_stats
-    loop = stats.resolutions[keyed.ROW_LOOP]
-    assert "an int past the int64 bounds" in loop["reason"]
+    converted = stats.resolutions[keyed.CONVERTED_ROWS]
+    assert "an int past the int64 bounds" in converted["reason"]
     # the chunks before the large one were swept as arrays
-    assert stats.array_swept_rows + loop["count"] == len(rows)
+    assert stats.array_swept_rows + converted["count"] == len(rows)
     assert (stats.array_swept_rows > 0) == (case == "large-in-a-later-chunk")
     assert normalize(out) == normalize(ref_plan(_sum_query().to_plan(),
                                                 {"logs": point_events(rows)}))
+
+
+# -- map and reduce output that is not rows ----------------------------------------
+
+STAGE_ROWS = [{"Time": t, "k": t % 3} for t in range(12)]
+
+
+def _map_none(rows):
+    return None
+
+
+def _map_ints(rows):
+    return [row["Time"] for row in rows]
+
+
+def _reduce_none(idx, rows):
+    return None
+
+
+def _reduce_ints(idx, rows):
+    return [3]
+
+
+def _keep(rows):
+    return rows
+
+
+def _count(idx, rows):
+    return [{"Time": 0, "n": len(rows)}] if rows else []
+
+
+#: case -> (map function, reducer, task named, offending value)
+NOT_ROWS = {
+    "map-returns-none": (_map_none, _count, "map task 0", "None"),
+    "map-emits-an-int": (_map_ints, _count, "map task 0", "0"),
+    "reduce-returns-none": (_keep, _reduce_none, "reduce partition 0", "None"),
+    "reduce-returns-ints": (_keep, _reduce_ints, "reduce partition 0", "3"),
+}
+
+
+def _run_stage(case, quarantine):
+    map_fn, reducer, _, _ = NOT_ROWS[case]
+    fs = DistributedFileSystem()
+    fs.write("in", [dict(row) for row in STAGE_ROWS], num_partitions=2)
+    attempts = []
+
+    def counted(idx, rows):
+        attempts.append(idx)
+        return reducer(idx, rows)
+
+    stage = MapReduceStage("s", key_by_columns(["k"]), counted, num_partitions=2)
+    cluster = Cluster(fs=fs, context=RunContext(quarantine=quarantine))
+    return cluster, fs, attempts, lambda: cluster.run_stage(stage, {"in": map_fn}, "out")
+
+
+@pytest.mark.parametrize("case", sorted(NOT_ROWS))
+def test_output_that_is_not_rows_is_named_on_the_first_attempt(case):
+    _, _, task, value = NOT_ROWS[case]
+    _, _, attempts, run = _run_stage(case, quarantine=False)
+    with pytest.raises((ValueError, StageExecutionError)) as info:
+        run()
+    error = info.value
+    if case.startswith("reduce"):
+        assert type(error) is StageExecutionError and error.attempt == 1
+        assert attempts.count(error.partition) == 1  # not re-run
+        error = error.cause
+    assert type(error) is ValueError
+    assert str(error).startswith(f"stage 's' {task} returned {value}")
+
+
+@pytest.mark.parametrize("case", sorted(NOT_ROWS))
+def test_output_that_is_not_rows_under_quarantine(case):
+    """A map function that emits an int per row has each row
+    dead-lettered with the named error; one whose whole output is not
+    rows, or a reducer's, fails the stage as a task no row explains."""
+    _, _, task, _ = NOT_ROWS[case]
+    cluster, fs, _, run = _run_stage(case, quarantine=True)
+    if case == "map-emits-an-int":
+        out = run()
+        assert out.all_rows() == []
+        aside = fs.read("out.quarantine").all_rows()
+        assert len(aside) == len(STAGE_ROWS)
+        assert all(f"stage 's' map task" in row["_error"] for row in aside)
+        return
+    with pytest.raises((ValueError, StageExecutionError)) as info:
+        run()
+    error = info.value.cause if isinstance(info.value, StageExecutionError) else info.value
+    assert type(error) is ValueError and f"stage 's' {task} returned" in str(error)

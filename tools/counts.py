@@ -15,9 +15,10 @@ Prints per workload, for both sides:
   revision that lacks it;
 * ``operator_events``, ``decoded_rows`` and ``array_swept_rows``: the
   ``engine.*`` counters, summed over their labels;
-* ``keyed.row_loop``: the rows a keyed count or int sum took through its
-  per-row loop, the ``engine.resolutions`` counter of that label (0
-  where it never counted);
+* ``keyed.converted_rows``: the rows a keyed count or int sum fed its
+  per-key chains once an input converted it from the array form, the
+  ``engine.resolutions`` counter of that label (0 where it never
+  counted);
 * waves and wave width: the GroupApply waves that ran, and the active
   keys they had between them (the ``dataflow.wave_width`` histogram's
   count and sum);
@@ -58,7 +59,7 @@ ROWS = {
     "decoded_rows": "engine.decoded_rows",
     "array_swept_rows": "engine.array_swept_rows",
     #: a resolution is counted only once it happens: absent reads 0
-    "keyed.row_loop": ("engine.resolutions", "keyed.row_loop"),
+    "keyed.converted_rows": ("engine.resolutions", "keyed.converted_rows"),
     "waves": ("dataflow.wave_width", "count"),
     "wave width": ("dataflow.wave_width", "sum"),
     "output rows": None,
@@ -115,21 +116,27 @@ def collect(tree: Path, names, size: str = "full") -> dict:
             object.__setattr__(DEFAULT_CONTEXT, "tracer", untraced)
         if problems:
             raise SystemExit(f"{name}: {problems}")
-        sums: Counter = Counter()
-        for metric in tracer.metrics.snapshot():
-            if metric["kind"] == "counter":
-                sums[metric["name"]] += metric["value"]
-                if "resolution" in metric["labels"]:
-                    sums[metric["name"], metric["labels"]["resolution"]] += metric["value"]
-            elif metric["kind"] == "histogram":
-                for part in ("count", "sum"):
-                    sums[metric["name"], part] += metric["value"][part]
-        row = {label: sums.get(metric, 0 if type(metric) is tuple else NA)
-               for label, metric in ROWS.items() if metric}
+        row = summed(tracer.metrics.snapshot())
         row["output rows"], row["digest"] = output_rows(out), digest[:12]
         found[name] = row
         del workload, out
     return found
+
+
+def summed(snapshot) -> dict:
+    """The metric rows of :data:`ROWS` in a tracer's metrics ``snapshot``,
+    each summed over its labels."""
+    sums: Counter = Counter()
+    for metric in snapshot:
+        if metric["kind"] == "counter":
+            sums[metric["name"]] += metric["value"]
+            if "resolution" in metric["labels"]:
+                sums[metric["name"], metric["labels"]["resolution"]] += metric["value"]
+        elif metric["kind"] == "histogram":
+            for part in ("count", "sum"):
+                sums[metric["name"], part] += metric["value"][part]
+    return {label: sums.get(metric, 0 if type(metric) is tuple else NA)
+            for label, metric in ROWS.items() if metric}
 
 
 def side(tree: Path, names) -> dict:
@@ -145,14 +152,14 @@ def side(tree: Path, names) -> dict:
 def table(base: dict, tree: dict, rev: str) -> tuple:
     """``(text, differs)``: both sides' rows per workload, a ``!`` on
     every row whose numbers differ."""
-    lines, differs = [f"{'workload':<14}{'':<18}{rev:>14}{'tree':>14}"], False
+    lines, differs = [f"{'workload':<14}{'':<22}{rev:>14}{'tree':>14}"], False
     for name in base:
         for label in ROWS:
             a, b = base[name][label], tree[name][label]
             bad = NA not in (a, b) and a != b
             differs |= bad
             fmt = (lambda v: f"{v:,}" if isinstance(v, int) else str(v))
-            lines.append(f"{name:<14}{label:<18}{fmt(a):>14}{fmt(b):>14}" + ("  !" if bad else ""))
+            lines.append(f"{name:<14}{label:<22}{fmt(a):>14}{fmt(b):>14}" + ("  !" if bad else ""))
     return "\n".join(lines), differs
 
 
