@@ -37,8 +37,10 @@ top level and each key's alike. A flow's own GroupApply under the batch
 driver (``group_wave_events > 0``) whose sub-plan is windows, hops or
 shifts into a ``count`` or plain ``sum`` runs the array form instead
 (``runtime/keyed.py``): every key at once in numpy passes, with the
-chains' output and scheduling call for call, until an input it cannot
-hold as int64 converts it to chains (``GroupScheduler._to_chains``).
+chains' output and scheduling call for call. An input it cannot hold as
+int64 raises :class:`~repro.runtime.keyed.ArrayFormUnfit`, and
+``Engine.run`` runs the plan again with every GroupApply on chains
+(``Dataflow``'s ``_chains_only``).
 
 Plans containing an operator whose output timestamps may precede its
 input unboundedly (a *custom* AlterLifetime) cannot run incrementally.
@@ -79,7 +81,7 @@ from ..temporal.plan import (
 )
 from ..temporal.time import MAX_TIME, MIN_TIME
 from ..obs.trace import NULL_TRACER
-from .keyed import WATERMARK_NOT_INT, KeyedAggregate, key_error, lex_order
+from .keyed import KeyedAggregate, key_error, lex_order
 
 
 class StreamingUnsupported(ValueError):
@@ -163,30 +165,27 @@ class GroupScheduler(UnaryOperator):
     plan under the batch driver (``wave_events > 0``) whose sub-plan
     fits runs the array form instead
     (:class:`~repro.runtime.keyed.KeyedAggregate`), the same waves as
-    array passes, until an input it cannot hold converts it to chains
-    (:meth:`_to_chains`).
+    array passes; the two forms share no scheduling state.
     """
 
     def __init__(self, node: GroupApplyNode, flat: _FlatPlan, wave_events: int = 0,
-                 tracer=NULL_TRACER, emits_rows: bool = False, top: bool = False):
+                 tracer=NULL_TRACER, emits_rows: bool = False, arrays: bool = False):
         self.keys = node.keys
         self._wave_events = wave_events
         self._tracer = tracer
         #: the sub-plan's flat form, ``_flat_plan(node)``: every key's
         #: chain reads it, and a nested GroupApply's schedulers share it
         self._flat = flat
-        #: the array form, while the node runs it (``None``: chains)
-        self._keyed = _keyed_aggregate(node, flat) if top and wave_events else None
+        #: the array form (``None``: chains)
+        self._keyed = _keyed_aggregate(node, flat) if arrays and wave_events else None
         #: the array form's releases are made events as they are
         #: emitted: except at the flow's root, which keeps each release as
         #: one :class:`Batch` in this layout (``released``) for
         #: :meth:`Dataflow.advance` to take
         self.layout = self._keyed.layout if emits_rows and self._keyed else None
         self.released: Optional[Batch] = None
-        #: rows swept as arrays; why the node left the array form, and
-        #: the rows it fed its chains since
-        self.array_swept_rows = self.converted_rows = 0
-        self.converted: Optional[str] = None
+        #: rows swept as arrays
+        self.array_swept_rows = 0
         #: key -> its chain; in the array form, key -> its id
         self._groups: Dict[Tuple, object] = {} if self._keyed is None else self._keyed.ids
         #: the non-idle chains, in activation order (the order the
@@ -204,9 +203,9 @@ class GroupScheduler(UnaryOperator):
         self._due: Dict[Tuple, _FlatChain] = {}
         self._wake_heap: List[tuple] = []
         self._held: List[tuple] = []
-        #: chain advances made by this scheduler; the wave also draws
-        #: its heap stamps from it
-        self.chain_advances = 0
+        #: chain advances made by this scheduler's chains; the wave also
+        #: draws its heap stamps from it (:attr:`chain_advances`)
+        self._advances = 0
         #: merged chain outputs not yet released, LE-sorted (stable): a
         #: list of events, or in the array form its int64 segment rows
         self._pending = []
@@ -246,13 +245,17 @@ class GroupScheduler(UnaryOperator):
         self._fed_since_wave = 0
         return self._wave(w)
 
+    @property
+    def chain_advances(self) -> int:
+        """How many times a key advanced: a chain, or a key of the array form."""
+        return self._advances if self._keyed is None else self._keyed.chain_advances
+
     def on_flush(self) -> list:
         """End of input: every chain flushes for real."""
         self._feed(MAX_TIME)
-        self.chain_advances += len(self._groups)
-        if self._keyed is not None:  # ties in key creation order, as the chains'
-            segments = self._keyed.sweep(np.arange(len(self._groups)), MAX_TIME)
-            return self._release(segments, None if segments is None else segments[:, 2])
+        if self._keyed is not None:
+            return self._release(*self._keyed.flush())
+        self._advances += len(self._groups)
         pending = self._pending
         for chain in self._groups.values():
             outs = chain.advance(MAX_TIME)
@@ -268,10 +271,13 @@ class GroupScheduler(UnaryOperator):
         if self._waited:
             self._waited = False
             return self.watermark
-        if self._idle_delta >= 0:
-            w -= self._idle_delta
         keyed = self._keyed
-        held = keyed.held_top if keyed is not None else self._held[0][0] if self._held else None
+        if keyed is not None:
+            idle, held = keyed.idle_delta, keyed.held_top
+        else:
+            idle, held = self._idle_delta, self._held[0][0] if self._held else None
+        if idle >= 0:
+            w -= idle
         if held is not None and held < w:
             w = held
         return w
@@ -303,13 +309,9 @@ class GroupScheduler(UnaryOperator):
         self._fresh = ()
         self._fed_since_wave += len(fresh)
         if self._keyed is not None:
-            reason = self._keyed.feed(self, fresh, w)
-            if reason is None:
-                self.array_swept_rows += len(fresh)
-                return
-            self._to_chains(reason)
-        if self.converted is not None:
-            self.converted_rows += len(fresh)
+            self._keyed.feed(fresh, w)
+            self.array_swept_rows += len(fresh)
+            return
         flat = self._flat
         for key, events in _batch_per_key(fresh, self.keys).items():
             chain = self._groups.get(key)
@@ -327,53 +329,12 @@ class GroupScheduler(UnaryOperator):
                 self._active[key] = chain
             self._due[key] = chain
 
-    def _to_chains(self, reason: str) -> None:
-        """Leave the array form for good (``reason``): a chain per key, in
-        creation order, whose aggregate takes what the last wave carried
-        and whose watermarks, wake time, ordinal and stamp are the key's
-        columns; the chunks fed since that wave queued to the chains as
-        they would hold them, the dicts and heaps of chains rebuilt from
-        the columns, and the backlog made events."""
-        keyed, self._keyed, self.converted = self._keyed, None, reason
-        self._pending = list(keyed.batch(self._pending)) if len(self._pending) else []
-        carried = keyed.carried()
-        states, active, due, held, wakes = keyed.chain_state()
-        one = len(self.keys) == 1
-        self._groups = groups = {}
-        for k, key in enumerate(keyed.ids):
-            key = (key,) if one else key
-            chain = groups[key] = _FlatChain(self._flat, dict(zip(self.keys, key)))
-            w_in, chain.watermark, chain.ordinal, chain.stamp, chain.idle_delta, chain.wake = (
-                states[k])
-            # the stages' floors are what their input gives them; the
-            # input's (a run-ahead LE) and the aggregate's (its hold) are more
-            chain.w[0], chain.w[-1] = w_in, chain.watermark
-            if k in carried:
-                chain.ops[-1].resume(*carried[k])
-        keys, chains = list(groups), list(groups.values())
-        self._active.update((keys[k], chains[k]) for k in active)
-        self._due.update((keys[k], chains[k]) for k in due)
-        self._held[:] = [(t, stamp, chains[k]) for t, stamp, k in held]
-        self._wake_heap[:] = [(t, stamp, keys[k], chains[k]) for t, stamp, k in wakes]
-        heapify(self._held)
-        heapify(self._wake_heap)
-        for fed in keyed.fed:
-            for key, events in _batch_per_key(fed, self.keys).items():
-                groups[key].feed(0, events, events[-1].le)
-
-    def _emit(self, batch: Batch) -> list:
-        """An array-form release: events here, except at a flow's root,
-        which keeps it as ``released``."""
-        if self.layout is None:
-            return list(batch)
-        self.released = batch
-        return []
-
     def _release(self, segments: Optional[np.ndarray], ranks, before=None) -> list:
         """Merge the array form's new ``segments`` into its backlog by LE (at
         an equal LE the backlog first, in its order, then by ``ranks``; one
         key's segments never share an LE), and release the rows with an LE
-        before ``before`` (``None``: every row)."""
+        before ``before`` (``None``: every row): events, except at a flow's
+        root, which keeps them as one ``Batch`` in ``released``."""
         backlog = self._pending
         if segments is not None:
             if len(backlog):
@@ -384,7 +345,13 @@ class GroupScheduler(UnaryOperator):
         if cut and before is not None:  # an int LE is before ``before`` iff before its ceiling
             cut = int(np.searchsorted(backlog[:, 0], math.ceil(before)))
         self._pending = backlog[cut:]
-        return self._emit(self._keyed.batch(backlog[:cut])) if cut else []
+        if not cut:
+            return []
+        batch = self._keyed.batch(backlog[:cut])
+        if self.layout is None:
+            return list(batch)
+        self.released = batch
+        return []
 
     def _wave(self, w: int) -> list:
         """One watermark wave.
@@ -397,8 +364,6 @@ class GroupScheduler(UnaryOperator):
         constant, so one representative bound covers all of them). The
         cost is O(fed + due), not O(active chains).
         """
-        if self._keyed is not None and type(w) is not int:  # another source's time
-            self._to_chains(WATERMARK_NOT_INT)
         keyed = self._keyed
         if self._tracer.enabled:
             # wave width is a pure function of the data and the wave
@@ -406,7 +371,7 @@ class GroupScheduler(UnaryOperator):
             width = keyed.active_n if keyed is not None else len(self._active)
             self._tracer.metrics.histogram("dataflow.wave_width").observe(width)
         if keyed is not None:  # the same walk, as array passes over the columns
-            segments, ranks = keyed.wave(self, w)
+            segments, ranks = keyed.wave(w)
         else:
             self._walk(w)
         group_w = self.watermark_out(w)
@@ -437,8 +402,8 @@ class GroupScheduler(UnaryOperator):
         added = False
         for key, chain in sorted(due.items(), key=_activation_order):
             outs = chain.advance(w)
-            self.chain_advances += 1
-            chain.stamp = stamp = self.chain_advances
+            self._advances += 1
+            chain.stamp = stamp = self._advances
             if outs:
                 pending.extend(outs)
                 added = True
@@ -521,16 +486,18 @@ class _FlatPlan:
     ``top`` marks a flow's own plan: a GroupApply at its root releases
     rows, its schedulers get the flow's tracer, and its chain counts
     each position's events (and with that tracer on, times each step).
+    ``arrays`` lets its GroupApply nodes run the array form.
     """
 
     __slots__ = (
         "sources", "position", "nodes", "futures", "wave_events", "tracer",
-        "top", "root_rows", "steps", "outs", "pinned", "events_in", "events_out",
-        "busy", "shared", "subplans", "linear", "attach_in_place",
+        "top", "arrays", "root_rows", "steps", "outs", "pinned", "events_in", "events_out",
+        "busy", "shared", "subplans", "floors", "linear", "attach_in_place",
     )
 
     def __init__(self, order: List[PlanNode], wave_events: int,
-                 tracer=NULL_TRACER, top: bool = False):
+                 tracer=NULL_TRACER, top: bool = False, arrays: bool = False,
+                 floor: int = MIN_TIME):
         #: a source's name (``None``: the group input) -> its position
         self.sources: Dict[Optional[str], int] = {}
         #: a plan node's id -> the position holding its output
@@ -558,6 +525,7 @@ class _FlatPlan:
         self.wave_events = wave_events
         self.tracer = tracer
         self.top = top
+        self.arrays = arrays
         self.root_rows = top and bool(self.nodes) and self.nodes[-1] is order[-1]
         read = {
             j
@@ -592,10 +560,18 @@ class _FlatPlan:
         ]
         #: each GroupApply node's sub-plan, built once for all of its
         #: schedulers (one per key of an outer GroupApply)
-        self.subplans = [
-            _flat_plan(n, wave_events) if isinstance(n, GroupApplyNode) else None
-            for n in self.nodes
-        ]
+        self.subplans = []
+        #: each position's watermark before any input: ``floor`` at the
+        #: inputs (the beginning of time, or the group input's), less what
+        #: the steps on the way move an LE back (below the beginning of time)
+        self.floors = [floor] * first
+        for (i, a, b, future, *_), n in zip(self.steps, self.nodes):
+            below = self.floors[i - 1 if a is None else a]
+            if b is not None:
+                below = min(below, self.floors[b])
+            sub = _flat_plan(n, wave_events, below) if isinstance(n, GroupApplyNode) else None
+            self.subplans.append(sub)
+            self.floors.append(below - future if sub is None else sub.floors[-1])
         #: a straight pipeline: node ``i`` reads node ``i - 1`` alone
         self.linear = all(a is None and b is None for _, a, b, *_ in self.steps)
         #: a sub-plan's root builds each output payload for that event
@@ -620,15 +596,16 @@ class _FlatPlan:
         if isinstance(node, GroupApplyNode):
             return GroupScheduler(
                 node, self.subplans[k], self.wave_events, self.tracer,
-                self.root_rows and k == len(self.nodes) - 1, self.top,
+                self.root_rows and k == len(self.nodes) - 1, self.arrays,
             )
         op = node.make_operator()
         return op if self.futures[k] is not None else Deferred(op)
 
 
-def _flat_plan(node: GroupApplyNode, wave_events: int = 0) -> _FlatPlan:
-    """``node``'s sub-plan as a :class:`_FlatPlan`."""
-    return _FlatPlan(topological_order(node.subplan_root), wave_events)
+def _flat_plan(node: GroupApplyNode, wave_events: int = 0, floor: int = MIN_TIME) -> _FlatPlan:
+    """``node``'s sub-plan as a :class:`_FlatPlan`, its group input's
+    watermark starting at ``floor``."""
+    return _FlatPlan(topological_order(node.subplan_root), wave_events, floor=floor)
 
 
 def _keyed_aggregate(node: GroupApplyNode, flat: _FlatPlan) -> Optional[KeyedAggregate]:
@@ -645,7 +622,7 @@ def _keyed_aggregate(node: GroupApplyNode, flat: _FlatPlan) -> Optional[KeyedAgg
     ):
         return None
     futures = [future for _, _, _, future, *_ in flat.steps]
-    return KeyedAggregate(node.keys, specs, aggregates, futures)
+    return KeyedAggregate(node, specs, aggregates, futures, flat.floors[0])
 
 
 class _FlatChain:
@@ -688,13 +665,13 @@ class _FlatChain:
         self.inputs: List[list] = [[] for _ in plan.sources]
         #: per position (one per ``plan.outs`` slot): the node's
         #: watermark floor; an input position's is its source's watermark
-        self.w = [MIN_TIME] * len(plan.outs)
+        self.w = list(plan.floors)
         #: per position: a binary node's undelivered left and right input
         self.queued = [None] * len(plan.sources) + [
             None if b is None else ([], []) for _, _, b, *_ in plan.steps
         ]
         #: the root's watermark after the last pass
-        self.watermark = MIN_TIME
+        self.watermark = plan.floors[-1]
         #: when not None the group's chain is quiescent: a watermark ``w``
         #: maps to output watermark ``w - idle_delta`` and emits nothing
         self.idle_delta: Optional[int] = None
@@ -919,6 +896,11 @@ class Dataflow:
             never changed.
         tracer: when enabled, every step accumulates its busy seconds,
             so the batch driver's operator spans carry real durations.
+
+    With ``group_wave_events > 0`` a GroupApply may run the array form,
+    which raises :class:`~repro.runtime.keyed.ArrayFormUnfit` on an input
+    it cannot hold; ``_chains_only`` (``Engine.run``'s re-run) keeps every
+    GroupApply on per-key chains.
     """
 
     def __init__(
@@ -928,6 +910,7 @@ class Dataflow:
         allow_unstreamable: bool = False,
         group_wave_events: int = 0,
         tracer=None,
+        _chains_only: bool = False,
     ):
         tracer = tracer if tracer is not None else NULL_TRACER
         self.tracer = tracer
@@ -940,7 +923,8 @@ class Dataflow:
                     f"operator {node.describe()!r} has an unbounded "
                     "lifetime rewrite; it cannot run in streaming mode"
                 )
-        self._plan = _FlatPlan(self._order, group_wave_events, tracer, top=True)
+        self._plan = _FlatPlan(self._order, group_wave_events, tracer, top=True,
+                               arrays=not _chains_only)
         self._chain = _FlatChain(self._plan)
         #: a GroupApply root in the array form keeps each release as one
         #: :class:`Batch`, which ``advance`` returns
@@ -1031,7 +1015,7 @@ class Dataflow:
         as they are read)."""
         released = self._chain.run() or []
         root = self._root
-        if root is None or released:  # a converted root releases events
+        if root is None:
             return released
         batch = root.released or Batch.of_columns(root.layout, [], [], [])
         root.released = None

@@ -32,19 +32,15 @@ one layout :class:`Batch` (:meth:`KeyedAggregate.batch`); no row is
 built.
 
 A chunk whose times or sums are not ints, or pass the int64 bounds, and a
-watermark that is not an int, cannot be held: :meth:`KeyedAggregate.feed`
-says why, and the scheduler converts the node to per-key chains for good
-(``GroupScheduler._to_chains``), from what the last wave carried
-(:meth:`KeyedAggregate.carried`), the keys' scheduling state
-(:meth:`KeyedAggregate.chain_state`) and the chunks fed since
-(:attr:`KeyedAggregate.fed`).
+watermark that is not an int, cannot be held: the node raises
+:class:`ArrayFormUnfit`, and ``Engine.run`` runs the plan again on
+per-key chains, which give what the array form would have, call for call.
 """
 
 from __future__ import annotations
 
-import itertools
 from array import array
-from itertools import chain, islice
+from itertools import chain, count, islice
 from operator import itemgetter
 from typing import List, Optional
 
@@ -53,7 +49,7 @@ import numpy as np
 from ..temporal.event import _LE, _PAYLOAD, _RE, Batch
 from ..temporal.operators.base import WAKE_ALWAYS, WAKE_AT_FLUSH
 from ..temporal.operators.stateless import WINDOW_SPECS
-from ..temporal.time import _INT_ONLY, MAX_TIME, MIN_TIME, data_error
+from ..temporal.time import _INT_ONLY, MAX_TIME, data_error
 
 #: the array form holds times within ±_TIME_LIMIT after the stages, and
 #: sums while Σ max|v| × rows stays under _SUM_LIMIT: nothing overflows
@@ -62,16 +58,27 @@ _NEVER, _NOT_DUE = np.iinfo(np.int64).max, np.iinfo(np.int64).min  # horizons
 #: the scheduling columns, one int64 row per key id: what a key's chain
 #: would hold, the watermark its floor too, the pending head (``_NEVER``:
 #: no pane)
-_W_IN, _MARK, _START, _PEND, _WAKE, _IDLE, _ORD, _STAMP, _ACTIVE, _DUE = range(10)
-_FRESH = (MIN_TIME, MIN_TIME, MIN_TIME, _NEVER, WAKE_ALWAYS, 0, 0, 0, 0, 0)
-#: ``EngineStats.resolutions`` name: the rows a keyed node fed its per-key
-#: chains once an input converted it from the array form
-CONVERTED_ROWS = "keyed.converted_rows"
-#: why a keyed node left the array form: what it could not hold
+_W_IN, _MARK, _START, _PEND, _WAKE, _ORD, _STAMP, _ACTIVE, _DUE = range(9)
+#: ``EngineStats.resolutions`` name: a run that met an input the array form
+#: cannot hold and ran again with every GroupApply on per-key chains
+RERUN_ON_CHAINS = "keyed.rerun_on_chains"
+#: why a keyed node gave up the array form: what it could not hold
 TIME_NOT_INT = "a time is not an int"
 SUM_NOT_INT = "a summed value is not an int"
 PAST_BOUNDS = "an int past the int64 bounds"
 WATERMARK_NOT_INT = "a watermark is not an int"
+
+
+class ArrayFormUnfit(Exception):
+    """A GroupApply in the array form (``keyed``) met an input it cannot
+    hold as int64: ``reason`` says what. ``Engine.run`` catches it and
+    runs the plan again on per-key chains; a caller driving a
+    :class:`~repro.runtime.dataflow.Dataflow` itself gets it."""
+
+    def __init__(self, keyed: "KeyedAggregate", reason: str):
+        super().__init__(f"a GroupApply by {', '.join(map(str, keyed.keys))} met an "
+                         f"input the array form cannot hold: {reason}")
+        self.node_id, self.reason = keyed.node_id, reason
 
 
 def lex_order(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
@@ -113,16 +120,18 @@ def key_error(keys, events, exc: Exception) -> Exception:
 
 
 class KeyedAggregate:
-    """The per-key plan ``(window | hop | shift)* → count / sum`` of one
-    GroupApply node, run for all keys as arrays.
+    """The per-key plan ``(window | hop | shift)* → count / sum`` of
+    GroupApply ``node``, run for all keys as arrays.
 
     ``specs`` are the stages' AlterLifetime specs, ``aggregates`` the
     aggregate's ``AggSpec`` list (counts and plain sums), ``futures`` the
-    future extents of the stages, then of the aggregate.
+    future extents of the stages, then of the aggregate, and ``floor`` the
+    group input's watermark before any input.
     """
 
-    def __init__(self, keys, specs, aggregates, futures):
-        self.keys = tuple(keys)
+    def __init__(self, node, specs, aggregates, futures, floor):
+        self.node_id = node.node_id
+        self.keys = tuple(node.keys)
         # a segment's payload as the chains build it: the aggregate
         # outputs, then the key columns (one named like an output takes
         # its place); each column's value is ``(0, i)``: aggregate
@@ -132,9 +141,9 @@ class KeyedAggregate:
         #: the columns of every segment this node releases
         self.layout = tuple(slots)
         self._slots = tuple(slots.values())
-        self._prefix_futures = futures[:-1]
-        #: a stateless stage moves LEs back (a backward shift)
-        self._lags = any(self._prefix_futures)
+        #: how far the stateless stages move LEs back (backward shifts): the
+        #: aggregate's input watermark is the key's input watermark less it
+        self._lag = sum(futures[:-1])
         self._agg_future = futures[-1]
         self._specs = specs
         #: the sweep needs the input's REs: no time window sets them first
@@ -144,57 +153,54 @@ class KeyedAggregate:
         #: summed columns is one the rows' decode drops (``Batch.drops``)
         self._row_columns = frozenset((*self.keys, *(s.column for s in aggregates)))
         self._sum_columns = [s.column for s in aggregates if s.kind == "sum"]
-        sums = itertools.count(1)  # each spec's running total: 0 the count
+        sums = count(1)  # each spec's running total: 0 the count
         self._totals = [next(sums) if s.kind == "sum" else 0 for s in aggregates]
         self._slack = sum(abs(x) for spec in specs for x in spec[1:])
         self._bound = 0
         #: key -> its id, which indexes the key columns and ``_sched``
         self.ids = _Ids()
         self._key_cols: List[list] = [[] for _ in self.keys]
-        #: the scheduling columns (``_FRESH``), and the scheduler's two
-        #: heaps as entries ``(watermark | wake, stamp, key id)``
-        self._sched = np.empty((0, len(_FRESH)), np.int64)
+        #: the scheduling columns (a new key's: ``_fresh``), and the
+        #: scheduler's two heaps as entries ``(watermark | wake, stamp, key id)``
+        self._fresh = (floor, floor - sum(futures), floor, _NEVER, WAKE_ALWAYS, 0, 0, 0, 0)
+        self._sched = np.empty((0, len(self._fresh)), np.int64)
         self._held = self._wakes = np.empty((0, 3), np.int64)
         #: what the scheduler reads of them (a heap's least entry, ``None``: empty)
         self.active_n = self.due_n = 0
         self.held_top = self.wake_top = None
+        #: what the chains' scheduler would count: keys advanced (also the
+        #: heap stamps), activations (the next ordinal), and the largest
+        #: idle key's watermark lag (< 0: none went idle yet)
+        self.chain_advances = self._activations = 0
+        self.idle_delta = -1
         #: endpoint rows (key id, time, count, *sums): what the last wave
-        #: carried (the first ``_carried``), then the chunks since, are
-        #: the first ``_n``
+        #: carried, then the chunks since, are the first ``_n``
         self._ends = self._sorted = np.empty((0, 3 + len(self._sum_columns)), np.int64)
-        self._n = self._carried = 0
-        #: the chunks staged since the last wave, as they were fed
-        self.fed: list = []
+        self._n = 0
 
     # -- feeding ------------------------------------------------------------
 
-    def feed(self, scheduler, fresh, watermark) -> Optional[str]:
+    def feed(self, fresh, watermark) -> None:
         """Stage LE-ordered ``fresh``, its new keys created in
         first-appearance order and its keys activated as per-key chains
-        would be (``scheduler`` is the GroupApply's ``GroupScheduler``,
-        whose input watermark is ``watermark``); or say why it cannot be
-        staged, its new keys created all the same."""
+        would be (``watermark``: the GroupApply's input watermark); raise
+        :class:`ArrayFormUnfit` when it cannot be staged."""
         les, res, payloads = self._columns(fresh)
         ids = self.ids
         known = len(ids)
         try:
             kid = np.fromiter(map(ids.__getitem__, map(self._key_of, payloads)), np.int64,
                               len(les))
-        except (KeyError, TypeError) as exc:
-            while len(ids) > known:  # a batch that fails creates no key
-                ids.popitem()
+        except (KeyError, TypeError) as exc:  # the run ends with it
             raise key_error(self.keys, fresh, exc) from None
         one = len(self.keys) == 1
         for key in islice(ids, known, None):  # a column row per new key
             for column, value in zip(self._key_cols, (key,) if one else key):
                 column.append(value)
         if len(ids) > len(self._sched):
-            self._sched = np.concatenate((self._sched, np.tile(_FRESH, (len(ids), 1))))
-        reason = self._stage(les, res, payloads, kid)
-        if reason is None:
-            self.fed.append(fresh)
-            self._activate(scheduler, kid, les, watermark)
-        return reason
+            self._sched = np.concatenate((self._sched, np.tile(self._fresh, (len(ids), 1))))
+        self._stage(les, res, payloads, kid)
+        self._activate(kid, les, watermark)
 
     def _columns(self, fresh):
         """``(les, res, payloads)`` of ``fresh``, ``res`` ``None`` where a
@@ -209,7 +215,7 @@ class KeyedAggregate:
         res = list(map(_RE, fresh)) if self._reads_re else None
         return les, res, list(map(_PAYLOAD, fresh))
 
-    def _activate(self, scheduler, kid: np.ndarray, les, watermark) -> None:
+    def _activate(self, kid: np.ndarray, les, watermark) -> None:
         """The chains' activation of the keys ``kid`` of a staged chunk, in
         columns: a key not active takes the next ordinal, in first-appearance
         order, and every fed key is due."""
@@ -218,8 +224,8 @@ class KeyedAggregate:
         if len(idle):
             ids, first = np.unique(idle, return_index=True)
             ids = ids[np.argsort(first)]
-            base = next(scheduler._ordinals)
-            scheduler._ordinals = itertools.count(base + len(ids))
+            base = self._activations
+            self._activations += len(ids)
             s[ids, _ORD] = np.arange(base, base + len(ids))
             s[ids, _ACTIVE] = 1
             self.active_n += len(ids)
@@ -230,21 +236,21 @@ class KeyedAggregate:
             # watermark, which otherwise covers it
             np.maximum.at(s[:, _W_IN], kid, np.array(les, np.int64))
 
-    def _stage(self, les, res, rows, key: np.ndarray) -> Optional[str]:
+    def _stage(self, les, res, rows, key: np.ndarray) -> None:
         """Stage a chunk of rows, ``key`` their key ids, as endpoints, or
-        say why it cannot be."""
+        raise :class:`ArrayFormUnfit`."""
         if not set(map(type, chain(les, res or ()))) <= _INT_ONLY:
-            return TIME_NOT_INT
+            raise ArrayFormUnfit(self, TIME_NOT_INT)
         sums, bound = [], self._bound
         for column in self._sum_columns:
             values = list(map(itemgetter(column), rows))  # a KeyError as the chains'
             if not set(map(type, values)) <= _INT_ONLY:
-                return SUM_NOT_INT
+                raise ArrayFormUnfit(self, SUM_NOT_INT)
             bound += max(max(values), -min(values)) * len(values)
             sums.append(values)
         lo, hi = les[0] - self._slack, (les[-1] if res is None else max(res)) + self._slack
         if bound >= _SUM_LIMIT or not -_TIME_LIMIT < lo <= hi < _TIME_LIMIT:
-            return PAST_BOUNDS
+            raise ArrayFormUnfit(self, PAST_BOUNDS)
         self._bound = bound
         le, sums = np.array(les, np.int64), np.array(sums, np.int64).reshape(-1, len(les))
         re = None if res is None else np.array(res, np.int64)
@@ -271,7 +277,6 @@ class KeyedAggregate:
         ends[:n, 0] = ends[n:, 0] = key
         ends[:n, 1], ends[n:, 1], ends[:n, 2], ends[n:, 2] = le, re, 1, -1
         ends[:n, 3:], ends[n:, 3:] = sums.T, -sums.T
-        return None
 
     # -- the sweep ----------------------------------------------------------
 
@@ -281,16 +286,15 @@ class KeyedAggregate:
         last LE and (if due) its aggregate stage's watermark. The ``_START``
         and ``_PEND`` columns are what a chain's aggregate would leave as
         its open segment's start and least pending RE, the rest is carried
-        (``_ends[:_carried]``). Returns the segments as int64 rows ``(le,
+        (the first ``_n`` endpoint rows). Returns the segments as int64 rows ``(le,
         re, key id, *live totals)``, by key id, then LE (``None``: none)."""
-        self.fed = []
         n = self._n
         if not n:
             return None
         upto = np.full(len(self.ids), _NOT_DUE, np.int64)
         if len(due):
-            upto[due] = _NEVER if w >= MAX_TIME else self._stage_ws(
-                np.maximum(self._sched[due, _W_IN], w))
+            upto[due] = _NEVER if w >= MAX_TIME else np.maximum(
+                self._sched[due, _W_IN], w) - self._lag
         order = lex_order(self._ends[:n, 0], self._ends[:n, 1])
         ends = np.take(self._ends[:n], order, axis=0, out=self._sorted[:n], mode="clip")
         key, t = ends[:, 0], ends[:, 1]
@@ -298,7 +302,7 @@ class KeyedAggregate:
         heads = np.flatnonzero(head)
         first = key[heads]  # a key's last entry that adds: its last LE, or start
         upto[first] = np.maximum(upto[first], np.maximum.reduceat(
-            np.where(ends[:, 2] > 0, t, MIN_TIME), heads
+            np.where(ends[:, 2] > 0, t, _NOT_DUE), heads
         ))
         # runs of equal (key, time), deltas summed; running totals per key
         at = np.flatnonzero(head | np.concatenate(([True], t[1:] != t[:-1])))
@@ -317,7 +321,7 @@ class KeyedAggregate:
         marker = np.zeros(len(t), bool)
         marker[last[open_]] = True
         kept = np.flatnonzero(marker | ~done)
-        self._n = self._carried = len(kept)
+        self._n = len(kept)
         carried = self._ends[: self._n]
         carried[:, 0], carried[:, 1] = key[kept], t[kept]
         carried[:, 2:] = np.where(
@@ -341,12 +345,23 @@ class KeyedAggregate:
 
     # -- the walk over the due keys -----------------------------------------
 
-    def wave(self, scheduler, w: int):
+    def flush(self):
+        """Every key's flush: all its segments, and their ranks for
+        ``GroupScheduler._release`` (key creation order, as the chains')."""
+        self.chain_advances += len(self.ids)
+        segments = self.sweep(np.arange(len(self.ids)), MAX_TIME)
+        return segments, None if segments is None else segments[:, 2]
+
+    def wave(self, w: int):
         """``GroupScheduler._walk`` over the due keys as array passes:
         each due key's advance at input watermark ``w``, and the
         scheduler's two heaps as entry arrays, with every effect they show
         — a stale wake top, the rebuild. Returns the segments and their
-        ranks for ``GroupScheduler._release``."""
+        ranks for ``GroupScheduler._release``; raises
+        :class:`ArrayFormUnfit` for a ``w`` that is not an int (another
+        source's time)."""
+        if type(w) is not int:
+            raise ArrayFormUnfit(self, WATERMARK_NOT_INT)
         s, agg_future = self._sched, self._agg_future
         wakes = self._wakes
         hit = wakes[:, 0] <= w
@@ -359,29 +374,26 @@ class KeyedAggregate:
         due = due[np.argsort(s[due, _ORD])]  # activation order
         rows = s[due]
         w_in = np.maximum(rows[:, _W_IN], w)
-        stage_w, start, wake = self._stage_ws(w_in), rows[:, _START], rows[:, _PEND]
+        stage_w, start, wake = w_in - self._lag, rows[:, _START], rows[:, _PEND]
         live = wake != _NEVER  # a pane lives: the key stays active
         # the aggregate's output watermark: its input's, held back to the
         # open segment's start while a pane lives
-        ww = np.where(live, np.minimum(stage_w, start), stage_w) - agg_future
-        ww = rows[:, _MARK] = np.maximum(ww, rows[:, _MARK])
+        # (never below the last: neither term falls, as every floor
+        # starts at its own, below the beginning of time if LEs move back)
+        ww = rows[:, _MARK] = np.where(live, np.minimum(stage_w, start), stage_w) - agg_future
         # not frozen — were the input's watermark just short of the wake
         # time, the key's would move (no hold binds yet): the key stays
-        # awake. The stage input there is at least the open segment's
-        # start unless a stage lags
+        # awake
         awake = live & (start - agg_future > ww) & (wake - 1 > w_in)
-        if self._lags:
-            at = np.flatnonzero(awake)
-            awake[at] = np.minimum(self._stage_ws(wake[at] - 1), start[at]) - agg_future > ww[at]
         wake = np.where(awake, WAKE_ALWAYS, wake)
-        first = scheduler.chain_advances + 1
-        scheduler.chain_advances += len(due)
+        first = self.chain_advances + 1
+        self.chain_advances += len(due)
         stamp = rows[:, _STAMP] = np.arange(first, first + len(due))
         if not live.all():  # idle keys leave the active set
-            delta = rows[~live, _IDLE] = w - ww[~live]
+            delta = w - ww[~live]
             rows[~live, _ACTIVE] = 0
             self.active_n -= len(delta)
-            scheduler._idle_delta = max(scheduler._idle_delta, int(delta.max()))
+            self.idle_delta = max(self.idle_delta, int(delta.max()))
         rows[live, _WAKE] = wake[live]
         rows[:, _DUE] = live & (wake <= w)
         s[due] = rows
@@ -405,48 +417,3 @@ class KeyedAggregate:
         ranks = np.zeros(len(s), np.int64)  # ties in activation order
         ranks[due] = np.arange(len(due))
         return segments, ranks[segments[:, 2]]
-
-    def _stage_ws(self, watermark: np.ndarray) -> np.ndarray:
-        """The aggregate stage's input watermark at each key input
-        ``watermark``: each stateless stage's floor is what a lower
-        watermark left, so only the clamp at the beginning of time can
-        bind."""
-        for future in self._prefix_futures:
-            watermark = np.maximum(watermark - future, MIN_TIME)
-        return watermark
-
-    # -- the conversion to chains -------------------------------------------
-
-    def carried(self) -> dict:
-        """What the last wave carried, as each key's aggregate holds it:
-        key id -> ``(start, totals, panes)``, the open segment's start,
-        each spec's live int total, and each pane's partial by RE,
-        ascending; a key with no live pane has no entry."""
-        state: dict = {}
-        for k, t, *totals in self._ends[: self._carried].tolist():
-            if totals[0] > 0:  # the open segment's start, with the live totals
-                state[k] = (t, [totals[i] for i in self._totals], {})
-                continue
-            parts = [[-totals[i]] if i else -totals[0] for i in self._totals]
-            state[k][2][t] = parts[0] if len(parts) == 1 else parts
-        return state
-
-    def chain_state(self):
-        """The keys' scheduling state as their chains would hold it:
-        per key id ``(w_in, watermark, ordinal, stamp, idle_delta,
-        wake)`` (a key that never advanced: a new chain's), the active
-        and the due key ids in activation order, and the held and wake
-        heaps' entries ``(time, stamp, key id)``."""
-        s = self._sched[: len(self.ids)]
-        keys = []
-        for w_in, mark, _, _, wake, idle, ordinal, stamp, active, _ in s.tolist():
-            if not stamp:
-                idle, wake = None, WAKE_ALWAYS
-            elif active:
-                idle = None
-            else:
-                wake = None
-            keys.append((w_in, mark, ordinal, stamp, idle, wake))
-        by_ordinal = [np.flatnonzero(s[:, c]) for c in (_ACTIVE, _DUE)]
-        active, due = [ids[np.argsort(s[ids, _ORD])].tolist() for ids in by_ordinal]
-        return keys, active, due, self._held.tolist(), self._wakes.tolist()

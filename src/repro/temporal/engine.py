@@ -34,7 +34,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from ..runtime.context import DEFAULT_CONTEXT, RunContext
 from ..runtime.dataflow import Dataflow
-from ..runtime.keyed import CONVERTED_ROWS
+from ..runtime.keyed import RERUN_ON_CHAINS, ArrayFormUnfit
 from .event import _LE, Batch, Event
 from .plan import (
     GroupInputNode,
@@ -74,9 +74,9 @@ class EngineStats:
         #: context asked for something else, as ``{name: {"count",
         #: "reason"}}``. ``"executor.serial"`` is a context naming a
         #: parallel executor (``RunContext.executor_resolutions``);
-        #: ``"retained.*"`` counts result rows kept unpacked
-        #: (``Batch.resolutions``). Empty when nothing was
-        #: resolved
+        #: ``"keyed.rerun_on_chains"`` a run that went again on per-key
+        #: chains; ``"retained.*"`` counts result rows kept unpacked
+        #: (``Batch.resolutions``). Empty when nothing was resolved
         self.resolutions: Dict[str, dict] = {}
 
     @property
@@ -137,7 +137,10 @@ class Engine:
                 defers to the run context (default: on).
 
         Events are fed in rounds of ``context.batch_size``, which bounds
-        working-set memory together with window state.
+        working-set memory together with window state. A GroupApply in
+        the array form that meets an input it cannot hold as int64 makes
+        the plan run again on per-key chains, to the same output;
+        ``last_stats`` is that run's, named ``keyed.rerun_on_chains``.
         """
         root = query.to_plan() if isinstance(query, Query) else query
         context = self.context
@@ -146,19 +149,18 @@ class Engine:
             from ..analysis import validate_plan
 
             validate_plan(root)
-        stats = EngineStats()
         start = context.clock()
         tracer = context.tracer
         chunk_size = context.batch_size
 
-        flow = Dataflow(
-            root,
-            allow_unstreamable=True,
+        def dataflow(chains_only=False):
             # amortize GroupApply watermark waves: chains advance once
             # per threshold of fed events, not once per chunk
-            group_wave_events=max(chunk_size, 4096),
-            tracer=tracer,
-        )
+            return Dataflow(root, allow_unstreamable=True, tracer=tracer,
+                            group_wave_events=max(chunk_size, 4096),
+                            _chains_only=chains_only)
+
+        flow = dataflow()
         names = flow.source_names()
         for name in names:
             if name not in sources:
@@ -169,10 +171,10 @@ class Engine:
 
         # one row list per source; conversion to events happens lazily
         # in the feed loops below
-        feeds = []
+        feeds, input_events = [], 0
         for name, data in sources.items():
             rows = data if isinstance(data, list) or _is_source(data) else list(data)
-            stats.input_events += len(rows)
+            input_events += len(rows)
             if name in names:
                 feeds.append((name, rows))
 
@@ -181,13 +183,25 @@ class Engine:
             if tracer.enabled:
                 span = tracer.span("engine.run", category="engine")
                 span.__enter__()
+            stats, rerun = EngineStats(), None
             try:
-                # each released batch is packed as it arrives
-                output = Batch.pack(_drive(flow, feeds, chunk_size, stats))
-                self._record(flow, root, stats, output, context)
+                # each source checked and ordered once, for either attempt
+                feeds = [(name, *_source(rows)) for name, rows in feeds]
+                try:
+                    # each released batch is packed as it arrives
+                    output = Batch.pack(_drive(flow, feeds, chunk_size, stats))
+                except ArrayFormUnfit as exc:
+                    rerun = f"{plan_node_keys(root)[exc.node_id]}: {exc}"
+                if rerun is not None:
+                    # the same plan again from its sources, all on chains:
+                    # nothing the aborted attempt did is kept or counted
+                    stats, flow = EngineStats(), dataflow(chains_only=True)
+                    output = Batch.pack(_drive(flow, feeds, chunk_size, stats))
+                stats.input_events = input_events
+                self._record(flow, root, stats, output, context, rerun)
             finally:
                 if span is not None:
-                    span.set("input_events", stats.input_events)
+                    span.set("input_events", input_events)
                     span.set("output_events", stats.output_events)
                     span.__exit__(None, None, None)
         if tracer.enabled:
@@ -203,17 +217,16 @@ class Engine:
 
     # -- internals -------------------------------------------------------------
 
-    def _record(self, flow, root, stats, output, context):
-        """Fill stats and emit one summary span per operator node."""
+    def _record(self, flow, root, stats, output, context, rerun):
+        """Fill stats and emit one summary span per operator node;
+        ``rerun`` says why the run went again on per-key chains (``None``:
+        it did not)."""
         stats.output_events = len(output)
         groups = flow.group_schedulers()
         stats.array_swept_rows = sum(group.array_swept_rows for group in groups)
-        converted = [group for group in groups if group.converted]
-        why = "a keyed count or int sum left the array form for per-key chains: "
-        found_here = {CONVERTED_ROWS: {
-            "count": sum(group.converted_rows for group in converted),
-            "reason": why + "; ".join(sorted({group.converted for group in converted})),
-        }} if converted else {}
+        found_here = {} if rerun is None else {RERUN_ON_CHAINS: {
+            "count": 1, "reason": rerun + "; the run went again on per-key chains",
+        }}
         found_here.update(output.resolutions)
         executor = context.executor_resolutions()
         stats.resolutions = {**executor, **found_here}
@@ -266,8 +279,9 @@ def count_operator_events(metrics, flow, root) -> None:
 
 
 def _drive(flow, feeds, chunk_size: int, stats: EngineStats):
-    """Feed every source through ``flow`` in bounded, watermark-aligned
-    chunks, then flush; yields each batch of outputs ``flow`` releases.
+    """Feed every source, ``(name, les, view)`` (:func:`_source`), through
+    ``flow`` in bounded, watermark-aligned chunks, then flush; yields each
+    batch of outputs ``flow`` releases.
 
     A chunk is the next ``chunk_size`` items of all sources merged by LE,
     ties in source order; each source's share of it is fed as one view
@@ -275,8 +289,7 @@ def _drive(flow, feeds, chunk_size: int, stats: EngineStats):
     the watermark is the chunk's last LE: no source will produce an
     earlier event. Counts the source rows decoded to events in
     ``stats``."""
-    names = [name for name, _ in feeds]
-    cols, views = zip(*map(_source, (rows for _, rows in feeds))) if feeds else ((), ())
+    names, cols, views = zip(*feeds) if feeds else ((), (), ())
     starts = [0] * len(cols)
     while True:
         takes = _cut(cols, starts, chunk_size)

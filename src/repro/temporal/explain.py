@@ -51,7 +51,8 @@ def _group_paths(node: GroupApplyNode, indent: str, top: bool = True) -> List[st
     lines = [
         f"{indent}per key: under Engine.run and TiMR, the array form: one "
         "sweep over every key's endpoints in int64 columns, no per-key "
-        f"chain; under StreamingEngine, {chain}"
+        "chain (an input it cannot hold as int64 makes the run go again "
+        f"on chains); under StreamingEngine, {chain}"
         if arrays
         else f"{indent}per key: {chain}"
     ]

@@ -438,15 +438,6 @@ class SnapshotAggregate(UnaryOperator):
         )
         return out
 
-    def resume(self, start: int, totals: list, panes: dict) -> None:
-        """Take up a sweep of counts and int sums carried elsewhere (a
-        keyed GroupApply's array form, ``runtime/keyed.py``): the open
-        segment's ``start``, each state's live int total, and ``panes``,
-        each RE's partial, REs ascending."""
-        self._segment_start, self._panes, self._pending = start, panes, list(panes)
-        for state, total in zip(self._states, totals):
-            setattr(state, "n" if type(state) is CountAgg else "total", total)
-
     def on_batch(self, events) -> list:
         return self.sweep(
             [e.le for e in events],

@@ -41,7 +41,7 @@ from typing import Dict, Iterable, List, Optional, Union
 from ..runtime.context import DEFAULT_CONTEXT, RunContext
 from ..runtime.dataflow import Dataflow, StreamingUnsupported
 from .engine import count_operator_events
-from .event import Batch, Event, decode_row
+from .event import Event, decode_row
 from .plan import PlanNode
 from .query import Query
 from .time import MAX_TIME, MIN_TIME
@@ -281,8 +281,6 @@ class StreamingEngine:
     def _emit(self) -> List[Event]:
         """Advance the dataflow and record streaming metrics."""
         out = self._flow.advance()
-        if type(out) is Batch:
-            out = list(out)  # a keyed GroupApply root's rows, as events
         if self.context.tracer.enabled:
             metrics = self.context.tracer.metrics
             if out:

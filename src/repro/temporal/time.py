@@ -67,18 +67,19 @@ def check_time(value, column: str = "Time", end: bool = False):
     ``column`` and the value.
 
     Usable means a real number (``int``, ``float``, any ``numbers.Real``)
-    that is neither a ``bool`` nor NaN and lies before :data:`MAX_TIME`,
-    the end of time, which only a lifetime's end (``end``: an RE) may
-    reach: the one rule every row decoder and the cluster's sort apply.
+    that is neither a ``bool`` nor NaN, no earlier than :data:`MIN_TIME`,
+    the beginning of time, and before :data:`MAX_TIME`, the end of time,
+    which only a lifetime's end (``end``: an RE) may reach: the one rule
+    every row decoder and the cluster's sort apply.
     """
     if (
         type(value) is int
         or (isinstance(value, Real) and not isinstance(value, bool) and value == value)
-    ) and (end or value < MAX_TIME):
+    ) and MIN_TIME <= value and (end or value < MAX_TIME):
         return value
     raise data_error(ValueError(
         f"column {column!r} holds {value!r}, not a usable time "
-        f"(an int or float before {MAX_TIME}, not a bool or NaN)"
+        f"(an int or float from {MIN_TIME} to before {MAX_TIME}, not a bool or NaN)"
     ))
 
 
@@ -87,12 +88,13 @@ _INT_ONLY = {int}
 
 def check_times(values: list, column: str = "Time", ordered: bool = False) -> list:
     """:func:`check_time` over a batch: C-level passes over the value
-    types and for the largest value (none when ``ordered``: the values
-    ascend, so the largest is the last), and the per-value check only
-    when some value is not an ``int`` or the end of time. Returns
-    ``values``."""
-    if not set(map(type, values)) <= _INT_ONLY or (
-        values and (values[-1] if ordered else max(values)) >= MAX_TIME
+    types and for the least and the largest value (none when ``ordered``:
+    the values ascend, so they are the first and the last), and the
+    per-value check only when some value is not an ``int``, before the
+    beginning of time or at its end. Returns ``values``."""
+    if not set(map(type, values)) <= _INT_ONLY or values and (
+        (values[0] if ordered else min(values)) < MIN_TIME
+        or (values[-1] if ordered else max(values)) >= MAX_TIME
     ):
         for value in values:
             check_time(value, column)

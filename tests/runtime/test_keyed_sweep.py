@@ -284,9 +284,9 @@ def test_float_les_still_fall_back_to_lists():
 
 
 def test_a_float_chunk_names_its_conversion_to_chains():
-    """Not one row is swept as arrays when the times are floats, and the
-    run says why: the ``keyed.converted_rows`` resolution, in
-    ``explain()`` too."""
+    """Not one row is swept as arrays when the times are floats: the run
+    goes again on per-key chains and says why, as the
+    ``keyed.rerun_on_chains`` resolution, in ``explain()`` too."""
     rows = [{**row, "Time": row["Time"] + 0.5} for row in scale_rows(3000)]
     query = Query.source("logs", ("Time", "UserId", "Clicks")).group_apply(
         "UserId", SHAPES["scale_sliding"]
@@ -295,9 +295,10 @@ def test_a_float_chunk_names_its_conversion_to_chains():
     engine.run(query, {"logs": rows}, validate=False)
     stats = engine.last_stats
     assert stats.array_swept_rows == 0
-    found = stats.resolutions[keyed.CONVERTED_ROWS]
-    assert found["count"] == len(rows) and "a time is not an int" in found["reason"]
-    assert f"resolved this run: {keyed.CONVERTED_ROWS} x {len(rows)}" in explain(query, stats=stats)
+    found = stats.resolutions[keyed.RERUN_ON_CHAINS]
+    assert found["count"] == 1 and "a time is not an int" in found["reason"]
+    assert stats.decoded_rows == len(rows)  # by the re-run alone
+    assert f"resolved this run: {keyed.RERUN_ON_CHAINS} x 1" in explain(query, stats=stats)
 
 
 def test_events_fed_to_a_keyed_count_are_swept_as_arrays():
@@ -315,7 +316,7 @@ def test_events_fed_to_a_keyed_count_are_swept_as_arrays():
     out = engine.run(query, {"logs": rows}, validate=False)
     stats = engine.last_stats
     assert stats.array_swept_rows == stats.decoded_rows == len(rows)
-    assert keyed.CONVERTED_ROWS not in stats.resolutions
+    assert keyed.RERUN_ON_CHAINS not in stats.resolutions
     with unfused_reference():
         assert ordered(out) == ordered(run(query, rows))
     calls = drive_in_batches(query, rows, chunk=200, wave=64, as_rows=True)
@@ -418,7 +419,7 @@ def test_no_event_built_per_input_row(shape):
     assert decoded == [] and stats.decoded_rows == 0
     # and every row was swept as arrays: no per-row loop either
     assert stats.array_swept_rows == len(rows)
-    assert keyed.CONVERTED_ROWS not in stats.resolutions
+    assert keyed.RERUN_ON_CHAINS not in stats.resolutions
 
 
 def test_a_keyed_root_releases_columns_without_a_row_per_segment():
@@ -534,7 +535,7 @@ def test_kez_per_keyword_count_decodes_no_row_in_timr():
     assert sum(stats.input_events for stats in engines) == len(rows)
     assert [stats.decoded_rows for stats in engines] == [0, 0, 0]
     assert sum(stats.array_swept_rows for stats in engines) == len(rows)
-    assert not any(keyed.CONVERTED_ROWS in stats.resolutions for stats in engines)
+    assert not any(keyed.RERUN_ON_CHAINS in stats.resolutions for stats in engines)
     assert decoded == []  # nothing on the way decodes a row either
     want = Engine().run(query, {"train": event.point_events(rows)})
     assert want and normalize(event.point_events(result.output_rows())) == normalize(want)

@@ -18,8 +18,8 @@ The top-level cells of ``test_top_level.py`` (``TOP_SHAPES``) take
 (the identity, a constant-false ``where``, an empty group input, every
 row at one ``Time``) and joins, at the top level and per key, take the
 same comparison, and so do keyed counts and int sums over long row
-histories with hostile values (the keyed array form and its
-conversion to per-key chains). Histories are hypothesis-generated:
+histories with hostile values (the keyed array form, and the re-run on
+per-key chains an unfit value sets off). Histories are hypothesis-generated:
 ties, slack 0 and 4, CTIs, and sometimes one hot key that takes most
 rows. Tier-1 runs a light profile
 (a couple of histories per cell, and for ``TiMR.run`` one fixed,
@@ -37,7 +37,9 @@ from hypothesis import strategies as st
 
 from repro.mapreduce import Cluster, DistributedFileSystem
 from repro.runtime import dataflow
-from repro.temporal import Engine, Query, StreamingEngine, normalize, relation
+from repro.runtime.dataflow import Dataflow
+from repro.temporal import MIN_TIME, Engine, Query, StreamingEngine, normalize, relation
+from repro.temporal import engine as engine_module
 from repro.temporal.event import rows_to_events
 from repro.temporal.operators import AggSpec
 from repro.temporal.plan import PlanNode
@@ -50,6 +52,7 @@ from tests.runtime.test_wake_scheduling import (
     FUSION_SHAPES,
     PREFIXES,
     build,
+    output_digest,
     scripts,
     to_logs,
 )
@@ -480,8 +483,8 @@ def test_keyed_sweep_over_rows_equals_the_oracle_heavy(subplan, data):
 #
 # Fed a source's rows, a keyed count or int sum is swept as int64 arrays,
 # a wave at a time, and a chunk it cannot hold so (a float or a bool, an
-# int past the bound, a float time) turns the rest of the run over to
-# per-key chains. Histories here are long enough for the batch driver's
+# int past the bound, a float time) makes the run go again on per-key
+# chains. Histories here are long enough for the batch driver's
 # waves (over 4,096 rows), with negative, huge and late hostile values.
 
 ARRAY_SHAPES = {
@@ -507,15 +510,12 @@ VALUES = {
 }
 
 
-@st.composite
-def long_rows(draw):
-    """About 6,000 rows in ``Time`` order, with ties, over up to 40
-    users; some carry an ``_re``."""
-    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
-    value = VALUES[draw(st.sampled_from(sorted(VALUES)))]
-    users = draw(st.integers(min_value=1, max_value=40))
+def array_rows(value, seed, users=23, n=6000):
+    """``n`` rows in ``Time`` order, with ties, over ``users`` users, ``V``
+    drawn by ``value``; some carry an ``_re``."""
+    rng = random.Random(seed)
     rows, now = [], 0
-    for i in range(draw(st.integers(min_value=5200, max_value=7000))):
+    for i in range(n):
         now += rng.choice([0, 0, 1, 2, 3])
         row = {"Time": now, "StreamId": rng.randrange(2), "UserId": rng.randrange(users),
                "V": value(rng, i)}
@@ -523,6 +523,17 @@ def long_rows(draw):
             row["_re"] = now + 1 + rng.randrange(30)
         rows.append(row)
     return rows
+
+
+@st.composite
+def long_rows(draw):
+    """About 6,000 :func:`array_rows` over up to 40 users."""
+    return array_rows(
+        VALUES[draw(st.sampled_from(sorted(VALUES)))],
+        draw(st.integers(min_value=0, max_value=2**32)),
+        draw(st.integers(min_value=1, max_value=40)),
+        draw(st.integers(min_value=5200, max_value=7000)),
+    )
 
 
 def check_array_shape(name, data):
@@ -545,6 +556,111 @@ def test_keyed_counts_and_sums_over_rows_equal_the_oracle(name, data):
 @given(data=st.data())
 def test_keyed_counts_and_sums_over_rows_equal_the_oracle_heavy(name, data):
     check_array_shape(name, data)
+
+
+#: ``Engine.run``'s output per ``ARRAY_SHAPES`` x ``VALUES`` cell over
+#: ``array_rows(value, i)``, ``i`` the value's place in ``sorted(VALUES)``,
+#: as it was when a late unfit value converted the node to chains mid-run:
+#: the re-run on chains must give it byte for byte
+ARRAY_DIGESTS = {
+    'bare-count-sum-huge': '71c1eb8b96e047fd', 'bare-count-sum-late-bool': '6212a455c1826aea',
+    'bare-count-sum-late-float': 'cdb651d1dbeacee5',
+    'bare-count-sum-late-past-the-bound': '30fd3372eb584f6b',
+    'bare-count-sum-negative': '5e18fdf579013082', 'bare-count-sum-small': '8a123e32d8cbefa2',
+    'compound-keys-huge': '6b90526d98aa04f8', 'compound-keys-late-bool': '03bcbbf9cc1b960b',
+    'compound-keys-late-float': 'd20394d83b2ee951',
+    'compound-keys-late-past-the-bound': '0a45426e6aabafd5',
+    'compound-keys-negative': 'ff7ba3106c39ec8d', 'compound-keys-small': 'a402cb9e8bb61810',
+    'count-huge': '8794dc0487fb5827', 'count-late-bool': '4171a903b7e749b2',
+    'count-late-float': 'c072838a2e27e338', 'count-late-past-the-bound': '0506d7e5f5506f9c',
+    'count-negative': '89154c59ef7dd857', 'count-small': '6be4aa231c6a0edf',
+    'hop-count-sum-huge': '55ea9d3fa532c090', 'hop-count-sum-late-bool': 'a4469a31507e3169',
+    'hop-count-sum-late-float': '50f8b1e02ab0f5a6',
+    'hop-count-sum-late-past-the-bound': '298ef49115946841',
+    'hop-count-sum-negative': 'eb6ba753d7f322d5', 'hop-count-sum-small': '0ea1d28ad0236a11',
+    'shift-hop-sum-huge': '3651d3c70b882d76', 'shift-hop-sum-late-bool': '5d4b32a514651029',
+    'shift-hop-sum-late-float': '9fc0df5777db4c31',
+    'shift-hop-sum-late-past-the-bound': '3838c9aeb86c9f1c',
+    'shift-hop-sum-negative': '9fdec44891990bd1', 'shift-hop-sum-small': 'f4a1c1562b9aba6b',
+    'sum-huge': '7d07d86cf1639158', 'sum-late-bool': 'b80b37f6aa3c999d',
+    'sum-late-float': '92c0df09b19daf8c', 'sum-late-past-the-bound': '6cf5671ed9a7ae68',
+    'sum-negative': 'd8b85e435940ca59', 'sum-small': '105291d6e090a518',
+}
+
+
+@pytest.mark.parametrize("value", sorted(VALUES))
+@pytest.mark.parametrize("shape", sorted(ARRAY_SHAPES))
+def test_keyed_counts_and_sums_keep_their_output(shape, value):
+    keys, subplan = ARRAY_SHAPES[shape]
+    query = Query.source("logs", ("StreamId", "UserId", "V")).group_apply(keys, subplan)
+    rows = array_rows(VALUES[value], sorted(VALUES).index(value))
+    assert output_digest(Engine().run(query, {"logs": rows})) == ARRAY_DIGESTS[f"{shape}-{value}"]
+
+
+# -- lifetimes shifted below the beginning of time -------------------------------
+#
+# A source's times start at ``MIN_TIME``, but a backward shift moves LEs
+# below it. Every position's watermark starts at its own floor (the
+# sources', less what the steps on the way move an LE back), so neither
+# per-key chains nor the array form take the beginning of time for a
+# promise: pushed one at a time, through ``Engine.run`` and through the
+# array form a wave per row, rows from ``MIN_TIME`` on give the oracle's
+# relation. Each seed draws 2 to 13 rows over three users and a backward
+# shift of up to 7 ticks, placed by the seed among ``NEAR_MIN_SHAPES``.
+
+NEAR_MIN_SHAPES = [
+    lambda a, b: (lambda g: g.shift(-a, -b).sum("V", into="s")),
+    lambda a, b: (lambda g: g.window(b + 1).shift(-a).count(into="n")),
+    lambda a, b: (lambda g: g.shift(-a).hopping_window(3, 3).count(into="n")),
+    lambda a, b: (lambda g: g.hopping_window(4, 2).shift(-a, -b).sum("V", into="s")),
+    lambda a, b: (lambda g: g.shift(-a).window(3).sum("V", into="s")),
+]
+
+
+def near_min_time(seed):
+    """``(query, rows)``: rows from ``MIN_TIME`` on, some with an ``_re``."""
+    rng = random.Random(seed)
+    t, rows = MIN_TIME + rng.randrange(0, 3), []
+    for _ in range(rng.randrange(2, 14)):
+        row = {"Time": t, "UserId": rng.choice("abc"), "V": rng.randrange(-2, 4)}
+        if rng.random() < 0.3:
+            row["_re"] = t + rng.choice([1, 2, 5, 9])
+        rows.append(row)
+        t += rng.choice([0, 0, 1, 2, 5])
+    back = rng.randrange(1, 8)
+    sub = NEAR_MIN_SHAPES[seed % len(NEAR_MIN_SHAPES)](back, rng.randrange(0, back + 1))
+    return Query.source("logs", ("UserId", "V")).group_apply("UserId", sub), rows
+
+
+def array_form_per_row(query, rows):
+    """A ``Dataflow`` in the array form (a wave threshold of 1), fed a
+    source's rows one at a time."""
+    flow = Dataflow(query.to_plan(), allow_unstreamable=True, group_wave_events=1)
+    out = []
+    for row in rows:
+        les, view = engine_module._source([dict(row)])
+        flow.feed("logs", view(0, 1), les[-1])
+        out.extend(flow.advance())
+    return normalize(out + list(flow.flush()))
+
+
+def check_near_min_time(seed):
+    query, rows = near_min_time(seed)
+    want = oracle(query, [dict(row) for row in rows])
+    assert stream(query, [("push", row) for row in rows]) == want
+    assert engine_run(query, [dict(row) for row in rows]) == want
+    assert array_form_per_row(query, rows) == want
+
+
+@pytest.mark.parametrize("seed", range(0, 300, 10))
+def test_lifetimes_shifted_below_the_beginning_of_time(seed):
+    check_near_min_time(seed)
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("seed", range(300))
+def test_lifetimes_shifted_below_the_beginning_of_time_heavy(seed):
+    check_near_min_time(seed)
 
 
 # -- lifetime rewrites ahead of the aggregate ------------------------------------

@@ -31,7 +31,7 @@ from unittest import mock
 import pytest
 
 from repro.runtime import RunContext
-from repro.runtime.keyed import CONVERTED_ROWS
+from repro.runtime.keyed import RERUN_ON_CHAINS
 from repro.temporal import Engine, Query
 from repro.temporal import engine as engine_module
 from repro.temporal.event import SRC_COLUMN, events_to_rows, point_events
@@ -86,7 +86,7 @@ def run(query, sources, batch):
     flows = []
     with recorded_flows(flows):
         out = engine.run(query, sources, validate=False)
-    (flow,) = flows
+    flow = flows[-1]  # the one that gave ``out``: a re-run on chains builds a second
     return ordered(out), engine.last_stats.operator_events, flow.chain_advances
 
 
@@ -182,9 +182,9 @@ def test_rewrite_chains_over_rows_equal_over_events(subplan, chain, rows, batch)
 # (``runtime/keyed.py``), fed a source's rows or the same rows decoded to
 # events. Each cell gives the output, operator events and chain advances
 # of a chain per key both ways. Where a chunk cannot be held as int64
-# arrays (a float or a bool, an int past the bound, a float time) the node
-# converts to per-key chains from that chunk on, its carried state their
-# aggregates' panes, and ``keyed.converted_rows`` says so.
+# arrays (a float or a bool, an int past the bound, a float time) the run
+# goes again with every GroupApply on per-key chains, and
+# ``keyed.rerun_on_chains`` says so.
 
 
 def _hostile(change, source=lambda: wave_rows(2500)):
@@ -209,8 +209,8 @@ def _count_and_sum(stages=lambda g: g.window(7)):
     return lambda g: stages(g).aggregate(AggSpec("count", "n"), AggSpec("sum", "s", "V"))
 
 
-#: name -> (keys, sub-plan, rows, how the rows are swept: "array",
-#: "converts" to chains mid-stream, or chains from the first chunk: "loop")
+#: name -> (keys, sub-plan, rows, how the rows are swept: "array", or
+#: "rerun" on chains, the unfit chunk mid-stream or the first)
 HOSTILE_ROWS = {
     "negative-and-zero": (
         "UserId", _count_and_sum(), _hostile(lambda i, row: row.update(V=row["V"] - 3)),
@@ -231,18 +231,18 @@ HOSTILE_ROWS = {
         ("UserId", "StreamId"), _count_and_sum(lambda g: g.hopping_window(12, 4)),
         lambda: wave_rows(2500), "array",
     ),
-    "bool-value": ("UserId", _count_and_sum(), _hostile(_from(1500, "V", True)), "converts"),
-    "float-value": ("UserId", _count_and_sum(), _hostile(_from(1500, "V", 2.5)), "converts"),
+    "bool-value": ("UserId", _count_and_sum(), _hostile(_from(1500, "V", True)), "rerun"),
+    "float-value": ("UserId", _count_and_sum(), _hostile(_from(1500, "V", 2.5)), "rerun"),
     "int-near-2**62": (
-        "UserId", _count_and_sum(), _hostile(_from(1500, "V", 2**62 - 1)), "converts",
+        "UserId", _count_and_sum(), _hostile(_from(1500, "V", 2**62 - 1)), "rerun",
     ),
     "float-times": (
         "UserId", _count_and_sum(),
-        _hostile(lambda i, row: i < 1500 or row.update(Time=row["Time"] + 0.5)), "converts",
+        _hostile(lambda i, row: i < 1500 or row.update(Time=row["Time"] + 0.5)), "rerun",
     ),
     "float-times-throughout": (
         "UserId", _count_and_sum(),
-        _hostile(lambda i, row: row.update(Time=row["Time"] + 0.5)), "loop",
+        _hostile(lambda i, row: row.update(Time=row["Time"] + 0.5)), "rerun",
     ),
 }
 
@@ -261,10 +261,11 @@ def test_array_form_equals_the_loop_on_hostile_rows(case, batch):
     engine = Engine(context=context)
     engine.run(query(), {"logs": rows}, validate=False)
     stats = engine.last_stats
-    looped = stats.resolutions.get(CONVERTED_ROWS, {}).get("count", 0)
-    assert stats.array_swept_rows + looped == len(rows)
-    assert {"array": looped == 0, "loop": stats.array_swept_rows == 0,
-            "converts": 0 < looped < len(rows)}[swept]
+    rerun = stats.resolutions.get(RERUN_ON_CHAINS, {}).get("count", 0)
+    assert rerun == (swept == "rerun")
+    # the re-run's own counts: every row decoded for the chains, none swept
+    assert stats.array_swept_rows == (0 if rerun else len(rows))
+    assert stats.decoded_rows == (len(rows) if rerun else 0)
 
 
 # -- several sources ---------------------------------------------------------------

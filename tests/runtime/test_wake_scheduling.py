@@ -14,9 +14,11 @@ The contract is per call, not per run: each ``push`` / ``advance_to`` /
 (``Dataflow.chain_advances``), never by a clock.
 """
 
+import ast
 import contextlib
 import hashlib
 import heapq
+import inspect
 import random
 from unittest import mock
 
@@ -27,11 +29,13 @@ from hypothesis import strategies as st
 from repro.bt.queries import UNIFIED_COLUMNS, bot_elimination_query
 from repro.bt.schema import CLICK, KEYWORD, BTConfig
 from repro.data import GeneratorConfig, generate
+from repro.mapreduce import Cluster, DistributedFileSystem
+from repro.obs.trace import Tracer
 from repro.runtime import RunContext, dataflow, keyed
 from repro.runtime.dataflow import Dataflow, StreamingUnsupported
-from repro.temporal import Engine, Query, StreamingEngine
+from repro.temporal import Engine, Query, StreamingEngine, normalize
 from repro.temporal import engine as engine_module
-from repro.temporal.event import Event, point_events
+from repro.temporal.event import Event, point_events, rows_to_events
 from repro.temporal.operators import (
     WAKE_ALWAYS,
     AggSpec,
@@ -39,7 +43,10 @@ from repro.temporal.operators import (
     UnaryOperator,
     aggregate,
 )
+from repro.temporal.plan import topological_order
+from repro.temporal.relation import ref_plan
 from repro.temporal.time import MAX_TIME, MIN_TIME
+from repro.timr import TiMR
 
 
 def _subclasses(cls):
@@ -446,19 +453,19 @@ def test_fused_equals_unfused_per_push(prefix, subplan, data):
 
 
 def drive_in_batches(query, rows, chunk=50, wave=64, feed=to_logs, as_rows=False,
-                     mark=None):
+                     mark=None, calls=None):
     """The batch driver's loop — chunked feeds, amortized waves — with
-    every ``advance`` call's releases, watermark and wake time kept.
-    Each chunk is fed per source (``feed`` as in :func:`drive`), with
-    that source's last LE as its watermark (``mark(le)`` of it when
-    given): as events, or with ``as_rows`` as the ``Batch`` of rows
-    ``Engine.run`` cuts from a source of rows (``engine._source``),
-    whose columns a keyed sweep reads."""
+    every ``advance`` call's releases, watermark and wake time kept (in
+    ``calls`` when given). Each chunk is fed per source (``feed`` as in
+    :func:`drive`), with that source's last LE as its watermark
+    (``mark(le)`` of it when given): as events, or with ``as_rows`` as
+    the ``Batch`` of rows ``Engine.run`` cuts from a source of rows
+    (``engine._source``), whose columns a keyed sweep reads."""
     mark = mark or (lambda le: le)
     flow = Dataflow(
         query.to_plan(), allow_unstreamable=True, group_wave_events=wave
     )
-    calls = []
+    calls = [] if calls is None else calls
 
     def call(out):
         wake = flow.next_wake(), flow.chain_advances
@@ -537,13 +544,17 @@ def test_a_run_split_across_calls(shape, as_rows, wave):
     """A key's run of equal (LE, RE) split across two batch calls
     releases what the chains do per call. With a wave after every call
     the per-push form runs chains, and the ``enter`` counts agree too;
-    with amortized waves the array form enters no pane, and a float sum
-    or a max runs chains whose aggregate sees both calls' rows at
-    once."""
+    with amortized waves the array form enters no pane, a max runs
+    chains whose aggregate sees both calls' rows at once, and the array
+    form refuses a float sum at the first call."""
     query = Query.source("logs", ("StreamId", "UserId", "V")).group_apply(
         "UserId", SPLIT_RUN_SHAPES[shape]
     )
     rows = _split_run_rows()
+    if wave and shape == "float-sum":
+        calls, unfit = drive_until_unfit(query, rows, chunk=4, wave=wave, as_rows=as_rows)
+        assert calls == [] and unfit.reason == keyed.SUM_NOT_INT
+        return
     with counting_enters() as keyed_enters:
         fused = drive_in_batches(query, rows, chunk=4, wave=wave, as_rows=as_rows)
     with unfused_reference(), counting_enters() as chain_enters:
@@ -830,7 +841,8 @@ def _late_chunk(change, start=900):
 
 
 #: (rows, per-key plan, chunk, wave): tied LEs at a wave and at the
-#: flush, mid-stream conversions, MAX_TIME REs behind a shift
+#: flush, a mid-stream input the array form cannot hold (``*-later``),
+#: MAX_TIME REs behind a shift
 COLUMN_CELLS = {
     "ties-count": (_tied_rows(), lambda g: g.window(5).count(into="n"), 21, 1),
     "ties-sum": (_tied_rows(), lambda g: g.window(5).sum("V", into="s"), 21, 1),
@@ -854,43 +866,50 @@ COLUMN_CELLS = {
 
 @contextlib.contextmanager
 def column_release_log():
-    """Record each top-level keyed root's column releases (rows each)
-    and, per feed that left the array form, the backlog it held."""
-    log = {"released": [], "converted": []}
-    batch, feed = keyed.KeyedAggregate.batch, dataflow.GroupScheduler._feed
+    """Record each top-level keyed root's column releases (rows each)."""
+    log = {"released": []}
+    batch = keyed.KeyedAggregate.batch
 
     def recording_batch(self, segments):
         log["released"].append(len(segments))
         return batch(self, segments)
 
-    def recording_feed(self, w):
-        columns, backlog = self._keyed is not None, len(self._pending)
-        feed(self, w)
-        if columns and self._keyed is None:
-            log["converted"].append(backlog)
-
-    with mock.patch.object(keyed.KeyedAggregate, "batch", recording_batch), \
-            mock.patch.object(dataflow.GroupScheduler, "_feed", recording_feed):
+    with mock.patch.object(keyed.KeyedAggregate, "batch", recording_batch):
         yield log
+
+
+def drive_until_unfit(query, rows, **kwargs):
+    """:func:`drive_in_batches` over rows the array form cannot hold all
+    of: the calls made before the one that raised, and what it raised."""
+    calls = []
+    kwargs.setdefault("as_rows", True)
+    with pytest.raises(keyed.ArrayFormUnfit) as unfit:
+        drive_in_batches(query, rows, calls=calls, **kwargs)
+    return calls, unfit.value
+
+
+#: the ``*-later`` cells: the ``advance`` call at which an input the array
+#: form cannot hold arrives (where the node used to convert to chains)
+UNFIT_AT = {"float-time-later": 18, "past-int64-later": 18, "float-watermark-later": 16}
 
 
 @pytest.mark.parametrize("cell", sorted(COLUMN_CELLS))
 def test_column_release_equals_the_loop_per_call(cell):
     rows, sub, chunk, wave = COLUMN_CELLS[cell]
     query = Query.source("logs", ("StreamId", "UserId", "V")).group_apply("UserId", sub)
-    with column_release_log() as log:
-        columns = drive_in_batches(query, rows, chunk=chunk, wave=wave, as_rows=True)
     with unfused_reference():
         loop = drive_in_batches(query, rows, chunk=chunk, wave=wave)
+    with column_release_log() as log:
+        if "later" in cell:  # every call up to the unfit input, which raises
+            columns, _ = drive_until_unfit(query, rows, chunk=chunk, wave=wave)
+            loop = loop[: UNFIT_AT[cell]]
+        else:
+            columns = drive_in_batches(query, rows, chunk=chunk, wave=wave, as_rows=True)
     assert len(columns) == len(loop) > 3
     for i, (got, want) in enumerate(zip(columns, loop)):
         assert got == want, f"call {i} of {len(loop)}"
     assert sum(log["released"]) > 0  # the array form released columns
-    if "later" in cell:
-        # left the array form mid-stream with a backlog not yet released
-        assert len(log["converted"]) == 1 and log["converted"][0] > 0
-    else:
-        assert log["converted"] == []
+    if "later" not in cell:
         assert sum(log["released"]) == sum(len(out) for out, _, _ in loop)
 
 
@@ -972,8 +991,9 @@ def _float_from(t):
 
 
 #: (rows, per-key plan, chunk, wave, mark): ``mark`` as in
-#: :func:`drive_in_batches`; a cell named ``*-later`` leaves the array
-#: form mid-stream, after its columns hold state
+#: :func:`drive_in_batches`; a cell named ``*-later`` meets an input the
+#: array form cannot hold mid-stream (``UNFIT_AT``), after its columns
+#: hold state
 COLUMN_WAVE_CELLS = {
     "idle-and-back": (_returning_rows(40), lambda g: g.window(5).sum("V", into="s"), 6, 1,
                       None),
@@ -1020,30 +1040,35 @@ def test_column_wave_equals_the_chains_per_call(cell):
     query = Query.source("logs", ("StreamId", "UserId", "V")).group_apply("UserId", sub)
     with counting_calls(keyed.KeyedAggregate, "wave") as waves, \
             counting_calls(dataflow._FlatChain, "advance") as advances:
-        columns = drive_in_batches(query, rows, chunk=chunk, wave=wave, as_rows=True,
-                                   mark=mark)
+        if cell.endswith("-later"):  # every call up to the unfit input, which raises
+            columns, _ = drive_until_unfit(query, rows, chunk=chunk, wave=wave, mark=mark)
+        else:
+            columns = drive_in_batches(query, rows, chunk=chunk, wave=wave, as_rows=True,
+                                       mark=mark)
     with unfused_reference(), \
             counting_calls(dataflow.GroupScheduler, "_rebuild_heaps") as rebuilds:
         chains = drive_in_batches(query, rows, chunk=chunk, wave=wave, as_rows=True,
                                   mark=mark)
+    if cell.endswith("-later"):
+        chains = chains[: UNFIT_AT[cell]]
     assert len(columns) == len(chains) > 5
     for i, (got, want) in enumerate(zip(columns, chains)):
         assert got == want, f"call {i} of {len(chains)}"
     assert waves[0] > 3  # the waves ran in columns
-    if cell.endswith("-later"):  # then per key, in chains
-        assert advances[0] > len({row["UserId"] for row in rows})
-    else:  # no key ever advanced a chain
-        assert advances[0] == 0
+    assert advances[0] == 0  # no key ever advanced a chain
     if cell.startswith("rebuild"):
         assert rebuilds[0] > 0
 
 
 # -- the wave rule at the beginning of time ----------------------------------
 #
-# Two clauses of the array form's wave rule (``KeyedAggregate.wave``) bind
-# only where a backward shift clamps a stage's watermark at MIN_TIME: the
+# Two clauses of the array form's wave rule (``KeyedAggregate.wave``) bound
+# only where a backward shift clamped a stage's watermark at MIN_TIME: the
 # floor under each key's watermark, and the lagging-stage test of whether
-# a key may sleep. Each cell below fails without its clause.
+# a key may sleep; each cell below failed without its clause. Every
+# watermark now starts at its own position's floor, below MIN_TIME behind
+# a backward shift, so nothing clamps and both clauses are gone: the cells
+# hold the two forms equal per call where they bound.
 
 
 def _near_min_time(seed=19, n=60, keys=4):
@@ -1111,50 +1136,142 @@ def test_a_pane_past_max_time_holds_a_chains_watermark():
     assert engine.output_watermark >= MAX_TIME
 
 
-#: name -> (why, rows, per-key plan, mark): each converts the node to
-#: per-key chains mid-stream, with chunks staged since the last wave (a
+#: name -> (why, rows, per-key plan, mark, call): each meets an input the
+#: array form cannot hold at ``advance`` call ``call`` (where the node used
+#: to convert to chains), with chunks staged since the last wave (a
 #: threshold of 256 waves every sixth chunk) and, but the last, a backlog
 #: the ``hold`` key keeps
 CONVERSIONS = {
     "float-time": (keyed.TIME_NOT_INT, _late_chunk(lambda r: {"Time": r["Time"] + 0.5}, 1000),
-                   lambda g: g.sum("V", into="s"), None),
+                   lambda g: g.sum("V", into="s"), None, 20),
     "float-sum": (keyed.SUM_NOT_INT, _late_chunk(lambda r: {"V": r["V"] + 0.5}, 1000),
-                  lambda g: g.shift(1).sum("V", into="s"), None),
+                  lambda g: g.shift(1).sum("V", into="s"), None, 20),
     "past-int64": (keyed.PAST_BOUNDS, _late_chunk(lambda r: {"V": 2**62 + r["V"]}, 1000),
-                   lambda g: g.shift(-2).sum("V", into="s"), None),
-    "float-watermark": (keyed.WATERMARK_NOT_INT, _tie_heavy_rows(),
-                        lambda g: g.window(6).count(into="n"), _float_from(900)),
+                   lambda g: g.shift(-2).sum("V", into="s"), None, 20),
+    # long enough for a wave of ``Engine.run``'s threshold
+    "float-watermark": (keyed.WATERMARK_NOT_INT, _tie_heavy_rows(6000),
+                        lambda g: g.window(6).count(into="n"), _float_from(900), 11),
 }
+
+#: ``Engine.run``'s output per ``CONVERSIONS`` cell, when the node converted
+#: to chains mid-run; the re-run must give it byte for byte
+CONVERSION_DIGESTS = {
+    "float-sum": "b9908d09505666b3",
+    "float-time": "75fcc82a8b41b474",
+    "float-watermark": "83a440d27edd148f",
+    "past-int64": "32f1f53295e3e545",
+}
+
+
+def conversion_run(cell, root):
+    """``(query, sources)`` of a ``CONVERSIONS`` cell for ``Engine.run``,
+    the GroupApply at the root or under a ``where``. A float watermark
+    comes from another source: float times, read by no GroupApply."""
+    _, rows, sub, mark, _ = CONVERSIONS[cell]
+    logs, sources = Query.source("logs", ("StreamId", "UserId", "V")), {"logs": rows}
+    if mark is not None:
+        clock = Query.source("clock", ("StreamId", "UserId", "V")).where(lambda p: False)
+        logs = logs.union(clock)
+        sources["clock"] = [{"Time": t + 0.5, "StreamId": 0, "UserId": "c", "V": 0}
+                            for t in range(900, rows[-1]["Time"])]
+    query = logs.group_apply("UserId", sub)
+    return (query if root else query.where(lambda p: True)), sources
+
+
+def output_digest(out):
+    """Output events to the byte: lifetimes, then payload items in order."""
+    rows = [(e.le, e.re, list(e.payload.items())) for e in out]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
 
 
 @pytest.mark.parametrize("root", [True, False], ids=["root", "under-a-where"])
 @pytest.mark.parametrize("cell", sorted(CONVERSIONS))
 def test_a_conversion_to_chains_equals_the_chains_per_call(cell, root):
-    """A node that leaves the array form — at a flow's root, or under a
-    ``where`` — takes up each key's panes, totals and open segment,
-    watermarks, wake time, ordinal and stamp, and queues the chunks fed
-    since the last wave to the chains: every later call is the chains'."""
-    reason, rows, sub, mark = CONVERSIONS[cell]
+    """A node that meets an input the array form cannot hold — at a
+    flow's root, or under a ``where`` — raises ``ArrayFormUnfit`` with
+    its reason at that call, every call before it the chains'.
+    ``Engine.run`` runs the plan again with every GroupApply on chains:
+    the output is the chains' to the byte and the oracle's, the run is
+    one named resolution, and what the aborted attempt counted or traced
+    is not kept."""
+    reason, rows, sub, mark, at = CONVERSIONS[cell]
     query = Query.source("logs", ("StreamId", "UserId", "V")).group_apply("UserId", sub)
     if not root:
         query = query.where(lambda p: True)
-    converted = []
-    to_chains = dataflow.GroupScheduler._to_chains
-
-    def recording(self, why):
-        converted.append((why, len(self._keyed.fed), len(self._pending)))
-        to_chains(self, why)
-
-    with mock.patch.object(dataflow.GroupScheduler, "_to_chains", recording):
-        got = drive_in_batches(query, rows, chunk=50, wave=256, as_rows=True, mark=mark)
+    calls, unfit = drive_until_unfit(query, rows, chunk=50, wave=256, mark=mark)
     with unfused_reference():
         want = drive_in_batches(query, rows, chunk=50, wave=256, as_rows=True, mark=mark)
-    assert len(got) == len(want) > 5
-    for i, (a, b) in enumerate(zip(got, want)):
-        assert a == b, f"call {i} of {len(want)}"
-    ((why, pending, backlog),) = converted
-    assert why == reason and pending > 0
-    assert backlog > 0 or reason == keyed.WATERMARK_NOT_INT
+    assert unfit.reason == reason and len(calls) == at
+    for i, (a, b) in enumerate(zip(calls, want)):
+        assert a == b, f"call {i} of {at}"
+
+    query, sources = conversion_run(cell, root)
+    tracer = Tracer()
+    engine = Engine(context=RunContext(tracer=tracer))
+    got = engine.run(query, sources)
+    with unfused_reference():
+        chains = Engine().run(query, sources)
+    assert output_digest(got) == output_digest(chains) == CONVERSION_DIGESTS[cell]
+    events = {name: rows_to_events(part) for name, part in sources.items()}
+    assert normalize(got) == normalize(ref_plan(query.to_plan(), events))
+    stats = engine.last_stats
+    found = stats.resolutions[keyed.RERUN_ON_CHAINS]
+    assert found["count"] == 1 and reason in found["reason"]
+    (node,) = [k for k in engine_module.plan_node_keys(query.to_plan()).values()
+               if k.endswith(".group-apply")]
+    assert found["reason"].startswith(f"{node}: a GroupApply by UserId met an input")
+    assert stats.decoded_rows == stats.input_events == sum(map(len, sources.values()))
+    assert stats.array_swept_rows == 0
+    names = [span.name for span in tracer.finished()]
+    operators = [n for n in topological_order(query.to_plan()) if n.inputs]
+    assert names.count("engine.run") == 1
+    assert len([n for n in names if n.startswith("engine.") and n != "engine.run"]) == len(
+        operators)
+
+
+def test_a_float_sum_through_timr_runs_again_on_chains():
+    """A TiMR reducer's ``Engine.run`` meets a float value after its keyed
+    sum has staged int rows: the reducer's run goes again on chains, and
+    the job's output is the oracle's."""
+    _, rows, sub, _, _ = CONVERSIONS["float-sum"]
+    query = Query.source("logs", ("StreamId", "UserId", "V")).group_apply("UserId", sub)
+    fs = DistributedFileSystem()
+    fs.write("logs", rows, require_time_column=False)
+    engines = []
+    run_engine = Engine.run
+
+    def recording(self, *args, **kwargs):
+        out = run_engine(self, *args, **kwargs)
+        engines.append(self.last_stats)
+        return out
+
+    with mock.patch.object(Engine, "run", recording):
+        result = TiMR(Cluster(fs=fs)).run(query, job_name="float-sum")
+    assert any(keyed.RERUN_ON_CHAINS in stats.resolutions for stats in engines)
+    want = ref_plan(query.to_plan(), {"logs": rows_to_events(rows)})
+    assert normalize(rows_to_events(result.output_rows())) == normalize(want)
+
+
+def test_nothing_carries_the_array_form_over_to_chains():
+    """The retry leaves no conversion behind: no method that moved the
+    array form's state into chains, and ``keyed.py`` sets no attribute of
+    the scheduler (the array form owns its ordinals, advances and idle
+    delta)."""
+    gone = {dataflow.GroupScheduler: ["_to_chains", "converted", "converted_rows"],
+            keyed.KeyedAggregate: ["carried", "chain_state", "fed"],
+            SnapshotAggregate: ["resume"]}
+    for cls, names in gone.items():
+        for name in names:
+            assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+    node = build("source", "sum", FUSION_SHAPES).to_plan()
+    array_form = dataflow._keyed_aggregate(node, dataflow._flat_plan(node))
+    assert not hasattr(array_form, "fed")
+    tree = ast.parse(inspect.getsource(keyed))
+    assigned = [t for n in ast.walk(tree) if isinstance(n, (ast.Assign, ast.AugAssign))
+                for t in (n.targets if isinstance(n, ast.Assign) else [n.target])]
+    owners = {t.value.id for a in assigned for t in ast.walk(a)
+              if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)}
+    assert owners <= {"self"}, owners
 
 
 def test_a_nested_group_apply_reads_events():

@@ -114,6 +114,7 @@ class TestExplainPhysicalPath:
             )
         )
         assert "per key: under Engine.run and TiMR, the array form" in keyed
+        assert "cannot hold as int64 makes the run go again on chains" in keyed
         assert "under StreamingEngine, one flat chain" in keyed
         assert f"window({hours(1)}): computed over int64 arrays in the array form" in keyed
         assert "key columns attached to its payloads in place" in keyed

@@ -18,7 +18,7 @@ _spec.loader.exec_module(counts)
 
 def _row(**changes):
     row = {"chain advances": 10, "operator_events": 20, "decoded_rows": 0,
-           "array_swept_rows": 5, "keyed.converted_rows": 0, "waves": 3, "wave width": 9,
+           "array_swept_rows": 5, "keyed.rerun_on_chains": 0, "waves": 3, "wave width": 9,
            "output rows": 20, "digest": "abc"}
     row.update(changes)
     return row
@@ -56,24 +56,24 @@ def test_a_traced_pass_counts_the_work(monkeypatch):
     assert set(found) == set(counts.ROWS)
     # a keyed sliding sum over rows: every row swept as arrays, none decoded
     assert found["decoded_rows"] == 0 and found["array_swept_rows"] == 15_000
-    assert found["keyed.converted_rows"] == 0  # no resolution counted: 0, not n/a
+    assert found["keyed.rerun_on_chains"] == 0  # no resolution counted: 0, not n/a
     assert found["chain advances"] > 0
     assert found["operator_events"] == found["output rows"] > 15_000
 
 
 def test_the_converted_rows_row_reads_its_resolution(monkeypatch):
-    """``keyed.converted_rows`` reads the ``engine.resolutions`` counter
+    """``keyed.rerun_on_chains`` reads the ``engine.resolutions`` counter
     of that label: ``bt_timr`` feeds its keyed counts events, which the
-    array form sweeps, so none converts; a keyed int sum handed a float
-    does."""
+    array form sweeps, so no run goes again; one whose keyed int sum is
+    handed a float does, once."""
     monkeypatch.setattr(sys, "path", list(sys.path))
     found = counts.collect(ROOT, ["bt_timr"], size="smoke")["bt_timr"]
-    assert found["keyed.converted_rows"] == 0 and found["array_swept_rows"] > 0
+    assert found["keyed.rerun_on_chains"] == 0 and found["array_swept_rows"] > 0
     tracer = Tracer()
     query = Query.source("logs", ("u", "v")).group_apply("u", lambda g: g.window(5).sum("v"))
     rows = [{"Time": t, "u": t % 3, "v": t if t < 10 else t + 0.5} for t in range(20)]
     Engine(context=RunContext(tracer=tracer, batch_size=5)).run(query, {"logs": rows})
-    assert counts.summed(tracer.metrics.snapshot())["keyed.converted_rows"] == 10
+    assert counts.summed(tracer.metrics.snapshot())["keyed.rerun_on_chains"] == 1
 
 
 def test_the_wave_rows_read_the_wave_width_histogram(monkeypatch):

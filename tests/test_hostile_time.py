@@ -12,7 +12,7 @@ Every layer decodes an M-R row with one codec (``temporal/event.py``:
   quarantined, and the output is the output without it.
 
 No cell raises a ``TypeError``, and none silently accepts a ``bool``, a
-NaN or a time at the end of time. A row that is not a mapping gets the
+NaN, a time at the end of time or one before its beginning. A row that is not a mapping gets the
 same treatment at ``Engine.run``, each ``StreamingEngine`` policy and
 ``fs.write``.
 """
@@ -24,8 +24,11 @@ import pytest
 
 from repro.mapreduce import Cluster, DistributedFileSystem, StageExecutionError
 from repro.runtime import RunContext
-from repro.temporal import MAX_TIME, Engine, Event, Query, StreamingEngine, normalize
-from repro.temporal.event import rows_to_events
+from repro.cli import main
+from repro.data import GeneratorConfig, generate
+from repro.data.io import save_dataset
+from repro.temporal import MAX_TIME, MIN_TIME, Engine, Event, Query, StreamingEngine, normalize
+from repro.temporal.event import decode_row, rows_to_events
 from repro.timr import TiMR
 
 FIRST = {"Time": 1, "u": "a"}
@@ -50,6 +53,11 @@ UNUSABLE = {
         {"Time": MAX_TIME, "u": "a"},
         ValueError,
         ["'Time'", str(MAX_TIME)],
+    ),
+    "before-time": (
+        {"Time": MIN_TIME - 3, "u": "a"},
+        ValueError,
+        ["'Time'", str(MIN_TIME - 3)],
     ),
 }
 
@@ -193,6 +201,42 @@ def test_a_folded_union_names_an_unusable_time(row, quarantine):
     out, records = timr_job(folded_union(), rows, True, span_width=2)
     assert out == timr_job(folded_union(), [dict(FIRST), dict(LAST)], False, span_width=2)[0]
     assert [(r["_site"], repr(r["_row"])) for r in records] == [("map", repr(value))]
+
+
+#: a time before the beginning of time: ``Engine.run``, ``TiMR.run``,
+#: ``decode_row`` and ``repro sql`` took it, and a first push refused it
+#: as out of order (``< watermark``), so batch and streaming disagreed
+BEFORE_TIME = {"Time": MIN_TIME - 3, "u": "a"}
+
+
+def _sql_before_time(directory):
+    """``repro sql`` over a snapshot whose first row is at ``BEFORE_TIME``:
+    its exit code."""
+    dataset = generate(GeneratorConfig(num_users=3, duration_days=0.5, seed=1))
+    dataset.rows[0]["Time"] = BEFORE_TIME["Time"]
+    save_dataset(dataset, str(directory), num_partitions=1)
+    return main(["sql", "SELECT COUNT(*) AS n FROM logs WINDOW 6 HOURS", "--data",
+                 str(directory)])
+
+
+@pytest.mark.parametrize("entry", ["engine", "push", "timr", "decode_row", "sql"])
+def test_a_time_before_the_beginning_of_time_is_named(entry, tmp_path, capsys):
+    rows = [dict(BEFORE_TIME), dict(FIRST)]
+    with pytest.raises(ValueError) as info:
+        if entry == "engine":
+            Engine().run(grouped(), {"logs": rows})
+        elif entry == "push":
+            StreamingEngine(grouped()).push("logs", dict(BEFORE_TIME))
+        elif entry == "timr":
+            timr_job(grouped(), rows, False)
+        elif entry == "decode_row":
+            decode_row(dict(BEFORE_TIME))
+        elif _sql_before_time(tmp_path) == 2:
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            raise ValueError(err)
+    for part in ["'Time'", str(MIN_TIME - 3), "not a usable time"]:
+        assert part in str(info.value), (str(info.value), part)
 
 
 #: rows that are not mappings of column to value, and what the error

@@ -13,8 +13,8 @@ silently changed on its way through.
   ``StreamSQLError`` when the query is parsed (it was truncated by
   ``int()``).
 * A keyed int ``sum`` whose total passes 2^63 gives the exact Python
-  int: the array form names its ``keyed.converted_rows`` fallback to
-  per-key chains and never wraps.
+  int: the array form never wraps, and the run goes again on per-key
+  chains, named ``keyed.rerun_on_chains``.
 * ``Cluster.run_stage`` called directly with a map function or a reducer
   whose output is not rows (``None``, an ``int`` among them) fails on
   the first attempt with a ``ValueError`` naming the stage, the task and
@@ -149,11 +149,10 @@ def test_the_array_form_names_its_fallback_and_never_wraps(case):
     engine = Engine(context=RunContext(batch_size=8))
     out = engine.run(_sum_query(), {"logs": rows})
     stats = engine.last_stats
-    converted = stats.resolutions[keyed.CONVERTED_ROWS]
-    assert "an int past the int64 bounds" in converted["reason"]
-    # the chunks before the large one were swept as arrays
-    assert stats.array_swept_rows + converted["count"] == len(rows)
-    assert (stats.array_swept_rows > 0) == (case == "large-in-a-later-chunk")
+    rerun = stats.resolutions[keyed.RERUN_ON_CHAINS]
+    assert "an int past the int64 bounds" in rerun["reason"] and rerun["count"] == 1
+    # the counts are the re-run's: no row swept as arrays, every row decoded
+    assert stats.array_swept_rows == 0 and stats.decoded_rows == len(rows)
     assert normalize(out) == normalize(ref_plan(_sum_query().to_plan(),
                                                 {"logs": point_events(rows)}))
 

@@ -15,8 +15,9 @@ Prints per workload, for both sides:
   revision that lacks it;
 * ``operator_events``, ``decoded_rows`` and ``array_swept_rows``: the
   ``engine.*`` counters, summed over their labels;
-* ``keyed.converted_rows``: the rows a keyed count or int sum fed its
-  per-key chains once an input converted it from the array form, the
+* ``keyed.rerun_on_chains``: the ``Engine.run`` calls that met an
+  input a keyed count or int sum in the array form cannot hold and ran
+  again with every GroupApply on per-key chains, the
   ``engine.resolutions`` counter of that label (0 where it never
   counted);
 * waves and wave width: the GroupApply waves that ran, and the active
@@ -59,7 +60,7 @@ ROWS = {
     "decoded_rows": "engine.decoded_rows",
     "array_swept_rows": "engine.array_swept_rows",
     #: a resolution is counted only once it happens: absent reads 0
-    "keyed.converted_rows": ("engine.resolutions", "keyed.converted_rows"),
+    "keyed.rerun_on_chains": ("engine.resolutions", "keyed.rerun_on_chains"),
     "waves": ("dataflow.wave_width", "count"),
     "wave width": ("dataflow.wave_width", "sum"),
     "output rows": None,
